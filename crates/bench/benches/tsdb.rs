@@ -81,11 +81,9 @@ fn bench_insert_batch(c: &mut Criterion) {
 /// Window-query cost as the Analyze window widens (Analyze reads
 /// dominate the loop's steady-state telemetry traffic).
 ///
-/// Three variants per width:
+/// Two variants per width:
 /// * `scan_vec`  — the seed's read path: O(n) filter scan over the whole
 ///   series, materializing `Vec<Sample>`, then a second aggregation pass;
-/// * `vec`       — binary-searched view materialized to `Vec<Sample>`
-///   (the compatibility wrappers), then aggregated;
 /// * `agg`       — the zero-allocation path: `window_agg` folding the
 ///   binary-searched view directly.
 fn bench_window_query(c: &mut Criterion) {
@@ -117,12 +115,6 @@ fn bench_window_query(c: &mut Criterion) {
                 });
             },
         );
-        g.bench_with_input(BenchmarkId::new("vec", window_s), &window_s, |b, &w| {
-            b.iter(|| {
-                let samples = db.window(ids[0], black_box(now), SimDuration::from_secs(w));
-                black_box(WindowAgg::Mean.apply_samples(&samples))
-            });
-        });
         g.bench_with_input(BenchmarkId::new("agg", window_s), &window_s, |b, &w| {
             b.iter(|| {
                 black_box(db.window_agg(
@@ -251,7 +243,7 @@ fn bench_percentile_wide(c: &mut Criterion) {
 /// *concurrent* collector load is machine-dependent (core count) like
 /// the `tsdb_contention` fleet — see ARCHITECTURE.md's multi-core note.
 fn bench_export(c: &mut Criterion) {
-    use moda_telemetry::export::{CsvSink, Exporter};
+    use moda_telemetry::export::{CsvSink, Exporter, MemorySink};
     let mut g = c.benchmark_group("tsdb_export");
     const DAY_S: u64 = 86_400;
     let feed = |rollups: bool| {
@@ -304,20 +296,20 @@ fn bench_export(c: &mut Criterion) {
     });
     // A/B: the full collection→wire→fleet-ingest pipeline for one raw
     // day — per-sample records vs compressed-chunk records (wire spec
-    // revision 1.1). Same store, same columnar transport, same ingest
+    // revision 1.1). Same store, same staging sink, same ingest
     // sessions; only the record shape differs. The `BENCH_tsdb.json`
     // ratio between the two is enforced by the CI bench gate
     // (machine-independent: both run in the same process).
     let pipeline = |chunked: bool| {
-        let mut sink = moda_telemetry::export::ColumnarSink::new();
+        let mut sink = MemorySink::new();
         Exporter::new()
             .with_raw_chunks(chunked)
             .drain(&db_raw, &mut sink)
             .unwrap();
         let mut agg = moda_fleet::FleetAggregator::new();
         let node = agg.add_node("node00");
-        for batch in sink.iter_batches() {
-            agg.ingest(node, &batch);
+        for batch in &sink.batches {
+            agg.ingest(node, batch);
         }
         agg.store().stats().samples
     };
@@ -334,8 +326,8 @@ fn bench_export(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fleet aggregation tier: ingest throughput over the columnar
-/// transport, and the cluster-wide p99 query — merged additively from
+/// Fleet aggregation tier: ingest throughput of staged wire batches,
+/// and the cluster-wide p99 query — merged additively from
 /// the nodes' sealed-bucket sketches — against the per-node raw
 /// fan-out (pooling every node's raw day and selecting exactly). The
 /// `BENCH_tsdb.json` ratio between `fanout_p99_16` and `merged_p99_16`
@@ -343,7 +335,7 @@ fn bench_export(c: &mut Criterion) {
 /// the same process).
 fn bench_fleet(c: &mut Criterion) {
     use moda_fleet::FleetAggregator;
-    use moda_telemetry::export::{ColumnarSink, Exporter};
+    use moda_telemetry::export::{ExportBatch, Exporter, MemorySink, Sink};
 
     let mut g = c.benchmark_group("tsdb_fleet");
     g.sample_size(10);
@@ -354,32 +346,32 @@ fn bench_fleet(c: &mut Criterion) {
     };
 
     // Node-side: 16 stores with sketched rollups, one day of 1 Hz data,
-    // each drained once into its columnar transport buffer (the wire).
-    let wires: Vec<ColumnarSink> = (0..NODES)
+    // each drained once into a staging buffer (the wire).
+    let wires: Vec<MemorySink> = (0..NODES)
         .map(|n| {
             let (mut db, ids) = registered(1, 4096);
             db.enable_rollups(ids[0], &RollupConfig::standard().with_sketches());
             for s in 0..DAY_S {
                 db.insert(ids[0], SimTime::from_secs(s), node_value(n, s));
             }
-            let mut sink = ColumnarSink::new();
+            let mut sink = MemorySink::new();
             Exporter::new().drain(&db, &mut sink).unwrap();
             sink
         })
         .collect();
     let records: u64 = wires.iter().map(|w| w.record_count() as u64).sum();
 
-    // Ingest: decode every node's columns back into batches and apply
-    // them through the per-node ingest sessions (cursor validation,
-    // remapping, wire-fed tier absorption included).
+    // Ingest: apply every node's batches through the per-node ingest
+    // sessions (cursor validation, remapping, wire-fed tier absorption
+    // included).
     g.throughput(Throughput::Elements(records));
     g.bench_function("ingest_16x1day", |b| {
         b.iter(|| {
             let mut agg = FleetAggregator::new();
             for (n, wire) in wires.iter().enumerate() {
                 let node = agg.add_node(&format!("node{n:02}"));
-                for batch in wire.iter_batches() {
-                    agg.ingest(node, &batch);
+                for batch in &wire.batches {
+                    agg.ingest(node, batch);
                 }
             }
             black_box(agg.store().cardinality())
@@ -390,8 +382,8 @@ fn bench_fleet(c: &mut Criterion) {
     let mut agg = FleetAggregator::new();
     for (n, wire) in wires.iter().enumerate() {
         let node = agg.add_node(&format!("node{n:02}"));
-        for batch in wire.iter_batches() {
-            agg.ingest(node, &batch);
+        for batch in &wire.batches {
+            agg.ingest(node, batch);
         }
     }
     // ...queried on a window ending 1 ms short of the newest *sealed*
@@ -453,7 +445,6 @@ fn bench_fleet(c: &mut Criterion) {
     // gate pins the machine-independent ratio (>= 10x).
     use criterion::BatchSize;
     use moda_fleet::{DurabilityConfig, DurableFleet, FleetListener, FleetStore, SocketSink};
-    use moda_telemetry::export::{ExportBatch, MemorySink, Sink};
     use std::sync::Mutex;
     const RNODES: u32 = 2;
     const HISTORY_S: u64 = 2 * DAY_S;
@@ -554,8 +545,8 @@ fn bench_fleet(c: &mut Criterion) {
     let mut served = DurableFleet::open(&serve_dir, no_cadence).unwrap();
     for (n, wire) in wires.iter().enumerate() {
         let node = served.add_node(&format!("node{n:02}")).unwrap();
-        for batch in wire.iter_batches() {
-            served.ingest(node, &batch).unwrap();
+        for batch in &wire.batches {
+            served.ingest(node, batch).unwrap();
         }
     }
     let listener =
@@ -685,7 +676,9 @@ fn bench_percentile(c: &mut Criterion) {
     }
     g.bench_function("sort_vec_p99", |b| {
         b.iter(|| {
-            let samples = db.window(ids[0], now, SimDuration::from_secs(3600));
+            let samples = db
+                .window_view(ids[0], now, SimDuration::from_secs(3600))
+                .to_vec();
             let mut vals: Vec<f64> = samples.iter().map(|s| s.value).collect();
             vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let pos = 0.99 * (vals.len() - 1) as f64;
@@ -754,13 +747,16 @@ fn bench_resample(c: &mut Criterion) {
     }
     c.bench_function("tsdb_resample_2h_to_1m_mean", |b| {
         b.iter(|| {
-            db.resample(
+            let mut out = Vec::new();
+            db.resample_into(
                 ids[0],
                 SimTime::ZERO,
                 black_box(now),
                 SimDuration::from_secs(60),
                 WindowAgg::Mean,
-            )
+                &mut out,
+            );
+            out
         });
     });
 }

@@ -648,10 +648,9 @@ use std::sync::{Arc, Mutex};
 
 /// Configuration of the multi-node telemetry runtime: K node worlds,
 /// each with its own lock-striped store, collector thread, and exporter
-/// thread, feeding **one** aggregator thread over the in-process wire
-/// ([`moda_fleet::ChannelSink`]) — the paper's fleet topology
-/// (node-local collection → wire → central aggregation) as real
-/// concurrency.
+/// thread, feeding **one** aggregation tier over a [`Transport`] — the
+/// paper's fleet topology (node-local collection → wire → central
+/// aggregation) as real concurrency.
 #[derive(Debug, Clone)]
 pub struct MultiNodeFleetConfig {
     /// Node count (K).
@@ -673,16 +672,16 @@ pub struct MultiNodeFleetConfig {
     pub shards: usize,
     /// Exporter-thread pause between incremental drain sweeps, µs.
     pub drain_pause_us: u64,
-    /// Self-telemetry cadence for the TCP variant, in exporter drains
-    /// (0 disables). When > 0, every node exporter gets its own
-    /// enabled [`Obs`] handle, spans each drain, and scrapes its
-    /// registry into the node store every N drains — so
-    /// `__self/export.drain_ns` becomes a fleet logical axis merged
-    /// across all K nodes — and the aggregation side runs a
-    /// [`moda_fleet::SelfScraper`] service session, adding the
-    /// `wal.fsync_ns` / `query.serve_ns` axes. The remote-equivalence
-    /// pass then also verifies the fleet-merged `__self/` p99s
-    /// bit-identical to the in-process planner.
+    /// Self-telemetry cadence, in exporter drains (0 disables). When
+    /// nonzero, every node exporter gets its own enabled [`Obs`] handle,
+    /// spans each drain, and scrapes its registry into the node store
+    /// every N drains — so `__self/export.drain_ns` becomes a fleet
+    /// logical axis merged across all K nodes. Over [`Transport::Tcp`]
+    /// the aggregation side also runs a [`moda_fleet::SelfScraper`]
+    /// service session, adding the `wal.fsync_ns` / `query.serve_ns`
+    /// axes, and the remote-equivalence pass then also verifies the
+    /// fleet-merged `__self/` p99s bit-identical to the in-process
+    /// planner.
     pub selfscrape_every_drains: usize,
 }
 
@@ -745,50 +744,50 @@ impl Sensor for SyntheticSweep {
     }
 }
 
-/// The multi-node mode of the telemetry fleet runtime: spawn
-/// `cfg.nodes` node worlds — each a [`Collector`] thread driving
-/// [`Collector::poll_shared`] against the node's own striped store
-/// (the threaded collector shape) plus an [`Exporter`] thread
-/// incrementally draining it into a [`ChannelSink`] concurrently — and
-/// one aggregator thread ingesting every node's batches into a
-/// [`FleetAggregator`]. Exporters run their final drain after their
-/// collector finishes and then report drain totals out-of-band, so the
-/// returned aggregator holds the complete fleet view: cluster-wide
-/// window aggregates and merged-sketch percentiles are served from it
-/// with zero raw re-reads on sealed spans.
-pub fn run_multinode_fleet(cfg: &MultiNodeFleetConfig) -> MultiNodeFleetStats {
-    assert!(cfg.nodes > 0 && cfg.rounds > 0 && cfg.metrics_per_node > 0);
-    let (tx, rx) = channel::unbounded::<FleetMsg>();
-    let mut agg = FleetAggregator::new();
-    let node_ids: Vec<NodeId> = (0..cfg.nodes)
-        .map(|k| agg.add_node(&format!("node{k:02}")))
-        .collect();
-    let dbs: Vec<Arc<ShardedTsdb>> = (0..cfg.nodes)
-        .map(|_| Arc::new(ShardedTsdb::with_config(cfg.retention, cfg.shards)))
-        .collect();
-    let done: Vec<AtomicBool> = (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect();
+/// How the node exporters of [`run_multinode_fleet`] reach the
+/// aggregation tier.
+#[derive(Debug, Clone, Copy)]
+pub enum Transport<'a> {
+    /// In-process wire ([`ChannelSink`]) into one aggregator thread
+    /// holding a plain in-memory [`FleetAggregator`].
+    Channel,
+    /// Real length-prefixed TCP ([`SocketSink`]) into a
+    /// [`FleetListener`] whose [`DurableFleet`] persists to `dir`;
+    /// exporters authenticate with `token` in the session hello.
+    Tcp {
+        /// State directory of the durable aggregation tier.
+        dir: &'a Path,
+        /// Auth token every session must present.
+        token: &'a str,
+    },
+}
 
-    let start = Instant::now();
-    let aggregator = std::thread::scope(|s| {
-        // The one aggregator thread: consumes node batches until every
-        // exporter has hung up, then returns the ingested tier.
-        let agg_handle = s.spawn(move || {
-            let mut agg = agg;
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    FleetMsg::Batch(node, batch) => {
-                        agg.ingest(node, &batch);
-                    }
-                    FleetMsg::Drain(node, stats) => agg.report_drain(node, &stats),
-                }
-            }
-            agg
-        });
-        for k in 0..cfg.nodes {
-            let db = &dbs[k];
+/// Run the K node worlds to completion — the part of the multi-node
+/// runtime that does not know what transport drains it. Per node: a
+/// collector thread registers the node's metric world and drives
+/// [`Collector::poll_shared`] against the node's own striped store
+/// once per tick, while an exporter thread incrementally drains that
+/// store into the sink `connect` built for it, runs one guaranteed
+/// drain after the collector finishes, and hands the drain totals to
+/// `finish` (the out-of-band health feed). Sink errors (auth,
+/// exhausted reconnects, a hung-up aggregator) abort the run instead
+/// of silently dropping data.
+///
+/// With `cfg.selfscrape_every_drains > 0` each exporter also spans its
+/// own drains on an enabled [`Obs`] handle and scrapes them into its
+/// node store, so `__self/export.drain_ns` rides the same wire as the
+/// node's sensor metrics and fleet-merges across nodes.
+fn run_node_worlds<K: moda_telemetry::Sink>(
+    cfg: &MultiNodeFleetConfig,
+    dbs: &[Arc<ShardedTsdb>],
+    connect: impl Fn(usize) -> std::io::Result<K> + Sync,
+    finish: impl Fn(&mut K, moda_telemetry::DrainStats) -> std::io::Result<()> + Sync,
+) -> std::io::Result<()> {
+    let done: Vec<AtomicBool> = (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect();
+    std::thread::scope(|s| {
+        let mut exporters = Vec::with_capacity(cfg.nodes);
+        for (k, db) in dbs.iter().enumerate() {
             let done = &done[k];
-            // Collector thread: register the node's metric world, then
-            // sweep once per tick through the striped insert path.
             s.spawn(move || {
                 let ids: Vec<MetricId> = (0..cfg.metrics_per_node)
                     .map(|m| {
@@ -822,134 +821,10 @@ pub fn run_multinode_fleet(cfg: &MultiNodeFleetConfig) -> MultiNodeFleetStats {
                 }
                 done.store(true, Ordering::Release);
             });
-            // Exporter thread: incremental drains of the live node
-            // store into the aggregator channel, concurrent with the
-            // collector; one guaranteed drain after it finishes, then
-            // the drain totals as the out-of-band health feed.
-            let mut sink = ChannelSink::new(node_ids[k], tx.clone());
-            s.spawn(move || {
-                let mut exporter = Exporter::new();
-                loop {
-                    let finished = done.load(Ordering::Acquire);
-                    let _ = exporter.drain(db.as_ref(), &mut sink);
-                    if finished {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(cfg.drain_pause_us));
-                }
-                let _ = sink.send_drain(exporter.totals());
-            });
-        }
-        drop(tx);
-        agg_handle.join().expect("aggregator thread panicked")
-    });
-    let wall = start.elapsed();
-    MultiNodeFleetStats {
-        aggregator,
-        inserts: dbs.iter().map(|db| db.total_inserts()).sum(),
-        wall,
-        remote_queries_verified: 0,
-    }
-}
-
-/// The durable, socket-framed variant of [`run_multinode_fleet`]: the
-/// same K node worlds (collector + exporter threads per node), but the
-/// wire is a real length-prefixed TCP stream into a
-/// [`moda_fleet::FleetListener`] and the aggregation tier behind it is
-/// a [`moda_fleet::DurableFleet`] persisting to `dir` — every ingested
-/// batch is appended to the write-ahead log (and periodically
-/// compacted into a snapshot) **before** its ack goes back to the
-/// exporter, so a `kill -9` of the aggregation process at any point
-/// loses nothing that was acknowledged. Exporters authenticate with
-/// `token` in the session hello and run under the sink's bounded
-/// in-flight window.
-///
-/// The run finishes with every exporter fully acked
-/// ([`SocketSink::wait_idle`]), a final snapshot, and the recovered
-/// in-memory tier returned — queries on it match the in-process
-/// [`run_multinode_fleet`] answer for the same config (batch *pacing*
-/// differs across transports; the store's merge algebra makes the
-/// content identical).
-///
-/// Before the listener shuts down, the run also exercises the serving
-/// tier end-to-end: a [`FleetClient`] dials the same listener and the
-/// harness asserts that every remote answer — window aggregates of
-/// each kind, the run-wide merged p99, top-k rankings both directions,
-/// the health rollup, coverage-annotated aggregates, and the axes
-/// listing — is **bit-identical** to the in-process planner's answer
-/// computed under the fleet lock
-/// ([`MultiNodeFleetStats::remote_queries_verified`] counts them).
-pub fn run_multinode_fleet_tcp(
-    cfg: &MultiNodeFleetConfig,
-    dir: impl AsRef<Path>,
-    token: &str,
-) -> std::io::Result<MultiNodeFleetStats> {
-    assert!(cfg.nodes > 0 && cfg.rounds > 0 && cfg.metrics_per_node > 0);
-    let mut fleet = DurableFleet::open(dir, DurabilityConfig::default())?;
-    // Service-side self-telemetry: the aggregation tier instruments
-    // its own WAL appends and query serving, shipped into the fleet
-    // through the stock export pipeline under a service session.
-    let mut scraper = if cfg.selfscrape_every_drains > 0 {
-        Some(moda_fleet::SelfScraper::attach(&mut fleet, Obs::enabled())?)
-    } else {
-        None
-    };
-    let listener = FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), token)?;
-    let addr = listener.local_addr().to_string();
-    let dbs: Vec<Arc<ShardedTsdb>> = (0..cfg.nodes)
-        .map(|_| Arc::new(ShardedTsdb::with_config(cfg.retention, cfg.shards)))
-        .collect();
-    let done: Vec<AtomicBool> = (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect();
-
-    let start = Instant::now();
-    std::thread::scope(|s| -> std::io::Result<()> {
-        let mut exporters = Vec::with_capacity(cfg.nodes);
-        for k in 0..cfg.nodes {
-            let db = &dbs[k];
-            let done = &done[k];
-            // Collector thread: identical to the in-process topology —
-            // the node world does not know what transport drains it.
-            s.spawn(move || {
-                let ids: Vec<MetricId> = (0..cfg.metrics_per_node)
-                    .map(|m| {
-                        db.register(MetricMeta::gauge(
-                            format!("metric{m:03}"),
-                            "u",
-                            SourceDomain::Hardware,
-                        ))
-                    })
-                    .collect();
-                if let Some(rc) = &cfg.rollups {
-                    for id in &ids {
-                        db.enable_rollups(*id, rc);
-                    }
-                }
-                let mut collector = Collector::new();
-                collector.add_sensor(
-                    Box::new(SyntheticSweep {
-                        ids,
-                        node: k as u64,
-                        sweep: 0,
-                    }),
-                    cfg.tick,
-                    SimTime(cfg.tick.0),
-                );
-                for round in 0..cfg.rounds {
-                    collector.poll_shared(SimTime(cfg.tick.0 * (round as u64 + 1)), db.as_ref());
-                }
-                done.store(true, Ordering::Release);
-            });
-            // Exporter thread: incremental drains shipped over the
-            // socket; sink errors (auth, exhausted reconnects) abort
-            // the run instead of silently dropping data.
-            let addr = addr.clone();
+            let (connect, finish) = (&connect, &finish);
             exporters.push(s.spawn(move || -> std::io::Result<()> {
-                let mut sink = SocketSink::connect(&addr, &format!("node{k:02}"), token)?;
+                let mut sink = connect(k)?;
                 let mut exporter = Exporter::new();
-                // Node-side self-telemetry: each node world spans its
-                // own drains and scrapes them into its own store, so
-                // `__self/export.drain_ns` rides the same wire as the
-                // node's sensor metrics and fleet-merges across nodes.
                 let obs = if cfg.selfscrape_every_drains > 0 {
                     Obs::enabled()
                 } else {
@@ -977,50 +852,145 @@ pub fn run_multinode_fleet_tcp(
                     }
                     std::thread::sleep(Duration::from_micros(cfg.drain_pause_us));
                 }
-                sink.send_drain(&exporter.totals())?;
-                // Every batch acked — and therefore logged — before
-                // the node world hangs up.
-                sink.wait_idle()
+                finish(&mut sink, exporter.totals())
             }));
         }
         for h in exporters {
             h.join().expect("exporter thread panicked")?;
         }
         Ok(())
-    })?;
-    let wall = start.elapsed();
-    // Every exporter is fully acked, so the tier is quiescent. First
-    // scrape the service registry (the run's WAL appends and ingest
-    // spans) into the fleet, so the in-process/remote equivalence
-    // below sees stable `__self/` axes.
-    if let Some(s) = scraper.as_mut() {
-        let shared = listener.fleet();
-        let mut f = shared.lock().unwrap();
-        s.tick(&mut f, SimTime(cfg.tick.0 * cfg.rounds as u64))?;
-    }
-    // The serving-protocol equivalence check runs against a stable view.
-    let mut remote_queries_verified = verify_remote_queries(&listener, &addr, token, cfg)?;
-    // Self-telemetry round trip: the queries just served recorded
-    // `query.serve_ns` spans — scrape them in, then hold the fleet
-    // quiescent and check the fleet-merged `__self/` p99s remotely.
-    if let Some(s) = scraper.as_mut() {
-        {
-            let shared = listener.fleet();
-            let mut f = shared.lock().unwrap();
-            s.tick(&mut f, SimTime(cfg.tick.0 * cfg.rounds as u64))?;
+    })
+}
+
+/// The multi-node mode of the telemetry fleet runtime: `cfg.nodes`
+/// node worlds (a collector thread plus a concurrently draining
+/// exporter thread each — see `run_node_worlds`) feeding one
+/// aggregation tier over `transport`. Exporters run their final drain
+/// after their collector finishes and then report drain totals
+/// out-of-band, so the returned aggregator holds the complete fleet
+/// view: cluster-wide window aggregates and merged-sketch percentiles
+/// are served from it with zero raw re-reads on sealed spans. Batch
+/// *pacing* differs across transports; the store's merge algebra makes
+/// the content — and so every query answer — identical.
+///
+/// [`Transport::Tcp`] is the durable, socket-framed shape: every
+/// ingested batch is appended to the write-ahead log (and periodically
+/// compacted into a snapshot) **before** its ack goes back to the
+/// exporter, so a `kill -9` of the aggregation process at any point
+/// loses nothing that was acknowledged. The run finishes with every
+/// exporter fully acked ([`SocketSink::wait_idle`]), a final snapshot,
+/// and the in-memory tier returned. Before the listener shuts down,
+/// the run also exercises the serving tier end-to-end: a
+/// [`FleetClient`] dials the same listener and the harness asserts
+/// that every remote answer — window aggregates of each kind, the
+/// run-wide merged p99, top-k rankings both directions, the health
+/// rollup, coverage-annotated aggregates, and the axes listing — is
+/// **bit-identical** to the in-process planner's answer computed under
+/// the fleet lock ([`MultiNodeFleetStats::remote_queries_verified`]
+/// counts them).
+pub fn run_multinode_fleet(
+    cfg: &MultiNodeFleetConfig,
+    transport: Transport<'_>,
+) -> std::io::Result<MultiNodeFleetStats> {
+    assert!(cfg.nodes > 0 && cfg.rounds > 0 && cfg.metrics_per_node > 0);
+    let dbs: Vec<Arc<ShardedTsdb>> = (0..cfg.nodes)
+        .map(|_| Arc::new(ShardedTsdb::with_config(cfg.retention, cfg.shards)))
+        .collect();
+    let start = Instant::now();
+    let (aggregator, wall, remote_queries_verified) = match transport {
+        Transport::Channel => {
+            let (tx, rx) = channel::unbounded::<FleetMsg>();
+            let mut agg = FleetAggregator::new();
+            let node_ids: Vec<NodeId> = (0..cfg.nodes)
+                .map(|k| agg.add_node(&format!("node{k:02}")))
+                .collect();
+            // The one aggregator thread: consumes node batches until
+            // every exporter has hung up, then returns the ingested tier.
+            let agg_thread = std::thread::spawn(move || {
+                while let Ok(msg) = rx.recv() {
+                    match msg {
+                        FleetMsg::Batch(node, batch) => {
+                            agg.ingest(node, &batch);
+                        }
+                        FleetMsg::Drain(node, stats) => agg.report_drain(node, &stats),
+                    }
+                }
+                agg
+            });
+            let ran = run_node_worlds(
+                cfg,
+                &dbs,
+                |k| Ok(ChannelSink::new(node_ids[k], tx.clone())),
+                |sink, totals| sink.send_drain(totals),
+            );
+            drop(tx);
+            let agg = agg_thread.join().expect("aggregator thread panicked");
+            ran?;
+            (agg, start.elapsed(), 0)
         }
-        remote_queries_verified += verify_remote_self_queries(&listener, &addr, token, cfg)?;
-    }
-    let fleet = listener.shutdown();
-    let mut fleet = Arc::try_unwrap(fleet)
-        .expect("all connections joined")
-        .into_inner()
-        .expect("fleet lock poisoned");
-    // Seal the run: compact the log into a final snapshot so the next
-    // recovery from `dir` is a pure snapshot load.
-    fleet.snapshot()?;
+        Transport::Tcp { dir, token } => {
+            let mut fleet = DurableFleet::open(dir, DurabilityConfig::default())?;
+            // Service-side self-telemetry: the aggregation tier
+            // instruments its own WAL appends and query serving, shipped
+            // into the fleet through the stock export pipeline under a
+            // service session.
+            let mut scraper = if cfg.selfscrape_every_drains > 0 {
+                Some(moda_fleet::SelfScraper::attach(&mut fleet, Obs::enabled())?)
+            } else {
+                None
+            };
+            let listener = FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), token)?;
+            let addr = listener.local_addr().to_string();
+            run_node_worlds(
+                cfg,
+                &dbs,
+                |k| SocketSink::connect(&addr, &format!("node{k:02}"), token),
+                |sink, totals| {
+                    sink.send_drain(&totals)?;
+                    // Every batch acked — and therefore logged — before
+                    // the node world hangs up.
+                    sink.wait_idle()
+                },
+            )?;
+            let wall = start.elapsed();
+            // Every exporter is fully acked, so the tier is quiescent.
+            // First scrape the service registry (the run's WAL appends
+            // and ingest spans) into the fleet, so the in-process/remote
+            // equivalence below sees stable `__self/` axes.
+            let scrape_t = SimTime(cfg.tick.0 * cfg.rounds as u64);
+            if let Some(s) = scraper.as_mut() {
+                let shared = listener.fleet();
+                let mut f = shared.lock().unwrap();
+                s.tick(&mut f, scrape_t)?;
+            }
+            // The serving-protocol equivalence check runs against a
+            // stable view.
+            let mut verified = verify_remote_queries(&listener, &addr, token, cfg)?;
+            // Self-telemetry round trip: the queries just served
+            // recorded `query.serve_ns` spans — scrape them in, then
+            // hold the fleet quiescent and check the fleet-merged
+            // `__self/` p99s remotely.
+            if let Some(s) = scraper.as_mut() {
+                {
+                    let shared = listener.fleet();
+                    let mut f = shared.lock().unwrap();
+                    s.tick(&mut f, scrape_t)?;
+                }
+                verified += verify_remote_self_queries(&listener, &addr, token, cfg)?;
+            }
+            let fleet = listener.shutdown();
+            let mut fleet = Arc::try_unwrap(fleet)
+                .expect("all connections joined")
+                .into_inner()
+                .expect("fleet lock poisoned");
+            // Seal the run: compact the log into a final snapshot so
+            // the next recovery from `dir` is a pure snapshot load.
+            fleet.snapshot()?;
+            (fleet.into_aggregator(), wall, verified)
+        }
+    };
     Ok(MultiNodeFleetStats {
-        aggregator: fleet.into_aggregator(),
+        aggregator,
         inserts: dbs.iter().map(|db| db.total_inserts()).sum(),
         wall,
         remote_queries_verified,
@@ -1414,7 +1384,7 @@ mod tests {
             metrics_per_node: 4,
             ..MultiNodeFleetConfig::default()
         };
-        let stats = run_multinode_fleet(&cfg);
+        let stats = run_multinode_fleet(&cfg, Transport::Channel).unwrap();
         assert_eq!(stats.inserts, 3 * 400 * 4);
         let agg = &stats.aggregator;
         let store = agg.store();
@@ -1459,7 +1429,7 @@ mod tests {
             metrics_per_node: 2,
             ..MultiNodeFleetConfig::default()
         };
-        let stats = run_multinode_fleet(&cfg);
+        let stats = run_multinode_fleet(&cfg, Transport::Channel).unwrap();
         let store = stats.aggregator.store();
         // Query only the sealed region (aligned minutes): the fleet p99
         // must be merged purely from sketches — zero raw reads.
@@ -1489,8 +1459,12 @@ mod tests {
             line!()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let reference = run_multinode_fleet(&cfg);
-        let stats = run_multinode_fleet_tcp(&cfg, &dir, "runtime-token").unwrap();
+        let reference = run_multinode_fleet(&cfg, Transport::Channel).unwrap();
+        let tcp = Transport::Tcp {
+            dir: &dir,
+            token: "runtime-token",
+        };
+        let stats = run_multinode_fleet(&cfg, tcp).unwrap();
         assert_eq!(stats.inserts, reference.inserts);
         assert_eq!(reference.remote_queries_verified, 0, "no socket to query");
         // The TCP run drove the serving protocol end-to-end before
@@ -1610,7 +1584,11 @@ mod tests {
             line!()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let stats = run_multinode_fleet_tcp(&cfg, &dir, "runtime-token").unwrap();
+        let tcp = Transport::Tcp {
+            dir: &dir,
+            token: "runtime-token",
+        };
+        let stats = run_multinode_fleet(&cfg, tcp).unwrap();
         // The baseline equivalence pass plus the six self-axis checks
         // (count + p99 for wal.fsync_ns / export.drain_ns /
         // query.serve_ns) — each asserted bit-identical remotely.

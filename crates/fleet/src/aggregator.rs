@@ -39,6 +39,7 @@ use crossbeam::channel::Sender;
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord};
+use moda_telemetry::wire::{put_u64, WireReader};
 use moda_telemetry::{DrainStats, MetricId, Sink};
 use std::io;
 
@@ -75,6 +76,52 @@ pub struct NodeCounters {
     pub orphan_sketches: u64,
     /// Data records dropped because no `meta` had mapped their wire id.
     pub unmapped_records: u64,
+}
+
+impl NodeCounters {
+    /// Append the counters as consecutive `u64`s, in field order — the
+    /// one place the order is written down for encoding (snapshot
+    /// sessions and the query protocol's health block both use it).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.batches,
+            self.duplicate_batches,
+            self.gaps,
+            self.missing_batches,
+            self.records,
+            self.samples,
+            self.rejected_samples,
+            self.chunks,
+            self.corrupt_chunks,
+            self.buckets,
+            self.sketch_entries,
+            self.orphan_sketches,
+            self.unmapped_records,
+        ] {
+            put_u64(out, v);
+        }
+    }
+
+    /// Read counters written by [`NodeCounters::encode`]. Trailing
+    /// bytes are the caller's to judge: a snapshot has more sections
+    /// after them, a newer query server may have appended counters.
+    pub(crate) fn decode(r: &mut WireReader<'_>) -> io::Result<Self> {
+        Ok(NodeCounters {
+            batches: r.u64()?,
+            duplicate_batches: r.u64()?,
+            gaps: r.u64()?,
+            missing_batches: r.u64()?,
+            records: r.u64()?,
+            samples: r.u64()?,
+            rejected_samples: r.u64()?,
+            chunks: r.u64()?,
+            corrupt_chunks: r.u64()?,
+            buckets: r.u64()?,
+            sketch_entries: r.u64()?,
+            orphan_sketches: r.u64()?,
+            unmapped_records: r.u64()?,
+        })
+    }
 }
 
 /// What one [`FleetAggregator::ingest`] call did.
@@ -793,7 +840,7 @@ mod tests {
         assert_eq!(agg.observed_now(), SimTime::from_secs(1499));
         // The decoded samples are bit-identical to the node's.
         let id = agg.store().lookup("node00/m").unwrap();
-        let got = agg.store().raw(id).last_n(1500);
+        let got = agg.store().raw(id).last_n_view(1500).to_vec();
         assert_eq!(got.len(), 1500);
         for (i, s) in got.iter().enumerate() {
             assert_eq!(s.t, SimTime::from_secs(i as u64));

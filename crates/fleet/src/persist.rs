@@ -15,7 +15,7 @@
 //!   half-written snapshot.
 //! * **`wal-<epoch>.log`** — every mutation since that snapshot, in
 //!   arrival order, each entry one CRC-framed record (see
-//!   `moda_telemetry::export::write_frame`): batches in the
+//!   `moda_telemetry::wire::write_frame`): batches in the
 //!   `export-wire-v1.1` binary encoding, node registrations, and
 //!   out-of-band drain reports. The **epoch** number pairs log and
 //!   snapshot: a snapshot stores the epoch of the log that follows it,
@@ -41,16 +41,24 @@
 //! surviving a *machine* crash would additionally need `fsync` per
 //! entry, which this tier deliberately trades away (snapshots *are*
 //! fsynced).
+//!
+//! Every byte here — the frame envelope, the record codec, and the
+//! LE/varint helpers and bounds-checked reader the snapshot layout and
+//! log-entry prefixes are written with — comes from
+//! [`moda_telemetry::wire`]; this module owns only the *layouts* built
+//! from them (log entry tags, the snapshot sections).
 
 use crate::aggregator::{FleetAggregator, IngestReport, NodeSession};
 use crate::store::{FleetStore, FleetStoreStats, NodeId};
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{
-    decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, read_frame, write_frame,
-    ExportBatch, ExportRecord, FrameEnd,
+use moda_telemetry::export::{ExportBatch, ExportRecord};
+use moda_telemetry::wire::{
+    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, put_block,
+    put_f64, put_meta, put_str, put_u32, put_u64, put_uv, read_frame, unzigzag, write_frame,
+    zigzag, FrameEnd, WireReader,
 };
-use moda_telemetry::{DrainStats, MetricId, MetricKind, MetricMeta, SourceDomain};
+use moda_telemetry::{DrainStats, MetricId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -77,142 +85,6 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 fn wal_name(epoch: u64) -> String {
     format!("wal-{epoch}.log")
-}
-
-// ------------------------------------------------- byte-buffer helpers
-//
-// Tiny LE put/get helpers shared by the snapshot codec and the
-// transport framing (`crate::transport`). The wire *records* themselves
-// ride the canonical `export-wire-v1.1` binary codec in
-// `moda_telemetry::export`; these cover the fleet-side envelopes
-// (session state, handshake payloads, log entry prefixes).
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// LEB128 unsigned varint — the snapshot's tier section is dominated by
-/// small integers (bucket deltas, counts, sketch keys), and recovery
-/// cost is proportional to snapshot bytes (checksum + read), so the
-/// bulk section earns a compact encoding.
-pub(crate) fn put_uv(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Zigzag-fold a signed value so small magnitudes stay small varints.
-pub(crate) fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-pub(crate) fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-pub(crate) fn bad_data(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("fleet decode: {what}"))
-}
-
-/// Bounds-checked cursor over a decode buffer.
-pub(crate) struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad_data("truncated field"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// LEB128 unsigned varint (see [`put_uv`]).
-    pub(crate) fn uv(&mut self) -> io::Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(bad_data("varint overflow"));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> io::Result<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad_data("non-UTF-8 string"))
-    }
-
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Bytes left to read — the sanity bound element-count prefixes are
-    /// checked against before pre-allocating.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 // -------------------------------------------------------------- config
@@ -414,7 +286,7 @@ impl DurableFleet {
     ) -> io::Result<()> {
         match tag {
             FRAME_LOG_NODE => {
-                let mut r = Rd::new(payload);
+                let mut r = WireReader::new(payload);
                 let name = r.str()?;
                 if !r.done() {
                     return Err(bad_data("trailing bytes in node entry"));
@@ -425,7 +297,7 @@ impl DurableFleet {
                 recovery.replayed_nodes += 1;
             }
             FRAME_LOG_BATCH => {
-                let mut r = Rd::new(payload);
+                let mut r = WireReader::new(payload);
                 let node = NodeId(r.u32()?);
                 if node.index() >= self.agg.node_count() {
                     return Err(bad_data("batch entry names an unknown node"));
@@ -439,7 +311,7 @@ impl DurableFleet {
                 self.batches_since_snapshot += 1;
             }
             FRAME_LOG_DRAIN => {
-                let mut r = Rd::new(payload);
+                let mut r = WireReader::new(payload);
                 let node = NodeId(r.u32()?);
                 if node.index() >= self.agg.node_count() {
                     return Err(bad_data("drain entry names an unknown node"));
@@ -642,78 +514,6 @@ fn open_log(dir: &Path, epoch: u64) -> io::Result<File> {
 
 // ------------------------------------------------------ snapshot codec
 
-fn kind_tag(kind: MetricKind) -> u8 {
-    match kind {
-        MetricKind::Gauge => 0,
-        MetricKind::Counter => 1,
-    }
-}
-
-fn domain_tag(domain: SourceDomain) -> u8 {
-    match domain {
-        SourceDomain::Facility => 0,
-        SourceDomain::Hardware => 1,
-        SourceDomain::Software => 2,
-        SourceDomain::Application => 3,
-    }
-}
-
-fn kind_from_tag(tag: u8) -> io::Result<MetricKind> {
-    match tag {
-        0 => Ok(MetricKind::Gauge),
-        1 => Ok(MetricKind::Counter),
-        _ => Err(bad_data("unknown metric kind")),
-    }
-}
-
-fn domain_from_tag(tag: u8) -> io::Result<SourceDomain> {
-    match tag {
-        0 => Ok(SourceDomain::Facility),
-        1 => Ok(SourceDomain::Hardware),
-        2 => Ok(SourceDomain::Software),
-        3 => Ok(SourceDomain::Application),
-        _ => Err(bad_data("unknown source domain")),
-    }
-}
-
-fn put_node_counters(out: &mut Vec<u8>, c: &NodeCounters) {
-    for v in [
-        c.batches,
-        c.duplicate_batches,
-        c.gaps,
-        c.missing_batches,
-        c.records,
-        c.samples,
-        c.rejected_samples,
-        c.chunks,
-        c.corrupt_chunks,
-        c.buckets,
-        c.sketch_entries,
-        c.orphan_sketches,
-        c.unmapped_records,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn read_node_counters(r: &mut Rd<'_>) -> io::Result<NodeCounters> {
-    Ok(NodeCounters {
-        batches: r.u64()?,
-        duplicate_batches: r.u64()?,
-        gaps: r.u64()?,
-        missing_batches: r.u64()?,
-        records: r.u64()?,
-        samples: r.u64()?,
-        rejected_samples: r.u64()?,
-        chunks: r.u64()?,
-        corrupt_chunks: r.u64()?,
-        buckets: r.u64()?,
-        sketch_entries: r.u64()?,
-        orphan_sketches: r.u64()?,
-        unmapped_records: r.u64()?,
-    })
-}
-
 /// Re-encode one raw ring as `export-wire-v1.1` records: sealed chunks
 /// ship whole (compressed bytes, no decode), an evicted-prefix chunk
 /// decodes just its retained suffix, and the uncompressed tail ships
@@ -805,34 +605,25 @@ fn encode_snapshot(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
         for entry in &s.wire_map {
             put_u32(out, entry.map_or(u32::MAX, |id| id.0));
         }
-        put_node_counters(out, &s.counters);
+        s.counters.encode(out);
         put_u64(out, s.high_water.0);
         out.push(s.ever_ingested as u8);
         // Length-prefixed (format `MODAFS02`) so the drain block can
         // grow fields without another snapshot format bump.
-        let mut drain_bytes = Vec::new();
-        encode_drain_stats(&s.drain, &mut drain_bytes);
-        put_u32(out, drain_bytes.len() as u32);
-        out.extend_from_slice(&drain_bytes);
+        put_block(out, |out| encode_drain_stats(&s.drain, out));
     }
     put_u32(out, store.cardinality() as u32);
     for idx in 0..store.cardinality() {
         let id = MetricId(idx as u32);
         let info = store.info(id);
         put_u32(out, info.node.0);
-        put_str(out, &info.meta.name);
-        out.push(kind_tag(info.meta.kind));
-        put_str(out, &info.meta.unit);
-        out.push(domain_tag(info.meta.domain));
+        put_meta(out, &info.meta);
         // Raw ring, as a pseudo-batch of wire records.
         let batch = ExportBatch {
             seq: 0,
             records: raw_ring_records(store, id),
         };
-        let mut raw_bytes = Vec::new();
-        encode_batch(&batch, &mut raw_bytes);
-        put_u32(out, raw_bytes.len() as u32);
-        out.extend_from_slice(&raw_bytes);
+        put_block(out, |out| encode_batch(&batch, out));
         // Wire-fed tiers: buckets oldest-first, each with its sketch
         // column entries.
         let rings: Vec<_> = store
@@ -886,7 +677,7 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
         // or corrupt one is real damage, not an interrupted write.
         Err(_) => return Err(bad_data("snapshot frame torn or corrupt")),
     };
-    let mut r = Rd::new(&payload);
+    let mut r = WireReader::new(&payload);
     let epoch = r.u64()?;
     let raw_retention = r.u64()? as usize;
     let stats = FleetStoreStats {
@@ -914,11 +705,10 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
                 Some(MetricId(v))
             });
         }
-        let counters = read_node_counters(&mut r)?;
+        let counters = NodeCounters::decode(&mut r)?;
         let high_water = SimTime(r.u64()?);
         let ever_ingested = r.u8()? != 0;
-        let drain_len = r.u32()? as usize;
-        let drain = decode_drain_stats(r.take(drain_len)?)?;
+        let drain = decode_drain_stats(r.block()?)?;
         sessions.push(NodeSession {
             name,
             next_seq,
@@ -937,27 +727,17 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
     let n_metrics = r.u32()? as usize;
     for idx in 0..n_metrics {
         let node = NodeId(r.u32()?);
-        let name = r.str()?;
-        let kind = kind_from_tag(r.u8()?)?;
-        let unit = r.str()?;
-        let domain = domain_from_tag(r.u8()?)?;
+        let meta = r.meta()?;
         let node_name = sessions
             .get(node.index())
             .map(|s: &NodeSession| s.name.as_str())
             .ok_or_else(|| bad_data("metric names an unknown node"))?;
-        let meta = MetricMeta {
-            name,
-            kind,
-            unit,
-            domain,
-        };
         let id = store.register(node, node_name, &meta);
         if id.0 as usize != idx {
             return Err(bad_data("metric registration order diverged"));
         }
         // Raw ring.
-        let raw_len = r.u32()? as usize;
-        let (raw_batch, _) = decode_batch(r.take(raw_len)?)?;
+        let (raw_batch, _) = decode_batch(r.block()?)?;
         for record in &raw_batch.records {
             match record {
                 ExportRecord::Chunk {

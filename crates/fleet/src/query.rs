@@ -7,8 +7,8 @@
 //! percentiles, top-k node rankings, per-node health, and the
 //! coverage-annotated variants from [`crate::control`]. Both halves
 //! share the length-prefixed CRC frame envelope
-//! ([`moda_telemetry::export::write_frame`]) and one tag registry
-//! ([`moda_telemetry::export::frame_tag`]).
+//! ([`moda_telemetry::wire::write_frame`]) and one tag registry
+//! ([`moda_telemetry::wire::frame_tag`]).
 //!
 //! # Contract
 //!
@@ -41,11 +41,14 @@
 
 use crate::aggregator::{FleetAggregator, FleetHealth, NodeCounters, NodeHealth, NodeLiveness};
 use crate::control::Coverage;
-use crate::persist::{put_str, put_u16, put_u32, put_u64, Rd};
+
 use crate::store::{FleetServed, NodeId, Rank};
 use moda_obs::SlowOp;
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{decode_drain_stats, encode_drain_stats};
+use moda_telemetry::wire::{
+    decode_drain_stats, encode_drain_stats, put_block, put_str, put_u16, put_u32, put_u64,
+    WireReader,
+};
 use moda_telemetry::{DrainStats, WindowAgg};
 use std::io;
 
@@ -454,7 +457,7 @@ fn put_agg(out: &mut Vec<u8>, agg: &WindowAgg) {
     }
 }
 
-fn read_agg(r: &mut Rd<'_>) -> Result<WindowAgg, QueryError> {
+fn read_agg(r: &mut WireReader<'_>) -> Result<WindowAgg, QueryError> {
     let tag = r.u8().map_err(|e| QueryError::malformed(&e))?;
     Ok(match tag {
         AGG_MEAN => WindowAgg::Mean,
@@ -483,7 +486,7 @@ fn put_rank(out: &mut Vec<u8>, rank: Rank) {
     });
 }
 
-fn read_rank(r: &mut Rd<'_>) -> Result<Rank, QueryError> {
+fn read_rank(r: &mut WireReader<'_>) -> Result<Rank, QueryError> {
     match r.u8().map_err(|e| QueryError::malformed(&e))? {
         0 => Ok(Rank::Highest),
         1 => Ok(Rank::Lowest),
@@ -502,7 +505,7 @@ fn put_liveness(out: &mut Vec<u8>, l: NodeLiveness) {
     });
 }
 
-fn read_liveness(r: &mut Rd<'_>) -> io::Result<NodeLiveness> {
+fn read_liveness(r: &mut WireReader<'_>) -> io::Result<NodeLiveness> {
     match r.u8()? {
         0 => Ok(NodeLiveness::Live),
         1 => Ok(NodeLiveness::Stale),
@@ -606,7 +609,7 @@ pub fn encode_request(req: &QueryRequest, out: &mut Vec<u8>) {
 /// typed reason. A decoded request has already passed
 /// [`QueryRequest::validate`].
 pub fn decode_request(buf: &[u8]) -> Result<QueryRequest, QueryError> {
-    let mut r = Rd::new(buf);
+    let mut r = WireReader::new(buf);
     let version = r.u16().map_err(|e| QueryError::malformed(&e))?;
     if version != QUERY_PROTOCOL_VERSION {
         return Err(QueryError::new(
@@ -689,7 +692,7 @@ fn put_served(out: &mut Vec<u8>, s: &FleetServed) {
     out.push(s.sketch as u8);
 }
 
-fn read_served(r: &mut Rd<'_>) -> io::Result<FleetServed> {
+fn read_served(r: &mut WireReader<'_>) -> io::Result<FleetServed> {
     Ok(FleetServed {
         members: r.u32()? as usize,
         buckets: r.u32()? as usize,
@@ -712,7 +715,7 @@ fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-fn read_opt_f64(r: &mut Rd<'_>) -> io::Result<Option<f64>> {
+fn read_opt_f64(r: &mut WireReader<'_>) -> io::Result<Option<f64>> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(f64::from_bits(r.u64()?))),
@@ -733,7 +736,7 @@ fn put_coverage(out: &mut Vec<u8>, c: &Coverage) {
     }
 }
 
-fn read_coverage(r: &mut Rd<'_>) -> io::Result<Coverage> {
+fn read_coverage(r: &mut WireReader<'_>) -> io::Result<Coverage> {
     let total = r.u32()? as usize;
     let contributing = r.u32()? as usize;
     let stale = r.u32()? as usize;
@@ -767,7 +770,7 @@ fn put_entries(out: &mut Vec<u8>, entries: &[TopNodeEntry]) {
     }
 }
 
-fn read_entries(r: &mut Rd<'_>) -> io::Result<Vec<TopNodeEntry>> {
+fn read_entries(r: &mut WireReader<'_>) -> io::Result<Vec<TopNodeEntry>> {
     let n = r.u32()? as usize;
     if n > r.remaining() {
         return Err(bad_resp("ranking length exceeds payload"));
@@ -788,59 +791,19 @@ fn read_entries(r: &mut Rd<'_>) -> io::Result<Vec<TopNodeEntry>> {
 // fields it knows and skips the rest; a shorter-than-known block is a
 // decode error (fields never get removed within a version).
 fn put_counters(out: &mut Vec<u8>, c: &NodeCounters) {
-    let fields = [
-        c.batches,
-        c.duplicate_batches,
-        c.gaps,
-        c.missing_batches,
-        c.records,
-        c.samples,
-        c.rejected_samples,
-        c.chunks,
-        c.corrupt_chunks,
-        c.buckets,
-        c.sketch_entries,
-        c.orphan_sketches,
-        c.unmapped_records,
-    ];
-    put_u32(out, (fields.len() * 8) as u32);
-    for f in fields {
-        put_u64(out, f);
-    }
+    put_block(out, |out| c.encode(out));
 }
 
-fn read_counters(r: &mut Rd<'_>) -> io::Result<NodeCounters> {
-    let len = r.u32()? as usize;
-    let block = r.take(len)?;
-    let mut b = Rd::new(block);
-    Ok(NodeCounters {
-        batches: b.u64()?,
-        duplicate_batches: b.u64()?,
-        gaps: b.u64()?,
-        missing_batches: b.u64()?,
-        records: b.u64()?,
-        samples: b.u64()?,
-        rejected_samples: b.u64()?,
-        chunks: b.u64()?,
-        corrupt_chunks: b.u64()?,
-        buckets: b.u64()?,
-        sketch_entries: b.u64()?,
-        orphan_sketches: b.u64()?,
-        unmapped_records: b.u64()?,
-    })
+fn read_counters(r: &mut WireReader<'_>) -> io::Result<NodeCounters> {
+    NodeCounters::decode(&mut WireReader::new(r.block()?))
 }
 
 fn put_drain(out: &mut Vec<u8>, d: &DrainStats) {
-    let mut block = Vec::new();
-    encode_drain_stats(d, &mut block);
-    put_u32(out, block.len() as u32);
-    out.extend_from_slice(&block);
+    put_block(out, |out| encode_drain_stats(d, out));
 }
 
-fn read_drain(r: &mut Rd<'_>) -> io::Result<DrainStats> {
-    let len = r.u32()? as usize;
-    let block = r.take(len)?;
-    decode_drain_stats(block)
+fn read_drain(r: &mut WireReader<'_>) -> io::Result<DrainStats> {
+    decode_drain_stats(r.block()?)
 }
 
 /// Encode one response (version + kind + fields).
@@ -914,7 +877,7 @@ pub fn encode_response(resp: &QueryResponse, out: &mut Vec<u8>) {
 /// [`decode_request`]'s fail-closed rules. A hostile or corrupt
 /// response yields `Err`, never a panic and never a partial answer.
 pub fn decode_response(buf: &[u8]) -> io::Result<QueryResponse> {
-    let mut r = Rd::new(buf);
+    let mut r = WireReader::new(buf);
     let version = r.u16()?;
     if version != QUERY_PROTOCOL_VERSION {
         return Err(bad_resp("unsupported protocol version"));

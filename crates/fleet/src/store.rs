@@ -283,22 +283,6 @@ impl FleetStore {
         self.tiers.apply_sketch(id, res, start, entry)
     }
 
-    /// Apply a whole sketch column against one slot lookup (see
-    /// [`WireTiers::apply_sketch_column`]) — the snapshot-restore fast
-    /// path.
-    pub fn apply_sketch_column<I>(
-        &mut self,
-        id: MetricId,
-        res: SimDuration,
-        start: SimTime,
-        entries: I,
-    ) -> u64
-    where
-        I: IntoIterator<Item = SketchEntry>,
-    {
-        self.tiers.apply_sketch_column(id, res, start, entries)
-    }
-
     /// Restore one sealed bucket — scalars plus its sketch column —
     /// against a single slot lookup (see [`WireTiers::restore_bucket`]).
     #[allow(clippy::too_many_arguments)]

@@ -4,7 +4,7 @@
 //! Replaces the in-process [`crate::ChannelSink`] for deployments where
 //! node exporters and the fleet tier live in different processes.
 //! Framing is the CRC-protected envelope from
-//! `moda_telemetry::export::write_frame`; on top of it the ingest
+//! `moda_telemetry::wire::write_frame`; on top of it the ingest
 //! protocol (tags 1–5) and, sharing the same listener, the read-only
 //! query protocol (tags 6–9, codec in [`crate::query`]):
 //!
@@ -52,7 +52,7 @@
 //! moment `write_batch` returns `Ok`, so the sink must be able to
 //! re-deliver anything the server might not have persisted yet.
 
-use crate::persist::{bad_data, put_str, put_u16, put_u64, DurableFleet, Rd};
+use crate::persist::DurableFleet;
 use crate::query::{
     decode_request, decode_response, encode_request, encode_response, execute, CoveredAnswer,
     CoveredTopNodesAnswer, HealthAnswer, MetricsAnswer, QueryError, QueryErrorCode, QueryRequest,
@@ -61,9 +61,10 @@ use crate::query::{
 use crate::store::{NodeId, Rank};
 use moda_obs::Obs;
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{
-    crc32, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag,
-    read_frame, write_frame, ExportBatch, ExportRecord, Sink, MAX_FRAME_LEN,
+use moda_telemetry::export::{ExportBatch, ExportRecord, Sink};
+use moda_telemetry::wire::{
+    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag,
+    put_str, put_u16, put_u64, read_frame, write_frame, FrameBuffer, WireReader,
 };
 use moda_telemetry::DrainStats;
 use moda_telemetry::WindowAgg;
@@ -74,25 +75,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Session hello: auth token + node name.
-pub(crate) const FRAME_HELLO: u8 = frame_tag::HELLO;
-/// Hello response: status + persisted session cursor.
-pub(crate) const FRAME_HELLO_ACK: u8 = frame_tag::HELLO_ACK;
-/// One wire batch.
-pub(crate) const FRAME_BATCH: u8 = frame_tag::BATCH;
-/// Cumulative apply acknowledgement.
-pub(crate) const FRAME_ACK: u8 = frame_tag::ACK;
-/// Out-of-band exporter drain report.
-pub(crate) const FRAME_DRAIN: u8 = frame_tag::DRAIN;
-/// Query session hello: auth token only (read-only, no registration).
-pub(crate) const FRAME_QUERY_HELLO: u8 = frame_tag::QUERY_HELLO;
-/// Query hello response: status + protocol version.
-pub(crate) const FRAME_QUERY_HELLO_ACK: u8 = frame_tag::QUERY_HELLO_ACK;
-/// One query request (request id + encoded request).
-pub(crate) const FRAME_QUERY: u8 = frame_tag::QUERY;
-/// One query response (request id + encoded response).
-pub(crate) const FRAME_QUERY_RESP: u8 = frame_tag::QUERY_RESP;
 
 /// Exporter-side transport tuning.
 #[derive(Debug, Clone)]
@@ -252,16 +234,16 @@ impl SocketSink {
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
         put_str(&mut hello, &self.node_name);
-        write_frame(&mut stream, FRAME_HELLO, &hello)?;
+        write_frame(&mut stream, frame_tag::HELLO, &hello)?;
         stream.flush()?;
         let (tag, payload) = match read_frame(&mut stream)? {
             Ok(frame) => frame,
             Err(_) => return Err(bad_data("connection closed during handshake")),
         };
-        if tag != FRAME_HELLO_ACK {
+        if tag != frame_tag::HELLO_ACK {
             return Err(bad_data("unexpected handshake response tag"));
         }
-        let mut r = Rd::new(&payload);
+        let mut r = WireReader::new(&payload);
         let status = r.u8()?;
         let next_seq = r.u64()?;
         if status != 0 {
@@ -277,7 +259,7 @@ impl SocketSink {
             self.unacked.pop_front();
         }
         for (_, payload) in &self.unacked {
-            write_frame(&mut stream, FRAME_BATCH, payload)?;
+            write_frame(&mut stream, frame_tag::BATCH, payload)?;
             self.resent_batches += 1;
         }
         stream.flush()?;
@@ -326,8 +308,8 @@ impl SocketSink {
                 read_frame(stream)
             };
             match res {
-                Ok(Ok((FRAME_ACK, payload))) => {
-                    let mut r = Rd::new(&payload);
+                Ok(Ok((frame_tag::ACK, payload))) => {
+                    let mut r = WireReader::new(&payload);
                     let next = r.u64()?;
                     self.server_next_seq = self.server_next_seq.max(next);
                     while matches!(
@@ -362,8 +344,8 @@ impl SocketSink {
                 .as_mut()
                 .ok_or_else(|| bad_data("not connected"))?;
             match read_frame(stream)? {
-                Ok((FRAME_ACK, payload)) => {
-                    let mut r = Rd::new(&payload);
+                Ok((frame_tag::ACK, payload)) => {
+                    let mut r = WireReader::new(&payload);
                     let next = r.u64()?;
                     self.server_next_seq = self.server_next_seq.max(next);
                     while matches!(
@@ -415,7 +397,7 @@ impl SocketSink {
             let pending = self.unacked.len();
             let res = {
                 let stream = self.conn.as_mut().expect("connected");
-                write_frame(stream, FRAME_DRAIN, &payload).and_then(|()| stream.flush())
+                write_frame(stream, frame_tag::DRAIN, &payload).and_then(|()| stream.flush())
             }
             .and_then(|()| self.read_acks_counted(pending + 1));
             match res {
@@ -468,7 +450,7 @@ impl Sink for SocketSink {
                 self.reconnect()?;
             }
             let stream = self.conn.as_mut().expect("connected");
-            match write_frame(stream, FRAME_BATCH, &payload).and_then(|()| stream.flush()) {
+            match write_frame(stream, frame_tag::BATCH, &payload).and_then(|()| stream.flush()) {
                 Ok(()) => break,
                 Err(e) => {
                     self.conn = None;
@@ -791,52 +773,6 @@ impl FleetListener {
     }
 }
 
-/// Incremental frame parser over a growing receive buffer — connection
-/// reads use short timeouts (so shutdown is prompt) and a timeout must
-/// never drop partially-received bytes.
-struct FrameBuffer {
-    buf: Vec<u8>,
-}
-
-enum Parsed {
-    Frame(u8, Vec<u8>),
-    NeedMore,
-    Corrupt,
-}
-
-impl FrameBuffer {
-    fn new() -> Self {
-        FrameBuffer { buf: Vec::new() }
-    }
-
-    fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn next_frame(&mut self) -> Parsed {
-        if self.buf.len() < 4 {
-            return Parsed::NeedMore;
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Parsed::Corrupt;
-        }
-        let total = 4 + len + 4;
-        if self.buf.len() < total {
-            return Parsed::NeedMore;
-        }
-        let body = &self.buf[4..4 + len];
-        let crc = u32::from_le_bytes(self.buf[4 + len..total].try_into().unwrap());
-        if crc32(body) != crc {
-            return Parsed::Corrupt;
-        }
-        let tag = body[0];
-        let payload = body[1..].to_vec();
-        self.buf.drain(..total);
-        Parsed::Frame(tag, payload)
-    }
-}
-
 /// What a connection's first frame committed it to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SessionRole {
@@ -871,13 +807,15 @@ fn serve_connection(
     let mut tmp = [0u8; 64 * 1024];
     let mut role = SessionRole::Pending;
     loop {
+        // Connection reads use short timeouts (so shutdown is prompt);
+        // the buffer keeps whatever a timed-out read left half-received.
         loop {
             match frames.next_frame() {
-                Parsed::NeedMore => break,
-                Parsed::Corrupt => return Err(bad_data("corrupt frame on ingest connection")),
-                Parsed::Frame(tag, payload) => match (tag, role) {
-                    (FRAME_HELLO, SessionRole::Pending) => {
-                        let mut r = Rd::new(&payload);
+                Ok(None) => break,
+                Err(_) => return Err(bad_data("corrupt frame on ingest connection")),
+                Ok(Some((tag, payload))) => match (tag, role) {
+                    (frame_tag::HELLO, SessionRole::Pending) => {
+                        let mut r = WireReader::new(&payload);
                         let peer_token = r.str()?;
                         let name = r.str()?;
                         let mut ack = Vec::new();
@@ -885,7 +823,7 @@ fn serve_connection(
                             auth_failures.fetch_add(1, Ordering::SeqCst);
                             ack.push(1u8);
                             put_u64(&mut ack, 0);
-                            write_frame(&mut stream, FRAME_HELLO_ACK, &ack)?;
+                            write_frame(&mut stream, frame_tag::HELLO_ACK, &ack)?;
                             stream.flush()?;
                             return Err(io::Error::new(
                                 io::ErrorKind::PermissionDenied,
@@ -900,18 +838,18 @@ fn serve_connection(
                         };
                         ack.push(0u8);
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, FRAME_HELLO_ACK, &ack)?;
+                        write_frame(&mut stream, frame_tag::HELLO_ACK, &ack)?;
                         stream.flush()?;
                     }
-                    (FRAME_QUERY_HELLO, SessionRole::Pending) => {
-                        let mut r = Rd::new(&payload);
+                    (frame_tag::QUERY_HELLO, SessionRole::Pending) => {
+                        let mut r = WireReader::new(&payload);
                         let peer_token = r.str()?;
                         let mut ack = Vec::new();
                         if peer_token != token {
                             auth_failures.fetch_add(1, Ordering::SeqCst);
                             ack.push(1u8);
                             put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                            write_frame(&mut stream, FRAME_QUERY_HELLO_ACK, &ack)?;
+                            write_frame(&mut stream, frame_tag::QUERY_HELLO_ACK, &ack)?;
                             stream.flush()?;
                             return Err(io::Error::new(
                                 io::ErrorKind::PermissionDenied,
@@ -924,17 +862,17 @@ fn serve_connection(
                         role = SessionRole::Query;
                         ack.push(0u8);
                         put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                        write_frame(&mut stream, FRAME_QUERY_HELLO_ACK, &ack)?;
+                        write_frame(&mut stream, frame_tag::QUERY_HELLO_ACK, &ack)?;
                         stream.flush()?;
                     }
-                    (FRAME_QUERY, SessionRole::Query) => {
+                    (frame_tag::QUERY, SessionRole::Query) => {
                         // Count before the answer is written: a client
                         // that has read response N must observe the
                         // counter at >= N.
                         queries_served.fetch_add(1, Ordering::SeqCst);
                         answer_query(&mut stream, fleet, &payload)?;
                     }
-                    (FRAME_QUERY, _) => {
+                    (frame_tag::QUERY, _) => {
                         // A query without the handshake gets the typed
                         // refusal — and then the connection closes:
                         // nothing else is legal on it.
@@ -945,11 +883,11 @@ fn serve_connection(
                         let mut out = Vec::new();
                         put_u64(&mut out, request_id_of(&payload));
                         encode_response(&refusal, &mut out);
-                        write_frame(&mut stream, FRAME_QUERY_RESP, &out)?;
+                        write_frame(&mut stream, frame_tag::QUERY_RESP, &out)?;
                         stream.flush()?;
                         return Err(bad_data("query frame on an unauthenticated session"));
                     }
-                    (FRAME_BATCH, SessionRole::Ingest(id)) => {
+                    (frame_tag::BATCH, SessionRole::Ingest(id)) => {
                         let (batch, _unknown) = decode_batch(&payload)?;
                         let next_seq = {
                             let mut fleet = fleet.lock().unwrap();
@@ -960,10 +898,10 @@ fn serve_connection(
                         };
                         let mut ack = Vec::new();
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, FRAME_ACK, &ack)?;
+                        write_frame(&mut stream, frame_tag::ACK, &ack)?;
                         stream.flush()?;
                     }
-                    (FRAME_DRAIN, SessionRole::Ingest(id)) => {
+                    (frame_tag::DRAIN, SessionRole::Ingest(id)) => {
                         let stats = decode_drain_stats(&payload)?;
                         let next_seq = {
                             let mut fleet = fleet.lock().unwrap();
@@ -976,7 +914,7 @@ fn serve_connection(
                         };
                         let mut ack = Vec::new();
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, FRAME_ACK, &ack)?;
+                        write_frame(&mut stream, frame_tag::ACK, &ack)?;
                         stream.flush()?;
                     }
                     _ => return Err(bad_data("frame before hello or unknown tag")),
@@ -1003,10 +941,7 @@ fn serve_connection(
 /// `u64::MAX` when the payload is too short to carry one — the
 /// sentinel a client can at least log against.
 fn request_id_of(payload: &[u8]) -> u64 {
-    match payload.get(..8) {
-        Some(bytes) => u64::from_le_bytes(bytes.try_into().unwrap()),
-        None => u64::MAX,
-    }
+    WireReader::new(payload).u64().unwrap_or(u64::MAX)
 }
 
 /// Answer one `QUERY` frame on an authenticated query session. Every
@@ -1042,7 +977,7 @@ fn answer_query(
     let mut out = Vec::new();
     put_u64(&mut out, id);
     encode_response(&resp, &mut out);
-    write_frame(stream, FRAME_QUERY_RESP, &out)?;
+    write_frame(stream, frame_tag::QUERY_RESP, &out)?;
     stream.flush()?;
     // Serve latency: decode + planner-under-lock + respond. Recorded
     // overall (the fleet-mergeable `__self/query.serve_ns` axis) and
@@ -1165,16 +1100,16 @@ impl FleetClient {
         stream.set_write_timeout(self.cfg.io_timeout).ok();
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
-        write_frame(&mut stream, FRAME_QUERY_HELLO, &hello)?;
+        write_frame(&mut stream, frame_tag::QUERY_HELLO, &hello)?;
         stream.flush()?;
         let (tag, payload) = match read_frame(&mut stream)? {
             Ok(frame) => frame,
             Err(_) => return Err(bad_data("connection closed during query handshake")),
         };
-        if tag != FRAME_QUERY_HELLO_ACK {
+        if tag != frame_tag::QUERY_HELLO_ACK {
             return Err(bad_data("unexpected query handshake response tag"));
         }
-        let mut r = Rd::new(&payload);
+        let mut r = WireReader::new(&payload);
         let status = r.u8()?;
         let version = r.u16()?;
         if status != 0 {
@@ -1225,7 +1160,7 @@ impl FleetClient {
         encode_request(req, &mut out);
         let res = {
             let stream = self.conn.as_mut().expect("connected");
-            write_frame(stream, FRAME_QUERY, &out).and_then(|()| stream.flush())
+            write_frame(stream, frame_tag::QUERY, &out).and_then(|()| stream.flush())
         };
         if let Err(e) = res {
             self.conn = None;
@@ -1253,7 +1188,7 @@ impl FleetClient {
                 Ok(frame) => frame,
                 Err(_) => return Err(bad_data("connection closed awaiting query response")),
             };
-            if tag != FRAME_QUERY_RESP {
+            if tag != frame_tag::QUERY_RESP {
                 return Err(bad_data("unexpected frame tag awaiting query response"));
             }
             if payload.len() < 8 {

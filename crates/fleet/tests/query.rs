@@ -32,7 +32,8 @@ use moda_fleet::{
     NodeId, QueryErrorCode, QueryRequest, QueryResponse, Rank, SocketSink, TransportConfig,
 };
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{frame_tag, read_frame, write_frame, ExportBatch, MemorySink, Sink};
+use moda_telemetry::export::{ExportBatch, MemorySink, Sink};
+use moda_telemetry::wire::{frame_tag, read_frame, write_frame};
 use moda_telemetry::{
     DrainStats, Exporter, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
 };

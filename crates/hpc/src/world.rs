@@ -1062,7 +1062,8 @@ mod tests {
 
     #[test]
     fn progress_pyramids_export_incrementally() {
-        use moda_telemetry::export::{ExportRecord, MemorySink, ReplayStore};
+        use moda_telemetry::export::{ExportRecord, MemorySink};
+        use moda_telemetry::ReplayStore;
         let mut w = small_world(3);
         // 2000 steps × 5 s: plenty of markers and sealed 1m buckets.
         w.submit_campaign(vec![quick_job(0, 2, 2000, 5.0, 20_000)]);

@@ -51,16 +51,22 @@
 //! * [`export`] — the incremental batched export pipeline (the paper
 //!   commits to releasing *open datasets*, and production ODA transports
 //!   continuously): an [`Exporter`] with per-metric watermark cursors
-//!   drains raw samples, sealed rollup buckets, and sparse sketch
-//!   columns as size-bounded [`ExportBatch`]es through a [`Sink`]
-//!   (CSV / JSON-lines / the columnar struct-of-arrays transport
-//!   [`ColumnarSink`]), each metric copied under its own short stripe
-//!   read lock. The receiving half is shared: [`WireTiers`] rebuilds
+//!   drains raw samples, compressed chunks, sealed rollup buckets, and
+//!   sparse sketch columns as size-bounded [`ExportBatch`]es through a
+//!   [`Sink`], each metric copied under its own short stripe read lock,
+//! * [`wire`] — the **one** byte-level encoding of that stream
+//!   (`export-wire-v1.1`): the LE/varint put helpers and the
+//!   bounds-checked reader, the record/batch/drain-stats codec, and the
+//!   CRC-framed envelope every socket, write-ahead log, and snapshot in
+//!   `moda-fleet` is written in. Binary is normative; CSV
+//!   ([`export::CsvSink`]) is the one human-readable rendering. The
+//!   format is specified in `docs/EXPORT_FORMAT.md`,
+//! * [`tiers`] — the shared receiving half: [`WireTiers`] rebuilds
 //!   **wire-fed rollup pyramids** from sealed buckets and sketch
 //!   columns — planner-ready, every absorbed bucket sealed — behind
-//!   both [`ReplayStore`] and the fleet aggregation tier
-//!   (`moda-fleet`). The wire format is specified in
-//!   `docs/EXPORT_FORMAT.md`.
+//!   both [`ReplayStore`] ([`replay`], the reference the export≡replay
+//!   property tests compare against) and the fleet aggregation tier
+//!   (`moda-fleet`).
 //!
 //! # Hot-path discipline
 //!
@@ -68,34 +74,36 @@
 //! at production cardinality the read path dominates online-ODA cost.
 //! The crate therefore keeps one rule: **scalar questions get scalar
 //! answers** — anything that folds a window to a number goes through
-//! views and [`WindowAgg`] folds, never through an owned `Vec<Sample>`.
-//! The `Vec`-returning methods remain only as compatibility wrappers for
-//! cold paths (export, debugging).
+//! views and [`WindowAgg`] folds, never through an owned `Vec<Sample>`;
+//! a caller that does want owned samples says so at the call site with
+//! [`SampleView::to_vec`].
 
 pub mod chunk;
 pub mod collect;
 pub mod export;
 pub mod metric;
+pub mod replay;
 pub mod rollup;
 pub mod series;
 pub mod sketch;
+pub mod tiers;
 pub mod tsdb;
 pub mod window;
+pub mod wire;
 
 pub use collect::{Collector, Sensor};
-pub use export::{
-    ColumnarSink, DrainStats, ExportBatch, ExportRecord, ExportSource, Exporter, ReplayStore, Sink,
-    WireTiers,
-};
+pub use export::{DrainStats, ExportBatch, ExportRecord, ExportSource, Exporter, Sink};
 pub use metric::{
     is_self_metric, InsertError, MetricId, MetricKind, MetricMeta, RegisterError, SourceDomain,
     SELF_NAMESPACE,
 };
+pub use replay::ReplayStore;
 pub use rollup::{
     fold_span_into, RollupAcc, RollupBucket, RollupConfig, RollupRing, RollupServed, RollupSet,
     RollupTier, SketchAcc, SpanFold,
 };
 pub use series::{RetentionPolicy, Sample, SampleView, TimeSeries};
 pub use sketch::{QuantileAcc, QuantileSketch, SketchEntry, SKETCH_RELATIVE_ERROR};
+pub use tiers::WireTiers;
 pub use tsdb::{adaptive_shards, MemoryStats, ShardedTsdb, SharedTsdb, Tsdb};
 pub use window::{AggAccum, WindowAgg};

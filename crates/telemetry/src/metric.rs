@@ -23,7 +23,7 @@ pub fn is_self_metric(name: &str) -> bool {
 }
 
 /// Typed refusal from [`crate::Tsdb::try_register`] (and the sharded
-/// equivalent): the name is reserved for self-telemetry.
+/// equivalent).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegisterError {
     /// The name starts with [`SELF_NAMESPACE`]; only the obs scrape may
@@ -31,6 +31,16 @@ pub enum RegisterError {
     ReservedNamespace {
         /// The refused metric name.
         name: String,
+    },
+    /// The name or unit is longer than [`crate::wire::MAX_STR_LEN`]
+    /// bytes, the most the export wire's `u16` length prefix can carry.
+    /// Refused at registration because a metric that cannot be encoded
+    /// would stall its exporter forever on the first drain.
+    TooLongForWire {
+        /// Which field is too long: `"name"` or `"unit"`.
+        field: &'static str,
+        /// Its length in bytes.
+        len: usize,
     },
 }
 
@@ -41,6 +51,12 @@ impl fmt::Display for RegisterError {
                 f,
                 "metric name {name:?} is in the reserved {SELF_NAMESPACE} self-telemetry \
                  namespace; only the obs scrape may register it"
+            ),
+            RegisterError::TooLongForWire { field, len } => write!(
+                f,
+                "metric {field} is {len} bytes; the export wire carries at most {} \
+                 (u16 length prefix)",
+                crate::wire::MAX_STR_LEN
             ),
         }
     }
@@ -162,6 +178,21 @@ impl MetricMeta {
             unit: unit.into(),
             domain,
         }
+    }
+
+    /// The typed refusal for a name or unit the export wire cannot
+    /// carry — checked where a metric enters a store, so the codec
+    /// never meets one.
+    pub(crate) fn check_wire_limit(&self) -> Result<(), RegisterError> {
+        for (field, s) in [("name", &self.name), ("unit", &self.unit)] {
+            if s.len() > crate::wire::MAX_STR_LEN {
+                return Err(RegisterError::TooLongForWire {
+                    field,
+                    len: s.len(),
+                });
+            }
+        }
+        Ok(())
     }
 }
 

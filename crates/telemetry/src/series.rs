@@ -433,24 +433,6 @@ impl TimeSeries {
         }
     }
 
-    /// Samples with `t0 <= t < t1`, oldest → newest (owned; prefer
-    /// [`TimeSeries::range_view`] on hot paths).
-    pub fn range(&self, t0: SimTime, t1: SimTime) -> Vec<Sample> {
-        self.range_view(t0, t1).to_vec()
-    }
-
-    /// The last `n` samples, oldest → newest (owned; prefer
-    /// [`TimeSeries::last_n_view`] on hot paths).
-    pub fn last_n(&self, n: usize) -> Vec<Sample> {
-        self.last_n_view(n).to_vec()
-    }
-
-    /// Samples within the trailing window `(now - window, now]` (owned;
-    /// prefer [`TimeSeries::window_view`] on hot paths).
-    pub fn window(&self, now: SimTime, window: SimDuration) -> Vec<Sample> {
-        self.window_view(now, window).to_vec()
-    }
-
     /// Value interpolated linearly at time `t`, if `t` falls within the
     /// retained span. Exact matches return the stored value (the newest
     /// among duplicate timestamps); queries outside the span return
@@ -856,7 +838,7 @@ mod tests {
     #[test]
     fn range_is_half_open() {
         let s = ts(&[(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)]);
-        let r = s.range(SimTime::from_secs(2), SimTime::from_secs(4));
+        let r = s.range_view(SimTime::from_secs(2), SimTime::from_secs(4));
         let vals: Vec<f64> = r.iter().map(|s| s.value).collect();
         assert_eq!(vals, vec![2.0, 3.0]);
     }
@@ -864,16 +846,16 @@ mod tests {
     #[test]
     fn last_n_clamps() {
         let s = ts(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
-        assert_eq!(s.last_n(2).len(), 2);
-        assert_eq!(s.last_n(2)[0].value, 2.0);
-        assert_eq!(s.last_n(99).len(), 3);
-        assert_eq!(s.last_n(0).len(), 0);
+        assert_eq!(s.last_n_view(2).len(), 2);
+        assert_eq!(s.last_n_view(2).get(0).value, 2.0);
+        assert_eq!(s.last_n_view(99).len(), 3);
+        assert_eq!(s.last_n_view(0).len(), 0);
     }
 
     #[test]
     fn window_trailing() {
         let s = ts(&[(10, 1.0), (20, 2.0), (30, 3.0), (40, 4.0)]);
-        let w = s.window(SimTime::from_secs(40), SimDuration::from_secs(20));
+        let w = s.window_view(SimTime::from_secs(40), SimDuration::from_secs(20));
         let vals: Vec<f64> = w.iter().map(|s| s.value).collect();
         // (20, 40] → samples at 30 and 40.
         assert_eq!(vals, vec![3.0, 4.0]);

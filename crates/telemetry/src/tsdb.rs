@@ -243,8 +243,9 @@ impl Tsdb {
     /// Register a metric, returning its dense id. Re-registering the same
     /// name returns the existing id (idempotent), so sensors can register
     /// defensively. Panics on names in the reserved
-    /// [`crate::metric::SELF_NAMESPACE`] — use [`Tsdb::try_register`]
-    /// when the name is not statically known to be user-owned.
+    /// [`crate::metric::SELF_NAMESPACE`] and on names or units over the
+    /// export wire's length limit — use [`Tsdb::try_register`] when the
+    /// name is not statically known to be user-owned and short.
     pub fn register(&mut self, meta: MetricMeta) -> MetricId {
         assert!(
             !is_self_metric(&meta.name),
@@ -254,13 +255,15 @@ impl Tsdb {
         self.register_unchecked(meta, false)
     }
 
-    /// [`Tsdb::register`] with the reserved `__self/` namespace refused
-    /// as a typed error instead of a panic — the entry point for names
+    /// [`Tsdb::register`] with the reserved `__self/` namespace and
+    /// names or units over the export wire's length limit refused as a
+    /// typed error instead of a panic — the entry point for names
     /// originating outside the program text (wire ingest, config).
     pub fn try_register(&mut self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
         if is_self_metric(&meta.name) {
             return Err(RegisterError::ReservedNamespace { name: meta.name });
         }
+        meta.check_wire_limit()?;
         Ok(self.register_unchecked(meta, false))
     }
 
@@ -278,6 +281,9 @@ impl Tsdb {
     }
 
     fn register_unchecked(&mut self, meta: MetricMeta, reserved: bool) -> MetricId {
+        if let Err(e) = meta.check_wire_limit() {
+            panic!("{e}");
+        }
         if let Some(&id) = self.by_name.get(&meta.name) {
             return id;
         }
@@ -460,12 +466,6 @@ impl Tsdb {
         self.series[id.index()].raw.window_view(now, window)
     }
 
-    /// Samples of `id` in the trailing `window` ending at `now` (owned;
-    /// prefer [`Tsdb::window_view`] / [`Tsdb::window_agg`] on hot paths).
-    pub fn window(&self, id: MetricId, now: SimTime, window: SimDuration) -> Vec<Sample> {
-        self.window_view(id, now, window).to_vec()
-    }
-
     /// Fold `agg` over the trailing window without materializing samples.
     /// `None` when the window holds no samples.
     ///
@@ -510,30 +510,15 @@ impl Tsdb {
         self.series[id.index()].raw.value_at(t)
     }
 
-    /// Downsample a series to fixed `period` buckets over `[t0, t1)`,
-    /// aggregating each bucket with `agg`. Empty buckets yield `None`.
-    ///
-    /// This is the long-term-storage shape (the paper's Knowledge layer
-    /// stores behavioral profiles, not raw samples). Prefer
-    /// [`Tsdb::resample_into`] on hot paths to reuse the output buffer.
-    pub fn resample(
-        &self,
-        id: MetricId,
-        t0: SimTime,
-        t1: SimTime,
-        period: SimDuration,
-        agg: WindowAgg,
-    ) -> Vec<Option<f64>> {
-        let mut out = Vec::new();
-        self.resample_into(id, t0, t1, period, agg, &mut out);
-        out
-    }
-
-    /// Streaming [`Tsdb::resample`] into a caller-owned buffer: one pass
-    /// over a binary-searched view, folding each bucket through a single
-    /// reusable [`AggAccum`] — no per-bucket allocations. Sealed rollup
-    /// buckets are spliced in when the metric has rollups enabled and the
-    /// requested `period` is at least one finest-tier bucket wide.
+    /// Downsample a series to fixed `period` buckets over `[t0, t1)`
+    /// into a caller-owned buffer, aggregating each bucket with `agg`
+    /// (empty buckets yield `None`) — the long-term-storage shape: the
+    /// paper's Knowledge layer stores behavioral profiles, not raw
+    /// samples. One pass over a binary-searched view, folding each
+    /// bucket through a single reusable [`AggAccum`] — no per-bucket
+    /// allocations. Sealed rollup buckets are spliced in when the metric
+    /// has rollups enabled and the requested `period` is at least one
+    /// finest-tier bucket wide.
     pub fn resample_into(
         &self,
         id: MetricId,
@@ -738,7 +723,8 @@ impl ShardedTsdb {
     }
 
     /// Register a metric (idempotent on name), returning its dense id.
-    /// Panics on names in the reserved `__self/` namespace — use
+    /// Panics on names in the reserved `__self/` namespace and on names
+    /// or units over the export wire's length limit — use
     /// [`ShardedTsdb::try_register`] for externally sourced names.
     pub fn register(&self, meta: MetricMeta) -> MetricId {
         assert!(
@@ -749,12 +735,14 @@ impl ShardedTsdb {
         self.register_with_capacity_opt(meta, None, false)
     }
 
-    /// [`ShardedTsdb::register`] with the reserved namespace refused as
-    /// a typed error instead of a panic.
+    /// [`ShardedTsdb::register`] with the reserved namespace and
+    /// over-limit names or units refused as a typed error instead of a
+    /// panic.
     pub fn try_register(&self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
         if is_self_metric(&meta.name) {
             return Err(RegisterError::ReservedNamespace { name: meta.name });
         }
+        meta.check_wire_limit()?;
         Ok(self.register_with_capacity_opt(meta, None, false))
     }
 
@@ -791,6 +779,9 @@ impl ShardedTsdb {
         capacity: Option<usize>,
         reserved: bool,
     ) -> MetricId {
+        if let Err(e) = meta.check_wire_limit() {
+            panic!("{e}");
+        }
         let mut reg = self.registry.write();
         if let Some(&id) = reg.by_name.get(&meta.name) {
             return id;
@@ -1064,12 +1055,6 @@ impl ShardedTsdb {
         self.with_series(id, |s| s.value_at(t))
     }
 
-    /// Owned window samples (compatibility shape; prefer
-    /// [`ShardedTsdb::window_agg`] or [`ShardedTsdb::with_series`]).
-    pub fn window(&self, id: MetricId, now: SimTime, window: SimDuration) -> Vec<Sample> {
-        self.with_series(id, |s| s.window_view(now, window).to_vec())
-    }
-
     /// Streaming resample into a caller-owned buffer (see
     /// [`Tsdb::resample_into`]); sealed rollup buckets are spliced in
     /// when available.
@@ -1210,12 +1195,14 @@ mod tests {
         for t in [0u64, 1, 2, 3, 6, 7] {
             db.insert(id, SimTime::from_secs(t), t as f64);
         }
-        let out = db.resample(
+        let mut out = Vec::new();
+        db.resample_into(
             id,
             SimTime::ZERO,
             SimTime::from_secs(8),
             SimDuration::from_secs(2),
             WindowAgg::Mean,
+            &mut out,
         );
         assert_eq!(out.len(), 4);
         assert_eq!(out[0], Some(0.5)); // 0,1
@@ -1231,12 +1218,14 @@ mod tests {
         for t in 0..10u64 {
             db.insert(id, SimTime::from_secs(t), t as f64);
         }
-        let out = db.resample(
+        let mut out = Vec::new();
+        db.resample_into(
             id,
             SimTime::ZERO,
             SimTime::from_secs(10),
             SimDuration::from_secs(5),
             WindowAgg::Max,
+            &mut out,
         );
         assert_eq!(out, vec![Some(4.0), Some(9.0)]);
     }
@@ -1287,7 +1276,7 @@ mod tests {
             WindowAgg::Count,
             WindowAgg::Percentile(0.9),
         ] {
-            let legacy = agg.apply_samples(&db.window(id, now, w));
+            let legacy = agg.apply_samples(&db.window_view(id, now, w).to_vec());
             let fast = db.window_agg(id, now, w, agg).unwrap();
             assert!((legacy - fast).abs() < 1e-12, "{agg:?}");
         }
@@ -1336,6 +1325,53 @@ mod tests {
         let shared = ShardedTsdb::new();
         assert!(shared.try_register(meta).is_err());
         assert_eq!(shared.cardinality(), 0);
+    }
+
+    #[test]
+    fn names_over_the_wire_limit_are_refused_at_registration() {
+        use crate::export::{Exporter, MemorySink};
+        use crate::wire::{decode_batch, encode_batch, MAX_STR_LEN};
+        // The longest legal name registers, drains, and survives the
+        // binary codec bit-exactly.
+        let mut db = db();
+        let longest = MetricMeta::gauge("n".repeat(MAX_STR_LEN), "u", SourceDomain::Hardware);
+        let id = db.try_register(longest).unwrap();
+        db.insert(id, SimTime::from_secs(1), 1.0);
+        let mut sink = MemorySink::new();
+        Exporter::new().drain(&db, &mut sink).unwrap();
+        let mut bytes = Vec::new();
+        encode_batch(&sink.batches[0], &mut bytes);
+        assert_eq!(decode_batch(&bytes).unwrap().0, sink.batches[0]);
+        // One byte more — in the name or the unit — is a typed refusal
+        // on both stores, and nothing is registered.
+        let long = "n".repeat(MAX_STR_LEN + 1);
+        let shared = ShardedTsdb::new();
+        for (meta, field) in [
+            (
+                MetricMeta::gauge(long.clone(), "u", SourceDomain::Hardware),
+                "name",
+            ),
+            (
+                MetricMeta::gauge("m", long.clone(), SourceDomain::Hardware),
+                "unit",
+            ),
+        ] {
+            let want = Err(RegisterError::TooLongForWire {
+                field,
+                len: MAX_STR_LEN + 1,
+            });
+            assert_eq!(db.try_register(meta.clone()), want);
+            assert_eq!(shared.try_register(meta), want);
+        }
+        assert_eq!(db.cardinality(), 1);
+        assert_eq!(shared.cardinality(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the export wire carries at most 65535")]
+    fn register_panics_on_a_name_over_the_wire_limit() {
+        let long = "n".repeat(crate::wire::MAX_STR_LEN + 1);
+        db().register(MetricMeta::gauge(long, "u", SourceDomain::Hardware));
     }
 
     #[test]
@@ -1792,12 +1828,14 @@ mod tests {
         for t in 0..50u64 {
             db.insert(id, SimTime::from_secs(t), (t % 7) as f64);
         }
-        let want = db.resample(
+        let mut want = Vec::new();
+        db.resample_into(
             id,
             SimTime::ZERO,
             SimTime::from_secs(50),
             SimDuration::from_secs(10),
             WindowAgg::Mean,
+            &mut want,
         );
         let shared = db.into_shared();
         let mut got = Vec::new();

@@ -1,0 +1,1099 @@
+//! The one byte-level definition of `export-wire-v1.1` — what goes over
+//! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
+//! Every other module (the exporter, the fleet's persistence, query, and
+//! transport code) builds and reads bytes through the helpers here; none
+//! of them knows a length prefix, a tag value, or the CRC span.
+//!
+//! Three layers (normative spec: `docs/EXPORT_FORMAT.md`):
+//!
+//! * **records** — each [`ExportRecord`] as `[kind u8][len u32 LE][payload]`.
+//!   The per-record length prefix is what makes the additive-kinds rule
+//!   mechanical: a reader that meets a kind tag it does not know skips
+//!   `len` bytes and counts it, instead of desynchronizing.
+//! * **batches** — `[seq u64 LE][record count u32 LE][records…]`.
+//! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
+//!   self-delimiting transport/log envelope. The CRC covers tag+payload,
+//!   so a torn append (power cut mid-write) or a flipped bit is detected
+//!   before any record is applied; a clean EOF between frames reads as
+//!   end-of-stream. [`parse_frame`] is the only envelope parser: the
+//!   blocking [`read_frame`] and the incremental [`FrameBuffer`] both
+//!   take their length decision from it and their checksum from the
+//!   one running CRC beside it.
+//!
+//! All integers little-endian; floats as IEEE-754 bit patterns
+//! (`f64::to_bits`), so encode→decode is bit-exact including NaN. The
+//! fleet snapshot's bulk section additionally uses LEB128 varints
+//! ([`put_uv`]) with zigzag folding for signed keys.
+
+use crate::export::{DrainStats, ExportBatch, ExportRecord, DEFAULT_BATCH_RECORDS};
+use crate::metric::{MetricId, MetricKind, MetricMeta, SourceDomain};
+use crate::sketch::SketchEntry;
+use moda_sim::{SimDuration, SimTime};
+use std::io::{self, Read, Write};
+
+/// Largest frame any conforming reader must accept. Batches are bounded
+/// by `DEFAULT_BATCH_RECORDS` and chunk payloads by the 512-sample seal,
+/// so real frames sit far below this; the cap exists so a corrupt or
+/// hostile length prefix cannot force an unbounded allocation.
+pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// Longest string the wire can carry: metric names, units, node names,
+/// and auth tokens are `u16`-length-prefixed ([`put_str`]).
+pub const MAX_STR_LEN: usize = u16::MAX as usize;
+
+// ------------------------------------------------------------ put helpers
+
+/// Append a `u16`, little-endian.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a `u32`, little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a `u64`, little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append an `f64` as its IEEE-754 bit pattern, little-endian.
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Append a string as `[len u16 LE][UTF-8 bytes]`. Panics on strings
+/// over [`MAX_STR_LEN`]: a wrapped length followed by all the bytes
+/// would desynchronize every reader downstream, so an overlong string
+/// must be refused where it enters the program (`Tsdb::try_register`
+/// does that for metric names and units) — reaching this assert is a
+/// bug in the caller, never a data condition.
+#[inline]
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    assert!(
+        s.len() <= MAX_STR_LEN,
+        "wire strings carry a u16 length; got {} bytes",
+        s.len()
+    );
+    put_u16(out, s.len() as u16);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Append an LEB128 unsigned varint — the fleet snapshot's tier section
+/// is dominated by small integers (bucket deltas, counts, sketch keys),
+/// and recovery cost is proportional to snapshot bytes.
+#[inline]
+pub fn put_uv(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Append a `u32`-length-prefixed block: `fill` writes the body, then
+/// the prefix is patched in — how every skippable or growable section
+/// of the format is delimited (record payloads, chunk bytes, the
+/// query protocol's additive counter blocks, snapshot sections).
+#[inline]
+pub fn put_block(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    put_u32(out, 0);
+    fill(out);
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Zigzag-fold a signed value so small magnitudes stay small varints.
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+// ---------------------------------------------------------------- reader
+
+/// The `InvalidData` error every decode failure surfaces as.
+pub fn bad_data(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("wire: {what}"))
+}
+
+/// Cursor-style reader over a decode buffer; every getter is
+/// bounds-checked and surfaces truncation as `InvalidData`.
+#[derive(Debug)]
+pub struct WireReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> WireReader<'a> {
+    /// Reader positioned at the start of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
+        WireReader { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes, or `InvalidData` when fewer remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or_else(|| bad_data("truncated field"))?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// The next `N` bytes as an array (what the fixed-width getters
+    /// feed to `from_le_bytes`).
+    #[inline]
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returned exactly N bytes"))
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> io::Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An `f64` from its little-endian bit pattern.
+    #[inline]
+    pub fn f64(&mut self) -> io::Result<f64> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// An LEB128 unsigned varint (see [`put_uv`]); encodings past 64
+    /// bits are `InvalidData`.
+    #[inline]
+    pub fn uv(&mut self) -> io::Result<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            if shift >= 64 || (shift == 63 && b > 1) {
+                return Err(bad_data("varint overflow"));
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A `[len u16 LE][UTF-8]` string (see [`put_str`]).
+    pub fn str(&mut self) -> io::Result<String> {
+        let n = self.u16()? as usize;
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad_data("non-UTF-8 string"))
+    }
+
+    /// A `u32`-length-prefixed block (see [`put_block`]).
+    #[inline]
+    pub fn block(&mut self) -> io::Result<&'a [u8]> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    /// Everything left, consuming it.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
+    /// Whether every byte has been consumed — decoders check this last
+    /// so trailing garbage is an error, not silently ignored.
+    #[inline]
+    pub fn done(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// Bytes left to read — the sanity bound element-count prefixes are
+    /// checked against before pre-allocating.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+}
+
+// ------------------------------------------------------------ metric tags
+
+/// Wire tag of a metric kind.
+fn kind_tag(kind: MetricKind) -> u8 {
+    match kind {
+        MetricKind::Gauge => 0,
+        MetricKind::Counter => 1,
+    }
+}
+
+/// Wire tag of a source domain.
+fn domain_tag(domain: SourceDomain) -> u8 {
+    match domain {
+        SourceDomain::Facility => 0,
+        SourceDomain::Hardware => 1,
+        SourceDomain::Software => 2,
+        SourceDomain::Application => 3,
+    }
+}
+
+/// Metric kind of a wire tag; unknown tags are `InvalidData`.
+fn kind_from_tag(tag: u8) -> io::Result<MetricKind> {
+    match tag {
+        0 => Ok(MetricKind::Gauge),
+        1 => Ok(MetricKind::Counter),
+        _ => Err(bad_data("unknown metric kind tag")),
+    }
+}
+
+/// Source domain of a wire tag; unknown tags are `InvalidData`.
+fn domain_from_tag(tag: u8) -> io::Result<SourceDomain> {
+    match tag {
+        0 => Ok(SourceDomain::Facility),
+        1 => Ok(SourceDomain::Hardware),
+        2 => Ok(SourceDomain::Software),
+        3 => Ok(SourceDomain::Application),
+        _ => Err(bad_data("unknown source domain tag")),
+    }
+}
+
+/// Append a metric registry entry: `name · kind u8 · unit · domain u8`.
+pub fn put_meta(out: &mut Vec<u8>, meta: &MetricMeta) {
+    put_str(out, &meta.name);
+    out.push(kind_tag(meta.kind));
+    put_str(out, &meta.unit);
+    out.push(domain_tag(meta.domain));
+}
+
+impl WireReader<'_> {
+    /// A metric registry entry written by [`put_meta`].
+    pub fn meta(&mut self) -> io::Result<MetricMeta> {
+        Ok(MetricMeta {
+            name: self.str()?,
+            kind: kind_from_tag(self.u8()?)?,
+            unit: self.str()?,
+            domain: domain_from_tag(self.u8()?)?,
+        })
+    }
+}
+
+// ---------------------------------------------------- records and batches
+
+/// Binary record kind tags (`export-wire-v1.1`). New kinds append —
+/// never renumber — per the additive versioning rule.
+const REC_META: u8 = 0;
+const REC_SAMPLE: u8 = 1;
+const REC_BUCKET: u8 = 2;
+const REC_SKETCH: u8 = 3;
+const REC_CHUNK: u8 = 4;
+
+/// Append one record in the binary rendering:
+/// `[kind u8][payload len u32 LE][payload]`.
+pub fn encode_record(record: &ExportRecord, out: &mut Vec<u8>) {
+    let tag = match record {
+        ExportRecord::Meta { .. } => REC_META,
+        ExportRecord::Sample { .. } => REC_SAMPLE,
+        ExportRecord::Bucket { .. } => REC_BUCKET,
+        ExportRecord::Sketch { .. } => REC_SKETCH,
+        ExportRecord::Chunk { .. } => REC_CHUNK,
+    };
+    out.push(tag);
+    put_block(out, |out| match record {
+        ExportRecord::Meta { id, meta } => {
+            put_u32(out, id.0);
+            put_meta(out, meta);
+        }
+        ExportRecord::Sample { id, t, value } => {
+            put_u32(out, id.0);
+            put_u64(out, t.0);
+            put_f64(out, *value);
+        }
+        ExportRecord::Bucket {
+            id,
+            res,
+            start,
+            count,
+            sum,
+            min,
+            max,
+            last,
+        } => {
+            put_u32(out, id.0);
+            put_u64(out, res.0);
+            put_u64(out, start.0);
+            put_u64(out, *count);
+            put_f64(out, *sum);
+            put_f64(out, *min);
+            put_f64(out, *max);
+            put_f64(out, *last);
+        }
+        ExportRecord::Sketch {
+            id,
+            res,
+            start,
+            entry,
+        } => {
+            put_u32(out, id.0);
+            put_u64(out, res.0);
+            put_u64(out, start.0);
+            out.push(entry.sign as u8);
+            put_u32(out, entry.key as u32);
+            put_u64(out, entry.count);
+        }
+        ExportRecord::Chunk {
+            id,
+            count,
+            first_t,
+            last_t,
+            bytes,
+        } => {
+            put_u32(out, id.0);
+            put_u32(out, *count);
+            put_u64(out, first_t.0);
+            put_u64(out, last_t.0);
+            put_block(out, |out| out.extend_from_slice(bytes));
+        }
+    });
+}
+
+fn decode_record_payload(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
+    let mut r = WireReader::new(payload);
+    let record = match tag {
+        REC_META => ExportRecord::Meta {
+            id: MetricId(r.u32()?),
+            meta: r.meta()?,
+        },
+        REC_SAMPLE => ExportRecord::Sample {
+            id: MetricId(r.u32()?),
+            t: SimTime(r.u64()?),
+            value: r.f64()?,
+        },
+        REC_BUCKET => ExportRecord::Bucket {
+            id: MetricId(r.u32()?),
+            res: SimDuration(r.u64()?),
+            start: SimTime(r.u64()?),
+            count: r.u64()?,
+            sum: r.f64()?,
+            min: r.f64()?,
+            max: r.f64()?,
+            last: r.f64()?,
+        },
+        REC_SKETCH => ExportRecord::Sketch {
+            id: MetricId(r.u32()?),
+            res: SimDuration(r.u64()?),
+            start: SimTime(r.u64()?),
+            entry: SketchEntry {
+                sign: r.u8()? as i8,
+                key: r.u32()? as i32,
+                count: r.u64()?,
+            },
+        },
+        REC_CHUNK => {
+            let id = MetricId(r.u32()?);
+            let count = r.u32()?;
+            let first_t = SimTime(r.u64()?);
+            let last_t = SimTime(r.u64()?);
+            let bytes = r.block()?.to_vec();
+            ExportRecord::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes,
+            }
+        }
+        _ => unreachable!("caller filters unknown tags"),
+    };
+    if !r.done() {
+        return Err(bad_data("trailing bytes in record payload"));
+    }
+    Ok(record)
+}
+
+/// Encode a whole batch:
+/// `[seq u64 LE][record count u32 LE][records…]`.
+pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
+    put_u64(out, batch.seq);
+    put_u32(out, batch.records.len() as u32);
+    for record in &batch.records {
+        encode_record(record, out);
+    }
+}
+
+/// Decode a batch encoded by [`encode_batch`]. Returns the batch plus
+/// the number of records skipped because their kind tag is unknown to
+/// this reader — the additive-kinds contract: a newer writer's extra
+/// kinds are length-skipped and counted, never an error.
+pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
+    let mut r = WireReader::new(buf);
+    let seq = r.u64()?;
+    let n = r.u32()? as usize;
+    let mut records = Vec::with_capacity(n.min(DEFAULT_BATCH_RECORDS));
+    let mut unknown = 0u64;
+    for _ in 0..n {
+        let tag = r.u8()?;
+        let payload = r.block()?;
+        if tag > REC_CHUNK {
+            unknown += 1;
+            continue;
+        }
+        records.push(decode_record_payload(tag, payload)?);
+    }
+    if !r.done() {
+        return Err(bad_data("trailing bytes after batch records"));
+    }
+    Ok((ExportBatch { seq, records }, unknown))
+}
+
+/// Encode [`DrainStats`] (the exporter-side counters a node reports at
+/// end of stream so the aggregator can judge drain lag).
+pub fn encode_drain_stats(stats: &DrainStats, out: &mut Vec<u8>) {
+    for v in [
+        stats.batches,
+        stats.records,
+        stats.samples,
+        stats.chunks,
+        stats.buckets,
+        stats.sketch_entries,
+        stats.metas,
+        stats.missed_samples,
+        stats.missed_buckets,
+        stats.lock_held_ns,
+        stats.max_lock_held_ns,
+        stats.send_retries,
+    ] {
+        put_u64(out, v);
+    }
+}
+
+/// Decode [`DrainStats`] encoded by [`encode_drain_stats`].
+pub fn decode_drain_stats(buf: &[u8]) -> io::Result<DrainStats> {
+    let mut r = WireReader::new(buf);
+    let stats = DrainStats {
+        batches: r.u64()?,
+        records: r.u64()?,
+        samples: r.u64()?,
+        chunks: r.u64()?,
+        buckets: r.u64()?,
+        sketch_entries: r.u64()?,
+        metas: r.u64()?,
+        missed_samples: r.u64()?,
+        missed_buckets: r.u64()?,
+        lock_held_ns: r.u64()?,
+        max_lock_held_ns: r.u64()?,
+        // Added after the first wire revision: a stream recorded before
+        // retrying sinks surfaced their redelivery counters simply ends
+        // here, so the field is optional-trailing rather than required.
+        send_retries: if r.done() { 0 } else { r.u64()? },
+    };
+    if !r.done() {
+        return Err(bad_data("trailing bytes in drain stats"));
+    }
+    Ok(stats)
+}
+
+// ---------------------------------------------------------------- frames
+
+/// Fold `bytes` into a running CRC-32 state (pre-inversion; start from
+/// `!0`, finish with `!state`).
+fn crc32_fold(mut c: u32, bytes: &[u8]) -> u32 {
+    const fn table() -> [u32; 256] {
+        let mut t = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            t[i] = c;
+            i += 1;
+        }
+        t
+    }
+    const TABLE: [u32; 256] = table();
+    for &b in bytes {
+        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), bytewise table-driven.
+/// Protects every frame against torn writes and bit rot.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_fold(!0, bytes)
+}
+
+/// The checksum a frame carries: CRC-32 over `[tag][payload]`, folded
+/// through one running state so neither side has to join them first.
+fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
+    !crc32_fold(crc32_fold(!0, &[tag]), payload)
+}
+
+/// The frame tags spoken inside the [`write_frame`] envelope by the
+/// `moda` socket protocols (`export-wire-v1.1`). The envelope itself is
+/// tag-agnostic; this registry exists so the protocols layered on it —
+/// fleet ingest sessions and the query/serving sessions next to them —
+/// can never collide on a tag value. Tags are **additive**: a value,
+/// once shipped, is never reused for a different meaning, and decoders
+/// treat unknown tags as an error on their session (fail closed), not
+/// as something to skip.
+///
+/// The fleet write-ahead log reuses the same envelope with its own tag
+/// space starting at 32 (`moda-fleet`'s `persist` module) — disk frames
+/// and socket frames never flow through the same session, but keeping
+/// the ranges disjoint makes a misfiled frame diagnosable.
+pub mod frame_tag {
+    /// Ingest session hello: auth token + node name.
+    pub const HELLO: u8 = 1;
+    /// Ingest hello response: status + persisted session cursor.
+    pub const HELLO_ACK: u8 = 2;
+    /// One encoded export batch.
+    pub const BATCH: u8 = 3;
+    /// Cumulative apply acknowledgement.
+    pub const ACK: u8 = 4;
+    /// Out-of-band exporter drain report.
+    pub const DRAIN: u8 = 5;
+    /// Query session hello: auth token (read-only sessions — no node
+    /// registration, so a dashboard can never look like a silent node).
+    pub const QUERY_HELLO: u8 = 6;
+    /// Query hello response: status + query protocol version.
+    pub const QUERY_HELLO_ACK: u8 = 7;
+    /// One query request: request id (`u64` LE) + encoded request.
+    pub const QUERY: u8 = 8;
+    /// One query response: request id (`u64` LE) + encoded response.
+    pub const QUERY_RESP: u8 = 9;
+}
+
+/// Write one self-delimiting frame:
+/// `[len u32 LE][tag u8][payload][crc32 u32 LE]` where `len` counts
+/// tag + payload and the CRC covers the same span.
+pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
+    let mut head = [0u8; 5];
+    head[..4].copy_from_slice(&((payload.len() + 1) as u32).to_le_bytes());
+    head[4] = tag;
+    w.write_all(&head)?;
+    w.write_all(payload)?;
+    w.write_all(&frame_crc(tag, payload).to_le_bytes())
+}
+
+/// Why a frame read stopped without producing a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameEnd {
+    /// Clean end of stream: EOF exactly on a frame boundary.
+    Clean,
+    /// EOF inside a frame — a torn tail (interrupted append or cut
+    /// connection). Everything before it is intact.
+    Torn,
+    /// The frame was fully present but its CRC did not match, or its
+    /// length prefix was absurd — corruption, not truncation.
+    Corrupt,
+}
+
+/// What the front of a byte slice holds, as far as the envelope goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameParse<'a> {
+    /// A whole frame whose CRC matches.
+    Frame {
+        /// The frame tag.
+        tag: u8,
+        /// The payload, borrowed from the input.
+        payload: &'a [u8],
+        /// Bytes of the input the frame occupies (envelope included).
+        consumed: usize,
+    },
+    /// The slice ends inside a frame. `total` is how many bytes that
+    /// frame occupies once its length prefix is known (and sane), `4`
+    /// while even the prefix is incomplete.
+    Incomplete {
+        /// Bytes needed from the start of the slice for the next verdict.
+        total: usize,
+    },
+    /// Zero or oversize length prefix, or a CRC mismatch.
+    Corrupt,
+}
+
+/// Parse the front of `buf` as one frame — **the** envelope parser:
+/// the length-prefix sanity rule and the frame geometry are decided
+/// here and nowhere else, the checksum span in `frame_crc` next to it.
+pub fn parse_frame(buf: &[u8]) -> FrameParse<'_> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return FrameParse::Incomplete { total: 4 };
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len == 0 || len > MAX_FRAME_LEN {
+        return FrameParse::Corrupt;
+    }
+    let total = 4 + len + 4;
+    if buf.len() < total {
+        return FrameParse::Incomplete { total };
+    }
+    let (tag, payload) = (buf[4], &buf[5..4 + len]);
+    let crc = u32::from_le_bytes(
+        buf[4 + len..total]
+            .try_into()
+            .expect("slice is exactly the 4-byte trailer"),
+    );
+    if frame_crc(tag, payload) != crc {
+        return FrameParse::Corrupt;
+    }
+    FrameParse::Frame {
+        tag,
+        payload,
+        consumed: total,
+    }
+}
+
+/// Read one frame written by [`write_frame`]. `Ok(Ok((tag, payload)))`
+/// on success; `Ok(Err(end))` when the stream ends (cleanly or not)
+/// instead of yielding a frame; `Err` only for genuine I/O errors.
+/// Consumes exactly the frame's bytes, so a caller can track offsets.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Result<(u8, Vec<u8>), FrameEnd>> {
+    let mut prefix = [0u8; 4];
+    match read_exact_or_eof(r, &mut prefix)? {
+        ReadExact::Eof => return Ok(Err(FrameEnd::Clean)),
+        ReadExact::Partial => return Ok(Err(FrameEnd::Torn)),
+        ReadExact::Full => {}
+    }
+    // Four bytes never hold a whole frame, so the parser either sizes
+    // the frame or rejects the prefix.
+    let FrameParse::Incomplete { total } = parse_frame(&prefix) else {
+        return Ok(Err(FrameEnd::Corrupt));
+    };
+    // The tag on its own, then `[payload][crc]` straight into the
+    // buffer handed back: dropping the trailer is a truncate, and
+    // nothing has to shift to drop a head.
+    let mut tag = [0u8; 1];
+    let mut payload = vec![0u8; total - 5];
+    for part in [&mut tag[..], &mut payload[..]] {
+        match read_exact_or_eof(r, part)? {
+            ReadExact::Full => {}
+            ReadExact::Eof | ReadExact::Partial => return Ok(Err(FrameEnd::Torn)),
+        }
+    }
+    let n = total - 9;
+    let crc = u32::from_le_bytes(payload[n..].try_into().expect("the 4-byte trailer"));
+    payload.truncate(n);
+    if frame_crc(tag[0], &payload) != crc {
+        return Ok(Err(FrameEnd::Corrupt));
+    }
+    Ok(Ok((tag[0], payload)))
+}
+
+enum ReadExact {
+    Full,
+    Eof,
+    Partial,
+}
+
+/// `read_exact` that distinguishes "EOF before any byte" from "EOF
+/// mid-buffer" — the difference between a clean stream end and a torn
+/// frame.
+fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadExact> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => {
+                return Ok(if filled == 0 {
+                    ReadExact::Eof
+                } else {
+                    ReadExact::Partial
+                });
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(ReadExact::Full)
+}
+
+/// Incremental frame parser over a growing receive buffer, for readers
+/// that cannot block for a whole frame — a connection served with short
+/// read timeouts (so shutdown is prompt) must never drop partially
+/// received bytes on a timeout.
+#[derive(Debug, Default)]
+pub struct FrameBuffer {
+    buf: Vec<u8>,
+}
+
+impl FrameBuffer {
+    /// Empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append bytes as they arrive, in pieces of any size.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Pop the next whole frame. `Ok(None)` means more bytes are
+    /// needed; `Err(FrameEnd::Corrupt)` means the envelope is broken
+    /// and the stream cannot be resynchronized.
+    pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, FrameEnd> {
+        match parse_frame(&self.buf) {
+            FrameParse::Incomplete { .. } => Ok(None),
+            FrameParse::Corrupt => Err(FrameEnd::Corrupt),
+            FrameParse::Frame {
+                tag,
+                payload,
+                consumed,
+            } => {
+                let payload = payload.to_vec();
+                self.buf.drain(..consumed);
+                Ok(Some((tag, payload)))
+            }
+        }
+    }
+
+    /// Bytes received but not yet returned as frames. Zero at end of
+    /// stream is [`FrameEnd::Clean`]; anything else is a torn tail.
+    pub fn pending(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::export::{Exporter, MemorySink};
+    use crate::rollup::{RollupConfig, RollupTier};
+    use crate::tsdb::Tsdb;
+
+    /// A batch stream exercising every record kind, drained off a real
+    /// store so chunk payloads and sketch columns are authentic.
+    fn wire_batches() -> Vec<ExportBatch> {
+        let mut db = Tsdb::with_retention(1 << 12);
+        let id = db.register(MetricMeta::gauge("wire.m", "u", SourceDomain::Hardware));
+        db.enable_rollups(
+            id,
+            &RollupConfig::new(vec![RollupTier::new(SimDuration::from_secs(10), 64)])
+                .with_sketches(),
+        );
+        for s in 0..700u64 {
+            db.insert(id, SimTime::from_secs(s), ((s * 31) % 97) as f64);
+        }
+        let mut sink = MemorySink::new();
+        Exporter::new()
+            .with_batch_records(64)
+            .drain(&db, &mut sink)
+            .unwrap();
+        sink.batches
+    }
+
+    #[test]
+    fn binary_codec_roundtrips_every_record_kind() {
+        let batches = wire_batches();
+        let mut kinds_seen = std::collections::HashSet::new();
+        for batch in &batches {
+            for r in &batch.records {
+                kinds_seen.insert(std::mem::discriminant(r));
+            }
+            let mut buf = Vec::new();
+            encode_batch(batch, &mut buf);
+            let (back, unknown) = decode_batch(&buf).unwrap();
+            assert_eq!(unknown, 0);
+            assert_eq!(&back, batch, "bit-exact round trip");
+            // And re-encoding the decoded batch is byte-identical.
+            let mut buf2 = Vec::new();
+            encode_batch(&back, &mut buf2);
+            assert_eq!(buf, buf2);
+        }
+        assert!(kinds_seen.len() >= 4, "meta/sample/bucket/sketch at least");
+    }
+
+    #[test]
+    fn binary_codec_roundtrips_chunks_and_nan() {
+        let mut db = Tsdb::with_retention(1 << 12);
+        let id = db.register(MetricMeta::gauge("c", "u", SourceDomain::Software));
+        for s in 0..600u64 {
+            db.insert(id, SimTime::from_secs(s), s as f64);
+        }
+        let mut sink = MemorySink::new();
+        Exporter::new().drain(&db, &mut sink).unwrap();
+        let has_chunk = sink
+            .batches
+            .iter()
+            .flat_map(|b| &b.records)
+            .any(|r| matches!(r, ExportRecord::Chunk { .. }));
+        assert!(has_chunk, "512-sample seal must have produced a chunk");
+        for batch in &sink.batches {
+            let mut buf = Vec::new();
+            encode_batch(batch, &mut buf);
+            assert_eq!(&decode_batch(&buf).unwrap().0, batch);
+        }
+        // NaN samples survive bit-exactly (to_bits round trip).
+        let batch = ExportBatch {
+            seq: 9,
+            records: vec![ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime(1),
+                value: f64::NAN,
+            }],
+        };
+        let mut buf = Vec::new();
+        encode_batch(&batch, &mut buf);
+        let (back, _) = decode_batch(&buf).unwrap();
+        match back.records[0] {
+            ExportRecord::Sample { value, .. } => {
+                assert_eq!(value.to_bits(), f64::NAN.to_bits());
+            }
+            _ => panic!("sample expected"),
+        }
+    }
+
+    fn meta_batch(name_len: usize) -> ExportBatch {
+        ExportBatch {
+            seq: 0,
+            records: vec![ExportRecord::Meta {
+                id: MetricId(0),
+                meta: MetricMeta::gauge("n".repeat(name_len), "u", SourceDomain::Hardware),
+            }],
+        }
+    }
+
+    #[test]
+    fn longest_wire_string_round_trips() {
+        let batch = meta_batch(MAX_STR_LEN);
+        let mut buf = Vec::new();
+        encode_batch(&batch, &mut buf);
+        assert_eq!(decode_batch(&buf).unwrap().0, batch);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire strings carry a u16 length")]
+    fn overlong_wire_string_is_refused_not_wrapped() {
+        // In release builds this used to write a wrapped u16 length
+        // followed by all the bytes — an undecodable stream.
+        encode_batch(&meta_batch(MAX_STR_LEN + 1), &mut Vec::new());
+    }
+
+    #[test]
+    fn decoder_skips_unknown_record_kinds() {
+        // A future writer appends a record kind this reader has never
+        // heard of; the length prefix lets the reader hop over it.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&7u64.to_le_bytes()); // seq
+        buf.extend_from_slice(&2u32.to_le_bytes()); // record count
+        buf.push(200); // unknown kind tag
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&[1, 2, 3]);
+        encode_record(
+            &ExportRecord::Sample {
+                id: MetricId(4),
+                t: SimTime(5),
+                value: 6.0,
+            },
+            &mut buf,
+        );
+        let (batch, unknown) = decode_batch(&buf).unwrap();
+        assert_eq!(unknown, 1);
+        assert_eq!(batch.seq, 7);
+        assert_eq!(batch.records.len(), 1);
+    }
+
+    #[test]
+    fn truncated_batch_is_an_error_not_a_panic() {
+        let batches = wire_batches();
+        let mut buf = Vec::new();
+        encode_batch(&batches[0], &mut buf);
+        for cut in 0..buf.len() {
+            // Any strict prefix either errors or (never) succeeds —
+            // no panic, no wrap-around allocation.
+            let _ = decode_batch(&buf[..cut]).is_err();
+        }
+    }
+
+    #[test]
+    fn varints_and_zigzag_round_trip_and_reject_overflow() {
+        let mut buf = Vec::new();
+        let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
+        for v in values {
+            put_uv(&mut buf, v);
+        }
+        let mut r = WireReader::new(&buf);
+        for v in values {
+            assert_eq!(r.uv().unwrap(), v);
+        }
+        assert!(r.done());
+        for v in [0i64, -1, 1, i32::MIN as i64, i32::MAX as i64, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        // Eleven continuation bytes run past 64 bits.
+        assert!(WireReader::new(&[0xFF; 11]).uv().is_err());
+        // Ten bytes whose last one carries more than the top bit.
+        let mut over = vec![0xFF; 9];
+        over.push(0x02);
+        assert!(WireReader::new(&over).uv().is_err());
+    }
+
+    #[test]
+    fn frames_roundtrip_and_detect_torn_and_corrupt_tails() {
+        let batches = wire_batches();
+        let mut stream = Vec::new();
+        for batch in &batches {
+            let mut payload = Vec::new();
+            encode_batch(batch, &mut payload);
+            write_frame(&mut stream, 17, &payload).unwrap();
+        }
+        // Clean read-back.
+        let mut r = &stream[..];
+        let mut n = 0;
+        loop {
+            match read_frame(&mut r).unwrap() {
+                Ok((tag, payload)) => {
+                    assert_eq!(tag, 17);
+                    assert_eq!(&decode_batch(&payload).unwrap().0, &batches[n]);
+                    n += 1;
+                }
+                Err(end) => {
+                    assert_eq!(end, FrameEnd::Clean);
+                    break;
+                }
+            }
+        }
+        assert_eq!(n, batches.len());
+        // Torn tail: every truncation point mid-final-frame reads the
+        // full prefix then reports Torn (or Clean exactly on the
+        // boundary).
+        let second_start = {
+            let mut r = &stream[..];
+            read_frame(&mut r).unwrap().unwrap();
+            stream.len() - r.len()
+        };
+        for cut in second_start..stream.len() {
+            let mut r = &stream[..cut];
+            let first = read_frame(&mut r).unwrap();
+            assert!(first.is_ok(), "first frame intact at cut {cut}");
+            let ends = loop {
+                match read_frame(&mut r).unwrap() {
+                    Ok(_) => {}
+                    Err(e) => break e,
+                }
+            };
+            if cut == second_start {
+                assert_eq!(ends, FrameEnd::Clean);
+            } else {
+                // Mid-frame cuts must never read Clean unless the cut
+                // landed exactly on a later frame boundary.
+                let on_boundary = {
+                    let mut rr = &stream[..cut];
+                    let mut clean = false;
+                    while read_frame(&mut rr).unwrap().is_ok() {
+                        if rr.is_empty() {
+                            clean = true;
+                            break;
+                        }
+                    }
+                    clean
+                };
+                assert_eq!(ends == FrameEnd::Clean, on_boundary, "cut {cut}");
+            }
+        }
+        // Corruption: flip one byte inside the first frame's payload.
+        let mut bad = stream.clone();
+        bad[8] ^= 0xFF;
+        let mut r = &bad[..];
+        assert_eq!(read_frame(&mut r).unwrap(), Err(FrameEnd::Corrupt));
+    }
+
+    #[test]
+    fn frame_bytes_are_the_documented_envelope() {
+        let mut out = Vec::new();
+        write_frame(&mut out, 3, b"abc").unwrap();
+        let mut want = vec![4, 0, 0, 0, 3, b'a', b'b', b'c'];
+        want.extend_from_slice(&crc32(&[3, b'a', b'b', b'c']).to_le_bytes());
+        assert_eq!(out, want);
+        // An empty payload is a legal frame (len counts the tag).
+        let mut empty = Vec::new();
+        write_frame(&mut empty, 9, &[]).unwrap();
+        assert_eq!(read_frame(&mut &empty[..]).unwrap(), Ok((9, Vec::new())));
+        // Zero and oversize length prefixes are corrupt before any
+        // allocation happens.
+        assert_eq!(parse_frame(&[0, 0, 0, 0]), FrameParse::Corrupt);
+        let oversize = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
+        assert_eq!(parse_frame(&oversize), FrameParse::Corrupt);
+        assert_eq!(
+            read_frame(&mut &oversize[..]).unwrap(),
+            Err(FrameEnd::Corrupt)
+        );
+    }
+
+    #[test]
+    fn drain_stats_codec_roundtrips() {
+        let stats = DrainStats {
+            batches: 3,
+            records: 99,
+            samples: 80,
+            missed_samples: 2,
+            max_lock_held_ns: 12345,
+            ..DrainStats::default()
+        };
+        let mut buf = Vec::new();
+        encode_drain_stats(&stats, &mut buf);
+        assert_eq!(decode_drain_stats(&buf).unwrap(), stats);
+        // Retry counters ride along and survive the round trip.
+        let retried = DrainStats {
+            send_retries: 7,
+            ..stats
+        };
+        buf.clear();
+        encode_drain_stats(&retried, &mut buf);
+        assert_eq!(decode_drain_stats(&buf).unwrap(), retried);
+        // A pre-retry-counter stream (11 fixed u64s) still decodes, with
+        // the trailing field defaulting to zero.
+        buf.truncate(11 * 8);
+        assert_eq!(decode_drain_stats(&buf).unwrap(), stats);
+        // Garbage past the known fields is still rejected.
+        buf.extend_from_slice(&[0u8; 12]);
+        assert!(decode_drain_stats(&buf).is_err());
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC-32 check values.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // Folding in two pieces is the same checksum.
+        assert_eq!(frame_crc(b'1', b"23456789"), 0xCBF4_3926);
+    }
+}

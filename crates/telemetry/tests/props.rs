@@ -47,7 +47,7 @@ proptest! {
         prop_assert_eq!(s.latest().unwrap().t.0 as usize, n - 1);
     }
 
-    /// `range` returns exactly the samples in `[t0, t1)`.
+    /// `range_view` returns exactly the samples in `[t0, t1)`.
     #[test]
     fn series_range_is_half_open(n in 1u64..200, a in 0u64..220, b in 0u64..220) {
         let mut s = TimeSeries::new(4096);
@@ -55,12 +55,12 @@ proptest! {
             s.push(SimTime(i), i as f64);
         }
         let (t0, t1) = (a.min(b), a.max(b));
-        let got: Vec<u64> = s.range(SimTime(t0), SimTime(t1)).iter().map(|x| x.t.0).collect();
+        let got: Vec<u64> = s.range_view(SimTime(t0), SimTime(t1)).iter().map(|x| x.t.0).collect();
         let want: Vec<u64> = (0..n).filter(|&i| i >= t0 && i < t1).collect();
         prop_assert_eq!(got, want);
     }
 
-    /// `last_n` and `window` agree with direct slicing.
+    /// `last_n_view` and `window_view` agree with direct slicing.
     #[test]
     fn series_views_agree(n in 1u64..200, k in 1usize..64, w in 1u64..300) {
         let mut s = TimeSeries::new(4096);
@@ -68,11 +68,11 @@ proptest! {
             s.push(SimTime(i), (i * 3) as f64);
         }
         let all: Vec<Sample> = s.iter().collect();
-        let lastn = s.last_n(k);
+        let lastn = s.last_n_view(k).to_vec();
         prop_assert_eq!(&all[n as usize - k.min(n as usize)..], &lastn[..]);
         // Window semantics: half-open trailing interval (now − w, now].
         let now = SimTime(n - 1);
-        let win = s.window(now, SimDuration(w));
+        let win = s.window_view(now, SimDuration(w)).to_vec();
         let t0 = now.0.saturating_sub(w);
         let expect: Vec<Sample> = all
             .iter()
@@ -307,6 +307,20 @@ fn db_with(n_metrics: usize, capacity: usize) -> (Tsdb, Vec<moda_telemetry::Metr
     (db, ids)
 }
 
+/// `resample_into` a fresh buffer.
+fn resample(
+    db: &Tsdb,
+    id: moda_telemetry::MetricId,
+    t0: SimTime,
+    t1: SimTime,
+    period: SimDuration,
+    agg: WindowAgg,
+) -> Vec<Option<f64>> {
+    let mut out = Vec::new();
+    db.resample_into(id, t0, t1, period, agg, &mut out);
+    out
+}
+
 proptest! {
     /// Insert accounting is exact across metrics.
     #[test]
@@ -339,8 +353,8 @@ proptest! {
             db.insert(ids[0], SimTime(i as u64), v);
         }
         let t1 = SimTime(values.len() as u64);
-        let buckets = db.resample(ids[0], SimTime::ZERO, t1, SimDuration(period), WindowAgg::Mean);
-        let counts = db.resample(ids[0], SimTime::ZERO, t1, SimDuration(period), WindowAgg::Count);
+        let buckets = resample(&db, ids[0], SimTime::ZERO, t1, SimDuration(period), WindowAgg::Mean);
+        let counts = resample(&db, ids[0], SimTime::ZERO, t1, SimDuration(period), WindowAgg::Count);
         let mut weighted = 0.0;
         let mut total = 0.0;
         for (m, c) in buckets.iter().zip(&counts) {
@@ -362,8 +376,8 @@ proptest! {
             db.insert(ids[0], SimTime(i as u64), v);
         }
         let t1 = SimTime(values.len() as u64);
-        let lo = db.resample(ids[0], SimTime::ZERO, t1, SimDuration(t1.0), WindowAgg::Min);
-        let hi = db.resample(ids[0], SimTime::ZERO, t1, SimDuration(t1.0), WindowAgg::Max);
+        let lo = resample(&db, ids[0], SimTime::ZERO, t1, SimDuration(t1.0), WindowAgg::Min);
+        let hi = resample(&db, ids[0], SimTime::ZERO, t1, SimDuration(t1.0), WindowAgg::Max);
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(lo[0], Some(min));
@@ -373,7 +387,8 @@ proptest! {
 
 // ------------------------------------------------------------- export
 
-use moda_telemetry::export::{ExportRecord, Exporter, MemorySink, ReplayStore};
+use moda_telemetry::export::{ExportRecord, Exporter, MemorySink};
+use moda_telemetry::ReplayStore;
 
 proptest! {
     /// CSV snapshot renders one row per retained sample plus one meta
@@ -1130,7 +1145,7 @@ proptest! {
         }
         // Resample grid over the whole (chunk-spanning) history.
         let t1 = SimTime(n as u64);
-        let grid = db.resample(id, SimTime::ZERO, t1, SimDuration(period), WindowAgg::Sum);
+        let grid = resample(&db, id, SimTime::ZERO, t1, SimDuration(period), WindowAgg::Sum);
         for (b, got) in grid.iter().enumerate() {
             let lo = b as u64 * period;
             let hi = lo + period;
@@ -1236,5 +1251,90 @@ proptest! {
         let got = replay.samples(id);
         prop_assert_eq!(got.len() as u64, t.samples);
         prop_assert!(got.windows(2).all(|p| p[0].0 <= p[1].0));
+    }
+}
+
+// ------------------------------------------------------ frame envelope
+
+use moda_telemetry::wire::{read_frame, write_frame, FrameBuffer, FrameEnd};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One envelope, two readers: an arbitrary frame sequence — intact,
+    /// cut at any byte, or with any single bit flipped — yields the same
+    /// frames and the same Clean/Torn/Corrupt verdict whether the
+    /// blocking `read_frame` pulls it from a reader or the incremental
+    /// `FrameBuffer` is fed it in arbitrary-sized slices. This is what
+    /// lets one parser serve the WAL, the snapshot, and the listener.
+    #[test]
+    fn read_frame_and_frame_buffer_agree_on_any_stream(
+        frames in prop::collection::vec(
+            (any::<u8>(), prop::collection::vec(any::<u8>(), 0..200)),
+            0..8,
+        ),
+        // 0 = intact, 1 = cut at `at`‰ of the bytes, 2 = flip bit `bit`
+        // of the byte at `at`‰.
+        damage in 0u8..3,
+        at in 0usize..1000,
+        bit in 0u8..8,
+        slice_lens in prop::collection::vec(1usize..64, 1..16),
+    ) {
+        let mut stream = Vec::new();
+        for (tag, payload) in &frames {
+            write_frame(&mut stream, *tag, payload).unwrap();
+        }
+        if damage == 1 {
+            stream.truncate(stream.len() * at / 1000);
+        } else if damage == 2 && !stream.is_empty() {
+            let i = (stream.len() - 1) * at / 1000;
+            stream[i] ^= 1 << bit;
+        }
+
+        // Whole stream through the blocking reader.
+        let mut blocking = Vec::new();
+        let mut r = &stream[..];
+        let blocking_end = loop {
+            match read_frame(&mut r).unwrap() {
+                Ok(frame) => blocking.push(frame),
+                Err(end) => break end,
+            }
+        };
+
+        // The same bytes, dribbled into the incremental buffer.
+        let mut incremental = Vec::new();
+        let mut buffer = FrameBuffer::new();
+        let mut corrupt = false;
+        let mut fed = 0;
+        let mut lens = slice_lens.iter().cycle();
+        'feed: while fed < stream.len() {
+            let n = (*lens.next().unwrap()).min(stream.len() - fed);
+            buffer.extend(&stream[fed..fed + n]);
+            fed += n;
+            loop {
+                match buffer.next_frame() {
+                    Ok(Some(frame)) => incremental.push(frame),
+                    Ok(None) => break,
+                    Err(_) => {
+                        corrupt = true;
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        let incremental_end = if corrupt {
+            FrameEnd::Corrupt
+        } else if buffer.pending() == 0 {
+            FrameEnd::Clean
+        } else {
+            FrameEnd::Torn
+        };
+
+        prop_assert_eq!(&incremental, &blocking);
+        prop_assert_eq!(incremental_end, blocking_end);
+        if damage == 0 {
+            prop_assert_eq!(blocking_end, FrameEnd::Clean);
+            prop_assert_eq!(blocking, frames);
+        }
     }
 }

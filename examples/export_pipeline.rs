@@ -16,9 +16,9 @@
 //! Run with: `cargo run --release --example export_pipeline`
 
 use moda::sim::{SimDuration, SimTime};
-use moda::telemetry::export::{CsvSink, Exporter, MemorySink, ReplayStore, Sink};
+use moda::telemetry::export::{CsvSink, Exporter, MemorySink, Sink};
 use moda::telemetry::rollup::{RES_1H, RES_1M};
-use moda::telemetry::{MetricMeta, RollupConfig, SourceDomain, Tsdb, WindowAgg};
+use moda::telemetry::{MetricMeta, ReplayStore, RollupConfig, SourceDomain, Tsdb, WindowAgg};
 use std::time::Instant;
 
 const DAY_S: u64 = 86_400;

@@ -3,7 +3,7 @@
 //!
 //! Sixteen node-local stores (1 Hz power telemetry, sketched 1m/1h
 //! rollups, raw retention of only ~68 minutes) export a full simulated
-//! week over the columnar wire transport into one `FleetAggregator`.
+//! week as wire batches into one `FleetAggregator`.
 //! The dashboard then answers the paper's fleet-scale ODA questions
 //! **without any node keeping raw history**:
 //!
@@ -24,8 +24,9 @@
 
 use moda::fleet::{FleetAggregator, Rank};
 use moda::sim::{SimDuration, SimTime};
-use moda::telemetry::export::{ColumnarSink, Exporter};
+use moda::telemetry::export::{Exporter, MemorySink};
 use moda::telemetry::rollup::RES_1H;
+use moda::telemetry::wire::encode_batch;
 use moda::telemetry::{MetricMeta, RollupConfig, SourceDomain, Tsdb, WindowAgg};
 use std::io::Write as _;
 use std::time::Instant;
@@ -45,7 +46,7 @@ fn power(node: u32, s: u64) -> f64 {
 
 fn main() {
     let t0 = Instant::now();
-    println!("feeding one week of 1 Hz power on {NODES} nodes, draining daily over the columnar wire ...");
+    println!("feeding one week of 1 Hz power on {NODES} nodes, draining daily over the wire ...");
 
     let mut agg = FleetAggregator::new();
     // Ground truth for the agreement check only — the fleet itself
@@ -54,35 +55,40 @@ fn main() {
 
     let mut wire_records = 0usize;
     let mut wire_bytes = 0usize;
+    let mut encoded = Vec::new();
     for n in 0..NODES {
         // Node-local store: tiny raw ring, long-horizon sketched pyramid.
         let mut db = Tsdb::with_retention(4096);
         let id = db.register(MetricMeta::gauge("power_w", "W", SourceDomain::Hardware));
         db.enable_rollups(id, &RollupConfig::standard().with_sketches());
         let mut exporter = Exporter::new();
-        let mut wire = ColumnarSink::new();
+        let mut wire = MemorySink::new();
         for s in 0..WEEK_S {
             let v = power(n, s);
             db.insert(id, SimTime::from_secs(s), v);
             exact_pool.push(v);
             // Daily transport tick: ship the delta.
             if (s + 1) % DAY_S == 0 {
-                exporter.drain(&db, &mut wire).expect("columnar sink");
+                exporter.drain(&db, &mut wire).expect("memory sink");
             }
         }
-        exporter.drain(&db, &mut wire).expect("columnar sink");
+        exporter.drain(&db, &mut wire).expect("memory sink");
         wire_records += wire.record_count();
-        wire_bytes += wire.approx_bytes();
 
-        // Aggregator side: one ingest session per node stream.
+        // Aggregator side: one ingest session per node stream. The
+        // bytes reported are the real `export-wire-v1.1` encoding of
+        // every batch — what a socket or the fleet log would carry.
         let node = agg.add_node(&format!("node{n:02}"));
-        for batch in wire.iter_batches() {
-            agg.ingest(node, &batch);
+        for batch in &wire.batches {
+            encoded.clear();
+            encode_batch(batch, &mut encoded);
+            wire_bytes += encoded.len();
+            agg.ingest(node, batch);
         }
         agg.report_drain(node, &exporter.totals());
     }
     println!(
-        "  wire total: {wire_records} records, ~{:.1} MiB columnar, ingested in {:.1?}\n",
+        "  wire total: {wire_records} records, {:.1} MiB encoded, ingested in {:.1?}\n",
         wire_bytes as f64 / (1024.0 * 1024.0),
         t0.elapsed()
     );

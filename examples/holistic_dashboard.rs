@@ -45,12 +45,14 @@ fn domain_sparkline(db: &Tsdb, domain: SourceDomain, now: SimTime) -> Option<(St
     // One representative series per domain: the first registered.
     let id = db.names().find(|(_, id)| db.meta(*id).domain == domain)?.1;
     let meta = db.meta(id).clone();
-    let buckets = db.resample(
+    let mut buckets = Vec::new();
+    db.resample_into(
         id,
         SimTime::ZERO,
         now,
         SimDuration::from_secs((now.as_secs_f64() / 60.0).max(1.0) as u64),
         WindowAgg::Mean,
+        &mut buckets,
     );
     Some((
         format!("{} [{}]", meta.name, meta.unit),

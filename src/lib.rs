@@ -8,7 +8,9 @@
 //!
 //! * [`sim`] — deterministic discrete-event simulation engine,
 //! * [`telemetry`] — holistic monitoring substrate (metrics, TSDB,
-//!   rollup/sketch tiers, and the incremental export pipeline),
+//!   rollup/sketch tiers, the incremental export pipeline, and `wire`,
+//!   the one byte-level encoding every transport, log, and snapshot
+//!   above it is written in),
 //! * [`obs`] — self-telemetry: the pipeline instrumented with its own
 //!   TSDB (counters, RAII latency spans, a bounded slow-op log, and the
 //!   reserved `__self/` scrape that flows through export, fleet
@@ -114,8 +116,10 @@
 //!   tier, orders of magnitude past raw scans and raw retention,
 //! * `export_pipeline` — the incremental export walkthrough: daily
 //!   drains of samples + sealed buckets + sketch columns into a CSV
-//!   dataset, replayed into a downstream store (the wire format is
-//!   specified in `docs/EXPORT_FORMAT.md`),
+//!   dataset, replayed into a downstream store (the wire format — one
+//!   binary encoding, owned by `telemetry::wire`, with CSV as the
+//!   human-readable rendering — is specified in
+//!   `docs/EXPORT_FORMAT.md`),
 //! * `adaptive_sampling`, `holistic_dashboard`, `pattern_zoo`,
 //!   `scheduler_autonomy`, `maintenance_window`, `failure_resilience`,
 //!   `ost_failover`, `misconfig_triage` — one per subsystem/use case.

@@ -34,9 +34,9 @@ use moda::fleet::query::{
 };
 use moda::fleet::{FleetAggregator, QueryRequest, QueryResponse, Rank};
 use moda::sim::{SimDuration, SimTime};
-use moda::telemetry::export::{
-    decode_batch, encode_batch, encode_record, frame_tag, read_frame, write_frame, ExportRecord,
-    FrameEnd, MemorySink,
+use moda::telemetry::export::{ExportRecord, MemorySink};
+use moda::telemetry::wire::{
+    decode_batch, encode_batch, encode_record, frame_tag, read_frame, write_frame, FrameEnd,
 };
 use moda::telemetry::{
     Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,

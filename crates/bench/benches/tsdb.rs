@@ -530,6 +530,11 @@ fn bench_fleet(c: &mut Criterion) {
                     sink.write_batch(batch).unwrap();
                 }
                 sink.wait_idle().unwrap();
+                // Hang up first: peer EOF ends the session at once. With
+                // the sink still open the session only notices `stop`
+                // when its 100 ms read timeout fires, and this row
+                // would mostly time that wait.
+                drop(sink);
                 drop(listener.shutdown());
             },
             BatchSize::PerIteration,
@@ -580,6 +585,22 @@ fn bench_fleet(c: &mut Criterion) {
     drop(client);
     drop(listener.shutdown());
     let _ = std::fs::remove_dir_all(&tmp);
+    g.finish();
+}
+
+/// Frame checksum throughput (bytes/s) at the sizes the wire carries:
+/// an ack-sized frame, one 64-sample batch, and a chunk-heavy backfill
+/// or snapshot payload. Every batch byte is checksummed once per hop
+/// (socket write, socket read, WAL append, recovery).
+fn bench_wire_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("wire_crc32");
+    for len in [64usize, 1600, 65536] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(len), &bytes, |b, bytes| {
+            b.iter(|| black_box(moda_telemetry::wire::crc32(black_box(bytes))));
+        });
+    }
     g.finish();
 }
 
@@ -773,6 +794,7 @@ criterion_group!(
     bench_selfobs,
     bench_export,
     bench_fleet,
+    bench_wire_crc32,
     bench_contention
 );
 criterion_main!(benches);

@@ -54,9 +54,9 @@ use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord};
 use moda_telemetry::wire::{
-    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, put_block,
-    put_f64, put_meta, put_str, put_u32, put_u64, put_uv, read_frame, unzigzag, write_frame,
-    zigzag, FrameEnd, WireReader,
+    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, parse_frame,
+    put_block, put_f64, put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, write_frame, zigzag,
+    FrameParse, WireReader,
 };
 use moda_telemetry::{DrainStats, MetricId};
 use std::fs::{self, File, OpenOptions};
@@ -239,13 +239,17 @@ impl DurableFleet {
     fn replay_log(&mut self, recovery: &mut RecoveryStats) -> io::Result<()> {
         let path = self.dir.join(wal_name(self.epoch));
         let bytes = fs::read(&path)?;
-        let mut r: &[u8] = &bytes;
         let mut good = 0usize;
         loop {
-            let remaining_before = r.len();
-            match read_frame(&mut r)? {
-                Ok((tag, payload)) => {
-                    match self.apply_log_entry(tag, &payload, recovery) {
+            // Frames are parsed where the file sits in memory; each
+            // payload is lent to the decoder, not copied out first.
+            match parse_frame(&bytes[good..]) {
+                FrameParse::Frame {
+                    tag,
+                    payload,
+                    consumed,
+                } => {
+                    match self.apply_log_entry(tag, payload, recovery) {
                         Ok(()) => {}
                         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                             // CRC-valid but undecodable: corruption that
@@ -256,11 +260,11 @@ impl DurableFleet {
                         }
                         Err(e) => return Err(e),
                     }
-                    good += remaining_before - r.len();
+                    good += consumed;
                 }
-                Err(FrameEnd::Clean) => break,
-                Err(FrameEnd::Torn) => break,
-                Err(FrameEnd::Corrupt) => {
+                // Clean end of log, or a torn tail.
+                FrameParse::Incomplete { .. } => break,
+                FrameParse::Corrupt => {
                     recovery.corrupt_frames += 1;
                     break;
                 }
@@ -669,15 +673,22 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
     if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(bad_data("snapshot magic mismatch"));
     }
-    let mut framed: &[u8] = &bytes[SNAPSHOT_MAGIC.len()..];
-    let payload = match read_frame(&mut framed)? {
-        Ok((FRAME_SNAPSHOT, payload)) => payload,
-        Ok(_) => return Err(bad_data("unexpected snapshot frame tag")),
+    // The whole file is in memory: lend the payload from it instead of
+    // copying the snapshot once more on its way to the decoder.
+    let payload = match parse_frame(&bytes[SNAPSHOT_MAGIC.len()..]) {
+        FrameParse::Frame {
+            tag: FRAME_SNAPSHOT,
+            payload,
+            ..
+        } => payload,
+        FrameParse::Frame { .. } => return Err(bad_data("unexpected snapshot frame tag")),
         // The snapshot is written atomically (tmp + rename), so a torn
         // or corrupt one is real damage, not an interrupted write.
-        Err(_) => return Err(bad_data("snapshot frame torn or corrupt")),
+        FrameParse::Incomplete { .. } | FrameParse::Corrupt => {
+            return Err(bad_data("snapshot frame torn or corrupt"))
+        }
     };
-    let mut r = WireReader::new(&payload);
+    let mut r = WireReader::new(payload);
     let epoch = r.u64()?;
     let raw_retention = r.u64()? as usize;
     let stats = FleetStoreStats {

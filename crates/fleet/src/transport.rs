@@ -51,6 +51,14 @@
 //! durability, not just pacing: the exporter commits its cursors the
 //! moment `write_batch` returns `Ok`, so the sink must be able to
 //! re-deliver anything the server might not have persisted yet.
+//!
+//! **Flush discipline.** Every socket sits behind a buffered read half
+//! and a buffered write half, so one frame is one `send`. Senders flush
+//! once their frame(s) are written; the listener writes one `ACK` per
+//! `BATCH`/`DRAIN` frame, in frame order, after log-and-apply, and
+//! flushes when its receive buffer holds no further complete frame —
+//! so a burst of batches is acknowledged by as many `ACK` frames in one
+//! segment. Peers must count frames, never reads.
 
 use crate::persist::DurableFleet;
 use crate::query::{
@@ -64,12 +72,12 @@ use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, Sink};
 use moda_telemetry::wire::{
     bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag,
-    put_str, put_u16, put_u64, read_frame, write_frame, FrameBuffer, WireReader,
+    put_str, put_u16, put_u64, read_frame, write_frame, FrameBuffer, FrameEnd, WireReader,
 };
 use moda_telemetry::DrainStats;
 use moda_telemetry::WindowAgg;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -134,6 +142,70 @@ impl TransportConfig {
     }
 }
 
+// ------------------------------------------------- buffered connection
+
+/// One TCP connection behind the two buffers the frame codec needs:
+/// `write_frame` issues three small writes per frame and `read_frame`
+/// three reads, so on a bare `TCP_NODELAY` socket every frame — a
+/// 17-byte `ACK` included — costs three syscalls each way. Behind the
+/// halves a frame that fits the buffer is one `send` (every writer
+/// flushes once its frames are written) and a burst of acks one
+/// `recv`; a payload larger than the buffer bypasses it uncopied.
+/// Both halves are the same socket, so the timeouts set at dial time
+/// bound reads and writes alike.
+#[derive(Debug)]
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl Conn {
+    /// Dial `addr` with `TCP_NODELAY` and `io_timeout` bounding the
+    /// connect and every later read and write: a half-open peer must
+    /// surface as an error (and a reconnect), not a hang.
+    fn dial(addr: &str, io_timeout: Option<Duration>) -> io::Result<Conn> {
+        let stream = match io_timeout {
+            Some(timeout) => {
+                // `connect_timeout` needs a resolved address; try each
+                // candidate like `TcpStream::connect` would.
+                let mut last = None;
+                let mut stream = None;
+                for addr in addr.to_socket_addrs()? {
+                    match TcpStream::connect_timeout(&addr, timeout) {
+                        Ok(s) => {
+                            stream = Some(s);
+                            break;
+                        }
+                        Err(e) => last = Some(e),
+                    }
+                }
+                stream.ok_or_else(|| {
+                    last.unwrap_or_else(|| bad_data("address resolved to nothing"))
+                })?
+            }
+            None => TcpStream::connect(addr)?,
+        };
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(io_timeout).ok();
+        stream.set_write_timeout(io_timeout).ok();
+        Ok(Conn {
+            writer: BufWriter::new(stream.try_clone()?),
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Write one frame and flush it: one `send` when it fits the buffer.
+    fn send(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+        write_frame(&mut self.writer, tag, payload)?;
+        self.writer.flush()
+    }
+
+    /// Read the next frame ([`read_frame`] over the buffered half).
+    fn recv(&mut self) -> io::Result<Result<(u8, Vec<u8>), FrameEnd>> {
+        read_frame(&mut self.reader)
+    }
+}
+
 // ---------------------------------------------------------- socket sink
 
 /// Exporter-side [`Sink`] that ships batches over TCP with handshake,
@@ -144,7 +216,7 @@ pub struct SocketSink {
     token: String,
     node_name: String,
     cfg: TransportConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     /// Sent but not yet acknowledged, oldest first: `(seq, payload)`.
     unacked: VecDeque<(u64, Vec<u8>)>,
     /// The server's cumulative cursor from the latest ack/handshake.
@@ -205,38 +277,12 @@ impl SocketSink {
     /// Dial, authenticate, learn the server's persisted cursor, and
     /// re-send any buffered batches it has not applied.
     fn handshake(&mut self) -> io::Result<()> {
-        let mut stream = match self.cfg.io_timeout {
-            Some(timeout) => {
-                // `connect_timeout` needs a resolved address; try each
-                // candidate like `TcpStream::connect` would.
-                let mut last = None;
-                let mut stream = None;
-                for addr in self.addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&addr, timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                stream.ok_or_else(|| {
-                    last.unwrap_or_else(|| bad_data("address resolved to nothing"))
-                })?
-            }
-            None => TcpStream::connect(&self.addr)?,
-        };
-        stream.set_nodelay(true).ok();
-        // Bound every read/write on the session: a half-open peer must
-        // surface as an error (and a reconnect), not a hang.
-        stream.set_read_timeout(self.cfg.io_timeout).ok();
-        stream.set_write_timeout(self.cfg.io_timeout).ok();
+        let mut conn = Conn::dial(&self.addr, self.cfg.io_timeout)?;
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
         put_str(&mut hello, &self.node_name);
-        write_frame(&mut stream, frame_tag::HELLO, &hello)?;
-        stream.flush()?;
-        let (tag, payload) = match read_frame(&mut stream)? {
+        conn.send(frame_tag::HELLO, &hello)?;
+        let (tag, payload) = match conn.recv()? {
             Ok(frame) => frame,
             Err(_) => return Err(bad_data("connection closed during handshake")),
         };
@@ -259,11 +305,11 @@ impl SocketSink {
             self.unacked.pop_front();
         }
         for (_, payload) in &self.unacked {
-            write_frame(&mut stream, frame_tag::BATCH, payload)?;
+            write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
             self.resent_batches += 1;
         }
-        stream.flush()?;
-        self.conn = Some(stream);
+        conn.writer.flush()?;
+        self.conn = Some(conn);
         Ok(())
     }
 
@@ -300,13 +346,11 @@ impl SocketSink {
     /// Reconnects (and replays) if the connection drops mid-wait.
     fn pump_acks(&mut self, allowed: usize) -> io::Result<()> {
         while self.unacked.len() > allowed {
-            let res = {
-                let stream = self
-                    .conn
-                    .as_mut()
-                    .ok_or_else(|| bad_data("not connected"))?;
-                read_frame(stream)
-            };
+            let res = self
+                .conn
+                .as_mut()
+                .ok_or_else(|| bad_data("not connected"))?
+                .recv();
             match res {
                 Ok(Ok((frame_tag::ACK, payload))) => {
                     let mut r = WireReader::new(&payload);
@@ -339,11 +383,11 @@ impl SocketSink {
     /// before any further acks are owed.
     fn read_acks_counted(&mut self, mut n: usize) -> io::Result<()> {
         while n > 0 {
-            let stream = self
+            let conn = self
                 .conn
                 .as_mut()
                 .ok_or_else(|| bad_data("not connected"))?;
-            match read_frame(stream)? {
+            match conn.recv()? {
                 Ok((frame_tag::ACK, payload)) => {
                     let mut r = WireReader::new(&payload);
                     let next = r.u64()?;
@@ -395,11 +439,12 @@ impl SocketSink {
             // The server acks in frame order: one ack per in-flight
             // batch ahead of the drain, then the drain's own ack.
             let pending = self.unacked.len();
-            let res = {
-                let stream = self.conn.as_mut().expect("connected");
-                write_frame(stream, frame_tag::DRAIN, &payload).and_then(|()| stream.flush())
-            }
-            .and_then(|()| self.read_acks_counted(pending + 1));
+            let res = self
+                .conn
+                .as_mut()
+                .expect("connected")
+                .send(frame_tag::DRAIN, &payload)
+                .and_then(|()| self.read_acks_counted(pending + 1));
             match res {
                 Ok(()) => {
                     self.retries_reported = retries_total;
@@ -449,8 +494,8 @@ impl Sink for SocketSink {
             if self.conn.is_none() {
                 self.reconnect()?;
             }
-            let stream = self.conn.as_mut().expect("connected");
-            match write_frame(stream, frame_tag::BATCH, &payload).and_then(|()| stream.flush()) {
+            let conn = self.conn.as_mut().expect("connected");
+            match conn.send(frame_tag::BATCH, &payload) {
                 Ok(()) => break,
                 Err(e) => {
                     self.conn = None;
@@ -720,7 +765,14 @@ impl FleetListener {
                             &queries_served,
                         );
                     });
-                    conn_threads.lock().unwrap().push(handle);
+                    // Track live sessions only: a service that outlives
+                    // its reconnecting exporters and short-lived
+                    // dashboards must not keep a handle per connection
+                    // ever made. (A finished session's result is
+                    // ignored at `shutdown` too.)
+                    let mut threads = conn_threads.lock().unwrap();
+                    threads.retain(|h| !h.is_finished());
+                    threads.push(handle);
                 }
             })
         };
@@ -791,6 +843,14 @@ enum SessionRole {
 /// versa), or the listener shuts down. Malformed query *payloads*
 /// inside a valid envelope do **not** end the session — they are
 /// answered with a typed `Error` response.
+///
+/// **Flush discipline.** Every response frame is written to the
+/// buffered write half as its request is handled — one `ACK` per
+/// `BATCH`/`DRAIN`, in frame order, after log-and-apply — and the half
+/// is flushed when the receive buffer holds no further complete frame,
+/// i.e. right before the session blocks in `read`, and on every return
+/// path. A lone frame is answered as promptly as ever; a burst of N
+/// buffered batches is acknowledged with one `send` instead of N.
 fn serve_connection(
     mut stream: TcpStream,
     fleet: &Arc<Mutex<DurableFleet>>,
@@ -803,6 +863,33 @@ fn serve_connection(
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .ok();
+    let mut out = BufWriter::new(stream.try_clone()?);
+    let served = serve_frames(
+        &mut stream,
+        &mut out,
+        fleet,
+        token,
+        stop,
+        auth_failures,
+        queries_served,
+    );
+    // Whatever the session answered before it ended — a refusal, acks
+    // for frames already durable — still goes out.
+    let flushed = out.flush();
+    served.and(flushed)
+}
+
+/// The request loop of [`serve_connection`], which owns flushing `out`
+/// on the way out.
+fn serve_frames(
+    stream: &mut TcpStream,
+    out: &mut BufWriter<TcpStream>,
+    fleet: &Arc<Mutex<DurableFleet>>,
+    token: &str,
+    stop: &Arc<AtomicBool>,
+    auth_failures: &Arc<AtomicU64>,
+    queries_served: &Arc<AtomicU64>,
+) -> io::Result<()> {
     let mut frames = FrameBuffer::new();
     let mut tmp = [0u8; 64 * 1024];
     let mut role = SessionRole::Pending;
@@ -815,7 +902,7 @@ fn serve_connection(
                 Err(_) => return Err(bad_data("corrupt frame on ingest connection")),
                 Ok(Some((tag, payload))) => match (tag, role) {
                     (frame_tag::HELLO, SessionRole::Pending) => {
-                        let mut r = WireReader::new(&payload);
+                        let mut r = WireReader::new(payload);
                         let peer_token = r.str()?;
                         let name = r.str()?;
                         let mut ack = Vec::new();
@@ -823,8 +910,7 @@ fn serve_connection(
                             auth_failures.fetch_add(1, Ordering::SeqCst);
                             ack.push(1u8);
                             put_u64(&mut ack, 0);
-                            write_frame(&mut stream, frame_tag::HELLO_ACK, &ack)?;
-                            stream.flush()?;
+                            write_frame(out, frame_tag::HELLO_ACK, &ack)?;
                             return Err(io::Error::new(
                                 io::ErrorKind::PermissionDenied,
                                 "bad auth token",
@@ -838,19 +924,17 @@ fn serve_connection(
                         };
                         ack.push(0u8);
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, frame_tag::HELLO_ACK, &ack)?;
-                        stream.flush()?;
+                        write_frame(out, frame_tag::HELLO_ACK, &ack)?;
                     }
                     (frame_tag::QUERY_HELLO, SessionRole::Pending) => {
-                        let mut r = WireReader::new(&payload);
+                        let mut r = WireReader::new(payload);
                         let peer_token = r.str()?;
                         let mut ack = Vec::new();
                         if peer_token != token {
                             auth_failures.fetch_add(1, Ordering::SeqCst);
                             ack.push(1u8);
                             put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                            write_frame(&mut stream, frame_tag::QUERY_HELLO_ACK, &ack)?;
-                            stream.flush()?;
+                            write_frame(out, frame_tag::QUERY_HELLO_ACK, &ack)?;
                             return Err(io::Error::new(
                                 io::ErrorKind::PermissionDenied,
                                 "bad auth token",
@@ -862,15 +946,14 @@ fn serve_connection(
                         role = SessionRole::Query;
                         ack.push(0u8);
                         put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                        write_frame(&mut stream, frame_tag::QUERY_HELLO_ACK, &ack)?;
-                        stream.flush()?;
+                        write_frame(out, frame_tag::QUERY_HELLO_ACK, &ack)?;
                     }
                     (frame_tag::QUERY, SessionRole::Query) => {
                         // Count before the answer is written: a client
                         // that has read response N must observe the
                         // counter at >= N.
                         queries_served.fetch_add(1, Ordering::SeqCst);
-                        answer_query(&mut stream, fleet, &payload)?;
+                        answer_query(out, fleet, payload)?;
                     }
                     (frame_tag::QUERY, _) => {
                         // A query without the handshake gets the typed
@@ -880,15 +963,14 @@ fn serve_connection(
                             QueryErrorCode::Unauthorized,
                             "query before query hello",
                         ));
-                        let mut out = Vec::new();
-                        put_u64(&mut out, request_id_of(&payload));
-                        encode_response(&refusal, &mut out);
-                        write_frame(&mut stream, frame_tag::QUERY_RESP, &out)?;
-                        stream.flush()?;
+                        let mut resp = Vec::new();
+                        put_u64(&mut resp, request_id_of(payload));
+                        encode_response(&refusal, &mut resp);
+                        write_frame(out, frame_tag::QUERY_RESP, &resp)?;
                         return Err(bad_data("query frame on an unauthenticated session"));
                     }
                     (frame_tag::BATCH, SessionRole::Ingest(id)) => {
-                        let (batch, _unknown) = decode_batch(&payload)?;
+                        let (batch, _unknown) = decode_batch(payload)?;
                         let next_seq = {
                             let mut fleet = fleet.lock().unwrap();
                             // Durable (logged + flushed) before the ack
@@ -898,11 +980,10 @@ fn serve_connection(
                         };
                         let mut ack = Vec::new();
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, frame_tag::ACK, &ack)?;
-                        stream.flush()?;
+                        write_frame(out, frame_tag::ACK, &ack)?;
                     }
                     (frame_tag::DRAIN, SessionRole::Ingest(id)) => {
-                        let stats = decode_drain_stats(&payload)?;
+                        let stats = decode_drain_stats(payload)?;
                         let next_seq = {
                             let mut fleet = fleet.lock().unwrap();
                             // Durable (logged + flushed) before the ack,
@@ -914,13 +995,15 @@ fn serve_connection(
                         };
                         let mut ack = Vec::new();
                         put_u64(&mut ack, next_seq);
-                        write_frame(&mut stream, frame_tag::ACK, &ack)?;
-                        stream.flush()?;
+                        write_frame(out, frame_tag::ACK, &ack)?;
                     }
                     _ => return Err(bad_data("frame before hello or unknown tag")),
                 },
             }
         }
+        // Nothing further to handle: answer everything handled so far
+        // before blocking for more.
+        out.flush()?;
         match stream.read(&mut tmp) {
             Ok(0) => return Ok(()), // peer closed
             Ok(n) => frames.extend(&tmp[..n]),
@@ -950,7 +1033,7 @@ fn request_id_of(payload: &[u8]) -> u64 {
 /// CRC let through. The planner runs under the fleet lock, so each
 /// answer is a consistent snapshot even while ingest sessions stream.
 fn answer_query(
-    stream: &mut TcpStream,
+    out: &mut BufWriter<TcpStream>,
     fleet: &Arc<Mutex<DurableFleet>>,
     payload: &[u8],
 ) -> io::Result<()> {
@@ -974,12 +1057,12 @@ fn answer_query(
             Err(e) => QueryResponse::Error(e),
         }
     };
-    let mut out = Vec::new();
-    put_u64(&mut out, id);
-    encode_response(&resp, &mut out);
-    write_frame(stream, frame_tag::QUERY_RESP, &out)?;
-    stream.flush()?;
-    // Serve latency: decode + planner-under-lock + respond. Recorded
+    let mut frame = Vec::new();
+    put_u64(&mut frame, id);
+    encode_response(&resp, &mut frame);
+    write_frame(out, frame_tag::QUERY_RESP, &frame)?;
+    // Serve latency: decode + planner-under-lock + respond (the write
+    // half's flush is the caller's, once per receive burst). Recorded
     // overall (the fleet-mergeable `__self/query.serve_ns` axis) and
     // per request kind; no-ops unless the service attached an enabled
     // handle via `DurableFleet::set_obs`.
@@ -1024,7 +1107,7 @@ pub struct FleetClient {
     addr: String,
     token: String,
     cfg: TransportConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     next_id: u64,
     /// Request ids sent but not yet answered, oldest first.
     in_flight: VecDeque<u64>,
@@ -1076,33 +1159,11 @@ impl FleetClient {
         // Any response still owed on the old connection is gone; the
         // retrying caller re-sends its request on the new one.
         self.in_flight.clear();
-        let mut stream = match self.cfg.io_timeout {
-            Some(timeout) => {
-                let mut last = None;
-                let mut stream = None;
-                for addr in self.addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&addr, timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                stream.ok_or_else(|| {
-                    last.unwrap_or_else(|| bad_data("address resolved to nothing"))
-                })?
-            }
-            None => TcpStream::connect(&self.addr)?,
-        };
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(self.cfg.io_timeout).ok();
-        stream.set_write_timeout(self.cfg.io_timeout).ok();
+        let mut conn = Conn::dial(&self.addr, self.cfg.io_timeout)?;
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
-        write_frame(&mut stream, frame_tag::QUERY_HELLO, &hello)?;
-        stream.flush()?;
-        let (tag, payload) = match read_frame(&mut stream)? {
+        conn.send(frame_tag::QUERY_HELLO, &hello)?;
+        let (tag, payload) = match conn.recv()? {
             Ok(frame) => frame,
             Err(_) => return Err(bad_data("connection closed during query handshake")),
         };
@@ -1119,7 +1180,7 @@ impl FleetClient {
             ));
         }
         self.server_version = version;
-        self.conn = Some(stream);
+        self.conn = Some(conn);
         Ok(())
     }
 
@@ -1158,11 +1219,8 @@ impl FleetClient {
         let mut out = Vec::new();
         put_u64(&mut out, id);
         encode_request(req, &mut out);
-        let res = {
-            let stream = self.conn.as_mut().expect("connected");
-            write_frame(stream, frame_tag::QUERY, &out).and_then(|()| stream.flush())
-        };
-        if let Err(e) = res {
+        let conn = self.conn.as_mut().expect("connected");
+        if let Err(e) = conn.send(frame_tag::QUERY, &out) {
             self.conn = None;
             return Err(e);
         }
@@ -1180,11 +1238,11 @@ impl FleetClient {
             .front()
             .ok_or_else(|| bad_data("recv with no request in flight"))?;
         let res = (|| {
-            let stream = self
+            let conn = self
                 .conn
                 .as_mut()
                 .ok_or_else(|| bad_data("not connected"))?;
-            let (tag, payload) = match read_frame(stream)? {
+            let (tag, payload) = match conn.recv()? {
                 Ok(frame) => frame,
                 Err(_) => return Err(bad_data("connection closed awaiting query response")),
             };
@@ -1449,6 +1507,195 @@ mod tests {
             .unwrap();
         assert_eq!(got, 1500.0);
         drop(fleet);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Raw test peer: dial, `HELLO`, and check the `HELLO_ACK` reports
+    /// cursor 0 — a client that owns its own socket writes and reads.
+    fn raw_ingest_session(addr: &str, name: &str, token: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut hello = Vec::new();
+        put_str(&mut hello, token);
+        put_str(&mut hello, name);
+        write_frame(&mut stream, frame_tag::HELLO, &hello).unwrap();
+        let (tag, ack) = read_frame(&mut stream).unwrap().expect("hello ack");
+        assert_eq!(tag, frame_tag::HELLO_ACK);
+        assert_eq!(ack, [0u8; 9], "status ok, cursor 0");
+        stream
+    }
+
+    #[test]
+    fn burst_of_batches_is_acked_per_frame_in_order_and_only_after_durable() {
+        let dir = test_dir("ack_burst");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let batches = node_batches(3000, 0.0);
+        assert!(
+            batches.len() >= 32,
+            "need 32 batches, got {}",
+            batches.len()
+        );
+
+        // 32 `BATCH` frames in one `write_all`: the session finds them
+        // all in its receive buffer and coalesces their acks.
+        let mut stream = raw_ingest_session(&addr, "node00", "tok");
+        let mut burst = Vec::new();
+        for batch in &batches[..32] {
+            let mut payload = Vec::new();
+            encode_batch(batch, &mut payload);
+            write_frame(&mut burst, frame_tag::BATCH, &payload).unwrap();
+        }
+        stream.write_all(&burst).unwrap();
+
+        // Exactly one ACK per frame, carrying cursors 1..=32 in order.
+        let mut acks = FrameBuffer::new();
+        let mut tmp = [0u8; 4096];
+        let mut cursors = Vec::new();
+        let mut crashed_copy = None;
+        while cursors.len() < 32 {
+            let n = stream.read(&mut tmp).unwrap();
+            assert!(n > 0, "listener hung up after {} acks", cursors.len());
+            acks.extend(&tmp[..n]);
+            while let Some((tag, payload)) = acks.next_frame().unwrap() {
+                assert_eq!(tag, frame_tag::ACK);
+                cursors.push(WireReader::new(payload).u64().unwrap());
+            }
+            if crashed_copy.is_none() && !cursors.is_empty() {
+                // The moment the first ack(s) are in hand, take what a
+                // `kill -9` right now would leave on disk.
+                let copy = test_dir("ack_burst_copy");
+                fs::create_dir_all(&copy).unwrap();
+                for entry in fs::read_dir(&dir).unwrap() {
+                    let entry = entry.unwrap();
+                    fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+                }
+                crashed_copy = Some((copy, *cursors.last().unwrap()));
+            }
+        }
+        assert_eq!(cursors, (1..=32).collect::<Vec<u64>>());
+        assert_eq!(acks.pending(), 0, "nothing but the 32 acks");
+
+        // Ack ⇐ logged, also when acks share a flush: every batch whose
+        // ack had been read is in the crash-time copy.
+        let (copy, acked) = crashed_copy.unwrap();
+        let recovered = crate::FleetStore::recover(&copy).unwrap();
+        let node = recovered.find_node("node00").expect("session logged");
+        assert!(
+            recovered.next_seq(node) >= acked,
+            "acked through {acked}, recovered only {}",
+            recovered.next_seq(node)
+        );
+        drop(recovered);
+
+        drop(stream);
+        let shared = listener.shutdown();
+        let fleet = shared.lock().unwrap();
+        let node = fleet.find_node("node00").unwrap();
+        assert_eq!(fleet.next_seq(node), 32);
+        assert_eq!(fleet.aggregator().counters(node).duplicate_batches, 0);
+        drop(fleet);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn send_drain_under_a_full_window_returns_after_its_own_ack() {
+        use std::sync::mpsc;
+
+        let dir = test_dir("drain_window");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let window = 16;
+        let batches = node_batches(2000, 0.0);
+        assert!(batches.len() >= window);
+        let mut sink = SocketSink::connect_with(
+            &addr,
+            "node00",
+            "tok",
+            TransportConfig {
+                window,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
+
+        // Hold the fleet lock so the session stalls on its first batch
+        // and no ack goes out while the window fills.
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let shared = listener.fleet();
+        let holder = std::thread::spawn(move || {
+            let _guard = shared.lock().unwrap();
+            locked_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        locked_rx.recv().unwrap();
+        // `write_batch` never leaves more than `window - 1` in flight.
+        for batch in &batches[..window - 1] {
+            sink.write_batch(batch).unwrap();
+        }
+        assert_eq!(sink.unacked_len(), window - 1, "nothing acked yet");
+
+        // The drain is owed `window - 1` batch acks and then its own —
+        // coalesced into as few segments as the listener likes.
+        release_tx.send(()).unwrap();
+        let report = DrainStats {
+            batches: 77,
+            ..DrainStats::default()
+        };
+        sink.send_drain(&report).unwrap();
+        holder.join().unwrap();
+        assert_eq!(sink.unacked_len(), 0, "every batch ack was consumed");
+        assert_eq!(sink.reconnects(), 0);
+        assert_eq!(sink.resent_batches(), 0);
+        {
+            // Its own ack means its totals are already applied.
+            let shared = listener.fleet();
+            let fleet = shared.lock().unwrap();
+            let node = fleet.find_node("node00").unwrap();
+            assert_eq!(fleet.next_seq(node), (window - 1) as u64);
+            let health = fleet
+                .aggregator()
+                .health(SimTime::from_secs(1), SimDuration::from_secs(1 << 20));
+            assert_eq!(health.nodes[node.index()].drain.batches, 77);
+        }
+        drop(sink);
+        listener.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_sessions_are_reaped_not_tracked_forever() {
+        let dir = test_dir("reap");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let tracked = |listener: &FleetListener| listener.conn_threads.lock().unwrap().len();
+
+        // Reconnecting exporters and short-lived dashboards: connect,
+        // hello, hang up — 200 times.
+        for _ in 0..200 {
+            drop(raw_ingest_session(&addr, "node00", "tok"));
+        }
+        // Reaping rides on `accept`, and a session needs a moment to
+        // see its peer's EOF, so knock until the ended ones are gone;
+        // each knock is itself one (briefly) live session.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while tracked(&listener) > 2 && std::time::Instant::now() < deadline {
+            drop(TcpStream::connect(&addr).unwrap());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            tracked(&listener) <= 2,
+            "{} handles tracked with no session live",
+            tracked(&listener)
+        );
+        listener.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
 

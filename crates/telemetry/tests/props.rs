@@ -1256,17 +1256,60 @@ proptest! {
 
 // ------------------------------------------------------ frame envelope
 
-use moda_telemetry::wire::{read_frame, write_frame, FrameBuffer, FrameEnd};
+use moda_telemetry::wire::{crc32, read_frame, write_frame, FrameBuffer, FrameEnd};
+
+/// IEEE CRC-32 one bit at a time — shift and conditional xor, no table —
+/// the independent reference the table-driven `crc32` is held to.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The checksum is the IEEE CRC-32 of the bytes, whatever their
+    /// length mod 8 and wherever a frame splits them: `a‖b` on its own,
+    /// and `b` behind a one-byte tag inside the frame envelope (the
+    /// tag-then-payload fold every frame on the wire goes through).
+    #[test]
+    fn crc32_matches_bitwise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..4096),
+        split in 0usize..4096,
+        tag in any::<u8>(),
+    ) {
+        let (a, b) = bytes.split_at(split.min(bytes.len()));
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        prop_assert_eq!(crc32(a), crc32_bitwise(a));
+        prop_assert_eq!(crc32(b), crc32_bitwise(b));
+
+        let mut frame = Vec::new();
+        write_frame(&mut frame, tag, b).unwrap();
+        let mut tagged = vec![tag];
+        tagged.extend_from_slice(b);
+        prop_assert_eq!(&frame[frame.len() - 4..], &crc32_bitwise(&tagged).to_le_bytes()[..]);
+    }
 
     /// One envelope, two readers: an arbitrary frame sequence — intact,
     /// cut at any byte, or with any single bit flipped — yields the same
     /// frames and the same Clean/Torn/Corrupt verdict whether the
     /// blocking `read_frame` pulls it from a reader or the incremental
-    /// `FrameBuffer` is fed it in arbitrary-sized slices. This is what
-    /// lets one parser serve the WAL, the snapshot, and the listener.
+    /// `FrameBuffer` is fed it in arbitrary-sized slices — with an
+    /// arbitrary number of frames (possibly none) popped between two
+    /// `extend` calls, so bytes arrive while spent frames, unreturned
+    /// whole frames and a partial tail all sit in the buffer. This is
+    /// what lets one parser serve the WAL, the snapshot, and the
+    /// listener.
     #[test]
     fn read_frame_and_frame_buffer_agree_on_any_stream(
         frames in prop::collection::vec(
@@ -1279,6 +1322,7 @@ proptest! {
         at in 0usize..1000,
         bit in 0u8..8,
         slice_lens in prop::collection::vec(1usize..64, 1..16),
+        pops in prop::collection::vec(0usize..4, 1..16),
     ) {
         let mut stream = Vec::new();
         for (tag, payload) in &frames {
@@ -1307,13 +1351,21 @@ proptest! {
         let mut corrupt = false;
         let mut fed = 0;
         let mut lens = slice_lens.iter().cycle();
+        let mut pops = pops.iter().cycle();
         'feed: while fed < stream.len() {
             let n = (*lens.next().unwrap()).min(stream.len() - fed);
             buffer.extend(&stream[fed..fed + n]);
             fed += n;
-            loop {
+            // Mid-stream, pop only some of what is ready before the
+            // next slice lands; after the last slice, everything.
+            let budget = if fed < stream.len() {
+                *pops.next().unwrap()
+            } else {
+                usize::MAX
+            };
+            for _ in 0..budget {
                 match buffer.next_frame() {
-                    Ok(Some(frame)) => incremental.push(frame),
+                    Ok(Some((tag, payload))) => incremental.push((tag, payload.to_vec())),
                     Ok(None) => break,
                     Err(_) => {
                         corrupt = true;

@@ -588,6 +588,51 @@ fn bench_fleet(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Gorilla chunk codec on one seal-threshold block of this file's
+/// smooth 1 Hz shape (ns per 512 samples): `compress` is what every
+/// node seal pays, `decode` what every read across a sealed chunk and
+/// every per-sample fallback pays, `validate` what the fleet pays to
+/// link a shipped chunk without materialising it. The bench gate pins
+/// `decode / validate >= 0.75` in the same run: checking a payload must
+/// never become materially dearer than decoding it.
+fn bench_chunk_codec(c: &mut Criterion) {
+    use moda_telemetry::chunk;
+    const N: u64 = 512;
+    let ts: Vec<u64> = (0..N).map(|s| s * 1000).collect();
+    let vals: Vec<f64> = (0..N)
+        .map(|s| 200.0 + ((s * 2_654_435_761) % 50) as f64)
+        .collect();
+    let sealed = chunk::compress(&ts, &vals, 0);
+    let mut g = c.benchmark_group("chunk_codec");
+    g.throughput(Throughput::Elements(N));
+    g.bench_function("compress/512", |b| {
+        b.iter(|| black_box(chunk::compress(black_box(&ts), black_box(&vals), 0)));
+    });
+    g.bench_function("decode/512", |b| {
+        let (mut out_ts, mut out_vals) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            out_ts.clear();
+            out_vals.clear();
+            chunk::decode_exact(
+                sealed.first_t(),
+                sealed.count(),
+                black_box(sealed.bytes()),
+                &mut out_ts,
+                &mut out_vals,
+            )
+            .unwrap();
+            black_box(out_vals.len())
+        });
+    });
+    g.bench_function("validate/512", |b| {
+        b.iter(|| {
+            let v = chunk::validate(sealed.first_t(), sealed.count(), black_box(sealed.bytes()));
+            black_box(v.unwrap().last_t)
+        });
+    });
+    g.finish();
+}
+
 /// Frame checksum throughput (bytes/s) at the sizes the wire carries:
 /// an ack-sized frame, one 64-sample batch, and a chunk-heavy backfill
 /// or snapshot payload. Every batch byte is checksummed once per hop
@@ -794,6 +839,7 @@ criterion_group!(
     bench_selfobs,
     bench_export,
     bench_fleet,
+    bench_chunk_codec,
     bench_wire_crc32,
     bench_contention
 );

@@ -21,10 +21,12 @@
 //!   already-seen prefix bounces off the monotonic guard, buckets
 //!   overwrite by key);
 //! * **compressed chunks** — a `chunk` record (wire spec revision 1.1)
-//!   decodes on absorb and bulk-appends into the fleet ring; an
-//!   overlapping re-ship falls back to per-sample pushes so the
-//!   monotonic guard keeps exact duplicate accounting, and an
-//!   undecodable payload is dropped whole and counted.
+//!   is validated in one pass and linked into the fleet ring as it
+//!   arrived; an overlapping re-ship falls back to per-sample pushes so
+//!   the monotonic guard keeps exact duplicate accounting, and a record
+//!   whose payload is undecodable, empty, or ends elsewhere than its
+//!   header says is dropped whole and counted — by the session and by
+//!   the store alike — without moving the node's high-water mark.
 //!
 //! Health ([`FleetAggregator::health`]) classifies each node by **drain
 //! lag** — how far the node's newest ingested data sits behind a
@@ -34,7 +36,7 @@
 //! accounting surfaces at the fleet level next to the wire-level
 //! duplicate/gap/orphan counters.
 
-use crate::store::{FleetStore, NodeId};
+use crate::store::{ChunkOutcome, FleetStore, NodeId};
 use crossbeam::channel::Sender;
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
@@ -65,7 +67,8 @@ pub struct NodeCounters {
     /// Compressed raw-chunk records applied (their decoded samples are
     /// counted in `samples`/`rejected_samples`).
     pub chunks: u64,
-    /// Chunk records dropped because the payload failed to decode.
+    /// Chunk records dropped whole as corrupt (undecodable or empty
+    /// payload, or one that disagrees with the record header).
     pub corrupt_chunks: u64,
     /// Sealed buckets applied.
     pub buckets: u64,
@@ -493,14 +496,16 @@ impl FleetAggregator {
                         session.counters.unmapped_records += 1;
                         continue;
                     };
-                    let (accepted, rejected) =
-                        self.store.push_chunk(fleet_id, *first_t, *count, bytes);
-                    if accepted == 0 && rejected == 0 {
-                        // Undecodable payload: dropped whole, counted,
-                        // and not treated as ingested data.
+                    let ChunkOutcome::Applied { accepted, rejected } = self
+                        .store
+                        .push_chunk(fleet_id, *first_t, *last_t, *count, bytes)
+                    else {
+                        // Corrupt record: dropped whole, counted, and
+                        // not treated as ingested data — its header is
+                        // as untrusted as its payload.
                         session.counters.corrupt_chunks += 1;
                         continue;
-                    }
+                    };
                     session.counters.chunks += 1;
                     session.counters.samples += accepted;
                     session.counters.rejected_samples += rejected;
@@ -872,6 +877,122 @@ mod tests {
         assert_eq!(agg.counters(n).corrupt_chunks, 1);
         assert_eq!(agg.store().stats().corrupt_chunks, 1);
         assert_eq!(agg.store().raw(id).len(), 1501, "store untouched");
+    }
+
+    /// A session with metric 0 mapped, and a chunk record of `n` 1 Hz
+    /// samples starting at second `start`.
+    fn mapped_session(agg: &mut FleetAggregator, name: &str) -> NodeId {
+        let node = agg.add_node(name);
+        agg.ingest(
+            node,
+            &ExportBatch {
+                seq: 0,
+                records: vec![ExportRecord::Meta {
+                    id: MetricId(0),
+                    meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+                }],
+            },
+        );
+        node
+    }
+
+    fn chunk_record(start: u64, n: u64) -> ExportRecord {
+        let ts: Vec<u64> = (start..start + n).map(|s| s * 1000).collect();
+        let vals: Vec<f64> = (0..n).map(|i| 200.0 + (i % 9) as f64).collect();
+        ExportRecord::chunk(MetricId(0), &moda_telemetry::chunk::compress(&ts, &vals, 0))
+    }
+
+    #[test]
+    fn a_lying_chunk_header_is_corrupt_and_cannot_move_the_high_water_mark() {
+        let mut agg = FleetAggregator::new();
+        let honest = mapped_session(&mut agg, "honest");
+        let liar = mapped_session(&mut agg, "liar");
+        for node in [honest, liar] {
+            let batch = ExportBatch {
+                seq: 1,
+                records: vec![chunk_record(0, 100)],
+            };
+            agg.ingest(node, &batch);
+        }
+        // A well-formed payload under a header claiming the end of time.
+        let mut lie = chunk_record(100, 100);
+        if let ExportRecord::Chunk { last_t, .. } = &mut lie {
+            *last_t = SimTime(u64::MAX);
+        }
+        agg.ingest(
+            liar,
+            &ExportBatch {
+                seq: 2,
+                records: vec![lie],
+            },
+        );
+        assert_eq!(agg.counters(liar).corrupt_chunks, 1);
+        assert_eq!(agg.store().stats().corrupt_chunks, 1);
+        assert_eq!(agg.counters(liar).samples, 100, "dropped whole");
+        assert_eq!(agg.observed_now(), SimTime::from_secs(99));
+        let h = agg.health(agg.observed_now(), SimDuration::from_secs(60));
+        assert_eq!((h.live, h.stale), (2, 0), "nobody was dragged stale");
+    }
+
+    #[test]
+    fn session_and_store_agree_on_corrupt_chunks_over_a_mangled_stream() {
+        let mut agg = FleetAggregator::new();
+        let n = mapped_session(&mut agg, "node00");
+        let mangle = |record: ExportRecord, f: &dyn Fn(&mut u32, &mut Vec<u8>)| {
+            let ExportRecord::Chunk {
+                id,
+                mut count,
+                first_t,
+                last_t,
+                mut bytes,
+            } = record
+            else {
+                unreachable!()
+            };
+            f(&mut count, &mut bytes);
+            ExportRecord::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes,
+            }
+        };
+        let records = vec![
+            chunk_record(0, 200),
+            // No encoder emits an empty chunk: corrupt, not "applied
+            // nothing".
+            mangle(chunk_record(200, 100), &|count, _| *count = 0),
+            mangle(chunk_record(200, 100), &|_, bytes| bytes.truncate(40)),
+            mangle(chunk_record(200, 100), &|count, _| *count += 1),
+            // One sample short still decodes, but ends before the
+            // header's `last_t`.
+            mangle(chunk_record(200, 100), &|count, _| *count -= 1),
+            // Trailing bytes past the last sample are ignored.
+            mangle(chunk_record(200, 100), &|_, bytes| bytes.extend([0xEE; 5])),
+        ];
+        let mut corrupt = 0;
+        for (i, record) in records.into_iter().enumerate() {
+            let before = agg.counters(n).corrupt_chunks;
+            agg.ingest(
+                n,
+                &ExportBatch {
+                    seq: 1 + i as u64,
+                    records: vec![record],
+                },
+            );
+            corrupt += agg.counters(n).corrupt_chunks - before;
+            assert_eq!(
+                agg.counters(n).corrupt_chunks,
+                agg.store().stats().corrupt_chunks,
+                "record {i}"
+            );
+        }
+        assert_eq!(corrupt, 4);
+        assert_eq!(agg.counters(n).chunks, 2);
+        assert_eq!(agg.counters(n).samples, 300);
+        assert_eq!(agg.counters(n).samples, agg.store().stats().samples);
+        assert_eq!(agg.observed_now(), SimTime::from_secs(299));
     }
 
     #[test]

@@ -111,7 +111,9 @@ pub use query::{
     TopNodeEntry, QUERY_PROTOCOL_VERSION,
 };
 pub use selfobs::{SelfScrapeTick, SelfScraper, SELF_NODE};
-pub use store::{FleetMetricInfo, FleetServed, FleetStore, FleetStoreStats, NodeId, Rank};
+pub use store::{
+    ChunkOutcome, FleetMetricInfo, FleetServed, FleetStore, FleetStoreStats, NodeId, Rank,
+};
 pub use transport::{
     ChaosConfig, ChaosSink, ChaosStats, FleetClient, FleetListener, SocketSink, TransportConfig,
 };

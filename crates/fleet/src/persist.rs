@@ -518,49 +518,30 @@ fn open_log(dir: &Path, epoch: u64) -> io::Result<File> {
 
 // ------------------------------------------------------ snapshot codec
 
-/// Re-encode one raw ring as `export-wire-v1.1` records: sealed chunks
-/// ship whole (compressed bytes, no decode), an evicted-prefix chunk
-/// decodes just its retained suffix, and the uncompressed tail ships
-/// per-sample — exactly the exporter's chunked rendering, reused as the
-/// snapshot's raw section.
+/// Render one raw ring as `export-wire-v1.1` records: every sealed
+/// chunk ships whole (compressed bytes, no decode) — a partially
+/// evicted front chunk as its retained suffix, re-encoded — and the
+/// uncompressed tail ships per-sample. Restoring relinks exactly these
+/// chunks, so the rendering of a recovered ring is byte-identical.
 fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
     let raw = store.raw(id);
-    let total = raw.total_appends();
-    let mut cursor = total - raw.len() as u64;
-    let mut records = Vec::new();
-    for c in raw.sealed_chunks() {
-        if c.end_append() <= cursor {
-            continue;
-        }
-        if c.skip() == 0 && c.start_append() == cursor {
-            records.push(ExportRecord::Chunk {
+    let mut records: Vec<ExportRecord> = raw
+        .sealed_chunks()
+        .map(|c| match c.skip() {
+            0 => ExportRecord::chunk(id, c),
+            _ => ExportRecord::chunk(id, &c.compacted()),
+        })
+        .collect();
+    let tail = raw.len() - raw.compressed_len();
+    records.extend(
+        raw.last_n_view(tail)
+            .into_iter()
+            .map(|s| ExportRecord::Sample {
                 id,
-                count: c.count(),
-                first_t: SimTime(c.first_t()),
-                last_t: SimTime(c.last_t()),
-                bytes: c.bytes().to_vec(),
-            });
-            cursor = c.end_append();
-        } else {
-            let already = (cursor - c.retained_start_append()) as usize;
-            for (t, value) in c.decode().skip(already) {
-                records.push(ExportRecord::Sample {
-                    id,
-                    t: SimTime(t),
-                    value,
-                });
-                cursor += 1;
-            }
-        }
-    }
-    let tail = (total - cursor) as usize;
-    for s in raw.last_n_view(tail).into_iter() {
-        records.push(ExportRecord::Sample {
-            id,
-            t: s.t,
-            value: s.value,
-        });
-    }
+                t: s.t,
+                value: s.value,
+            }),
+    );
     records
 }
 
@@ -574,7 +555,9 @@ fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
 ///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain 11×u64
 /// metric count u32 · per metric:
 ///   node u32 · meta(name · kind u8 · unit · domain u8)
-///   raw section: batch bytes u32-len + encode_batch(seq 0, records)
+///   raw section: batch bytes u32-len + encode_batch(seq 0, records) —
+///     `chunk` records (the ring's sealed chunks), then `sample` records
+///     (its unsealed tail); a reader takes the two kinds in any order
 ///   tier count u32 · per tier: res u64 · bucket count uv · per bucket:
 ///     start-delta uv (from previous bucket; first is absolute) ·
 ///     count uv · sum/min/max/last f64 ·
@@ -585,6 +568,17 @@ fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
 /// recovery cost is byte-proportional (checksum + decode), so it uses
 /// delta + varint packing while the small header stays fixed-width.
 fn encode_snapshot(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
+    encode_snapshot_with(agg, epoch, out, raw_ring_records)
+}
+
+/// [`encode_snapshot`] with the raw-section rendering as a parameter, so
+/// a test can write the sections an older writer produced.
+fn encode_snapshot_with(
+    agg: &FleetAggregator,
+    epoch: u64,
+    out: &mut Vec<u8>,
+    raw_records: impl Fn(&FleetStore, MetricId) -> Vec<ExportRecord>,
+) {
     let store = agg.store();
     put_u64(out, epoch);
     put_u64(out, store.raw_retention() as u64);
@@ -625,7 +619,7 @@ fn encode_snapshot(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
         // Raw ring, as a pseudo-batch of wire records.
         let batch = ExportBatch {
             seq: 0,
-            records: raw_ring_records(store, id),
+            records: raw_records(store, id),
         };
         put_block(out, |out| encode_batch(&batch, out));
         // Wire-fed tiers: buckets oldest-first, each with its sketch
@@ -753,11 +747,12 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
             match record {
                 ExportRecord::Chunk {
                     first_t,
+                    last_t,
                     count,
                     bytes,
                     ..
                 } => {
-                    let (_accepted, _rejected) = store.push_chunk(id, *first_t, *count, bytes);
+                    store.restore_chunk(id, *first_t, *last_t, *count, bytes);
                 }
                 ExportRecord::Sample { t, value, .. } => {
                     store.push_sample(id, *t, *value);
@@ -980,6 +975,108 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A one-node aggregator whose 1000-sample raw ring has evicted
+    /// into its front chunk and holds an unsealed tail.
+    fn evicted_ring_fleet() -> FleetAggregator {
+        let mut agg = FleetAggregator::with_store(FleetStore::with_raw_retention(1000));
+        let node = agg.add_node("node00");
+        for batch in node_batches(3000, 0.0, 256) {
+            agg.ingest(node, &batch);
+        }
+        let raw = agg.store().raw(MetricId(0));
+        let front = raw.sealed_chunks().next().expect("sealed chunks");
+        assert!(front.skip() > 0, "front chunk is partially evicted");
+        assert!(raw.compressed_len() < raw.len(), "and a tail is unsealed");
+        agg
+    }
+
+    fn snapshot_bytes(
+        agg: &FleetAggregator,
+        raw_records: impl Fn(&FleetStore, MetricId) -> Vec<ExportRecord>,
+    ) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_snapshot_with(agg, 3, &mut payload, raw_records);
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        write_frame(&mut file, FRAME_SNAPSHOT, &payload).unwrap();
+        file
+    }
+
+    #[test]
+    fn raw_section_is_whole_chunks_plus_tail_and_a_fixed_point() {
+        let agg = evicted_ring_fleet();
+        let raw = agg.store().raw(MetricId(0));
+        let records = raw_ring_records(agg.store(), MetricId(0));
+        // Chunk records first — the front one re-encoded to its retained
+        // suffix — then exactly the unsealed tail as samples.
+        let chunks: Vec<u32> = records
+            .iter()
+            .map_while(|r| match r {
+                ExportRecord::Chunk { count, .. } => Some(*count),
+                _ => None,
+            })
+            .collect();
+        let retained: Vec<u32> = raw
+            .sealed_chunks()
+            .map(|c| c.retained_len() as u32)
+            .collect();
+        assert_eq!(chunks, retained);
+        let tail = &records[chunks.len()..];
+        assert_eq!(tail.len(), raw.len() - raw.compressed_len());
+        assert!(tail
+            .iter()
+            .all(|r| matches!(r, ExportRecord::Sample { .. })));
+        // snapshot → recover → snapshot reproduces the file byte for
+        // byte, and the recovered ring has the same chunk boundaries.
+        let first = snapshot_bytes(&agg, raw_ring_records);
+        let (recovered, ..) = decode_snapshot(&first).unwrap();
+        assert_eq!(snapshot_bytes(&recovered, raw_ring_records), first);
+        let relinked: Vec<u32> = recovered
+            .store()
+            .raw(MetricId(0))
+            .sealed_chunks()
+            .map(|c| c.count())
+            .collect();
+        assert_eq!(relinked, retained);
+        let now = SimTime::from_secs(3001);
+        assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
+    }
+
+    #[test]
+    fn snapshots_with_sample_records_ahead_of_chunks_still_load() {
+        // The previous writer rendered a partially evicted front chunk
+        // as per-sample records ahead of the whole chunks.
+        let per_sample_front = |store: &FleetStore, id: MetricId| {
+            let raw = store.raw(id);
+            let sample = |t, value| ExportRecord::Sample {
+                id,
+                t: SimTime(t),
+                value,
+            };
+            let mut records = Vec::new();
+            for c in raw.sealed_chunks() {
+                if c.skip() > 0 {
+                    records.extend(c.decode().map(|(t, v)| sample(t, v)));
+                } else {
+                    records.push(ExportRecord::chunk(id, c));
+                }
+            }
+            let tail = raw.len() - raw.compressed_len();
+            records.extend(raw.last_n_view(tail).iter().map(|s| sample(s.t.0, s.value)));
+            records
+        };
+        let agg = evicted_ring_fleet();
+        let old = snapshot_bytes(&agg, per_sample_front);
+        assert_ne!(old, snapshot_bytes(&agg, raw_ring_records));
+        let (recovered, ..) = decode_snapshot(&old).unwrap();
+        let now = SimTime::from_secs(3001);
+        assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
+        // Written back out, it is the current rendering of the same ring.
+        assert_eq!(
+            snapshot_bytes(&recovered, raw_ring_records),
+            snapshot_bytes(&agg, raw_ring_records)
+        );
     }
 
     #[test]

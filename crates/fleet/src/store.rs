@@ -19,8 +19,9 @@
 
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::rollup::{fold_span_into, RollupAcc, SketchAcc, SpanFold};
+use moda_telemetry::series::SEAL_THRESHOLD;
 use moda_telemetry::sketch::SketchEntry;
-use moda_telemetry::{MetricId, MetricMeta, RollupBucket, TimeSeries, WindowAgg, WireTiers};
+use moda_telemetry::{chunk, MetricId, MetricMeta, RollupBucket, TimeSeries, WindowAgg, WireTiers};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -28,6 +29,11 @@ use std::collections::HashMap;
 /// raw samples are only the spliceable recent tail (long horizon lives
 /// in the wire-fed bucket tiers), so this stays small.
 pub const DEFAULT_RAW_RETENTION: usize = 4096;
+
+/// Shortest chunk record linked into a raw ring as a sealed chunk of its
+/// own; shorter ones are decoded into the tail, which bounds the chunk
+/// headers a stream of tiny records can leave behind.
+const MIN_ADOPT: u32 = (SEAL_THRESHOLD / 8) as u32;
 
 /// A node's identity within one aggregator (dense, assigned by
 /// [`crate::FleetAggregator::add_node`] in call order).
@@ -98,9 +104,24 @@ pub struct FleetStoreStats {
     /// per-metric time order, or a restarted node exporter re-shipping
     /// its retained tail).
     pub rejected_samples: u64,
-    /// Compressed chunk records whose payload failed to decode
-    /// (truncated or corrupted in transport); dropped whole.
+    /// Compressed chunk records dropped whole: the payload failed to
+    /// decode (truncated or corrupted in transport), claimed zero
+    /// samples, or did not end at the header's `last_t_ms`.
     pub corrupt_chunks: u64,
+}
+
+/// What [`FleetStore::push_chunk`] did with one chunk record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkOutcome {
+    /// The payload was well-formed and its samples went to the ring.
+    Applied {
+        /// Samples the ring accepted.
+        accepted: u64,
+        /// Samples the per-metric monotonic guard rejected.
+        rejected: u64,
+    },
+    /// The record was dropped whole and counted corrupt.
+    Corrupt,
 }
 
 /// Direction of a per-node ranking ([`FleetStore::top_nodes`]).
@@ -133,10 +154,6 @@ pub struct FleetStore {
     samples: u64,
     rejected_samples: u64,
     corrupt_chunks: u64,
-    /// Store-owned chunk-decode scratch, reused across `push_chunk`
-    /// calls so steady-state chunk ingest stays allocation-free.
-    chunk_scratch_ts: Vec<u64>,
-    chunk_scratch_vals: Vec<f64>,
 }
 
 impl Default for FleetStore {
@@ -168,8 +185,6 @@ impl FleetStore {
             samples: 0,
             rejected_samples: 0,
             corrupt_chunks: 0,
-            chunk_scratch_ts: Vec::new(),
-            chunk_scratch_vals: Vec::new(),
         }
     }
 
@@ -206,53 +221,78 @@ impl FleetStore {
         ok
     }
 
-    /// Ingest one compressed raw-chunk record (wire spec revision 1.1):
-    /// decode the Gorilla payload into store-owned scratch, then
-    /// bulk-append via [`TimeSeries::append_block`] — one ordering check
-    /// and a straight extend on the clean path. A block that overlaps
-    /// already-ingested samples (a restarted node exporter re-shipping a
-    /// sealed chunk) falls back to per-sample pushes so the monotonic
-    /// guard rejects exactly the already-seen prefix. Returns
-    /// `(accepted, rejected)` sample counts; a payload that fails to
-    /// decode is dropped whole and counted in
-    /// [`FleetStoreStats::corrupt_chunks`].
+    /// Ingest one compressed raw-chunk record (wire spec revision 1.1).
+    ///
+    /// The payload is walked once ([`chunk::validate`]: `count`
+    /// well-formed samples, timestamps in order, ending at the header's
+    /// `last_t`) and then linked into the ring as a sealed chunk
+    /// ([`TimeSeries::adopt_chunk`]) — it arrived in storage format, so
+    /// it is neither materialised nor re-compressed. Two cases decode
+    /// and push per sample instead: a block that starts before the
+    /// ring's newest sample (a restarted node exporter re-shipping a
+    /// sealed chunk), so the monotonic guard rejects exactly the
+    /// already-seen prefix; and a record shorter than
+    /// `SEAL_THRESHOLD / 8` samples, so a stream of tiny chunks cannot
+    /// fill the ring with chunk headers. A payload that fails the walk,
+    /// claims zero samples, or disagrees with its header is dropped
+    /// whole and counted in [`FleetStoreStats::corrupt_chunks`].
     pub fn push_chunk(
         &mut self,
         id: MetricId,
         first_t: SimTime,
+        last_t: SimTime,
         count: u32,
         bytes: &[u8],
-    ) -> (u64, u64) {
-        self.chunk_scratch_ts.clear();
-        self.chunk_scratch_vals.clear();
-        if moda_telemetry::chunk::decode_exact(
-            first_t.0,
-            count,
-            bytes,
-            &mut self.chunk_scratch_ts,
-            &mut self.chunk_scratch_vals,
-        )
-        .is_err()
-        {
-            self.corrupt_chunks += 1;
-            return (0, 0);
-        }
+    ) -> ChunkOutcome {
+        self.absorb_chunk(id, first_t, last_t, count, bytes, MIN_ADOPT)
+    }
+
+    /// [`FleetStore::push_chunk`] for a snapshot's raw section: the
+    /// records are this store's own sealed chunks, so each one is linked
+    /// back whatever its length and the restored ring has the chunk
+    /// boundaries the snapshotted one had.
+    pub(crate) fn restore_chunk(
+        &mut self,
+        id: MetricId,
+        first_t: SimTime,
+        last_t: SimTime,
+        count: u32,
+        bytes: &[u8],
+    ) -> ChunkOutcome {
+        self.absorb_chunk(id, first_t, last_t, count, bytes, 1)
+    }
+
+    fn absorb_chunk(
+        &mut self,
+        id: MetricId,
+        first_t: SimTime,
+        last_t: SimTime,
+        count: u32,
+        bytes: &[u8],
+        min_adopt: u32,
+    ) -> ChunkOutcome {
+        let block = match chunk::validate(first_t.0, count, bytes) {
+            Ok(block) if block.last_t == last_t.0 => block,
+            _ => {
+                self.corrupt_chunks += 1;
+                return ChunkOutcome::Corrupt;
+            }
+        };
         let series = &mut self.raw[id.index()];
-        let total = self.chunk_scratch_ts.len() as u64;
-        let accepted = if series.append_block(&self.chunk_scratch_ts, &self.chunk_scratch_vals) {
+        let total = u64::from(count);
+        let accepted = if count >= min_adopt && series.adopt_chunk(&block) {
             total
         } else {
-            let mut acc = 0u64;
-            for (&t, &v) in self.chunk_scratch_ts.iter().zip(&self.chunk_scratch_vals) {
-                if series.push(SimTime(t), v) {
-                    acc += 1;
-                }
-            }
-            acc
+            chunk::Decoder::new(first_t.0, count, bytes)
+                .filter(|&(t, v)| series.push(SimTime(t), v))
+                .count() as u64
         };
         self.samples += accepted;
         self.rejected_samples += total - accepted;
-        (accepted, total - accepted)
+        ChunkOutcome::Applied {
+            accepted,
+            rejected: total - accepted,
+        }
     }
 
     /// Apply one sealed bucket record (see [`WireTiers::apply_bucket`]).

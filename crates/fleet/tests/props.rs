@@ -12,15 +12,22 @@
 //!   nodes' sealed-bucket sketches stays within the documented
 //!   `SKETCH_RELATIVE_ERROR` (1 %) of the exact pooled order statistic
 //!   over all nodes' raw values, and reads zero raw samples on sealed
-//!   aligned windows.
+//!   aligned windows;
+//! * **adopt ≡ decode-and-append** — a fleet ring that links shipped
+//!   chunks as they arrive holds, counts and answers exactly what the
+//!   per-sample [`ReplayStore`] oracle does on the same stream, corrupt
+//!   and overlapping records included, and its snapshot is a fixed
+//!   point under recover-then-snapshot.
 
 use moda_fleet::{
     DurabilityConfig, DurableFleet, FleetAggregator, FleetStore, NodeId, NodeLiveness, Rank,
 };
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{ExportBatch, MemorySink};
+use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
+use moda_telemetry::wire::{parse_frame, FrameParse};
 use moda_telemetry::{
-    Exporter, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
+    chunk, Exporter, MetricId, MetricMeta, ReplayStore, RollupConfig, RollupTier, SourceDomain,
+    Tsdb, WindowAgg,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,6 +132,281 @@ fn fingerprint(agg: &FleetAggregator, n_nodes: usize, span_s: u64) -> Vec<String
         store.fleet_window_agg("m", now, w, WindowAgg::Percentile(0.99))
     ));
     out
+}
+
+// ------------------------------------------- adopt ≡ decode-and-append
+
+/// Metrics in a mixed stream (independent clocks, interleaved records).
+const MIXED_METRICS: u32 = 2;
+
+/// `Some(last timestamp)` when the wire spec accepts a chunk record:
+/// at least one sample, a payload that decodes, ending at the header's
+/// `last_t_ms` (docs/EXPORT_FORMAT.md, "Compressed chunks").
+fn spec_accepts(count: u32, first_t: SimTime, last_t: SimTime, bytes: &[u8]) -> Option<u64> {
+    let (mut ts, mut vals) = (Vec::new(), Vec::new());
+    chunk::decode_exact(first_t.0, count, bytes, &mut ts, &mut vals).ok()?;
+    ts.last().copied().filter(|&t| t == last_t.0)
+}
+
+/// One seeded stream for [`MIXED_METRICS`] metrics: `sample` records
+/// (some stale), chunks aligned to the seal threshold, unaligned, and
+/// under the adopt threshold, re-shipped overlapping chunks, and
+/// mangled ones — truncated, bit-flipped, padded with garbage, lying
+/// about `last_t`, `first_t` or `count`. Returns the batches and how
+/// many chunk records the spec calls corrupt.
+fn mixed_stream(rng: &mut TestRng, records: usize) -> (Vec<ExportBatch>, u64) {
+    let mut clock = [1_000u64; MIXED_METRICS as usize];
+    let mut value = [200.0f64; MIXED_METRICS as usize];
+    let mut out: Vec<ExportRecord> = (0..MIXED_METRICS)
+        .map(|m| ExportRecord::Meta {
+            id: MetricId(m),
+            meta: MetricMeta::gauge(format!("m{m}"), "u", SourceDomain::Hardware),
+        })
+        .collect();
+    let mut corrupt = 0;
+    for _ in 0..records {
+        let m = rng.below(u64::from(MIXED_METRICS)) as usize;
+        let id = MetricId(m as u32);
+        let mut next_value = |rng: &mut TestRng| {
+            value[m] = match rng.below(12) {
+                0 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.below(1 << 16)),
+                1 => f64::from_bits(rng.next_u64()),
+                2 => value[m],
+                _ if value[m].is_finite() => value[m] + rng.below(9) as f64 - 4.0,
+                _ => 200.0,
+            };
+            value[m]
+        };
+        match rng.below(12) {
+            0..=3 => {
+                clock[m] += rng.below(1_500);
+                out.push(ExportRecord::Sample {
+                    id,
+                    t: SimTime(clock[m]),
+                    value: next_value(rng),
+                });
+            }
+            4 => out.push(ExportRecord::Sample {
+                id,
+                t: SimTime(clock[m].saturating_sub(rng.below(5_000))),
+                value: next_value(rng),
+            }),
+            kind => {
+                let n = match rng.below(4) {
+                    0 => 1 + rng.below(63),
+                    1 => 512,
+                    _ => 64 + rng.below(640),
+                };
+                // A re-ship starts behind the clock and runs past it.
+                let mut t = match kind {
+                    5 => clock[m].saturating_sub(rng.below(n * 700)),
+                    _ => clock[m] + rng.below(1_500),
+                };
+                let (mut ts, mut vals) = (Vec::new(), Vec::new());
+                for _ in 0..n {
+                    ts.push(t);
+                    vals.push(next_value(rng));
+                    t += if rng.below(8) == 0 {
+                        rng.below(3_000)
+                    } else {
+                        1_000
+                    };
+                }
+                let c = chunk::compress(&ts, &vals, 0);
+                let (mut count, mut bytes) = (c.count(), c.bytes().to_vec());
+                let (mut first_t, mut last_t) = (c.first_t(), c.last_t());
+                if kind >= 9 {
+                    match rng.below(8) {
+                        0 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+                        1 => {
+                            let at = rng.below(bytes.len() as u64 * 8) as usize;
+                            bytes[at / 8] ^= 0x80 >> (at % 8);
+                        }
+                        2 => bytes.extend((0..1 + rng.below(9)).map(|_| rng.next_u64() as u8)),
+                        3 => {
+                            last_t = [last_t + 1, last_t.saturating_sub(1), u64::MAX]
+                                [rng.below(3) as usize]
+                        }
+                        4 => first_t += 1 + rng.below(2_000),
+                        5 => count = 0,
+                        6 => count += 1,
+                        _ => count -= 1,
+                    }
+                }
+                let (first_t, last_t) = (SimTime(first_t), SimTime(last_t));
+                match spec_accepts(count, first_t, last_t, &bytes) {
+                    Some(end) => clock[m] = clock[m].max(end),
+                    None => corrupt += 1,
+                }
+                out.push(ExportRecord::Chunk {
+                    id,
+                    count,
+                    first_t,
+                    last_t,
+                    bytes,
+                });
+            }
+        }
+    }
+    let mut batches = Vec::new();
+    let mut rest = out.as_slice();
+    while !rest.is_empty() {
+        let take = (1 + rng.below(40) as usize).min(rest.len());
+        batches.push(ExportBatch {
+            seq: batches.len() as u64,
+            records: rest[..take].to_vec(),
+        });
+        rest = &rest[take..];
+    }
+    (batches, corrupt)
+}
+
+/// What the per-sample oracle says one metric's ring must hold: replay
+/// the stream minus its corrupt chunk records into a [`ReplayStore`],
+/// then apply the ring's two rules by hand — the monotonic guard and
+/// `retention`. Returns `(retained, accepted, rejected)`.
+fn oracle_ring(
+    batches: &[ExportBatch],
+    id: MetricId,
+    retention: usize,
+) -> (Vec<(u64, u64)>, u64, u64) {
+    let mut replay = ReplayStore::new();
+    for batch in batches {
+        for r in &batch.records {
+            let corrupt = matches!(r, ExportRecord::Chunk { count, first_t, last_t, bytes, .. }
+                if spec_accepts(*count, *first_t, *last_t, bytes).is_none());
+            if !corrupt {
+                replay.apply_record(r);
+            }
+        }
+    }
+    assert_eq!(
+        replay.corrupt_chunks(),
+        0,
+        "the oracle saw only clean records"
+    );
+    let mut kept: Vec<(u64, u64)> = Vec::new();
+    let mut rejected = 0;
+    for &(t, v) in replay.samples(id) {
+        if kept.last().is_some_and(|&(last, _)| t.0 < last) {
+            rejected += 1;
+        } else {
+            kept.push((t.0, v.to_bits()));
+        }
+    }
+    let accepted = kept.len() as u64;
+    kept.drain(..kept.len().saturating_sub(retention));
+    (kept, accepted, rejected)
+}
+
+/// Compare a fleet against the oracle, metric by metric: retained
+/// samples bit for bit, the accept/reject/corrupt accounting (session
+/// and store), and every `WindowAgg` over a few trailing windows
+/// `(now - window, now]`.
+fn assert_matches_oracle(
+    agg: &FleetAggregator,
+    batches: &[ExportBatch],
+    corrupt: u64,
+    retention: usize,
+) -> Result<(), TestCaseError> {
+    let store = agg.store();
+    let (mut accepted, mut rejected) = (0, 0);
+    for m in 0..MIXED_METRICS {
+        let (want, acc, rej) = oracle_ring(batches, MetricId(m), retention);
+        accepted += acc;
+        rejected += rej;
+        let Some(id) = store.lookup(&format!("node00/m{m}")) else {
+            prop_assert!(want.is_empty());
+            continue;
+        };
+        let got: Vec<(u64, u64)> = store
+            .raw(id)
+            .iter()
+            .map(|s| (s.t.0, s.value.to_bits()))
+            .collect();
+        prop_assert_eq!(&got, &want, "retained samples of m{}", m);
+        let Some(&(now, _)) = want.last() else {
+            continue;
+        };
+        for window in [1_500, 90_000, 700_000, u64::MAX] {
+            let vals: Vec<f64> = want
+                .iter()
+                .filter(|&&(t, _)| t > now.saturating_sub(window))
+                .map(|&(_, v)| f64::from_bits(v))
+                .collect();
+            for kind in [
+                WindowAgg::Count,
+                WindowAgg::Sum,
+                WindowAgg::Mean,
+                WindowAgg::Min,
+                WindowAgg::Max,
+                WindowAgg::Last,
+                WindowAgg::Percentile(0.9),
+            ] {
+                let got = store.window_agg(id, SimTime(now), SimDuration(window), kind);
+                // An empty window (every sample at t = 0) answers None.
+                let want = (!vals.is_empty()).then(|| kind.apply(&vals));
+                let same = match (got, want) {
+                    (Some(g), Some(w)) => g == w || (g.is_nan() && w.is_nan()),
+                    (g, w) => g == w,
+                };
+                prop_assert!(
+                    same,
+                    "{:?} over {} ms of m{}: {:?} vs {:?}",
+                    kind,
+                    window,
+                    m,
+                    got,
+                    want
+                );
+            }
+        }
+    }
+    let (stats, counters) = (store.stats(), agg.counters(NodeId(0)));
+    prop_assert_eq!((stats.samples, counters.samples), (accepted, accepted));
+    prop_assert_eq!(
+        (stats.rejected_samples, counters.rejected_samples),
+        (rejected, rejected)
+    );
+    prop_assert_eq!(
+        (stats.corrupt_chunks, counters.corrupt_chunks),
+        (corrupt, corrupt)
+    );
+    Ok(())
+}
+
+/// `snapshot.bin` minus the one field that names the log epoch.
+fn snapshot_state(dir: &std::path::Path) -> Vec<u8> {
+    let file = std::fs::read(dir.join("snapshot.bin")).unwrap();
+    match parse_frame(&file[8..]) {
+        FrameParse::Frame { payload, .. } => payload[8..].to_vec(),
+        _ => panic!("snapshot frame is whole"),
+    }
+}
+
+/// The threshold under which a chunk record is decoded instead of
+/// linked keeps a stream of tiny chunks from filling a ring with chunk
+/// headers: 10 000 one-sample chunks leave a handful of sealed chunks.
+#[test]
+fn one_sample_chunks_cannot_flood_a_ring_with_headers() {
+    let mut store = FleetStore::new();
+    let id = store.register(
+        NodeId(0),
+        "node00",
+        &MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+    );
+    for i in 0..10_000u64 {
+        let c = chunk::compress(&[i * 1000], &[i as f64], 0);
+        store.push_chunk(id, SimTime(c.first_t()), SimTime(c.last_t()), 1, c.bytes());
+    }
+    assert_eq!(store.stats().samples, 10_000);
+    let raw = store.raw(id);
+    assert_eq!(raw.len(), store.raw_retention());
+    assert!(
+        raw.sealed_chunks().count() <= store.raw_retention() / 64 + 2,
+        "{} sealed chunks",
+        raw.sealed_chunks().count()
+    );
 }
 
 proptest! {
@@ -489,6 +771,72 @@ proptest! {
             fingerprint(&full_reference, 1, span_s)
         );
         drop(fleet);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A ring that links shipped chunks is indistinguishable from one
+    /// that decodes and appends them: same retained samples, same
+    /// accounting, same answers, at any retention — and a snapshot of
+    /// it recovers to the same state and snapshots again to the same
+    /// bytes.
+    #[test]
+    fn adopting_chunks_equals_decoding_and_appending_them(
+        seed in any::<u64>(),
+        records in 1usize..120,
+        retention in 1usize..3_000,
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let mut rng = TestRng::new(seed);
+        let (batches, corrupt) = mixed_stream(&mut rng, records);
+
+        let mut agg = FleetAggregator::with_store(FleetStore::with_raw_retention(retention));
+        let node = agg.add_node("node00");
+        for batch in &batches {
+            prop_assert!(agg.ingest(node, batch).applied);
+        }
+        assert_matches_oracle(&agg, &batches, corrupt, retention)?;
+        for m in 0..MIXED_METRICS {
+            if let Some(id) = agg.store().lookup(&format!("node00/m{m}")) {
+                let raw = agg.store().raw(id);
+                prop_assert!(raw.sealed_chunks().skip(1).all(|c| c.skip() == 0));
+                // `len()`, `total_appends()` and so the eviction count
+                // `total_appends − len` are the per-sample ring's.
+                let (kept, accepted, _) = oracle_ring(&batches, MetricId(m), retention);
+                prop_assert_eq!((raw.len(), raw.total_appends()), (kept.len(), accepted));
+            }
+        }
+
+        // The durable tier (default retention), snapshotted mid-stream
+        // and at the end, then recovered.
+        let dir = std::env::temp_dir().join(format!(
+            "moda_fleet_adopt_{}_{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fleet = DurableFleet::open(
+            &dir,
+            DurabilityConfig { snapshot_every_batches: 1 + rng.below(8) },
+        ).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &batches {
+            fleet.ingest(node, batch).unwrap();
+        }
+        fleet.snapshot().unwrap();
+        let first = snapshot_state(&dir);
+        let retention = fleet.store().raw_retention();
+        assert_matches_oracle(fleet.aggregator(), &batches, corrupt, retention)?;
+        drop(fleet);
+        let mut recovered = FleetStore::recover(&dir).unwrap();
+        prop_assert_eq!(recovered.recovery().replayed_batches, 0);
+        recovered.snapshot().unwrap();
+        prop_assert!(snapshot_state(&dir) == first, "recover-then-snapshot moved the state");
+        assert_matches_oracle(recovered.aggregator(), &batches, corrupt, retention)?;
+        drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -33,6 +33,13 @@
 //!      '10'   + meaningful bits  reuse previous leading/length window
 //!      '11'   + 6+6 bits + bits  new window: leading zeros, length
 //! ```
+//!
+//! Both directions move a 64-bit word at a time (the writer emits and
+//! the reader refills eight bytes per step), and the grammar above is
+//! stated once per direction: [`compress`] writes it, one private
+//! `step` reads it. Every reader — [`decode_exact`], [`validate`],
+//! [`Chunk::scan`], the streaming [`Decoder`] — is that `step` under a
+//! different sink, so they accept exactly the same payloads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,8 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the self-telemetry scrape as a pull-probe (`__self/chunk.encoded`).
 static ENCODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-lifetime count of chunk decodes (streaming [`Chunk::decode`]
-/// plus validated [`decode_exact`]); probe `__self/chunk.decoded`.
+/// Process-lifetime count of passes over a chunk payload ([`Chunk::scan`],
+/// streaming [`Chunk::decode`], [`decode_exact`] and [`validate`]);
+/// probe `__self/chunk.decoded`.
 static DECODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
 /// Chunks sealed through [`compress`] since process start.
@@ -57,92 +65,184 @@ pub fn decoded_chunks() -> u64 {
 /// Error decoding a wire-carried chunk payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
+    /// The record claims zero samples (no encoder emits that).
+    Empty,
     /// The bitstream ended before `count` samples were decoded.
     Truncated,
     /// A decoded timestamp delta was negative or overflowed.
     BadTimestamp,
+    /// A value reused a window before any was set, or declared one
+    /// wider than 64 bits.
+    BadWindow,
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DecodeError::Empty => write!(f, "chunk claims zero samples"),
             DecodeError::Truncated => write!(f, "chunk bitstream truncated"),
             DecodeError::BadTimestamp => write!(f, "chunk timestamp delta invalid"),
+            DecodeError::BadWindow => write!(f, "chunk value window invalid"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// MSB-first bit accumulator over a growable byte buffer.
+/// Payload widths of the three delta-of-delta buckets, narrowest first:
+/// bucket `k` is `k + 1` one-bits, a zero, then `DOD_WIDTHS[k]` bits
+/// holding `dod + dod_bias(width)`. Four one-bits escape to a raw
+/// 64-bit delta.
+const DOD_WIDTHS: [u32; 3] = [7, 9, 12];
+
+/// Offset that maps a bucket's `[-bias, bias + 1]` range onto its
+/// unsigned payload.
+const fn dod_bias(width: u32) -> i64 {
+    (1 << (width - 1)) - 1
+}
+
+/// MSB-first bit accumulator: pending bits sit left-aligned in a 64-bit
+/// word that is emitted eight bytes at a time.
 struct BitWriter {
     bytes: Vec<u8>,
-    cur: u8,
+    acc: u64,
     used: u32,
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    /// Writer for a region of `samples` samples. The estimate (smooth
+    /// telemetry seals near one byte per sample) only saves regrowth:
+    /// [`BitWriter::finish`] returns the payload at its exact length.
+    fn for_samples(samples: usize) -> Self {
         BitWriter {
-            bytes: Vec::new(),
-            cur: 0,
+            bytes: Vec::with_capacity(16 + 2 * samples),
+            acc: 0,
             used: 0,
         }
     }
 
-    /// Append the low `n` bits of `value`, MSB first.
-    fn write_bits(&mut self, value: u64, mut n: u32) {
-        debug_assert!(n <= 64);
-        while n > 0 {
-            let take = n.min(8 - self.used);
-            let shift = n - take;
-            let mask = ((1u32 << take) - 1) as u8;
-            let piece = ((value >> shift) as u8) & mask;
-            self.cur |= piece << (8 - self.used - take);
-            self.used += take;
-            n -= take;
-            if self.used == 8 {
-                self.bytes.push(self.cur);
-                self.cur = 0;
-                self.used = 0;
-            }
+    /// Append the low `n` bits of `value` (`1..=64`; bits above `n`
+    /// must be clear), MSB first.
+    #[inline]
+    fn write_bits(&mut self, value: u64, n: u32) {
+        debug_assert!((1..=64).contains(&n));
+        debug_assert!(n == 64 || value >> n == 0);
+        let total = self.used + n;
+        if total < 64 {
+            self.acc |= value << (64 - total);
+            self.used = total;
+        } else {
+            let over = total - 64;
+            self.acc |= value >> over;
+            self.bytes.extend_from_slice(&self.acc.to_be_bytes());
+            self.acc = if over == 0 { 0 } else { value << (64 - over) };
+            self.used = over;
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.bytes.push(self.cur);
+    /// `head` then `payload` as one write when the pair fits a word.
+    #[inline]
+    fn write_pair(&mut self, head: u64, head_bits: u32, payload: u64, payload_bits: u32) {
+        if head_bits + payload_bits <= 64 {
+            self.write_bits((head << payload_bits) | payload, head_bits + payload_bits);
+        } else {
+            self.write_bits(head, head_bits);
+            self.write_bits(payload, payload_bits);
         }
+    }
+
+    fn finish(mut self) -> Box<[u8]> {
+        let pending = self.used.div_ceil(8) as usize;
         self.bytes
+            .extend_from_slice(&self.acc.to_be_bytes()[..pending]);
+        self.bytes.into_boxed_slice()
     }
 }
 
-/// MSB-first bit cursor over a byte slice.
+/// MSB-first bit cursor: `avail` unread bits sit left-aligned in `acc`,
+/// refilled eight bytes at a time. Bits of `acc` below `avail` are
+/// either zero or the stream's own next bits (loaded but not yet
+/// counted), so a peek past `avail` never sees foreign data.
 struct BitReader<'a> {
     bytes: &'a [u8],
+    /// Next byte not yet counted into `avail`.
     pos: usize,
+    acc: u64,
+    avail: u32,
 }
 
 impl<'a> BitReader<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
+        BitReader {
+            bytes,
+            pos: 0,
+            acc: 0,
+            avail: 0,
+        }
     }
 
-    fn read_bits(&mut self, mut n: u32) -> Option<u64> {
-        if self.pos + n as usize > self.bytes.len() * 8 {
-            return None;
+    /// Top `acc` up to at least 56 bits, or to the end of the stream.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            let word = u64::from_be_bytes(word.try_into().expect("eight bytes"));
+            self.acc |= word >> self.avail;
+            self.pos += ((63 - self.avail) >> 3) as usize;
+            self.avail |= 56;
+        } else {
+            while self.avail <= 56 && self.pos < self.bytes.len() {
+                self.acc |= u64::from(self.bytes[self.pos]) << (56 - self.avail);
+                self.pos += 1;
+                self.avail += 8;
+            }
         }
-        let mut v = 0u64;
-        while n > 0 {
-            let byte = self.bytes[self.pos / 8];
-            let offset = (self.pos % 8) as u32;
-            let take = n.min(8 - offset);
-            let piece = (byte >> (8 - offset - take)) & (((1u32 << take) - 1) as u8);
-            v = (v << take) | piece as u64;
-            self.pos += take as usize;
-            n -= take;
+    }
+
+    /// Make `n <= 56` bits available, or report the stream truncated.
+    #[inline(always)]
+    fn need(&mut self, n: u32) -> Result<(), DecodeError> {
+        if self.avail < n {
+            self.refill();
+            if self.avail < n {
+                return Err(DecodeError::Truncated);
+            }
         }
-        Some(v)
+        Ok(())
+    }
+
+    /// The next `n` bits (`1..=56`, made available by `need`/`refill`).
+    #[inline(always)]
+    fn peek(&self, n: u32) -> u64 {
+        self.acc >> (64 - n)
+    }
+
+    #[inline(always)]
+    fn skip(&mut self, n: u32) {
+        self.acc <<= n;
+        self.avail -= n;
+    }
+
+    /// Read `n` bits, `1..=64`; a refill guarantees only 56, so wider
+    /// reads come in two halves.
+    #[inline(always)]
+    fn take(&mut self, n: u32) -> Result<u64, DecodeError> {
+        let mut hi = 0;
+        let mut n = n;
+        if n > 56 {
+            self.need(n - 32)?;
+            hi = self.peek(n - 32) << 32;
+            self.skip(n - 32);
+            n = 32;
+        }
+        self.need(n)?;
+        let lo = self.peek(n);
+        self.skip(n);
+        Ok(hi | lo)
+    }
+
+    /// Bytes of the stream the reads so far have touched.
+    fn used_bytes(&self) -> usize {
+        (self.pos * 8 - self.avail as usize).div_ceil(8)
     }
 }
 
@@ -153,7 +253,7 @@ impl<'a> BitReader<'a> {
 /// by retention so eviction stays sample-exact), the first/last encoded
 /// timestamps, and the lifetime append index of the first encoded
 /// sample (`start_append`, which the exporter's watermark cursors key
-/// on).
+/// on). The payload is held at its exact length.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     count: u32,
@@ -161,10 +261,24 @@ pub struct Chunk {
     first_t: u64,
     last_t: u64,
     start_append: u64,
-    bytes: Vec<u8>,
+    bytes: Box<[u8]>,
 }
 
 impl Chunk {
+    /// Link a validated payload as a sealed chunk without re-encoding
+    /// it: the bytes are copied at their used length, the header's
+    /// `last_t` is the one the validation walk computed.
+    pub(crate) fn adopt(v: &Validated<'_>, start_append: u64) -> Chunk {
+        Chunk {
+            count: v.count,
+            skip: 0,
+            first_t: v.first_t,
+            last_t: v.last_t,
+            start_append,
+            bytes: v.payload.into(),
+        }
+    }
+
     /// Encoded samples (including any logically evicted prefix).
     pub fn count(&self) -> u32 {
         self.count
@@ -213,7 +327,7 @@ impl Chunk {
 
     /// Heap bytes held by this chunk (payload + header).
     pub fn mem_bytes(&self) -> usize {
-        self.bytes.capacity() + std::mem::size_of::<Chunk>()
+        self.bytes.len() + std::mem::size_of::<Chunk>()
     }
 
     /// Logically evict the oldest `n` retained samples. Returns `true`
@@ -222,6 +336,21 @@ impl Chunk {
         self.skip += n;
         debug_assert!(self.skip <= self.count);
         self.skip == self.count
+    }
+
+    /// Visit the **retained** samples oldest first, stopping as soon as
+    /// `visit` returns `false`.
+    #[inline]
+    pub fn scan(&self, mut visit: impl FnMut(u64, f64) -> bool) {
+        DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
+        let walked = walk(
+            self.first_t,
+            self.count,
+            &self.bytes,
+            self.skip,
+            |t, bits| visit(t, f64::from_bits(bits)),
+        );
+        debug_assert!(walked.is_ok(), "sealed chunk bitstream is well-formed");
     }
 
     /// Streaming decoder over the **retained** samples (skip applied).
@@ -239,10 +368,20 @@ impl Chunk {
     pub fn decode_into(&self, out_ts: &mut Vec<u64>, out_vals: &mut Vec<f64>) {
         out_ts.reserve(self.retained_len());
         out_vals.reserve(self.retained_len());
-        for (t, v) in self.decode() {
+        self.scan(|t, v| {
             out_ts.push(t);
             out_vals.push(v);
-        }
+            true
+        });
+    }
+
+    /// This chunk with its evicted prefix dropped from the payload: the
+    /// retained suffix, re-encoded (`skip` 0, `first_t` the first
+    /// retained timestamp).
+    pub fn compacted(&self) -> Chunk {
+        let (mut ts, mut vals) = (Vec::new(), Vec::new());
+        self.decode_into(&mut ts, &mut vals);
+        compress(&ts, &vals, self.retained_start_append())
     }
 }
 
@@ -254,63 +393,61 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
     ENCODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     assert!(!ts.is_empty(), "cannot seal an empty region");
     assert_eq!(ts.len(), vals.len());
-    let mut w = BitWriter::new();
+    let mut w = BitWriter::for_samples(ts.len());
     w.write_bits(vals[0].to_bits(), 64);
 
     let mut prev_t = ts[0];
     let mut prev_delta: u64 = 0;
     let mut prev_bits = vals[0].to_bits();
-    // Value window: u32::MAX leading marks "no window yet".
-    let mut win_lead: u32 = u32::MAX;
+    // Value window; length 0 marks "no window yet".
+    let mut win_lead: u32 = 0;
     let mut win_len: u32 = 0;
 
-    for i in 1..ts.len() {
-        debug_assert!(ts[i] >= prev_t, "sealed region must be time-ordered");
-        let delta = ts[i] - prev_t;
+    for (&t, v) in ts[1..].iter().zip(&vals[1..]) {
+        debug_assert!(t >= prev_t, "sealed region must be time-ordered");
+        let delta = t - prev_t;
         let dod = delta as i128 - prev_delta as i128;
-        if dod == 0 {
-            w.write_bits(0b0, 1);
-        } else if (-63..=64).contains(&dod) {
-            w.write_bits(0b10, 2);
-            w.write_bits((dod + 63) as u64, 7);
-        } else if (-255..=256).contains(&dod) {
-            w.write_bits(0b110, 3);
-            w.write_bits((dod + 255) as u64, 9);
-        } else if (-2047..=2048).contains(&dod) {
-            w.write_bits(0b1110, 4);
-            w.write_bits((dod + 2047) as u64, 12);
+        prev_delta = delta;
+        prev_t = t;
+        // The timestamp code rides in `head` so it shares a write with
+        // the value's control bits (and payload, when they fit a word).
+        let (head, head_bits) = if dod == 0 {
+            (0, 1)
+        } else if let Some(k) = DOD_WIDTHS
+            .iter()
+            .position(|&w| (-dod_bias(w) as i128..=dod_bias(w) as i128 + 1).contains(&dod))
+        {
+            let (k, width) = (k as u32, DOD_WIDTHS[k]);
+            let prefix = (1u64 << (k + 2)) - 2;
+            let payload = (dod as i64 + dod_bias(width)) as u64;
+            ((prefix << width) | payload, k + 2 + width)
         } else {
             w.write_bits(0b1111, 4);
             w.write_bits(delta, 64);
-        }
-        prev_delta = delta;
-        prev_t = ts[i];
+            (0, 0)
+        };
 
-        let bits = vals[i].to_bits();
+        let bits = v.to_bits();
         let xor = bits ^ prev_bits;
         prev_bits = bits;
         if xor == 0 {
-            w.write_bits(0b0, 1);
+            w.write_bits(head << 1, head_bits + 1);
+            continue;
+        }
+        let lead = xor.leading_zeros();
+        let trail = xor.trailing_zeros();
+        if win_len != 0 && lead >= win_lead && trail >= 64 - win_lead - win_len {
+            // Fits the previous window: control '10' + window bits.
+            let win_trail = 64 - win_lead - win_len;
+            w.write_pair((head << 2) | 0b10, head_bits + 2, xor >> win_trail, win_len);
         } else {
-            let lead = xor.leading_zeros();
-            let trail = xor.trailing_zeros();
-            let in_window =
-                win_lead != u32::MAX && lead >= win_lead && trail >= 64 - win_lead - win_len;
-            if in_window {
-                // Fits the previous window: control '10' + window bits.
-                let win_trail = 64 - win_lead - win_len;
-                w.write_bits(0b10, 2);
-                w.write_bits(xor >> win_trail, win_len);
-            } else {
-                // New window: '11' + 6-bit leading + 6-bit length.
-                let len = 64 - lead - trail;
-                w.write_bits(0b11, 2);
-                w.write_bits(lead as u64, 6);
-                w.write_bits((len & 63) as u64, 6); // 64 encodes as 0
-                w.write_bits(xor >> trail, len);
-                win_lead = lead;
-                win_len = len;
-            }
+            // New window: '11' + 6-bit leading + 6-bit length (64
+            // encodes as 0).
+            let len = 64 - lead - trail;
+            let ctrl = (0b11 << 12) | (u64::from(lead) << 6) | u64::from(len & 63);
+            w.write_pair((head << 14) | ctrl, head_bits + 14, xor >> trail, len);
+            win_lead = lead;
+            win_len = len;
         }
     }
 
@@ -324,116 +461,172 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
     }
 }
 
-/// Streaming decoder yielding `(timestamp_ms, value)` pairs.
-///
-/// Yields at most `count` samples; a malformed (truncated) stream ends
-/// the iteration early — use [`decode_exact`] when the payload comes
-/// off the wire and must be validated.
-pub struct Decoder<'a> {
-    r: BitReader<'a>,
-    remaining: u32,
-    first: bool,
-    first_t: u64,
+/// Decoder state between samples.
+struct State {
     t: u64,
     delta: u64,
     bits: u64,
     win_lead: u32,
+    /// Length 0 marks "no window yet".
     win_len: u32,
-    failed: bool,
 }
 
-impl<'a> Decoder<'a> {
-    /// Decoder over a raw payload: `first_t` seeds the timestamp chain
-    /// (the header field of [`Chunk`] or of a wire `chunk` record).
-    pub fn new(first_t: u64, count: u32, bytes: &'a [u8]) -> Self {
-        Decoder {
-            r: BitReader::new(bytes),
-            remaining: count,
-            first: true,
-            first_t,
-            t: 0,
+impl State {
+    /// State at the first sample: its timestamp is the header's, its
+    /// value the stream's opening 64 bits.
+    #[inline(always)]
+    fn open(r: &mut BitReader<'_>, first_t: u64) -> Result<State, DecodeError> {
+        Ok(State {
+            t: first_t,
             delta: 0,
-            bits: 0,
-            win_lead: u32::MAX,
+            bits: r.take(64)?,
+            win_lead: 0,
             win_len: 0,
-            failed: false,
-        }
+        })
     }
+}
 
-    fn step(&mut self) -> Option<(u64, f64)> {
-        if self.first {
-            self.first = false;
-            self.bits = self.r.read_bits(64)?;
-            self.t = self.first_t;
-            return Some((self.t, f64::from_bits(self.bits)));
+/// Advance `s` by one sample — the read side of the bit grammar.
+/// Inlined into each caller's loop so the state lives in registers.
+#[inline(always)]
+fn step(r: &mut BitReader<'_>, s: &mut State) -> Result<(), DecodeError> {
+    // Timestamp: the count of leading one-bits (up to four) names the
+    // delta-of-delta bucket. 16 bits cover the widest bucket whole.
+    if r.avail < 16 {
+        r.refill();
+    }
+    let ones = (!r.acc).leading_zeros();
+    if ones == 0 {
+        r.need(1)?;
+        r.skip(1);
+    } else if let Some(&width) = DOD_WIDTHS.get(ones as usize - 1) {
+        let code_bits = ones + 1 + width;
+        r.need(code_bits)?;
+        let payload = r.peek(code_bits) & ((1 << width) - 1);
+        r.skip(code_bits);
+        s.delta = s
+            .delta
+            .checked_add_signed(payload as i64 - dod_bias(width))
+            .ok_or(DecodeError::BadTimestamp)?;
+    } else {
+        r.need(4)?;
+        r.skip(4);
+        s.delta = r.take(64)?;
+    }
+    s.t = s.t.checked_add(s.delta).ok_or(DecodeError::BadTimestamp)?;
+
+    // Value: '0' repeats, '10' reuses the window, '11' declares one.
+    if r.avail < 14 {
+        r.refill();
+    }
+    let ctrl = r.peek(14);
+    if ctrl >> 13 == 0 {
+        r.need(1)?;
+        r.skip(1);
+        return Ok(());
+    }
+    if ctrl >> 12 == 0b10 {
+        r.need(2)?;
+        r.skip(2);
+        if s.win_len == 0 {
+            return Err(DecodeError::BadWindow);
         }
-        // Timestamp: unary-prefixed delta-of-delta bucket.
-        let dod: i64 = if self.r.read_bits(1)? == 0 {
-            0
-        } else if self.r.read_bits(1)? == 0 {
-            self.r.read_bits(7)? as i64 - 63
-        } else if self.r.read_bits(1)? == 0 {
-            self.r.read_bits(9)? as i64 - 255
-        } else if self.r.read_bits(1)? == 0 {
-            self.r.read_bits(12)? as i64 - 2047
-        } else {
-            self.delta = self.r.read_bits(64)?;
-            let t = self.t.checked_add(self.delta)?;
-            self.t = t;
-            return self.step_value();
+    } else {
+        r.need(14)?;
+        r.skip(14);
+        s.win_lead = (ctrl >> 6) as u32 & 63;
+        s.win_len = match ctrl as u32 & 63 {
+            0 => 64,
+            len => len,
         };
-        let delta = (self.delta as i128 + dod as i128).try_into().ok()?;
-        self.delta = delta;
-        self.t = self.t.checked_add(delta)?;
-        self.step_value()
+        if s.win_lead + s.win_len > 64 {
+            return Err(DecodeError::BadWindow);
+        }
+    }
+    s.bits ^= r.take(s.win_len)? << (64 - s.win_lead - s.win_len);
+    Ok(())
+}
+
+/// Proof that a payload decodes, from [`validate`]: a full walk found
+/// `count` well-formed samples with non-decreasing, non-overflowing
+/// timestamps. Only this module can build one, so holding it is what
+/// entitles a ring to link the bytes unread
+/// ([`TimeSeries::adopt_chunk`](crate::series::TimeSeries::adopt_chunk)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Validated<'a> {
+    /// Timestamp of the last sample.
+    pub last_t: u64,
+    /// Value of the last sample.
+    pub last_value: f64,
+    /// Length of the shortest payload prefix that still decodes; bytes
+    /// past it are not part of the chunk.
+    pub used_bytes: usize,
+    first_t: u64,
+    count: u32,
+    /// The validated payload, cut to `used_bytes`.
+    payload: &'a [u8],
+}
+
+impl Validated<'_> {
+    /// Timestamp of the first sample (the header's `first_t`).
+    pub fn first_t(&self) -> u64 {
+        self.first_t
     }
 
-    fn step_value(&mut self) -> Option<(u64, f64)> {
-        if self.r.read_bits(1)? == 1 {
-            if self.r.read_bits(1)? == 1 {
-                self.win_lead = self.r.read_bits(6)? as u32;
-                let len = self.r.read_bits(6)? as u32;
-                self.win_len = if len == 0 { 64 } else { len };
-                if self.win_lead + self.win_len > 64 {
-                    return None;
-                }
-            } else if self.win_lead == u32::MAX {
-                return None; // '10' before any window: malformed
-            }
-            let trail = 64 - self.win_lead - self.win_len;
-            let xor = self.r.read_bits(self.win_len)? << trail;
-            self.bits ^= xor;
-        }
-        Some((self.t, f64::from_bits(self.bits)))
+    /// Samples the payload holds.
+    pub fn count(&self) -> u32 {
+        self.count
     }
 }
 
-impl Iterator for Decoder<'_> {
-    type Item = (u64, f64);
-
-    fn next(&mut self) -> Option<(u64, f64)> {
-        if self.remaining == 0 || self.failed {
-            return None;
-        }
-        match self.step() {
-            Some(s) => {
-                self.remaining -= 1;
-                Some(s)
-            }
-            None => {
-                self.failed = true;
-                None
-            }
-        }
+/// The one decode loop: walk `count` samples of a payload, handing each
+/// one past the first `skip` to `visit` as `(timestamp, value bits)`.
+/// Returns what the walk proved, or `None` when `visit` stopped it
+/// early by returning `false`.
+#[inline(always)]
+fn walk<'a>(
+    first_t: u64,
+    count: u32,
+    bytes: &'a [u8],
+    skip: u32,
+    mut visit: impl FnMut(u64, u64) -> bool,
+) -> Result<Option<Validated<'a>>, DecodeError> {
+    if count == 0 {
+        return Err(DecodeError::Empty);
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining as usize))
+    let mut r = BitReader::new(bytes);
+    let mut s = State::open(&mut r, first_t)?;
+    let mut i = 0;
+    loop {
+        if i >= skip && !visit(s.t, s.bits) {
+            return Ok(None);
+        }
+        i += 1;
+        if i == count {
+            break;
+        }
+        step(&mut r, &mut s)?;
     }
+    let used_bytes = r.used_bytes();
+    Ok(Some(Validated {
+        last_t: s.t,
+        last_value: f64::from_bits(s.bits),
+        used_bytes,
+        first_t,
+        count,
+        payload: &bytes[..used_bytes],
+    }))
 }
 
-/// Decode a wire payload, validating that exactly `count` well-formed
-/// samples come out and that timestamps are non-decreasing. Appends to
+/// Check a wire payload without materialising it: exactly `count >= 1`
+/// well-formed samples, timestamps non-decreasing and non-overflowing.
+/// Accepts precisely the payloads [`decode_exact`] accepts.
+pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>, DecodeError> {
+    DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
+    walk(first_t, count, bytes, 0, |_, _| true).map(|v| v.expect("the visitor never stops"))
+}
+
+/// Decode a wire payload, validating as [`validate`] does. Appends to
 /// `out_ts` / `out_vals`; on error the outputs are left as they were.
 pub fn decode_exact(
     first_t: u64,
@@ -444,28 +637,71 @@ pub fn decode_exact(
 ) -> Result<(), DecodeError> {
     DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     let (ts_mark, vals_mark) = (out_ts.len(), out_vals.len());
-    let mut d = Decoder::new(first_t, count, bytes);
-    let mut prev = None;
-    for _ in 0..count {
-        match d.next() {
-            Some((t, v)) => {
-                if prev.is_some_and(|p| t < p) {
-                    out_ts.truncate(ts_mark);
-                    out_vals.truncate(vals_mark);
-                    return Err(DecodeError::BadTimestamp);
-                }
-                prev = Some(t);
-                out_ts.push(t);
-                out_vals.push(v);
+    let walked = walk(first_t, count, bytes, 0, |t, bits| {
+        out_ts.push(t);
+        out_vals.push(f64::from_bits(bits));
+        true
+    });
+    if walked.is_err() {
+        out_ts.truncate(ts_mark);
+        out_vals.truncate(vals_mark);
+    }
+    walked.map(|_| ())
+}
+
+/// Streaming decoder yielding `(timestamp_ms, value)` pairs.
+///
+/// Yields at most `count` samples; a malformed (truncated) stream ends
+/// the iteration early — use [`decode_exact`] or [`validate`] when the
+/// payload comes off the wire and must be checked.
+pub struct Decoder<'a> {
+    r: BitReader<'a>,
+    /// `None` until the first sample opens the state.
+    s: Option<State>,
+    first_t: u64,
+    remaining: u32,
+}
+
+impl<'a> Decoder<'a> {
+    /// Decoder over a raw payload: `first_t` seeds the timestamp chain
+    /// (the header field of [`Chunk`] or of a wire `chunk` record).
+    pub fn new(first_t: u64, count: u32, bytes: &'a [u8]) -> Self {
+        Decoder {
+            r: BitReader::new(bytes),
+            s: None,
+            first_t,
+            remaining: count,
+        }
+    }
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = (u64, f64);
+
+    fn next(&mut self) -> Option<(u64, f64)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let stepped = match &mut self.s {
+            Some(s) => step(&mut self.r, s),
+            None => State::open(&mut self.r, self.first_t).map(|s| self.s = Some(s)),
+        };
+        match (stepped, &self.s) {
+            (Ok(()), Some(s)) => {
+                self.remaining -= 1;
+                Some((s.t, f64::from_bits(s.bits)))
             }
-            None => {
-                out_ts.truncate(ts_mark);
-                out_vals.truncate(vals_mark);
-                return Err(DecodeError::Truncated);
+            // A malformed stream ends the iteration for good.
+            _ => {
+                self.remaining = 0;
+                None
             }
         }
     }
-    Ok(())
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.remaining as usize))
+    }
 }
 
 #[cfg(test)]
@@ -573,5 +809,280 @@ mod tests {
             Err(DecodeError::Truncated)
         );
         assert!(out_t.is_empty() && out_v.is_empty());
+    }
+    #[test]
+    fn payloads_are_held_at_exact_length() {
+        let ts: Vec<u64> = (0..512u64).map(|s| s * 1000).collect();
+        let vals: Vec<f64> = (0..512).map(|i| 200.0 + (i % 7) as f64).collect();
+        let c = compress(&ts, &vals, 0);
+        assert_eq!(
+            c.mem_bytes(),
+            c.bytes().len() + std::mem::size_of::<Chunk>()
+        );
+        let v = validate(c.first_t(), c.count(), c.bytes()).unwrap();
+        assert_eq!(v.used_bytes, c.bytes().len());
+    }
+
+    #[test]
+    fn validate_ignores_trailing_bytes_and_rejects_empty_records() {
+        let ts: Vec<u64> = (0..100u64).map(|s| s * 250).collect();
+        let vals: Vec<f64> = (0..100).map(|i| (i * i) as f64 * 0.5).collect();
+        let c = compress(&ts, &vals, 0);
+        let mut padded = c.bytes().to_vec();
+        padded.extend_from_slice(&[0xAB; 9]);
+        let v = validate(c.first_t(), c.count(), &padded).unwrap();
+        assert_eq!(v.used_bytes, c.bytes().len());
+        assert_eq!((v.last_t, v.last_value), (99 * 250, 99.0 * 99.0 * 0.5));
+        // The adopted chunk holds the used prefix only.
+        assert_eq!(Chunk::adopt(&v, 7).bytes(), c.bytes());
+        assert_eq!(validate(0, 0, c.bytes()), Err(DecodeError::Empty));
+        let (mut t, mut x) = (Vec::new(), Vec::new());
+        assert_eq!(
+            decode_exact(0, 0, c.bytes(), &mut t, &mut x),
+            Err(DecodeError::Empty)
+        );
+    }
+
+    #[test]
+    fn compacted_drops_the_evicted_prefix() {
+        let ts: Vec<u64> = (0..300u64).map(|s| s * 1000 + (s % 3)).collect();
+        let vals: Vec<f64> = (0..300).map(|i| (i % 13) as f64 * 1.5).collect();
+        let mut c = compress(&ts, &vals, 40);
+        c.evict(123);
+        let small = c.compacted();
+        assert_eq!((small.count(), small.skip()), (177, 0));
+        assert_eq!(small.first_t(), ts[123]);
+        assert_eq!(small.last_t(), c.last_t());
+        assert_eq!(small.start_append(), c.retained_start_append());
+        let want: Vec<(u64, u64)> = c.decode().map(|(t, v)| (t, v.to_bits())).collect();
+        let got: Vec<(u64, u64)> = small.decode().map(|(t, v)| (t, v.to_bits())).collect();
+        assert_eq!(got, want);
+    }
+
+    // ---- the grammar, bit at a time ------------------------------------
+    //
+    // A reference for the tests below, not a second path: one bit per
+    // loop turn, no accumulator, written from the module docs alone.
+
+    fn ref_put(bits: &mut Vec<bool>, value: u64, n: u32) {
+        bits.extend((0..n).rev().map(|i| value >> i & 1 == 1));
+    }
+
+    fn ref_encode(ts: &[u64], vals: &[f64]) -> Vec<u8> {
+        let mut bits = Vec::new();
+        ref_put(&mut bits, vals[0].to_bits(), 64);
+        let (mut delta, mut window) = (0u64, None::<(u32, u32)>);
+        for i in 1..ts.len() {
+            let d = ts[i] - ts[i - 1];
+            let dod = d as i128 - delta as i128;
+            delta = d;
+            match dod {
+                0 => ref_put(&mut bits, 0b0, 1),
+                -63..=64 => ref_put(&mut bits, 0b10 << 7 | (dod + 63) as u64, 9),
+                -255..=256 => ref_put(&mut bits, 0b110 << 9 | (dod + 255) as u64, 12),
+                -2047..=2048 => ref_put(&mut bits, 0b1110 << 12 | (dod + 2047) as u64, 16),
+                _ => {
+                    ref_put(&mut bits, 0b1111, 4);
+                    ref_put(&mut bits, d, 64);
+                }
+            }
+            let xor = vals[i].to_bits() ^ vals[i - 1].to_bits();
+            if xor == 0 {
+                ref_put(&mut bits, 0b0, 1);
+                continue;
+            }
+            let (lead, trail) = (xor.leading_zeros(), xor.trailing_zeros());
+            match window {
+                Some((wl, wn)) if lead >= wl && trail >= 64 - wl - wn => {
+                    ref_put(&mut bits, 0b10, 2);
+                    ref_put(&mut bits, xor >> (64 - wl - wn), wn);
+                }
+                _ => {
+                    let len = 64 - lead - trail;
+                    ref_put(&mut bits, 0b11, 2);
+                    ref_put(&mut bits, lead as u64, 6);
+                    ref_put(&mut bits, (len & 63) as u64, 6);
+                    ref_put(&mut bits, xor >> trail, len);
+                    window = Some((lead, len));
+                }
+            }
+        }
+        bits.chunks(8)
+            .map(|b| {
+                b.iter()
+                    .enumerate()
+                    .fold(0, |acc, (i, &x)| acc | (x as u8) << (7 - i))
+            })
+            .collect()
+    }
+
+    fn ref_get(bytes: &[u8], pos: &mut usize, n: u32) -> Option<u64> {
+        let mut v = 0u64;
+        for _ in 0..n {
+            let byte = *bytes.get(*pos / 8)?;
+            v = v << 1 | (byte >> (7 - *pos % 8) & 1) as u64;
+            *pos += 1;
+        }
+        Some(v)
+    }
+
+    /// The samples decoded before the stream ended or broke, whether all
+    /// `count` came out, and how many bytes the reads touched.
+    fn ref_decode(first_t: u64, count: u32, bytes: &[u8]) -> (Vec<(u64, u64)>, bool, usize) {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        let mut run = || -> Option<()> {
+            let (mut t, mut delta) = (first_t, 0u64);
+            let mut bits = ref_get(bytes, &mut pos, 64)?;
+            let mut window = None::<(u32, u32)>;
+            out.push((t, bits));
+            for _ in 1..count {
+                let mut ones = 0;
+                while ones < 4 && ref_get(bytes, &mut pos, 1)? == 1 {
+                    ones += 1;
+                }
+                delta = match ones {
+                    0 => delta,
+                    4 => ref_get(bytes, &mut pos, 64)?,
+                    k => {
+                        let (width, bias) = [(7, 63), (9, 255), (12, 2047)][k - 1];
+                        let dod = ref_get(bytes, &mut pos, width)? as i128 - bias;
+                        u64::try_from(delta as i128 + dod).ok()?
+                    }
+                };
+                t = t.checked_add(delta)?;
+                if ref_get(bytes, &mut pos, 1)? == 1 {
+                    if ref_get(bytes, &mut pos, 1)? == 1 {
+                        let lead = ref_get(bytes, &mut pos, 6)? as u32;
+                        let len = match ref_get(bytes, &mut pos, 6)? as u32 {
+                            0 => 64,
+                            len => len,
+                        };
+                        window = Some((lead, len));
+                    }
+                    let (lead, len) = window.filter(|&(lead, len)| lead + len <= 64)?;
+                    bits ^= ref_get(bytes, &mut pos, len)? << (64 - lead - len);
+                }
+                out.push((t, bits));
+            }
+            Some(())
+        };
+        let complete = count > 0 && run().is_some();
+        (out, complete, pos.div_ceil(8))
+    }
+
+    /// Every reader against the reference on one `(first_t, count,
+    /// bytes)` input, well-formed or not.
+    fn check_readers(first_t: u64, count: u32, bytes: &[u8], skip: u32) {
+        let (want, complete, used) = ref_decode(first_t, count, bytes);
+        let (mut ts, mut vals) = (vec![7], vec![7.0]);
+        let exact = decode_exact(first_t, count, bytes, &mut ts, &mut vals);
+        let checked = validate(first_t, count, bytes);
+        assert_eq!(exact.is_ok(), complete, "decode_exact acceptance");
+        assert_eq!(checked.is_ok(), complete, "validate acceptance");
+        assert_eq!(exact.err(), checked.err());
+        let streamed: Vec<(u64, u64)> = Decoder::new(first_t, count, bytes)
+            .map(|(t, v)| (t, v.to_bits()))
+            .collect();
+        assert_eq!(streamed, want, "the stream yields the well-formed prefix");
+        if !complete {
+            assert_eq!(
+                (ts, vals),
+                (vec![7], vec![7.0]),
+                "outputs left as they were"
+            );
+            return;
+        }
+        let got: Vec<(u64, u64)> = ts[1..]
+            .iter()
+            .zip(&vals[1..])
+            .map(|(&t, v)| (t, v.to_bits()))
+            .collect();
+        assert_eq!(got, want);
+        let v = checked.unwrap();
+        let last = want.last().unwrap();
+        assert_eq!((v.last_t, v.last_value.to_bits()), *last);
+        assert_eq!(v.used_bytes, used);
+        assert!(validate(first_t, count, &bytes[..used]).is_ok());
+        assert!(validate(first_t, count, &bytes[..used - 1]).is_err());
+        // A linked chunk reads back the same, from any eviction point.
+        let mut c = Chunk::adopt(&v, 0);
+        assert_eq!(c.bytes(), &bytes[..used]);
+        let skip = skip % count;
+        if skip > 0 {
+            c.evict(skip);
+        }
+        let (mut ts, mut vals) = (Vec::new(), Vec::new());
+        c.decode_into(&mut ts, &mut vals);
+        let got: Vec<(u64, u64)> = ts
+            .iter()
+            .zip(&vals)
+            .map(|(&t, v)| (t, v.to_bits()))
+            .collect();
+        assert_eq!(got, want[skip as usize..]);
+    }
+
+    /// Samples from a seed: smooth runs, repeats, NaN payloads, duplicate
+    /// timestamps, deltas and XOR windows up to the full 64 bits.
+    fn arbitrary_samples(rng: &mut proptest::TestRng, n: usize) -> (Vec<u64>, Vec<f64>) {
+        let mut t = rng.below(1 << 40);
+        let mut bits = (200.0f64).to_bits();
+        let (mut ts, mut vals) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            ts.push(t);
+            vals.push(f64::from_bits(bits));
+            let step = match rng.below(10) {
+                0 => 0,
+                1 => rng.below(5000),
+                2 => rng.next_u64() >> rng.below(64),
+                _ => 1000 + rng.below(3),
+            };
+            t = t.saturating_add(step);
+            bits = match rng.below(10) {
+                0 => bits,
+                1 => rng.next_u64(),
+                2 => 0x7ff8_0000_0000_0000 | rng.below(1 << 20),
+                3 => bits ^ (1 << 63 | 1),
+                _ => (f64::from_bits(bits) + rng.below(7) as f64 - 3.0).to_bits(),
+            };
+        }
+        (ts, vals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `compress` writes the reference's bytes; every reader agrees
+        /// with the reference on them, on damaged copies of them, and on
+        /// noise — same samples, same acceptance, same `used_bytes`.
+        #[test]
+        fn codec_agrees_with_the_bitwise_reference(
+            seed in proptest::any::<u64>(),
+            n in 1usize..700,
+            skip in proptest::any::<u32>(),
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (ts, vals) = arbitrary_samples(&mut rng, n);
+            let c = compress(&ts, &vals, 0);
+            proptest::prop_assert_eq!(c.bytes(), &ref_encode(&ts, &vals)[..]);
+            check_readers(c.first_t(), c.count(), c.bytes(), skip);
+
+            // Mangled: a flipped bit, a cut, trailing garbage, a wrong
+            // count, a wrong first timestamp, and pure noise.
+            let mut flipped = c.bytes().to_vec();
+            let at = rng.below(flipped.len() as u64 * 8) as usize;
+            flipped[at / 8] ^= 0x80 >> (at % 8);
+            check_readers(c.first_t(), c.count(), &flipped, skip);
+            let cut = rng.below(c.bytes().len() as u64 + 1) as usize;
+            check_readers(c.first_t(), c.count(), &c.bytes()[..cut], skip);
+            let mut padded = c.bytes().to_vec();
+            padded.extend((0..rng.below(12)).map(|_| rng.next_u64() as u8));
+            check_readers(c.first_t(), c.count(), &padded, skip);
+            check_readers(c.first_t(), c.count() + rng.below(3) as u32, &padded, skip);
+            check_readers(c.first_t(), rng.below(u64::from(c.count()) + 1) as u32, c.bytes(), skip);
+            check_readers(u64::MAX - rng.below(1 << 20), c.count(), c.bytes(), skip);
+            let noise: Vec<u8> = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect();
+            check_readers(rng.next_u64(), rng.below(64) as u32, &noise, skip);
+        }
     }
 }

@@ -450,13 +450,7 @@ fn copy_pending(
                 return true;
             }
             if c.skip() == 0 && c.start_append() == cursor.appends {
-                batch.push(ExportRecord::Chunk {
-                    id,
-                    count: c.count(),
-                    first_t: SimTime(c.first_t()),
-                    last_t: SimTime(c.last_t()),
-                    bytes: c.bytes().to_vec(),
-                });
+                batch.push(ExportRecord::chunk(id, c));
                 stats.chunks += 1;
                 stats.samples += u64::from(c.count());
                 cursor.appends = hi;

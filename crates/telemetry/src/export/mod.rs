@@ -125,6 +125,7 @@ pub use sinks::{snapshot_csv, CsvSink, MemorySink};
 // this repository imports the codec from `wire` directly.
 pub use crate::wire::encode_batch;
 
+use crate::chunk::Chunk;
 use crate::metric::{MetricId, MetricMeta};
 use crate::rollup::RollupSet;
 use crate::series::TimeSeries;
@@ -210,6 +211,20 @@ pub enum ExportRecord {
         /// The Gorilla-compressed payload.
         bytes: Vec<u8>,
     },
+}
+
+impl ExportRecord {
+    /// The `chunk` record that ships `c` whole for metric `id`: its
+    /// header fields and a copy of its compressed bytes.
+    pub fn chunk(id: MetricId, c: &Chunk) -> ExportRecord {
+        ExportRecord::Chunk {
+            id,
+            count: c.count(),
+            first_t: SimTime(c.first_t()),
+            last_t: SimTime(c.last_t()),
+            bytes: c.bytes().to_vec(),
+        }
+    }
 }
 
 /// A size-bounded unit of transport: at most the exporter's configured

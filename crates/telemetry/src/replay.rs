@@ -59,29 +59,31 @@ impl ReplayStore {
                 id,
                 count,
                 first_t,
+                last_t,
                 bytes,
-                ..
             } => {
                 // Decode on absorb: a chunk is `count` sample records in
                 // one compressed payload, and replays to exactly what
-                // the per-sample stream would have produced.
+                // the per-sample stream would have produced. A payload
+                // that does not end where its header says is corrupt.
                 self.scratch_ts.clear();
                 self.scratch_vals.clear();
-                match crate::chunk::decode_exact(
+                let decoded = crate::chunk::decode_exact(
                     first_t.0,
                     *count,
                     bytes,
                     &mut self.scratch_ts,
                     &mut self.scratch_vals,
-                ) {
-                    Ok(()) => {
+                );
+                match decoded {
+                    Ok(()) if self.scratch_ts.last() == Some(&last_t.0) => {
                         let out = self.samples.entry(id.0).or_default();
                         out.reserve(self.scratch_ts.len());
                         for (&t, &v) in self.scratch_ts.iter().zip(&self.scratch_vals) {
                             out.push((SimTime(t), v));
                         }
                     }
-                    Err(_) => self.corrupt_chunks += 1,
+                    _ => self.corrupt_chunks += 1,
                 }
             }
             ExportRecord::Bucket { .. } | ExportRecord::Sketch { .. } => unreachable!(),
@@ -129,8 +131,9 @@ impl ReplayStore {
         &self.tiers
     }
 
-    /// Compressed-chunk records dropped because their payload failed to
-    /// decode (truncated or time-disordered bitstream).
+    /// Compressed-chunk records dropped as corrupt: the payload failed
+    /// to decode (truncated or time-disordered bitstream, zero samples)
+    /// or ended elsewhere than the header's `last_t`.
     pub fn corrupt_chunks(&self) -> u64 {
         self.corrupt_chunks
     }

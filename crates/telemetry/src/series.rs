@@ -30,7 +30,7 @@
 //! decodes nothing, exactly like the previous ring. Aggregations fold
 //! directly over the segments.
 
-use crate::chunk::{self, Chunk};
+use crate::chunk::{self, Chunk, Validated};
 use crate::window::WindowAgg;
 use moda_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -172,42 +172,27 @@ impl TimeSeries {
         true
     }
 
-    /// Bulk-append a time-ordered block (the fleet chunk-ingest path:
-    /// one ordering check, then straight `extend` into the tail with the
-    /// usual seal/evict bookkeeping). The block must be internally
-    /// non-decreasing and start at or after the newest sample; an
-    /// ill-ordered block is refused whole (returns `false`, series
-    /// untouched) so the caller can fall back to per-sample pushes with
-    /// exact reject accounting.
-    pub fn append_block(&mut self, ts: &[u64], vals: &[f64]) -> bool {
-        assert_eq!(ts.len(), vals.len());
-        if ts.is_empty() {
-            return true;
-        }
-        if ts.windows(2).any(|w| w[1] < w[0]) {
+    /// Link an already-validated compressed block as a sealed chunk —
+    /// the fleet chunk-ingest path: the payload arrived in storage
+    /// format, so it is neither decoded nor re-compressed. Seals
+    /// whatever tail there is first (the block's samples follow it),
+    /// then evicts sample-exactly as any append does. A block that
+    /// starts before the newest sample is refused whole (returns
+    /// `false`, series untouched) so the caller can fall back to
+    /// per-sample pushes with exact reject accounting.
+    pub fn adopt_chunk(&mut self, block: &Validated<'_>) -> bool {
+        if self
+            .last
+            .is_some_and(|(last_t, _)| block.first_t() < last_t)
+        {
             return false;
         }
-        if let Some((last_t, _)) = self.last {
-            if ts[0] < last_t {
-                return false;
-            }
-        }
-        let mut i = 0;
-        while i < ts.len() {
-            if self.tail_ts.len() == self.seal_threshold {
-                self.seal_tail();
-            }
-            let room = self.seal_threshold - self.tail_ts.len();
-            let m = room.min(ts.len() - i);
-            self.tail_ts.extend_from_slice(&ts[i..i + m]);
-            self.tail_vals.extend_from_slice(&vals[i..i + m]);
-            self.total_appends += m as u64;
-            i += m;
-        }
-        self.last = Some((
-            *ts.last().expect("non-empty"),
-            *vals.last().expect("non-empty"),
-        ));
+        self.seal_tail();
+        self.chunks
+            .push_back(Chunk::adopt(block, self.total_appends));
+        self.chunk_len += block.count() as usize;
+        self.total_appends += u64::from(block.count());
+        self.last = Some((block.last_t, block.last_value));
         self.evict_to_target();
         true
     }
@@ -322,11 +307,7 @@ impl TimeSeries {
     /// otherwise.
     pub fn oldest(&self) -> Option<Sample> {
         if let Some(front) = self.chunks.front() {
-            let (t, value) = front.decode().next().expect("sealed chunk is non-empty");
-            return Some(Sample {
-                t: SimTime(t),
-                value,
-            });
+            return Some(first_retained(front));
         }
         self.tail_ts.first().map(|&t| Sample {
             t: SimTime(t),
@@ -414,16 +395,16 @@ impl TimeSeries {
             if !below(c.first_t()) && !above(c.last_t()) {
                 c.decode_into(&mut buf.ts, &mut buf.vals);
             } else {
-                for (t, v) in c.decode() {
-                    if below(t) {
-                        continue;
-                    }
+                c.scan(|t, v| {
                     if above(t) {
-                        break;
+                        return false;
                     }
-                    buf.ts.push(t);
-                    buf.vals.push(v);
-                }
+                    if !below(t) {
+                        buf.ts.push(t);
+                        buf.vals.push(v);
+                    }
+                    true
+                });
             }
         }
         SampleView {
@@ -479,7 +460,8 @@ impl TimeSeries {
             let (nt, nv) = if below + 1 < buf.ts.len() {
                 (buf.ts[below + 1], buf.vals[below + 1])
             } else if let Some(next) = self.chunks.get(ci + 1) {
-                next.decode().next().expect("sealed chunk is non-empty")
+                let next = first_retained(next);
+                (next.t.0, next.value)
             } else {
                 (self.tail_ts[0], self.tail_vals[0])
             };
@@ -494,6 +476,20 @@ impl TimeSeries {
         let frac = (t - bt) as f64 / span;
         bv + frac * (nv - bv)
     }
+}
+
+/// Oldest retained sample of a sealed chunk (a retained chunk is never
+/// empty: eviction drops a chunk the moment its last sample goes).
+fn first_retained(c: &Chunk) -> Sample {
+    let mut first = None;
+    c.scan(|t, value| {
+        first = Some(Sample {
+            t: SimTime(t),
+            value,
+        });
+        false
+    });
+    first.expect("sealed chunk is non-empty")
 }
 
 /// Allocation-light result of a window/range query: parallel
@@ -981,25 +977,44 @@ mod tests {
     }
 
     #[test]
-    fn append_block_matches_pushes() {
+    fn adopt_chunk_matches_pushes() {
         let ts_ms: Vec<u64> = (0..1200u64).map(|i| i * 500).collect();
         let vals: Vec<f64> = (0..1200).map(|i| (i % 97) as f64).collect();
+        // 100 pushed samples, then the rest adopted as two blocks.
         let mut a = TimeSeries::new(1000);
-        assert!(a.append_block(&ts_ms, &vals));
         let mut b = TimeSeries::new(1000);
         for (&t, &v) in ts_ms.iter().zip(&vals) {
             b.push(SimTime(t), v);
         }
+        for i in 0..100 {
+            a.push(SimTime(ts_ms[i]), vals[i]);
+        }
+        for span in [100..700, 700..1200] {
+            let c = chunk::compress(&ts_ms[span.clone()], &vals[span], 0);
+            let block = chunk::validate(c.first_t(), c.count(), c.bytes()).unwrap();
+            assert!(a.adopt_chunk(&block));
+        }
         assert_eq!(a.len(), b.len());
         assert_eq!(a.total_appends(), b.total_appends());
+        assert_eq!(a.latest(), b.latest());
         let av: Vec<Sample> = a.iter().collect();
         let bv: Vec<Sample> = b.iter().collect();
         assert_eq!(av, bv);
-        // Ill-ordered blocks are refused whole.
-        let before = a.len();
-        assert!(!a.append_block(&[1, 0], &[0.0, 0.0]));
-        assert!(!a.append_block(&[0], &[0.0]));
-        assert_eq!(a.len(), before);
+        // Eviction stayed sample-exact and only the front chunk skips.
+        assert_eq!(a.len(), 1000);
+        assert!(a.sealed_chunks().skip(1).all(|c| c.skip() == 0));
+        // The adopted chunks carry the ring's own append indices (the
+        // sealed 100-sample tail and 100 more samples are evicted).
+        let spans: Vec<(u64, u64)> = a
+            .sealed_chunks()
+            .map(|c| (c.retained_start_append(), c.end_append()))
+            .collect();
+        assert_eq!(spans, vec![(200, 700), (700, 1200)]);
+        // A block that starts before the newest sample is refused whole.
+        let stale = chunk::compress(&[0, 1], &[0.0, 0.0], 0);
+        let stale = chunk::validate(stale.first_t(), stale.count(), stale.bytes()).unwrap();
+        assert!(!a.adopt_chunk(&stale));
+        assert_eq!((a.len(), a.total_appends()), (1000, 1200));
     }
 
     #[test]

@@ -1869,6 +1869,14 @@ mod tests {
         );
         // Smooth telemetry seals well under the 16 B/sample raw cost.
         assert!(m.compressed_bytes_per_sample().unwrap() < 3.0);
+        // Payloads are held at exact length: the sealed tier costs its
+        // payload bytes plus one header per chunk, no allocator slack.
+        let payload_and_headers: usize = db
+            .series(a)
+            .sealed_chunks()
+            .map(|c| c.bytes().len() + std::mem::size_of::<crate::chunk::Chunk>())
+            .sum();
+        assert!(m.compressed_bytes <= payload_and_headers);
         // The sharded store reports the same footprint.
         let shared = db.into_shared();
         assert_eq!(shared.memory_stats(), m);

@@ -11,7 +11,6 @@
 //!   batched collection→transport stage (`tsdb_export`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use moda_core::runtime::{run_telemetry_fleet, TelemetryFleetConfig};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::{
     MetricMeta, RollupConfig, Sample, ShardedTsdb, SourceDomain, Tsdb, WindowAgg,
@@ -294,18 +293,12 @@ fn bench_export(c: &mut Criterion) {
             black_box(stats.records)
         });
     });
-    // A/B: the full collection→wire→fleet-ingest pipeline for one raw
-    // day — per-sample records vs compressed-chunk records (wire spec
-    // revision 1.1). Same store, same staging sink, same ingest
-    // sessions; only the record shape differs. The `BENCH_tsdb.json`
-    // ratio between the two is enforced by the CI bench gate
-    // (machine-independent: both run in the same process).
-    let pipeline = |chunked: bool| {
+    // The full collection→wire→fleet-ingest pipeline for one raw day:
+    // sealed regions travel as whole compressed-chunk records (wire
+    // spec revision 1.1) and are validated and linked, not decoded.
+    let pipeline = || {
         let mut sink = MemorySink::new();
-        Exporter::new()
-            .with_raw_chunks(chunked)
-            .drain(&db_raw, &mut sink)
-            .unwrap();
+        Exporter::new().drain(&db_raw, &mut sink).unwrap();
         let mut agg = moda_fleet::FleetAggregator::new();
         let node = agg.add_node("node00");
         for batch in &sink.batches {
@@ -313,15 +306,11 @@ fn bench_export(c: &mut Criterion) {
         }
         agg.store().stats().samples
     };
-    assert_eq!(pipeline(false), DAY_S, "per-sample pipeline is lossless");
-    assert_eq!(pipeline(true), DAY_S, "chunked pipeline is lossless");
+    assert_eq!(pipeline(), DAY_S, "the pipeline is lossless");
     g.sample_size(10);
     g.throughput(Throughput::Elements(DAY_S));
-    g.bench_function("day_pipeline_per_sample", |b| {
-        b.iter(|| black_box(pipeline(false)));
-    });
     g.bench_function("day_pipeline_chunked", |b| {
-        b.iter(|| black_box(pipeline(true)));
+        b.iter(|| black_box(pipeline()));
     });
     g.finish();
 }
@@ -660,9 +649,8 @@ fn bench_wire_crc32(c: &mut Criterion) {
 /// * `scrape_1k` — scraping a registry of 1 000 internal series into a
 ///   private store (the self-scrape cadence cost);
 /// * `insert_uninstrumented/4096` vs `insert_instrumented/4096` — the
-///   collector's batch-insert hot path bare, and wrapped exactly the
-///   way `run_telemetry_fleet` wraps it (one span + one counter per
-///   batch). The `BENCH_tsdb.json` ratio between the two is pinned
+///   collector's batch-insert hot path bare, and wrapped the way a
+///   threaded runtime wraps it (one span + one counter per batch). The `BENCH_tsdb.json` ratio between the two is pinned
 ///   ≤ `BENCH_GATE_MAX_SELFOBS_OVERHEAD` (default 1.10) by the CI
 ///   bench gate — instrumentation over 10 % would fail the build.
 fn bench_selfobs(c: &mut Criterion) {
@@ -775,27 +763,61 @@ fn bench_percentile(c: &mut Criterion) {
 /// single-core host this bench measures striping's overhead instead,
 /// which is the honest number for that machine.
 fn bench_contention(c: &mut Criterion) {
+    const LOOPS: usize = 4;
+    const ROUNDS: usize = 100;
+    const METRICS_PER_LOOP: usize = 16;
+    const HISTORY: usize = 3600;
+    let window = SimDuration::from_secs(3600);
+    // One run: register each loop's metrics, preload an hour of
+    // history (so the Monitor reads fold full-width windows from the
+    // first round), then let every loop thread batch-insert one sweep
+    // and read a trailing-window mean of each of its metrics per round.
+    let fleet = |shards: usize| {
+        let db = ShardedTsdb::with_config(4096, shards);
+        let fleet_ids: Vec<Vec<moda_telemetry::MetricId>> = (0..LOOPS)
+            .map(|l| {
+                (0..METRICS_PER_LOOP)
+                    .map(|m| {
+                        let name = format!("loop{l:03}.metric{m:03}");
+                        db.register(MetricMeta::gauge(name, "u", SourceDomain::Hardware))
+                    })
+                    .collect()
+            })
+            .collect();
+        for (k, id) in fleet_ids.iter().flatten().enumerate() {
+            for h in 0..HISTORY {
+                db.insert(*id, SimTime::from_secs(h as u64), (h + k) as f64);
+            }
+        }
+        std::thread::scope(|s| {
+            for (l, ids) in fleet_ids.iter().enumerate() {
+                let db = &db;
+                s.spawn(move || {
+                    let mut batch: Vec<_> = ids.iter().map(|id| (*id, 0.0)).collect();
+                    for round in 0..ROUNDS {
+                        let now = SimTime::from_secs((HISTORY + round) as u64);
+                        for (k, slot) in batch.iter_mut().enumerate() {
+                            slot.1 = (round * 31 + k + l) as f64;
+                        }
+                        db.insert_batch(now, &batch);
+                        let acc: f64 = ids
+                            .iter()
+                            .filter_map(|id| db.window_agg(*id, now, window, WindowAgg::Mean))
+                            .sum();
+                        black_box(acc);
+                    }
+                });
+            }
+        });
+        db.total_inserts()
+    };
     let mut g = c.benchmark_group("tsdb_contention");
     g.sample_size(10);
-    let cfg = TelemetryFleetConfig {
-        n_loops: 4,
-        rounds: 100,
-        metrics_per_loop: 16,
-        window: SimDuration::from_secs(3600),
-        agg: WindowAgg::Mean,
-        history: 3600,
-        ..TelemetryFleetConfig::default()
-    };
     for shards in [1usize, 16] {
         g.bench_with_input(
             BenchmarkId::new("fleet_4x100x16", shards),
             &shards,
-            |b, &n| {
-                b.iter(|| {
-                    let db = Arc::new(ShardedTsdb::with_config(4096, n));
-                    black_box(run_telemetry_fleet(&cfg, &db))
-                });
-            },
+            |b, &n| b.iter(|| black_box(fleet(n))),
         );
     }
     g.finish();

@@ -80,15 +80,6 @@ const RATIO_CHECKS: &[(&str, &str, Option<&str>, f64)] = &[
         Some("BENCH_GATE_MIN_FLEET_MERGE_SPEEDUP"),
         10.0,
     ),
-    // Compressed-chunk shipping's reason to exist: the day-long
-    // export→wire→fleet-ingest pipeline must beat the per-sample record
-    // path when sealed regions travel as whole Gorilla chunks.
-    (
-        "tsdb_export/day_pipeline_per_sample",
-        "tsdb_export/day_pipeline_chunked",
-        Some("BENCH_GATE_MIN_CHUNK_PIPELINE_SPEEDUP"),
-        2.0,
-    ),
     // The snapshot's reason to exist: restarting the durable fleet
     // tier from a snapshot (bounded by retained state) must beat
     // replaying the whole append-log history from seq 0.

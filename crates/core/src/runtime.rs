@@ -8,12 +8,29 @@
 //! patterns as thread topologies over crossbeam channels with synthetic
 //! per-phase CPU costs, and measures end-to-end iteration latency per
 //! managed system. Experiment E1 sweeps fleet size over these drivers.
+//!
+//! The second half is the **one threaded telemetry runner**,
+//! [`run_multinode_fleet`]: K node worlds — a collector thread and a
+//! concurrently draining exporter thread each, over the node's own
+//! [`ShardedTsdb`], with rollups, sketches and optional self-scrape —
+//! feeding one aggregation tier over a [`Transport`]. One node over
+//! [`Transport::Channel`] is the single-store in-process case.
 
 use crossbeam::channel;
-use moda_obs::{mirror, Obs};
+use moda_fleet::{
+    ChannelSink, DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener,
+    FleetMsg, HealthAnswer, NodeId, Rank, SocketSink,
+};
+use moda_obs::Obs;
 use moda_sim::stats::Summary;
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::{MetricId, MetricMeta, RollupConfig, SharedTsdb, SourceDomain, WindowAgg};
+use moda_telemetry::{
+    Collector, Exporter, MetricId, MetricMeta, RollupConfig, Sensor, ShardedTsdb, SourceDomain,
+    WindowAgg,
+};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Synthetic CPU cost of each MAPE phase, in microseconds.
@@ -268,383 +285,7 @@ pub fn run_hierarchical(
     stats_from(lat, wall, n)
 }
 
-/// Configuration of a telemetry-coupled threaded fleet run.
-///
-/// Unlike the synthetic spin-cost patterns above, this driver exercises
-/// the **real monitoring substrate**: every loop thread owns a stripe of
-/// metrics in a shared [`moda_telemetry::ShardedTsdb`], plays collector
-/// (batch-inserting one sweep per round) and Monitor (reading trailing
-/// window aggregates, allocation-free) — the §IV insert-rate /
-/// read-latency contention measured for real instead of spun.
-#[derive(Debug, Clone)]
-pub struct TelemetryFleetConfig {
-    /// Concurrent MAPE loops (threads).
-    pub n_loops: usize,
-    /// Iterations per loop.
-    pub rounds: usize,
-    /// Metrics each loop owns and sweeps per round.
-    pub metrics_per_loop: usize,
-    /// Trailing analysis window per Monitor read.
-    pub window: SimDuration,
-    /// Aggregation each Monitor read folds.
-    pub agg: WindowAgg,
-    /// Samples pre-inserted per metric (single-threaded, untimed) before
-    /// the fleet starts, so Monitor reads fold realistically wide windows
-    /// from the first round.
-    pub history: usize,
-    /// Rollup pyramid enabled on every fleet metric (the continuous
-    /// downsampling stage: accepted inserts fold straight into per-metric
-    /// 1m/1h buckets, so the wide readers below never scan raw history).
-    pub rollups: Option<RollupConfig>,
-    /// Knowledge-layer reader threads running **concurrently** with the
-    /// fleet: each sweeps a wide trailing-window aggregate over every
-    /// fleet metric per round — the paper's "historical and aggregated
-    /// system state" consumers. Without rollups these O(samples) scans
-    /// stall the stripes the collectors write; with rollups they read
-    /// O(window/res) sealed buckets.
-    pub wide_readers: usize,
-    /// Trailing analysis window of the wide readers.
-    pub wide_window: SimDuration,
-    /// Tail-latency workload of the wide readers: when set, each wide
-    /// sweep additionally folds `Percentile(q)` over every fleet metric.
-    /// The fleet's rollup config is upgraded to a sketched pyramid — a
-    /// fleet configured with `rollups: None` gets the standard sketched
-    /// pyramid — so these reads merge bucket quantile sketches (1 %
-    /// relative error) instead of running O(samples) selections against
-    /// the stripes the collectors are writing.
-    pub wide_percentile: Option<f64>,
-    /// Exporter stage: number of incremental drain sweeps one exporter
-    /// thread performs **concurrently** with the fleet (0 disables).
-    /// Each sweep walks every fleet metric, copying pending raw
-    /// samples, sealed rollup buckets, and sketch columns out under
-    /// per-metric stripe read locks — the Knowledge layer's
-    /// collection→transport stage running against live collectors.
-    /// Drain/batch stats land in [`TelemetryFleetStats::export`].
-    pub export_drains: usize,
-    /// Self-telemetry handle. Disabled by default — the hot paths then
-    /// carry only inert pre-resolved instruments. When enabled, the
-    /// run spans every collector insert/read and exporter drain,
-    /// registers pull probes for the store/chunk/sketch counters, and
-    /// its exporter-stage totals in [`TelemetryFleetStats::export`]
-    /// are *views of the registry* (`moda_obs::mirror`), not a second
-    /// ad-hoc accumulator.
-    pub obs: Obs,
-    /// When > 0 (and `obs` is enabled), loop 0 scrapes the registry
-    /// into the shared store's reserved `__self/` namespace every N
-    /// rounds — plus once after the run — so the fleet's own spans are
-    /// queryable through the same rollup planner it measures.
-    pub selfscrape_every_rounds: usize,
-}
-
-impl Default for TelemetryFleetConfig {
-    fn default() -> Self {
-        TelemetryFleetConfig {
-            n_loops: 4,
-            rounds: 200,
-            metrics_per_loop: 16,
-            window: SimDuration::from_secs(60),
-            agg: WindowAgg::Mean,
-            history: 0,
-            rollups: None,
-            wide_readers: 0,
-            wide_window: SimDuration::from_hours(24),
-            wide_percentile: None,
-            export_drains: 0,
-            obs: Obs::disabled(),
-            selfscrape_every_rounds: 0,
-        }
-    }
-}
-
-/// Result of a telemetry-coupled fleet run.
-#[derive(Debug, Clone)]
-pub struct TelemetryFleetStats {
-    /// Per-round latency/throughput over all loops.
-    pub rounds: RoundStats,
-    /// Samples inserted across the fleet.
-    pub inserts: u64,
-    /// Window-aggregate reads across the fleet.
-    pub reads: u64,
-    /// Wide-reader round latencies, when `wide_readers > 0`.
-    pub wide: Option<RoundStats>,
-    /// Aggregate queries served from rollup buckets during the run.
-    pub rollup_hits: u64,
-    /// Percentile queries served from bucket quantile sketches during
-    /// the run (subset of `rollup_hits`; a sketch-free fleet whose
-    /// percentile reads fall back to raw selections reports 0 here —
-    /// the distinction operators watch when sizing rollup policies).
-    pub sketch_hits: u64,
-    /// Exporter-stage totals (batches, per-kind record counts, missed
-    /// samples, lock-hold times) when
-    /// [`TelemetryFleetConfig::export_drains`] > 0.
-    pub export: Option<moda_telemetry::DrainStats>,
-    /// End-of-run memory footprint of the shared store, split by tier
-    /// (uncompressed tails vs sealed Gorilla chunks vs rollup rings) —
-    /// the operator-facing view of the compression win.
-    pub memory: moda_telemetry::MemoryStats,
-}
-
-/// Run `cfg.n_loops` threads against one shared sharded store: each
-/// round batch-inserts a sensor sweep into the thread's own metrics,
-/// then reads a trailing-window aggregate of every one of them
-/// (Monitor), timing the full insert+read round end-to-end.
-///
-/// With the lock-striped store, loops touching different stripes
-/// proceed concurrently; run the same config against
-/// `ShardedTsdb::with_config(cap, 1)` to reproduce the old
-/// single-global-lock behaviour for comparison.
-pub fn run_telemetry_fleet(cfg: &TelemetryFleetConfig, db: &SharedTsdb) -> TelemetryFleetStats {
-    assert!(cfg.n_loops > 0 && cfg.metrics_per_loop > 0);
-    let (lat_tx, lat_rx) = channel::unbounded::<f64>();
-    let reads_expected = (cfg.n_loops * cfg.rounds * cfg.metrics_per_loop) as u64;
-
-    // Register each loop's metric stripe up front (registration is the
-    // cold path; sweeps and reads are what we measure).
-    let fleet_ids: Vec<Vec<MetricId>> = (0..cfg.n_loops)
-        .map(|l| {
-            (0..cfg.metrics_per_loop)
-                .map(|m| {
-                    db.register(MetricMeta::gauge(
-                        format!("loop{l:03}.metric{m:03}"),
-                        "u",
-                        SourceDomain::Hardware,
-                    ))
-                })
-                .collect()
-        })
-        .collect();
-
-    // The rollup stage: folding happens on the insert path itself, so
-    // enabling it before the warm history means every sample lands in
-    // both the raw ring and the 1m/1h buckets with no separate pass.
-    // A p99 wide-reader workload needs sketched buckets; upgrade the
-    // config — falling back to the standard pyramid when none was
-    // given — so its percentile reads merge sketches instead of
-    // re-scanning raw samples under the collectors' stripes.
-    let rollup_cfg = match (&cfg.rollups, cfg.wide_percentile) {
-        (Some(rc), Some(_)) if !rc.sketches() => Some(rc.clone().with_sketches()),
-        (Some(rc), _) => Some(rc.clone()),
-        (None, Some(_)) => Some(RollupConfig::standard().with_sketches()),
-        (None, None) => None,
-    };
-    if let Some(rollup_cfg) = rollup_cfg {
-        for id in fleet_ids.iter().flatten() {
-            db.enable_rollups(*id, &rollup_cfg);
-        }
-    }
-
-    // Untimed warm history so first-round window reads are full-width.
-    for ids in &fleet_ids {
-        for (k, id) in ids.iter().enumerate() {
-            for h in 0..cfg.history {
-                db.insert(*id, SimTime::from_secs(h as u64), (h + k) as f64);
-            }
-        }
-    }
-
-    let all_ids: Vec<MetricId> = fleet_ids.iter().flatten().copied().collect();
-    let (wide_tx, wide_rx) = channel::unbounded::<f64>();
-    let (export_tx, export_rx) = channel::bounded::<moda_telemetry::DrainStats>(1);
-
-    // Self-telemetry: pre-resolve the hot-path instruments once (all
-    // inert on a disabled handle) and register pull probes for the
-    // counters the store/codec layers already keep — the scrape reads
-    // them instead of duplicating the accounting.
-    let insert_ns = cfg.obs.latency("tsdb.insert_ns");
-    let read_ns = cfg.obs.latency("tsdb.read_ns");
-    let drain_ns = cfg.obs.latency("export.drain_ns");
-    if cfg.obs.is_enabled() {
-        let p = |name: &str, f: Box<dyn Fn() -> f64 + Send + Sync>| cfg.obs.probe(name, f);
-        let d = db.clone();
-        p(
-            "store.total_inserts",
-            Box::new(move || d.total_inserts() as f64),
-        );
-        let d = db.clone();
-        p(
-            "store.rollup_hits",
-            Box::new(move || d.rollup_hits() as f64),
-        );
-        let d = db.clone();
-        p(
-            "store.sketch_hits",
-            Box::new(move || d.sketch_hits() as f64),
-        );
-        let d = db.clone();
-        p(
-            "store.cardinality",
-            Box::new(move || d.cardinality() as f64),
-        );
-        p(
-            "chunk.encoded",
-            Box::new(|| moda_telemetry::chunk::encoded_chunks() as f64),
-        );
-        p(
-            "chunk.decoded",
-            Box::new(|| moda_telemetry::chunk::decoded_chunks() as f64),
-        );
-        p(
-            "sketch.merges",
-            Box::new(|| moda_telemetry::sketch::sketch_merges() as f64),
-        );
-    }
-
-    let rollup_hits_before = db.rollup_hits();
-    let sketch_hits_before = db.sketch_hits();
-    let inserts_before = db.total_inserts();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        // Exporter stage: incremental drains of the live store, each
-        // metric copied under its own stripe read lock, all sink I/O
-        // outside the locks. The fleet's collectors and Monitors keep
-        // running against the other stripes throughout.
-        if cfg.export_drains > 0 {
-            let export_tx = export_tx.clone();
-            let drain_ns = drain_ns.clone();
-            let obs = &cfg.obs;
-            s.spawn(move || {
-                let mut exporter = moda_telemetry::Exporter::new();
-                let mut sink = moda_telemetry::export::CsvSink::new(std::io::sink());
-                for _ in 0..cfg.export_drains {
-                    let _span = drain_ns.start();
-                    if let Ok(delta) = exporter.drain(db.as_ref(), &mut sink) {
-                        // Per-drain deltas fold into the registry's
-                        // `export.*` cells — the single source the
-                        // run's reported totals are views of.
-                        mirror::record_drain(obs, &delta);
-                    }
-                    drop(_span);
-                    // Let collectors make progress between sweeps so
-                    // the later drains really are incremental deltas.
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                let _ = export_tx.send(exporter.totals());
-            });
-        }
-        drop(export_tx);
-        // Knowledge-layer wide readers, concurrent with the fleet.
-        for _ in 0..cfg.wide_readers {
-            let wide_tx = wide_tx.clone();
-            let all_ids = &all_ids;
-            s.spawn(move || {
-                let now = SimTime::from_secs((cfg.history + cfg.rounds) as u64);
-                for _ in 0..cfg.rounds {
-                    let t0 = Instant::now();
-                    let mut acc = 0.0;
-                    for id in all_ids {
-                        if let Some(v) = db.window_agg(*id, now, cfg.wide_window, cfg.agg) {
-                            acc += v;
-                        }
-                        // Tail-latency sweep: wide p99-style reads served
-                        // by merging sealed-bucket sketches.
-                        if let Some(q) = cfg.wide_percentile {
-                            if let Some(v) =
-                                db.window_agg(*id, now, cfg.wide_window, WindowAgg::Percentile(q))
-                            {
-                                acc += v;
-                            }
-                        }
-                    }
-                    std::hint::black_box(acc);
-                    let _ = wide_tx.send(t0.elapsed().as_nanos() as f64 / 1_000.0);
-                }
-            });
-        }
-        drop(wide_tx);
-        for (l, ids) in fleet_ids.iter().enumerate() {
-            let lat_tx = lat_tx.clone();
-            let insert_ns = insert_ns.clone();
-            let read_ns = read_ns.clone();
-            let obs = &cfg.obs;
-            s.spawn(move || {
-                let mut batch: Vec<(MetricId, f64)> = ids.iter().map(|id| (*id, 0.0)).collect();
-                for round in 0..cfg.rounds {
-                    let t0 = Instant::now();
-                    let now = SimTime::from_secs((cfg.history + round) as u64);
-                    // Collector sweep: one timestamp, many metrics.
-                    for (k, slot) in batch.iter_mut().enumerate() {
-                        slot.1 = (round * 31 + k + l) as f64;
-                    }
-                    {
-                        let _span = insert_ns.start();
-                        db.insert_batch(now, &batch);
-                    }
-                    // Monitor: allocation-free window reads.
-                    let _span = read_ns.start();
-                    let mut acc = 0.0;
-                    for id in ids {
-                        if let Some(v) = db.window_agg(*id, now, cfg.window, cfg.agg) {
-                            acc += v;
-                        }
-                    }
-                    drop(_span);
-                    std::hint::black_box(acc);
-                    // Loop 0 doubles as the scrape cadence owner: the
-                    // registry lands in the shared store's `__self/`
-                    // namespace on the same timeline the fleet writes.
-                    if l == 0
-                        && cfg.selfscrape_every_rounds > 0
-                        && (round + 1) % cfg.selfscrape_every_rounds == 0
-                    {
-                        obs.scrape_into_shared(db, now);
-                    }
-                    let _ = lat_tx.send(t0.elapsed().as_nanos() as f64 / 1_000.0);
-                }
-            });
-        }
-        drop(lat_tx);
-    });
-    // Closing scrape: every span recorded in the run's final rounds is
-    // queryable before the stats return.
-    if cfg.selfscrape_every_rounds > 0 {
-        cfg.obs
-            .scrape_into_shared(db, SimTime::from_secs((cfg.history + cfg.rounds) as u64));
-    }
-    let wall = start.elapsed();
-    let mut lat = Summary::new();
-    while let Ok(v) = lat_rx.try_recv() {
-        lat.push(v);
-    }
-    let wide = if cfg.wide_readers > 0 {
-        let mut wlat = Summary::new();
-        while let Ok(v) = wide_rx.try_recv() {
-            wlat.push(v);
-        }
-        let wn = wlat.count();
-        Some(stats_from(wlat, wall, wn))
-    } else {
-        None
-    };
-    let n = lat.count();
-    // With an enabled handle the registry is the single source of
-    // drain truth: report the mirror's view of the `export.*` cells
-    // (bit-equal to the exporter's own totals — pinned by tests).
-    let export = export_rx
-        .try_recv()
-        .ok()
-        .map(|totals| mirror::drain_view(&cfg.obs).unwrap_or(totals));
-    TelemetryFleetStats {
-        rounds: stats_from(lat, wall, n),
-        inserts: db.total_inserts() - inserts_before,
-        reads: reads_expected,
-        wide,
-        rollup_hits: db.rollup_hits() - rollup_hits_before,
-        sketch_hits: db.sketch_hits() - sketch_hits_before,
-        export,
-        memory: db.memory_stats(),
-    }
-}
-
-// ------------------------------------------------- multi-node fleet mode
-
-use moda_fleet::{
-    ChannelSink, DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener,
-    FleetMsg, HealthAnswer, NodeId, Rank, SocketSink,
-};
-use moda_telemetry::{Collector, Exporter, Sensor, ShardedTsdb};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+// ------------------------------------------------------ telemetry fleet
 
 /// Configuration of the multi-node telemetry runtime: K node worlds,
 /// each with its own lock-striped store, collector thread, and exporter
@@ -862,10 +503,9 @@ fn run_node_worlds<K: moda_telemetry::Sink>(
     })
 }
 
-/// The multi-node mode of the telemetry fleet runtime: `cfg.nodes`
-/// node worlds (a collector thread plus a concurrently draining
-/// exporter thread each — see `run_node_worlds`) feeding one
-/// aggregation tier over `transport`. Exporters run their final drain
+/// The threaded telemetry runtime: `cfg.nodes` node worlds (a
+/// collector thread plus a concurrently draining exporter thread each —
+/// see `run_node_worlds`) feeding one aggregation tier over `transport`. Exporters run their final drain
 /// after their collector finishes and then report drain totals
 /// out-of-band, so the returned aggregator holds the complete fleet
 /// view: cluster-wide window aggregates and merged-sketch percentiles
@@ -1184,8 +824,6 @@ fn verify_remote_self_queries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moda_telemetry::ShardedTsdb;
-    use std::sync::Arc;
 
     fn cheap() -> StageCosts {
         StageCosts {
@@ -1235,145 +873,6 @@ mod tests {
         ] {
             assert_eq!(s.iterations, 10);
         }
-    }
-
-    #[test]
-    fn telemetry_fleet_completes_and_accounts() {
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(512, 8));
-        let cfg = TelemetryFleetConfig {
-            n_loops: 4,
-            rounds: 50,
-            metrics_per_loop: 8,
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        assert_eq!(stats.rounds.iterations, 4 * 50);
-        assert_eq!(stats.inserts, 4 * 50 * 8);
-        assert_eq!(stats.reads, 4 * 50 * 8);
-        assert!(stats.rounds.mean_latency_us > 0.0);
-        assert_eq!(db.cardinality(), 32);
-        // The store really holds the fleet's data.
-        let id = db.lookup("loop000.metric000").unwrap();
-        assert!(db.latest_value(id).is_some());
-    }
-
-    #[test]
-    fn telemetry_fleet_rollup_stage_serves_wide_readers() {
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(8192, 8));
-        let cfg = TelemetryFleetConfig {
-            n_loops: 2,
-            rounds: 20,
-            metrics_per_loop: 4,
-            history: 3600,
-            rollups: Some(moda_telemetry::RollupConfig::standard()),
-            wide_readers: 2,
-            wide_window: SimDuration::from_hours(1),
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        assert_eq!(stats.rounds.iterations, 2 * 20);
-        let wide = stats.wide.expect("wide readers ran");
-        assert_eq!(wide.iterations, 2 * 20);
-        // The hour-wide reads were answered from sealed rollup buckets.
-        assert!(stats.rollup_hits > 0, "wide reads should hit rollups");
-        // No percentile workload → no sketch-served queries.
-        assert_eq!(stats.sketch_hits, 0);
-        let id = db.lookup("loop000.metric000").unwrap();
-        assert!(db.rollups_enabled(id));
-    }
-
-    #[test]
-    fn telemetry_fleet_p99_workload_is_sketch_served() {
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(8192, 8));
-        let cfg = TelemetryFleetConfig {
-            n_loops: 2,
-            rounds: 20,
-            metrics_per_loop: 4,
-            history: 3600,
-            // Plain config: the driver upgrades it to sketched buckets
-            // because a wide-percentile workload is requested.
-            rollups: Some(moda_telemetry::RollupConfig::standard()),
-            wide_readers: 2,
-            wide_window: SimDuration::from_hours(1),
-            wide_percentile: Some(0.99),
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        let wide = stats.wide.expect("wide readers ran");
-        assert_eq!(wide.iterations, 2 * 20);
-        assert!(
-            stats.sketch_hits > 0,
-            "wide p99 reads should be sketch-served"
-        );
-        assert!(
-            stats.rollup_hits >= stats.sketch_hits,
-            "sketch hits are a subset of rollup hits"
-        );
-        // A p99 workload with no rollup config at all gets the standard
-        // sketched pyramid — never silent raw selections under the
-        // collectors' stripes.
-        let db2: SharedTsdb = Arc::new(ShardedTsdb::with_config(8192, 8));
-        let cfg2 = TelemetryFleetConfig {
-            rollups: None,
-            ..cfg
-        };
-        let stats2 = run_telemetry_fleet(&cfg2, &db2);
-        assert!(
-            stats2.sketch_hits > 0,
-            "rollups: None + wide_percentile must still be sketch-served"
-        );
-    }
-
-    #[test]
-    fn telemetry_fleet_exporter_stage_drains_concurrently() {
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(8192, 8));
-        let cfg = TelemetryFleetConfig {
-            n_loops: 2,
-            rounds: 30,
-            metrics_per_loop: 4,
-            history: 200,
-            rollups: Some(moda_telemetry::RollupConfig::standard().with_sketches()),
-            export_drains: 5,
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        assert_eq!(stats.rounds.iterations, 2 * 30);
-        let export = stats.export.expect("exporter stage ran");
-        assert!(export.batches > 0, "{export:?}");
-        assert!(export.samples > 0, "{export:?}");
-        assert!(export.metas >= 8, "one meta per fleet metric: {export:?}");
-        assert!(export.max_lock_held_ns > 0);
-        // A follow-up drain from the same store ships only what the
-        // concurrent sweeps had not yet seen — never a duplicate of
-        // the whole history (retention 8192 >> inserts, so nothing was
-        // missed either).
-        assert_eq!(export.missed_samples, 0);
-        let mut late = moda_telemetry::Exporter::new();
-        let mut sink = moda_telemetry::export::CsvSink::new(std::io::sink());
-        let full = late.drain(db.as_ref(), &mut sink).unwrap();
-        assert_eq!(full.samples, stats.inserts + 200 * 8);
-        // The run surfaces the store's tiered memory footprint.
-        let mem = stats.memory;
-        assert_eq!(mem.series, 8);
-        assert_eq!(mem.samples as u64, stats.inserts + 200 * 8);
-        assert!(mem.rollup_bytes > 0, "{mem:?}");
-        assert_eq!(mem, db.memory_stats());
-    }
-
-    #[test]
-    fn telemetry_fleet_single_stripe_is_equivalent_functionally() {
-        // One stripe = the old global-lock topology; results must match
-        // functionally (it is only slower under contention).
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(512, 1));
-        let cfg = TelemetryFleetConfig {
-            n_loops: 2,
-            rounds: 20,
-            metrics_per_loop: 4,
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        assert_eq!(stats.rounds.iterations, 2 * 20);
-        assert_eq!(stats.inserts, 2 * 20 * 4);
     }
 
     #[test]
@@ -1523,50 +1022,6 @@ mod tests {
         assert_eq!(count, (cfg.nodes * cfg.rounds) as f64);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn telemetry_fleet_self_observes_through_its_own_store() {
-        let db: SharedTsdb = Arc::new(ShardedTsdb::with_config(8192, 8));
-        let obs = Obs::enabled();
-        let cfg = TelemetryFleetConfig {
-            n_loops: 2,
-            rounds: 40,
-            metrics_per_loop: 4,
-            rollups: Some(moda_telemetry::RollupConfig::standard().with_sketches()),
-            export_drains: 3,
-            obs: obs.clone(),
-            selfscrape_every_rounds: 10,
-            ..TelemetryFleetConfig::default()
-        };
-        let stats = run_telemetry_fleet(&cfg, &db);
-        // User accounting is untouched by the scrape: the reserved
-        // namespace writes land in `self_inserts`, never the insert
-        // counters the pinned tests check.
-        assert_eq!(stats.inserts, 2 * 40 * 4);
-        assert!(db.self_inserts() > 0, "the scrape wrote self samples");
-        // The fleet's own insert spans are a queryable series with a
-        // sketched pyramid, living next to the data they measure.
-        let id = db.lookup("__self/tsdb.insert_ns").unwrap();
-        assert!(db.rollups_enabled(id));
-        let now = SimTime::from_secs(cfg.rounds as u64);
-        let n = db
-            .window_agg(
-                id,
-                now,
-                SimDuration::from_secs(cfg.rounds as u64),
-                WindowAgg::Count,
-            )
-            .unwrap();
-        assert_eq!(n as u64, 2 * 40, "one insert span per loop round");
-        // Pull probes mirror the store's own counters.
-        assert!(db.lookup("__self/store.total_inserts").is_some());
-        assert!(db.lookup("__self/sketch.merges").is_some());
-        // Satellite: the reported drain totals are a registry view,
-        // identical to what the exporter itself accumulated.
-        let export = stats.export.expect("exporter stage ran");
-        assert_eq!(Some(export), mirror::drain_view(&obs));
-        assert!(export.batches > 0 && export.samples > 0);
     }
 
     #[test]

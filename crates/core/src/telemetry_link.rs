@@ -191,7 +191,7 @@ mod tests {
             WindowAgg::Max,
             &moda_telemetry::RollupConfig::standard(),
         );
-        assert!(shared.rollups_enabled(id));
+        assert!(shared.with_storage(id, |_, rollups| rollups.is_some()));
         let hits = shared.rollup_hits();
         let obs = m.observe(SimTime::from_secs(7199)).unwrap();
         assert_eq!(obs, 49.0);
@@ -226,7 +226,7 @@ mod tests {
             "wide p99 observe should be sketch-served"
         );
         // Within the sketch's 1 % bound of the exact selection.
-        let exact = shared.with_series(id, |s| {
+        let exact = shared.with_storage(id, |s, _| {
             s.window_view(now, SimDuration::from_hours(1))
                 .aggregate(WindowAgg::Percentile(0.99))
         });

@@ -26,10 +26,10 @@
 
 use crate::persist::DurableFleet;
 use crate::store::NodeId;
-use moda_obs::{mirror, LatencyRecorder, Obs, ScrapeStats};
+use moda_obs::{LatencyRecorder, Obs, ScrapeStats};
 use moda_sim::SimTime;
 use moda_telemetry::export::MemorySink;
-use moda_telemetry::{Exporter, Tsdb};
+use moda_telemetry::{DrainStats, Exporter, Tsdb};
 use std::io;
 
 /// Default session name for the scraper's service node.
@@ -93,9 +93,7 @@ impl SelfScraper {
             let _span = self.drain_ns.start();
             self.exporter.drain(&self.db, &mut sink)?
         };
-        // The self-exporter's own drain accounting folds into the same
-        // `export.*` cells a runtime exporter would use.
-        mirror::record_drain(&self.obs, &drain);
+        record_drain(&self.obs, &drain);
         let mut out = SelfScrapeTick {
             scrape,
             batches: sink.batches.len(),
@@ -129,6 +127,34 @@ impl SelfScraper {
     }
 }
 
+/// Fold one drain's [`DrainStats`] (the per-call delta returned by
+/// `Exporter::drain`, not lifetime totals) into the registry's
+/// `export.*` instruments, so the self-exporter's own drain accounting
+/// is served as `__self/export.*` like every other instrument. No-op on
+/// a disabled handle.
+fn record_drain(obs: &Obs, stats: &DrainStats) {
+    if !obs.is_enabled() {
+        return;
+    }
+    for (name, delta) in [
+        ("export.batches", stats.batches),
+        ("export.records", stats.records),
+        ("export.samples", stats.samples),
+        ("export.chunks", stats.chunks),
+        ("export.buckets", stats.buckets),
+        ("export.sketch_entries", stats.sketch_entries),
+        ("export.metas", stats.metas),
+        ("export.missed_samples", stats.missed_samples),
+        ("export.missed_buckets", stats.missed_buckets),
+        ("export.lock_held_ns", stats.lock_held_ns),
+        ("export.send_retries", stats.send_retries),
+    ] {
+        obs.counter(name).add(delta);
+    }
+    obs.gauge("export.max_lock_held_ns")
+        .set_max(stats.max_lock_held_ns as f64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +168,52 @@ mod tests {
         p.push(format!("moda_selfobs_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&p);
         p
+    }
+
+    #[test]
+    fn record_drain_accumulates_into_the_export_instruments() {
+        let stats = |scale: u64| DrainStats {
+            batches: scale,
+            records: 10 * scale,
+            samples: 8 * scale,
+            chunks: scale / 2,
+            buckets: 3 * scale,
+            sketch_entries: 5 * scale,
+            metas: 2,
+            missed_samples: 0,
+            missed_buckets: 1,
+            lock_held_ns: 1_000 * scale,
+            max_lock_held_ns: 400 * scale,
+            send_retries: scale % 2,
+        };
+        let obs = Obs::enabled();
+        record_drain(&obs, &stats(2));
+        record_drain(&obs, &stats(5));
+        let mut want = stats(2);
+        want.merge(&stats(5));
+        for (name, total) in [
+            ("export.batches", want.batches),
+            ("export.records", want.records),
+            ("export.samples", want.samples),
+            ("export.chunks", want.chunks),
+            ("export.buckets", want.buckets),
+            ("export.sketch_entries", want.sketch_entries),
+            ("export.metas", want.metas),
+            ("export.missed_samples", want.missed_samples),
+            ("export.missed_buckets", want.missed_buckets),
+            ("export.lock_held_ns", want.lock_held_ns),
+            ("export.send_retries", want.send_retries),
+        ] {
+            assert_eq!(obs.counter_value(name), Some(total), "{name}");
+        }
+        assert_eq!(
+            obs.gauge("export.max_lock_held_ns").get() as u64,
+            want.max_lock_held_ns
+        );
+        // A disabled handle registers nothing.
+        let off = Obs::disabled();
+        record_drain(&off, &stats(3));
+        assert_eq!(off.counter_value("export.batches"), None);
     }
 
     #[test]

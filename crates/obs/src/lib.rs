@@ -36,9 +36,6 @@
 //!   The scrape is the namespace's **only writer**: user registration
 //!   and inserts into `__self/*` are refused by the store with a typed
 //!   error ([`moda_telemetry::RegisterError`]).
-//! * [`mirror`] — the thin-view bridge over the exporter's
-//!   [`DrainStats`](moda_telemetry::DrainStats): the registry is the
-//!   single source of truth, the legacy struct is rebuilt from it.
 //!
 //! Metric names, the span taxonomy, and scrape cadence semantics are
 //! documented in `docs/OBSERVABILITY.md`.
@@ -74,7 +71,6 @@
 //! assert!(db.try_register(meta).is_err());
 //! ```
 
-pub mod mirror;
 pub mod registry;
 pub mod scrape;
 pub mod span;

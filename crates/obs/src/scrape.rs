@@ -217,7 +217,7 @@ mod tests {
         let stats = obs.scrape_into_shared(&db, SimTime::from_secs(1));
         assert_eq!(stats.samples, 2);
         let id = db.lookup("__self/l_ns").unwrap();
-        assert!(db.rollups_enabled(id));
+        assert!(db.with_storage(id, |_, rollups| rollups.is_some()));
         assert_eq!(db.latest_value(id), Some(500.0));
         assert_eq!(db.self_inserts(), 2);
     }

@@ -43,13 +43,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-lifetime count of chunks sealed through [`compress`]. Fed to
-/// the self-telemetry scrape as a pull-probe (`__self/chunk.encoded`).
+/// Process-lifetime count of chunks sealed through [`compress`]
+/// ([`encoded_chunks`]; what a self-telemetry pull-probe would read).
 static ENCODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-lifetime count of passes over a chunk payload ([`Chunk::scan`],
 /// streaming [`Chunk::decode`], [`decode_exact`] and [`validate`]);
-/// probe `__self/chunk.decoded`.
+/// [`decoded_chunks`].
 static DECODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
 /// Chunks sealed through [`compress`] since process start.

@@ -99,15 +99,7 @@ impl Collector {
     /// each at `due + period` (fixed cadence, no drift accumulation even
     /// if polled late). Returns the number of samples inserted.
     pub fn poll(&mut self, now: SimTime, db: &mut Tsdb) -> usize {
-        self.poll_with(now, |t, batch| {
-            let mut n = 0;
-            for &(id, v) in batch {
-                if db.insert(id, t, v) {
-                    n += 1;
-                }
-            }
-            n
-        })
+        self.poll_with(now, |t, batch| db.insert_batch(t, batch))
     }
 
     /// [`Collector::poll`] against the lock-striped [`ShardedTsdb`] —
@@ -306,8 +298,8 @@ mod tests {
         let n = c.poll_shared(SimTime::from_secs(6), &db);
         assert_eq!(n, 4 + 3);
         assert_eq!(c.sweeps(), 7);
-        assert_eq!(db.with_series(a, |s| s.len()), 4);
-        assert_eq!(db.with_series(b, |s| s.len()), 3);
+        assert_eq!(db.with_storage(a, |s, _| s.len()), 4);
+        assert_eq!(db.with_storage(b, |s, _| s.len()), 3);
         assert_eq!(db.latest_value(a), Some(3.0));
         assert_eq!(c.next_due(), Some(SimTime::from_secs(8)));
     }

@@ -143,7 +143,6 @@ pub struct Exporter {
     batch_records: usize,
     seq: u64,
     totals: DrainStats,
-    raw_chunks: bool,
 }
 
 impl Default for Exporter {
@@ -162,24 +161,12 @@ impl Exporter {
             batch_records: DEFAULT_BATCH_RECORDS,
             seq: 0,
             totals: DrainStats::default(),
-            raw_chunks: true,
         }
     }
 
     /// Override the per-batch record bound (clamped to ≥ 1).
     pub fn with_batch_records(mut self, records: usize) -> Self {
         self.batch_records = records.max(1);
-        self
-    }
-
-    /// Whether pending raw samples covered by whole sealed chunks ship
-    /// as compressed [`ExportRecord::Chunk`] records (the default) or
-    /// the exporter decodes everything back to per-sample records —
-    /// the strictly-v1.0 stream shape for receivers predating the
-    /// chunk kind, and the slow baseline the bench gate compares
-    /// against. Either way the decoded sample stream is identical.
-    pub fn with_raw_chunks(mut self, chunks: bool) -> Self {
-        self.raw_chunks = chunks;
         self
     }
 
@@ -233,7 +220,6 @@ impl Exporter {
         // Belt-and-braces re-clamp: a 0-record bound could never make
         // progress (every copy would report "more pending" forever).
         let cap = self.batch_records.max(1);
-        let raw_chunks = self.raw_chunks;
         let mut result: io::Result<()> = Ok(());
         'metrics: for &id in ids {
             let idx = id.index();
@@ -282,7 +268,6 @@ impl Exporter {
                             rollups,
                             limit,
                             cap,
-                            raw_chunks,
                             &mut batch,
                             &mut staged,
                         )
@@ -412,7 +397,6 @@ fn copy_pending(
     rollups: Option<&RollupSet>,
     limit: &DrainLimit,
     cap: usize,
-    raw_chunks: bool,
     batch: &mut Vec<ExportRecord>,
     stats: &mut DrainStats,
 ) -> bool {
@@ -429,45 +413,43 @@ fn copy_pending(
     let missed = start.saturating_sub(cursor.appends);
     stats.missed_samples += missed;
     cursor.appends += missed;
-    if raw_chunks {
-        // Sealed chunks fully inside the pending span ship whole —
-        // compressed bytes straight onto the wire, no decode. A chunk
-        // with an evicted prefix (front-chunk skip) or a previous
-        // drain's partial coverage decodes just its unshipped suffix to
-        // per-sample records: re-shipping the whole bitstream would
-        // duplicate samples the receiver already has.
-        for c in raw.sealed_chunks() {
-            let hi = c.end_append();
-            if hi <= cursor.appends {
-                continue;
-            }
-            if hi > target {
-                // Sealed after this drain's capture; the per-sample
-                // remainder below honors the bound exactly.
-                break;
-            }
-            if batch.len() >= cap {
-                return true;
-            }
-            if c.skip() == 0 && c.start_append() == cursor.appends {
-                batch.push(ExportRecord::chunk(id, c));
-                stats.chunks += 1;
-                stats.samples += u64::from(c.count());
-                cursor.appends = hi;
-            } else {
-                let already = (cursor.appends - c.retained_start_append()) as usize;
-                for (t, value) in c.decode().skip(already) {
-                    if batch.len() >= cap {
-                        return true;
-                    }
-                    batch.push(ExportRecord::Sample {
-                        id,
-                        t: SimTime(t),
-                        value,
-                    });
-                    stats.samples += 1;
-                    cursor.appends += 1;
+    // Sealed chunks fully inside the pending span ship whole —
+    // compressed bytes straight onto the wire, no decode. A chunk
+    // with an evicted prefix (front-chunk skip) or a previous
+    // drain's partial coverage decodes just its unshipped suffix to
+    // per-sample records: re-shipping the whole bitstream would
+    // duplicate samples the receiver already has.
+    for c in raw.sealed_chunks() {
+        let hi = c.end_append();
+        if hi <= cursor.appends {
+            continue;
+        }
+        if hi > target {
+            // Sealed after this drain's capture; the per-sample
+            // remainder below honors the bound exactly.
+            break;
+        }
+        if batch.len() >= cap {
+            return true;
+        }
+        if c.skip() == 0 && c.start_append() == cursor.appends {
+            batch.push(ExportRecord::chunk(id, c));
+            stats.chunks += 1;
+            stats.samples += u64::from(c.count());
+            cursor.appends = hi;
+        } else {
+            let already = (cursor.appends - c.retained_start_append()) as usize;
+            for (t, value) in c.decode().skip(already) {
+                if batch.len() >= cap {
+                    return true;
                 }
+                batch.push(ExportRecord::Sample {
+                    id,
+                    t: SimTime(t),
+                    value,
+                });
+                stats.samples += 1;
+                cursor.appends += 1;
             }
         }
     }
@@ -476,9 +458,9 @@ fn copy_pending(
     if take > 0 {
         // The retained suffix from the cursor onward may include
         // post-capture samples; ship the oldest `take` of the in-scope
-        // span so the cursor advances contiguously. (In chunked mode
-        // this remainder is the uncompressed tail, plus at most one
-        // chunk sealed mid-drain.)
+        // span so the cursor advances contiguously. (This remainder is
+        // the uncompressed tail, plus at most one chunk sealed
+        // mid-drain.)
         let view = raw.last_n_view((total - cursor.appends) as usize);
         for s in view.into_iter().take(take) {
             batch.push(ExportRecord::Sample {
@@ -985,6 +967,82 @@ mod tests {
         let s2 = exporter.drain(&db, &mut sink2).unwrap();
         assert_eq!(s2.samples, appended);
         assert_eq!(s2.missed_samples, 0);
+    }
+
+    #[test]
+    fn drains_racing_live_collectors_stay_exact() {
+        // Two collector threads batch-insert their own metrics into a
+        // shared store while an exporter thread drains it. The barrier
+        // forces at least one drain to land between the collectors'
+        // first and second halves; the drains after it race the second
+        // half freely. Whatever the interleaving, concurrent drains plus
+        // one final drain ship every accepted sample exactly once.
+        const ROUNDS: u64 = 400;
+        let db = ShardedTsdb::with_config(8192, 4);
+        let ids: Vec<MetricId> = (0..8)
+            .map(|m| {
+                let id = db.register(MetricMeta::gauge(
+                    format!("m{m}"),
+                    "u",
+                    SourceDomain::Hardware,
+                ));
+                db.enable_rollups(id, &RollupConfig::standard().with_sketches());
+                id
+            })
+            .collect();
+        let halfway = std::sync::Barrier::new(3);
+        let collecting = std::sync::atomic::AtomicUsize::new(2);
+        let mut exporter = Exporter::new().with_batch_records(64);
+        let mut sink = MemorySink::new();
+        std::thread::scope(|s| {
+            for own in ids.chunks(4) {
+                let (db, halfway, collecting) = (&db, &halfway, &collecting);
+                s.spawn(move || {
+                    let batch: Vec<(MetricId, f64)> = own.iter().map(|id| (*id, 1.0)).collect();
+                    for t in 0..ROUNDS {
+                        if t == ROUNDS / 2 {
+                            halfway.wait();
+                        }
+                        assert_eq!(db.insert_batch(SimTime::from_secs(t), &batch), 4);
+                    }
+                    collecting.fetch_sub(1, std::sync::atomic::Ordering::Release);
+                });
+            }
+            let (db, exporter, sink) = (&db, &mut exporter, &mut sink);
+            let (halfway, collecting) = (&halfway, &collecting);
+            s.spawn(move || {
+                halfway.wait();
+                while collecting.load(std::sync::atomic::Ordering::Acquire) > 0 {
+                    exporter.drain(db, sink).unwrap();
+                }
+            });
+        });
+        let concurrent = exporter.totals();
+        assert!(concurrent.samples >= 8 * ROUNDS / 2, "{concurrent:?}");
+        exporter.drain(&db, &mut sink).unwrap();
+        let totals = exporter.totals();
+        assert_eq!(totals.samples, db.total_inserts());
+        assert_eq!(totals.samples, 8 * ROUNDS);
+        assert_eq!(totals.missed_samples, 0);
+        assert_eq!(totals.missed_buckets, 0);
+        assert!(
+            totals.buckets > 0 && totals.sketch_entries > 0,
+            "{totals:?}"
+        );
+        assert_eq!(totals.metas, 8);
+        // The stream replays to exactly the store's content, and a
+        // fresh exporter sees the same history once — nothing the
+        // concurrent drains shipped was duplicated or skipped.
+        let mut replay = ReplayStore::new();
+        for b in &sink.batches {
+            replay.apply(b);
+        }
+        for id in &ids {
+            assert_eq!(replay.samples(*id).len() as u64, ROUNDS);
+        }
+        let full = Exporter::new().drain(&db, &mut MemorySink::new()).unwrap();
+        assert_eq!(full.samples, totals.samples);
+        assert_eq!(db.memory_stats().samples as u64, totals.samples);
     }
 
     #[test]

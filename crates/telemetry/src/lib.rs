@@ -23,10 +23,13 @@
 //! * [`tsdb`] — the in-memory store: registry + series + retention +
 //!   allocation-free aggregate queries (`window_agg`, `latest_n_agg`,
 //!   streaming `resample_into`) + insert-rate accounting (the §IV design
-//!   consideration), plus the sharded, lock-striped [`ShardedTsdb`] for
-//!   threaded runtimes (registry under one lock, series striped across N
-//!   shard locks keyed by `MetricId`, stripe count sized adaptively from
-//!   core count and cardinality at `into_shared` time),
+//!   consideration), written once as a private storage core and exposed
+//!   through two ownership shells: the single-owner [`Tsdb`] (`&mut`
+//!   writes, no locks, can lend its series) and the lock-striped
+//!   [`ShardedTsdb`] for threaded runtimes (`&self` writes; registry
+//!   under one lock, series striped across N shard locks keyed by
+//!   `MetricId`, stripe count sized adaptively from core count and
+//!   cardinality at `into_shared` time),
 //! * [`rollup`] — the continuous downsampling tier (Knowledge-layer
 //!   retention): per-metric 1m/1h count/sum/min/max/last bucket rings
 //!   folded incrementally on insert, and the query planner that serves
@@ -42,9 +45,9 @@
 //! * [`sketch`] — the mergeable DDSketch-style [`QuantileSketch`] behind
 //!   those percentile rollups (fixed 1 % relative-error log buckets,
 //!   exact counts, linear-time merge),
-//! * [`collect`] — sensor traits and the periodic collector, with both
-//!   the single-owner (`poll`) and lock-striped (`poll_shared`, one
-//!   batch insert per due sweep) drive shapes,
+//! * [`collect`] — sensor traits and the periodic collector, driving
+//!   either shell (`poll` / `poll_shared`) with one batch insert per
+//!   due sweep,
 //! * [`window`] — windowed aggregation used by Analyze components,
 //!   including the O(n) selection-based percentile and the streaming
 //!   [`AggAccum`] bucket folder,

@@ -42,8 +42,7 @@
 
 /// Process-lifetime count of sketch merges (all
 /// [`QuantileSketch::merge`]/[`QuantileSketch::merge_with_scratch`]
-/// calls). Fed to the self-telemetry scrape as a pull-probe
-/// (`__self/sketch.merges`).
+/// calls); what a self-telemetry pull-probe would read.
 static SKETCH_MERGES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Sketch merges since process start.

@@ -1,11 +1,42 @@
-//! In-memory time-series store.
+//! In-memory time-series store: one storage core, two ownership shells.
 //!
-//! One [`Tsdb`] instance is the telemetry backbone of a simulated center:
-//! sensors append into it, Monitor components of MAPE-K loops read from
-//! it. The design follows the constraints the paper raises in §IV —
-//! high insert rates, bounded memory under high metric cardinality, and
-//! low-latency recent-window reads — rather than durable storage, which
-//! production sites delegate to their archive tier.
+//! The store is the telemetry backbone of a simulated center: sensors
+//! append into it, Monitor components of MAPE-K loops read from it. The
+//! design follows the constraints the paper raises in §IV — high insert
+//! rates, bounded memory under high metric cardinality, and low-latency
+//! recent-window reads — rather than durable storage, which production
+//! sites delegate to their archive tier.
+//!
+//! # One core
+//!
+//! Every store rule has exactly one body, on three private types:
+//!
+//! * `Registry` — registration: reserved-namespace refusal, the export
+//!   wire's length limit, idempotence by name, dense id assignment, and
+//!   the default capacity and rollup policy of new series;
+//! * `Stored` — one metric's raw ring plus its rollup pyramid: the
+//!   reserved-write refusal, push + rollup fold, rollup enable/ensure,
+//!   the aggregate queries, the memory fold;
+//! * `Counters` — accepted-insert and rollup/sketch-hit accounting.
+//!
+//! # Two ownership shells
+//!
+//! * [`Tsdb`] = `Registry` + one `Vec<Stored>`, single owner. Writes
+//!   take `&mut self`: no lock and no atomic read-modify-write on the
+//!   insert path, and it is the only shell that can *lend* storage
+//!   (`&TimeSeries`, [`SampleView`], `&RollupSet`). The shape for the
+//!   deterministic discrete-event world, the goldens and the benches.
+//! * [`ShardedTsdb`] = `RwLock<Registry>` + N × `RwLock<Vec<Stored>>`,
+//!   shared. Writes take `&self`, so collector, Monitor and exporter
+//!   threads share one handle; a writer of one stripe never stalls
+//!   readers of another. It owns only what locking adds: the
+//!   id → (stripe, slot) arithmetic, the lock-coalescing `insert_batch`
+//!   and the registry → stripe lock order. A borrow cannot outlive a
+//!   lock guard, so it lends storage only to a closure
+//!   ([`ShardedTsdb::with_storage`]) and returns metadata by clone.
+//!
+//! Both shells answer every query with the same bits for the same
+//! operation sequence (the `sharded_equals_unsharded` proptest).
 //!
 //! # Read path
 //!
@@ -15,23 +46,15 @@
 //! [`Tsdb::value_at`], the streaming [`Tsdb::resample_into`]) fold
 //! [`WindowAgg`]s directly over those views so a Monitor's hot loop never
 //! materializes `Vec<Sample>` just to compute a scalar.
-//!
-//! # Concurrency
-//!
-//! [`Tsdb`] itself is single-owner (`&mut` insert), the right shape for
-//! the deterministic discrete-event world. Threaded runtimes share a
-//! [`ShardedTsdb`] instead: the registry sits behind one lock while the
-//! series are **striped across N shard locks keyed by `MetricId`**, so a
-//! collector sweep inserting into one stripe no longer stalls Monitors
-//! reading any other stripe — the lock-contention half of the §IV
-//! insert-rate consideration.
 
-use crate::metric::{is_self_metric, InsertError, MetricId, MetricMeta, RegisterError};
+use crate::metric::{
+    is_self_metric, InsertError, MetricId, MetricMeta, RegisterError, SELF_NAMESPACE,
+};
 use crate::rollup::{self, RollupConfig, RollupServed, RollupSet};
 use crate::series::{RetentionPolicy, Sample, SampleView, TimeSeries};
 use crate::window::{AggAccum, WindowAgg};
 use moda_sim::{SimDuration, SimTime};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,6 +93,95 @@ pub fn adaptive_shards(cores: usize, cardinality: usize) -> usize {
         .min(MAX_ADAPTIVE_SHARDS)
 }
 
+// ---------------------------------------------------------------- core
+
+/// Name → id interning plus the policy for new series: the registration
+/// rule, stated once for both shells.
+#[derive(Debug)]
+struct Registry {
+    metas: Vec<MetricMeta>,
+    by_name: HashMap<String, MetricId>,
+    default_capacity: usize,
+    /// Rollup pyramid applied to newly registered metrics.
+    default_rollups: Option<RollupConfig>,
+}
+
+impl Registry {
+    fn new(default_capacity: usize) -> Self {
+        Registry {
+            metas: Vec::new(),
+            by_name: HashMap::new(),
+            default_capacity,
+            default_rollups: None,
+        }
+    }
+
+    /// Admit `meta` and intern its name. User registrations
+    /// (`reserved == false`) of a `__self/` name and names or units over
+    /// the export wire's length limit are refused; a scrape registration
+    /// of a name outside `__self/` is a bug in the scrape and panics.
+    /// Idempotent by name: a known name returns its id and `None`; a
+    /// new one is assigned the next dense id and returns the storage the
+    /// calling shell must append for it (`capacity` overrides the
+    /// default retention).
+    fn register(
+        &mut self,
+        meta: MetricMeta,
+        capacity: Option<usize>,
+        reserved: bool,
+    ) -> Result<(MetricId, Option<Stored>), RegisterError> {
+        if reserved {
+            assert!(
+                is_self_metric(&meta.name),
+                "self-telemetry metric {:?} must start with {SELF_NAMESPACE:?}",
+                meta.name
+            );
+        } else if is_self_metric(&meta.name) {
+            return Err(RegisterError::ReservedNamespace { name: meta.name });
+        }
+        meta.check_wire_limit()?;
+        if let Some(&id) = self.by_name.get(&meta.name) {
+            return Ok((id, None));
+        }
+        let id = MetricId(self.metas.len() as u32);
+        let stored = Stored::new(
+            capacity.unwrap_or(self.default_capacity),
+            self.default_rollups.as_ref(),
+            reserved,
+        );
+        self.by_name.insert(meta.name.clone(), id);
+        self.metas.push(meta);
+        Ok((id, Some(stored)))
+    }
+
+    /// The typed rendering of a [`Reserved`] refusal.
+    fn reserved_error(&self, id: MetricId) -> InsertError {
+        InsertError::ReservedMetric {
+            id,
+            name: self.metas[id.index()].name.clone(),
+        }
+    }
+
+    fn names(&self) -> impl Iterator<Item = (&str, MetricId)> + '_ {
+        self.metas
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.name.as_str(), MetricId(i as u32)))
+    }
+}
+
+/// The panicking registration forms: for a name in the program text a
+/// refusal is a programming error.
+fn granted(registered: Result<MetricId, RegisterError>) -> MetricId {
+    registered.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A user write aimed at a reserved `__self/` series. The shells render
+/// it as `false` (`insert`, `insert_batch`) or as the typed
+/// [`InsertError`] (`try_insert`).
+#[derive(Debug)]
+struct Reserved;
+
 /// One metric's storage: the raw ring plus its optional rollup pyramid.
 /// Accepted appends fold into both; rejected (out-of-order) appends touch
 /// neither, so the tiers never disagree about what was stored.
@@ -102,10 +214,34 @@ impl Stored {
         ok
     }
 
+    /// A user write: refused on a reserved series, otherwise whether
+    /// the sample was accepted.
+    #[inline]
+    fn insert(&mut self, t: SimTime, value: f64) -> Result<bool, Reserved> {
+        if self.reserved {
+            return Err(Reserved);
+        }
+        Ok(self.push(t, value))
+    }
+
+    /// A scrape write: only to a reserved series.
+    fn insert_self(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
+        assert!(self.reserved, "insert_self on non-reserved metric {id}");
+        self.push(t, value)
+    }
+
     /// Enable (or reconfigure) rollups, backfilling from retained raw
     /// samples so the pyramid and the ring agree from the first query.
     fn enable_rollups(&mut self, config: &RollupConfig) {
         self.rollups = Some(RollupSet::from_series(config, &self.raw));
+    }
+
+    fn ensure_rollups(&mut self, config: &RollupConfig) -> bool {
+        let fresh = self.rollups.is_none();
+        if fresh {
+            self.enable_rollups(config);
+        }
+        fresh
     }
 
     fn window_agg(
@@ -115,6 +251,11 @@ impl Stored {
         agg: WindowAgg,
     ) -> (Option<f64>, RollupServed) {
         rollup::plan_window_agg(&self.raw, self.rollups.as_ref(), now, window, agg)
+    }
+
+    fn latest_n_agg(&self, n: usize, agg: WindowAgg) -> Option<f64> {
+        let view = self.raw.last_n_view(n);
+        (!view.is_empty()).then(|| view.aggregate(agg))
     }
 
     fn resample_into(
@@ -143,6 +284,64 @@ impl Stored {
         stats.compressed_bytes += self.raw.compressed_bytes();
         if let Some(r) = &self.rollups {
             stats.rollup_bytes += r.mem_bytes();
+        }
+    }
+}
+
+/// Streaming-resample kernel over a located view.
+fn resample_view(
+    view: &SampleView<'_>,
+    t0: SimTime,
+    t1: SimTime,
+    period: SimDuration,
+    agg: WindowAgg,
+    out: &mut Vec<Option<f64>>,
+) {
+    assert!(period.as_millis() > 0, "resample period must be positive");
+    out.clear();
+    let nb = (t1.0.saturating_sub(t0.0)).div_ceil(period.0) as usize;
+    if nb == 0 {
+        return;
+    }
+    out.reserve(nb);
+    let mut acc = AggAccum::new(agg);
+    let mut bucket = 0usize;
+    for (t, v) in view.timestamps().zip(view.values()) {
+        let b = ((t.0 - t0.0) / period.0) as usize;
+        debug_assert!(b < nb, "range_view bounded the samples to [t0, t1)");
+        while bucket < b {
+            out.push(acc.finish());
+            acc.reset();
+            bucket += 1;
+        }
+        acc.push(v);
+    }
+    while out.len() < nb {
+        out.push(acc.finish());
+        acc.reset();
+    }
+}
+
+/// Lifetime accounting. Atomics, because queries count their rollup
+/// hits through `&self` on both shells and the sharded shell also
+/// counts inserts through `&self`; the single-owner shell bumps its
+/// insert counters through `get_mut`, which is a plain add.
+#[derive(Debug, Default)]
+struct Counters {
+    inserts: AtomicU64,
+    self_inserts: AtomicU64,
+    rollup_hits: AtomicU64,
+    sketch_hits: AtomicU64,
+}
+
+impl Counters {
+    #[inline]
+    fn note_served(&self, served: RollupServed) {
+        if served.rollup {
+            self.rollup_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if served.sketch {
+            self.sketch_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -183,53 +382,46 @@ impl MemoryStats {
     }
 }
 
-/// Registry + storage for all metrics of one managed system.
-#[derive(Debug, Default)]
+// -------------------------------------------------- single-owner shell
+
+/// The single-owner store: registry + storage for all metrics of one
+/// managed system, written through `&mut self` and able to lend its
+/// series. See the [module docs](self) for when to use which shell.
+#[derive(Debug)]
 pub struct Tsdb {
-    metas: Vec<MetricMeta>,
+    registry: Registry,
     series: Vec<Stored>,
-    by_name: HashMap<String, MetricId>,
-    default_capacity: usize,
-    default_rollups: Option<RollupConfig>,
-    inserts: u64,
-    self_inserts: u64,
-    rollup_hits: AtomicU64,
-    sketch_hits: AtomicU64,
+    counters: Counters,
 }
 
-/// Thread-shared handle used by the threaded loop runtime: a sharded,
-/// lock-striped store (previously `Arc<RwLock<Tsdb>>` with one global
-/// lock).
+/// Thread-shared handle used by the threaded loop runtime.
 pub type SharedTsdb = Arc<ShardedTsdb>;
+
+impl Default for Tsdb {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Tsdb {
     /// Empty store with [`DEFAULT_RETENTION`] per series.
     pub fn new() -> Self {
-        Tsdb {
-            metas: Vec::new(),
-            series: Vec::new(),
-            by_name: HashMap::new(),
-            default_capacity: DEFAULT_RETENTION,
-            default_rollups: None,
-            inserts: 0,
-            self_inserts: 0,
-            rollup_hits: AtomicU64::new(0),
-            sketch_hits: AtomicU64::new(0),
-        }
+        Self::with_retention(DEFAULT_RETENTION)
     }
 
     /// Empty store with a custom default per-series retention.
     pub fn with_retention(capacity: usize) -> Self {
         Tsdb {
-            default_capacity: capacity.max(1),
-            ..Tsdb::new()
+            registry: Registry::new(capacity),
+            series: Vec::new(),
+            counters: Counters::default(),
         }
     }
 
-    /// Move into a thread-shared sharded handle (registry under one
-    /// lock, series lock-striped). The stripe count is sized by
-    /// [`adaptive_shards`] from `std::thread::available_parallelism()`
-    /// and the store's cardinality at the moment of the move; use
+    /// Move into a thread-shared sharded handle. The stripe count is
+    /// sized by [`adaptive_shards`] from
+    /// `std::thread::available_parallelism()` and the store's
+    /// cardinality at the moment of the move; use
     /// [`ShardedTsdb::from_tsdb`] to pin an explicit count instead
     /// (tests/benches comparing topologies).
     pub fn into_shared(self) -> SharedTsdb {
@@ -240,6 +432,17 @@ impl Tsdb {
         Arc::new(ShardedTsdb::from_tsdb(self, shards))
     }
 
+    fn register_as(
+        &mut self,
+        meta: MetricMeta,
+        capacity: Option<usize>,
+        reserved: bool,
+    ) -> Result<MetricId, RegisterError> {
+        let (id, fresh) = self.registry.register(meta, capacity, reserved)?;
+        self.series.extend(fresh);
+        Ok(id)
+    }
+
     /// Register a metric, returning its dense id. Re-registering the same
     /// name returns the existing id (idempotent), so sensors can register
     /// defensively. Panics on names in the reserved
@@ -247,12 +450,7 @@ impl Tsdb {
     /// export wire's length limit — use [`Tsdb::try_register`] when the
     /// name is not statically known to be user-owned and short.
     pub fn register(&mut self, meta: MetricMeta) -> MetricId {
-        assert!(
-            !is_self_metric(&meta.name),
-            "metric name {:?} is in the reserved self-telemetry namespace",
-            meta.name
-        );
-        self.register_unchecked(meta, false)
+        granted(self.try_register(meta))
     }
 
     /// [`Tsdb::register`] with the reserved `__self/` namespace and
@@ -260,61 +458,27 @@ impl Tsdb {
     /// typed error instead of a panic — the entry point for names
     /// originating outside the program text (wire ingest, config).
     pub fn try_register(&mut self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
-        if is_self_metric(&meta.name) {
-            return Err(RegisterError::ReservedNamespace { name: meta.name });
-        }
-        meta.check_wire_limit()?;
-        Ok(self.register_unchecked(meta, false))
+        self.register_as(meta, None, false)
+    }
+
+    /// [`Tsdb::register`] with explicit retention capacity for this
+    /// series (ignored when the name is already registered).
+    pub fn register_with_capacity(&mut self, meta: MetricMeta, capacity: usize) -> MetricId {
+        granted(self.register_as(meta, Some(capacity), false))
     }
 
     /// Scrape-only registration into the reserved `__self/` namespace
     /// (idempotent on name). Panics if the name is **not** reserved —
     /// self-telemetry must be namespaced so it cannot shadow user data.
     pub fn register_self(&mut self, meta: MetricMeta) -> MetricId {
-        assert!(
-            is_self_metric(&meta.name),
-            "self-telemetry metric {:?} must start with {:?}",
-            meta.name,
-            crate::metric::SELF_NAMESPACE
-        );
-        self.register_unchecked(meta, true)
-    }
-
-    fn register_unchecked(&mut self, meta: MetricMeta, reserved: bool) -> MetricId {
-        if let Err(e) = meta.check_wire_limit() {
-            panic!("{e}");
-        }
-        if let Some(&id) = self.by_name.get(&meta.name) {
-            return id;
-        }
-        let id = MetricId(self.metas.len() as u32);
-        self.by_name.insert(meta.name.clone(), id);
-        self.metas.push(meta);
-        self.series.push(Stored::new(
-            self.default_capacity,
-            self.default_rollups.as_ref(),
-            reserved,
-        ));
-        id
-    }
-
-    /// Register with explicit retention capacity for this series.
-    /// Reserved-namespace names panic as in [`Tsdb::register`].
-    pub fn register_with_capacity(&mut self, meta: MetricMeta, capacity: usize) -> MetricId {
-        let fresh = !self.by_name.contains_key(&meta.name);
-        let id = self.register(meta);
-        if fresh {
-            self.series[id.index()] =
-                Stored::new(capacity.max(1), self.default_rollups.as_ref(), false);
-        }
-        id
+        granted(self.register_as(meta, None, true))
     }
 
     /// Rollup pyramid applied to metrics registered **after** this call
     /// (`None` disables). Existing metrics are untouched — use
     /// [`Tsdb::enable_rollups`] for those.
     pub fn set_rollup_policy(&mut self, config: Option<RollupConfig>) {
-        self.default_rollups = config;
+        self.registry.default_rollups = config;
     }
 
     /// Enable (or reconfigure) the rollup tier for one metric,
@@ -330,12 +494,7 @@ impl Tsdb {
     /// history, which outlives raw retention, is never discarded).
     /// Returns whether rollups were newly enabled.
     pub fn ensure_rollups(&mut self, id: MetricId, config: &RollupConfig) -> bool {
-        let stored = &mut self.series[id.index()];
-        if stored.rollups.is_some() {
-            return false;
-        }
-        stored.enable_rollups(config);
-        true
+        self.series[id.index()].ensure_rollups(config)
     }
 
     /// The metric's rollup pyramid, if enabled.
@@ -346,7 +505,7 @@ impl Tsdb {
     /// Lifetime count of aggregate/resample queries that read at least
     /// one rollup bucket instead of scanning raw samples.
     pub fn rollup_hits(&self) -> u64 {
-        self.rollup_hits.load(Ordering::Relaxed)
+        self.counters.rollup_hits.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of percentile queries served by merging bucket
@@ -354,35 +513,40 @@ impl Tsdb {
     /// queries that fell back to the raw selection path count in
     /// neither.
     pub fn sketch_hits(&self) -> u64 {
-        self.sketch_hits.load(Ordering::Relaxed)
+        self.counters.sketch_hits.load(Ordering::Relaxed)
     }
 
     /// Look up a metric id by name.
     pub fn lookup(&self, name: &str) -> Option<MetricId> {
-        self.by_name.get(name).copied()
+        self.registry.by_name.get(name).copied()
     }
 
     /// Metadata for a registered metric.
     pub fn meta(&self, id: MetricId) -> &MetricMeta {
-        &self.metas[id.index()]
+        &self.registry.metas[id.index()]
     }
 
     /// Number of registered metrics (cardinality).
     pub fn cardinality(&self) -> usize {
-        self.metas.len()
+        self.registry.metas.len()
+    }
+
+    /// All registered metric names (registry order = id order).
+    pub fn names(&self) -> impl Iterator<Item = (&str, MetricId)> + '_ {
+        self.registry.names()
     }
 
     /// Lifetime accepted-insert count of **user** samples. Self-telemetry
     /// scrape writes are accounted separately ([`Tsdb::self_inserts`]) so
     /// enabling observability never perturbs workload accounting.
     pub fn total_inserts(&self) -> u64 {
-        self.inserts
+        self.counters.inserts.load(Ordering::Relaxed)
     }
 
     /// Lifetime accepted-insert count of self-telemetry scrape samples
     /// (the `__self/` namespace).
     pub fn self_inserts(&self) -> u64 {
-        self.self_inserts
+        self.counters.self_inserts.load(Ordering::Relaxed)
     }
 
     /// Append one sample. Returns false when rejected (unknown id is a
@@ -391,15 +555,14 @@ impl Tsdb {
     /// `__self/` series are refused (false); use [`Tsdb::try_insert`] for
     /// the typed form of that refusal.
     pub fn insert(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let stored = &mut self.series[id.index()];
-        if stored.reserved {
-            return false;
-        }
-        let ok = stored.push(t, value);
-        if ok {
-            self.inserts += 1;
-        }
-        ok
+        self.write(id, t, value).unwrap_or(false)
+    }
+
+    #[inline]
+    fn write(&mut self, id: MetricId, t: SimTime, value: f64) -> Result<bool, Reserved> {
+        let accepted = self.series[id.index()].insert(t, value)?;
+        *self.counters.inserts.get_mut() += u64::from(accepted);
+        Ok(accepted)
     }
 
     /// [`Tsdb::insert`] with reserved-namespace refusal as a typed error:
@@ -410,38 +573,28 @@ impl Tsdb {
         t: SimTime,
         value: f64,
     ) -> Result<bool, InsertError> {
-        if self.series[id.index()].reserved {
-            return Err(InsertError::ReservedMetric {
-                id,
-                name: self.metas[id.index()].name.clone(),
-            });
-        }
-        Ok(self.insert(id, t, value))
+        self.write(id, t, value)
+            .map_err(|Reserved| self.registry.reserved_error(id))
     }
 
     /// Scrape-only append to a reserved `__self/` series (panics if `id`
     /// is not reserved). Accounted under [`Tsdb::self_inserts`], not
     /// [`Tsdb::total_inserts`].
     pub fn insert_self(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let stored = &mut self.series[id.index()];
-        assert!(
-            stored.reserved,
-            "insert_self on non-reserved metric {id} ({:?})",
-            self.metas[id.index()].name
-        );
-        let ok = stored.push(t, value);
-        if ok {
-            self.self_inserts += 1;
-        }
+        let ok = self.series[id.index()].insert_self(id, t, value);
+        *self.counters.self_inserts.get_mut() += u64::from(ok);
         ok
     }
 
     /// Append a batch of `(metric, value)` observations at one timestamp —
-    /// the shape a sensor sweep produces.
-    pub fn insert_batch(&mut self, t: SimTime, batch: &[(MetricId, f64)]) {
+    /// the shape a sensor sweep produces. Returns how many were accepted.
+    pub fn insert_batch(&mut self, t: SimTime, batch: &[(MetricId, f64)]) -> usize {
+        let mut accepted = 0;
         for &(id, v) in batch {
-            self.insert(id, t, v);
+            accepted += usize::from(self.series[id.index()].insert(t, v).unwrap_or(false));
         }
+        *self.counters.inserts.get_mut() += accepted as u64;
+        accepted
     }
 
     /// Immutable access to a series (the raw ring; rollups are reached
@@ -450,9 +603,22 @@ impl Tsdb {
         &self.series[id.index()].raw
     }
 
+    /// Run `f` over one metric's raw ring and its optional rollup
+    /// pyramid — the shape both shells share (see
+    /// [`ShardedTsdb::with_storage`]) and the incremental exporter
+    /// ([`crate::export`]) builds on.
+    pub fn with_storage<R>(
+        &self,
+        id: MetricId,
+        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
+    ) -> R {
+        let stored = &self.series[id.index()];
+        f(&stored.raw, stored.rollups.as_ref())
+    }
+
     /// Most recent sample of a metric.
     pub fn latest(&self, id: MetricId) -> Option<Sample> {
-        self.series[id.index()].raw.latest()
+        self.series(id).latest()
     }
 
     /// Most recent value of a metric.
@@ -463,7 +629,7 @@ impl Tsdb {
     /// Zero-allocation view of `id`'s samples in the trailing `window`
     /// ending at `now`.
     pub fn window_view(&self, id: MetricId, now: SimTime, window: SimDuration) -> SampleView<'_> {
-        self.series[id.index()].raw.window_view(now, window)
+        self.series(id).window_view(now, window)
     }
 
     /// Fold `agg` over the trailing window without materializing samples.
@@ -484,30 +650,20 @@ impl Tsdb {
         agg: WindowAgg,
     ) -> Option<f64> {
         let (out, served) = self.series[id.index()].window_agg(now, window, agg);
-        self.note_served(served);
+        self.counters.note_served(served);
         out
-    }
-
-    #[inline]
-    fn note_served(&self, served: RollupServed) {
-        if served.rollup {
-            self.rollup_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if served.sketch {
-            self.sketch_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Fold `agg` over the last `n` samples without materializing them.
     /// `None` when the series is empty. Count-based, so always raw.
     pub fn latest_n_agg(&self, id: MetricId, n: usize, agg: WindowAgg) -> Option<f64> {
-        agg_of_view(&self.series[id.index()].raw.last_n_view(n), agg)
+        self.series[id.index()].latest_n_agg(n, agg)
     }
 
     /// Linearly interpolated value of `id` at `t` (O(log n); `None`
     /// outside the retained span).
     pub fn value_at(&self, id: MetricId, t: SimTime) -> Option<f64> {
-        self.series[id.index()].raw.value_at(t)
+        self.series(id).value_at(t)
     }
 
     /// Downsample a series to fixed `period` buckets over `[t0, t1)`
@@ -529,38 +685,13 @@ impl Tsdb {
         out: &mut Vec<Option<f64>>,
     ) {
         let served = self.series[id.index()].resample_into(t0, t1, period, agg, out);
-        self.note_served(served);
-    }
-
-    /// Run `f` over one metric's full storage — the raw ring and its
-    /// optional rollup pyramid — as a single consistent snapshot. On
-    /// this single-owner store that is trivially true; on
-    /// [`ShardedTsdb::with_storage`] the same shape holds the metric's
-    /// stripe read lock for exactly the duration of `f`, which is what
-    /// the incremental exporter ([`crate::export`]) builds on.
-    pub fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R {
-        let stored = &self.series[id.index()];
-        f(&stored.raw, stored.rollups.as_ref())
-    }
-
-    /// All registered metric names (registry order = id order).
-    pub fn names(&self) -> impl Iterator<Item = (&str, MetricId)> + '_ {
-        self.metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), MetricId(i as u32)))
+        self.counters.note_served(served);
     }
 
     /// Memory footprint of all series, split by storage tier.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
-        for s in &self.series {
-            s.fold_memory(&mut stats);
-        }
+        self.series.iter().for_each(|s| s.fold_memory(&mut stats));
         stats
     }
 
@@ -580,80 +711,36 @@ impl Tsdb {
     }
 }
 
-fn agg_of_view(view: &SampleView<'_>, agg: WindowAgg) -> Option<f64> {
-    if view.is_empty() {
-        None
-    } else {
-        Some(view.aggregate(agg))
-    }
-}
+// -------------------------------------------------------- shared shell
 
-/// Shared streaming-resample kernel over a located view.
-fn resample_view(
-    view: &SampleView<'_>,
-    t0: SimTime,
-    t1: SimTime,
-    period: SimDuration,
-    agg: WindowAgg,
-    out: &mut Vec<Option<f64>>,
-) {
-    assert!(period.as_millis() > 0, "resample period must be positive");
-    out.clear();
-    let nb = (t1.0.saturating_sub(t0.0)).div_ceil(period.0) as usize;
-    if nb == 0 {
-        return;
-    }
-    out.reserve(nb);
-    let mut acc = AggAccum::new(agg);
-    let mut bucket = 0usize;
-    for (t, v) in view.timestamps().zip(view.values()) {
-        let b = ((t.0 - t0.0) / period.0) as usize;
-        debug_assert!(b < nb, "range_view bounded the samples to [t0, t1)");
-        while bucket < b {
-            out.push(acc.finish());
-            acc.reset();
-            bucket += 1;
-        }
-        acc.push(v);
-    }
-    while out.len() < nb {
-        out.push(acc.finish());
-        acc.reset();
-    }
-}
-
-// ------------------------------------------------------------ sharding
-
-/// A sharded, lock-striped concurrent time-series store.
+/// The shared store: the same core as [`Tsdb`] behind locks, written
+/// through `&self`. Every method without its own contract below behaves
+/// as the [`Tsdb`] method of the same name.
 ///
 /// The registry (name → id, metadata) lives under one `RwLock`; series
 /// storage is striped across `n_shards` independently locked shards with
 /// `shard = id % n_shards`, `slot = id / n_shards` (both pure arithmetic,
 /// so the hot insert/read path never consults the registry). Writers to
 /// one stripe proceed concurrently with readers and writers of every
-/// other stripe.
+/// other stripe. The only nested lock order is registry → stripe
+/// (registration); every other method holds at most one lock at a time.
+///
+/// Where a signature differs from [`Tsdb`]'s, ownership forces it:
+/// `meta` and `names` return clones and storage is lent only to a
+/// closure ([`ShardedTsdb::with_storage`], which also answers "has
+/// rollups?" and every raw-series question), because a borrow cannot
+/// outlive the lock guard it came from.
 #[derive(Debug)]
 pub struct ShardedTsdb {
     registry: RwLock<Registry>,
-    shards: Box<[RwLock<Shard>]>,
-    inserts: AtomicU64,
-    self_inserts: AtomicU64,
-    rollup_hits: AtomicU64,
-    sketch_hits: AtomicU64,
-    default_capacity: usize,
+    shards: Box<[RwLock<Vec<Stored>>]>,
+    counters: Counters,
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    metas: Vec<MetricMeta>,
-    by_name: HashMap<String, MetricId>,
-    /// Rollup pyramid applied to newly registered metrics.
-    default_rollups: Option<RollupConfig>,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    series: Vec<Stored>,
+impl Default for ShardedTsdb {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ShardedTsdb {
@@ -664,47 +751,23 @@ impl ShardedTsdb {
 
     /// Empty store with explicit retention and stripe count.
     pub fn with_config(capacity: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
-        ShardedTsdb {
-            registry: RwLock::new(Registry::default()),
-            shards: (0..n_shards)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
-            inserts: AtomicU64::new(0),
-            self_inserts: AtomicU64::new(0),
-            rollup_hits: AtomicU64::new(0),
-            sketch_hits: AtomicU64::new(0),
-            default_capacity: capacity.max(1),
-        }
+        Self::from_tsdb(Tsdb::with_retention(capacity), n_shards)
     }
 
-    /// Build from a single-owner [`Tsdb`], distributing its series across
-    /// stripes and preserving ids, data, rollups, and counters.
+    /// Build from a single-owner [`Tsdb`]: its registry and counters
+    /// move over as they are and its series are dealt out across the
+    /// stripes, preserving ids, data and rollups.
     pub fn from_tsdb(db: Tsdb, n_shards: usize) -> Self {
-        let sharded = Self::with_config(db.default_capacity, n_shards);
-        {
-            let mut reg = sharded.registry.write();
-            reg.metas = db.metas;
-            reg.by_name = db.by_name;
-            reg.default_rollups = db.default_rollups;
+        let n = n_shards.max(1);
+        let mut shards: Vec<Vec<Stored>> = (0..n).map(|_| Vec::new()).collect();
+        for (i, stored) in db.series.into_iter().enumerate() {
+            shards[i % n].push(stored);
         }
-        for (i, series) in db.series.into_iter().enumerate() {
-            let id = MetricId(i as u32);
-            let mut shard = sharded.shards[sharded.shard_of(id)].write();
-            debug_assert_eq!(shard.series.len(), sharded.slot_of(id));
-            shard.series.push(series);
+        ShardedTsdb {
+            registry: RwLock::new(db.registry),
+            shards: shards.into_iter().map(RwLock::new).collect(),
+            counters: db.counters,
         }
-        sharded.inserts.store(db.inserts, Ordering::Relaxed);
-        sharded
-            .self_inserts
-            .store(db.self_inserts, Ordering::Relaxed);
-        sharded
-            .rollup_hits
-            .store(db.rollup_hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        sharded
-            .sketch_hits
-            .store(db.sketch_hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        sharded
     }
 
     /// Number of stripes.
@@ -722,148 +785,78 @@ impl ShardedTsdb {
         id.index() / self.shards.len()
     }
 
-    /// Register a metric (idempotent on name), returning its dense id.
-    /// Panics on names in the reserved `__self/` namespace and on names
-    /// or units over the export wire's length limit — use
-    /// [`ShardedTsdb::try_register`] for externally sourced names.
-    pub fn register(&self, meta: MetricMeta) -> MetricId {
-        assert!(
-            !is_self_metric(&meta.name),
-            "metric name {:?} is in the reserved self-telemetry namespace",
-            meta.name
-        );
-        self.register_with_capacity_opt(meta, None, false)
+    fn with_stored<R>(&self, id: MetricId, f: impl FnOnce(&Stored) -> R) -> R {
+        f(&self.shards[self.shard_of(id)].read()[self.slot_of(id)])
     }
 
-    /// [`ShardedTsdb::register`] with the reserved namespace and
-    /// over-limit names or units refused as a typed error instead of a
-    /// panic.
-    pub fn try_register(&self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
-        if is_self_metric(&meta.name) {
-            return Err(RegisterError::ReservedNamespace { name: meta.name });
-        }
-        meta.check_wire_limit()?;
-        Ok(self.register_with_capacity_opt(meta, None, false))
+    fn with_stored_mut<R>(&self, id: MetricId, f: impl FnOnce(&mut Stored) -> R) -> R {
+        f(&mut self.shards[self.shard_of(id)].write()[self.slot_of(id)])
     }
 
-    /// Scrape-only registration into the reserved `__self/` namespace
-    /// (idempotent on name; panics if the name is not reserved). A
-    /// read-lock fast path makes per-scrape re-registration cheap.
-    pub fn register_self(&self, meta: MetricMeta) -> MetricId {
-        assert!(
-            is_self_metric(&meta.name),
-            "self-telemetry metric {:?} must start with {:?}",
-            meta.name,
-            crate::metric::SELF_NAMESPACE
-        );
-        if let Some(id) = self.lookup(&meta.name) {
-            return id;
-        }
-        self.register_with_capacity_opt(meta, None, true)
-    }
-
-    /// Register with explicit retention for this series. Reserved names
-    /// panic as in [`ShardedTsdb::register`].
-    pub fn register_with_capacity(&self, meta: MetricMeta, capacity: usize) -> MetricId {
-        assert!(
-            !is_self_metric(&meta.name),
-            "metric name {:?} is in the reserved self-telemetry namespace",
-            meta.name
-        );
-        self.register_with_capacity_opt(meta, Some(capacity.max(1)), false)
-    }
-
-    fn register_with_capacity_opt(
+    fn register_as(
         &self,
         meta: MetricMeta,
         capacity: Option<usize>,
         reserved: bool,
-    ) -> MetricId {
-        if let Err(e) = meta.check_wire_limit() {
-            panic!("{e}");
+    ) -> Result<MetricId, RegisterError> {
+        // The registry write lock is held across the stripe push: it
+        // orders concurrent registrations, so each stripe's slots fill
+        // densely (stripe s receives ids s, s+N, s+2N, ...).
+        let mut registry = self.registry.write();
+        let (id, fresh) = registry.register(meta, capacity, reserved)?;
+        if let Some(stored) = fresh {
+            let mut shard = self.shards[self.shard_of(id)].write();
+            debug_assert_eq!(shard.len(), self.slot_of(id));
+            shard.push(stored);
         }
-        let mut reg = self.registry.write();
-        if let Some(&id) = reg.by_name.get(&meta.name) {
-            return id;
-        }
-        let id = MetricId(reg.metas.len() as u32);
-        reg.by_name.insert(meta.name.clone(), id);
-        reg.metas.push(meta);
-        // Ids are assigned sequentially, so each stripe's slots fill
-        // densely (stripe s receives ids s, s+N, s+2N, ...). Holding the
-        // registry write lock orders concurrent registrations.
-        let mut shard = self.shards[self.shard_of(id)].write();
-        debug_assert_eq!(shard.series.len(), self.slot_of(id));
-        shard.series.push(Stored::new(
-            capacity.unwrap_or(self.default_capacity),
-            reg.default_rollups.as_ref(),
-            reserved,
-        ));
-        id
+        Ok(id)
     }
 
-    /// Rollup pyramid applied to metrics registered **after** this call
-    /// (`None` disables). Existing metrics are untouched — use
-    /// [`ShardedTsdb::enable_rollups`] for those.
+    /// See [`Tsdb::register`].
+    pub fn register(&self, meta: MetricMeta) -> MetricId {
+        granted(self.try_register(meta))
+    }
+
+    /// See [`Tsdb::try_register`].
+    pub fn try_register(&self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
+        self.register_as(meta, None, false)
+    }
+
+    /// See [`Tsdb::register_with_capacity`].
+    pub fn register_with_capacity(&self, meta: MetricMeta, capacity: usize) -> MetricId {
+        granted(self.register_as(meta, Some(capacity), false))
+    }
+
+    /// See [`Tsdb::register_self`].
+    pub fn register_self(&self, meta: MetricMeta) -> MetricId {
+        granted(self.register_as(meta, None, true))
+    }
+
+    /// See [`Tsdb::set_rollup_policy`].
     pub fn set_rollup_policy(&self, config: Option<RollupConfig>) {
         self.registry.write().default_rollups = config;
     }
 
-    /// Enable (or reconfigure) the rollup tier for one metric,
-    /// backfilling from its retained raw samples under the stripe's
-    /// write lock. **Resets** any existing pyramid — sealed buckets that
-    /// outlived raw retention are lost; use
-    /// [`ShardedTsdb::ensure_rollups`] when the metric may already have
-    /// one.
+    /// See [`Tsdb::enable_rollups`]; backfills under the stripe's write
+    /// lock.
     pub fn enable_rollups(&self, id: MetricId, config: &RollupConfig) {
-        let slot = self.slot_of(id);
-        self.shards[self.shard_of(id)].write().series[slot].enable_rollups(config);
+        self.with_stored_mut(id, |s| s.enable_rollups(config));
     }
 
-    /// Enable rollups only when the metric has none yet (check and
-    /// backfill atomically under the stripe write lock). Returns whether
-    /// rollups were newly enabled.
+    /// See [`Tsdb::ensure_rollups`]; check and backfill are atomic under
+    /// the stripe's write lock.
     pub fn ensure_rollups(&self, id: MetricId, config: &RollupConfig) -> bool {
-        let slot = self.slot_of(id);
-        let mut shard = self.shards[self.shard_of(id)].write();
-        let stored = &mut shard.series[slot];
-        if stored.rollups.is_some() {
-            return false;
-        }
-        stored.enable_rollups(config);
-        true
+        self.with_stored_mut(id, |s| s.ensure_rollups(config))
     }
 
-    /// Whether the metric currently maintains rollups.
-    pub fn rollups_enabled(&self, id: MetricId) -> bool {
-        let slot = self.slot_of(id);
-        self.shards[self.shard_of(id)].read().series[slot]
-            .rollups
-            .is_some()
-    }
-
-    /// Lifetime count of aggregate/resample queries served (at least
-    /// partly) from rollup buckets across all stripes.
+    /// See [`Tsdb::rollup_hits`]; across all stripes.
     pub fn rollup_hits(&self) -> u64 {
-        self.rollup_hits.load(Ordering::Relaxed)
+        self.counters.rollup_hits.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of percentile queries served from bucket quantile
-    /// sketches across all stripes (a subset of
-    /// [`ShardedTsdb::rollup_hits`]); raw-fallback percentiles count in
-    /// neither.
+    /// See [`Tsdb::sketch_hits`]; across all stripes.
     pub fn sketch_hits(&self) -> u64 {
-        self.sketch_hits.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn note_served(&self, served: RollupServed) {
-        if served.rollup {
-            self.rollup_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if served.sketch {
-            self.sketch_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.counters.sketch_hits.load(Ordering::Relaxed)
     }
 
     /// Look up a metric id by name.
@@ -881,93 +874,61 @@ impl ShardedTsdb {
         self.registry.read().metas.len()
     }
 
-    /// Lifetime accepted-insert count of **user** samples across all
-    /// stripes. Scrape writes are accounted separately
-    /// ([`ShardedTsdb::self_inserts`]).
-    pub fn total_inserts(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime accepted-insert count of self-telemetry scrape samples
-    /// (the `__self/` namespace) across all stripes.
-    pub fn self_inserts(&self) -> u64 {
-        self.self_inserts.load(Ordering::Relaxed)
-    }
-
     /// All registered metric names in id order (cloned snapshot).
     pub fn names(&self) -> Vec<(String, MetricId)> {
-        let reg = self.registry.read();
-        reg.metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), MetricId(i as u32)))
-            .collect()
+        let registry = self.registry.read();
+        registry.names().map(|(n, id)| (n.to_owned(), id)).collect()
     }
 
-    /// Append one sample, locking only `id`'s stripe. Writes to reserved
-    /// `__self/` series are refused (false); see
-    /// [`ShardedTsdb::try_insert`] for the typed form.
+    /// See [`Tsdb::total_inserts`]; across all stripes.
+    pub fn total_inserts(&self) -> u64 {
+        self.counters.inserts.load(Ordering::Relaxed)
+    }
+
+    /// See [`Tsdb::self_inserts`]; across all stripes.
+    pub fn self_inserts(&self) -> u64 {
+        self.counters.self_inserts.load(Ordering::Relaxed)
+    }
+
+    /// See [`Tsdb::insert`]; locks only `id`'s stripe.
     pub fn insert(&self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let slot = self.slot_of(id);
-        let ok = {
-            let mut shard = self.shards[self.shard_of(id)].write();
-            let stored = &mut shard.series[slot];
-            if stored.reserved {
-                return false;
-            }
-            stored.push(t, value)
-        };
-        if ok {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+        self.write(id, t, value).unwrap_or(false)
     }
 
-    /// [`ShardedTsdb::insert`] with reserved-namespace refusal as a
-    /// typed error: `Err` when `id` is a `__self/` series.
+    #[inline]
+    fn write(&self, id: MetricId, t: SimTime, value: f64) -> Result<bool, Reserved> {
+        let accepted = self.with_stored_mut(id, |s| s.insert(t, value))?;
+        self.counters
+            .inserts
+            .fetch_add(u64::from(accepted), Ordering::Relaxed);
+        Ok(accepted)
+    }
+
+    /// See [`Tsdb::try_insert`]. The stripe lock is released before the
+    /// registry is read for the refusal's name.
     pub fn try_insert(&self, id: MetricId, t: SimTime, value: f64) -> Result<bool, InsertError> {
-        let slot = self.slot_of(id);
-        let reserved = {
-            // Separate probe: taking the registry lock for the error's
-            // name while holding the stripe lock would invert the
-            // registry → stripe order used by registration.
-            let shard = self.shards[self.shard_of(id)].read();
-            shard.series[slot].reserved
-        };
-        if reserved {
-            return Err(InsertError::ReservedMetric {
-                id,
-                name: self.meta(id).name,
-            });
-        }
-        Ok(self.insert(id, t, value))
+        self.write(id, t, value)
+            .map_err(|Reserved| self.registry.read().reserved_error(id))
     }
 
-    /// Scrape-only append to a reserved `__self/` series (panics if `id`
-    /// is not reserved). Accounted under [`ShardedTsdb::self_inserts`].
+    /// See [`Tsdb::insert_self`].
     pub fn insert_self(&self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let slot = self.slot_of(id);
-        let ok = {
-            let mut shard = self.shards[self.shard_of(id)].write();
-            let stored = &mut shard.series[slot];
-            assert!(stored.reserved, "insert_self on non-reserved metric {id}");
-            stored.push(t, value)
-        };
-        if ok {
-            self.self_inserts.fetch_add(1, Ordering::Relaxed);
-        }
+        let ok = self.with_stored_mut(id, |s| s.insert_self(id, t, value));
+        self.counters
+            .self_inserts
+            .fetch_add(u64::from(ok), Ordering::Relaxed);
         ok
     }
 
-    /// Append a batch of `(metric, value)` observations at one timestamp.
+    /// See [`Tsdb::insert_batch`].
     ///
     /// Single allocation-free pass holding one stripe write lock at a
     /// time, re-acquired only when the stripe changes — a sweep over
     /// ids sorted by stripe takes each lock exactly once, and the
     /// insert counter is updated once per batch instead of per sample.
     pub fn insert_batch(&self, t: SimTime, batch: &[(MetricId, f64)]) -> usize {
-        let mut accepted = 0u64;
-        let mut held: Option<(usize, parking_lot::RwLockWriteGuard<'_, Shard>)> = None;
+        let mut accepted = 0;
+        let mut held: Option<(usize, RwLockWriteGuard<'_, Vec<Stored>>)> = None;
         for &(id, v) in batch {
             let s = self.shard_of(id);
             let guard = match held {
@@ -978,38 +939,24 @@ impl ShardedTsdb {
                     // would allow AB-BA deadlock between batch writers
                     // sweeping stripes in different orders.
                     drop(held.take());
-                    held = Some((s, self.shards[s].write()));
-                    &mut held.as_mut().expect("just set").1
+                    &mut held.insert((s, self.shards[s].write())).1
                 }
             };
-            let stored = &mut guard.series[self.slot_of(id)];
-            if !stored.reserved && stored.push(t, v) {
-                accepted += 1;
-            }
+            accepted += usize::from(guard[self.slot_of(id)].insert(t, v).unwrap_or(false));
         }
         drop(held);
-        self.inserts.fetch_add(accepted, Ordering::Relaxed);
-        accepted as usize
-    }
-
-    /// Run `f` over a zero-allocation view of the series (the view cannot
-    /// escape the stripe's read guard).
-    pub fn with_series<R>(&self, id: MetricId, f: impl FnOnce(&TimeSeries) -> R) -> R {
-        self.with_stored(id, |s| f(&s.raw))
-    }
-
-    fn with_stored<R>(&self, id: MetricId, f: impl FnOnce(&Stored) -> R) -> R {
-        let slot = self.slot_of(id);
-        let guard = self.shards[self.shard_of(id)].read();
-        f(&guard.series[slot])
+        self.counters
+            .inserts
+            .fetch_add(accepted as u64, Ordering::Relaxed);
+        accepted
     }
 
     /// Run `f` over one metric's raw ring **and** rollup pyramid under a
     /// single stripe read lock — a consistent snapshot of both tiers
-    /// that blocks writers of this stripe only (never the whole store).
-    /// This is the incremental exporter's drain primitive: each metric
-    /// is copied out under its own short lock hold (see
-    /// [`crate::export::Exporter`]).
+    /// that blocks writers of this stripe only (never the whole store),
+    /// and that cannot escape the guard. This is the incremental
+    /// exporter's drain primitive: each metric is copied out under its
+    /// own short lock hold (see [`crate::export::Exporter`]).
     pub fn with_storage<R>(
         &self,
         id: MetricId,
@@ -1020,7 +967,7 @@ impl ShardedTsdb {
 
     /// Most recent sample of a metric.
     pub fn latest(&self, id: MetricId) -> Option<Sample> {
-        self.with_series(id, |s| s.latest())
+        self.with_stored(id, |s| s.raw.latest())
     }
 
     /// Most recent value of a metric.
@@ -1028,11 +975,7 @@ impl ShardedTsdb {
         self.latest(id).map(|s| s.value)
     }
 
-    /// Fold `agg` over the trailing window, allocation-free, holding only
-    /// `id`'s stripe read lock. `None` when the window holds no samples.
-    /// Served from sealed rollup buckets when the metric has them and
-    /// `agg` is [rollup-servable](WindowAgg::rollup_servable) — or a
-    /// `Percentile` on a sketched pyramid (see [`Tsdb::window_agg`]).
+    /// See [`Tsdb::window_agg`]; holds only `id`'s stripe read lock.
     pub fn window_agg(
         &self,
         id: MetricId,
@@ -1041,23 +984,21 @@ impl ShardedTsdb {
         agg: WindowAgg,
     ) -> Option<f64> {
         let (out, served) = self.with_stored(id, |s| s.window_agg(now, window, agg));
-        self.note_served(served);
+        self.counters.note_served(served);
         out
     }
 
-    /// Fold `agg` over the last `n` samples, allocation-free.
+    /// See [`Tsdb::latest_n_agg`].
     pub fn latest_n_agg(&self, id: MetricId, n: usize, agg: WindowAgg) -> Option<f64> {
-        self.with_series(id, |s| agg_of_view(&s.last_n_view(n), agg))
+        self.with_stored(id, |s| s.latest_n_agg(n, agg))
     }
 
-    /// Linearly interpolated value of `id` at `t`.
+    /// See [`Tsdb::value_at`].
     pub fn value_at(&self, id: MetricId, t: SimTime) -> Option<f64> {
-        self.with_series(id, |s| s.value_at(t))
+        self.with_stored(id, |s| s.raw.value_at(t))
     }
 
-    /// Streaming resample into a caller-owned buffer (see
-    /// [`Tsdb::resample_into`]); sealed rollup buckets are spliced in
-    /// when available.
+    /// See [`Tsdb::resample_into`].
     pub fn resample_into(
         &self,
         id: MetricId,
@@ -1068,45 +1009,32 @@ impl ShardedTsdb {
         out: &mut Vec<Option<f64>>,
     ) {
         let served = self.with_stored(id, |s| s.resample_into(t0, t1, period, agg, out));
-        self.note_served(served);
+        self.counters.note_served(served);
     }
 
-    /// Memory footprint of all series, split by storage tier (takes
-    /// each stripe's read lock briefly, one stripe at a time).
+    /// See [`Tsdb::memory_stats`]; takes each stripe's read lock
+    /// briefly, one stripe at a time.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
         for shard in self.shards.iter() {
-            let shard = shard.read();
-            for s in &shard.series {
-                s.fold_memory(&mut stats);
-            }
+            shard.read().iter().for_each(|s| s.fold_memory(&mut stats));
         }
         stats
     }
 
-    /// Apply a raw-retention policy to every registered series (one
-    /// stripe write lock at a time; series registered later keep the
-    /// default policy).
+    /// See [`Tsdb::set_retention_policy`]; one stripe write lock at a
+    /// time.
     pub fn set_retention_policy(&self, policy: RetentionPolicy) {
         for shard in self.shards.iter() {
-            let mut shard = shard.write();
-            for s in &mut shard.series {
+            for s in shard.write().iter_mut() {
                 s.raw.set_retention_policy(policy);
             }
         }
     }
 
-    /// Apply a raw-retention policy to one series.
+    /// See [`Tsdb::set_metric_retention_policy`].
     pub fn set_metric_retention_policy(&self, id: MetricId, policy: RetentionPolicy) {
-        let mut shard = self.shards[self.shard_of(id)].write();
-        let slot = self.slot_of(id);
-        shard.series[slot].raw.set_retention_policy(policy);
-    }
-}
-
-impl Default for ShardedTsdb {
-    fn default() -> Self {
-        Self::new()
+        self.with_stored_mut(id, |s| s.raw.set_retention_policy(policy));
     }
 }
 
@@ -1163,7 +1091,10 @@ mod tests {
         let mut db = db();
         let a = gauge(&mut db, "a");
         let b = gauge(&mut db, "b");
-        db.insert_batch(SimTime::from_secs(3), &[(a, 1.0), (b, 2.0)]);
+        assert_eq!(
+            db.insert_batch(SimTime::from_secs(3), &[(a, 1.0), (b, 2.0)]),
+            2
+        );
         assert_eq!(db.latest_value(a), Some(1.0));
         assert_eq!(db.latest_value(b), Some(2.0));
     }
@@ -1375,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reserved self-telemetry namespace")]
+    #[should_panic(expected = "self-telemetry namespace")]
     fn reserved_namespace_panics_on_plain_register() {
         let mut db = db();
         db.register(MetricMeta::gauge("__self/x", "u", SourceDomain::Software));
@@ -1391,7 +1322,7 @@ mod tests {
         ));
         // User write paths refuse the reserved series...
         assert!(!db.insert(id, SimTime::from_secs(1), 1.0));
-        db.insert_batch(SimTime::from_secs(1), &[(id, 2.0)]);
+        assert_eq!(db.insert_batch(SimTime::from_secs(1), &[(id, 2.0)]), 0);
         match db.try_insert(id, SimTime::from_secs(1), 3.0) {
             Err(InsertError::ReservedMetric { id: got, name }) => {
                 assert_eq!(got, id);
@@ -1406,33 +1337,6 @@ mod tests {
         assert_eq!(db.latest_value(id), Some(4.0));
         assert_eq!(db.total_inserts(), 0);
         assert_eq!(db.self_inserts(), 1);
-    }
-
-    #[test]
-    fn sharded_scrape_is_the_only_writer_of_self_series() {
-        let shared = ShardedTsdb::with_config(64, 4);
-        let id = shared.register_self(MetricMeta::counter(
-            "__self/export.batches",
-            "count",
-            SourceDomain::Software,
-        ));
-        // register_self is idempotent (read-lock fast path).
-        assert_eq!(
-            shared.register_self(MetricMeta::counter(
-                "__self/export.batches",
-                "count",
-                SourceDomain::Software,
-            )),
-            id
-        );
-        assert!(!shared.insert(id, SimTime::from_secs(1), 1.0));
-        assert_eq!(shared.insert_batch(SimTime::from_secs(1), &[(id, 2.0)]), 0);
-        assert!(shared.try_insert(id, SimTime::from_secs(1), 3.0).is_err());
-        assert_eq!(shared.total_inserts(), 0);
-        assert!(shared.insert_self(id, SimTime::from_secs(1), 4.0));
-        assert_eq!(shared.latest_value(id), Some(4.0));
-        assert_eq!(shared.total_inserts(), 0);
-        assert_eq!(shared.self_inserts(), 1);
     }
 
     #[test]
@@ -1488,37 +1392,6 @@ mod tests {
         }
         assert_eq!(shared.lookup("m7"), Some(ids[7]));
         assert_eq!(shared.meta(ids[3]).name, "m3");
-    }
-
-    #[test]
-    fn sharded_register_insert_query() {
-        let db = ShardedTsdb::with_config(128, 4);
-        let ids: Vec<MetricId> = (0..10)
-            .map(|i| {
-                db.register(MetricMeta::gauge(
-                    format!("s{i}"),
-                    "u",
-                    SourceDomain::Software,
-                ))
-            })
-            .collect();
-        // Idempotent re-registration.
-        assert_eq!(
-            db.register(MetricMeta::gauge("s3", "u", SourceDomain::Software)),
-            ids[3]
-        );
-        let batch: Vec<(MetricId, f64)> = ids.iter().map(|id| (*id, id.0 as f64)).collect();
-        assert_eq!(db.insert_batch(SimTime::from_secs(1), &batch), 10);
-        assert_eq!(db.total_inserts(), 10);
-        for id in &ids {
-            assert_eq!(db.latest_value(*id), Some(id.0 as f64));
-        }
-        // Out-of-order rejected, not counted.
-        assert!(!db.insert(ids[0], SimTime::ZERO, 1.0));
-        assert_eq!(db.total_inserts(), 10);
-        let names = db.names();
-        assert_eq!(names.len(), 10);
-        assert_eq!(names[2].0, "s2");
     }
 
     #[test]
@@ -1709,54 +1582,10 @@ mod tests {
         // The policy survives the move into the sharded store.
         let shared = db.into_shared();
         let late = shared.register(MetricMeta::gauge("late", "u", SourceDomain::Software));
-        assert!(!shared.rollups_enabled(before));
-        assert!(shared.rollups_enabled(after));
-        assert!(shared.rollups_enabled(late));
-    }
-
-    #[test]
-    fn sharded_rollup_window_agg_matches_raw() {
-        use crate::rollup::RollupConfig;
-        let db = ShardedTsdb::with_config(1 << 14, 4);
-        let id = db.register(MetricMeta::gauge("r", "u", SourceDomain::Hardware));
-        db.enable_rollups(id, &RollupConfig::standard());
-        for s in 0..5000u64 {
-            db.insert(id, SimTime::from_secs(s), ((s * 31) % 101) as f64);
-        }
-        let now = SimTime::from_secs(4999);
-        let w = SimDuration::from_secs(4000);
-        let got = db.window_agg(id, now, w, WindowAgg::Max).unwrap();
-        let want = db.with_series(id, |s| s.window_view(now, w).aggregate(WindowAgg::Max));
-        assert_eq!(got, want);
-        assert!(db.rollup_hits() > 0);
-        // Resample through rollups matches the raw kernel.
-        let mut got = Vec::new();
-        db.resample_into(
-            id,
-            SimTime::ZERO,
-            SimTime::from_secs(4800),
-            SimDuration::from_secs(600),
-            WindowAgg::Sum,
-            &mut got,
-        );
-        let mut want = Vec::new();
-        db.with_series(id, |s| {
-            resample_view(
-                &s.range_view(SimTime::ZERO, SimTime::from_secs(4800)),
-                SimTime::ZERO,
-                SimTime::from_secs(4800),
-                SimDuration::from_secs(600),
-                WindowAgg::Sum,
-                &mut want,
-            )
-        });
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            match (g, w) {
-                (Some(g), Some(w)) => assert!((g - w).abs() < 1e-6),
-                (g, w) => assert_eq!(g, w),
-            }
-        }
+        let has_rollups = |id| shared.with_storage(id, |_, r| r.is_some());
+        assert!(!has_rollups(before));
+        assert!(has_rollups(after));
+        assert!(has_rollups(late));
     }
 
     #[test]
@@ -1822,35 +1651,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_resample_matches_unsharded() {
-        let mut db = Tsdb::new();
-        let id = gauge(&mut db, "x");
-        for t in 0..50u64 {
-            db.insert(id, SimTime::from_secs(t), (t % 7) as f64);
-        }
-        let mut want = Vec::new();
-        db.resample_into(
-            id,
-            SimTime::ZERO,
-            SimTime::from_secs(50),
-            SimDuration::from_secs(10),
-            WindowAgg::Mean,
-            &mut want,
-        );
-        let shared = db.into_shared();
-        let mut got = Vec::new();
-        shared.resample_into(
-            id,
-            SimTime::ZERO,
-            SimTime::from_secs(50),
-            SimDuration::from_secs(10),
-            WindowAgg::Mean,
-            &mut got,
-        );
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn memory_stats_split_by_tier() {
         let mut db = Tsdb::with_retention(2048);
         let a = gauge(&mut db, "a");
@@ -1883,7 +1683,7 @@ mod tests {
     }
 
     #[test]
-    fn retention_policy_plumbs_through_both_stores() {
+    fn retention_policy_plumbs_through_the_store() {
         let policy = crate::series::RetentionPolicy {
             compressed_retention_multiplier: 4,
         };
@@ -1894,12 +1694,21 @@ mod tests {
             db.insert(a, SimTime::from_secs(t), t as f64);
         }
         assert_eq!(db.series(a).len(), 256);
-        let shared = ShardedTsdb::with_config(64, 4);
-        let b = shared.register(MetricMeta::gauge("b", "u", SourceDomain::Hardware));
-        shared.set_metric_retention_policy(b, policy);
-        for t in 0..1000u64 {
+    }
+
+    #[test]
+    fn default_store_retains_like_new() {
+        // `Default` is `new()` on both shells: DEFAULT_RETENTION per
+        // series, not a zeroed capacity clamped to one sample.
+        let mut db = Tsdb::default();
+        let shared = ShardedTsdb::default();
+        let a = gauge(&mut db, "a");
+        let b = shared.register(MetricMeta::gauge("a", "u", SourceDomain::Hardware));
+        for t in 0..100u64 {
+            db.insert(a, SimTime::from_secs(t), t as f64);
             shared.insert(b, SimTime::from_secs(t), t as f64);
         }
-        assert_eq!(shared.with_series(b, |s| s.len()), 256);
+        assert_eq!(db.series(a).len(), 100);
+        assert_eq!(shared.with_storage(b, |s, _| s.len()), 100);
     }
 }

@@ -27,9 +27,7 @@
 //!   decentralized coordinated, and hierarchical control, as deterministic
 //!   stepped orchestrators that compose with discrete-event simulation.
 //! * [`runtime`] — threaded drivers (crossbeam channels) measuring the
-//!   *real* concurrency behaviour of the same patterns for experiment E1,
-//!   plus the telemetry-coupled fleet driver running collector inserts
-//!   and Monitor window-aggregate reads against the sharded TSDB.
+//!   *real* concurrency behaviour of the same patterns for experiment E1.
 //! * [`telemetry_link`] — reusable Monitor components over the shared
 //!   sharded TSDB's allocation-free aggregate-query path.
 //! * [`guard`] — action budgets and rate limits (§III.iv "additional
@@ -39,15 +37,10 @@
 //!   tracking (§IV "confidence measures are required").
 //! * [`audit`] — audit events, explanations, and human-on-the-loop
 //!   notifications (§IV, ref. \[31\]).
-//! * [`control_link`] — mirrors the fleet control plane's typed
-//!   decision log ([`moda_fleet::ControlLog`]) and node health
-//!   transitions into the same audit trail, so center-level Feedback/
-//!   Response decisions are explained next to node-local ones.
 
 pub mod audit;
 pub mod component;
 pub mod confidence;
-pub mod control_link;
 pub mod domain;
 pub mod guard;
 pub mod knowledge;
@@ -61,7 +54,6 @@ pub use component::{
     Analyzer, Assessor, Executor, Monitor, NoopAssessor, Plan, PlannedAction, Planner,
 };
 pub use confidence::{CalibrationTracker, Confidence, ConfidenceGate};
-pub use control_link::{mirror_control_log, mirror_health_transitions};
 pub use domain::Domain;
 pub use guard::{BlockReason, Guard, GuardConfig};
 pub use knowledge::{Knowledge, OutcomeRecord, RunRecord};

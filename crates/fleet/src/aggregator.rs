@@ -1,5 +1,4 @@
-//! Per-node wire ingest sessions, fleet health, and the in-process
-//! batch transport.
+//! Per-node wire ingest sessions and fleet health.
 //!
 //! A [`FleetAggregator`] owns one [`FleetStore`] plus one ingest
 //! session per node exporter stream. Ingest enforces the consumption
@@ -37,12 +36,11 @@
 //! duplicate/gap/orphan counters.
 
 use crate::store::{ChunkOutcome, FleetStore, NodeId};
-use crossbeam::channel::Sender;
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord};
 use moda_telemetry::wire::{put_u64, WireReader};
-use moda_telemetry::{DrainStats, MetricId, Sink};
+use moda_telemetry::{DrainStats, MetricId};
 use std::io;
 
 /// Lifetime wire counters of one node's ingest session.
@@ -698,61 +696,6 @@ fn classify(s: &NodeSession, drain_lag: SimDuration, policy: HealthPolicy) -> No
     }
 }
 
-// ----------------------------------------------------------- transport
-
-/// What flows from a node exporter to the aggregator thread.
-#[derive(Debug)]
-pub enum FleetMsg {
-    /// One wire batch from one node's export stream.
-    Batch(NodeId, ExportBatch),
-    /// A node exporter's drain totals (out-of-band health feed).
-    Drain(NodeId, DrainStats),
-}
-
-/// The in-process node→aggregator transport: a [`Sink`] that forwards
-/// every batch over a crossbeam channel, tagged with the node id — the
-/// K-exporters→one-aggregator topology without serialization. A
-/// disconnected aggregator surfaces as a sink error, which the exporter
-/// turns into a cursor rollback (nothing is lost; the next drain
-/// re-stages).
-#[derive(Clone)]
-pub struct ChannelSink {
-    node: NodeId,
-    tx: Sender<FleetMsg>,
-}
-
-impl std::fmt::Debug for ChannelSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The vendored channel Sender carries no Debug; the node id is
-        // the informative part anyway.
-        f.debug_struct("ChannelSink")
-            .field("node", &self.node)
-            .finish()
-    }
-}
-
-impl ChannelSink {
-    /// Sink forwarding `node`'s batches over `tx`.
-    pub fn new(node: NodeId, tx: Sender<FleetMsg>) -> Self {
-        ChannelSink { node, tx }
-    }
-
-    /// Forward drain totals to the aggregator's health feed.
-    pub fn send_drain(&self, stats: DrainStats) -> io::Result<()> {
-        self.tx
-            .send(FleetMsg::Drain(self.node, stats))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "aggregator disconnected"))
-    }
-}
-
-impl Sink for ChannelSink {
-    fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()> {
-        self.tx
-            .send(FleetMsg::Batch(self.node, batch.clone()))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "aggregator disconnected"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1156,33 +1099,5 @@ mod tests {
         // never ingested.
         let h = agg.health(SimTime::from_secs(900), SimDuration::from_secs(120));
         assert_eq!(h.nodes[n.index()].liveness, NodeLiveness::Stale);
-    }
-
-    #[test]
-    fn channel_sink_forwards_batches_and_drain_totals() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let db = node_db(50, 0.0);
-        let mut exporter = Exporter::new();
-        let mut sink = ChannelSink::new(NodeId(0), tx);
-        let stats = exporter.drain(&db, &mut sink).unwrap();
-        sink.send_drain(exporter.totals()).unwrap();
-        drop(sink);
-        let mut agg = FleetAggregator::new();
-        let n = agg.add_node("node00");
-        let mut drains = 0;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                FleetMsg::Batch(node, batch) => {
-                    agg.ingest(node, &batch);
-                }
-                FleetMsg::Drain(node, d) => {
-                    agg.report_drain(node, &d);
-                    drains += 1;
-                }
-            }
-        }
-        assert_eq!(drains, 1);
-        assert_eq!(agg.counters(n).samples, stats.samples);
-        assert_eq!(agg.drain_stats(n).samples, stats.samples);
     }
 }

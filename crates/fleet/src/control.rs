@@ -34,8 +34,8 @@
 //! The actuation side is deliberately abstract ([`FleetActuator`]):
 //! this crate knows nothing about the managed system. `moda-hpc`'s
 //! `Cluster` provides the concrete actuator over its simulated worlds,
-//! and `moda-core` mirrors the [`ControlLog`] into the MAPE-K audit
-//! trail (`moda_core::control_link`).
+//! and `moda-usecases` mirrors the [`ControlLog`] into the MAPE-K audit
+//! trail (`moda_usecases::control_link`).
 
 use crate::aggregator::{FleetAggregator, NodeLiveness};
 use crate::store::{FleetServed, NodeId, Rank};

@@ -29,10 +29,11 @@
 //!   node-local→fleet metric-id remapping off `meta` records, and
 //!   per-node liveness/staleness + drain-lag health
 //!   ([`FleetAggregator::health`]).
-//! * [`ChannelSink`] — the in-process transport: a
-//!   [`moda_telemetry::Sink`] that forwards batches over a crossbeam
-//!   channel to an aggregator thread (the K-exporters→one-aggregator
-//!   topology `moda_core::runtime::run_multinode_fleet` wires up).
+//! * [`SocketSink`] → [`FleetListener`] — the transport across threads
+//!   and processes: length-prefixed, checksummed, acked frames over TCP
+//!   into a [`DurableFleet`] (write-ahead log + snapshots). Within one
+//!   thread a caller hands batches to [`FleetAggregator::ingest`]
+//!   directly. Those are the only two ways in.
 //! * [`query`] + [`FleetClient`] — the serving front end: versioned
 //!   request/response query frames over the same socket envelope the
 //!   ingest sessions use, answering window aggregates, merged fleet
@@ -95,8 +96,8 @@ pub mod store;
 pub mod transport;
 
 pub use aggregator::{
-    ChannelSink, FleetAggregator, FleetHealth, FleetMsg, HealthPolicy, HealthTransition,
-    HealthTransitionStats, IngestReport, NodeCounters, NodeHealth, NodeLiveness,
+    FleetAggregator, FleetHealth, HealthPolicy, HealthTransition, HealthTransitionStats,
+    IngestReport, NodeCounters, NodeHealth, NodeLiveness,
 };
 pub use control::{
     ActionTarget, AuditSummary, BlockCause, Bound, ControlConfig, ControlEvent, ControlEventKind,

@@ -180,12 +180,14 @@ impl DurableFleet {
         }
     }
 
-    /// Initialize a fresh state directory (fails over to truncating any
-    /// stray log files from a previous life without a snapshot).
+    /// Initialize a fresh state directory. A `wal-0.log` left by a
+    /// previous life whose snapshot is gone is truncated: the empty
+    /// snapshot written here names epoch 0, so the next open would
+    /// otherwise replay those entries into a fleet that started empty.
     fn create(dir: &Path, cfg: DurabilityConfig) -> io::Result<Self> {
         let agg = FleetAggregator::new();
         let mut fleet = DurableFleet {
-            log: BufWriter::new(open_log(dir, 0)?),
+            log: BufWriter::new(File::create(dir.join(wal_name(0)))?),
             agg,
             dir: dir.to_path_buf(),
             epoch: 0,
@@ -1137,6 +1139,32 @@ mod tests {
         let recovered = DurableFleet::recover(&dir).unwrap();
         assert_eq!(recovered.aggregator().node_count(), 0);
         assert_eq!(recovered.store().cardinality(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stray_log_without_a_snapshot_is_not_replayed_later() {
+        let dir = test_dir("stray");
+        // A previous life: one node, a few logged batches, no rotation.
+        let mut old = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = old.add_node("node00").unwrap();
+        for batch in &node_batches(10, 0.0, 4) {
+            old.ingest(node, batch).unwrap();
+        }
+        assert_eq!(old.epoch(), 0);
+        drop(old);
+        // Its snapshot is lost; its epoch-0 log is not.
+        fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert!(fs::metadata(dir.join(wal_name(0))).unwrap().len() > 0);
+        // The directory opens as a fresh fleet...
+        let fresh = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(fresh.aggregator().node_count(), 0);
+        drop(fresh);
+        // ...and stays one: the next open replays nothing of the old life.
+        let again = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(again.recovery().replayed_batches, 0);
+        assert_eq!(again.aggregator().node_count(), 0);
+        assert_eq!(again.store().cardinality(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

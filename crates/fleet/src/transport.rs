@@ -1,9 +1,10 @@
 //! Socket-framed wire transport: `export-wire-v1.1` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
-//! Replaces the in-process [`crate::ChannelSink`] for deployments where
-//! node exporters and the fleet tier live in different processes.
-//! Framing is the CRC-protected envelope from
+//! The way into the fleet tier from another thread or process (within
+//! one thread a caller hands batches to
+//! [`crate::FleetAggregator::ingest`] directly). Framing is the
+//! CRC-protected envelope from
 //! `moda_telemetry::wire::write_frame`; on top of it the ingest
 //! protocol (tags 1–5) and, sharing the same listener, the read-only
 //! query protocol (tags 6–9, codec in [`crate::query`]):
@@ -194,6 +195,39 @@ impl Conn {
         })
     }
 
+    /// Dial `addr` and authenticate: send `hello` under `hello_tag`,
+    /// read the `ack_tag` answer — a status byte, then whatever the
+    /// role's `ack` parses after it — and fail with `PermissionDenied`
+    /// on a nonzero status.
+    fn open<T>(
+        addr: &str,
+        io_timeout: Option<Duration>,
+        hello_tag: u8,
+        hello: &[u8],
+        ack_tag: u8,
+        ack: impl FnOnce(&mut WireReader<'_>) -> io::Result<T>,
+    ) -> io::Result<(Conn, T)> {
+        let mut conn = Conn::dial(addr, io_timeout)?;
+        conn.send(hello_tag, hello)?;
+        let (tag, payload) = match conn.recv()? {
+            Ok(frame) => frame,
+            Err(_) => return Err(bad_data("connection closed during handshake")),
+        };
+        if tag != ack_tag {
+            return Err(bad_data("unexpected handshake response tag"));
+        }
+        let mut r = WireReader::new(&payload);
+        let status = r.u8()?;
+        let answer = ack(&mut r)?;
+        if status != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "fleet listener rejected the auth token",
+            ));
+        }
+        Ok((conn, answer))
+    }
+
     /// Write one frame and flush it: one `send` when it fits the buffer.
     fn send(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         write_frame(&mut self.writer, tag, payload)?;
@@ -204,6 +238,36 @@ impl Conn {
     fn recv(&mut self) -> io::Result<Result<(u8, Vec<u8>), FrameEnd>> {
         read_frame(&mut self.reader)
     }
+}
+
+/// Re-dial with bounded retries (server restarts take a moment): up to
+/// [`TransportConfig::reconnect_attempts`] calls of `handshake`, pausing
+/// with capped exponential backoff + jitter between them (see
+/// [`TransportConfig::backoff`]). The jitter salt is stable per
+/// `identity`, different per dial attempt and per reconnect `episode`.
+/// A bad token fails at once: retrying never heals it.
+fn redial(
+    cfg: &TransportConfig,
+    identity: &str,
+    episode: u64,
+    mut handshake: impl FnMut() -> io::Result<()>,
+) -> io::Result<()> {
+    let mut last = None;
+    let mut salt = identity
+        .bytes()
+        .fold(episode, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+    for attempt in 0..cfg.reconnect_attempts.max(1) {
+        if attempt > 0 {
+            salt = salt.wrapping_add(attempt as u64);
+            std::thread::sleep(cfg.backoff(attempt, salt));
+        }
+        match handshake() {
+            Ok(()) => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::PermissionDenied => return Err(e),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| bad_data("reconnect failed")))
 }
 
 // ---------------------------------------------------------- socket sink
@@ -277,27 +341,17 @@ impl SocketSink {
     /// Dial, authenticate, learn the server's persisted cursor, and
     /// re-send any buffered batches it has not applied.
     fn handshake(&mut self) -> io::Result<()> {
-        let mut conn = Conn::dial(&self.addr, self.cfg.io_timeout)?;
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
         put_str(&mut hello, &self.node_name);
-        conn.send(frame_tag::HELLO, &hello)?;
-        let (tag, payload) = match conn.recv()? {
-            Ok(frame) => frame,
-            Err(_) => return Err(bad_data("connection closed during handshake")),
-        };
-        if tag != frame_tag::HELLO_ACK {
-            return Err(bad_data("unexpected handshake response tag"));
-        }
-        let mut r = WireReader::new(&payload);
-        let status = r.u8()?;
-        let next_seq = r.u64()?;
-        if status != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "fleet listener rejected the auth token",
-            ));
-        }
+        let (mut conn, next_seq) = Conn::open(
+            &self.addr,
+            self.cfg.io_timeout,
+            frame_tag::HELLO,
+            &hello,
+            frame_tag::HELLO_ACK,
+            |r| r.u64(),
+        )?;
         self.server_next_seq = next_seq;
         self.last_resume_seq = next_seq;
         // Drop what the server has durably applied; replay the rest.
@@ -313,33 +367,14 @@ impl SocketSink {
         Ok(())
     }
 
-    /// Re-dial with bounded retries (server restarts take a moment),
-    /// pausing with capped exponential backoff + jitter between
-    /// attempts (see [`TransportConfig::backoff`]).
+    /// Drop the connection and [`redial`].
     fn reconnect(&mut self) -> io::Result<()> {
         self.conn = None;
-        let mut last = None;
-        // Jitter salt: stable per sink identity, different per dial
-        // attempt and per reconnect episode.
-        let mut salt = self.node_name.bytes().fold(self.reconnects, |h, b| {
-            h.wrapping_mul(31).wrapping_add(b as u64)
-        });
-        for attempt in 0..self.cfg.reconnect_attempts.max(1) {
-            if attempt > 0 {
-                salt = salt.wrapping_add(attempt as u64);
-                std::thread::sleep(self.cfg.backoff(attempt, salt));
-            }
-            match self.handshake() {
-                Ok(()) => {
-                    self.reconnects += 1;
-                    return Ok(());
-                }
-                // A bad token never heals by retrying.
-                Err(e) if e.kind() == io::ErrorKind::PermissionDenied => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| bad_data("reconnect failed")))
+        let cfg = self.cfg.clone();
+        let identity = self.node_name.clone();
+        redial(&cfg, &identity, self.reconnects, || self.handshake())?;
+        self.reconnects += 1;
+        Ok(())
     }
 
     /// Read acks until at most `allowed` batches remain unacknowledged.
@@ -901,52 +936,44 @@ fn serve_frames(
                 Ok(None) => break,
                 Err(_) => return Err(bad_data("corrupt frame on ingest connection")),
                 Ok(Some((tag, payload))) => match (tag, role) {
-                    (frame_tag::HELLO, SessionRole::Pending) => {
+                    (frame_tag::HELLO | frame_tag::QUERY_HELLO, SessionRole::Pending) => {
+                        // Both hellos lead with the token and are
+                        // answered by a status byte plus the role's own
+                        // field; a bad token is answered at status 1,
+                        // counted, and ends the session.
                         let mut r = WireReader::new(payload);
-                        let peer_token = r.str()?;
-                        let name = r.str()?;
-                        let mut ack = Vec::new();
-                        if peer_token != token {
-                            auth_failures.fetch_add(1, Ordering::SeqCst);
-                            ack.push(1u8);
-                            put_u64(&mut ack, 0);
-                            write_frame(out, frame_tag::HELLO_ACK, &ack)?;
-                            return Err(io::Error::new(
-                                io::ErrorKind::PermissionDenied,
-                                "bad auth token",
-                            ));
-                        }
-                        let next_seq = {
-                            let mut fleet = fleet.lock().unwrap();
-                            let id = fleet.add_node(&name)?;
-                            role = SessionRole::Ingest(id);
-                            fleet.next_seq(id)
-                        };
-                        ack.push(0u8);
-                        put_u64(&mut ack, next_seq);
-                        write_frame(out, frame_tag::HELLO_ACK, &ack)?;
-                    }
-                    (frame_tag::QUERY_HELLO, SessionRole::Pending) => {
-                        let mut r = WireReader::new(payload);
-                        let peer_token = r.str()?;
-                        let mut ack = Vec::new();
-                        if peer_token != token {
-                            auth_failures.fetch_add(1, Ordering::SeqCst);
-                            ack.push(1u8);
+                        let admitted = r.str()? == token;
+                        let mut ack = vec![u8::from(!admitted)];
+                        let ack_tag = if tag == frame_tag::HELLO {
+                            let name = r.str()?;
+                            let next_seq = if admitted {
+                                let mut fleet = fleet.lock().unwrap();
+                                let id = fleet.add_node(&name)?;
+                                role = SessionRole::Ingest(id);
+                                fleet.next_seq(id)
+                            } else {
+                                0
+                            };
+                            put_u64(&mut ack, next_seq);
+                            frame_tag::HELLO_ACK
+                        } else {
+                            // Read-only role: no node registration, so a
+                            // query client never shows up in health or
+                            // coverage answers.
+                            if admitted {
+                                role = SessionRole::Query;
+                            }
                             put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                            write_frame(out, frame_tag::QUERY_HELLO_ACK, &ack)?;
+                            frame_tag::QUERY_HELLO_ACK
+                        };
+                        write_frame(out, ack_tag, &ack)?;
+                        if !admitted {
+                            auth_failures.fetch_add(1, Ordering::SeqCst);
                             return Err(io::Error::new(
                                 io::ErrorKind::PermissionDenied,
                                 "bad auth token",
                             ));
                         }
-                        // Read-only role: no node registration, so a
-                        // query client never shows up in health or
-                        // coverage answers.
-                        role = SessionRole::Query;
-                        ack.push(0u8);
-                        put_u16(&mut ack, QUERY_PROTOCOL_VERSION);
-                        write_frame(out, frame_tag::QUERY_HELLO_ACK, &ack)?;
                     }
                     (frame_tag::QUERY, SessionRole::Query) => {
                         // Count before the answer is written: a client
@@ -1159,54 +1186,29 @@ impl FleetClient {
         // Any response still owed on the old connection is gone; the
         // retrying caller re-sends its request on the new one.
         self.in_flight.clear();
-        let mut conn = Conn::dial(&self.addr, self.cfg.io_timeout)?;
         let mut hello = Vec::new();
         put_str(&mut hello, &self.token);
-        conn.send(frame_tag::QUERY_HELLO, &hello)?;
-        let (tag, payload) = match conn.recv()? {
-            Ok(frame) => frame,
-            Err(_) => return Err(bad_data("connection closed during query handshake")),
-        };
-        if tag != frame_tag::QUERY_HELLO_ACK {
-            return Err(bad_data("unexpected query handshake response tag"));
-        }
-        let mut r = WireReader::new(&payload);
-        let status = r.u8()?;
-        let version = r.u16()?;
-        if status != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "fleet listener rejected the auth token",
-            ));
-        }
+        let (conn, version) = Conn::open(
+            &self.addr,
+            self.cfg.io_timeout,
+            frame_tag::QUERY_HELLO,
+            &hello,
+            frame_tag::QUERY_HELLO_ACK,
+            |r| r.u16(),
+        )?;
         self.server_version = version;
         self.conn = Some(conn);
         Ok(())
     }
 
-    /// Re-dial with the [`TransportConfig`] backoff schedule; a bad
-    /// token fails immediately (retrying never heals it).
+    /// Drop the connection and [`redial`].
     fn reconnect(&mut self) -> io::Result<()> {
         self.conn = None;
-        let mut last = None;
-        let mut salt = self.addr.bytes().fold(self.reconnects, |h, b| {
-            h.wrapping_mul(31).wrapping_add(b as u64)
-        });
-        for attempt in 0..self.cfg.reconnect_attempts.max(1) {
-            if attempt > 0 {
-                salt = salt.wrapping_add(attempt as u64);
-                std::thread::sleep(self.cfg.backoff(attempt, salt));
-            }
-            match self.handshake() {
-                Ok(()) => {
-                    self.reconnects += 1;
-                    return Ok(());
-                }
-                Err(e) if e.kind() == io::ErrorKind::PermissionDenied => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| bad_data("reconnect failed")))
+        let cfg = self.cfg.clone();
+        let identity = self.addr.clone();
+        redial(&cfg, &identity, self.reconnects, || self.handshake())?;
+        self.reconnects += 1;
+        Ok(())
     }
 
     /// Send one request without waiting for its answer (pipelining).

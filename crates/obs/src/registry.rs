@@ -1,7 +1,7 @@
 //! The self-telemetry registry and its instruments.
 //!
 //! One [`ObsRegistry`] holds every instrument a pipeline registered:
-//! counters, gauges, latency recorders, and pull-probes. Components
+//! counters, gauges, and latency recorders. Components
 //! never hold the registry directly — they hold an [`Obs`] handle
 //! (cheaply cloneable, possibly disabled) and pre-resolve instruments
 //! once, off the hot path. A disabled handle resolves inert
@@ -115,10 +115,6 @@ pub(crate) enum Instrument {
     /// f64 stored as raw bits.
     Gauge(Arc<AtomicU64>),
     Latency(Arc<LatencyCell>),
-    /// Pull-probe sampled at scrape time (e.g. a store's lifetime
-    /// insert counter) — lets stages that cannot depend on this crate
-    /// surface their existing atomics without push instrumentation.
-    Probe(Arc<dyn Fn() -> f64 + Send + Sync>),
 }
 
 impl std::fmt::Debug for Instrument {
@@ -127,7 +123,6 @@ impl std::fmt::Debug for Instrument {
             Instrument::Counter(_) => f.write_str("Counter"),
             Instrument::Gauge(_) => f.write_str("Gauge"),
             Instrument::Latency(_) => f.write_str("Latency"),
-            Instrument::Probe(_) => f.write_str("Probe"),
         }
     }
 }
@@ -264,23 +259,6 @@ impl Obs {
                     other => panic!("obs instrument {name:?} already registered as {other:?}"),
                 };
                 LatencyRecorder(Some((cell, Arc::clone(reg))))
-            }
-        }
-    }
-
-    /// Register (or replace) a pull-probe sampled at scrape time —
-    /// the bridge for counters owned by layers below this crate (store
-    /// insert totals, rollup/sketch hit counters, codec counts).
-    pub fn probe(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        let Some(reg) = &self.inner else { return };
-        let inst = Instrument::Probe(Arc::new(f));
-        let mut instruments = reg.instruments.write();
-        match instruments.by_name.get(name) {
-            Some(&i) => instruments.entries[i].1 = inst,
-            None => {
-                let i = instruments.entries.len();
-                instruments.by_name.insert(name.to_string(), i);
-                instruments.entries.push((name.to_string(), inst));
             }
         }
     }

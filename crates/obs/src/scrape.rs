@@ -6,7 +6,6 @@
 //!
 //! * **counters** — one cumulative sample (lifetime count as `f64`),
 //! * **gauges** — one sample of the current value,
-//! * **probes** — one sample of the probed value,
 //! * **latency recorders** — the *pending* raw durations drained since
 //!   the last scrape, each inserted as a nanosecond sample at the scrape
 //!   timestamp (the series ring accepts duplicate timestamps), with a
@@ -108,16 +107,6 @@ impl ObsRegistry {
                         stats.samples += 1;
                     }
                 }
-                Instrument::Probe(f) => {
-                    let id = target.self_register(MetricMeta::gauge(
-                        self_name,
-                        "value",
-                        SourceDomain::Software,
-                    ));
-                    if target.self_insert(id, t, f()) {
-                        stats.samples += 1;
-                    }
-                }
                 Instrument::Latency(cell) => {
                     let id = target.self_register(MetricMeta::gauge(
                         self_name,
@@ -149,13 +138,6 @@ impl Obs {
             Some(reg) => reg.scrape_into(target, t),
         }
     }
-
-    /// Convenience for the shared store handle:
-    /// `obs.scrape_into_shared(&db, t)`.
-    pub fn scrape_into_shared(&self, db: &ShardedTsdb, t: SimTime) -> ScrapeStats {
-        let mut target = db;
-        self.scrape_into(&mut target, t)
-    }
 }
 
 #[cfg(test)]
@@ -169,23 +151,20 @@ mod tests {
         let obs = Obs::enabled();
         obs.counter("ingest.batches").add(7);
         obs.gauge("store.memory_bytes").set(1234.5);
-        obs.probe("store.cardinality", || 42.0);
         let lat = obs.latency("wal.fsync_ns");
         lat.record_ns(1_000);
         lat.record_ns(3_000);
 
         let mut db = Tsdb::new();
         let stats = obs.scrape_into(&mut db, SimTime::from_secs(10));
-        assert_eq!(stats.instruments, 4);
-        assert_eq!(stats.samples, 5);
+        assert_eq!(stats.instruments, 3);
+        assert_eq!(stats.samples, 4);
         assert_eq!(stats.latency_samples, 2);
 
         let batches = db.lookup("__self/ingest.batches").unwrap();
         assert_eq!(db.latest_value(batches), Some(7.0));
         let mem = db.lookup("__self/store.memory_bytes").unwrap();
         assert_eq!(db.latest_value(mem), Some(1234.5));
-        let card = db.lookup("__self/store.cardinality").unwrap();
-        assert_eq!(db.latest_value(card), Some(42.0));
         let fsync = db.lookup("__self/wal.fsync_ns").unwrap();
         assert!(db.rollups(fsync).is_some(), "latency series get rollups");
         let max = db
@@ -214,7 +193,7 @@ mod tests {
         obs.counter("c").add(1);
         obs.latency("l_ns").record_ns(500);
         let db = ShardedTsdb::with_config(128, 4);
-        let stats = obs.scrape_into_shared(&db, SimTime::from_secs(1));
+        let stats = obs.scrape_into(&mut &db, SimTime::from_secs(1));
         assert_eq!(stats.samples, 2);
         let id = db.lookup("__self/l_ns").unwrap();
         assert!(db.with_storage(id, |_, rollups| rollups.is_some()));

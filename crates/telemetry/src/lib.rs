@@ -15,8 +15,6 @@
 //!   ([`chunk`]), queries answered by `partition_point` binary search
 //!   as [`SampleView`]s (decoded-chunk scratch segment + borrowed tail
 //!   slices) in O(log n + k) — tail-only windows stay zero-allocation,
-//!   with an opt-in [`RetentionPolicy`] spending the reclaimed memory
-//!   on longer raw history,
 //! * [`chunk`] — the sealed-block codec: delta-of-delta timestamps +
 //!   XOR-compressed values (the Gorilla TSDB layout), bit-exact round
 //!   trip at ~2–3 bytes/sample on smooth 1 Hz telemetry,
@@ -105,7 +103,7 @@ pub use rollup::{
     fold_span_into, RollupAcc, RollupBucket, RollupConfig, RollupRing, RollupServed, RollupSet,
     RollupTier, SketchAcc, SpanFold,
 };
-pub use series::{RetentionPolicy, Sample, SampleView, TimeSeries};
+pub use series::{Sample, SampleView, TimeSeries};
 pub use sketch::{QuantileAcc, QuantileSketch, SketchEntry, SKETCH_RELATIVE_ERROR};
 pub use tiers::WireTiers;
 pub use tsdb::{adaptive_shards, MemoryStats, ShardedTsdb, SharedTsdb, Tsdb};

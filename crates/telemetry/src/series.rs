@@ -19,8 +19,7 @@
 //! tail restarts empty. Eviction is **sample-exact**: the oldest chunk
 //! carries a logical skip counter, so `len()` and the exporter's
 //! `total_appends − len()` eviction identity behave exactly as the old
-//! uncompressed ring did. A [`RetentionPolicy`] can spend the reclaimed
-//! memory on longer retention (`compressed_retention_multiplier`).
+//! uncompressed ring did.
 //!
 //! Queries binary-search the tail and the chunk headers, returning a
 //! [`SampleView`] of up to two segments: sealed samples decompressed
@@ -49,33 +48,6 @@ pub struct Sample {
 /// Maximum samples per sealed chunk (smaller capacities seal at
 /// capacity).
 pub const SEAL_THRESHOLD: usize = 512;
-
-/// How a series spends the memory reclaimed by chunk compression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetentionPolicy {
-    /// Retained-sample budget as a multiple of the configured capacity.
-    /// `1` (the default) keeps the exact pre-compression retention
-    /// semantics; `k` retains up to `k * capacity` samples — since
-    /// sealed chunks cost a fraction of the uncompressed 16
-    /// bytes/sample, a multiplier near the measured compression ratio
-    /// holds memory roughly constant while multiplying raw history.
-    pub compressed_retention_multiplier: u32,
-}
-
-impl Default for RetentionPolicy {
-    fn default() -> Self {
-        RetentionPolicy {
-            compressed_retention_multiplier: 1,
-        }
-    }
-}
-
-impl RetentionPolicy {
-    /// Retained-sample target for a series of `capacity`.
-    pub fn target(&self, capacity: usize) -> usize {
-        capacity.saturating_mul(self.compressed_retention_multiplier.max(1) as usize)
-    }
-}
 
 /// Decoded-sample scratch, pooled per thread and reused across queries.
 #[derive(Debug, Default, Clone)]
@@ -120,7 +92,6 @@ pub struct TimeSeries {
     tail_vals: Vec<f64>,
     capacity: usize,
     seal_threshold: usize,
-    policy: RetentionPolicy,
     /// Cached newest sample (the tail can be empty after a bulk absorb).
     last: Option<(u64, f64)>,
     /// Total appends over the series' lifetime (survives eviction).
@@ -130,8 +101,7 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Series retaining at most `capacity` samples (capacity ≥ 1) under
-    /// the default [`RetentionPolicy`].
+    /// Series retaining at most `capacity` samples (capacity ≥ 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let seal_threshold = capacity.min(SEAL_THRESHOLD);
@@ -142,7 +112,6 @@ impl TimeSeries {
             tail_vals: Vec::with_capacity(seal_threshold),
             capacity,
             seal_threshold,
-            policy: RetentionPolicy::default(),
             last: None,
             total_appends: 0,
             rejected: 0,
@@ -212,11 +181,10 @@ impl TimeSeries {
     }
 
     /// Evict oldest samples (sample-exact, via the front chunk's skip
-    /// counter) until within the retention target.
+    /// counter) until at most `capacity` are retained.
     fn evict_to_target(&mut self) {
-        let target = self.policy.target(self.capacity);
-        while self.len() > target {
-            let excess = self.len() - target;
+        while self.len() > self.capacity {
+            let excess = self.len() - self.capacity;
             let front = self
                 .chunks
                 .front_mut()
@@ -229,18 +197,6 @@ impl TimeSeries {
         }
     }
 
-    /// Replace the retention policy (evicting immediately if the new
-    /// target is smaller).
-    pub fn set_retention_policy(&mut self, policy: RetentionPolicy) {
-        self.policy = policy;
-        self.evict_to_target();
-    }
-
-    /// The active retention policy.
-    pub fn retention_policy(&self) -> RetentionPolicy {
-        self.policy
-    }
-
     /// Number of retained samples.
     pub fn len(&self) -> usize {
         self.chunk_len + self.tail_ts.len()
@@ -251,8 +207,7 @@ impl TimeSeries {
         self.len() == 0
     }
 
-    /// Retention capacity (the configured per-series budget; see
-    /// [`RetentionPolicy`] for the compressed multiplier).
+    /// Retention capacity: the most samples the series retains.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -897,23 +852,19 @@ mod tests {
 
     #[test]
     fn value_at_inside_sealed_chunks() {
-        // Capacity 8 seals every 8 samples: force the bracketing pair
-        // across a chunk boundary and inside a sealed chunk.
-        let mut s = TimeSeries::new(8);
-        s.set_retention_policy(RetentionPolicy {
-            compressed_retention_multiplier: 4,
-        });
-        for i in 0..30u64 {
+        // Two sealed 512-sample chunks and a tail: the bracketing pair
+        // falls inside a sealed chunk, across the chunk boundary, and
+        // across the seal point into the tail.
+        let mut s = TimeSeries::new(2048);
+        for i in 0..1100u64 {
             s.push(SimTime::from_secs(i), (i * 10) as f64);
         }
-        assert!(s.compressed_len() > 0);
-        for i in 0..30u64 {
+        assert_eq!(s.compressed_len(), 1024);
+        for i in 0..1099u64 {
             let t = SimTime(i * 1000 + 500);
             let want = (i * 10) as f64 + 5.0;
-            if i + 1 < 30 {
-                let got = s.value_at(t).unwrap();
-                assert!((got - want).abs() < 1e-9, "t={t:?}: {got} vs {want}");
-            }
+            let got = s.value_at(t).unwrap();
+            assert!((got - want).abs() < 1e-9, "t={t:?}: {got} vs {want}");
         }
     }
 
@@ -1015,25 +966,6 @@ mod tests {
         let stale = chunk::validate(stale.first_t(), stale.count(), stale.bytes()).unwrap();
         assert!(!a.adopt_chunk(&stale));
         assert_eq!((a.len(), a.total_appends()), (1000, 1200));
-    }
-
-    #[test]
-    fn retention_multiplier_extends_history() {
-        let mut s = TimeSeries::new(64);
-        s.set_retention_policy(RetentionPolicy {
-            compressed_retention_multiplier: 4,
-        });
-        for i in 0..1000u64 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        assert_eq!(s.len(), 256);
-        assert_eq!(s.oldest().unwrap().t, SimTime::from_secs(1000 - 256));
-        // total_appends − len stays the exact eviction count.
-        assert_eq!(s.total_appends() - s.len() as u64, 1000 - 256);
-        // Dropping back to the default evicts immediately.
-        s.set_retention_policy(RetentionPolicy::default());
-        assert_eq!(s.len(), 64);
-        assert_eq!(s.oldest().unwrap().t, SimTime::from_secs(1000 - 64));
     }
 
     #[test]

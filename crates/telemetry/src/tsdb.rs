@@ -51,7 +51,7 @@ use crate::metric::{
     is_self_metric, InsertError, MetricId, MetricMeta, RegisterError, SELF_NAMESPACE,
 };
 use crate::rollup::{self, RollupConfig, RollupServed, RollupSet};
-use crate::series::{RetentionPolicy, Sample, SampleView, TimeSeries};
+use crate::series::{Sample, SampleView, TimeSeries};
 use crate::window::{AggAccum, WindowAgg};
 use moda_sim::{SimDuration, SimTime};
 use parking_lot::{RwLock, RwLockWriteGuard};
@@ -694,21 +694,6 @@ impl Tsdb {
         self.series.iter().for_each(|s| s.fold_memory(&mut stats));
         stats
     }
-
-    /// Apply a raw-retention policy to every registered series
-    /// (evicting immediately where the new target is smaller). Series
-    /// registered later keep the default policy; re-apply after bulk
-    /// registration.
-    pub fn set_retention_policy(&mut self, policy: RetentionPolicy) {
-        for s in &mut self.series {
-            s.raw.set_retention_policy(policy);
-        }
-    }
-
-    /// Apply a raw-retention policy to one series.
-    pub fn set_metric_retention_policy(&mut self, id: MetricId, policy: RetentionPolicy) {
-        self.series[id.index()].raw.set_retention_policy(policy);
-    }
 }
 
 // -------------------------------------------------------- shared shell
@@ -1020,21 +1005,6 @@ impl ShardedTsdb {
             shard.read().iter().for_each(|s| s.fold_memory(&mut stats));
         }
         stats
-    }
-
-    /// See [`Tsdb::set_retention_policy`]; one stripe write lock at a
-    /// time.
-    pub fn set_retention_policy(&self, policy: RetentionPolicy) {
-        for shard in self.shards.iter() {
-            for s in shard.write().iter_mut() {
-                s.raw.set_retention_policy(policy);
-            }
-        }
-    }
-
-    /// See [`Tsdb::set_metric_retention_policy`].
-    pub fn set_metric_retention_policy(&self, id: MetricId, policy: RetentionPolicy) {
-        self.with_stored_mut(id, |s| s.raw.set_retention_policy(policy));
     }
 }
 
@@ -1680,20 +1650,6 @@ mod tests {
         // The sharded store reports the same footprint.
         let shared = db.into_shared();
         assert_eq!(shared.memory_stats(), m);
-    }
-
-    #[test]
-    fn retention_policy_plumbs_through_the_store() {
-        let policy = crate::series::RetentionPolicy {
-            compressed_retention_multiplier: 4,
-        };
-        let mut db = Tsdb::with_retention(64);
-        let a = gauge(&mut db, "a");
-        db.set_retention_policy(policy);
-        for t in 0..1000u64 {
-            db.insert(a, SimTime::from_secs(t), t as f64);
-        }
-        assert_eq!(db.series(a).len(), 256);
     }
 
     #[test]

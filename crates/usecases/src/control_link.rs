@@ -3,7 +3,7 @@
 //! `moda-fleet`'s [`ControlLog`] is the *typed* decision record of the
 //! cluster-scale loop — typed so it can be machine-verified
 //! ([`moda_fleet::FleetResponder::verify_audit`]). This module mirrors
-//! it into the [`crate::AuditLog`] the rest of the stack already
+//! it into the [`moda_core::AuditLog`] the rest of the stack already
 //! consumes (§IV: notifications and explanations for humans on the
 //! loop), so one trail carries node-local and center-level decisions
 //! side by side:
@@ -24,7 +24,7 @@
 //! duplicating events. [`mirror_health_transitions`] does the same for
 //! the aggregator's live→stale→silent ladder.
 
-use crate::audit::{AuditKind, AuditLog, Notification};
+use moda_core::audit::{AuditKind, AuditLog, Notification};
 use moda_fleet::control::{ControlEvent, ControlEventKind, ControlLog};
 use moda_fleet::HealthTransition;
 

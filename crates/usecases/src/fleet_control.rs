@@ -36,8 +36,9 @@
 //!   responder **holds** actuation (frozen escalation, zero applies),
 //!   and actuation resumes only after coverage recovers.
 
+use crate::control_link::{mirror_control_log, mirror_health_transitions};
 use moda_analytics::{mad_outliers, LinearFit};
-use moda_core::{mirror_control_log, mirror_health_transitions, AuditLog};
+use moda_core::AuditLog;
 use moda_fleet::control::{
     AuditSummary, Bound, ControlConfig, FleetAlert, FleetMonitor, FleetResponder, Observation,
     RateLimit, ResponseRule, ThresholdMonitor,

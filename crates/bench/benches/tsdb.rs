@@ -12,9 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::{
-    MetricMeta, RollupConfig, Sample, ShardedTsdb, SourceDomain, Tsdb, WindowAgg,
-};
+use moda_telemetry::{MetricMeta, RollupConfig, Sample, SourceDomain, Tsdb, WindowAgg};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -234,13 +232,11 @@ fn bench_percentile_wide(c: &mut Criterion) {
     g.finish();
 }
 
-/// Export drain throughput and lock-hold cost: a full-day snapshot
+/// Export drain throughput and copy-out cost: a full-day snapshot
 /// drain of raw samples alone vs a sketched rollup store (raw + sealed
 /// buckets + sketch columns), plus the steady-state incremental shape
 /// (60 new 1 Hz samples per drain). All single-threaded and
-/// machine-comparable; the drain's per-metric lock-hold time under
-/// *concurrent* collector load is machine-dependent (core count) like
-/// the `tsdb_contention` fleet — see ARCHITECTURE.md's multi-core note.
+/// machine-comparable.
 fn bench_export(c: &mut Criterion) {
     use moda_telemetry::export::{CsvSink, Exporter, MemorySink};
     let mut g = c.benchmark_group("tsdb_export");
@@ -753,76 +749,6 @@ fn bench_percentile(c: &mut Criterion) {
     g.finish();
 }
 
-/// Concurrent reader/writer contention: the same telemetry-coupled
-/// fleet (collector batch-inserts + wide Monitor window reads per
-/// round) against one global lock (1 stripe — the seed's
-/// `Arc<RwLock<Tsdb>>` topology) versus the lock-striped store.
-///
-/// NOTE: the wall-clock win of striping only materializes on multi-core
-/// hosts (stripes let rounds overlap on distinct cores); on a
-/// single-core host this bench measures striping's overhead instead,
-/// which is the honest number for that machine.
-fn bench_contention(c: &mut Criterion) {
-    const LOOPS: usize = 4;
-    const ROUNDS: usize = 100;
-    const METRICS_PER_LOOP: usize = 16;
-    const HISTORY: usize = 3600;
-    let window = SimDuration::from_secs(3600);
-    // One run: register each loop's metrics, preload an hour of
-    // history (so the Monitor reads fold full-width windows from the
-    // first round), then let every loop thread batch-insert one sweep
-    // and read a trailing-window mean of each of its metrics per round.
-    let fleet = |shards: usize| {
-        let db = ShardedTsdb::with_config(4096, shards);
-        let fleet_ids: Vec<Vec<moda_telemetry::MetricId>> = (0..LOOPS)
-            .map(|l| {
-                (0..METRICS_PER_LOOP)
-                    .map(|m| {
-                        let name = format!("loop{l:03}.metric{m:03}");
-                        db.register(MetricMeta::gauge(name, "u", SourceDomain::Hardware))
-                    })
-                    .collect()
-            })
-            .collect();
-        for (k, id) in fleet_ids.iter().flatten().enumerate() {
-            for h in 0..HISTORY {
-                db.insert(*id, SimTime::from_secs(h as u64), (h + k) as f64);
-            }
-        }
-        std::thread::scope(|s| {
-            for (l, ids) in fleet_ids.iter().enumerate() {
-                let db = &db;
-                s.spawn(move || {
-                    let mut batch: Vec<_> = ids.iter().map(|id| (*id, 0.0)).collect();
-                    for round in 0..ROUNDS {
-                        let now = SimTime::from_secs((HISTORY + round) as u64);
-                        for (k, slot) in batch.iter_mut().enumerate() {
-                            slot.1 = (round * 31 + k + l) as f64;
-                        }
-                        db.insert_batch(now, &batch);
-                        let acc: f64 = ids
-                            .iter()
-                            .filter_map(|id| db.window_agg(*id, now, window, WindowAgg::Mean))
-                            .sum();
-                        black_box(acc);
-                    }
-                });
-            }
-        });
-        db.total_inserts()
-    };
-    let mut g = c.benchmark_group("tsdb_contention");
-    g.sample_size(10);
-    for shards in [1usize, 16] {
-        g.bench_with_input(
-            BenchmarkId::new("fleet_4x100x16", shards),
-            &shards,
-            |b, &n| b.iter(|| black_box(fleet(n))),
-        );
-    }
-    g.finish();
-}
-
 /// Downsampling to Knowledge-layer resolution (§IV: "storage
 /// architecture decisions will then increasingly consider metadata
 /// representations for models" — resampling is the raw→model boundary).
@@ -862,7 +788,6 @@ criterion_group!(
     bench_export,
     bench_fleet,
     bench_chunk_codec,
-    bench_wire_crc32,
-    bench_contention
+    bench_wire_crc32
 );
 criterion_main!(benches);

@@ -14,9 +14,7 @@
 //!   `BENCH_GATE_THRESHOLD`) because CI machines differ from the machine
 //!   that recorded the baseline; it catches order-of-magnitude
 //!   regressions (an accidental O(n) scan on a planned path), not
-//!   percent-level noise. The threaded `tsdb_contention` fleet benches
-//!   are skipped: their wall-clock depends on core count, which is
-//!   exactly what differs across runners.
+//!   percent-level noise.
 //! * **Machine-independent ratio**: the wide-window rollup path must
 //!   stay at least `BENCH_GATE_MIN_ROLLUP_SPEEDUP` (default 10×) faster
 //!   than the raw fold *within the same run* — the rollup tier's reason
@@ -41,12 +39,10 @@
 use std::fmt::Write as _;
 use std::process::{Command, ExitCode};
 
-/// Benchmark groups excluded from the absolute comparison: contention
-/// numbers depend on core count, and the durable-tier benches are
-/// disk/loopback bound (their machine-independent guarantee is the
-/// recovery ratio check below).
+/// Benchmark groups excluded from the absolute comparison: the
+/// durable-tier benches are disk/loopback bound (their
+/// machine-independent guarantee is the recovery ratio check below).
 const SKIP_PREFIXES: &[&str] = &[
-    "tsdb_contention",
     "tsdb_fleet/recover_from_snapshot",
     "tsdb_fleet/replay_from_seq0",
     "tsdb_fleet/socket_ingest_1day",

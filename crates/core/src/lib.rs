@@ -28,8 +28,6 @@
 //!   stepped orchestrators that compose with discrete-event simulation.
 //! * [`runtime`] — threaded drivers (crossbeam channels) measuring the
 //!   *real* concurrency behaviour of the same patterns for experiment E1.
-//! * [`telemetry_link`] — reusable Monitor components over the shared
-//!   sharded TSDB's allocation-free aggregate-query path.
 //! * [`guard`] — action budgets and rate limits (§III.iv "additional
 //!   controls, such as limits on the number and overall time of
 //!   extensions").
@@ -47,7 +45,6 @@ pub mod knowledge;
 pub mod loop_engine;
 pub mod patterns;
 pub mod runtime;
-pub mod telemetry_link;
 
 pub use audit::{AuditEvent, AuditKind, AuditLog, Notification};
 pub use component::{
@@ -58,4 +55,3 @@ pub use domain::Domain;
 pub use guard::{BlockReason, Guard, GuardConfig};
 pub use knowledge::{Knowledge, OutcomeRecord, RunRecord};
 pub use loop_engine::{AutonomyMode, LoopReport, MapeLoop};
-pub use telemetry_link::{TsdbLatestMonitor, TsdbWindowMonitor};

@@ -30,8 +30,7 @@ use moda_sim::{SimDuration, SimTime};
 /// Fixed-cadence schedule helper shared by pattern drivers.
 ///
 /// Tracks when the next tick is due; catching up after a late poll keeps
-/// the original phase (no drift), mirroring
-/// [`moda_telemetry::Collector`](moda_telemetry::collect::Collector).
+/// the original phase (no drift), mirroring `moda_telemetry::Collector`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cadence {
     period: SimDuration,

@@ -7,8 +7,7 @@
 //! ODA against a real machine — so this crate dogfoods the stack: every
 //! hot stage records into an [`ObsRegistry`], and a periodic *scrape*
 //! writes that registry into a reserved `__self/` metric namespace of a
-//! regular [`moda_telemetry::Tsdb`]/[`moda_telemetry::ShardedTsdb`],
-//! from where the self-metrics flow through rollups, sketches, export,
+//! regular [`moda_telemetry::Tsdb`], from where the self-metrics flow through rollups, sketches, export,
 //! fleet aggregation, and the remote query protocol **like any other
 //! series** — `fleet_service query … agg __self/wal.fsync_ns … p0.99`
 //! answers "p99 WAL fsync latency across the fleet" with zero new wire
@@ -32,7 +31,7 @@
 //!   top-k [slow-op log](SlowOp) for postmortems. Nesting depth is
 //!   tracked per thread and stored on the slow-op entry.
 //! * [`ObsRegistry::scrape_into`] — write every instrument into the
-//!   `__self/` namespace of a [`ScrapeTarget`] store at one timestamp.
+//!   `__self/` namespace of a [`moda_telemetry::Tsdb`] at one timestamp.
 //!   The scrape is the namespace's **only writer**: user registration
 //!   and inserts into `__self/*` are refused by the store with a typed
 //!   error ([`moda_telemetry::RegisterError`]).
@@ -76,7 +75,7 @@ pub mod scrape;
 pub mod span;
 
 pub use registry::{Counter, Gauge, LatencyRecorder, LatencySnapshot, Obs, ObsRegistry};
-pub use scrape::{ScrapeStats, ScrapeTarget};
+pub use scrape::ScrapeStats;
 pub use span::{SlowOp, SpanGuard, SLOW_OP_CAPACITY};
 
 /// Record an RAII span on an [`Obs`] handle by name, resolving the

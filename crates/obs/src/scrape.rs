@@ -22,7 +22,7 @@
 use crate::registry::{Instrument, Obs, ObsRegistry};
 use moda_sim::SimTime;
 use moda_telemetry::metric::SELF_NAMESPACE;
-use moda_telemetry::{MetricId, MetricMeta, RollupConfig, ShardedTsdb, SourceDomain, Tsdb};
+use moda_telemetry::{MetricMeta, RollupConfig, SourceDomain, Tsdb};
 
 /// Accounting for one [`Obs::scrape_into`] pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -35,89 +35,49 @@ pub struct ScrapeStats {
     pub latency_samples: usize,
 }
 
-/// A store the scrape can write self-telemetry into. Implemented for
-/// the single-owner [`Tsdb`] (`&mut`) and for `&ShardedTsdb` (shared
-/// handle, interior locking).
-pub trait ScrapeTarget {
-    /// Idempotent scrape-only registration (name must be reserved).
-    fn self_register(&mut self, meta: MetricMeta) -> MetricId;
-    /// Enable rollups on a self series when it has none yet.
-    fn self_ensure_rollups(&mut self, id: MetricId, config: &RollupConfig);
-    /// Scrape-only append.
-    fn self_insert(&mut self, id: MetricId, t: SimTime, value: f64) -> bool;
-}
-
-impl ScrapeTarget for Tsdb {
-    fn self_register(&mut self, meta: MetricMeta) -> MetricId {
-        self.register_self(meta)
-    }
-
-    fn self_ensure_rollups(&mut self, id: MetricId, config: &RollupConfig) {
-        self.ensure_rollups(id, config);
-    }
-
-    fn self_insert(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        self.insert_self(id, t, value)
-    }
-}
-
-impl ScrapeTarget for &ShardedTsdb {
-    fn self_register(&mut self, meta: MetricMeta) -> MetricId {
-        self.register_self(meta)
-    }
-
-    fn self_ensure_rollups(&mut self, id: MetricId, config: &RollupConfig) {
-        self.ensure_rollups(id, config);
-    }
-
-    fn self_insert(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        self.insert_self(id, t, value)
-    }
-}
-
 impl ObsRegistry {
     /// Write every instrument into `target`'s `__self/` namespace at
     /// timestamp `t`. Deterministic: instruments are visited in
     /// registration order, pending latency samples in record order.
-    pub fn scrape_into<T: ScrapeTarget>(&self, target: &mut T, t: SimTime) -> ScrapeStats {
+    pub fn scrape_into(&self, target: &mut Tsdb, t: SimTime) -> ScrapeStats {
         let mut stats = ScrapeStats::default();
         for (name, inst) in self.entries() {
             stats.instruments += 1;
             let self_name = format!("{SELF_NAMESPACE}{name}");
             match inst {
                 Instrument::Counter(c) => {
-                    let id = target.self_register(MetricMeta::counter(
+                    let id = target.register_self(MetricMeta::counter(
                         self_name,
                         "count",
                         SourceDomain::Software,
                     ));
                     let v = c.load(std::sync::atomic::Ordering::Relaxed) as f64;
-                    if target.self_insert(id, t, v) {
+                    if target.insert_self(id, t, v) {
                         stats.samples += 1;
                     }
                 }
                 Instrument::Gauge(g) => {
-                    let id = target.self_register(MetricMeta::gauge(
+                    let id = target.register_self(MetricMeta::gauge(
                         self_name,
                         "value",
                         SourceDomain::Software,
                     ));
                     let v = f64::from_bits(g.load(std::sync::atomic::Ordering::Relaxed));
-                    if target.self_insert(id, t, v) {
+                    if target.insert_self(id, t, v) {
                         stats.samples += 1;
                     }
                 }
                 Instrument::Latency(cell) => {
-                    let id = target.self_register(MetricMeta::gauge(
+                    let id = target.register_self(MetricMeta::gauge(
                         self_name,
                         "ns",
                         SourceDomain::Software,
                     ));
                     // Sketched rollups make wide self-p99s plannable —
                     // and fleet-mergeable over the existing sketch wire.
-                    target.self_ensure_rollups(id, &RollupConfig::standard().with_sketches());
+                    target.ensure_rollups(id, &RollupConfig::standard().with_sketches());
                     for ns in cell.take_pending() {
-                        if target.self_insert(id, t, ns as f64) {
+                        if target.insert_self(id, t, ns as f64) {
                             stats.samples += 1;
                             stats.latency_samples += 1;
                         }
@@ -132,7 +92,7 @@ impl ObsRegistry {
 impl Obs {
     /// [`ObsRegistry::scrape_into`] through the handle; a disabled
     /// handle scrapes nothing and returns zeroed stats.
-    pub fn scrape_into<T: ScrapeTarget>(&self, target: &mut T, t: SimTime) -> ScrapeStats {
+    pub fn scrape_into(&self, target: &mut Tsdb, t: SimTime) -> ScrapeStats {
         match self.registry() {
             None => ScrapeStats::default(),
             Some(reg) => reg.scrape_into(target, t),
@@ -185,20 +145,6 @@ mod tests {
             stats.samples as u64 + again.samples as u64
         );
         assert_eq!(db.total_inserts(), 0, "scrape never counts as user inserts");
-    }
-
-    #[test]
-    fn scrape_into_sharded_store() {
-        let obs = Obs::enabled();
-        obs.counter("c").add(1);
-        obs.latency("l_ns").record_ns(500);
-        let db = ShardedTsdb::with_config(128, 4);
-        let stats = obs.scrape_into(&mut &db, SimTime::from_secs(1));
-        assert_eq!(stats.samples, 2);
-        let id = db.lookup("__self/l_ns").unwrap();
-        assert!(db.with_storage(id, |_, rollups| rollups.is_some()));
-        assert_eq!(db.latest_value(id), Some(500.0));
-        assert_eq!(db.self_inserts(), 2);
     }
 
     #[test]

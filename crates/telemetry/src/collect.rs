@@ -9,7 +9,7 @@
 //! [`Collector::poll`] at that time.
 
 use crate::metric::MetricId;
-use crate::tsdb::{ShardedTsdb, Tsdb};
+use crate::tsdb::Tsdb;
 use moda_sim::{SimDuration, SimTime};
 
 /// A source of telemetry samples.
@@ -25,6 +25,8 @@ struct Entry {
     period: SimDuration,
     next_due: SimTime,
     enabled: bool,
+    /// Re-enabled since its last sweep: `next_due` is stale.
+    resuming: bool,
 }
 
 /// Periodic multiplexer of sensors into a [`Tsdb`].
@@ -65,13 +67,19 @@ impl Collector {
             period,
             next_due: first_due,
             enabled: true,
+            resuming: false,
         });
         self.entries.len() - 1
     }
 
     /// Enable or disable a sensor (disabled sensors never become due).
+    /// A re-enabled sensor resumes on its old phase at the latest
+    /// cadence point at or before the next poll: the time it spent
+    /// disabled is a gap in the series, not back-dated readings.
     pub fn set_enabled(&mut self, handle: usize, enabled: bool) {
-        self.entries[handle].enabled = enabled;
+        let e = &mut self.entries[handle];
+        e.resuming |= enabled && !e.enabled;
+        e.enabled = enabled;
     }
 
     /// Change a sensor's sampling period — this is itself an actuator:
@@ -97,37 +105,22 @@ impl Collector {
 
     /// Sweep every sensor due at or before `now` into `db`, rescheduling
     /// each at `due + period` (fixed cadence, no drift accumulation even
-    /// if polled late). Returns the number of samples inserted.
+    /// if polled late). Each due sweep lands as one `insert_batch`.
+    /// Returns the number of samples inserted.
     pub fn poll(&mut self, now: SimTime, db: &mut Tsdb) -> usize {
-        self.poll_with(now, |t, batch| db.insert_batch(t, batch))
-    }
-
-    /// [`Collector::poll`] against the lock-striped [`ShardedTsdb`] —
-    /// the threaded-runtime collector shape: each due sweep lands as one
-    /// `insert_batch` (one timestamp, many metrics, one stripe write
-    /// lock per touched stripe), so concurrent node collectors and
-    /// Monitor/exporter readers only contend when they collide on a
-    /// stripe. Returns the number of samples accepted.
-    pub fn poll_shared(&mut self, now: SimTime, db: &ShardedTsdb) -> usize {
-        self.poll_with(now, |t, batch| db.insert_batch(t, batch))
-    }
-
-    /// Shared sweep loop: `sink` consumes one due sweep's
-    /// `(timestamp, batch)` and reports how many samples were accepted.
-    fn poll_with(
-        &mut self,
-        now: SimTime,
-        mut sink: impl FnMut(SimTime, &[(MetricId, f64)]) -> usize,
-    ) -> usize {
         let mut inserted = 0;
         for e in &mut self.entries {
             if !e.enabled {
                 continue;
             }
+            if std::mem::take(&mut e.resuming) && e.next_due < now {
+                let skipped = (now.0 - e.next_due.0) / e.period.0;
+                e.next_due = SimTime(e.next_due.0 + skipped * e.period.0);
+            }
             while e.next_due <= now {
                 self.scratch.clear();
                 e.sensor.sample(e.next_due, &mut self.scratch);
-                inserted += sink(e.next_due, &self.scratch);
+                inserted += db.insert_batch(e.next_due, &self.scratch);
                 self.sweeps += 1;
                 e.next_due += e.period;
             }
@@ -236,6 +229,28 @@ mod tests {
     }
 
     #[test]
+    fn reenabled_sensor_does_not_backfill_the_gap() {
+        let (mut db, id) = setup();
+        let mut c = Collector::new();
+        let h = c.add_sensor(
+            Box::new(Ramp { id, v: 0.0 }),
+            SimDuration::from_secs(1),
+            SimTime::ZERO,
+        );
+        c.set_enabled(h, false);
+        assert_eq!(c.poll(SimTime::from_secs(50), &mut db), 0);
+        c.set_enabled(h, true);
+        // One reading, stamped at the latest cadence point: the 100 s
+        // spent disabled stay a gap, and the 1 s phase is kept.
+        assert_eq!(c.poll(SimTime(100_400), &mut db), 1);
+        let stamps: Vec<SimTime> = db.series(id).iter().map(|s| s.t).collect();
+        assert_eq!(stamps, vec![SimTime::from_secs(100)]);
+        assert_eq!(c.next_due(), Some(SimTime::from_secs(101)));
+        // From here on it is an ordinary sensor: a late poll catches up.
+        assert_eq!(c.poll(SimTime::from_secs(103), &mut db), 3);
+    }
+
+    #[test]
     fn period_change_takes_effect() {
         let (mut db, id) = setup();
         let mut c = Collector::new();
@@ -275,33 +290,6 @@ mod tests {
         assert_eq!(db.series(b).len(), 3);
         assert_eq!(c.sweeps(), 7);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn poll_shared_drives_the_striped_store() {
-        let db = ShardedTsdb::with_config(256, 4);
-        let a = db.register(MetricMeta::gauge("a", "u", SourceDomain::Hardware));
-        let b = db.register(MetricMeta::gauge("b", "u", SourceDomain::Software));
-        let mut c = Collector::new();
-        c.add_sensor(
-            Box::new(Ramp { id: a, v: 0.0 }),
-            SimDuration::from_secs(2),
-            SimTime::ZERO,
-        );
-        c.add_sensor(
-            Box::new(Ramp { id: b, v: 100.0 }),
-            SimDuration::from_secs(3),
-            SimTime::ZERO,
-        );
-        // Same cadence semantics as `poll`: late polls catch up at their
-        // scheduled timestamps, one batch insert per due sweep.
-        let n = c.poll_shared(SimTime::from_secs(6), &db);
-        assert_eq!(n, 4 + 3);
-        assert_eq!(c.sweeps(), 7);
-        assert_eq!(db.with_storage(a, |s, _| s.len()), 4);
-        assert_eq!(db.with_storage(b, |s, _| s.len()), 3);
-        assert_eq!(db.latest_value(a), Some(3.0));
-        assert_eq!(c.next_due(), Some(SimTime::from_secs(8)));
     }
 
     #[test]

@@ -7,21 +7,20 @@
 //! LDMS, Examon) are built around a **continuous**
 //! collection→transport→storage pipeline, not one-shot dumps. This
 //! module is that pipeline's node side: an [`Exporter`] holds
-//! per-metric watermark cursors, drains each metric's storage under its
-//! own short stripe read lock (never the whole store), and emits
-//! size-bounded [`ExportBatch`]es through a [`Sink`]. Re-draining after
+//! per-metric watermark cursors, copies each metric's pending data out
+//! of a borrowed [`Tsdb`](crate::Tsdb), and emits size-bounded
+//! [`ExportBatch`]es through a [`Sink`]. Re-draining after
 //! new inserts ships **exactly the delta**; replaying every batch
 //! downstream reconstructs the exported raw, rollup, and sketch state
 //! (see [`ReplayStore`](crate::ReplayStore) and the property tests in
 //! `tests/props.rs`).
 //!
 //! The module is split by concern: this file holds the stream model
-//! (records, batches, the [`Sink`]/[`ExportSource`] traits,
-//! [`DrainStats`]), `exporter` the cursors and the drain loop, `sinks`
-//! the two in-tree sinks. The **byte-level encoding** of the stream —
-//! the one normative rendering — lives in [`crate::wire`]; CSV
-//! ([`CsvSink`]) is the one human-readable rendering, for datasets and
-//! debugging.
+//! (records, batches, the [`Sink`] trait, [`DrainStats`]), `exporter`
+//! the cursors and the drain loop, `sinks` the two in-tree sinks. The
+//! **byte-level encoding** of the stream — the one normative
+//! rendering — lives in [`crate::wire`]; CSV ([`CsvSink`]) is the one
+//! human-readable rendering, for datasets and debugging.
 //!
 //! # Record kinds
 //!
@@ -127,10 +126,7 @@ pub use crate::wire::encode_batch;
 
 use crate::chunk::Chunk;
 use crate::metric::{MetricId, MetricMeta};
-use crate::rollup::RollupSet;
-use crate::series::TimeSeries;
 use crate::sketch::SketchEntry;
-use crate::tsdb::{ShardedTsdb, Tsdb};
 use moda_sim::{SimDuration, SimTime};
 use std::io;
 
@@ -247,60 +243,6 @@ pub trait Sink {
     fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()>;
 }
 
-/// Anything an [`Exporter`] can drain: the single-owner [`Tsdb`] and
-/// the lock-striped [`ShardedTsdb`] (where
-/// [`with_storage`](ExportSource::with_storage) holds exactly one
-/// stripe read lock for the duration of the closure).
-pub trait ExportSource {
-    /// Number of registered metrics (ids are dense `0..cardinality`).
-    fn cardinality(&self) -> usize;
-    /// Cloned metadata of one metric.
-    fn export_meta(&self, id: MetricId) -> MetricMeta;
-    /// Run `f` over one metric's raw ring and optional rollup pyramid
-    /// as a consistent snapshot.
-    fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R;
-}
-
-impl ExportSource for Tsdb {
-    fn cardinality(&self) -> usize {
-        Tsdb::cardinality(self)
-    }
-
-    fn export_meta(&self, id: MetricId) -> MetricMeta {
-        self.meta(id).clone()
-    }
-
-    fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R {
-        Tsdb::with_storage(self, id, f)
-    }
-}
-
-impl ExportSource for ShardedTsdb {
-    fn cardinality(&self) -> usize {
-        ShardedTsdb::cardinality(self)
-    }
-
-    fn export_meta(&self, id: MetricId) -> MetricMeta {
-        self.meta(id)
-    }
-
-    fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R {
-        ShardedTsdb::with_storage(self, id, f)
-    }
-}
-
 /// Counters for one [`Exporter::drain`] call (and, summed, for an
 /// exporter's lifetime — [`Exporter::totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -331,9 +273,9 @@ pub struct DrainStats {
     /// stream can tell "export fell behind retention" (non-zero here)
     /// apart from a plain telemetry gap.
     pub missed_buckets: u64,
-    /// Total time spent holding per-metric storage locks, ns.
+    /// Total time spent copying out of the store, ns.
     pub lock_held_ns: u64,
-    /// Longest single lock hold, ns.
+    /// Longest single per-metric copy-out, ns.
     pub max_lock_held_ns: u64,
     /// Transport-level redelivery work behind these drains: reconnect
     /// dials plus batches re-sent from a retrying sink's replay buffer.
@@ -346,7 +288,7 @@ pub struct DrainStats {
 
 impl DrainStats {
     /// Whether the drain shipped nothing and missed nothing — i.e. the
-    /// store held no data the cursors hadn't already covered. (Lock-hold
+    /// store held no data the cursors hadn't already covered. (Copy-out
     /// timings may still be non-zero: finding nothing still peeks.)
     pub fn is_empty(&self) -> bool {
         self.records == 0

@@ -3,8 +3,9 @@
 //! in-memory staging shape. The normative byte-level encoding lives in
 //! [`crate::wire`].
 
-use super::{ExportBatch, ExportRecord, ExportSource, Exporter, Sink, WIRE_VERSION};
+use super::{ExportBatch, ExportRecord, Exporter, Sink, WIRE_VERSION};
 use crate::metric::MetricKind;
+use crate::tsdb::Tsdb;
 use std::io::{self, Write};
 
 /// CSV rendering of the export stream (see `docs/EXPORT_FORMAT.md`):
@@ -142,12 +143,12 @@ impl Sink for MemorySink {
 /// Full snapshot of a store as one CSV export stream (a fresh cursor
 /// drained once — the "release an open dataset" shape). Incremental
 /// pipelines should hold an [`Exporter`] instead.
-pub fn snapshot_csv<S: ExportSource>(src: &S) -> String {
+pub fn snapshot_csv(db: &Tsdb) -> String {
     let mut out = Vec::new();
     let mut sink = CsvSink::new(&mut out);
     sink.preamble().expect("writing to a Vec cannot fail");
     Exporter::new()
-        .drain(src, &mut sink)
+        .drain(db, &mut sink)
         .expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("CSV sink emits UTF-8")
 }

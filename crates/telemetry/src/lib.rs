@@ -21,13 +21,8 @@
 //! * [`tsdb`] — the in-memory store: registry + series + retention +
 //!   allocation-free aggregate queries (`window_agg`, `latest_n_agg`,
 //!   streaming `resample_into`) + insert-rate accounting (the §IV design
-//!   consideration), written once as a private storage core and exposed
-//!   through two ownership shells: the single-owner [`Tsdb`] (`&mut`
-//!   writes, no locks, can lend its series) and the lock-striped
-//!   [`ShardedTsdb`] for threaded runtimes (`&self` writes; registry
-//!   under one lock, series striped across N shard locks keyed by
-//!   `MetricId`, stripe count sized adaptively from core count and
-//!   cardinality at `into_shared` time),
+//!   consideration). A [`Tsdb`] has one owner: `&mut` writes, no
+//!   locks, and `&self` reads that lend its series,
 //! * [`rollup`] — the continuous downsampling tier (Knowledge-layer
 //!   retention): per-metric 1m/1h count/sum/min/max/last bucket rings
 //!   folded incrementally on insert, and the query planner that serves
@@ -43,9 +38,8 @@
 //! * [`sketch`] — the mergeable DDSketch-style [`QuantileSketch`] behind
 //!   those percentile rollups (fixed 1 % relative-error log buckets,
 //!   exact counts, linear-time merge),
-//! * [`collect`] — sensor traits and the periodic collector, driving
-//!   either shell (`poll` / `poll_shared`) with one batch insert per
-//!   due sweep,
+//! * [`collect`] — sensor traits and the periodic collector: one batch
+//!   insert per due sweep,
 //! * [`window`] — windowed aggregation used by Analyze components,
 //!   including the O(n) selection-based percentile and the streaming
 //!   [`AggAccum`] bucket folder,
@@ -54,7 +48,7 @@
 //!   continuously): an [`Exporter`] with per-metric watermark cursors
 //!   drains raw samples, compressed chunks, sealed rollup buckets, and
 //!   sparse sketch columns as size-bounded [`ExportBatch`]es through a
-//!   [`Sink`], each metric copied under its own short stripe read lock,
+//!   [`Sink`], out of a store borrowed for the whole drain,
 //! * [`wire`] — the **one** byte-level encoding of that stream
 //!   (`export-wire-v1.1`): the LE/varint put helpers and the
 //!   bounds-checked reader, the record/batch/drain-stats codec, and the
@@ -93,7 +87,7 @@ pub mod window;
 pub mod wire;
 
 pub use collect::{Collector, Sensor};
-pub use export::{DrainStats, ExportBatch, ExportRecord, ExportSource, Exporter, Sink};
+pub use export::{DrainStats, ExportBatch, ExportRecord, Exporter, Sink};
 pub use metric::{
     is_self_metric, InsertError, MetricId, MetricKind, MetricMeta, RegisterError, SourceDomain,
     SELF_NAMESPACE,
@@ -106,5 +100,5 @@ pub use rollup::{
 pub use series::{Sample, SampleView, TimeSeries};
 pub use sketch::{QuantileAcc, QuantileSketch, SketchEntry, SKETCH_RELATIVE_ERROR};
 pub use tiers::WireTiers;
-pub use tsdb::{adaptive_shards, MemoryStats, ShardedTsdb, SharedTsdb, Tsdb};
+pub use tsdb::{MemoryStats, Tsdb};
 pub use window::{AggAccum, WindowAgg};

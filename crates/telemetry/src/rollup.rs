@@ -382,8 +382,8 @@ impl RollupRing {
     /// The sealed buckets with `start >= from`, oldest → newest,
     /// located by binary search (buckets are start-ordered). This is
     /// the exporter's steady-state shape: a drain resuming from its
-    /// watermark touches O(log n + delta) buckets under the stripe
-    /// lock, not the whole retained history.
+    /// watermark touches O(log n + delta) buckets, not the whole
+    /// retained history.
     pub fn sealed_buckets_from(&self, from: SimTime) -> impl Iterator<Item = &RollupBucket> {
         let sealed = self.sealed_len();
         let lo = self
@@ -966,7 +966,7 @@ pub fn plan_window_agg(
             let hi = now.0.saturating_add(1);
             if let WindowAgg::Percentile(q) = agg {
                 if set.sketched() {
-                    // The store's read-locked query path cannot thread a
+                    // The store's `&self` query path cannot thread a
                     // caller-owned scratch through here, so the warm
                     // dense counters live per thread (capacity bounded
                     // by the observed key range, ~8 B per distinct value

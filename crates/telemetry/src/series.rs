@@ -166,8 +166,7 @@ impl TimeSeries {
         true
     }
 
-    /// Compress the tail into a sealed chunk (in place, under whatever
-    /// lock the caller already holds).
+    /// Compress the tail into a sealed chunk, in place.
     fn seal_tail(&mut self) {
         if self.tail_ts.is_empty() {
             return;

@@ -1,4 +1,4 @@
-//! In-memory time-series store: one storage core, two ownership shells.
+//! In-memory time-series store: one owner, one storage body.
 //!
 //! The store is the telemetry backbone of a simulated center: sensors
 //! append into it, Monitor components of MAPE-K loops read from it. The
@@ -7,36 +7,21 @@
 //! recent-window reads — rather than durable storage, which production
 //! sites delegate to their archive tier.
 //!
-//! # One core
+//! # One owner
 //!
-//! Every store rule has exactly one body, on three private types:
+//! A [`Tsdb`] belongs to one collect agent. Writes take `&mut self`: no
+//! lock and no atomic read-modify-write on the insert path. Reads take
+//! `&self` and lend storage directly (`&TimeSeries`, [`SampleView`],
+//! `&RollupSet`), so a borrowed store cannot change under its reader —
+//! the exporter's drain relies on exactly that. The store is
+//! `Send + Sync`: it can move to another thread or be read from several,
+//! but threads that *write* meet at the export wire, not at the store.
 //!
-//! * `Registry` — registration: reserved-namespace refusal, the export
-//!   wire's length limit, idempotence by name, dense id assignment, and
-//!   the default capacity and rollup policy of new series;
-//! * `Stored` — one metric's raw ring plus its rollup pyramid: the
-//!   reserved-write refusal, push + rollup fold, rollup enable/ensure,
-//!   the aggregate queries, the memory fold;
-//! * `Counters` — accepted-insert and rollup/sketch-hit accounting.
-//!
-//! # Two ownership shells
-//!
-//! * [`Tsdb`] = `Registry` + one `Vec<Stored>`, single owner. Writes
-//!   take `&mut self`: no lock and no atomic read-modify-write on the
-//!   insert path, and it is the only shell that can *lend* storage
-//!   (`&TimeSeries`, [`SampleView`], `&RollupSet`). The shape for the
-//!   deterministic discrete-event world, the goldens and the benches.
-//! * [`ShardedTsdb`] = `RwLock<Registry>` + N × `RwLock<Vec<Stored>>`,
-//!   shared. Writes take `&self`, so collector, Monitor and exporter
-//!   threads share one handle; a writer of one stripe never stalls
-//!   readers of another. It owns only what locking adds: the
-//!   id → (stripe, slot) arithmetic, the lock-coalescing `insert_batch`
-//!   and the registry → stripe lock order. A borrow cannot outlive a
-//!   lock guard, so it lends storage only to a closure
-//!   ([`ShardedTsdb::with_storage`]) and returns metadata by clone.
-//!
-//! Both shells answer every query with the same bits for the same
-//! operation sequence (the `sharded_equals_unsharded` proptest).
+//! Every rule has one body: registration (reserved-namespace refusal,
+//! the export wire's length limit, idempotence by name, dense id
+//! assignment, default capacity and rollup policy) in `register_as`;
+//! the reserved-write refusal and push + rollup fold on the private
+//! per-metric `Stored`.
 //!
 //! # Read path
 //!
@@ -54,121 +39,11 @@ use crate::rollup::{self, RollupConfig, RollupServed, RollupSet};
 use crate::series::{Sample, SampleView, TimeSeries};
 use crate::window::{AggAccum, WindowAgg};
 use moda_sim::{SimDuration, SimTime};
-use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default per-series retention when none is specified.
 pub const DEFAULT_RETENTION: usize = 4096;
-
-/// Default stripe count for [`ShardedTsdb::new`]. [`Tsdb::into_shared`]
-/// sizes stripes adaptively instead (see [`adaptive_shards`]); pin an
-/// explicit count with [`ShardedTsdb::with_config`] /
-/// [`ShardedTsdb::from_tsdb`] when a test or bench needs a fixed
-/// topology.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Largest stripe count [`adaptive_shards`] will pick.
-pub const MAX_ADAPTIVE_SHARDS: usize = 256;
-
-/// Stripe count for a store expected to hold `cardinality` metrics on a
-/// machine with `cores` available hardware threads: a concurrency floor
-/// of ~4 stripes per core (so concurrent loops rarely collide), raised
-/// by one stripe per ~64 metrics for high-cardinality stores (shorter
-/// per-stripe series vectors), as a power of two within
-/// `[1, MAX_ADAPTIVE_SHARDS]`. Cardinality only ever **raises** the
-/// count above the core floor — it must not cap it, because registering
-/// metrics after [`Tsdb::into_shared`] is a supported pattern (the
-/// fleet drivers do exactly that) and the store cannot re-stripe later;
-/// a stripe is just one `RwLock` + `Vec`, so over-striping a store that
-/// stays small is harmless.
-pub fn adaptive_shards(cores: usize, cardinality: usize) -> usize {
-    let by_cores = cores.max(1).saturating_mul(4);
-    let by_cardinality = cardinality / 64 + 1;
-    by_cores
-        .max(by_cardinality)
-        .clamp(1, MAX_ADAPTIVE_SHARDS)
-        .next_power_of_two()
-        .min(MAX_ADAPTIVE_SHARDS)
-}
-
-// ---------------------------------------------------------------- core
-
-/// Name → id interning plus the policy for new series: the registration
-/// rule, stated once for both shells.
-#[derive(Debug)]
-struct Registry {
-    metas: Vec<MetricMeta>,
-    by_name: HashMap<String, MetricId>,
-    default_capacity: usize,
-    /// Rollup pyramid applied to newly registered metrics.
-    default_rollups: Option<RollupConfig>,
-}
-
-impl Registry {
-    fn new(default_capacity: usize) -> Self {
-        Registry {
-            metas: Vec::new(),
-            by_name: HashMap::new(),
-            default_capacity,
-            default_rollups: None,
-        }
-    }
-
-    /// Admit `meta` and intern its name. User registrations
-    /// (`reserved == false`) of a `__self/` name and names or units over
-    /// the export wire's length limit are refused; a scrape registration
-    /// of a name outside `__self/` is a bug in the scrape and panics.
-    /// Idempotent by name: a known name returns its id and `None`; a
-    /// new one is assigned the next dense id and returns the storage the
-    /// calling shell must append for it (`capacity` overrides the
-    /// default retention).
-    fn register(
-        &mut self,
-        meta: MetricMeta,
-        capacity: Option<usize>,
-        reserved: bool,
-    ) -> Result<(MetricId, Option<Stored>), RegisterError> {
-        if reserved {
-            assert!(
-                is_self_metric(&meta.name),
-                "self-telemetry metric {:?} must start with {SELF_NAMESPACE:?}",
-                meta.name
-            );
-        } else if is_self_metric(&meta.name) {
-            return Err(RegisterError::ReservedNamespace { name: meta.name });
-        }
-        meta.check_wire_limit()?;
-        if let Some(&id) = self.by_name.get(&meta.name) {
-            return Ok((id, None));
-        }
-        let id = MetricId(self.metas.len() as u32);
-        let stored = Stored::new(
-            capacity.unwrap_or(self.default_capacity),
-            self.default_rollups.as_ref(),
-            reserved,
-        );
-        self.by_name.insert(meta.name.clone(), id);
-        self.metas.push(meta);
-        Ok((id, Some(stored)))
-    }
-
-    /// The typed rendering of a [`Reserved`] refusal.
-    fn reserved_error(&self, id: MetricId) -> InsertError {
-        InsertError::ReservedMetric {
-            id,
-            name: self.metas[id.index()].name.clone(),
-        }
-    }
-
-    fn names(&self) -> impl Iterator<Item = (&str, MetricId)> + '_ {
-        self.metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), MetricId(i as u32)))
-    }
-}
 
 /// The panicking registration forms: for a name in the program text a
 /// refusal is a programming error.
@@ -176,16 +51,16 @@ fn granted(registered: Result<MetricId, RegisterError>) -> MetricId {
     registered.unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// A user write aimed at a reserved `__self/` series. The shells render
-/// it as `false` (`insert`, `insert_batch`) or as the typed
-/// [`InsertError`] (`try_insert`).
+/// A user write aimed at a reserved `__self/` series, rendered as
+/// `false` (`insert`, `insert_batch`) or as the typed [`InsertError`]
+/// (`try_insert`).
 #[derive(Debug)]
 struct Reserved;
 
 /// One metric's storage: the raw ring plus its optional rollup pyramid.
 /// Accepted appends fold into both; rejected (out-of-order) appends touch
 /// neither, so the tiers never disagree about what was stored.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Stored {
     raw: TimeSeries,
     rollups: Option<RollupSet>,
@@ -195,14 +70,6 @@ struct Stored {
 }
 
 impl Stored {
-    fn new(capacity: usize, rollups: Option<&RollupConfig>, reserved: bool) -> Self {
-        Stored {
-            raw: TimeSeries::new(capacity),
-            rollups: rollups.map(RollupSet::new),
-            reserved,
-        }
-    }
-
     #[inline]
     fn push(&mut self, t: SimTime, value: f64) -> bool {
         let ok = self.raw.push(t, value);
@@ -222,69 +89,6 @@ impl Stored {
             return Err(Reserved);
         }
         Ok(self.push(t, value))
-    }
-
-    /// A scrape write: only to a reserved series.
-    fn insert_self(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        assert!(self.reserved, "insert_self on non-reserved metric {id}");
-        self.push(t, value)
-    }
-
-    /// Enable (or reconfigure) rollups, backfilling from retained raw
-    /// samples so the pyramid and the ring agree from the first query.
-    fn enable_rollups(&mut self, config: &RollupConfig) {
-        self.rollups = Some(RollupSet::from_series(config, &self.raw));
-    }
-
-    fn ensure_rollups(&mut self, config: &RollupConfig) -> bool {
-        let fresh = self.rollups.is_none();
-        if fresh {
-            self.enable_rollups(config);
-        }
-        fresh
-    }
-
-    fn window_agg(
-        &self,
-        now: SimTime,
-        window: SimDuration,
-        agg: WindowAgg,
-    ) -> (Option<f64>, RollupServed) {
-        rollup::plan_window_agg(&self.raw, self.rollups.as_ref(), now, window, agg)
-    }
-
-    fn latest_n_agg(&self, n: usize, agg: WindowAgg) -> Option<f64> {
-        let view = self.raw.last_n_view(n);
-        (!view.is_empty()).then(|| view.aggregate(agg))
-    }
-
-    fn resample_into(
-        &self,
-        t0: SimTime,
-        t1: SimTime,
-        period: SimDuration,
-        agg: WindowAgg,
-        out: &mut Vec<Option<f64>>,
-    ) -> RollupServed {
-        match rollup::plan_resample_into(&self.raw, self.rollups.as_ref(), t0, t1, period, agg, out)
-        {
-            Some(served) => served,
-            None => {
-                resample_view(&self.raw.range_view(t0, t1), t0, t1, period, agg, out);
-                RollupServed::default()
-            }
-        }
-    }
-
-    fn fold_memory(&self, stats: &mut MemoryStats) {
-        stats.series += 1;
-        stats.samples += self.raw.len();
-        stats.compressed_samples += self.raw.compressed_len();
-        stats.raw_bytes += self.raw.raw_bytes();
-        stats.compressed_bytes += self.raw.compressed_bytes();
-        if let Some(r) = &self.rollups {
-            stats.rollup_bytes += r.mem_bytes();
-        }
     }
 }
 
@@ -319,30 +123,6 @@ fn resample_view(
     while out.len() < nb {
         out.push(acc.finish());
         acc.reset();
-    }
-}
-
-/// Lifetime accounting. Atomics, because queries count their rollup
-/// hits through `&self` on both shells and the sharded shell also
-/// counts inserts through `&self`; the single-owner shell bumps its
-/// insert counters through `get_mut`, which is a plain add.
-#[derive(Debug, Default)]
-struct Counters {
-    inserts: AtomicU64,
-    self_inserts: AtomicU64,
-    rollup_hits: AtomicU64,
-    sketch_hits: AtomicU64,
-}
-
-impl Counters {
-    #[inline]
-    fn note_served(&self, served: RollupServed) {
-        if served.rollup {
-            self.rollup_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if served.sketch {
-            self.sketch_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -382,20 +162,23 @@ impl MemoryStats {
     }
 }
 
-// -------------------------------------------------- single-owner shell
-
-/// The single-owner store: registry + storage for all metrics of one
-/// managed system, written through `&mut self` and able to lend its
-/// series. See the [module docs](self) for when to use which shell.
+/// The node store: registry + storage for all metrics of one managed
+/// system, written through `&mut self` and able to lend its series.
 #[derive(Debug)]
 pub struct Tsdb {
-    registry: Registry,
+    metas: Vec<MetricMeta>,
+    by_name: HashMap<String, MetricId>,
+    /// `series[id]` is the storage of `metas[id]`.
     series: Vec<Stored>,
-    counters: Counters,
+    default_capacity: usize,
+    /// Rollup pyramid applied to newly registered metrics.
+    default_rollups: Option<RollupConfig>,
+    inserts: u64,
+    self_inserts: u64,
+    /// Atomics: queries count their rollup hits through `&self`.
+    rollup_hits: AtomicU64,
+    sketch_hits: AtomicU64,
 }
-
-/// Thread-shared handle used by the threaded loop runtime.
-pub type SharedTsdb = Arc<ShardedTsdb>;
 
 impl Default for Tsdb {
     fn default() -> Self {
@@ -412,34 +195,52 @@ impl Tsdb {
     /// Empty store with a custom default per-series retention.
     pub fn with_retention(capacity: usize) -> Self {
         Tsdb {
-            registry: Registry::new(capacity),
+            metas: Vec::new(),
+            by_name: HashMap::new(),
             series: Vec::new(),
-            counters: Counters::default(),
+            default_capacity: capacity,
+            default_rollups: None,
+            inserts: 0,
+            self_inserts: 0,
+            rollup_hits: AtomicU64::new(0),
+            sketch_hits: AtomicU64::new(0),
         }
     }
 
-    /// Move into a thread-shared sharded handle. The stripe count is
-    /// sized by [`adaptive_shards`] from
-    /// `std::thread::available_parallelism()` and the store's
-    /// cardinality at the moment of the move; use
-    /// [`ShardedTsdb::from_tsdb`] to pin an explicit count instead
-    /// (tests/benches comparing topologies).
-    pub fn into_shared(self) -> SharedTsdb {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let shards = adaptive_shards(cores, self.cardinality());
-        Arc::new(ShardedTsdb::from_tsdb(self, shards))
-    }
-
+    /// Admit `meta` and intern its name. User registrations
+    /// (`reserved == false`) of a `__self/` name and names or units over
+    /// the export wire's length limit are refused; a scrape registration
+    /// of a name outside `__self/` is a bug in the scrape and panics.
+    /// Idempotent by name: a known name returns its id; a new one is
+    /// assigned the next dense id and fresh storage (`capacity`
+    /// overrides the default retention).
     fn register_as(
         &mut self,
         meta: MetricMeta,
         capacity: Option<usize>,
         reserved: bool,
     ) -> Result<MetricId, RegisterError> {
-        let (id, fresh) = self.registry.register(meta, capacity, reserved)?;
-        self.series.extend(fresh);
+        if reserved {
+            assert!(
+                is_self_metric(&meta.name),
+                "self-telemetry metric {:?} must start with {SELF_NAMESPACE:?}",
+                meta.name
+            );
+        } else if is_self_metric(&meta.name) {
+            return Err(RegisterError::ReservedNamespace { name: meta.name });
+        }
+        meta.check_wire_limit()?;
+        if let Some(&id) = self.by_name.get(&meta.name) {
+            return Ok(id);
+        }
+        let id = MetricId(self.metas.len() as u32);
+        self.series.push(Stored {
+            raw: TimeSeries::new(capacity.unwrap_or(self.default_capacity)),
+            rollups: self.default_rollups.as_ref().map(RollupSet::new),
+            reserved,
+        });
+        self.by_name.insert(meta.name.clone(), id);
+        self.metas.push(meta);
         Ok(id)
     }
 
@@ -478,15 +279,17 @@ impl Tsdb {
     /// (`None` disables). Existing metrics are untouched — use
     /// [`Tsdb::enable_rollups`] for those.
     pub fn set_rollup_policy(&mut self, config: Option<RollupConfig>) {
-        self.registry.default_rollups = config;
+        self.default_rollups = config;
     }
 
     /// Enable (or reconfigure) the rollup tier for one metric,
-    /// backfilling from its retained raw samples. **Resets** any existing
+    /// backfilling from its retained raw samples so the pyramid and the
+    /// ring agree from the first query. **Resets** any existing
     /// pyramid — sealed buckets that outlived raw retention are lost;
     /// use [`Tsdb::ensure_rollups`] when the metric may already have one.
     pub fn enable_rollups(&mut self, id: MetricId, config: &RollupConfig) {
-        self.series[id.index()].enable_rollups(config);
+        let stored = &mut self.series[id.index()];
+        stored.rollups = Some(RollupSet::from_series(config, &stored.raw));
     }
 
     /// Enable rollups only when the metric has none yet (the idempotent
@@ -494,7 +297,11 @@ impl Tsdb {
     /// history, which outlives raw retention, is never discarded).
     /// Returns whether rollups were newly enabled.
     pub fn ensure_rollups(&mut self, id: MetricId, config: &RollupConfig) -> bool {
-        self.series[id.index()].ensure_rollups(config)
+        let fresh = self.rollups(id).is_none();
+        if fresh {
+            self.enable_rollups(id, config);
+        }
+        fresh
     }
 
     /// The metric's rollup pyramid, if enabled.
@@ -505,7 +312,7 @@ impl Tsdb {
     /// Lifetime count of aggregate/resample queries that read at least
     /// one rollup bucket instead of scanning raw samples.
     pub fn rollup_hits(&self) -> u64 {
-        self.counters.rollup_hits.load(Ordering::Relaxed)
+        self.rollup_hits.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of percentile queries served by merging bucket
@@ -513,40 +320,53 @@ impl Tsdb {
     /// queries that fell back to the raw selection path count in
     /// neither.
     pub fn sketch_hits(&self) -> u64 {
-        self.counters.sketch_hits.load(Ordering::Relaxed)
+        self.sketch_hits.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn note_served(&self, served: RollupServed) {
+        if served.rollup {
+            self.rollup_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if served.sketch {
+            self.sketch_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Look up a metric id by name.
     pub fn lookup(&self, name: &str) -> Option<MetricId> {
-        self.registry.by_name.get(name).copied()
+        self.by_name.get(name).copied()
     }
 
     /// Metadata for a registered metric.
     pub fn meta(&self, id: MetricId) -> &MetricMeta {
-        &self.registry.metas[id.index()]
+        &self.metas[id.index()]
     }
 
     /// Number of registered metrics (cardinality).
     pub fn cardinality(&self) -> usize {
-        self.registry.metas.len()
+        self.metas.len()
     }
 
     /// All registered metric names (registry order = id order).
     pub fn names(&self) -> impl Iterator<Item = (&str, MetricId)> + '_ {
-        self.registry.names()
+        self.metas
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.name.as_str(), MetricId(i as u32)))
     }
 
     /// Lifetime accepted-insert count of **user** samples. Self-telemetry
     /// scrape writes are accounted separately ([`Tsdb::self_inserts`]) so
     /// enabling observability never perturbs workload accounting.
     pub fn total_inserts(&self) -> u64 {
-        self.counters.inserts.load(Ordering::Relaxed)
+        self.inserts
     }
 
     /// Lifetime accepted-insert count of self-telemetry scrape samples
     /// (the `__self/` namespace).
     pub fn self_inserts(&self) -> u64 {
-        self.counters.self_inserts.load(Ordering::Relaxed)
+        self.self_inserts
     }
 
     /// Append one sample. Returns false when rejected (unknown id is a
@@ -561,7 +381,7 @@ impl Tsdb {
     #[inline]
     fn write(&mut self, id: MetricId, t: SimTime, value: f64) -> Result<bool, Reserved> {
         let accepted = self.series[id.index()].insert(t, value)?;
-        *self.counters.inserts.get_mut() += u64::from(accepted);
+        self.inserts += u64::from(accepted);
         Ok(accepted)
     }
 
@@ -574,15 +394,20 @@ impl Tsdb {
         value: f64,
     ) -> Result<bool, InsertError> {
         self.write(id, t, value)
-            .map_err(|Reserved| self.registry.reserved_error(id))
+            .map_err(|Reserved| InsertError::ReservedMetric {
+                id,
+                name: self.meta(id).name.clone(),
+            })
     }
 
     /// Scrape-only append to a reserved `__self/` series (panics if `id`
     /// is not reserved). Accounted under [`Tsdb::self_inserts`], not
     /// [`Tsdb::total_inserts`].
     pub fn insert_self(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let ok = self.series[id.index()].insert_self(id, t, value);
-        *self.counters.self_inserts.get_mut() += u64::from(ok);
+        let stored = &mut self.series[id.index()];
+        assert!(stored.reserved, "insert_self on non-reserved metric {id}");
+        let ok = stored.push(t, value);
+        self.self_inserts += u64::from(ok);
         ok
     }
 
@@ -593,7 +418,7 @@ impl Tsdb {
         for &(id, v) in batch {
             accepted += usize::from(self.series[id.index()].insert(t, v).unwrap_or(false));
         }
-        *self.counters.inserts.get_mut() += accepted as u64;
+        self.inserts += accepted as u64;
         accepted
     }
 
@@ -601,19 +426,6 @@ impl Tsdb {
     /// through [`Tsdb::rollups`] or implicitly via the aggregate queries).
     pub fn series(&self, id: MetricId) -> &TimeSeries {
         &self.series[id.index()].raw
-    }
-
-    /// Run `f` over one metric's raw ring and its optional rollup
-    /// pyramid — the shape both shells share (see
-    /// [`ShardedTsdb::with_storage`]) and the incremental exporter
-    /// ([`crate::export`]) builds on.
-    pub fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R {
-        let stored = &self.series[id.index()];
-        f(&stored.raw, stored.rollups.as_ref())
     }
 
     /// Most recent sample of a metric.
@@ -649,15 +461,17 @@ impl Tsdb {
         window: SimDuration,
         agg: WindowAgg,
     ) -> Option<f64> {
-        let (out, served) = self.series[id.index()].window_agg(now, window, agg);
-        self.counters.note_served(served);
+        let (out, served) =
+            rollup::plan_window_agg(self.series(id), self.rollups(id), now, window, agg);
+        self.note_served(served);
         out
     }
 
     /// Fold `agg` over the last `n` samples without materializing them.
     /// `None` when the series is empty. Count-based, so always raw.
     pub fn latest_n_agg(&self, id: MetricId, n: usize, agg: WindowAgg) -> Option<f64> {
-        self.series[id.index()].latest_n_agg(n, agg)
+        let view = self.series(id).last_n_view(n);
+        (!view.is_empty()).then(|| view.aggregate(agg))
     }
 
     /// Linearly interpolated value of `id` at `t` (O(log n); `None`
@@ -684,325 +498,25 @@ impl Tsdb {
         agg: WindowAgg,
         out: &mut Vec<Option<f64>>,
     ) {
-        let served = self.series[id.index()].resample_into(t0, t1, period, agg, out);
-        self.counters.note_served(served);
+        let raw = self.series(id);
+        match rollup::plan_resample_into(raw, self.rollups(id), t0, t1, period, agg, out) {
+            Some(served) => self.note_served(served),
+            None => resample_view(&raw.range_view(t0, t1), t0, t1, period, agg, out),
+        }
     }
 
     /// Memory footprint of all series, split by storage tier.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
-        self.series.iter().for_each(|s| s.fold_memory(&mut stats));
-        stats
-    }
-}
-
-// -------------------------------------------------------- shared shell
-
-/// The shared store: the same core as [`Tsdb`] behind locks, written
-/// through `&self`. Every method without its own contract below behaves
-/// as the [`Tsdb`] method of the same name.
-///
-/// The registry (name → id, metadata) lives under one `RwLock`; series
-/// storage is striped across `n_shards` independently locked shards with
-/// `shard = id % n_shards`, `slot = id / n_shards` (both pure arithmetic,
-/// so the hot insert/read path never consults the registry). Writers to
-/// one stripe proceed concurrently with readers and writers of every
-/// other stripe. The only nested lock order is registry → stripe
-/// (registration); every other method holds at most one lock at a time.
-///
-/// Where a signature differs from [`Tsdb`]'s, ownership forces it:
-/// `meta` and `names` return clones and storage is lent only to a
-/// closure ([`ShardedTsdb::with_storage`], which also answers "has
-/// rollups?" and every raw-series question), because a borrow cannot
-/// outlive the lock guard it came from.
-#[derive(Debug)]
-pub struct ShardedTsdb {
-    registry: RwLock<Registry>,
-    shards: Box<[RwLock<Vec<Stored>>]>,
-    counters: Counters,
-}
-
-impl Default for ShardedTsdb {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedTsdb {
-    /// Empty store with [`DEFAULT_RETENTION`] and [`DEFAULT_SHARDS`].
-    pub fn new() -> Self {
-        Self::with_config(DEFAULT_RETENTION, DEFAULT_SHARDS)
-    }
-
-    /// Empty store with explicit retention and stripe count.
-    pub fn with_config(capacity: usize, n_shards: usize) -> Self {
-        Self::from_tsdb(Tsdb::with_retention(capacity), n_shards)
-    }
-
-    /// Build from a single-owner [`Tsdb`]: its registry and counters
-    /// move over as they are and its series are dealt out across the
-    /// stripes, preserving ids, data and rollups.
-    pub fn from_tsdb(db: Tsdb, n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        let mut shards: Vec<Vec<Stored>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, stored) in db.series.into_iter().enumerate() {
-            shards[i % n].push(stored);
-        }
-        ShardedTsdb {
-            registry: RwLock::new(db.registry),
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            counters: db.counters,
-        }
-    }
-
-    /// Number of stripes.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, id: MetricId) -> usize {
-        id.index() % self.shards.len()
-    }
-
-    #[inline]
-    fn slot_of(&self, id: MetricId) -> usize {
-        id.index() / self.shards.len()
-    }
-
-    fn with_stored<R>(&self, id: MetricId, f: impl FnOnce(&Stored) -> R) -> R {
-        f(&self.shards[self.shard_of(id)].read()[self.slot_of(id)])
-    }
-
-    fn with_stored_mut<R>(&self, id: MetricId, f: impl FnOnce(&mut Stored) -> R) -> R {
-        f(&mut self.shards[self.shard_of(id)].write()[self.slot_of(id)])
-    }
-
-    fn register_as(
-        &self,
-        meta: MetricMeta,
-        capacity: Option<usize>,
-        reserved: bool,
-    ) -> Result<MetricId, RegisterError> {
-        // The registry write lock is held across the stripe push: it
-        // orders concurrent registrations, so each stripe's slots fill
-        // densely (stripe s receives ids s, s+N, s+2N, ...).
-        let mut registry = self.registry.write();
-        let (id, fresh) = registry.register(meta, capacity, reserved)?;
-        if let Some(stored) = fresh {
-            let mut shard = self.shards[self.shard_of(id)].write();
-            debug_assert_eq!(shard.len(), self.slot_of(id));
-            shard.push(stored);
-        }
-        Ok(id)
-    }
-
-    /// See [`Tsdb::register`].
-    pub fn register(&self, meta: MetricMeta) -> MetricId {
-        granted(self.try_register(meta))
-    }
-
-    /// See [`Tsdb::try_register`].
-    pub fn try_register(&self, meta: MetricMeta) -> Result<MetricId, RegisterError> {
-        self.register_as(meta, None, false)
-    }
-
-    /// See [`Tsdb::register_with_capacity`].
-    pub fn register_with_capacity(&self, meta: MetricMeta, capacity: usize) -> MetricId {
-        granted(self.register_as(meta, Some(capacity), false))
-    }
-
-    /// See [`Tsdb::register_self`].
-    pub fn register_self(&self, meta: MetricMeta) -> MetricId {
-        granted(self.register_as(meta, None, true))
-    }
-
-    /// See [`Tsdb::set_rollup_policy`].
-    pub fn set_rollup_policy(&self, config: Option<RollupConfig>) {
-        self.registry.write().default_rollups = config;
-    }
-
-    /// See [`Tsdb::enable_rollups`]; backfills under the stripe's write
-    /// lock.
-    pub fn enable_rollups(&self, id: MetricId, config: &RollupConfig) {
-        self.with_stored_mut(id, |s| s.enable_rollups(config));
-    }
-
-    /// See [`Tsdb::ensure_rollups`]; check and backfill are atomic under
-    /// the stripe's write lock.
-    pub fn ensure_rollups(&self, id: MetricId, config: &RollupConfig) -> bool {
-        self.with_stored_mut(id, |s| s.ensure_rollups(config))
-    }
-
-    /// See [`Tsdb::rollup_hits`]; across all stripes.
-    pub fn rollup_hits(&self) -> u64 {
-        self.counters.rollup_hits.load(Ordering::Relaxed)
-    }
-
-    /// See [`Tsdb::sketch_hits`]; across all stripes.
-    pub fn sketch_hits(&self) -> u64 {
-        self.counters.sketch_hits.load(Ordering::Relaxed)
-    }
-
-    /// Look up a metric id by name.
-    pub fn lookup(&self, name: &str) -> Option<MetricId> {
-        self.registry.read().by_name.get(name).copied()
-    }
-
-    /// Metadata for a registered metric (cloned out of the registry).
-    pub fn meta(&self, id: MetricId) -> MetricMeta {
-        self.registry.read().metas[id.index()].clone()
-    }
-
-    /// Number of registered metrics (cardinality).
-    pub fn cardinality(&self) -> usize {
-        self.registry.read().metas.len()
-    }
-
-    /// All registered metric names in id order (cloned snapshot).
-    pub fn names(&self) -> Vec<(String, MetricId)> {
-        let registry = self.registry.read();
-        registry.names().map(|(n, id)| (n.to_owned(), id)).collect()
-    }
-
-    /// See [`Tsdb::total_inserts`]; across all stripes.
-    pub fn total_inserts(&self) -> u64 {
-        self.counters.inserts.load(Ordering::Relaxed)
-    }
-
-    /// See [`Tsdb::self_inserts`]; across all stripes.
-    pub fn self_inserts(&self) -> u64 {
-        self.counters.self_inserts.load(Ordering::Relaxed)
-    }
-
-    /// See [`Tsdb::insert`]; locks only `id`'s stripe.
-    pub fn insert(&self, id: MetricId, t: SimTime, value: f64) -> bool {
-        self.write(id, t, value).unwrap_or(false)
-    }
-
-    #[inline]
-    fn write(&self, id: MetricId, t: SimTime, value: f64) -> Result<bool, Reserved> {
-        let accepted = self.with_stored_mut(id, |s| s.insert(t, value))?;
-        self.counters
-            .inserts
-            .fetch_add(u64::from(accepted), Ordering::Relaxed);
-        Ok(accepted)
-    }
-
-    /// See [`Tsdb::try_insert`]. The stripe lock is released before the
-    /// registry is read for the refusal's name.
-    pub fn try_insert(&self, id: MetricId, t: SimTime, value: f64) -> Result<bool, InsertError> {
-        self.write(id, t, value)
-            .map_err(|Reserved| self.registry.read().reserved_error(id))
-    }
-
-    /// See [`Tsdb::insert_self`].
-    pub fn insert_self(&self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let ok = self.with_stored_mut(id, |s| s.insert_self(id, t, value));
-        self.counters
-            .self_inserts
-            .fetch_add(u64::from(ok), Ordering::Relaxed);
-        ok
-    }
-
-    /// See [`Tsdb::insert_batch`].
-    ///
-    /// Single allocation-free pass holding one stripe write lock at a
-    /// time, re-acquired only when the stripe changes — a sweep over
-    /// ids sorted by stripe takes each lock exactly once, and the
-    /// insert counter is updated once per batch instead of per sample.
-    pub fn insert_batch(&self, t: SimTime, batch: &[(MetricId, f64)]) -> usize {
-        let mut accepted = 0;
-        let mut held: Option<(usize, RwLockWriteGuard<'_, Vec<Stored>>)> = None;
-        for &(id, v) in batch {
-            let s = self.shard_of(id);
-            let guard = match held {
-                Some((cur, ref mut guard)) if cur == s => guard,
-                _ => {
-                    // Release the previous stripe BEFORE blocking on the
-                    // next one — holding one lock while waiting on another
-                    // would allow AB-BA deadlock between batch writers
-                    // sweeping stripes in different orders.
-                    drop(held.take());
-                    &mut held.insert((s, self.shards[s].write())).1
-                }
-            };
-            accepted += usize::from(guard[self.slot_of(id)].insert(t, v).unwrap_or(false));
-        }
-        drop(held);
-        self.counters
-            .inserts
-            .fetch_add(accepted as u64, Ordering::Relaxed);
-        accepted
-    }
-
-    /// Run `f` over one metric's raw ring **and** rollup pyramid under a
-    /// single stripe read lock — a consistent snapshot of both tiers
-    /// that blocks writers of this stripe only (never the whole store),
-    /// and that cannot escape the guard. This is the incremental
-    /// exporter's drain primitive: each metric is copied out under its
-    /// own short lock hold (see [`crate::export::Exporter`]).
-    pub fn with_storage<R>(
-        &self,
-        id: MetricId,
-        f: impl FnOnce(&TimeSeries, Option<&RollupSet>) -> R,
-    ) -> R {
-        self.with_stored(id, |s| f(&s.raw, s.rollups.as_ref()))
-    }
-
-    /// Most recent sample of a metric.
-    pub fn latest(&self, id: MetricId) -> Option<Sample> {
-        self.with_stored(id, |s| s.raw.latest())
-    }
-
-    /// Most recent value of a metric.
-    pub fn latest_value(&self, id: MetricId) -> Option<f64> {
-        self.latest(id).map(|s| s.value)
-    }
-
-    /// See [`Tsdb::window_agg`]; holds only `id`'s stripe read lock.
-    pub fn window_agg(
-        &self,
-        id: MetricId,
-        now: SimTime,
-        window: SimDuration,
-        agg: WindowAgg,
-    ) -> Option<f64> {
-        let (out, served) = self.with_stored(id, |s| s.window_agg(now, window, agg));
-        self.counters.note_served(served);
-        out
-    }
-
-    /// See [`Tsdb::latest_n_agg`].
-    pub fn latest_n_agg(&self, id: MetricId, n: usize, agg: WindowAgg) -> Option<f64> {
-        self.with_stored(id, |s| s.latest_n_agg(n, agg))
-    }
-
-    /// See [`Tsdb::value_at`].
-    pub fn value_at(&self, id: MetricId, t: SimTime) -> Option<f64> {
-        self.with_stored(id, |s| s.raw.value_at(t))
-    }
-
-    /// See [`Tsdb::resample_into`].
-    pub fn resample_into(
-        &self,
-        id: MetricId,
-        t0: SimTime,
-        t1: SimTime,
-        period: SimDuration,
-        agg: WindowAgg,
-        out: &mut Vec<Option<f64>>,
-    ) {
-        let served = self.with_stored(id, |s| s.resample_into(t0, t1, period, agg, out));
-        self.counters.note_served(served);
-    }
-
-    /// See [`Tsdb::memory_stats`]; takes each stripe's read lock
-    /// briefly, one stripe at a time.
-    pub fn memory_stats(&self) -> MemoryStats {
-        let mut stats = MemoryStats::default();
-        for shard in self.shards.iter() {
-            shard.read().iter().for_each(|s| s.fold_memory(&mut stats));
+        for s in &self.series {
+            stats.series += 1;
+            stats.samples += s.raw.len();
+            stats.compressed_samples += s.raw.compressed_len();
+            stats.raw_bytes += s.raw.raw_bytes();
+            stats.compressed_bytes += s.raw.compressed_bytes();
+            if let Some(r) = &s.rollups {
+                stats.rollup_bytes += r.mem_bytes();
+            }
         }
         stats
     }
@@ -1051,9 +565,13 @@ mod tests {
         assert!(db.insert(id, SimTime::from_secs(2), 20.0));
         assert_eq!(db.latest_value(id), Some(20.0));
         assert_eq!(db.total_inserts(), 2);
-        // Out-of-order insert is dropped and not counted.
+        // Out-of-order insert is dropped and not counted, through every
+        // user write path.
         assert!(!db.insert(id, SimTime::from_secs(1), 5.0));
+        assert_eq!(db.try_insert(id, SimTime::from_secs(1), 5.0), Ok(false));
+        assert_eq!(db.insert_batch(SimTime::from_secs(1), &[(id, 5.0)]), 0);
         assert_eq!(db.total_inserts(), 2);
+        assert_eq!(db.series(id).rejected(), 3);
     }
 
     #[test]
@@ -1067,6 +585,15 @@ mod tests {
         );
         assert_eq!(db.latest_value(a), Some(1.0));
         assert_eq!(db.latest_value(b), Some(2.0));
+        // The count is per sample: a sweep that is stale for one metric
+        // still lands on the other.
+        db.insert(a, SimTime::from_secs(9), 0.0);
+        assert_eq!(
+            db.insert_batch(SimTime::from_secs(5), &[(a, 3.0), (b, 4.0)]),
+            1
+        );
+        assert_eq!(db.latest_value(b), Some(4.0));
+        assert_eq!(db.total_inserts(), 4);
     }
 
     #[test]
@@ -1210,7 +737,7 @@ mod tests {
     fn reserved_namespace_refuses_user_registration() {
         let mut db = db();
         let meta = MetricMeta::gauge("__self/wal.fsync_ns", "ns", SourceDomain::Software);
-        match db.try_register(meta.clone()) {
+        match db.try_register(meta) {
             Err(RegisterError::ReservedNamespace { name }) => {
                 assert_eq!(name, "__self/wal.fsync_ns");
             }
@@ -1222,10 +749,6 @@ mod tests {
             .try_register(MetricMeta::gauge("user.x", "u", SourceDomain::Hardware))
             .unwrap();
         assert_eq!(db.lookup("user.x"), Some(id));
-
-        let shared = ShardedTsdb::new();
-        assert!(shared.try_register(meta).is_err());
-        assert_eq!(shared.cardinality(), 0);
     }
 
     #[test]
@@ -1243,10 +766,9 @@ mod tests {
         let mut bytes = Vec::new();
         encode_batch(&sink.batches[0], &mut bytes);
         assert_eq!(decode_batch(&bytes).unwrap().0, sink.batches[0]);
-        // One byte more — in the name or the unit — is a typed refusal
-        // on both stores, and nothing is registered.
+        // One byte more — in the name or the unit — is a typed refusal,
+        // and nothing is registered.
         let long = "n".repeat(MAX_STR_LEN + 1);
-        let shared = ShardedTsdb::new();
         for (meta, field) in [
             (
                 MetricMeta::gauge(long.clone(), "u", SourceDomain::Hardware),
@@ -1261,11 +783,9 @@ mod tests {
                 field,
                 len: MAX_STR_LEN + 1,
             });
-            assert_eq!(db.try_register(meta.clone()), want);
-            assert_eq!(shared.try_register(meta), want);
+            assert_eq!(db.try_register(meta), want);
         }
         assert_eq!(db.cardinality(), 1);
-        assert_eq!(shared.cardinality(), 0);
     }
 
     #[test]
@@ -1307,154 +827,13 @@ mod tests {
         assert_eq!(db.latest_value(id), Some(4.0));
         assert_eq!(db.total_inserts(), 0);
         assert_eq!(db.self_inserts(), 1);
-    }
-
-    #[test]
-    fn self_accounting_survives_the_sharded_move() {
-        let mut db = db();
-        let user = gauge(&mut db, "u");
-        db.insert(user, SimTime::from_secs(1), 1.0);
-        let id = db.register_self(MetricMeta::gauge("__self/g", "u", SourceDomain::Software));
-        db.insert_self(id, SimTime::from_secs(1), 2.0);
-        let shared = ShardedTsdb::from_tsdb(db, 4);
-        assert_eq!(shared.total_inserts(), 1);
-        assert_eq!(shared.self_inserts(), 1);
-        // Reservation carried over: user writes still refused.
-        assert!(!shared.insert(id, SimTime::from_secs(2), 3.0));
-        assert!(shared.insert_self(id, SimTime::from_secs(2), 3.0));
-    }
-
-    // ------------------------------------------------------- sharded
-
-    #[test]
-    fn shared_handle_concurrent_reads() {
-        let mut db = db();
-        let id = gauge(&mut db, "x");
-        db.insert(id, SimTime::from_secs(1), 42.0);
-        let shared = db.into_shared();
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || s.latest_value(MetricId(0)))
-            })
-            .collect();
-        for th in threads {
-            assert_eq!(th.join().unwrap(), Some(42.0));
-        }
-    }
-
-    #[test]
-    fn sharded_preserves_tsdb_contents() {
-        let mut db = Tsdb::with_retention(64);
-        let ids: Vec<MetricId> = (0..40).map(|i| gauge(&mut db, &format!("m{i}"))).collect();
-        for t in 0..10u64 {
-            for (k, id) in ids.iter().enumerate() {
-                db.insert(*id, SimTime::from_secs(t), (t as usize * 100 + k) as f64);
-            }
-        }
-        let total = db.total_inserts();
-        let shared = db.into_shared();
-        assert_eq!(shared.cardinality(), 40);
-        assert_eq!(shared.total_inserts(), total);
-        for (k, id) in ids.iter().enumerate() {
-            assert_eq!(shared.latest_value(*id), Some((900 + k) as f64));
-            assert_eq!(shared.latest_n_agg(*id, 100, WindowAgg::Count), Some(10.0));
-        }
-        assert_eq!(shared.lookup("m7"), Some(ids[7]));
-        assert_eq!(shared.meta(ids[3]).name, "m3");
-    }
-
-    #[test]
-    fn sharded_concurrent_writers_and_readers() {
-        let db = Arc::new(ShardedTsdb::with_config(1024, 8));
-        let ids: Vec<MetricId> = (0..32)
-            .map(|i| {
-                db.register(MetricMeta::gauge(
-                    format!("c{i}"),
-                    "u",
-                    SourceDomain::Hardware,
-                ))
-            })
-            .collect();
-        let rounds = 500u64;
-        std::thread::scope(|scope| {
-            for (w, chunk) in ids.chunks(8).enumerate() {
-                let db = Arc::clone(&db);
-                scope.spawn(move || {
-                    for t in 0..rounds {
-                        for id in chunk {
-                            db.insert(*id, SimTime(t * 10 + w as u64), t as f64);
-                        }
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let db = Arc::clone(&db);
-                let ids = ids.clone();
-                scope.spawn(move || {
-                    for t in 0..rounds {
-                        for id in &ids {
-                            let v = db.window_agg(
-                                *id,
-                                SimTime(t * 10),
-                                SimDuration::from_secs(5),
-                                WindowAgg::Max,
-                            );
-                            if let Some(v) = v {
-                                assert!(v >= 0.0);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(db.total_inserts(), 32 * rounds);
-        for id in &ids {
-            assert_eq!(db.latest_value(*id), Some((rounds - 1) as f64));
-        }
-    }
-
-    #[test]
-    fn sharded_batch_writers_in_opposite_stripe_orders_do_not_deadlock() {
-        // Regression: insert_batch must release the current stripe lock
-        // before blocking on the next one, or two writers sweeping
-        // stripes in opposite orders AB-BA deadlock.
-        let db = Arc::new(ShardedTsdb::with_config(64, 4));
-        let ids: Vec<MetricId> = (0..8)
-            .map(|i| {
-                db.register(MetricMeta::gauge(
-                    format!("d{i}"),
-                    "u",
-                    SourceDomain::Hardware,
-                ))
-            })
-            .collect();
-        let fwd: Vec<(MetricId, f64)> = ids.iter().map(|id| (*id, 1.0)).collect();
-        let rev: Vec<(MetricId, f64)> = ids.iter().rev().map(|id| (*id, 1.0)).collect();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        for batch in [fwd, rev] {
-            let db = Arc::clone(&db);
-            let done = done_tx.clone();
-            std::thread::spawn(move || {
-                for t in 0..2000u64 {
-                    db.insert_batch(SimTime(t), &batch);
-                }
-                let _ = done.send(());
-            });
-        }
-        drop(done_tx);
-        for _ in 0..2 {
-            done_rx
-                .recv_timeout(std::time::Duration::from_secs(30))
-                .expect("batch writers deadlocked");
-        }
-        // The two writers race on the same timestamps, so interleaving
-        // legitimately rejects some pushes as out-of-order; what must
-        // hold is forward progress and per-series time order.
-        assert!(db.total_inserts() >= 2000 * 8);
-        for id in &ids {
-            assert_eq!(db.latest(*id).unwrap().t, SimTime(1999));
-        }
+        // A stale scrape write is dropped and not counted, and the
+        // scrape's registration is idempotent like the user's.
+        assert!(!db.insert_self(id, SimTime::ZERO, 5.0));
+        assert_eq!(db.self_inserts(), 1);
+        let again = MetricMeta::gauge("__self/export.drain_ns", "ns", SourceDomain::Software);
+        assert_eq!(db.register_self(again), id);
+        assert_eq!(db.cardinality(), 1);
     }
 
     // ------------------------------------------------------- rollups
@@ -1519,28 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_shard_count_scales_with_cores_and_cardinality() {
-        // Core floor: ~4 stripes per core, as a power of two — even for
-        // an empty store, because metrics may register after the move
-        // into the shared handle (the fleet drivers do) and the store
-        // cannot re-stripe later.
-        assert_eq!(adaptive_shards(1, 0), 4);
-        assert_eq!(adaptive_shards(8, 8), 32);
-        assert_eq!(adaptive_shards(8, 640), 32);
-        // High cardinality raises the count past the core floor
-        // (~64 metrics per stripe), never lowers it.
-        assert_eq!(adaptive_shards(1, 640), 16);
-        assert_eq!(adaptive_shards(1, 10_000), 256);
-        // Bounded above.
-        assert_eq!(adaptive_shards(512, 1 << 20), MAX_ADAPTIVE_SHARDS);
-        // Degenerate inputs stay sane.
-        assert_eq!(adaptive_shards(0, 0), 4);
-        // Register-after-share keeps a multi-stripe topology.
-        let shared = Tsdb::new().into_shared();
-        assert!(shared.n_shards() >= 4);
-    }
-
-    #[test]
     fn rollup_policy_applies_to_new_registrations_only() {
         use crate::rollup::RollupConfig;
         let mut db = db();
@@ -1549,13 +906,6 @@ mod tests {
         let after = gauge(&mut db, "after");
         assert!(db.rollups(before).is_none());
         assert!(db.rollups(after).is_some());
-        // The policy survives the move into the sharded store.
-        let shared = db.into_shared();
-        let late = shared.register(MetricMeta::gauge("late", "u", SourceDomain::Software));
-        let has_rollups = |id| shared.with_storage(id, |_, r| r.is_some());
-        assert!(!has_rollups(before));
-        assert!(has_rollups(after));
-        assert!(has_rollups(late));
     }
 
     #[test]
@@ -1588,12 +938,6 @@ mod tests {
         // the 16 retained raw samples.
         db.enable_rollups(id, &cfg);
         assert!(count(&db) <= 16.0);
-        // Sharded: same contract, and the hit counter migrates.
-        let hits = db.rollup_hits();
-        assert!(hits > 0);
-        let shared = db.into_shared();
-        assert_eq!(shared.rollup_hits(), hits);
-        assert!(!shared.ensure_rollups(id, &cfg));
     }
 
     #[test]
@@ -1647,24 +991,17 @@ mod tests {
             .map(|c| c.bytes().len() + std::mem::size_of::<crate::chunk::Chunk>())
             .sum();
         assert!(m.compressed_bytes <= payload_and_headers);
-        // The sharded store reports the same footprint.
-        let shared = db.into_shared();
-        assert_eq!(shared.memory_stats(), m);
     }
 
     #[test]
     fn default_store_retains_like_new() {
-        // `Default` is `new()` on both shells: DEFAULT_RETENTION per
-        // series, not a zeroed capacity clamped to one sample.
+        // `Default` is `new()`: DEFAULT_RETENTION per series, not a
+        // zeroed capacity clamped to one sample.
         let mut db = Tsdb::default();
-        let shared = ShardedTsdb::default();
         let a = gauge(&mut db, "a");
-        let b = shared.register(MetricMeta::gauge("a", "u", SourceDomain::Hardware));
         for t in 0..100u64 {
             db.insert(a, SimTime::from_secs(t), t as f64);
-            shared.insert(b, SimTime::from_secs(t), t as f64);
         }
         assert_eq!(db.series(a).len(), 100);
-        assert_eq!(shared.with_storage(b, |s, _| s.len()), 100);
     }
 }

@@ -350,310 +350,6 @@ proptest! {
     }
 }
 
-// ------------------------------------------------ the two store shells
-
-use moda_telemetry::wire::{encode_batch, MAX_STR_LEN};
-use moda_telemetry::{InsertError, MemoryStats, MetricId, RegisterError, ShardedTsdb};
-
-/// One store operation, with every argument already resolved: the whole
-/// sequence is planned up front (see [`plan_ops`]) so each store under
-/// test receives exactly the same calls.
-#[derive(Debug, Clone)]
-enum StoreOp {
-    Register(MetricMeta),
-    TryRegister(MetricMeta),
-    RegisterWithCapacity(MetricMeta, usize),
-    RegisterSelf(MetricMeta),
-    Insert(MetricId, SimTime, f64),
-    InsertBatch(SimTime, Vec<(MetricId, f64)>),
-    TryInsert(MetricId, SimTime, f64),
-    InsertSelf(MetricId, SimTime, f64),
-    SetRollupPolicy(Option<RollupConfig>),
-    EnableRollups(MetricId, RollupConfig),
-    EnsureRollups(MetricId, RollupConfig),
-}
-
-/// What an operation handed back.
-#[derive(Debug, PartialEq)]
-enum Returned {
-    Id(MetricId),
-    TryId(Result<MetricId, RegisterError>),
-    Accepted(bool),
-    Count(usize),
-    TryAccepted(Result<bool, InsertError>),
-    Nothing,
-}
-
-/// Everything a store lets a caller observe, in one comparable value.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    names: Vec<(String, MetricId)>,
-    metas: Vec<MetricMeta>,
-    lookups: Vec<Option<MetricId>>,
-    /// Per metric: (len, total appends, rejected, has rollups).
-    storage: Vec<(usize, u64, u64, bool)>,
-    latest: Vec<Option<Sample>>,
-    window_aggs: Vec<Vec<Option<f64>>>,
-    resampled: Vec<Vec<Option<f64>>>,
-    latest_n: Vec<Option<f64>>,
-    value_at: Vec<Option<f64>>,
-    memory: MemoryStats,
-    /// total_inserts, self_inserts, rollup_hits, sketch_hits — read
-    /// after the queries above, so the hits they score are compared too.
-    counters: (u64, u64, u64, u64),
-    /// `encode_batch` bytes of a full drain.
-    wire: Vec<u8>,
-}
-
-/// Either ownership shell behind the operations both expose.
-enum Store {
-    Owned(Tsdb),
-    Shared(ShardedTsdb),
-}
-
-/// Run the same expression against whichever shell `$store` holds.
-macro_rules! on_shell {
-    ($store:expr, $db:ident => $call:expr) => {
-        match $store {
-            Store::Owned($db) => $call,
-            Store::Shared($db) => $call,
-        }
-    };
-}
-
-impl Store {
-    fn apply(&mut self, op: StoreOp) -> Returned {
-        use Returned::*;
-        match op {
-            StoreOp::Register(m) => Id(on_shell!(self, db => db.register(m))),
-            StoreOp::TryRegister(m) => TryId(on_shell!(self, db => db.try_register(m))),
-            StoreOp::RegisterWithCapacity(m, cap) => {
-                Id(on_shell!(self, db => db.register_with_capacity(m, cap)))
-            }
-            StoreOp::RegisterSelf(m) => Id(on_shell!(self, db => db.register_self(m))),
-            StoreOp::Insert(id, t, v) => Accepted(on_shell!(self, db => db.insert(id, t, v))),
-            StoreOp::InsertBatch(t, batch) => {
-                Count(on_shell!(self, db => db.insert_batch(t, &batch)))
-            }
-            StoreOp::TryInsert(id, t, v) => {
-                TryAccepted(on_shell!(self, db => db.try_insert(id, t, v)))
-            }
-            StoreOp::InsertSelf(id, t, v) => {
-                Accepted(on_shell!(self, db => db.insert_self(id, t, v)))
-            }
-            StoreOp::SetRollupPolicy(cfg) => {
-                on_shell!(self, db => db.set_rollup_policy(cfg));
-                Nothing
-            }
-            StoreOp::EnableRollups(id, cfg) => {
-                on_shell!(self, db => db.enable_rollups(id, &cfg));
-                Nothing
-            }
-            StoreOp::EnsureRollups(id, cfg) => {
-                Accepted(on_shell!(self, db => db.ensure_rollups(id, &cfg)))
-            }
-        }
-    }
-
-    fn observe(&self, now: SimTime, window: SimDuration, period: SimDuration) -> Observed {
-        let names: Vec<(String, MetricId)> = match self {
-            Store::Owned(db) => db.names().map(|(n, id)| (n.to_owned(), id)).collect(),
-            Store::Shared(db) => db.names(),
-        };
-        let ids: Vec<MetricId> = names.iter().map(|(_, id)| *id).collect();
-        let per = |f: &dyn Fn(MetricId) -> Option<f64>| ids.iter().map(|id| f(*id)).collect();
-        on_shell!(self, db => Observed {
-            metas: ids.iter().map(|id| db.meta(*id).clone()).collect(),
-            lookups: names.iter().map(|(n, _)| db.lookup(n)).collect(),
-            storage: ids
-                .iter()
-                .map(|id| {
-                    db.with_storage(*id, |raw, rollups| {
-                        (raw.len(), raw.total_appends(), raw.rejected(), rollups.is_some())
-                    })
-                })
-                .collect(),
-            latest: ids.iter().map(|id| db.latest(*id)).collect(),
-            window_aggs: [
-                WindowAgg::Count,
-                WindowAgg::Mean,
-                WindowAgg::Max,
-                WindowAgg::Last,
-                WindowAgg::Percentile(0.9),
-            ]
-            .iter()
-            .map(|agg| per(&|id| db.window_agg(id, now, window, *agg)))
-            .collect(),
-            resampled: ids
-                .iter()
-                .map(|id| {
-                    let mut out = Vec::new();
-                    db.resample_into(*id, SimTime::ZERO, now, period, WindowAgg::Sum, &mut out);
-                    out
-                })
-                .collect(),
-            latest_n: per(&|id| db.latest_n_agg(id, 5, WindowAgg::Max)),
-            value_at: per(&|id| db.value_at(id, SimTime(now.0 / 2))),
-            memory: db.memory_stats(),
-            counters: (
-                db.total_inserts(),
-                db.self_inserts(),
-                db.rollup_hits(),
-                db.sketch_hits(),
-            ),
-            wire: {
-                let mut sink = MemorySink::new();
-                Exporter::new()
-                    .with_batch_records(37)
-                    .drain(db, &mut sink)
-                    .unwrap();
-                let mut bytes = Vec::new();
-                for batch in &sink.batches {
-                    encode_batch(batch, &mut bytes);
-                }
-                bytes
-            },
-            names,
-        })
-    }
-}
-
-/// A two-tier pyramid small enough that buckets seal, cascade and get
-/// evicted within a few hundred millisecond-spaced inserts.
-fn tiny_pyramid(sketched: bool) -> RollupConfig {
-    let cfg = RollupConfig::new(vec![
-        RollupTier::new(SimDuration(100), 8),
-        RollupTier::new(SimDuration(1_000), 4),
-    ]);
-    if sketched {
-        cfg.with_sketches()
-    } else {
-        cfg
-    }
-}
-
-/// Resolve random draws into a concrete operation sequence against a
-/// model of the registry (names in id order), so metric picks are
-/// always registered ids and `insert_self` only ever targets a
-/// reserved one — the calls that panic by contract are not the
-/// subject here. Returns the ops and the final clock.
-fn plan_ops(draws: &[(u8, u64, u64, f64)]) -> (Vec<StoreOp>, u64) {
-    let mut names: Vec<String> = Vec::new();
-    let mut clock = 0u64;
-    let mut ops = Vec::with_capacity(draws.len());
-    for &(sel, a, dt, v) in draws {
-        let user = MetricMeta::gauge(format!("m{}", a % 12), "u", SourceDomain::Hardware);
-        let own = MetricMeta::counter(
-            format!("__self/s{}", a % 4),
-            "count",
-            SourceDomain::Software,
-        );
-        // Mostly forward in time, sometimes stale: the out-of-order
-        // refusal is part of what must agree.
-        let t = if a % 5 == 0 {
-            SimTime(clock.saturating_sub(dt))
-        } else {
-            clock += dt;
-            SimTime(clock)
-        };
-        let pick = |shift: u64| MetricId(((a >> shift) % names.len().max(1) as u64) as u32);
-        let reserved: Vec<MetricId> = (0..names.len())
-            .filter(|i| names[*i].starts_with("__self/"))
-            .map(|i| MetricId(i as u32))
-            .collect();
-        let cfg = tiny_pyramid(a % 3 == 0);
-        let op = match sel {
-            _ if names.is_empty() => StoreOp::Register(user),
-            0 => StoreOp::Register(user),
-            1 => StoreOp::TryRegister(user),
-            2 => StoreOp::TryRegister(own),
-            3 => StoreOp::TryRegister(if a % 2 == 0 {
-                MetricMeta::gauge("n".repeat(MAX_STR_LEN + 1), "u", SourceDomain::Hardware)
-            } else {
-                MetricMeta::gauge("short", "u".repeat(MAX_STR_LEN + 1), SourceDomain::Hardware)
-            }),
-            4 => StoreOp::RegisterWithCapacity(user, 1 + (a % 40) as usize),
-            5 => StoreOp::RegisterSelf(own),
-            6 => StoreOp::SetRollupPolicy((a % 4 != 0).then_some(cfg)),
-            7 => StoreOp::EnableRollups(pick(8), cfg),
-            8 => StoreOp::EnsureRollups(pick(8), cfg),
-            9 => StoreOp::TryInsert(pick(8), t, v),
-            10 if reserved.is_empty() => StoreOp::RegisterSelf(own),
-            10 => StoreOp::InsertSelf(reserved[(a >> 8) as usize % reserved.len()], t, v),
-            11..=14 => StoreOp::InsertBatch(
-                t,
-                (0..1 + a % 8)
-                    .map(|j| (pick(4 * j), v + j as f64))
-                    .collect(),
-            ),
-            _ => StoreOp::Insert(pick(8), t, v),
-        };
-        if let StoreOp::Register(m)
-        | StoreOp::RegisterWithCapacity(m, _)
-        | StoreOp::RegisterSelf(m) = &op
-        {
-            if !names.contains(&m.name) {
-                names.push(m.name.clone());
-            }
-        }
-        if let StoreOp::TryRegister(m) = &op {
-            let admitted = !m.name.starts_with("__self/")
-                && m.name.len() <= MAX_STR_LEN
-                && m.unit.len() <= MAX_STR_LEN;
-            if admitted && !names.contains(&m.name) {
-                names.push(m.name.clone());
-            }
-        }
-        ops.push(op);
-    }
-    (ops, clock)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The two shells are one store: a `Tsdb`, `ShardedTsdb`s of 1, 3
-    /// and 16 stripes, and a `Tsdb` dealt out into 5 stripes part-way
-    /// through (`from_tsdb`) return the same value from every
-    /// operation of an arbitrary sequence, and end in the same
-    /// observable state — counters, memory, every query, and the bytes
-    /// a full export drain puts on the wire.
-    #[test]
-    fn sharded_equals_unsharded(
-        draws in prop::collection::vec((0u8..26, any::<u64>(), 0u64..60, -10.0f64..10.0), 1..400),
-        capacity in 1usize..48,
-        cut in 0usize..400,
-        window in 1u64..3_000,
-        period in 1u64..700,
-    ) {
-        let (ops, clock) = plan_ops(&draws);
-        let mut stores = vec![
-            Store::Owned(Tsdb::with_retention(capacity)),
-            Store::Shared(ShardedTsdb::with_config(capacity, 1)),
-            Store::Shared(ShardedTsdb::with_config(capacity, 3)),
-            Store::Shared(ShardedTsdb::with_config(capacity, 16)),
-            Store::Owned(Tsdb::with_retention(capacity)),
-        ];
-        for (i, op) in ops.into_iter().enumerate() {
-            if i == cut {
-                if let Some(Store::Owned(db)) = stores.pop() {
-                    stores.push(Store::Shared(ShardedTsdb::from_tsdb(db, 5)));
-                }
-            }
-            let want = stores[0].apply(op.clone());
-            for (k, store) in stores.iter_mut().enumerate().skip(1) {
-                prop_assert_eq!(&store.apply(op.clone()), &want, "store {} on op {}: {:?}", k, i, op);
-            }
-        }
-        let now = SimTime(clock);
-        let want = stores[0].observe(now, SimDuration(window), SimDuration(period));
-        for (k, store) in stores.iter().enumerate().skip(1) {
-            let got = store.observe(now, SimDuration(window), SimDuration(period));
-            prop_assert_eq!(&got, &want, "store {}", k);
-        }
-    }
-}
-
 // ------------------------------------------------------------- export
 
 use moda_telemetry::export::{ExportRecord, Exporter, MemorySink};

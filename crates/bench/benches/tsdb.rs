@@ -289,6 +289,23 @@ fn bench_export(c: &mut Criterion) {
             black_box(stats.records)
         });
     });
+    // The live path's unit: one 64-metric sweep inserted, drained and
+    // encoded, cursors and buffers warm — what a node agent pays per
+    // 1 Hz scrape, averaged over the bucket seal every 60th sweep and
+    // the chunk seal every 512th.
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("drain_sweep64", |b| {
+        let (mut db, sweep) = sweep64_store();
+        let mut exporter = Exporter::new();
+        let mut sink = EncodeSink(Vec::new());
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            db.insert_batch(SimTime::from_secs(t), &sweep);
+            let stats = exporter.drain(&db, &mut sink).unwrap();
+            black_box((stats.records, sink.0.len()))
+        });
+    });
     // The full collection→wire→fleet-ingest pipeline for one raw day:
     // sealed regions travel as whole compressed-chunk records (wire
     // spec revision 1.1) and are validated and linked, not decoded.
@@ -307,6 +324,69 @@ fn bench_export(c: &mut Criterion) {
     g.throughput(Throughput::Elements(DAY_S));
     g.bench_function("day_pipeline_chunked", |b| {
         b.iter(|| black_box(pipeline()));
+    });
+    g.finish();
+}
+
+/// A 64-metric node store (a quarter of the series sketched) and one
+/// sweep of quantised readings for it.
+fn sweep64_store() -> (Tsdb, Vec<(moda_telemetry::MetricId, f64)>) {
+    let (mut db, ids) = registered(64, 4096);
+    for id in ids.iter().step_by(4) {
+        db.enable_rollups(*id, &RollupConfig::standard().with_sketches());
+    }
+    let sweep = ids
+        .iter()
+        .enumerate()
+        .map(|(m, &id)| (id, 180.0 + (m * 37 % 101) as f64 * 0.25))
+        .collect();
+    (db, sweep)
+}
+
+/// A sink that does what a socket sink does before it writes: encode
+/// into a buffer it keeps.
+struct EncodeSink(Vec<u8>);
+
+impl moda_telemetry::export::Sink for EncodeSink {
+    fn write_batch(&mut self, batch: &moda_telemetry::export::ExportBatch) -> std::io::Result<()> {
+        self.0.clear();
+        moda_telemetry::wire::encode_batch(batch, &mut self.0);
+        Ok(())
+    }
+}
+
+/// The batch codec on the live path's unit — one 64-sample sweep, as
+/// the exporter stages it: what the node pays to render it (a packed
+/// `samples` run) and what every receiver — listener, WAL replay,
+/// snapshot load — pays to expand it back into records.
+fn bench_wire_batch(c: &mut Criterion) {
+    use moda_telemetry::export::{Exporter, MemorySink};
+    use moda_telemetry::wire::{decode_batch, encode_batch};
+    let (mut db, sweep) = sweep64_store();
+    let mut exporter = Exporter::new();
+    let mut sink = MemorySink::new();
+    for t in 0..2 {
+        // The first drain carries the metas; keep the second.
+        db.insert_batch(SimTime::from_secs(t), &sweep);
+        sink.batches.clear();
+        exporter.drain(&db, &mut sink).unwrap();
+    }
+    let batch = sink.batches.pop().expect("one sweep, one batch");
+    assert_eq!(batch.records.len(), 64);
+    let mut wire = Vec::new();
+    encode_batch(&batch, &mut wire);
+    let mut g = c.benchmark_group("wire_batch");
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("encode_sweep64", |b| {
+        let mut out = Vec::with_capacity(wire.len());
+        b.iter(|| {
+            out.clear();
+            encode_batch(black_box(&batch), &mut out);
+            black_box(out.len())
+        });
+    });
+    g.bench_function("decode_sweep64", |b| {
+        b.iter(|| black_box(decode_batch(black_box(&wire)).unwrap().0.records.len()));
     });
     g.finish();
 }
@@ -788,6 +868,7 @@ criterion_group!(
     bench_export,
     bench_fleet,
     bench_chunk_codec,
-    bench_wire_crc32
+    bench_wire_crc32,
+    bench_wire_batch
 );
 criterion_main!(benches);

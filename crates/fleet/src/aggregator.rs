@@ -293,6 +293,12 @@ struct IngestObs {
     rejected: Counter,
     /// `fleet.ingest.sessions` — node sessions ever opened.
     sessions: Counter,
+    /// `fleet.ingest.unknown_records` — records of a kind this reader
+    /// does not know, length-skipped by the batch decoder. A newer
+    /// writer's additive kinds may carry *data* (the packed `samples`
+    /// kind does), so a non-zero reading means observations were
+    /// dropped here: upgrade this tier.
+    unknown_records: Counter,
     /// `fleet.ingest_ns` — wall time of one [`FleetAggregator::ingest`].
     ingest_ns: LatencyRecorder,
 }
@@ -363,6 +369,7 @@ impl FleetAggregator {
             samples: obs.counter("fleet.ingest.samples"),
             rejected: obs.counter("fleet.ingest.rejected_samples"),
             sessions: obs.counter("fleet.ingest.sessions"),
+            unknown_records: obs.counter("fleet.ingest.unknown_records"),
             ingest_ns: obs.latency("fleet.ingest_ns"),
         };
         self.obs = obs;
@@ -372,6 +379,15 @@ impl FleetAggregator {
     /// [`FleetAggregator::set_obs`] was called).
     pub fn obs(&self) -> &Obs {
         &self.obs
+    }
+
+    /// Count records `decode_batch` skipped for an unknown kind tag
+    /// (`fleet.ingest.unknown_records`) — the decoder runs before the
+    /// aggregator sees the batch, so its callers report here.
+    pub(crate) fn note_unknown_records(&self, skipped: u64) {
+        if skipped > 0 {
+            self.obs_ingest.unknown_records.add(skipped);
+        }
     }
 
     /// Session list, for snapshot/restore.

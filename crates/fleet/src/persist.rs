@@ -16,7 +16,7 @@
 //! * **`wal-<epoch>.log`** — every mutation since that snapshot, in
 //!   arrival order, each entry one CRC-framed record (see
 //!   `moda_telemetry::wire::write_frame`): batches in the
-//!   `export-wire-v1.1` binary encoding, node registrations, and
+//!   `export-wire-v1.2` binary encoding, node registrations, and
 //!   out-of-band drain reports. The **epoch** number pairs log and
 //!   snapshot: a snapshot stores the epoch of the log that follows it,
 //!   so rotation (write snapshot `N+1` → create `wal-(N+1).log` →
@@ -77,8 +77,15 @@ pub(crate) const FRAME_LOG_DRAIN: u8 = 34;
 /// The single frame inside `snapshot.bin`.
 pub(crate) const FRAME_SNAPSHOT: u8 = 40;
 
-/// Leading magic of `snapshot.bin` (version-suffixed).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS02";
+/// Leading magic of `snapshot.bin` (version-suffixed). `03`: the raw
+/// sections' unsealed tails are packed `samples` records, which an
+/// `02` reader would length-skip — losing the tails without a word —
+/// so it must not recognise the file at all.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS03";
+/// The previous magic: the same layout with one `sample` record per
+/// tail observation. The batch decoder reads both renderings, so such
+/// a file loads as it is and is written back as `03`.
+const SNAPSHOT_MAGIC_02: &[u8; 8] = b"MODAFS02";
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
@@ -129,6 +136,11 @@ pub struct RecoveryStats {
     /// Fully-present log frames discarded for CRC mismatch (corruption
     /// rather than truncation); everything after them is dropped too.
     pub corrupt_frames: u64,
+    /// Records in replayed batches whose kind this reader does not know
+    /// (a log written by a newer build): length-skipped, so whatever
+    /// they carried is not in the recovered state. Folded into
+    /// `fleet.ingest.unknown_records` by [`DurableFleet::set_obs`].
+    pub unknown_records: u64,
 }
 
 // ------------------------------------------------------- durable fleet
@@ -308,8 +320,9 @@ impl DurableFleet {
                 if node.index() >= self.agg.node_count() {
                     return Err(bad_data("batch entry names an unknown node"));
                 }
-                let (batch, _unknown) = decode_batch(r.rest())?;
+                let (batch, unknown) = decode_batch(r.rest())?;
                 let report = self.agg.ingest(node, &batch);
+                recovery.unknown_records += unknown;
                 recovery.replayed_batches += 1;
                 if report.duplicate {
                     recovery.replayed_duplicates += 1;
@@ -450,6 +463,8 @@ impl DurableFleet {
             snapshot_ns: obs.latency("snapshot.write_ns"),
         };
         self.agg.set_obs(obs);
+        // Replay ran before any handle could be attached.
+        self.agg.note_unknown_records(self.recovery.unknown_records);
     }
 
     /// The attached self-telemetry handle (disabled unless
@@ -520,11 +535,12 @@ fn open_log(dir: &Path, epoch: u64) -> io::Result<File> {
 
 // ------------------------------------------------------ snapshot codec
 
-/// Render one raw ring as `export-wire-v1.1` records: every sealed
-/// chunk ships whole (compressed bytes, no decode) — a partially
-/// evicted front chunk as its retained suffix, re-encoded — and the
-/// uncompressed tail ships per-sample. Restoring relinks exactly these
-/// chunks, so the rendering of a recovered ring is byte-identical.
+/// Render one raw ring as wire records: every sealed chunk ships whole
+/// (compressed bytes, no decode) — a partially evicted front chunk as
+/// its retained suffix, re-encoded — and the uncompressed tail as one
+/// run of samples, which the batch codec packs into a single `samples`
+/// record. Restoring relinks exactly these chunks, so the rendering of
+/// a recovered ring is byte-identical.
 fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
     let raw = store.raw(id);
     let mut records: Vec<ExportRecord> = raw
@@ -558,8 +574,10 @@ fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
 /// metric count u32 · per metric:
 ///   node u32 · meta(name · kind u8 · unit · domain u8)
 ///   raw section: batch bytes u32-len + encode_batch(seq 0, records) —
-///     `chunk` records (the ring's sealed chunks), then `sample` records
-///     (its unsealed tail); a reader takes the two kinds in any order
+///     `chunk` records (the ring's sealed chunks), then its unsealed
+///     tail as one packed `samples` record (`MODAFS02`: one `sample`
+///     record per observation); a reader takes chunks and samples in
+///     any order
 ///   tier count u32 · per tier: res u64 · bucket count uv · per bucket:
 ///     start-delta uv (from previous bucket; first is absolute) ·
 ///     count uv · sum/min/max/last f64 ·
@@ -570,16 +588,22 @@ fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
 /// recovery cost is byte-proportional (checksum + decode), so it uses
 /// delta + varint packing while the small header stays fixed-width.
 fn encode_snapshot(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
-    encode_snapshot_with(agg, epoch, out, raw_ring_records)
+    encode_snapshot_with(agg, epoch, out, |store, id, out| {
+        let batch = ExportBatch {
+            seq: 0,
+            records: raw_ring_records(store, id),
+        };
+        encode_batch(&batch, out);
+    })
 }
 
-/// [`encode_snapshot`] with the raw-section rendering as a parameter, so
-/// a test can write the sections an older writer produced.
+/// [`encode_snapshot`] with the raw-section writer as a parameter, so a
+/// test can write the sections an older writer produced.
 fn encode_snapshot_with(
     agg: &FleetAggregator,
     epoch: u64,
     out: &mut Vec<u8>,
-    raw_records: impl Fn(&FleetStore, MetricId) -> Vec<ExportRecord>,
+    raw_section: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
 ) {
     let store = agg.store();
     put_u64(out, epoch);
@@ -619,11 +643,7 @@ fn encode_snapshot_with(
         put_u32(out, info.node.0);
         put_meta(out, &info.meta);
         // Raw ring, as a pseudo-batch of wire records.
-        let batch = ExportBatch {
-            seq: 0,
-            records: raw_records(store, id),
-        };
-        put_block(out, |out| encode_batch(&batch, out));
+        put_block(out, |out| raw_section(store, id, out));
         // Wire-fed tiers: buckets oldest-first, each with its sketch
         // column entries.
         let rings: Vec<_> = store
@@ -666,12 +686,13 @@ fn encode_snapshot_with(
 /// Rebuild an aggregator from snapshot bytes. Returns
 /// `(aggregator, epoch, session count, metric count)`.
 fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usize)> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(bad_data("snapshot magic mismatch"));
-    }
+    let framed = match bytes.split_first_chunk::<8>() {
+        Some((magic, framed)) if magic == SNAPSHOT_MAGIC || magic == SNAPSHOT_MAGIC_02 => framed,
+        _ => return Err(bad_data("snapshot magic mismatch")),
+    };
     // The whole file is in memory: lend the payload from it instead of
     // copying the snapshot once more on its way to the decoder.
-    let payload = match parse_frame(&bytes[SNAPSHOT_MAGIC.len()..]) {
+    let payload = match parse_frame(framed) {
         FrameParse::Frame {
             tag: FRAME_SNAPSHOT,
             payload,
@@ -994,15 +1015,34 @@ mod tests {
         agg
     }
 
-    fn snapshot_bytes(
+    /// A snapshot file of `agg` whose raw rings `raw_records` renders,
+    /// as this build writes it (`MODAFS03`, sample runs packed) or as
+    /// its predecessor did (`MODAFS02`, one wire record per record).
+    fn snapshot_file(
         agg: &FleetAggregator,
+        magic: &[u8; 8],
         raw_records: impl Fn(&FleetStore, MetricId) -> Vec<ExportRecord>,
     ) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_snapshot_with(agg, 3, &mut payload, raw_records);
-        let mut file = SNAPSHOT_MAGIC.to_vec();
+        encode_snapshot_with(agg, 3, &mut payload, |store, id, out| {
+            let records = raw_records(store, id);
+            if magic == SNAPSHOT_MAGIC {
+                encode_batch(&ExportBatch { seq: 0, records }, out);
+            } else {
+                put_u64(out, 0);
+                put_u32(out, records.len() as u32);
+                for record in &records {
+                    moda_telemetry::wire::encode_record(record, out);
+                }
+            }
+        });
+        let mut file = magic.to_vec();
         write_frame(&mut file, FRAME_SNAPSHOT, &payload).unwrap();
         file
+    }
+
+    fn snapshot_bytes(agg: &FleetAggregator) -> Vec<u8> {
+        snapshot_file(agg, SNAPSHOT_MAGIC, raw_ring_records)
     }
 
     #[test]
@@ -1031,9 +1071,9 @@ mod tests {
             .all(|r| matches!(r, ExportRecord::Sample { .. })));
         // snapshot → recover → snapshot reproduces the file byte for
         // byte, and the recovered ring has the same chunk boundaries.
-        let first = snapshot_bytes(&agg, raw_ring_records);
+        let first = snapshot_bytes(&agg);
         let (recovered, ..) = decode_snapshot(&first).unwrap();
-        assert_eq!(snapshot_bytes(&recovered, raw_ring_records), first);
+        assert_eq!(snapshot_bytes(&recovered), first);
         let relinked: Vec<u32> = recovered
             .store()
             .raw(MetricId(0))
@@ -1046,9 +1086,29 @@ mod tests {
     }
 
     #[test]
+    fn an_02_snapshot_loads_and_is_written_back_as_03() {
+        let agg = evicted_ring_fleet();
+        let old = snapshot_file(&agg, SNAPSHOT_MAGIC_02, raw_ring_records);
+        let (recovered, epoch, ..) = decode_snapshot(&old).unwrap();
+        assert_eq!(epoch, 3);
+        let now = SimTime::from_secs(3001);
+        assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
+        // Written back out it is the `03` file of the same fleet — a
+        // fixed point from there on — and the packed tail made it smaller.
+        let new = snapshot_bytes(&recovered);
+        assert_eq!(&new[..8], SNAPSHOT_MAGIC);
+        assert_eq!(new, snapshot_bytes(&agg));
+        assert!(new.len() < old.len(), "{} vs {}", new.len(), old.len());
+        // No other magic is a snapshot.
+        let mut future = new.clone();
+        future[7] = b'4';
+        assert!(decode_snapshot(&future).is_err());
+    }
+
+    #[test]
     fn snapshots_with_sample_records_ahead_of_chunks_still_load() {
-        // The previous writer rendered a partially evicted front chunk
-        // as per-sample records ahead of the whole chunks.
+        // An earlier `02` writer rendered a partially evicted front
+        // chunk as per-sample records ahead of the whole chunks.
         let per_sample_front = |store: &FleetStore, id: MetricId| {
             let raw = store.raw(id);
             let sample = |t, value| ExportRecord::Sample {
@@ -1069,16 +1129,12 @@ mod tests {
             records
         };
         let agg = evicted_ring_fleet();
-        let old = snapshot_bytes(&agg, per_sample_front);
-        assert_ne!(old, snapshot_bytes(&agg, raw_ring_records));
+        let old = snapshot_file(&agg, SNAPSHOT_MAGIC_02, per_sample_front);
         let (recovered, ..) = decode_snapshot(&old).unwrap();
         let now = SimTime::from_secs(3001);
         assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
         // Written back out, it is the current rendering of the same ring.
-        assert_eq!(
-            snapshot_bytes(&recovered, raw_ring_records),
-            snapshot_bytes(&agg, raw_ring_records)
-        );
+        assert_eq!(snapshot_bytes(&recovered), snapshot_bytes(&agg));
     }
 
     #[test]
@@ -1127,6 +1183,45 @@ mod tests {
             .collect();
         got_fp = patched;
         assert_eq!(got_fp, ref_fp);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_kind_records_in_a_replayed_log_are_counted() {
+        // The log holds batches as this build re-encoded them, so only a
+        // newer build's log can carry a kind this reader skips: append
+        // such an entry by hand.
+        let dir = test_dir("unknown_kind");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        drop(fleet);
+        let mut entry = Vec::new();
+        put_u32(&mut entry, node.0);
+        put_u64(&mut entry, 0); // seq
+        put_u32(&mut entry, 2); // wire records
+        moda_telemetry::wire::encode_record(
+            &ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime(5),
+                value: 6.0,
+            },
+            &mut entry,
+        );
+        entry.push(200); // a kind from the future
+        put_block(&mut entry, |out| out.extend_from_slice(b"data"));
+        let mut log = open_log(&dir, 0).unwrap();
+        write_frame(&mut log, FRAME_LOG_BATCH, &entry).unwrap();
+        drop(log);
+
+        let mut recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.replayed_batches, rec.unknown_records), (1, 1));
+        assert_eq!(rec.corrupt_frames, 0);
+        // Replay ran before a registry could be attached; attaching one
+        // surfaces what it skipped.
+        let obs = Obs::enabled();
+        recovered.set_obs(obs.clone());
+        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@
 //! 1. **scrapes** the service's [`Obs`] registry into the private store
 //!    (reserved `__self/` series, sketched rollups on latency series),
 //! 2. **drains** the store through the stock exporter into in-memory
-//!    wire batches — the same format v1.1 every node exporter ships,
+//!    wire batches — the same format v1.2 every node exporter ships,
 //! 3. **ingests** those batches into the [`DurableFleet`] under a
 //!    dedicated service node session.
 //!

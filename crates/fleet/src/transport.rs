@@ -1,4 +1,4 @@
-//! Socket-framed wire transport: `export-wire-v1.1` batches over plain
+//! Socket-framed wire transport: `export-wire-v1.2` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
 //! The way into the fleet tier from another thread or process (within
@@ -997,12 +997,13 @@ fn serve_frames(
                         return Err(bad_data("query frame on an unauthenticated session"));
                     }
                     (frame_tag::BATCH, SessionRole::Ingest(id)) => {
-                        let (batch, _unknown) = decode_batch(payload)?;
+                        let (batch, unknown) = decode_batch(payload)?;
                         let next_seq = {
                             let mut fleet = fleet.lock().unwrap();
                             // Durable (logged + flushed) before the ack
                             // below — the resume contract.
                             fleet.ingest(id, &batch)?;
+                            fleet.aggregator().note_unknown_records(unknown);
                             fleet.next_seq(id)
                         };
                         let mut ack = Vec::new();
@@ -1524,6 +1525,44 @@ mod tests {
         assert_eq!(tag, frame_tag::HELLO_ACK);
         assert_eq!(ack, [0u8; 9], "status ok, cursor 0");
         stream
+    }
+
+    #[test]
+    fn a_skipped_unknown_kind_record_is_counted_in_the_registry() {
+        let dir = test_dir("unknown_kind");
+        let obs = moda_obs::Obs::enabled();
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        fleet.set_obs(obs.clone());
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(0));
+
+        // The golden stream's last frame: a batch of one known sample
+        // and one record of a kind no revision defines.
+        let golden = fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/export_wire_v1_1.bin"
+        ))
+        .unwrap();
+        let mut rest = &golden[..];
+        let mut last = None;
+        while let Ok(frame) = read_frame(&mut rest).unwrap() {
+            last = Some(frame);
+        }
+        let (tag, payload) = last.expect("golden stream has frames");
+        assert_eq!(tag, frame_tag::BATCH);
+        assert_eq!(decode_batch(&payload).unwrap().1, 1);
+
+        let mut stream = raw_ingest_session(&addr, "node00", "tok");
+        write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
+        let (tag, _) = read_frame(&mut stream).unwrap().expect("batch ack");
+        assert_eq!(tag, frame_tag::ACK);
+        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(1));
+
+        drop(stream);
+        drop(listener.shutdown());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -840,3 +840,165 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ------------------------------------------- packed stream ≡ v1.1 stream
+
+use moda_fleet::query::{encode_response, execute};
+use moda_fleet::QueryRequest;
+use moda_telemetry::wire::{decode_batch, encode_batch, encode_record};
+
+/// A batch as a v1.1 writer put it on the wire: one record at a time,
+/// every sample its own 25-byte `sample` record.
+fn render_v1_1(batch: &ExportBatch) -> Vec<u8> {
+    let mut out = batch.seq.to_le_bytes().to_vec();
+    out.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+    for record in &batch.records {
+        encode_record(record, &mut out);
+    }
+    out
+}
+
+fn render_packed(batch: &ExportBatch) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_batch(batch, &mut out);
+    out
+}
+
+/// A verification set over the two-node fleet the proptest below
+/// builds, answered by the planner and rendered as the bytes that
+/// would cross the query wire (equal bytes ⇒ equal `f64` bits, equal
+/// served-from and coverage metadata).
+fn verification_answers(agg: &FleetAggregator, now: SimTime) -> Vec<Vec<u8>> {
+    let window = SimDuration(now.0);
+    let stale_after = SimDuration::from_secs(120);
+    let mut reqs = vec![
+        QueryRequest::Metrics,
+        QueryRequest::Health { now, stale_after },
+    ];
+    for metric in ["m", "m0", "m1"] {
+        for agg in [
+            WindowAgg::Count,
+            WindowAgg::Sum,
+            WindowAgg::Min,
+            WindowAgg::Max,
+            WindowAgg::Mean,
+            WindowAgg::Percentile(0.99),
+        ] {
+            reqs.push(QueryRequest::WindowAgg {
+                metric: metric.to_string(),
+                now,
+                window,
+                agg,
+            });
+            reqs.push(QueryRequest::CoveredWindowAgg {
+                metric: metric.to_string(),
+                now,
+                window: SimDuration(window.0 / 3),
+                agg,
+                stale_after,
+            });
+        }
+        reqs.push(QueryRequest::TopNodes {
+            metric: metric.to_string(),
+            now,
+            window,
+            agg: WindowAgg::Mean,
+            k: 2,
+            rank: Rank::Highest,
+        });
+    }
+    reqs.iter()
+        .map(|req| {
+            let mut out = Vec::new();
+            encode_response(&execute(agg, req), &mut out);
+            out
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Packing sample runs on the wire changes nothing a fleet can
+    /// observe: a durable fleet fed each batch as `encode_batch` renders
+    /// it (sample runs packed) and one fed the same records one
+    /// `encode_record` at a time (what a v1.1 node sends) give equal
+    /// answers on a verification set and write equal snapshots; and the
+    /// packed-fed fleet, killed and recovered (snapshot + packed log
+    /// tail), answers the same and snapshots to the same bytes again.
+    #[test]
+    fn packed_stream_equals_the_v1_1_stream_at_the_fleet(
+        seed in any::<u64>(),
+        records in 1usize..150,
+        values in prop::collection::vec(0u16..1000, 40..400),
+        batch_records in 8usize..80,
+        snapshot_every in 1u64..12,
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        // Node 0: a real exporter's stream (meta, sample runs, sealed
+        // buckets and sketch columns). Node 1: the adversarial mix —
+        // stale samples, NaN payloads, whole, re-shipped and corrupt
+        // chunks, batches cut anywhere.
+        let (exported, _) = node_stream(&values, 0.0, batch_records);
+        let (mixed, _) = mixed_stream(&mut TestRng::new(seed), records);
+        let streams = [exported, mixed];
+        let now = SimTime(1_000 + values.len() as u64 * 333 + records as u64 * 700_000);
+
+        let feed = |tag: &str, render: fn(&ExportBatch) -> Vec<u8>| {
+            let dir = std::env::temp_dir().join(format!(
+                "moda_fleet_packed_{}_{case}_{tag}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut fleet = DurableFleet::open(
+                &dir,
+                DurabilityConfig { snapshot_every_batches: snapshot_every },
+            )
+            .unwrap();
+            for (k, stream) in streams.iter().enumerate() {
+                let node = fleet.add_node(&format!("node{k:02}")).unwrap();
+                for batch in stream {
+                    let (decoded, unknown) = decode_batch(&render(batch)).unwrap();
+                    assert_eq!(unknown, 0);
+                    fleet.ingest(node, &decoded).unwrap();
+                }
+            }
+            (dir, fleet)
+        };
+        let (packed_dir, mut packed) = feed("packed", render_packed);
+        let (plain_dir, mut plain) = feed("plain", render_v1_1);
+
+        // Kill the packed-fed fleet where it stands: its directory
+        // holds a snapshot plus a log tail of packed batches.
+        let tail_dir = packed_dir.with_extension("crashed");
+        let _ = std::fs::remove_dir_all(&tail_dir);
+        std::fs::create_dir_all(&tail_dir).unwrap();
+        for entry in std::fs::read_dir(&packed_dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), tail_dir.join(entry.file_name())).unwrap();
+        }
+
+        // Snapshots first, answers second: a snapshot persists the
+        // store's served-from counters, which answering moves.
+        packed.snapshot().unwrap();
+        plain.snapshot().unwrap();
+        let first = snapshot_state(&packed_dir);
+        prop_assert!(first == snapshot_state(&plain_dir), "snapshots differ");
+        let answers = verification_answers(packed.aggregator(), now);
+        prop_assert!(answers == verification_answers(plain.aggregator(), now));
+        drop((packed, plain));
+
+        for dir in [&packed_dir, &tail_dir] {
+            let mut recovered = FleetStore::recover(dir).unwrap();
+            prop_assert_eq!(recovered.recovery().corrupt_frames, 0);
+            prop_assert_eq!(recovered.recovery().unknown_records, 0);
+            recovered.snapshot().unwrap();
+            prop_assert!(snapshot_state(dir) == first, "recover-then-snapshot moved the state");
+            prop_assert!(answers == verification_answers(recovered.aggregator(), now));
+        }
+        for dir in [&packed_dir, &plain_dir, &tail_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}

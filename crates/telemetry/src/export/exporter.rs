@@ -1,7 +1,9 @@
 //! The incremental batching exporter: per-metric watermark cursors and
 //! the drain loop (see the [module docs](super) for the stream model).
 
-use super::{DrainStats, ExportBatch, ExportRecord, Sink, DEFAULT_BATCH_RECORDS};
+use super::{
+    DrainStats, ExportBatch, ExportRecord, Sink, DEFAULT_BATCH_RECORDS, MAX_BATCH_RECORDS,
+};
 use crate::metric::MetricId;
 use crate::rollup::RollupSet;
 use crate::series::TimeSeries;
@@ -24,7 +26,7 @@ struct TierCursor {
 }
 
 /// One metric's export watermarks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct MetricCursor {
     /// Lifetime raw appends already exported (or counted as missed).
     /// Append counts — unlike timestamps — stay exact under duplicate
@@ -70,17 +72,18 @@ impl MetricCursor {
     }
 
     /// Whether a drain would stage nothing for this metric: no new raw
-    /// appends, tier layout unchanged, and every tier's lifetime sealed
-    /// count already fully accounted (`shipped + missed` — pending or
-    /// newly lost buckets both break the identity). O(tiers), no
-    /// allocation: the steady-state fast path of a no-op drain.
+    /// appends and no tier work. O(tiers), no allocation: the
+    /// steady-state fast path of a no-op drain.
     fn is_idle(&self, raw: &TimeSeries, rollups: Option<&RollupSet>) -> bool {
-        if raw.total_appends() != self.appends {
-            return false;
-        }
-        let Some(set) = rollups else {
-            return true;
-        };
+        raw.total_appends() == self.appends && rollups.is_none_or(|set| self.tiers_idle(set))
+    }
+
+    /// Whether the pyramid holds nothing to stage: tier layout
+    /// unchanged and every tier's lifetime sealed count already fully
+    /// accounted (`shipped + missed` — pending or newly lost buckets
+    /// both break the identity). A sweep that seals no bucket stops
+    /// here, before the tier cursors are journalled or walked.
+    fn tiers_idle(&self, set: &RollupSet) -> bool {
         let rings = set.rings();
         self.tiers.len() == rings.len()
             && self.tiers.iter().zip(rings).all(|(tc, ring)| {
@@ -88,6 +91,78 @@ impl MetricCursor {
                     && ring.evicted() + (ring.len() as u64).saturating_sub(1)
                         == tc.shipped + tc.missed
             })
+    }
+}
+
+/// The rollback unit on sink failure: the pre-staging watermarks of
+/// every cursor touched since the last delivered batch. Kept on the
+/// exporter and cleared — not freed — when a batch is delivered, so
+/// after warm-up journalling allocates nothing; a metric that stages
+/// only raw samples journals two words and never copies its tier
+/// cursors.
+#[derive(Debug, Default)]
+struct Journal {
+    entries: Vec<JournalEntry>,
+    /// Saved tier cursors, referenced by range from `entries`.
+    tiers: Vec<TierCursor>,
+}
+
+#[derive(Debug)]
+struct JournalEntry {
+    idx: usize,
+    appends: u64,
+    meta_sent: bool,
+    /// Where in [`Journal::tiers`] this cursor's tier watermarks were
+    /// saved, once staging reached its pyramid.
+    tiers: Option<std::ops::Range<usize>>,
+}
+
+impl Journal {
+    /// Record `cursor`'s raw watermarks before its first mutation since
+    /// the last delivered batch. Metrics are walked in order, so a
+    /// cursor already journalled is the newest entry.
+    fn note(&mut self, idx: usize, cursor: &MetricCursor) {
+        if self.entries.last().map(|e| e.idx) != Some(idx) {
+            self.entries.push(JournalEntry {
+                idx,
+                appends: cursor.appends,
+                meta_sent: cursor.meta_sent,
+                tiers: None,
+            });
+        }
+    }
+
+    /// Save the newest entry's tier cursors before the first tier
+    /// mutation (at most once per entry).
+    fn note_tiers(&mut self, cursor: &MetricCursor) {
+        let entry = self.entries.last_mut().expect("noted before staging");
+        if entry.tiers.is_none() {
+            let start = self.tiers.len();
+            self.tiers.extend_from_slice(&cursor.tiers);
+            entry.tiers = Some(start..self.tiers.len());
+        }
+    }
+
+    /// The batch was delivered: everything journalled is committed.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.tiers.clear();
+    }
+
+    /// Un-consume everything staged past the last delivered batch.
+    /// Restored newest-first so that when an id was drained more than
+    /// once (two entries for one cursor), the oldest entry wins.
+    fn roll_back(&mut self, cursors: &mut [Option<MetricCursor>]) {
+        for entry in self.entries.drain(..).rev() {
+            let cursor = cursors[entry.idx].as_mut().expect("journalled cursor");
+            cursor.appends = entry.appends;
+            cursor.meta_sent = entry.meta_sent;
+            if let Some(saved) = entry.tiers {
+                cursor.tiers.clear();
+                cursor.tiers.extend_from_slice(&self.tiers[saved]);
+            }
+        }
+        self.tiers.clear();
     }
 }
 
@@ -142,6 +217,19 @@ pub struct Exporter {
     batch_records: usize,
     seq: u64,
     totals: DrainStats,
+    /// Empty between drains; kept here so a steady-state drain reuses
+    /// its allocations.
+    staging: Staging,
+}
+
+/// What has been copied out of the store but not yet delivered: the
+/// records of the batch being built, their payload counters, and the
+/// journal that can still undo their cursor advances.
+#[derive(Debug, Default)]
+struct Staging {
+    batch: Vec<ExportRecord>,
+    counts: DrainStats,
+    journal: Journal,
 }
 
 impl Default for Exporter {
@@ -160,12 +248,16 @@ impl Exporter {
             batch_records: DEFAULT_BATCH_RECORDS,
             seq: 0,
             totals: DrainStats::default(),
+            staging: Staging::default(),
         }
     }
 
-    /// Override the per-batch record bound (clamped to ≥ 1).
+    /// Override the per-batch record bound, clamped to
+    /// `1..=`[`MAX_BATCH_RECORDS`]: a 0-record bound could never make
+    /// progress, and a batch past the maximum is one the receiver's
+    /// decoder refuses.
     pub fn with_batch_records(mut self, records: usize) -> Self {
-        self.batch_records = records.max(1);
+        self.batch_records = records.clamp(1, MAX_BATCH_RECORDS);
         self
     }
 
@@ -204,8 +296,7 @@ impl Exporter {
     /// Exporter::new().drain(&db, &mut sink).unwrap(); // `db` is mutably borrowed
     /// ```
     pub fn drain<K: Sink>(&mut self, db: &Tsdb, sink: &mut K) -> io::Result<DrainStats> {
-        let ids: Vec<MetricId> = (0..db.cardinality() as u32).map(MetricId).collect();
-        self.drain_metrics(db, &ids, sink)
+        self.drain_ids(db, (0..db.cardinality() as u32).map(MetricId), sink)
     }
 
     /// Drain everything pending for the given metrics only (e.g. one
@@ -227,59 +318,54 @@ impl Exporter {
         ids: &[MetricId],
         sink: &mut K,
     ) -> io::Result<DrainStats> {
-        // `stats` counts committed (delivered) work; `staged` counts
-        // payload copied out since the last successful flush, and
-        // `snapshots` holds the pre-staging state of every cursor
-        // touched since then — the rollback unit on sink failure.
+        self.drain_ids(db, ids.iter().copied(), sink)
+    }
+
+    fn drain_ids<K: Sink>(
+        &mut self,
+        db: &Tsdb,
+        ids: impl Iterator<Item = MetricId>,
+        sink: &mut K,
+    ) -> io::Result<DrainStats> {
+        // `stats` counts committed (delivered) work; `self.staging`
+        // holds what was copied out since the last successful flush.
         let mut stats = DrainStats::default();
-        let mut staged = DrainStats::default();
-        let mut snapshots: Vec<(usize, MetricCursor)> = Vec::new();
-        let mut batch: Vec<ExportRecord> = Vec::new();
-        // Belt-and-braces re-clamp: a 0-record bound could never make
-        // progress (every copy would report "more pending" forever).
-        let cap = self.batch_records.max(1);
+        let cap = self.batch_records;
         let mut result: io::Result<()> = Ok(());
-        'metrics: for &id in ids {
+        // Copy-out is timed per uninterrupted span between sink writes
+        // — the sweep, not the metric, is the unit: a drain that fits
+        // one batch reads the clock twice however many metrics stage.
+        let mut span = Instant::now();
+        'metrics: for id in ids {
             let idx = id.index();
             if self.cursors.len() <= idx {
-                self.cursors.resize(idx + 1, None);
+                self.cursors.resize_with(idx + 1, || None);
             }
             let (raw, rollups) = (db.series(id), db.rollups(id));
             loop {
                 let cursor = self.cursors[idx].get_or_insert_with(MetricCursor::default);
-                let held = Instant::now();
-                // Idle fast path: nothing pending for this metric —
-                // no snapshot clone, no staging. Keeps a no-op
+                // Idle fast path: nothing pending for this metric — no
+                // journal entry, no staging. Keeps a no-op
                 // steady-state drain over N metrics at O(N).
-                let more = if cursor.meta_sent && cursor.is_idle(raw, rollups) {
-                    false
-                } else {
-                    // Snapshot before the first mutation since the
-                    // last flush. Metrics are walked in order and
-                    // `snapshots` clears on every flush, so if this
-                    // cursor is already snapshotted it is the most
-                    // recently pushed entry.
-                    if snapshots.last().map(|(i, _)| *i) != Some(idx) {
-                        snapshots.push((idx, cursor.clone()));
-                    }
-                    if !cursor.meta_sent {
-                        cursor.meta_sent = true;
-                        let meta = db.meta(id).clone();
-                        batch.push(ExportRecord::Meta { id, meta });
-                        staged.metas += 1;
-                    }
-                    copy_pending(id, cursor, raw, rollups, cap, &mut batch, &mut staged)
-                };
-                let held = held.elapsed().as_nanos() as u64;
-                stats.lock_held_ns += held;
-                stats.max_lock_held_ns = stats.max_lock_held_ns.max(held);
-                if batch.len() >= cap {
-                    if let Err(e) =
-                        self.flush(&mut batch, sink, &mut stats, &mut staged, &mut snapshots)
-                    {
+                if cursor.meta_sent && cursor.is_idle(raw, rollups) {
+                    break;
+                }
+                let staging = &mut self.staging;
+                staging.journal.note(idx, cursor);
+                if !cursor.meta_sent {
+                    cursor.meta_sent = true;
+                    let meta = db.meta(id).clone();
+                    staging.batch.push(ExportRecord::Meta { id, meta });
+                    staging.counts.metas += 1;
+                }
+                let more = copy_pending(id, cursor, raw, rollups, cap, staging);
+                if more || staging.batch.len() >= cap {
+                    stats.note_copy_out(span.elapsed().as_nanos() as u64);
+                    if let Err(e) = self.flush(sink, &mut stats) {
                         result = Err(e);
                         break 'metrics;
                     }
+                    span = Instant::now();
                 }
                 if !more {
                     break;
@@ -287,73 +373,66 @@ impl Exporter {
             }
         }
         if result.is_ok() {
-            if batch.is_empty() {
+            stats.note_copy_out(span.elapsed().as_nanos() as u64);
+            if self.staging.batch.is_empty() {
                 // Nothing to deliver, but misses discovered during the
                 // walk are real regardless of the sink.
-                stats.merge_payload(&staged);
+                stats.merge_payload(&std::mem::take(&mut self.staging.counts));
+                self.staging.journal.clear();
             } else {
-                result = self.flush(&mut batch, sink, &mut stats, &mut staged, &mut snapshots);
+                result = self.flush(sink, &mut stats);
             }
-        }
-        if let Err(e) = result {
-            // Un-consume everything staged past the last delivered
-            // batch: the next drain re-stages it. Restored newest-first
-            // so that when an id appears more than once in `ids` (two
-            // snapshots of the same cursor), the oldest snapshot wins.
-            for (idx, snap) in snapshots.into_iter().rev() {
-                self.cursors[idx] = Some(snap);
-            }
-            self.totals.merge(&stats);
-            return Err(e);
         }
         self.totals.merge(&stats);
+        if let Err(e) = result {
+            // The next drain re-stages everything past the last
+            // delivered batch.
+            self.staging.journal.roll_back(&mut self.cursors);
+            self.staging.batch.clear();
+            self.staging.counts = DrainStats::default();
+            return Err(e);
+        }
         Ok(stats)
     }
 
     /// Emit the staged records as one batch. On success the staged
-    /// payload counters and cursor snapshots commit; on error the
-    /// caller rolls the cursors back.
-    fn flush<K: Sink>(
-        &mut self,
-        batch: &mut Vec<ExportRecord>,
-        sink: &mut K,
-        stats: &mut DrainStats,
-        staged: &mut DrainStats,
-        snapshots: &mut Vec<(usize, MetricCursor)>,
-    ) -> io::Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
+    /// payload counters and the journalled cursor advances commit; on
+    /// error the caller rolls the cursors back.
+    fn flush<K: Sink>(&mut self, sink: &mut K, stats: &mut DrainStats) -> io::Result<()> {
         let out = ExportBatch {
             seq: self.seq,
-            records: std::mem::take(batch),
+            records: std::mem::take(&mut self.staging.batch),
         };
-        sink.write_batch(&out)?;
+        let sent = sink.write_batch(&out);
+        // Reclaim the allocation for the next batch.
+        self.staging.batch = out.records;
+        sent?;
         self.seq += 1;
         stats.batches += 1;
-        stats.records += out.records.len() as u64;
-        stats.merge_payload(staged);
-        *staged = DrainStats::default();
-        snapshots.clear();
-        // Reclaim the allocation for the next batch.
-        *batch = out.records;
-        batch.clear();
+        stats.records += self.staging.batch.len() as u64;
+        stats.merge_payload(&std::mem::take(&mut self.staging.counts));
+        self.staging.journal.clear();
+        self.staging.batch.clear();
         Ok(())
     }
 }
 
-/// Copy one metric's pending records into `batch`. Returns whether
-/// pending data remains because the batch bound was hit — the caller
-/// flushes and re-enters.
+/// Copy one metric's pending records into the staged batch. Returns
+/// whether pending data remains because the batch has no room for the
+/// next of it — the caller flushes and re-enters.
 fn copy_pending(
     id: MetricId,
     cursor: &mut MetricCursor,
     raw: &TimeSeries,
     rollups: Option<&RollupSet>,
     cap: usize,
-    batch: &mut Vec<ExportRecord>,
-    stats: &mut DrainStats,
+    staging: &mut Staging,
 ) -> bool {
+    let Staging {
+        batch,
+        counts: stats,
+        journal,
+    } = staging;
     // Raw samples: the delta is the lifetime-append count beyond the
     // cursor; whatever the ring already evicted is recorded as missed.
     let total = raw.total_appends();
@@ -366,33 +445,37 @@ fn copy_pending(
     // with an evicted prefix (front-chunk skip) or a previous
     // drain's partial coverage decodes just its unshipped suffix to
     // per-sample records: re-shipping the whole bitstream would
-    // duplicate samples the receiver already has.
-    for c in raw.sealed_chunks() {
-        let hi = c.end_append();
-        if hi <= cursor.appends {
-            continue;
-        }
-        if batch.len() >= cap {
-            return true;
-        }
-        if c.skip() == 0 && c.start_append() == cursor.appends {
-            batch.push(ExportRecord::chunk(id, c));
-            stats.chunks += 1;
-            stats.samples += u64::from(c.count());
-            cursor.appends = hi;
-        } else {
-            let already = (cursor.appends - c.retained_start_append()) as usize;
-            for (t, value) in c.decode().skip(already) {
-                if batch.len() >= cap {
-                    return true;
+    // duplicate samples the receiver already has. A cursor already in
+    // the unsealed tail (every sweep between seals) skips the walk.
+    let sealed_end = oldest + raw.compressed_len() as u64;
+    if cursor.appends < sealed_end {
+        for c in raw.sealed_chunks() {
+            let hi = c.end_append();
+            if hi <= cursor.appends {
+                continue;
+            }
+            if batch.len() >= cap {
+                return true;
+            }
+            if c.skip() == 0 && c.start_append() == cursor.appends {
+                batch.push(ExportRecord::chunk(id, c));
+                stats.chunks += 1;
+                stats.samples += u64::from(c.count());
+                cursor.appends = hi;
+            } else {
+                let already = (cursor.appends - c.retained_start_append()) as usize;
+                for (t, value) in c.decode().skip(already) {
+                    if batch.len() >= cap {
+                        return true;
+                    }
+                    batch.push(ExportRecord::Sample {
+                        id,
+                        t: SimTime(t),
+                        value,
+                    });
+                    stats.samples += 1;
+                    cursor.appends += 1;
                 }
-                batch.push(ExportRecord::Sample {
-                    id,
-                    t: SimTime(t),
-                    value,
-                });
-                stats.samples += 1;
-                cursor.appends += 1;
             }
         }
     }
@@ -421,6 +504,10 @@ fn copy_pending(
     let Some(set) = rollups else {
         return false;
     };
+    if cursor.tiers_idle(set) {
+        return false;
+    }
+    journal.note_tiers(cursor);
     cursor.sync_tiers(set);
     for (ring, tc) in set.rings().iter().zip(cursor.tiers.iter_mut()) {
         let res = ring.res();
@@ -449,7 +536,10 @@ fn copy_pending(
         tc.missed += lost;
         stats.missed_buckets += lost;
         for b in ring.sealed_buckets_from(SimTime(tc.from)) {
-            if batch.len() >= cap {
+            // A bucket and its columns stay together, so they may run a
+            // batch over `cap` — but never past what a receiver decodes.
+            let columns = b.sketch.as_ref().map_or(0, |sk| sk.entries());
+            if batch.len() >= cap || batch.len() + 1 + columns > MAX_BATCH_RECORDS {
                 return true;
             }
             batch.push(ExportRecord::Bucket {
@@ -831,6 +921,95 @@ mod tests {
         let mut sink = MemorySink::new();
         let stats = Exporter::default().drain(&db, &mut sink).unwrap();
         assert_eq!(stats.samples, 2);
+    }
+
+    #[test]
+    fn copy_out_is_timed_per_span_between_sink_writes_not_per_metric() {
+        // 64 staging metrics, one sweep, one flush: one span from the
+        // start of the drain to the end of the walk, so the longest
+        // span *is* the total — the clock was read O(batches) times,
+        // not O(metrics).
+        let mut db = Tsdb::new();
+        let ids: Vec<MetricId> = (0..64)
+            .map(|m| {
+                db.register(MetricMeta::gauge(
+                    format!("m{m}"),
+                    "u",
+                    SourceDomain::Hardware,
+                ))
+            })
+            .collect();
+        let mut exporter = Exporter::new();
+        let mut sink = MemorySink::new();
+        for sweep in 0..3u64 {
+            for &id in &ids {
+                db.insert(id, SimTime::from_secs(sweep), sweep as f64);
+            }
+            let s = exporter.drain(&db, &mut sink).unwrap();
+            assert_eq!((s.batches, s.samples), (1, 64));
+            assert!(s.lock_held_ns > 0);
+            assert_eq!(s.max_lock_held_ns, s.lock_held_ns);
+        }
+        // Several flushes: several spans, none longer than their sum,
+        // and the lifetime maximum is the longest single one.
+        for &id in &ids {
+            db.insert(id, SimTime::from_secs(9), 9.0);
+        }
+        let mut small = Exporter::new().with_batch_records(16);
+        let s = small.drain(&db, &mut sink).unwrap();
+        assert!(s.batches > 4);
+        assert!(s.max_lock_held_ns <= s.lock_held_ns);
+        assert_eq!(small.totals().max_lock_held_ns, s.max_lock_held_ns);
+    }
+
+    #[test]
+    fn batch_bound_is_clamped_to_what_a_receiver_decodes() {
+        assert_eq!(Exporter::new().with_batch_records(0).batch_records, 1);
+        assert_eq!(
+            Exporter::new().with_batch_records(usize::MAX).batch_records,
+            MAX_BATCH_RECORDS
+        );
+        // At the largest bound a bucket's sketch columns may still not
+        // carry a batch past it: 2047 metrics × (meta + 511 samples),
+        // then meta + 509 samples, is two records short of the bound
+        // when the last metric's sealed bucket and its columns come up.
+        let mut db = Tsdb::with_retention(511);
+        let mut last = MetricId(0);
+        for m in 0..2048 {
+            last = db.register(MetricMeta::gauge(
+                format!("m{m}"),
+                "u",
+                SourceDomain::Hardware,
+            ));
+        }
+        db.enable_rollups(
+            last,
+            &RollupConfig::new(vec![RollupTier::new(SimDuration::from_secs(500), 4)])
+                .with_sketches(),
+        );
+        for m in 0..2048u32 {
+            let n = if MetricId(m) == last { 509 } else { 511 };
+            for s in 0..n {
+                db.insert(MetricId(m), SimTime::from_secs(s), (s % 7) as f64 + 1.0);
+            }
+        }
+        let mut sink = MemorySink::new();
+        let stats = Exporter::new()
+            .with_batch_records(usize::MAX)
+            .drain(&db, &mut sink)
+            .unwrap();
+        assert_eq!(stats.buckets, 1);
+        assert!(stats.sketch_entries >= 2);
+        let lens: Vec<usize> = sink.batches.iter().map(|b| b.records.len()).collect();
+        assert_eq!(
+            lens,
+            [MAX_BATCH_RECORDS - 2, 1 + stats.sketch_entries as usize]
+        );
+        for batch in &sink.batches {
+            let mut wire = Vec::new();
+            crate::wire::encode_batch(batch, &mut wire);
+            assert_eq!(&crate::wire::decode_batch(&wire).unwrap().0, batch);
+        }
     }
 
     #[test]

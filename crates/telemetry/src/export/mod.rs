@@ -34,7 +34,9 @@
 //! * [`ExportRecord::Sample`] — one raw `(t, value)` observation,
 //!   copied straight from the ring's
 //!   [`SampleView`](crate::series::SampleView) slices. Short-horizon
-//!   ground truth.
+//!   ground truth. (On the binary wire a run of consecutive samples
+//!   travels as one packed `samples` record and is expanded back on
+//!   decode — a codec matter, invisible here.)
 //! * [`ExportRecord::Chunk`] — one whole sealed compressed block of raw
 //!   samples, shipped as its already-encoded bytes.
 //! * [`ExportRecord::Bucket`] — one **sealed** rollup bucket
@@ -132,6 +134,14 @@ use std::io;
 
 /// Default record-count bound per [`ExportBatch`].
 pub const DEFAULT_BATCH_RECORDS: usize = 4096;
+
+/// The most records one batch may hold. A packed `samples` record
+/// turns a byte on the wire into a whole [`ExportRecord`] in memory, so
+/// the decoder (`wire::decode_batch`) refuses a batch that expands past
+/// this — a maximal frame of one-byte samples cannot become gigabytes —
+/// and [`Exporter::with_batch_records`] clamps to it, so no exporter
+/// can stage a batch its receiver would refuse.
+pub const MAX_BATCH_RECORDS: usize = 1 << 20;
 
 /// Stream-format version emitted in the CSV preamble.
 pub const WIRE_VERSION: u32 = 1;
@@ -273,9 +283,15 @@ pub struct DrainStats {
     /// stream can tell "export fell behind retention" (non-zero here)
     /// apart from a plain telemetry gap.
     pub missed_buckets: u64,
-    /// Total time spent copying out of the store, ns.
+    /// Total time spent copying out of the store, ns: the sum of the
+    /// drain's uninterrupted copy-out spans — start of drain to the
+    /// first sink write, between consecutive sink writes, last sink
+    /// write to the end of the walk. Sink time is excluded. (The name
+    /// is the wire field's; the store is borrowed, not locked.)
     pub lock_held_ns: u64,
-    /// Longest single per-metric copy-out, ns.
+    /// Longest single such span, ns — how long one batch's worth of
+    /// copy-out kept the store's owner from its next sweep. Equal to
+    /// [`DrainStats::lock_held_ns`] for a drain that fit one batch.
     pub max_lock_held_ns: u64,
     /// Transport-level redelivery work behind these drains: reconnect
     /// dials plus batches re-sent from a retrying sink's replay buffer.
@@ -305,6 +321,12 @@ impl DrainStats {
         self.merge_payload(other);
         self.lock_held_ns += other.lock_held_ns;
         self.max_lock_held_ns = self.max_lock_held_ns.max(other.max_lock_held_ns);
+    }
+
+    /// Close one uninterrupted copy-out span of `ns`.
+    pub(super) fn note_copy_out(&mut self, ns: u64) {
+        self.lock_held_ns += ns;
+        self.max_lock_held_ns = self.max_lock_held_ns.max(ns);
     }
 
     /// Fold only the per-kind payload counters (the part staged during

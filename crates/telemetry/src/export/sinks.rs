@@ -201,7 +201,6 @@ fn base64(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::DrainStats;
     use crate::metric::{MetricMeta, SourceDomain};
     use crate::tsdb::Tsdb;
     use moda_sim::SimTime;
@@ -234,7 +233,7 @@ mod tests {
         assert_eq!(snapshot_csv(&db), "format,moda-export,1\n");
         let mut sink = MemorySink::new();
         let stats = Exporter::new().drain(&db, &mut sink).unwrap();
-        assert_eq!(stats, DrainStats::default());
+        assert!(stats.is_empty(), "{stats:?}");
         assert!(sink.batches.is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! The one byte-level definition of `export-wire-v1.1` — what goes over
+//! The one byte-level definition of `export-wire-v1.2` — what goes over
 //! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
 //! Every other module (the exporter, the fleet's persistence, query, and
 //! transport code) builds and reads bytes through the helpers here; none
@@ -10,7 +10,13 @@
 //!   The per-record length prefix is what makes the additive-kinds rule
 //!   mechanical: a reader that meets a kind tag it does not know skips
 //!   `len` bytes and counts it, instead of desynchronizing.
-//! * **batches** — `[seq u64 LE][record count u32 LE][records…]`.
+//! * **batches** — `[seq u64 LE][record count u32 LE][records…]`. The
+//!   batch codec — not the record model — packs every maximal run of
+//!   consecutive [`ExportRecord::Sample`] into one `samples` record
+//!   (about one byte plus the value's significant bytes per sample)
+//!   and expands it back on decode, so the socket, the log and the
+//!   snapshot's unsealed tails all shrink through one function and no
+//!   caller sees a new record shape.
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -26,7 +32,9 @@
 //! fleet snapshot's bulk section additionally uses LEB128 varints
 //! ([`put_uv`]) with zigzag folding for signed keys.
 
-use crate::export::{DrainStats, ExportBatch, ExportRecord, DEFAULT_BATCH_RECORDS};
+use crate::export::{
+    DrainStats, ExportBatch, ExportRecord, DEFAULT_BATCH_RECORDS, MAX_BATCH_RECORDS,
+};
 use crate::metric::{MetricId, MetricKind, MetricMeta, SourceDomain};
 use crate::sketch::SketchEntry;
 use moda_sim::{SimDuration, SimTime};
@@ -313,13 +321,17 @@ impl WireReader<'_> {
 
 // ---------------------------------------------------- records and batches
 
-/// Binary record kind tags (`export-wire-v1.1`). New kinds append —
+/// Binary record kind tags (`export-wire-v1.2`). New kinds append —
 /// never renumber — per the additive versioning rule.
 const REC_META: u8 = 0;
+/// One observation, 25 bytes. [`encode_record`] still writes it and
+/// every reader accepts it; [`encode_batch`] writes `samples` instead.
 const REC_SAMPLE: u8 = 1;
 const REC_BUCKET: u8 = 2;
 const REC_SKETCH: u8 = 3;
 const REC_CHUNK: u8 = 4;
+/// A packed run of observations (v1.2) — see [`encode_samples`].
+const REC_SAMPLES: u8 = 5;
 
 /// Append one record in the binary rendering:
 /// `[kind u8][payload len u32 LE][payload]`.
@@ -444,20 +456,155 @@ fn decode_record_payload(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
     Ok(record)
 }
 
-/// Encode a whole batch:
-/// `[seq u64 LE][record count u32 LE][records…]`.
-pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
-    put_u64(out, batch.seq);
-    put_u32(out, batch.records.len() as u32);
-    for record in &batch.records {
-        encode_record(record, out);
-    }
+// The `samples` control byte: `[id mode:2][time mode:2][value bytes:4]`.
+// Mode 3 of either field and value-byte counts 9–15 are reserved.
+const MODE_SAME: u8 = 0;
+/// Id: previous + 1. Time: previous + the run's last non-zero step.
+const MODE_STEP: u8 = 1;
+/// Id: a `uv` follows. Time: a zigzag `uv` delta follows.
+const MODE_EXPLICIT: u8 = 2;
+
+/// Append `run` — all [`ExportRecord::Sample`] — as one `samples`
+/// record: `[5][len u32 LE][count uv][count × sample]`, each sample
+/// `[control u8][id uv?][zigzag Δt uv?][value bytes]`. The state a
+/// sample is coded against (previous id, previous timestamp, last
+/// non-zero timestamp step) starts at zero with every record, so a run
+/// decodes on its own. A sweep (ids counting up at one timestamp) and
+/// one metric's tail (one id at a fixed cadence) both cost the control
+/// byte plus the value; the value is the most-significant bytes of
+/// `to_bits()` with trailing zero bytes dropped, which is bit-exact
+/// for every `f64` and 2–4 bytes for a quantised sensor reading.
+fn encode_samples(run: &[ExportRecord], out: &mut Vec<u8>) {
+    out.push(REC_SAMPLES);
+    put_block(out, |out| {
+        put_uv(out, run.len() as u64);
+        let (mut prev_id, mut prev_t, mut step) = (0u32, 0u64, 0i64);
+        for record in run {
+            let ExportRecord::Sample { id, t, value } = record else {
+                unreachable!("caller passes a run of sample records");
+            };
+            let id_mode = if id.0 == prev_id {
+                MODE_SAME
+            } else if prev_id.checked_add(1) == Some(id.0) {
+                MODE_STEP
+            } else {
+                MODE_EXPLICIT
+            };
+            let dt = t.0.wrapping_sub(prev_t) as i64;
+            let t_mode = match dt {
+                0 => MODE_SAME,
+                _ if dt == step => MODE_STEP,
+                _ => MODE_EXPLICIT,
+            };
+            let bits = value.to_bits();
+            let value_bytes = 8 - (bits.trailing_zeros() / 8) as usize;
+            out.push(id_mode << 6 | t_mode << 4 | value_bytes as u8);
+            if id_mode == MODE_EXPLICIT {
+                put_uv(out, u64::from(id.0));
+            }
+            if t_mode == MODE_EXPLICIT {
+                put_uv(out, zigzag(dt));
+            }
+            if dt != 0 {
+                step = dt;
+            }
+            out.extend_from_slice(&bits.to_be_bytes()[..value_bytes]);
+            (prev_id, prev_t) = (id.0, t.0);
+        }
+    });
 }
 
-/// Decode a batch encoded by [`encode_batch`]. Returns the batch plus
-/// the number of records skipped because their kind tag is unknown to
-/// this reader — the additive-kinds contract: a newer writer's extra
-/// kinds are length-skipped and counted, never an error.
+/// Expand one `samples` payload into at most `room` sample records.
+/// The declared count is checked against the bytes that are left (a
+/// sample is at least its control byte) and against `room` before
+/// anything is reserved.
+fn decode_samples(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) -> io::Result<()> {
+    let mut r = WireReader::new(payload);
+    let count = r.uv()?;
+    if count > r.remaining() as u64 {
+        return Err(bad_data("samples count exceeds its payload"));
+    }
+    let count = count as usize;
+    if count > room {
+        return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+    }
+    records.reserve(count);
+    let (mut id, mut t, mut step) = (0u32, 0u64, 0i64);
+    for _ in 0..count {
+        let control = r.u8()?;
+        match control >> 6 {
+            MODE_SAME => {}
+            MODE_STEP => {
+                id = id
+                    .checked_add(1)
+                    .ok_or_else(|| bad_data("sample id past u32"))?;
+            }
+            MODE_EXPLICIT => {
+                id = u32::try_from(r.uv()?).map_err(|_| bad_data("sample id past u32"))?;
+            }
+            _ => return Err(bad_data("reserved sample id mode")),
+        }
+        match (control >> 4) & 0b11 {
+            MODE_SAME => {}
+            MODE_STEP => t = t.wrapping_add(step as u64),
+            MODE_EXPLICIT => {
+                let dt = unzigzag(r.uv()?);
+                if dt != 0 {
+                    step = dt;
+                }
+                t = t.wrapping_add(dt as u64);
+            }
+            _ => return Err(bad_data("reserved sample time mode")),
+        }
+        let value_bytes = usize::from(control & 0x0F);
+        if value_bytes > 8 {
+            return Err(bad_data("reserved sample value length"));
+        }
+        let mut be = [0u8; 8];
+        be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
+        records.push(ExportRecord::Sample {
+            id: MetricId(id),
+            t: SimTime(t),
+            value: f64::from_bits(u64::from_be_bytes(be)),
+        });
+    }
+    if !r.done() {
+        return Err(bad_data("trailing bytes in samples payload"));
+    }
+    Ok(())
+}
+
+/// Encode a whole batch:
+/// `[seq u64 LE][record count u32 LE][records…]`. Every maximal run of
+/// consecutive [`ExportRecord::Sample`] is written as **one** `samples`
+/// record, so the count in the header counts *wire* records, not
+/// `batch.records`; [`decode_batch`] gives the same records back.
+pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
+    put_u64(out, batch.seq);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
+    let mut wire_records = 0u32;
+    // Maximal runs of samples; every other record is a group of its own.
+    for group in batch.records.chunk_by(|a, b| is_sample(a) && is_sample(b)) {
+        if is_sample(&group[0]) {
+            encode_samples(group, out);
+        } else {
+            encode_record(&group[0], out);
+        }
+        wire_records += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&wire_records.to_le_bytes());
+}
+
+/// Decode a batch encoded by [`encode_batch`] (or record by record with
+/// [`encode_record`], as v1.1 writers did). Returns the batch plus the
+/// number of records skipped because their kind tag is unknown to this
+/// reader — the additive-kinds contract: a newer writer's extra kinds
+/// are length-skipped and counted, never an error. A batch that would
+/// expand past [`MAX_BATCH_RECORDS`] records is refused: a `samples`
+/// record is the one kind whose decoded size is not bounded by its own
+/// length (a byte on the wire becomes a whole [`ExportRecord`]).
 pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
     let mut r = WireReader::new(buf);
     let seq = r.u64()?;
@@ -467,11 +614,13 @@ pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
     for _ in 0..n {
         let tag = r.u8()?;
         let payload = r.block()?;
-        if tag > REC_CHUNK {
-            unknown += 1;
-            continue;
+        let room = MAX_BATCH_RECORDS - records.len();
+        match tag {
+            REC_SAMPLES => decode_samples(payload, room, &mut records)?,
+            _ if tag > REC_SAMPLES => unknown += 1,
+            _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
+            _ => records.push(decode_record_payload(tag, payload)?),
         }
-        records.push(decode_record_payload(tag, payload)?);
     }
     if !r.done() {
         return Err(bad_data("trailing bytes after batch records"));
@@ -598,7 +747,7 @@ fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
 }
 
 /// The frame tags spoken inside the [`write_frame`] envelope by the
-/// `moda` socket protocols (`export-wire-v1.1`). The envelope itself is
+/// `moda` socket protocols (`export-wire-v1.2`). The envelope itself is
 /// tag-agnostic; this registry exists so the protocols layered on it —
 /// fleet ingest sessions and the query/serving sessions next to them —
 /// can never collide on a tag value. Tags are **additive**: a value,
@@ -966,6 +1115,193 @@ mod tests {
         assert_eq!(unknown, 1);
         assert_eq!(batch.seq, 7);
         assert_eq!(batch.records.len(), 1);
+    }
+
+    fn sample(id: u32, t: u64, value: f64) -> ExportRecord {
+        ExportRecord::Sample {
+            id: MetricId(id),
+            t: SimTime(t),
+            value,
+        }
+    }
+
+    /// The bytes of a batch holding `records` (seq 0), past its header.
+    fn encoded_records(records: Vec<ExportRecord>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_batch(&ExportBatch { seq: 0, records }, &mut buf);
+        buf.split_off(12)
+    }
+
+    /// A one-record batch whose record is a `samples` payload.
+    fn samples_batch(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 0);
+        put_u32(&mut buf, 1);
+        buf.push(REC_SAMPLES);
+        put_block(&mut buf, |out| out.extend_from_slice(payload));
+        buf
+    }
+
+    #[test]
+    fn samples_record_is_the_documented_bytes() {
+        // The worked example of docs/EXPORT_FORMAT.md: three readings
+        // of metric 7 at 1 Hz.
+        let records = vec![
+            sample(7, 60_000, 201.5),
+            sample(7, 61_000, 203.0),
+            sample(7, 62_000, 203.0),
+        ];
+        let want: &[u8] = &[
+            0x05, // kind: samples
+            0x13, 0x00, 0x00, 0x00, // payload length 19
+            0x03, // three samples
+            0xA3, 0x07, 0xC0, 0xA9, 0x07, 0x40, 0x69, 0x30, // id 7, t +60000, 201.5
+            0x23, 0xD0, 0x0F, 0x40, 0x69, 0x60, // same id, t +1000, 203.0
+            0x13, 0x40, 0x69, 0x60, // same id, same step, 203.0
+        ];
+        assert_eq!(encoded_records(records.clone()), want);
+        let (back, unknown) = decode_batch(&samples_batch(&want[5..])).unwrap();
+        assert_eq!((back.records, unknown), (records, 0));
+    }
+
+    #[test]
+    fn a_sweep_and_a_tail_both_cost_one_byte_plus_the_value() {
+        // 64 metrics at one timestamp; one metric at a fixed cadence.
+        // Values with three significant bytes (quantised readings).
+        let value = |i: u32| 100.0 + f64::from(i) * 0.5;
+        let sweep: Vec<_> = (0..64).map(|m| sample(m, 5_000, value(m))).collect();
+        let tail: Vec<_> = (0..64)
+            .map(|i| sample(3, 1_000 * u64::from(i), value(i)))
+            .collect();
+        for records in [sweep, tail] {
+            let n = records.len();
+            let bytes = encoded_records(records.clone());
+            // Record header 5 + count 1, two explicit fields at most on
+            // the leading samples, then 1 + 3 bytes each.
+            assert!(bytes.len() <= 6 + 6 + n * 4, "{} bytes", bytes.len());
+            let mut whole = Vec::new();
+            encode_batch(&ExportBatch { seq: 1, records }, &mut whole);
+            // One wire record, however many samples.
+            assert_eq!(whole[8..12], 1u32.to_le_bytes());
+            assert_eq!(decode_batch(&whole).unwrap().0.records.len(), n);
+        }
+    }
+
+    #[test]
+    fn sample_runs_break_at_other_kinds_and_round_trip_awkward_values() {
+        let meta = ExportRecord::Meta {
+            id: MetricId(1),
+            meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+        };
+        let records = vec![
+            sample(u32::MAX, u64::MAX, f64::from_bits(0x7FF8_0000_0000_0001)),
+            sample(0, 0, -0.0),
+            meta.clone(),
+            sample(9, 10, f64::MIN_POSITIVE / 4.0),
+            sample(9, 5, f64::NEG_INFINITY),
+            sample(9, 5, 0.0),
+            meta,
+        ];
+        let mut buf = Vec::new();
+        encode_batch(&ExportBatch { seq: 3, records }, &mut buf);
+        // samples(2) · meta · samples(3) · meta.
+        assert_eq!(buf[8..12], 4u32.to_le_bytes());
+        let (back, unknown) = decode_batch(&buf).unwrap();
+        assert_eq!(unknown, 0);
+        let mut again = Vec::new();
+        encode_batch(&back, &mut again);
+        assert_eq!(again, buf, "bit-exact: equal records re-encode equally");
+        match back.records[0] {
+            ExportRecord::Sample { id, t, value } => {
+                assert_eq!((id.0, t.0), (u32::MAX, u64::MAX));
+                assert_eq!(value.to_bits(), 0x7FF8_0000_0000_0001);
+            }
+            _ => panic!("sample expected"),
+        }
+        match back.records[1] {
+            // The id after u32::MAX is 0 by an explicit field, never by
+            // a wrapped "+1".
+            ExportRecord::Sample { id, t, value } => {
+                assert_eq!((id.0, t.0, value.to_bits()), (0, 0, (-0.0f64).to_bits()));
+            }
+            _ => panic!("sample expected"),
+        }
+    }
+
+    #[test]
+    fn hostile_samples_records_are_bad_data() {
+        let err = |payload: &[u8]| {
+            let e = decode_batch(&samples_batch(payload)).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            e.to_string()
+        };
+        // A well-formed one-sample record for contrast: same id, same
+        // time, one value byte.
+        assert!(decode_batch(&samples_batch(&[1, 0x01, 0x40])).is_ok());
+        // Declared count past the remaining payload — refused before
+        // anything is reserved (here: 2^60 samples in two bytes).
+        let mut lie = Vec::new();
+        put_uv(&mut lie, 1 << 60);
+        lie.extend_from_slice(&[0x00, 0x00]);
+        assert!(err(&lie).contains("count exceeds"));
+        assert!(err(&[2, 0x00]).contains("count exceeds"));
+        // Reserved control codes.
+        assert!(err(&[1, 0xC0]).contains("id mode"));
+        assert!(err(&[1, 0x30]).contains("time mode"));
+        for len in 9..=15u8 {
+            assert!(err(&[1, len, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+                .contains("value length"));
+        }
+        // A value shorter than its control byte says.
+        assert!(err(&[1, 0x03, 0x40, 0x69]).contains("truncated"));
+        // Ids past u32: explicit, and stepped off the end.
+        let mut wide = vec![1, 0x80];
+        put_uv(&mut wide, u64::from(u32::MAX) + 1);
+        assert!(err(&wide).contains("past u32"));
+        let mut stepped = vec![2, 0x80];
+        put_uv(&mut stepped, u64::from(u32::MAX));
+        stepped.push(0x40);
+        assert!(err(&stepped).contains("past u32"));
+        // Trailing bytes after the declared samples.
+        assert!(err(&[1, 0x00, 0xFF]).contains("trailing"));
+        // An explicit field cut short.
+        assert!(err(&[1, 0x20, 0x80]).contains("truncated"));
+    }
+
+    #[test]
+    fn a_batch_may_not_expand_past_the_record_bound() {
+        // One-byte samples: a MiB of wire is 64 MiB of records at the
+        // bound; unbounded, a maximal 64 MiB frame would be 4 GiB.
+        let run = |n: usize| {
+            let mut payload = Vec::new();
+            put_uv(&mut payload, n as u64);
+            payload.resize(payload.len() + n, 0x00);
+            payload
+        };
+        let batch = |runs: &[usize], extra_v1_1_sample: bool| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, runs.len() as u32 + u32::from(extra_v1_1_sample));
+            for &n in runs {
+                buf.push(REC_SAMPLES);
+                put_block(&mut buf, |out| out.extend_from_slice(&run(n)));
+            }
+            if extra_v1_1_sample {
+                encode_record(&sample(0, 0, 0.0), &mut buf);
+            }
+            buf
+        };
+        let at_bound = decode_batch(&batch(&[MAX_BATCH_RECORDS], false)).unwrap();
+        assert_eq!(at_bound.0.records.len(), MAX_BATCH_RECORDS);
+        for over in [
+            batch(&[MAX_BATCH_RECORDS + 1], false),
+            batch(&[MAX_BATCH_RECORDS - 5, 6], false),
+            batch(&[MAX_BATCH_RECORDS], true),
+        ] {
+            let e = decode_batch(&over).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
+        }
     }
 
     #[test]

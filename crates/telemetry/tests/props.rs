@@ -1306,3 +1306,168 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------- packed sample runs
+
+use moda_telemetry::export::ExportBatch;
+use moda_telemetry::wire::{decode_batch, encode_batch, encode_record};
+use moda_telemetry::{MetricId, SketchEntry};
+
+/// A batch as a v1.1 writer rendered it — one wire record per record,
+/// a sample as its fixed 25 bytes. Injective on bit patterns, so equal
+/// renderings mean bit-for-bit equal batches (NaN payloads included,
+/// which `==` on `f64` cannot see); and it shares no code with the
+/// packed-run codec it is the oracle for.
+fn render_v1_1(batch: &ExportBatch) -> Vec<u8> {
+    let mut out = batch.seq.to_le_bytes().to_vec();
+    out.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+    for record in &batch.records {
+        encode_record(record, &mut out);
+    }
+    out
+}
+
+/// Arbitrary interleavings of all five record kinds, sample-heavy so
+/// runs of every length form — including length 1 between two records
+/// of other kinds. Sample ids repeat, count up, jump and wrap; their
+/// timestamps repeat, step, *decrease* (a run interleaves metrics) and
+/// jump to the ends of `u64`; values cover NaN payloads, ±inf,
+/// subnormals, −0.0, quantised readings and arbitrary bit patterns.
+fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
+    prop::collection::vec(
+        (
+            0u8..12,
+            (0u8..6, any::<u32>()),
+            (0u8..6, 0u64..5_000, any::<u64>()),
+            (0u8..10, any::<u64>()),
+        ),
+        0..200,
+    )
+    .prop_map(|draws| {
+        let (mut id, mut t) = (0u32, 0u64);
+        draws
+            .into_iter()
+            .map(
+                |(kind, (id_sel, id_raw), (t_sel, dt, t_raw), (v_sel, v_raw))| {
+                    id = match id_sel {
+                        0 | 1 => id,
+                        2 | 3 => id.wrapping_add(1),
+                        4 => id_raw % 64,
+                        _ => id_raw,
+                    };
+                    t = match t_sel {
+                        0 | 1 => t,
+                        2 => t.wrapping_add(1_000),
+                        3 => t.wrapping_add(dt),
+                        4 => t.wrapping_sub(dt),
+                        _ => t_raw,
+                    };
+                    let value = match v_sel {
+                        0 => {
+                            f64::from_bits(0x7FF8_0000_0000_0001 | (v_raw & 0x0007_FFFF_FFFF_FFFF))
+                        }
+                        1 => -0.0,
+                        2 => 0.0,
+                        3 => f64::from_bits(v_raw & 0x000F_FFFF_FFFF_FFFF),
+                        4 => f64::INFINITY,
+                        5 => f64::NEG_INFINITY,
+                        6 => f64::from_bits(v_raw),
+                        _ => (v_raw % 4_000) as f64 * 0.25,
+                    };
+                    let (metric, time) = (MetricId(id), SimTime(t));
+                    match kind {
+                        0 => ExportRecord::Meta {
+                            id: metric,
+                            meta: MetricMeta::gauge(
+                                format!("m.{v_raw:x}"),
+                                "u",
+                                SourceDomain::Software,
+                            ),
+                        },
+                        1 => ExportRecord::Bucket {
+                            id: metric,
+                            res: SimDuration(dt),
+                            start: time,
+                            count: v_raw,
+                            sum: value,
+                            min: -value,
+                            max: f64::from_bits(t_raw),
+                            last: value,
+                        },
+                        2 => ExportRecord::Sketch {
+                            id: metric,
+                            res: SimDuration(dt),
+                            start: time,
+                            entry: SketchEntry {
+                                sign: (id_sel as i8 % 3) - 1,
+                                key: id_raw as i32,
+                                count: v_raw,
+                            },
+                        },
+                        3 => ExportRecord::Chunk {
+                            id: metric,
+                            count: id_raw,
+                            first_t: time,
+                            last_t: SimTime(t_raw),
+                            bytes: v_raw.to_le_bytes()[..(dt % 9) as usize].to_vec(),
+                        },
+                        _ => ExportRecord::Sample {
+                            id: metric,
+                            t: time,
+                            value,
+                        },
+                    }
+                },
+            )
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `decode_batch(encode_batch(b)) == b`, bit for bit: packing sample
+    /// runs is invisible above the codec. Also: the packed rendering is
+    /// one wire record per maximal run, a v1.1 rendering of the same
+    /// batch still decodes to it, and no strict prefix of the packed
+    /// bytes panics the decoder.
+    #[test]
+    fn packed_sample_runs_round_trip_bit_for_bit(
+        seq in any::<u64>(),
+        records in mixed_records(),
+        cut in 0usize..1000,
+    ) {
+        let batch = ExportBatch { seq, records };
+        let mut packed = Vec::new();
+        encode_batch(&batch, &mut packed);
+        let (back, unknown) = decode_batch(&packed).unwrap();
+        prop_assert_eq!(unknown, 0);
+        prop_assert_eq!(render_v1_1(&back), render_v1_1(&batch));
+
+        // The header counts wire records: every other record, plus one
+        // per maximal run of samples.
+        let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
+        let others = batch.records.iter().filter(|r| !is_sample(r)).count();
+        let runs = batch
+            .records
+            .iter()
+            .enumerate()
+            .filter(|&(i, r)| is_sample(r) && (i == 0 || !is_sample(&batch.records[i - 1])))
+            .count();
+        let wire_records = u32::from_le_bytes(packed[8..12].try_into().unwrap());
+        prop_assert_eq!(wire_records as usize, others + runs);
+
+        // Old streams decode to the same batch; re-encoding is stable.
+        let (old, unknown) = decode_batch(&render_v1_1(&batch)).unwrap();
+        prop_assert_eq!(unknown, 0);
+        prop_assert_eq!(render_v1_1(&old), render_v1_1(&batch));
+        let mut again = Vec::new();
+        encode_batch(&back, &mut again);
+        prop_assert_eq!(&again, &packed);
+
+        // Truncation is an error or (on a record boundary the header
+        // cannot reach) still an error — never a panic.
+        let cut = packed.len() * cut / 1000;
+        prop_assert!(decode_batch(&packed[..cut]).is_err());
+    }
+}

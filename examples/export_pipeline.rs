@@ -49,7 +49,7 @@ fn main() {
             let stats = exporter.drain(&db, &mut staged).expect("memory sink");
             println!(
                 "  day {day}: {:>6} samples, {:>4} sealed buckets, {:>6} sketch columns \
-                 in {} batches (missed {}, max copy-out {} µs)",
+                 in {} batches (missed {}, longest copy-out span between sink writes {} µs)",
                 stats.samples,
                 stats.buckets,
                 stats.sketch_entries,

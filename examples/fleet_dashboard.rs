@@ -76,7 +76,7 @@ fn main() {
         wire_records += wire.record_count();
 
         // Aggregator side: one ingest session per node stream. The
-        // bytes reported are the real `export-wire-v1.1` encoding of
+        // bytes reported are the real `export-wire-v1.2` encoding of
         // every batch — what a socket or the fleet log would carry.
         let node = agg.add_node(&format!("node{n:02}"));
         for batch in &wire.batches {

@@ -2,25 +2,28 @@
 //! the *current* readers must decode, record for record. This is the
 //! test behind the `wire-compat` CI job.
 //!
-//! Two datasets:
+//! Three datasets:
 //!
-//! * `tests/golden/export_wire_v1_1.bin` — the `export-wire-v1.1`
-//!   ingest stream (see `docs/EXPORT_FORMAT.md`, binary framing):
-//!   the frame envelope `[len u32 LE][tag u8][payload][crc32 u32 LE]`,
-//!   the batch and record encodings of every v1.1 kind
-//!   (meta / sample / bucket / sketch / chunk), and the
+//! * `tests/golden/export_wire_v1_1.bin` — the **read-compat** golden:
+//!   the ingest stream as an `export-wire-v1.1` writer rendered it (one
+//!   25-byte `sample` record per observation; see
+//!   `docs/EXPORT_FORMAT.md`, binary framing). The current reader must
+//!   decode it to exactly the dataset's records, and honour the
 //!   **additive-kinds rule** — the stream deliberately carries one
 //!   record of an unknown future kind, and the reader must skip it via
-//!   its length prefix (counting it, losing nothing else);
+//!   its length prefix (counting it, losing nothing else). The current
+//!   writer no longer produces these bytes; the file is pinned against
+//!   the dataset rendered one `encode_record` at a time;
+//! * `tests/golden/export_wire_v1_2.bin` — the **read+write** golden:
+//!   the same dataset as the current writer renders it (sample runs
+//!   packed into `samples` records). Decodes to the same records, and
+//!   re-encoding them reproduces the committed bytes bit-for-bit;
 //! * `tests/golden/query_wire_v1.bin` — a recorded query-protocol v1
 //!   exchange (see `docs/FLEET_SERVICE.md`, query protocol): one
 //!   `QUERY`/`QUERY_RESP` frame pair per request kind over a
 //!   deterministic two-node fleet, plus one typed refusal — pinning
 //!   the request and response encodings, the request-id convention,
-//!   and the planner answers themselves.
-//!
-//! Both tests also pin writer stability — re-encoding the decoded
-//! values reproduces the committed bytes bit-for-bit.
+//!   and the planner answers themselves, with writer stability.
 //!
 //! Any intentional format change must both update the docs *and*
 //! regenerate the dataset:
@@ -34,25 +37,30 @@ use moda::fleet::query::{
 };
 use moda::fleet::{FleetAggregator, QueryRequest, QueryResponse, Rank};
 use moda::sim::{SimDuration, SimTime};
-use moda::telemetry::export::{ExportRecord, MemorySink};
+use moda::telemetry::export::{ExportBatch, ExportRecord, MemorySink};
 use moda::telemetry::wire::{
     decode_batch, encode_batch, encode_record, frame_tag, read_frame, write_frame, FrameEnd,
+    WireReader,
 };
 use moda::telemetry::{
     Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
 };
 
-const GOLDEN_PATH: &str = "tests/golden/export_wire_v1_1.bin";
+const GOLDEN_V1_1_PATH: &str = "tests/golden/export_wire_v1_1.bin";
+const GOLDEN_V1_2_PATH: &str = "tests/golden/export_wire_v1_2.bin";
 const QUERY_GOLDEN_PATH: &str = "tests/golden/query_wire_v1.bin";
 /// Frame tag carrying one encoded batch (the transport's `BATCH`).
 const TAG_BATCH: u8 = 3;
-/// A record kind v1.1 does not define — receivers must skip it.
+/// The v1.1 per-observation kind and the v1.2 packed-run kind.
+const KIND_SAMPLE: u8 = 1;
+const KIND_SAMPLES: u8 = 5;
+/// A record kind no revision defines — receivers must skip it.
 const UNKNOWN_KIND: u8 = 9;
 
-/// The deterministic dataset behind the golden stream: one sketched
+/// The deterministic dataset behind the golden streams: one sketched
 /// gauge and one plain counter, enough samples to seal rollup buckets,
-/// sketch columns, and whole raw chunks — every v1.1 record kind.
-fn golden_batches() -> Vec<moda::telemetry::export::ExportBatch> {
+/// sketch columns, and whole raw chunks — every record kind.
+fn golden_batches() -> Vec<ExportBatch> {
     let mut db = Tsdb::with_retention(1 << 12);
     let g = db.register(MetricMeta::gauge(
         "golden.power_w",
@@ -80,15 +88,25 @@ fn golden_batches() -> Vec<moda::telemetry::export::ExportBatch> {
     sink.batches
 }
 
-/// The full golden byte stream: every dataset batch as a `BATCH`
-/// frame, then one hand-built frame whose batch carries a known sample
-/// followed by an unknown-kind record.
-fn golden_bytes() -> Vec<u8> {
+/// A batch as a v1.1 writer rendered it: one wire record per record.
+fn encode_batch_v1_1(batch: &ExportBatch, out: &mut Vec<u8>) {
+    out.extend_from_slice(&batch.seq.to_le_bytes());
+    out.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+    for record in &batch.records {
+        encode_record(record, out);
+    }
+}
+
+/// A full golden byte stream: every dataset batch as a `BATCH` frame
+/// in the given rendering, then one hand-built frame whose batch
+/// carries a known (v1.1 `sample`) record followed by an unknown-kind
+/// record.
+fn golden_bytes(render: fn(&ExportBatch, &mut Vec<u8>)) -> Vec<u8> {
     let batches = golden_batches();
     let mut out = Vec::new();
     for batch in &batches {
         let mut payload = Vec::new();
-        encode_batch(batch, &mut payload);
+        render(batch, &mut payload);
         write_frame(&mut out, TAG_BATCH, &payload).unwrap();
     }
     let mut payload = Vec::new();
@@ -109,30 +127,24 @@ fn golden_bytes() -> Vec<u8> {
     out
 }
 
-#[test]
-fn golden_wire_stream_decodes_and_matches_the_spec() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+/// The committed stream at `rel`, pinned against the deterministic
+/// dataset in its rendering (regenerated first under `GOLDEN_REGEN`),
+/// cut into its `BATCH` frame payloads.
+fn committed_frames(rel: &str, render: fn(&ExportBatch, &mut Vec<u8>)) -> Vec<Vec<u8>> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, golden_bytes()).unwrap();
+        std::fs::write(&path, golden_bytes(render)).unwrap();
     }
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!("{GOLDEN_PATH} unreadable ({e}); generate it with GOLDEN_REGEN=1")
-    });
-
-    // Writer stability: regenerating the stream from the deterministic
-    // dataset reproduces the committed bytes bit-for-bit.
+    let bytes = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("{rel} unreadable ({e}); generate it with GOLDEN_REGEN=1"));
     assert_eq!(
         bytes,
-        golden_bytes(),
-        "current writer drifted from the committed golden stream; if the \
+        golden_bytes(render),
+        "{rel} is no longer the deterministic dataset in its rendering; if the \
          change is an intentional spec revision, update docs/EXPORT_FORMAT.md \
          and regenerate with GOLDEN_REGEN=1"
     );
-
-    // Reader compatibility: walk the committed frames with the current
-    // decoder and account for every record.
-    let reference = golden_batches();
     let mut r = &bytes[..];
     let mut frames = Vec::new();
     loop {
@@ -147,17 +159,37 @@ fn golden_wire_stream_decodes_and_matches_the_spec() {
                     FrameEnd::Clean,
                     "golden stream ends on a frame boundary"
                 );
-                break;
+                return frames;
             }
         }
     }
-    assert_eq!(frames.len(), reference.len() + 1);
+}
 
+/// The kind tag of every wire record in one encoded batch.
+fn wire_kinds(payload: &[u8]) -> Vec<u8> {
+    let mut r = WireReader::new(payload);
+    r.u64().unwrap();
+    (0..r.u32().unwrap())
+        .map(|_| {
+            let kind = r.u8().unwrap();
+            r.block().unwrap();
+            kind
+        })
+        .collect()
+}
+
+/// Reader compatibility, shared by both revisions: the dataset frames
+/// decode to exactly the dataset's records — every kind present — and
+/// the final frame's unknown record is skipped and counted while the
+/// known record beside it survives intact (the additive-kinds rule).
+fn assert_decodes_to_the_dataset(frames: &[Vec<u8>]) {
+    let reference = golden_batches();
+    assert_eq!(frames.len(), reference.len() + 1);
     let (mut metas, mut samples, mut buckets, mut sketches, mut chunks) = (0, 0, 0, 0, 0);
-    for (i, payload) in frames[..reference.len()].iter().enumerate() {
-        let (batch, skipped) = decode_batch(payload).expect("v1.1 frame decodes");
+    for (payload, want) in frames.iter().zip(&reference) {
+        let (batch, skipped) = decode_batch(payload).expect("dataset frame decodes");
         assert_eq!(skipped, 0, "no unknown kinds in the dataset frames");
-        assert_eq!(batch.seq, i as u64);
+        assert_eq!(&batch, want, "record for record");
         for rec in &batch.records {
             match rec {
                 ExportRecord::Meta { .. } => metas += 1,
@@ -167,33 +199,61 @@ fn golden_wire_stream_decodes_and_matches_the_spec() {
                 ExportRecord::Chunk { .. } => chunks += 1,
             }
         }
-        // Round-trip identity per frame.
-        let mut again = Vec::new();
-        encode_batch(&batch, &mut again);
-        assert_eq!(&again, payload);
     }
     assert_eq!(metas, 2, "both registry entries ship");
     assert!(
         samples > 0 && buckets > 0 && sketches > 0 && chunks > 0,
-        "every v1.1 record kind present: {samples} samples, {buckets} buckets, \
+        "every record kind present: {samples} samples, {buckets} buckets, \
          {sketches} sketch columns, {chunks} chunks"
     );
 
-    // The additive-kinds rule: the final frame's unknown record is
-    // skipped and counted; the known record around it survives intact.
     let (tail, skipped) =
         decode_batch(frames.last().unwrap()).expect("unknown kinds are skippable");
     assert_eq!(skipped, 1);
     assert_eq!(tail.seq, reference.len() as u64);
-    assert_eq!(tail.records.len(), 1);
-    match &tail.records[0] {
-        ExportRecord::Sample { id, t, value } => {
-            assert_eq!(*id, MetricId(0));
-            assert_eq!(*t, SimTime(123_456));
-            assert_eq!(*value, 42.5);
-        }
-        other => panic!("expected the known sample, got {other:?}"),
+    assert_eq!(
+        tail.records,
+        [ExportRecord::Sample {
+            id: MetricId(0),
+            t: SimTime(123_456),
+            value: 42.5,
+        }]
+    );
+}
+
+#[test]
+fn golden_wire_stream_decodes_and_matches_the_spec() {
+    let frames = committed_frames(GOLDEN_V1_1_PATH, encode_batch_v1_1);
+    assert_decodes_to_the_dataset(&frames);
+    // A v1.1 stream never carries the packed kind.
+    assert!(frames
+        .iter()
+        .all(|f| !wire_kinds(f).contains(&KIND_SAMPLES)));
+}
+
+#[test]
+fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
+    let frames = committed_frames(GOLDEN_V1_2_PATH, encode_batch);
+    assert_decodes_to_the_dataset(&frames);
+    // Writer stability: what the reader decoded, the current writer
+    // renders back to the committed bytes — with every sample in a
+    // packed run, none as a v1.1 `sample` record.
+    let dataset = &frames[..frames.len() - 1];
+    let mut packed_runs = 0;
+    for payload in dataset {
+        let (batch, _) = decode_batch(payload).unwrap();
+        let mut again = Vec::new();
+        encode_batch(&batch, &mut again);
+        assert_eq!(&again, payload, "re-encode identity");
+        let kinds = wire_kinds(payload);
+        assert!(!kinds.contains(&KIND_SAMPLE));
+        packed_runs += kinds.iter().filter(|&&k| k == KIND_SAMPLES).count();
     }
+    assert!(packed_runs > 0, "the stream carries `samples` records");
+    // And it is the smaller rendering of the same dataset.
+    let v1_1 = golden_bytes(encode_batch_v1_1).len();
+    let v1_2 = golden_bytes(encode_batch).len();
+    assert!(v1_2 < v1_1, "v1.2 {v1_2} B vs v1.1 {v1_1} B");
 }
 
 // ------------------------------------------------------ query protocol

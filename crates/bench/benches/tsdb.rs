@@ -357,11 +357,13 @@ impl moda_telemetry::export::Sink for EncodeSink {
 
 /// The batch codec on the live path's unit — one 64-sample sweep, as
 /// the exporter stages it: what the node pays to render it (a packed
-/// `samples` run) and what every receiver — listener, WAL replay,
-/// snapshot load — pays to expand it back into records.
+/// `samples` run), what every receiver — listener, WAL replay, snapshot
+/// load — pays to validate it and visit its samples where they lie
+/// (`view_sweep64`), and what expanding it into owned records costs on
+/// top (`decode_sweep64`: the same view, then to-owned).
 fn bench_wire_batch(c: &mut Criterion) {
     use moda_telemetry::export::{Exporter, MemorySink};
-    use moda_telemetry::wire::{decode_batch, encode_batch};
+    use moda_telemetry::wire::{decode_batch, encode_batch, BatchView, RecordRef};
     let (mut db, sweep) = sweep64_store();
     let mut exporter = Exporter::new();
     let mut sink = MemorySink::new();
@@ -383,6 +385,20 @@ fn bench_wire_batch(c: &mut Criterion) {
             out.clear();
             encode_batch(black_box(&batch), &mut out);
             black_box(out.len())
+        });
+    });
+    g.bench_function("view_sweep64", |b| {
+        b.iter(|| {
+            let view = BatchView::parse(black_box(&wire)).unwrap();
+            let mut folded = 0u64;
+            for record in view.records() {
+                if let RecordRef::Samples(run) = record {
+                    for (id, t, value) in run {
+                        folded = folded.wrapping_add(u64::from(id.0) ^ t.0 ^ value.to_bits());
+                    }
+                }
+            }
+            black_box(folded)
         });
     });
     g.bench_function("decode_sweep64", |b| {
@@ -569,6 +585,62 @@ fn bench_fleet(c: &mut Criterion) {
             )
         });
     });
+
+    // The fleet's half of the live path, socket excluded: 64 received
+    // 64-sample sweeps taken as wire bytes — validated, logged as they
+    // arrived, applied off the same bytes — each as a burst of its own
+    // (one log flush per batch, what a lone frame pays) and all 64 as
+    // one burst (one flush). Both rows time 64 batches; the sweeps are
+    // staged outside the timed region so every one carries fresh
+    // timestamps and the next `seq`.
+    {
+        let (mut db, sweep) = sweep64_store();
+        let mut exporter = Exporter::new();
+        let mut sink = MemorySink::new();
+        let mut t = 0u64;
+        let mut stage = move |n: usize| -> Vec<Vec<u8>> {
+            sink.batches.clear();
+            for _ in 0..n {
+                db.insert_batch(SimTime::from_secs(t), &sweep);
+                t += 1;
+                exporter.drain(&db, &mut sink).unwrap();
+            }
+            sink.batches
+                .iter()
+                .map(|batch| {
+                    let mut wire = Vec::new();
+                    moda_telemetry::wire::encode_batch(batch, &mut wire);
+                    wire
+                })
+                .collect()
+        };
+        let mut fleet = DurableFleet::open(tmp.join("durable-ingest"), no_cadence).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        // The registry batch, so the timed sweeps are all samples.
+        let mut warm = fleet.burst();
+        for wire in stage(1) {
+            warm.batch(node, &wire).unwrap();
+        }
+        warm.commit().unwrap();
+        g.throughput(Throughput::Elements(64 * 64));
+        for (name, burst_len) in [("lone", 1), ("burst64", 64)] {
+            g.bench_function(&format!("durable_ingest_sweep64/{name}"), |b| {
+                b.iter_batched(
+                    || stage(64),
+                    |wires| {
+                        for burst_wires in wires.chunks(burst_len) {
+                            let mut burst = fleet.burst();
+                            for wire in burst_wires {
+                                black_box(burst.batch(node, wire).unwrap());
+                            }
+                            burst.commit().unwrap();
+                        }
+                    },
+                    BatchSize::PerIteration,
+                );
+            });
+        }
+    }
 
     // Socket ingest throughput: one node-day of framed batches over
     // loopback TCP into a fresh durable server per iteration, acked

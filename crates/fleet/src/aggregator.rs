@@ -38,8 +38,8 @@
 use crate::store::{ChunkOutcome, FleetStore, NodeId};
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{ExportBatch, ExportRecord};
-use moda_telemetry::wire::{put_u64, WireReader};
+use moda_telemetry::export::ExportBatch;
+use moda_telemetry::wire::{put_u64, BatchView, RecordRef, WireReader};
 use moda_telemetry::{DrainStats, MetricId};
 use std::io;
 
@@ -381,9 +381,8 @@ impl FleetAggregator {
         &self.obs
     }
 
-    /// Count records `decode_batch` skipped for an unknown kind tag
-    /// (`fleet.ingest.unknown_records`) — the decoder runs before the
-    /// aggregator sees the batch, so its callers report here.
+    /// Count records skipped for a kind tag this reader does not know
+    /// (`fleet.ingest.unknown_records`).
     pub(crate) fn note_unknown_records(&self, skipped: u64) {
         if skipped > 0 {
             self.obs_ingest.unknown_records.add(skipped);
@@ -445,22 +444,42 @@ impl FleetAggregator {
     /// Ingest one wire batch from `node`'s stream. Returns what
     /// happened; all counters accumulate on the session.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> IngestReport {
+        self.apply(node, batch.seq, batch.records.iter().map(RecordRef::from))
+    }
+
+    /// [`FleetAggregator::ingest`] straight off a received batch's
+    /// bytes: no owned record is built between the socket (or the log,
+    /// at replay) and the store. Records of a kind this reader does not
+    /// know are counted in `fleet.ingest.unknown_records`.
+    pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
+        self.note_unknown_records(view.unknown_records());
+        self.apply(node, view.seq(), view.records())
+    }
+
+    /// The one record-apply loop: the batch cursor, then every record
+    /// under the consumption rules in the module docs.
+    fn apply<'a>(
+        &mut self,
+        node: NodeId,
+        seq: u64,
+        records: impl Iterator<Item = RecordRef<'a>>,
+    ) -> IngestReport {
         let _span = self.obs_ingest.ingest_ns.start();
         let session = &mut self.sessions[node.index()];
         let (samples0, rejected0) = (session.counters.samples, session.counters.rejected_samples);
         let mut report = IngestReport::default();
-        if batch.seq < session.next_seq {
+        if seq < session.next_seq {
             session.counters.duplicate_batches += 1;
             report.duplicate = true;
             self.obs_ingest.duplicates.add(1);
             return report;
         }
-        if batch.seq > session.next_seq {
-            report.gap = batch.seq - session.next_seq;
+        if seq > session.next_seq {
+            report.gap = seq - session.next_seq;
             session.counters.gaps += 1;
             session.counters.missing_batches += report.gap;
         }
-        session.next_seq = batch.seq + 1;
+        session.next_seq = seq + 1;
         session.counters.batches += 1;
         report.applied = true;
 
@@ -469,36 +488,32 @@ impl FleetAggregator {
         // non-tier record and at batch end (columns never split across
         // batches).
         let mut open_bucket: Option<(MetricId, u64, u64)> = None;
-        for r in &batch.records {
+        for r in records {
             match r {
-                ExportRecord::Meta { id, meta } => {
+                RecordRef::Meta { id, meta } => {
                     open_bucket = None;
                     let widx = id.index();
                     if session.wire_map.len() <= widx {
                         session.wire_map.resize(widx + 1, None);
                     }
-                    let fleet_id = self.store.register(node, &session.name, meta);
+                    let fleet_id = self.store.register(node, &session.name, &meta.to_meta());
                     session.wire_map[widx] = Some(fleet_id);
                     session.counters.records += 1;
                     report.records += 1;
                 }
-                ExportRecord::Sample { id, t, value } => {
+                RecordRef::Sample { id, t, value } => {
                     open_bucket = None;
-                    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
-                        session.counters.unmapped_records += 1;
-                        continue;
-                    };
-                    if self.store.push_sample(fleet_id, *t, *value) {
-                        session.counters.samples += 1;
-                    } else {
-                        session.counters.rejected_samples += 1;
-                    }
-                    session.counters.records += 1;
-                    report.records += 1;
-                    session.high_water = session.high_water.max(*t);
-                    session.ever_ingested = true;
+                    report.records += push_sample(&mut self.store, session, id, t, value);
                 }
-                ExportRecord::Chunk {
+                RecordRef::Samples(run) => {
+                    // An empty run is no record at all: it leaves the
+                    // framing cursor where it was.
+                    for (id, t, value) in run {
+                        open_bucket = None;
+                        report.records += push_sample(&mut self.store, session, id, t, value);
+                    }
+                }
+                RecordRef::Chunk {
                     id,
                     count,
                     first_t,
@@ -512,7 +527,7 @@ impl FleetAggregator {
                     };
                     let ChunkOutcome::Applied { accepted, rejected } = self
                         .store
-                        .push_chunk(fleet_id, *first_t, *last_t, *count, bytes)
+                        .push_chunk(fleet_id, first_t, last_t, count, bytes)
                     else {
                         // Corrupt record: dropped whole, counted, and
                         // not treated as ingested data — its header is
@@ -525,10 +540,10 @@ impl FleetAggregator {
                     session.counters.rejected_samples += rejected;
                     session.counters.records += 1;
                     report.records += 1;
-                    session.high_water = session.high_water.max(*last_t);
+                    session.high_water = session.high_water.max(last_t);
                     session.ever_ingested = true;
                 }
-                ExportRecord::Bucket {
+                RecordRef::Bucket {
                     id,
                     res,
                     start,
@@ -544,7 +559,7 @@ impl FleetAggregator {
                         continue;
                     };
                     self.store
-                        .apply_bucket(fleet_id, *res, *start, *count, *sum, *min, *max, *last);
+                        .apply_bucket(fleet_id, res, start, count, sum, min, max, last);
                     open_bucket = Some((fleet_id, res.0, start.0));
                     session.counters.buckets += 1;
                     session.counters.records += 1;
@@ -554,7 +569,7 @@ impl FleetAggregator {
                         .max(SimTime(start.0.saturating_add(res.0)));
                     session.ever_ingested = true;
                 }
-                ExportRecord::Sketch {
+                RecordRef::Sketch {
                     id,
                     res,
                     start,
@@ -568,7 +583,7 @@ impl FleetAggregator {
                         session.counters.orphan_sketches += 1;
                         continue;
                     }
-                    self.store.apply_sketch(fleet_id, *res, *start, *entry);
+                    self.store.apply_sketch(fleet_id, res, start, entry);
                     session.counters.sketch_entries += 1;
                     session.counters.records += 1;
                     report.records += 1;
@@ -695,6 +710,31 @@ impl FleetAggregator {
     }
 }
 
+/// Apply one raw observation under the registry-mapping and
+/// monotonic-sample rules; returns the records applied (0 or 1).
+#[inline]
+fn push_sample(
+    store: &mut FleetStore,
+    session: &mut NodeSession,
+    id: MetricId,
+    t: SimTime,
+    value: f64,
+) -> u64 {
+    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
+        session.counters.unmapped_records += 1;
+        return 0;
+    };
+    if store.push_sample(fleet_id, t, value) {
+        session.counters.samples += 1;
+    } else {
+        session.counters.rejected_samples += 1;
+    }
+    session.counters.records += 1;
+    session.high_water = session.high_water.max(t);
+    session.ever_ingested = true;
+    1
+}
+
 /// Apply a [`HealthPolicy`] to one session's drain lag.
 fn classify(s: &NodeSession, drain_lag: SimDuration, policy: HealthPolicy) -> NodeLiveness {
     if !s.ever_ingested {
@@ -715,7 +755,7 @@ fn classify(s: &NodeSession, drain_lag: SimDuration, policy: HealthPolicy) -> No
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moda_telemetry::export::MemorySink;
+    use moda_telemetry::export::{ExportRecord, MemorySink};
     use moda_telemetry::{
         Exporter, MetricMeta, QuantileSketch, RollupConfig, RollupTier, SourceDomain, Tsdb,
         WindowAgg,

@@ -105,7 +105,7 @@ pub use control::{
     HoldReason, Observation, RateLimit, ResponseRule, StragglerMonitor, ThresholdMonitor,
     TickReport,
 };
-pub use persist::{DurabilityConfig, DurableFleet, RecoveryStats};
+pub use persist::{Burst, DurabilityConfig, DurableFleet, RecoveryStats};
 pub use query::{
     CoveredAnswer, CoveredTopNodesAnswer, HealthAnswer, MetricsAnswer, NodeHealthAnswer,
     QueryError, QueryErrorCode, QueryRequest, QueryResponse, ScalarAnswer, SelfStatAnswer,

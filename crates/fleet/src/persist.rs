@@ -16,7 +16,8 @@
 //! * **`wal-<epoch>.log`** — every mutation since that snapshot, in
 //!   arrival order, each entry one CRC-framed record (see
 //!   `moda_telemetry::wire::write_frame`): batches in the
-//!   `export-wire-v1.2` binary encoding, node registrations, and
+//!   `export-wire` binary encoding — a received batch verbatim, in
+//!   whichever revision its sender wrote — node registrations, and
 //!   out-of-band drain reports. The **epoch** number pairs log and
 //!   snapshot: a snapshot stores the epoch of the log that follows it,
 //!   so rotation (write snapshot `N+1` → create `wal-(N+1).log` →
@@ -24,23 +25,31 @@
 //!   surviving snapshot always names exactly one log file, and stray
 //!   files from an interrupted rotation are ignored and cleaned up.
 //!
-//! **Discipline: log, then apply.** [`DurableFleet::ingest`] appends
-//! the batch to the log (and flushes it to the OS) *before* applying it
-//! to the in-memory aggregator. A `kill -9` therefore loses at most a
-//! torn tail entry that was never applied; recovery
-//! ([`DurableFleet::recover`]) restores the snapshot, replays the log
-//! tail — re-delivered batches bounce off the existing per-session
-//! duplicate guard — truncates any torn/corrupt tail (counted in
-//! [`RecoveryStats`]), and resumes every node session at its persisted
-//! cursor. A reconnecting exporter learns that cursor from the
-//! transport handshake (see [`crate::transport`]) and ships only what
-//! the server has not durably applied: zero re-ingest from `seq 0`.
+//! **Discipline: logged before it is visible, flushed before it is
+//! acknowledged.** [`DurableFleet::ingest`] appends the batch to the
+//! log and flushes it to the OS *before* applying it to the in-memory
+//! aggregator. A receive burst ([`DurableFleet::burst`]) takes each
+//! received batch as the bytes it arrived in — validated where they lie
+//! ([`BatchView`]), appended as `[node u32][those bytes]`, applied off
+//! the same bytes — and flushes the log **once**, in [`Burst::commit`];
+//! the burst holds the fleet exclusively until then, so no reader sees
+//! a batch whose log bytes are still buffered and nothing is
+//! acknowledged before the flush. A `kill -9` therefore loses at most
+//! unflushed entries that nobody was told about and a torn tail entry;
+//! recovery ([`DurableFleet::recover`]) restores the snapshot, replays
+//! the log tail — re-delivered batches bounce off the existing
+//! per-session duplicate guard — truncates any torn/corrupt tail
+//! (counted in [`RecoveryStats`]), and resumes every node session at
+//! its persisted cursor. A reconnecting exporter learns that cursor
+//! from the transport handshake (see [`crate::transport`]) and ships
+//! only what the server has not durably applied: zero re-ingest from
+//! `seq 0`.
 //!
-//! Durability scope: the log is flushed (`write(2)`) per entry, so
-//! process crashes (`kill -9`) lose nothing that was acknowledged;
-//! surviving a *machine* crash would additionally need `fsync` per
-//! entry, which this tier deliberately trades away (snapshots *are*
-//! fsynced).
+//! Durability scope: the log is flushed (`write(2)`) per entry or per
+//! burst, so process crashes (`kill -9`) lose nothing that was
+//! acknowledged; surviving a *machine* crash would additionally need
+//! `fsync` where that flush is, which this tier deliberately trades
+//! away (snapshots *are* fsynced).
 //!
 //! Every byte here — the frame envelope, the record codec, and the
 //! LE/varint helpers and bounds-checked reader the snapshot layout and
@@ -54,9 +63,9 @@ use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord};
 use moda_telemetry::wire::{
-    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, parse_frame,
-    put_block, put_f64, put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, write_frame, zigzag,
-    FrameParse, WireReader,
+    bad_data, decode_drain_stats, encode_batch, encode_drain_stats, parse_frame, put_block,
+    put_f64, put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, write_frame, write_frame_parts,
+    zigzag, BatchView, FrameParse, RecordRef, WireReader,
 };
 use moda_telemetry::{DrainStats, MetricId};
 use std::fs::{self, File, OpenOptions};
@@ -159,7 +168,12 @@ pub struct DurableFleet {
     snapshot_every: u64,
     batches_since_snapshot: u64,
     recovery: RecoveryStats,
+    /// Scratch for a log entry built here (a node name, a drain
+    /// report, an in-process batch's encoding) — cleared, never freed.
     frame_buf: Vec<u8>,
+    /// Scratch for the snapshot payload, kept at the size the last
+    /// snapshot grew it to.
+    snapshot_buf: Vec<u8>,
     wal_obs: WalObs,
 }
 
@@ -207,6 +221,7 @@ impl DurableFleet {
             batches_since_snapshot: 0,
             recovery: RecoveryStats::default(),
             frame_buf: Vec::new(),
+            snapshot_buf: Vec::new(),
             wal_obs: WalObs::default(),
         };
         // An empty snapshot makes the directory self-describing from
@@ -239,6 +254,7 @@ impl DurableFleet {
             batches_since_snapshot: 0,
             recovery: RecoveryStats::default(),
             frame_buf: Vec::new(),
+            snapshot_buf: Vec::new(),
             wal_obs: WalObs::default(),
         };
         fleet.replay_log(&mut recovery)?;
@@ -320,9 +336,12 @@ impl DurableFleet {
                 if node.index() >= self.agg.node_count() {
                     return Err(bad_data("batch entry names an unknown node"));
                 }
-                let (batch, unknown) = decode_batch(r.rest())?;
-                let report = self.agg.ingest(node, &batch);
-                recovery.unknown_records += unknown;
+                // Validated and applied where the log file sits in
+                // memory. Replay runs before a registry can be attached,
+                // so what the view skips is kept for `set_obs` to fold in.
+                let view = BatchView::parse(r.rest())?;
+                let report = self.agg.ingest_view(node, &view);
+                recovery.unknown_records += view.unknown_records();
                 recovery.replayed_batches += 1;
                 if report.duplicate {
                     recovery.replayed_duplicates += 1;
@@ -367,48 +386,83 @@ impl DurableFleet {
         if let Some(id) = self.agg.find_node(name) {
             return Ok(id);
         }
-        let mut payload = Vec::new();
-        put_str(&mut payload, name);
-        self.append_log(FRAME_LOG_NODE, &payload)?;
+        self.append_built(FRAME_LOG_NODE, |out| put_str(out, name))?;
+        self.flush_log()?;
         Ok(self.agg.add_node(name))
     }
 
-    /// Ingest one wire batch durably: append it to the log, flush, then
-    /// apply. Takes a snapshot (truncating the log) every
+    /// Ingest one batch durably: append its encoding to the log, flush,
+    /// then apply — returning means flushed. Takes a snapshot
+    /// (truncating the log) every
     /// [`DurabilityConfig::snapshot_every_batches`] applied batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
-        let mut payload = std::mem::take(&mut self.frame_buf);
-        payload.clear();
-        put_u32(&mut payload, node.0);
-        encode_batch(batch, &mut payload);
-        let res = self.append_log(FRAME_LOG_BATCH, &payload);
-        self.frame_buf = payload;
-        res?;
+        self.append_built(FRAME_LOG_BATCH, |out| {
+            put_u32(out, node.0);
+            encode_batch(batch, out);
+        })?;
+        self.flush_log()?;
         let report = self.agg.ingest(node, batch);
-        self.batches_since_snapshot += 1;
-        if self.batches_since_snapshot >= self.snapshot_every {
-            self.snapshot()?;
-        }
+        self.count_batch()?;
         Ok(report)
     }
 
     /// Durably record an out-of-band exporter drain report.
     pub fn report_drain(&mut self, node: NodeId, stats: &DrainStats) -> io::Result<()> {
-        let mut payload = Vec::new();
-        put_u32(&mut payload, node.0);
-        encode_drain_stats(stats, &mut payload);
-        self.append_log(FRAME_LOG_DRAIN, &payload)?;
+        self.append_drain(node, stats)?;
+        self.flush_log()?;
         self.agg.report_drain(node, stats);
         Ok(())
     }
 
-    fn append_log(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.log, tag, payload)?;
+    /// Start a receive burst: entries logged and applied one after the
+    /// other, made durable together by [`Burst::commit`].
+    pub fn burst(&mut self) -> Burst<'_> {
+        Burst { fleet: self }
+    }
+
+    /// Append one log frame whose payload is `parts` end to end. Not
+    /// flushed: [`DurableFleet::flush_log`] is the other half.
+    fn append(&mut self, tag: u8, parts: &[&[u8]]) -> io::Result<()> {
+        write_frame_parts(&mut self.log, tag, parts)?;
         self.wal_obs.appends.add(1);
-        self.wal_obs.bytes.add(payload.len() as u64);
-        // Flush to the OS: `kill -9` cannot lose it once this returns.
+        let bytes: usize = parts.iter().map(|part| part.len()).sum();
+        self.wal_obs.bytes.add(bytes as u64);
+        Ok(())
+    }
+
+    /// [`DurableFleet::append`] for a payload `fill` writes into the
+    /// reused scratch buffer.
+    fn append_built(&mut self, tag: u8, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let mut payload = std::mem::take(&mut self.frame_buf);
+        payload.clear();
+        fill(&mut payload);
+        let appended = self.append(tag, &[&payload]);
+        self.frame_buf = payload;
+        appended
+    }
+
+    fn append_drain(&mut self, node: NodeId, stats: &DrainStats) -> io::Result<()> {
+        self.append_built(FRAME_LOG_DRAIN, |out| {
+            put_u32(out, node.0);
+            encode_drain_stats(stats, out);
+        })
+    }
+
+    /// Flush the log to the OS: `kill -9` cannot lose what was appended
+    /// once this returns.
+    fn flush_log(&mut self) -> io::Result<()> {
         let _span = self.wal_obs.fsync_ns.start();
         self.log.flush()
+    }
+
+    /// One more batch applied since the last snapshot; snapshot when
+    /// the cadence says so.
+    fn count_batch(&mut self) -> io::Result<()> {
+        self.batches_since_snapshot += 1;
+        if self.batches_since_snapshot >= self.snapshot_every {
+            self.snapshot()?;
+        }
+        Ok(())
     }
 
     // ----- snapshot -----------------------------------------------------
@@ -431,13 +485,13 @@ impl DurableFleet {
     /// pointing at that (fresh, empty) log.
     fn write_snapshot(&mut self, epoch: u64) -> io::Result<()> {
         let _span = self.wal_obs.snapshot_ns.start();
-        let mut payload = Vec::new();
-        encode_snapshot(&self.agg, epoch, &mut payload);
         let tmp = self.dir.join(SNAPSHOT_TMP);
+        self.snapshot_buf.clear();
+        encode_snapshot(&self.agg, epoch, &mut self.snapshot_buf);
         {
             let mut f = File::create(&tmp)?;
             f.write_all(SNAPSHOT_MAGIC)?;
-            write_frame(&mut f, FRAME_SNAPSHOT, &payload)?;
+            write_frame(&mut f, FRAME_SNAPSHOT, &self.snapshot_buf)?;
             f.sync_all()?;
         }
         // New log first, then the rename that makes it live: a crash
@@ -523,6 +577,64 @@ impl FleetStore {
     /// [`DurableFleet::store`]).
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<DurableFleet> {
         DurableFleet::recover(dir)
+    }
+}
+
+/// One receive burst against a [`DurableFleet`]: each entry is
+/// validated, appended to the log and applied in turn, and
+/// [`Burst::commit`] flushes the log **once** for all of them. The
+/// burst borrows the fleet exclusively, so whoever reaches the fleet
+/// through a lock holds that lock until the flush: nothing applied here
+/// can be observed while its log bytes are still buffered. Dropping a
+/// burst without committing still flushes (an error path must not leave
+/// applied-but-buffered entries behind), but only `commit` reports
+/// whether the flush succeeded — acknowledge nothing before it returns.
+#[derive(Debug)]
+pub struct Burst<'a> {
+    fleet: &'a mut DurableFleet,
+}
+
+impl Burst<'_> {
+    /// Take one received `BATCH` payload: validate it where it lies,
+    /// log `[node u32][those bytes]`, apply the records straight off
+    /// them. A payload that fails validation is an `InvalidData` error
+    /// and touches neither the log nor any counter. Snapshots on the
+    /// [`DurabilityConfig::snapshot_every_batches`] cadence, exactly
+    /// where [`DurableFleet::ingest`] would.
+    pub fn batch(&mut self, node: NodeId, payload: &[u8]) -> io::Result<IngestReport> {
+        let view = BatchView::parse(payload)?;
+        // Only bytes a view vouches for reach the log.
+        self.fleet
+            .append(FRAME_LOG_BATCH, &[&node.0.to_le_bytes(), view.as_bytes()])?;
+        let report = self.fleet.agg.ingest_view(node, &view);
+        self.fleet.count_batch()?;
+        Ok(report)
+    }
+
+    /// Take one out-of-band exporter drain report.
+    pub fn drain(&mut self, node: NodeId, stats: &DrainStats) -> io::Result<()> {
+        self.fleet.append_drain(node, stats)?;
+        self.fleet.agg.report_drain(node, stats);
+        Ok(())
+    }
+
+    /// The cursor `node`'s session stands at, this burst's batches
+    /// included — what the entry just taken will be acknowledged with.
+    pub fn next_seq(&self, node: NodeId) -> u64 {
+        self.fleet.next_seq(node)
+    }
+
+    /// Flush the log: everything this burst took is durable (against
+    /// `kill -9`; see the module docs) once this returns `Ok`.
+    pub fn commit(self) -> io::Result<()> {
+        self.fleet.flush_log()
+    }
+}
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        // After `commit` the buffer is empty and this is a no-op.
+        let _ = self.fleet.log.flush();
     }
 }
 
@@ -765,20 +877,24 @@ fn decode_snapshot(bytes: &[u8]) -> io::Result<(FleetAggregator, u64, usize, usi
             return Err(bad_data("metric registration order diverged"));
         }
         // Raw ring.
-        let (raw_batch, _) = decode_batch(r.block()?)?;
-        for record in &raw_batch.records {
+        for record in BatchView::parse(r.block()?)?.records() {
             match record {
-                ExportRecord::Chunk {
+                RecordRef::Chunk {
                     first_t,
                     last_t,
                     count,
                     bytes,
                     ..
                 } => {
-                    store.restore_chunk(id, *first_t, *last_t, *count, bytes);
+                    store.restore_chunk(id, first_t, last_t, count, bytes);
                 }
-                ExportRecord::Sample { t, value, .. } => {
-                    store.push_sample(id, *t, *value);
+                RecordRef::Sample { t, value, .. } => {
+                    store.push_sample(id, t, value);
+                }
+                RecordRef::Samples(run) => {
+                    for (_, t, value) in run {
+                        store.push_sample(id, t, value);
+                    }
                 }
                 _ => return Err(bad_data("unexpected record kind in raw section")),
             }
@@ -1188,9 +1304,9 @@ mod tests {
 
     #[test]
     fn unknown_kind_records_in_a_replayed_log_are_counted() {
-        // The log holds batches as this build re-encoded them, so only a
-        // newer build's log can carry a kind this reader skips: append
-        // such an entry by hand.
+        // The log holds batches as they arrived, so a newer sender's
+        // kinds sit in it and are skipped again at replay: append such
+        // an entry by hand.
         let dir = test_dir("unknown_kind");
         let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
         let node = fleet.add_node("node00").unwrap();

@@ -68,12 +68,12 @@ use crate::query::{
     QueryResponse, ScalarAnswer, SelfStatAnswer, TopNodeEntry, QUERY_PROTOCOL_VERSION,
 };
 use crate::store::{NodeId, Rank};
-use moda_obs::Obs;
+use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, Sink};
 use moda_telemetry::wire::{
-    bad_data, decode_batch, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag,
-    put_str, put_u16, put_u64, read_frame, write_frame, FrameBuffer, FrameEnd, WireReader,
+    bad_data, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag, put_str, put_u16,
+    put_u64, read_frame, write_frame, FrameBuffer, FrameEnd, WireReader,
 };
 use moda_telemetry::DrainStats;
 use moda_telemetry::WindowAgg;
@@ -928,10 +928,22 @@ fn serve_frames(
     let mut frames = FrameBuffer::new();
     let mut tmp = [0u8; 64 * 1024];
     let mut role = SessionRole::Pending;
+    // Per-session scratch, reused for every burst and every query.
+    let mut cursors = Vec::new();
+    let mut serve_obs = ServeObs::default();
     loop {
         // Connection reads use short timeouts (so shutdown is prompt);
         // the buffer keeps whatever a timed-out read left half-received.
         loop {
+            if let SessionRole::Ingest(id) = role {
+                // Every complete frame the buffer holds, as one burst.
+                let taken = ingest_burst(&mut frames, fleet, id, &mut cursors);
+                for cursor in cursors.drain(..) {
+                    write_frame(out, frame_tag::ACK, &cursor.to_le_bytes())?;
+                }
+                taken?;
+                break;
+            }
             match frames.next_frame() {
                 Ok(None) => break,
                 Err(_) => return Err(bad_data("corrupt frame on ingest connection")),
@@ -980,7 +992,7 @@ fn serve_frames(
                         // that has read response N must observe the
                         // counter at >= N.
                         queries_served.fetch_add(1, Ordering::SeqCst);
-                        answer_query(out, fleet, payload)?;
+                        answer_query(out, fleet, payload, &mut serve_obs)?;
                     }
                     (frame_tag::QUERY, _) => {
                         // A query without the handshake gets the typed
@@ -995,35 +1007,6 @@ fn serve_frames(
                         encode_response(&refusal, &mut resp);
                         write_frame(out, frame_tag::QUERY_RESP, &resp)?;
                         return Err(bad_data("query frame on an unauthenticated session"));
-                    }
-                    (frame_tag::BATCH, SessionRole::Ingest(id)) => {
-                        let (batch, unknown) = decode_batch(payload)?;
-                        let next_seq = {
-                            let mut fleet = fleet.lock().unwrap();
-                            // Durable (logged + flushed) before the ack
-                            // below — the resume contract.
-                            fleet.ingest(id, &batch)?;
-                            fleet.aggregator().note_unknown_records(unknown);
-                            fleet.next_seq(id)
-                        };
-                        let mut ack = Vec::new();
-                        put_u64(&mut ack, next_seq);
-                        write_frame(out, frame_tag::ACK, &ack)?;
-                    }
-                    (frame_tag::DRAIN, SessionRole::Ingest(id)) => {
-                        let stats = decode_drain_stats(payload)?;
-                        let next_seq = {
-                            let mut fleet = fleet.lock().unwrap();
-                            // Durable (logged + flushed) before the ack,
-                            // same contract as batches — `send_drain`
-                            // blocks on this ack, so totals survive a
-                            // `kill -9` the moment it returns.
-                            fleet.report_drain(id, &stats)?;
-                            fleet.next_seq(id)
-                        };
-                        let mut ack = Vec::new();
-                        put_u64(&mut ack, next_seq);
-                        write_frame(out, frame_tag::ACK, &ack)?;
                     }
                     _ => return Err(bad_data("frame before hello or unknown tag")),
                 },
@@ -1048,6 +1031,57 @@ fn serve_frames(
     }
 }
 
+/// Take every complete frame `frames` holds as one burst on `node`'s
+/// ingest session: under **one** hold of the fleet lock each `BATCH` /
+/// `DRAIN` is validated, logged and applied in arrival order, then the
+/// log is flushed **once** and the lock released. `cursors` receives
+/// the session cursor after each frame taken — one `ACK` each, which
+/// the caller writes after this returns, so no socket write happens
+/// under the lock and no ack exists before the flush. The burst is
+/// bounded by what one receive left in the buffer; a lone frame is a
+/// burst of one.
+///
+/// A frame that fails (validation, an illegal tag, a log write) ends
+/// the burst and the session: frames before it are committed and
+/// acknowledged, the failing frame leaves no trace. If the flush itself
+/// fails nothing of the burst is acknowledged.
+fn ingest_burst(
+    frames: &mut FrameBuffer,
+    fleet: &Mutex<DurableFleet>,
+    node: NodeId,
+    cursors: &mut Vec<u64>,
+) -> io::Result<()> {
+    let corrupt = |_| bad_data("corrupt frame on ingest connection");
+    // An idle session must not take the lock just to find nothing.
+    let Some(mut frame) = frames.next_frame().map_err(corrupt)? else {
+        return Ok(());
+    };
+    let mut fleet = fleet.lock().unwrap();
+    let mut burst = fleet.burst();
+    let taken = loop {
+        let (tag, payload) = frame;
+        let step = match tag {
+            frame_tag::BATCH => burst.batch(node, payload).map(drop),
+            frame_tag::DRAIN => decode_drain_stats(payload).and_then(|s| burst.drain(node, &s)),
+            _ => Err(bad_data("frame before hello or unknown tag")),
+        };
+        if let Err(e) = step {
+            break Err(e);
+        }
+        cursors.push(burst.next_seq(node));
+        frame = match frames.next_frame().map_err(corrupt) {
+            Ok(Some(next)) => next,
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        };
+    };
+    if let Err(e) = burst.commit() {
+        cursors.clear();
+        return Err(e);
+    }
+    taken
+}
+
 /// The request id leading a `QUERY`/`QUERY_RESP` payload, or
 /// `u64::MAX` when the payload is too short to carry one — the
 /// sentinel a client can at least log against.
@@ -1064,11 +1098,12 @@ fn answer_query(
     out: &mut BufWriter<TcpStream>,
     fleet: &Arc<Mutex<DurableFleet>>,
     payload: &[u8],
+    obs: &mut ServeObs,
 ) -> io::Result<()> {
     let started = std::time::Instant::now();
     let id = request_id_of(payload);
-    let mut obs = Obs::disabled();
-    let mut kind = "malformed";
+    // A payload that does not decode is answered, not timed.
+    let mut kind = None;
     let resp = if payload.len() < 8 {
         QueryResponse::Error(QueryError::new(
             QueryErrorCode::Malformed,
@@ -1077,9 +1112,9 @@ fn answer_query(
     } else {
         match decode_request(&payload[8..]) {
             Ok(req) => {
-                kind = request_kind(&req);
+                kind = Some(request_kind(&req));
                 let fleet = fleet.lock().unwrap();
-                obs = fleet.obs().clone();
+                obs.follow(fleet.obs());
                 execute(fleet.aggregator(), &req)
             }
             Err(e) => QueryResponse::Error(e),
@@ -1090,28 +1125,78 @@ fn answer_query(
     encode_response(&resp, &mut frame);
     write_frame(out, frame_tag::QUERY_RESP, &frame)?;
     // Serve latency: decode + planner-under-lock + respond (the write
-    // half's flush is the caller's, once per receive burst). Recorded
-    // overall (the fleet-mergeable `__self/query.serve_ns` axis) and
-    // per request kind; no-ops unless the service attached an enabled
-    // handle via `DurableFleet::set_obs`.
-    if obs.is_enabled() {
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        obs.latency("query.serve_ns").record_ns(ns);
-        obs.latency(&format!("query.serve.{kind}_ns")).record_ns(ns);
+    // half's flush is the caller's, once per receive burst).
+    if let Some(kind) = kind {
+        obs.record(kind, started);
     }
     Ok(())
 }
 
-/// Stable per-kind label for the `query.serve.<kind>_ns` instruments.
-fn request_kind(req: &QueryRequest) -> &'static str {
+/// The `query.serve.<kind>_ns` labels, indexed by [`request_kind`].
+const SERVE_KINDS: [&str; 7] = [
+    "window_agg",
+    "top_nodes",
+    "health",
+    "covered_window_agg",
+    "covered_top_nodes",
+    "metrics",
+    "selfstat",
+];
+
+/// Index into [`SERVE_KINDS`] of a request's per-kind instrument.
+fn request_kind(req: &QueryRequest) -> usize {
     match req {
-        QueryRequest::WindowAgg { .. } => "window_agg",
-        QueryRequest::TopNodes { .. } => "top_nodes",
-        QueryRequest::Health { .. } => "health",
-        QueryRequest::CoveredWindowAgg { .. } => "covered_window_agg",
-        QueryRequest::CoveredTopNodes { .. } => "covered_top_nodes",
-        QueryRequest::Metrics => "metrics",
-        QueryRequest::SelfStat { .. } => "selfstat",
+        QueryRequest::WindowAgg { .. } => 0,
+        QueryRequest::TopNodes { .. } => 1,
+        QueryRequest::Health { .. } => 2,
+        QueryRequest::CoveredWindowAgg { .. } => 3,
+        QueryRequest::CoveredTopNodes { .. } => 4,
+        QueryRequest::Metrics => 5,
+        QueryRequest::SelfStat { .. } => 6,
+    }
+}
+
+/// One query session's serve-latency instruments: `query.serve_ns`
+/// (the fleet-mergeable `__self/` axis) and `query.serve.<kind>_ns`,
+/// against the handle the fleet carries (`DurableFleet::set_obs`). Each
+/// recorder is resolved the first time its kind is served — the
+/// registry holds the same instruments it always did — and from then on
+/// a query costs a pointer compare under the lock and a record, not a
+/// handle clone, a `format!` and two name-map probes. Inert on a
+/// disabled handle.
+#[derive(Debug, Default)]
+struct ServeObs {
+    obs: Obs,
+    overall: Option<LatencyRecorder>,
+    by_kind: [Option<LatencyRecorder>; SERVE_KINDS.len()],
+}
+
+impl ServeObs {
+    /// Keep recording where the fleet does: a handle attached (or
+    /// swapped) mid-session drops the recorders resolved from the old one.
+    fn follow(&mut self, obs: &Obs) {
+        if !self.obs.same_registry(obs) {
+            *self = ServeObs {
+                obs: obs.clone(),
+                ..ServeObs::default()
+            };
+        }
+    }
+
+    fn record(&mut self, kind: usize, started: std::time::Instant) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.overall
+            .get_or_insert_with(|| self.obs.latency("query.serve_ns"))
+            .record_ns(ns);
+        self.by_kind[kind]
+            .get_or_insert_with(|| {
+                self.obs
+                    .latency(&format!("query.serve.{}_ns", SERVE_KINDS[kind]))
+            })
+            .record_ns(ns);
     }
 }
 
@@ -1427,6 +1512,7 @@ mod tests {
     use crate::persist::{DurabilityConfig, DurableFleet};
     use moda_sim::{SimDuration, SimTime};
     use moda_telemetry::export::MemorySink;
+    use moda_telemetry::wire::BatchView;
     use moda_telemetry::{
         Exporter, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
     };
@@ -1552,7 +1638,7 @@ mod tests {
         }
         let (tag, payload) = last.expect("golden stream has frames");
         assert_eq!(tag, frame_tag::BATCH);
-        assert_eq!(decode_batch(&payload).unwrap().1, 1);
+        assert_eq!(BatchView::parse(&payload).unwrap().unknown_records(), 1);
 
         let mut stream = raw_ingest_session(&addr, "node00", "tok");
         write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
@@ -1565,37 +1651,90 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// [`raw_ingest_session`] whose `frames` reach the session as **one**
+    /// receive burst: the fleet lock is held while the `HELLO` and then
+    /// the frames are written, so the session is still inside the hello
+    /// (waiting for the lock) when the frames land in its socket buffer,
+    /// and its next `read` returns all of them (they must fit the 64 KiB
+    /// receive buffer).
+    fn one_burst_session(listener: &FleetListener, name: &str, frames: &[u8]) -> TcpStream {
+        assert!(frames.len() <= 48 * 1024, "burst of {} B", frames.len());
+        let shared = listener.fleet();
+        let guard = shared.lock().unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+        let mut hello = Vec::new();
+        put_str(&mut hello, "tok");
+        put_str(&mut hello, name);
+        write_frame(&mut stream, frame_tag::HELLO, &hello).unwrap();
+        // Let the session read the hello on its own and block on the lock.
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(frames).unwrap();
+        drop(guard);
+        let (tag, ack) = read_frame(&mut stream).unwrap().expect("hello ack");
+        assert_eq!(tag, frame_tag::HELLO_ACK);
+        assert_eq!(ack, [0u8; 9], "status ok, cursor 0");
+        stream
+    }
+
+    fn batch_frames(batches: &[ExportBatch]) -> Vec<u8> {
+        let mut frames = Vec::new();
+        for batch in batches {
+            let mut payload = Vec::new();
+            encode_batch(batch, &mut payload);
+            write_frame(&mut frames, frame_tag::BATCH, &payload).unwrap();
+        }
+        frames
+    }
+
+    fn copy_state(from: &std::path::Path, tag: &str) -> PathBuf {
+        let copy = test_dir(tag);
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        copy
+    }
+
     #[test]
     fn burst_of_batches_is_acked_per_frame_in_order_and_only_after_durable() {
+        const N: usize = 16;
         let dir = test_dir("ack_burst");
         let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
         let listener =
             FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
-        let addr = listener.local_addr().to_string();
         let batches = node_batches(3000, 0.0);
         assert!(
-            batches.len() >= 32,
-            "need 32 batches, got {}",
+            batches.len() >= N,
+            "need {N} batches, got {}",
             batches.len()
         );
 
-        // 32 `BATCH` frames in one `write_all`: the session finds them
-        // all in its receive buffer and coalesces their acks.
-        let mut stream = raw_ingest_session(&addr, "node00", "tok");
-        let mut burst = Vec::new();
-        for batch in &batches[..32] {
-            let mut payload = Vec::new();
-            encode_batch(batch, &mut payload);
-            write_frame(&mut burst, frame_tag::BATCH, &payload).unwrap();
-        }
-        stream.write_all(&burst).unwrap();
+        // N `BATCH` frames the session finds together in its receive
+        // buffer: one burst — one lock hold, one log flush, N acks.
+        let mut stream = one_burst_session(&listener, "node00", &batch_frames(&batches[..N]));
 
-        // Exactly one ACK per frame, carrying cursors 1..=32 in order.
+        // The first ack byte readable ⇒ the log already holds the whole
+        // burst: take what a `kill -9` right now would leave on disk.
+        let mut first = [0u8; 1];
+        stream.read_exact(&mut first).unwrap();
+        let copy = copy_state(&dir, "ack_burst_copy");
+        let recovered = crate::FleetStore::recover(&copy).unwrap();
+        let node = recovered.find_node("node00").expect("session logged");
+        assert_eq!(
+            recovered.next_seq(node),
+            N as u64,
+            "an ack was readable before its burst was flushed"
+        );
+        assert_eq!(recovered.recovery().torn_tail_bytes, 0);
+        drop(recovered);
+
+        // Exactly one ACK per frame, carrying cursors 1..=N in order.
         let mut acks = FrameBuffer::new();
+        acks.extend(&first);
         let mut tmp = [0u8; 4096];
         let mut cursors = Vec::new();
-        let mut crashed_copy = None;
-        while cursors.len() < 32 {
+        while cursors.len() < N {
             let n = stream.read(&mut tmp).unwrap();
             assert!(n > 0, "listener hung up after {} acks", cursors.len());
             acks.extend(&tmp[..n]);
@@ -1603,42 +1742,200 @@ mod tests {
                 assert_eq!(tag, frame_tag::ACK);
                 cursors.push(WireReader::new(payload).u64().unwrap());
             }
-            if crashed_copy.is_none() && !cursors.is_empty() {
-                // The moment the first ack(s) are in hand, take what a
-                // `kill -9` right now would leave on disk.
-                let copy = test_dir("ack_burst_copy");
-                fs::create_dir_all(&copy).unwrap();
-                for entry in fs::read_dir(&dir).unwrap() {
-                    let entry = entry.unwrap();
-                    fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
-                }
-                crashed_copy = Some((copy, *cursors.last().unwrap()));
-            }
         }
-        assert_eq!(cursors, (1..=32).collect::<Vec<u64>>());
-        assert_eq!(acks.pending(), 0, "nothing but the 32 acks");
-
-        // Ack ⇐ logged, also when acks share a flush: every batch whose
-        // ack had been read is in the crash-time copy.
-        let (copy, acked) = crashed_copy.unwrap();
-        let recovered = crate::FleetStore::recover(&copy).unwrap();
-        let node = recovered.find_node("node00").expect("session logged");
-        assert!(
-            recovered.next_seq(node) >= acked,
-            "acked through {acked}, recovered only {}",
-            recovered.next_seq(node)
-        );
-        drop(recovered);
+        assert_eq!(cursors, (1..=N as u64).collect::<Vec<u64>>());
+        assert_eq!(acks.pending(), 0, "nothing but the {N} acks");
 
         drop(stream);
         let shared = listener.shutdown();
         let fleet = shared.lock().unwrap();
         let node = fleet.find_node("node00").unwrap();
-        assert_eq!(fleet.next_seq(node), 32);
+        assert_eq!(fleet.next_seq(node), N as u64);
         assert_eq!(fleet.aggregator().counters(node).duplicate_batches, 0);
         drop(fleet);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&copy);
+    }
+
+    #[test]
+    fn a_burst_stops_at_its_first_invalid_frame_and_that_frame_leaves_no_trace() {
+        const K: usize = 5;
+        let batches = node_batches(3000, 0.0);
+        let good = |i: usize| {
+            let mut payload = Vec::new();
+            encode_batch(&batches[i], &mut payload);
+            payload
+        };
+        // Frame-CRC-clean payloads that are not a batch: a truncated
+        // one, one with a byte too many, and a `samples` record whose
+        // declared count exceeds its bytes.
+        let truncated = {
+            let mut p = good(K);
+            p.pop();
+            p
+        };
+        let trailing = {
+            let mut p = good(K);
+            p.push(0);
+            p
+        };
+        let over_count = {
+            let mut p = (K as u64).to_le_bytes().to_vec();
+            p.extend_from_slice(&1u32.to_le_bytes());
+            p.push(5);
+            p.extend_from_slice(&2u32.to_le_bytes());
+            p.extend_from_slice(&[9, 0x08]);
+            p
+        };
+        for (case, bad) in [truncated, trailing, over_count].iter().enumerate() {
+            assert!(BatchView::parse(bad).is_err());
+            let dir = test_dir(&format!("bad_frame_{case}"));
+            let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+            let listener =
+                FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+
+            // K good frames, the bad one, two more good ones behind it.
+            let mut frames = batch_frames(&batches[..K]);
+            write_frame(&mut frames, frame_tag::BATCH, bad).unwrap();
+            frames.extend_from_slice(&batch_frames(&batches[K..K + 2]));
+            let mut stream = one_burst_session(&listener, "node00", &frames);
+
+            // Frames before the bad one are acknowledged, then the
+            // session ends: K acks and EOF.
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            let mut acks = FrameBuffer::new();
+            acks.extend(&rest);
+            let mut cursors = Vec::new();
+            while let Some((tag, payload)) = acks.next_frame().unwrap() {
+                assert_eq!(tag, frame_tag::ACK);
+                cursors.push(WireReader::new(payload).u64().unwrap());
+            }
+            assert_eq!(cursors, (1..=K as u64).collect::<Vec<u64>>(), "case {case}");
+            assert_eq!(acks.pending(), 0);
+
+            // The fleet is the one that was only ever sent those K: the
+            // same counters, the same log to the byte.
+            let shared = listener.shutdown();
+            let fleet = shared.lock().unwrap();
+            let twin_dir = test_dir(&format!("bad_frame_twin_{case}"));
+            let mut twin = DurableFleet::open(&twin_dir, DurabilityConfig::default()).unwrap();
+            let node = twin.add_node("node00").unwrap();
+            for batch in &batches[..K] {
+                twin.ingest(node, batch).unwrap();
+            }
+            assert_eq!(fleet.find_node("node00"), Some(node));
+            assert_eq!(fleet.next_seq(node), K as u64);
+            assert_eq!(
+                fleet.aggregator().counters(node),
+                twin.aggregator().counters(node),
+                "case {case}"
+            );
+            assert_eq!(fleet.store().stats(), twin.store().stats());
+            assert_eq!(
+                fs::read(dir.join("wal-0.log")).unwrap(),
+                fs::read(twin_dir.join("wal-0.log")).unwrap(),
+                "case {case}: the refused frame reached the log"
+            );
+            drop((fleet, twin));
+            let _ = fs::remove_dir_all(&dir);
+            let _ = fs::remove_dir_all(&twin_dir);
+        }
+    }
+
+    #[test]
+    fn a_query_never_sees_a_sample_whose_log_bytes_are_still_buffered() {
+        use moda_telemetry::wire::{parse_frame, FrameParse};
+        use moda_telemetry::MetricId;
+        const SWEEPS: u64 = 2_000;
+        const METRICS: u32 = 64;
+        const BURST: usize = 16;
+        let dir = test_dir("query_vs_burst");
+        // No snapshot on the way: the whole stream stays in `wal-0.log`.
+        let no_cadence = DurabilityConfig {
+            snapshot_every_batches: u64::MAX,
+        };
+        let fleet = DurableFleet::open(&dir, no_cadence).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+
+        // One sweep of 64 plain gauges per batch (no tiers: a count is a
+        // raw count), so `m0` holds one sample per applied batch.
+        let batches: Vec<ExportBatch> = (0..SWEEPS)
+            .map(|seq| {
+                let metas = (0..METRICS)
+                    .filter(|_| seq == 0)
+                    .map(|m| ExportRecord::Meta {
+                        id: MetricId(m),
+                        meta: MetricMeta::gauge(format!("m{m}"), "u", SourceDomain::Hardware),
+                    });
+                let samples = (0..METRICS).map(|m| ExportRecord::Sample {
+                    id: MetricId(m),
+                    t: SimTime(1 + seq),
+                    value: f64::from(m),
+                });
+                ExportBatch {
+                    seq,
+                    records: metas.chain(samples).collect(),
+                }
+            })
+            .collect();
+
+        // The writer: bursts of 16 frames per `write_all`, acks read
+        // only at the end (they fit the socket buffer).
+        let writer = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut stream = raw_ingest_session(&addr, "node00", "tok");
+                for burst in batches.chunks(BURST) {
+                    stream.write_all(&batch_frames(burst)).unwrap();
+                }
+                for _ in 0..SWEEPS {
+                    let (tag, _) = read_frame(&mut stream).unwrap().expect("ack");
+                    assert_eq!(tag, frame_tag::ACK);
+                }
+            })
+        };
+
+        // Batches in the log file as a reader of the disk sees it now.
+        let logged = || -> u64 {
+            let bytes = fs::read(dir.join("wal-0.log")).unwrap();
+            let (mut at, mut batches) = (0, 0);
+            while let FrameParse::Frame { tag, consumed, .. } = parse_frame(&bytes[at..]) {
+                at += consumed;
+                batches += u64::from(tag == crate::persist::FRAME_LOG_BATCH);
+            }
+            batches
+        };
+
+        // The reader: whatever an answer has seen applied, the log on
+        // disk — read *after* the answer — already holds.
+        let mut client = FleetClient::connect(&addr, "tok").unwrap();
+        let (mut seen, mut distinct) = (0u64, 0usize);
+        while seen < SWEEPS {
+            let answered = client
+                .window_agg(
+                    "m0",
+                    SimTime(SWEEPS + 1),
+                    SimDuration(SWEEPS + 1),
+                    WindowAgg::Count,
+                )
+                .map_or(0, |a| a.value.unwrap_or(0.0) as u64);
+            let on_disk = logged();
+            assert!(
+                on_disk >= answered,
+                "a query saw {answered} batches applied, the log holds {on_disk}"
+            );
+            assert!(answered >= seen, "answers went backwards");
+            distinct += usize::from(answered > seen);
+            seen = answered;
+        }
+        writer.join().unwrap();
+        assert!(distinct >= 1);
+        drop(client);
+        listener.shutdown();
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

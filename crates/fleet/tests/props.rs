@@ -1002,3 +1002,279 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------- wire-fed ≡ decode-then-ingest
+
+use moda_telemetry::SketchEntry;
+
+/// One seeded stream that leans on the session's framing rules rather
+/// than on the store: data before its `meta` (ids 2 and 3 are never
+/// mapped), sketch columns with and without their bucket ahead of them,
+/// buckets re-shipped, samples between a bucket and its column, and a
+/// batch cursor that repeats and jumps.
+fn framing_stream(rng: &mut TestRng, records: usize) -> Vec<ExportBatch> {
+    let mut out = Vec::new();
+    let mut t = 1_000u64;
+    let mut open = (MetricId(0), SimDuration(10_000), SimTime(0));
+    for _ in 0..records {
+        let id = MetricId(rng.below(4) as u32);
+        t += rng.below(2_000);
+        out.push(match rng.below(10) {
+            0 if id.0 < 2 => ExportRecord::Meta {
+                id,
+                meta: MetricMeta::gauge(format!("m{}", id.0), "u", SourceDomain::Hardware),
+            },
+            0..=3 => ExportRecord::Sample {
+                id,
+                t: SimTime(t),
+                value: 100.0 + rng.below(50) as f64,
+            },
+            4 | 5 => {
+                let res = SimDuration([10_000, 60_000][rng.below(2) as usize]);
+                open = (id, res, SimTime(t - t % res.0));
+                ExportRecord::Bucket {
+                    id,
+                    res,
+                    start: open.2,
+                    count: 1 + rng.below(60),
+                    sum: rng.below(9_000) as f64,
+                    min: 100.0,
+                    max: 150.0,
+                    last: 120.0,
+                }
+            }
+            kind => {
+                // Mostly the open bucket's column; sometimes another
+                // metric's, another tier's or another slot's.
+                let (mut id, mut res, mut start) = open;
+                match kind {
+                    6 => id = MetricId((id.0 + 1) % 4),
+                    7 if rng.below(2) == 0 => res = SimDuration(res.0 + 1),
+                    7 => start = SimTime(start.0 + res.0),
+                    _ => {}
+                }
+                ExportRecord::Sketch {
+                    id,
+                    res,
+                    start,
+                    entry: SketchEntry {
+                        sign: rng.below(3) as i8 - 1,
+                        key: rng.below(400) as i32,
+                        count: 1 + rng.below(30),
+                    },
+                }
+            }
+        });
+    }
+    let mut batches = Vec::new();
+    let mut rest = out.as_slice();
+    let mut seq = 0u64;
+    while !rest.is_empty() {
+        let take = (1 + rng.below(30) as usize).min(rest.len());
+        batches.push(ExportBatch {
+            seq,
+            records: rest[..take].to_vec(),
+        });
+        rest = &rest[take..];
+        // Mostly the next seq; sometimes a replay, sometimes a jump.
+        seq = match rng.below(10) {
+            0 => seq.saturating_sub(rng.below(3)),
+            1 => seq + 1 + rng.below(4),
+            _ => seq + 1,
+        };
+    }
+    batches
+}
+
+/// `bytes` (one encoded batch) with records nobody's encoder writes
+/// spliced in between its wire records: kinds no revision defines and
+/// empty `samples` runs.
+fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
+    let mut wire_records = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut out = bytes[..12].to_vec();
+    let mut rest = &bytes[12..];
+    loop {
+        match rng.below(6) {
+            0 => {
+                out.push(6 + rng.below(250) as u8);
+                let junk = rng.below(9) as usize;
+                out.extend_from_slice(&(junk as u32).to_le_bytes());
+                out.extend((0..junk).map(|_| rng.next_u64() as u8));
+                wire_records += 1;
+            }
+            1 => {
+                out.extend_from_slice(&[5, 1, 0, 0, 0, 0]);
+                wire_records += 1;
+            }
+            _ => {}
+        }
+        if rest.is_empty() {
+            break;
+        }
+        let len = 5 + u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
+        out.extend_from_slice(&rest[..len]);
+        rest = &rest[len..];
+    }
+    out[8..12].copy_from_slice(&wire_records.to_le_bytes());
+    out
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// The one `wal-N.log` of a state directory: its name and its bytes.
+fn wal_file(dir: &std::path::Path) -> (String, Vec<u8>) {
+    let mut logs: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+        .collect();
+    assert_eq!(logs.len(), 1, "one live log per directory");
+    let log = logs.pop().unwrap();
+    (
+        log.file_name().to_string_lossy().into_owned(),
+        std::fs::read(log.path()).unwrap(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A durable fleet fed received bytes — validated where they lie,
+    /// logged verbatim, applied off the view, flushed per burst — is the
+    /// fleet that decodes each batch into records and ingests those:
+    /// equal session counters (unmapped, orphan and corrupt ones
+    /// included), equal answers on a verification set, equal snapshots;
+    /// for a stream the current encoder wrote, an equal log, byte for
+    /// byte; and equal again after kill → recover → snapshot. Streams:
+    /// a real exporter's, the chunk-heavy adversarial mix, and one that
+    /// breaks the framing rules — each batch rendered packed, as v1.1,
+    /// or with foreign records spliced in.
+    #[test]
+    fn wire_fed_fleet_equals_decode_then_ingest(
+        seed in any::<u64>(),
+        records in 1usize..150,
+        values in prop::collection::vec(0u16..1000, 40..400),
+        batch_records in 8usize..80,
+        snapshot_every in 1u64..12,
+        canonical in any::<bool>(),
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let mut rng = TestRng::new(seed);
+        let (exported, _) = node_stream(&values, 0.0, batch_records);
+        let (mixed, _) = mixed_stream(&mut rng, records);
+        let framing = framing_stream(&mut rng, records);
+        let wire: Vec<Vec<Vec<u8>>> = [exported, mixed, framing]
+            .iter()
+            .map(|stream| {
+                stream
+                    .iter()
+                    .map(|batch| match rng.below(if canonical { 1 } else { 4 }) {
+                        0 => render_packed(batch),
+                        1 => render_v1_1(batch),
+                        2 => splice_foreign_records(&render_packed(batch), &mut rng),
+                        _ => splice_foreign_records(&render_v1_1(batch), &mut rng),
+                    })
+                    .collect()
+            })
+            .collect();
+        let now = SimTime(1_000 + values.len() as u64 * 333 + records as u64 * 700_000);
+
+        let open = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!(
+                "moda_fleet_wirefed_{}_{case}_{tag}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let fleet = DurableFleet::open(
+                &dir,
+                DurabilityConfig { snapshot_every_batches: snapshot_every },
+            )
+            .unwrap();
+            (dir, fleet)
+        };
+        let (wire_dir, mut wire_fed) = open("wire");
+        let (decoded_dir, mut decode_fed) = open("decoded");
+        for (k, stream) in wire.iter().enumerate() {
+            let name = format!("node{k:02}");
+            let node = wire_fed.add_node(&name).unwrap();
+            prop_assert_eq!(decode_fed.add_node(&name).unwrap(), node);
+            // Bursts of one to five batches, as a receive buffer cuts them.
+            let mut rest = stream.as_slice();
+            while !rest.is_empty() {
+                let take = (1 + rng.below(5) as usize).min(rest.len());
+                let mut burst = wire_fed.burst();
+                for bytes in &rest[..take] {
+                    let report = burst.batch(node, bytes).unwrap();
+                    let (decoded, _) = decode_batch(bytes).unwrap();
+                    prop_assert_eq!(report, decode_fed.ingest(node, &decoded).unwrap());
+                    prop_assert_eq!(burst.next_seq(node), decode_fed.next_seq(node));
+                }
+                burst.commit().unwrap();
+                rest = &rest[take..];
+            }
+        }
+
+        // What the two look like to everything that can look.
+        let compare = |a: &DurableFleet, b: &DurableFleet| -> Result<(), TestCaseError> {
+            for k in 0..wire.len() {
+                let node = NodeId(k as u32);
+                prop_assert_eq!(a.aggregator().counters(node), b.aggregator().counters(node));
+                prop_assert_eq!(a.next_seq(node), b.next_seq(node));
+            }
+            prop_assert_eq!(a.epoch(), b.epoch());
+            Ok(())
+        };
+        compare(&wire_fed, &decode_fed)?;
+        if canonical {
+            // The received bytes are what `encode_batch` gives back for
+            // the decoded records, so the two logs are one file.
+            prop_assert!(wal_file(&wire_dir) == wal_file(&decoded_dir), "logs differ");
+        }
+        // Kill both where they stand: a snapshot plus a log tail each.
+        let crashed: Vec<_> = [&wire_dir, &decoded_dir]
+            .iter()
+            .map(|dir| {
+                let copy = dir.with_extension("crashed");
+                copy_dir(dir, &copy);
+                copy
+            })
+            .collect();
+
+        // Snapshots first, answers second: a snapshot persists the
+        // store's served-from counters, which answering moves.
+        wire_fed.snapshot().unwrap();
+        decode_fed.snapshot().unwrap();
+        let first = snapshot_state(&wire_dir);
+        prop_assert!(first == snapshot_state(&decoded_dir), "snapshots differ");
+        let answers = verification_answers(wire_fed.aggregator(), now);
+        prop_assert!(answers == verification_answers(decode_fed.aggregator(), now));
+        drop((wire_fed, decode_fed));
+
+        let mut recovered: Vec<DurableFleet> = crashed
+            .iter()
+            .map(|dir| FleetStore::recover(dir).unwrap())
+            .collect();
+        for fleet in &recovered {
+            prop_assert_eq!(fleet.recovery().corrupt_frames, 0);
+            prop_assert_eq!(fleet.recovery().torn_tail_bytes, 0);
+        }
+        compare(&recovered[0], &recovered[1])?;
+        for (fleet, dir) in recovered.iter_mut().zip(&crashed) {
+            fleet.snapshot().unwrap();
+            prop_assert!(snapshot_state(dir) == first, "recover-then-snapshot moved the state");
+            prop_assert!(answers == verification_answers(fleet.aggregator(), now));
+        }
+        drop(recovered);
+        for dir in [&wire_dir, &decoded_dir, &crashed[0], &crashed[1]] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}

@@ -224,6 +224,17 @@ impl Obs {
         self.inner.as_deref()
     }
 
+    /// Whether `other` records where this handle does: the same
+    /// registry, or both disabled. What a holder of pre-resolved
+    /// instruments checks to learn they are still the right ones.
+    pub fn same_registry(&self, other: &Obs) -> bool {
+        match (&self.inner, &other.inner) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
     /// Resolve (get-or-create) a monotonic counter.
     pub fn counter(&self, name: &str) -> Counter {
         Counter(self.inner.as_ref().map(|reg| {

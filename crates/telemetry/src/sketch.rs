@@ -280,9 +280,11 @@ impl QuantileSketch {
         if e.count == 0 {
             return;
         }
-        self.count += e.count;
+        // Saturating: the counts are a peer's word, and two of them
+        // may not add up inside a `u64`.
+        self.count = self.count.saturating_add(e.count);
         if e.sign == 0 {
-            self.zero += e.count;
+            self.zero = self.zero.saturating_add(e.count);
             return;
         }
         let key = e.key.clamp(MIN_KEY, MAX_KEY);
@@ -296,6 +298,54 @@ impl QuantileSketch {
             Ok(i) => store[i].1 = store[i].1.saturating_add(add),
             Err(i) => store.insert(i, (key, add)),
         }
+    }
+
+    /// Absorb a whole column — [`QuantileSketch::absorb_entry`] per
+    /// entry, in effect. A column in [`QuantileSketch::wire_entries`]
+    /// order (how a snapshot stores one) landing in an empty sketch is
+    /// the sketch's own layout, so it is appended in one pass with no
+    /// search per entry; anything else — out of order, a repeated
+    /// bucket, a zero count, keys that collide once clamped — takes the
+    /// per-entry route from the start.
+    pub fn absorb_column(&mut self, entries: &[SketchEntry]) {
+        if self.count == 0 && self.append_sorted(entries) {
+            return;
+        }
+        for &e in entries {
+            self.absorb_entry(e);
+        }
+    }
+
+    /// Fill this (empty) sketch from `entries` if they are strictly in
+    /// wire order; otherwise leave it empty and report `false`.
+    fn append_sorted(&mut self, entries: &[SketchEntry]) -> bool {
+        // Wire order is (store, clamped key) strictly ascending: the
+        // negative store, the one zero bucket, the positive store, and
+        // no bucket twice.
+        let rank = |e: &SketchEntry| match e.sign {
+            ..0 => (0u8, e.key.clamp(MIN_KEY, MAX_KEY)),
+            0 => (1, 0),
+            1.. => (2, e.key.clamp(MIN_KEY, MAX_KEY)),
+        };
+        let in_order = entries.iter().all(|e| e.count != 0)
+            && entries.windows(2).all(|w| rank(&w[0]) < rank(&w[1]));
+        if !in_order {
+            return false;
+        }
+        let negatives = entries.iter().take_while(|e| e.sign < 0).count();
+        self.neg.reserve(negatives);
+        self.pos.reserve(entries.len() - negatives);
+        for e in entries {
+            let (store, key) = rank(e);
+            let bucket = (key, u32::try_from(e.count).unwrap_or(u32::MAX));
+            match store {
+                0 => self.neg.push(bucket),
+                1 => self.zero = e.count,
+                _ => self.pos.push(bucket),
+            }
+            self.count = self.count.saturating_add(e.count);
+        }
+        true
     }
 
     /// Estimate the `q`-quantile (`q` clamped to `[0, 1]`) of the folded

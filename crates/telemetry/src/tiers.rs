@@ -138,7 +138,9 @@ impl WireTiers {
     /// [`WireTiers::apply_bucket`] (when `count > 0`) followed by
     /// [`WireTiers::apply_sketch`] per entry, but the snapshot-restore
     /// path pays one ring/slot search per bucket instead of one per
-    /// record. Returns whether the slot was retained.
+    /// record, and a column in the sketch's own order is appended, not
+    /// searched in ([`QuantileSketch::absorb_column`]). Returns whether
+    /// the slot was retained.
     #[allow(clippy::too_many_arguments)]
     pub fn restore_bucket(
         &mut self,
@@ -167,10 +169,9 @@ impl WireTiers {
                     b.last = last;
                 }
                 if !entries.is_empty() {
-                    let sketch = b.sketch.get_or_insert_with(QuantileSketch::new);
-                    for &e in entries {
-                        sketch.absorb_entry(e);
-                    }
+                    b.sketch
+                        .get_or_insert_with(QuantileSketch::new)
+                        .absorb_column(entries);
                 }
                 true
             }

@@ -32,9 +32,7 @@
 //! fleet snapshot's bulk section additionally uses LEB128 varints
 //! ([`put_uv`]) with zigzag folding for signed keys.
 
-use crate::export::{
-    DrainStats, ExportBatch, ExportRecord, DEFAULT_BATCH_RECORDS, MAX_BATCH_RECORDS,
-};
+use crate::export::{DrainStats, ExportBatch, ExportRecord, MAX_BATCH_RECORDS};
 use crate::metric::{MetricId, MetricKind, MetricMeta, SourceDomain};
 use crate::sketch::SketchEntry;
 use moda_sim::{SimDuration, SimTime};
@@ -139,7 +137,7 @@ pub fn bad_data(what: &str) -> io::Error {
 
 /// Cursor-style reader over a decode buffer; every getter is
 /// bounds-checked and surfaces truncation as `InvalidData`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -224,10 +222,16 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// A `[len u16 LE][UTF-8]` string (see [`put_str`]).
-    pub fn str(&mut self) -> io::Result<String> {
+    /// A `[len u16 LE][UTF-8]` string (see [`put_str`]), borrowed from
+    /// the buffer.
+    pub fn str_ref(&mut self) -> io::Result<&'a str> {
         let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad_data("non-UTF-8 string"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| bad_data("non-UTF-8 string"))
+    }
+
+    /// [`WireReader::str_ref`], owned.
+    pub fn str(&mut self) -> io::Result<String> {
+        self.str_ref().map(str::to_owned)
     }
 
     /// A `u32`-length-prefixed block (see [`put_block`]).
@@ -307,15 +311,57 @@ pub fn put_meta(out: &mut Vec<u8>, meta: &MetricMeta) {
     out.push(domain_tag(meta.domain));
 }
 
-impl WireReader<'_> {
-    /// A metric registry entry written by [`put_meta`].
-    pub fn meta(&mut self) -> io::Result<MetricMeta> {
-        Ok(MetricMeta {
-            name: self.str()?,
+/// A metric registry entry whose strings are still the bytes they
+/// arrived in — what a [`RecordRef::Meta`] lends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetaRef<'a> {
+    /// Metric name.
+    pub name: &'a str,
+    /// Gauge or counter.
+    pub kind: MetricKind,
+    /// Unit label.
+    pub unit: &'a str,
+    /// Source domain.
+    pub domain: SourceDomain,
+}
+
+impl MetaRef<'_> {
+    /// The owned registry entry.
+    pub fn to_meta(&self) -> MetricMeta {
+        MetricMeta {
+            name: self.name.to_owned(),
+            kind: self.kind,
+            unit: self.unit.to_owned(),
+            domain: self.domain,
+        }
+    }
+}
+
+impl<'a> From<&'a MetricMeta> for MetaRef<'a> {
+    fn from(meta: &'a MetricMeta) -> Self {
+        MetaRef {
+            name: &meta.name,
+            kind: meta.kind,
+            unit: &meta.unit,
+            domain: meta.domain,
+        }
+    }
+}
+
+impl<'a> WireReader<'a> {
+    /// A metric registry entry written by [`put_meta`], borrowed.
+    pub fn meta_ref(&mut self) -> io::Result<MetaRef<'a>> {
+        Ok(MetaRef {
+            name: self.str_ref()?,
             kind: kind_from_tag(self.u8()?)?,
-            unit: self.str()?,
+            unit: self.str_ref()?,
             domain: domain_from_tag(self.u8()?)?,
         })
+    }
+
+    /// [`WireReader::meta_ref`], owned.
+    pub fn meta(&mut self) -> io::Result<MetricMeta> {
+        self.meta_ref().map(|m| m.to_meta())
     }
 }
 
@@ -402,58 +448,247 @@ pub fn encode_record(record: &ExportRecord, out: &mut Vec<u8>) {
     });
 }
 
-fn decode_record_payload(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
-    let mut r = WireReader::new(payload);
-    let record = match tag {
-        REC_META => ExportRecord::Meta {
-            id: MetricId(r.u32()?),
-            meta: r.meta()?,
-        },
-        REC_SAMPLE => ExportRecord::Sample {
-            id: MetricId(r.u32()?),
-            t: SimTime(r.u64()?),
-            value: r.f64()?,
-        },
-        REC_BUCKET => ExportRecord::Bucket {
-            id: MetricId(r.u32()?),
-            res: SimDuration(r.u64()?),
-            start: SimTime(r.u64()?),
-            count: r.u64()?,
-            sum: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-            last: r.f64()?,
-        },
-        REC_SKETCH => ExportRecord::Sketch {
-            id: MetricId(r.u32()?),
-            res: SimDuration(r.u64()?),
-            start: SimTime(r.u64()?),
-            entry: SketchEntry {
-                sign: r.u8()? as i8,
-                key: r.u32()? as i32,
-                count: r.u64()?,
+/// One record of a batch, read where it lies: the fixed-width fields by
+/// value, everything variable-length — a meta's strings, a chunk's
+/// payload, a `samples` run — lent from the batch's bytes. What
+/// [`BatchView::records`] yields, and the borrowed twin of every
+/// [`ExportRecord`] (`RecordRef::from(&record)`), so a receiver writes
+/// its apply loop once for both.
+#[derive(Debug, Clone)]
+pub enum RecordRef<'a> {
+    /// [`ExportRecord::Meta`].
+    Meta {
+        /// Numeric wire id.
+        id: MetricId,
+        /// Name, kind, unit and source domain.
+        meta: MetaRef<'a>,
+    },
+    /// [`ExportRecord::Sample`] — one observation that travelled on its
+    /// own (a v1.1 writer's rendering, or an owned record).
+    Sample {
+        /// Metric the sample belongs to.
+        id: MetricId,
+        /// Observation timestamp.
+        t: SimTime,
+        /// Observed value.
+        value: f64,
+    },
+    /// A packed `samples` record: a run of observations, decoded as the
+    /// run is iterated.
+    Samples(SampleRun<'a>),
+    /// [`ExportRecord::Bucket`].
+    Bucket {
+        /// Metric the bucket belongs to.
+        id: MetricId,
+        /// Tier resolution.
+        res: SimDuration,
+        /// Aligned slot start.
+        start: SimTime,
+        /// Samples folded into the slot.
+        count: u64,
+        /// Sum of folded values.
+        sum: f64,
+        /// Minimum folded value.
+        min: f64,
+        /// Maximum folded value.
+        max: f64,
+        /// Newest folded value.
+        last: f64,
+    },
+    /// [`ExportRecord::Sketch`].
+    Sketch {
+        /// Metric the bucket belongs to.
+        id: MetricId,
+        /// Tier resolution of the owning bucket.
+        res: SimDuration,
+        /// Slot start of the owning bucket.
+        start: SimTime,
+        /// The `(sign, key, count)` column.
+        entry: SketchEntry,
+    },
+    /// [`ExportRecord::Chunk`], its compressed payload still in place.
+    Chunk {
+        /// Metric the chunk belongs to.
+        id: MetricId,
+        /// Samples the payload encodes.
+        count: u32,
+        /// First timestamp.
+        first_t: SimTime,
+        /// Last timestamp.
+        last_t: SimTime,
+        /// The compressed payload.
+        bytes: &'a [u8],
+    },
+}
+
+impl<'a> RecordRef<'a> {
+    /// Read one record's payload — the one parser of the record
+    /// grammar. `Ok(None)` is a kind this reader does not know. A
+    /// `samples` payload is opened, not walked: [`SampleRun::check`]
+    /// does that. `room` is how many more records the batch may hold.
+    fn parse(tag: u8, payload: &'a [u8], room: usize) -> io::Result<Option<Self>> {
+        let mut r = WireReader::new(payload);
+        let record = match tag {
+            REC_SAMPLES => {
+                return SampleRun::open(payload, room).map(|run| Some(Self::Samples(run)))
+            }
+            _ if tag > REC_SAMPLES => return Ok(None),
+            _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
+            REC_META => RecordRef::Meta {
+                id: MetricId(r.u32()?),
+                meta: r.meta_ref()?,
             },
-        },
-        REC_CHUNK => {
-            let id = MetricId(r.u32()?);
-            let count = r.u32()?;
-            let first_t = SimTime(r.u64()?);
-            let last_t = SimTime(r.u64()?);
-            let bytes = r.block()?.to_vec();
-            ExportRecord::Chunk {
+            REC_SAMPLE => RecordRef::Sample {
+                id: MetricId(r.u32()?),
+                t: SimTime(r.u64()?),
+                value: r.f64()?,
+            },
+            REC_BUCKET => RecordRef::Bucket {
+                id: MetricId(r.u32()?),
+                res: SimDuration(r.u64()?),
+                start: SimTime(r.u64()?),
+                count: r.u64()?,
+                sum: r.f64()?,
+                min: r.f64()?,
+                max: r.f64()?,
+                last: r.f64()?,
+            },
+            REC_SKETCH => RecordRef::Sketch {
+                id: MetricId(r.u32()?),
+                res: SimDuration(r.u64()?),
+                start: SimTime(r.u64()?),
+                entry: SketchEntry {
+                    sign: r.u8()? as i8,
+                    key: r.u32()? as i32,
+                    count: r.u64()?,
+                },
+            },
+            REC_CHUNK => RecordRef::Chunk {
+                id: MetricId(r.u32()?),
+                count: r.u32()?,
+                first_t: SimTime(r.u64()?),
+                last_t: SimTime(r.u64()?),
+                bytes: r.block()?,
+            },
+            _ => unreachable!("tags above REC_SAMPLES returned early"),
+        };
+        if !r.done() {
+            return Err(bad_data("trailing bytes in record payload"));
+        }
+        Ok(Some(record))
+    }
+
+    /// Append the owned form: one [`ExportRecord`] per record, one
+    /// [`ExportRecord::Sample`] per sample of a run.
+    fn push_owned(self, out: &mut Vec<ExportRecord>) {
+        let sample = |(id, t, value)| ExportRecord::Sample { id, t, value };
+        out.push(match self {
+            RecordRef::Meta { id, meta } => ExportRecord::Meta {
+                id,
+                meta: meta.to_meta(),
+            },
+            RecordRef::Sample { id, t, value } => sample((id, t, value)),
+            RecordRef::Samples(run) => return out.extend(run.map(sample)),
+            RecordRef::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            } => ExportRecord::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            },
+            RecordRef::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            } => ExportRecord::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            },
+            RecordRef::Chunk {
                 id,
                 count,
                 first_t,
                 last_t,
                 bytes,
-            }
-        }
-        _ => unreachable!("caller filters unknown tags"),
-    };
-    if !r.done() {
-        return Err(bad_data("trailing bytes in record payload"));
+            } => ExportRecord::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes: bytes.to_vec(),
+            },
+        });
     }
-    Ok(record)
+}
+
+impl<'a> From<&'a ExportRecord> for RecordRef<'a> {
+    fn from(record: &'a ExportRecord) -> Self {
+        match *record {
+            ExportRecord::Meta { id, ref meta } => RecordRef::Meta {
+                id,
+                meta: meta.into(),
+            },
+            ExportRecord::Sample { id, t, value } => RecordRef::Sample { id, t, value },
+            ExportRecord::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            } => RecordRef::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            },
+            ExportRecord::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            } => RecordRef::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            },
+            ExportRecord::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                ref bytes,
+            } => RecordRef::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes,
+            },
+        }
+    }
 }
 
 // The `samples` control byte: `[id mode:2][time mode:2][value bytes:4]`.
@@ -514,45 +749,73 @@ fn encode_samples(run: &[ExportRecord], out: &mut Vec<u8>) {
     });
 }
 
-/// Expand one `samples` payload into at most `room` sample records.
-/// The declared count is checked against the bytes that are left (a
-/// sample is at least its control byte) and against `room` before
-/// anything is reserved.
-fn decode_samples(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) -> io::Result<()> {
-    let mut r = WireReader::new(payload);
-    let count = r.uv()?;
-    if count > r.remaining() as u64 {
-        return Err(bad_data("samples count exceeds its payload"));
+/// Why reading a view's bytes again cannot fail: only
+/// [`BatchView::parse`] builds one, after walking every byte.
+const VALIDATED: &str = "BatchView::parse validated these bytes";
+
+/// The samples of one `samples` record, decoded one at a time off its
+/// payload. Lent by a [`BatchView`], whose full walk has already shown
+/// every step to succeed.
+#[derive(Debug, Clone)]
+pub struct SampleRun<'a> {
+    r: WireReader<'a>,
+    left: usize,
+    id: u32,
+    t: u64,
+    step: i64,
+}
+
+impl<'a> SampleRun<'a> {
+    /// Read the run's header. The declared count is checked against the
+    /// bytes that are left (a sample is at least its control byte) and
+    /// against `room` before anyone sizes anything by it.
+    fn open(payload: &'a [u8], room: usize) -> io::Result<Self> {
+        let mut r = WireReader::new(payload);
+        let count = r.uv()?;
+        if count > r.remaining() as u64 {
+            return Err(bad_data("samples count exceeds its payload"));
+        }
+        let left = count as usize;
+        if left > room {
+            return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+        }
+        Ok(SampleRun {
+            r,
+            left,
+            id: 0,
+            t: 0,
+            step: 0,
+        })
     }
-    let count = count as usize;
-    if count > room {
-        return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
-    }
-    records.reserve(count);
-    let (mut id, mut t, mut step) = (0u32, 0u64, 0i64);
-    for _ in 0..count {
-        let control = r.u8()?;
+
+    /// Decode the next sample — the one walk of the `samples` grammar,
+    /// under the validating pass and the iterator alike.
+    #[inline]
+    fn step(&mut self) -> io::Result<(MetricId, SimTime, f64)> {
+        let control = self.r.u8()?;
         match control >> 6 {
             MODE_SAME => {}
             MODE_STEP => {
-                id = id
+                self.id = self
+                    .id
                     .checked_add(1)
                     .ok_or_else(|| bad_data("sample id past u32"))?;
             }
             MODE_EXPLICIT => {
-                id = u32::try_from(r.uv()?).map_err(|_| bad_data("sample id past u32"))?;
+                self.id =
+                    u32::try_from(self.r.uv()?).map_err(|_| bad_data("sample id past u32"))?;
             }
             _ => return Err(bad_data("reserved sample id mode")),
         }
         match (control >> 4) & 0b11 {
             MODE_SAME => {}
-            MODE_STEP => t = t.wrapping_add(step as u64),
+            MODE_STEP => self.t = self.t.wrapping_add(self.step as u64),
             MODE_EXPLICIT => {
-                let dt = unzigzag(r.uv()?);
+                let dt = unzigzag(self.r.uv()?);
                 if dt != 0 {
-                    step = dt;
+                    self.step = dt;
                 }
-                t = t.wrapping_add(dt as u64);
+                self.t = self.t.wrapping_add(dt as u64);
             }
             _ => return Err(bad_data("reserved sample time mode")),
         }
@@ -561,17 +824,158 @@ fn decode_samples(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) 
             return Err(bad_data("reserved sample value length"));
         }
         let mut be = [0u8; 8];
-        be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
-        records.push(ExportRecord::Sample {
-            id: MetricId(id),
-            t: SimTime(t),
-            value: f64::from_bits(u64::from_be_bytes(be)),
-        });
+        be[..value_bytes].copy_from_slice(self.r.take(value_bytes)?);
+        let value = f64::from_bits(u64::from_be_bytes(be));
+        Ok((MetricId(self.id), SimTime(self.t), value))
     }
-    if !r.done() {
-        return Err(bad_data("trailing bytes in samples payload"));
+
+    /// Walk a copy of the run to its end: every sample well-formed and
+    /// nothing after the last one. Returns the sample count.
+    fn check(&self) -> io::Result<usize> {
+        let mut run = self.clone();
+        for _ in 0..run.left {
+            run.step()?;
+        }
+        if !run.r.done() {
+            return Err(bad_data("trailing bytes in samples payload"));
+        }
+        Ok(self.left)
     }
-    Ok(())
+}
+
+impl Iterator for SampleRun<'_> {
+    type Item = (MetricId, SimTime, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        Some(self.step().expect(VALIDATED))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SampleRun<'_> {}
+
+/// A batch read where it lies. Only [`BatchView::parse`] builds one,
+/// and only after walking every byte under every bound the format has
+/// — record lengths, string encodings, tag values, each `samples` run
+/// to its last sample, [`MAX_BATCH_RECORDS`] — without allocating; so
+/// the bytes can be logged as they are and the records applied straight
+/// off them.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchView<'a> {
+    bytes: &'a [u8],
+    seq: u64,
+    wire_records: u32,
+    records: usize,
+    unknown: u64,
+}
+
+impl<'a> BatchView<'a> {
+    /// Validate `bytes` as one batch written by [`encode_batch`] (or
+    /// record by record with [`encode_record`], as v1.1 writers did).
+    /// Records of a kind unknown to this reader are length-skipped and
+    /// counted ([`BatchView::unknown_records`]), never an error — the
+    /// additive-kinds contract. A batch that would expand past
+    /// [`MAX_BATCH_RECORDS`] records is refused: a `samples` record is
+    /// the one kind whose decoded size is not bounded by its own length.
+    pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
+        let mut r = WireReader::new(bytes);
+        let seq = r.u64()?;
+        let wire_records = r.u32()?;
+        let (mut records, mut unknown) = (0usize, 0u64);
+        for _ in 0..wire_records {
+            let tag = r.u8()?;
+            let payload = r.block()?;
+            match RecordRef::parse(tag, payload, MAX_BATCH_RECORDS - records)? {
+                None => unknown += 1,
+                Some(RecordRef::Samples(run)) => records += run.check()?,
+                Some(_) => records += 1,
+            }
+        }
+        if !r.done() {
+            return Err(bad_data("trailing bytes after batch records"));
+        }
+        Ok(BatchView {
+            bytes,
+            seq,
+            wire_records,
+            records,
+            unknown,
+        })
+    }
+
+    /// The batch's sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Records the batch expands to (a `samples` run counts each of its
+    /// samples; unknown kinds count nothing).
+    pub fn record_count(&self) -> usize {
+        self.records
+    }
+
+    /// Records skipped because their kind tag is unknown to this
+    /// reader: a newer writer's additive kinds.
+    pub fn unknown_records(&self) -> u64 {
+        self.unknown
+    }
+
+    /// The validated bytes, exactly as they were handed to
+    /// [`BatchView::parse`].
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The known-kind records, in wire order.
+    pub fn records(&self) -> Records<'a> {
+        Records {
+            r: WireReader {
+                buf: self.bytes,
+                pos: 12,
+            },
+            left: self.wire_records,
+        }
+    }
+
+    /// The owned batch: what [`decode_batch`] returns.
+    pub fn to_batch(&self) -> ExportBatch {
+        let mut records = Vec::with_capacity(self.records);
+        for record in self.records() {
+            record.push_owned(&mut records);
+        }
+        ExportBatch {
+            seq: self.seq,
+            records,
+        }
+    }
+}
+
+/// Iterator over a [`BatchView`]'s records.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    r: WireReader<'a>,
+    left: u32,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        while self.left > 0 {
+            self.left -= 1;
+            let tag = self.r.u8().expect(VALIDATED);
+            let payload = self.r.block().expect(VALIDATED);
+            if let Some(record) = RecordRef::parse(tag, payload, usize::MAX).expect(VALIDATED) {
+                return Some(record);
+            }
+        }
+        None
+    }
 }
 
 /// Encode a whole batch:
@@ -597,35 +1001,12 @@ pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
     out[count_at..count_at + 4].copy_from_slice(&wire_records.to_le_bytes());
 }
 
-/// Decode a batch encoded by [`encode_batch`] (or record by record with
-/// [`encode_record`], as v1.1 writers did). Returns the batch plus the
-/// number of records skipped because their kind tag is unknown to this
-/// reader — the additive-kinds contract: a newer writer's extra kinds
-/// are length-skipped and counted, never an error. A batch that would
-/// expand past [`MAX_BATCH_RECORDS`] records is refused: a `samples`
-/// record is the one kind whose decoded size is not bounded by its own
-/// length (a byte on the wire becomes a whole [`ExportRecord`]).
+/// Decode a batch into owned records: [`BatchView::parse`], then
+/// [`BatchView::to_batch`]. Returns the batch plus the number of
+/// records skipped because their kind tag is unknown to this reader.
 pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
-    let mut r = WireReader::new(buf);
-    let seq = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut records = Vec::with_capacity(n.min(DEFAULT_BATCH_RECORDS));
-    let mut unknown = 0u64;
-    for _ in 0..n {
-        let tag = r.u8()?;
-        let payload = r.block()?;
-        let room = MAX_BATCH_RECORDS - records.len();
-        match tag {
-            REC_SAMPLES => decode_samples(payload, room, &mut records)?,
-            _ if tag > REC_SAMPLES => unknown += 1,
-            _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
-            _ => records.push(decode_record_payload(tag, payload)?),
-        }
-    }
-    if !r.done() {
-        return Err(bad_data("trailing bytes after batch records"));
-    }
-    Ok((ExportBatch { seq, records }, unknown))
+    let view = BatchView::parse(buf)?;
+    Ok((view.to_batch(), view.unknown_records()))
 }
 
 /// Encode [`DrainStats`] (the exporter-side counters a node reports at
@@ -741,9 +1122,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// The checksum a frame carries: CRC-32 over `[tag][payload]`, folded
-/// through one running state so neither side has to join them first.
-fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
-    !crc32_fold(crc32_fold(!0, &[tag]), payload)
+/// through one running state so neither side has to join them — or the
+/// pieces a writer holds the payload in — first.
+fn frame_crc(tag: u8, payload: &[&[u8]]) -> u32 {
+    !payload
+        .iter()
+        .fold(crc32_fold(!0, &[tag]), |c, part| crc32_fold(c, part))
 }
 
 /// The frame tags spoken inside the [`write_frame`] envelope by the
@@ -785,11 +1169,21 @@ pub mod frame_tag {
 /// `[len u32 LE][tag u8][payload][crc32 u32 LE]` where `len` counts
 /// tag + payload and the CRC covers the same span.
 pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
+    write_frame_parts(w, tag, &[payload])
+}
+
+/// [`write_frame`] for a payload held in pieces (a prefix built here,
+/// a body received from elsewhere): the frame written is the one their
+/// concatenation would give, without joining them.
+pub fn write_frame_parts(w: &mut impl Write, tag: u8, payload: &[&[u8]]) -> io::Result<()> {
+    let len: usize = payload.iter().map(|part| part.len()).sum();
     let mut head = [0u8; 5];
-    head[..4].copy_from_slice(&((payload.len() + 1) as u32).to_le_bytes());
+    head[..4].copy_from_slice(&((len + 1) as u32).to_le_bytes());
     head[4] = tag;
     w.write_all(&head)?;
-    w.write_all(payload)?;
+    for part in payload {
+        w.write_all(part)?;
+    }
     w.write_all(&frame_crc(tag, payload).to_le_bytes())
 }
 
@@ -850,7 +1244,7 @@ pub fn parse_frame(buf: &[u8]) -> FrameParse<'_> {
             .try_into()
             .expect("slice is exactly the 4-byte trailer"),
     );
-    if frame_crc(tag, payload) != crc {
+    if frame_crc(tag, &[payload]) != crc {
         return FrameParse::Corrupt;
     }
     FrameParse::Frame {
@@ -890,7 +1284,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Result<(u8, Vec<u8>), FrameEn
     let n = total - 9;
     let crc = u32::from_le_bytes(payload[n..].try_into().expect("the 4-byte trailer"));
     payload.truncate(n);
-    if frame_crc(tag[0], &payload) != crc {
+    if frame_crc(tag[0], &[&payload]) != crc {
         return Ok(Err(FrameEnd::Corrupt));
     }
     Ok(Ok((tag[0], payload)))
@@ -1467,7 +1861,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         // Folding in two pieces is the same checksum.
-        assert_eq!(frame_crc(b'1', b"23456789"), 0xCBF4_3926);
+        assert_eq!(frame_crc(b'1', &[b"2345", b"", b"6789"]), 0xCBF4_3926);
         // Every prefix length 0..=17 of one pattern (zlib's values), so
         // the 8-byte step, each tail length, and the hand-over between
         // them are pinned independently of this crate's own tables.

@@ -1471,3 +1471,390 @@ proptest! {
         prop_assert!(decode_batch(&packed[..cut]).is_err());
     }
 }
+
+// ------------------------------------- one parser, one meaning: the view
+
+use moda_telemetry::export::MAX_BATCH_RECORDS;
+use moda_telemetry::wire::{bad_data, unzigzag, BatchView, RecordRef, WireReader};
+use std::io;
+
+/// The materialising batch decoder as it stood before `BatchView`
+/// became the only parser — kept here, sharing nothing with the view
+/// but [`WireReader`]'s getters, as the oracle for what a batch's bytes
+/// mean and which bytes are a batch at all.
+fn reference_decode(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
+    fn samples(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) -> io::Result<()> {
+        let mut r = WireReader::new(payload);
+        let count = r.uv()?;
+        if count > r.remaining() as u64 {
+            return Err(bad_data("samples count exceeds its payload"));
+        }
+        if count as usize > room {
+            return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+        }
+        let (mut id, mut t, mut step) = (0u32, 0u64, 0i64);
+        for _ in 0..count {
+            let control = r.u8()?;
+            match control >> 6 {
+                0 => {}
+                1 => id = id.checked_add(1).ok_or_else(|| bad_data("id past u32"))?,
+                2 => id = u32::try_from(r.uv()?).map_err(|_| bad_data("id past u32"))?,
+                _ => return Err(bad_data("reserved id mode")),
+            }
+            match (control >> 4) & 0b11 {
+                0 => {}
+                1 => t = t.wrapping_add(step as u64),
+                2 => {
+                    let dt = unzigzag(r.uv()?);
+                    if dt != 0 {
+                        step = dt;
+                    }
+                    t = t.wrapping_add(dt as u64);
+                }
+                _ => return Err(bad_data("reserved time mode")),
+            }
+            let value_bytes = usize::from(control & 0x0F);
+            if value_bytes > 8 {
+                return Err(bad_data("reserved value length"));
+            }
+            let mut be = [0u8; 8];
+            be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
+            records.push(ExportRecord::Sample {
+                id: MetricId(id),
+                t: SimTime(t),
+                value: f64::from_bits(u64::from_be_bytes(be)),
+            });
+        }
+        if !r.done() {
+            return Err(bad_data("trailing bytes in samples payload"));
+        }
+        Ok(())
+    }
+    fn record(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
+        let mut r = WireReader::new(payload);
+        let record = match tag {
+            0 => ExportRecord::Meta {
+                id: MetricId(r.u32()?),
+                meta: r.meta()?,
+            },
+            1 => ExportRecord::Sample {
+                id: MetricId(r.u32()?),
+                t: SimTime(r.u64()?),
+                value: r.f64()?,
+            },
+            2 => ExportRecord::Bucket {
+                id: MetricId(r.u32()?),
+                res: SimDuration(r.u64()?),
+                start: SimTime(r.u64()?),
+                count: r.u64()?,
+                sum: r.f64()?,
+                min: r.f64()?,
+                max: r.f64()?,
+                last: r.f64()?,
+            },
+            3 => ExportRecord::Sketch {
+                id: MetricId(r.u32()?),
+                res: SimDuration(r.u64()?),
+                start: SimTime(r.u64()?),
+                entry: SketchEntry {
+                    sign: r.u8()? as i8,
+                    key: r.u32()? as i32,
+                    count: r.u64()?,
+                },
+            },
+            _ => ExportRecord::Chunk {
+                id: MetricId(r.u32()?),
+                count: r.u32()?,
+                first_t: SimTime(r.u64()?),
+                last_t: SimTime(r.u64()?),
+                bytes: r.block()?.to_vec(),
+            },
+        };
+        if !r.done() {
+            return Err(bad_data("trailing bytes in record payload"));
+        }
+        Ok(record)
+    }
+    let mut r = WireReader::new(buf);
+    let seq = r.u64()?;
+    let n = r.u32()?;
+    let mut records = Vec::new();
+    let mut unknown = 0u64;
+    for _ in 0..n {
+        let tag = r.u8()?;
+        let payload = r.block()?;
+        let room = MAX_BATCH_RECORDS - records.len();
+        match tag {
+            5 => samples(payload, room, &mut records)?,
+            6.. => unknown += 1,
+            _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
+            _ => records.push(record(tag, payload)?),
+        }
+    }
+    if !r.done() {
+        return Err(bad_data("trailing bytes after batch records"));
+    }
+    Ok((ExportBatch { seq, records }, unknown))
+}
+
+/// The records a view lends, made owned field by field on this side of
+/// the API (not through `BatchView::to_batch`).
+fn lent_records(view: &BatchView<'_>) -> Vec<ExportRecord> {
+    let mut out = Vec::new();
+    for record in view.records() {
+        match record {
+            RecordRef::Meta { id, meta } => out.push(ExportRecord::Meta {
+                id,
+                meta: MetricMeta {
+                    name: meta.name.to_string(),
+                    kind: meta.kind,
+                    unit: meta.unit.to_string(),
+                    domain: meta.domain,
+                },
+            }),
+            RecordRef::Sample { id, t, value } => out.push(ExportRecord::Sample { id, t, value }),
+            RecordRef::Samples(run) => {
+                let declared = run.len();
+                let before = out.len();
+                out.extend(run.map(|(id, t, value)| ExportRecord::Sample { id, t, value }));
+                assert_eq!(out.len() - before, declared);
+            }
+            RecordRef::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            } => out.push(ExportRecord::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            }),
+            RecordRef::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            } => out.push(ExportRecord::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            }),
+            RecordRef::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes,
+            } => out.push(ExportRecord::Chunk {
+                id,
+                count,
+                first_t,
+                last_t,
+                bytes: bytes.to_vec(),
+            }),
+        }
+    }
+    out
+}
+
+/// `BatchView::parse(bytes)` against the reference decoder: the same
+/// verdict, and on `Ok` the same batch, bit for bit, three ways — the
+/// lent records, `to_batch`, and `decode_batch`.
+fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let view = BatchView::parse(bytes);
+    let reference = reference_decode(bytes);
+    prop_assert_eq!(
+        view.is_ok(),
+        reference.is_ok(),
+        "{:?} vs {:?}",
+        view,
+        reference
+    );
+    prop_assert_eq!(decode_batch(bytes).is_ok(), reference.is_ok());
+    let (Ok(view), Ok((batch, unknown))) = (view, reference) else {
+        return Ok(());
+    };
+    prop_assert_eq!(view.seq(), batch.seq);
+    prop_assert_eq!(view.unknown_records(), unknown);
+    prop_assert_eq!(view.record_count(), batch.records.len());
+    prop_assert_eq!(view.as_bytes(), bytes);
+    let want = render_v1_1(&batch);
+    let lent = ExportBatch {
+        seq: view.seq(),
+        records: lent_records(&view),
+    };
+    prop_assert_eq!(render_v1_1(&lent), &want[..]);
+    prop_assert_eq!(render_v1_1(&view.to_batch()), &want[..]);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One parser, one meaning. For batches of all five kinds cut into
+    /// segments rendered either way (packed runs, v1.1 records), with
+    /// unknown-kind records and hostile `samples` records (any declared
+    /// count over any bytes) spliced between the segments — and for
+    /// arbitrary byte mutations and truncations of those encodings — the
+    /// view accepts exactly what the materialising decoder accepted and
+    /// lends exactly the records it built: NaN payloads, −0.0, reserved
+    /// control codes, ids past `u32`, over-count runs and all.
+    #[test]
+    fn batch_view_means_what_the_materialising_decoder_meant(
+        seq in any::<u64>(),
+        records in mixed_records(),
+        cuts in prop::collection::vec((0usize..1000, any::<bool>(), 0u8..4), 0..6),
+        foreign in prop::collection::vec((6u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
+        hostile in prop::collection::vec(
+            (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
+            6..7,
+        ),
+        mutations in prop::collection::vec((0usize..1000, any::<u8>(), 0u8..3), 0..4),
+        cut in 0usize..1000,
+    ) {
+        // Segment boundaries, then each segment in its rendering and
+        // whatever gets spliced in after it.
+        let mut bounds: Vec<_> = cuts
+            .iter()
+            .map(|&(at, packed, splice)| (records.len() * at / 1000, packed, splice))
+            .collect();
+        bounds.sort_by_key(|b| b.0);
+        bounds.push((records.len(), true, 0));
+        let mut body = Vec::new();
+        let mut wire_records = 0u32;
+        let mut from = 0;
+        for (k, &(to, packed, splice)) in bounds.iter().enumerate() {
+            let segment = ExportBatch { seq: 0, records: records[from..to].to_vec() };
+            from = to;
+            let mut rendered = Vec::new();
+            if packed {
+                encode_batch(&segment, &mut rendered);
+            } else {
+                rendered = render_v1_1(&segment);
+            }
+            wire_records += u32::from_le_bytes(rendered[8..12].try_into().unwrap());
+            body.extend_from_slice(&rendered[12..]);
+            let (tag, payload) = match splice {
+                // A kind no revision defines: length-skipped and counted.
+                1 => (foreign[k % 6].0 as u8, foreign[k % 6].1.clone()),
+                // A `samples` record written by nobody's encoder.
+                2 => {
+                    let (count, shrink, bytes) = &hostile[k % 6];
+                    let mut payload = Vec::new();
+                    // Mostly plausible counts, sometimes absurd ones.
+                    moda_telemetry::wire::put_uv(&mut payload, count >> (16 * u32::from(*shrink) + 15));
+                    payload.extend_from_slice(bytes);
+                    (5, payload)
+                }
+                _ => continue,
+            };
+            body.push(tag);
+            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            body.extend_from_slice(&payload);
+            wire_records += 1;
+        }
+        let mut bytes = seq.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&wire_records.to_le_bytes());
+        bytes.extend_from_slice(&body);
+
+        check_view_against_reference(&bytes)?;
+        check_view_against_reference(&bytes[..bytes.len() * cut / 1000])?;
+        for &(at, byte, op) in &mutations {
+            let at = bytes.len() * at / 1000;
+            match op {
+                0 => bytes[at] = byte,
+                1 => bytes[at] ^= 1 << (byte % 8),
+                _ => bytes.insert(at, byte),
+            }
+            check_view_against_reference(&bytes)?;
+        }
+    }
+
+    /// Restoring a sketch column in one pass and absorbing it entry by
+    /// entry are the same sketch, whatever the column: in wire order (a
+    /// real sketch's own), shuffled, with repeated buckets, zero
+    /// counts, signs outside −1..=1, keys that collide once clamped, and
+    /// counts that overflow a bucket or the total — into an empty sketch
+    /// or one that already holds data.
+    #[test]
+    fn a_sketch_column_absorbed_in_one_pass_equals_entry_by_entry(
+        values in prop::collection::vec(-1_000.0f64..1_000.0, 0..60),
+        extra in prop::collection::vec(
+            (-2i8..3, (0u8..3, any::<i32>()), (0u8..4, 0u64..100)),
+            0..8,
+        ),
+        repeats in prop::collection::vec(0usize..1000, 0..3),
+        swaps in prop::collection::vec((0usize..1000, 0usize..1000), 0..3),
+        splice_at in 0usize..1000,
+        preload in prop::collection::vec(-50.0f64..50.0, 0..5),
+    ) {
+        use moda_telemetry::QuantileSketch;
+        let mut source = QuantileSketch::new();
+        for v in &values {
+            source.fold(*v);
+        }
+        let mut column: Vec<SketchEntry> = source.wire_entries().collect();
+        // Untouched, a real sketch's column rebuilds it exactly.
+        let mut rebuilt = QuantileSketch::new();
+        rebuilt.absorb_column(&column);
+        prop_assert_eq!(&rebuilt, &source);
+
+        let at = column.len() * splice_at / 1000;
+        for (k, &(sign, (key_mode, key), (magnitude, count))) in extra.iter().enumerate() {
+            // Keys near the real ones, anywhere in `i32`, or at its ends
+            // (neighbours there collide once clamped); counts that
+            // vanish, are plausible, overflow a bucket, overflow the total.
+            let key = match key_mode {
+                0 => key % 40,
+                1 => key,
+                _ => [i32::MAX, i32::MAX - 1, i32::MIN, i32::MIN + 1][key as usize % 4],
+            };
+            let count = match magnitude {
+                0 => 0,
+                1 => 1 + count,
+                2 => u64::from(u32::MAX) - 2 + count % 5,
+                _ => u64::MAX - count % 4,
+            };
+            column.insert((at + k).min(column.len()), SketchEntry { sign, key, count });
+        }
+        for &at in &repeats {
+            if !column.is_empty() {
+                let at = column.len() * at / 1000;
+                column.insert(at + 1, column[at]);
+            }
+        }
+        for &(a, b) in &swaps {
+            if !column.is_empty() {
+                let (a, b) = (column.len() * a / 1000, column.len() * b / 1000);
+                column.swap(a, b);
+            }
+        }
+        let mut base = QuantileSketch::new();
+        for v in &preload {
+            base.fold(*v);
+        }
+        for start in [QuantileSketch::new(), base] {
+            let mut one_pass = start.clone();
+            one_pass.absorb_column(&column);
+            let mut by_entry = start;
+            for &e in &column {
+                by_entry.absorb_entry(e);
+            }
+            prop_assert_eq!(&one_pass, &by_entry, "column {:?}", column);
+            prop_assert_eq!(
+                one_pass.wire_entries().collect::<Vec<_>>(),
+                by_entry.wire_entries().collect::<Vec<_>>()
+            );
+        }
+    }
+}

@@ -293,19 +293,24 @@ fn bench_export(c: &mut Criterion) {
     // encoded, cursors and buffers warm — what a node agent pays per
     // 1 Hz scrape, averaged over the bucket seal every 60th sweep and
     // the chunk seal every 512th.
-    g.throughput(Throughput::Elements(64));
-    g.bench_function("drain_sweep64", |b| {
-        let (mut db, sweep) = sweep64_store();
-        let mut exporter = Exporter::new();
-        let mut sink = EncodeSink(Vec::new());
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            db.insert_batch(SimTime::from_secs(t), &sweep);
-            let stats = exporter.drain(&db, &mut sink).unwrap();
-            black_box((stats.records, sink.0.len()))
+    // `drain_sweep256` is the same on a 256-metric node, where the
+    // per-metric copy-out (one pending sample lifted off each tail)
+    // outweighs the per-sweep costs.
+    for metrics in [64usize, 256] {
+        g.throughput(Throughput::Elements(metrics as u64));
+        g.bench_function(&format!("drain_sweep{metrics}"), |b| {
+            let (mut db, sweep) = sweep_store(metrics);
+            let mut exporter = Exporter::new();
+            let mut sink = EncodeSink(Vec::new());
+            let mut t = 0u64;
+            b.iter(|| {
+                t += 1;
+                db.insert_batch(SimTime::from_secs(t), &sweep);
+                let stats = exporter.drain(&db, &mut sink).unwrap();
+                black_box((stats.records, sink.0.len()))
+            });
         });
-    });
+    }
     // The full collection→wire→fleet-ingest pipeline for one raw day:
     // sealed regions travel as whole compressed-chunk records (wire
     // spec revision 1.1) and are validated and linked, not decoded.
@@ -328,10 +333,10 @@ fn bench_export(c: &mut Criterion) {
     g.finish();
 }
 
-/// A 64-metric node store (a quarter of the series sketched) and one
-/// sweep of quantised readings for it.
-fn sweep64_store() -> (Tsdb, Vec<(moda_telemetry::MetricId, f64)>) {
-    let (mut db, ids) = registered(64, 4096);
+/// A node store of `metrics` series (a quarter of them sketched) and
+/// one sweep of quantised readings for it.
+fn sweep_store(metrics: usize) -> (Tsdb, Vec<(moda_telemetry::MetricId, f64)>) {
+    let (mut db, ids) = registered(metrics, 4096);
     for id in ids.iter().step_by(4) {
         db.enable_rollups(*id, &RollupConfig::standard().with_sketches());
     }
@@ -364,7 +369,7 @@ impl moda_telemetry::export::Sink for EncodeSink {
 fn bench_wire_batch(c: &mut Criterion) {
     use moda_telemetry::export::{Exporter, MemorySink};
     use moda_telemetry::wire::{decode_batch, encode_batch, BatchView, RecordRef};
-    let (mut db, sweep) = sweep64_store();
+    let (mut db, sweep) = sweep_store(64);
     let mut exporter = Exporter::new();
     let mut sink = MemorySink::new();
     for t in 0..2 {
@@ -594,7 +599,7 @@ fn bench_fleet(c: &mut Criterion) {
     // staged outside the timed region so every one carries fresh
     // timestamps and the next `seq`.
     {
-        let (mut db, sweep) = sweep64_store();
+        let (mut db, sweep) = sweep_store(64);
         let mut exporter = Exporter::new();
         let mut sink = MemorySink::new();
         let mut t = 0u64;
@@ -727,11 +732,14 @@ fn bench_fleet(c: &mut Criterion) {
 
 /// The Gorilla chunk codec on one seal-threshold block of this file's
 /// smooth 1 Hz shape (ns per 512 samples): `compress` is what every
-/// node seal pays, `decode` what every read across a sealed chunk and
-/// every per-sample fallback pays, `validate` what the fleet pays to
-/// link a shipped chunk without materialising it. The bench gate pins
-/// `decode / validate >= 0.75` in the same run: checking a payload must
-/// never become materially dearer than decoding it.
+/// node seal pays (restart table included), `decode` what a read of a
+/// whole chunk and every per-sample fallback pays, `seek_last60` what a
+/// read of a sealed chunk's last 60 samples pays — resumed from the
+/// restart point before them, not walked from the first sample —
+/// `validate` what the fleet pays to link a shipped chunk without
+/// materialising it. The bench gate pins `decode / validate >= 0.75` in
+/// the same run: checking a payload must never become materially dearer
+/// than decoding it.
 fn bench_chunk_codec(c: &mut Criterion) {
     use moda_telemetry::chunk;
     const N: u64 = 512;
@@ -759,6 +767,22 @@ fn bench_chunk_codec(c: &mut Criterion) {
             )
             .unwrap();
             black_box(out_vals.len())
+        });
+    });
+    g.bench_function("seek_last60/512", |b| {
+        let first = N - 60;
+        b.iter(|| {
+            let mut sum = 0.0;
+            black_box(&sealed).scan_from(
+                |append, _| append < first,
+                |append, _, v| {
+                    if append >= first {
+                        sum += v;
+                    }
+                    true
+                },
+            );
+            black_box(sum)
         });
     });
     g.bench_function("validate/512", |b| {

@@ -105,6 +105,11 @@ const RATIO_CHECKS: &[(&str, &str, Option<&str>, f64)] = &[
         None,
         0.75,
     ),
+    // A loop's trailing window reaching back across the newest seal
+    // resumes from a restart point: the whole read — seek, partial
+    // decode, tail fold — must cost at most half of decoding the chunk
+    // it touches.
+    ("chunk_codec/decode/512", "tsdb_window/agg/60", None, 2.0),
 ];
 
 /// Machine-independent *ceiling* checks: (numerator, denominator, env

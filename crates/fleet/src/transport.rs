@@ -73,7 +73,7 @@ use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, Sink};
 use moda_telemetry::wire::{
     bad_data, decode_drain_stats, encode_batch, encode_drain_stats, frame_tag, put_str, put_u16,
-    put_u64, read_frame, write_frame, FrameBuffer, FrameEnd, WireReader,
+    put_u64, read_frame, read_frame_into, write_frame, FrameBuffer, FrameEnd, WireReader,
 };
 use moda_telemetry::DrainStats;
 use moda_telemetry::WindowAgg;
@@ -238,6 +238,11 @@ impl Conn {
     fn recv(&mut self) -> io::Result<Result<(u8, Vec<u8>), FrameEnd>> {
         read_frame(&mut self.reader)
     }
+
+    /// [`Conn::recv`] into a payload buffer the caller keeps.
+    fn recv_into(&mut self, payload: &mut Vec<u8>) -> io::Result<Result<u8, FrameEnd>> {
+        read_frame_into(&mut self.reader, payload)
+    }
 }
 
 /// Re-dial with bounded retries (server restarts take a moment): up to
@@ -283,6 +288,12 @@ pub struct SocketSink {
     conn: Option<Conn>,
     /// Sent but not yet acknowledged, oldest first: `(seq, payload)`.
     unacked: VecDeque<(u64, Vec<u8>)>,
+    /// Emptied payload buffers off `unacked`, at most a window of them:
+    /// the next batch (or drain report) encodes into one instead of
+    /// growing a fresh `Vec`.
+    spare: Vec<Vec<u8>>,
+    /// The last frame read while awaiting acks.
+    inbox: Vec<u8>,
     /// The server's cumulative cursor from the latest ack/handshake.
     server_next_seq: u64,
     reconnects: u64,
@@ -318,6 +329,8 @@ impl SocketSink {
             cfg,
             conn: None,
             unacked: VecDeque::new(),
+            spare: Vec::new(),
+            inbox: Vec::new(),
             server_next_seq: 0,
             reconnects: 0,
             last_resume_seq: 0,
@@ -355,9 +368,7 @@ impl SocketSink {
         self.server_next_seq = next_seq;
         self.last_resume_seq = next_seq;
         // Drop what the server has durably applied; replay the rest.
-        while matches!(self.unacked.front(), Some((seq, _)) if *seq < next_seq) {
-            self.unacked.pop_front();
-        }
+        self.release_acked();
         for (_, payload) in &self.unacked {
             write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
             self.resent_batches += 1;
@@ -377,6 +388,36 @@ impl SocketSink {
         Ok(())
     }
 
+    /// Drop every buffered batch below the server's cursor, keeping the
+    /// emptied payload buffers for the batches to come.
+    fn release_acked(&mut self) {
+        while matches!(self.unacked.front(), Some((seq, _)) if *seq < self.server_next_seq) {
+            let (_, payload) = self.unacked.pop_front().expect("front matched");
+            self.recycle(payload);
+        }
+    }
+
+    /// Keep an emptied payload buffer for a later frame, up to a
+    /// window of them.
+    fn recycle(&mut self, mut payload: Vec<u8>) {
+        if self.spare.len() < self.cfg.window.max(1) {
+            payload.clear();
+            self.spare.push(payload);
+        }
+    }
+
+    /// Fold the frame just received into `inbox` — which must be an
+    /// `ACK` — into the replay buffer: its cursor is cumulative.
+    fn note_ack(&mut self, tag: u8) -> io::Result<()> {
+        if tag != frame_tag::ACK {
+            return Err(bad_data("unexpected frame while awaiting ack"));
+        }
+        let next = WireReader::new(&self.inbox).u64()?;
+        self.server_next_seq = self.server_next_seq.max(next);
+        self.release_acked();
+        Ok(())
+    }
+
     /// Read acks until at most `allowed` batches remain unacknowledged.
     /// Reconnects (and replays) if the connection drops mid-wait.
     fn pump_acks(&mut self, allowed: usize) -> io::Result<()> {
@@ -385,20 +426,9 @@ impl SocketSink {
                 .conn
                 .as_mut()
                 .ok_or_else(|| bad_data("not connected"))?
-                .recv();
+                .recv_into(&mut self.inbox);
             match res {
-                Ok(Ok((frame_tag::ACK, payload))) => {
-                    let mut r = WireReader::new(&payload);
-                    let next = r.u64()?;
-                    self.server_next_seq = self.server_next_seq.max(next);
-                    while matches!(
-                        self.unacked.front(),
-                        Some((seq, _)) if *seq < self.server_next_seq
-                    ) {
-                        self.unacked.pop_front();
-                    }
-                }
-                Ok(Ok(_)) => return Err(bad_data("unexpected frame while awaiting ack")),
+                Ok(Ok(tag)) => self.note_ack(tag)?,
                 Ok(Err(_)) | Err(_) => self.reconnect()?,
             }
         }
@@ -422,22 +452,11 @@ impl SocketSink {
                 .conn
                 .as_mut()
                 .ok_or_else(|| bad_data("not connected"))?;
-            match conn.recv()? {
-                Ok((frame_tag::ACK, payload)) => {
-                    let mut r = WireReader::new(&payload);
-                    let next = r.u64()?;
-                    self.server_next_seq = self.server_next_seq.max(next);
-                    while matches!(
-                        self.unacked.front(),
-                        Some((seq, _)) if *seq < self.server_next_seq
-                    ) {
-                        self.unacked.pop_front();
-                    }
-                    n -= 1;
-                }
-                Ok(_) => return Err(bad_data("unexpected frame while awaiting ack")),
+            match conn.recv_into(&mut self.inbox)? {
+                Ok(tag) => self.note_ack(tag)?,
                 Err(_) => return Err(bad_data("torn frame while awaiting ack")),
             }
+            n -= 1;
         }
         Ok(())
     }
@@ -469,7 +488,7 @@ impl SocketSink {
             let retries_total = self.reconnects + self.resent_batches;
             let mut out = *stats;
             out.send_retries += retries_total - self.retries_reported;
-            let mut payload = Vec::new();
+            let mut payload = self.spare.pop().unwrap_or_default();
             encode_drain_stats(&out, &mut payload);
             // The server acks in frame order: one ack per in-flight
             // batch ahead of the drain, then the drain's own ack.
@@ -480,6 +499,7 @@ impl SocketSink {
                 .expect("connected")
                 .send(frame_tag::DRAIN, &payload)
                 .and_then(|()| self.read_acks_counted(pending + 1));
+            self.recycle(payload);
             match res {
                 Ok(()) => {
                     self.retries_reported = retries_total;
@@ -518,7 +538,7 @@ impl SocketSink {
 
 impl Sink for SocketSink {
     fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()> {
-        let mut payload = Vec::new();
+        let mut payload = self.spare.pop().unwrap_or_default();
         encode_batch(batch, &mut payload);
         // Two passes: the live connection, then one reconnect cycle.
         // Only on success does the batch enter the replay buffer — on

@@ -38,8 +38,16 @@
 //! the reader refills eight bytes per step), and the grammar above is
 //! stated once per direction: [`compress`] writes it, one private
 //! `step` reads it. Every reader — [`decode_exact`], [`validate`],
-//! [`Chunk::scan`], the streaming [`Decoder`] — is that `step` under a
-//! different sink, so they accept exactly the same payloads.
+//! [`Chunk::scan_from`], the streaming [`Decoder`] — is that `step`
+//! under a different sink, so they accept exactly the same payloads.
+//!
+//! A chunk sealed here also carries **restart points**: the decoder
+//! state after every `RESTART_STRIDE`-th sample, kept beside the
+//! payload in memory only (never on the wire, in the log or in a
+//! snapshot). A partial read binary-searches them and resumes the same
+//! `step` mid-stream, so it decodes at most a stride plus what it asked
+//! for instead of the chunk. A chunk adopted from foreign bytes has
+//! none and reads from its first sample.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,8 +55,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ([`encoded_chunks`]; what a self-telemetry pull-probe would read).
 static ENCODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-lifetime count of passes over a chunk payload ([`Chunk::scan`],
-/// streaming [`Chunk::decode`], [`decode_exact`] and [`validate`]);
+/// Process-lifetime count of passes over a chunk payload
+/// ([`Chunk::scan_from`], streaming [`Chunk::decode`], [`decode_exact`]
+/// and [`validate`]), whole or resumed from a restart point;
 /// [`decoded_chunks`].
 static DECODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
 
@@ -151,6 +160,11 @@ impl BitWriter {
         }
     }
 
+    /// Bits written so far.
+    fn bit_len(&self) -> usize {
+        self.bytes.len() * 8 + self.used as usize
+    }
+
     fn finish(mut self) -> Box<[u8]> {
         let pending = self.used.div_ceil(8) as usize;
         self.bytes
@@ -179,6 +193,22 @@ impl<'a> BitReader<'a> {
             acc: 0,
             avail: 0,
         }
+    }
+
+    /// Reader positioned `bit` bits into the stream.
+    fn at(bytes: &'a [u8], bit: usize) -> Self {
+        let mut r = BitReader {
+            bytes,
+            pos: bit / 8,
+            acc: 0,
+            avail: 0,
+        };
+        let within = bit as u32 % 8;
+        if within > 0 {
+            // A position past the end reads as truncated from here on.
+            let _ = r.take(within);
+        }
+        r
     }
 
     /// Top `acc` up to at least 56 bits, or to the end of the stream.
@@ -253,7 +283,9 @@ impl<'a> BitReader<'a> {
 /// by retention so eviction stays sample-exact), the first/last encoded
 /// timestamps, and the lifetime append index of the first encoded
 /// sample (`start_append`, which the exporter's watermark cursors key
-/// on). The payload is held at its exact length.
+/// on). The payload is held at its exact length; beside it sits the
+/// restart table [`compress`] recorded (empty on an adopted chunk),
+/// which lets [`Chunk::scan_from`] begin mid-stream.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     count: u32,
@@ -262,6 +294,61 @@ pub struct Chunk {
     last_t: u64,
     start_append: u64,
     bytes: Box<[u8]>,
+    /// Entry `k` is the decoder state at sample `(k + 1) * RESTART_STRIDE`.
+    restarts: Box<[Restart]>,
+}
+
+/// Samples between restart points. A partial read decodes at most this
+/// many samples it did not ask for, and a full chunk of 512 carries
+/// three points (144, 288, 432) at 20 bytes each — what a table held
+/// under 15 % of a smooth 1 Hz payload affords. The last sits 80
+/// samples before the chunk's end: a loop's trailing window reaching
+/// back across the newest seal decodes those 80.
+const RESTART_STRIDE: usize = 144;
+
+/// The decoder state at one sample and where the next one's code
+/// begins — what `step` needs to resume there — packed to 20 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Restart {
+    /// Timestamp, as its distance from the chunk's first.
+    t: u32,
+    delta: u32,
+    /// Bit offset of the next code (19 bits), then the value window's
+    /// leading zeros (6) and length (7).
+    packed: u32,
+    /// Value bits, high word first: two words keep the entry aligned
+    /// to four bytes, not padded to eight.
+    bits: [u32; 2],
+}
+
+impl Restart {
+    /// `None` when the state does not fit the packing: the chunk spans,
+    /// or two of its samples lie, 2³² ms (seven weeks) apart, or the
+    /// payload runs past 64 KiB.
+    fn pack(bit: usize, first_t: u64, s: &State) -> Option<Self> {
+        debug_assert!(s.win_lead < 64 && s.win_len <= 64);
+        let bit = u32::try_from(bit).ok().filter(|&b| b < 1 << 19)?;
+        Some(Restart {
+            t: u32::try_from(s.t - first_t).ok()?,
+            delta: u32::try_from(s.delta).ok()?,
+            packed: bit << 13 | s.win_lead << 7 | s.win_len,
+            bits: [(s.bits >> 32) as u32, s.bits as u32],
+        })
+    }
+
+    fn bit(&self) -> usize {
+        (self.packed >> 13) as usize
+    }
+
+    fn state(&self, first_t: u64) -> State {
+        State {
+            t: first_t + u64::from(self.t),
+            delta: u64::from(self.delta),
+            bits: u64::from(self.bits[0]) << 32 | u64::from(self.bits[1]),
+            win_lead: self.packed >> 7 & 63,
+            win_len: self.packed & 127,
+        }
+    }
 }
 
 impl Chunk {
@@ -276,6 +363,9 @@ impl Chunk {
             last_t: v.last_t,
             start_append,
             bytes: v.payload.into(),
+            // Indexing here would mean a second walk, or a dearer first
+            // one: `validate` is most of what a backfill costs.
+            restarts: Box::default(),
         }
     }
 
@@ -325,9 +415,14 @@ impl Chunk {
         &self.bytes
     }
 
-    /// Heap bytes held by this chunk (payload + header).
+    /// Heap bytes held by this chunk (payload + restart table + header).
     pub fn mem_bytes(&self) -> usize {
-        self.bytes.len() + std::mem::size_of::<Chunk>()
+        self.bytes.len() + self.restart_bytes() + std::mem::size_of::<Chunk>()
+    }
+
+    /// Heap bytes of the restart table alone.
+    pub(crate) fn restart_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.restarts)
     }
 
     /// Logically evict the oldest `n` retained samples. Returns `true`
@@ -342,22 +437,63 @@ impl Chunk {
     /// `visit` returns `false`.
     #[inline]
     pub fn scan(&self, mut visit: impl FnMut(u64, f64) -> bool) {
+        self.scan_from(|_, _| false, |_, t, value| visit(t, value));
+    }
+
+    /// [`Chunk::scan`] for a reader that wants only a suffix: `below`
+    /// says, of a sample's `(lifetime append index, timestamp)`, that
+    /// the reader has no use for it or anything older (it must be
+    /// monotone: a true-prefix of the chunk). The walk resumes from the
+    /// newest restart point `below` holds at, so `visit` — handed
+    /// `(append index, timestamp, value)` — still sees the samples
+    /// between that point and the first it wants, at most a stride of
+    /// them, and filters those itself.
+    #[inline]
+    pub fn scan_from(
+        &self,
+        below: impl Fn(u64, u64) -> bool,
+        mut visit: impl FnMut(u64, u64, f64) -> bool,
+    ) {
         DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
-        let walked = walk(
-            self.first_t,
-            self.count,
-            &self.bytes,
-            self.skip,
-            |t, bits| visit(t, f64::from_bits(bits)),
-        );
+        let append = |i: u32| self.start_append + u64::from(i);
+        let from = self.restart_below(|i, t| i < self.skip || below(append(i), t));
+        let walked = walk(self.first_t, self.count, &self.bytes, from, |i, t, bits| {
+            i < self.skip || visit(append(i), t, f64::from_bits(bits))
+        });
         debug_assert!(walked.is_ok(), "sealed chunk bitstream is well-formed");
+    }
+
+    /// The newest restart point whose `(sample index, timestamp)`
+    /// satisfies the monotone `lower`, with that index.
+    #[inline]
+    fn restart_below(&self, lower: impl Fn(u32, u64) -> bool) -> Option<(u32, &Restart)> {
+        let index = |k: usize| ((k + 1) * RESTART_STRIDE) as u32;
+        let (mut lo, mut hi) = (0, self.restarts.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if lower(index(mid), self.first_t + u64::from(self.restarts[mid].t)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.checked_sub(1).map(|k| (index(k), &self.restarts[k]))
     }
 
     /// Streaming decoder over the **retained** samples (skip applied).
     pub fn decode(&self) -> Decoder<'_> {
         DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
         let mut d = Decoder::new(self.first_t, self.count, &self.bytes);
-        for _ in 0..self.skip {
+        // The stream yields the sample *after* its state's, so it
+        // resumes from a restart short of `skip` and rolls up to it.
+        let mut next = 0;
+        if let Some((i, at)) = self.restart_below(|i, _| i < self.skip) {
+            d.r = BitReader::at(&self.bytes, at.bit());
+            d.s = Some(at.state(self.first_t));
+            next = i + 1;
+            d.remaining = self.count - next;
+        }
+        for _ in next..self.skip {
             let s = d.next();
             debug_assert!(s.is_some(), "sealed chunk bitstream is well-formed");
         }
@@ -395,59 +531,81 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
     assert_eq!(ts.len(), vals.len());
     let mut w = BitWriter::for_samples(ts.len());
     w.write_bits(vals[0].to_bits(), 64);
+    // The encoder tracks what a decoder would hold after each sample.
+    let mut s = State {
+        t: ts[0],
+        delta: 0,
+        bits: vals[0].to_bits(),
+        win_lead: 0,
+        win_len: 0,
+    };
 
-    let mut prev_t = ts[0];
-    let mut prev_delta: u64 = 0;
-    let mut prev_bits = vals[0].to_bits();
-    // Value window; length 0 marks "no window yet".
-    let mut win_lead: u32 = 0;
-    let mut win_len: u32 = 0;
-
-    for (&t, v) in ts[1..].iter().zip(&vals[1..]) {
-        debug_assert!(t >= prev_t, "sealed region must be time-ordered");
-        let delta = t - prev_t;
-        let dod = delta as i128 - prev_delta as i128;
-        prev_delta = delta;
-        prev_t = t;
-        // The timestamp code rides in `head` so it shares a write with
-        // the value's control bits (and payload, when they fit a word).
-        let (head, head_bits) = if dod == 0 {
-            (0, 1)
-        } else if let Some(k) = DOD_WIDTHS
-            .iter()
-            .position(|&w| (-dod_bias(w) as i128..=dod_bias(w) as i128 + 1).contains(&dod))
-        {
-            let (k, width) = (k as u32, DOD_WIDTHS[k]);
-            let prefix = (1u64 << (k + 2)) - 2;
-            let payload = (dod as i64 + dod_bias(width)) as u64;
-            ((prefix << width) | payload, k + 2 + width)
-        } else {
-            w.write_bits(0b1111, 4);
-            w.write_bits(delta, 64);
-            (0, 0)
-        };
-
-        let bits = v.to_bits();
-        let xor = bits ^ prev_bits;
-        prev_bits = bits;
-        if xor == 0 {
-            w.write_bits(head << 1, head_bits + 1);
-            continue;
+    // A restart point between every two strides — taken per block, so
+    // the sample loop carries no test for it. The table ends at the
+    // first state that does not pack; the rest of the chunk reads from
+    // the last point before it.
+    let mut restarts = Vec::with_capacity(ts.len().saturating_sub(2) / RESTART_STRIDE);
+    let mut packs = true;
+    let blocks = ts[1..]
+        .chunks(RESTART_STRIDE)
+        .zip(vals[1..].chunks(RESTART_STRIDE));
+    for (block, (block_ts, block_vals)) in blocks.enumerate() {
+        if block > 0 && packs {
+            let at = Restart::pack(w.bit_len(), ts[0], &s);
+            packs = at.is_some();
+            restarts.extend(at);
         }
-        let lead = xor.leading_zeros();
-        let trail = xor.trailing_zeros();
-        if win_len != 0 && lead >= win_lead && trail >= 64 - win_lead - win_len {
-            // Fits the previous window: control '10' + window bits.
-            let win_trail = 64 - win_lead - win_len;
-            w.write_pair((head << 2) | 0b10, head_bits + 2, xor >> win_trail, win_len);
-        } else {
-            // New window: '11' + 6-bit leading + 6-bit length (64
-            // encodes as 0).
-            let len = 64 - lead - trail;
-            let ctrl = (0b11 << 12) | (u64::from(lead) << 6) | u64::from(len & 63);
-            w.write_pair((head << 14) | ctrl, head_bits + 14, xor >> trail, len);
-            win_lead = lead;
-            win_len = len;
+        for (&t, v) in block_ts.iter().zip(block_vals) {
+            debug_assert!(t >= s.t, "sealed region must be time-ordered");
+            let delta = t - s.t;
+            let dod = delta as i128 - s.delta as i128;
+            s.delta = delta;
+            s.t = t;
+            // The timestamp code rides in `head` so it shares a write with
+            // the value's control bits (and payload, when they fit a word).
+            let (head, head_bits) = if dod == 0 {
+                (0, 1)
+            } else if let Some(k) = DOD_WIDTHS
+                .iter()
+                .position(|&w| (-dod_bias(w) as i128..=dod_bias(w) as i128 + 1).contains(&dod))
+            {
+                let (k, width) = (k as u32, DOD_WIDTHS[k]);
+                let prefix = (1u64 << (k + 2)) - 2;
+                let payload = (dod as i64 + dod_bias(width)) as u64;
+                ((prefix << width) | payload, k + 2 + width)
+            } else {
+                w.write_bits(0b1111, 4);
+                w.write_bits(delta, 64);
+                (0, 0)
+            };
+
+            let bits = v.to_bits();
+            let xor = bits ^ s.bits;
+            s.bits = bits;
+            if xor == 0 {
+                w.write_bits(head << 1, head_bits + 1);
+                continue;
+            }
+            let lead = xor.leading_zeros();
+            let trail = xor.trailing_zeros();
+            if s.win_len != 0 && lead >= s.win_lead && trail >= 64 - s.win_lead - s.win_len {
+                // Fits the previous window: control '10' + window bits.
+                let win_trail = 64 - s.win_lead - s.win_len;
+                w.write_pair(
+                    (head << 2) | 0b10,
+                    head_bits + 2,
+                    xor >> win_trail,
+                    s.win_len,
+                );
+            } else {
+                // New window: '11' + 6-bit leading + 6-bit length (64
+                // encodes as 0).
+                let len = 64 - lead - trail;
+                let ctrl = (0b11 << 12) | (u64::from(lead) << 6) | u64::from(len & 63);
+                w.write_pair((head << 14) | ctrl, head_bits + 14, xor >> trail, len);
+                s.win_lead = lead;
+                s.win_len = len;
+            }
         }
     }
 
@@ -458,10 +616,11 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
         last_t: *ts.last().expect("non-empty"),
         start_append,
         bytes: w.finish(),
+        restarts: restarts.into_boxed_slice(),
     }
 }
 
-/// Decoder state between samples.
+/// Decoder state between samples (and the encoder's record of it).
 struct State {
     t: u64,
     delta: u64,
@@ -579,26 +738,33 @@ impl Validated<'_> {
     }
 }
 
-/// The one decode loop: walk `count` samples of a payload, handing each
-/// one past the first `skip` to `visit` as `(timestamp, value bits)`.
-/// Returns what the walk proved, or `None` when `visit` stopped it
-/// early by returning `false`.
+/// The one decode loop: walk a payload of `count` samples — from its
+/// first, or from the sample a restart point was taken at — handing
+/// each to `visit` as `(sample index, timestamp, value bits)`. Returns
+/// what the walk proved, or `None` when `visit` stopped it early by
+/// returning `false`.
 #[inline(always)]
 fn walk<'a>(
     first_t: u64,
     count: u32,
     bytes: &'a [u8],
-    skip: u32,
-    mut visit: impl FnMut(u64, u64) -> bool,
+    from: Option<(u32, &Restart)>,
+    mut visit: impl FnMut(u32, u64, u64) -> bool,
 ) -> Result<Option<Validated<'a>>, DecodeError> {
     if count == 0 {
         return Err(DecodeError::Empty);
     }
-    let mut r = BitReader::new(bytes);
-    let mut s = State::open(&mut r, first_t)?;
-    let mut i = 0;
+    let (mut r, mut s, mut i) = match from {
+        Some((index, at)) => (BitReader::at(bytes, at.bit()), at.state(first_t), index),
+        None => {
+            let mut r = BitReader::new(bytes);
+            let s = State::open(&mut r, first_t)?;
+            (r, s, 0)
+        }
+    };
+    debug_assert!(i < count);
     loop {
-        if i >= skip && !visit(s.t, s.bits) {
+        if !visit(i, s.t, s.bits) {
             return Ok(None);
         }
         i += 1;
@@ -623,7 +789,7 @@ fn walk<'a>(
 /// Accepts precisely the payloads [`decode_exact`] accepts.
 pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>, DecodeError> {
     DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
-    walk(first_t, count, bytes, 0, |_, _| true).map(|v| v.expect("the visitor never stops"))
+    walk(first_t, count, bytes, None, |_, _, _| true).map(|v| v.expect("the visitor never stops"))
 }
 
 /// Decode a wire payload, validating as [`validate`] does. Appends to
@@ -637,7 +803,7 @@ pub fn decode_exact(
 ) -> Result<(), DecodeError> {
     DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     let (ts_mark, vals_mark) = (out_ts.len(), out_vals.len());
-    let walked = walk(first_t, count, bytes, 0, |t, bits| {
+    let walked = walk(first_t, count, bytes, None, |_, t, bits| {
         out_ts.push(t);
         out_vals.push(f64::from_bits(bits));
         true
@@ -815,12 +981,25 @@ mod tests {
         let ts: Vec<u64> = (0..512u64).map(|s| s * 1000).collect();
         let vals: Vec<f64> = (0..512).map(|i| 200.0 + (i % 7) as f64).collect();
         let c = compress(&ts, &vals, 0);
+        // One restart between every two strides, none after the last.
+        assert_eq!(c.restarts.len(), (512 - 2) / RESTART_STRIDE);
+        assert_eq!(std::mem::size_of::<Restart>(), 20);
         assert_eq!(
             c.mem_bytes(),
-            c.bytes().len() + std::mem::size_of::<Chunk>()
+            c.bytes().len()
+                + c.restarts.len() * std::mem::size_of::<Restart>()
+                + std::mem::size_of::<Chunk>()
         );
+        // The table costs the header one pointer pair.
+        assert_eq!(std::mem::size_of::<Chunk>(), 48 + 16);
         let v = validate(c.first_t(), c.count(), c.bytes()).unwrap();
         assert_eq!(v.used_bytes, c.bytes().len());
+        // An adopted chunk holds the payload and a header, nothing else.
+        let adopted = Chunk::adopt(&v, 0);
+        assert_eq!(
+            adopted.mem_bytes(),
+            c.bytes().len() + std::mem::size_of::<Chunk>()
+        );
     }
 
     #[test]
@@ -926,16 +1105,30 @@ mod tests {
         Some(v)
     }
 
-    /// The samples decoded before the stream ended or broke, whether all
-    /// `count` came out, and how many bytes the reads touched.
-    fn ref_decode(first_t: u64, count: u32, bytes: &[u8]) -> (Vec<(u64, u64)>, bool, usize) {
-        let mut out = Vec::new();
+    /// What the reference holds between two samples: the bit position
+    /// of the next code, the last delta, the value window.
+    type RefState = (usize, u64, Option<(u32, u32)>);
+
+    struct RefDecoded {
+        /// The samples decoded before the stream ended or broke.
+        samples: Vec<(u64, u64)>,
+        /// The state after each of them.
+        states: Vec<RefState>,
+        /// Whether all `count` came out.
+        complete: bool,
+        /// Bytes the reads touched.
+        used: usize,
+    }
+
+    fn ref_decode(first_t: u64, count: u32, bytes: &[u8]) -> RefDecoded {
+        let (mut out, mut states) = (Vec::new(), Vec::new());
         let mut pos = 0;
         let mut run = || -> Option<()> {
             let (mut t, mut delta) = (first_t, 0u64);
             let mut bits = ref_get(bytes, &mut pos, 64)?;
             let mut window = None::<(u32, u32)>;
             out.push((t, bits));
+            states.push((pos, delta, window));
             for _ in 1..count {
                 let mut ones = 0;
                 while ones < 4 && ref_get(bytes, &mut pos, 1)? == 1 {
@@ -964,17 +1157,61 @@ mod tests {
                     bits ^= ref_get(bytes, &mut pos, len)? << (64 - lead - len);
                 }
                 out.push((t, bits));
+                states.push((pos, delta, window));
             }
             Some(())
         };
         let complete = count > 0 && run().is_some();
-        (out, complete, pos.div_ceil(8))
+        RefDecoded {
+            samples: out,
+            states,
+            complete,
+            used: pos.div_ceil(8),
+        }
     }
 
     /// Every reader against the reference on one `(first_t, count,
-    /// bytes)` input, well-formed or not.
-    fn check_readers(first_t: u64, count: u32, bytes: &[u8], skip: u32) {
-        let (want, complete, used) = ref_decode(first_t, count, bytes);
+    /// bytes)` input, well-formed or not — from the first sample, and
+    /// resumed from each point of `table` (the restarts `compress` took
+    /// on the undamaged payload) that the reference's own decode of
+    /// this input passes through.
+    fn check_readers(first_t: u64, count: u32, bytes: &[u8], skip: u32, table: &[Restart]) {
+        let RefDecoded {
+            samples: want,
+            states,
+            complete,
+            used,
+        } = ref_decode(first_t, count, bytes);
+        for (k, at) in table.iter().enumerate() {
+            let i = (k + 1) * RESTART_STRIDE;
+            // Damage upstream of a point makes it some other stream's.
+            let on_path = i < count as usize
+                && states.get(i).is_some_and(|&(pos, delta, window)| {
+                    let window = window.unwrap_or((0, 0));
+                    first_t.checked_add(u64::from(at.t)) == Some(want[i].0)
+                        && (at.bit(), u64::from(at.delta)) == (pos, delta)
+                        && (at.state(first_t).bits, at.packed & 0x1fff)
+                            == (want[i].1, window.0 << 7 | window.1)
+                });
+            if !on_path {
+                continue;
+            }
+            let mut resumed = Vec::new();
+            let walked = walk(first_t, count, bytes, Some((i as u32, at)), |_, t, bits| {
+                resumed.push((t, bits));
+                true
+            });
+            assert_eq!(resumed, want[i..], "resumed from sample {i}");
+            assert_eq!(
+                walked.is_ok(),
+                complete,
+                "a restart never changes acceptance"
+            );
+            match walked {
+                Ok(v) => assert_eq!(v.expect("the visitor never stops").used_bytes, used),
+                Err(e) => assert_eq!(Err(e), validate(first_t, count, bytes)),
+            }
+        }
         let (mut ts, mut vals) = (vec![7], vec![7.0]);
         let exact = decode_exact(first_t, count, bytes, &mut ts, &mut vals);
         let checked = validate(first_t, count, bytes);
@@ -1065,24 +1302,47 @@ mod tests {
             let (ts, vals) = arbitrary_samples(&mut rng, n);
             let c = compress(&ts, &vals, 0);
             proptest::prop_assert_eq!(c.bytes(), &ref_encode(&ts, &vals)[..]);
-            check_readers(c.first_t(), c.count(), c.bytes(), skip);
+            let table = &c.restarts;
+            check_readers(c.first_t(), c.count(), c.bytes(), skip, table);
+
+            // The sealed chunk itself, table and all, from any eviction
+            // point, through both of its readers.
+            let evict = skip % c.count();
+            let mut evicted = c.clone();
+            if evict > 0 {
+                evicted.evict(evict);
+            }
+            let want: Vec<(u64, u64)> = ts
+                .iter()
+                .zip(&vals)
+                .map(|(&t, v)| (t, v.to_bits()))
+                .skip(evict as usize)
+                .collect();
+            let (mut got_ts, mut got_vals) = (Vec::new(), Vec::new());
+            evicted.decode_into(&mut got_ts, &mut got_vals);
+            let got: Vec<(u64, u64)> =
+                got_ts.iter().zip(&got_vals).map(|(&t, v)| (t, v.to_bits())).collect();
+            proptest::prop_assert_eq!(&got, &want);
+            let streamed: Vec<(u64, u64)> =
+                evicted.decode().map(|(t, v)| (t, v.to_bits())).collect();
+            proptest::prop_assert_eq!(&streamed, &want);
 
             // Mangled: a flipped bit, a cut, trailing garbage, a wrong
             // count, a wrong first timestamp, and pure noise.
             let mut flipped = c.bytes().to_vec();
             let at = rng.below(flipped.len() as u64 * 8) as usize;
             flipped[at / 8] ^= 0x80 >> (at % 8);
-            check_readers(c.first_t(), c.count(), &flipped, skip);
+            check_readers(c.first_t(), c.count(), &flipped, skip, table);
             let cut = rng.below(c.bytes().len() as u64 + 1) as usize;
-            check_readers(c.first_t(), c.count(), &c.bytes()[..cut], skip);
+            check_readers(c.first_t(), c.count(), &c.bytes()[..cut], skip, table);
             let mut padded = c.bytes().to_vec();
             padded.extend((0..rng.below(12)).map(|_| rng.next_u64() as u8));
-            check_readers(c.first_t(), c.count(), &padded, skip);
-            check_readers(c.first_t(), c.count() + rng.below(3) as u32, &padded, skip);
-            check_readers(c.first_t(), rng.below(u64::from(c.count()) + 1) as u32, c.bytes(), skip);
-            check_readers(u64::MAX - rng.below(1 << 20), c.count(), c.bytes(), skip);
+            check_readers(c.first_t(), c.count(), &padded, skip, table);
+            check_readers(c.first_t(), c.count() + rng.below(3) as u32, &padded, skip, table);
+            check_readers(c.first_t(), rng.below(u64::from(c.count()) + 1) as u32, c.bytes(), skip, table);
+            check_readers(u64::MAX - rng.below(1 << 20), c.count(), c.bytes(), skip, table);
             let noise: Vec<u8> = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect();
-            check_readers(rng.next_u64(), rng.below(64) as u32, &noise, skip);
+            check_readers(rng.next_u64(), rng.below(64) as u32, &noise, skip, table);
         }
     }
 }

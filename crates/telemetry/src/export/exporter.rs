@@ -443,10 +443,11 @@ fn copy_pending(
     // Sealed chunks fully inside the pending span ship whole —
     // compressed bytes straight onto the wire, no decode. A chunk
     // with an evicted prefix (front-chunk skip) or a previous
-    // drain's partial coverage decodes just its unshipped suffix to
-    // per-sample records: re-shipping the whole bitstream would
-    // duplicate samples the receiver already has. A cursor already in
-    // the unsealed tail (every sweep between seals) skips the walk.
+    // drain's partial coverage decodes just its unshipped suffix —
+    // from the restart point nearest the cursor — to per-sample
+    // records: re-shipping the whole bitstream would duplicate samples
+    // the receiver already has. A cursor already in the unsealed tail
+    // (every sweep between seals) skips the walk.
     let sealed_end = oldest + raw.compressed_len() as u64;
     if cursor.appends < sealed_end {
         for c in raw.sealed_chunks() {
@@ -463,38 +464,45 @@ fn copy_pending(
                 stats.samples += u64::from(c.count());
                 cursor.appends = hi;
             } else {
-                let already = (cursor.appends - c.retained_start_append()) as usize;
-                for (t, value) in c.decode().skip(already) {
-                    if batch.len() >= cap {
-                        return true;
-                    }
-                    batch.push(ExportRecord::Sample {
-                        id,
-                        t: SimTime(t),
-                        value,
-                    });
-                    stats.samples += 1;
-                    cursor.appends += 1;
+                let shipped = cursor.appends;
+                c.scan_from(
+                    |append, _| append < shipped,
+                    |append, t, value| {
+                        if append >= shipped {
+                            batch.push(ExportRecord::Sample {
+                                id,
+                                t: SimTime(t),
+                                value,
+                            });
+                            cursor.appends += 1;
+                        }
+                        batch.len() < cap
+                    },
+                );
+                stats.samples += cursor.appends - shipped;
+                if cursor.appends < hi {
+                    return true;
                 }
             }
         }
     }
-    // The remainder is the uncompressed tail: ship its oldest `take`
-    // samples so the cursor advances contiguously.
-    let avail = (total - cursor.appends) as usize;
-    let take = avail.min(cap.saturating_sub(batch.len()));
-    if take > 0 {
-        for s in raw.last_n_view(avail).into_iter().take(take) {
-            batch.push(ExportRecord::Sample {
+    // The remainder is the uncompressed tail, copied where it lies:
+    // its oldest `take` samples, so the cursor advances contiguously.
+    let (tail_ts, tail_vals) = raw.tail_from(cursor.appends);
+    let take = tail_ts.len().min(cap.saturating_sub(batch.len()));
+    batch.extend(
+        tail_ts[..take]
+            .iter()
+            .zip(&tail_vals[..take])
+            .map(|(&t, &value)| ExportRecord::Sample {
                 id,
-                t: s.t,
-                value: s.value,
-            });
-        }
-        stats.samples += take as u64;
-        cursor.appends += take as u64;
-    }
-    if take < avail {
+                t: SimTime(t),
+                value,
+            }),
+    );
+    stats.samples += take as u64;
+    cursor.appends += take as u64;
+    if take < tail_ts.len() {
         return true;
     }
 

@@ -26,8 +26,11 @@
 //! into a **pooled scratch buffer** (reused across queries, returned on
 //! drop) and a borrowed slice of the tail. A query that lands entirely
 //! in the tail — the common case for loop-rate windows — allocates and
-//! decodes nothing, exactly like the previous ring. Aggregations fold
-//! directly over the segments.
+//! decodes nothing, exactly like the previous ring. One that reaches
+//! into a sealed chunk seeks to the chunk's restart point nearest its
+//! lower bound ([`Chunk::scan_from`]) and decodes from there: the cost
+//! follows the window, not the chunk. Aggregations fold directly over
+//! the segments.
 
 use crate::chunk::{self, Chunk, Validated};
 use crate::window::WindowAgg;
@@ -227,13 +230,24 @@ impl TimeSeries {
         self.chunks.iter()
     }
 
+    /// The unsealed samples from lifetime append index `from` on, as
+    /// parallel `(timestamps, values)` slices where they lie. Panics
+    /// when `from` lies outside the tail (the exporter ships the sealed
+    /// region as chunks first).
+    pub fn tail_from(&self, from: u64) -> (&[u64], &[f64]) {
+        let tail_start = self.total_appends - self.tail_ts.len() as u64;
+        let at = (from - tail_start) as usize;
+        (&self.tail_ts[at..], &self.tail_vals[at..])
+    }
+
     /// Heap bytes held by the uncompressed tail buffers.
     pub fn raw_bytes(&self) -> usize {
         self.tail_ts.capacity() * std::mem::size_of::<u64>()
             + self.tail_vals.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Heap bytes held by sealed compressed chunks (payload + headers).
+    /// Heap bytes held by sealed compressed chunks (payload + restart
+    /// tables + headers).
     pub fn compressed_bytes(&self) -> usize {
         self.chunks.iter().map(Chunk::mem_bytes).sum()
     }
@@ -257,8 +271,8 @@ impl TimeSeries {
     }
 
     /// Oldest retained sample. O(1) when the oldest data is in the
-    /// tail; O(skip) decode of the front chunk's evicted prefix
-    /// otherwise.
+    /// tail; otherwise a decode of the front chunk from the restart
+    /// point nearest its evicted prefix's end.
     pub fn oldest(&self) -> Option<Sample> {
         if let Some(front) = self.chunks.front() {
             return Some(first_retained(front));
@@ -309,20 +323,30 @@ impl TimeSeries {
                 tail_vals: &self.tail_vals[start..],
             };
         }
+        // Walk back to the chunk holding the oldest wanted sample and
+        // that sample's append index.
         let mut need = n - self.tail_ts.len();
         let mut from = self.chunks.len();
+        let mut first = 0;
         while need > 0 {
             from -= 1;
-            need = need.saturating_sub(self.chunks[from].retained_len());
+            let c = &self.chunks[from];
+            let take = need.min(c.retained_len());
+            first = c.end_append() - take as u64;
+            need -= take;
         }
         let mut buf = take_scratch();
-        for c in self.chunks.iter().skip(from) {
-            c.decode_into(&mut buf.ts, &mut buf.vals);
-        }
-        let extra = buf.ts.len() - (n - self.tail_ts.len());
-        if extra > 0 {
-            buf.ts.drain(..extra);
-            buf.vals.drain(..extra);
+        for c in self.chunks.range(from..) {
+            c.scan_from(
+                |append, _| append < first,
+                |append, t, v| {
+                    if append >= first {
+                        buf.ts.push(t);
+                        buf.vals.push(v);
+                    }
+                    true
+                },
+            );
         }
         SampleView {
             scratch: Some(buf),
@@ -338,27 +362,28 @@ impl TimeSeries {
         let lo = self.tail_ts.partition_point(|&t| below(t));
         let hi = self.tail_ts.partition_point(|&t| !above(t)).max(lo);
         let mut scratch: Option<ScratchBuf> = None;
-        for c in &self.chunks {
+        let reached = self.chunks.partition_point(|c| below(c.last_t()));
+        for c in self.chunks.range(reached..) {
             if above(c.first_t()) {
                 break;
-            }
-            if below(c.last_t()) {
-                continue;
             }
             let buf = scratch.get_or_insert_with(take_scratch);
             if !below(c.first_t()) && !above(c.last_t()) {
                 c.decode_into(&mut buf.ts, &mut buf.vals);
             } else {
-                c.scan(|t, v| {
-                    if above(t) {
-                        return false;
-                    }
-                    if !below(t) {
-                        buf.ts.push(t);
-                        buf.vals.push(v);
-                    }
-                    true
-                });
+                c.scan_from(
+                    |_, t| below(t),
+                    |_, t, v| {
+                        if above(t) {
+                            return false;
+                        }
+                        if !below(t) {
+                            buf.ts.push(t);
+                            buf.vals.push(v);
+                        }
+                        true
+                    },
+                );
             }
         }
         SampleView {
@@ -371,8 +396,9 @@ impl TimeSeries {
     /// Value interpolated linearly at time `t`, if `t` falls within the
     /// retained span. Exact matches return the stored value (the newest
     /// among duplicate timestamps); queries outside the span return
-    /// `None` rather than extrapolating. O(log n) over the tail; at
-    /// most one chunk decodes when `t` falls in the sealed region.
+    /// `None` rather than extrapolating. O(log n) over the tail; when
+    /// `t` falls in the sealed region, one chunk decodes from its
+    /// restart point nearest `t` to the first sample past it.
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
         let first = self.oldest()?;
         let last = self.latest()?;
@@ -401,28 +427,33 @@ impl TimeSeries {
         // chunk whose first encoded timestamp is <= t (the span guard
         // above makes at least one such chunk exist).
         let ci = self.chunks.partition_point(|c| c.first_t() <= t.0) - 1;
-        let mut buf = take_scratch();
-        self.chunks[ci].decode_into(&mut buf.ts, &mut buf.vals);
-        let below = buf.ts.partition_point(|&x| x <= t.0) - 1;
-        let (bt, bv) = (buf.ts[below], buf.vals[below]);
-        let result = if bt == t.0 {
-            Some(bv)
-        } else {
-            // Successor: in-chunk, or the first sample of the next
-            // segment (next chunk, else the tail) — `t <= last.t`
-            // guarantees one exists.
-            let (nt, nv) = if below + 1 < buf.ts.len() {
-                (buf.ts[below + 1], buf.vals[below + 1])
-            } else if let Some(next) = self.chunks.get(ci + 1) {
-                let next = first_retained(next);
-                (next.t.0, next.value)
-            } else {
-                (self.tail_ts[0], self.tail_vals[0])
-            };
-            Some(Self::interp(t.0, bt, bv, nt, nv))
-        };
-        put_scratch(buf);
-        result
+        let (mut below, mut next) = (None, None);
+        self.chunks[ci].scan_from(
+            |_, x| x <= t.0,
+            |_, x, v| {
+                if x <= t.0 {
+                    below = Some((x, v));
+                } else {
+                    next = Some((x, v));
+                }
+                next.is_none()
+            },
+        );
+        let (bt, bv) = below.expect("a retained sample at or before `t`");
+        if bt == t.0 {
+            return Some(bv);
+        }
+        // Successor: in-chunk, or the first sample of the next segment
+        // (next chunk, else the tail) — `t <= last.t` guarantees one
+        // exists.
+        let (nt, nv) = next.unwrap_or_else(|| match self.chunks.get(ci + 1) {
+            Some(c) => {
+                let s = first_retained(c);
+                (s.t.0, s.value)
+            }
+            None => (self.tail_ts[0], self.tail_vals[0]),
+        });
+        Some(Self::interp(t.0, bt, bv, nt, nv))
     }
 
     fn interp(t: u64, bt: u64, bv: f64, nt: u64, nv: f64) -> f64 {
@@ -731,11 +762,14 @@ impl Deserialize for TimeSeries {
         };
         let capacity: usize = Deserialize::from_value(get("capacity")?)?;
         let samples: Vec<(u64, f64)> = Deserialize::from_value(get("samples")?)?;
+        let total_appends: u64 = Deserialize::from_value(get("total_appends")?)?;
         let mut s = TimeSeries::new(capacity);
+        // Count the retained samples up to the stored total, so the
+        // chunks they seal into carry their true append indices.
+        s.total_appends = total_appends.saturating_sub(samples.len() as u64);
         for (t, v) in samples {
             s.push(SimTime(t), v);
         }
-        s.total_appends = Deserialize::from_value(get("total_appends")?)?;
         s.rejected = Deserialize::from_value(get("rejected")?)?;
         Ok(s)
     }
@@ -998,5 +1032,24 @@ mod tests {
         let a: Vec<Sample> = s.iter().collect();
         let b: Vec<Sample> = back.iter().collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_append_indices() {
+        // Enough retained samples that restoring them seals a chunk:
+        // it must carry the append indices the exporter's cursors and
+        // `tail_from` key on, not ones counted from the restore.
+        let mut s = TimeSeries::new(600);
+        for i in 0..1500u64 {
+            s.push(SimTime::from_secs(i), i as f64);
+        }
+        let json = serde_json::to_string(&s).unwrap();
+        let back: TimeSeries = serde_json::from_str(&json).unwrap();
+        assert_eq!((back.len(), back.total_appends()), (600, 1500));
+        let sealed = back.sealed_chunks().next().expect("a chunk sealed");
+        assert_eq!(sealed.retained_start_append(), 900);
+        let (ts, _) = back.tail_from(sealed.end_append());
+        assert_eq!(ts.len(), back.len() - back.compressed_len());
+        assert_eq!(ts.last(), Some(&1_499_000));
     }
 }

@@ -983,14 +983,18 @@ mod tests {
         );
         // Smooth telemetry seals well under the 16 B/sample raw cost.
         assert!(m.compressed_bytes_per_sample().unwrap() < 3.0);
-        // Payloads are held at exact length: the sealed tier costs its
-        // payload bytes plus one header per chunk, no allocator slack.
-        let payload_and_headers: usize = db
+        // Payloads and restart tables are held at exact length: the
+        // sealed tier costs those bytes plus one header per chunk, no
+        // allocator slack.
+        let held: usize = db
             .series(a)
             .sealed_chunks()
-            .map(|c| c.bytes().len() + std::mem::size_of::<crate::chunk::Chunk>())
+            .map(|c| {
+                c.bytes().len() + c.restart_bytes() + std::mem::size_of::<crate::chunk::Chunk>()
+            })
             .sum();
-        assert!(m.compressed_bytes <= payload_and_headers);
+        assert_eq!(m.compressed_bytes, held);
+        assert!(db.series(a).sealed_chunks().all(|c| c.restart_bytes() > 0));
     }
 
     #[test]

@@ -1259,6 +1259,18 @@ pub fn parse_frame(buf: &[u8]) -> FrameParse<'_> {
 /// instead of yielding a frame; `Err` only for genuine I/O errors.
 /// Consumes exactly the frame's bytes, so a caller can track offsets.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Result<(u8, Vec<u8>), FrameEnd>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.map(|tag| (tag, payload)))
+}
+
+/// [`read_frame`] into a buffer the caller keeps: `payload` is replaced
+/// by the frame's, and `Ok(Ok(tag))` names it. A reader of many small
+/// frames (a sender counting acks) allocates nothing once the buffer
+/// has grown to the largest.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> io::Result<Result<u8, FrameEnd>> {
     let mut prefix = [0u8; 4];
     match read_exact_or_eof(r, &mut prefix)? {
         ReadExact::Eof => return Ok(Err(FrameEnd::Clean)),
@@ -1274,7 +1286,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Result<(u8, Vec<u8>), FrameEn
     // buffer handed back: dropping the trailer is a truncate, and
     // nothing has to shift to drop a head.
     let mut tag = [0u8; 1];
-    let mut payload = vec![0u8; total - 5];
+    payload.clear();
+    payload.resize(total - 5, 0);
     for part in [&mut tag[..], &mut payload[..]] {
         match read_exact_or_eof(r, part)? {
             ReadExact::Full => {}
@@ -1284,10 +1297,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Result<(u8, Vec<u8>), FrameEn
     let n = total - 9;
     let crc = u32::from_le_bytes(payload[n..].try_into().expect("the 4-byte trailer"));
     payload.truncate(n);
-    if frame_crc(tag[0], &[&payload]) != crc {
+    if frame_crc(tag[0], &[payload]) != crc {
         return Ok(Err(FrameEnd::Corrupt));
     }
-    Ok(Ok((tag[0], payload)))
+    Ok(Ok(tag[0]))
 }
 
 enum ReadExact {

@@ -1,13 +1,15 @@
 //! The steady-state drain allocates nothing: after warm-up, draining a
 //! one-sample-per-metric sweep — the shape a collector produces once a
 //! second — reuses the exporter's staging buffer and rollback journal
-//! and the sink's wire buffer. Its own test binary, because the
-//! counting `#[global_allocator]` is process-wide.
+//! and the sink's wire buffer. So does the read beside it: a trailing
+//! window that reaches back across the newest seal decodes into the
+//! thread's pooled scratch. Its own test binary, because the counting
+//! `#[global_allocator]` is process-wide.
 
-use moda_sim::SimTime;
+use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, Sink};
 use moda_telemetry::wire::encode_batch;
-use moda_telemetry::{Exporter, MetricId, MetricMeta, RollupConfig, SourceDomain, Tsdb};
+use moda_telemetry::{Exporter, MetricId, MetricMeta, RollupConfig, SourceDomain, Tsdb, WindowAgg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -132,4 +134,39 @@ fn steady_state_sweep_drain_allocates_nothing() {
     // ...and nothing was lost to it.
     let stats = exporter.drain(&db, &mut sink).unwrap();
     assert_eq!(stats.samples, u64::from(METRICS));
+}
+
+#[test]
+fn warm_window_read_across_the_seal_allocates_nothing() {
+    let mut db = Tsdb::with_retention(1024);
+    let plain = db.register(MetricMeta::gauge("plain", "u", SourceDomain::Hardware));
+    let rolled = db.register(MetricMeta::gauge("rolled", "u", SourceDomain::Hardware));
+    db.enable_rollups(rolled, &RollupConfig::standard());
+    // One chunk seals at 512; the 60 s window ending at 539 takes its
+    // first 32 samples from it and the rest from the tail.
+    for s in 0..540u64 {
+        for id in [plain, rolled] {
+            db.insert(id, SimTime::from_secs(s), 200.0 + (s % 7) as f64);
+        }
+    }
+    let now = SimTime::from_secs(539);
+    let window = SimDuration::from_secs(60);
+    let read = |db: &Tsdb| {
+        let view = db.window_view(plain, now, window);
+        assert!(view.ts_slices().iter().all(|seg| !seg.is_empty()));
+        assert_eq!(view.len(), 60);
+        drop(view);
+        for id in [plain, rolled] {
+            let mean = db.window_agg(id, now, window, WindowAgg::Mean).unwrap();
+            assert!((200.0..=206.0).contains(&mean));
+        }
+    };
+    // Warm-up: the scratch pool gets its buffer.
+    read(&db);
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..16 {
+        read(&db);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "warm window reads allocated {allocs} times");
 }

@@ -1170,6 +1170,164 @@ proptest! {
     }
 }
 
+// ------------------------------------------------- restart-point seeks
+//
+// A sealed chunk carries restart points, so a read that wants a suffix
+// of it resumes mid-stream instead of decoding from the first sample.
+// Where a read starts must never show in what it returns.
+
+/// A series built the ways production builds one — pushed runs that
+/// seal into chunks with restart tables, validated blocks adopted with
+/// none — over samples with duplicate timestamps, deltas up to 2⁵⁰ (a
+/// state that does not pack ends a table early) and NaN payloads; and
+/// the flat list of what it retains, kept beside it.
+struct Mixed {
+    series: TimeSeries,
+    retained: std::collections::VecDeque<(u64, u64)>,
+    rng: proptest::TestRng,
+    t: u64,
+    bits: u64,
+}
+
+impl Mixed {
+    fn new(seed: u64, capacity: usize) -> Self {
+        Mixed {
+            series: TimeSeries::new(capacity),
+            retained: Default::default(),
+            rng: proptest::TestRng::new(seed),
+            t: seed % 1_000_000,
+            bits: 200.0f64.to_bits(),
+        }
+    }
+
+    fn draw(&mut self) -> (u64, f64) {
+        let rng = &mut self.rng;
+        self.t += match rng.below(12) {
+            0 | 1 => 0,
+            2 => rng.below(5_000),
+            3 if rng.below(40) == 0 => rng.next_u64() >> (14 + rng.below(40)),
+            _ => 1_000 + rng.below(3),
+        };
+        self.bits = match rng.below(10) {
+            0 => self.bits,
+            1 => rng.next_u64(),
+            2 => 0x7ff8_0000_0000_0000 | rng.below(1 << 20),
+            3 => self.bits ^ (1 << 63 | 1),
+            _ => (f64::from_bits(self.bits) + rng.below(7) as f64 - 3.0).to_bits(),
+        };
+        (self.t, f64::from_bits(self.bits))
+    }
+
+    fn keep(&mut self, t: u64, v: f64) {
+        self.retained.push_back((t, v.to_bits()));
+        if self.retained.len() > self.series.capacity() {
+            self.retained.pop_front();
+        }
+    }
+
+    fn push(&mut self) {
+        let (t, v) = self.draw();
+        assert!(self.series.push(SimTime(t), v));
+        self.keep(t, v);
+    }
+
+    fn adopt(&mut self, n: usize) {
+        let (ts, vals): (Vec<u64>, Vec<f64>) = (0..n).map(|_| self.draw()).unzip();
+        let sealed = chunk::compress(&ts, &vals, 0);
+        let block = chunk::validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
+        assert!(self.series.adopt_chunk(&block));
+        for (t, v) in ts.into_iter().zip(vals) {
+            self.keep(t, v);
+        }
+    }
+}
+
+fn bit_exact(view: impl IntoIterator<Item = Sample>) -> Vec<(u64, u64)> {
+    view.into_iter()
+        .map(|s| (s.t.0, s.value.to_bits()))
+        .collect()
+}
+
+/// `value_at` on the flat list: the newest sample at or before `t`,
+/// interpolated toward the one after it.
+fn value_at_flat(all: &[(u64, u64)], t: u64) -> Option<u64> {
+    if t < all.first()?.0 || t > all.last()?.0 {
+        return None;
+    }
+    let below = all.iter().rposition(|&(x, _)| x <= t)?;
+    let (bt, bv) = (all[below].0, f64::from_bits(all[below].1));
+    if bt == t {
+        return Some(bv.to_bits());
+    }
+    let (nt, nv) = (all[below + 1].0, f64::from_bits(all[below + 1].1));
+    let frac = (t - bt) as f64 / (nt - bt) as f64;
+    Some((bv + frac * (nv - bv)).to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every partial reader, with its lower bound on, one before and
+    /// one after every retained sample — hence every restart boundary,
+    /// wherever the stride puts them — returns what a filter over the
+    /// fully decoded series returns, bit for bit; and so does the
+    /// oldest-sample read at every eviction offset through a chunk.
+    #[test]
+    fn seeking_reads_equal_scanning_reads(
+        seed in any::<u64>(),
+        capacity in 600usize..1400,
+        segments in prop::collection::vec((any::<bool>(), 1usize..700), 2..6),
+    ) {
+        let mut m = Mixed::new(seed, capacity);
+        for (adopt, n) in segments {
+            if adopt {
+                m.adopt(n);
+            } else {
+                (0..n).for_each(|_| m.push());
+            }
+        }
+        let all: Vec<(u64, u64)> = m.retained.iter().copied().collect();
+        let s = &m.series;
+        prop_assert_eq!(bit_exact(s.iter()), &all[..]);
+
+        for i in 0..all.len() {
+            // A short span from each bound: the cost of a case stays in
+            // the seek, which is what is under test.
+            let end = all[(i + 70).min(all.len() - 1)].0;
+            for lo in [all[i].0.saturating_sub(1), all[i].0, all[i].0 + 1] {
+                let want: Vec<_> =
+                    all.iter().copied().filter(|&(t, _)| t >= lo && t < end).collect();
+                prop_assert_eq!(bit_exact(s.range_view(SimTime(lo), SimTime(end))), want);
+                let want: Vec<_> =
+                    all.iter().copied().filter(|&(t, _)| t > lo && t <= end).collect();
+                let window = SimDuration(end.saturating_sub(lo));
+                prop_assert_eq!(bit_exact(s.window_view(SimTime(end), window)), want);
+                prop_assert_eq!(
+                    s.value_at(SimTime(lo)).map(f64::to_bits),
+                    value_at_flat(&all, lo),
+                    "value_at({})", lo
+                );
+            }
+            prop_assert_eq!(bit_exact(s.last_n_view(all.len() - i)), &all[i..]);
+        }
+
+        // Evict through more than a chunk, one sample at a time.
+        for step in 0..700 {
+            m.push();
+            let oldest = m.series.oldest().map(|o| (o.t.0, o.value.to_bits()));
+            prop_assert_eq!(oldest, m.retained.front().copied());
+            if step % 41 == 0 {
+                let all: Vec<(u64, u64)> = m.retained.iter().copied().collect();
+                prop_assert_eq!(bit_exact(m.series.iter()), &all[..]);
+                prop_assert_eq!(
+                    m.series.value_at(SimTime(all[0].0)).map(f64::to_bits),
+                    value_at_flat(&all, all[0].0)
+                );
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------ frame envelope
 
 use moda_telemetry::wire::{crc32, read_frame, write_frame, FrameBuffer, FrameEnd};

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::{MetricMeta, RollupConfig, Sample, SourceDomain, Tsdb, WindowAgg};
+use moda_telemetry::{MetricMeta, RollupConfig, SourceDomain, Tsdb, WindowAgg};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -76,13 +76,9 @@ fn bench_insert_batch(c: &mut Criterion) {
 }
 
 /// Window-query cost as the Analyze window widens (Analyze reads
-/// dominate the loop's steady-state telemetry traffic).
-///
-/// Two variants per width:
-/// * `scan_vec`  — the seed's read path: O(n) filter scan over the whole
-///   series, materializing `Vec<Sample>`, then a second aggregation pass;
-/// * `agg`       — the zero-allocation path: `window_agg` folding the
-///   binary-searched view directly.
+/// dominate the loop's steady-state telemetry traffic): `agg` is
+/// `window_agg` folding the binary-searched view directly, without
+/// allocating.
 fn bench_window_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsdb_window");
     let (mut db, ids) = registered(8, 4096);
@@ -95,23 +91,6 @@ fn bench_window_query(c: &mut Criterion) {
         }
     }
     for window_s in [60u64, 600, 3600] {
-        g.bench_with_input(
-            BenchmarkId::new("scan_vec", window_s),
-            &window_s,
-            |b, &w| {
-                // Reference reproduction of the seed implementation: full
-                // linear scan + filter + collect + aggregate.
-                let t0 = SimTime(now.0.saturating_sub(w * 1000));
-                b.iter(|| {
-                    let samples: Vec<Sample> = db
-                        .series(ids[0])
-                        .iter()
-                        .filter(|s| s.t > t0 && s.t <= now)
-                        .collect();
-                    black_box(WindowAgg::Mean.apply_samples(&samples))
-                });
-            },
-        );
         g.bench_with_input(BenchmarkId::new("agg", window_s), &window_s, |b, &w| {
             b.iter(|| {
                 black_box(db.window_agg(
@@ -823,7 +802,7 @@ fn bench_wire_crc32(c: &mut Criterion) {
 /// * `insert_uninstrumented/4096` vs `insert_instrumented/4096` — the
 ///   collector's batch-insert hot path bare, and wrapped the way a
 ///   threaded runtime wraps it (one span + one counter per batch). The `BENCH_tsdb.json` ratio between the two is pinned
-///   ≤ `BENCH_GATE_MAX_SELFOBS_OVERHEAD` (default 1.10) by the CI
+///   ≤ `bench_gate`'s `MAX_SELFOBS_OVERHEAD` (1.10) by the CI
 ///   bench gate — instrumentation over 10 % would fail the build.
 fn bench_selfobs(c: &mut Criterion) {
     use moda_obs::Obs;
@@ -891,7 +870,7 @@ fn bench_selfobs(c: &mut Criterion) {
     g.finish();
 }
 
-/// Percentile aggregation: full-sort (seed) vs O(n) selection.
+/// Percentile aggregation by O(n) selection.
 fn bench_percentile(c: &mut Criterion) {
     let mut g = c.benchmark_group("tsdb_percentile");
     let (mut db, ids) = registered(1, 4096);
@@ -900,18 +879,6 @@ fn bench_percentile(c: &mut Criterion) {
         now = SimTime::from_secs(s);
         db.insert(ids[0], now, ((s * 2_654_435_761) % 10_000) as f64);
     }
-    g.bench_function("sort_vec_p99", |b| {
-        b.iter(|| {
-            let samples = db
-                .window_view(ids[0], now, SimDuration::from_secs(3600))
-                .to_vec();
-            let mut vals: Vec<f64> = samples.iter().map(|s| s.value).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let pos = 0.99 * (vals.len() - 1) as f64;
-            let (lo, frac) = (pos.floor() as usize, pos.fract());
-            black_box(vals[lo] * (1.0 - frac) + vals[lo + 1] * frac)
-        });
-    });
     g.bench_function("select_agg_p99", |b| {
         b.iter(|| {
             black_box(db.window_agg(

@@ -16,14 +16,14 @@
 //!   regressions (an accidental O(n) scan on a planned path), not
 //!   percent-level noise.
 //! * **Machine-independent ratio**: the wide-window rollup path must
-//!   stay at least `BENCH_GATE_MIN_ROLLUP_SPEEDUP` (default 10×) faster
-//!   than the raw fold *within the same run* — the rollup tier's reason
-//!   to exist, immune to absolute machine speed.
+//!   stay at least 10× (`RATIO_CHECKS`) faster than the raw fold
+//!   *within the same run* — the rollup tier's reason to exist, immune
+//!   to absolute machine speed.
 //! * **Compression floor**: a day of smooth 1 Hz power-style telemetry,
 //!   fed in-process, must seal into Gorilla chunks at no more than
-//!   `BENCH_GATE_MAX_CHUNK_BYTES_PER_SAMPLE` (default 3.0) bytes per
-//!   compressed sample — the storage win the chunk tier exists for,
-//!   measured on a deterministic workload so it is machine-independent.
+//!   `MAX_CHUNK_BYTES_PER_SAMPLE` bytes per compressed sample — the
+//!   storage win the chunk tier exists for, measured on a deterministic
+//!   workload so it is machine-independent.
 //!
 //! The full comparison table is written to `bench_gate_report.txt`
 //! (uploaded as a CI artifact) and echoed to stdout.
@@ -50,39 +50,31 @@ const SKIP_PREFIXES: &[&str] = &[
 ];
 
 /// The machine-independent ratio checks: (numerator, denominator,
-/// env knob if the floor is tunable, default minimum speedup). Both
-/// compare two paths *within the same run*, so they hold regardless of
-/// absolute machine speed: the wide-window rollup planner vs the raw
-/// fold, and the sketch-served day-wide p99 vs the raw selection path.
-const RATIO_CHECKS: &[(&str, &str, Option<&str>, f64)] = &[
+/// minimum speedup). Both compare two paths *within the same run*, so
+/// they hold regardless of absolute machine speed: the wide-window
+/// rollup planner vs the raw fold, and the sketch-served day-wide p99 vs
+/// the raw selection path.
+const RATIO_CHECKS: &[(&str, &str, f64)] = &[
     (
         "tsdb_window_wide/raw/86400",
         "tsdb_window_wide/rollup/86400",
-        Some("BENCH_GATE_MIN_ROLLUP_SPEEDUP"),
         10.0,
     ),
     (
         "tsdb_percentile_wide/raw",
         "tsdb_percentile_wide/sketch",
-        Some("BENCH_GATE_MIN_SKETCH_SPEEDUP"),
         10.0,
     ),
     // The fleet tier's reason to exist: a 16-node day-wide p99 merged
     // from sealed-bucket sketches vs fanning out to every node's raw
     // day and selecting over the pool.
-    (
-        "tsdb_fleet/fanout_p99_16",
-        "tsdb_fleet/merged_p99_16",
-        Some("BENCH_GATE_MIN_FLEET_MERGE_SPEEDUP"),
-        10.0,
-    ),
+    ("tsdb_fleet/fanout_p99_16", "tsdb_fleet/merged_p99_16", 10.0),
     // The snapshot's reason to exist: restarting the durable fleet
     // tier from a snapshot (bounded by retained state) must beat
     // replaying the whole append-log history from seq 0.
     (
         "tsdb_fleet/replay_from_seq0",
         "tsdb_fleet/recover_from_snapshot",
-        Some("BENCH_GATE_MIN_RECOVERY_SPEEDUP"),
         10.0,
     ),
     // The serving tier's reason to exist: the full remote round-trip
@@ -93,37 +85,41 @@ const RATIO_CHECKS: &[(&str, &str, Option<&str>, f64)] = &[
     (
         "tsdb_fleet/fanout_p99_16",
         "tsdb_fleet/remote_query_p99",
-        Some("BENCH_GATE_MIN_REMOTE_QUERY_SPEEDUP"),
         2.0,
     ),
     // Linking a shipped chunk rests on checking it being no dearer than
     // decoding it: `validate` walks the same bits as `decode_exact` and
     // stores nothing, so it must never cost materially more.
-    (
-        "chunk_codec/decode/512",
-        "chunk_codec/validate/512",
-        None,
-        0.75,
-    ),
+    ("chunk_codec/decode/512", "chunk_codec/validate/512", 0.75),
     // A loop's trailing window reaching back across the newest seal
     // resumes from a restart point: the whole read — seek, partial
     // decode, tail fold — must cost at most half of decoding the chunk
     // it touches.
-    ("chunk_codec/decode/512", "tsdb_window/agg/60", None, 2.0),
+    ("chunk_codec/decode/512", "tsdb_window/agg/60", 2.0),
 ];
 
-/// Machine-independent *ceiling* checks: (numerator, denominator, env
-/// knob, default maximum ratio). Both sides run in the same process, so
-/// the ratio holds regardless of absolute machine speed. Today this
-/// pins the self-telemetry overhead: the collector's batch-insert hot
-/// path with a span + counter per batch must stay within 10 % of the
-/// bare path — instrumentation that costs more than that fails CI.
-const MAX_RATIO_CHECKS: &[(&str, &str, &str, f64)] = &[(
+/// The self-telemetry overhead ceiling: the collector's batch-insert
+/// hot path with a span + counter per batch must stay within 10 % of
+/// the bare path — instrumentation that costs more than that fails CI.
+const MAX_SELFOBS_OVERHEAD: f64 = 1.10;
+
+/// Machine-independent *ceiling* checks: (numerator, denominator,
+/// maximum ratio). Both sides run in the same process, so the ratio
+/// holds regardless of absolute machine speed.
+const MAX_RATIO_CHECKS: &[(&str, &str, f64)] = &[(
     "tsdb_selfobs/insert_instrumented/4096",
     "tsdb_selfobs/insert_uninstrumented/4096",
-    "BENCH_GATE_MAX_SELFOBS_OVERHEAD",
-    1.10,
+    MAX_SELFOBS_OVERHEAD,
 )];
+
+/// Most bytes per compressed sample a 1 Hz power day may seal into.
+const MAX_CHUNK_BYTES_PER_SAMPLE: f64 = 3.0;
+
+/// Sub-microsecond benches jitter hardest across runner generations:
+/// an absolute regression must also exceed this many nanoseconds, so a
+/// 78 ns bench drifting to 250 ns on a slow runner is noise, while a
+/// real O(n)-regression (µs-scale) still fails.
+const MIN_DELTA_NS: f64 = 500.0;
 
 #[derive(Debug, Clone)]
 struct BenchRec {
@@ -182,10 +178,9 @@ fn compression_check(report: &mut String, failures: &mut usize) {
         db.insert(id, SimTime::from_secs(sec), v);
     }
     let mem = db.memory_stats();
-    let max = env_f64("BENCH_GATE_MAX_CHUNK_BYTES_PER_SAMPLE", 3.0);
     match mem.compressed_bytes_per_sample() {
         Some(bps) => {
-            let verdict = if bps > max {
+            let verdict = if bps > MAX_CHUNK_BYTES_PER_SAMPLE {
                 *failures += 1;
                 "FAIL (compression regressed)"
             } else {
@@ -194,7 +189,7 @@ fn compression_check(report: &mut String, failures: &mut usize) {
             let _ = writeln!(
                 report,
                 "chunk compression: {bps:.2} bytes/sample over a 1 Hz power day \
-                 ({} samples sealed, max {max:.1})  {verdict}",
+                 ({} samples sealed, max {MAX_CHUNK_BYTES_PER_SAMPLE:.1})  {verdict}",
                 mem.compressed_samples
             );
         }
@@ -326,12 +321,7 @@ fn main() -> ExitCode {
             }
             Some(m) => {
                 let ratio = m / b.mean_ns.max(f64::MIN_POSITIVE);
-                // Sub-microsecond benches jitter hardest across runner
-                // generations; require an absolute delta too, so a 78 ns
-                // bench drifting to 250 ns on a slow runner is noise,
-                // while a real O(n)-regression (µs-scale) still fails.
-                let delta_floor = env_f64("BENCH_GATE_MIN_DELTA_NS", 500.0);
-                let verdict = if ratio > threshold && m - b.mean_ns > delta_floor {
+                let verdict = if ratio > threshold && m - b.mean_ns > MIN_DELTA_NS {
                     failures += 1;
                     "FAIL (regression)"
                 } else {
@@ -356,8 +346,7 @@ fn main() -> ExitCode {
     }
 
     let _ = writeln!(report);
-    for &(num, den, knob, default_min) in RATIO_CHECKS {
-        let min_speedup = knob.map_or(default_min, |knob| env_f64(knob, default_min));
+    for &(num, den, min_speedup) in RATIO_CHECKS {
         match (find(&measured, num), find(&measured, den)) {
             (Some(raw), Some(planned)) => {
                 let speedup = raw / planned.max(f64::MIN_POSITIVE);
@@ -382,8 +371,7 @@ fn main() -> ExitCode {
         }
     }
 
-    for &(num, den, knob, default_max) in MAX_RATIO_CHECKS {
-        let max_ratio = env_f64(knob, default_max);
+    for &(num, den, max_ratio) in MAX_RATIO_CHECKS {
         match (find(&measured, num), find(&measured, den)) {
             (Some(instrumented), Some(bare)) => {
                 let ratio = instrumented / bare.max(f64::MIN_POSITIVE);

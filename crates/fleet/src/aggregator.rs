@@ -150,7 +150,7 @@ pub enum NodeLiveness {
 }
 
 /// Point-in-time health of one node's ingest session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeHealth {
     /// The node.
     pub node: NodeId,
@@ -227,7 +227,7 @@ pub struct HealthTransitionStats {
 }
 
 /// Fleet-level health rollup.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetHealth {
     /// Per-node health, node order.
     pub nodes: Vec<NodeHealth>,

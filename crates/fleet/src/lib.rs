@@ -32,8 +32,10 @@
 //! * [`SocketSink`] → [`FleetListener`] — the transport across threads
 //!   and processes: length-prefixed, checksummed, acked frames over TCP
 //!   into a [`DurableFleet`] (write-ahead log + snapshots). Within one
-//!   thread a caller hands batches to [`FleetAggregator::ingest`]
-//!   directly. Those are the only two ways in.
+//!   thread a caller hands batches to [`DurableFleet::ingest`] (logged,
+//!   then applied — as [`SelfScraper`] and `pipeline_bench` do) or, with
+//!   no log, to [`FleetAggregator::ingest`] directly. Those are the
+//!   only three ways in.
 //! * [`query`] + [`FleetClient`] — the serving front end: versioned
 //!   request/response query frames over the same socket envelope the
 //!   ingest sessions use, answering window aggregates, merged fleet
@@ -86,6 +88,27 @@
 //! assert!(served.sketch && served.buckets > 0);
 //! assert!((p99.unwrap() - 249.0).abs() < 5.0);
 //! ```
+//!
+//! # The frozen benchmark surface
+//!
+//! `pipeline_bench` (the package `BENCHMARK.json` runs) is built from
+//! its own manifest, outside the workspace, so `cargo test --workspace`
+//! never compiles it. It imports exactly these paths from this crate;
+//! this doctest fails tier-1 if any of them stops resolving:
+//!
+//! ```
+//! #[allow(unused_imports)]
+//! use moda_fleet::query::{
+//!     decode_request, decode_response, encode_request, encode_response, execute,
+//! };
+//! #[allow(unused_imports)]
+//! use moda_fleet::{
+//!     ActionTarget, Bound, ControlConfig, DurabilityConfig, DurableFleet, FleetActuator,
+//!     FleetAggregator, FleetClient, FleetListener, FleetResponder, FleetStore, NodeCounters,
+//!     NodeId, QueryRequest, QueryResponse, Rank, RateLimit, ResponseRule, SocketSink,
+//!     StragglerMonitor, ThresholdMonitor, TickReport,
+//! };
+//! ```
 
 pub mod aggregator;
 pub mod control;
@@ -107,9 +130,8 @@ pub use control::{
 };
 pub use persist::{Burst, DurabilityConfig, DurableFleet, RecoveryStats};
 pub use query::{
-    CoveredAnswer, CoveredTopNodesAnswer, HealthAnswer, MetricsAnswer, NodeHealthAnswer,
-    QueryError, QueryErrorCode, QueryRequest, QueryResponse, ScalarAnswer, SelfStatAnswer,
-    TopNodeEntry, QUERY_PROTOCOL_VERSION,
+    CoveredTopNodesAnswer, MetricsAnswer, QueryError, QueryErrorCode, QueryRequest, QueryResponse,
+    ScalarAnswer, SelfStatAnswer, TopNodeEntry, QUERY_PROTOCOL_VERSION,
 };
 pub use selfobs::{SelfScrapeTick, SelfScraper, SELF_NODE};
 pub use store::{

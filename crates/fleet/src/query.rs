@@ -40,8 +40,7 @@
 //! protocol") for the full field tables.
 
 use crate::aggregator::{FleetAggregator, FleetHealth, NodeCounters, NodeHealth, NodeLiveness};
-use crate::control::Coverage;
-
+use crate::control::{Coverage, CoveredValue};
 use crate::store::{FleetServed, NodeId, Rank};
 use moda_obs::SlowOp;
 use moda_sim::{SimDuration, SimTime};
@@ -226,18 +225,6 @@ pub struct ScalarAnswer {
     pub served: FleetServed,
 }
 
-/// A coverage-annotated scalar answer — the wire twin of
-/// [`crate::CoveredValue`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoveredAnswer {
-    /// The pooled aggregate over the contributing subset.
-    pub value: Option<f64>,
-    /// How the store served it.
-    pub served: FleetServed,
-    /// What part of the fleet the answer represents.
-    pub coverage: Coverage,
-}
-
 /// A coverage-annotated ranking answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoveredTopNodesAnswer {
@@ -245,73 +232,6 @@ pub struct CoveredTopNodesAnswer {
     pub entries: Vec<TopNodeEntry>,
     /// What part of the fleet the ranking represents.
     pub coverage: Coverage,
-}
-
-/// The wire form of one node's health record — field-for-field what
-/// [`crate::NodeHealth`] holds, kept as a distinct type so the wire
-/// layout is explicit about its additive (length-prefixed) blocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeHealthAnswer {
-    /// The node.
-    pub node: NodeId,
-    /// Its registered name.
-    pub name: String,
-    /// Liveness classification at the queried clock.
-    pub liveness: NodeLiveness,
-    /// Newest data timestamp ingested.
-    pub high_water: SimTime,
-    /// `now − high_water` under the queried staleness policy.
-    pub drain_lag: SimDuration,
-    /// Wire ingest counters (additive block on the wire).
-    pub counters: NodeCounters,
-    /// Node-side exporter totals (additive block on the wire).
-    pub drain: DrainStats,
-}
-
-/// The wire form of a [`crate::FleetHealth`] rollup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthAnswer {
-    /// Newest data timestamp ingested across the fleet.
-    pub observed_now: SimTime,
-    /// Nodes classified live.
-    pub live: u32,
-    /// Nodes classified stale.
-    pub stale: u32,
-    /// Nodes classified silent.
-    pub silent: u32,
-    /// Per-node records, node order.
-    pub nodes: Vec<NodeHealthAnswer>,
-}
-
-impl HealthAnswer {
-    /// Project an in-process health rollup into its wire form — the
-    /// same conversion [`execute`] applies, so equivalence tests can
-    /// build the expected answer from [`crate::FleetAggregator::health`]
-    /// directly.
-    pub fn from_fleet(h: &FleetHealth) -> Self {
-        HealthAnswer {
-            observed_now: h.observed_now,
-            live: h.live as u32,
-            stale: h.stale as u32,
-            silent: h.silent as u32,
-            nodes: h.nodes.iter().map(NodeHealthAnswer::from_node).collect(),
-        }
-    }
-}
-
-impl NodeHealthAnswer {
-    /// Project one in-process node record into its wire form.
-    pub fn from_node(n: &NodeHealth) -> Self {
-        NodeHealthAnswer {
-            node: n.node,
-            name: n.name.clone(),
-            liveness: n.liveness,
-            high_water: n.high_water,
-            drain_lag: n.drain_lag,
-            counters: n.counters,
-            drain: n.drain,
-        }
-    }
 }
 
 /// The axes listing answering [`QueryRequest::Metrics`].
@@ -415,10 +335,11 @@ pub enum QueryResponse {
     Scalar(ScalarAnswer),
     /// Answer to [`QueryRequest::TopNodes`].
     TopNodes(Vec<TopNodeEntry>),
-    /// Answer to [`QueryRequest::Health`].
-    Health(HealthAnswer),
+    /// Answer to [`QueryRequest::Health`]. On the wire the per-node
+    /// counters and drain totals are additive (length-prefixed) blocks.
+    Health(FleetHealth),
     /// Answer to [`QueryRequest::CoveredWindowAgg`].
-    Covered(CoveredAnswer),
+    Covered(CoveredValue),
     /// Answer to [`QueryRequest::CoveredTopNodes`].
     CoveredTopNodes(CoveredTopNodesAnswer),
     /// Answer to [`QueryRequest::Metrics`].
@@ -822,9 +743,9 @@ pub fn encode_response(resp: &QueryResponse, out: &mut Vec<u8>) {
         QueryResponse::Health(h) => {
             out.push(RESP_HEALTH);
             put_u64(out, h.observed_now.0);
-            put_u32(out, h.live);
-            put_u32(out, h.stale);
-            put_u32(out, h.silent);
+            put_u32(out, h.live as u32);
+            put_u32(out, h.stale as u32);
+            put_u32(out, h.silent as u32);
             put_u32(out, h.nodes.len() as u32);
             for n in &h.nodes {
                 put_u32(out, n.node.0);
@@ -890,16 +811,16 @@ pub fn decode_response(buf: &[u8]) -> io::Result<QueryResponse> {
         RESP_TOP_NODES => QueryResponse::TopNodes(read_entries(&mut r)?),
         RESP_HEALTH => {
             let observed_now = SimTime(r.u64()?);
-            let live = r.u32()?;
-            let stale = r.u32()?;
-            let silent = r.u32()?;
+            let live = r.u32()? as usize;
+            let stale = r.u32()? as usize;
+            let silent = r.u32()? as usize;
             let n = r.u32()? as usize;
             if n > r.remaining() {
                 return Err(bad_resp("node count exceeds payload"));
             }
             let mut nodes = Vec::with_capacity(n);
             for _ in 0..n {
-                nodes.push(NodeHealthAnswer {
+                nodes.push(NodeHealth {
                     node: NodeId(r.u32()?),
                     name: r.str()?,
                     liveness: read_liveness(&mut r)?,
@@ -909,7 +830,7 @@ pub fn decode_response(buf: &[u8]) -> io::Result<QueryResponse> {
                     drain: read_drain(&mut r)?,
                 });
             }
-            QueryResponse::Health(HealthAnswer {
+            QueryResponse::Health(FleetHealth {
                 observed_now,
                 live,
                 stale,
@@ -917,7 +838,7 @@ pub fn decode_response(buf: &[u8]) -> io::Result<QueryResponse> {
                 nodes,
             })
         }
-        RESP_COVERED => QueryResponse::Covered(CoveredAnswer {
+        RESP_COVERED => QueryResponse::Covered(CoveredValue {
             value: read_opt_f64(&mut r)?,
             served: read_served(&mut r)?,
             coverage: read_coverage(&mut r)?,
@@ -1004,7 +925,7 @@ pub fn execute(fleet: &FleetAggregator, req: &QueryRequest) -> QueryResponse {
             QueryResponse::TopNodes(rank_entries(fleet, ranked))
         }
         QueryRequest::Health { now, stale_after } => {
-            QueryResponse::Health(HealthAnswer::from_fleet(&fleet.health(*now, *stale_after)))
+            QueryResponse::Health(fleet.health(*now, *stale_after))
         }
         QueryRequest::CoveredWindowAgg {
             metric,
@@ -1012,14 +933,13 @@ pub fn execute(fleet: &FleetAggregator, req: &QueryRequest) -> QueryResponse {
             window,
             agg,
             stale_after,
-        } => {
-            let cv = fleet.covered_window_agg(metric, *now, *window, *agg, *stale_after);
-            QueryResponse::Covered(CoveredAnswer {
-                value: cv.value,
-                served: cv.served,
-                coverage: cv.coverage,
-            })
-        }
+        } => QueryResponse::Covered(fleet.covered_window_agg(
+            metric,
+            *now,
+            *window,
+            *agg,
+            *stale_after,
+        )),
         QueryRequest::CoveredTopNodes {
             metric,
             now,
@@ -1150,12 +1070,12 @@ mod tests {
                 name: "node02".into(),
                 value: -0.0,
             }]),
-            QueryResponse::Health(HealthAnswer {
+            QueryResponse::Health(FleetHealth {
                 observed_now: SimTime::from_secs(600),
                 live: 1,
                 stale: 1,
                 silent: 1,
-                nodes: vec![NodeHealthAnswer {
+                nodes: vec![NodeHealth {
                     node: NodeId(0),
                     name: "node00".into(),
                     liveness: NodeLiveness::Stale,
@@ -1173,7 +1093,7 @@ mod tests {
                     },
                 }],
             }),
-            QueryResponse::Covered(CoveredAnswer {
+            QueryResponse::Covered(CoveredValue {
                 value: Some(f64::NAN.to_bits() as f64),
                 served: FleetServed::default(),
                 coverage: Coverage {

@@ -1,0 +1,441 @@
+//! The exporter side of an ingest session: [`SocketSink`].
+
+use super::conn::{retry, Conn, Link};
+use super::TransportConfig;
+use moda_telemetry::export::{ExportBatch, Sink};
+use moda_telemetry::wire::{
+    bad_data, encode_batch, encode_drain_stats, frame_tag, write_frame, WireReader,
+};
+use moda_telemetry::DrainStats;
+use std::collections::VecDeque;
+use std::io::{self, Write};
+
+/// Exporter-side [`Sink`] that ships batches over TCP with handshake,
+/// bounded in-flight window, and reconnect-with-resume (module docs).
+#[derive(Debug)]
+pub struct SocketSink {
+    link: Link,
+    replay: Replay,
+    /// The last frame read while awaiting acks.
+    inbox: Vec<u8>,
+    /// Retry work (`reconnects + resent_batches`) already folded into a
+    /// delivered drain report — `send_drain` ships only the delta, so
+    /// the server (which merges drain payloads additively) never
+    /// double-counts.
+    retries_reported: u64,
+}
+
+/// What the sink has sent and cannot yet forget.
+#[derive(Debug, Default)]
+struct Replay {
+    /// Sent but not yet acknowledged, oldest first: `(seq, payload)`.
+    unacked: VecDeque<(u64, Vec<u8>)>,
+    /// Emptied payload buffers off `unacked`: the next batch (or drain
+    /// report) encodes into one instead of growing a fresh `Vec`.
+    spare: Vec<Vec<u8>>,
+    /// How many `spare` buffers are worth keeping: a window of them.
+    spare_cap: usize,
+    /// The server's cumulative cursor from the latest ack/handshake.
+    server_next_seq: u64,
+    /// Batches re-sent from the buffer across all reconnects.
+    resent_batches: u64,
+}
+
+impl Replay {
+    /// Take up a freshly authenticated connection whose server stands
+    /// at `next_seq`: drop what it has durably applied, re-send the rest.
+    fn resume(&mut self, conn: &mut Conn, next_seq: u64) -> io::Result<()> {
+        self.server_next_seq = next_seq;
+        self.release_acked();
+        for (_, payload) in &self.unacked {
+            write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
+            self.resent_batches += 1;
+        }
+        conn.writer.flush()
+    }
+
+    /// Drop every buffered batch below the server's cursor, keeping the
+    /// emptied payload buffers for the batches to come.
+    fn release_acked(&mut self) {
+        while matches!(self.unacked.front(), Some((seq, _)) if *seq < self.server_next_seq) {
+            let (_, payload) = self.unacked.pop_front().expect("front matched");
+            self.recycle(payload);
+        }
+    }
+
+    /// Keep an emptied payload buffer for a later frame, up to a
+    /// window of them.
+    fn recycle(&mut self, mut payload: Vec<u8>) {
+        if self.spare.len() < self.spare_cap {
+            payload.clear();
+            self.spare.push(payload);
+        }
+    }
+}
+
+impl SocketSink {
+    /// Connect and handshake. `node_name` identifies the session on the
+    /// server; `token` must match the listener's.
+    pub fn connect(addr: &str, node_name: &str, token: &str) -> io::Result<Self> {
+        Self::connect_with(addr, node_name, token, TransportConfig::default())
+    }
+
+    /// [`SocketSink::connect`] with explicit tuning.
+    pub fn connect_with(
+        addr: &str,
+        node_name: &str,
+        token: &str,
+        cfg: TransportConfig,
+    ) -> io::Result<Self> {
+        let mut sink = SocketSink {
+            replay: Replay {
+                spare_cap: cfg.window.max(1),
+                ..Replay::default()
+            },
+            link: Link::new(addr, Some(node_name), token, cfg),
+            inbox: Vec::new(),
+            retries_reported: 0,
+        };
+        sink.link
+            .connect(|conn, next_seq| sink.replay.resume(conn, next_seq))?;
+        Ok(sink)
+    }
+
+    /// Re-point the sink at a moved server (e.g. a fleet tier that
+    /// restarted on a new port). The live connection is dropped; the
+    /// next send reconnects, handshakes, and resumes from the new
+    /// server's persisted cursor — buffered unacked batches replay
+    /// exactly like any other reconnect.
+    pub fn redirect(&mut self, addr: &str) {
+        self.link.redirect(addr);
+    }
+
+    /// Re-dial and resume from the server's persisted cursor.
+    fn reconnect(&mut self) -> io::Result<()> {
+        self.link
+            .redial(|conn, next_seq| self.replay.resume(conn, next_seq))
+    }
+
+    /// [`SocketSink::reconnect`] unless the link is up.
+    fn connected(&mut self) -> io::Result<()> {
+        if self.link.conn.is_some() {
+            return Ok(());
+        }
+        self.reconnect()
+    }
+
+    /// Fold the frame just received into `inbox` — which must be an
+    /// `ACK` — into the replay buffer: its cursor is cumulative.
+    fn note_ack(&mut self, tag: u8) -> io::Result<()> {
+        if tag != frame_tag::ACK {
+            return Err(bad_data("unexpected frame while awaiting ack"));
+        }
+        let next = WireReader::new(&self.inbox).u64()?;
+        self.replay.server_next_seq = self.replay.server_next_seq.max(next);
+        self.replay.release_acked();
+        Ok(())
+    }
+
+    /// Read acks until at most `allowed` batches remain unacknowledged.
+    /// Reconnects (and replays) if the connection drops mid-wait.
+    fn pump_acks(&mut self, allowed: usize) -> io::Result<()> {
+        while self.replay.unacked.len() > allowed {
+            match self.link.live()?.recv_into(&mut self.inbox) {
+                Ok(Ok(tag)) => self.note_ack(tag)?,
+                Ok(Err(_)) | Err(_) => self.reconnect()?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Block until the server has acknowledged every sent batch — the
+    /// exporter-side drain barrier before shutdown.
+    pub fn wait_idle(&mut self) -> io::Result<()> {
+        self.pump_acks(0)
+    }
+
+    /// Read exactly `n` `ACK` frames, folding each cumulative cursor
+    /// into the replay buffer. Unlike [`SocketSink::pump_acks`] this
+    /// does not auto-reconnect: the caller is counting acks for a frame
+    /// it just sent, and a reconnect means that frame must be resent
+    /// before any further acks are owed.
+    fn read_acks_counted(&mut self, n: usize) -> io::Result<()> {
+        for _ in 0..n {
+            match self.link.live()?.recv_into(&mut self.inbox)? {
+                Ok(tag) => self.note_ack(tag)?,
+                Err(_) => return Err(bad_data("torn frame while awaiting ack")),
+            }
+        }
+        Ok(())
+    }
+
+    /// Ship the exporter's drain totals out-of-band and block until the
+    /// server acknowledges them durable — the same ack-after-durable
+    /// contract batches get, so a `kill -9` right after this returns
+    /// cannot lose the totals. Totals overwrite idempotently, which is
+    /// what makes redelivery after a mid-call reconnect safe.
+    pub fn send_drain(&mut self, stats: &DrainStats) -> io::Result<()> {
+        retry(3, |_| {
+            self.connected()?;
+            // Piggyback this sink's *unreported* retry work onto the
+            // drain report. The server merges drain payloads
+            // additively, so only the delta since the last delivered
+            // report goes out — committed below once the server acks.
+            // Re-derived per attempt: a reconnect inside this loop
+            // grows the delta.
+            let retries_total = self.link.reconnects + self.replay.resent_batches;
+            let mut out = *stats;
+            out.send_retries += retries_total - self.retries_reported;
+            let mut payload = self.replay.spare.pop().unwrap_or_default();
+            encode_drain_stats(&out, &mut payload);
+            // The server acks in frame order: one ack per in-flight
+            // batch ahead of the drain, then the drain's own ack.
+            let pending = self.replay.unacked.len();
+            let res = self
+                .link
+                .live()
+                .and_then(|conn| conn.send(frame_tag::DRAIN, &payload))
+                .and_then(|()| self.read_acks_counted(pending + 1));
+            self.replay.recycle(payload);
+            match res {
+                Ok(()) => self.retries_reported = retries_total,
+                Err(_) => self.link.conn = None,
+            }
+            res
+        })
+    }
+
+    /// Times the sink re-dialed and resumed from the server's cursor.
+    pub fn reconnects(&self) -> u64 {
+        self.link.reconnects
+    }
+
+    /// The persisted cursor the server reported at the last handshake
+    /// — nonzero after a resume proves nothing replayed from `seq 0`.
+    pub fn last_resume_seq(&self) -> u64 {
+        self.link.answered
+    }
+
+    /// Batches re-delivered from the replay buffer across reconnects.
+    pub fn resent_batches(&self) -> u64 {
+        self.replay.resent_batches
+    }
+
+    /// Batches sent but not yet acknowledged.
+    pub fn unacked_len(&self) -> usize {
+        self.replay.unacked.len()
+    }
+}
+
+impl Sink for SocketSink {
+    fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()> {
+        let mut payload = self.replay.spare.pop().unwrap_or_default();
+        encode_batch(batch, &mut payload);
+        // Two passes: the live connection, then one reconnect cycle (a
+        // link already down gets that cycle here, not one per pass).
+        // Only on success does the batch enter the replay buffer — on
+        // Err the exporter rolls back and will re-stage these records
+        // under the same seq later.
+        self.connected()?;
+        retry(2, |_| {
+            self.connected()?;
+            self.link
+                .on_conn(|conn| conn.send(frame_tag::BATCH, &payload))
+        })?;
+        self.replay.unacked.push_back((batch.seq, payload));
+        // Bounded in-flight window: block on acks past it.
+        self.pump_acks(self.link.cfg.window.saturating_sub(1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::persist::{DurabilityConfig, DurableFleet};
+    use crate::transport::tests::{node_batches, test_dir};
+    use crate::transport::FleetListener;
+    use moda_sim::{SimDuration, SimTime};
+    use std::fs;
+    use std::net::TcpListener;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    #[test]
+    fn send_drain_under_a_full_window_returns_after_its_own_ack() {
+        use std::sync::mpsc;
+
+        let dir = test_dir("drain_window");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let window = 16;
+        let batches = node_batches(2000, 0.0);
+        assert!(batches.len() >= window);
+        let mut sink = SocketSink::connect_with(
+            &addr,
+            "node00",
+            "tok",
+            TransportConfig {
+                window,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
+
+        // Hold the fleet lock so the session stalls on its first batch
+        // and no ack goes out while the window fills.
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let shared = listener.fleet();
+        let holder = std::thread::spawn(move || {
+            let _guard = shared.lock().unwrap();
+            locked_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        locked_rx.recv().unwrap();
+        // `write_batch` never leaves more than `window - 1` in flight.
+        for batch in &batches[..window - 1] {
+            sink.write_batch(batch).unwrap();
+        }
+        assert_eq!(sink.unacked_len(), window - 1, "nothing acked yet");
+
+        // The drain is owed `window - 1` batch acks and then its own —
+        // coalesced into as few segments as the listener likes.
+        release_tx.send(()).unwrap();
+        let report = DrainStats {
+            batches: 77,
+            ..DrainStats::default()
+        };
+        sink.send_drain(&report).unwrap();
+        holder.join().unwrap();
+        assert_eq!(sink.unacked_len(), 0, "every batch ack was consumed");
+        assert_eq!(sink.reconnects(), 0);
+        assert_eq!(sink.resent_batches(), 0);
+        {
+            // Its own ack means its totals are already applied.
+            let shared = listener.fleet();
+            let fleet = shared.lock().unwrap();
+            let node = fleet.find_node("node00").unwrap();
+            assert_eq!(fleet.next_seq(node), (window - 1) as u64);
+            let health = fleet
+                .aggregator()
+                .health(SimTime::from_secs(1), SimDuration::from_secs(1 << 20));
+            assert_eq!(health.nodes[node.index()].drain.batches, 77);
+        }
+        drop(sink);
+        listener.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn io_timeout_fails_fast_on_a_silent_peer() {
+        // A listener that accepts (kernel backlog) but never speaks the
+        // protocol: without timeouts the handshake read would hang
+        // forever.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let t0 = std::time::Instant::now();
+        let res = SocketSink::connect_with(
+            &addr,
+            "node00",
+            "tok",
+            TransportConfig {
+                io_timeout: Some(Duration::from_millis(100)),
+                ..TransportConfig::default()
+            },
+        );
+        assert!(res.is_err(), "silent peer must not look connected");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "timeout must bound the stall"
+        );
+        drop(listener);
+    }
+
+    #[test]
+    fn reconnect_resumes_from_server_cursor_without_seq0_replay() {
+        let dir = test_dir("reconnect");
+        let batches = node_batches(1200, 10.0);
+        let split = batches.len() / 2;
+
+        let fleet = DurableFleet::open(
+            &dir,
+            DurabilityConfig {
+                snapshot_every_batches: 4,
+            },
+        )
+        .unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let mut sink = SocketSink::connect_with(
+            &addr,
+            "node00",
+            "tok",
+            TransportConfig {
+                window: 8,
+                reconnect_attempts: 50,
+                reconnect_pause: Duration::from_millis(50),
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
+        for batch in &batches[..split] {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+
+        // Hard-stop the listener (connections die), recover the fleet
+        // from disk — the paranoid path, as if the process was killed —
+        // and serve again on a fresh port.
+        let shared = listener.shutdown();
+        drop(shared);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(
+            recovered.next_seq(recovered.find_node("node00").unwrap()),
+            split as u64
+        );
+        let listener2 =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(recovered)), "tok").unwrap();
+        // The sink still dials the *old* address: point it at the new
+        // one the way a service discovery layer would.
+        sink.redirect(&listener2.local_addr().to_string());
+        for batch in &batches[split..] {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+        assert!(sink.reconnects() >= 1, "must have re-dialed");
+        assert_eq!(
+            sink.last_resume_seq(),
+            split as u64,
+            "server resumed at its persisted cursor, not 0"
+        );
+
+        // The retry work surfaces in the server's drain accounting:
+        // the first report carries the full redelivery delta, a second
+        // immediately after carries none (no double-count).
+        sink.send_drain(&DrainStats::default()).unwrap();
+        sink.send_drain(&DrainStats::default()).unwrap();
+        let expected_retries = sink.reconnects() + sink.resent_batches();
+
+        let shared = listener2.shutdown();
+        let fleet = shared.lock().unwrap();
+        let node = fleet.find_node("node00").unwrap();
+        assert_eq!(fleet.next_seq(node), batches.len() as u64);
+        // Zero duplicate ingests: the resume cursor excluded everything
+        // durably applied, so nothing was re-sent that was already in.
+        assert_eq!(fleet.aggregator().counters(node).duplicate_batches, 0);
+        let health = fleet
+            .aggregator()
+            .health(SimTime::from_secs(1), SimDuration::from_secs(1 << 20));
+        assert!(expected_retries >= 1);
+        assert_eq!(
+            health.nodes[node.index()].drain.send_retries,
+            expected_retries,
+            "retry delta folded exactly once into the drain accounting"
+        );
+        drop(fleet);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

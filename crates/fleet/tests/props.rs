@@ -18,6 +18,11 @@
 //!   per-sample [`ReplayStore`] oracle does on the same stream, corrupt
 //!   and overlapping records included, and its snapshot is a fixed
 //!   point under recover-then-snapshot.
+//!
+//! One fleet property is not here: "a session fed its stream in
+//! arbitrary pieces is the session fed it whole" needs the session
+//! itself, which is private to the crate, so it sits beside it in
+//! `src/transport/session.rs`.
 
 use moda_fleet::{
     DurabilityConfig, DurableFleet, FleetAggregator, FleetStore, NodeId, NodeLiveness, Rank,

@@ -28,8 +28,8 @@
 use moda_fleet::query::{decode_request, decode_response, encode_request, encode_response};
 use moda_fleet::MetricsAnswer;
 use moda_fleet::{
-    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, HealthAnswer,
-    NodeId, QueryErrorCode, QueryRequest, QueryResponse, Rank, SocketSink, TransportConfig,
+    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, NodeId,
+    QueryErrorCode, QueryRequest, QueryResponse, Rank, SocketSink, TransportConfig,
 };
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, MemorySink, Sink};
@@ -253,7 +253,7 @@ proptest! {
 
         // Health under bounds that classify live, stale, and silent.
         for &sa in &stale_afters {
-            let want = HealthAnswer::from_fleet(&reference.health(now, sa));
+            let want = reference.health(now, sa);
             let got = client.health(now, sa).unwrap();
             prop_assert_eq!(got, want);
         }
@@ -298,7 +298,7 @@ fn empty_fleet_answers_match_in_process() {
         .is_empty());
 
     let health = client.health(now, sa).unwrap();
-    assert_eq!(health, HealthAnswer::from_fleet(&reference.health(now, sa)));
+    assert_eq!(health, reference.health(now, sa));
     assert_eq!((health.live, health.stale, health.silent), (0, 0, 0));
 
     let covered = client
@@ -765,10 +765,7 @@ fn pipelined_requests_answer_in_order() {
             }
             (2, resp) => expect_error(resp, QueryErrorCode::UnsupportedAggregate),
             (3, QueryResponse::Health(h)) => {
-                assert_eq!(
-                    h,
-                    HealthAnswer::from_fleet(&reference.health(now, SimDuration::from_secs(60)))
-                );
+                assert_eq!(h, reference.health(now, SimDuration::from_secs(60)));
             }
             (4, QueryResponse::TopNodes(t)) => {
                 let want = ranked(
@@ -877,10 +874,7 @@ fn local_fingerprint(agg: &FleetAggregator, now: SimTime) -> Vec<String> {
         store.top_nodes("m", now, span, WindowAgg::Mean, NODES, Rank::Highest),
     );
     out.push(format!("top={top:?}"));
-    out.push(format!(
-        "health={:?}",
-        HealthAnswer::from_fleet(&agg.health(now, sa))
-    ));
+    out.push(format!("health={:?}", agg.health(now, sa)));
     let c = agg.covered_window_agg("m", now, span, WindowAgg::Sum, sa);
     out.push(format!(
         "covered={:?} {:?} {:?}",

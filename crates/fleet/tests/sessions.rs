@@ -15,7 +15,7 @@
 
 use moda_fleet::{
     DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, FleetServed,
-    HealthAnswer, NodeId, SelfScraper, SocketSink, SELF_NODE,
+    NodeId, SelfScraper, SocketSink, SELF_NODE,
 };
 use moda_obs::Obs;
 use moda_sim::{SimDuration, SimTime};
@@ -228,13 +228,9 @@ fn concurrent_sessions_answer_like_the_planner_a_reference_and_a_recovery() {
     // Every session — the service's included — is live at the run's end.
     let stale_after = SimDuration::from_secs(60);
     let health = client.health(now, stale_after).unwrap();
-    let want =
-        HealthAnswer::from_fleet(&shared.lock().unwrap().aggregator().health(now, stale_after));
+    let want = shared.lock().unwrap().aggregator().health(now, stale_after);
     assert_eq!(health, want);
-    assert_eq!(
-        (health.live as usize, health.observed_now),
-        (NODES + 1, now)
-    );
+    assert_eq!((health.live, health.observed_now), (NODES + 1, now));
 
     // Wire hygiene under concurrency: every node sample arrived exactly
     // once and the out-of-band drain totals agree.

@@ -11,10 +11,16 @@
 
 use crate::span::{SlowLog, SlowOp, SpanGuard};
 use moda_telemetry::QuantileSketch;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+
+/// Lock `m`, poisoned or not: a panic under one of this crate's locks
+/// reaches whoever joins that thread anyway, and must not also take
+/// down every other thread that records a span.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How many raw span/record durations a [`LatencyRecorder`] buffers
 /// between scrapes. Overflow is counted ([`LatencySnapshot::dropped`]),
@@ -60,7 +66,7 @@ impl LatencyCell {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.pending.len() < PENDING_CAPACITY {
             state.pending.push(ns);
         } else {
@@ -80,11 +86,11 @@ impl LatencyCell {
 
     /// Take the pending raw durations (the scrape's payload).
     pub(crate) fn take_pending(&self) -> Vec<u64> {
-        std::mem::take(&mut self.state.lock().pending)
+        std::mem::take(&mut lock(&self.state).pending)
     }
 
     pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         if state.sketch.is_empty() {
             None
         } else {
@@ -166,7 +172,10 @@ impl ObsRegistry {
         if let Some(inst) = self.lookup(name) {
             return inst;
         }
-        let mut reg = self.instruments.write();
+        let mut reg = self
+            .instruments
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(&i) = reg.by_name.get(name) {
             return reg.entries[i].1.clone();
         }
@@ -177,19 +186,25 @@ impl ObsRegistry {
         inst
     }
 
+    fn instruments(&self) -> RwLockReadGuard<'_, Instruments> {
+        self.instruments
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn lookup(&self, name: &str) -> Option<Instrument> {
-        let reg = self.instruments.read();
+        let reg = self.instruments();
         reg.by_name.get(name).map(|&i| reg.entries[i].1.clone())
     }
 
     /// Snapshot of `(name, instrument)` pairs in registration order.
     pub(crate) fn entries(&self) -> Vec<(String, Instrument)> {
-        self.instruments.read().entries.clone()
+        self.instruments().entries.clone()
     }
 
     /// Registered instruments (tests assert 0 for disabled paths).
     pub fn instrument_count(&self) -> usize {
-        self.instruments.read().entries.len()
+        self.instruments().entries.len()
     }
 }
 
@@ -295,7 +310,7 @@ impl Obs {
     pub fn slow_ops(&self, k: usize) -> Vec<SlowOp> {
         match &self.inner {
             None => Vec::new(),
-            Some(reg) => reg.slow.lock().top(k),
+            Some(reg) => lock(&reg.slow).top(k),
         }
     }
 
@@ -304,7 +319,7 @@ impl Obs {
         match &self.inner {
             None => Vec::new(),
             Some(reg) => {
-                let drained = reg.slow.lock().drain();
+                let drained = lock(&reg.slow).drain();
                 reg.slow_floor_ns.store(0, Ordering::Relaxed);
                 drained
             }

@@ -8,7 +8,7 @@
 //! per-thread counter so a postmortem can tell an outer
 //! `export.drain` span from the `chunk.encode` spans it wraps.
 
-use crate::registry::{LatencyCell, LatencyRecorder, ObsRegistry};
+use crate::registry::{lock, LatencyCell, LatencyRecorder, ObsRegistry};
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -159,7 +159,7 @@ impl Drop for SpanGuard {
             depth: live.depth,
             seq,
         };
-        let new_floor = live.registry.slow.lock().offer(op);
+        let new_floor = lock(&live.registry.slow).offer(op);
         live.registry
             .slow_floor_ns
             .store(new_floor, Ordering::Relaxed);
@@ -234,7 +234,7 @@ mod tests {
         let cell = rec.0.as_ref().unwrap().0.clone();
         let _ = cell; // keep recorder shape honest
         for i in 0..(SLOW_OP_CAPACITY as u64 + 40) {
-            let floor = reg.slow.lock().offer(SlowOp {
+            let floor = lock(&reg.slow).offer(SlowOp {
                 name: "op_ns".into(),
                 duration_ns: i,
                 depth: 0,

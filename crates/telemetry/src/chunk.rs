@@ -49,28 +49,6 @@
 //! for instead of the chunk. A chunk adopted from foreign bytes has
 //! none and reads from its first sample.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-lifetime count of chunks sealed through [`compress`]
-/// ([`encoded_chunks`]; what a self-telemetry pull-probe would read).
-static ENCODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-lifetime count of passes over a chunk payload
-/// ([`Chunk::scan_from`], streaming [`Chunk::decode`], [`decode_exact`]
-/// and [`validate`]), whole or resumed from a restart point;
-/// [`decoded_chunks`].
-static DECODED_CHUNKS: AtomicU64 = AtomicU64::new(0);
-
-/// Chunks sealed through [`compress`] since process start.
-pub fn encoded_chunks() -> u64 {
-    ENCODED_CHUNKS.load(Ordering::Relaxed)
-}
-
-/// Chunk decode passes since process start.
-pub fn decoded_chunks() -> u64 {
-    DECODED_CHUNKS.load(Ordering::Relaxed)
-}
-
 /// Error decoding a wire-carried chunk payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
@@ -454,7 +432,6 @@ impl Chunk {
         below: impl Fn(u64, u64) -> bool,
         mut visit: impl FnMut(u64, u64, f64) -> bool,
     ) {
-        DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
         let append = |i: u32| self.start_append + u64::from(i);
         let from = self.restart_below(|i, t| i < self.skip || below(append(i), t));
         let walked = walk(self.first_t, self.count, &self.bytes, from, |i, t, bits| {
@@ -482,7 +459,6 @@ impl Chunk {
 
     /// Streaming decoder over the **retained** samples (skip applied).
     pub fn decode(&self) -> Decoder<'_> {
-        DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
         let mut d = Decoder::new(self.first_t, self.count, &self.bytes);
         // The stream yields the sample *after* its state's, so it
         // resumes from a restart short of `skip` and rolls up to it.
@@ -526,7 +502,6 @@ impl Chunk {
 /// `ts` must be non-empty, non-decreasing, and parallel to `vals`;
 /// `start_append` is the lifetime append index of `ts[0]`.
 pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
-    ENCODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     assert!(!ts.is_empty(), "cannot seal an empty region");
     assert_eq!(ts.len(), vals.len());
     let mut w = BitWriter::for_samples(ts.len());
@@ -788,7 +763,6 @@ fn walk<'a>(
 /// well-formed samples, timestamps non-decreasing and non-overflowing.
 /// Accepts precisely the payloads [`decode_exact`] accepts.
 pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>, DecodeError> {
-    DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     walk(first_t, count, bytes, None, |_, _, _| true).map(|v| v.expect("the visitor never stops"))
 }
 
@@ -801,7 +775,6 @@ pub fn decode_exact(
     out_ts: &mut Vec<u64>,
     out_vals: &mut Vec<f64>,
 ) -> Result<(), DecodeError> {
-    DECODED_CHUNKS.fetch_add(1, Ordering::Relaxed);
     let (ts_mark, vals_mark) = (out_ts.len(), out_vals.len());
     let walked = walk(first_t, count, bytes, None, |_, t, bits| {
         out_ts.push(t);

@@ -734,47 +734,6 @@ impl<'v, 'a> IntoIterator for &'v SampleView<'a> {
     }
 }
 
-// Serialization renders the logical sample sequence (not the physical
-// chunk layout), so serialized form is layout-independent.
-impl Serialize for TimeSeries {
-    fn to_value(&self) -> serde::Value {
-        let samples: Vec<(u64, f64)> = self.iter().map(|s| (s.t.0, s.value)).collect();
-        serde::Value::Object(vec![
-            ("capacity".to_string(), Serialize::to_value(&self.capacity)),
-            (
-                "total_appends".to_string(),
-                Serialize::to_value(&self.total_appends),
-            ),
-            ("rejected".to_string(), Serialize::to_value(&self.rejected)),
-            ("samples".to_string(), Serialize::to_value(&samples)),
-        ])
-    }
-}
-
-impl Deserialize for TimeSeries {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for TimeSeries"))?;
-        let get = |k: &str| {
-            serde::value_get(obj, k)
-                .ok_or_else(|| serde::DeError::custom(format!("missing TimeSeries field `{k}`")))
-        };
-        let capacity: usize = Deserialize::from_value(get("capacity")?)?;
-        let samples: Vec<(u64, f64)> = Deserialize::from_value(get("samples")?)?;
-        let total_appends: u64 = Deserialize::from_value(get("total_appends")?)?;
-        let mut s = TimeSeries::new(capacity);
-        // Count the retained samples up to the stored total, so the
-        // chunks they seal into carry their true append indices.
-        s.total_appends = total_appends.saturating_sub(samples.len() as u64);
-        for (t, v) in samples {
-            s.push(SimTime(t), v);
-        }
-        s.rejected = Deserialize::from_value(get("rejected")?)?;
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,41 +974,5 @@ mod tests {
         );
         // The uncompressed equivalent would be 16 B/sample.
         assert!(s.mem_bytes() < s.len() * 16);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_logical_sequence() {
-        let mut s = TimeSeries::new(4);
-        for i in 0..7u64 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        s.push(SimTime::from_secs(2), 0.0); // rejected
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.capacity(), 4);
-        assert_eq!(back.total_appends(), 7);
-        assert_eq!(back.rejected(), 1);
-        let a: Vec<Sample> = s.iter().collect();
-        let b: Vec<Sample> = back.iter().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip_keeps_append_indices() {
-        // Enough retained samples that restoring them seals a chunk:
-        // it must carry the append indices the exporter's cursors and
-        // `tail_from` key on, not ones counted from the restore.
-        let mut s = TimeSeries::new(600);
-        for i in 0..1500u64 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
-        assert_eq!((back.len(), back.total_appends()), (600, 1500));
-        let sealed = back.sealed_chunks().next().expect("a chunk sealed");
-        assert_eq!(sealed.retained_start_append(), 900);
-        let (ts, _) = back.tail_from(sealed.end_append());
-        assert_eq!(ts.len(), back.len() - back.compressed_len());
-        assert_eq!(ts.last(), Some(&1_499_000));
     }
 }

@@ -40,16 +40,6 @@
 //! merging two sketches is a linear two-pointer pass, which is what the
 //! rollup planner does per sealed bucket at query time.
 
-/// Process-lifetime count of sketch merges (all
-/// [`QuantileSketch::merge`]/[`QuantileSketch::merge_with_scratch`]
-/// calls); what a self-telemetry pull-probe would read.
-static SKETCH_MERGES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Sketch merges since process start.
-pub fn sketch_merges() -> u64 {
-    SKETCH_MERGES.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Relative error `α` of every quantile estimate (see module docs).
 pub const SKETCH_RELATIVE_ERROR: f64 = 0.01;
 
@@ -238,7 +228,6 @@ impl QuantileSketch {
     /// buffer — the allocation-free shape the query planner uses when
     /// merging one sketch per sealed rollup bucket.
     pub fn merge_with_scratch(&mut self, other: &QuantileSketch, scratch: &mut Vec<(i32, u32)>) {
-        SKETCH_MERGES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         merge_sorted_into(&mut self.pos, &other.pos, scratch);
         merge_sorted_into(&mut self.neg, &other.neg, scratch);
         self.zero += other.zero;

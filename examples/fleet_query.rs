@@ -22,8 +22,8 @@
 //! Run with: `cargo run --release --example fleet_query`
 
 use moda::fleet::{
-    DurabilityConfig, DurableFleet, FleetClient, FleetListener, HealthAnswer, QueryErrorCode,
-    QueryRequest, QueryResponse, Rank, SocketSink,
+    DurabilityConfig, DurableFleet, FleetClient, FleetListener, QueryErrorCode, QueryRequest,
+    QueryResponse, Rank, SocketSink,
 };
 use moda::sim::{SimDuration, SimTime};
 use moda::telemetry::export::{MemorySink, Sink};
@@ -135,10 +135,10 @@ fn main() {
     let health = client.health(now, stale_after).expect("remote health");
     {
         let fleet = served_fleet.lock().unwrap();
-        let want = HealthAnswer::from_fleet(&fleet.aggregator().health(now, stale_after));
+        let want = fleet.aggregator().health(now, stale_after);
         assert_eq!(health, want);
     }
-    assert_eq!(health.live, NODES as u32, "query sessions never register");
+    assert_eq!(health.live, NODES, "query sessions never register");
     println!(
         "health: {} live / {} stale / {} silent",
         health.live, health.stale, health.silent

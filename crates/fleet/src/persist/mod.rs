@@ -1,0 +1,810 @@
+//! Durability for the fleet tier: periodic snapshots plus an
+//! append-only log of ingested wire batches.
+//!
+//! The fleet knowledge base is a *service* in the paper's center-level
+//! deployment (ODA-in-Practice, DCDB Wintermute): it must survive a
+//! restart without replaying every node from `seq 0`. This module makes
+//! [`FleetAggregator`] restartable from a state directory, in three
+//! parts with one job each: `dir` is the directory — `snapshot.bin`,
+//! `wal-<epoch>.log` — and the only code here that touches the
+//! filesystem; `snapshot` is the byte layout of a whole aggregator, to
+//! and from a slice; `wal` is the log — its entry kinds, replay as a
+//! function of the log's bytes, and the writer whose `commit` is the
+//! one place the log is flushed.
+//!
+//! What is left here is what ties them: [`DurableFleet`], [`Burst`] and
+//! the **rotation order**. A snapshot stores the epoch of the log that
+//! follows it, so rotation (commit `wal-N.log` → begin `wal-(N+1).log`
+//! → write snapshot `N+1`, renamed into place → delete `wal-N.log`) is
+//! crash-safe at every step: the surviving snapshot always names
+//! exactly one log, and files nothing names are ignored and cleaned up.
+//!
+//! **Discipline: logged before it is visible, flushed before it is
+//! acknowledged.** [`DurableFleet::ingest`] appends the batch to the
+//! log and commits it to the OS *before* applying it to the in-memory
+//! aggregator. A receive burst ([`DurableFleet::burst`]) takes each
+//! received batch as the bytes it arrived in — validated where they lie
+//! ([`BatchView`]), appended as `[node u32][those bytes]`, applied off
+//! the same bytes — and commits the log **once**, in [`Burst::commit`];
+//! the burst holds the fleet exclusively until then, so no reader sees
+//! a batch whose log bytes are still buffered and nothing is
+//! acknowledged before the flush. A `kill -9` therefore loses at most
+//! unflushed entries that nobody was told about and a torn tail entry;
+//! recovery ([`DurableFleet::recover`]) restores the snapshot, replays
+//! the log tail — re-delivered batches bounce off the existing
+//! per-session duplicate guard — truncates any torn/corrupt tail
+//! (counted in [`RecoveryStats`]), and resumes every node session at
+//! its persisted cursor. A reconnecting exporter learns that cursor
+//! from the transport handshake (see [`crate::transport`]) and ships
+//! only what the server has not durably applied: zero re-ingest from
+//! `seq 0`.
+//!
+//! Durability scope: a commit is a flush (`write(2)`), per entry or per
+//! burst, so process crashes (`kill -9`) lose nothing that was
+//! acknowledged; surviving a *machine* crash would additionally need
+//! `fsync` where that flush is, which this tier deliberately trades
+//! away (snapshots *are* fsynced).
+
+mod dir;
+mod snapshot;
+mod wal;
+
+use crate::aggregator::{FleetAggregator, IngestReport};
+use crate::store::{FleetStore, NodeId};
+use dir::{LogWriter, StateDir};
+use moda_obs::{LatencyRecorder, Obs};
+use moda_telemetry::export::ExportBatch;
+use moda_telemetry::wire::{encode_batch, BatchView};
+use moda_telemetry::DrainStats;
+use std::io;
+use std::path::Path;
+use wal::{Entry, Wal};
+
+// -------------------------------------------------------------- config
+
+/// Tuning for [`DurableFleet`].
+#[derive(Debug, Clone, Copy)]
+pub struct DurabilityConfig {
+    /// Take a snapshot (and truncate the log) every this many applied
+    /// batches. The log between snapshots is the recovery replay bound.
+    pub snapshot_every_batches: u64,
+}
+
+impl Default for DurabilityConfig {
+    fn default() -> Self {
+        DurabilityConfig {
+            snapshot_every_batches: 1024,
+        }
+    }
+}
+
+/// What [`DurableFleet::recover`] found and did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Log epoch the snapshot named (and the live log resumed on).
+    pub epoch: u64,
+    /// Node sessions restored from the snapshot.
+    pub snapshot_nodes: usize,
+    /// Fleet metrics restored from the snapshot.
+    pub snapshot_metrics: usize,
+    /// Intact log-tail batches replayed after the snapshot.
+    pub replayed_batches: u64,
+    /// Replayed batches the duplicate guard rejected (the batch was
+    /// already covered by the snapshot's session cursor).
+    pub replayed_duplicates: u64,
+    /// Node registrations replayed from the log.
+    pub replayed_nodes: u64,
+    /// Drain reports replayed from the log.
+    pub replayed_drains: u64,
+    /// Bytes of torn tail truncated off the log (an append interrupted
+    /// by the crash; never applied, so nothing was lost).
+    pub torn_tail_bytes: u64,
+    /// Fully-present log frames discarded for CRC mismatch (corruption
+    /// rather than truncation); everything after them is dropped too.
+    pub corrupt_frames: u64,
+    /// Records in replayed batches whose kind this reader does not know
+    /// (a log written by a newer build): length-skipped, so whatever
+    /// they carried is not in the recovered state. Folded into
+    /// `fleet.ingest.unknown_records` by [`DurableFleet::set_obs`].
+    pub unknown_records: u64,
+}
+
+// ------------------------------------------------------- durable fleet
+
+/// A [`FleetAggregator`] wrapped in snapshot + append-log durability.
+///
+/// All mutations go through this wrapper so they hit the log before the
+/// in-memory state (see the module docs for the crash-safety argument).
+/// Queries go straight to [`DurableFleet::store`].
+#[derive(Debug)]
+pub struct DurableFleet {
+    agg: FleetAggregator,
+    dir: StateDir,
+    wal: Wal,
+    epoch: u64,
+    snapshot_every: u64,
+    batches_since_snapshot: u64,
+    recovery: RecoveryStats,
+    /// Scratch for an in-process batch's encoding — cleared, never
+    /// freed.
+    frame_buf: Vec<u8>,
+    /// Scratch for the snapshot image, kept at the size the last
+    /// snapshot grew it to.
+    snapshot_buf: Vec<u8>,
+    /// `snapshot.write_ns` — wall time of one snapshot encode + write.
+    snapshot_ns: LatencyRecorder,
+}
+
+impl DurableFleet {
+    /// Open the state directory: recover if a snapshot exists there,
+    /// otherwise initialize a fresh durable fleet (writing an empty
+    /// epoch-0 snapshot so the directory is always recoverable).
+    pub fn open(dir: impl AsRef<Path>, cfg: DurabilityConfig) -> io::Result<Self> {
+        let dir = StateDir::at(dir.as_ref());
+        dir.create()?;
+        if dir.has_snapshot() {
+            Self::recover_with(dir, cfg)
+        } else {
+            Self::create(dir, cfg)
+        }
+    }
+
+    /// Initialize a fresh state directory. No snapshot names the logs a
+    /// previous life may have left in it, so they go first, and the log
+    /// begun here starts empty: nothing this fleet did not acknowledge
+    /// is ever replayed into it, at epoch 0 or at a later one.
+    fn create(dir: StateDir, cfg: DurabilityConfig) -> io::Result<Self> {
+        dir.remove_strays(0);
+        let log = dir.begin_log(0)?;
+        let mut fleet = Self::assemble(FleetAggregator::new(), dir, log, 0, cfg);
+        // An empty snapshot makes the directory self-describing from
+        // the first byte: recovery never needs a "no snapshot" case.
+        fleet.write_snapshot(0)?;
+        Ok(fleet)
+    }
+
+    /// Restore from `dir`: snapshot, then intact log tail; truncate any
+    /// torn tail; resume sessions at their persisted cursors.
+    pub fn recover(dir: impl AsRef<Path>) -> io::Result<Self> {
+        Self::recover_with(StateDir::at(dir.as_ref()), DurabilityConfig::default())
+    }
+
+    fn recover_with(dir: StateDir, cfg: DurabilityConfig) -> io::Result<Self> {
+        let (mut agg, epoch) = snapshot::decode(&dir.read_snapshot()?)?;
+        let mut recovery = RecoveryStats {
+            epoch,
+            snapshot_nodes: agg.node_count(),
+            snapshot_metrics: agg.store().cardinality(),
+            ..RecoveryStats::default()
+        };
+        let (logged, log) = dir.resume_log(epoch)?;
+        let (good, corrupt) = wal::replay(&logged, &mut agg, &mut recovery);
+        recovery.corrupt_frames = corrupt;
+        recovery.torn_tail_bytes = (logged.len() - good) as u64;
+        if good < logged.len() {
+            // Drop the torn/corrupt tail on disk too, so the next
+            // append does not interleave with garbage.
+            dir.truncate_log(epoch, good as u64)?;
+        }
+        dir.remove_strays(epoch);
+        let mut fleet = Self::assemble(agg, dir, log, epoch, cfg);
+        fleet.batches_since_snapshot = recovery.replayed_batches;
+        fleet.recovery = recovery;
+        Ok(fleet)
+    }
+
+    /// The one place a `DurableFleet` is put together: `agg` as of
+    /// `log`'s end, `log` being `epoch`'s.
+    fn assemble(
+        agg: FleetAggregator,
+        dir: StateDir,
+        log: LogWriter,
+        epoch: u64,
+        cfg: DurabilityConfig,
+    ) -> Self {
+        DurableFleet {
+            agg,
+            dir,
+            wal: Wal::new(log),
+            epoch,
+            snapshot_every: cfg.snapshot_every_batches.max(1),
+            batches_since_snapshot: 0,
+            recovery: RecoveryStats::default(),
+            frame_buf: Vec::new(),
+            snapshot_buf: Vec::new(),
+            snapshot_ns: LatencyRecorder::default(),
+        }
+    }
+
+    // ----- mutations (log, commit, then apply) --------------------------
+
+    /// Open (or look up) a node ingest session. New sessions are logged
+    /// so recovery rebuilds the node table in registration order.
+    pub fn add_node(&mut self, name: &str) -> io::Result<NodeId> {
+        if let Some(id) = self.agg.find_node(name) {
+            return Ok(id);
+        }
+        self.wal.append(Entry::Node(name))?;
+        self.wal.commit()?;
+        Ok(self.agg.add_node(name))
+    }
+
+    /// Ingest one batch durably: append its encoding to the log, commit,
+    /// then apply — returning means flushed. Takes a snapshot
+    /// (truncating the log) every
+    /// [`DurabilityConfig::snapshot_every_batches`] applied batches.
+    pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
+        self.frame_buf.clear();
+        encode_batch(batch, &mut self.frame_buf);
+        self.wal.append(Entry::Batch(node, &self.frame_buf))?;
+        self.wal.commit()?;
+        let report = self.agg.ingest(node, batch);
+        self.count_batch()?;
+        Ok(report)
+    }
+
+    /// Durably record an out-of-band exporter drain report.
+    pub fn report_drain(&mut self, node: NodeId, stats: &DrainStats) -> io::Result<()> {
+        self.wal.append(Entry::Drain(node, *stats))?;
+        self.wal.commit()?;
+        self.agg.report_drain(node, stats);
+        Ok(())
+    }
+
+    /// Start a receive burst: entries logged and applied one after the
+    /// other, made durable together by [`Burst::commit`].
+    pub fn burst(&mut self) -> Burst<'_> {
+        Burst { fleet: self }
+    }
+
+    /// One more batch applied since the last snapshot; snapshot when
+    /// the cadence says so.
+    fn count_batch(&mut self) -> io::Result<()> {
+        self.batches_since_snapshot += 1;
+        if self.batches_since_snapshot >= self.snapshot_every {
+            self.snapshot()?;
+        }
+        Ok(())
+    }
+
+    // ----- snapshot -----------------------------------------------------
+
+    /// Take a snapshot now and truncate the log (atomic rotation; see
+    /// the module docs for the crash analysis of each step).
+    pub fn snapshot(&mut self) -> io::Result<()> {
+        // Anything buffered belongs to the old epoch; make sure it is
+        // on disk before the snapshot that supersedes it.
+        self.wal.commit()?;
+        let next = self.epoch + 1;
+        // New log first, then the rename that makes it live: a crash
+        // between the two leaves a stray (ignored) log, never a
+        // snapshot pointing at a missing one.
+        let log = self.dir.begin_log(next)?;
+        self.write_snapshot(next)?;
+        self.wal.rotate_to(log);
+        self.dir.remove_strays(next);
+        self.epoch = next;
+        self.batches_since_snapshot = 0;
+        Ok(())
+    }
+
+    /// Write `snapshot.bin`: the state as it stands, naming log `epoch`.
+    fn write_snapshot(&mut self, epoch: u64) -> io::Result<()> {
+        let _span = self.snapshot_ns.start();
+        snapshot::encode(&self.agg, epoch, &mut self.snapshot_buf);
+        self.dir.write_snapshot(&self.snapshot_buf)
+    }
+
+    // ----- access -------------------------------------------------------
+
+    /// Attach a self-telemetry handle: resolves the durability
+    /// instruments (`wal.*`, `snapshot.write_ns`) and hands the handle
+    /// down to the aggregator's ingest instruments. Observation state
+    /// is process-local — it is *not* persisted or recovered.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.wal.set_obs(&obs);
+        self.snapshot_ns = obs.latency("snapshot.write_ns");
+        self.agg.set_obs(obs);
+        // Replay ran before any handle could be attached.
+        self.agg.note_unknown_records(self.recovery.unknown_records);
+    }
+
+    /// The attached self-telemetry handle (disabled unless
+    /// [`DurableFleet::set_obs`] was called).
+    pub fn obs(&self) -> &Obs {
+        self.agg.obs()
+    }
+
+    /// The wrapped aggregator (sessions, health, counters).
+    pub fn aggregator(&self) -> &FleetAggregator {
+        &self.agg
+    }
+
+    /// The cluster store (all queries).
+    pub fn store(&self) -> &FleetStore {
+        self.agg.store()
+    }
+
+    /// Next batch `seq` a node's session expects (transport handshake).
+    pub fn next_seq(&self, node: NodeId) -> u64 {
+        self.agg.next_seq(node)
+    }
+
+    /// Look up a node by registered name.
+    pub fn find_node(&self, name: &str) -> Option<NodeId> {
+        self.agg.find_node(name)
+    }
+
+    /// What the last [`DurableFleet::recover`] found (zeros for a fresh
+    /// directory).
+    pub fn recovery(&self) -> &RecoveryStats {
+        &self.recovery
+    }
+
+    /// State directory this fleet persists into.
+    pub fn dir(&self) -> &Path {
+        self.dir.path()
+    }
+
+    /// Current log epoch (advances on every snapshot).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
+impl FleetStore {
+    /// Recover a durable fleet tier from its state directory — the
+    /// restored store rides inside the returned [`DurableFleet`]
+    /// (sessions resume at their persisted cursors; queries via
+    /// [`DurableFleet::store`]).
+    pub fn recover(dir: impl AsRef<Path>) -> io::Result<DurableFleet> {
+        DurableFleet::recover(dir)
+    }
+}
+
+/// One receive burst against a [`DurableFleet`]: each entry is
+/// validated, appended to the log and applied in turn, and
+/// [`Burst::commit`] flushes the log **once** for all of them. The
+/// burst borrows the fleet exclusively, so whoever reaches the fleet
+/// through a lock holds that lock until the flush: nothing applied here
+/// can be observed while its log bytes are still buffered. Dropping a
+/// burst without committing still commits (an error path must not leave
+/// applied-but-buffered entries behind), but only `commit` reports
+/// whether the flush succeeded — acknowledge nothing before it returns.
+#[derive(Debug)]
+pub struct Burst<'a> {
+    fleet: &'a mut DurableFleet,
+}
+
+impl Burst<'_> {
+    /// Take one received `BATCH` payload: validate it where it lies,
+    /// log `[node u32][those bytes]`, apply the records straight off
+    /// them. A payload that fails validation is an `InvalidData` error
+    /// and touches neither the log nor any counter. Snapshots on the
+    /// [`DurabilityConfig::snapshot_every_batches`] cadence, exactly
+    /// where [`DurableFleet::ingest`] would.
+    pub fn batch(&mut self, node: NodeId, payload: &[u8]) -> io::Result<IngestReport> {
+        let view = BatchView::parse(payload)?;
+        // Only bytes a view vouches for reach the log.
+        self.fleet.wal.append(Entry::Batch(node, view.as_bytes()))?;
+        let report = self.fleet.agg.ingest_view(node, &view);
+        self.fleet.count_batch()?;
+        Ok(report)
+    }
+
+    /// Take one out-of-band exporter drain report.
+    pub fn drain(&mut self, node: NodeId, stats: &DrainStats) -> io::Result<()> {
+        self.fleet.wal.append(Entry::Drain(node, *stats))?;
+        self.fleet.agg.report_drain(node, stats);
+        Ok(())
+    }
+
+    /// The cursor `node`'s session stands at, this burst's batches
+    /// included — what the entry just taken will be acknowledged with.
+    pub fn next_seq(&self, node: NodeId) -> u64 {
+        self.fleet.next_seq(node)
+    }
+
+    /// Commit the log: everything this burst took is durable (against
+    /// `kill -9`; see the module docs) once this returns `Ok`.
+    pub fn commit(self) -> io::Result<()> {
+        self.fleet.wal.commit()
+    }
+}
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        // After `commit` nothing is pending and this does nothing.
+        let _ = self.fleet.wal.commit();
+    }
+}
+
+#[cfg(test)]
+pub(crate) use wal::FRAME_LOG_BATCH; // `transport`'s tests read a log off the disk
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moda_sim::{SimDuration, SimTime};
+    use moda_telemetry::export::{ExportRecord, MemorySink};
+    use moda_telemetry::wire::{put_block, put_u32, put_u64, write_frame};
+    use moda_telemetry::{
+        Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
+    };
+    use std::fs;
+    use std::path::PathBuf;
+
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("moda_fleet_persist_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// One node's wire stream off a real sketched store.
+    pub(super) fn node_batches(n: usize, offset: f64, batch_records: usize) -> Vec<ExportBatch> {
+        let cfg = RollupConfig::new(vec![
+            RollupTier::new(SimDuration::from_secs(10), 256),
+            RollupTier::new(SimDuration::from_secs(60), 64),
+        ])
+        .with_sketches();
+        let mut db = Tsdb::with_retention(1 << 12);
+        let id = db.register(MetricMeta::gauge("m", "u", SourceDomain::Hardware));
+        db.enable_rollups(id, &cfg);
+        for s in 0..n as u64 {
+            db.insert(
+                id,
+                SimTime::from_secs(1 + s),
+                offset + ((s * 31) % 997) as f64,
+            );
+        }
+        let mut sink = MemorySink::new();
+        Exporter::new()
+            .with_batch_records(batch_records)
+            .drain(&db, &mut sink)
+            .unwrap();
+        sink.batches
+    }
+
+    /// Everything observable about an aggregator, as comparable data
+    /// (same spirit as tests/props.rs::fingerprint, plus health).
+    pub(super) fn fingerprint(agg: &FleetAggregator, nodes: usize, now: SimTime) -> Vec<String> {
+        let store = agg.store();
+        let mut out = Vec::new();
+        for k in 0..nodes {
+            let name = format!("node{k:02}");
+            let id = store.lookup(&format!("{name}/m")).expect("mapped");
+            let raw: Vec<String> = store
+                .raw(id)
+                .iter()
+                .map(|s| format!("{}:{}", s.t.0, s.value.to_bits()))
+                .collect();
+            out.push(format!("raw[{k}]={raw:?}"));
+            for res in [SimDuration::from_secs(10), SimDuration::from_secs(60)] {
+                let buckets: Vec<String> = store
+                    .buckets(id, res)
+                    .map(|b| {
+                        format!(
+                            "{}:{}:{}:{}:{}:{}:{:?}",
+                            b.start.0, b.count, b.sum, b.min, b.max, b.last, b.sketch
+                        )
+                    })
+                    .collect();
+                out.push(format!("tier[{k},{}]={buckets:?}", res.0));
+            }
+            out.push(format!(
+                "counters[{k}]={:?}",
+                agg.counters(NodeId(k as u32))
+            ));
+        }
+        let w = SimDuration(now.0);
+        for agg_kind in [
+            WindowAgg::Count,
+            WindowAgg::Sum,
+            WindowAgg::Min,
+            WindowAgg::Max,
+            WindowAgg::Mean,
+            WindowAgg::Percentile(0.99),
+        ] {
+            out.push(format!(
+                "{agg_kind:?}={:?}",
+                store.fleet_window_agg("m", now, w, agg_kind)
+            ));
+        }
+        out.push(format!(
+            "top={:?}",
+            store.top_nodes("m", now, w, WindowAgg::Mean, 3, crate::store::Rank::Highest)
+        ));
+        out.push(format!(
+            "health={:?}",
+            agg.health(now, SimDuration::from_secs(120))
+        ));
+        out.push(format!("stats={:?}", store.stats()));
+        out
+    }
+
+    fn ingest_all(fleet: &mut DurableFleet, streams: &[Vec<ExportBatch>]) {
+        for (k, stream) in streams.iter().enumerate() {
+            let node = fleet.add_node(&format!("node{k:02}")).unwrap();
+            for batch in stream {
+                fleet.ingest(node, batch).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_then_recover_is_bit_identical() {
+        let dir = test_dir("roundtrip");
+        let streams = vec![
+            node_batches(3000, 0.0, 256),
+            node_batches(3000, 1000.0, 256),
+            node_batches(2500, 2000.0, 256),
+        ];
+        let now = SimTime::from_secs(3001);
+        // Uninterrupted reference (plain in-memory aggregator).
+        let mut reference = FleetAggregator::new();
+        for (k, stream) in streams.iter().enumerate() {
+            let node = reference.add_node(&format!("node{k:02}"));
+            for batch in stream {
+                reference.ingest(node, batch);
+            }
+            reference.report_drain(node, &Exporter::new().totals());
+        }
+        // Durable run: snapshot mid-stream (small cadence), then
+        // recover and compare observables.
+        let mut fleet = DurableFleet::open(
+            &dir,
+            DurabilityConfig {
+                snapshot_every_batches: 7,
+            },
+        )
+        .unwrap();
+        ingest_all(&mut fleet, &streams);
+        for k in 0..streams.len() {
+            fleet
+                .report_drain(NodeId(k as u32), &Exporter::new().totals())
+                .unwrap();
+        }
+        let live_fp = fingerprint(fleet.aggregator(), streams.len(), now);
+        assert_eq!(
+            live_fp,
+            fingerprint(&reference, streams.len(), now),
+            "durable wrapper must not change ingest semantics"
+        );
+        drop(fleet); // no clean shutdown snapshot: recovery replays the tail
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert!(rec.epoch > 0, "snapshots must have rotated: {rec:?}");
+        assert_eq!(rec.torn_tail_bytes, 0);
+        assert_eq!(rec.corrupt_frames, 0);
+        assert!(
+            rec.replayed_batches < 7 + 1,
+            "log truncation at snapshot bounds the replay: {rec:?}"
+        );
+        assert_eq!(
+            fingerprint(recovered.aggregator(), streams.len(), now),
+            live_fp,
+            "recovered state must be bit-identical to the live state"
+        );
+        // Sessions resumed at their persisted cursors.
+        for (k, stream) in streams.iter().enumerate() {
+            assert_eq!(
+                recovered.next_seq(NodeId(k as u32)),
+                stream.len() as u64,
+                "cursor must resume past everything ingested"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovered_fleet_keeps_ingesting_and_deduplicates_redelivery() {
+        let dir = test_dir("resume");
+        let stream = node_batches(2000, 0.0, 128);
+        let split = stream.len() / 2;
+        let mut fleet = DurableFleet::open(
+            &dir,
+            DurabilityConfig {
+                snapshot_every_batches: 5,
+            },
+        )
+        .unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &stream[..split] {
+            fleet.ingest(node, batch).unwrap();
+        }
+        drop(fleet);
+        let mut recovered = DurableFleet::recover(&dir).unwrap();
+        let node = recovered.find_node("node00").unwrap();
+        let cursor = recovered.next_seq(node);
+        assert_eq!(cursor, split as u64);
+        // Re-delivering covered batches bounces off the duplicate guard…
+        for batch in &stream[..2.min(split)] {
+            let report = recovered.ingest(node, batch).unwrap();
+            assert!(report.duplicate);
+        }
+        // …and the stream resumes from the persisted cursor.
+        for batch in &stream[split..] {
+            assert!(recovered.ingest(node, batch).unwrap().applied);
+        }
+        // Final state equals a clean one-shot run.
+        let mut reference = FleetAggregator::new();
+        let rnode = reference.add_node("node00");
+        for batch in &stream {
+            reference.ingest(rnode, batch);
+        }
+        let now = SimTime::from_secs(2001);
+        let ref_fp = fingerprint(&reference, 1, now);
+        let mut got_fp = fingerprint(recovered.aggregator(), 1, now);
+        // The two deliberate duplicates above are the only divergence.
+        let patched: Vec<String> = got_fp
+            .iter()
+            .map(|line| line.replace("duplicate_batches: 2", "duplicate_batches: 0"))
+            .collect();
+        got_fp = patched;
+        assert_eq!(got_fp, ref_fp);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_kind_records_in_a_replayed_log_are_counted() {
+        // The log holds batches as they arrived, so a newer sender's
+        // kinds sit in it and are skipped again at replay: append such
+        // an entry by hand.
+        let dir = test_dir("unknown_kind");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        drop(fleet);
+        let mut entry = Vec::new();
+        put_u32(&mut entry, node.0);
+        put_u64(&mut entry, 0); // seq
+        put_u32(&mut entry, 2); // wire records
+        moda_telemetry::wire::encode_record(
+            &ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime(5),
+                value: 6.0,
+            },
+            &mut entry,
+        );
+        entry.push(200); // a kind from the future
+        put_block(&mut entry, |out| out.extend_from_slice(b"data"));
+        let mut log = fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal-0.log"))
+            .unwrap();
+        write_frame(&mut log, FRAME_LOG_BATCH, &entry).unwrap();
+        drop(log);
+
+        let mut recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.replayed_batches, rec.unknown_records), (1, 1));
+        assert_eq!(rec.corrupt_frames, 0);
+        // Replay ran before a registry could be attached; attaching one
+        // surfaces what it skipped.
+        let obs = Obs::enabled();
+        recovered.set_obs(obs.clone());
+        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_directory_opens_fresh_and_recovers_empty() {
+        let dir = test_dir("fresh");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(fleet.aggregator().node_count(), 0);
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(recovered.aggregator().node_count(), 0);
+        assert_eq!(recovered.store().cardinality(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rotation_interrupted_at_either_step_recovers_and_sweeps_what_it_left() {
+        let dir = test_dir("rotation");
+        let copy_to = |tag: &str| {
+            let copy = test_dir(tag);
+            fs::create_dir_all(&copy).unwrap();
+            for entry in fs::read_dir(&dir).unwrap() {
+                let entry = entry.unwrap();
+                fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            }
+            copy
+        };
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        ingest_all(&mut fleet, &[node_batches(200, 0.0, 32)]);
+        let before = copy_to("rotation_before");
+        fleet.snapshot().unwrap();
+        let after = copy_to("rotation_after");
+        let now = SimTime::from_secs(201);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        // Killed with the next log begun and the image half written,
+        // before the rename: snapshot 0 still names `wal-0.log`.
+        fs::write(before.join("wal-1.log"), b"").unwrap();
+        fs::write(before.join("snapshot.tmp"), b"MODAFS03, and half an image").unwrap();
+        // Killed after the rename, the old log not yet deleted.
+        fs::copy(before.join("wal-0.log"), after.join("wal-0.log")).unwrap();
+        for (state, epoch) in [(&before, 0), (&after, 1)] {
+            let recovered = DurableFleet::recover(state).unwrap();
+            assert_eq!(recovered.epoch(), epoch);
+            assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+            drop(recovered);
+            let mut left: Vec<_> = fs::read_dir(state)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            left.sort();
+            assert_eq!(
+                left,
+                ["snapshot.bin".to_string(), format!("wal-{epoch}.log")]
+            );
+            let _ = fs::remove_dir_all(state);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stray_log_without_a_snapshot_is_not_replayed_later() {
+        let dir = test_dir("stray");
+        // A previous life: one node, a few logged batches, no rotation.
+        let mut old = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = old.add_node("node00").unwrap();
+        for batch in &node_batches(10, 0.0, 4) {
+            old.ingest(node, batch).unwrap();
+        }
+        assert_eq!(old.epoch(), 0);
+        drop(old);
+        // Its snapshot is lost; its epoch-0 log is not.
+        fs::remove_file(dir.join("snapshot.bin")).unwrap();
+        assert!(fs::metadata(dir.join("wal-0.log")).unwrap().len() > 0);
+        // The directory opens as a fresh fleet...
+        let fresh = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(fresh.aggregator().node_count(), 0);
+        drop(fresh);
+        // ...and stays one: the next open replays nothing of the old life.
+        let again = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(again.recovery().replayed_batches, 0);
+        assert_eq!(again.aggregator().node_count(), 0);
+        assert_eq!(again.store().cardinality(), 0);
+        let _ = fs::remove_dir_all(&dir);
+
+        // The same at a later epoch. A previous life rotated twice and
+        // logged three batches in `wal-2.log`; its snapshot is lost.
+        let dir = test_dir("stray_later");
+        let mut old = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = old.add_node("node00").unwrap();
+        old.snapshot().unwrap();
+        old.snapshot().unwrap();
+        for batch in &node_batches(10, 0.0, 4) {
+            old.ingest(node, batch).unwrap();
+        }
+        drop(old);
+        fs::remove_file(dir.join("snapshot.bin")).unwrap();
+        assert!(fs::metadata(dir.join("wal-2.log")).unwrap().len() > 0);
+        // The fresh life reaches epoch 2 as well — its log starts empty
+        // there — and is acknowledged one batch.
+        let mut fresh = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fresh.add_node("node00").unwrap();
+        fresh.snapshot().unwrap();
+        fresh.snapshot().unwrap();
+        let stream = node_batches(3, 5.0, 4);
+        assert_eq!(stream.len(), 1);
+        assert!(fresh.ingest(node, &stream[0]).unwrap().applied);
+        let acknowledged = fresh.aggregator().counters(node);
+        assert_eq!(
+            (acknowledged.batches, acknowledged.samples),
+            (1, 3),
+            "{acknowledged:?}"
+        );
+        drop(fresh);
+        // Recovery finds what that life acknowledged, and nothing else.
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.epoch, rec.replayed_batches), (2, 1), "{rec:?}");
+        assert_eq!(rec.replayed_duplicates, 0, "{rec:?}");
+        assert_eq!(recovered.aggregator().node_count(), 1);
+        assert_eq!(recovered.aggregator().counters(node), acknowledged);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -1,0 +1,398 @@
+//! The log: what an entry looks like, how a log's bytes are replayed,
+//! and the writer with its one commit point.
+//!
+//! Every mutation since the last snapshot is one [`Entry`], each in one
+//! CRC-framed record (`moda_telemetry::wire::write_frame`), in arrival
+//! order. [`replay`] is a function of the log's bytes — it opens
+//! nothing and truncates nothing; [`Wal`] appends to the writer
+//! [`super::dir`] lends it, and [`Wal::commit`] is the only place in
+//! the crate where the log is flushed.
+
+use super::dir::LogWriter;
+use super::RecoveryStats;
+use crate::aggregator::FleetAggregator;
+use crate::store::NodeId;
+use moda_obs::{Counter, LatencyRecorder, Obs};
+use moda_telemetry::wire::{
+    bad_data, decode_drain_stats, encode_drain_stats, parse_frame, put_str, put_u32,
+    write_frame_parts, BatchView, FrameParse, WireReader,
+};
+use moda_telemetry::DrainStats;
+use std::io::{self, Write};
+
+const FRAME_LOG_NODE: u8 = 32;
+pub(crate) const FRAME_LOG_BATCH: u8 = 33;
+const FRAME_LOG_DRAIN: u8 = 34;
+
+/// One log entry, borrowing what it can from whoever holds its bytes.
+#[derive(Debug)]
+pub(crate) enum Entry<'a> {
+    /// A node session was opened: `[name]`.
+    Node(&'a str),
+    /// One ingested wire batch, `[node u32][batch bytes]` — a received
+    /// batch verbatim, in whichever `export-wire` revision its sender
+    /// wrote.
+    Batch(NodeId, &'a [u8]),
+    /// An out-of-band exporter drain report: `[node u32][drain stats]`.
+    Drain(NodeId, DrainStats),
+}
+
+impl<'a> Entry<'a> {
+    /// The frame tag and payload this entry is logged as — the payload
+    /// in two pieces, the part built here (in `scratch`) and the part
+    /// the entry already holds, so a batch's bytes are not joined first.
+    fn encode<'b>(&self, scratch: &'b mut Vec<u8>) -> (u8, [&'b [u8]; 2])
+    where
+        'a: 'b,
+    {
+        scratch.clear();
+        let (tag, held): (u8, &[u8]) = match *self {
+            Entry::Node(name) => {
+                put_str(scratch, name);
+                (FRAME_LOG_NODE, &[])
+            }
+            Entry::Batch(node, batch) => {
+                put_u32(scratch, node.0);
+                (FRAME_LOG_BATCH, batch)
+            }
+            Entry::Drain(node, ref stats) => {
+                put_u32(scratch, node.0);
+                encode_drain_stats(stats, scratch);
+                (FRAME_LOG_DRAIN, &[])
+            }
+        };
+        (tag, [scratch, held])
+    }
+
+    /// The entry a frame of the log holds.
+    fn decode(tag: u8, payload: &'a [u8]) -> io::Result<Self> {
+        let mut r = WireReader::new(payload);
+        match tag {
+            FRAME_LOG_NODE => {
+                let name = r.str_ref()?;
+                if !r.done() {
+                    return Err(bad_data("trailing bytes in node entry"));
+                }
+                Ok(Entry::Node(name))
+            }
+            FRAME_LOG_BATCH => Ok(Entry::Batch(NodeId(r.u32()?), r.rest())),
+            FRAME_LOG_DRAIN => Ok(Entry::Drain(
+                NodeId(r.u32()?),
+                decode_drain_stats(r.rest())?,
+            )),
+            _ => Err(bad_data("unknown log entry tag")),
+        }
+    }
+
+    /// Apply a replayed entry. One that cannot be — it names a node the
+    /// log has not registered, or its batch does not validate — is an
+    /// error and leaves `agg` and `stats` as they were.
+    fn apply(self, agg: &mut FleetAggregator, stats: &mut RecoveryStats) -> io::Result<()> {
+        match self {
+            Entry::Batch(node, _) | Entry::Drain(node, _) if node.index() >= agg.node_count() => {
+                return Err(bad_data("log entry names an unknown node"));
+            }
+            Entry::Node(name) => {
+                if agg.find_node(name).is_none() {
+                    agg.add_node(name);
+                }
+                stats.replayed_nodes += 1;
+            }
+            Entry::Batch(node, batch) => {
+                // Validated and applied where the log sits in memory.
+                // Replay runs before a registry can be attached, so
+                // what the view skips is kept for `set_obs` to fold in.
+                let view = BatchView::parse(batch)?;
+                let report = agg.ingest_view(node, &view);
+                stats.unknown_records += view.unknown_records();
+                stats.replayed_batches += 1;
+                stats.replayed_duplicates += u64::from(report.duplicate);
+            }
+            Entry::Drain(node, drain) => {
+                agg.report_drain(node, &drain);
+                stats.replayed_drains += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Replay the log held in `bytes` into `agg`, counting what was applied
+/// in `stats`. Returns the length of the intact prefix — always a frame
+/// boundary; whatever follows it is a torn tail or starts with a
+/// corrupt frame, and cutting it off the file is the caller's — and the
+/// number of whole frames found corrupt (0 or 1: nothing after the
+/// first is looked at).
+pub(crate) fn replay(
+    bytes: &[u8],
+    agg: &mut FleetAggregator,
+    stats: &mut RecoveryStats,
+) -> (usize, u64) {
+    let mut good = 0;
+    loop {
+        // Frames are parsed where the log sits in memory; each payload
+        // is lent to the decoder, not copied out first.
+        match parse_frame(&bytes[good..]) {
+            FrameParse::Frame {
+                tag,
+                payload,
+                consumed,
+            } => {
+                let applied = Entry::decode(tag, payload).and_then(|e| e.apply(agg, stats));
+                if applied.is_err() {
+                    // CRC-valid but undecodable: corruption that
+                    // happens to checksum; stop at the last good
+                    // boundary like any other corrupt frame.
+                    return (good, 1);
+                }
+                good += consumed;
+            }
+            // Clean end of log, or a torn tail.
+            FrameParse::Incomplete { .. } => return (good, 0),
+            FrameParse::Corrupt => return (good, 1),
+        }
+    }
+}
+
+/// The log writer: entries are appended into the buffered file
+/// [`super::dir`] opened, and [`Wal::commit`] pushes them to the OS.
+#[derive(Debug)]
+pub(crate) struct Wal {
+    out: LogWriter,
+    /// Something was appended since the last successful commit.
+    dirty: bool,
+    /// Scratch for the part of an entry's payload built here — cleared,
+    /// never freed.
+    scratch: Vec<u8>,
+    /// `wal.appends` — log frames appended.
+    appends: Counter,
+    /// `wal.bytes` — payload bytes appended to the log.
+    bytes: Counter,
+    /// `wal.fsync_ns` — wall time of one commit's OS flush (the
+    /// durability cost every acknowledged mutation pays).
+    fsync_ns: LatencyRecorder,
+}
+
+impl Wal {
+    pub(crate) fn new(out: LogWriter) -> Wal {
+        Wal {
+            out,
+            dirty: false,
+            scratch: Vec::new(),
+            appends: Counter::default(),
+            bytes: Counter::default(),
+            fsync_ns: LatencyRecorder::default(),
+        }
+    }
+
+    /// Resolve the `wal.*` instruments; all inert on a disabled handle.
+    pub(crate) fn set_obs(&mut self, obs: &Obs) {
+        self.appends = obs.counter("wal.appends");
+        self.bytes = obs.counter("wal.bytes");
+        self.fsync_ns = obs.latency("wal.fsync_ns");
+    }
+
+    /// Carry on in `out`, the next epoch's log. Commit first: what is
+    /// still buffered for the old file goes with it.
+    pub(crate) fn rotate_to(&mut self, out: LogWriter) {
+        debug_assert!(!self.dirty, "rotation follows a commit");
+        self.out = out;
+    }
+
+    /// Append one entry. Not durable, and not to be made visible to a
+    /// reader or acknowledged, until [`Wal::commit`] returns.
+    pub(crate) fn append(&mut self, entry: Entry<'_>) -> io::Result<()> {
+        let (tag, payload) = entry.encode(&mut self.scratch);
+        self.dirty = true;
+        write_frame_parts(&mut self.out, tag, &payload)?;
+        self.appends.add(1);
+        self.bytes
+            .add(payload.iter().map(|part| part.len() as u64).sum());
+        Ok(())
+    }
+
+    /// **The** commit point: flush everything appended since the last
+    /// one to the OS — `kill -9` cannot lose it once this returns `Ok`
+    /// (a machine crash can: this is `write(2)`, not an fsync). With
+    /// nothing appended it does, and records, nothing.
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        if !self.dirty {
+            return Ok(());
+        }
+        let _span = self.fsync_ns.start();
+        self.out.flush()?;
+        self.dirty = false;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::snapshot;
+    use super::super::tests::node_batches;
+    use super::*;
+    use moda_telemetry::export::ExportBatch;
+    use moda_telemetry::wire::{encode_batch, encode_record};
+    use proptest::prelude::*;
+
+    /// One entry of a model log, owning what an [`Entry`] borrows.
+    enum Logged {
+        Node(&'static str),
+        /// A batch, and whether its sender packed sample runs
+        /// (`export-wire-v1.2`) or wrote one record each (v1.1).
+        Batch(NodeId, ExportBatch, bool),
+        Drain(NodeId, DrainStats),
+    }
+
+    impl Logged {
+        /// Append this entry's frame to `log`, as [`Wal::append`] would.
+        fn render(&self, log: &mut Vec<u8>) {
+            let mut rendered = Vec::new();
+            let entry = match self {
+                Logged::Node(name) => Entry::Node(name),
+                Logged::Batch(node, batch, true) => {
+                    encode_batch(batch, &mut rendered);
+                    Entry::Batch(*node, &rendered)
+                }
+                Logged::Batch(node, batch, false) => {
+                    rendered.extend_from_slice(&batch.seq.to_le_bytes());
+                    rendered.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+                    for record in &batch.records {
+                        encode_record(record, &mut rendered);
+                    }
+                    Entry::Batch(*node, &rendered)
+                }
+                Logged::Drain(node, stats) => Entry::Drain(*node, *stats),
+            };
+            let mut scratch = Vec::new();
+            let (tag, payload) = entry.encode(&mut scratch);
+            write_frame_parts(log, tag, &payload).unwrap();
+        }
+
+        /// Apply this entry to `agg` directly — no frame, no bytes.
+        fn apply(&self, agg: &mut FleetAggregator, stats: &mut RecoveryStats) {
+            match self {
+                Logged::Node(name) => {
+                    agg.add_node(name);
+                    stats.replayed_nodes += 1;
+                }
+                Logged::Batch(node, batch, _) => {
+                    let report = agg.ingest(*node, batch);
+                    stats.replayed_batches += 1;
+                    stats.replayed_duplicates += u64::from(report.duplicate);
+                }
+                Logged::Drain(node, drain) => {
+                    agg.report_drain(*node, drain);
+                    stats.replayed_drains += 1;
+                }
+            }
+        }
+    }
+
+    /// Two nodes' streams interleaved at random, each node registered
+    /// ahead of its first entry; now and then a drain report, or a batch
+    /// delivered twice (the second copy in the other rendering).
+    fn model_log(rng: &mut TestRng, samples: usize, batch_records: usize) -> Vec<Logged> {
+        let names = ["node00", "node01"];
+        let mut pending = [
+            node_batches(samples, 0.0, batch_records).into_iter(),
+            node_batches(samples / 2 + 1, 1000.0, batch_records).into_iter(),
+        ];
+        let mut ids = [None; 2];
+        let mut log = Vec::new();
+        while pending.iter().any(|stream| stream.len() > 0) {
+            let k = rng.below(2) as usize;
+            let node = match ids[k] {
+                Some(node) => node,
+                None => {
+                    log.push(Logged::Node(names[k]));
+                    *ids[k].insert(NodeId(ids.iter().flatten().count() as u32))
+                }
+            };
+            if rng.below(6) == 0 {
+                let report = DrainStats {
+                    batches: log.len() as u64,
+                    ..DrainStats::default()
+                };
+                log.push(Logged::Drain(node, report));
+            } else if let Some(batch) = pending[k].next() {
+                let packed = rng.below(2) == 0;
+                if rng.below(6) == 0 {
+                    log.push(Logged::Batch(node, batch.clone(), !packed));
+                }
+                log.push(Logged::Batch(node, batch, packed));
+            }
+        }
+        log
+    }
+
+    /// Everything an aggregator holds, as the bytes its snapshot is.
+    fn image(agg: &FleetAggregator) -> Vec<u8> {
+        let mut out = Vec::new();
+        snapshot::encode(agg, 0, &mut out);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Replay is a function of the bytes it is given: a log cut at
+        /// **every** position, or with one byte flipped, replays to the
+        /// frame boundary before the damage — the entries applied are
+        /// the whole frames ahead of it, the state is the one those
+        /// entries build when applied directly, and the prefix it
+        /// reports replays again to itself, clean.
+        #[test]
+        fn a_log_cut_or_damaged_anywhere_replays_to_the_whole_frames_before_it(
+            seed in any::<u64>(),
+            samples in 8usize..40,
+            batch_records in 3usize..12,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let model = model_log(&mut rng, samples, batch_records);
+            // The log's bytes and where each frame ends; beside them,
+            // what the first `n` entries come to with no log between.
+            let mut bytes = Vec::new();
+            let mut ends = vec![0];
+            let mut direct = FleetAggregator::new();
+            let mut counts = RecoveryStats::default();
+            let mut after = vec![(image(&direct), counts)];
+            for entry in &model {
+                entry.render(&mut bytes);
+                ends.push(bytes.len());
+                entry.apply(&mut direct, &mut counts);
+                after.push((image(&direct), counts));
+            }
+            prop_assert!(counts.replayed_batches >= 2 && counts.replayed_nodes == 2);
+            // Replay `log`, whose first damaged byte (or end) is `at`;
+            // hands back the corrupt-frame count.
+            let replayed = |log: &[u8], at: usize| {
+                let whole = ends.partition_point(|&end| end <= at) - 1;
+                let mut agg = FleetAggregator::new();
+                let mut stats = RecoveryStats::default();
+                let (prefix, corrupt) = replay(log, &mut agg, &mut stats);
+                prop_assert_eq!(prefix, ends[whole], "cut or damage at {}", at);
+                prop_assert_eq!(stats, after[whole].1, "cut or damage at {}", at);
+                prop_assert!(image(&agg) == after[whole].0, "state after {} frames", whole);
+                let again = replay(
+                    &log[..prefix],
+                    &mut FleetAggregator::new(),
+                    &mut RecoveryStats::default(),
+                );
+                prop_assert_eq!(again, (prefix, 0));
+                Ok(corrupt)
+            };
+            for cut in 0..=bytes.len() {
+                prop_assert_eq!(replayed(&bytes[..cut], cut)?, 0, "a cut is torn, not corrupt");
+            }
+            let at = rng.below(bytes.len() as u64) as usize;
+            let mut damaged = bytes.clone();
+            damaged[at] ^= 1 + rng.below(255) as u8;
+            let corrupt = replayed(&damaged, at)?;
+            // A damaged length prefix may also read as a frame that
+            // runs past the end of the log: torn, then, not corrupt.
+            let in_length_prefix = ends.iter().any(|&end| (end..end + 4).contains(&at));
+            prop_assert!(corrupt == 1 || in_length_prefix, "flip at {}: {}", at, corrupt);
+        }
+    }
+}

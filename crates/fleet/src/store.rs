@@ -368,11 +368,6 @@ impl FleetStore {
             .unwrap_or(&[])
     }
 
-    /// Iterate the logical axis names (unordered).
-    pub fn logical_names(&self) -> impl Iterator<Item = &str> {
-        self.logical.keys().map(String::as_str)
-    }
-
     /// Snapshot of the logical axes as `(name, member count)` pairs,
     /// sorted by name — the deterministic listing the query protocol's
     /// discovery request serves, so remote and in-process callers see

@@ -201,11 +201,6 @@ impl ObsRegistry {
     pub(crate) fn entries(&self) -> Vec<(String, Instrument)> {
         self.instruments().entries.clone()
     }
-
-    /// Registered instruments (tests assert 0 for disabled paths).
-    pub fn instrument_count(&self) -> usize {
-        self.instruments().entries.len()
-    }
 }
 
 /// The handle components hold: either a live registry or **disabled**

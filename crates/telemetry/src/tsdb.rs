@@ -704,7 +704,8 @@ mod tests {
             WindowAgg::Count,
             WindowAgg::Percentile(0.9),
         ] {
-            let legacy = agg.apply_samples(&db.window_view(id, now, w).to_vec());
+            let values: Vec<f64> = db.window_view(id, now, w).iter().map(|s| s.value).collect();
+            let legacy = agg.apply(&values);
             let fast = db.window_agg(id, now, w, agg).unwrap();
             assert!((legacy - fast).abs() < 1e-12, "{agg:?}");
         }

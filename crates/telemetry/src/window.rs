@@ -85,31 +85,6 @@ impl WindowAgg {
             _ => self.apply(values),
         }
     }
-
-    /// Apply to samples (drops timestamps).
-    pub fn apply_samples(&self, samples: &[Sample]) -> f64 {
-        // Percentile and friends only need values; avoid allocating for
-        // the common scalar aggregations.
-        match *self {
-            WindowAgg::Count => samples.len() as f64,
-            WindowAgg::Sum => samples.iter().map(|s| s.value).sum(),
-            _ if samples.is_empty() => f64::NAN,
-            WindowAgg::Mean => samples.iter().map(|s| s.value).sum::<f64>() / samples.len() as f64,
-            WindowAgg::Min => samples
-                .iter()
-                .map(|s| s.value)
-                .fold(f64::INFINITY, f64::min),
-            WindowAgg::Max => samples
-                .iter()
-                .map(|s| s.value)
-                .fold(f64::NEG_INFINITY, f64::max),
-            WindowAgg::Last => samples.last().expect("non-empty").value,
-            WindowAgg::Percentile(_) => {
-                let mut vals: Vec<f64> = samples.iter().map(|s| s.value).collect();
-                self.apply_mut(&mut vals)
-            }
-        }
-    }
 }
 
 /// Streaming accumulator for one aggregation, reusable across buckets.
@@ -298,28 +273,6 @@ mod tests {
         assert!(WindowAgg::Mean.apply(&[]).is_nan());
         assert!(WindowAgg::Percentile(0.5).apply(&[]).is_nan());
         assert!(WindowAgg::Percentile(0.5).apply_mut(&mut []).is_nan());
-    }
-
-    #[test]
-    fn apply_samples_matches_apply() {
-        let s = samples(&[(1, 5.0), (2, 1.0), (3, 3.0)]);
-        let vals: Vec<f64> = s.iter().map(|x| x.value).collect();
-        for agg in [
-            WindowAgg::Mean,
-            WindowAgg::Min,
-            WindowAgg::Max,
-            WindowAgg::Sum,
-            WindowAgg::Last,
-            WindowAgg::Count,
-            WindowAgg::Percentile(0.5),
-        ] {
-            let a = agg.apply(&vals);
-            let b = agg.apply_samples(&s);
-            assert!(
-                (a - b).abs() < 1e-12 || (a.is_nan() && b.is_nan()),
-                "{agg:?}"
-            );
-        }
     }
 
     #[test]

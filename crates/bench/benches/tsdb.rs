@@ -626,6 +626,80 @@ fn bench_fleet(c: &mut Criterion) {
         }
     }
 
+    // What a snapshot costs whoever holds the fleet, at the plateau the
+    // live workloads sit on: 128 metrics, 8 of them sketched, every raw
+    // ring at `DEFAULT_RAW_RETENTION` with its front chunk partly
+    // evicted. `snapshot_sync` is the public `snapshot()` end to end —
+    // cut, write, fsync, rename, promote. `snapshot_cut` is a cadence
+    // point: one 128-sample batch (a few µs) plus the cut and the hand
+    // to the writer thread, which is all an ingest session waits for;
+    // the previous write is joined outside the timed region. The cut's
+    // time is the raw sections': `compacted()` re-compresses the front
+    // chunk of each saturated ring, `ExportRecord::chunk` copies every
+    // sealed chunk (`to_vec`), each tail observation becomes an
+    // `ExportRecord::Sample`, and the image is CRC'd once — a streaming
+    // raw-section encoder is the follow-up. No gate on either row yet.
+    {
+        const METRICS: usize = 128;
+        let (mut db, ids) = registered(METRICS, 4096);
+        for id in ids.iter().step_by(METRICS / 8) {
+            db.enable_rollups(*id, &RollupConfig::standard().with_sketches());
+        }
+        let mut sweep: Vec<_> = ids.iter().map(|&id| (id, 0.0)).collect();
+        let mut exporter = Exporter::new();
+        let mut sink = MemorySink::new();
+        let mut t = 0u64;
+        let mut minute = move |seconds: u64| -> Vec<ExportBatch> {
+            sink.batches.clear();
+            for _ in 0..seconds {
+                // Quarter-unit readings that wander over a few levels:
+                // ≈ 1.7 B a sample sealed, as on the live workloads.
+                for (m, (_, value)) in sweep.iter_mut().enumerate() {
+                    let level = (t + m as u64).wrapping_mul(2_654_435_761) >> 8;
+                    *value = 180.0 + m as f64 + (level % 8) as f64 * 0.25;
+                }
+                db.insert_batch(SimTime::from_secs(t), &sweep);
+                t += 1;
+            }
+            exporter.drain(&db, &mut sink).unwrap();
+            std::mem::take(&mut sink.batches)
+        };
+        let every_batch = DurabilityConfig {
+            snapshot_every_batches: 1,
+        };
+        let mut held = DurableFleet::open(tmp.join("snapshot-sync"), no_cadence).unwrap();
+        let mut cadenced = DurableFleet::open(tmp.join("snapshot-cut"), every_batch).unwrap();
+        let node = held.add_node("node00").unwrap();
+        cadenced.add_node("node00").unwrap();
+        let retention = moda_fleet::store::DEFAULT_RAW_RETENTION as u64;
+        for _ in 0..(retention + 512) / 60 {
+            for batch in minute(60) {
+                held.ingest(node, &batch).unwrap();
+                cadenced.ingest(node, &batch).unwrap();
+            }
+        }
+        let id = held
+            .store()
+            .lookup("node00/node0000.metric")
+            .expect("mapped");
+        assert_eq!(held.store().raw(id).len() as u64, retention);
+        g.throughput(Throughput::Elements(1));
+        g.bench_function("snapshot_sync_128x4096", |b| {
+            b.iter(|| held.snapshot().unwrap());
+        });
+        let cadenced = std::cell::RefCell::new(cadenced);
+        g.bench_function("snapshot_cut_128x4096", |b| {
+            b.iter_batched(
+                || {
+                    cadenced.borrow_mut().settle().unwrap();
+                    minute(1).pop().expect("one sweep, one batch")
+                },
+                |batch| black_box(cadenced.borrow_mut().ingest(node, &batch).unwrap()),
+                BatchSize::PerIteration,
+            );
+        });
+    }
+
     // Socket ingest throughput: one node-day of framed batches over
     // loopback TCP into a fresh durable server per iteration, acked
     // end-to-end (ack ⇐ logged). Loopback + disk bound, so the

@@ -7,9 +7,11 @@
 //! * **`wal-<epoch>.log`** — the [`super::wal`] entries since that
 //!   snapshot. The **epoch** pairs the two: a snapshot stores the epoch
 //!   of the log that follows it, so the surviving snapshot always names
-//!   exactly one log, and every other `wal-*.log` — left by an
-//!   interrupted rotation, or by a previous life whose snapshot is
-//!   gone — is a stray that nothing names.
+//!   exactly one log, and every other `wal-*.log` — the next epoch's,
+//!   filling beside the live one while the snapshot that will name it
+//!   is being written; one left by an interrupted rotation; one of a
+//!   previous life whose snapshot is gone — is a file that nothing
+//!   names and recovery never reads.
 //!
 //! A log is opened in one of two ways. [`StateDir::begin_log`] starts a
 //! new epoch's log **empty**, whatever a file of that name held;
@@ -33,8 +35,10 @@ fn wal_name(epoch: u64) -> String {
 /// appends to and flushes.
 pub(crate) type LogWriter = BufWriter<File>;
 
-/// One fleet's state directory.
-#[derive(Debug)]
+/// One fleet's state directory. A clone names the same directory: the
+/// snapshot writer thread takes one to [`StateDir::write_snapshot`]
+/// with.
+#[derive(Debug, Clone)]
 pub(crate) struct StateDir {
     path: PathBuf,
 }
@@ -99,8 +103,15 @@ impl StateDir {
         f.sync_all()
     }
 
+    /// Best-effort removal of `epoch`'s log, which the snapshot just
+    /// renamed into place has superseded.
+    pub(crate) fn remove_log(&self, epoch: u64) {
+        let _ = fs::remove_file(self.path.join(wal_name(epoch)));
+    }
+
     /// Best-effort removal of what no snapshot names: the tmp snapshot
-    /// and every log but `epoch`'s.
+    /// and every log but `epoch`'s. For an open — a running fleet knows
+    /// the one log it supersedes ([`StateDir::remove_log`]).
     pub(crate) fn remove_strays(&self, epoch: u64) {
         let _ = fs::remove_file(self.path.join(SNAPSHOT_TMP));
         if let Ok(entries) = fs::read_dir(&self.path) {

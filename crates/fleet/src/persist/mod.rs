@@ -14,10 +14,43 @@
 //!
 //! What is left here is what ties them: [`DurableFleet`], [`Burst`] and
 //! the **rotation order**. A snapshot stores the epoch of the log that
-//! follows it, so rotation (commit `wal-N.log` → begin `wal-(N+1).log`
-//! → write snapshot `N+1`, renamed into place → delete `wal-N.log`) is
-//! crash-safe at every step: the surviving snapshot always names
-//! exactly one log, and files nothing names are ignored and cleaned up.
+//! follows it, so the surviving snapshot always names exactly one log,
+//! and a rotation from epoch `N` is three steps, only the first and the
+//! last of which hold the fleet:
+//!
+//! 1. **Cut** (under whatever lock the caller holds): commit
+//!    `wal-N.log`, begin `wal-(N+1).log` empty, encode the image naming
+//!    `N+1`, and **tee** the log — from here every entry is appended to
+//!    both logs and a commit flushes both. A crash now, or at any later
+//!    point before the rename, finds snapshot `N` and a `wal-N.log`
+//!    that holds every acknowledged entry; `wal-(N+1).log` and
+//!    `snapshot.tmp` are files nothing names, swept at the next open.
+//! 2. **Write** (on a writer thread for a cadence snapshot, holding
+//!    nothing; inline for [`DurableFleet::snapshot`]): `snapshot.tmp`,
+//!    fsync, rename over `snapshot.bin`. The rename is the single
+//!    atomic switch. A crash after it finds snapshot `N+1` and a
+//!    `wal-(N+1).log` that holds every acknowledged entry since the
+//!    image — it got each of them when `wal-N.log` did; `wal-N.log` is
+//!    now the file nothing names.
+//! 3. **Promote** (at the next commit that finds the writer done, at
+//!    the next cadence point, or in [`DurableFleet::settle`]): join the
+//!    writer, close the old log, the tee'd log becomes the log, the
+//!    epoch moves, `wal-N.log` is unlinked by name. A crash before the
+//!    unlink leaves a stray.
+//!
+//! **An entry is acknowledged only if both logs took it and flushed**:
+//! which of the two recovery will read is decided by a rename on
+//! another thread, so during the window each must be complete on its
+//! own. The first failed write or flush on either poisons the writer
+//! (see `wal`): nothing more is acknowledged until the directory is
+//! reopened. A write that fails drops the tee and leaves `snapshot.bin`
+//! and `wal-N.log` as they were; the error is returned by the mutation
+//! that observes it and the cadence counter is put back, so the next
+//! batch tries again. At most one snapshot is in flight: a cadence
+//! point that finds one joins it first, which is the whole slow-disk
+//! policy. None of this is recovery's business: it reads one snapshot
+//! and the one log that snapshot names, whatever else is in the
+//! directory.
 //!
 //! **Discipline: logged before it is visible, flushed before it is
 //! acknowledged.** [`DurableFleet::ingest`] appends the batch to the
@@ -43,7 +76,8 @@
 //! burst, so process crashes (`kill -9`) lose nothing that was
 //! acknowledged; surviving a *machine* crash would additionally need
 //! `fsync` where that flush is, which this tier deliberately trades
-//! away (snapshots *are* fsynced).
+//! away (snapshots *are* fsynced — on the writer thread, off the
+//! acknowledgement path).
 
 mod dir;
 mod snapshot;
@@ -58,6 +92,8 @@ use moda_telemetry::wire::{encode_batch, BatchView};
 use moda_telemetry::DrainStats;
 use std::io;
 use std::path::Path;
+use std::thread::{self, JoinHandle};
+use std::time::Instant;
 use wal::{Entry, Wal};
 
 // -------------------------------------------------------------- config
@@ -129,10 +165,40 @@ pub struct DurableFleet {
     /// freed.
     frame_buf: Vec<u8>,
     /// Scratch for the snapshot image, kept at the size the last
-    /// snapshot grew it to.
+    /// snapshot grew it to. The one image buffer: lent to the writer
+    /// while a snapshot is in flight, handed back at its promotion.
     snapshot_buf: Vec<u8>,
-    /// `snapshot.write_ns` — wall time of one snapshot encode + write.
+    /// The writer of the snapshot in flight — the log is tee'd exactly
+    /// while this is `Some` (or a synchronous snapshot is between its
+    /// cut and its promotion).
+    in_flight: Option<JoinHandle<io::Result<Vec<u8>>>>,
+    /// Batches the last cut's image covers: back on the cadence counter
+    /// if its write fails.
+    cut_batches: u64,
+    /// `snapshot.write_ns` — one snapshot, from the start of its cut to
+    /// its rename.
     snapshot_ns: LatencyRecorder,
+    /// `snapshot.cut_ns` — how long a snapshot held the fleet.
+    cut_ns: LatencyRecorder,
+}
+
+/// The write of a rotation (step 2 of the module docs): `image`
+/// replaces `snapshot.bin`, and comes back to be the next image's
+/// buffer. Holds nothing of the fleet; a cadence snapshot runs it on its
+/// writer thread.
+fn write_image(
+    dir: &StateDir,
+    image: Vec<u8>,
+    cut_at: Instant,
+    write_ns: &LatencyRecorder,
+) -> io::Result<Vec<u8>> {
+    dir.write_snapshot(&image)?;
+    write_ns.record_ns(ns_since(cut_at));
+    Ok(image)
+}
+
+fn ns_since(t: Instant) -> u64 {
+    t.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 impl DurableFleet {
@@ -159,7 +225,8 @@ impl DurableFleet {
         let mut fleet = Self::assemble(FleetAggregator::new(), dir, log, 0, cfg);
         // An empty snapshot makes the directory self-describing from
         // the first byte: recovery never needs a "no snapshot" case.
-        fleet.write_snapshot(0)?;
+        snapshot::encode(&fleet.agg, 0, &mut fleet.snapshot_buf);
+        fleet.dir.write_snapshot(&fleet.snapshot_buf)?;
         Ok(fleet)
     }
 
@@ -212,7 +279,10 @@ impl DurableFleet {
             recovery: RecoveryStats::default(),
             frame_buf: Vec::new(),
             snapshot_buf: Vec::new(),
+            in_flight: None,
+            cut_batches: 0,
             snapshot_ns: LatencyRecorder::default(),
+            cut_ns: LatencyRecorder::default(),
         }
     }
 
@@ -230,8 +300,8 @@ impl DurableFleet {
     }
 
     /// Ingest one batch durably: append its encoding to the log, commit,
-    /// then apply — returning means flushed. Takes a snapshot
-    /// (truncating the log) every
+    /// then apply — returning means flushed. Cuts a snapshot (written
+    /// off this call; see the module docs) every
     /// [`DurabilityConfig::snapshot_every_batches`] applied batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
         self.frame_buf.clear();
@@ -240,6 +310,7 @@ impl DurableFleet {
         self.wal.commit()?;
         let report = self.agg.ingest(node, batch);
         self.count_batch()?;
+        self.poll()?;
         Ok(report)
     }
 
@@ -257,53 +328,124 @@ impl DurableFleet {
         Burst { fleet: self }
     }
 
-    /// One more batch applied since the last snapshot; snapshot when
-    /// the cadence says so.
+    /// One more batch applied since the last snapshot; cut one when the
+    /// cadence says so.
     fn count_batch(&mut self) -> io::Result<()> {
         self.batches_since_snapshot += 1;
         if self.batches_since_snapshot >= self.snapshot_every {
-            self.snapshot()?;
+            self.snapshot_off_thread()?;
         }
         Ok(())
     }
 
-    // ----- snapshot -----------------------------------------------------
+    // ----- snapshot: cut, write, promote --------------------------------
 
-    /// Take a snapshot now and truncate the log (atomic rotation; see
-    /// the module docs for the crash analysis of each step).
+    /// Take a snapshot now and truncate the log, synchronously: when
+    /// this returns the directory holds `snapshot.bin` and the log it
+    /// names, nothing else (atomic rotation; see the module docs for
+    /// the crash analysis of each step).
     pub fn snapshot(&mut self) -> io::Result<()> {
-        // Anything buffered belongs to the old epoch; make sure it is
-        // on disk before the snapshot that supersedes it.
-        self.wal.commit()?;
-        let next = self.epoch + 1;
-        // New log first, then the rename that makes it live: a crash
-        // between the two leaves a stray (ignored) log, never a
-        // snapshot pointing at a missing one.
-        let log = self.dir.begin_log(next)?;
-        self.write_snapshot(next)?;
-        self.wal.rotate_to(log);
-        self.dir.remove_strays(next);
-        self.epoch = next;
-        self.batches_since_snapshot = 0;
-        Ok(())
+        let (image, cut_at) = self.cut()?;
+        self.cut_ns.record_ns(ns_since(cut_at));
+        let written = write_image(&self.dir, image, cut_at, &self.snapshot_ns);
+        self.promote(written)
     }
 
-    /// Write `snapshot.bin`: the state as it stands, naming log `epoch`.
-    fn write_snapshot(&mut self, epoch: u64) -> io::Result<()> {
-        let _span = self.snapshot_ns.start();
-        snapshot::encode(&self.agg, epoch, &mut self.snapshot_buf);
-        self.dir.write_snapshot(&self.snapshot_buf)
+    /// A cadence snapshot: cut here, written on a thread of its own,
+    /// promoted by whichever later call finds it done.
+    fn snapshot_off_thread(&mut self) -> io::Result<()> {
+        let (image, cut_at) = self.cut()?;
+        let (dir, write_ns) = (self.dir.clone(), self.snapshot_ns.clone());
+        let spawned = thread::Builder::new()
+            .name("moda-snapshot".into())
+            .spawn(move || write_image(&dir, image, cut_at, &write_ns));
+        self.cut_ns.record_ns(ns_since(cut_at));
+        match spawned {
+            Ok(writer) => {
+                self.in_flight = Some(writer);
+                Ok(())
+            }
+            Err(e) => self.promote(Err(e)),
+        }
+    }
+
+    /// Step 1: the image of the state as it stands, naming the next
+    /// epoch's log, which from here gets every entry the live one gets.
+    /// One snapshot at a time: the one in flight, if any, is joined and
+    /// promoted first — a disk slower than the cadence makes a cadence
+    /// point wait for the previous write.
+    fn cut(&mut self) -> io::Result<(Vec<u8>, Instant)> {
+        self.settle()?;
+        let cut_at = Instant::now();
+        // The cut is a commit point: the old log on disk is the image.
+        self.wal.commit()?;
+        let next = self.epoch + 1;
+        // The next log exists before the rename that makes it live: a
+        // crash between the two leaves a stray (ignored) log, never a
+        // snapshot pointing at a missing one.
+        let log = self.dir.begin_log(next)?;
+        let mut image = std::mem::take(&mut self.snapshot_buf);
+        snapshot::encode(&self.agg, next, &mut image);
+        self.wal.tee(log);
+        self.cut_batches = std::mem::take(&mut self.batches_since_snapshot);
+        Ok((image, cut_at))
+    }
+
+    /// Step 3, given how step 2 ended. Written: the tee'd log is the
+    /// log, the epoch moves, the old log goes. Not written: the tee is
+    /// dropped and `snapshot.bin` still names the log that never
+    /// stopped being complete; the error is the caller's to return.
+    fn promote(&mut self, written: io::Result<Vec<u8>>) -> io::Result<()> {
+        match written {
+            Ok(image) => {
+                self.snapshot_buf = image;
+                self.wal.promote();
+                self.dir.remove_log(self.epoch);
+                self.epoch += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.wal.drop_tee();
+                self.batches_since_snapshot += self.cut_batches;
+                Err(e)
+            }
+        }
+    }
+
+    /// Promote the snapshot in flight if its writer is done: a load when
+    /// one is in flight, nothing otherwise.
+    fn poll(&mut self) -> io::Result<()> {
+        match &self.in_flight {
+            Some(writer) if writer.is_finished() => self.settle(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Wait for the snapshot in flight, if there is one, and promote
+    /// it. Afterwards the directory holds exactly `snapshot.bin` and
+    /// the log it names, and [`DurableFleet::epoch`] is that log's. For
+    /// shutdown paths and for whoever is about to look at the
+    /// directory; dropping the fleet does the same, best-effort.
+    pub fn settle(&mut self) -> io::Result<()> {
+        let Some(writer) = self.in_flight.take() else {
+            return Ok(());
+        };
+        let written = writer
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("the snapshot writer panicked")));
+        self.promote(written)
     }
 
     // ----- access -------------------------------------------------------
 
     /// Attach a self-telemetry handle: resolves the durability
-    /// instruments (`wal.*`, `snapshot.write_ns`) and hands the handle
+    /// instruments (`wal.*`, `snapshot.*_ns`) and hands the handle
     /// down to the aggregator's ingest instruments. Observation state
     /// is process-local — it is *not* persisted or recovered.
     pub fn set_obs(&mut self, obs: Obs) {
         self.wal.set_obs(&obs);
         self.snapshot_ns = obs.latency("snapshot.write_ns");
+        self.cut_ns = obs.latency("snapshot.cut_ns");
         self.agg.set_obs(obs);
         // Replay ran before any handle could be attached.
         self.agg.note_unknown_records(self.recovery.unknown_records);
@@ -346,9 +488,18 @@ impl DurableFleet {
         self.dir.path()
     }
 
-    /// Current log epoch (advances on every snapshot).
+    /// The log epoch the surviving snapshot names (advances when a
+    /// snapshot is promoted).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+}
+
+impl Drop for DurableFleet {
+    fn drop(&mut self) {
+        // No writer outlives the fleet that started it; what it
+        // returned is lost here — `settle` is how to learn it.
+        let _ = self.settle();
     }
 }
 
@@ -380,8 +531,8 @@ impl Burst<'_> {
     /// Take one received `BATCH` payload: validate it where it lies,
     /// log `[node u32][those bytes]`, apply the records straight off
     /// them. A payload that fails validation is an `InvalidData` error
-    /// and touches neither the log nor any counter. Snapshots on the
-    /// [`DurabilityConfig::snapshot_every_batches`] cadence, exactly
+    /// and touches neither the log nor any counter. Cuts a snapshot on
+    /// the [`DurabilityConfig::snapshot_every_batches`] cadence, exactly
     /// where [`DurableFleet::ingest`] would.
     pub fn batch(&mut self, node: NodeId, payload: &[u8]) -> io::Result<IngestReport> {
         let view = BatchView::parse(payload)?;
@@ -406,9 +557,12 @@ impl Burst<'_> {
     }
 
     /// Commit the log: everything this burst took is durable (against
-    /// `kill -9`; see the module docs) once this returns `Ok`.
+    /// `kill -9`; see the module docs) once this returns `Ok`. A
+    /// snapshot whose writer has finished is promoted here, and a write
+    /// that failed is reported here.
     pub fn commit(self) -> io::Result<()> {
-        self.fleet.wal.commit()
+        self.fleet.wal.commit()?;
+        self.fleet.poll()
     }
 }
 
@@ -521,6 +675,43 @@ mod tests {
         ));
         out.push(format!("stats={:?}", store.stats()));
         out
+    }
+
+    /// What a `kill -9` now would leave of `dir`: a copy of its files.
+    fn crash_copy(dir: &Path, tag: &str) -> PathBuf {
+        let copy = test_dir(tag);
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_type().unwrap().is_file() {
+                fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            }
+        }
+        copy
+    }
+
+    /// The names in a state directory, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A batch as the bytes a session receives.
+    fn wire(batch: &ExportBatch) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_batch(batch, &mut bytes);
+        bytes
+    }
+
+    /// A log on `/dev/full`: every `write(2)` to it is `ENOSPC`.
+    #[cfg(target_os = "linux")]
+    pub(super) fn full_disk_log() -> LogWriter {
+        let full = fs::OpenOptions::new().write(true).open("/dev/full");
+        io::BufWriter::new(full.unwrap())
     }
 
     fn ingest_all(fleet: &mut DurableFleet, streams: &[Vec<ExportBatch>]) {
@@ -703,20 +894,11 @@ mod tests {
     #[test]
     fn a_rotation_interrupted_at_either_step_recovers_and_sweeps_what_it_left() {
         let dir = test_dir("rotation");
-        let copy_to = |tag: &str| {
-            let copy = test_dir(tag);
-            fs::create_dir_all(&copy).unwrap();
-            for entry in fs::read_dir(&dir).unwrap() {
-                let entry = entry.unwrap();
-                fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
-            }
-            copy
-        };
         let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
         ingest_all(&mut fleet, &[node_batches(200, 0.0, 32)]);
-        let before = copy_to("rotation_before");
+        let before = crash_copy(&dir, "rotation_before");
         fleet.snapshot().unwrap();
-        let after = copy_to("rotation_after");
+        let after = crash_copy(&dir, "rotation_after");
         let now = SimTime::from_secs(201);
         let live = fingerprint(fleet.aggregator(), 1, now);
         // Killed with the next log begun and the image half written,
@@ -730,17 +912,242 @@ mod tests {
             assert_eq!(recovered.epoch(), epoch);
             assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
             drop(recovered);
-            let mut left: Vec<_> = fs::read_dir(state)
-                .unwrap()
-                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-                .collect();
-            left.sort();
             assert_eq!(
-                left,
+                listing(state),
                 ["snapshot.bin".to_string(), format!("wal-{epoch}.log")]
             );
             let _ = fs::remove_dir_all(state);
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_in_flight_killed_at_any_step_recovers_what_was_acknowledged() {
+        let dir = test_dir("in_flight");
+        let stream = node_batches(400, 0.0, 32);
+        assert!(stream.len() >= 7);
+        let now = SimTime::from_secs(401);
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &stream[..4] {
+            fleet.ingest(node, batch).unwrap();
+        }
+        // The cut, where a cadence point puts it: in the middle of a
+        // burst, behind a batch that is logged and applied but not yet
+        // flushed. The cut is a commit point — the old log on disk is
+        // the image.
+        let mut burst = fleet.burst();
+        burst.batch(node, &wire(&stream[4])).unwrap();
+        let (image, cut_at) = burst.fleet.cut().unwrap();
+        let cut = crash_copy(&dir, "in_flight_cut");
+        let mut at_cut = FleetAggregator::new();
+        at_cut.add_node("node00");
+        for batch in &stream[..5] {
+            at_cut.ingest(node, batch);
+        }
+        let at_cut = fingerprint(&at_cut, 1, now);
+        // The window: the rest of the burst goes to both logs and is
+        // acknowledged.
+        burst.batch(node, &wire(&stream[5])).unwrap();
+        burst.batch(node, &wire(&stream[6])).unwrap();
+        burst.commit().unwrap();
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        assert_eq!(
+            listing(&dir),
+            ["snapshot.bin", "wal-0.log", "wal-1.log"],
+            "both logs, and the write has not begun"
+        );
+        let unwritten = crash_copy(&dir, "in_flight_unwritten");
+        let half_written = crash_copy(&dir, "in_flight_half");
+        fs::write(half_written.join("snapshot.tmp"), &image[..image.len() / 2]).unwrap();
+        // The write, as the writer thread runs it.
+        let image = write_image(&fleet.dir, image, cut_at, &fleet.snapshot_ns).unwrap();
+        assert_eq!(fleet.epoch(), 0, "the epoch moves at promote");
+        let renamed = crash_copy(&dir, "in_flight_renamed");
+        fleet.promote(Ok(image)).unwrap();
+        assert_eq!(fleet.epoch(), 1);
+        assert_eq!(listing(&dir), ["snapshot.bin", "wal-1.log"]);
+        let promoted = crash_copy(&dir, "in_flight_promoted");
+
+        for (state, epoch, cursor, want) in [
+            (&cut, 0, 5, &at_cut),
+            (&unwritten, 0, 7, &live),
+            (&half_written, 0, 7, &live),
+            (&renamed, 1, 7, &live),
+            (&promoted, 1, 7, &live),
+        ] {
+            let recovered = DurableFleet::recover(state).unwrap();
+            let rec = *recovered.recovery();
+            assert_eq!(
+                (rec.epoch, rec.corrupt_frames, rec.torn_tail_bytes),
+                (epoch, 0, 0),
+                "{state:?}: {rec:?}"
+            );
+            assert_eq!(recovered.next_seq(node), cursor, "{state:?}");
+            assert_eq!(
+                &fingerprint(recovered.aggregator(), 1, now),
+                want,
+                "{state:?}"
+            );
+            drop(recovered);
+            assert_eq!(
+                listing(state),
+                ["snapshot.bin".to_string(), format!("wal-{epoch}.log")],
+                "{state:?}"
+            );
+        }
+        drop(fleet);
+        for state in [&cut, &unwritten, &half_written, &renamed, &promoted, &dir] {
+            let _ = fs::remove_dir_all(state);
+        }
+    }
+
+    #[test]
+    fn a_cadence_point_reached_while_a_snapshot_is_in_flight_joins_it_first() {
+        let dir = test_dir("two_cuts");
+        let stream = node_batches(400, 0.0, 32);
+        assert!(stream.len() >= 7);
+        let now = SimTime::from_secs(401);
+        let cfg = DurabilityConfig {
+            snapshot_every_batches: 4,
+        };
+        let mut fleet = DurableFleet::open(&dir, cfg).unwrap();
+        let obs = Obs::enabled();
+        fleet.set_obs(obs.clone());
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &stream[..3] {
+            fleet.ingest(node, batch).unwrap();
+        }
+        // A first snapshot whose writer is held at a gate: a disk
+        // slower than the cadence.
+        let (image, cut_at) = fleet.cut().unwrap();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (to, write_ns) = (fleet.dir.clone(), fleet.snapshot_ns.clone());
+        fleet.in_flight = Some(thread::spawn(move || {
+            gate.recv().expect("the test releases the writer");
+            write_image(&to, image, cut_at, &write_ns)
+        }));
+        // Batches short of the next cadence point neither wait for it
+        // nor promote it.
+        for batch in &stream[3..6] {
+            fleet.ingest(node, batch).unwrap();
+            assert!(fleet.in_flight.is_some());
+            assert_eq!(fleet.epoch(), 0);
+        }
+        assert_eq!(listing(&dir), ["snapshot.bin", "wal-0.log", "wal-1.log"]);
+        // The cadence point waits for the write in flight, promotes it,
+        // and only then cuts the next one.
+        release.send(()).unwrap();
+        fleet.ingest(node, &stream[6]).unwrap();
+        assert!(fleet.epoch() >= 1, "the first snapshot was joined");
+        fleet.settle().unwrap();
+        assert_eq!(fleet.epoch(), 2);
+        assert_eq!(listing(&dir), ["snapshot.bin", "wal-2.log"]);
+        assert_eq!(obs.latency_snapshot("snapshot.write_ns").unwrap().count, 2);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.epoch, rec.replayed_batches), (2, 0), "{rec:?}");
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_snapshot_write_leaves_the_old_pair_authoritative_and_the_next_batch_retries() {
+        let dir = test_dir("write_fails");
+        let stream = node_batches(400, 0.0, 32);
+        let now = SimTime::from_secs(401);
+        let cfg = DurabilityConfig {
+            snapshot_every_batches: 3,
+        };
+        let mut fleet = DurableFleet::open(&dir, cfg).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &stream[..2] {
+            fleet.ingest(node, batch).unwrap();
+        }
+        // `snapshot.tmp` cannot be created: a directory is in its place.
+        fs::create_dir(dir.join("snapshot.tmp")).unwrap();
+        assert!(fleet.snapshot().is_err(), "the synchronous path reports it");
+        // The third batch is a cadence point. Its cut succeeds and its
+        // write fails on the writer thread; the error comes back from
+        // whichever call observes the writer's result first.
+        let observed = [fleet.ingest(node, &stream[2]).map(drop), fleet.settle()];
+        assert_eq!(
+            observed.iter().filter(|seen| seen.is_err()).count(),
+            1,
+            "{observed:?}"
+        );
+        // The batch itself is logged and applied, and the old pair is
+        // what a kill now leaves behind.
+        assert_eq!((fleet.epoch(), fleet.next_seq(node)), (0, 3));
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        let killed = crash_copy(&dir, "write_fails_killed");
+        let recovered = DurableFleet::recover(&killed).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.epoch, rec.replayed_batches), (0, 3), "{rec:?}");
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        drop(recovered);
+        assert_eq!(listing(&killed), ["snapshot.bin", "wal-0.log"]);
+        // The counter was put back: with the obstacle gone the next
+        // batch cuts again, and this time the snapshot lands.
+        fs::remove_dir(dir.join("snapshot.tmp")).unwrap();
+        fleet.ingest(node, &stream[3]).unwrap();
+        fleet.settle().unwrap();
+        assert_eq!(fleet.epoch(), 1);
+        assert_eq!(listing(&dir), ["snapshot.bin", "wal-1.log"]);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.epoch, rec.replayed_batches), (1, 0), "{rec:?}");
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        for state in [&dir, &killed] {
+            let _ = fs::remove_dir_all(state);
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_under_the_log_acknowledges_nothing_more_and_recovery_finds_what_was() {
+        let dir = test_dir("full_disk");
+        let stream = node_batches(400, 0.0, 32);
+        let now = SimTime::from_secs(401);
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &stream[..3] {
+            fleet.ingest(node, batch).unwrap();
+        }
+        let acknowledged = fingerprint(fleet.aggregator(), 1, now);
+        // The disk fills: from here the log's file is `/dev/full`.
+        fleet.wal = Wal::new(full_disk_log());
+        // A burst whose batch fits the write buffer learns at its
+        // commit; the next one is refused at its first append.
+        let mut burst = fleet.burst();
+        burst.batch(node, &wire(&stream[3])).unwrap();
+        let full = burst.commit().unwrap_err();
+        let mut burst = fleet.burst();
+        let refused = burst.batch(node, &wire(&stream[4])).unwrap_err();
+        assert_eq!(refused.kind(), full.kind());
+        assert_eq!(burst.commit().unwrap_err().kind(), full.kind());
+        // So is every other mutation, and no snapshot is cut over it.
+        assert!(fleet.ingest(node, &stream[4]).is_err());
+        assert!(fleet.add_node("node01").is_err());
+        assert!(fleet.snapshot().is_err());
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!(
+            (
+                rec.replayed_batches,
+                rec.torn_tail_bytes,
+                rec.corrupt_frames
+            ),
+            (3, 0, 0),
+            "{rec:?}"
+        );
+        assert_eq!(recovered.next_seq(node), 3);
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), acknowledged);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,6 +7,15 @@
 //! nothing and truncates nothing; [`Wal`] appends to the writer
 //! [`super::dir`] lends it, and [`Wal::commit`] is the only place in
 //! the crate where the log is flushed.
+//!
+//! While a snapshot is in flight the writer is **two** files: from
+//! [`Wal::tee`] to [`Wal::promote`] every entry goes to the log the
+//! surviving snapshot names *and* to the one the snapshot being written
+//! will name, and a commit flushes both — an entry is acknowledged only
+//! if both took it. The first failed write or flush on either
+//! **poisons** the writer: a frame may sit half-written in a buffer, so
+//! nothing more is appended behind it and nothing more is acknowledged
+//! until the directory is reopened and recovery has cut the torn tail.
 
 use super::dir::LogWriter;
 use super::RecoveryStats;
@@ -159,8 +168,13 @@ pub(crate) fn replay(
 #[derive(Debug)]
 pub(crate) struct Wal {
     out: LogWriter,
+    /// The next epoch's log, while the snapshot that will name it is in
+    /// flight: it gets every entry `out` gets.
+    tee: Option<LogWriter>,
     /// Something was appended since the last successful commit.
     dirty: bool,
+    /// The kind of the first failed write or flush; see [`Wal::check`].
+    poisoned: Option<io::ErrorKind>,
     /// Scratch for the part of an entry's payload built here — cleared,
     /// never freed.
     scratch: Vec<u8>,
@@ -177,7 +191,9 @@ impl Wal {
     pub(crate) fn new(out: LogWriter) -> Wal {
         Wal {
             out,
+            tee: None,
             dirty: false,
+            poisoned: None,
             scratch: Vec::new(),
             appends: Counter::default(),
             bytes: Counter::default(),
@@ -192,35 +208,82 @@ impl Wal {
         self.fsync_ns = obs.latency("wal.fsync_ns");
     }
 
-    /// Carry on in `out`, the next epoch's log. Commit first: what is
-    /// still buffered for the old file goes with it.
-    pub(crate) fn rotate_to(&mut self, out: LogWriter) {
-        debug_assert!(!self.dirty, "rotation follows a commit");
-        self.out = out;
+    /// From here every entry goes to `next`, the next epoch's log, as
+    /// well. Commit first: `next` holds exactly what follows the image
+    /// that will name it.
+    pub(crate) fn tee(&mut self, next: LogWriter) {
+        debug_assert!(!self.dirty, "the cut follows a commit");
+        self.tee = Some(next);
+    }
+
+    /// The tee'd log becomes the log (its snapshot is in place); the
+    /// old one is closed. Nothing to do when nothing is tee'd.
+    pub(crate) fn promote(&mut self) {
+        if let Some(next) = self.tee.take() {
+            self.out = next;
+        }
+    }
+
+    /// Stop teeing: the snapshot that would have named the next log was
+    /// not written, and the log goes on alone.
+    pub(crate) fn drop_tee(&mut self) {
+        self.tee = None;
+    }
+
+    /// A write or a flush that failed may have left part of a frame in
+    /// a buffer or on disk. Whatever is appended behind it is lost to
+    /// the next recovery, which stops at the torn frame — so nothing is:
+    /// after the first failure every call fails with that error's kind.
+    fn check(&self) -> io::Result<()> {
+        match self.poisoned {
+            Some(kind) => Err(io::Error::new(
+                kind,
+                "the log is poisoned by an earlier failed append or flush; reopen the directory",
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn poison_on_err(&mut self, res: io::Result<()>) -> io::Result<()> {
+        if let Err(e) = &res {
+            self.poisoned = Some(e.kind());
+        }
+        res
     }
 
     /// Append one entry. Not durable, and not to be made visible to a
     /// reader or acknowledged, until [`Wal::commit`] returns.
     pub(crate) fn append(&mut self, entry: Entry<'_>) -> io::Result<()> {
+        self.check()?;
         let (tag, payload) = entry.encode(&mut self.scratch);
         self.dirty = true;
-        write_frame_parts(&mut self.out, tag, &payload)?;
+        let mut res = write_frame_parts(&mut self.out, tag, &payload);
+        if let (Ok(()), Some(next)) = (&res, &mut self.tee) {
+            res = write_frame_parts(next, tag, &payload);
+        }
+        let len = payload.iter().map(|part| part.len() as u64).sum();
+        self.poison_on_err(res)?;
         self.appends.add(1);
-        self.bytes
-            .add(payload.iter().map(|part| part.len() as u64).sum());
+        self.bytes.add(len);
         Ok(())
     }
 
     /// **The** commit point: flush everything appended since the last
-    /// one to the OS — `kill -9` cannot lose it once this returns `Ok`
-    /// (a machine crash can: this is `write(2)`, not an fsync). With
-    /// nothing appended it does, and records, nothing.
+    /// one to the OS — to both logs while one is tee'd. `kill -9`
+    /// cannot lose it once this returns `Ok` (a machine crash can: this
+    /// is `write(2)`, not an fsync). With nothing appended it does, and
+    /// records, nothing.
     pub(crate) fn commit(&mut self) -> io::Result<()> {
+        self.check()?;
         if !self.dirty {
             return Ok(());
         }
         let _span = self.fsync_ns.start();
-        self.out.flush()?;
+        let res = self.out.flush().and_then(|()| match &mut self.tee {
+            Some(next) => next.flush(),
+            None => Ok(()),
+        });
+        self.poison_on_err(res)?;
         self.dirty = false;
         Ok(())
     }
@@ -229,6 +292,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::super::snapshot;
+    #[cfg(target_os = "linux")]
+    use super::super::tests::full_disk_log;
     use super::super::tests::node_batches;
     use super::*;
     use moda_telemetry::export::ExportBatch;
@@ -331,6 +396,50 @@ mod tests {
         let mut out = Vec::new();
         snapshot::encode(agg, 0, &mut out);
         out
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_flush_poisons_the_log() {
+        const ENOSPC: i32 = 28;
+        let mut wal = Wal::new(full_disk_log());
+        // The entry fits the write buffer: appending it touches no disk.
+        wal.append(Entry::Node("node00")).unwrap();
+        let full = wal.commit().unwrap_err();
+        assert_eq!(full.raw_os_error(), Some(ENOSPC));
+        // Part of that frame may be anywhere now. Nothing goes behind
+        // it, and nothing is reported flushed, whatever the disk says.
+        for _ in 0..2 {
+            let refused = wal.append(Entry::Node("node01")).unwrap_err();
+            assert_eq!(refused.kind(), full.kind());
+            assert_eq!(wal.commit().unwrap_err().kind(), full.kind());
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_tee_that_fails_poisons_both_logs() {
+        let path = std::env::temp_dir().join(format!("moda_wal_tee_{}.log", std::process::id()));
+        let live = std::fs::File::create(&path).unwrap();
+        let mut wal = Wal::new(std::io::BufWriter::new(live));
+        wal.append(Entry::Node("node00")).unwrap();
+        wal.commit().unwrap();
+        wal.tee(full_disk_log());
+        // The live log takes the entry; the next epoch's cannot, so it
+        // is not acknowledged — and neither is anything after it.
+        wal.append(Entry::Node("node01")).unwrap();
+        assert!(wal.commit().is_err());
+        assert!(wal.append(Entry::Node("node02")).is_err());
+        assert!(wal.commit().is_err());
+        drop(wal);
+        // What recovery finds in the live log: the acknowledged entry,
+        // the one whose tee'd copy failed, and nothing behind it.
+        let disk = std::fs::read(&path).unwrap();
+        let mut stats = RecoveryStats::default();
+        let replayed = replay(&disk, &mut FleetAggregator::new(), &mut stats);
+        assert_eq!(replayed, (disk.len(), 0));
+        assert_eq!(stats.replayed_nodes, 2);
+        let _ = std::fs::remove_file(&path);
     }
 
     proptest! {

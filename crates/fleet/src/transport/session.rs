@@ -358,7 +358,14 @@ mod tests {
         fs::create_dir_all(&copy).unwrap();
         for entry in fs::read_dir(from).unwrap() {
             let entry = entry.unwrap();
-            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            match fs::copy(entry.path(), copy.join(entry.file_name())) {
+                // A snapshot writer may be at work beside the session:
+                // the tmp file listed a moment ago has been renamed.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    assert_eq!(entry.file_name(), "snapshot.tmp")
+                }
+                copied => drop(copied.unwrap()),
+            }
         }
         copy
     }
@@ -608,7 +615,9 @@ mod tests {
                 break;
             }
         }
-        let fleet = shared.fleet.lock().unwrap();
+        let mut fleet = shared.fleet.lock().unwrap();
+        // A snapshot may be in flight; the files are compared settled.
+        fleet.settle().unwrap();
         let node = fleet.find_node("node00").expect("hello was taken");
         let outcome = Outcome {
             answers,

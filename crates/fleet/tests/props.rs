@@ -974,8 +974,10 @@ proptest! {
         let (packed_dir, mut packed) = feed("packed", render_packed);
         let (plain_dir, mut plain) = feed("plain", render_v1_1);
 
-        // Kill the packed-fed fleet where it stands: its directory
+        // Kill the packed-fed fleet where it stands (no snapshot in
+        // flight — that window has a test of its own): its directory
         // holds a snapshot plus a log tail of packed batches.
+        packed.settle().unwrap();
         let tail_dir = packed_dir.with_extension("crashed");
         let _ = std::fs::remove_dir_all(&tail_dir);
         std::fs::create_dir_all(&tail_dir).unwrap();
@@ -1227,6 +1229,10 @@ proptest! {
             }
         }
 
+        // A cadence snapshot may still be in flight in either; epochs
+        // and directories are compared settled.
+        wire_fed.settle().unwrap();
+        decode_fed.settle().unwrap();
         // What the two look like to everything that can look.
         let compare = |a: &DurableFleet, b: &DurableFleet| -> Result<(), TestCaseError> {
             for k in 0..wire.len() {

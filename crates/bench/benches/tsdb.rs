@@ -633,12 +633,14 @@ fn bench_fleet(c: &mut Criterion) {
     // cut, write, fsync, rename, promote. `snapshot_cut` is a cadence
     // point: one 128-sample batch (a few µs) plus the cut and the hand
     // to the writer thread, which is all an ingest session waits for;
-    // the previous write is joined outside the timed region. The cut's
-    // time is the raw sections': `compacted()` re-compresses the front
-    // chunk of each saturated ring, `ExportRecord::chunk` copies every
-    // sealed chunk (`to_vec`), each tail observation becomes an
-    // `ExportRecord::Sample`, and the image is CRC'd once — a streaming
-    // raw-section encoder is the follow-up. No gate on either row yet.
+    // the previous write is joined outside the timed region. The raw
+    // sections are written straight from the rings — whole chunks copied
+    // as they lie, each front chunk re-coded only until its stream
+    // resyncs (`chunk_codec/retained_skip256` times one), each tail one
+    // packed run off its slices — so what is left of the cut is one pass
+    // over the state: the image CRC is its largest share, the tails'
+    // runs the next. Only a cut that does not encode under the lock
+    // takes either away. No gate on either row yet.
     {
         const METRICS: usize = 128;
         let (mut db, ids) = registered(METRICS, 4096);
@@ -792,7 +794,12 @@ fn bench_fleet(c: &mut Criterion) {
 /// `validate` what the fleet pays to link a shipped chunk without
 /// materialising it. The bench gate pins `decode / validate >= 0.75` in
 /// the same run: checking a payload must never become materially dearer
-/// than decoding it.
+/// than decoding it. `retained_skip256` is what a snapshot pays to write
+/// a front chunk evicted halfway (`write_retained`: decode to the
+/// eviction point, re-code until the streams resync, copy the rest);
+/// `recompress_skip256` makes the same bytes the plain way — decode the
+/// retained half, `compress` it — and the gate pins it at `>= 2x` the
+/// splice.
 fn bench_chunk_codec(c: &mut Criterion) {
     use moda_telemetry::chunk;
     const N: u64 = 512;
@@ -842,6 +849,31 @@ fn bench_chunk_codec(c: &mut Criterion) {
         b.iter(|| {
             let v = chunk::validate(sealed.first_t(), sealed.count(), black_box(sealed.bytes()));
             black_box(v.unwrap().last_t)
+        });
+    });
+    // Retention evicts through the ring: 1.5 chunks' worth of it over
+    // two chunks' worth of samples leaves the first chunk half gone.
+    let mut ring = moda_telemetry::TimeSeries::new(3 * N as usize / 2);
+    for s in 0..2 * N {
+        ring.push(SimTime(s * 1000), vals[(s % N) as usize]);
+    }
+    let front = ring.sealed_chunks().next().expect("a sealed chunk");
+    assert_eq!((front.count(), front.skip()), (N as u32, N as u32 / 2));
+    g.bench_function("retained_skip256/512", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            black_box(black_box(front).write_retained(&mut out));
+            black_box(out.len())
+        });
+    });
+    g.bench_function("recompress_skip256/512", |b| {
+        let (mut out_ts, mut out_vals) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            out_ts.clear();
+            out_vals.clear();
+            black_box(front).decode_into(&mut out_ts, &mut out_vals);
+            black_box(chunk::compress(&out_ts, &out_vals, 0))
         });
     });
     g.finish();

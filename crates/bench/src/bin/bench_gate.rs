@@ -99,6 +99,15 @@ const RATIO_CHECKS: &[(&str, &str, f64)] = &[
     // decode, tail fold — must cost at most half of decoding the chunk
     // it touches.
     ("chunk_codec/decode/512", "tsdb_window/agg/60", 2.0),
+    // A snapshot writes a half-evicted front chunk by re-coding only
+    // until the stored stream resyncs and copying the rest: that must
+    // cost at most half of the plain way to the same bytes, decoding
+    // the retained half and compressing it again.
+    (
+        "chunk_codec/recompress_skip256/512",
+        "chunk_codec/retained_skip256/512",
+        2.0,
+    ),
 ];
 
 /// The self-telemetry overhead ceiling: the collector's batch-insert

@@ -10,13 +10,12 @@
 //! through `write_frame`; a test holds the two to the same bytes).
 
 use crate::aggregator::{FleetAggregator, NodeCounters, NodeSession};
-use crate::store::{FleetStore, FleetStoreStats, NodeId};
+use crate::store::{ChunkOutcome, FleetStore, FleetStoreStats, NodeId};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::{ExportBatch, ExportRecord};
 use moda_telemetry::wire::{
-    bad_data, crc32, decode_drain_stats, encode_batch, encode_drain_stats, parse_frame, put_block,
-    put_f64, put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, FrameParse,
-    RecordRef, WireReader,
+    bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_f64,
+    put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, BatchWriter,
+    FrameParse, RecordRef, WireReader,
 };
 use moda_telemetry::MetricId;
 use std::io;
@@ -33,32 +32,29 @@ const SNAPSHOT_MAGIC_02: &[u8; 8] = b"MODAFS02";
 /// The single frame that follows the magic.
 const FRAME_SNAPSHOT: u8 = 40;
 
-/// Render one raw ring as wire records: every sealed chunk ships whole
-/// (compressed bytes, no decode) — a partially evicted front chunk as
-/// its retained suffix, re-encoded — and the uncompressed tail as one
-/// run of samples, which the batch codec packs into a single `samples`
-/// record. Restoring relinks exactly these chunks, so the rendering of
-/// a recovered ring is byte-identical.
-fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
+/// Write one raw ring as a batch (seq 0), straight from the ring: each
+/// sealed chunk as a `chunk` record — its payload as it lies, or a
+/// partially evicted front chunk's retained suffix
+/// ([`Chunk::write_retained`](moda_telemetry::chunk::Chunk::write_retained)) —
+/// then the uncompressed tail, when there is one, as one `samples`
+/// record off its slices. Restoring relinks exactly these chunks, so
+/// the section a recovered ring writes is byte-identical.
+fn write_raw_section(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
     let raw = store.raw(id);
-    let mut records: Vec<ExportRecord> = raw
-        .sealed_chunks()
-        .map(|c| match c.skip() {
-            0 => ExportRecord::chunk(id, c),
-            _ => ExportRecord::chunk(id, &c.compacted()),
-        })
-        .collect();
-    let tail = raw.len() - raw.compressed_len();
-    records.extend(
-        raw.last_n_view(tail)
-            .into_iter()
-            .map(|s| ExportRecord::Sample {
-                id,
-                t: s.t,
-                value: s.value,
-            }),
-    );
-    records
+    let mut batch = BatchWriter::new(out, 0);
+    for c in raw.sealed_chunks() {
+        let count = c.retained_len() as u32;
+        batch.chunk(id, count, SimTime(c.last_t()), |out| c.write_retained(out));
+    }
+    let tail = (raw.len() - raw.compressed_len()) as u64;
+    let (ts, vals) = raw.tail_from(raw.total_appends() - tail);
+    if !ts.is_empty() {
+        batch.samples(
+            ts.iter()
+                .zip(vals)
+                .map(|(&t, &value)| (id, SimTime(t), value)),
+        );
+    }
 }
 
 /// Fill `out` with the snapshot image of `agg`, naming log `epoch`:
@@ -73,11 +69,10 @@ fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
 ///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain 11×u64
 /// metric count u32 · per metric:
 ///   node u32 · meta(name · kind u8 · unit · domain u8)
-///   raw section: batch bytes u32-len + encode_batch(seq 0, records) —
-///     `chunk` records (the ring's sealed chunks), then its unsealed
-///     tail as one packed `samples` record (`MODAFS02`: one `sample`
-///     record per observation); a reader takes chunks and samples in
-///     any order
+///   raw section: batch bytes u32-len + one batch (seq 0) — `chunk`
+///     records (the ring's sealed chunks), then its unsealed tail as
+///     one packed `samples` record (`MODAFS02`: one `sample` record per
+///     observation); a reader takes chunks and samples in any order
 ///   tier count u32 · per tier: res u64 · bucket count uv · per bucket:
 ///     start-delta uv (from previous bucket; first is absolute) ·
 ///     count uv · sum/min/max/last f64 ·
@@ -98,13 +93,7 @@ pub(crate) fn encode(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
     let frame = out.len();
     put_block(out, |out| {
         out.push(FRAME_SNAPSHOT);
-        encode_payload(agg, epoch, out, |store, id, out| {
-            let batch = ExportBatch {
-                seq: 0,
-                records: raw_ring_records(store, id),
-            };
-            encode_batch(&batch, out);
-        });
+        encode_payload(agg, epoch, out, write_raw_section);
     });
     let crc = crc32(&out[frame + 4..]);
     put_u32(out, crc);
@@ -159,20 +148,15 @@ fn encode_payload(
         put_block(out, |out| raw_section(store, id, out));
         // Wire-fed tiers: buckets oldest-first, each with its sketch
         // column entries.
-        let rings: Vec<_> = store
-            .tiers()
-            .set(id)
-            .map(|set| set.rings().iter().collect())
-            .unwrap_or_default();
+        let rings = store.tiers().set(id).map_or(&[][..], |set| set.rings());
         put_u32(out, rings.len() as u32);
         for ring in rings {
             put_u64(out, ring.res().0);
-            let buckets: Vec<_> = ring.buckets().collect();
-            put_uv(out, buckets.len() as u64);
+            put_uv(out, ring.len() as u64);
             // Buckets are start-ordered, so consecutive starts delta
             // down to one or two varint bytes (usually the resolution).
             let mut prev_start = 0u64;
-            for b in buckets {
+            for b in ring.buckets() {
                 put_uv(out, b.start.0.wrapping_sub(prev_start));
                 prev_start = b.start.0;
                 put_uv(out, b.count);
@@ -180,13 +164,9 @@ fn encode_payload(
                 put_f64(out, b.min);
                 put_f64(out, b.max);
                 put_f64(out, b.last);
-                let entries: Vec<_> = b
-                    .sketch
-                    .as_ref()
-                    .map(|s| s.wire_entries().collect())
-                    .unwrap_or_default();
-                put_uv(out, entries.len() as u64);
-                for e in entries {
+                let sketch = b.sketch.as_ref();
+                put_uv(out, sketch.map_or(0, |s| s.entries()) as u64);
+                for e in sketch.into_iter().flat_map(|s| s.wire_entries()) {
                     out.push(e.sign as u8);
                     put_uv(out, zigzag(e.key as i64));
                     put_uv(out, e.count);
@@ -277,7 +257,16 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
         if id.0 as usize != idx {
             return Err(bad_data("metric registration order diverged"));
         }
-        // Raw ring.
+        // Raw ring. Every record is the ring's own, written in order, so
+        // each chunk relinks whole and each sample is kept: anything
+        // else is damage the CRC could not see — a writer's bug — and
+        // loading past it would lose samples without a trace, since the
+        // counters are overwritten below.
+        let kept = |pushed: bool| {
+            pushed
+                .then_some(())
+                .ok_or_else(|| bad_data("raw section sample out of order"))
+        };
         for record in BatchView::parse(r.block()?)?.records() {
             match record {
                 RecordRef::Chunk {
@@ -286,15 +275,14 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
                     count,
                     bytes,
                     ..
-                } => {
-                    store.restore_chunk(id, first_t, last_t, count, bytes);
-                }
-                RecordRef::Sample { t, value, .. } => {
-                    store.push_sample(id, t, value);
-                }
+                } => match store.restore_chunk(id, first_t, last_t, count, bytes) {
+                    ChunkOutcome::Applied { rejected: 0, .. } => {}
+                    _ => return Err(bad_data("raw section chunk did not restore whole")),
+                },
+                RecordRef::Sample { t, value, .. } => kept(store.push_sample(id, t, value))?,
                 RecordRef::Samples(run) => {
                     for (_, t, value) in run {
-                        store.push_sample(id, t, value);
+                        kept(store.push_sample(id, t, value))?;
                     }
                 }
                 _ => return Err(bad_data("unexpected record kind in raw section")),
@@ -350,7 +338,38 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
 mod tests {
     use super::super::tests::{fingerprint, node_batches};
     use super::*;
-    use moda_telemetry::wire::write_frame;
+    use moda_telemetry::chunk;
+    use moda_telemetry::export::{ExportBatch, ExportRecord};
+    use moda_telemetry::wire::{encode_batch, write_frame};
+    use moda_telemetry::{MetricMeta, SourceDomain};
+
+    /// The raw section's reference writer — what the streaming one
+    /// replaced, and is held to: each ring rendered as owned wire records
+    /// — every sealed chunk whole, a partially evicted front chunk
+    /// decoded and compressed again to its retained suffix, each tail
+    /// observation a `Sample` record — for the batch codec to pack.
+    fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
+        let raw = store.raw(id);
+        let mut records: Vec<ExportRecord> = raw
+            .sealed_chunks()
+            .map(|c| {
+                let (mut ts, mut vals) = (Vec::new(), Vec::new());
+                c.decode_into(&mut ts, &mut vals);
+                ExportRecord::chunk(id, &chunk::compress(&ts, &vals, 0))
+            })
+            .collect();
+        let tail = raw.len() - raw.compressed_len();
+        records.extend(
+            raw.last_n_view(tail)
+                .into_iter()
+                .map(|s| ExportRecord::Sample {
+                    id,
+                    t: s.t,
+                    value: s.value,
+                }),
+        );
+        records
+    }
 
     /// A one-node aggregator whose 1000-sample raw ring has evicted
     /// into its front chunk and holds an unsealed tail.
@@ -364,6 +383,51 @@ mod tests {
         let front = raw.sealed_chunks().next().expect("sealed chunks");
         assert!(front.skip() > 0, "front chunk is partially evicted");
         assert!(raw.compressed_len() < raw.len(), "and a tail is unsealed");
+        agg
+    }
+
+    /// Two nodes whose rings were fed sample by sample, so every chunk
+    /// was sealed here (restart table and all) and each front one is
+    /// partially evicted — one ring a constant run after its first
+    /// quarter, which never resyncs, the other a cadence that jitters.
+    fn sealed_here_fleet() -> FleetAggregator {
+        let mut store = FleetStore::with_raw_retention(1500);
+        for (node, name) in ["node00", "node01"].iter().enumerate() {
+            let meta = MetricMeta::gauge("m", "u", SourceDomain::Hardware);
+            let id = store.register(NodeId(node as u32), name, &meta);
+            for s in 0..2400u64 {
+                let (t, v) = match node {
+                    0 => (s * 1000, if s < 600 { (s % 7) as f64 } else { 3.5 }),
+                    _ => (
+                        s * 1000 + s * 7 % 5,
+                        180.0 + (s * 2_654_435_761 % 8) as f64 * 0.25,
+                    ),
+                };
+                assert!(store.push_sample(id, SimTime(t), v));
+            }
+            let front = store.raw(id).sealed_chunks().next().expect("sealed chunks");
+            assert!(front.skip() > 0 && front.count() == 512);
+        }
+        let mut agg = FleetAggregator::with_store(store);
+        agg.add_node("node00");
+        agg.add_node("node01");
+        agg
+    }
+
+    /// A fleet whose rings hold only adopted chunks and no tail: the
+    /// node streams with every `sample` record dropped.
+    fn chunks_only_fleet() -> FleetAggregator {
+        let mut agg = FleetAggregator::with_store(FleetStore::with_raw_retention(1000));
+        let node = agg.add_node("node00");
+        for mut batch in node_batches(3000, 0.0, 256) {
+            batch
+                .records
+                .retain(|r| !matches!(r, ExportRecord::Sample { .. }));
+            agg.ingest(node, &batch);
+        }
+        let raw = agg.store().raw(MetricId(0));
+        assert_eq!(raw.compressed_len(), raw.len(), "no tail");
+        assert!(raw.sealed_chunks().next().unwrap().skip() > 0);
         agg
     }
 
@@ -406,6 +470,81 @@ mod tests {
         // And again into the same buffer: the image, not an appendix.
         encode(&agg, 3, &mut image);
         assert_eq!(image, snapshot_bytes(&agg));
+    }
+
+    /// The streaming writer's image is the reference writer's, byte for
+    /// byte, on every ring shape a fleet holds — and so is the image of
+    /// the fleet recovered from it.
+    #[test]
+    fn the_streaming_image_equals_the_record_built_one() {
+        let mut one_node = FleetAggregator::new();
+        one_node.add_node("node00");
+        let fleets = [
+            (
+                "evicted adopted front, tail, sketched tiers",
+                evicted_ring_fleet(),
+            ),
+            (
+                "evicted fronts sealed here, one never resyncs",
+                sealed_here_fleet(),
+            ),
+            ("adopted chunks, empty tail", chunks_only_fleet()),
+            ("a node, no metrics", one_node),
+            ("nothing", FleetAggregator::new()),
+        ];
+        for (shape, agg) in &fleets {
+            let mut image = Vec::new();
+            encode(agg, 3, &mut image);
+            assert_eq!(image, snapshot_bytes(agg), "{shape}");
+            let (recovered, _) = decode(&image).unwrap();
+            let mut again = Vec::new();
+            encode(&recovered, 3, &mut again);
+            assert_eq!(again, image, "{shape}: a fixed point");
+        }
+    }
+
+    /// A raw section the CRC vouches for but the ring refuses — a
+    /// chunk whose payload no longer ends where its header says, a tail
+    /// that runs back in time — is not loaded short: the image is
+    /// refused as `InvalidData`.
+    #[test]
+    fn a_raw_section_that_does_not_restore_whole_refuses_the_image() {
+        let agg = evicted_ring_fleet();
+        let damaged = |damage: fn(&mut Vec<ExportRecord>)| {
+            snapshot_file(&agg, SNAPSHOT_MAGIC, |store, id| {
+                let mut records = raw_ring_records(store, id);
+                damage(&mut records);
+                records
+            })
+        };
+        // The first timestamp code flipped from "same cadence" to a
+        // wider bucket: the walk ends elsewhere, or nowhere.
+        let flipped = damaged(|records| {
+            let Some(ExportRecord::Chunk {
+                first_t,
+                count,
+                last_t,
+                bytes,
+                ..
+            }) = records.get_mut(1)
+            else {
+                panic!("a whole chunk second");
+            };
+            bytes[8] ^= 0x80;
+            let walked = chunk::validate(first_t.0, *count, bytes);
+            assert!(walked.is_err() || walked.unwrap().last_t != last_t.0);
+        });
+        // Two tail samples swapped.
+        let backwards = damaged(|records| {
+            let n = records.len();
+            records.swap(n - 2, n - 1);
+        });
+        for image in [flipped, backwards] {
+            let refused = decode(&image).map(|_| ()).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
+        }
+        // The undamaged image loads.
+        assert!(decode(&damaged(|_| {})).is_ok());
     }
 
     #[test]

@@ -36,10 +36,13 @@
 //!
 //! Both directions move a 64-bit word at a time (the writer emits and
 //! the reader refills eight bytes per step), and the grammar above is
-//! stated once per direction: [`compress`] writes it, one private
-//! `step` reads it. Every reader — [`decode_exact`], [`validate`],
-//! [`Chunk::scan_from`], the streaming [`Decoder`] — is that `step`
-//! under a different sink, so they accept exactly the same payloads.
+//! stated once per direction: one private `encode` writes it, one
+//! private `step` reads it. Every reader — [`decode_exact`],
+//! [`validate`], [`Chunk::scan_from`], the streaming [`Decoder`] — is
+//! that `step` under a different sink, so they accept exactly the same
+//! payloads; both writers — [`compress`] and [`Chunk::write_retained`],
+//! which re-codes an evicted chunk's suffix only as far as it must —
+//! are that `encode`.
 //!
 //! A chunk sealed here also carries **restart points**: the decoder
 //! state after every `RESTART_STRIDE`-th sample, kept beside the
@@ -99,10 +102,15 @@ struct BitWriter {
 impl BitWriter {
     /// Writer for a region of `samples` samples. The estimate (smooth
     /// telemetry seals near one byte per sample) only saves regrowth:
-    /// [`BitWriter::finish`] returns the payload at its exact length.
+    /// [`compress`] keeps the payload at its exact length.
     fn for_samples(samples: usize) -> Self {
+        Self::onto(Vec::with_capacity(16 + 2 * samples))
+    }
+
+    /// Writer whose payload starts at the end of `bytes`.
+    fn onto(bytes: Vec<u8>) -> Self {
         BitWriter {
-            bytes: Vec::with_capacity(16 + 2 * samples),
+            bytes,
             acc: 0,
             used: 0,
         }
@@ -138,16 +146,45 @@ impl BitWriter {
         }
     }
 
-    /// Bits written so far.
+    /// Append bits `from..to` of the MSB-first stream `src`, as they
+    /// lie. A load at any bit offset holds at least 57 of the stream's
+    /// bits (eight bytes less the up to seven before `from`), so each
+    /// step moves 56.
+    fn copy_bits(&mut self, src: &[u8], mut from: usize, to: usize) {
+        while from < to {
+            let n = (to - from).min(56) as u32;
+            let word = load_be(src, from / 8) << (from % 8);
+            self.write_bits(word >> (64 - n), n);
+            from += n as usize;
+        }
+    }
+
+    /// Bits in `bytes` and pending so far.
     fn bit_len(&self) -> usize {
         self.bytes.len() * 8 + self.used as usize
     }
 
-    fn finish(mut self) -> Box<[u8]> {
+    /// The bytes, the last one zero-padded.
+    fn finish(mut self) -> Vec<u8> {
         let pending = self.used.div_ceil(8) as usize;
         self.bytes
             .extend_from_slice(&self.acc.to_be_bytes()[..pending]);
-        self.bytes.into_boxed_slice()
+        self.bytes
+    }
+}
+
+/// Eight bytes of `src` from byte `at` as a big-endian word, zeros past
+/// its end.
+#[inline]
+fn load_be(src: &[u8], at: usize) -> u64 {
+    match src.get(at..at + 8) {
+        Some(word) => u64::from_be_bytes(word.try_into().expect("eight bytes")),
+        None => {
+            let tail = src.get(at..).unwrap_or_default();
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(word)
+        }
     }
 }
 
@@ -248,9 +285,9 @@ impl<'a> BitReader<'a> {
         Ok(hi | lo)
     }
 
-    /// Bytes of the stream the reads so far have touched.
-    fn used_bytes(&self) -> usize {
-        (self.pos * 8 - self.avail as usize).div_ceil(8)
+    /// Bits of the stream the reads so far have consumed.
+    fn used_bits(&self) -> usize {
+        self.pos * 8 - self.avail as usize
     }
 }
 
@@ -261,9 +298,10 @@ impl<'a> BitReader<'a> {
 /// by retention so eviction stays sample-exact), the first/last encoded
 /// timestamps, and the lifetime append index of the first encoded
 /// sample (`start_append`, which the exporter's watermark cursors key
-/// on). The payload is held at its exact length; beside it sits the
-/// restart table [`compress`] recorded (empty on an adopted chunk),
-/// which lets [`Chunk::scan_from`] begin mid-stream.
+/// on). The payload is held at its exact length, with its length in
+/// bits beside it; so is the restart table [`compress`] recorded (empty
+/// on an adopted chunk), which lets [`Chunk::scan_from`] begin
+/// mid-stream.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     count: u32,
@@ -271,10 +309,17 @@ pub struct Chunk {
     first_t: u64,
     last_t: u64,
     start_append: u64,
+    /// Bits of `bytes` the codes fill: the last byte's padding (zeros
+    /// from [`compress`], anything in a foreign payload) lies past it.
+    bit_len: usize,
     bytes: Box<[u8]>,
     /// Entry `k` is the decoder state at sample `(k + 1) * RESTART_STRIDE`.
     restarts: Box<[Restart]>,
 }
+
+/// Why decoding a sealed chunk again cannot fail: [`compress`] wrote
+/// it, or [`validate`] walked it before [`Chunk::adopt`] linked it.
+const WELL_FORMED: &str = "sealed chunk bitstream is well-formed";
 
 /// Samples between restart points. A partial read decodes at most this
 /// many samples it did not ask for, and a full chunk of 512 carries
@@ -340,6 +385,7 @@ impl Chunk {
             first_t: v.first_t,
             last_t: v.last_t,
             start_append,
+            bit_len: v.bit_len,
             bytes: v.payload.into(),
             // Indexing here would mean a second walk, or a dearer first
             // one: `validate` is most of what a backfill costs.
@@ -437,7 +483,7 @@ impl Chunk {
         let walked = walk(self.first_t, self.count, &self.bytes, from, |i, t, bits| {
             i < self.skip || visit(append(i), t, f64::from_bits(bits))
         });
-        debug_assert!(walked.is_ok(), "sealed chunk bitstream is well-formed");
+        debug_assert!(walked.is_ok(), "{WELL_FORMED}");
     }
 
     /// The newest restart point whose `(sample index, timestamp)`
@@ -471,7 +517,7 @@ impl Chunk {
         }
         for _ in next..self.skip {
             let s = d.next();
-            debug_assert!(s.is_some(), "sealed chunk bitstream is well-formed");
+            debug_assert!(s.is_some(), "{WELL_FORMED}");
         }
         d
     }
@@ -487,13 +533,63 @@ impl Chunk {
         });
     }
 
-    /// This chunk with its evicted prefix dropped from the payload: the
-    /// retained suffix, re-encoded (`skip` 0, `first_t` the first
-    /// retained timestamp).
-    pub fn compacted(&self) -> Chunk {
-        let (mut ts, mut vals) = (Vec::new(), Vec::new());
-        self.decode_into(&mut ts, &mut vals);
-        compress(&ts, &vals, self.retained_start_append())
+    /// Append to `out` the payload of the **retained** samples alone —
+    /// the bytes [`compress`] writes for them — and return its first
+    /// timestamp. A whole chunk is copied as it lies. A partly evicted
+    /// one is decoded from the restart point at or below `skip` to its
+    /// first retained sample, and from there re-encoded only until the
+    /// fresh encoder's state (`delta`, value window) equals the stored
+    /// stream's at the same sample; the rest of the stored bits are then
+    /// copied, shifted to where the writer stands. Equal states code
+    /// equal samples to equal bits, so for a stream `compress` wrote the
+    /// result is byte for byte `compress(retained)`, and any well-formed
+    /// stream's decodes to the retained samples.
+    ///
+    /// They meet at the stored stream's first new-window code past
+    /// `skip` at the latest: the fresh window always lies inside the
+    /// stored one (it starts empty, and each takes a value's own window
+    /// only when the value does not fit the one it has), so a value that
+    /// needs a new stored window needs the same new fresh one. A run
+    /// that never needs one — constant values, say — is re-encoded
+    /// whole.
+    pub fn write_retained(&self, out: &mut Vec<u8>) -> u64 {
+        if self.skip == 0 {
+            out.extend_from_slice(&self.bytes);
+            return self.first_t;
+        }
+        let (mut r, mut s, from) = match self.restart_below(|i, _| i <= self.skip) {
+            Some((i, at)) => (
+                BitReader::at(&self.bytes, at.bit()),
+                at.state(self.first_t),
+                i,
+            ),
+            None => {
+                let mut r = BitReader::new(&self.bytes);
+                let s = State::open(&mut r, self.first_t).expect(WELL_FORMED);
+                (r, s, 0)
+            }
+        };
+        for _ in from..self.skip {
+            step(&mut r, &mut s).expect(WELL_FORMED);
+        }
+        let (mut i, first_t) = (self.skip, s.t);
+        let mut w = BitWriter::onto(std::mem::take(out));
+        w.write_bits(s.bits, 64);
+        let mut fresh = State::at(s.t, s.bits);
+        loop {
+            if (fresh.delta, fresh.win_lead, fresh.win_len) == (s.delta, s.win_lead, s.win_len) {
+                w.copy_bits(&self.bytes, r.used_bits(), self.bit_len);
+                break;
+            }
+            i += 1;
+            if i == self.count {
+                break;
+            }
+            step(&mut r, &mut s).expect(WELL_FORMED);
+            encode(&mut w, &mut fresh, s.t, s.bits);
+        }
+        *out = w.finish();
+        first_t
     }
 }
 
@@ -507,13 +603,7 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
     let mut w = BitWriter::for_samples(ts.len());
     w.write_bits(vals[0].to_bits(), 64);
     // The encoder tracks what a decoder would hold after each sample.
-    let mut s = State {
-        t: ts[0],
-        delta: 0,
-        bits: vals[0].to_bits(),
-        win_lead: 0,
-        win_len: 0,
-    };
+    let mut s = State::at(ts[0], vals[0].to_bits());
 
     // A restart point between every two strides — taken per block, so
     // the sample loop carries no test for it. The table ends at the
@@ -531,56 +621,7 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
             restarts.extend(at);
         }
         for (&t, v) in block_ts.iter().zip(block_vals) {
-            debug_assert!(t >= s.t, "sealed region must be time-ordered");
-            let delta = t - s.t;
-            let dod = delta as i128 - s.delta as i128;
-            s.delta = delta;
-            s.t = t;
-            // The timestamp code rides in `head` so it shares a write with
-            // the value's control bits (and payload, when they fit a word).
-            let (head, head_bits) = if dod == 0 {
-                (0, 1)
-            } else if let Some(k) = DOD_WIDTHS
-                .iter()
-                .position(|&w| (-dod_bias(w) as i128..=dod_bias(w) as i128 + 1).contains(&dod))
-            {
-                let (k, width) = (k as u32, DOD_WIDTHS[k]);
-                let prefix = (1u64 << (k + 2)) - 2;
-                let payload = (dod as i64 + dod_bias(width)) as u64;
-                ((prefix << width) | payload, k + 2 + width)
-            } else {
-                w.write_bits(0b1111, 4);
-                w.write_bits(delta, 64);
-                (0, 0)
-            };
-
-            let bits = v.to_bits();
-            let xor = bits ^ s.bits;
-            s.bits = bits;
-            if xor == 0 {
-                w.write_bits(head << 1, head_bits + 1);
-                continue;
-            }
-            let lead = xor.leading_zeros();
-            let trail = xor.trailing_zeros();
-            if s.win_len != 0 && lead >= s.win_lead && trail >= 64 - s.win_lead - s.win_len {
-                // Fits the previous window: control '10' + window bits.
-                let win_trail = 64 - s.win_lead - s.win_len;
-                w.write_pair(
-                    (head << 2) | 0b10,
-                    head_bits + 2,
-                    xor >> win_trail,
-                    s.win_len,
-                );
-            } else {
-                // New window: '11' + 6-bit leading + 6-bit length (64
-                // encodes as 0).
-                let len = 64 - lead - trail;
-                let ctrl = (0b11 << 12) | (u64::from(lead) << 6) | u64::from(len & 63);
-                w.write_pair((head << 14) | ctrl, head_bits + 14, xor >> trail, len);
-                s.win_lead = lead;
-                s.win_len = len;
-            }
+            encode(&mut w, &mut s, t, v.to_bits());
         }
     }
 
@@ -590,8 +631,64 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
         first_t: ts[0],
         last_t: *ts.last().expect("non-empty"),
         start_append,
-        bytes: w.finish(),
+        bit_len: w.bit_len(),
+        bytes: w.finish().into_boxed_slice(),
         restarts: restarts.into_boxed_slice(),
+    }
+}
+
+/// Code one sample against `s` and advance `s` past it — the write side
+/// of the bit grammar. Inlined into each caller's loop, as `step` is.
+#[inline(always)]
+fn encode(w: &mut BitWriter, s: &mut State, t: u64, bits: u64) {
+    debug_assert!(t >= s.t, "sealed region must be time-ordered");
+    let delta = t - s.t;
+    let dod = delta as i128 - s.delta as i128;
+    s.delta = delta;
+    s.t = t;
+    // The timestamp code rides in `head` so it shares a write with the
+    // value's control bits (and payload, when they fit a word).
+    let (head, head_bits) = if dod == 0 {
+        (0, 1)
+    } else if let Some(k) = DOD_WIDTHS
+        .iter()
+        .position(|&w| (-dod_bias(w) as i128..=dod_bias(w) as i128 + 1).contains(&dod))
+    {
+        let (k, width) = (k as u32, DOD_WIDTHS[k]);
+        let prefix = (1u64 << (k + 2)) - 2;
+        let payload = (dod as i64 + dod_bias(width)) as u64;
+        ((prefix << width) | payload, k + 2 + width)
+    } else {
+        w.write_bits(0b1111, 4);
+        w.write_bits(delta, 64);
+        (0, 0)
+    };
+
+    let xor = bits ^ s.bits;
+    s.bits = bits;
+    if xor == 0 {
+        w.write_bits(head << 1, head_bits + 1);
+        return;
+    }
+    let lead = xor.leading_zeros();
+    let trail = xor.trailing_zeros();
+    if s.win_len != 0 && lead >= s.win_lead && trail >= 64 - s.win_lead - s.win_len {
+        // Fits the previous window: control '10' + window bits.
+        let win_trail = 64 - s.win_lead - s.win_len;
+        w.write_pair(
+            (head << 2) | 0b10,
+            head_bits + 2,
+            xor >> win_trail,
+            s.win_len,
+        );
+    } else {
+        // New window: '11' + 6-bit leading + 6-bit length (64 encodes
+        // as 0).
+        let len = 64 - lead - trail;
+        let ctrl = (0b11 << 12) | (u64::from(lead) << 6) | u64::from(len & 63);
+        w.write_pair((head << 14) | ctrl, head_bits + 14, xor >> trail, len);
+        s.win_lead = lead;
+        s.win_len = len;
     }
 }
 
@@ -606,17 +703,24 @@ struct State {
 }
 
 impl State {
+    /// State at a stream's first sample, `(t, bits)`: no delta, no
+    /// window.
+    #[inline(always)]
+    fn at(t: u64, bits: u64) -> State {
+        State {
+            t,
+            delta: 0,
+            bits,
+            win_lead: 0,
+            win_len: 0,
+        }
+    }
+
     /// State at the first sample: its timestamp is the header's, its
     /// value the stream's opening 64 bits.
     #[inline(always)]
     fn open(r: &mut BitReader<'_>, first_t: u64) -> Result<State, DecodeError> {
-        Ok(State {
-            t: first_t,
-            delta: 0,
-            bits: r.take(64)?,
-            win_lead: 0,
-            win_len: 0,
-        })
+        Ok(State::at(first_t, r.take(64)?))
     }
 }
 
@@ -695,6 +799,8 @@ pub struct Validated<'a> {
     /// Length of the shortest payload prefix that still decodes; bytes
     /// past it are not part of the chunk.
     pub used_bytes: usize,
+    /// The exact length of that prefix in bits.
+    bit_len: usize,
     first_t: u64,
     count: u32,
     /// The validated payload, cut to `used_bytes`.
@@ -748,11 +854,13 @@ fn walk<'a>(
         }
         step(&mut r, &mut s)?;
     }
-    let used_bytes = r.used_bytes();
+    let bit_len = r.used_bits();
+    let used_bytes = bit_len.div_ceil(8);
     Ok(Some(Validated {
         last_t: s.t,
         last_value: f64::from_bits(s.bits),
         used_bytes,
+        bit_len,
         first_t,
         count,
         payload: &bytes[..used_bytes],
@@ -963,10 +1071,13 @@ mod tests {
                 + c.restarts.len() * std::mem::size_of::<Restart>()
                 + std::mem::size_of::<Chunk>()
         );
-        // The table costs the header one pointer pair.
-        assert_eq!(std::mem::size_of::<Chunk>(), 48 + 16);
+        // The table costs the header one pointer pair, the exact bit
+        // length one word.
+        assert_eq!(std::mem::size_of::<Chunk>(), 48 + 16 + 8);
         let v = validate(c.first_t(), c.count(), c.bytes()).unwrap();
         assert_eq!(v.used_bytes, c.bytes().len());
+        assert_eq!(v.bit_len, c.bit_len);
+        assert_eq!(c.bit_len.div_ceil(8), c.bytes().len());
         // An adopted chunk holds the payload and a header, nothing else.
         let adopted = Chunk::adopt(&v, 0);
         assert_eq!(
@@ -996,19 +1107,21 @@ mod tests {
     }
 
     #[test]
-    fn compacted_drops_the_evicted_prefix() {
+    fn write_retained_drops_the_evicted_prefix() {
         let ts: Vec<u64> = (0..300u64).map(|s| s * 1000 + (s % 3)).collect();
         let vals: Vec<f64> = (0..300).map(|i| (i % 13) as f64 * 1.5).collect();
         let mut c = compress(&ts, &vals, 40);
+        // Whole, the payload is copied as it lies, after what `out` held.
+        let mut out = vec![0xA5; 3];
+        assert_eq!(c.write_retained(&mut out), ts[0]);
+        assert_eq!((&out[..3], &out[3..]), (&[0xA5; 3][..], c.bytes()));
         c.evict(123);
-        let small = c.compacted();
-        assert_eq!((small.count(), small.skip()), (177, 0));
-        assert_eq!(small.first_t(), ts[123]);
-        assert_eq!(small.last_t(), c.last_t());
-        assert_eq!(small.start_append(), c.retained_start_append());
-        let want: Vec<(u64, u64)> = c.decode().map(|(t, v)| (t, v.to_bits())).collect();
-        let got: Vec<(u64, u64)> = small.decode().map(|(t, v)| (t, v.to_bits())).collect();
-        assert_eq!(got, want);
+        out.truncate(3);
+        assert_eq!(c.write_retained(&mut out), ts[123]);
+        assert_eq!(&out[3..], compress(&ts[123..], &vals[123..], 0).bytes());
+        let (mut got_ts, mut got_vals) = (Vec::new(), Vec::new());
+        decode_exact(ts[123], 177, &out[3..], &mut got_ts, &mut got_vals).unwrap();
+        assert_eq!((&got_ts[..], &got_vals[..]), (&ts[123..], &vals[123..]));
     }
 
     // ---- the grammar, bit at a time ------------------------------------
@@ -1021,6 +1134,20 @@ mod tests {
     }
 
     fn ref_encode(ts: &[u64], vals: &[f64]) -> Vec<u8> {
+        ref_encode_escaping(ts, vals, |_| false, false)
+    }
+
+    /// The reference encoder, and a writer of well-formed streams
+    /// `compress` never writes: sample `i` for which `escaped(i)` holds
+    /// codes its timestamp as a raw delta and its value under a new
+    /// full-width window, whatever would have fit; `pad_ones` fills the
+    /// last byte's padding with ones.
+    fn ref_encode_escaping(
+        ts: &[u64],
+        vals: &[f64],
+        escaped: impl Fn(usize) -> bool,
+        pad_ones: bool,
+    ) -> Vec<u8> {
         let mut bits = Vec::new();
         ref_put(&mut bits, vals[0].to_bits(), 64);
         let (mut delta, mut window) = (0u64, None::<(u32, u32)>);
@@ -1029,6 +1156,10 @@ mod tests {
             let dod = d as i128 - delta as i128;
             delta = d;
             match dod {
+                _ if escaped(i) => {
+                    ref_put(&mut bits, 0b1111, 4);
+                    ref_put(&mut bits, d, 64);
+                }
                 0 => ref_put(&mut bits, 0b0, 1),
                 -63..=64 => ref_put(&mut bits, 0b10 << 7 | (dod + 63) as u64, 9),
                 -255..=256 => ref_put(&mut bits, 0b110 << 9 | (dod + 255) as u64, 12),
@@ -1039,6 +1170,12 @@ mod tests {
                 }
             }
             let xor = vals[i].to_bits() ^ vals[i - 1].to_bits();
+            if escaped(i) {
+                ref_put(&mut bits, 0b11 << 12, 14);
+                ref_put(&mut bits, xor, 64);
+                window = Some((0, 64));
+                continue;
+            }
             if xor == 0 {
                 ref_put(&mut bits, 0b0, 1);
                 continue;
@@ -1058,6 +1195,9 @@ mod tests {
                     window = Some((lead, len));
                 }
             }
+        }
+        while pad_ones && bits.len() % 8 != 0 {
+            bits.push(true);
         }
         bits.chunks(8)
             .map(|b| {
@@ -1317,5 +1457,121 @@ mod tests {
             let noise: Vec<u8> = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect();
             check_readers(rng.next_u64(), rng.below(64) as u32, &noise, skip, table);
         }
+    }
+
+    /// Samples of one of the shapes the splice must get right: anything
+    /// (`arbitrary_samples`), a regular cadence of a few levels, a
+    /// jittered one of quantised readings, and a varied prefix before a
+    /// constant run — whose suffix never needs a new window, so it never
+    /// resyncs.
+    fn shaped_samples(rng: &mut proptest::TestRng, n: usize, shape: u8) -> (Vec<u64>, Vec<f64>) {
+        let t0 = rng.below(1 << 40);
+        match shape {
+            0 => arbitrary_samples(rng, n),
+            1 => (0..n as u64)
+                .map(|s| (t0 + s * 1000, 180.0 + (rng.below(8) as f64) * 0.25))
+                .unzip(),
+            2 => (0..n as u64)
+                .map(|s| (t0 + s * 1000 + rng.below(5), 200.0 + rng.below(50) as f64))
+                .unzip(),
+            _ => {
+                let split = rng.below(n as u64 + 1);
+                (0..n as u64)
+                    .map(|s| {
+                        let v = if s < split {
+                            rng.below(1000) as f64 * 0.5
+                        } else {
+                            42.0
+                        };
+                        (t0 + s * 1000, v)
+                    })
+                    .unzip()
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// For every eviction point, `write_retained` appends exactly
+        /// `compress(retained)` and returns its first timestamp — off a
+        /// sealed chunk's restart table and off an adopted chunk, which
+        /// has none.
+        #[test]
+        fn write_retained_is_compress_of_the_retained_samples(
+            seed in proptest::any::<u64>(),
+            n in 1usize..520,
+            shape in 0u8..4,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (ts, vals) = shaped_samples(&mut rng, n, shape);
+            let sealed = compress(&ts, &vals, 0);
+            let v = validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
+            let adopted = Chunk::adopt(&v, 0);
+            proptest::prop_assert!(adopted.restarts.is_empty());
+            let mut out = Vec::new();
+            for skip in 0..n {
+                let want = compress(&ts[skip..], &vals[skip..], 0);
+                for c in [&sealed, &adopted] {
+                    let mut evicted = c.clone();
+                    if skip > 0 {
+                        evicted.evict(skip as u32);
+                    }
+                    out.clear();
+                    out.push(0x5A);
+                    let first_t = evicted.write_retained(&mut out);
+                    proptest::prop_assert_eq!(first_t, ts[skip]);
+                    proptest::prop_assert_eq!(&out[1..], want.bytes(), "skip {}", skip);
+                    proptest::prop_assert_eq!(out[0], 0x5A);
+                }
+            }
+        }
+    }
+
+    /// A payload `compress` never writes — raw deltas and full-width
+    /// windows where narrower codes fit, ones in its last byte's
+    /// padding — still validates, and each suffix `write_retained`
+    /// makes of it decodes to exactly the retained samples. Past the
+    /// resync point those are the stored codes, copied: for some
+    /// eviction points the result is not what `compress` would write.
+    #[test]
+    fn write_retained_of_a_foreign_payload_decodes_to_the_retained_samples() {
+        let n = 400usize;
+        let ts: Vec<u64> = (0..n as u64).map(|s| 5_000 + s * 1000 + s % 3).collect();
+        let vals: Vec<f64> = (0..n as u64)
+            .map(|s| 100.0 + ((s * 2_654_435_761) % 37) as f64 * 0.5)
+            .collect();
+        let escaped = |i: usize| i > n / 2 && i.is_multiple_of(5) || i == 3;
+        let bytes = ref_encode_escaping(&ts, &vals, escaped, true);
+        assert_ne!(bytes, compress(&ts, &vals, 0).bytes());
+        let v = validate(ts[0], n as u32, &bytes).unwrap();
+        assert_eq!(v.used_bytes, bytes.len());
+        assert_ne!(v.bit_len % 8, 0, "the padding is not empty");
+        let adopted = Chunk::adopt(&v, 0);
+        let mut copied = 0;
+        for skip in 1..n {
+            let mut c = adopted.clone();
+            c.evict(skip as u32);
+            let mut out = Vec::new();
+            assert_eq!(c.write_retained(&mut out), ts[skip]);
+            let (mut got_ts, mut got_vals) = (Vec::new(), Vec::new());
+            decode_exact(
+                ts[skip],
+                (n - skip) as u32,
+                &out,
+                &mut got_ts,
+                &mut got_vals,
+            )
+            .unwrap();
+            assert_eq!(got_ts, ts[skip..], "skip {skip}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_vals), bits(&vals[skip..]), "skip {skip}");
+            let checked = validate(ts[skip], (n - skip) as u32, &out).unwrap();
+            assert_eq!(checked.used_bytes, out.len(), "no byte past the codes");
+            let pad = (8 - checked.bit_len % 8) % 8;
+            assert_eq!(out.last().unwrap() & ((1u8 << pad) - 1), 0, "zero padding");
+            copied += usize::from(out != compress(&ts[skip..], &vals[skip..], 0).bytes());
+        }
+        assert!(copied > 0, "no eviction point spliced the stored codes");
     }
 }

@@ -15,8 +15,10 @@
 //!   consecutive [`ExportRecord::Sample`] into one `samples` record
 //!   (about one byte plus the value's significant bytes per sample)
 //!   and expands it back on decode, so the socket, the log and the
-//!   snapshot's unsealed tails all shrink through one function and no
-//!   caller sees a new record shape.
+//!   snapshot's unsealed tails all shrink through one writer,
+//!   [`BatchWriter`], and no caller sees a new record shape:
+//!   [`encode_batch`] renders owned records through it, and a snapshot
+//!   writes its raw sections through it straight from the ring.
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -24,8 +26,9 @@
 //!   end-of-stream. [`parse_frame`] is the only envelope parser: the
 //!   blocking [`read_frame`] and the incremental [`FrameBuffer`] both
 //!   take their length decision from it and their checksum from the
-//!   one running CRC beside it (IEEE CRC-32, folded slicing-by-8 so a
-//!   hop's one pass over the bytes costs eight lookups per eight bytes).
+//!   one running CRC beside it (IEEE CRC-32, folded slicing-by-16 so a
+//!   hop's one pass over the bytes costs sixteen independent lookups
+//!   per sixteen bytes).
 //!
 //! All integers little-endian; floats as IEEE-754 bit patterns
 //! (`f64::to_bits`), so encode→decode is bit-exact including NaN. The
@@ -376,7 +379,7 @@ const REC_SAMPLE: u8 = 1;
 const REC_BUCKET: u8 = 2;
 const REC_SKETCH: u8 = 3;
 const REC_CHUNK: u8 = 4;
-/// A packed run of observations (v1.2) — see [`encode_samples`].
+/// A packed run of observations (v1.2) — see [`put_samples`].
 const REC_SAMPLES: u8 = 5;
 
 /// Append one record in the binary rendering:
@@ -438,14 +441,32 @@ pub fn encode_record(record: &ExportRecord, out: &mut Vec<u8>) {
             first_t,
             last_t,
             bytes,
-        } => {
-            put_u32(out, id.0);
-            put_u32(out, *count);
-            put_u64(out, first_t.0);
-            put_u64(out, last_t.0);
-            put_block(out, |out| out.extend_from_slice(bytes));
-        }
+        } => put_chunk(out, *id, *count, *last_t, |out| {
+            out.extend_from_slice(bytes);
+            first_t.0
+        }),
     });
+}
+
+/// A `chunk` record's payload: `[id u32][count u32][first_t u64]
+/// [last_t u64][bytes u32-len + payload]`. `fill` appends the compressed
+/// payload and returns its first timestamp, which is patched in ahead
+/// of it — so a payload can be written where it lies.
+fn put_chunk(
+    out: &mut Vec<u8>,
+    id: MetricId,
+    count: u32,
+    last_t: SimTime,
+    fill: impl FnOnce(&mut Vec<u8>) -> u64,
+) {
+    put_u32(out, id.0);
+    put_u32(out, count);
+    let first_t_at = out.len();
+    put_u64(out, 0);
+    put_u64(out, last_t.0);
+    let mut first_t = 0;
+    put_block(out, |out| first_t = fill(out));
+    out[first_t_at..first_t_at + 8].copy_from_slice(&first_t.to_le_bytes());
 }
 
 /// One record of a batch, read where it lies: the fixed-width fields by
@@ -699,25 +720,22 @@ const MODE_STEP: u8 = 1;
 /// Id: a `uv` follows. Time: a zigzag `uv` delta follows.
 const MODE_EXPLICIT: u8 = 2;
 
-/// Append `run` — all [`ExportRecord::Sample`] — as one `samples`
-/// record: `[5][len u32 LE][count uv][count × sample]`, each sample
-/// `[control u8][id uv?][zigzag Δt uv?][value bytes]`. The state a
-/// sample is coded against (previous id, previous timestamp, last
-/// non-zero timestamp step) starts at zero with every record, so a run
-/// decodes on its own. A sweep (ids counting up at one timestamp) and
-/// one metric's tail (one id at a fixed cadence) both cost the control
-/// byte plus the value; the value is the most-significant bytes of
-/// `to_bits()` with trailing zero bytes dropped, which is bit-exact
-/// for every `f64` and 2–4 bytes for a quantised sensor reading.
-fn encode_samples(run: &[ExportRecord], out: &mut Vec<u8>) {
+/// Append `run` as one `samples` record: `[5][len u32 LE][count uv]
+/// [count × sample]`, each sample `[control u8][id uv?][zigzag Δt uv?]
+/// [value bytes]`. The state a sample is coded against (previous id,
+/// previous timestamp, last non-zero timestamp step) starts at zero
+/// with every record, so a run decodes on its own. A sweep (ids
+/// counting up at one timestamp) and one metric's tail (one id at a
+/// fixed cadence) both cost the control byte plus the value; the value
+/// is the most-significant bytes of `to_bits()` with trailing zero
+/// bytes dropped, which is bit-exact for every `f64` and 2–4 bytes for
+/// a quantised sensor reading.
+fn put_samples(out: &mut Vec<u8>, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
     out.push(REC_SAMPLES);
     put_block(out, |out| {
         put_uv(out, run.len() as u64);
         let (mut prev_id, mut prev_t, mut step) = (0u32, 0u64, 0i64);
-        for record in run {
-            let ExportRecord::Sample { id, t, value } = record else {
-                unreachable!("caller passes a run of sample records");
-            };
+        for (id, t, value) in run {
             let id_mode = if id.0 == prev_id {
                 MODE_SAME
             } else if prev_id.checked_add(1) == Some(id.0) {
@@ -743,7 +761,11 @@ fn encode_samples(run: &[ExportRecord], out: &mut Vec<u8>) {
             if dt != 0 {
                 step = dt;
             }
-            out.extend_from_slice(&bits.to_be_bytes()[..value_bytes]);
+            // All eight bytes, then the dropped ones off again: a
+            // fixed-width copy, not a variable-length one.
+            let end = out.len() + value_bytes;
+            out.extend_from_slice(&bits.to_be_bytes());
+            out.truncate(end);
             (prev_id, prev_t) = (id.0, t.0);
         }
     });
@@ -978,27 +1000,89 @@ impl<'a> Iterator for Records<'a> {
     }
 }
 
+/// A batch written where it will lie, one wire record at a time:
+/// `[seq u64 LE][record count u32 LE][records…]`, the count kept current
+/// as records are added. The one writer of the batch grammar —
+/// [`encode_batch`] renders an [`ExportBatch`] through it, and a writer
+/// holding no owned records (a snapshot's raw sections) writes chunk
+/// payloads and sample runs straight off what holds them.
+#[derive(Debug)]
+pub struct BatchWriter<'a> {
+    out: &'a mut Vec<u8>,
+    count_at: usize,
+    records: u32,
+}
+
+impl<'a> BatchWriter<'a> {
+    /// Start batch `seq` at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>, seq: u64) -> Self {
+        put_u64(out, seq);
+        let count_at = out.len();
+        put_u32(out, 0);
+        BatchWriter {
+            out,
+            count_at,
+            records: 0,
+        }
+    }
+
+    /// One more wire record written.
+    fn counted(&mut self) {
+        self.records += 1;
+        self.out[self.count_at..self.count_at + 4].copy_from_slice(&self.records.to_le_bytes());
+    }
+
+    /// Append one record as [`encode_record`] renders it.
+    fn record(&mut self, record: &ExportRecord) {
+        encode_record(record, self.out);
+        self.counted();
+    }
+
+    /// Append `run` — what a [`SampleRun`] yields back — as one
+    /// `samples` record.
+    pub fn samples(&mut self, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
+        put_samples(self.out, run);
+        self.counted();
+    }
+
+    /// Append a `chunk` record of `count` samples ending at `last_t`:
+    /// `fill` appends the compressed payload and returns its first
+    /// timestamp.
+    pub fn chunk(
+        &mut self,
+        id: MetricId,
+        count: u32,
+        last_t: SimTime,
+        fill: impl FnOnce(&mut Vec<u8>) -> u64,
+    ) {
+        self.out.push(REC_CHUNK);
+        put_block(self.out, |out| put_chunk(out, id, count, last_t, fill));
+        self.counted();
+    }
+}
+
 /// Encode a whole batch:
 /// `[seq u64 LE][record count u32 LE][records…]`. Every maximal run of
 /// consecutive [`ExportRecord::Sample`] is written as **one** `samples`
 /// record, so the count in the header counts *wire* records, not
 /// `batch.records`; [`decode_batch`] gives the same records back.
 pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
-    put_u64(out, batch.seq);
-    let count_at = out.len();
-    put_u32(out, 0);
-    let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
-    let mut wire_records = 0u32;
+    let mut w = BatchWriter::new(out, batch.seq);
+    let sample = |r: &ExportRecord| match *r {
+        ExportRecord::Sample { id, t, value } => Some((id, t, value)),
+        _ => None,
+    };
     // Maximal runs of samples; every other record is a group of its own.
-    for group in batch.records.chunk_by(|a, b| is_sample(a) && is_sample(b)) {
-        if is_sample(&group[0]) {
-            encode_samples(group, out);
+    for group in batch
+        .records
+        .chunk_by(|a, b| sample(a).is_some() && sample(b).is_some())
+    {
+        if sample(&group[0]).is_some() {
+            w.samples(group.iter().map(|r| sample(r).expect("a run of samples")));
         } else {
-            encode_record(&group[0], out);
+            w.record(&group[0]);
         }
-        wire_records += 1;
     }
-    out[count_at..count_at + 4].copy_from_slice(&wire_records.to_le_bytes());
 }
 
 /// Decode a batch into owned records: [`BatchView::parse`], then
@@ -1059,64 +1143,77 @@ pub fn decode_drain_stats(buf: &[u8]) -> io::Result<DrainStats> {
 // ---------------------------------------------------------------- frames
 
 /// Fold `bytes` into a running CRC-32 state (pre-inversion; start from
-/// `!0`, finish with `!state`). Slicing-by-8: `TABLES[0]` is the classic
-/// bytewise table and `TABLES[k]` carries a byte `k` positions further
-/// through the register, so eight input bytes fold in one step of eight
-/// independent lookups instead of eight dependent ones. Every batch
-/// byte passes through here once per hop (socket write, socket read,
-/// WAL append, recovery), which is why the step width matters.
+/// `!0`, finish with `!state`). Slicing-by-16: `CRC_TABLES[0]` is the
+/// classic bytewise table and `CRC_TABLES[k]` carries a byte `k`
+/// positions further through the register, so sixteen input bytes fold
+/// in one step of sixteen independent lookups instead of sixteen
+/// dependent ones; what is left folds eight at a time, then byte by
+/// byte. Every batch byte passes through here once per hop (socket
+/// write, socket read, WAL append, recovery), and every snapshot byte
+/// once per cut, which is why the step width matters.
 fn crc32_fold(mut c: u32, bytes: &[u8]) -> u32 {
-    const fn tables() -> [[u32; 256]; 8] {
-        let mut t = [[0u32; 256]; 8];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[0][i] = c;
-            i += 1;
-        }
-        let mut k = 1;
-        while k < 8 {
-            let mut i = 0;
-            while i < 256 {
-                let prev = t[k - 1][i];
-                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-                i += 1;
-            }
-            k += 1;
-        }
-        t
+    let (blocks, rest) = bytes.as_chunks::<16>();
+    for block in blocks {
+        c = crc32_step(c, block);
     }
-    static TABLES: [[u32; 256]; 8] = tables();
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
+    let (words, rest) = rest.as_chunks::<8>();
+    for word in words {
+        c = crc32_step(c, word);
     }
-    for &b in words.remainder() {
-        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for &b in rest {
+        c = crc32_step(c, &[b]) ^ (c >> 8);
     }
     c
 }
 
+/// The register after folding in one `N`-byte step: byte `i` is looked
+/// up `N - 1 - i` positions from the register's end. The register's
+/// four bytes enter with the step's first four; for `N < 4` the caller
+/// shifts in the bytes the step left over.
+#[inline(always)]
+fn crc32_step<const N: usize>(c: u32, block: &[u8; N]) -> u32 {
+    let register = c.to_le_bytes();
+    let mut folded = 0;
+    for (i, &b) in block.iter().enumerate() {
+        let b = if i < 4 { b ^ register[i] } else { b };
+        folded ^= CRC_TABLES[N - 1 - i][usize::from(b)];
+    }
+    folded
+}
+
+/// The slicing tables of [`crc32_fold`].
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven
-/// slicing-by-8. Protects every frame against torn writes and bit rot.
+/// slicing-by-16. Protects every frame against torn writes and bit rot.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_fold(!0, bytes)
 }

@@ -1369,9 +1369,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The checksum is the IEEE CRC-32 of the bytes, whatever their
-    /// length mod 8 and wherever a frame splits them: `a‖b` on its own,
-    /// and `b` behind a one-byte tag inside the frame envelope (the
-    /// tag-then-payload fold every frame on the wire goes through).
+    /// length mod 16 and wherever a frame splits them: `a‖b` on its own,
+    /// every prefix of up to 64 bytes (each mix of 16-byte, 8-byte and
+    /// single-byte steps), and `b` behind a one-byte tag inside the
+    /// frame envelope (the tag-then-payload fold every frame on the wire
+    /// goes through).
     #[test]
     fn crc32_matches_bitwise_reference(
         bytes in prop::collection::vec(any::<u8>(), 0..4096),
@@ -1382,6 +1384,10 @@ proptest! {
         prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
         prop_assert_eq!(crc32(a), crc32_bitwise(a));
         prop_assert_eq!(crc32(b), crc32_bitwise(b));
+        let head: Vec<u8> = bytes.iter().copied().chain(std::iter::repeat(tag)).take(64).collect();
+        for len in 0..=64 {
+            prop_assert_eq!(crc32(&head[..len]), crc32_bitwise(&head[..len]), "len {}", len);
+        }
 
         let mut frame = Vec::new();
         write_frame(&mut frame, tag, b).unwrap();

@@ -627,74 +627,59 @@ fn bench_fleet(c: &mut Criterion) {
     }
 
     // What a snapshot costs whoever holds the fleet, at the plateau the
-    // live workloads sit on: 128 metrics, 8 of them sketched, every raw
-    // ring at `DEFAULT_RAW_RETENTION` with its front chunk partly
-    // evicted. `snapshot_sync` is the public `snapshot()` end to end —
-    // cut, write, fsync, rename, promote. `snapshot_cut` is a cadence
-    // point: one 128-sample batch (a few µs) plus the cut and the hand
-    // to the writer thread, which is all an ingest session waits for;
-    // the previous write is joined outside the timed region. The raw
-    // sections are written straight from the rings — whole chunks copied
-    // as they lie, each front chunk re-coded only until its stream
-    // resyncs (`chunk_codec/retained_skip256` times one), each tail one
-    // packed run off its slices — so what is left of the cut is one pass
-    // over the state: the image CRC is its largest share, the tails'
-    // runs the next. Only a cut that does not encode under the lock
-    // takes either away. No gate on either row yet.
+    // live workloads sit on (`moda_bench::plateau`): 128 metrics, 8 of
+    // them sketched, every raw ring at `DEFAULT_RAW_RETENTION` with its
+    // front chunk partly evicted. `snapshot_sync` is the public
+    // `snapshot()` end to end — cut, write, fsync, rename, promote.
+    // `snapshot_cut` is a cadence point: one 128-sample batch (a few µs)
+    // plus the cut and the hand to the writer thread, which is all an
+    // ingest session waits for; the previous write is joined outside the
+    // timed region. The raw sections are written straight from the
+    // rings — whole chunks copied as they lie, each front chunk re-coded
+    // only until its stream resyncs (`chunk_codec/retained_skip256`
+    // times one), each tail one Gorilla run off its slices — so what is
+    // left of the cut is one pass over the state: the image CRC is its
+    // largest share, the tails' runs the next. Only a cut that does not
+    // encode under the lock takes either away. `restore_128x4096` is
+    // recovery from that image — read, checksum, decode, relink the
+    // chunks, push the tails back, rebuild the tiers — with an empty
+    // log behind it. No gate on any of the three rows yet; the bench
+    // gate holds the image's bytes per retained sample to a ceiling.
     {
-        const METRICS: usize = 128;
-        let (mut db, ids) = registered(METRICS, 4096);
-        for id in ids.iter().step_by(METRICS / 8) {
-            db.enable_rollups(*id, &RollupConfig::standard().with_sketches());
-        }
-        let mut sweep: Vec<_> = ids.iter().map(|&id| (id, 0.0)).collect();
-        let mut exporter = Exporter::new();
-        let mut sink = MemorySink::new();
-        let mut t = 0u64;
-        let mut minute = move |seconds: u64| -> Vec<ExportBatch> {
-            sink.batches.clear();
-            for _ in 0..seconds {
-                // Quarter-unit readings that wander over a few levels:
-                // ≈ 1.7 B a sample sealed, as on the live workloads.
-                for (m, (_, value)) in sweep.iter_mut().enumerate() {
-                    let level = (t + m as u64).wrapping_mul(2_654_435_761) >> 8;
-                    *value = 180.0 + m as f64 + (level % 8) as f64 * 0.25;
-                }
-                db.insert_batch(SimTime::from_secs(t), &sweep);
-                t += 1;
-            }
-            exporter.drain(&db, &mut sink).unwrap();
-            std::mem::take(&mut sink.batches)
-        };
+        let mut plateau = moda_bench::plateau::PlateauNode::new();
         let every_batch = DurabilityConfig {
             snapshot_every_batches: 1,
         };
-        let mut held = DurableFleet::open(tmp.join("snapshot-sync"), no_cadence).unwrap();
+        let held_dir = tmp.join("snapshot-sync");
+        let mut held = DurableFleet::open(&held_dir, no_cadence).unwrap();
         let mut cadenced = DurableFleet::open(tmp.join("snapshot-cut"), every_batch).unwrap();
         let node = held.add_node("node00").unwrap();
         cadenced.add_node("node00").unwrap();
-        let retention = moda_fleet::store::DEFAULT_RAW_RETENTION as u64;
-        for _ in 0..(retention + 512) / 60 {
-            for batch in minute(60) {
-                held.ingest(node, &batch).unwrap();
-                cadenced.ingest(node, &batch).unwrap();
-            }
-        }
+        plateau.fill(&mut [&mut held, &mut cadenced], node);
         let id = held
             .store()
             .lookup("node00/node0000.metric")
             .expect("mapped");
-        assert_eq!(held.store().raw(id).len() as u64, retention);
+        let retention = moda_fleet::store::DEFAULT_RAW_RETENTION;
+        assert_eq!(held.store().raw(id).len(), retention);
         g.throughput(Throughput::Elements(1));
         g.bench_function("snapshot_sync_128x4096", |b| {
             b.iter(|| held.snapshot().unwrap());
+        });
+        drop(held);
+        g.bench_function("restore_128x4096", |b| {
+            b.iter(|| {
+                let restored = FleetStore::recover(&held_dir).unwrap();
+                assert_eq!(restored.recovery().replayed_batches, 0);
+                black_box(restored.store().cardinality())
+            });
         });
         let cadenced = std::cell::RefCell::new(cadenced);
         g.bench_function("snapshot_cut_128x4096", |b| {
             b.iter_batched(
                 || {
                     cadenced.borrow_mut().settle().unwrap();
-                    minute(1).pop().expect("one sweep, one batch")
+                    plateau.run(1).pop().expect("one sweep, one batch")
                 },
                 |batch| black_box(cadenced.borrow_mut().ingest(node, &batch).unwrap()),
                 BatchSize::PerIteration,

@@ -7,7 +7,7 @@
 //! slows the monitoring hot path fails CI instead of passing a
 //! pass/fail-blind smoke run.
 //!
-//! Three kinds of checks:
+//! Four kinds of checks:
 //!
 //! * **Absolute per-bench**: `measured > baseline × threshold` fails.
 //!   The threshold is deliberately generous (default 3×, override with
@@ -24,6 +24,11 @@
 //!   `MAX_CHUNK_BYTES_PER_SAMPLE` bytes per compressed sample — the
 //!   storage win the chunk tier exists for, measured on a deterministic
 //!   workload so it is machine-independent.
+//! * **Snapshot ceiling**: the fleet brought to the snapshot plateau
+//!   (`moda_bench::plateau`) must snapshot into at most
+//!   `MAX_IMAGE_BYTES_PER_RETAINED_SAMPLE` bytes per raw sample its
+//!   rings retain — the bytes a restart reads, again a byte count on a
+//!   deterministic state.
 //!
 //! The full comparison table is written to `bench_gate_report.txt`
 //! (uploaded as a CI artifact) and echoed to stdout.
@@ -50,6 +55,9 @@ const SKIP_PREFIXES: &[&str] = &[
     // Recorded so the stall a snapshot still causes is on file; the
     // sync row is an fsync and a rename, and neither is gated yet.
     "tsdb_fleet/snapshot_",
+    // Recorded so the decode cost of the image's coding is on file; its
+    // bytes are held by the snapshot ceiling below.
+    "tsdb_fleet/restore_",
 ];
 
 /// The machine-independent ratio checks: (numerator, denominator,
@@ -126,6 +134,12 @@ const MAX_RATIO_CHECKS: &[(&str, &str, f64)] = &[(
 
 /// Most bytes per compressed sample a 1 Hz power day may seal into.
 const MAX_CHUNK_BYTES_PER_SAMPLE: f64 = 3.0;
+
+/// Most snapshot bytes per retained raw sample at the snapshot plateau
+/// (`moda_bench::plateau`). The `MODAFS04` image measures 1.015 there,
+/// the `03` one — tails as packed `samples` runs, tier scalars as raw
+/// `f64`s — 1.391.
+const MAX_IMAGE_BYTES_PER_RETAINED_SAMPLE: f64 = 1.20;
 
 /// Sub-microsecond benches jitter hardest across runner generations:
 /// an absolute regression must also exceed this many nanoseconds, so a
@@ -213,6 +227,54 @@ fn compression_check(report: &mut String, failures: &mut usize) {
             );
         }
     }
+}
+
+/// The in-process snapshot ceiling: bring a durable fleet to the
+/// snapshot plateau, snapshot it, and check `snapshot.bin`'s size per
+/// raw sample the fleet retains. A deterministic state and a byte
+/// count, so the result does not depend on the runner.
+fn image_check(report: &mut String, failures: &mut usize) {
+    use moda_bench::plateau::PlateauNode;
+    use moda_fleet::{DurabilityConfig, DurableFleet};
+    use moda_telemetry::MetricId;
+    let dir = std::env::temp_dir().join(format!("moda_bench_gate_image_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let measured = (|| -> std::io::Result<(u64, usize)> {
+        let no_cadence = DurabilityConfig {
+            snapshot_every_batches: u64::MAX,
+        };
+        let mut fleet = DurableFleet::open(&dir, no_cadence)?;
+        let node = fleet.add_node("node00")?;
+        PlateauNode::new().fill(&mut [&mut fleet], node);
+        fleet.snapshot()?;
+        let store = fleet.store();
+        let retained = (0..store.cardinality())
+            .map(|m| store.raw(MetricId(m as u32)).len())
+            .sum();
+        Ok((std::fs::metadata(dir.join("snapshot.bin"))?.len(), retained))
+    })();
+    let _ = std::fs::remove_dir_all(&dir);
+    let line = match measured {
+        Ok((bytes, retained)) => {
+            let bps = bytes as f64 / retained.max(1) as f64;
+            let verdict = if bps > MAX_IMAGE_BYTES_PER_RETAINED_SAMPLE {
+                *failures += 1;
+                "FAIL (snapshot image grew)"
+            } else {
+                "ok"
+            };
+            format!(
+                "snapshot image: {bps:.3} bytes/retained sample at the plateau \
+                 ({bytes} bytes, {retained} samples, max {MAX_IMAGE_BYTES_PER_RETAINED_SAMPLE:.2})  \
+                 {verdict}"
+            )
+        }
+        Err(e) => {
+            *failures += 1;
+            format!("snapshot image: FAIL ({e})")
+        }
+    };
+    let _ = writeln!(report, "{line}");
 }
 
 /// Run the tsdb bench with short criterion windows, writing its JSON to
@@ -409,6 +471,7 @@ fn main() -> ExitCode {
     }
 
     compression_check(&mut report, &mut failures);
+    image_check(&mut report, &mut failures);
 
     print!("{report}");
     if let Err(e) = std::fs::write(&report_path, &report) {

@@ -6,8 +6,11 @@
 //! (E1–E12), printing an aligned table whose shape EXPERIMENTS.md
 //! records. This module holds what they share: campaign construction,
 //! the loop-on/loop-off runner for scheduler-style experiments, and
-//! extension-accuracy scoring against simulator ground truth.
+//! extension-accuracy scoring against simulator ground truth. Beside
+//! them, [`plateau`] builds the fleet state the `tsdb` bench's snapshot
+//! rows and the bench gate's snapshot ceiling both measure.
 
+pub mod plateau;
 pub mod table;
 
 use moda_analytics::assess::ExtensionAssessment;

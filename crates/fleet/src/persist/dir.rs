@@ -20,6 +20,7 @@
 //! fsync yet: a rename or a removal survives a process kill, not a
 //! machine crash (see the fault-model table in `docs/FLEET_SERVICE.md`).
 
+use crate::transport::RECV_BUF;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -34,6 +35,17 @@ fn wal_name(epoch: u64) -> String {
 /// An open log behind its write buffer — what [`super::wal::Wal`]
 /// appends to and flushes.
 pub(crate) type LogWriter = BufWriter<File>;
+
+/// A log's write buffer holds what one receive burst logs — a receive
+/// buffer's worth of frames, each a few bytes longer in the log, and the
+/// frame a previous receive left half-read — so a burst reaches the
+/// file in the one `write(2)` of its commit, not whenever 8 KiB fill.
+const LOG_BUF: usize = 2 * RECV_BUF;
+
+/// `file` behind a log's write buffer.
+pub(crate) fn log_writer(file: File) -> LogWriter {
+    BufWriter::with_capacity(LOG_BUF, file)
+}
 
 /// One fleet's state directory. A clone names the same directory: the
 /// snapshot writer thread takes one to [`StateDir::write_snapshot`]
@@ -81,7 +93,7 @@ impl StateDir {
     /// Start `epoch`'s log: created, or truncated if a previous life
     /// left a file of that name.
     pub(crate) fn begin_log(&self, epoch: u64) -> io::Result<LogWriter> {
-        File::create(self.path.join(wal_name(epoch))).map(BufWriter::new)
+        File::create(self.path.join(wal_name(epoch))).map(log_writer)
     }
 
     /// Continue `epoch`'s log — the one the snapshot names — where it
@@ -89,7 +101,7 @@ impl StateDir {
     pub(crate) fn resume_log(&self, epoch: u64) -> io::Result<(Vec<u8>, LogWriter)> {
         let path = self.path.join(wal_name(epoch));
         let log = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((fs::read(&path)?, BufWriter::new(log)))
+        Ok((fs::read(&path)?, log_writer(log)))
     }
 
     /// Cut `epoch`'s log down to its first `len` bytes (a torn or

@@ -711,7 +711,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     pub(super) fn full_disk_log() -> LogWriter {
         let full = fs::OpenOptions::new().write(true).open("/dev/full");
-        io::BufWriter::new(full.unwrap())
+        dir::log_writer(full.unwrap())
     }
 
     fn ingest_all(fleet: &mut DurableFleet, streams: &[Vec<ExportBatch>]) {
@@ -891,6 +891,41 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A burst that fits one receive buffer reaches the log file in the
+    /// one `write(2)` of its commit: before it the file has not grown by
+    /// a byte, after it it holds every frame.
+    #[test]
+    fn a_burst_smaller_than_a_receive_buffer_reaches_the_log_at_its_commit() {
+        let dir = test_dir("one_write");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        let log = dir.join("wal-0.log");
+        let committed = fs::metadata(&log).unwrap().len();
+        // As many batches as one receive can hold, each framed as it
+        // arrives: `[len u32][tag u8][payload][crc u32]`.
+        let (mut wires, mut received) = (Vec::new(), 0);
+        for batch in node_batches(20_000, 0.0, 64) {
+            let wire = wire(&batch);
+            if received + wire.len() + 9 > crate::transport::RECV_BUF {
+                break;
+            }
+            received += wire.len() + 9;
+            wires.push(wire);
+        }
+        assert!(received > crate::transport::RECV_BUF * 3 / 4, "{received}");
+        let mut burst = fleet.burst();
+        for wire in &wires {
+            burst.batch(node, wire).unwrap();
+        }
+        assert_eq!(fs::metadata(&log).unwrap().len(), committed);
+        burst.commit().unwrap();
+        // Each logged frame is its received frame plus the node id.
+        let logged = (received + 4 * wires.len()) as u64;
+        assert_eq!(fs::metadata(&log).unwrap().len(), committed + logged);
+        drop(fleet);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_rotation_interrupted_at_either_step_recovers_and_sweeps_what_it_left() {
         let dir = test_dir("rotation");
@@ -904,7 +939,7 @@ mod tests {
         // Killed with the next log begun and the image half written,
         // before the rename: snapshot 0 still names `wal-0.log`.
         fs::write(before.join("wal-1.log"), b"").unwrap();
-        fs::write(before.join("snapshot.tmp"), b"MODAFS03, and half an image").unwrap();
+        fs::write(before.join("snapshot.tmp"), b"MODAFS04, and half an image").unwrap();
         // Killed after the rename, the old log not yet deleted.
         fs::copy(before.join("wal-0.log"), after.join("wal-0.log")).unwrap();
         for (state, epoch) in [(&before, 0), (&after, 1)] {

@@ -3,58 +3,259 @@
 //! file: [`super::dir`] writes the image [`encode`] fills and reads the
 //! one [`decode`] takes.
 //!
-//! Every byte — the frame envelope, the record codec, the LE/varint
-//! helpers and the bounds-checked reader — comes from
-//! [`moda_telemetry::wire`]; this module owns only the layout built
-//! from them ([`encode`] lays the envelope out in place rather than
-//! through `write_frame`; a test holds the two to the same bytes).
+//! Every byte — the frame envelope, the record codec, the Gorilla
+//! payloads, the LE/varint helpers and the bounds-checked reader — comes
+//! from [`moda_telemetry`]; this module owns only the layout built from
+//! them ([`encode`] lays the envelope out in place rather than through
+//! `write_frame`; a test holds the two to the same bytes).
 
 use crate::aggregator::{FleetAggregator, NodeCounters, NodeSession};
 use crate::store::{ChunkOutcome, FleetStore, FleetStoreStats, NodeId};
 use moda_sim::{SimDuration, SimTime};
+use moda_telemetry::chunk;
 use moda_telemetry::wire::{
-    bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_f64,
-    put_meta, put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, BatchWriter,
-    FrameParse, RecordRef, WireReader,
+    bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_meta,
+    put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, BatchWriter, FrameParse,
+    RecordRef, WireReader,
 };
-use moda_telemetry::MetricId;
+use moda_telemetry::{MetricId, QuantileSketch, RollupBucket, SketchEntry};
 use std::io;
 
-/// Leading magic of a snapshot image (version-suffixed). `03`: the raw
-/// sections' unsealed tails are packed `samples` records, which an
-/// `02` reader would length-skip — losing the tails without a word —
+/// Leading magic of a snapshot image (version-suffixed). `04`: each
+/// ring's unsealed tail is one Gorilla run and the tier section is
+/// XOR/delta coded, which an `03` reader would misread field by field,
 /// so it must not recognise the file at all.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS03";
-/// The previous magic: the same layout with one `sample` record per
-/// tail observation. The batch decoder reads both renderings, so such
-/// a file loads as it is and is written back as `03`.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS04";
+/// The previous magic: tails as packed `samples` records, tier scalars
+/// as raw `f64`, sketch entries as `sign · zigzag(key) · count`. Such a
+/// file loads as it is and is written back as `04`.
+const SNAPSHOT_MAGIC_03: &[u8; 8] = b"MODAFS03";
+/// The `03` layout with one `sample` record per tail observation.
 const SNAPSHOT_MAGIC_02: &[u8; 8] = b"MODAFS02";
 /// The single frame that follows the magic.
 const FRAME_SNAPSHOT: u8 = 40;
 
-/// Write one raw ring as a batch (seq 0), straight from the ring: each
-/// sealed chunk as a `chunk` record — its payload as it lies, or a
-/// partially evicted front chunk's retained suffix
+/// How an image codes what changed at `04`: its tails and its tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// `MODAFS02`/`03`: tails as `sample`/`samples` records; tiers with
+    /// raw scalars and signed sketch entries.
+    Packed,
+    /// `MODAFS04`: a tail flag and a tail `chunk` record; XOR-coded
+    /// scalars and sketch keys delta-coded per sign run.
+    Columns,
+}
+
+/// Write one raw ring as a tail flag and a batch (seq 0), straight from
+/// the ring: each sealed chunk as a `chunk` record — its payload as it
+/// lies, or a partially evicted front chunk's retained suffix
 /// ([`Chunk::write_retained`](moda_telemetry::chunk::Chunk::write_retained)) —
-/// then the uncompressed tail, when there is one, as one `samples`
-/// record off its slices. Restoring relinks exactly these chunks, so
-/// the section a recovered ring writes is byte-identical.
+/// then the unsealed tail, when there is one, as one more `chunk`
+/// record coded off its slices ([`chunk::write_run`]) and flagged as the
+/// tail. Restoring relinks exactly these chunks and pushes the tail
+/// back, so the section a recovered ring writes is byte-identical.
 fn write_raw_section(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
     let raw = store.raw(id);
+    let tail = (raw.len() - raw.compressed_len()) as u64;
+    let (ts, vals) = raw.tail_from(raw.total_appends() - tail);
+    out.push(u8::from(!ts.is_empty()));
     let mut batch = BatchWriter::new(out, 0);
     for c in raw.sealed_chunks() {
         let count = c.retained_len() as u32;
         batch.chunk(id, count, SimTime(c.last_t()), |out| c.write_retained(out));
     }
-    let tail = (raw.len() - raw.compressed_len()) as u64;
-    let (ts, vals) = raw.tail_from(raw.total_appends() - tail);
-    if !ts.is_empty() {
-        batch.samples(
-            ts.iter()
-                .zip(vals)
-                .map(|(&t, &value)| (id, SimTime(t), value)),
-        );
+    if let Some(&last_t) = ts.last() {
+        let count = ts.len() as u32;
+        batch.chunk(id, count, SimTime(last_t), |out| {
+            chunk::write_run(ts, vals, out)
+        });
     }
+}
+
+/// A bucket's four scalars as bits: what its XOR columns code.
+fn scalar_bits(b: &RollupBucket) -> [u64; 4] {
+    [b.sum, b.min, b.max, b.last].map(f64::to_bits)
+}
+
+/// Write one metric's wire-fed tiers: per ring its resolution and
+/// buckets, each coded against the one before it (see [`encode`]).
+fn write_tiers(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
+    let rings = store.tiers().set(id).map_or(&[][..], |set| set.rings());
+    put_u32(out, rings.len() as u32);
+    for ring in rings {
+        let res = ring.res().0;
+        put_u64(out, res);
+        put_uv(out, ring.len() as u64);
+        let mut prev: Option<&RollupBucket> = None;
+        for b in ring.buckets() {
+            // Buckets are start-ordered: the next slot codes as 0, any
+            // other step as itself — never 0.
+            put_uv(
+                out,
+                match prev.map(|p| b.start.0 - p.start.0) {
+                    None => b.start.0,
+                    Some(step) if step == res => 0,
+                    Some(step) => step,
+                },
+            );
+            put_uv(out, b.count);
+            let base = prev.map_or([0; 4], scalar_bits);
+            for (was, is) in base.into_iter().zip(scalar_bits(b)) {
+                put_xor(out, was ^ is);
+            }
+            put_sketch(out, b.sketch.as_ref());
+            prev = Some(b);
+        }
+    }
+}
+
+/// Append `x` — a scalar's bits XOR the previous bucket's — as a control
+/// byte `lead << 4 | kept` and its `kept` bytes from byte `lead` on, most
+/// significant first. Zero bytes at either end are dropped, so a repeat
+/// is the control byte alone; the bits themselves are kept as they are,
+/// NaN payloads, signed zeros, subnormals and infinities included.
+fn put_xor(out: &mut Vec<u8>, x: u64) {
+    if x == 0 {
+        out.push(0);
+        return;
+    }
+    let lead = (x.leading_zeros() / 8) as usize;
+    let kept = 8 - lead - (x.trailing_zeros() / 8) as usize;
+    out.push((lead << 4 | kept) as u8);
+    out.extend_from_slice(&x.to_be_bytes()[lead..lead + kept]);
+}
+
+/// The bits [`put_xor`] wrote.
+fn read_xor(r: &mut WireReader<'_>) -> io::Result<u64> {
+    let control = r.u8()?;
+    let (lead, kept) = (usize::from(control >> 4), usize::from(control & 0x0F));
+    if lead + kept > 8 {
+        return Err(bad_data("tier scalar wider than 64 bits"));
+    }
+    let mut be = [0u8; 8];
+    be[lead..lead + kept].copy_from_slice(r.take(kept)?);
+    Ok(u64::from_be_bytes(be))
+}
+
+/// Append a bucket's sketch column in its wire order: `shape uv` —
+/// positive entries `<< 2`, a zero bucket `<< 1`, any negatives `<< 0`
+/// — then the negative entries less one when there are any, the
+/// negative run, the zero bucket's count, the positive run. A run is
+/// `key uv · count uv` per entry, its first key zigzagged and each later
+/// one as its distance past the one before, less one: a store's keys
+/// ascend strictly.
+fn put_sketch(out: &mut Vec<u8>, sketch: Option<&QuantileSketch>) {
+    let entries = || sketch.into_iter().flat_map(QuantileSketch::wire_entries);
+    let (mut negatives, mut zero, mut positives) = (0u64, false, 0u64);
+    for e in entries() {
+        match e.sign {
+            ..0 => negatives += 1,
+            0 => zero = true,
+            1.. => positives += 1,
+        }
+    }
+    put_uv(
+        out,
+        positives << 2 | u64::from(zero) << 1 | u64::from(negatives > 0),
+    );
+    if negatives > 0 {
+        put_uv(out, negatives - 1);
+    }
+    let mut prev: Option<(i8, i32)> = None;
+    for e in entries() {
+        if e.sign != 0 {
+            put_uv(
+                out,
+                match prev {
+                    Some((sign, key)) if sign == e.sign => {
+                        (i64::from(e.key) - i64::from(key) - 1) as u64
+                    }
+                    _ => zigzag(i64::from(e.key)),
+                },
+            );
+            prev = Some((e.sign, e.key));
+        }
+        put_uv(out, e.count);
+    }
+}
+
+/// The column [`put_sketch`] wrote, into `column`.
+fn read_column(r: &mut WireReader<'_>, column: &mut Vec<SketchEntry>) -> io::Result<()> {
+    column.clear();
+    let shape = r.uv()?;
+    let negatives = if shape & 1 == 1 {
+        r.uv()?.saturating_add(1)
+    } else {
+        0
+    };
+    read_run(r, -1, negatives, column)?;
+    if shape & 2 != 0 {
+        column.push(SketchEntry {
+            sign: 0,
+            key: 0,
+            count: r.uv()?,
+        });
+    }
+    read_run(r, 1, shape >> 2, column)
+}
+
+/// One sign's run of `n` entries (see [`put_sketch`]).
+fn read_run(
+    r: &mut WireReader<'_>,
+    sign: i8,
+    n: u64,
+    column: &mut Vec<SketchEntry>,
+) -> io::Result<()> {
+    // An entry is two bytes at least: a count the bytes cannot hold is
+    // refused before anything grows by it.
+    if n > r.remaining() as u64 / 2 {
+        return Err(bad_data("sketch run longer than its bytes"));
+    }
+    let mut prev: Option<i32> = None;
+    for _ in 0..n {
+        let code = r.uv()?;
+        let key = match prev {
+            None => Some(unzigzag(code)),
+            Some(prev) => i64::try_from(code)
+                .ok()
+                .and_then(|step| (i64::from(prev) + 1).checked_add(step)),
+        };
+        let key = key
+            .and_then(|k| i32::try_from(k).ok())
+            .ok_or_else(|| bad_data("sketch key past i32"))?;
+        column.push(SketchEntry {
+            sign,
+            key,
+            count: r.uv()?,
+        });
+        prev = Some(key);
+    }
+    Ok(())
+}
+
+/// A sketch column in the `03` coding: `entries uv`, then per entry
+/// `sign u8 · zigzag(key) uv · count uv`.
+fn read_signed_column(r: &mut WireReader<'_>, column: &mut Vec<SketchEntry>) -> io::Result<()> {
+    column.clear();
+    let n = r.uv()?;
+    if n > r.remaining() as u64 / 3 {
+        return Err(bad_data("sketch column longer than its bytes"));
+    }
+    for _ in 0..n {
+        column.push(SketchEntry {
+            sign: r.u8()? as i8,
+            key: i32::try_from(unzigzag(r.uv()?)).map_err(|_| bad_data("sketch key past i32"))?,
+            count: r.uv()?,
+        });
+    }
+    Ok(())
+}
+
+/// Write one metric's raw section and tiers: what follows its registry
+/// entry in [`encode`].
+fn write_metric(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
+    put_block(out, |out| write_raw_section(store, id, out));
+    write_tiers(store, id, out);
 }
 
 /// Fill `out` with the snapshot image of `agg`, naming log `epoch`:
@@ -69,19 +270,25 @@ fn write_raw_section(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
 ///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain 11×u64
 /// metric count u32 · per metric:
 ///   node u32 · meta(name · kind u8 · unit · domain u8)
-///   raw section: batch bytes u32-len + one batch (seq 0) — `chunk`
-///     records (the ring's sealed chunks), then its unsealed tail as
-///     one packed `samples` record (`MODAFS02`: one `sample` record per
-///     observation); a reader takes chunks and samples in any order
+///   raw section: u32-len block of tail u8 (1: the last record is the
+///     unsealed tail) + one batch (seq 0) of `chunk` records — the
+///     ring's sealed chunks, then the tail as one Gorilla run
 ///   tier count u32 · per tier: res u64 · bucket count uv · per bucket:
-///     start-delta uv (from previous bucket; first is absolute) ·
-///     count uv · sum/min/max/last f64 ·
-///     sketch entry count uv · entries (sign u8 · zigzag(key) uv · count uv)
+///     start uv (the first absolute; then 0 for the next slot, else the
+///       step from the previous start — never 0) · count uv ·
+///     sum/min/max/last: each its bits XOR the previous bucket's (the
+///       first's against 0) as control u8 (lead zero bytes << 4 | kept
+///       bytes) + the kept bytes ·
+///     sketch: shape uv (positive entries << 2 | zero bucket << 1 |
+///       negatives) · [negative entries − 1 uv] · negative run ·
+///       [zero count uv] · positive run; a run is key uv (the first
+///       zigzagged, then the step past the previous less one) · count uv
 /// ```
 ///
-/// `uv` is LEB128; the tier section is the bulk of a snapshot and
-/// recovery cost is byte-proportional (checksum + decode), so it uses
-/// delta + varint packing while the small header stays fixed-width.
+/// `uv` is LEB128. The tier section is the bulk of a snapshot and
+/// recovery cost is byte-proportional (checksum + decode), so it codes
+/// each bucket against the one before it while the small header stays
+/// fixed-width.
 pub(crate) fn encode(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -93,19 +300,20 @@ pub(crate) fn encode(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
     let frame = out.len();
     put_block(out, |out| {
         out.push(FRAME_SNAPSHOT);
-        encode_payload(agg, epoch, out, write_raw_section);
+        encode_payload(agg, epoch, out, write_metric);
     });
     let crc = crc32(&out[frame + 4..]);
     put_u32(out, crc);
 }
 
-/// The frame payload of [`encode`], with the raw-section writer as a
-/// parameter so a test can write the sections an older writer produced.
+/// The frame payload of [`encode`], with what follows each metric's
+/// registry entry as a parameter so a test can write the sections an
+/// older writer produced.
 fn encode_payload(
     agg: &FleetAggregator,
     epoch: u64,
     out: &mut Vec<u8>,
-    raw_section: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
+    metric: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
 ) {
     let store = agg.store();
     put_u64(out, epoch);
@@ -144,43 +352,18 @@ fn encode_payload(
         let info = store.info(id);
         put_u32(out, info.node.0);
         put_meta(out, &info.meta);
-        // Raw ring, as a pseudo-batch of wire records.
-        put_block(out, |out| raw_section(store, id, out));
-        // Wire-fed tiers: buckets oldest-first, each with its sketch
-        // column entries.
-        let rings = store.tiers().set(id).map_or(&[][..], |set| set.rings());
-        put_u32(out, rings.len() as u32);
-        for ring in rings {
-            put_u64(out, ring.res().0);
-            put_uv(out, ring.len() as u64);
-            // Buckets are start-ordered, so consecutive starts delta
-            // down to one or two varint bytes (usually the resolution).
-            let mut prev_start = 0u64;
-            for b in ring.buckets() {
-                put_uv(out, b.start.0.wrapping_sub(prev_start));
-                prev_start = b.start.0;
-                put_uv(out, b.count);
-                put_f64(out, b.sum);
-                put_f64(out, b.min);
-                put_f64(out, b.max);
-                put_f64(out, b.last);
-                let sketch = b.sketch.as_ref();
-                put_uv(out, sketch.map_or(0, |s| s.entries()) as u64);
-                for e in sketch.into_iter().flat_map(|s| s.wire_entries()) {
-                    out.push(e.sign as u8);
-                    put_uv(out, zigzag(e.key as i64));
-                    put_uv(out, e.count);
-                }
-            }
-        }
+        metric(store, id, out);
     }
 }
 
 /// Rebuild an aggregator from a snapshot image, and the epoch of the
 /// log that follows it.
 pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
-    let framed = match bytes.split_first_chunk::<8>() {
-        Some((magic, framed)) if magic == SNAPSHOT_MAGIC || magic == SNAPSHOT_MAGIC_02 => framed,
+    let (layout, framed) = match bytes.split_first_chunk::<8>() {
+        Some((magic, framed)) if magic == SNAPSHOT_MAGIC => (Layout::Columns, framed),
+        Some((magic, framed)) if magic == SNAPSHOT_MAGIC_03 || magic == SNAPSHOT_MAGIC_02 => {
+            (Layout::Packed, framed)
+        }
         _ => return Err(bad_data("snapshot magic mismatch")),
     };
     // The whole file is in memory: lend the payload from it instead of
@@ -244,7 +427,7 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
     // One scratch column reused across every bucket: the per-bucket
     // entry lists are small and restoring is byte-proportional work, so
     // this loop avoids per-bucket allocation.
-    let mut column: Vec<moda_telemetry::SketchEntry> = Vec::new();
+    let mut column: Vec<SketchEntry> = Vec::new();
     let n_metrics = r.u32()? as usize;
     for idx in 0..n_metrics {
         let node = NodeId(r.u32()?);
@@ -257,72 +440,8 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
         if id.0 as usize != idx {
             return Err(bad_data("metric registration order diverged"));
         }
-        // Raw ring. Every record is the ring's own, written in order, so
-        // each chunk relinks whole and each sample is kept: anything
-        // else is damage the CRC could not see — a writer's bug — and
-        // loading past it would lose samples without a trace, since the
-        // counters are overwritten below.
-        let kept = |pushed: bool| {
-            pushed
-                .then_some(())
-                .ok_or_else(|| bad_data("raw section sample out of order"))
-        };
-        for record in BatchView::parse(r.block()?)?.records() {
-            match record {
-                RecordRef::Chunk {
-                    first_t,
-                    last_t,
-                    count,
-                    bytes,
-                    ..
-                } => match store.restore_chunk(id, first_t, last_t, count, bytes) {
-                    ChunkOutcome::Applied { rejected: 0, .. } => {}
-                    _ => return Err(bad_data("raw section chunk did not restore whole")),
-                },
-                RecordRef::Sample { t, value, .. } => kept(store.push_sample(id, t, value))?,
-                RecordRef::Samples(run) => {
-                    for (_, t, value) in run {
-                        kept(store.push_sample(id, t, value))?;
-                    }
-                }
-                _ => return Err(bad_data("unexpected record kind in raw section")),
-            }
-        }
-        // Tiers: each bucket carries its scalars and its whole sketch
-        // column, restored together against a single slot lookup
-        // (`restore_bucket`) — snapshot restore is the hot path a fast
-        // restart rides on, and the layout stores columns contiguously
-        // exactly so this is possible. Starts are delta-coded from the
-        // previous bucket; the wire-fed slot path keeps the ring
-        // ordered, so deltas decode back with a running add.
-        let n_rings = r.u32()? as usize;
-        for _ in 0..n_rings {
-            let res = SimDuration(r.u64()?);
-            let n_buckets = r.uv()? as usize;
-            let mut prev_start = 0u64;
-            for _ in 0..n_buckets {
-                prev_start = prev_start.wrapping_add(r.uv()?);
-                let start = SimTime(prev_start);
-                let count = r.uv()?;
-                let sum = r.f64()?;
-                let min = r.f64()?;
-                let max = r.f64()?;
-                let last = r.f64()?;
-                let n_entries = r.uv()? as usize;
-                column.clear();
-                column.reserve(n_entries);
-                for _ in 0..n_entries {
-                    column.push(moda_telemetry::SketchEntry {
-                        sign: r.u8()? as i8,
-                        key: unzigzag(r.uv()?) as i32,
-                        count: r.uv()?,
-                    });
-                }
-                if count > 0 || !column.is_empty() {
-                    store.restore_bucket(id, res, start, count, sum, min, max, last, &column);
-                }
-            }
-        }
+        read_raw_section(&mut store, id, r.block()?, layout)?;
+        read_tiers(&mut store, id, &mut r, layout, &mut column)?;
     }
     if !r.done() {
         return Err(bad_data("trailing bytes in snapshot"));
@@ -334,21 +453,177 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
     Ok((agg, epoch))
 }
 
+/// Restore one raw ring. Every record is the ring's own, written in
+/// order, so each chunk relinks whole and each tail sample is kept:
+/// anything else is damage the CRC could not see — a writer's bug — and
+/// loading past it would lose samples without a trace, since the
+/// counters are overwritten at the end of [`decode`].
+fn read_raw_section(
+    store: &mut FleetStore,
+    id: MetricId,
+    section: &[u8],
+    layout: Layout,
+) -> io::Result<()> {
+    let mut r = WireReader::new(section);
+    let tail = match layout {
+        Layout::Packed => false,
+        Layout::Columns => match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(bad_data("unknown raw section tail flag")),
+        },
+    };
+    let view = BatchView::parse(r.rest())?;
+    let records = view.record_count();
+    if tail && records == 0 {
+        return Err(bad_data("raw section flags a tail it does not hold"));
+    }
+    let kept = |pushed: bool| {
+        pushed
+            .then_some(())
+            .ok_or_else(|| bad_data("raw section sample out of order"))
+    };
+    for (i, record) in view.records().enumerate() {
+        match record {
+            RecordRef::Chunk {
+                first_t,
+                last_t,
+                count,
+                bytes,
+                ..
+            } => {
+                let restored = if tail && i + 1 == records {
+                    store.restore_tail(id, first_t, last_t, count, bytes)
+                } else {
+                    store.restore_chunk(id, first_t, last_t, count, bytes)
+                };
+                if !matches!(restored, ChunkOutcome::Applied { rejected: 0, .. }) {
+                    return Err(bad_data("raw section chunk did not restore whole"));
+                }
+            }
+            RecordRef::Sample { t, value, .. } if layout == Layout::Packed => {
+                kept(store.push_sample(id, t, value))?
+            }
+            RecordRef::Samples(run) if layout == Layout::Packed => {
+                for (_, t, value) in run {
+                    kept(store.push_sample(id, t, value))?;
+                }
+            }
+            _ => return Err(bad_data("unexpected record kind in raw section")),
+        }
+    }
+    Ok(())
+}
+
+/// Restore one metric's wire-fed tiers: each bucket with its whole
+/// sketch column against a single slot lookup (`restore_bucket`) —
+/// snapshot restore is the hot path a fast restart rides on. Rings and
+/// buckets were written in order, so a resolution or a start that does
+/// not increase, or a slot the ring does not take, is damage: loading
+/// past it would fold one bucket into another, and the counters restored
+/// at the end of [`decode`] would hide the loss.
+fn read_tiers(
+    store: &mut FleetStore,
+    id: MetricId,
+    r: &mut WireReader<'_>,
+    layout: Layout,
+    column: &mut Vec<SketchEntry>,
+) -> io::Result<()> {
+    let n_rings = r.u32()?;
+    let mut prev_res = 0;
+    for _ in 0..n_rings {
+        let res = r.u64()?;
+        if res <= prev_res {
+            return Err(bad_data("tier resolutions do not increase"));
+        }
+        prev_res = res;
+        let n_buckets = r.uv()?;
+        let mut prev: Option<(u64, [u64; 4])> = None;
+        for _ in 0..n_buckets {
+            let code = r.uv()?;
+            let start = match (prev, layout) {
+                (None, _) => Some(code),
+                (Some((start, _)), Layout::Packed) => start.checked_add(code).filter(|_| code > 0),
+                (Some((start, _)), Layout::Columns) => {
+                    start.checked_add(if code == 0 { res } else { code })
+                }
+            }
+            .ok_or_else(|| bad_data("tier bucket start does not increase"))?;
+            let count = r.uv()?;
+            let mut bits = [0u64; 4];
+            match layout {
+                Layout::Packed => {
+                    for b in &mut bits {
+                        *b = r.u64()?;
+                    }
+                    read_signed_column(r, column)?;
+                }
+                Layout::Columns => {
+                    bits = prev.map_or([0; 4], |(_, bits)| bits);
+                    for b in &mut bits {
+                        *b ^= read_xor(r)?;
+                    }
+                    read_column(r, column)?;
+                }
+            }
+            let [sum, min, max, last] = bits.map(f64::from_bits);
+            let (res, at) = (SimDuration(res), SimTime(start));
+            if !store.restore_bucket(id, res, at, count, sum, min, max, last, column) {
+                return Err(bad_data("tier bucket not retained"));
+            }
+            prev = Some((start, bits));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::tests::{fingerprint, node_batches};
     use super::*;
-    use moda_telemetry::chunk;
     use moda_telemetry::export::{ExportBatch, ExportRecord};
-    use moda_telemetry::wire::{encode_batch, write_frame};
+    use moda_telemetry::wire::{encode_batch, encode_record, put_f64, write_frame};
     use moda_telemetry::{MetricMeta, SourceDomain};
+    use proptest::TestRng;
 
-    /// The raw section's reference writer — what the streaming one
-    /// replaced, and is held to: each ring rendered as owned wire records
-    /// — every sealed chunk whole, a partially evicted front chunk
-    /// decoded and compressed again to its retained suffix, each tail
-    /// observation a `Sample` record — for the batch codec to pack.
-    fn raw_ring_records(store: &FleetStore, id: MetricId) -> Vec<ExportRecord> {
+    /// The writers an image can come from: this build's, and the two
+    /// before it, kept as references.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Writer {
+        V04,
+        V03,
+        V02,
+    }
+
+    impl Writer {
+        fn magic(self) -> &'static [u8; 8] {
+            match self {
+                Writer::V04 => SNAPSHOT_MAGIC,
+                Writer::V03 => SNAPSHOT_MAGIC_03,
+                Writer::V02 => SNAPSHOT_MAGIC_02,
+            }
+        }
+
+        /// The writer of its tier sections.
+        fn tiers(self) -> fn(&FleetStore, MetricId, &mut Vec<u8>) {
+            match self {
+                Writer::V04 => write_tiers,
+                Writer::V03 | Writer::V02 => write_tiers_03,
+            }
+        }
+    }
+
+    /// A raw ring as owned wire records — what the streaming writer
+    /// replaced, and is held to: every sealed chunk whole, a partially
+    /// evicted front chunk decoded and compressed again to its retained
+    /// suffix, then the unsealed tail compressed into one more chunk
+    /// (`04`) or as one `Sample` record per observation (`03`, `02`).
+    /// With whether the last record is the tail.
+    fn raw_ring_records(
+        store: &FleetStore,
+        id: MetricId,
+        writer: Writer,
+    ) -> (Vec<ExportRecord>, bool) {
         let raw = store.raw(id);
         let mut records: Vec<ExportRecord> = raw
             .sealed_chunks()
@@ -358,21 +633,98 @@ mod tests {
                 ExportRecord::chunk(id, &chunk::compress(&ts, &vals, 0))
             })
             .collect();
-        let tail = raw.len() - raw.compressed_len();
-        records.extend(
-            raw.last_n_view(tail)
-                .into_iter()
-                .map(|s| ExportRecord::Sample {
-                    id,
-                    t: s.t,
-                    value: s.value,
-                }),
-        );
-        records
+        let tail = raw.last_n_view(raw.len() - raw.compressed_len());
+        if tail.is_empty() {
+            return (records, false);
+        }
+        if writer == Writer::V04 {
+            let (ts, vals): (Vec<u64>, Vec<f64>) = tail.iter().map(|s| (s.t.0, s.value)).unzip();
+            records.push(ExportRecord::chunk(id, &chunk::compress(&ts, &vals, 0)));
+            return (records, true);
+        }
+        records.extend(tail.iter().map(|s| ExportRecord::Sample {
+            id,
+            t: s.t,
+            value: s.value,
+        }));
+        (records, false)
+    }
+
+    /// The `03` tier writer: starts delta-coded from the previous
+    /// bucket's, scalars as raw `f64` bits, sketch entries as
+    /// `sign u8 · zigzag(key) uv · count uv`.
+    fn write_tiers_03(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
+        let rings = store.tiers().set(id).map_or(&[][..], |set| set.rings());
+        put_u32(out, rings.len() as u32);
+        for ring in rings {
+            put_u64(out, ring.res().0);
+            put_uv(out, ring.len() as u64);
+            let mut prev_start = 0u64;
+            for b in ring.buckets() {
+                put_uv(out, b.start.0 - prev_start);
+                prev_start = b.start.0;
+                put_uv(out, b.count);
+                for v in [b.sum, b.min, b.max, b.last] {
+                    put_f64(out, v);
+                }
+                let sketch = b.sketch.as_ref();
+                put_uv(out, sketch.map_or(0, |s| s.entries()) as u64);
+                for e in sketch.into_iter().flat_map(|s| s.wire_entries()) {
+                    out.push(e.sign as u8);
+                    put_uv(out, zigzag(e.key as i64));
+                    put_uv(out, e.count);
+                }
+            }
+        }
+    }
+
+    /// An image of `agg` in `writer`'s layout, each raw section rendered
+    /// from `raw_records` and each metric's tiers written by `tiers`.
+    fn image_from(
+        agg: &FleetAggregator,
+        writer: Writer,
+        raw_records: impl Fn(&FleetStore, MetricId) -> (Vec<ExportRecord>, bool),
+        tiers: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_payload(agg, 3, &mut payload, |store, id, out| {
+            let (records, tail) = raw_records(store, id);
+            put_block(out, |out| match writer {
+                Writer::V04 => {
+                    out.push(u8::from(tail));
+                    encode_batch(&ExportBatch { seq: 0, records }, out);
+                }
+                Writer::V03 => encode_batch(&ExportBatch { seq: 0, records }, out),
+                Writer::V02 => {
+                    put_u64(out, 0);
+                    put_u32(out, records.len() as u32);
+                    for record in &records {
+                        encode_record(record, out);
+                    }
+                }
+            });
+            tiers(store, id, out);
+        });
+        let mut file = writer.magic().to_vec();
+        write_frame(&mut file, FRAME_SNAPSHOT, &payload).unwrap();
+        file
+    }
+
+    /// The image `writer` made of `agg`, from owned records.
+    fn reference_image(agg: &FleetAggregator, writer: Writer) -> Vec<u8> {
+        let records = |store: &FleetStore, id| raw_ring_records(store, id, writer);
+        image_from(agg, writer, records, writer.tiers())
+    }
+
+    fn encoded(agg: &FleetAggregator) -> Vec<u8> {
+        let mut image = Vec::new();
+        encode(agg, 3, &mut image);
+        image
     }
 
     /// A one-node aggregator whose 1000-sample raw ring has evicted
-    /// into its front chunk and holds an unsealed tail.
+    /// into its front chunk and holds an unsealed tail, with sketched
+    /// tiers.
     fn evicted_ring_fleet() -> FleetAggregator {
         let mut agg = FleetAggregator::with_store(FleetStore::with_raw_retention(1000));
         let node = agg.add_node("node00");
@@ -431,45 +783,30 @@ mod tests {
         agg
     }
 
-    /// A snapshot file of `agg` whose raw rings `raw_records` renders,
-    /// as this build writes it (`MODAFS03`, sample runs packed) or as
-    /// its predecessor did (`MODAFS02`, one wire record per record).
-    fn snapshot_file(
-        agg: &FleetAggregator,
-        magic: &[u8; 8],
-        raw_records: impl Fn(&FleetStore, MetricId) -> Vec<ExportRecord>,
-    ) -> Vec<u8> {
-        let mut payload = Vec::new();
-        encode_payload(agg, 3, &mut payload, |store, id, out| {
-            let records = raw_records(store, id);
-            if magic == SNAPSHOT_MAGIC {
-                encode_batch(&ExportBatch { seq: 0, records }, out);
-            } else {
-                put_u64(out, 0);
-                put_u32(out, records.len() as u32);
-                for record in &records {
-                    moda_telemetry::wire::encode_record(record, out);
-                }
-            }
-        });
-        let mut file = magic.to_vec();
-        write_frame(&mut file, FRAME_SNAPSHOT, &payload).unwrap();
-        file
-    }
-
-    fn snapshot_bytes(agg: &FleetAggregator) -> Vec<u8> {
-        snapshot_file(agg, SNAPSHOT_MAGIC, raw_ring_records)
+    /// One ring of 1500 fed sample by sample to an unsealed tail of
+    /// `tail` samples (1 to 512), its front chunk evicted into.
+    fn tail_fleet(tail: u64) -> FleetAggregator {
+        let mut store = FleetStore::with_raw_retention(1500);
+        let meta = MetricMeta::gauge("m", "u", SourceDomain::Hardware);
+        let id = store.register(NodeId(0), "node00", &meta);
+        for s in 0..1024 + tail {
+            assert!(store.push_sample(id, SimTime(s * 1000), (s % 13) as f64 * 0.5));
+        }
+        let raw = store.raw(id);
+        assert_eq!(raw.len() - raw.compressed_len(), tail as usize);
+        let mut agg = FleetAggregator::with_store(store);
+        agg.add_node("node00");
+        agg
     }
 
     #[test]
     fn the_image_is_the_magic_and_one_frame_as_write_frame_writes_it() {
         let agg = evicted_ring_fleet();
-        let mut image = Vec::new();
-        encode(&agg, 3, &mut image);
-        assert_eq!(image, snapshot_bytes(&agg));
+        let mut image = encoded(&agg);
+        assert_eq!(image, reference_image(&agg, Writer::V04));
         // And again into the same buffer: the image, not an appendix.
         encode(&agg, 3, &mut image);
-        assert_eq!(image, snapshot_bytes(&agg));
+        assert_eq!(image, reference_image(&agg, Writer::V04));
     }
 
     /// The streaming writer's image is the reference writer's, byte for
@@ -489,37 +826,38 @@ mod tests {
                 sealed_here_fleet(),
             ),
             ("adopted chunks, empty tail", chunks_only_fleet()),
+            ("a tail of one sample", tail_fleet(1)),
+            ("a tail of 511 samples", tail_fleet(511)),
+            ("a full tail", tail_fleet(512)),
             ("a node, no metrics", one_node),
             ("nothing", FleetAggregator::new()),
         ];
         for (shape, agg) in &fleets {
-            let mut image = Vec::new();
-            encode(agg, 3, &mut image);
-            assert_eq!(image, snapshot_bytes(agg), "{shape}");
+            let image = encoded(agg);
+            assert_eq!(image, reference_image(agg, Writer::V04), "{shape}");
             let (recovered, _) = decode(&image).unwrap();
-            let mut again = Vec::new();
-            encode(&recovered, 3, &mut again);
-            assert_eq!(again, image, "{shape}: a fixed point");
+            assert_eq!(encoded(&recovered), image, "{shape}: a fixed point");
         }
     }
 
     /// A raw section the CRC vouches for but the ring refuses — a
     /// chunk whose payload no longer ends where its header says, a tail
-    /// that runs back in time — is not loaded short: the image is
-    /// refused as `InvalidData`.
+    /// that runs back in time, a tail flag with no records — is not
+    /// loaded short: the image is refused as `InvalidData`.
     #[test]
     fn a_raw_section_that_does_not_restore_whole_refuses_the_image() {
         let agg = evicted_ring_fleet();
-        let damaged = |damage: fn(&mut Vec<ExportRecord>)| {
-            snapshot_file(&agg, SNAPSHOT_MAGIC, |store, id| {
-                let mut records = raw_ring_records(store, id);
-                damage(&mut records);
-                records
-            })
+        let damaged = |writer: Writer, damage: &dyn Fn(&mut Vec<ExportRecord>, &mut bool)| {
+            let records = |store: &FleetStore, id| {
+                let (mut records, mut tail) = raw_ring_records(store, id, writer);
+                damage(&mut records, &mut tail);
+                (records, tail)
+            };
+            image_from(&agg, writer, records, writer.tiers())
         };
         // The first timestamp code flipped from "same cadence" to a
         // wider bucket: the walk ends elsewhere, or nowhere.
-        let flipped = damaged(|records| {
+        let flipped = damaged(Writer::V04, &|records, _| {
             let Some(ExportRecord::Chunk {
                 first_t,
                 count,
@@ -534,76 +872,153 @@ mod tests {
             let walked = chunk::validate(first_t.0, *count, bytes);
             assert!(walked.is_err() || walked.unwrap().last_t != last_t.0);
         });
-        // Two tail samples swapped.
-        let backwards = damaged(|records| {
+        // The tail run moved ten minutes back, before the sealed chunks
+        // end.
+        let backwards = damaged(Writer::V04, &|records, tail| {
+            assert!(*tail);
+            let Some(ExportRecord::Chunk {
+                first_t,
+                count,
+                bytes,
+                ..
+            }) = records.pop()
+            else {
+                panic!("the tail last");
+            };
+            let (mut ts, mut vals) = (Vec::new(), Vec::new());
+            chunk::decode_exact(first_t.0, count, &bytes, &mut ts, &mut vals).unwrap();
+            ts.iter_mut().for_each(|t| *t -= 600_000);
+            records.push(ExportRecord::chunk(
+                MetricId(0),
+                &chunk::compress(&ts, &vals, 0),
+            ));
+        });
+        let flagged_empty = damaged(Writer::V04, &|records, tail| {
+            records.clear();
+            *tail = true;
+        });
+        // Two tail samples swapped, in an `03` image.
+        let swapped = damaged(Writer::V03, &|records, _| {
             let n = records.len();
             records.swap(n - 2, n - 1);
         });
-        for image in [flipped, backwards] {
+        for image in [flipped, backwards, flagged_empty, swapped] {
             let refused = decode(&image).map(|_| ()).unwrap_err();
             assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
         }
-        // The undamaged image loads.
-        assert!(decode(&damaged(|_| {})).is_ok());
+        // The undamaged images load.
+        for writer in [Writer::V04, Writer::V03] {
+            assert!(decode(&damaged(writer, &|_, _| {})).is_ok());
+        }
+    }
+
+    /// A tier section whose second bucket repeats the first's start —
+    /// in an `03` image, whose start delta of 0 expresses it, with a
+    /// valid CRC — used to load one bucket short: the second bucket's
+    /// scalars replaced the first's, its sketch reset, and the restored
+    /// counters hid it. Such an image is refused; the same image with
+    /// the next slot's start loads both buckets.
+    #[test]
+    fn a_repeated_bucket_start_refuses_the_image() {
+        let mut store = FleetStore::with_raw_retention(64);
+        let meta = MetricMeta::gauge("m", "u", SourceDomain::Hardware);
+        store.register(NodeId(0), "node00", &meta);
+        let mut agg = FleetAggregator::with_store(store);
+        agg.add_node("node00");
+        let image = |second_delta: u64| {
+            let tiers = move |_: &FleetStore, _: MetricId, out: &mut Vec<u8>| {
+                put_u32(out, 1); // one ring
+                put_u64(out, 10_000); // res
+                put_uv(out, 2); // two buckets
+                for (delta, v) in [(20_000, 1.5), (second_delta, 4.0)] {
+                    put_uv(out, delta);
+                    put_uv(out, 10); // count
+                    for _ in 0..4 {
+                        put_f64(out, v);
+                    }
+                    put_uv(out, 1); // one sketch entry
+                    out.push(1); // positive
+                    put_uv(out, zigzag(21));
+                    put_uv(out, 10);
+                }
+            };
+            let records = |store: &FleetStore, id| raw_ring_records(store, id, Writer::V03);
+            image_from(&agg, Writer::V03, records, tiers)
+        };
+        let (next_slot, _) = decode(&image(10_000)).unwrap();
+        let res = SimDuration(10_000);
+        let starts: Vec<u64> = next_slot
+            .store()
+            .buckets(MetricId(0), res)
+            .map(|b| b.start.0)
+            .collect();
+        assert_eq!(starts, [20_000, 30_000]);
+        let refused = decode(&image(0)).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
     }
 
     #[test]
-    fn raw_section_is_whole_chunks_plus_tail_and_a_fixed_point() {
+    fn raw_section_is_whole_chunks_plus_a_tail_run_and_a_fixed_point() {
         let agg = evicted_ring_fleet();
         let raw = agg.store().raw(MetricId(0));
-        let records = raw_ring_records(agg.store(), MetricId(0));
-        // Chunk records first — the front one re-encoded to its retained
-        // suffix — then exactly the unsealed tail as samples.
-        let chunks: Vec<u32> = records
+        let (records, tail) = raw_ring_records(agg.store(), MetricId(0), Writer::V04);
+        // Chunk records only — the front one re-encoded to its retained
+        // suffix — the last one exactly the unsealed tail.
+        let counts: Vec<u32> = records
             .iter()
-            .map_while(|r| match r {
-                ExportRecord::Chunk { count, .. } => Some(*count),
-                _ => None,
+            .map(|r| match r {
+                ExportRecord::Chunk { count, .. } => *count,
+                _ => panic!("chunk records only"),
             })
             .collect();
         let retained: Vec<u32> = raw
             .sealed_chunks()
             .map(|c| c.retained_len() as u32)
             .collect();
-        assert_eq!(chunks, retained);
-        let tail = &records[chunks.len()..];
-        assert_eq!(tail.len(), raw.len() - raw.compressed_len());
-        assert!(tail
-            .iter()
-            .all(|r| matches!(r, ExportRecord::Sample { .. })));
+        assert!(tail);
+        assert_eq!(counts[..retained.len()], retained);
+        assert_eq!(
+            counts[retained.len()..],
+            [(raw.len() - raw.compressed_len()) as u32]
+        );
         // snapshot → recover → snapshot reproduces the file byte for
-        // byte, and the recovered ring has the same chunk boundaries.
-        let first = snapshot_bytes(&agg);
+        // byte; the recovered ring has the same chunk boundaries and
+        // the same unsealed tail.
+        let first = encoded(&agg);
         let (recovered, ..) = decode(&first).unwrap();
-        assert_eq!(snapshot_bytes(&recovered), first);
-        let relinked: Vec<u32> = recovered
-            .store()
-            .raw(MetricId(0))
-            .sealed_chunks()
-            .map(|c| c.count())
-            .collect();
+        assert_eq!(encoded(&recovered), first);
+        let again = recovered.store().raw(MetricId(0));
+        let relinked: Vec<u32> = again.sealed_chunks().map(|c| c.count()).collect();
         assert_eq!(relinked, retained);
+        assert_eq!(again.compressed_len(), raw.compressed_len());
         let now = SimTime::from_secs(3001);
         assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
     }
 
+    /// An image from either previous writer — kept here as references —
+    /// loads to the fleet it was made of and is written back as `04`,
+    /// a fixed point from there on, and smaller.
     #[test]
-    fn an_02_snapshot_loads_and_is_written_back_as_03() {
+    fn an_03_or_02_image_loads_and_is_written_back_as_04() {
         let agg = evicted_ring_fleet();
-        let old = snapshot_file(&agg, SNAPSHOT_MAGIC_02, raw_ring_records);
-        let (recovered, epoch, ..) = decode(&old).unwrap();
-        assert_eq!(epoch, 3);
         let now = SimTime::from_secs(3001);
-        assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
-        // Written back out it is the `03` file of the same fleet — a
-        // fixed point from there on — and the packed tail made it smaller.
-        let new = snapshot_bytes(&recovered);
-        assert_eq!(&new[..8], SNAPSHOT_MAGIC);
-        assert_eq!(new, snapshot_bytes(&agg));
-        assert!(new.len() < old.len(), "{} vs {}", new.len(), old.len());
+        for writer in [Writer::V03, Writer::V02] {
+            let old = reference_image(&agg, writer);
+            let (recovered, epoch, ..) = decode(&old).unwrap();
+            assert_eq!(epoch, 3);
+            assert_eq!(
+                fingerprint(&recovered, 1, now),
+                fingerprint(&agg, 1, now),
+                "{writer:?}"
+            );
+            let new = encoded(&recovered);
+            assert_eq!(&new[..8], SNAPSHOT_MAGIC);
+            assert_eq!(new, encoded(&agg), "{writer:?}");
+            assert!(new.len() < old.len(), "{} vs {}", new.len(), old.len());
+        }
         // No other magic is a snapshot.
-        let mut future = new.clone();
-        future[7] = b'4';
+        let mut future = encoded(&agg);
+        future[7] = b'5';
         assert!(decode(&future).is_err());
     }
 
@@ -628,14 +1043,196 @@ mod tests {
             }
             let tail = raw.len() - raw.compressed_len();
             records.extend(raw.last_n_view(tail).iter().map(|s| sample(s.t.0, s.value)));
-            records
+            (records, false)
         };
         let agg = evicted_ring_fleet();
-        let old = snapshot_file(&agg, SNAPSHOT_MAGIC_02, per_sample_front);
+        let old = image_from(&agg, Writer::V02, per_sample_front, Writer::V02.tiers());
         let (recovered, ..) = decode(&old).unwrap();
         let now = SimTime::from_secs(3001);
         assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
         // Written back out, it is the current rendering of the same ring.
-        assert_eq!(snapshot_bytes(&recovered), snapshot_bytes(&agg));
+        assert_eq!(encoded(&recovered), encoded(&agg));
+    }
+
+    // ---- random fleets ---------------------------------------------------
+
+    /// A value off a palette of awkward bit patterns, or one near `prev`.
+    fn awkward(rng: &mut TestRng, prev: f64) -> f64 {
+        match rng.below(12) {
+            0 => f64::NAN,
+            1 => f64::from_bits(0x7ff8_0000_dead_beef),
+            2 => -0.0,
+            3 => 0.0,
+            4 => f64::from_bits(1 + rng.below(1 << 40)), // subnormal
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => f64::from_bits(rng.next_u64()),
+            _ if prev.is_finite() => prev + rng.below(9) as f64 * 0.25 - 1.0,
+            _ => 180.0,
+        }
+    }
+
+    /// Feed one raw ring: a few adopted chunk records (short ones land
+    /// in the tail), then samples one by one — none, or enough to leave
+    /// a tail of 1 or 511, or any number — at a jittered cadence with
+    /// repeated timestamps.
+    fn random_ring(store: &mut FleetStore, id: MetricId, rng: &mut TestRng) {
+        let (mut t, mut v) = (rng.below(1 << 30), 180.0);
+        let mut next = |rng: &mut TestRng| {
+            t += match rng.below(8) {
+                0 => 0,
+                1 => rng.below(5000),
+                _ => 1000,
+            };
+            v = awkward(rng, v);
+            (t, v)
+        };
+        for _ in 0..rng.below(4) {
+            let n = 1 + rng.below(700) as usize;
+            let (ts, vals): (Vec<u64>, Vec<f64>) = (0..n).map(|_| next(rng)).unzip();
+            let c = chunk::compress(&ts, &vals, 0);
+            let (first, last) = (SimTime(c.first_t()), SimTime(c.last_t()));
+            store.push_chunk(id, first, last, c.count(), c.bytes());
+        }
+        let pushes = match rng.below(4) {
+            0 => 0,
+            1 => 512 * rng.below(3) + 1,
+            2 => 512 * rng.below(3) + 511,
+            _ => rng.below(2000),
+        };
+        for _ in 0..pushes {
+            let (t, v) = next(rng);
+            assert!(store.push_sample(id, SimTime(t), v));
+        }
+    }
+
+    /// A sketch column: negative, zero-bucket and positive entries,
+    /// negative keys among them.
+    fn random_column(rng: &mut TestRng) -> Vec<SketchEntry> {
+        (0..rng.below(12))
+            .map(|_| {
+                let sign = rng.below(3) as i8 - 1;
+                let key = match sign {
+                    0 => 0,
+                    _ => rng.below(36_038) as i32 - 1037,
+                };
+                let count = 1 + rng.below(300);
+                SketchEntry { sign, key, count }
+            })
+            .collect()
+    }
+
+    /// Feed some of four tiers: buckets in the next slot, after a gap of
+    /// slots, or off the grid; scalars off the awkward palette; sketch
+    /// columns before or after their bucket, or alone.
+    fn random_tiers(store: &mut FleetStore, id: MetricId, rng: &mut TestRng) {
+        for res in [7, 10_000, 60_000, 3_600_000] {
+            if rng.below(2) == 0 {
+                continue;
+            }
+            let mut start = rng.below(1 << 30) / res * res;
+            let mut scalars = [0.0; 4];
+            for _ in 0..rng.below(40) {
+                start += match rng.below(6) {
+                    0 => res * (2 + rng.below(100)),
+                    1 => 1 + rng.below(2 * res),
+                    _ => res,
+                };
+                let (res, at) = (SimDuration(res), SimTime(start));
+                let count = rng.below(100);
+                for s in &mut scalars {
+                    *s = awkward(rng, *s);
+                }
+                let [sum, min, max, last] = scalars;
+                let column = if rng.below(3) > 0 {
+                    random_column(rng)
+                } else {
+                    Vec::new()
+                };
+                let bucket_first = rng.below(2) == 0;
+                if bucket_first && count > 0 {
+                    store.apply_bucket(id, res, at, count, sum, min, max, last);
+                }
+                for &e in &column {
+                    store.apply_sketch(id, res, at, e);
+                }
+                if !bucket_first && count > 0 {
+                    store.apply_bucket(id, res, at, count, sum, min, max, last);
+                }
+            }
+        }
+    }
+
+    /// Up to three nodes of up to three metrics each — or none — every
+    /// ring and tier fed at random.
+    fn random_fleet(rng: &mut TestRng) -> FleetAggregator {
+        let retention = [600, 1500, 4096][rng.below(3) as usize];
+        let mut store = FleetStore::with_raw_retention(retention);
+        let nodes = 1 + rng.below(3) as u32;
+        for node in 0..nodes {
+            for m in 0..rng.below(4) {
+                let meta = MetricMeta::gauge(format!("m{m}"), "u", SourceDomain::Hardware);
+                let id = store.register(NodeId(node), &format!("node{node:02}"), &meta);
+                random_ring(&mut store, id, rng);
+                random_tiers(&mut store, id, rng);
+            }
+        }
+        let mut agg = FleetAggregator::with_store(store);
+        for node in 0..nodes {
+            agg.add_node(&format!("node{node:02}"));
+        }
+        agg
+    }
+
+    /// Everything an image carries of `agg`, as comparable text: every
+    /// ring's chunk boundaries, tail length and samples (bits), every
+    /// bucket's fields (bits) and sketch, the store counters and the
+    /// sessions.
+    fn state(agg: &FleetAggregator) -> String {
+        let store = agg.store();
+        let mut out = format!("{:?}\n", store.stats());
+        for s in agg.sessions() {
+            out += &format!("{} {} {:?}\n", s.name, s.next_seq, s.counters);
+        }
+        for idx in 0..store.cardinality() {
+            let id = MetricId(idx as u32);
+            let raw = store.raw(id);
+            let chunks: Vec<usize> = raw.sealed_chunks().map(|c| c.retained_len()).collect();
+            let tail = raw.len() - raw.compressed_len();
+            let samples: Vec<(u64, u64)> = raw.iter().map(|s| (s.t.0, s.value.to_bits())).collect();
+            out += &format!("{idx}: {chunks:?} + {tail} {samples:?}\n");
+            for ring in store.tiers().set(id).map_or(&[][..], |set| set.rings()) {
+                for b in ring.buckets() {
+                    let bits = scalar_bits(b);
+                    let (res, start) = (ring.res().0, b.start.0);
+                    out += &format!("  {res} {start} {} {bits:?} {:?}\n", b.count, b.sketch);
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// encode → decode → encode is a byte fixed point, and decode
+        /// gives back every sample, bucket and counter bit for bit, over
+        /// random fleets: NaN, ±0, subnormal and infinite scalars and
+        /// samples; negative keys and zero buckets in sketches; tails of
+        /// 0, 1, 511 and any length; evicted fronts; empty rings; gaps
+        /// between bucket starts. The `03` writer's image of the same
+        /// fleet loads to it too.
+        #[test]
+        fn an_image_is_a_byte_fixed_point_over_random_fleets(seed in proptest::any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let agg = random_fleet(&mut rng);
+            let image = encoded(&agg);
+            let (recovered, epoch) = decode(&image).unwrap();
+            proptest::prop_assert_eq!(epoch, 3);
+            proptest::prop_assert_eq!(state(&recovered), state(&agg));
+            proptest::prop_assert!(encoded(&recovered) == image, "not a fixed point");
+            let (old, _) = decode(&reference_image(&agg, Writer::V03)).unwrap();
+            proptest::prop_assert_eq!(state(&old), state(&agg));
+        }
     }
 }

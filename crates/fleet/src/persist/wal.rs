@@ -421,7 +421,7 @@ mod tests {
     fn a_tee_that_fails_poisons_both_logs() {
         let path = std::env::temp_dir().join(format!("moda_wal_tee_{}.log", std::process::id()));
         let live = std::fs::File::create(&path).unwrap();
-        let mut wal = Wal::new(std::io::BufWriter::new(live));
+        let mut wal = Wal::new(super::super::dir::log_writer(live));
         wal.append(Entry::Node("node00")).unwrap();
         wal.commit().unwrap();
         wal.tee(full_disk_log());

@@ -244,7 +244,7 @@ impl FleetStore {
         count: u32,
         bytes: &[u8],
     ) -> ChunkOutcome {
-        self.absorb_chunk(id, first_t, last_t, count, bytes, MIN_ADOPT)
+        self.absorb_chunk(id, first_t, last_t, count, bytes, Some(MIN_ADOPT))
     }
 
     /// [`FleetStore::push_chunk`] for a snapshot's raw section: the
@@ -259,9 +259,28 @@ impl FleetStore {
         count: u32,
         bytes: &[u8],
     ) -> ChunkOutcome {
-        self.absorb_chunk(id, first_t, last_t, count, bytes, 1)
+        self.absorb_chunk(id, first_t, last_t, count, bytes, Some(1))
     }
 
+    /// A snapshot's unsealed tail, carried as one Gorilla run: validated
+    /// like any chunk record, then decoded and pushed sample by sample
+    /// (the decode-and-push branch of [`FleetStore::push_chunk`]) and
+    /// never linked as a chunk, so the restored ring ends in the tail the
+    /// snapshotted one had.
+    pub(crate) fn restore_tail(
+        &mut self,
+        id: MetricId,
+        first_t: SimTime,
+        last_t: SimTime,
+        count: u32,
+        bytes: &[u8],
+    ) -> ChunkOutcome {
+        self.absorb_chunk(id, first_t, last_t, count, bytes, None)
+    }
+
+    /// Validate a chunk record and link it when it holds at least
+    /// `min_adopt` samples (never, for `None`); otherwise decode it into
+    /// the ring's tail.
     fn absorb_chunk(
         &mut self,
         id: MetricId,
@@ -269,7 +288,7 @@ impl FleetStore {
         last_t: SimTime,
         count: u32,
         bytes: &[u8],
-        min_adopt: u32,
+        min_adopt: Option<u32>,
     ) -> ChunkOutcome {
         let block = match chunk::validate(first_t.0, count, bytes) {
             Ok(block) if block.last_t == last_t.0 => block,
@@ -280,7 +299,8 @@ impl FleetStore {
         };
         let series = &mut self.raw[id.index()];
         let total = u64::from(count);
-        let accepted = if count >= min_adopt && series.adopt_chunk(&block) {
+        let adopt = min_adopt.is_some_and(|min| count >= min);
+        let accepted = if adopt && series.adopt_chunk(&block) {
             total
         } else {
             chunk::Decoder::new(first_t.0, count, bytes)

@@ -10,6 +10,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Bytes a session takes off its socket per `read`: what one receive
+/// burst ([`Session::receive`]) holds at most, and so what the log's
+/// write buffer is sized from.
+pub(crate) const RECV_BUF: usize = 64 * 1024;
+
 /// What one listener and all of its sessions share.
 #[derive(Debug)]
 pub(super) struct Shared {
@@ -143,7 +148,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         .ok();
     let mut out = BufWriter::new(stream.try_clone()?);
     let mut session = Session::default();
-    let mut tmp = [0u8; 64 * 1024];
+    let mut tmp = [0u8; RECV_BUF];
     let served = (|| loop {
         out.flush()?;
         match stream.read(&mut tmp) {

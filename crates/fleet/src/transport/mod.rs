@@ -78,6 +78,7 @@ mod sink;
 pub use chaos::{ChaosConfig, ChaosSink, ChaosStats};
 pub use client::FleetClient;
 pub use listener::FleetListener;
+pub(crate) use listener::RECV_BUF;
 pub use sink::SocketSink;
 
 use std::time::Duration;

@@ -3,8 +3,9 @@
 //! one of 128 — each raw ring at retention with its front chunk partly
 //! evicted and an unsealed tail, some of them sketched. The raw
 //! sections are written straight from the rings (no owned record, no
-//! re-compressed chunk, no copied payload) and the tier section walks
-//! rings, buckets and sketch entries where they lie; what is left is
+//! re-compressed chunk, no copied payload; each tail one Gorilla run
+//! off its slices, no chunk built) and the tier section codes rings,
+//! buckets and sketch entries where they lie; what is left is
 //! the cut's and the write's constant share (the next log, the file
 //! names). Its own test binary, because the counting
 //! `#[global_allocator]` is process-wide.

@@ -40,9 +40,10 @@
 //! private `step` reads it. Every reader — [`decode_exact`],
 //! [`validate`], [`Chunk::scan_from`], the streaming [`Decoder`] — is
 //! that `step` under a different sink, so they accept exactly the same
-//! payloads; both writers — [`compress`] and [`Chunk::write_retained`],
-//! which re-codes an evicted chunk's suffix only as far as it must —
-//! are that `encode`.
+//! payloads; every writer — [`compress`], [`write_run`], which writes
+//! the same payload with no chunk around it, and
+//! [`Chunk::write_retained`], which re-codes an evicted chunk's suffix
+//! only as far as it must — is that `encode`.
 //!
 //! A chunk sealed here also carries **restart points**: the decoder
 //! state after every `RESTART_STRIDE`-th sample, kept beside the
@@ -635,6 +636,25 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
         bytes: w.finish().into_boxed_slice(),
         restarts: restarts.into_boxed_slice(),
     }
+}
+
+/// Append to `out` the payload [`compress`] writes for a region — the
+/// same bits, with no [`Chunk`] around them and no restart table — and
+/// return its first timestamp. What a snapshot writes a ring's unsealed
+/// tail with: straight into the image, allocating nothing `out` does
+/// not grow by. `ts` must be non-empty, non-decreasing, and parallel to
+/// `vals`.
+pub fn write_run(ts: &[u64], vals: &[f64], out: &mut Vec<u8>) -> u64 {
+    assert!(!ts.is_empty(), "cannot write an empty run");
+    assert_eq!(ts.len(), vals.len());
+    let mut w = BitWriter::onto(std::mem::take(out));
+    w.write_bits(vals[0].to_bits(), 64);
+    let mut s = State::at(ts[0], vals[0].to_bits());
+    for (&t, v) in ts[1..].iter().zip(&vals[1..]) {
+        encode(&mut w, &mut s, t, v.to_bits());
+    }
+    *out = w.finish();
+    ts[0]
 }
 
 /// Code one sample against `s` and advance `s` past it — the write side
@@ -1415,6 +1435,10 @@ mod tests {
             let (ts, vals) = arbitrary_samples(&mut rng, n);
             let c = compress(&ts, &vals, 0);
             proptest::prop_assert_eq!(c.bytes(), &ref_encode(&ts, &vals)[..]);
+            // The bare run writer: the same bytes, after what `out` held.
+            let mut run = vec![0xA5];
+            proptest::prop_assert_eq!(write_run(&ts, &vals, &mut run), ts[0]);
+            proptest::prop_assert_eq!((run[0], &run[1..]), (0xA5, c.bytes()));
             let table = &c.restarts;
             check_readers(c.first_t(), c.count(), c.bytes(), skip, table);
 

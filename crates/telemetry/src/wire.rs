@@ -14,11 +14,11 @@
 //!   batch codec — not the record model — packs every maximal run of
 //!   consecutive [`ExportRecord::Sample`] into one `samples` record
 //!   (about one byte plus the value's significant bytes per sample)
-//!   and expands it back on decode, so the socket, the log and the
-//!   snapshot's unsealed tails all shrink through one writer,
-//!   [`BatchWriter`], and no caller sees a new record shape:
-//!   [`encode_batch`] renders owned records through it, and a snapshot
-//!   writes its raw sections through it straight from the ring.
+//!   and expands it back on decode, so the socket and the log both
+//!   shrink through one writer, [`BatchWriter`], and no caller sees a
+//!   new record shape: [`encode_batch`] renders owned records through
+//!   it, and a snapshot writes its raw sections through it straight
+//!   from the ring (as `chunk` records, its unsealed tail included).
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -845,10 +845,23 @@ impl<'a> SampleRun<'a> {
         if value_bytes > 8 {
             return Err(bad_data("reserved sample value length"));
         }
-        let mut be = [0u8; 8];
-        be[..value_bytes].copy_from_slice(self.r.take(value_bytes)?);
-        let value = f64::from_bits(u64::from_be_bytes(be));
-        Ok((MetricId(self.id), SimTime(self.t), value))
+        // One eight-byte load, the bytes past the value masked off — the
+        // mirror of the writer's fixed-width copy. Only a value ending
+        // within the payload's last eight bytes takes the short copy.
+        let r = &mut self.r;
+        let bits = match r.buf.get(r.pos..r.pos + 8) {
+            Some(word) => {
+                r.pos += value_bytes;
+                let kept = !u64::MAX.checked_shr(8 * value_bytes as u32).unwrap_or(0);
+                u64::from_be_bytes(word.try_into().expect("eight bytes")) & kept
+            }
+            None => {
+                let mut be = [0u8; 8];
+                be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
+                u64::from_be_bytes(be)
+            }
+        };
+        Ok((MetricId(self.id), SimTime(self.t), f64::from_bits(bits)))
     }
 
     /// Walk a copy of the run to its end: every sample well-formed and
@@ -1003,9 +1016,9 @@ impl<'a> Iterator for Records<'a> {
 /// A batch written where it will lie, one wire record at a time:
 /// `[seq u64 LE][record count u32 LE][records…]`, the count kept current
 /// as records are added. The one writer of the batch grammar —
-/// [`encode_batch`] renders an [`ExportBatch`] through it, and a writer
-/// holding no owned records (a snapshot's raw sections) writes chunk
-/// payloads and sample runs straight off what holds them.
+/// [`encode_batch`] renders an [`ExportBatch`] through it, packing its
+/// sample runs, and a writer holding no owned records (a snapshot's raw
+/// sections) writes chunk payloads straight off what holds them.
 #[derive(Debug)]
 pub struct BatchWriter<'a> {
     out: &'a mut Vec<u8>,
@@ -1040,7 +1053,7 @@ impl<'a> BatchWriter<'a> {
 
     /// Append `run` — what a [`SampleRun`] yields back — as one
     /// `samples` record.
-    pub fn samples(&mut self, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
+    fn samples(&mut self, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
         put_samples(self.out, run);
         self.counted();
     }
@@ -1729,6 +1742,50 @@ mod tests {
                 assert_eq!((id.0, t.0, value.to_bits()), (0, 0, (-0.0f64).to_bits()));
             }
             _ => panic!("sample expected"),
+        }
+    }
+
+    proptest::proptest! {
+        /// A value of every width, 0 through 8 significant bytes, decodes
+        /// to the bits it was written from, whether the eight-byte load
+        /// fits in what is left of the payload or not: the run's last
+        /// value ends on the payload's last byte, so unless it is eight
+        /// bytes wide its decode takes the short copy.
+        #[test]
+        fn sample_values_of_every_width_decode_bit_exactly(
+            seed in proptest::any::<u64>(),
+            n in 1usize..40,
+            last_width in 0u32..9,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let records: Vec<ExportRecord> = (0..n)
+                .map(|i| {
+                    let width = if i + 1 == n { last_width } else { rng.below(9) as u32 };
+                    // Exactly `width` bytes survive the writer's trim.
+                    let bits = match width {
+                        0 => 0,
+                        w => {
+                            let low = 8 * (8 - w);
+                            (rng.next_u64() >> low << low) | 1 << low
+                        }
+                    };
+                    let t = rng.below(3) * 1000;
+                    sample(rng.below(3) as u32, t, f64::from_bits(bits))
+                })
+                .collect();
+            let mut buf = Vec::new();
+            encode_batch(&ExportBatch { seq: 0, records: records.clone() }, &mut buf);
+            let back = decode_batch(&buf).unwrap().0.records;
+            let bits = |records: &[ExportRecord]| -> Vec<(u32, u64, u64)> {
+                records
+                    .iter()
+                    .map(|r| match *r {
+                        ExportRecord::Sample { id, t, value } => (id.0, t.0, value.to_bits()),
+                        _ => panic!("samples only"),
+                    })
+                    .collect()
+            };
+            proptest::prop_assert_eq!(bits(&back), bits(&records));
         }
     }
 

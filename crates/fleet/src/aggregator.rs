@@ -36,7 +36,7 @@
 //! duplicate/gap/orphan counters.
 
 use crate::store::{ChunkOutcome, FleetStore, NodeId};
-use moda_obs::{Counter, LatencyRecorder, Obs};
+use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
 use moda_telemetry::wire::{put_u64, BatchView, RecordRef, WireReader};
@@ -212,20 +212,6 @@ pub struct HealthTransition {
     pub to: NodeLiveness,
 }
 
-/// Lifetime counters over observed liveness transitions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthTransitionStats {
-    /// All transitions observed (sum of the buckets below).
-    pub transitions: u64,
-    /// Degradations into [`NodeLiveness::Stale`].
-    pub to_stale: u64,
-    /// Degradations into [`NodeLiveness::Silent`] (a node going dark
-    /// under a [`HealthPolicy::silent_after`] bound).
-    pub to_silent: u64,
-    /// Recoveries back to [`NodeLiveness::Live`].
-    pub recovered: u64,
-}
-
 /// Fleet-level health rollup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetHealth {
@@ -268,38 +254,13 @@ pub struct FleetAggregator {
     last_liveness: Vec<Option<NodeLiveness>>,
     /// Bounded ring of observed transitions, oldest first.
     health_events: std::collections::VecDeque<HealthTransition>,
-    transition_stats: HealthTransitionStats,
-    /// Self-telemetry handle (disabled by default) and the ingest
-    /// instruments pre-resolved against it by
-    /// [`FleetAggregator::set_obs`].
+    /// Records of a kind this reader does not know, length-skipped by
+    /// the batch decoder ([`FleetAggregator::unknown_records`]).
+    unknown_records: u64,
+    /// Self-telemetry handle (disabled by default).
     obs: Obs,
-    obs_ingest: IngestObs,
-}
-
-/// Pre-resolved `fleet.ingest.*` instruments — resolved once in
-/// [`FleetAggregator::set_obs`] so the hot ingest path never touches
-/// the registry's name map. All inert on a disabled handle.
-#[derive(Debug, Default, Clone)]
-struct IngestObs {
-    /// `fleet.ingest.batches` — applied batches.
-    batches: Counter,
-    /// `fleet.ingest.duplicate_batches` — replays rejected whole.
-    duplicates: Counter,
-    /// `fleet.ingest.records` — records applied from accepted batches.
-    records: Counter,
-    /// `fleet.ingest.samples` — raw samples absorbed into the store.
-    samples: Counter,
-    /// `fleet.ingest.rejected_samples` — bounced off the monotonic guard.
-    rejected: Counter,
-    /// `fleet.ingest.sessions` — node sessions ever opened.
-    sessions: Counter,
-    /// `fleet.ingest.unknown_records` — records of a kind this reader
-    /// does not know, length-skipped by the batch decoder. A newer
-    /// writer's additive kinds may carry *data* (the packed `samples`
-    /// kind does), so a non-zero reading means observations were
-    /// dropped here: upgrade this tier.
-    unknown_records: Counter,
-    /// `fleet.ingest_ns` — wall time of one [`FleetAggregator::ingest`].
+    /// `fleet.ingest_ns` — wall time of one [`FleetAggregator::ingest`],
+    /// resolved against `obs` by [`FleetAggregator::set_obs`].
     ingest_ns: LatencyRecorder,
 }
 
@@ -339,7 +300,6 @@ impl FleetAggregator {
             ever_ingested: false,
             drain: DrainStats::default(),
         });
-        self.obs_ingest.sessions.add(1);
         id
     }
 
@@ -358,20 +318,11 @@ impl FleetAggregator {
         &self.store
     }
 
-    /// Attach a self-telemetry handle. Resolves every `fleet.ingest.*`
-    /// instrument once, up front — the ingest hot path then works on
-    /// pre-resolved atomics (or inert no-ops when `obs` is disabled).
+    /// Attach a self-telemetry handle. Resolves the `fleet.ingest_ns`
+    /// span once, up front (inert when `obs` is disabled). The ingest
+    /// counts are the sessions' own and count regardless.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs_ingest = IngestObs {
-            batches: obs.counter("fleet.ingest.batches"),
-            duplicates: obs.counter("fleet.ingest.duplicate_batches"),
-            records: obs.counter("fleet.ingest.records"),
-            samples: obs.counter("fleet.ingest.samples"),
-            rejected: obs.counter("fleet.ingest.rejected_samples"),
-            sessions: obs.counter("fleet.ingest.sessions"),
-            unknown_records: obs.counter("fleet.ingest.unknown_records"),
-            ingest_ns: obs.latency("fleet.ingest_ns"),
-        };
+        self.ingest_ns = obs.latency("fleet.ingest_ns");
         self.obs = obs;
     }
 
@@ -381,12 +332,15 @@ impl FleetAggregator {
         &self.obs
     }
 
-    /// Count records skipped for a kind tag this reader does not know
-    /// (`fleet.ingest.unknown_records`).
-    pub(crate) fn note_unknown_records(&self, skipped: u64) {
-        if skipped > 0 {
-            self.obs_ingest.unknown_records.add(skipped);
-        }
+    /// Records skipped for a kind this reader does not know, by
+    /// [`FleetAggregator::ingest_view`] — in listener sessions and in log
+    /// replay alike. A newer writer's additive kinds may carry *data*
+    /// (the packed `samples` kind does), so non-zero means observations
+    /// were dropped here: upgrade this tier. Counted since this
+    /// aggregator was built; the snapshot image does not carry it, so a
+    /// recovered one counts from its replayed log tail on.
+    pub fn unknown_records(&self) -> u64 {
+        self.unknown_records
     }
 
     /// Session list, for snapshot/restore.
@@ -450,9 +404,9 @@ impl FleetAggregator {
     /// [`FleetAggregator::ingest`] straight off a received batch's
     /// bytes: no owned record is built between the socket (or the log,
     /// at replay) and the store. Records of a kind this reader does not
-    /// know are counted in `fleet.ingest.unknown_records`.
+    /// know are counted in [`FleetAggregator::unknown_records`].
     pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
-        self.note_unknown_records(view.unknown_records());
+        self.unknown_records += view.unknown_records();
         self.apply(node, view.seq(), view.records())
     }
 
@@ -464,14 +418,12 @@ impl FleetAggregator {
         seq: u64,
         records: impl Iterator<Item = RecordRef<'a>>,
     ) -> IngestReport {
-        let _span = self.obs_ingest.ingest_ns.start();
+        let _span = self.ingest_ns.start();
         let session = &mut self.sessions[node.index()];
-        let (samples0, rejected0) = (session.counters.samples, session.counters.rejected_samples);
         let mut report = IngestReport::default();
         if seq < session.next_seq {
             session.counters.duplicate_batches += 1;
             report.duplicate = true;
-            self.obs_ingest.duplicates.add(1);
             return report;
         }
         if seq > session.next_seq {
@@ -590,14 +542,6 @@ impl FleetAggregator {
                 }
             }
         }
-        self.obs_ingest.batches.add(1);
-        self.obs_ingest.records.add(report.records);
-        self.obs_ingest
-            .samples
-            .add(session.counters.samples - samples0);
-        self.obs_ingest
-            .rejected
-            .add(session.counters.rejected_samples - rejected0);
         report
     }
 
@@ -656,11 +600,10 @@ impl FleetAggregator {
 
     /// [`FleetAggregator::health_with`] plus **transition tracking**:
     /// every node whose classification changed since the previous
-    /// tracked pass emits a [`HealthTransition`] event and bumps the
-    /// lifetime [`HealthTransitionStats`] — so live→stale→silent walks
-    /// (and recoveries) surface as counters and an event feed instead
-    /// of being observable only by diffing polls. The first tracked
-    /// pass baselines without emitting.
+    /// tracked pass emits a [`HealthTransition`] event — so
+    /// live→stale→silent walks (and recoveries) surface as an event
+    /// feed instead of being observable only by diffing polls. The
+    /// first tracked pass baselines without emitting.
     pub fn track_health(&mut self, now: SimTime, policy: HealthPolicy) -> FleetHealth {
         let h = self.health_with(now, policy);
         if self.last_liveness.len() < h.nodes.len() {
@@ -670,12 +613,6 @@ impl FleetAggregator {
             let slot = &mut self.last_liveness[n.node.index()];
             match *slot {
                 Some(prev) if prev != n.liveness => {
-                    self.transition_stats.transitions += 1;
-                    match n.liveness {
-                        NodeLiveness::Live => self.transition_stats.recovered += 1,
-                        NodeLiveness::Stale => self.transition_stats.to_stale += 1,
-                        NodeLiveness::Silent => self.transition_stats.to_silent += 1,
-                    }
                     if self.health_events.len() == HEALTH_EVENT_CAPACITY {
                         self.health_events.pop_front();
                     }
@@ -702,11 +639,6 @@ impl FleetAggregator {
     /// audit log without re-reporting on the next pass).
     pub fn take_health_events(&mut self) -> Vec<HealthTransition> {
         self.health_events.drain(..).collect()
-    }
-
-    /// Lifetime transition counters.
-    pub fn health_transition_stats(&self) -> HealthTransitionStats {
-        self.transition_stats
     }
 }
 
@@ -1108,7 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn track_health_emits_transitions_and_counters() {
+    fn track_health_emits_transitions() {
         let mut agg = FleetAggregator::new();
         let n = agg.add_node("node00");
         let policy = HealthPolicy {
@@ -1119,22 +1051,16 @@ mod tests {
         let h = agg.track_health(SimTime::from_secs(0), policy);
         assert_eq!(h.silent, 1);
         assert_eq!(agg.health_events().count(), 0);
-        assert_eq!(agg.health_transition_stats().transitions, 0);
         // Data arrives → silent→live recovery.
         for b in batches_of(&node_db(100, 0.0), 1024) {
             agg.ingest(n, &b);
         }
         agg.track_health(SimTime::from_secs(100), policy);
-        let stats = agg.health_transition_stats();
-        assert_eq!((stats.transitions, stats.recovered), (1, 1));
+        assert_eq!(agg.health_events().count(), 1);
         // The clock runs ahead → live→stale, then past the silent
         // bound → stale→silent: the full ladder down.
         agg.track_health(SimTime::from_secs(300), policy);
         agg.track_health(SimTime::from_secs(800), policy);
-        let stats = agg.health_transition_stats();
-        assert_eq!(stats.transitions, 3);
-        assert_eq!(stats.to_stale, 1);
-        assert_eq!(stats.to_silent, 1);
         let walk: Vec<(NodeLiveness, NodeLiveness)> =
             agg.health_events().map(|e| (e.from, e.to)).collect();
         assert_eq!(
@@ -1147,7 +1073,7 @@ mod tests {
         );
         // Unchanged classification emits nothing.
         agg.track_health(SimTime::from_secs(900), policy);
-        assert_eq!(agg.health_transition_stats().transitions, 3);
+        assert_eq!(agg.health_events().count(), 3);
         // Draining hands the events over exactly once.
         assert_eq!(agg.take_health_events().len(), 3);
         assert_eq!(agg.health_events().count(), 0);

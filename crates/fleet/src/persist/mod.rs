@@ -140,8 +140,8 @@ pub struct RecoveryStats {
     pub corrupt_frames: u64,
     /// Records in replayed batches whose kind this reader does not know
     /// (a log written by a newer build): length-skipped, so whatever
-    /// they carried is not in the recovered state. Folded into
-    /// `fleet.ingest.unknown_records` by [`DurableFleet::set_obs`].
+    /// they carried is not in the recovered state. Replay counts them in
+    /// [`FleetAggregator::unknown_records`] too, like any ingest.
     pub unknown_records: u64,
 }
 
@@ -440,15 +440,14 @@ impl DurableFleet {
 
     /// Attach a self-telemetry handle: resolves the durability
     /// instruments (`wal.*`, `snapshot.*_ns`) and hands the handle
-    /// down to the aggregator's ingest instruments. Observation state
-    /// is process-local — it is *not* persisted or recovered.
+    /// down to the aggregator's ingest span. Registry state is
+    /// process-local — it is *not* persisted or recovered; the counts
+    /// the fleet keeps itself do not depend on it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.wal.set_obs(&obs);
         self.snapshot_ns = obs.latency("snapshot.write_ns");
         self.cut_ns = obs.latency("snapshot.cut_ns");
         self.agg.set_obs(obs);
-        // Replay ran before any handle could be attached.
-        self.agg.note_unknown_records(self.recovery.unknown_records);
     }
 
     /// The attached self-telemetry handle (disabled unless
@@ -871,11 +870,17 @@ mod tests {
         let rec = *recovered.recovery();
         assert_eq!((rec.replayed_batches, rec.unknown_records), (1, 1));
         assert_eq!(rec.corrupt_frames, 0);
-        // Replay ran before a registry could be attached; attaching one
-        // surfaces what it skipped.
+        assert_eq!(recovered.aggregator().unknown_records(), 1);
+        // The count has one home: attaching the same registry twice —
+        // `set_obs`, then the scraper's own — reads it once, not twice.
         let obs = Obs::enabled();
         recovered.set_obs(obs.clone());
-        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(1));
+        let mut scraper = crate::SelfScraper::attach(&mut recovered, obs.clone()).unwrap();
+        scraper.tick(&mut recovered, SimTime::from_secs(1)).unwrap();
+        let db = scraper.db();
+        let id = db.lookup("__self/fleet.ingest.unknown_records").unwrap();
+        assert_eq!(db.latest_value(id), Some(1.0));
+        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -109,8 +109,8 @@ impl<'a> Entry<'a> {
             }
             Entry::Batch(node, batch) => {
                 // Validated and applied where the log sits in memory.
-                // Replay runs before a registry can be attached, so
-                // what the view skips is kept for `set_obs` to fold in.
+                // What the view skips the aggregator counts; recovery
+                // reports it as well.
                 let view = BatchView::parse(batch)?;
                 let report = agg.ingest_view(node, &view);
                 stats.unknown_records += view.unknown_records();

@@ -6,6 +6,8 @@
 //!
 //! 1. **scrapes** the service's [`Obs`] registry into the private store
 //!    (reserved `__self/` series, sketched rollups on latency series),
+//!    together with the counts the fleet keeps itself, read where they
+//!    live (see [`SelfScraper::tick`]),
 //! 2. **drains** the store through the stock exporter into in-memory
 //!    wire batches — the same format v1.2 every node exporter ships,
 //! 3. **ingests** those batches into the [`DurableFleet`] under a
@@ -24,12 +26,14 @@
 //! and surface in the *next* scrape. That lag is inherent (and
 //! harmless: counters are cumulative, latency samples are batched).
 
+use crate::aggregator::{FleetAggregator, NodeCounters};
 use crate::persist::DurableFleet;
 use crate::store::NodeId;
-use moda_obs::{LatencyRecorder, Obs, ScrapeStats};
+use moda_obs::scrape::write_reading;
+use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::SimTime;
 use moda_telemetry::export::MemorySink;
-use moda_telemetry::{DrainStats, Exporter, Tsdb};
+use moda_telemetry::{DrainStats, Exporter, MetricKind, Tsdb};
 use std::io;
 
 /// Default session name for the scraper's service node.
@@ -38,8 +42,9 @@ pub const SELF_NODE: &str = "__svc";
 /// Accounting for one [`SelfScraper::tick`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SelfScrapeTick {
-    /// What the registry scrape wrote into the private store.
-    pub scrape: ScrapeStats,
+    /// Samples the scrape wrote into the private store: the registry's
+    /// and the fleet's own counts alike.
+    pub samples: usize,
     /// Wire batches shipped into the fleet this tick.
     pub batches: usize,
     /// Records the fleet applied from those batches.
@@ -84,18 +89,29 @@ impl SelfScraper {
         })
     }
 
-    /// One pass of the loop: scrape the registry at timestamp `t`,
-    /// drain the delta as wire batches, ingest them into the fleet.
+    /// One pass of the loop: scrape the registry and the fleet's own
+    /// counts at timestamp `t`, drain the delta as wire batches, ingest
+    /// them into the fleet.
+    ///
+    /// The counts with a home outside the registry are read here, as
+    /// they stand, and written as `__self/` counters: `fleet.ingest.*`
+    /// from the fleet's sessions, `export.*` from this scraper's
+    /// exporter. Those start with its second tick, after its first
+    /// drain; `export.max_lock_held_ns` is a gauge. A disabled handle
+    /// writes none of them.
     pub fn tick(&mut self, fleet: &mut DurableFleet, t: SimTime) -> io::Result<SelfScrapeTick> {
-        let scrape = self.obs.scrape_into(&mut self.db, t);
+        let mut samples = self.obs.scrape_into(&mut self.db, t);
+        if self.obs.is_enabled() {
+            let drained = (self.ticks > 0).then(|| self.exporter.totals());
+            samples += write_readings(&mut self.db, fleet.aggregator(), drained, t);
+        }
         let mut sink = MemorySink::new();
-        let drain = {
+        {
             let _span = self.drain_ns.start();
-            self.exporter.drain(&self.db, &mut sink)?
-        };
-        record_drain(&self.obs, &drain);
+            self.exporter.drain(&self.db, &mut sink)?;
+        }
         let mut out = SelfScrapeTick {
-            scrape,
+            samples,
             batches: sink.batches.len(),
             records: 0,
         };
@@ -127,32 +143,52 @@ impl SelfScraper {
     }
 }
 
-/// Fold one drain's [`DrainStats`] (the per-call delta returned by
-/// `Exporter::drain`, not lifetime totals) into the registry's
-/// `export.*` instruments, so the self-exporter's own drain accounting
-/// is served as `__self/export.*` like every other instrument. No-op on
-/// a disabled handle.
-fn record_drain(obs: &Obs, stats: &DrainStats) {
-    if !obs.is_enabled() {
-        return;
+/// Write the counts `agg` and the exporter keep themselves into `db`
+/// at `t`: the `fleet.ingest.*` sums over every session, and the
+/// exporter's lifetime totals when there are any. Returns the samples
+/// stored.
+fn write_readings(
+    db: &mut Tsdb,
+    agg: &FleetAggregator,
+    drained: Option<DrainStats>,
+    t: SimTime,
+) -> usize {
+    let mut all = NodeCounters::default();
+    for c in agg.sessions().iter().map(|s| &s.counters) {
+        all.batches += c.batches;
+        all.duplicate_batches += c.duplicate_batches;
+        all.records += c.records;
+        all.samples += c.samples;
+        all.rejected_samples += c.rejected_samples;
     }
-    for (name, delta) in [
-        ("export.batches", stats.batches),
-        ("export.records", stats.records),
-        ("export.samples", stats.samples),
-        ("export.chunks", stats.chunks),
-        ("export.buckets", stats.buckets),
-        ("export.sketch_entries", stats.sketch_entries),
-        ("export.metas", stats.metas),
-        ("export.missed_samples", stats.missed_samples),
-        ("export.missed_buckets", stats.missed_buckets),
-        ("export.lock_held_ns", stats.lock_held_ns),
-        ("export.send_retries", stats.send_retries),
-    ] {
-        obs.counter(name).add(delta);
+    let mut samples = 0;
+    let mut write = |name, kind, v: u64| {
+        samples += usize::from(write_reading(db, name, kind, v as f64, t));
+    };
+    let mut count = |name, v| write(name, MetricKind::Counter, v);
+    count("fleet.ingest.batches", all.batches);
+    count("fleet.ingest.duplicate_batches", all.duplicate_batches);
+    count("fleet.ingest.records", all.records);
+    count("fleet.ingest.samples", all.samples);
+    count("fleet.ingest.rejected_samples", all.rejected_samples);
+    count("fleet.ingest.sessions", agg.node_count() as u64);
+    count("fleet.ingest.unknown_records", agg.unknown_records());
+    if let Some(d) = drained {
+        count("export.batches", d.batches);
+        count("export.records", d.records);
+        count("export.samples", d.samples);
+        count("export.chunks", d.chunks);
+        count("export.buckets", d.buckets);
+        count("export.sketch_entries", d.sketch_entries);
+        count("export.metas", d.metas);
+        count("export.missed_samples", d.missed_samples);
+        count("export.missed_buckets", d.missed_buckets);
+        count("export.lock_held_ns", d.lock_held_ns);
+        count("export.send_retries", d.send_retries);
+        let max = d.max_lock_held_ns;
+        write("export.max_lock_held_ns", MetricKind::Gauge, max);
     }
-    obs.gauge("export.max_lock_held_ns")
-        .set_max(stats.max_lock_held_ns as f64);
+    samples
 }
 
 #[cfg(test)]
@@ -171,63 +207,16 @@ mod tests {
     }
 
     #[test]
-    fn record_drain_accumulates_into_the_export_instruments() {
-        let stats = |scale: u64| DrainStats {
-            batches: scale,
-            records: 10 * scale,
-            samples: 8 * scale,
-            chunks: scale / 2,
-            buckets: 3 * scale,
-            sketch_entries: 5 * scale,
-            metas: 2,
-            missed_samples: 0,
-            missed_buckets: 1,
-            lock_held_ns: 1_000 * scale,
-            max_lock_held_ns: 400 * scale,
-            send_retries: scale % 2,
-        };
-        let obs = Obs::enabled();
-        record_drain(&obs, &stats(2));
-        record_drain(&obs, &stats(5));
-        let mut want = stats(2);
-        want.merge(&stats(5));
-        for (name, total) in [
-            ("export.batches", want.batches),
-            ("export.records", want.records),
-            ("export.samples", want.samples),
-            ("export.chunks", want.chunks),
-            ("export.buckets", want.buckets),
-            ("export.sketch_entries", want.sketch_entries),
-            ("export.metas", want.metas),
-            ("export.missed_samples", want.missed_samples),
-            ("export.missed_buckets", want.missed_buckets),
-            ("export.lock_held_ns", want.lock_held_ns),
-            ("export.send_retries", want.send_retries),
-        ] {
-            assert_eq!(obs.counter_value(name), Some(total), "{name}");
-        }
-        assert_eq!(
-            obs.gauge("export.max_lock_held_ns").get() as u64,
-            want.max_lock_held_ns
-        );
-        // A disabled handle registers nothing.
-        let off = Obs::disabled();
-        record_drain(&off, &stats(3));
-        assert_eq!(off.counter_value("export.batches"), None);
-    }
-
-    #[test]
     fn scrape_ships_self_axes_into_the_fleet() {
         let dir = tmp_dir("ship");
         let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
         let obs = Obs::enabled();
         obs.latency("test.op_ns").record_ns(2_500);
-        obs.counter("fleet.ingest.batches").add(3);
         let mut scraper = SelfScraper::attach(&mut fleet, obs.clone()).unwrap();
 
         let t1 = SimTime::from_secs(10);
         let tick = scraper.tick(&mut fleet, t1).unwrap();
-        assert!(tick.scrape.samples >= 2);
+        assert!(tick.samples >= 2);
         assert!(tick.batches > 0 && tick.records > 0);
 
         // The latency series is a fleet logical axis with a sketch-fed
@@ -253,14 +242,17 @@ mod tests {
                 .unwrap()
                 >= 1.0
         );
-        assert!(store
-            .fleet_window_agg(
-                "__self/fleet.ingest.batches",
+        // A count the fleet keeps itself rides along as a reading: the
+        // service session, opened by attach().
+        assert_eq!(
+            store.fleet_window_agg(
+                "__self/fleet.ingest.sessions",
                 t1,
                 SimDuration::from_secs(60),
                 WindowAgg::Max,
-            )
-            .is_some());
+            ),
+            Some(1.0)
+        );
 
         // Tick 2 observes tick 1's own durability cost: the WAL appends
         // from shipping the first scrape were recorded on the registry.

@@ -177,15 +177,21 @@ mod tests {
     use std::fs;
 
     #[test]
-    fn a_skipped_unknown_kind_record_is_counted_in_the_registry() {
+    fn a_skipped_unknown_kind_record_is_counted_by_the_aggregator() {
         let dir = test_dir("unknown_kind");
-        let obs = moda_obs::Obs::enabled();
-        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
-        fleet.set_obs(obs.clone());
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
         let listener =
             FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
         let addr = listener.local_addr().to_string();
-        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(0));
+        let unknown = || {
+            listener
+                .fleet()
+                .lock()
+                .unwrap()
+                .aggregator()
+                .unknown_records()
+        };
+        assert_eq!(unknown(), 0);
 
         // The golden stream's last frame: a batch of one known sample
         // and one record of a kind no revision defines.
@@ -207,7 +213,7 @@ mod tests {
         write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
         let (tag, _) = read_frame(&mut stream).unwrap().expect("batch ack");
         assert_eq!(tag, frame_tag::ACK);
-        assert_eq!(obs.counter_value("fleet.ingest.unknown_records"), Some(1));
+        assert_eq!(unknown(), 1, "counted with no registry attached");
 
         drop(stream);
         drop(listener.shutdown());

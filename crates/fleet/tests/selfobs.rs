@@ -1,7 +1,7 @@
 //! Self-telemetry integration suite: the pipeline's own metrics ride
 //! the pipeline.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * **bit-exact round trip** (proptest) — arbitrary instrument
 //!   states scraped into a node store, drained through the stock
@@ -11,19 +11,26 @@
 //!   wire → fleet never rounds);
 //! * **disabled means untouched** — a disabled [`Obs`] handle records
 //!   nothing, scrapes nothing, and leaves a store byte-for-byte
-//!   identical to an uninstrumented run;
+//!   identical to an uninstrumented run; a [`SelfScraper`] on one
+//!   writes no reading either;
+//! * **one home per count** — the fleet's ingest and export counts are
+//!   read where they live at scrape time: every `__self/` name the
+//!   scraper has always written is still written, with its kind and
+//!   values, no name is both a reading and a registry instrument, and
+//!   the ingest readings carry on across a recovery;
 //! * **selfstat over the wire** — the bounded slow-op log is drainable
 //!   through the versioned query protocol (`REQ_SELF_STAT`), empty on
 //!   an uninstrumented fleet, populated and then drained on an
 //!   instrumented one.
 
 use moda_fleet::{
-    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, SelfScraper,
+    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, NodeCounters,
+    SelfScraper,
 };
 use moda_obs::Obs;
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::MemorySink;
-use moda_telemetry::{Exporter, Tsdb, WindowAgg};
+use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
+use moda_telemetry::{Exporter, MetricId, MetricKind, MetricMeta, SourceDomain, Tsdb, WindowAgg};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,8 +94,8 @@ proptest! {
 
         let t = SimTime::from_secs(30);
         let mut db = Tsdb::new();
-        let stats = obs.scrape_into(&mut db, t);
-        prop_assert_eq!(stats.instruments, db.cardinality());
+        let samples = obs.scrape_into(&mut db, t);
+        prop_assert_eq!(samples as u64, db.self_inserts());
 
         let mut sink = MemorySink::new();
         Exporter::new().drain(&db, &mut sink).unwrap();
@@ -172,6 +179,240 @@ fn disabled_obs_leaves_the_store_untouched() {
         WindowAgg::Sum,
     );
     assert_eq!(agg.map(f64::to_bits), want.map(f64::to_bits));
+
+    // A self-scraper on a disabled handle writes no reading either,
+    // though the fleet's own counts go on counting.
+    let dir = work_dir("disabled");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+    let mut scraper = SelfScraper::attach(&mut fleet, Obs::disabled()).unwrap();
+    let node = fleet.add_node("node00").unwrap();
+    for batch in &node_stream() {
+        fleet.ingest(node, batch).unwrap();
+    }
+    for t in [10, 20] {
+        let tick = scraper.tick(&mut fleet, SimTime::from_secs(t)).unwrap();
+        assert_eq!((tick.samples, tick.batches), (0, 0));
+    }
+    assert_eq!(scraper.db().self_inserts(), 0);
+    assert_eq!(scraper.db().cardinality(), 0);
+    assert_eq!(fleet.aggregator().counters(node).samples, 300);
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ------------------------------------------------- one home per count
+
+/// One node's stream: 300 one-hertz samples of one metric, in batches
+/// of 64 records.
+fn node_stream() -> Vec<ExportBatch> {
+    let mut db = Tsdb::new();
+    let id = db.register(MetricMeta::gauge("m", "u", SourceDomain::Hardware));
+    for s in 0..300u64 {
+        db.insert(id, SimTime::from_secs(s), s as f64);
+    }
+    let mut sink = MemorySink::new();
+    Exporter::new()
+        .with_batch_records(64)
+        .drain(&db, &mut sink)
+        .unwrap();
+    sink.batches
+}
+
+/// The latest value of `__self/<name>` in the scraper's private store.
+fn reading(scraper: &SelfScraper, name: &str) -> Option<f64> {
+    let db = scraper.db();
+    db.lookup(&format!("__self/{name}"))
+        .and_then(|id| db.latest_value(id))
+}
+
+/// Every `__self/` name a `SelfScraper` wrote in the first two ticks of
+/// [`two_ticks`] while it still mirrored the fleet's counts into
+/// registry counters, with the kind it was written as.
+const NAMES: [(&str, MetricKind); 26] = [
+    ("wal.appends", MetricKind::Counter),
+    ("wal.bytes", MetricKind::Counter),
+    ("wal.fsync_ns", MetricKind::Gauge),
+    ("snapshot.write_ns", MetricKind::Gauge),
+    ("snapshot.cut_ns", MetricKind::Gauge),
+    ("fleet.ingest.batches", MetricKind::Counter),
+    ("fleet.ingest.duplicate_batches", MetricKind::Counter),
+    ("fleet.ingest.records", MetricKind::Counter),
+    ("fleet.ingest.samples", MetricKind::Counter),
+    ("fleet.ingest.rejected_samples", MetricKind::Counter),
+    ("fleet.ingest.sessions", MetricKind::Counter),
+    ("fleet.ingest.unknown_records", MetricKind::Counter),
+    ("fleet.ingest_ns", MetricKind::Gauge),
+    ("export.drain_ns", MetricKind::Gauge),
+    ("export.batches", MetricKind::Counter),
+    ("export.records", MetricKind::Counter),
+    ("export.samples", MetricKind::Counter),
+    ("export.chunks", MetricKind::Counter),
+    ("export.buckets", MetricKind::Counter),
+    ("export.sketch_entries", MetricKind::Counter),
+    ("export.metas", MetricKind::Counter),
+    ("export.missed_samples", MetricKind::Counter),
+    ("export.missed_buckets", MetricKind::Counter),
+    ("export.lock_held_ns", MetricKind::Counter),
+    ("export.send_retries", MetricKind::Counter),
+    ("export.max_lock_held_ns", MetricKind::Gauge),
+];
+
+/// The `fleet.ingest.*` and `export.*` values that scraper wrote at the
+/// first and the second tick of [`two_ticks`] (`None`: not written at
+/// that tick). The two `export.*lock_held_ns` readings are wall time
+/// and are left out.
+const VALUES: [(&str, Option<f64>, f64); 17] = [
+    ("fleet.ingest.batches", Some(5.0), 7.0),
+    ("fleet.ingest.duplicate_batches", Some(1.0), 1.0),
+    ("fleet.ingest.records", Some(301.0), 340.0),
+    ("fleet.ingest.samples", Some(300.0), 324.0),
+    ("fleet.ingest.rejected_samples", Some(0.0), 1.0),
+    ("fleet.ingest.sessions", Some(2.0), 2.0),
+    ("fleet.ingest.unknown_records", Some(0.0), 0.0),
+    ("export.batches", None, 1.0),
+    ("export.records", None, 37.0),
+    ("export.samples", None, 23.0),
+    ("export.chunks", None, 0.0),
+    ("export.buckets", None, 0.0),
+    ("export.sketch_entries", None, 0.0),
+    ("export.metas", None, 14.0),
+    ("export.missed_samples", None, 0.0),
+    ("export.missed_buckets", None, 0.0),
+    ("export.send_retries", None, 0.0),
+];
+
+/// A fresh fleet, self-telemetry attached before any node: one node's
+/// stream plus a re-delivered batch, a tick at 10 s, a batch with one
+/// late and one new sample, a tick at 20 s. Hands back the scraper's
+/// value of every [`VALUES`] name after each tick.
+fn two_ticks(dir: &std::path::Path, obs: &Obs) -> (SelfScraper, [Vec<Option<f64>>; 2]) {
+    let mut fleet = DurableFleet::open(dir, DurabilityConfig::default()).unwrap();
+    let mut scraper = SelfScraper::attach(&mut fleet, obs.clone()).unwrap();
+    let node = fleet.add_node("node00").unwrap();
+    let stream = node_stream();
+    for batch in &stream {
+        fleet.ingest(node, batch).unwrap();
+    }
+    assert!(fleet.ingest(node, &stream[0]).unwrap().duplicate);
+    let values = |scraper: &SelfScraper| {
+        VALUES
+            .iter()
+            .map(|(name, _, _)| reading(scraper, name))
+            .collect::<Vec<_>>()
+    };
+    scraper.tick(&mut fleet, SimTime::from_secs(10)).unwrap();
+    let first = values(&scraper);
+    let late = ExportBatch {
+        seq: stream.len() as u64,
+        records: [5, 400]
+            .map(|s| ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime::from_secs(s),
+                value: s as f64,
+            })
+            .to_vec(),
+    };
+    fleet.ingest(node, &late).unwrap();
+    scraper.tick(&mut fleet, SimTime::from_secs(20)).unwrap();
+    let second = values(&scraper);
+    (scraper, [first, second])
+}
+
+#[test]
+fn no_self_name_disappears_and_no_count_has_two_homes() {
+    let dir = work_dir("names");
+    let _ = std::fs::remove_dir_all(&dir);
+    let obs = Obs::enabled();
+    let (scraper, [first, second]) = two_ticks(&dir, &obs);
+
+    let db = scraper.db();
+    for (name, kind) in NAMES {
+        let id = db
+            .lookup(&format!("__self/{name}"))
+            .unwrap_or_else(|| panic!("{name} is no longer written"));
+        assert_eq!(db.meta(id).kind, kind, "{name}");
+    }
+    for (i, (name, at_first, at_second)) in VALUES.iter().enumerate() {
+        assert_eq!(first[i], *at_first, "{name} at the first tick");
+        assert_eq!(second[i], Some(*at_second), "{name} at the second tick");
+    }
+    let held = reading(&scraper, "export.lock_held_ns").unwrap();
+    let max_held = reading(&scraper, "export.max_lock_held_ns").unwrap();
+    assert!(0.0 < max_held && max_held <= held, "{max_held} {held}");
+
+    // A count read where it lives is not also a registry instrument:
+    // the registry's own scrape writes none of those names.
+    let mut registry = Tsdb::new();
+    obs.scrape_into(&mut registry, SimTime::from_secs(30));
+    let readings: Vec<&str> = NAMES
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| name.starts_with("fleet.ingest.") || name.starts_with("export."))
+        .filter(|name| *name != "export.drain_ns")
+        .collect();
+    assert_eq!(readings.len(), 19);
+    for name in readings {
+        assert_eq!(registry.lookup(&format!("__self/{name}")), None, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_readings_carry_on_across_a_recovery() {
+    let dir = work_dir("recovered");
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        // A small cadence: the recovery below is a snapshot load plus a
+        // log-tail replay.
+        let cfg = DurabilityConfig {
+            snapshot_every_batches: 2,
+        };
+        let mut fleet = DurableFleet::open(&dir, cfg).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        let stream = node_stream();
+        for batch in &stream {
+            fleet.ingest(node, batch).unwrap();
+        }
+        fleet.ingest(node, &stream[1]).unwrap();
+    }
+    let mut fleet = DurableFleet::recover(&dir).unwrap();
+    assert!(fleet.recovery().epoch > 0);
+    let mut scraper = SelfScraper::attach(&mut fleet, Obs::enabled()).unwrap();
+    let listener = FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), TOKEN).unwrap();
+    let mut client = FleetClient::connect(&listener.local_addr().to_string(), TOKEN).unwrap();
+    let now = SimTime::from_secs(300);
+    let health = client.health(now, SimDuration::from_secs(60)).unwrap();
+    scraper
+        .tick(&mut listener.fleet().lock().unwrap(), now)
+        .unwrap();
+
+    // Every reading is the sum of what the health wire reports.
+    let sum = |count: fn(&NodeCounters) -> u64| {
+        health.nodes.iter().map(|n| count(&n.counters)).sum::<u64>() as f64
+    };
+    for (name, want) in [
+        ("fleet.ingest.batches", sum(|c| c.batches)),
+        (
+            "fleet.ingest.duplicate_batches",
+            sum(|c| c.duplicate_batches),
+        ),
+        ("fleet.ingest.records", sum(|c| c.records)),
+        ("fleet.ingest.samples", sum(|c| c.samples)),
+        ("fleet.ingest.rejected_samples", sum(|c| c.rejected_samples)),
+        ("fleet.ingest.sessions", health.nodes.len() as f64),
+        ("fleet.ingest.unknown_records", 0.0),
+    ] {
+        assert_eq!(reading(&scraper, name), Some(want), "{name}");
+    }
+    // The node and the service session; counts from before the restart.
+    assert_eq!(health.nodes.len(), 2);
+    assert_eq!(sum(|c| c.samples), 300.0);
+    assert_eq!(sum(|c| c.duplicate_batches), 1.0);
+
+    drop(client);
+    drop(listener.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ------------------------------------------------- selfstat over the wire
@@ -253,8 +494,7 @@ fn user_writes_into_the_reserved_namespace_bounce_everywhere() {
         .is_err());
     let obs = Obs::enabled();
     obs.counter("real").add(1);
-    let stats = obs.scrape_into(&mut db, SimTime::from_secs(1));
-    assert_eq!(stats.samples, 1);
+    assert_eq!(obs.scrape_into(&mut db, SimTime::from_secs(1)), 1);
     let id = db.lookup("__self/real").unwrap();
     // Even with the id in hand, the user insert path refuses.
     assert!(!db.insert(id, SimTime::from_secs(2), 999.0));

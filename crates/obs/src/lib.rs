@@ -21,7 +21,7 @@
 //!   registry is provably untouched (asserted by tests, bench-gated to
 //!   ≤ 10 % overhead on the instrumented insert path).
 //! * [`Counter`] / [`Gauge`] — relaxed-atomic instruments, pre-resolved
-//!   once (`obs.counter("export.batches")`) and then recorded with no
+//!   once (`obs.counter("wal.appends")`) and then recorded with no
 //!   name lookup on the hot path.
 //! * [`LatencyRecorder`] + [`SpanGuard`] — RAII spans:
 //!   `recorder.start()` stamps, the drop records the duration into
@@ -35,6 +35,9 @@
 //!   The scrape is the namespace's **only writer**: user registration
 //!   and inserts into `__self/*` are refused by the store with a typed
 //!   error ([`moda_telemetry::RegisterError`]).
+//! * [`scrape::write_reading`] — the scrape's writer of one counter or
+//!   gauge sample, for a count a component keeps itself and hands over
+//!   at scrape time instead of mirroring it into a registry counter.
 //!
 //! Metric names, the span taxonomy, and scrape cadence semantics are
 //! documented in `docs/OBSERVABILITY.md`.
@@ -47,16 +50,16 @@
 //! use moda_telemetry::{Tsdb, WindowAgg};
 //!
 //! let obs = Obs::enabled();
-//! let drains = obs.counter("export.drains");
+//! let appends = obs.counter("wal.appends");
 //! let fsync = obs.latency("wal.fsync_ns");
 //! for _ in 0..100 {
 //!     let _span = fsync.start();
-//!     drains.add(1);
+//!     appends.add(1);
 //! }
 //! // Scrape the registry into a reserved namespace of a normal store.
 //! let mut db = Tsdb::new();
 //! obs.scrape_into(&mut db, SimTime::from_secs(1));
-//! let id = db.lookup("__self/export.drains").unwrap();
+//! let id = db.lookup("__self/wal.appends").unwrap();
 //! assert_eq!(db.latest_value(id), Some(100.0));
 //! // The span durations landed as raw ns samples with sketched rollups.
 //! let lat = db.lookup("__self/wal.fsync_ns").unwrap();
@@ -75,7 +78,6 @@ pub mod scrape;
 pub mod span;
 
 pub use registry::{Counter, Gauge, LatencyRecorder, LatencySnapshot, Obs, ObsRegistry};
-pub use scrape::ScrapeStats;
 pub use span::{SlowOp, SpanGuard, SLOW_OP_CAPACITY};
 
 /// Record an RAII span on an [`Obs`] handle by name, resolving the

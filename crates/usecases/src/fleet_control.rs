@@ -43,7 +43,7 @@ use moda_fleet::control::{
     AuditSummary, Bound, ControlConfig, FleetAlert, FleetMonitor, FleetResponder, Observation,
     RateLimit, ResponseRule, ThresholdMonitor,
 };
-use moda_fleet::{FleetAggregator, HealthPolicy, HealthTransitionStats, NodeId, Rank};
+use moda_fleet::{FleetAggregator, HealthPolicy, HealthTransition, NodeId, Rank};
 use moda_hpc::workload::{generate, WorkloadConfig};
 use moda_hpc::{
     Cluster, ClusterAction, ClusterConfig, FailureConfig, FaultKind, NodeFault, WorldConfig,
@@ -297,8 +297,8 @@ pub struct ControlTrace {
     pub complete_observations: u64,
     /// Monitor probes that saw a partial view.
     pub degraded_observations: u64,
-    /// Node liveness transitions observed over the run.
-    pub health_stats: HealthTransitionStats,
+    /// Node liveness transitions observed over the run, oldest first.
+    pub health_transitions: Vec<HealthTransition>,
 }
 
 /// Scenario driver: advances the cluster on its drain cadence and, at
@@ -317,6 +317,7 @@ pub struct ClusterControlDriver {
     cursor: u64,
     last: SimTime,
     ticks: Vec<TickTrace>,
+    health_transitions: Vec<HealthTransition>,
 }
 
 impl ClusterControlDriver {
@@ -339,6 +340,7 @@ impl ClusterControlDriver {
             cursor: 0,
             last: start,
             ticks: Vec::new(),
+            health_transitions: Vec::new(),
         }
     }
 
@@ -350,6 +352,7 @@ impl ClusterControlDriver {
             c.aggregator_mut().track_health(t, self.policy);
             let transitions = c.aggregator_mut().take_health_events();
             mirror_health_transitions(&transitions, &mut self.audit, "fleet-control");
+            self.health_transitions.extend(transitions);
             let (members, coverage) =
                 c.aggregator()
                     .covered_members(&self.coverage_metric, t, self.policy.stale_after);
@@ -377,7 +380,7 @@ impl ClusterControlDriver {
 
     /// Certify the trail and package the trace. Returns every audit
     /// violation found if the decision sequence does not check out.
-    pub fn finish(self, c: &Cluster) -> Result<ControlTrace, Vec<String>> {
+    pub fn finish(self) -> Result<ControlTrace, Vec<String>> {
         let summary = self.responder.verify_audit()?;
         let (complete, degraded) = self.responder.observation_stats();
         Ok(ControlTrace {
@@ -387,7 +390,7 @@ impl ClusterControlDriver {
             audit_trail: self.audit.render(),
             complete_observations: complete,
             degraded_observations: degraded,
-            health_stats: c.aggregator().health_transition_stats(),
+            health_transitions: self.health_transitions,
         })
     }
 }
@@ -508,7 +511,7 @@ pub fn power_cap_scenario(seed: u64) -> Result<PowerCapReport, Vec<String>> {
             WindowAgg::Mean,
         )
         .unwrap_or(0.0);
-    let trace = driver.finish(&c)?;
+    let trace = driver.finish()?;
     Ok(PowerCapReport {
         trace,
         uncapped_kw: uncapped,
@@ -616,7 +619,7 @@ pub fn cascading_failure_scenario(seed: u64) -> Result<CascadeReport, Vec<String
         .map(|tt| tt.t)
         .map(per_node)
         .unwrap_or(0.0);
-    let trace = driver.finish(&c)?;
+    let trace = driver.finish()?;
     Ok(CascadeReport {
         trace,
         failing_world: SICK,
@@ -732,7 +735,7 @@ pub fn partition_degradation_scenario(seed: u64) -> Result<PartitionReport, Vec<
             applied_after += tt.applied;
         }
     }
-    let trace = driver.finish(&c)?;
+    let trace = driver.finish()?;
     Ok(PartitionReport {
         trace,
         from,
@@ -748,6 +751,7 @@ pub fn partition_degradation_scenario(seed: u64) -> Result<PartitionReport, Vec<
 mod tests {
     use super::*;
     use moda_fleet::control::ControlEventKind;
+    use moda_fleet::NodeLiveness;
 
     #[test]
     fn power_cap_scenario_converges_canary_first() {
@@ -821,8 +825,15 @@ mod tests {
         assert!(r.trace.complete_observations > 0);
         // The ladder was walked and mirrored: nodes went stale (and
         // dark), then recovered.
-        assert!(r.trace.health_stats.to_stale >= 2);
-        assert!(r.trace.health_stats.recovered >= 2);
+        let into = |to| {
+            r.trace
+                .health_transitions
+                .iter()
+                .filter(|e| e.to == to)
+                .count()
+        };
+        assert!(into(NodeLiveness::Stale) >= 2);
+        assert!(into(NodeLiveness::Live) >= 2);
         assert!(r.trace.audit_trail.contains("-> Stale"));
     }
 

@@ -19,7 +19,8 @@
 //! it into `target/` and uploads on failure). Without it the trails are
 //! written to a per-process temp dir and removed on success.
 
-use moda_usecases::{cascading_failure_scenario, partition_degradation_scenario};
+use moda_fleet::NodeLiveness;
+use moda_usecases::{cascading_failure_scenario, partition_degradation_scenario, ControlTrace};
 use std::path::PathBuf;
 
 fn work_dir() -> (PathBuf, bool) {
@@ -32,7 +33,16 @@ fn work_dir() -> (PathBuf, bool) {
     }
 }
 
-fn dump(name: &str, trace: &moda_usecases::ControlTrace) -> PathBuf {
+/// Liveness transitions of the run that ended in `to`.
+fn transitions_into(trace: &ControlTrace, to: NodeLiveness) -> usize {
+    trace
+        .health_transitions
+        .iter()
+        .filter(|e| e.to == to)
+        .count()
+}
+
+fn dump(name: &str, trace: &ControlTrace) -> PathBuf {
     let (dir, _) = work_dir();
     std::fs::create_dir_all(&dir).expect("artifact dir");
     std::fs::write(
@@ -66,7 +76,7 @@ fn dump(name: &str, trace: &moda_usecases::ControlTrace) -> PathBuf {
     std::fs::write(dir.join(format!("{name}-ticks.txt")), ticks).expect("write tick trace");
     std::fs::write(
         dir.join(format!("{name}-summary.txt")),
-        format!("{:#?}\n{:#?}\n", trace.summary, trace.health_stats),
+        format!("{:#?}\n{:#?}\n", trace.summary, trace.health_transitions),
     )
     .expect("write summary");
     dir
@@ -117,11 +127,11 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
     assert!(part.degraded_ticks >= 3, "coverage never degraded");
     assert!(part.trace.degraded_observations > 0);
     assert!(
-        part.trace.health_stats.to_stale >= 2,
+        transitions_into(&part.trace, NodeLiveness::Stale) >= 2,
         "health ladder not walked"
     );
     assert!(
-        part.trace.health_stats.recovered >= 2,
+        transitions_into(&part.trace, NodeLiveness::Live) >= 2,
         "nodes never recovered"
     );
 

@@ -961,6 +961,28 @@ mod tests {
             },
         );
         assert!(r.applied && !r.duplicate);
+
+        // A batch that arrives after a later one is lost, and counted:
+        // batch 2 opens a gap of one, late batch 1 bounces as a duplicate.
+        let late = agg.add_node("node01");
+        assert_eq!(agg.ingest(late, &batches[0]).gap, 0);
+        assert_eq!(agg.ingest(late, &batches[2]).gap, 1);
+        let r = agg.ingest(late, &batches[1]);
+        assert!(!r.applied && r.duplicate);
+        let c = agg.counters(late);
+        assert_eq!((c.gaps, c.missing_batches, c.duplicate_batches), (1, 1, 1));
+        let carried = |b: &ExportBatch| -> u64 {
+            b.records
+                .iter()
+                .map(|rec| match rec {
+                    ExportRecord::Sample { .. } => 1,
+                    ExportRecord::Chunk { count, .. } => u64::from(*count),
+                    _ => 0,
+                })
+                .sum()
+        };
+        assert!(carried(&batches[1]) > 0, "the lost batch carries samples");
+        assert_eq!(c.samples, carried(&batches[0]) + carried(&batches[2]));
     }
 
     #[test]

@@ -137,6 +137,4 @@ pub use selfobs::{SelfScrapeTick, SelfScraper, SELF_NODE};
 pub use store::{
     ChunkOutcome, FleetMetricInfo, FleetServed, FleetStore, FleetStoreStats, NodeId, Rank,
 };
-pub use transport::{
-    ChaosConfig, ChaosSink, ChaosStats, FleetClient, FleetListener, SocketSink, TransportConfig,
-};
+pub use transport::{FleetClient, FleetListener, SocketSink, TransportConfig};

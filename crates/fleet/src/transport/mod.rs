@@ -64,18 +64,16 @@
 //!
 //! **One module per concern**: `conn` (the client half's buffered
 //! connection, the link that re-opens it, the one retry rule), `sink`,
-//! `chaos`, `client`, `listener` (the only code that knows a session
-//! runs over a socket: read timeout, stop flag, flush before blocking)
-//! and `session` (the protocol, fed bytes, answering into any `Write`).
+//! `client`, `listener` (the only code that knows a session runs over
+//! a socket: read timeout, stop flag, flush before blocking) and
+//! `session` (the protocol, fed bytes, answering into any `Write`).
 
-mod chaos;
 mod client;
 mod conn;
 mod listener;
 mod session;
 mod sink;
 
-pub use chaos::{ChaosConfig, ChaosSink, ChaosStats};
 pub use client::FleetClient;
 pub use listener::FleetListener;
 pub(crate) use listener::RECV_BUF;

@@ -17,20 +17,21 @@
 //! seeds (`seed + node index`), so their workloads decorrelate the way
 //! real nodes' do.
 //!
-//! ## Chaos and control
+//! ## Faults and control
 //!
-//! The cluster doubles as the chaos harness and actuation surface of
+//! The cluster doubles as the fault harness and actuation surface of
 //! the center-level Feedback/Response loop:
 //!
 //! * **fault schedules** ([`Cluster::schedule_fault`]) — deterministic
 //!   [`FaultKind::Kill`] (the world freezes and stops reporting — a
 //!   crashed node) and [`FaultKind::Partition`] (the world keeps
-//!   running but its drain path fails — a network partition) windows.
-//!   Each world drains through a persistent
-//!   [`ChaosSink`], so probabilistic frame
-//!   faults ([`Cluster::set_chaos`]) compose with the scheduled windows
-//!   and every fault is ingest-safe: the exporter rolls back on error
-//!   and re-ships after heal.
+//!   running but its drains are refused — a network partition)
+//!   windows; they are the harness's whole fault model. Each drain
+//!   hands the world's exporter a sink that ingests every batch
+//!   straight into the world's aggregator session. Inside a partition
+//!   window that sink refuses every write, so nothing crosses: the
+//!   exporter rolls its cursors back and re-ships the backlog intact
+//!   after heal.
 //! * **actuation** ([`Cluster::control_parts`]) — splits the cluster
 //!   into its aggregation tier (what a
 //!   [`moda_fleet::FleetResponder`]'s monitors read) and a
@@ -38,13 +39,11 @@
 //!   [`ClusterAction`] power caps, checkpoints, repair-and-drain).
 
 use crate::world::{World, WorldConfig};
-use moda_fleet::{
-    ActionTarget, ChaosConfig, ChaosSink, ChaosStats, FleetActuator, FleetAggregator, FleetHealth,
-    FleetStore, NodeId,
-};
+use moda_fleet::{ActionTarget, FleetActuator, FleetAggregator, FleetHealth, FleetStore, NodeId};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::MemorySink;
+use moda_telemetry::export::{ExportBatch, Sink};
 use moda_telemetry::{Exporter, WindowAgg};
+use std::io;
 
 /// Configuration of a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -76,8 +75,8 @@ pub enum FaultKind {
     /// node. From the fleet's view it goes stale, then silent. When the
     /// window closes the world resumes (state intact) and catches up.
     Kill,
-    /// The world keeps simulating but its drain path fails — a network
-    /// partition. The exporter rolls back on every failed drain and
+    /// The world keeps simulating but its drains are refused — a network
+    /// partition. The exporter rolls back on every refused drain and
     /// re-ships the backlog after heal, so no telemetry is lost.
     Partition,
 }
@@ -105,10 +104,25 @@ impl NodeFault {
 struct ClusterNode {
     world: World,
     exporter: Exporter,
-    /// Persistent chaos-wrapped drain target: held delayed frames and
-    /// the fault RNG stream survive across drains.
-    sink: ChaosSink<MemorySink>,
     id: NodeId,
+}
+
+/// One world's drain target: ingests each batch straight into its
+/// aggregator session, and refuses every write while partitioned.
+struct SessionSink<'a> {
+    agg: &'a mut FleetAggregator,
+    id: NodeId,
+    partitioned: bool,
+}
+
+impl Sink for SessionSink<'_> {
+    fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()> {
+        if self.partitioned {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "partitioned"));
+        }
+        self.agg.ingest(self.id, batch);
+        Ok(())
+    }
 }
 
 /// K deterministic worlds → K exporters → one aggregation tier. See
@@ -119,8 +133,7 @@ pub struct Cluster {
     drain_period: SimDuration,
     drained_until: SimTime,
     faults: Vec<NodeFault>,
-    /// Drains that failed because the node was partitioned (or the
-    /// chaos config rolled a connection fault).
+    /// Drains a partition window refused while something was pending.
     failed_drains: u64,
 }
 
@@ -139,13 +152,6 @@ impl Cluster {
                 ClusterNode {
                     world: World::new(wc),
                     exporter: Exporter::new(),
-                    sink: ChaosSink::new(
-                        MemorySink::new(),
-                        ChaosConfig {
-                            seed: cfg.world.seed.wrapping_add(k as u64),
-                            ..ChaosConfig::default()
-                        },
-                    ),
                     id: agg.add_node(&format!("world{k:02}")),
                 }
             })
@@ -209,23 +215,8 @@ impl Cluster {
         self.faults.push(fault);
     }
 
-    /// Replace world `k`'s probabilistic frame-fault configuration.
-    /// Rebuilds the chaos stream; call between drains (a held delayed
-    /// frame is discarded, which the ingest side treats as a gap).
-    pub fn set_chaos(&mut self, k: usize, cfg: ChaosConfig) {
-        let n = &mut self.nodes[k];
-        let inner = std::mem::take(&mut n.sink.inner_mut().batches);
-        let mut sink = ChaosSink::new(MemorySink::new(), cfg);
-        sink.inner_mut().batches = inner;
-        n.sink = sink;
-    }
-
-    /// Frame-fault counters of world `k`'s drain path.
-    pub fn chaos_stats(&self, k: usize) -> ChaosStats {
-        self.nodes[k].sink.stats()
-    }
-
-    /// Drains that failed (partition window or chaos connection fault).
+    /// Drains a partition window refused while the world had something
+    /// pending (an idle drain writes nothing, so it cannot fail).
     pub fn failed_drains(&self) -> u64 {
         self.failed_drains
     }
@@ -307,31 +298,23 @@ impl Cluster {
     /// metrics) into the aggregation tier, and feed the per-world drain
     /// totals into fleet health. Worlds under an active fault window do
     /// not deliver: a killed world drains nothing (it is frozen); a
-    /// partitioned world's drain fails and the exporter rolls back, so
-    /// the backlog re-ships intact after heal.
+    /// partitioned world's sink refuses its first batch and the exporter
+    /// rolls back, so the backlog re-ships intact after heal.
     fn drain(&mut self, at: SimTime) {
         let faults = &self.faults;
         for (k, n) in self.nodes.iter_mut().enumerate() {
             if Self::fault_active(faults, k, FaultKind::Kill, at) {
                 continue;
             }
-            n.sink
-                .set_partitioned(Self::fault_active(faults, k, FaultKind::Partition, at));
-            match n.exporter.drain(&n.world.tsdb, &mut n.sink) {
-                Ok(stats) => {
-                    for batch in std::mem::take(&mut n.sink.inner_mut().batches) {
-                        self.agg.ingest(n.id, &batch);
-                    }
-                    self.agg.report_drain(n.id, &stats);
-                }
-                Err(_) => {
-                    // Exporter rolled back; whatever frames already
-                    // landed in the sink are still deliverable.
-                    self.failed_drains += 1;
-                    for batch in std::mem::take(&mut n.sink.inner_mut().batches) {
-                        self.agg.ingest(n.id, &batch);
-                    }
-                }
+            let mut sink = SessionSink {
+                agg: &mut self.agg,
+                id: n.id,
+                partitioned: Self::fault_active(faults, k, FaultKind::Partition, at),
+            };
+            match n.exporter.drain(&n.world.tsdb, &mut sink) {
+                Ok(stats) => self.agg.report_drain(n.id, &stats),
+                // The exporter rolled back; the backlog re-ships after heal.
+                Err(_) => self.failed_drains += 1,
             }
         }
         self.drained_until = self.drained_until.max(at);
@@ -557,6 +540,14 @@ mod tests {
 
     #[test]
     fn partitioned_world_rolls_back_and_reships_everything() {
+        // Batches applied and high water of both worlds' sessions.
+        let seen = |c: &Cluster| {
+            let h = c.health(SimDuration::from_hours(1));
+            [0, 1].map(|k| {
+                let n = &h.nodes[c.node_id(k).index()];
+                (n.counters.batches, n.high_water.0)
+            })
+        };
         let run = |partition: bool| {
             let mut c = small_cluster(2);
             for k in 0..2 {
@@ -570,16 +561,28 @@ mod tests {
                     until: SimTime::from_mins(100),
                 });
             }
+            // The last drain before the window, the window's first
+            // boundary, and one deep inside it.
+            let views = [10, 20, 60].map(|m| {
+                c.run_until(SimTime::from_mins(m));
+                seen(&c)
+            });
             c.run_until(SimTime::from_hours(4));
             (
                 c.failed_drains(),
                 c.aggregator().counters(c.node_id(0)).samples,
                 c.aggregator().counters(c.node_id(0)).gaps,
+                views,
             )
         };
-        let (clean_failures, clean_samples, _) = run(false);
+        let (clean_failures, clean_samples, ..) = run(false);
         assert_eq!(clean_failures, 0);
-        let (failures, samples, gaps) = run(true);
+        let (failures, samples, gaps, [before, first, inside]) = run(true);
+        // Nothing crosses the partition: world 0's session stands where
+        // the last drain before the window left it, while world 1's moves on.
+        assert_eq!(first[0], before[0], "a batch crossed the partition");
+        assert_eq!(inside[0], before[0], "a batch crossed the partition");
+        assert!(inside[1].0 > first[1].0 && inside[1].1 > first[1].1);
         // Drains inside the window failed and the exporter rolled back…
         assert!(failures > 0, "partition never bit");
         assert_eq!(gaps, 0, "rollback must leave the stream contiguous");

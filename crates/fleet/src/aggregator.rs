@@ -265,7 +265,7 @@ pub struct FleetAggregator {
 }
 
 /// Retained [`HealthTransition`] events per aggregator — enough for any
-/// scenario-length audit mirror; long-running services drain them via
+/// scenario-length run; long-running services drain them via
 /// [`FleetAggregator::take_health_events`].
 const HEALTH_EVENT_CAPACITY: usize = 1024;
 
@@ -635,8 +635,8 @@ impl FleetAggregator {
         self.health_events.iter()
     }
 
-    /// Drain the retained transition events (for mirroring into an
-    /// audit log without re-reporting on the next pass).
+    /// Drain the retained transition events, so the next pass does not
+    /// report them again.
     pub fn take_health_events(&mut self) -> Vec<HealthTransition> {
         self.health_events.drain(..).collect()
     }

@@ -32,7 +32,8 @@
 //!   hold, block, apply, validation, promotion) lands in a
 //!   [`ControlLog`], and [`FleetResponder::verify_audit`] replays the
 //!   trail against the configured bounds — the CI chaos scenarios
-//!   assert on it.
+//!   assert on it. The same record announces every actuation to the
+//!   humans on the loop ([`ControlLog::notifications`]).
 //!
 //! The actuation side is deliberately abstract ([`FleetActuator`]):
 //! this crate knows nothing about the managed system. `moda-hpc`'s
@@ -40,7 +41,7 @@
 
 use crate::aggregator::{FleetAggregator, NodeLiveness};
 use crate::store::{FleetServed, NodeId, Rank};
-use moda_core::{BlockReason, Guard, GuardConfig};
+use moda_core::{BlockReason, Guard, GuardConfig, Notification};
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::{MetricId, WindowAgg};
@@ -696,6 +697,31 @@ impl ControlLog {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
 
+    /// The human-on-the-loop view (§IV): one [`Notification`] per
+    /// retained `Applied` event, oldest first, announcing the actuation
+    /// with its rationale. The loop never waits for an answer, so every
+    /// notification has `proceeded`.
+    pub fn notifications(&self, loop_name: &str) -> Vec<Notification> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.kind {
+                ControlEventKind::Applied { canary, .. } => Some(Notification {
+                    t: e.t,
+                    loop_name: loop_name.to_string(),
+                    subject: format!(
+                        "{}/{}: applied {} action",
+                        e.subsystem,
+                        e.rule,
+                        if canary { "canary" } else { "fleet-wide" }
+                    ),
+                    explanation: e.detail.clone(),
+                    proceeded: true,
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Render the retained trail, one line per decision.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -1185,9 +1211,14 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
     /// Replay the retained audit trail against the configured bounds
     /// and certify it: canary-first ordering, escalation gates,
     /// coverage/confidence floors at apply time, per-subsystem
-    /// cooldowns and rate budgets, validation-before-promotion, and
-    /// apply→validation completeness. Returns the summary, or every
-    /// violation found.
+    /// suspensions, cooldowns and rate budgets, the global rate budget,
+    /// validation-before-promotion, and apply→validation completeness.
+    /// Returns the summary, or every violation found.
+    ///
+    /// The bounds are the guard's own rules (age `< window`, a breach
+    /// when the count exceeds `max`, suspended while `t < until`). The
+    /// guard also counts failed attempts; the replay counts only
+    /// `Applied` events, so a trail the guard admitted always passes.
     pub fn verify_audit(&self) -> Result<AuditSummary, Vec<String>> {
         let mut errors = Vec::new();
         if self.log.dropped() > 0 {
@@ -1202,6 +1233,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
         let mut last_validation: HashMap<&str, (bool, bool)> = HashMap::new(); // (passed, was_canary)
         let mut pending: HashMap<&str, (SimTime, bool)> = HashMap::new(); // applied_at, canary
         let mut sub_applied: HashMap<&str, Vec<SimTime>> = HashMap::new();
+        let mut all_applied: Vec<SimTime> = Vec::new();
+        let mut suspended: HashMap<&str, SimTime> = HashMap::new();
         let mut end_t = SimTime::ZERO;
         for e in self.log.events() {
             summary.events += 1;
@@ -1220,6 +1253,27 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                         summary.canary += 1;
                     } else {
                         summary.fleet += 1;
+                    }
+                    if let Some(&until) = suspended.get(e.subsystem.as_str()) {
+                        if e.t < until {
+                            errors.push(format!(
+                                "#{}: {} applied while {} was suspended until {until}",
+                                e.seq, e.rule, e.subsystem
+                            ));
+                        }
+                    }
+                    all_applied.push(e.t);
+                    if let Some(g) = self.cfg.global_rate {
+                        let in_window = all_applied
+                            .iter()
+                            .filter(|&&t0| e.t.saturating_since(t0).0 < g.window.0)
+                            .count() as u32;
+                        if in_window > g.max {
+                            errors.push(format!(
+                                "#{}: {} exceeded the global rate budget ({} in {})",
+                                e.seq, e.rule, in_window, g.window
+                            ));
+                        }
                     }
                     let Some(rule) = rule_of(&e.rule) else {
                         errors.push(format!("#{}: apply from unknown rule {}", e.seq, e.rule));
@@ -1314,9 +1368,10 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                         )),
                     }
                 }
-                ControlEventKind::Demoted { .. } => {
+                ControlEventKind::Demoted { until } => {
                     summary.demotions += 1;
                     promoted.insert(e.rule.as_str(), false);
+                    suspended.insert(e.subsystem.as_str(), *until);
                 }
                 ControlEventKind::Held(_) => summary.held += 1,
                 ControlEventKind::Blocked(_) => summary.blocked += 1,
@@ -1620,6 +1675,22 @@ mod tests {
         assert_eq!(summary.fleet, 1);
         assert_eq!(summary.promotions, 1);
         assert_eq!(summary.validations_passed, 2);
+        // Every apply, and nothing else, is announced to the humans on
+        // the loop, oldest first, with the apply's own rationale.
+        let applied: Vec<&ControlEvent> = r
+            .log()
+            .events()
+            .filter(|e| matches!(e.kind, ControlEventKind::Applied { .. }))
+            .collect();
+        let notes = r.log().notifications("fleet-loop");
+        assert_eq!(notes.len(), applied.len());
+        assert_eq!(notes[0].subject, "sub/fix: applied canary action");
+        assert_eq!(notes[1].subject, "sub/fix: applied fleet-wide action");
+        for (n, e) in notes.iter().zip(&applied) {
+            assert_eq!((n.t, n.loop_name.as_str()), (e.t, "fleet-loop"));
+            assert_eq!(n.explanation, e.detail);
+            assert!(n.proceeded);
+        }
     }
 
     #[test]
@@ -1865,5 +1936,82 @@ mod tests {
         );
         // The failure started the cooldown: the immediate retry blocks.
         assert!(reports.iter().map(|t| t.blocked).sum::<usize>() >= 1);
+        // Nothing was applied, so nobody is told an action happened.
+        assert!(r.log().notifications("fleet-loop").is_empty());
+    }
+
+    /// Forge a canary apply of `rule` on `sub` at `t` that clears the
+    /// gate and both floors.
+    fn forge_apply(r: &mut FleetResponder<&'static str>, t: SimTime, rule: &str, sub: &str) {
+        let kind = ControlEventKind::Applied {
+            canary: true,
+            nodes: 1,
+            escalation: 2,
+            gate: 2,
+            coverage: 1.0,
+            confidence: 0.9,
+        };
+        r.log.record(t, rule, sub, kind, "forged".into());
+    }
+
+    #[test]
+    fn verify_audit_catches_a_forged_global_rate_breach() {
+        let cfg = ControlConfig {
+            global_rate: Some(RateLimit {
+                window: SimDuration::from_hours(1),
+                max: 1,
+            }),
+            ..ControlConfig::default()
+        };
+        let mut r = two_rules(cfg, ["sub", "other"]);
+        forge_apply(&mut r, SimTime::from_mins(10), "fix", "sub");
+        forge_apply(&mut r, SimTime::from_mins(11), "fix2", "other");
+        let errors = r.verify_audit().expect_err("forgery detected");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("global rate budget"), "{errors:?}");
+    }
+
+    #[test]
+    fn verify_audit_catches_an_apply_while_suspended() {
+        let mut r = responder(vec![(0.0, 1.0)]);
+        forge_apply(&mut r, SimTime::from_mins(10), "fix", "sub");
+        let (before, after) = (2.0, 2.5);
+        let failed = ControlEventKind::ValidationFailed { before, after };
+        let until = SimTime::from_hours(1);
+        let t = SimTime::from_mins(50);
+        r.log.record(t, "fix", "sub", failed, "forged".into());
+        let demoted = ControlEventKind::Demoted { until };
+        r.log.record(t, "fix", "sub", demoted, "forged".into());
+        forge_apply(&mut r, SimTime::from_mins(55), "fix", "sub");
+        let errors = r.verify_audit().expect_err("forgery detected");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("suspended until"), "{errors:?}");
+    }
+
+    #[test]
+    fn an_evicting_trail_keeps_its_sequence_and_refuses_certification() {
+        let mut r = FleetResponder::new(ControlConfig {
+            log_capacity: 16,
+            ..ControlConfig::default()
+        });
+        r.add_monitor(Box::new(ScriptMonitor {
+            script: vec![(2.0, 1.0)],
+            i: 0,
+        }));
+        r.add_rule(ResponseRule::new("fix", "scripted", "sub", "remediate"));
+        let mut act = ScriptedActuator {
+            applies: vec![],
+            fail_next: false,
+        };
+        tick_n(&mut r, &mut act, 12, 600);
+        let log = r.log();
+        let seqs: Vec<u64> = log.events().map(|e| e.seq).collect();
+        assert_eq!(seqs.len(), 16);
+        assert!(log.dropped() > 0, "the ring never evicted");
+        assert_eq!(log.dropped(), log.total() - seqs.len() as u64);
+        assert_eq!(seqs.last(), Some(&(log.total() - 1)));
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "{seqs:?}");
+        let errors = r.verify_audit().expect_err("a suffix is not certified");
+        assert!(errors.iter().any(|e| e.contains("trail truncated")));
     }
 }

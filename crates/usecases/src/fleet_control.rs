@@ -7,9 +7,10 @@
 //! aggregation tier, a [`FleetResponder`] maps persistent alerts to
 //! [`ClusterAction`]s under bounded execution (canary-first, cooldowns,
 //! rate limits, post-action validation) — admitting each action
-//! through the same [`moda_core::Guard`] the node-level loops use — and
-//! every decision is mirrored into the MAPE-K [`AuditLog`] next to the
-//! node-level trails.
+//! through the same [`moda_core::Guard`] the node-level loops use. The
+//! responder's typed [`moda_fleet::ControlLog`] is the loop's one
+//! decision record: it is certified, rendered, and announces every
+//! actuation to the humans on the loop.
 //!
 //! Two analytics-backed monitors extend the fleet crate's threshold and
 //! straggler probes:
@@ -38,9 +39,8 @@
 //!   responder **holds** actuation (frozen escalation, zero applies),
 //!   and actuation resumes only after coverage recovers.
 
-use crate::control_link::{mirror_control_log, mirror_health_transitions};
 use moda_analytics::{mad_outliers, LinearFit};
-use moda_core::AuditLog;
+use moda_core::Notification;
 use moda_fleet::control::{
     AuditSummary, Bound, ControlConfig, FleetAlert, FleetMonitor, FleetResponder, Observation,
     RateLimit, ResponseRule, ThresholdMonitor,
@@ -283,8 +283,8 @@ pub struct TickTrace {
 }
 
 /// Everything a finished scenario hands to its assertions: the
-/// machine-certified audit summary, the per-tick trace, and both
-/// rendered trails (fleet decision log + mirrored MAPE-K audit).
+/// machine-certified audit summary, the per-tick trace, the rendered
+/// decision trail and the notifications it raised.
 #[derive(Debug)]
 pub struct ControlTrace {
     /// Certified by [`FleetResponder::verify_audit`].
@@ -293,8 +293,9 @@ pub struct ControlTrace {
     pub ticks: Vec<TickTrace>,
     /// Rendered fleet [`moda_fleet::ControlLog`].
     pub control_trail: String,
-    /// Rendered mirrored [`AuditLog`] (decisions + health transitions).
-    pub audit_trail: String,
+    /// One human-on-the-loop notification per applied action, oldest
+    /// first ([`moda_fleet::ControlLog::notifications`]).
+    pub notifications: Vec<Notification>,
     /// Monitor probes that saw the whole fleet.
     pub complete_observations: u64,
     /// Monitor probes that saw a partial view.
@@ -304,19 +305,15 @@ pub struct ControlTrace {
 }
 
 /// Scenario driver: advances the cluster on its drain cadence and, at
-/// every boundary, tracks node-health transitions, runs one responder
-/// tick through [`Cluster::control_parts`], and mirrors both into one
-/// [`AuditLog`].
+/// every boundary, collects node-health transitions and runs one
+/// responder tick through [`Cluster::control_parts`].
 pub struct ClusterControlDriver {
     /// The Response plane under test.
     pub responder: FleetResponder<ClusterAction>,
-    /// The human-facing audit trail everything mirrors into.
-    pub audit: AuditLog,
     policy: HealthPolicy,
     period: SimDuration,
     /// Axis whose coverage the per-tick trace reports.
     coverage_metric: String,
-    cursor: u64,
     last: SimTime,
     ticks: Vec<TickTrace>,
     health_transitions: Vec<HealthTransition>,
@@ -335,11 +332,9 @@ impl ClusterControlDriver {
     ) -> Self {
         ClusterControlDriver {
             responder,
-            audit: AuditLog::new(8192),
             policy,
             period,
             coverage_metric: coverage_metric.to_string(),
-            cursor: 0,
             last: start,
             ticks: Vec::new(),
             health_transitions: Vec::new(),
@@ -352,20 +347,13 @@ impl ClusterControlDriver {
             let t = self.last + self.period;
             c.run_until(t);
             c.aggregator_mut().track_health(t, self.policy);
-            let transitions = c.aggregator_mut().take_health_events();
-            mirror_health_transitions(&transitions, &mut self.audit, "fleet-control");
-            self.health_transitions.extend(transitions);
+            self.health_transitions
+                .extend(c.aggregator_mut().take_health_events());
             let (members, coverage) =
                 c.aggregator()
                     .covered_members(&self.coverage_metric, t, self.policy.stale_after);
             let (agg, mut act) = c.control_parts();
             let report = self.responder.tick(agg, t, &mut act);
-            self.cursor = mirror_control_log(
-                self.responder.log(),
-                self.cursor,
-                &mut self.audit,
-                "fleet-control",
-            );
             self.ticks.push(TickTrace {
                 t,
                 coverage: coverage.fraction(),
@@ -389,7 +377,7 @@ impl ClusterControlDriver {
             summary,
             ticks: self.ticks,
             control_trail: self.responder.log().render(),
-            audit_trail: self.audit.render(),
+            notifications: self.responder.log().notifications("fleet-control"),
             complete_observations: complete,
             degraded_observations: degraded,
             health_transitions: self.health_transitions,
@@ -752,8 +740,18 @@ pub fn partition_degradation_scenario(seed: u64) -> Result<PartitionReport, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moda_fleet::control::ControlEventKind;
     use moda_fleet::NodeLiveness;
+
+    /// Every applied action raised one notification, and the first was
+    /// the canary.
+    fn notifies_every_apply(trace: &ControlTrace) {
+        assert_eq!(trace.notifications.len() as u64, trace.summary.applied);
+        assert!(
+            trace.notifications[0].subject.contains("applied canary"),
+            "{:?}",
+            trace.notifications[0]
+        );
+    }
 
     #[test]
     fn power_cap_scenario_converges_canary_first() {
@@ -783,8 +781,7 @@ mod tests {
             r.trace.summary.applied <= 4,
             "oscillation past the rate limit"
         );
-        // The mirrored audit carries the actuation notifications.
-        assert!(r.trace.audit_trail.contains("fleet-control"));
+        notifies_every_apply(&r.trace);
     }
 
     #[test]
@@ -825,8 +822,8 @@ mod tests {
         assert!(r.degraded_ticks >= 3, "partition never degraded coverage");
         assert!(r.trace.degraded_observations > 0);
         assert!(r.trace.complete_observations > 0);
-        // The ladder was walked and mirrored: nodes went stale (and
-        // dark), then recovered.
+        // The ladder was walked: nodes went stale (and dark), then
+        // recovered.
         let into = |to| {
             r.trace
                 .health_transitions
@@ -836,7 +833,7 @@ mod tests {
         };
         assert!(into(NodeLiveness::Stale) >= 2);
         assert!(into(NodeLiveness::Live) >= 2);
-        assert!(r.trace.audit_trail.contains("-> Stale"));
+        notifies_every_apply(&r.trace);
     }
 
     #[test]
@@ -921,11 +918,8 @@ mod tests {
     }
 
     #[test]
-    fn driver_trace_feeds_the_shared_audit_log() {
+    fn driver_trace_notifies_every_actuation() {
         let r = power_cap_scenario(9).expect("audit certifies");
-        // Every Applied decision in the fleet log has an Executed mirror
-        // (with notification) in the MAPE-K trail.
-        assert!(r.trace.audit_trail.contains("canary action"));
-        let _ = ControlEventKind::Promoted; // module linkage sanity
+        notifies_every_apply(&r.trace);
     }
 }

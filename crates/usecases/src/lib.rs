@@ -13,17 +13,11 @@
 //! | [`resilience`] | §IV resilience extension | proactively checkpoint on a cadence (Young-optimal given the observed MTBF) so node failures cost bounded rework |
 //! | [`fleet_control`] | §II center-level tier | fleet monitors over merged sketches feed a guarded responder that actuates canary-first into the cluster, chaos-tested for graceful degradation |
 //!
-//! [`control_link`] mirrors the fleet control plane's typed decision log
-//! ([`moda_fleet::ControlLog`]) and node health transitions into the
-//! [`moda_core::AuditLog`], so center-level Feedback/Response decisions
-//! are explained next to node-local ones; [`fleet_control`] is its caller.
-//!
 //! [`harness`] holds the shared campaign driver that interleaves
 //! discrete-event world execution with loop ticks, plus the
 //! campaign-level statistics every experiment reports (§III.iv–v
 //! validation and incentive metrics).
 
-pub mod control_link;
 pub mod fleet_control;
 pub mod harness;
 pub mod io_qos;

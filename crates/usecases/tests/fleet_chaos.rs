@@ -8,14 +8,15 @@
 //!   alone, the first response is a canary scoped to the implicated
 //!   world, every action respects cooldowns and rate limits, post-action
 //!   validation passes, and the whole decision sequence is
-//!   machine-reconstructible from the audit trail (`verify_audit`).
+//!   machine-reconstructible from the audit trail (`verify_audit`), and
+//!   every applied action raised one human-on-the-loop notification.
 //! * **partition** — fleet queries degrade to coverage-annotated
 //!   answers (zero stale-as-fresh reads, asserted per tick), the
 //!   responder holds actuation while coverage is below the floor, and
 //!   actuation resumes once the partition heals.
 //!
-//! Artifacts: set `FLEET_CHAOS_DIR` to pin the rendered control/audit
-//! trails and per-tick traces somewhere collectable (the CI job points
+//! Artifacts: set `FLEET_CHAOS_DIR` to pin the rendered control trails,
+//! summaries and per-tick traces somewhere collectable (the CI job points
 //! it into `target/` and uploads on failure). Without it the trails are
 //! written to a per-process temp dir and removed on success.
 
@@ -50,11 +51,6 @@ fn dump(name: &str, trace: &ControlTrace) -> PathBuf {
         &trace.control_trail,
     )
     .expect("write control trail");
-    std::fs::write(
-        dir.join(format!("{name}-audit-trail.txt")),
-        &trace.audit_trail,
-    )
-    .expect("write audit trail");
     let ticks: String = trace
         .ticks
         .iter()
@@ -111,6 +107,7 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
             cascade.trace.control_trail
         );
     }
+    assert_eq!(cascade.trace.notifications.len() as u64, s.applied);
 
     // --- partition: degrade, hold, resume ----------------------------
     let part = partition_degradation_scenario(13).expect("audit must certify");
@@ -120,6 +117,10 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
         "actuated on a partial fleet view"
     );
     assert!(part.applied_after_heal >= 1, "never resumed after heal");
+    assert_eq!(
+        part.trace.notifications.len() as u64,
+        part.trace.summary.applied
+    );
     assert_eq!(
         part.stale_served_as_fresh, 0,
         "a dark node was read as fresh"

@@ -10,9 +10,9 @@ use moda_core::component::{Analyzer, Executor, Monitor, Plan, PlannedAction, Pla
 use moda_core::domain::Domain;
 use moda_core::patterns::{
     CooldownCoordinator, Coordinated, FleetAnalyzer, FleetPlanner, MasterWorker, NoCoordination,
-    Peer, Worker,
+    Worker,
 };
-use moda_core::{Confidence, Knowledge};
+use moda_core::{Confidence, Knowledge, MapeLoop};
 use moda_sim::SimTime;
 use std::cell::Cell;
 use std::hint::black_box;
@@ -58,7 +58,7 @@ fn coordinated_fleet(n: usize, coordinated: bool) -> (Coordinated<Toy>, Rc<Cell<
     let state = Rc::new(Cell::new(0.5));
     let peers = (0..n)
         .map(|i| {
-            Peer::new(
+            MapeLoop::new(
                 format!("peer{i}"),
                 Box::new(ReadCell(state.clone())),
                 Box::new(PassThrough),
@@ -68,11 +68,11 @@ fn coordinated_fleet(n: usize, coordinated: bool) -> (Coordinated<Toy>, Rc<Cell<
         })
         .collect();
     let coordinator: Box<dyn moda_core::patterns::Coordinator<Toy>> = if coordinated {
-        Box::new(CooldownCoordinator::new(n, 3))
+        Box::new(CooldownCoordinator::new(3))
     } else {
         Box::new(NoCoordination)
     };
-    (Coordinated::new("bench-fleet", peers, coordinator), state)
+    (Coordinated::new(peers, coordinator), state)
 }
 
 struct MeanOf;

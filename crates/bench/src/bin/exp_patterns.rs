@@ -18,11 +18,13 @@
 use moda_bench::table::{f, Table};
 use moda_core::component::{Analyzer, Executor, Monitor, Plan, PlannedAction, Planner};
 use moda_core::domain::Domain;
-use moda_core::patterns::{CooldownCoordinator, Coordinated, MaxConcurrent, NoCoordination, Peer};
+use moda_core::patterns::{
+    CooldownCoordinator, Coordinated, Coordinator, MaxConcurrent, NoCoordination,
+};
 use moda_core::runtime::{
     run_classical, run_coordinated, run_hierarchical, run_master_worker, StageCosts,
 };
-use moda_core::{Confidence, Knowledge};
+use moda_core::{Confidence, Knowledge, LoopReport, MapeLoop};
 use moda_sim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -119,11 +121,11 @@ impl Executor<LoadDomain> for ApplyLoad {
 fn build_fleet(
     n: usize,
     util: &Rc<RefCell<f64>>,
-    coordinator: Box<dyn moda_core::patterns::Coordinator<LoadDomain>>,
+    coordinator: Box<dyn Coordinator<LoadDomain>>,
 ) -> Coordinated<LoadDomain> {
     let peers = (0..n)
         .map(|i| {
-            Peer::new(
+            MapeLoop::new(
                 format!("peer{i}"),
                 Box::new(SharedUtil(util.clone())),
                 Box::new(Identity),
@@ -135,7 +137,7 @@ fn build_fleet(
             )
         })
         .collect();
-    Coordinated::new("fleet", peers, coordinator)
+    Coordinated::new(peers, coordinator)
 }
 
 fn oscillation(utils: &[f64], target: f64) -> (f64, usize) {
@@ -158,22 +160,16 @@ fn part3_stability() {
         "E2b — decentralized-Plan stability on a shared resource (target util 0.80)",
         &["coordination", "peers", "RMS error", "crossings/100 rounds"],
     );
-    type CoordFactory = Box<dyn Fn(usize) -> Box<dyn moda_core::patterns::Coordinator<LoadDomain>>>;
-    let factories: Vec<(&str, CoordFactory)> = vec![
-        ("none", Box::new(|_n| Box::new(NoCoordination))),
-        (
-            "max-concurrent(1)",
-            Box::new(|_n| Box::new(MaxConcurrent(1))),
-        ),
-        (
-            "cooldown(3)",
-            Box::new(|n| Box::new(CooldownCoordinator::new(n, 3))),
-        ),
+    type CoordFactory = fn() -> Box<dyn Coordinator<LoadDomain>>;
+    let factories: [(&str, CoordFactory); 3] = [
+        ("none", || Box::new(NoCoordination)),
+        ("max-concurrent(1)", || Box::new(MaxConcurrent(1))),
+        ("cooldown(3)", || Box::new(CooldownCoordinator::new(3))),
     ];
     for (label, mk) in factories {
         for n in [2usize, 8] {
             let util = Rc::new(RefCell::new(0.5));
-            let mut fleet = build_fleet(n, &util, mk(n));
+            let mut fleet = build_fleet(n, &util, mk());
             let mut trace = Vec::with_capacity(100);
             for round in 0..100u64 {
                 fleet.tick(SimTime::from_secs(round));
@@ -219,6 +215,35 @@ fn part2_robustness() {
         }
     }
 
+    // Rounds out of 50 in which anything was executed.
+    fn rounds_acted(mut tick: impl FnMut(SimTime) -> LoopReport) -> usize {
+        (0..50u64)
+            .filter(|&round| tick(SimTime::from_secs(round)).executed > 0)
+            .count()
+    }
+    // Master-worker over 8 workers with the first `dead` of them down.
+    let master_worker = |dead: usize| {
+        let util = Rc::new(RefCell::new(0.5));
+        let workers = (0..8)
+            .map(|_| {
+                Worker::new(
+                    Box::new(SharedUtil(util.clone())),
+                    Box::new(ApplyLoad(util.clone())),
+                )
+            })
+            .collect();
+        let mut mw = MasterWorker::new(
+            "mw",
+            workers,
+            Box::new(MeanUtil),
+            Box::new(CentralBangBang { n: 8 }),
+        );
+        for k in 0..dead {
+            mw.set_worker_alive(k, false);
+        }
+        mw
+    };
+
     let mut t = Table::new(
         "E2a — robustness under component failure (fraction of rounds with actuation)",
         &["pattern", "peers", "failures", "rounds acted", "note"],
@@ -230,12 +255,7 @@ fn part2_robustness() {
         for k in 0..kill {
             fleet.set_peer_alive(k, false);
         }
-        let mut acted = 0;
-        for round in 0..50u64 {
-            if fleet.tick(SimTime::from_secs(round)).executed > 0 {
-                acted += 1;
-            }
-        }
+        let acted = rounds_acted(|now| fleet.tick(now));
         t.row(vec![
             "coordinated".into(),
             "8".into(),
@@ -244,33 +264,9 @@ fn part2_robustness() {
             "survivors keep managing".into(),
         ]);
 
-        // Master-worker: killing workers degrades coverage; killing the
-        // master (modeled as all-at-once unavailability of A/P) halts
-        // everything — we model master failure as every worker dead.
-        let util2 = Rc::new(RefCell::new(0.5));
-        let workers = (0..8)
-            .map(|_| {
-                Worker::new(
-                    Box::new(SharedUtil(util2.clone())),
-                    Box::new(ApplyLoad(util2.clone())),
-                )
-            })
-            .collect();
-        let mut mw = MasterWorker::new(
-            "mw",
-            workers,
-            Box::new(MeanUtil),
-            Box::new(CentralBangBang { n: 8 }),
-        );
-        for k in 0..kill {
-            mw.set_worker_alive(k, false);
-        }
-        let mut acted = 0;
-        for round in 0..50u64 {
-            if mw.tick(SimTime::from_secs(round)).executed > 0 {
-                acted += 1;
-            }
-        }
+        // Master-worker: killing workers degrades coverage.
+        let mut mw = master_worker(kill);
+        let acted = rounds_acted(|now| mw.tick(now));
         t.row(vec![
             "master-worker".into(),
             "8".into(),
@@ -279,12 +275,15 @@ fn part2_robustness() {
             "central plan targets dead workers too".into(),
         ]);
     }
-    // Master failure: single point of failure.
+    // Killing the master (all-at-once unavailability of A/P) halts
+    // everything: modelled as every worker dead.
+    let mut mw = master_worker(8);
+    let acted = rounds_acted(|now| mw.tick(now));
     t.row(vec![
         "master-worker".into(),
         "8".into(),
         "master".into(),
-        "0/50".into(),
+        format!("{acted}/50"),
         "single point of failure (by construction)".into(),
     ]);
     t.print();

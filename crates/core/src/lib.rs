@@ -23,9 +23,12 @@
 //! * [`loop_engine`] — [`loop_engine::MapeLoop`]: one loop
 //!   instance combining components, Knowledge, guardrails, a confidence
 //!   gate, an autonomy mode, and an audit trail.
-//! * [`patterns`] — Fig. 2(a)–(d): classical, master–worker, fully
-//!   decentralized coordinated, and hierarchical control, as deterministic
-//!   stepped orchestrators that compose with discrete-event simulation.
+//! * [`patterns`] — Fig. 2(b)–(d): master–worker, fully decentralized
+//!   coordinated, and hierarchical control, as deterministic stepped
+//!   orchestrators that compose with discrete-event simulation. Fig. 2(a),
+//!   the classical loop, is a `MapeLoop`; the coordinated peers and the
+//!   hierarchy's children are `MapeLoop`s, and the master admits through
+//!   the loop's own gate → guard step.
 //! * [`runtime`] — threaded drivers (`std::sync::mpsc` channels) measuring the
 //!   *real* concurrency behaviour of the same patterns for experiment E1.
 //! * [`guard`] — action budgets, cooldowns, rate limits and suspension

@@ -5,8 +5,8 @@
 //! every phase and interposing the trust machinery between Plan and
 //! Execute:
 //!
-//! 1. the [`Guard`] enforces action budgets (§III.iv),
-//! 2. the [`ConfidenceGate`] refuses low-confidence actions (§IV),
+//! 1. the [`ConfidenceGate`] refuses low-confidence actions (§IV),
+//! 2. the [`Guard`] enforces action budgets (§III.iv),
 //! 3. the [`AutonomyMode`] decides whether actions run immediately
 //!    (autonomous), run with notification (human-on-the-loop), or wait
 //!    out a human approval latency (human-in-the-loop) — the spectrum the
@@ -14,10 +14,14 @@
 //!
 //! Ticks are explicit (no internal clock): the discrete-event world calls
 //! `tick(now)` at the loop's cadence, which keeps loops composable with
-//! the simulator and with each other (see [`crate::patterns`]).
+//! the simulator and with each other (see [`crate::patterns`]). A tick
+//! is two crate-private halves — `propose` (M → A → P) and `enact` (gate
+//! → guard → mode → E → K) — so a pattern can arbitrate between them
+//! without a second copy of either; steps 1–2 are the one admission step
+//! every node-scale loop shares.
 
 use crate::audit::{AuditKind, AuditLog, Notification};
-use crate::component::{Analyzer, Assessor, Executor, Monitor, NoopAssessor, PlannedAction};
+use crate::component::{Analyzer, Assessor, Executor, Monitor, NoopAssessor, Plan, PlannedAction};
 use crate::confidence::ConfidenceGate;
 use crate::domain::Domain;
 use crate::guard::{BlockReason, Guard, GuardConfig};
@@ -44,7 +48,7 @@ pub enum AutonomyMode {
 
 /// What one `tick` did — the per-iteration report consumed by patterns,
 /// experiments, and supervisors.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoopReport {
     /// Monitor produced data this iteration.
     pub observed: bool,
@@ -221,6 +225,15 @@ impl<D: Domain> MapeLoop<D> {
     /// Run one M→A→P→E iteration at simulated time `now`.
     pub fn tick(&mut self, now: SimTime) -> LoopReport {
         let mut report = LoopReport::default();
+        let plan = self.propose(now, &mut report);
+        self.enact(now, plan, &mut report);
+        report
+    }
+
+    /// First half of an iteration: release matured human approvals, then
+    /// M → A → P. Returns the plan (empty when the Monitor had no data);
+    /// the patterns arbitrate between the two halves.
+    pub(crate) fn propose(&mut self, now: SimTime, report: &mut LoopReport) -> Plan<D::Action> {
         self.iterations += 1;
 
         // Release matured human-approved actions first: approvals arrive
@@ -245,7 +258,7 @@ impl<D: Domain> MapeLoop<D> {
                 format!("approved after human latency: {}", q.action.rationale),
                 Some(q.action.confidence.value()),
             );
-            self.run_action(now, q.action, &mut report);
+            self.run_action(now, q.action, report);
         }
 
         // M — first harvest durable history (completed-entity records)
@@ -256,7 +269,7 @@ impl<D: Domain> MapeLoop<D> {
             None => {
                 self.audit
                     .record(now, &self.name, AuditKind::NoData, "no observation", None);
-                return report;
+                return Plan::none();
             }
         };
         report.observed = true;
@@ -290,24 +303,26 @@ impl<D: Domain> MapeLoop<D> {
                 None,
             );
         }
-        report.planned = plan.actions.len();
+        report.planned += plan.actions.len();
+        plan
+    }
 
-        // Gate → guard → E for each action.
+    /// Second half of an iteration: each action through [`admit`], then
+    /// the autonomy mode, E and K.
+    pub(crate) fn enact(&mut self, now: SimTime, plan: Plan<D::Action>, report: &mut LoopReport) {
         for pa in plan.actions {
-            if !self.gate.passes(pa.confidence) {
+            if let Err(reason) = admit(
+                self.gate,
+                &mut self.guard,
+                &mut self.audit,
+                &self.name,
+                now,
+                &pa,
+            ) {
                 report.blocked += 1;
-                let reason = BlockReason::LowConfidence {
-                    confidence: pa.confidence.value(),
-                    threshold: self.gate.threshold,
-                };
-                self.audit.record(
-                    now,
-                    &self.name,
-                    AuditKind::Blocked,
-                    reason.to_string(),
-                    Some(pa.confidence.value()),
-                );
-                if self.mode == AutonomyMode::HumanOnTheLoop {
+                if matches!(reason, BlockReason::LowConfidence { .. })
+                    && self.mode == AutonomyMode::HumanOnTheLoop
+                {
                     // Escalate what the loop would have done and why it
                     // did not dare to.
                     let n = Notification {
@@ -322,52 +337,52 @@ impl<D: Domain> MapeLoop<D> {
                 }
                 continue;
             }
-
-            match self.guard.admit(now, &pa.kind, pa.magnitude) {
-                Err(reason) => {
-                    report.blocked += 1;
+            match self.mode {
+                AutonomyMode::Autonomous => {
+                    self.run_action(now, pa, report);
+                }
+                AutonomyMode::HumanOnTheLoop => {
+                    let n = Notification {
+                        t: now,
+                        loop_name: self.name.clone(),
+                        subject: format!("executing {} action", pa.kind),
+                        explanation: pa.rationale.clone(),
+                        proceeded: true,
+                    };
+                    self.audit.notify(n);
+                    report.notified += 1;
+                    self.run_action(now, pa, report);
+                }
+                AutonomyMode::HumanInTheLoop { latency } => {
                     self.audit.record(
                         now,
                         &self.name,
-                        AuditKind::Blocked,
-                        reason.to_string(),
+                        AuditKind::Queued,
+                        format!("awaiting approval: {}", pa.rationale),
                         Some(pa.confidence.value()),
                     );
+                    self.pending.push(QueuedAction {
+                        release_at: now + latency,
+                        action: pa,
+                    });
+                    report.queued += 1;
                 }
-                Ok(()) => match self.mode {
-                    AutonomyMode::Autonomous => {
-                        self.run_action(now, pa, &mut report);
-                    }
-                    AutonomyMode::HumanOnTheLoop => {
-                        let n = Notification {
-                            t: now,
-                            loop_name: self.name.clone(),
-                            subject: format!("executing {} action", pa.kind),
-                            explanation: pa.rationale.clone(),
-                            proceeded: true,
-                        };
-                        self.audit.notify(n);
-                        report.notified += 1;
-                        self.run_action(now, pa, &mut report);
-                    }
-                    AutonomyMode::HumanInTheLoop { latency } => {
-                        self.audit.record(
-                            now,
-                            &self.name,
-                            AuditKind::Queued,
-                            format!("awaiting approval: {}", pa.rationale),
-                            Some(pa.confidence.value()),
-                        );
-                        self.pending.push(QueuedAction {
-                            release_at: now + latency,
-                            action: pa,
-                        });
-                        report.queued += 1;
-                    }
-                },
             }
         }
-        report
+    }
+
+    /// Refuse a proposed plan from outside the loop (a coordinator's
+    /// veto): its actions count as blocked and the veto lands in this
+    /// loop's own trail.
+    pub(crate) fn veto(&mut self, now: SimTime, plan: &Plan<D::Action>, report: &mut LoopReport) {
+        report.blocked += plan.actions.len();
+        self.audit.record(
+            now,
+            &self.name,
+            AuditKind::Blocked,
+            format!("vetoed by coordination: {} action(s)", plan.actions.len()),
+            None,
+        );
     }
 
     fn run_action(&mut self, now: SimTime, pa: PlannedAction<D::Action>, report: &mut LoopReport) {
@@ -400,10 +415,41 @@ impl<D: Domain> MapeLoop<D> {
     }
 }
 
+/// Gate, then guard: the one admission step every node-scale loop runs
+/// between Plan and Execute — [`MapeLoop`] and the master of
+/// [`crate::patterns::MasterWorker`] alike. A refusal is audited as
+/// `Blocked` with its [`BlockReason`] and returned.
+pub(crate) fn admit<A>(
+    gate: ConfidenceGate,
+    guard: &mut Guard,
+    audit: &mut AuditLog,
+    name: &str,
+    now: SimTime,
+    pa: &PlannedAction<A>,
+) -> Result<(), BlockReason> {
+    let verdict = if gate.passes(pa.confidence) {
+        guard.admit(now, &pa.kind, pa.magnitude)
+    } else {
+        Err(BlockReason::LowConfidence {
+            confidence: pa.confidence.value(),
+            threshold: gate.threshold,
+        })
+    };
+    if let Err(reason) = &verdict {
+        audit.record(
+            now,
+            name,
+            AuditKind::Blocked,
+            reason.to_string(),
+            Some(pa.confidence.value()),
+        );
+    }
+    verdict
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::Plan;
     use crate::confidence::Confidence;
     use crate::domain::ScalarDomain;
     use std::cell::RefCell;

@@ -6,82 +6,28 @@
 //! policies may suffer from instability and side-effects due to indirect
 //! interactions" (§II).
 //!
-//! Every [`Peer`] owns all four phases *and its own Knowledge*. The only
-//! shared element is a [`Coordinator`] that sees all peers' intents for
-//! the round and may veto some of them — modelling coordination
+//! Every peer is an ordinary [`MapeLoop`]: all four phases, its own
+//! Knowledge, gate, guard, autonomy mode and audit trail. The pattern adds
+//! only arbitration: each round every live peer proposes (M → A → P), a
+//! [`Coordinator`] sees all the intents and may veto some of them —
 //! protocols from "none" (the instability baseline of experiment E2)
-//! through token-limited concurrency to per-peer cooldowns.
+//! through token-limited concurrency to per-peer cooldowns — and the
+//! allowed peers enact their plans (gate → guard → mode → E → K) in the
+//! coordinator's order. A veto lands as `Blocked` in the vetoed peer's
+//! own trail, beside its gate and guard refusals.
 
-use crate::audit::{AuditKind, AuditLog};
-use crate::component::{Analyzer, Executor, Monitor, Plan, Planner};
-use crate::confidence::ConfidenceGate;
+use crate::component::Plan;
 use crate::domain::Domain;
-use crate::guard::{Guard, GuardConfig};
-use crate::knowledge::{Knowledge, OutcomeRecord};
-use crate::loop_engine::LoopReport;
+use crate::loop_engine::{LoopReport, MapeLoop};
 use moda_sim::SimTime;
-
-/// A fully decentralized loop instance: one managed-subsystem's M, A, P,
-/// E and private Knowledge.
-pub struct Peer<D: Domain> {
-    /// Peer name (diagnostics).
-    pub name: String,
-    monitor: Box<dyn Monitor<D>>,
-    analyzer: Box<dyn Analyzer<D>>,
-    planner: Box<dyn Planner<D>>,
-    executor: Box<dyn Executor<D>>,
-    knowledge: Knowledge,
-    guard: Guard,
-    gate: ConfidenceGate,
-    /// Failure-injection flag (experiment E2).
-    pub alive: bool,
-}
-
-impl<D: Domain> Peer<D> {
-    /// Assemble a peer.
-    pub fn new(
-        name: impl Into<String>,
-        monitor: Box<dyn Monitor<D>>,
-        analyzer: Box<dyn Analyzer<D>>,
-        planner: Box<dyn Planner<D>>,
-        executor: Box<dyn Executor<D>>,
-    ) -> Self {
-        Peer {
-            name: name.into(),
-            monitor,
-            analyzer,
-            planner,
-            executor,
-            knowledge: Knowledge::new(),
-            guard: Guard::new(GuardConfig::unlimited()),
-            gate: ConfidenceGate::new(0.0),
-            alive: true,
-        }
-    }
-
-    /// Install guardrails on this peer.
-    pub fn with_guard(mut self, config: GuardConfig) -> Self {
-        self.guard = Guard::new(config);
-        self
-    }
-
-    /// Install a confidence gate on this peer.
-    pub fn with_gate(mut self, gate: ConfidenceGate) -> Self {
-        self.gate = gate;
-        self
-    }
-
-    /// This peer's private Knowledge.
-    pub fn knowledge(&self) -> &Knowledge {
-        &self.knowledge
-    }
-}
 
 /// Round-level coordination: sees every peer's intended plan, returns
 /// for each peer whether it may proceed this round.
 pub trait Coordinator<D: Domain> {
     /// `intents[i]` is `(peer index, plan)` for peers that want to act.
-    /// Returns the indices (into `intents`) that are *allowed*.
+    /// Returns the indices (into `intents`) that are *allowed*, in the
+    /// order they are to run; a repeated index runs once and one past the
+    /// end is ignored.
     fn coordinate(&mut self, now: SimTime, intents: &[(usize, &Plan<D::Action>)]) -> Vec<usize>;
 }
 
@@ -129,16 +75,18 @@ impl<D: Domain> Coordinator<D> for MaxConcurrent {
 pub struct CooldownCoordinator {
     /// Quiet rounds required after acting.
     pub rounds: u64,
+    /// Round each peer last acted in, indexed by peer; grown as peers
+    /// show up in the intents.
     last_acted: Vec<Option<u64>>,
     round: u64,
 }
 
 impl CooldownCoordinator {
-    /// Damper for `peers` peers with the given cooldown in rounds.
-    pub fn new(peers: usize, rounds: u64) -> Self {
+    /// Damper with the given cooldown in rounds, over any number of peers.
+    pub fn new(rounds: u64) -> Self {
         CooldownCoordinator {
             rounds,
-            last_acted: vec![None; peers],
+            last_acted: Vec::new(),
             round: 0,
         }
     }
@@ -149,15 +97,13 @@ impl<D: Domain> Coordinator<D> for CooldownCoordinator {
         self.round += 1;
         let round = self.round;
         let mut allowed = Vec::new();
-        for (slot, &(peer_idx, _)) in intents.iter().enumerate() {
-            let ok = match self.last_acted.get(peer_idx).copied().flatten() {
-                Some(last) => round.saturating_sub(last) > self.rounds,
-                None => true,
-            };
-            if ok {
-                if let Some(e) = self.last_acted.get_mut(peer_idx) {
-                    *e = Some(round);
-                }
+        for (slot, &(peer, _)) in intents.iter().enumerate() {
+            if peer >= self.last_acted.len() {
+                self.last_acted.resize(peer + 1, None);
+            }
+            let last = &mut self.last_acted[peer];
+            if last.is_none_or(|l| round - l > self.rounds) {
+                *last = Some(round);
                 allowed.push(slot);
             }
         }
@@ -167,26 +113,21 @@ impl<D: Domain> Coordinator<D> for CooldownCoordinator {
 
 /// The decentralized-coordinated orchestrator.
 pub struct Coordinated<D: Domain> {
-    name: String,
-    peers: Vec<Peer<D>>,
+    peers: Vec<MapeLoop<D>>,
+    /// Failure-injection flags, one per peer (experiment E2).
+    alive: Vec<bool>,
     coordinator: Box<dyn Coordinator<D>>,
-    audit: AuditLog,
     rounds: u64,
     vetoed: u64,
 }
 
 impl<D: Domain> Coordinated<D> {
-    /// Assemble the pattern from peers and a coordinator.
-    pub fn new(
-        name: impl Into<String>,
-        peers: Vec<Peer<D>>,
-        coordinator: Box<dyn Coordinator<D>>,
-    ) -> Self {
+    /// Assemble the pattern from peer loops and a coordinator.
+    pub fn new(peers: Vec<MapeLoop<D>>, coordinator: Box<dyn Coordinator<D>>) -> Self {
         Coordinated {
-            name: name.into(),
+            alive: vec![true; peers.len()],
             peers,
             coordinator,
-            audit: AuditLog::default(),
             rounds: 0,
             vetoed: 0,
         }
@@ -197,14 +138,14 @@ impl<D: Domain> Coordinated<D> {
         self.peers.len()
     }
 
-    /// Access a peer (e.g. its private knowledge).
-    pub fn peer(&self, idx: usize) -> &Peer<D> {
+    /// Access a peer loop (its private Knowledge, its audit trail).
+    pub fn peer(&self, idx: usize) -> &MapeLoop<D> {
         &self.peers[idx]
     }
 
-    /// Failure injection.
+    /// Failure injection: a dead peer neither proposes nor enacts.
     pub fn set_peer_alive(&mut self, idx: usize, alive: bool) {
-        self.peers[idx].alive = alive;
+        self.alive[idx] = alive;
     }
 
     /// Completed rounds.
@@ -217,14 +158,8 @@ impl<D: Domain> Coordinated<D> {
         self.vetoed
     }
 
-    /// Audit trail (pattern-level events only; peers keep their own
-    /// knowledge but share this audit surface).
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// One round: every live peer monitors/analyzes/plans independently;
-    /// the coordinator arbitrates; allowed peers execute.
+    /// One round: every live peer proposes independently; the
+    /// coordinator arbitrates; allowed peers enact, vetoed ones record it.
     pub fn tick(&mut self, now: SimTime) -> LoopReport {
         let mut report = LoopReport::default();
         self.rounds += 1;
@@ -232,18 +167,11 @@ impl<D: Domain> Coordinated<D> {
         // Decentralized M, A, P.
         let mut intents: Vec<(usize, Plan<D::Action>)> = Vec::new();
         for (i, peer) in self.peers.iter_mut().enumerate() {
-            if !peer.alive {
-                continue;
-            }
-            let Some(obs) = peer.monitor.observe(now) else {
-                continue;
-            };
-            report.observed = true;
-            let assessment = peer.analyzer.analyze(now, &obs, &peer.knowledge);
-            let plan = peer.planner.plan(now, &assessment, &peer.knowledge);
-            if !plan.is_empty() {
-                report.planned += plan.actions.len();
-                intents.push((i, plan));
+            if self.alive[i] {
+                let plan = peer.propose(now, &mut report);
+                if !plan.is_empty() {
+                    intents.push((i, plan));
+                }
             }
         }
         if intents.is_empty() {
@@ -254,59 +182,19 @@ impl<D: Domain> Coordinated<D> {
         let intent_refs: Vec<(usize, &Plan<D::Action>)> =
             intents.iter().map(|(i, p)| (*i, p)).collect();
         let allowed_slots = self.coordinator.coordinate(now, &intent_refs);
-        let vetoed_count = intents.len() - allowed_slots.len();
-        self.vetoed += vetoed_count as u64;
-        report.blocked += intents
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| !allowed_slots.contains(slot))
-            .map(|(_, (_, p))| p.actions.len())
-            .sum::<usize>();
-        if vetoed_count > 0 {
-            self.audit.record(
-                now,
-                &self.name,
-                AuditKind::Blocked,
-                format!("coordination vetoed {vetoed_count} peer intent(s)"),
-                None,
-            );
-        }
 
-        // Decentralized E on allowed peers.
+        // Decentralized E in the coordinator's order: each intent is taken
+        // at most once, and exactly the ones left untaken were vetoed.
+        let mut slots: Vec<Option<(usize, Plan<D::Action>)>> =
+            intents.into_iter().map(Some).collect();
         for slot in allowed_slots {
-            let (peer_idx, plan) = {
-                let (i, p) = &intents[slot];
-                (*i, p.clone())
-            };
-            let peer = &mut self.peers[peer_idx];
-            for pa in plan.actions {
-                if !peer.gate.passes(pa.confidence) {
-                    report.blocked += 1;
-                    continue;
-                }
-                match peer.guard.admit(now, &pa.kind, pa.magnitude) {
-                    Err(_) => report.blocked += 1,
-                    Ok(()) => {
-                        let outcome = peer.executor.execute(now, &pa.action);
-                        report.executed += 1;
-                        self.audit.record(
-                            now,
-                            &peer.name,
-                            AuditKind::Executed,
-                            format!("{:?} -> {:?}", pa.action, outcome),
-                            Some(pa.confidence.value()),
-                        );
-                        peer.knowledge.record_outcome(OutcomeRecord {
-                            loop_name: peer.name.clone(),
-                            t: now,
-                            kind: pa.kind.clone(),
-                            confidence: pa.confidence.value(),
-                            success: None,
-                            error: 0.0,
-                        });
-                    }
-                }
+            if let Some((i, plan)) = slots.get_mut(slot).and_then(Option::take) {
+                self.peers[i].enact(now, plan, &mut report);
             }
+        }
+        for (i, plan) in slots.into_iter().flatten() {
+            self.vetoed += 1;
+            self.peers[i].veto(now, &plan, &mut report);
         }
         report
     }
@@ -315,12 +203,24 @@ impl<D: Domain> Coordinated<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::PlannedAction;
-    use crate::confidence::Confidence;
+    use crate::audit::AuditKind;
+    use crate::component::{Analyzer, Executor, Monitor, PlannedAction, Planner};
+    use crate::confidence::{Confidence, ConfidenceGate};
     use crate::domain::ScalarDomain;
+    use crate::guard::GuardConfig;
+    use crate::knowledge::Knowledge;
+    use crate::loop_engine::AutonomyMode;
+    use moda_sim::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Observes 1.0, except every third second — the NoData path.
+    struct Gappy;
+    impl Monitor<ScalarDomain> for Gappy {
+        fn observe(&mut self, now: SimTime) -> Option<f64> {
+            (!now.as_millis().is_multiple_of(3000)).then_some(1.0)
+        }
+    }
     struct ConstMonitor(f64);
     impl Monitor<ScalarDomain> for ConstMonitor {
         fn observe(&mut self, _now: SimTime) -> Option<f64> {
@@ -336,40 +236,61 @@ mod tests {
     struct ActWithConf(f64);
     impl Planner<ScalarDomain> for ActWithConf {
         fn plan(&mut self, _n: SimTime, a: &f64, _k: &Knowledge) -> Plan<f64> {
-            Plan::single(PlannedAction::new(*a, "act", Confidence::new(self.0)))
+            Plan::single(
+                PlannedAction::new(*a, "act", Confidence::new(self.0)).with_rationale("act"),
+            )
         }
     }
-    struct Recorder(Rc<RefCell<Vec<usize>>>, usize);
+    /// `(peer index, milliseconds)` of every execution.
+    type ExecLog = Rc<RefCell<Vec<(usize, u64)>>>;
+    struct Recorder(ExecLog, usize);
     impl Executor<ScalarDomain> for Recorder {
-        fn execute(&mut self, _n: SimTime, _a: &f64) -> bool {
-            self.0.borrow_mut().push(self.1);
+        fn execute(&mut self, n: SimTime, _a: &f64) -> bool {
+            self.0.borrow_mut().push((self.1, n.as_millis()));
             true
         }
     }
+    /// Allows the same slots whatever the intents are.
+    struct Fixed(Vec<usize>);
+    impl Coordinator<ScalarDomain> for Fixed {
+        fn coordinate(&mut self, _n: SimTime, _i: &[(usize, &Plan<f64>)]) -> Vec<usize> {
+            self.0.clone()
+        }
+    }
 
-    fn peers(confs: &[f64]) -> (Vec<Peer<ScalarDomain>>, Rc<RefCell<Vec<usize>>>) {
+    fn peer(i: usize, conf: f64, log: &ExecLog) -> MapeLoop<ScalarDomain> {
+        MapeLoop::new(
+            format!("peer{i}"),
+            Box::new(ConstMonitor(1.0)),
+            Box::new(Id),
+            Box::new(ActWithConf(conf)),
+            Box::new(Recorder(log.clone(), i)),
+        )
+    }
+
+    fn peers(confs: &[f64]) -> (Vec<MapeLoop<ScalarDomain>>, ExecLog) {
         let log = Rc::new(RefCell::new(Vec::new()));
         let peers = confs
             .iter()
             .enumerate()
-            .map(|(i, &c)| {
-                Peer::new(
-                    format!("peer{i}"),
-                    Box::new(ConstMonitor(1.0)),
-                    Box::new(Id),
-                    Box::new(ActWithConf(c)),
-                    Box::new(Recorder(log.clone(), i)),
-                )
-            })
+            .map(|(i, &c)| peer(i, c, &log))
             .collect();
         (peers, log)
+    }
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn executed_by(log: &ExecLog) -> Vec<usize> {
+        log.borrow().iter().map(|&(i, _)| i).collect()
     }
 
     #[test]
     fn no_coordination_everyone_acts() {
         let (p, log) = peers(&[0.5, 0.6, 0.7]);
-        let mut c = Coordinated::new("c", p, Box::new(NoCoordination));
-        let r = c.tick(SimTime::from_secs(1));
+        let mut c = Coordinated::new(p, Box::new(NoCoordination));
+        let r = c.tick(t(1));
         assert_eq!(r.executed, 3);
         assert_eq!(r.blocked, 0);
         assert_eq!(log.borrow().len(), 3);
@@ -379,58 +300,62 @@ mod tests {
     #[test]
     fn max_concurrent_picks_highest_confidence() {
         let (p, log) = peers(&[0.5, 0.9, 0.7]);
-        let mut c = Coordinated::new("c", p, Box::new(MaxConcurrent(1)));
-        let r = c.tick(SimTime::from_secs(1));
+        let mut c = Coordinated::new(p, Box::new(MaxConcurrent(1)));
+        let r = c.tick(t(1));
         assert_eq!(r.executed, 1);
         assert_eq!(r.blocked, 2);
-        assert_eq!(log.borrow()[0], 1); // peer with conf 0.9
+        assert_eq!(executed_by(&log), vec![1]); // peer with conf 0.9
         assert_eq!(c.vetoed(), 2);
     }
 
     #[test]
     fn cooldown_forces_alternation() {
         let (p, log) = peers(&[0.5, 0.5]);
-        let mut c = Coordinated::new("c", p, Box::new(CooldownCoordinator::new(2, 1)));
+        let mut c = Coordinated::new(p, Box::new(CooldownCoordinator::new(1)));
         // Round 1: both allowed (no history).
-        c.tick(SimTime::from_secs(1));
+        c.tick(t(1));
         assert_eq!(log.borrow().len(), 2);
         // Round 2: both cooled down → silent.
-        let r2 = c.tick(SimTime::from_secs(2));
+        let r2 = c.tick(t(2));
         assert_eq!(r2.executed, 0);
         // Round 3: cooldown over.
-        let r3 = c.tick(SimTime::from_secs(3));
+        let r3 = c.tick(t(3));
         assert_eq!(r3.executed, 2);
+    }
+
+    #[test]
+    fn cooldown_learns_its_peers_from_the_intents() {
+        let (p, _log) = peers(&[0.5; 8]);
+        let mut c = Coordinated::new(p, Box::new(CooldownCoordinator::new(1)));
+        assert_eq!(c.tick(t(1)).executed, 8);
+        let r2 = c.tick(t(2));
+        assert_eq!(r2.executed, 0, "every one of the 8 peers is damped");
+        assert_eq!(r2.blocked, 8);
+        assert_eq!(c.vetoed(), 8);
+        assert_eq!(c.tick(t(3)).executed, 8);
     }
 
     #[test]
     fn dead_peer_is_skipped_entirely() {
         let (p, log) = peers(&[0.5, 0.5]);
-        let mut c = Coordinated::new("c", p, Box::new(NoCoordination));
+        let mut c = Coordinated::new(p, Box::new(NoCoordination));
         c.set_peer_alive(0, false);
-        let r = c.tick(SimTime::from_secs(1));
+        let r = c.tick(t(1));
         assert_eq!(r.executed, 1);
-        assert_eq!(log.borrow()[0], 1);
+        assert_eq!(executed_by(&log), vec![1]);
+        assert_eq!(c.peer(0).iterations(), 0);
         // The fleet keeps operating — the robustness property of (c).
         assert!(r.observed);
     }
 
     #[test]
     fn peer_guard_still_applies_after_coordination() {
-        let (mut p, log) = peers(&[0.5]);
-        p[0] = std::mem::replace(
-            &mut p[0],
-            Peer::new(
-                "x",
-                Box::new(ConstMonitor(1.0)),
-                Box::new(Id),
-                Box::new(ActWithConf(0.5)),
-                Box::new(Recorder(log.clone(), 0)),
-            ),
-        )
-        .with_guard(GuardConfig::unlimited().with_max_count("act", 1));
-        let mut c = Coordinated::new("c", p, Box::new(NoCoordination));
-        c.tick(SimTime::from_secs(1));
-        let r = c.tick(SimTime::from_secs(2));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let p =
+            vec![peer(0, 0.5, &log).with_guard(GuardConfig::unlimited().with_max_count("act", 1))];
+        let mut c = Coordinated::new(p, Box::new(NoCoordination));
+        c.tick(t(1));
+        let r = c.tick(t(2));
         assert_eq!(r.blocked, 1);
         assert_eq!(log.borrow().len(), 1);
     }
@@ -438,11 +363,126 @@ mod tests {
     #[test]
     fn outcomes_stay_in_private_knowledge() {
         let (p, _log) = peers(&[0.5, 0.5]);
-        let mut c = Coordinated::new("c", p, Box::new(NoCoordination));
-        c.tick(SimTime::from_secs(1));
+        let mut c = Coordinated::new(p, Box::new(NoCoordination));
+        c.tick(t(1));
         assert_eq!(c.peer(0).knowledge().outcome_count(), 1);
         assert_eq!(c.peer(1).knowledge().outcome_count(), 1);
         assert_eq!(c.peer_count(), 2);
         assert_eq!(c.rounds(), 1);
+    }
+
+    #[test]
+    fn a_repeated_slot_runs_its_plan_once() {
+        let (p, log) = peers(&[0.5]);
+        let mut c = Coordinated::new(p, Box::new(Fixed(vec![0, 0])));
+        let r = c.tick(t(1));
+        assert_eq!(r.executed, 1);
+        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(c.vetoed(), 0);
+    }
+
+    #[test]
+    fn a_slot_past_the_end_is_ignored() {
+        let (p, log) = peers(&[0.5, 0.5]);
+        let mut c = Coordinated::new(p, Box::new(Fixed(vec![5, 1])));
+        let r = c.tick(t(1));
+        assert_eq!(r.executed, 1);
+        assert_eq!(r.blocked, 1);
+        assert_eq!(executed_by(&log), vec![1]);
+        assert_eq!(c.vetoed(), 1);
+    }
+
+    #[test]
+    fn allowed_plans_run_in_the_coordinators_order() {
+        let (p, log) = peers(&[0.5, 0.5, 0.5]);
+        let mut c = Coordinated::new(p, Box::new(Fixed(vec![2, 0, 1])));
+        c.tick(t(1));
+        assert_eq!(executed_by(&log), vec![2, 0, 1]);
+    }
+
+    /// Five loops that share nothing: autonomous, human-on-the-loop (one
+    /// proceeding, one escalating withheld actions), human-in-the-loop,
+    /// and one with a count budget; each with its own execution log.
+    fn unshared_loops() -> (Vec<MapeLoop<ScalarDomain>>, Vec<ExecLog>) {
+        let logs: Vec<ExecLog> = (0..5).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+        let mk = |i: usize, conf: f64| {
+            MapeLoop::new(
+                format!("peer{i}"),
+                Box::new(Gappy),
+                Box::new(Id),
+                Box::new(ActWithConf(conf)),
+                Box::new(Recorder(logs[i].clone(), i)),
+            )
+        };
+        let loops = vec![
+            mk(0, 0.9),
+            mk(1, 0.9)
+                .with_mode(AutonomyMode::HumanOnTheLoop)
+                .with_gate(ConfidenceGate::new(0.5)),
+            mk(2, 0.4)
+                .with_mode(AutonomyMode::HumanOnTheLoop)
+                .with_gate(ConfidenceGate::new(0.5)),
+            mk(3, 0.9).with_mode(AutonomyMode::HumanInTheLoop {
+                latency: SimDuration::from_secs(2),
+            }),
+            mk(4, 0.9).with_guard(GuardConfig::unlimited().with_max_count("act", 3)),
+        ];
+        (loops, logs)
+    }
+
+    #[test]
+    fn the_pattern_adds_only_arbitration() {
+        let (mut solo, solo_logs) = unshared_loops();
+        let (peers, peer_logs) = unshared_loops();
+        let mut c = Coordinated::new(peers, Box::new(NoCoordination));
+        let (mut solo_sum, mut fleet_sum) = (LoopReport::default(), LoopReport::default());
+        for s in 0..12 {
+            for l in &mut solo {
+                solo_sum.absorb(&l.tick(t(s)));
+            }
+            fleet_sum.absorb(&c.tick(t(s)));
+        }
+        assert_eq!(fleet_sum, solo_sum);
+        // Every path of the loop was exercised.
+        assert!(solo_sum.executed > 0 && solo_sum.blocked > 0);
+        assert!(solo_sum.queued > 0 && solo_sum.notified > 0);
+        assert!(c.peer(3).audit().count(AuditKind::Approved) > 0);
+        for (i, l) in solo.iter().enumerate() {
+            assert_eq!(*peer_logs[i].borrow(), *solo_logs[i].borrow(), "peer{i}");
+            assert_eq!(c.peer(i).audit().render(), l.audit().render(), "peer{i}");
+            assert_eq!(c.peer(i).iterations(), l.iterations());
+        }
+    }
+
+    #[test]
+    fn refusals_land_in_the_peers_own_trail() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let p = vec![
+            // Lowest confidence: the coordinator vetoes it.
+            peer(0, 0.2, &log),
+            // Allowed, then refused by its own gate…
+            peer(1, 0.5, &log).with_gate(ConfidenceGate::new(0.6)),
+            // …or by its own guard.
+            peer(2, 0.9, &log).with_guard(GuardConfig::unlimited().with_max_count("act", 0)),
+        ];
+        let mut c = Coordinated::new(p, Box::new(MaxConcurrent(2)));
+        let r = c.tick(t(1));
+        assert_eq!((r.executed, r.blocked), (0, 3));
+        assert!(log.borrow().is_empty());
+        for (i, why) in [(0, "vetoed"), (1, "below threshold"), (2, "count budget")] {
+            let blocked: Vec<_> = c
+                .peer(i)
+                .audit()
+                .events()
+                .filter(|e| e.kind == AuditKind::Blocked)
+                .collect();
+            assert_eq!(blocked.len(), 1, "peer{i}");
+            assert_eq!(blocked[0].loop_name, format!("peer{i}"));
+            assert!(
+                blocked[0].detail.contains(why),
+                "peer{i}: {}",
+                blocked[0].detail
+            );
+        }
     }
 }

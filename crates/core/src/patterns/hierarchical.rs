@@ -128,8 +128,8 @@ impl<D: Domain> Hierarchy<D> {
         Hierarchy {
             children,
             supervisor,
-            child_cadence: Cadence::new(child_period, SimTime::ZERO),
-            parent_cadence: Cadence::new(parent_period, SimTime::ZERO),
+            child_cadence: Cadence::new(child_period),
+            parent_cadence: Cadence::new(parent_period),
             windows: vec![Vec::new(); n],
             supervision_passes: 0,
             total_adjustments: 0,

@@ -7,7 +7,8 @@
 //! Each [`Worker`] pairs a Monitor and an Executor bound to one managed
 //! system. The master holds the fleet-wide Analyzer and Planner plus the
 //! single shared Knowledge, and dispatches planned actions back to the
-//! worker that must execute them.
+//! worker that must execute them — each admitted through the same
+//! gate → guard step a [`MapeLoop`](crate::loop_engine::MapeLoop) runs.
 
 use crate::audit::{AuditKind, AuditLog};
 use crate::component::{Executor, Monitor, PlannedAction};
@@ -15,7 +16,7 @@ use crate::confidence::ConfidenceGate;
 use crate::domain::Domain;
 use crate::guard::{Guard, GuardConfig};
 use crate::knowledge::{Knowledge, OutcomeRecord};
-use crate::loop_engine::LoopReport;
+use crate::loop_engine::{admit, LoopReport};
 use moda_sim::SimTime;
 
 /// Fleet-wide Analyze: sees every worker's observation at once, which is
@@ -204,52 +205,36 @@ impl<D: Domain> MasterWorker<D> {
                 );
                 continue;
             }
-            if !self.gate.passes(pa.confidence) {
+            if admit(
+                self.gate,
+                &mut self.guard,
+                &mut self.audit,
+                &self.name,
+                now,
+                &pa,
+            )
+            .is_err()
+            {
                 report.blocked += 1;
-                self.audit.record(
-                    now,
-                    &self.name,
-                    AuditKind::Blocked,
-                    format!(
-                        "confidence {:.2} below threshold {:.2}",
-                        pa.confidence.value(),
-                        self.gate.threshold
-                    ),
-                    Some(pa.confidence.value()),
-                );
                 continue;
             }
-            match self.guard.admit(now, &pa.kind, pa.magnitude) {
-                Err(reason) => {
-                    report.blocked += 1;
-                    self.audit.record(
-                        now,
-                        &self.name,
-                        AuditKind::Blocked,
-                        reason.to_string(),
-                        Some(pa.confidence.value()),
-                    );
-                }
-                Ok(()) => {
-                    let outcome = self.workers[idx].executor.execute(now, &pa.action);
-                    report.executed += 1;
-                    self.audit.record(
-                        now,
-                        &self.name,
-                        AuditKind::Executed,
-                        format!("worker {idx}: {:?} -> {:?}", pa.action, outcome),
-                        Some(pa.confidence.value()),
-                    );
-                    self.knowledge.record_outcome(OutcomeRecord {
-                        loop_name: self.name.clone(),
-                        t: now,
-                        kind: pa.kind.clone(),
-                        confidence: pa.confidence.value(),
-                        success: None,
-                        error: 0.0,
-                    });
-                }
-            }
+            let outcome = self.workers[idx].executor.execute(now, &pa.action);
+            report.executed += 1;
+            self.audit.record(
+                now,
+                &self.name,
+                AuditKind::Executed,
+                format!("worker {idx}: {:?} -> {:?}", pa.action, outcome),
+                Some(pa.confidence.value()),
+            );
+            self.knowledge.record_outcome(OutcomeRecord {
+                loop_name: self.name.clone(),
+                t: now,
+                kind: pa.kind.clone(),
+                confidence: pa.confidence.value(),
+                success: None,
+                error: 0.0,
+            });
         }
         report
     }

@@ -1,60 +1,60 @@
-//! The four MAPE-K design patterns of Fig. 2.
+//! The four MAPE-K design patterns of Fig. 2, over one loop.
 //!
 //! | Pattern | Fig. 2 | Decentralized | Centralized | Trade-off (per §II) |
 //! |---|---|---|---|---|
-//! | [`classical::Classical`] | (a) | — | M, A, P, E | simple; one managed system |
+//! | [`MapeLoop`] itself | (a) | — | M, A, P, E | simple; one managed system |
 //! | [`master_worker::MasterWorker`] | (b) | M, E | A, P | global objectives, limited Plan scalability |
 //! | [`coordinated::Coordinated`] | (c) | M, A, P, E | — | scalable/robust, risk of instability |
 //! | [`hierarchical::Hierarchy`] | (d) | M, A, P, E per child | supervision | separation of concerns & time scales |
 //!
-//! All four are *stepped* orchestrators: the caller (usually the
-//! discrete-event world, or a [`Cadence`]-driven harness) invokes
-//! `tick(now)` — nothing spawns threads here, so composed simulations
-//! stay deterministic. The threaded counterparts used for wall-clock
-//! latency measurements live in [`crate::runtime`].
+//! Fig. 2(a) is a [`MapeLoop`]; the other three patterns compose it. The
+//! coordinated peers and the hierarchy's children *are* `MapeLoop`s, and
+//! the master admits each dispatch through the same gate → guard step a
+//! `MapeLoop` runs, so node-scale decisions are made and audited in one
+//! place. All patterns are *stepped* orchestrators: the caller (usually
+//! the discrete-event world) invokes `tick(now)`, or `poll(now)` for the
+//! hierarchy, which keeps its own two cadences — nothing spawns threads
+//! here, so composed simulations stay deterministic. The threaded
+//! counterparts used for wall-clock latency measurements live in
+//! [`crate::runtime`].
+//!
+//! [`MapeLoop`]: crate::loop_engine::MapeLoop
 
-pub mod classical;
 pub mod coordinated;
 pub mod hierarchical;
 pub mod master_worker;
 
-pub use classical::Classical;
 pub use coordinated::{
-    CooldownCoordinator, Coordinated, Coordinator, MaxConcurrent, NoCoordination, Peer,
+    CooldownCoordinator, Coordinated, Coordinator, MaxConcurrent, NoCoordination,
 };
 pub use hierarchical::{Hierarchy, OscillationDamper, Supervisor, SupervisorReport};
 pub use master_worker::{FleetAnalyzer, FleetPlanner, MasterWorker, Worker};
 
 use moda_sim::{SimDuration, SimTime};
 
-/// Fixed-cadence schedule helper shared by pattern drivers.
+/// Fixed-cadence schedule of the hierarchy's two time scales.
 ///
 /// Tracks when the next tick is due; catching up after a late poll keeps
 /// the original phase (no drift), mirroring `moda_telemetry::Collector`.
 #[derive(Debug, Clone, Copy)]
-pub struct Cadence {
+struct Cadence {
     period: SimDuration,
     next_due: SimTime,
 }
 
 impl Cadence {
-    /// Cadence of `period`, first due at `first_due`.
-    pub fn new(period: SimDuration, first_due: SimTime) -> Self {
+    /// Cadence of `period`, first due at time zero.
+    fn new(period: SimDuration) -> Self {
         assert!(period.as_millis() > 0, "cadence period must be positive");
         Cadence {
             period,
-            next_due: first_due,
+            next_due: SimTime::ZERO,
         }
-    }
-
-    /// Is a tick due at or before `now`?
-    pub fn due(&self, now: SimTime) -> bool {
-        self.next_due <= now
     }
 
     /// Consume one due tick, returning its scheduled time, or `None` when
     /// nothing is due.
-    pub fn advance(&mut self, now: SimTime) -> Option<SimTime> {
+    fn advance(&mut self, now: SimTime) -> Option<SimTime> {
         if self.next_due <= now {
             let t = self.next_due;
             self.next_due += self.period;
@@ -65,13 +65,8 @@ impl Cadence {
     }
 
     /// When the next tick is due.
-    pub fn next_due(&self) -> SimTime {
+    fn next_due(&self) -> SimTime {
         self.next_due
-    }
-
-    /// The period.
-    pub fn period(&self) -> SimDuration {
-        self.period
     }
 }
 
@@ -81,10 +76,8 @@ mod tests {
 
     #[test]
     fn cadence_fires_on_schedule() {
-        let mut c = Cadence::new(SimDuration::from_secs(10), SimTime::ZERO);
-        assert!(c.due(SimTime::ZERO));
+        let mut c = Cadence::new(SimDuration::from_secs(10));
         assert_eq!(c.advance(SimTime::ZERO), Some(SimTime::ZERO));
-        assert!(!c.due(SimTime::from_secs(5)));
         assert_eq!(c.advance(SimTime::from_secs(5)), None);
         assert_eq!(
             c.advance(SimTime::from_secs(10)),
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn cadence_catches_up_without_drift() {
-        let mut c = Cadence::new(SimDuration::from_secs(10), SimTime::ZERO);
+        let mut c = Cadence::new(SimDuration::from_secs(10));
         // Poll late at t=35: three ticks due at 0, 10, 20, 30.
         let mut fired = Vec::new();
         while let Some(t) = c.advance(SimTime::from_secs(35)) {
@@ -107,6 +100,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_period_rejected() {
-        Cadence::new(SimDuration::ZERO, SimTime::ZERO);
+        Cadence::new(SimDuration::ZERO);
     }
 }

@@ -3,11 +3,11 @@
 //! The paper's bet is that the MAPE-K formalism lets the same loop be
 //! dropped into different architectural patterns unchanged. These tests
 //! do exactly that: the Scheduler-case loop (Fig. 3) is run under the
-//! classical pattern's cadence, and a per-application fleet of classical
-//! loops is compared against one loop watching every job — the paper's
+//! hierarchy's cadence, and a per-application fleet of classical loops
+//! is compared against one loop watching every job — the paper's
 //! "single 'classical' autonomy loop per application" starting point.
 
-use moda::core::patterns::{Classical, Hierarchy, OscillationDamper};
+use moda::core::patterns::{Hierarchy, OscillationDamper, Supervisor, SupervisorReport};
 use moda::core::{Domain, LoopReport, MapeLoop};
 use moda::hpc::{workload, World, WorldConfig};
 use moda::sim::{RngStreams, SimDuration, SimTime};
@@ -71,17 +71,32 @@ fn classical_pattern_matches_manual_ticking() {
     );
     let s1 = CampaignStats::collect(&w1.borrow());
 
-    // …must equal the Classical pattern polled at 5 s with a 30 s cadence
-    // (the pattern runs MAPE only when due, starting at the same phase).
+    // …must equal the loop as the one child of a hierarchy whose
+    // supervisor never adjusts, polled at 5 s with a 30 s child cadence
+    // (the hierarchy runs MAPE only when due, on the same 30 s phase).
+    struct HandsOff;
+    impl Supervisor<SchedulerDomain> for HandsOff {
+        fn supervise(
+            &mut self,
+            _now: SimTime,
+            _children: &mut [MapeLoop<SchedulerDomain>],
+            _windows: &[Vec<LoopReport>],
+        ) -> SupervisorReport {
+            SupervisorReport::default()
+        }
+    }
     let w2 = stressed_world(3);
-    let inner = build_loop(w2.clone(), SchedulerLoopConfig::default());
-    let mut classical = Classical::new(inner, SimDuration::from_secs(30), SimTime::from_secs(30));
-    let s2 = drive_pattern::<moda::usecases::scheduler_case::SchedulerDomain, _>(&w2, |t| {
-        classical.poll(t)
-    });
+    let mut hierarchy = Hierarchy::new(
+        vec![build_loop(w2.clone(), SchedulerLoopConfig::default())],
+        Box::new(HandsOff),
+        SimDuration::from_secs(30),
+        SimDuration::from_hours(1),
+    );
+    let s2 = drive_pattern::<SchedulerDomain, _>(&w2, |t| hierarchy.poll(t));
 
     assert_eq!(s1, s2, "pattern cadence must reproduce manual ticking");
-    assert!(classical.inner().iterations() > 0);
+    assert!(hierarchy.child(0).iterations() > 0);
+    assert_eq!(hierarchy.total_adjustments(), 0);
 }
 
 #[test]

@@ -570,6 +570,75 @@ fn bench_fleet(c: &mut Criterion) {
         });
     });
 
+    // One control tick over a backfilled fleet: 8 nodes whose rings
+    // were fed whole chunks (and one trailing sample), watched by a
+    // 2 s Max threshold and a 30 min Mean straggler monitor — the
+    // straggler's raw window edge lands inside each node's oldest
+    // adopted chunk, the threshold's read reaches back across the
+    // newest. No monitor alerts, so every tick does the same work.
+    {
+        use moda_fleet::{
+            ActionTarget, Bound, ControlConfig, FleetActuator, FleetResponder, Rank,
+            StragglerMonitor, ThresholdMonitor,
+        };
+        struct Idle;
+        impl FleetActuator for Idle {
+            type Action = ();
+            fn apply(&mut self, _: SimTime, _: &ActionTarget, _: &()) -> Result<String, String> {
+                Ok(String::new())
+            }
+        }
+        const FED: u64 = 4 * 512 + 1;
+        let mut agg = FleetAggregator::new();
+        for n in 0..8u32 {
+            let (mut db, ids) = registered(1, 4096);
+            db.enable_rollups(ids[0], &RollupConfig::standard());
+            for s in 0..FED {
+                db.insert(ids[0], SimTime::from_secs(s), node_value(n, s));
+            }
+            let mut sink = MemorySink::new();
+            Exporter::new().drain(&db, &mut sink).unwrap();
+            let node = agg.add_node(&format!("node{n:02}"));
+            for batch in &sink.batches {
+                agg.ingest(node, batch);
+            }
+        }
+        let stale_after = SimDuration::from_mins(30);
+        let mut responder: FleetResponder<()> = FleetResponder::new(ControlConfig {
+            log_observations: false,
+            ..ControlConfig::default()
+        });
+        responder.add_monitor(Box::new(ThresholdMonitor {
+            name: "power_cap".into(),
+            subsystem: "power".into(),
+            metric: "node0000.metric".into(),
+            window: SimDuration::from_secs(2),
+            agg: WindowAgg::Max,
+            bound: Bound::Above(1e9),
+            stale_after,
+            base_confidence: 0.9,
+        }));
+        responder.add_monitor(Box::new(StragglerMonitor {
+            name: "power_straggler".into(),
+            subsystem: "power".into(),
+            metric: "node0000.metric".into(),
+            window: SimDuration::from_mins(30),
+            agg: WindowAgg::Mean,
+            rank: Rank::Highest,
+            ratio: 1e9,
+            min_nodes: 3,
+            stale_after,
+            base_confidence: 0.8,
+        }));
+        let now = SimTime::from_secs(FED - 1);
+        let report = responder.tick(&agg, now, &mut Idle);
+        assert_eq!((report.alerts, responder.observation_stats()), (0, (2, 0)));
+        g.throughput(Throughput::Elements(1));
+        g.bench_function("control_tick_backfilled", |b| {
+            b.iter(|| black_box(responder.tick(black_box(&agg), now, &mut Idle)));
+        });
+    }
+
     // The fleet's half of the live path, socket excluded: 64 received
     // 64-sample sweeps taken as wire bytes — validated, logged as they
     // arrived, applied off the same bytes — each as a burst of its own
@@ -776,8 +845,10 @@ fn bench_fleet(c: &mut Criterion) {
 /// whole chunk and every per-sample fallback pays, `seek_last60` what a
 /// read of a sealed chunk's last 60 samples pays — resumed from the
 /// restart point before them, not walked from the first sample —
+/// `seek_last60_adopted` the same read off the chunk a fleet ring links
+/// from the wire or a snapshot (its table is the one `validate` took),
 /// `validate` what the fleet pays to link a shipped chunk without
-/// materialising it. The bench gate pins `decode / validate >= 0.75` in
+/// materialising it, restart table included. The bench gate pins `decode / validate >= 0.75` in
 /// the same run: checking a payload must never become materially dearer
 /// than decoding it. `retained_skip256` is what a snapshot pays to write
 /// a front chunk evicted halfway (`write_retained`: decode to the
@@ -814,21 +885,30 @@ fn bench_chunk_codec(c: &mut Criterion) {
             black_box(out_vals.len())
         });
     });
+    let last60 = |c: &chunk::Chunk| {
+        let first = c.start_append() + N - 60;
+        let mut sum = 0.0;
+        c.scan_from(
+            |append, _| append < first,
+            |append, _, v| {
+                if append >= first {
+                    sum += v;
+                }
+                true
+            },
+        );
+        sum
+    };
     g.bench_function("seek_last60/512", |b| {
-        let first = N - 60;
-        b.iter(|| {
-            let mut sum = 0.0;
-            black_box(&sealed).scan_from(
-                |append, _| append < first,
-                |append, _, v| {
-                    if append >= first {
-                        sum += v;
-                    }
-                    true
-                },
-            );
-            black_box(sum)
-        });
+        b.iter(|| black_box(last60(black_box(&sealed))));
+    });
+    let mut fed = moda_telemetry::TimeSeries::new(N as usize);
+    let block = chunk::validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
+    assert!(fed.adopt_chunk(&block));
+    let adopted = fed.sealed_chunks().next().expect("an adopted chunk");
+    assert_eq!(last60(adopted), last60(&sealed));
+    g.bench_function("seek_last60_adopted/512", |b| {
+        b.iter(|| black_box(last60(black_box(adopted))));
     });
     g.bench_function("validate/512", |b| {
         b.iter(|| {

@@ -598,6 +598,19 @@ impl FleetAggregator {
         }
     }
 
+    /// Every node's [`NodeLiveness`] at `now` under `policy`, node
+    /// order: what [`FleetAggregator::health_with`] classifies, without
+    /// building the report around it.
+    pub(crate) fn liveness(
+        &self,
+        now: SimTime,
+        policy: HealthPolicy,
+    ) -> impl Iterator<Item = NodeLiveness> + '_ {
+        self.sessions
+            .iter()
+            .map(move |s| classify(s, now.saturating_since(s.high_water), policy))
+    }
+
     /// [`FleetAggregator::health_with`] plus **transition tracking**:
     /// every node whose classification changed since the previous
     /// tracked pass emits a [`HealthTransition`] event — so

@@ -39,7 +39,7 @@
 //! this crate knows nothing about the managed system. `moda-hpc`'s
 //! `Cluster` provides the concrete actuator over its simulated worlds.
 
-use crate::aggregator::{FleetAggregator, NodeLiveness};
+use crate::aggregator::{FleetAggregator, HealthPolicy, NodeLiveness};
 use crate::store::{FleetServed, NodeId, Rank};
 use moda_core::{BlockReason, Guard, GuardConfig, Notification};
 use moda_obs::{Counter, LatencyRecorder, Obs};
@@ -102,9 +102,11 @@ pub struct CoveredValue {
 impl FleetAggregator {
     /// Classify every member of the logical axis `local_name` against
     /// `stale_after` and return the **contributing** members (live
-    /// sessions only) plus the full [`Coverage`] picture. Stale and
-    /// silent nodes are excluded — their data can never be served as
-    /// fresh by the covered queries built on this.
+    /// sessions only, node order) plus the full [`Coverage`] picture.
+    /// Stale and silent nodes are excluded — their data can never be
+    /// served as fresh by the covered queries built on this. One pass
+    /// over the sessions, classified as [`FleetAggregator::health`]
+    /// classifies them.
     pub fn covered_members(
         &self,
         local_name: &str,
@@ -112,20 +114,23 @@ impl FleetAggregator {
         stale_after: SimDuration,
     ) -> (Vec<MetricId>, Coverage) {
         let store = self.store();
-        let mut by_node: HashMap<NodeId, MetricId> = HashMap::new();
+        let mut by_node: Vec<Option<MetricId>> = vec![None; self.node_count()];
         for &id in store.logical_members(local_name) {
-            by_node.insert(store.info(id).node, id);
+            if let Some(slot) = by_node.get_mut(store.info(id).node.index()) {
+                *slot = Some(id);
+            }
         }
         let mut cov = Coverage {
             total: self.node_count(),
             ..Coverage::default()
         };
         let mut members = Vec::new();
-        let health = self.health(now, stale_after);
-        for n in &health.nodes {
-            match n.liveness {
-                NodeLiveness::Live => match by_node.get(&n.node) {
-                    Some(&id) => {
+        let liveness = self.liveness(now, HealthPolicy::stale_only(stale_after));
+        for ((i, liveness), member) in liveness.enumerate().zip(by_node) {
+            let node = NodeId(i as u32);
+            match liveness {
+                NodeLiveness::Live => match member {
+                    Some(id) => {
                         cov.contributing += 1;
                         members.push(id);
                     }
@@ -133,11 +138,11 @@ impl FleetAggregator {
                 },
                 NodeLiveness::Stale => {
                     cov.stale += 1;
-                    cov.excluded.push((n.node, NodeLiveness::Stale));
+                    cov.excluded.push((node, NodeLiveness::Stale));
                 }
                 NodeLiveness::Silent => {
                     cov.silent += 1;
-                    cov.excluded.push((n.node, NodeLiveness::Silent));
+                    cov.excluded.push((node, NodeLiveness::Silent));
                 }
             }
         }
@@ -883,7 +888,15 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
     }
 
     /// Register a monitor.
+    ///
+    /// Panics if a monitor of the same name is registered: rules bind to
+    /// a monitor by name, so a second one would shadow the first.
     pub fn add_monitor(&mut self, m: Box<dyn FleetMonitor>) -> &mut Self {
+        assert!(
+            self.monitors.iter().all(|o| o.name() != m.name()),
+            "a monitor named '{}' is already registered",
+            m.name()
+        );
         self.monitors.push(m);
         self
     }
@@ -948,8 +961,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
         let _span = self.tick_ns.start();
         let mut report = TickReport::default();
         // Monitor: run every probe once; keep the worst alert per
-        // monitor (rules bind per monitor).
-        let mut obs: HashMap<String, (f64, Option<FleetAlert>)> = HashMap::new();
+        // monitor, in monitor order (rules bind per monitor).
+        let mut obs: Vec<(f64, Option<FleetAlert>)> = Vec::with_capacity(self.monitors.len());
         for m in &mut self.monitors {
             let o = m.observe(fleet, now);
             let frac = o.coverage.fraction();
@@ -984,8 +997,12 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             if best.is_some() {
                 report.alerts += 1;
             }
-            obs.insert(m.name().to_string(), (frac, best));
+            obs.push((frac, best));
         }
+        let observed = |monitors: &[Box<dyn FleetMonitor>], name: &str| {
+            let k = monitors.iter().position(|m| m.name() == name)?;
+            Some(&obs[k])
+        };
 
         // Validate: conclude pending post-action checks against the
         // same fleet metrics that triggered them.
@@ -997,7 +1014,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             if now.0 < p.applied_at.0 + rule.settle.0 {
                 continue;
             }
-            let Some((frac, alert)) = obs.get(&rule.monitor) else {
+            let Some((frac, alert)) = observed(&self.monitors, &rule.monitor) else {
                 continue;
             };
             if *frac < self.cfg.min_coverage {
@@ -1062,7 +1079,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
         // Plan/Execute under the guards.
         for i in 0..self.rules.len() {
             let rule = &self.rules[i];
-            let Some((frac, alert)) = obs.get(&rule.monitor) else {
+            let Some((frac, alert)) = observed(&self.monitors, &rule.monitor) else {
                 continue;
             };
             let adequate = *frac >= self.cfg.min_coverage;
@@ -1568,13 +1585,14 @@ mod tests {
     /// A monitor driven by a script: (severity, coverage_fraction) per
     /// tick; severity 0 = healthy.
     struct ScriptMonitor {
+        name: &'static str,
         script: Vec<(f64, f64)>,
         i: usize,
     }
 
     impl FleetMonitor for ScriptMonitor {
         fn name(&self) -> &str {
-            "scripted"
+            self.name
         }
 
         fn subsystem(&self) -> &str {
@@ -1597,7 +1615,7 @@ mod tests {
             };
             let alerts = if sev > 1.0 {
                 vec![FleetAlert {
-                    monitor: "scripted".into(),
+                    monitor: self.name.into(),
                     subsystem: "sub".into(),
                     detail: format!("sev {sev}"),
                     severity: sev,
@@ -1617,7 +1635,11 @@ mod tests {
             min_coverage: 0.75,
             ..ControlConfig::default()
         });
-        r.add_monitor(Box::new(ScriptMonitor { script, i: 0 }));
+        r.add_monitor(Box::new(ScriptMonitor {
+            name: "scripted",
+            script,
+            i: 0,
+        }));
         let mut rule = ResponseRule::new("fix", "scripted", "sub", "remediate");
         rule.escalation_gate = 2;
         rule.cooldown = SimDuration::from_mins(10);
@@ -1804,6 +1826,7 @@ mod tests {
     fn two_rules(cfg: ControlConfig, subs: [&'static str; 2]) -> FleetResponder<&'static str> {
         let mut r = FleetResponder::new(cfg);
         r.add_monitor(Box::new(ScriptMonitor {
+            name: "scripted",
             script: vec![(2.0, 1.0); 4],
             i: 0,
         }));
@@ -1878,6 +1901,148 @@ mod tests {
                 }
             )]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a monitor named 'scripted' is already registered")]
+    fn monitors_must_have_distinct_names() {
+        let mut r = responder(vec![(2.0, 1.0)]);
+        r.add_monitor(Box::new(ScriptMonitor {
+            name: "scripted",
+            script: vec![(0.0, 1.0)],
+            i: 0,
+        }));
+    }
+
+    #[test]
+    fn two_named_monitors_each_escalate_their_own_rule() {
+        let mut r = FleetResponder::new(ControlConfig::default());
+        for (monitor, rule, sub) in [("hot", "cool", "power"), ("slow", "drain", "io")] {
+            r.add_monitor(Box::new(ScriptMonitor {
+                name: monitor,
+                script: vec![(2.0, 1.0); 4],
+                i: 0,
+            }));
+            let mut rule = ResponseRule::new(rule, monitor, sub, rule);
+            rule.escalation_gate = 2;
+            r.add_rule(rule);
+        }
+        // A rule naming no registered monitor stays inert.
+        r.add_rule(ResponseRule::new("orphan", "absent", "other", "orphan"));
+        let mut act = ScriptedActuator {
+            applies: vec![],
+            fail_next: false,
+        };
+        let reports = tick_n(&mut r, &mut act, 2, 120);
+        assert_eq!(reports[0].alerts, 2);
+        let escalated: Vec<&str> = r
+            .log()
+            .events()
+            .filter(|e| matches!(e.kind, ControlEventKind::Escalated { .. }))
+            .map(|e| e.rule.as_str())
+            .collect();
+        assert_eq!(escalated, ["cool", "drain"]);
+        let applied: Vec<&str> = act.applies.iter().map(|a| a.2).collect();
+        assert_eq!(applied, ["cool", "drain"]);
+        assert!(r.log().events().all(|e| e.rule != "orphan"));
+        r.verify_audit().expect("trail certifies");
+    }
+
+    /// The reference `covered_members`: coverage read off a full
+    /// [`FleetAggregator::health`] report, members looked up in a
+    /// node-keyed map. The one liveness pass must match it.
+    fn covered_members_via_health(
+        fleet: &FleetAggregator,
+        local_name: &str,
+        now: SimTime,
+        stale_after: SimDuration,
+    ) -> (Vec<MetricId>, Coverage) {
+        let store = fleet.store();
+        let mut by_node: HashMap<NodeId, MetricId> = HashMap::new();
+        for &id in store.logical_members(local_name) {
+            by_node.insert(store.info(id).node, id);
+        }
+        let mut cov = Coverage {
+            total: fleet.node_count(),
+            ..Coverage::default()
+        };
+        let mut members = Vec::new();
+        let health = fleet.health(now, stale_after);
+        for n in &health.nodes {
+            match n.liveness {
+                NodeLiveness::Live => match by_node.get(&n.node) {
+                    Some(&id) => {
+                        cov.contributing += 1;
+                        members.push(id);
+                    }
+                    None => cov.missing += 1,
+                },
+                NodeLiveness::Stale => {
+                    cov.stale += 1;
+                    cov.excluded.push((n.node, NodeLiveness::Stale));
+                }
+                NodeLiveness::Silent => {
+                    cov.silent += 1;
+                    cov.excluded.push((n.node, NodeLiveness::Silent));
+                }
+            }
+        }
+        (members, cov)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The liveness pass returns the members, in the order, and the
+        /// `Coverage` the health-built oracle does — over live nodes,
+        /// stale ones, ones that shipped their registry and no sample,
+        /// ones that never shipped a batch, and nodes that export one
+        /// axis, the other, both or neither; at lags on, inside and past
+        /// the staleness bound, for each axis and one no node exports.
+        #[test]
+        fn covered_members_matches_the_health_built_oracle(
+            nodes in proptest::prop::collection::vec((0u8..4, 0u8..4, 0u64..400), 0..12),
+            stale_after_s in 0u64..300,
+        ) {
+            let mut agg = FleetAggregator::new();
+            for (k, &(state, axes, lag)) in nodes.iter().enumerate() {
+                let node = agg.add_node(&format!("node{k:02}"));
+                if state == 0 {
+                    continue; // never shipped a batch
+                }
+                let mut db = moda_telemetry::Tsdb::with_retention(1 << 12);
+                let mut ids = Vec::new();
+                for (bit, axis) in [(1, "m"), (2, "other")] {
+                    if axes & bit != 0 {
+                        ids.push(db.register(MetricMeta::gauge(axis, "u", SourceDomain::Hardware)));
+                    }
+                }
+                if state > 1 {
+                    // Samples up to `lag` before `now`; a registry-only
+                    // node has none.
+                    for s in 1..=600 - lag {
+                        for &id in &ids {
+                            db.insert(id, SimTime::from_secs(s), s as f64 + k as f64);
+                        }
+                    }
+                }
+                let mut sink = moda_telemetry::export::MemorySink::new();
+                moda_telemetry::Exporter::new().drain(&db, &mut sink).unwrap();
+                for b in &sink.batches {
+                    agg.ingest(node, b);
+                }
+            }
+            let now = SimTime::from_secs(600);
+            let stale_after = SimDuration::from_secs(stale_after_s);
+            for axis in ["m", "other", "absent"] {
+                let got = agg.covered_members(axis, now, stale_after);
+                let want = covered_members_via_health(&agg, axis, now, stale_after);
+                proptest::prop_assert_eq!(&got, &want, "axis {}", axis);
+                let c = &got.1;
+                proptest::prop_assert_eq!(c.total, nodes.len());
+                proptest::prop_assert_eq!(c.contributing + c.missing + c.stale + c.silent, c.total);
+            }
+        }
     }
 
     #[test]
@@ -1995,6 +2160,7 @@ mod tests {
             ..ControlConfig::default()
         });
         r.add_monitor(Box::new(ScriptMonitor {
+            name: "scripted",
             script: vec![(2.0, 1.0)],
             i: 0,
         }));

@@ -45,13 +45,15 @@
 //! [`Chunk::write_retained`], which re-codes an evicted chunk's suffix
 //! only as far as it must — is that `encode`.
 //!
-//! A chunk sealed here also carries **restart points**: the decoder
-//! state after every `RESTART_STRIDE`-th sample, kept beside the
-//! payload in memory only (never on the wire, in the log or in a
-//! snapshot). A partial read binary-searches them and resumes the same
+//! Every sealed chunk also carries **restart points**: the decoder
+//! state after every `RESTART_STRIDE`-th sample, up to three, held
+//! inline in its header in memory only (never on the wire, in the log
+//! or in a snapshot). [`compress`] takes them as it writes; [`validate`]
+//! takes the same points during the one walk it already makes, so a
+//! chunk adopted from wire or snapshot bytes seeks exactly as one sealed
+//! here does. A partial read binary-searches them and resumes the same
 //! `step` mid-stream, so it decodes at most a stride plus what it asked
-//! for instead of the chunk. A chunk adopted from foreign bytes has
-//! none and reads from its first sample.
+//! for instead of the chunk.
 
 /// Error decoding a wire-carried chunk payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,9 +302,9 @@ impl<'a> BitReader<'a> {
 /// timestamps, and the lifetime append index of the first encoded
 /// sample (`start_append`, which the exporter's watermark cursors key
 /// on). The payload is held at its exact length, with its length in
-/// bits beside it; so is the restart table [`compress`] recorded (empty
-/// on an adopted chunk), which lets [`Chunk::scan_from`] begin
-/// mid-stream.
+/// bits beside it; the restart table [`compress`] or [`validate`]
+/// recorded lies inline in the header, and lets [`Chunk::scan_from`]
+/// begin mid-stream.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     count: u32,
@@ -314,8 +316,7 @@ pub struct Chunk {
     /// from [`compress`], anything in a foreign payload) lies past it.
     bit_len: usize,
     bytes: Box<[u8]>,
-    /// Entry `k` is the decoder state at sample `(k + 1) * RESTART_STRIDE`.
-    restarts: Box<[Restart]>,
+    restarts: Restarts,
 }
 
 /// Why decoding a sealed chunk again cannot fail: [`compress`] wrote
@@ -330,9 +331,47 @@ const WELL_FORMED: &str = "sealed chunk bitstream is well-formed";
 /// back across the newest seal decodes those 80.
 const RESTART_STRIDE: usize = 144;
 
+/// Restart points a chunk holds: what a seal of 512 samples takes. A
+/// longer chunk keeps its first three, and a read past the last
+/// resumes from it.
+const MAX_RESTARTS: usize = 3;
+
+/// A chunk's restart table, held inline so neither a seal nor an
+/// adoption allocates for it: entry `k` is the decoder state at sample
+/// `(k + 1) * RESTART_STRIDE`. Points are taken only after a stride
+/// that has a sample after it, and the table stops at `MAX_RESTARTS`
+/// or at the first state that does not pack.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Restarts {
+    points: [Restart; MAX_RESTARTS],
+    len: u8,
+}
+
+impl Restarts {
+    fn as_slice(&self) -> &[Restart] {
+        &self.points[..usize::from(self.len)]
+    }
+
+    /// Take the point at the state `s` whose next code starts at `bit`.
+    /// Returns whether the table takes more: `false` once it is full or
+    /// a state did not pack (the points after it would not be its
+    /// successors).
+    #[inline]
+    fn take(&mut self, bit: usize, first_t: u64, s: &State) -> bool {
+        match Restart::pack(bit, first_t, s) {
+            Some(at) => {
+                self.points[usize::from(self.len)] = at;
+                self.len += 1;
+                usize::from(self.len) < MAX_RESTARTS
+            }
+            None => false,
+        }
+    }
+}
+
 /// The decoder state at one sample and where the next one's code
 /// begins — what `step` needs to resume there — packed to 20 bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Restart {
     /// Timestamp, as its distance from the chunk's first.
     t: u32,
@@ -378,7 +417,8 @@ impl Restart {
 impl Chunk {
     /// Link a validated payload as a sealed chunk without re-encoding
     /// it: the bytes are copied at their used length, the header's
-    /// `last_t` is the one the validation walk computed.
+    /// `last_t` and restart table are the ones the validation walk
+    /// recorded.
     pub(crate) fn adopt(v: &Validated<'_>, start_append: u64) -> Chunk {
         Chunk {
             count: v.count,
@@ -388,9 +428,7 @@ impl Chunk {
             start_append,
             bit_len: v.bit_len,
             bytes: v.payload.into(),
-            // Indexing here would mean a second walk, or a dearer first
-            // one: `validate` is most of what a backfill costs.
-            restarts: Box::default(),
+            restarts: v.restarts,
         }
     }
 
@@ -440,14 +478,16 @@ impl Chunk {
         &self.bytes
     }
 
-    /// Heap bytes held by this chunk (payload + restart table + header).
+    /// Heap bytes held by this chunk: the payload and the header, which
+    /// holds the restart table.
     pub fn mem_bytes(&self) -> usize {
-        self.bytes.len() + self.restart_bytes() + std::mem::size_of::<Chunk>()
+        self.bytes.len() + std::mem::size_of::<Chunk>()
     }
 
-    /// Heap bytes of the restart table alone.
-    pub(crate) fn restart_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.restarts)
+    /// Restart points the chunk holds.
+    #[cfg(test)]
+    pub(crate) fn restart_points(&self) -> usize {
+        self.restarts.as_slice().len()
     }
 
     /// Logically evict the oldest `n` retained samples. Returns `true`
@@ -492,16 +532,17 @@ impl Chunk {
     #[inline]
     fn restart_below(&self, lower: impl Fn(u32, u64) -> bool) -> Option<(u32, &Restart)> {
         let index = |k: usize| ((k + 1) * RESTART_STRIDE) as u32;
-        let (mut lo, mut hi) = (0, self.restarts.len());
+        let restarts = self.restarts.as_slice();
+        let (mut lo, mut hi) = (0, restarts.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if lower(index(mid), self.first_t + u64::from(self.restarts[mid].t)) {
+            if lower(index(mid), self.first_t + u64::from(restarts[mid].t)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        lo.checked_sub(1).map(|k| (index(k), &self.restarts[k]))
+        lo.checked_sub(1).map(|k| (index(k), &restarts[k]))
     }
 
     /// Streaming decoder over the **retained** samples (skip applied).
@@ -607,19 +648,15 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
     let mut s = State::at(ts[0], vals[0].to_bits());
 
     // A restart point between every two strides — taken per block, so
-    // the sample loop carries no test for it. The table ends at the
-    // first state that does not pack; the rest of the chunk reads from
-    // the last point before it.
-    let mut restarts = Vec::with_capacity(ts.len().saturating_sub(2) / RESTART_STRIDE);
-    let mut packs = true;
+    // the sample loop carries no test for it.
+    let mut restarts = Restarts::default();
+    let mut taking = true;
     let blocks = ts[1..]
         .chunks(RESTART_STRIDE)
         .zip(vals[1..].chunks(RESTART_STRIDE));
     for (block, (block_ts, block_vals)) in blocks.enumerate() {
-        if block > 0 && packs {
-            let at = Restart::pack(w.bit_len(), ts[0], &s);
-            packs = at.is_some();
-            restarts.extend(at);
+        if block > 0 && taking {
+            taking = restarts.take(w.bit_len(), ts[0], &s);
         }
         for (&t, v) in block_ts.iter().zip(block_vals) {
             encode(&mut w, &mut s, t, v.to_bits());
@@ -634,7 +671,7 @@ pub fn compress(ts: &[u64], vals: &[f64], start_append: u64) -> Chunk {
         start_append,
         bit_len: w.bit_len(),
         bytes: w.finish().into_boxed_slice(),
-        restarts: restarts.into_boxed_slice(),
+        restarts,
     }
 }
 
@@ -807,8 +844,9 @@ fn step(r: &mut BitReader<'_>, s: &mut State) -> Result<(), DecodeError> {
 
 /// Proof that a payload decodes, from [`validate`]: a full walk found
 /// `count` well-formed samples with non-decreasing, non-overflowing
-/// timestamps. Only this module can build one, so holding it is what
-/// entitles a ring to link the bytes unread
+/// timestamps, and took the payload's restart table on the way. Only
+/// this module can build one, so holding it is what entitles a ring to
+/// link the bytes unread
 /// ([`TimeSeries::adopt_chunk`](crate::series::TimeSeries::adopt_chunk)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Validated<'a> {
@@ -825,6 +863,9 @@ pub struct Validated<'a> {
     count: u32,
     /// The validated payload, cut to `used_bytes`.
     payload: &'a [u8],
+    /// The points the walk took: what [`compress`] takes on the
+    /// payloads it writes, and the same decoder states on any other.
+    restarts: Restarts,
 }
 
 impl Validated<'_> {
@@ -839,19 +880,19 @@ impl Validated<'_> {
     }
 }
 
-/// The one decode loop: walk a payload of `count` samples — from its
-/// first, or from the sample a restart point was taken at — handing
+/// The readers' decode loop: walk a payload of `count` samples — from
+/// its first, or from the sample a restart point was taken at — handing
 /// each to `visit` as `(sample index, timestamp, value bits)`. Returns
-/// what the walk proved, or `None` when `visit` stopped it early by
-/// returning `false`.
+/// the bits of the payload the codes fill once it reached the last
+/// sample, or `None` when `visit` stopped it early by returning `false`.
 #[inline(always)]
-fn walk<'a>(
+fn walk(
     first_t: u64,
     count: u32,
-    bytes: &'a [u8],
+    bytes: &[u8],
     from: Option<(u32, &Restart)>,
     mut visit: impl FnMut(u32, u64, u64) -> bool,
-) -> Result<Option<Validated<'a>>, DecodeError> {
+) -> Result<Option<usize>, DecodeError> {
     if count == 0 {
         return Err(DecodeError::Empty);
     }
@@ -874,9 +915,41 @@ fn walk<'a>(
         }
         step(&mut r, &mut s)?;
     }
+    Ok(Some(r.used_bits()))
+}
+
+/// Check a wire payload without materialising it: exactly `count >= 1`
+/// well-formed samples, timestamps non-decreasing and non-overflowing.
+/// Accepts precisely the payloads [`decode_exact`] accepts — it is the
+/// same `step`, `count - 1` times — and takes the restart table on the
+/// way: a stride at a time, as [`compress`] writes, so the point
+/// between two strides is taken outside the sample loop, and on a
+/// payload `compress` wrote it is the table `compress` took.
+pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>, DecodeError> {
+    if count == 0 {
+        return Err(DecodeError::Empty);
+    }
+    let mut r = BitReader::new(bytes);
+    let mut s = State::open(&mut r, first_t)?;
+    let mut restarts = Restarts::default();
+    let mut taking = true;
+    let mut left = count - 1;
+    loop {
+        let stride = left.min(RESTART_STRIDE as u32);
+        for _ in 0..stride {
+            step(&mut r, &mut s)?;
+        }
+        left -= stride;
+        if left == 0 {
+            break;
+        }
+        if taking {
+            taking = restarts.take(r.used_bits(), first_t, &s);
+        }
+    }
     let bit_len = r.used_bits();
     let used_bytes = bit_len.div_ceil(8);
-    Ok(Some(Validated {
+    Ok(Validated {
         last_t: s.t,
         last_value: f64::from_bits(s.bits),
         used_bytes,
@@ -884,14 +957,8 @@ fn walk<'a>(
         first_t,
         count,
         payload: &bytes[..used_bytes],
-    }))
-}
-
-/// Check a wire payload without materialising it: exactly `count >= 1`
-/// well-formed samples, timestamps non-decreasing and non-overflowing.
-/// Accepts precisely the payloads [`decode_exact`] accepts.
-pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>, DecodeError> {
-    walk(first_t, count, bytes, None, |_, _, _| true).map(|v| v.expect("the visitor never stops"))
+        restarts,
+    })
 }
 
 /// Decode a wire payload, validating as [`validate`] does. Appends to
@@ -1082,28 +1149,29 @@ mod tests {
         let ts: Vec<u64> = (0..512u64).map(|s| s * 1000).collect();
         let vals: Vec<f64> = (0..512).map(|i| 200.0 + (i % 7) as f64).collect();
         let c = compress(&ts, &vals, 0);
-        // One restart between every two strides, none after the last.
-        assert_eq!(c.restarts.len(), (512 - 2) / RESTART_STRIDE);
+        // One restart between every two strides, none after the last:
+        // a full table.
+        assert_eq!(c.restart_points(), (512 - 2) / RESTART_STRIDE);
+        assert_eq!(c.restart_points(), MAX_RESTARTS);
         assert_eq!(std::mem::size_of::<Restart>(), 20);
+        // The table lies in the header, so a chunk holds its payload
+        // and a header, nothing else.
         assert_eq!(
             c.mem_bytes(),
-            c.bytes().len()
-                + c.restarts.len() * std::mem::size_of::<Restart>()
-                + std::mem::size_of::<Chunk>()
+            c.bytes().len() + std::mem::size_of::<Chunk>()
         );
-        // The table costs the header one pointer pair, the exact bit
-        // length one word.
-        assert_eq!(std::mem::size_of::<Chunk>(), 48 + 16 + 8);
+        // The table costs the header three points and their count, the
+        // exact bit length one word.
+        assert_eq!(std::mem::size_of::<Restarts>(), 3 * 20 + 4);
+        assert_eq!(std::mem::size_of::<Chunk>(), 48 + 64 + 8);
         let v = validate(c.first_t(), c.count(), c.bytes()).unwrap();
         assert_eq!(v.used_bytes, c.bytes().len());
         assert_eq!(v.bit_len, c.bit_len);
         assert_eq!(c.bit_len.div_ceil(8), c.bytes().len());
-        // An adopted chunk holds the payload and a header, nothing else.
+        // An adopted chunk holds the same table, at the same cost.
         let adopted = Chunk::adopt(&v, 0);
-        assert_eq!(
-            adopted.mem_bytes(),
-            c.bytes().len() + std::mem::size_of::<Chunk>()
-        );
+        assert_eq!(adopted.restarts, c.restarts);
+        assert_eq!(adopted.mem_bytes(), c.mem_bytes());
     }
 
     #[test]
@@ -1303,18 +1371,48 @@ mod tests {
         }
     }
 
+    /// The restart table of a stream the reference decoded whole: the
+    /// state after each stride that has a sample after it, up to
+    /// `MAX_RESTARTS`, ending at the first that does not pack.
+    fn ref_table(first_t: u64, decoded: &RefDecoded) -> Restarts {
+        let mut table = Restarts::default();
+        for k in 0..MAX_RESTARTS {
+            let i = (k + 1) * RESTART_STRIDE;
+            if i + 1 >= decoded.samples.len() {
+                break;
+            }
+            let ((t, bits), (pos, delta, window)) = (decoded.samples[i], decoded.states[i]);
+            let (win_lead, win_len) = window.unwrap_or((0, 0));
+            let s = State {
+                t,
+                delta,
+                bits,
+                win_lead,
+                win_len,
+            };
+            let Some(at) = Restart::pack(pos, first_t, &s) else {
+                break;
+            };
+            table.points[k] = at;
+            table.len += 1;
+        }
+        table
+    }
+
     /// Every reader against the reference on one `(first_t, count,
     /// bytes)` input, well-formed or not — from the first sample, and
     /// resumed from each point of `table` (the restarts `compress` took
     /// on the undamaged payload) that the reference's own decode of
     /// this input passes through.
     fn check_readers(first_t: u64, count: u32, bytes: &[u8], skip: u32, table: &[Restart]) {
+        let decoded = ref_decode(first_t, count, bytes);
+        let table_taken = decoded.complete.then(|| ref_table(first_t, &decoded));
         let RefDecoded {
             samples: want,
             states,
             complete,
             used,
-        } = ref_decode(first_t, count, bytes);
+        } = decoded;
         for (k, at) in table.iter().enumerate() {
             let i = (k + 1) * RESTART_STRIDE;
             // Damage upstream of a point makes it some other stream's.
@@ -1341,7 +1439,7 @@ mod tests {
                 "a restart never changes acceptance"
             );
             match walked {
-                Ok(v) => assert_eq!(v.expect("the visitor never stops").used_bytes, used),
+                Ok(bits) => assert_eq!(bits.expect("the visitor never stops").div_ceil(8), used),
                 Err(e) => assert_eq!(Err(e), validate(first_t, count, bytes)),
             }
         }
@@ -1375,6 +1473,8 @@ mod tests {
         assert_eq!(v.used_bytes, used);
         assert!(validate(first_t, count, &bytes[..used]).is_ok());
         assert!(validate(first_t, count, &bytes[..used - 1]).is_err());
+        // The walk took the stream's own states, whoever wrote it.
+        assert_eq!(Some(v.restarts), table_taken, "validate's table");
         // A linked chunk reads back the same, from any eviction point.
         let mut c = Chunk::adopt(&v, 0);
         assert_eq!(c.bytes(), &bytes[..used]);
@@ -1439,7 +1539,7 @@ mod tests {
             let mut run = vec![0xA5];
             proptest::prop_assert_eq!(write_run(&ts, &vals, &mut run), ts[0]);
             proptest::prop_assert_eq!((run[0], &run[1..]), (0xA5, c.bytes()));
-            let table = &c.restarts;
+            let table = c.restarts.as_slice();
             check_readers(c.first_t(), c.count(), c.bytes(), skip, table);
 
             // The sealed chunk itself, table and all, from any eviction
@@ -1519,8 +1619,9 @@ mod tests {
 
         /// For every eviction point, `write_retained` appends exactly
         /// `compress(retained)` and returns its first timestamp — off a
-        /// sealed chunk's restart table and off an adopted chunk, which
-        /// has none.
+        /// sealed chunk's restart table, off the one an adopted chunk's
+        /// validation took, and off none (what a chunk of 145 samples
+        /// or fewer, or one whose first point does not pack, holds).
         #[test]
         fn write_retained_is_compress_of_the_retained_samples(
             seed in proptest::any::<u64>(),
@@ -1532,11 +1633,13 @@ mod tests {
             let sealed = compress(&ts, &vals, 0);
             let v = validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
             let adopted = Chunk::adopt(&v, 0);
-            proptest::prop_assert!(adopted.restarts.is_empty());
+            proptest::prop_assert_eq!(adopted.restarts, sealed.restarts);
+            let mut bare = sealed.clone();
+            bare.restarts = Restarts::default();
             let mut out = Vec::new();
             for skip in 0..n {
                 let want = compress(&ts[skip..], &vals[skip..], 0);
-                for c in [&sealed, &adopted] {
+                for c in [&sealed, &adopted, &bare] {
                     let mut evicted = c.clone();
                     if skip > 0 {
                         evicted.evict(skip as u32);
@@ -1597,5 +1700,148 @@ mod tests {
             copied += usize::from(out != compress(&ts[skip..], &vals[skip..], 0).bytes());
         }
         assert!(copied > 0, "no eviction point spliced the stored codes");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The table `validate` takes on a payload `compress` wrote is
+        /// the one `compress` took, bit for bit — at every length up
+        /// past two seals, so through a full table, a capped one and
+        /// one cut at a state that does not pack.
+        #[test]
+        fn validate_takes_the_table_compress_takes(
+            seed in proptest::any::<u64>(),
+            n in 1usize..1200,
+            shape in 0u8..4,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (ts, vals) = shaped_samples(&mut rng, n, shape);
+            let sealed = compress(&ts, &vals, 0);
+            let v = validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
+            proptest::prop_assert_eq!(v.restarts, sealed.restarts);
+            let full = (n.saturating_sub(2) / RESTART_STRIDE).min(MAX_RESTARTS);
+            proptest::prop_assert!(sealed.restart_points() <= full);
+            if shape > 0 {
+                // Regular cadences, small deltas: every point packs.
+                proptest::prop_assert_eq!(sealed.restart_points(), full);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A well-formed stream `compress` never writes — raw deltas and
+        /// full-width windows where narrower codes fit, ones in the
+        /// padding — adopted, reads as a walk from its first sample does:
+        /// `scan_from` at every cut, by append index and by timestamp;
+        /// `decode` and `decode_into` after every eviction; and
+        /// `write_retained` at every skip decodes to the retained samples.
+        #[test]
+        fn an_adopted_foreign_chunk_reads_as_a_walk_from_its_first_sample(
+            seed in proptest::any::<u64>(),
+            n in 1usize..700,
+            shape in 0u8..4,
+            escape_one_in in 1u64..40,
+            pad_ones in proptest::any::<bool>(),
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (ts, vals) = shaped_samples(&mut rng, n, shape);
+            let salt = rng.next_u64();
+            let escaped = |i: usize| (i as u64 ^ salt).is_multiple_of(escape_one_in);
+            let bytes = ref_encode_escaping(&ts, &vals, escaped, pad_ones);
+            let decoded = ref_decode(ts[0], n as u32, &bytes);
+            proptest::prop_assert!(decoded.complete);
+            let v = validate(ts[0], n as u32, &bytes).unwrap();
+            proptest::prop_assert_eq!(v.restarts, ref_table(ts[0], &decoded));
+            let want: Vec<(u64, u64)> = decoded.samples;
+            let start = 1_000;
+            let adopted = Chunk::adopt(&v, start);
+            let got = |c: &Chunk| -> Vec<(u64, u64)> {
+                let (mut t, mut x) = (Vec::new(), Vec::new());
+                c.decode_into(&mut t, &mut x);
+                t.into_iter().zip(x).map(|(t, v)| (t, v.to_bits())).collect()
+            };
+            for cut in 0..n {
+                let (mut by_index, mut by_time) = (Vec::new(), Vec::new());
+                let first = start + cut as u64;
+                adopted.scan_from(|append, _| append < first, |append, t, v| {
+                    if append >= first {
+                        by_index.push((t, v.to_bits()));
+                    }
+                    true
+                });
+                proptest::prop_assert_eq!(&by_index[..], &want[cut..], "cut {}", cut);
+                let from_t = want[cut].0;
+                adopted.scan_from(|_, t| t < from_t, |_, t, v| {
+                    if t >= from_t {
+                        by_time.push((t, v.to_bits()));
+                    }
+                    true
+                });
+                let later: Vec<(u64, u64)> =
+                    want.iter().copied().filter(|&(t, _)| t >= from_t).collect();
+                proptest::prop_assert_eq!(&by_time, &later, "from t {}", from_t);
+
+                let mut evicted = adopted.clone();
+                if cut > 0 {
+                    evicted.evict(cut as u32);
+                }
+                let streamed: Vec<(u64, u64)> =
+                    evicted.decode().map(|(t, v)| (t, v.to_bits())).collect();
+                proptest::prop_assert_eq!(&streamed[..], &want[cut..], "decode, skip {}", cut);
+                proptest::prop_assert_eq!(&got(&evicted)[..], &want[cut..]);
+
+                let mut out = Vec::new();
+                proptest::prop_assert_eq!(evicted.write_retained(&mut out), want[cut].0);
+                let (mut out_ts, mut out_vals) = (Vec::new(), Vec::new());
+                decode_exact(want[cut].0, (n - cut) as u32, &out, &mut out_ts, &mut out_vals)
+                    .unwrap();
+                let written: Vec<(u64, u64)> =
+                    out_ts.into_iter().zip(out_vals).map(|(t, v)| (t, v.to_bits())).collect();
+                proptest::prop_assert_eq!(&written[..], &want[cut..], "write_retained, skip {}", cut);
+            }
+        }
+    }
+
+    /// A chunk whose table is empty reads from its first sample, and
+    /// reads right: 145 samples or fewer (no stride has a sample after
+    /// it), and 512 whose first point does not pack — its first 144
+    /// samples span more than 2³² ms — sealed or adopted.
+    #[test]
+    fn a_chunk_with_no_table_reads_from_its_first_sample() {
+        let short: Vec<u64> = (0..145u64).map(|s| s * 1000).collect();
+        let long: Vec<u64> = (0..512u64)
+            .map(|s| s * 1000 + if s >= 100 { 1 << 33 } else { 0 })
+            .collect();
+        for ts in [&short, &long] {
+            let vals: Vec<f64> = (0..ts.len()).map(|i| (i % 11) as f64 * 0.75).collect();
+            let sealed = compress(ts, &vals, 0);
+            let v = validate(sealed.first_t(), sealed.count(), sealed.bytes()).unwrap();
+            let adopted = Chunk::adopt(&v, 0);
+            for c in [&sealed, &adopted] {
+                assert_eq!(c.restart_points(), 0);
+                for skip in 0..ts.len() {
+                    let mut evicted = c.clone();
+                    if skip > 0 {
+                        evicted.evict(skip as u32);
+                    }
+                    let got: Vec<(u64, f64)> = evicted.decode().collect();
+                    let want: Vec<(u64, f64)> = ts[skip..]
+                        .iter()
+                        .copied()
+                        .zip(vals[skip..].iter().copied())
+                        .collect();
+                    assert_eq!(got, want, "skip {skip}");
+                    let mut out = Vec::new();
+                    evicted.write_retained(&mut out);
+                    assert_eq!(out, compress(&ts[skip..], &vals[skip..], 0).bytes());
+                }
+            }
+        }
+        // One sample more, and the regular cadence takes its point.
+        let ts: Vec<u64> = (0..146u64).map(|s| s * 1000).collect();
+        assert_eq!(compress(&ts, &vec![1.0; 146], 0).restart_points(), 1);
     }
 }

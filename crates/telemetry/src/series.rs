@@ -29,8 +29,11 @@
 //! decodes nothing, exactly like the previous ring. One that reaches
 //! into a sealed chunk seeks to the chunk's restart point nearest its
 //! lower bound ([`Chunk::scan_from`]) and decodes from there: the cost
-//! follows the window, not the chunk. Aggregations fold directly over
-//! the segments.
+//! follows the window, not the chunk. That holds for every sealed
+//! chunk — one this ring compressed, and one it adopted from the wire
+//! or a snapshot ([`TimeSeries::adopt_chunk`]), whose table the
+//! validation walk took. Aggregations fold directly over the
+//! segments.
 
 use crate::chunk::{self, Chunk, Validated};
 use crate::window::WindowAgg;
@@ -146,7 +149,9 @@ impl TimeSeries {
 
     /// Link an already-validated compressed block as a sealed chunk —
     /// the fleet chunk-ingest path: the payload arrived in storage
-    /// format, so it is neither decoded nor re-compressed. Seals
+    /// format, so it is neither decoded nor re-compressed; the restart
+    /// table its validation took comes with it, so reads into it seek
+    /// as into a chunk sealed here. Seals
     /// whatever tail there is first (the block's samples follow it),
     /// then evicts sample-exactly as any append does. A block that
     /// starts before the newest sample is refused whole (returns
@@ -246,8 +251,8 @@ impl TimeSeries {
             + self.tail_vals.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Heap bytes held by sealed compressed chunks (payload + restart
-    /// tables + headers).
+    /// Heap bytes held by sealed compressed chunks (payloads + headers,
+    /// which hold the restart tables).
     pub fn compressed_bytes(&self) -> usize {
         self.chunks.iter().map(Chunk::mem_bytes).sum()
     }

@@ -984,18 +984,16 @@ mod tests {
         );
         // Smooth telemetry seals well under the 16 B/sample raw cost.
         assert!(m.compressed_bytes_per_sample().unwrap() < 3.0);
-        // Payloads and restart tables are held at exact length: the
-        // sealed tier costs those bytes plus one header per chunk, no
-        // allocator slack.
+        // Payloads are held at exact length and restart tables inline
+        // in the header: the sealed tier costs those bytes plus one
+        // header per chunk, no allocator slack.
         let held: usize = db
             .series(a)
             .sealed_chunks()
-            .map(|c| {
-                c.bytes().len() + c.restart_bytes() + std::mem::size_of::<crate::chunk::Chunk>()
-            })
+            .map(|c| c.bytes().len() + std::mem::size_of::<crate::chunk::Chunk>())
             .sum();
         assert_eq!(m.compressed_bytes, held);
-        assert!(db.series(a).sealed_chunks().all(|c| c.restart_bytes() > 0));
+        assert!(db.series(a).sealed_chunks().all(|c| c.restart_points() > 0));
     }
 
     #[test]

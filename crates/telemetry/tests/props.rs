@@ -1178,7 +1178,7 @@ proptest! {
 
 /// A series built the ways production builds one — pushed runs that
 /// seal into chunks with restart tables, validated blocks adopted with
-/// none — over samples with duplicate timestamps, deltas up to 2⁵⁰ (a
+/// the table their validation took — over samples with duplicate timestamps, deltas up to 2⁵⁰ (a
 /// state that does not pack ends a table early) and NaN payloads; and
 /// the flat list of what it retains, kept beside it.
 struct Mixed {

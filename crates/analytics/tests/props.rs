@@ -1,6 +1,6 @@
 //! Property tests for the analytics toolbox.
 //!
-//! DESIGN.md §7 promises: forecast monotonicity under clean progress and
+//! The toolbox promises forecast monotonicity under clean progress and
 //! CUSUM detection bounds. Added here: estimator exactness on noiseless
 //! inputs, robustness guarantees that justify the Theil–Sen default, RLS
 //! convergence, and k-NN ordering invariants.

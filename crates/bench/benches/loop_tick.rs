@@ -8,7 +8,7 @@
 //!   wall-time ratio of the reproduction itself).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use moda_bench::{run_sched_campaign, std_campaign, std_world, STD_TICK};
+use moda_bench::{run_sched_campaign, sched_loop, std_campaign, std_world, STD_JOBS, STD_TICK};
 use moda_scheduler::ExtensionPolicy;
 use moda_sim::{SimDuration, SimTime};
 use moda_usecases::scheduler_case::{build_loop, SchedulerLoopConfig};
@@ -49,25 +49,29 @@ fn bench_loop_tick(c: &mut Criterion) {
 fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_e2e");
     g.sample_size(10);
-    g.bench_function("baseline_120_jobs", |b| {
-        b.iter(|| black_box(run_sched_campaign(7, 0.3, ExtensionPolicy::default(), None)))
-    });
-    g.bench_function("loop_on_120_jobs", |b| {
-        b.iter(|| {
-            black_box(run_sched_campaign(
-                7,
-                0.3,
-                ExtensionPolicy::default(),
-                Some(SchedulerLoopConfig::default()),
-            ))
-        })
-    });
+    for (name, cfg) in [
+        ("baseline_120_jobs", None),
+        ("loop_on_120_jobs", Some(SchedulerLoopConfig::default())),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let jobs = std_campaign(7, STD_JOBS, 0.3, 0.0);
+                let run = run_sched_campaign(
+                    7,
+                    jobs,
+                    ExtensionPolicy::default(),
+                    sched_loop(cfg.clone()),
+                );
+                black_box((run.stats(), run.errors()))
+            })
+        });
+    }
     g.finish();
 }
 
 /// World event-loop throughput without any loop attached: how much
 /// simulated time one wall-second buys (reporting sanity for every
-/// experiment binary).
+/// experiment).
 fn bench_world_advance(c: &mut Criterion) {
     c.bench_function("world_advance_1h", |b| {
         b.iter_batched(

@@ -1,9 +1,10 @@
 //! **E1 (micro) — per-tick cost of the Fig. 2 pattern orchestrators.**
 //!
-//! The threaded drivers in `exp_patterns` measure wall-clock latency with
-//! real threads; these benches isolate the *orchestration overhead* of the
-//! stepped pattern engines themselves (what a site pays per loop tick on
-//! top of its own Monitor/Analyze/Plan/Execute work) as fleets grow.
+//! Experiment E1 (`moda_bench::experiments::e1`) measures wall-clock
+//! latency with real threads; these benches isolate the *orchestration
+//! overhead* of the stepped pattern engines themselves (what a site pays
+//! per loop tick on top of its own Monitor/Analyze/Plan/Execute work) as
+//! fleets grow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use moda_core::component::{Analyzer, Executor, Monitor, Plan, PlannedAction, Planner};

@@ -1,28 +1,32 @@
-//! Shared harness for the experiment binaries.
+//! The paper's experiments and what they share.
 //!
 //! The paper is a position paper with conceptual figures rather than
-//! numbered result tables, so each `exp_*` binary regenerates one
-//! *figure- or claim-derived experiment* from the index in `DESIGN.md`
-//! (E1–E12), printing an aligned table whose shape EXPERIMENTS.md
-//! records. This module holds what they share: campaign construction,
-//! the loop-on/loop-off runner for scheduler-style experiments, and
+//! numbered result tables, so [`experiments`] regenerates one *figure-
+//! or claim-derived experiment* per table (E1–E13), each a function
+//! returning its [`table::Table`]. The `experiments` binary prints them
+//! all; `tests/paper_claims.rs` asserts each experiment's claim against
+//! its table and pins the rendering in `tests/golden/paper/`. This
+//! module holds what they share: campaign construction, the
+//! loop-on/loop-off runner for scheduler-style experiments, and
 //! extension-accuracy scoring against simulator ground truth. Beside
 //! them, [`plateau`] builds the fleet state the `tsdb` bench's snapshot
 //! rows and the bench gate's snapshot ceiling both measure.
 
+pub mod experiments;
 pub mod plateau;
 pub mod table;
 
 use moda_analytics::assess::ExtensionAssessment;
-use moda_hpc::{workload, World, WorldConfig};
-use moda_scheduler::{ExtensionPolicy, JobState};
+use moda_core::domain::Domain;
+use moda_core::{LoopReport, MapeLoop};
+use moda_hpc::{workload, AppProfile, World, WorldConfig};
+use moda_scheduler::{ExtensionPolicy, JobRequest, JobState};
 use moda_sim::{RngStreams, SimDuration, SimTime};
 use moda_usecases::harness::{drive, shared, CampaignStats, SharedWorld};
-use moda_usecases::scheduler_case::{build_loop, SchedulerLoopConfig};
+use moda_usecases::scheduler_case::{build_loop, SchedulerDomain, SchedulerLoopConfig};
 
-/// Standard experiment scale (kept moderate so the full suite runs in
-/// minutes on one core; every binary takes `--big` style tuning through
-/// its own constants instead).
+/// Standard experiment scale (kept moderate so every experiment runs in
+/// seconds on one core).
 pub const STD_JOBS: usize = 120;
 /// Standard node count.
 pub const STD_NODES: u32 = 32;
@@ -48,7 +52,7 @@ pub fn std_campaign(
     n_jobs: usize,
     underestimate_frac: f64,
     misconfig_rate: f64,
-) -> Vec<(moda_scheduler::JobRequest, moda_hpc::AppProfile)> {
+) -> Vec<(JobRequest, AppProfile)> {
     workload::generate(
         &workload::WorkloadConfig {
             n_jobs,
@@ -114,26 +118,63 @@ pub fn extension_errors(world: &World) -> ExtensionErrors {
     out
 }
 
-/// Run one scheduler-style campaign: `loop_cfg = None` is the baseline.
+/// Tick `l` at `t` when there is a loop; the baseline (`None`) reports
+/// nothing. Every loop-on/loop-off experiment drives through this.
+pub fn tick<D: Domain>(l: &mut Option<MapeLoop<D>>, t: SimTime) -> LoopReport {
+    l.as_mut().map_or_else(LoopReport::default, |l| l.tick(t))
+}
+
+/// What one scheduler-style campaign leaves behind.
+pub struct SchedRun {
+    /// The world at the campaign's end.
+    pub world: SharedWorld,
+    /// The loop that ran; `None` for the baseline.
+    pub mape: Option<MapeLoop<SchedulerDomain>>,
+    /// Every tick's report, summed.
+    pub report: LoopReport,
+}
+
+impl SchedRun {
+    /// The campaign's §III.iv–v report.
+    pub fn stats(&self) -> CampaignStats {
+        CampaignStats::collect(&self.world.borrow())
+    }
+
+    /// Extension accuracy against ground truth.
+    pub fn errors(&self) -> ExtensionErrors {
+        extension_errors(&self.world.borrow())
+    }
+}
+
+/// Run `jobs` on the standard world under `policy`, ticking the loop
+/// `mape` builds over that world every [`STD_TICK`] (`None` is the
+/// baseline).
 pub fn run_sched_campaign(
     seed: u64,
-    underestimate_frac: f64,
+    jobs: Vec<(JobRequest, AppProfile)>,
     policy: ExtensionPolicy,
-    loop_cfg: Option<SchedulerLoopConfig>,
-) -> (CampaignStats, ExtensionErrors) {
+    mape: impl FnOnce(&SharedWorld) -> Option<MapeLoop<SchedulerDomain>>,
+) -> SchedRun {
     let world = std_world(seed, policy);
-    world
-        .borrow_mut()
-        .submit_campaign(std_campaign(seed, STD_JOBS, underestimate_frac, 0.0));
-    let mut l = loop_cfg.map(|cfg| build_loop(world.clone(), cfg));
+    world.borrow_mut().submit_campaign(jobs);
+    let mut l = mape(&world);
+    let mut report = LoopReport::default();
     drive(&world, STD_TICK, STD_HORIZON, |t| {
-        if let Some(l) = l.as_mut() {
-            l.tick(t);
-        }
+        report.absorb(&tick(&mut l, t))
     });
-    let stats = CampaignStats::collect(&world.borrow());
-    let errors = extension_errors(&world.borrow());
-    (stats, errors)
+    SchedRun {
+        world,
+        mape: l,
+        report,
+    }
+}
+
+/// The scheduler loop under `cfg` (`None`: no loop), as
+/// [`run_sched_campaign`] takes it.
+pub fn sched_loop(
+    cfg: Option<SchedulerLoopConfig>,
+) -> impl FnOnce(&SharedWorld) -> Option<MapeLoop<SchedulerDomain>> {
+    move |w| cfg.map(|c| build_loop(w.clone(), c))
 }
 
 #[cfg(test)]
@@ -144,13 +185,16 @@ mod tests {
     fn baseline_vs_loop_differential_holds() {
         // The repository's headline claim, as a test: the loop increases
         // completions-in-first-attempt and reduces kills/resubmits.
-        let (base, _) = run_sched_campaign(3, 0.3, ExtensionPolicy::default(), None);
-        let (auto, errs) = run_sched_campaign(
+        let jobs = || std_campaign(3, STD_JOBS, 0.3, 0.0);
+        let base = run_sched_campaign(3, jobs(), ExtensionPolicy::default(), sched_loop(None));
+        let run = run_sched_campaign(
             3,
-            0.3,
+            jobs(),
             ExtensionPolicy::default(),
-            Some(SchedulerLoopConfig::default()),
+            sched_loop(Some(SchedulerLoopConfig::default())),
         );
+        let base = base.stats();
+        let (auto, errs) = (run.stats(), run.errors());
         assert!(base.timed_out > 0, "baseline should lose jobs: {base:?}");
         assert!(
             auto.timed_out < base.timed_out,

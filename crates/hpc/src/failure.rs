@@ -51,9 +51,10 @@ impl FailureConfig {
 /// The optimal periodic checkpoint interval for a given MTBF and
 /// checkpoint cost — Young's first-order formula `√(2 · C · MTBF)`.
 ///
-/// The resilience loop uses it as the Plan-phase policy; the
-/// `exp_resilience` experiment sweeps cadence around it to show the
-/// optimum is where Young says it is.
+/// The resilience loop uses it as the Plan-phase policy; experiment E13
+/// (`moda_bench::experiments::e13`, claim checked in
+/// `tests/paper_claims.rs`) sweeps cadence around it to show the optimum
+/// is where Young says it is.
 pub fn young_interval_s(checkpoint_cost_s: f64, system_mtbf_s: f64) -> f64 {
     assert!(checkpoint_cost_s >= 0.0 && system_mtbf_s > 0.0);
     (2.0 * checkpoint_cost_s * system_mtbf_s).sqrt()

@@ -1,6 +1,6 @@
 //! Property tests for the parallel-filesystem substrate.
 //!
-//! DESIGN.md §7 promises: token-bucket conservation and stripe
+//! The substrate promises token-bucket conservation and stripe
 //! allocation balance. Both managed-system behaviours feed the OST and
 //! I/O-QoS loops, so their invariants bound what those loops can
 //! legitimately observe.

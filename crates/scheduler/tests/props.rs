@@ -2,7 +2,7 @@
 //!
 //! A randomized campaign driver submits arbitrary job mixes, runs the
 //! scheduler's event loop to completion, injects random extension
-//! requests, and checks the global invariants DESIGN.md §7 promises:
+//! requests, and checks the global invariants the scheduler promises:
 //! node conservation, walltime enforcement, per-job extension caps, and
 //! reservation protection (the §III.iv trust control).
 

@@ -1,8 +1,8 @@
 //! Property tests for the simulation substrate.
 //!
 //! Everything downstream (scheduler, filesystem, telemetry, experiments)
-//! leans on these invariants; a violation here corrupts every result in
-//! EXPERIMENTS.md, so they get the heaviest randomized coverage.
+//! leans on these invariants; a violation here corrupts every table in
+//! `tests/golden/paper/`, so they get the heaviest randomized coverage.
 
 use moda_sim::stats::{Ewma, Histogram, OnlineStats, Summary};
 use moda_sim::{Dist, EventQueue, RngStreams, SimDuration, SimTime};

@@ -1,6 +1,6 @@
 //! Property tests for the monitoring substrate.
 //!
-//! DESIGN.md §7 names the TSDB retention/ordering invariants explicitly:
+//! The TSDB's retention/ordering invariants, stated as properties:
 //! whatever a sensor feeds in, the store must hand Analyze components a
 //! time-ordered, bounded, lossless-within-retention view.
 

@@ -1,9 +1,10 @@
 //! Determinism guarantees across the full stack.
 //!
 //! Every experiment in the repository claims bit-for-bit reproducibility
-//! from a root seed (DESIGN.md §5). These tests hold the whole facade to
-//! that claim — world, scheduler, filesystem, telemetry, and the
-//! autonomy loop together.
+//! from a root seed (`tests/paper_claims.rs` pins each experiment's table
+//! in `tests/golden/paper/`). These tests hold the whole facade to that
+//! claim — world, scheduler, filesystem, telemetry, and the autonomy
+//! loop together.
 
 use moda::hpc::{workload, World, WorldConfig};
 use moda::scheduler::ExtensionPolicy;

@@ -344,10 +344,18 @@ impl moda_telemetry::export::Sink for EncodeSink {
 /// `samples` run), what every receiver — listener, WAL replay, snapshot
 /// load — pays to validate it and visit its samples where they lie
 /// (`view_sweep64`), and what expanding it into owned records costs on
-/// top (`decode_sweep64`: the same view, then to-owned).
+/// top (`decode_sweep64`: the same view, then to-owned). The `_delta_`
+/// rows are the same two ends of a 1.3 stream, where the sweep travels
+/// as a `samples_delta` run coded against the previous sweep:
+/// `encode_delta_sweep64` renders it against the stream's value state,
+/// `view_delta_sweep64` validates it, checks it against the reader's
+/// state and visits its samples, the state advancing. Consecutive
+/// sweeps differ by quantised steps, so the XORs are the live path's.
 fn bench_wire_batch(c: &mut Criterion) {
-    use moda_telemetry::export::{Exporter, MemorySink};
-    use moda_telemetry::wire::{decode_batch, encode_batch, BatchView, RecordRef};
+    use moda_telemetry::export::{ExportBatch, ExportRecord, Exporter, MemorySink};
+    use moda_telemetry::wire::{
+        decode_batch, encode_batch, encode_batch_with, BatchView, RecordRef, ValueState,
+    };
     let (mut db, sweep) = sweep_store(64);
     let mut exporter = Exporter::new();
     let mut sink = MemorySink::new();
@@ -387,6 +395,63 @@ fn bench_wire_batch(c: &mut Criterion) {
     });
     g.bench_function("decode_sweep64", |b| {
         b.iter(|| black_box(decode_batch(black_box(&wire)).unwrap().0.records.len()));
+    });
+    // The sweep after it: every reading a quarter-step or two away.
+    let next = ExportBatch {
+        seq: batch.seq + 1,
+        records: batch
+            .records
+            .iter()
+            .enumerate()
+            .map(|(m, r)| match *r {
+                ExportRecord::Sample { id, t, value } => ExportRecord::Sample {
+                    id,
+                    t: SimTime(t.0 + 1_000),
+                    value: value + (m % 3) as f64 * 0.25,
+                },
+                ref other => other.clone(),
+            })
+            .collect(),
+    };
+    // Two sweeps taking turns: each coded against the other's values.
+    let sweeps = [&batch, &next];
+    let mut writer = ValueState::new();
+    let mut staged = [Vec::new(), Vec::new(), Vec::new()];
+    for (k, out) in staged.iter_mut().enumerate() {
+        encode_batch_with(sweeps[k % 2], &mut writer, out);
+    }
+    let [_, next_wire, batch_wire] = staged;
+    g.bench_function("encode_delta_sweep64", |b| {
+        let mut out = Vec::with_capacity(wire.len());
+        // The writer stands after `batch`: `next` goes first.
+        let mut turn = 1;
+        b.iter(|| {
+            out.clear();
+            encode_batch_with(black_box(sweeps[turn]), &mut writer, &mut out);
+            turn ^= 1;
+            black_box(out.len())
+        });
+    });
+    g.bench_function("view_delta_sweep64", |b| {
+        // The reader stands where the writer did after `batch`.
+        let mut reader = ValueState::new();
+        encode_batch_with(&batch, &mut reader, &mut Vec::new());
+        let wires = [&next_wire, &batch_wire];
+        let mut turn = 0;
+        b.iter(|| {
+            let view = BatchView::parse(black_box(wires[turn])).unwrap();
+            view.check_values(&mut reader).unwrap();
+            let mut folded = 0u64;
+            for record in view.records() {
+                if let RecordRef::SamplesDelta(run) = record {
+                    for (id, t, value) in run.values(&mut reader) {
+                        folded = folded.wrapping_add(u64::from(id.0) ^ t.0 ^ value.to_bits());
+                    }
+                }
+            }
+            turn ^= 1;
+            black_box(folded)
+        });
     });
     g.finish();
 }
@@ -640,8 +705,10 @@ fn bench_fleet(c: &mut Criterion) {
     }
 
     // The fleet's half of the live path, socket excluded: 64 received
-    // 64-sample sweeps taken as wire bytes — validated, logged as they
-    // arrived, applied off the same bytes — each as a burst of its own
+    // 64-sample sweeps taken as wire bytes (as a 1.2 sender packs them;
+    // `wire_batch/view_delta_sweep64` is what a 1.3 run adds to the
+    // view) — validated, logged as they arrived, applied off the same
+    // bytes — each as a burst of its own
     // (one log flush per batch, what a lone frame pays) and all 64 as
     // one burst (one flush). Both rows time 64 batches; the sweeps are
     // staged outside the timed region so every one carries fresh

@@ -136,9 +136,9 @@ const MAX_RATIO_CHECKS: &[(&str, &str, f64)] = &[(
 const MAX_CHUNK_BYTES_PER_SAMPLE: f64 = 3.0;
 
 /// Most snapshot bytes per retained raw sample at the snapshot plateau
-/// (`moda_bench::plateau`). The `MODAFS04` image measures 1.015 there,
-/// the `03` one — tails as packed `samples` runs, tier scalars as raw
-/// `f64`s — 1.391.
+/// (`moda_bench::plateau`). The `MODAFS05` image measures 1.017 there
+/// (`04`, without the sessions' value states, 1.015), the `03` one —
+/// tails as packed `samples` runs, tier scalars as raw `f64`s — 1.391.
 const MAX_IMAGE_BYTES_PER_RETAINED_SAMPLE: f64 = 1.20;
 
 /// Sub-microsecond benches jitter hardest across runner generations:

@@ -19,6 +19,11 @@
 //!   restarted node exporter re-shipping its retained tail safe: the
 //!   already-seen prefix bounces off the monotonic guard, buckets
 //!   overwrite by key);
+//! * **stream values** — each session keeps its stream's
+//!   [`ValueState`], which `samples_delta` records (revision 1.3) are
+//!   read against and leave their values in — a duplicate's included
+//!   (it is walked, not applied). A batch holding a delta the state
+//!   cannot read is refused whole ([`FleetAggregator::ingest_view`]);
 //! * **compressed chunks** — a `chunk` record (wire spec revision 1.1)
 //!   is validated in one pass and linked into the fleet ring as it
 //!   arrived; an overlapping re-ship falls back to per-sample pushes so
@@ -39,7 +44,7 @@ use crate::store::{ChunkOutcome, FleetStore, NodeId};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{put_u64, BatchView, RecordRef, WireReader};
+use moda_telemetry::wire::{put_u64, BatchView, RecordRef, ValueState, WireReader};
 use moda_telemetry::{DrainStats, MetricId};
 use std::io;
 
@@ -239,6 +244,9 @@ pub(crate) struct NodeSession {
     pub(crate) high_water: SimTime,
     pub(crate) ever_ingested: bool,
     pub(crate) drain: DrainStats,
+    /// The stream's values as its `samples_delta` records are coded
+    /// against: reset by [`FleetAggregator::restart_stream`].
+    pub(crate) values: ValueState,
 }
 
 /// The fleet aggregation tier: a [`FleetStore`] fed by per-node wire
@@ -299,6 +307,7 @@ impl FleetAggregator {
             high_water: SimTime::ZERO,
             ever_ingested: false,
             drain: DrainStats::default(),
+            values: ValueState::new(),
         });
         id
     }
@@ -377,6 +386,25 @@ impl FleetAggregator {
         self.sessions[node.index()].next_seq = 0;
     }
 
+    /// A new connection carries `node`'s stream from here: the value
+    /// state its `samples_delta` records are coded against starts empty
+    /// again. The batch cursor, mappings and data stay.
+    pub fn restart_stream(&mut self, node: NodeId) {
+        self.sessions[node.index()].values.reset();
+    }
+
+    /// The value state of `node`'s stream: what its next `samples_delta`
+    /// record is coded against.
+    pub fn stream_values(&self, node: NodeId) -> &ValueState {
+        &self.sessions[node.index()].values
+    }
+
+    /// [`FleetAggregator::stream_values`], for a writer that codes the
+    /// stream's next batch against it (`DurableFleet::ingest`).
+    pub(crate) fn stream_values_mut(&mut self, node: NodeId) -> &mut ValueState {
+        &mut self.sessions[node.index()].values
+    }
+
     /// Wire counters of one node.
     pub fn counters(&self, node: NodeId) -> NodeCounters {
         self.sessions[node.index()].counters
@@ -404,8 +432,23 @@ impl FleetAggregator {
     /// [`FleetAggregator::ingest`] straight off a received batch's
     /// bytes: no owned record is built between the socket (or the log,
     /// at replay) and the store. Records of a kind this reader does not
-    /// know are counted in [`FleetAggregator::unknown_records`].
-    pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
+    /// know are counted in [`FleetAggregator::unknown_records`]. A batch
+    /// holding a delta that `node`'s stream state cannot read is
+    /// `InvalidData` and changes nothing.
+    pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> io::Result<IngestReport> {
+        self.check_view(node, view)?;
+        Ok(self.apply_view(node, view))
+    }
+
+    /// Whether every value of `view` can be read against `node`'s stream
+    /// state ([`BatchView::check_values`]); changes nothing.
+    pub(crate) fn check_view(&mut self, node: NodeId, view: &BatchView<'_>) -> io::Result<()> {
+        view.check_values(&mut self.sessions[node.index()].values)
+    }
+
+    /// [`FleetAggregator::ingest_view`] of a view
+    /// [`FleetAggregator::check_view`] has passed.
+    pub(crate) fn apply_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
         self.unknown_records += view.unknown_records();
         self.apply(node, view.seq(), view.records())
     }
@@ -424,6 +467,13 @@ impl FleetAggregator {
         if seq < session.next_seq {
             session.counters.duplicate_batches += 1;
             report.duplicate = true;
+            // Not applied — but its values are the stream's, and the
+            // batch after it is coded against them.
+            for r in records {
+                if let RecordRef::SamplesDelta(run) = r {
+                    run.values(&mut session.values).for_each(drop);
+                }
+            }
             return report;
         }
         if seq > session.next_seq {
@@ -464,6 +514,16 @@ impl FleetAggregator {
                         open_bucket = None;
                         report.records += push_sample(&mut self.store, session, id, t, value);
                     }
+                }
+                RecordRef::SamplesDelta(run) => {
+                    // Out of the session while the run reads it, so the
+                    // session can take the samples meanwhile.
+                    let mut values = std::mem::take(&mut session.values);
+                    for (id, t, value) in run.values(&mut values) {
+                        open_bucket = None;
+                        report.records += push_sample(&mut self.store, session, id, t, value);
+                    }
+                    session.values = values;
                 }
                 RecordRef::Chunk {
                     id,

@@ -88,7 +88,7 @@ use crate::store::{FleetStore, NodeId};
 use dir::{LogWriter, StateDir};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{encode_batch, BatchView};
+use moda_telemetry::wire::{encode_batch_with, BatchView};
 use moda_telemetry::DrainStats;
 use std::io;
 use std::path::Path;
@@ -288,24 +288,28 @@ impl DurableFleet {
 
     // ----- mutations (log, commit, then apply) --------------------------
 
-    /// Open (or look up) a node ingest session. New sessions are logged
-    /// so recovery rebuilds the node table in registration order.
+    /// Open a node's ingest session — a new connection: a name not seen
+    /// before is registered, a known one keeps its cursor, mappings and
+    /// data, and either way the stream's value state starts empty
+    /// ([`FleetAggregator::restart_stream`]). Logged every time, so
+    /// recovery rebuilds the node table in registration order and resets
+    /// each stream where it was reset.
     pub fn add_node(&mut self, name: &str) -> io::Result<NodeId> {
-        if let Some(id) = self.agg.find_node(name) {
-            return Ok(id);
-        }
         self.wal.append(Entry::Node(name))?;
         self.wal.commit()?;
-        Ok(self.agg.add_node(name))
+        Ok(wal::open_stream(&mut self.agg, name))
     }
 
     /// Ingest one batch durably: append its encoding to the log, commit,
-    /// then apply — returning means flushed. Cuts a snapshot (written
-    /// off this call; see the module docs) every
+    /// then apply — returning means flushed. The batch is logged as a
+    /// 1.3 writer on `node`'s stream sends it, its sample runs coded
+    /// against the stream's value state. Cuts a snapshot (written off
+    /// this call; see the module docs) every
     /// [`DurabilityConfig::snapshot_every_batches`] applied batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
         self.frame_buf.clear();
-        encode_batch(batch, &mut self.frame_buf);
+        let values = self.agg.stream_values_mut(node);
+        encode_batch_with(batch, values, &mut self.frame_buf);
         self.wal.append(Entry::Batch(node, &self.frame_buf))?;
         self.wal.commit()?;
         let report = self.agg.ingest(node, batch);
@@ -528,16 +532,18 @@ pub struct Burst<'a> {
 
 impl Burst<'_> {
     /// Take one received `BATCH` payload: validate it where it lies,
-    /// log `[node u32][those bytes]`, apply the records straight off
-    /// them. A payload that fails validation is an `InvalidData` error
-    /// and touches neither the log nor any counter. Cuts a snapshot on
-    /// the [`DurabilityConfig::snapshot_every_batches`] cadence, exactly
-    /// where [`DurableFleet::ingest`] would.
+    /// check its values against `node`'s stream state, log `[node u32]
+    /// [those bytes]`, apply the records straight off them. A payload
+    /// that fails validation or the check is an `InvalidData` error and
+    /// touches neither the log nor any counter nor the state. Cuts a
+    /// snapshot on the [`DurabilityConfig::snapshot_every_batches`]
+    /// cadence, exactly where [`DurableFleet::ingest`] would.
     pub fn batch(&mut self, node: NodeId, payload: &[u8]) -> io::Result<IngestReport> {
         let view = BatchView::parse(payload)?;
+        self.fleet.agg.check_view(node, &view)?;
         // Only bytes a view vouches for reach the log.
         self.fleet.wal.append(Entry::Batch(node, view.as_bytes()))?;
-        let report = self.fleet.agg.ingest_view(node, &view);
+        let report = self.fleet.agg.apply_view(node, &view);
         self.fleet.count_batch()?;
         Ok(report)
     }
@@ -580,7 +586,7 @@ mod tests {
     use super::*;
     use moda_sim::{SimDuration, SimTime};
     use moda_telemetry::export::{ExportRecord, MemorySink};
-    use moda_telemetry::wire::{put_block, put_u32, put_u64, write_frame};
+    use moda_telemetry::wire::{encode_batch, put_block, put_u32, put_u64, write_frame};
     use moda_telemetry::{
         Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
     };

@@ -16,24 +16,60 @@ use moda_telemetry::chunk;
 use moda_telemetry::wire::{
     bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_meta,
     put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, BatchWriter, FrameParse,
-    RecordRef, WireReader,
+    RecordRef, ValueState, WireReader, MAX_VALUE_IDS,
 };
 use moda_telemetry::{MetricId, QuantileSketch, RollupBucket, SketchEntry};
 use std::io;
 
-/// Leading magic of a snapshot image (version-suffixed). `04`: each
-/// ring's unsealed tail is one Gorilla run and the tier section is
-/// XOR/delta coded, which an `03` reader would misread field by field,
-/// so it must not recognise the file at all.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS04";
-/// The previous magic: tails as packed `samples` records, tier scalars
+/// Leading magic of a snapshot image (version-suffixed). `05`: each
+/// session carries its stream's value state after its drain block —
+/// the log that follows the image holds `samples_delta` records coded
+/// against it — which an `04` reader would take for the next session.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS05";
+/// The previous magic: no value states. Such a file loads with every
+/// stream's state empty and is written back as `05`.
+const SNAPSHOT_MAGIC_04: &[u8; 8] = b"MODAFS04";
+/// The magic before: tails as packed `samples` records, tier scalars
 /// as raw `f64`, sketch entries as `sign · zigzag(key) · count`. Such a
-/// file loads as it is and is written back as `04`.
+/// file loads as it is and is written back as `05`.
 const SNAPSHOT_MAGIC_03: &[u8; 8] = b"MODAFS03";
 /// The `03` layout with one `sample` record per tail observation.
 const SNAPSHOT_MAGIC_02: &[u8; 8] = b"MODAFS02";
 /// The single frame that follows the magic.
 const FRAME_SNAPSHOT: u8 = 40;
+
+/// Write one stream's value state: `count uv`, then per id with a state,
+/// in id order, `id uv` (the first as itself, each later one as its
+/// distance past the one before, less one) and its bits `u64`.
+fn write_values(values: &ValueState, out: &mut Vec<u8>) {
+    put_uv(out, values.iter().count() as u64);
+    let mut next = 0;
+    for (id, bits) in values.iter() {
+        put_uv(out, u64::from(id.0 - next));
+        put_u64(out, bits);
+        next = id.0 + 1;
+    }
+}
+
+/// The state [`write_values`] wrote.
+fn read_values(r: &mut WireReader<'_>) -> io::Result<ValueState> {
+    let mut values = ValueState::new();
+    let n = r.uv()?;
+    // An entry is nine bytes at least: refused before anything grows.
+    if n > r.remaining() as u64 / 9 {
+        return Err(bad_data("value state longer than its bytes"));
+    }
+    let mut next = 0u64;
+    for _ in 0..n {
+        let id = next
+            .checked_add(r.uv()?)
+            .filter(|&id| id < u64::from(MAX_VALUE_IDS))
+            .ok_or_else(|| bad_data("value state id past the bound"))?;
+        values.set(MetricId(id as u32), r.u64()?);
+        next = id + 1;
+    }
+    Ok(values)
+}
 
 /// How an image codes what changed at `04`: its tails and its tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +77,7 @@ enum Layout {
     /// `MODAFS02`/`03`: tails as `sample`/`samples` records; tiers with
     /// raw scalars and signed sketch entries.
     Packed,
-    /// `MODAFS04`: a tail flag and a tail `chunk` record; XOR-coded
+    /// `MODAFS05`/`04`: a tail flag and a tail `chunk` record; XOR-coded
     /// scalars and sketch keys delta-coded per sign run.
     Columns,
 }
@@ -267,7 +303,10 @@ fn write_metric(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
 /// epoch u64 · raw_retention u64 · store counters 7×u64
 /// session count u32 · per session:
 ///   name · next_seq u64 · wire_map u32-len + u32 entries (MAX=None)
-///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain 11×u64
+///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain block
+///   (u32-len) · value state: count uv · per id with a state, ascending:
+///     id uv (the first itself, then the distance past the previous
+///     less one) · bits u64
 /// metric count u32 · per metric:
 ///   node u32 · meta(name · kind u8 · unit · domain u8)
 ///   raw section: u32-len block of tail u8 (1: the last record is the
@@ -300,19 +339,21 @@ pub(crate) fn encode(agg: &FleetAggregator, epoch: u64, out: &mut Vec<u8>) {
     let frame = out.len();
     put_block(out, |out| {
         out.push(FRAME_SNAPSHOT);
-        encode_payload(agg, epoch, out, write_metric);
+        encode_payload(agg, epoch, out, true, write_metric);
     });
     let crc = crc32(&out[frame + 4..]);
     put_u32(out, crc);
 }
 
-/// The frame payload of [`encode`], with what follows each metric's
-/// registry entry as a parameter so a test can write the sections an
-/// older writer produced.
+/// The frame payload of [`encode`], with whether sessions carry their
+/// value states and what follows each metric's registry entry as
+/// parameters, so a test can write the sections an older writer
+/// produced.
 fn encode_payload(
     agg: &FleetAggregator,
     epoch: u64,
     out: &mut Vec<u8>,
+    values: bool,
     metric: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
 ) {
     let store = agg.store();
@@ -345,6 +386,9 @@ fn encode_payload(
         // Length-prefixed (format `MODAFS02`) so the drain block can
         // grow fields without another snapshot format bump.
         put_block(out, |out| encode_drain_stats(&s.drain, out));
+        if values {
+            write_values(&s.values, out);
+        }
     }
     put_u32(out, store.cardinality() as u32);
     for idx in 0..store.cardinality() {
@@ -359,10 +403,11 @@ fn encode_payload(
 /// Rebuild an aggregator from a snapshot image, and the epoch of the
 /// log that follows it.
 pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
-    let (layout, framed) = match bytes.split_first_chunk::<8>() {
-        Some((magic, framed)) if magic == SNAPSHOT_MAGIC => (Layout::Columns, framed),
+    let (layout, with_values, framed) = match bytes.split_first_chunk::<8>() {
+        Some((magic, framed)) if magic == SNAPSHOT_MAGIC => (Layout::Columns, true, framed),
+        Some((magic, framed)) if magic == SNAPSHOT_MAGIC_04 => (Layout::Columns, false, framed),
         Some((magic, framed)) if magic == SNAPSHOT_MAGIC_03 || magic == SNAPSHOT_MAGIC_02 => {
-            (Layout::Packed, framed)
+            (Layout::Packed, false, framed)
         }
         _ => return Err(bad_data("snapshot magic mismatch")),
     };
@@ -413,6 +458,10 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
         let high_water = SimTime(r.u64()?);
         let ever_ingested = r.u8()? != 0;
         let drain = decode_drain_stats(r.block()?)?;
+        let values = match with_values {
+            true => read_values(&mut r)?,
+            false => ValueState::new(),
+        };
         sessions.push(NodeSession {
             name,
             next_seq,
@@ -421,6 +470,7 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
             high_water,
             ever_ingested,
             drain,
+            values,
         });
     }
     let mut store = FleetStore::with_raw_retention(raw_retention);
@@ -586,10 +636,11 @@ mod tests {
     use moda_telemetry::{MetricMeta, SourceDomain};
     use proptest::TestRng;
 
-    /// The writers an image can come from: this build's, and the two
+    /// The writers an image can come from: this build's, and the three
     /// before it, kept as references.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Writer {
+        V05,
         V04,
         V03,
         V02,
@@ -598,7 +649,8 @@ mod tests {
     impl Writer {
         fn magic(self) -> &'static [u8; 8] {
             match self {
-                Writer::V04 => SNAPSHOT_MAGIC,
+                Writer::V05 => SNAPSHOT_MAGIC,
+                Writer::V04 => SNAPSHOT_MAGIC_04,
                 Writer::V03 => SNAPSHOT_MAGIC_03,
                 Writer::V02 => SNAPSHOT_MAGIC_02,
             }
@@ -607,9 +659,20 @@ mod tests {
         /// The writer of its tier sections.
         fn tiers(self) -> fn(&FleetStore, MetricId, &mut Vec<u8>) {
             match self {
-                Writer::V04 => write_tiers,
+                Writer::V05 | Writer::V04 => write_tiers,
                 Writer::V03 | Writer::V02 => write_tiers_03,
             }
+        }
+
+        /// Whether its sessions carry their value states.
+        fn values(self) -> bool {
+            self == Writer::V05
+        }
+
+        /// Whether its raw sections lead with a tail flag and code the
+        /// tail as a chunk.
+        fn tail_chunk(self) -> bool {
+            matches!(self, Writer::V05 | Writer::V04)
         }
     }
 
@@ -617,7 +680,8 @@ mod tests {
     /// replaced, and is held to: every sealed chunk whole, a partially
     /// evicted front chunk decoded and compressed again to its retained
     /// suffix, then the unsealed tail compressed into one more chunk
-    /// (`04`) or as one `Sample` record per observation (`03`, `02`).
+    /// (`05`, `04`) or as one `Sample` record per observation (`03`,
+    /// `02`).
     /// With whether the last record is the tail.
     fn raw_ring_records(
         store: &FleetStore,
@@ -637,7 +701,7 @@ mod tests {
         if tail.is_empty() {
             return (records, false);
         }
-        if writer == Writer::V04 {
+        if writer.tail_chunk() {
             let (ts, vals): (Vec<u64>, Vec<f64>) = tail.iter().map(|s| (s.t.0, s.value)).unzip();
             records.push(ExportRecord::chunk(id, &chunk::compress(&ts, &vals, 0)));
             return (records, true);
@@ -687,10 +751,10 @@ mod tests {
         tiers: impl Fn(&FleetStore, MetricId, &mut Vec<u8>),
     ) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_payload(agg, 3, &mut payload, |store, id, out| {
+        encode_payload(agg, 3, &mut payload, writer.values(), |store, id, out| {
             let (records, tail) = raw_records(store, id);
             put_block(out, |out| match writer {
-                Writer::V04 => {
+                Writer::V05 | Writer::V04 => {
                     out.push(u8::from(tail));
                     encode_batch(&ExportBatch { seq: 0, records }, out);
                 }
@@ -803,10 +867,10 @@ mod tests {
     fn the_image_is_the_magic_and_one_frame_as_write_frame_writes_it() {
         let agg = evicted_ring_fleet();
         let mut image = encoded(&agg);
-        assert_eq!(image, reference_image(&agg, Writer::V04));
+        assert_eq!(image, reference_image(&agg, Writer::V05));
         // And again into the same buffer: the image, not an appendix.
         encode(&agg, 3, &mut image);
-        assert_eq!(image, reference_image(&agg, Writer::V04));
+        assert_eq!(image, reference_image(&agg, Writer::V05));
     }
 
     /// The streaming writer's image is the reference writer's, byte for
@@ -834,7 +898,7 @@ mod tests {
         ];
         for (shape, agg) in &fleets {
             let image = encoded(agg);
-            assert_eq!(image, reference_image(agg, Writer::V04), "{shape}");
+            assert_eq!(image, reference_image(agg, Writer::V05), "{shape}");
             let (recovered, _) = decode(&image).unwrap();
             assert_eq!(encoded(&recovered), image, "{shape}: a fixed point");
         }
@@ -857,7 +921,7 @@ mod tests {
         };
         // The first timestamp code flipped from "same cadence" to a
         // wider bucket: the walk ends elsewhere, or nowhere.
-        let flipped = damaged(Writer::V04, &|records, _| {
+        let flipped = damaged(Writer::V05, &|records, _| {
             let Some(ExportRecord::Chunk {
                 first_t,
                 count,
@@ -874,7 +938,7 @@ mod tests {
         });
         // The tail run moved ten minutes back, before the sealed chunks
         // end.
-        let backwards = damaged(Writer::V04, &|records, tail| {
+        let backwards = damaged(Writer::V05, &|records, tail| {
             assert!(*tail);
             let Some(ExportRecord::Chunk {
                 first_t,
@@ -893,7 +957,7 @@ mod tests {
                 &chunk::compress(&ts, &vals, 0),
             ));
         });
-        let flagged_empty = damaged(Writer::V04, &|records, tail| {
+        let flagged_empty = damaged(Writer::V05, &|records, tail| {
             records.clear();
             *tail = true;
         });
@@ -907,7 +971,7 @@ mod tests {
             assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
         }
         // The undamaged images load.
-        for writer in [Writer::V04, Writer::V03] {
+        for writer in [Writer::V05, Writer::V03] {
             assert!(decode(&damaged(writer, &|_, _| {})).is_ok());
         }
     }
@@ -961,7 +1025,7 @@ mod tests {
     fn raw_section_is_whole_chunks_plus_a_tail_run_and_a_fixed_point() {
         let agg = evicted_ring_fleet();
         let raw = agg.store().raw(MetricId(0));
-        let (records, tail) = raw_ring_records(agg.store(), MetricId(0), Writer::V04);
+        let (records, tail) = raw_ring_records(agg.store(), MetricId(0), Writer::V05);
         // Chunk records only — the front one re-encoded to its retained
         // suffix — the last one exactly the unsealed tail.
         let counts: Vec<u32> = records
@@ -995,17 +1059,24 @@ mod tests {
         assert_eq!(fingerprint(&recovered, 1, now), fingerprint(&agg, 1, now));
     }
 
-    /// An image from either previous writer — kept here as references —
-    /// loads to the fleet it was made of and is written back as `04`,
-    /// a fixed point from there on, and smaller.
+    /// An image from any previous writer — kept here as references —
+    /// loads to the fleet it was made of, its streams' value states
+    /// empty, and is written back as `05`, a fixed point from there on;
+    /// from `03` and `02`, smaller.
     #[test]
-    fn an_03_or_02_image_loads_and_is_written_back_as_04() {
-        let agg = evicted_ring_fleet();
+    fn an_04_03_or_02_image_loads_and_is_written_back_as_05() {
+        let mut agg = evicted_ring_fleet();
+        let node = NodeId(0);
+        agg.stream_values_mut(node)
+            .set(MetricId(0), 201.5f64.to_bits());
         let now = SimTime::from_secs(3001);
-        for writer in [Writer::V03, Writer::V02] {
+        // What an image without value states stands for.
+        agg.restart_stream(node);
+        for writer in [Writer::V04, Writer::V03, Writer::V02] {
             let old = reference_image(&agg, writer);
             let (recovered, epoch, ..) = decode(&old).unwrap();
             assert_eq!(epoch, 3);
+            assert_eq!(recovered.stream_values(node), &ValueState::new());
             assert_eq!(
                 fingerprint(&recovered, 1, now),
                 fingerprint(&agg, 1, now),
@@ -1014,11 +1085,13 @@ mod tests {
             let new = encoded(&recovered);
             assert_eq!(&new[..8], SNAPSHOT_MAGIC);
             assert_eq!(new, encoded(&agg), "{writer:?}");
-            assert!(new.len() < old.len(), "{} vs {}", new.len(), old.len());
+            if writer != Writer::V04 {
+                assert!(new.len() < old.len(), "{} vs {}", new.len(), old.len());
+            }
         }
         // No other magic is a snapshot.
         let mut future = encoded(&agg);
-        future[7] = b'5';
+        future[7] = b'6';
         assert!(decode(&future).is_err());
     }
 
@@ -1045,7 +1118,9 @@ mod tests {
             records.extend(raw.last_n_view(tail).iter().map(|s| sample(s.t.0, s.value)));
             (records, false)
         };
-        let agg = evicted_ring_fleet();
+        let mut agg = evicted_ring_fleet();
+        // An `02` image carries no value state.
+        agg.restart_stream(NodeId(0));
         let old = image_from(&agg, Writer::V02, per_sample_front, Writer::V02.tiers());
         let (recovered, ..) = decode(&old).unwrap();
         let now = SimTime::from_secs(3001);
@@ -1179,7 +1254,16 @@ mod tests {
         }
         let mut agg = FleetAggregator::with_store(store);
         for node in 0..nodes {
-            agg.add_node(&format!("node{node:02}"));
+            let node = agg.add_node(&format!("node{node:02}"));
+            // A stream state: none, a few ids, ids up to the bound.
+            let values = agg.stream_values_mut(node);
+            for _ in 0..rng.below(3) * rng.below(40) {
+                let id = match rng.below(4) {
+                    0 => MAX_VALUE_IDS - 1 - rng.below(3) as u32,
+                    _ => rng.below(300) as u32,
+                };
+                values.set(MetricId(id), awkward(rng, 180.0).to_bits());
+            }
         }
         agg
     }
@@ -1192,7 +1276,8 @@ mod tests {
         let store = agg.store();
         let mut out = format!("{:?}\n", store.stats());
         for s in agg.sessions() {
-            out += &format!("{} {} {:?}\n", s.name, s.next_seq, s.counters);
+            let values: Vec<_> = s.values.iter().collect();
+            out += &format!("{} {} {:?} {values:?}\n", s.name, s.next_seq, s.counters);
         }
         for idx in 0..store.cardinality() {
             let id = MetricId(idx as u32);
@@ -1220,18 +1305,22 @@ mod tests {
         /// random fleets: NaN, ±0, subnormal and infinite scalars and
         /// samples; negative keys and zero buckets in sketches; tails of
         /// 0, 1, 511 and any length; evicted fronts; empty rings; gaps
-        /// between bucket starts. The `03` writer's image of the same
-        /// fleet loads to it too.
+        /// between bucket starts; stream value states of none, a few and
+        /// the last ids the bound allows. The `03` writer's image of the
+        /// same fleet loads to it too, its value states empty.
         #[test]
         fn an_image_is_a_byte_fixed_point_over_random_fleets(seed in proptest::any::<u64>()) {
             let mut rng = TestRng::new(seed);
-            let agg = random_fleet(&mut rng);
+            let mut agg = random_fleet(&mut rng);
             let image = encoded(&agg);
             let (recovered, epoch) = decode(&image).unwrap();
             proptest::prop_assert_eq!(epoch, 3);
             proptest::prop_assert_eq!(state(&recovered), state(&agg));
             proptest::prop_assert!(encoded(&recovered) == image, "not a fixed point");
             let (old, _) = decode(&reference_image(&agg, Writer::V03)).unwrap();
+            for node in 0..agg.node_count() {
+                agg.restart_stream(NodeId(node as u32));
+            }
             proptest::prop_assert_eq!(state(&old), state(&agg));
         }
     }

@@ -36,7 +36,9 @@ const FRAME_LOG_DRAIN: u8 = 34;
 /// One log entry, borrowing what it can from whoever holds its bytes.
 #[derive(Debug)]
 pub(crate) enum Entry<'a> {
-    /// A node session was opened: `[name]`.
+    /// A node session was opened — a connection began: `[name]`. The
+    /// first such entry of a name registers the node; every one resets
+    /// its stream's value state.
     Node(&'a str),
     /// One ingested wire batch, `[node u32][batch bytes]` — a received
     /// batch verbatim, in whichever `export-wire` revision its sender
@@ -102,17 +104,15 @@ impl<'a> Entry<'a> {
                 return Err(bad_data("log entry names an unknown node"));
             }
             Entry::Node(name) => {
-                if agg.find_node(name).is_none() {
-                    agg.add_node(name);
-                }
+                open_stream(agg, name);
                 stats.replayed_nodes += 1;
             }
             Entry::Batch(node, batch) => {
-                // Validated and applied where the log sits in memory.
-                // What the view skips the aggregator counts; recovery
-                // reports it as well.
+                // Validated, checked against the stream's values and
+                // applied where the log sits in memory. What the view
+                // skips the aggregator counts; recovery reports it too.
                 let view = BatchView::parse(batch)?;
-                let report = agg.ingest_view(node, &view);
+                let report = agg.ingest_view(node, &view)?;
                 stats.unknown_records += view.unknown_records();
                 stats.replayed_batches += 1;
                 stats.replayed_duplicates += u64::from(report.duplicate);
@@ -123,6 +123,18 @@ impl<'a> Entry<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// What a `Node` entry means, live and at replay: the node named
+/// `name`, registered if it is new, its stream's value state reset.
+pub(crate) fn open_stream(agg: &mut FleetAggregator, name: &str) -> NodeId {
+    match agg.find_node(name) {
+        Some(node) => {
+            agg.restart_stream(node);
+            node
+        }
+        None => agg.add_node(name),
     }
 }
 
@@ -296,37 +308,27 @@ mod tests {
     use super::super::tests::full_disk_log;
     use super::super::tests::node_batches;
     use super::*;
-    use moda_telemetry::export::ExportBatch;
-    use moda_telemetry::wire::{encode_batch, encode_record};
+    use moda_telemetry::export::{ExportBatch, ExportRecord};
+    use moda_telemetry::wire::{encode_batch, encode_batch_with, encode_record, ValueState};
     use proptest::prelude::*;
 
     /// One entry of a model log, owning what an [`Entry`] borrows.
     enum Logged {
         Node(&'static str),
-        /// A batch, and whether its sender packed sample runs
-        /// (`export-wire-v1.2`) or wrote one record each (v1.1).
-        Batch(NodeId, ExportBatch, bool),
+        /// A batch, the bytes its sender rendered it as — sample runs
+        /// coded as deltas against the stream (`export-wire-v1.3`),
+        /// packed (v1.2), or one record each (v1.1) — and whether that
+        /// was as deltas.
+        Batch(NodeId, ExportBatch, Vec<u8>, bool),
         Drain(NodeId, DrainStats),
     }
 
     impl Logged {
         /// Append this entry's frame to `log`, as [`Wal::append`] would.
         fn render(&self, log: &mut Vec<u8>) {
-            let mut rendered = Vec::new();
             let entry = match self {
                 Logged::Node(name) => Entry::Node(name),
-                Logged::Batch(node, batch, true) => {
-                    encode_batch(batch, &mut rendered);
-                    Entry::Batch(*node, &rendered)
-                }
-                Logged::Batch(node, batch, false) => {
-                    rendered.extend_from_slice(&batch.seq.to_le_bytes());
-                    rendered.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
-                    for record in &batch.records {
-                        encode_record(record, &mut rendered);
-                    }
-                    Entry::Batch(*node, &rendered)
-                }
+                Logged::Batch(node, _, rendered, _) => Entry::Batch(*node, rendered),
                 Logged::Drain(node, stats) => Entry::Drain(*node, *stats),
             };
             let mut scratch = Vec::new();
@@ -334,15 +336,21 @@ mod tests {
             write_frame_parts(log, tag, &payload).unwrap();
         }
 
-        /// Apply this entry to `agg` directly — no frame, no bytes.
+        /// Apply this entry to `agg` directly — no frame, no bytes; a
+        /// delta batch's values go to its stream's state by hand.
         fn apply(&self, agg: &mut FleetAggregator, stats: &mut RecoveryStats) {
             match self {
                 Logged::Node(name) => {
-                    agg.add_node(name);
+                    open_stream(agg, name);
                     stats.replayed_nodes += 1;
                 }
-                Logged::Batch(node, batch, _) => {
+                Logged::Batch(node, batch, _, delta) => {
                     let report = agg.ingest(*node, batch);
+                    for record in batch.records.iter().filter(|_| *delta) {
+                        if let ExportRecord::Sample { id, value, .. } = *record {
+                            agg.stream_values_mut(*node).set(id, value.to_bits());
+                        }
+                    }
                     stats.replayed_batches += 1;
                     stats.replayed_duplicates += u64::from(report.duplicate);
                 }
@@ -354,9 +362,29 @@ mod tests {
         }
     }
 
+    /// `batch` as its sender, whose stream stands at `sender`, renders
+    /// it: `how` 0 codes runs as deltas (the state takes their values),
+    /// 1 packs them, 2 writes one record each.
+    fn rendered(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        match how {
+            0 => encode_batch_with(batch, sender, &mut out),
+            1 => encode_batch(batch, &mut out),
+            _ => {
+                out.extend_from_slice(&batch.seq.to_le_bytes());
+                out.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+                for record in &batch.records {
+                    encode_record(record, &mut out);
+                }
+            }
+        }
+        out
+    }
+
     /// Two nodes' streams interleaved at random, each node registered
-    /// ahead of its first entry; now and then a drain report, or a batch
-    /// delivered twice (the second copy in the other rendering).
+    /// ahead of its first entry; now and then a drain report, a new
+    /// connection (a repeated `Node` entry: the stream state resets), or
+    /// a batch delivered twice (each copy in a rendering of its own).
     fn model_log(rng: &mut TestRng, samples: usize, batch_records: usize) -> Vec<Logged> {
         let names = ["node00", "node01"];
         let mut pending = [
@@ -364,6 +392,7 @@ mod tests {
             node_batches(samples / 2 + 1, 1000.0, batch_records).into_iter(),
         ];
         let mut ids = [None; 2];
+        let mut senders = [ValueState::new(), ValueState::new()];
         let mut log = Vec::new();
         while pending.iter().any(|stream| stream.len() > 0) {
             let k = rng.below(2) as usize;
@@ -374,18 +403,27 @@ mod tests {
                     *ids[k].insert(NodeId(ids.iter().flatten().count() as u32))
                 }
             };
-            if rng.below(6) == 0 {
-                let report = DrainStats {
-                    batches: log.len() as u64,
-                    ..DrainStats::default()
-                };
-                log.push(Logged::Drain(node, report));
-            } else if let Some(batch) = pending[k].next() {
-                let packed = rng.below(2) == 0;
-                if rng.below(6) == 0 {
-                    log.push(Logged::Batch(node, batch.clone(), !packed));
+            match rng.below(8) {
+                0 => {
+                    let report = DrainStats {
+                        batches: log.len() as u64,
+                        ..DrainStats::default()
+                    };
+                    log.push(Logged::Drain(node, report));
                 }
-                log.push(Logged::Batch(node, batch, packed));
+                1 => {
+                    log.push(Logged::Node(names[k]));
+                    senders[k].reset();
+                }
+                _ => {
+                    if let Some(batch) = pending[k].next() {
+                        for _ in 0..1 + u64::from(rng.below(6) == 0) {
+                            let how = rng.below(3);
+                            let bytes = rendered(&batch, &mut senders[k], how);
+                            log.push(Logged::Batch(node, batch.clone(), bytes, how == 0));
+                        }
+                    }
+                }
             }
         }
         log
@@ -472,7 +510,7 @@ mod tests {
                 entry.apply(&mut direct, &mut counts);
                 after.push((image(&direct), counts));
             }
-            prop_assert!(counts.replayed_batches >= 2 && counts.replayed_nodes == 2);
+            prop_assert!(counts.replayed_batches >= 2 && counts.replayed_nodes >= 2);
             // Replay `log`, whose first damaged byte (or end) is `at`;
             // hands back the corrupt-frame count.
             let replayed = |log: &[u8], at: usize| {

@@ -9,7 +9,8 @@
 //!    together with the counts the fleet keeps itself, read where they
 //!    live (see [`SelfScraper::tick`]),
 //! 2. **drains** the store through the stock exporter into in-memory
-//!    wire batches — the same format v1.2 every node exporter ships,
+//!    wire batches — the same records every node exporter ships, coded
+//!    by the fleet's in-process ingest as a 1.3 sender would,
 //! 3. **ingests** those batches into the [`DurableFleet`] under a
 //!    dedicated service node session.
 //!

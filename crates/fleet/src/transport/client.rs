@@ -63,7 +63,7 @@ impl FleetClient {
             next_id: 0,
             in_flight: VecDeque::new(),
         };
-        client.link.connect(|_, _| Ok(()))?;
+        client.link.connect(|_, _, _| Ok(()))?;
         Ok(client)
     }
 
@@ -90,7 +90,7 @@ impl FleetClient {
             // Any response still owed on the old connection is gone; the
             // retrying caller re-sends its request on the new one.
             self.in_flight.clear();
-            self.link.redial(|_, _| Ok(()))?;
+            self.link.redial(|_, _, _| Ok(()))?;
         }
         let id = self.next_id;
         let mut out = Vec::new();

@@ -3,7 +3,7 @@
 
 use super::TransportConfig;
 use moda_telemetry::wire::{
-    bad_data, frame_tag, put_str, read_frame_into, write_frame, FrameEnd, WireReader,
+    bad_data, frame_tag, put_str, read_frame_into, write_frame, FrameEnd, WireReader, REVISION,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -67,9 +67,10 @@ impl Conn {
 
 /// What opens — and re-opens — one authenticated session: where to
 /// dial, as whom, with what tuning, and the connection while it lives.
-/// An ingest link names its node and says `HELLO`, answered by that
-/// node's persisted cursor; a query link names none and says
-/// `QUERY_HELLO`, answered by the protocol version.
+/// An ingest link names its node and says `HELLO` with the wire spec
+/// revision it speaks, answered by that node's persisted cursor and the
+/// fleet's revision (none from a fleet older than 1.3); a query link
+/// names none and says `QUERY_HELLO`, answered by the protocol version.
 #[derive(Debug)]
 pub(super) struct Link {
     addr: String,
@@ -123,14 +124,16 @@ impl Link {
     }
 
     /// Dial and authenticate, once: send the role's hello, read its ack
-    /// — a status byte, then the role's field — and fail with
-    /// `PermissionDenied` on a nonzero status. `adopt` gets the fresh
-    /// connection and that field before the link goes live (an ingest
-    /// session replays its unacknowledged batches there); if it fails,
-    /// so does the attempt.
+    /// — a status byte, then the role's field, then (ingest) the peer's
+    /// revision if it sent one — and fail with `PermissionDenied` on a
+    /// nonzero status. `adopt` gets the fresh connection, that field and
+    /// that revision before the link goes live (an ingest session
+    /// replays its unacknowledged batches there); if it fails, so does
+    /// the attempt. Bytes after the fields this reader knows are a newer
+    /// peer's, and ignored.
     pub(super) fn connect(
         &mut self,
-        adopt: impl FnOnce(&mut Conn, u64) -> io::Result<()>,
+        adopt: impl FnOnce(&mut Conn, u64, Option<[u8; 2]>) -> io::Result<()>,
     ) -> io::Result<()> {
         let (hello_tag, ack_tag) = match self.node {
             Some(_) => (frame_tag::HELLO, frame_tag::HELLO_ACK),
@@ -140,6 +143,7 @@ impl Link {
         put_str(&mut hello, &self.token);
         if let Some(node) = &self.node {
             put_str(&mut hello, node);
+            hello.extend_from_slice(&REVISION);
         }
         let mut conn = Conn::dial(&self.addr, self.cfg.io_timeout)?;
         conn.send(hello_tag, &hello)?;
@@ -152,9 +156,9 @@ impl Link {
         }
         let mut r = WireReader::new(&payload);
         let status = r.u8()?;
-        let field = match self.node {
-            Some(_) => r.u64()?,
-            None => u64::from(r.u16()?),
+        let (field, revision) = match self.node {
+            Some(_) => (r.u64()?, r.take(2).ok().map(|b| [b[0], b[1]])),
+            None => (u64::from(r.u16()?), None),
         };
         if status != 0 {
             return Err(io::Error::new(
@@ -162,7 +166,7 @@ impl Link {
                 "fleet listener rejected the auth token",
             ));
         }
-        adopt(&mut conn, field)?;
+        adopt(&mut conn, field, revision)?;
         self.answered = field;
         self.conn = Some(conn);
         Ok(())
@@ -175,7 +179,7 @@ impl Link {
     /// address), different per dial attempt and per reconnect episode.
     pub(super) fn redial(
         &mut self,
-        mut adopt: impl FnMut(&mut Conn, u64) -> io::Result<()>,
+        mut adopt: impl FnMut(&mut Conn, u64, Option<[u8; 2]>) -> io::Result<()>,
     ) -> io::Result<()> {
         self.conn = None;
         let identity = self.node.as_deref().unwrap_or(&self.addr);

@@ -1,4 +1,4 @@
-//! Socket-framed wire transport: `export-wire-v1.2` batches over plain
+//! Socket-framed wire transport: `export-wire-v1.3` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
 //! The way into the fleet tier from another thread or process (within
@@ -12,8 +12,8 @@
 //!
 //! | tag | dir | payload |
 //! |-----|-----|---------|
-//! | `HELLO` (1) | node → fleet | auth token · node name |
-//! | `HELLO_ACK` (2) | fleet → node | status `u8` (0 ok, 1 bad token) · `next_seq u64` |
+//! | `HELLO` (1) | node → fleet | auth token · node name · wire revision `[major u8][minor u8]` |
+//! | `HELLO_ACK` (2) | fleet → node | status `u8` (0 ok, 1 bad token) · `next_seq u64` · wire revision |
 //! | `BATCH` (3) | node → fleet | one encoded [`ExportBatch`](moda_telemetry::export::ExportBatch) |
 //! | `ACK` (4) | fleet → node | cumulative `next_seq u64` after applying |
 //! | `DRAIN` (5) | node → fleet | encoded exporter [`DrainStats`](moda_telemetry::DrainStats) |
@@ -37,13 +37,21 @@
 //! so [`SocketSink::wait_idle`] and [`SocketSink::send_drain`]
 //! returning means a `kill -9` of the server cannot lose that data.
 //!
+//! **Value state.** A pair whose both ends say revision 1.3 codes each
+//! run of samples as a `samples_delta` record, its values XOR'd against
+//! the stream's previous ones (`moda_telemetry::wire::ValueState`); a
+//! sink answered without a revision sends 1.2 `samples` runs. Every
+//! `HELLO` starts the state empty on both ends, and the fleet logs that
+//! reset (a `NODE` entry) so replay resets at the same point.
+//!
 //! **Resume contract.** The server's `HELLO_ACK` carries the node
 //! session's *persisted* cursor ([`crate::DurableFleet::next_seq`]).
 //! A reconnecting [`SocketSink`] drops every buffered batch below that
-//! cursor (the server has them durably), re-sends the rest, and
-//! continues — the exporter side never rewinds to `seq 0`, and
-//! anything the server already applied bounces off the duplicate
-//! guard. This handshake is also the node-re-registration policy: a
+//! cursor (the server has them durably), re-codes the rest for the new
+//! connection's empty state, re-sends them, and continues — the
+//! exporter side never rewinds to `seq 0`, and anything the server
+//! already applied bounces off the duplicate guard (its values walked,
+//! so the state stays in step). This handshake is also the node-re-registration policy: a
 //! node is its stable name; a re-imaged node that reconnects resumes
 //! the same session at the server's cursor.
 //!
@@ -143,11 +151,12 @@ impl TransportConfig {
 pub(crate) mod tests {
     use super::*;
     use crate::persist::{DurabilityConfig, DurableFleet};
+    use crate::FleetAggregator;
     use moda_sim::{SimDuration, SimTime};
     use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink, Sink};
     use moda_telemetry::wire::{encode_batch, frame_tag, put_str, read_frame, write_frame};
     use moda_telemetry::{
-        Exporter, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
+        Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
     };
     use std::fs;
     use std::io::{self, Write};
@@ -181,6 +190,47 @@ pub(crate) mod tests {
             .drain(&db, &mut sink)
             .unwrap();
         sink.batches
+    }
+
+    /// One node sweeping `metrics` gauges once per batch, quantised
+    /// readings on a random walk: what the live path ships.
+    pub(crate) fn sweep_batches(sweeps: u64, metrics: u32) -> Vec<ExportBatch> {
+        let mut db = Tsdb::with_retention(1 << 12);
+        for m in 0..metrics {
+            db.register(MetricMeta::gauge(
+                format!("m{m}"),
+                "u",
+                SourceDomain::Hardware,
+            ));
+        }
+        let (mut exporter, mut sink) = (Exporter::new(), MemorySink::new());
+        let mut walk = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..sweeps {
+            for m in 0..metrics {
+                walk = walk
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let step = (walk >> 61) as f64 * 0.25;
+                let value = 180.0 + f64::from(m) + step + (i % 7) as f64 * 0.5;
+                db.insert(MetricId(m), SimTime::from_secs(1 + i), value);
+            }
+            exporter.drain(&db, &mut sink).unwrap();
+        }
+        sink.batches
+    }
+
+    /// Every raw sample of every fleet metric, bit for bit.
+    pub(crate) fn raw_answers(agg: &FleetAggregator) -> Vec<(u32, u64, u64)> {
+        let store = agg.store();
+        (0..store.cardinality() as u32)
+            .flat_map(|m| {
+                store
+                    .raw(MetricId(m))
+                    .iter()
+                    .map(move |s| (m, s.t.0, s.value.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     #[test]
@@ -252,7 +302,7 @@ pub(crate) mod tests {
         stream.write_all(&hello_frame(name, token)).unwrap();
         let (tag, ack) = read_frame(&mut stream).unwrap().expect("hello ack");
         assert_eq!(tag, frame_tag::HELLO_ACK);
-        assert_eq!(ack, [0u8; 9], "status ok, cursor 0");
+        assert_eq!(ack[..9], [0u8; 9], "status ok, cursor 0");
         stream
     }
 

@@ -14,7 +14,8 @@ use crate::query::{
 use crate::store::NodeId;
 use moda_obs::{LatencyRecorder, Obs};
 use moda_telemetry::wire::{
-    bad_data, decode_drain_stats, frame_tag, put_u16, put_u64, write_frame, FrameBuffer, WireReader,
+    bad_data, decode_drain_stats, frame_tag, put_u16, put_u64, write_frame, FrameBuffer,
+    WireReader, REVISION,
 };
 use std::io::{self, Write};
 use std::sync::atomic::Ordering;
@@ -88,8 +89,13 @@ impl Session {
                     let admitted = r.str()? == shared.token;
                     let mut ack = vec![u8::from(!admitted)];
                     let ack_tag = if tag == frame_tag::HELLO {
+                        // The sender's revision may follow the name: the
+                        // session reads every revision's batches alike,
+                        // so it does not look.
                         let name = r.str()?;
                         let next_seq = if admitted {
+                            // A new connection: the node's stream value
+                            // state starts empty, here and in the log.
                             let mut fleet = shared.fleet.lock().unwrap();
                             let node = fleet.add_node(&name)?;
                             self.role = Role::Ingest(node);
@@ -98,6 +104,7 @@ impl Session {
                             0
                         };
                         put_u64(&mut ack, next_seq);
+                        ack.extend_from_slice(&REVISION);
                         frame_tag::HELLO_ACK
                     } else {
                         // Read-only role: no node registration, so a
@@ -314,11 +321,19 @@ impl ServeObs {
 mod tests {
     use super::*;
     use crate::persist::DurabilityConfig;
-    use crate::transport::tests::{batch_frames, hello_frame, node_batches, test_dir};
+    use crate::transport::tests::{
+        batch_frames, hello_frame, node_batches, raw_answers, sweep_batches, test_dir,
+    };
     use crate::FleetStore;
+    use moda_sim::SimTime;
     use moda_telemetry::export::ExportBatch;
-    use moda_telemetry::wire::{encode_batch, encode_drain_stats, encode_record, BatchView};
+    use moda_telemetry::export::ExportRecord;
+    use moda_telemetry::wire::{
+        encode_batch, encode_batch_with, encode_drain_stats, encode_record, put_str, BatchView,
+        ValueState,
+    };
     use moda_telemetry::DrainStats;
+    use moda_telemetry::MetricId;
     use proptest::prelude::*;
     use std::fs;
     use std::path::{Path, PathBuf};
@@ -334,15 +349,19 @@ mod tests {
     }
 
     /// `acks` as the frames it must be — a `HELLO_ACK` (status ok,
-    /// cursor 0) first if `with_hello`, then nothing but `ACK`s — and
-    /// the cursors those carry.
+    /// cursor 0, revision 1.3) first if `with_hello`, then nothing but
+    /// `ACK`s — and the cursors those carry.
     fn ack_cursors(acks: &[u8], with_hello: bool) -> Vec<u64> {
         let mut frames = FrameBuffer::new();
         frames.extend(acks);
         if with_hello {
             let (tag, ack) = frames.next_frame().unwrap().expect("hello ack");
             assert_eq!(tag, frame_tag::HELLO_ACK);
-            assert_eq!(ack, [0u8; 9], "status ok, cursor 0");
+            assert_eq!(
+                ack,
+                [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3],
+                "status ok, cursor 0, 1.3"
+            );
         }
         let mut cursors = Vec::new();
         while let Some((tag, payload)) = frames.next_frame().unwrap() {
@@ -418,6 +437,37 @@ mod tests {
         }
     }
 
+    /// The revision fields ride where the 1.2 readers stop reading: a
+    /// `HELLO` with a revision — and bytes after it, a later revision's
+    /// — opens the session as the bare one does, and the `HELLO_ACK`
+    /// leads with what a 1.2 sink reads (status, cursor), the fleet's
+    /// revision behind it.
+    #[test]
+    fn hello_fields_ride_behind_what_a_1_2_peer_reads() {
+        for trailer in [&[][..], &REVISION[..], &[1, 3, 0xEE, 0xEE][..]] {
+            let (dir, shared) = open_shared("hello_fields", DurabilityConfig::default());
+            let mut hello = Vec::new();
+            put_str(&mut hello, "tok");
+            put_str(&mut hello, "node00");
+            hello.extend_from_slice(trailer);
+            let mut frame = Vec::new();
+            write_frame(&mut frame, frame_tag::HELLO, &hello).unwrap();
+            let mut acks = Vec::new();
+            let mut session = Session::default();
+            session.receive(&frame, &shared, &mut acks).unwrap();
+            assert!(matches!(session.role, Role::Ingest(_)), "{trailer:?}");
+            let mut frames = FrameBuffer::new();
+            frames.extend(&acks);
+            let (tag, ack) = frames.next_frame().unwrap().unwrap();
+            assert_eq!(tag, frame_tag::HELLO_ACK);
+            let mut r = WireReader::new(ack);
+            assert_eq!((r.u8().unwrap(), r.u64().unwrap()), (0, 0));
+            assert_eq!(r.rest(), REVISION);
+            drop(shared);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn burst_of_batches_is_acked_per_frame_in_order_and_only_after_durable() {
         const N: usize = 16;
@@ -473,21 +523,34 @@ mod tests {
     fn a_burst_stops_at_its_first_invalid_frame_and_that_frame_leaves_no_trace() {
         const K: usize = 5;
         let batches = node_batches(3000, 0.0);
-        let good = |i: usize| {
-            let mut payload = Vec::new();
-            encode_batch(&batches[i], &mut payload);
-            payload
+        // The stream as a 1.3 sender codes it, from the hello on.
+        let mut sender = ValueState::new();
+        let good: Vec<Vec<u8>> = batches
+            .iter()
+            .map(|batch| {
+                let mut payload = Vec::new();
+                encode_batch_with(batch, &mut sender, &mut payload);
+                payload
+            })
+            .collect();
+        let frames = |payloads: &[Vec<u8>]| {
+            let mut out = Vec::new();
+            for payload in payloads {
+                write_frame(&mut out, frame_tag::BATCH, payload).unwrap();
+            }
+            out
         };
         // Frame-CRC-clean payloads that are not a batch: a truncated
         // one, one with a byte too many, and a `samples` record whose
-        // declared count exceeds its bytes.
+        // declared count exceeds its bytes; and one that is, but whose
+        // delta the stream never gave a state to read it by.
         let truncated = {
-            let mut p = good(K);
+            let mut p = good[K].clone();
             p.pop();
             p
         };
         let trailing = {
-            let mut p = good(K);
+            let mut p = good[K].clone();
             p.push(0);
             p
         };
@@ -499,17 +562,38 @@ mod tests {
             p.extend_from_slice(&[9, 0x08]);
             p
         };
-        for (case, bad) in [truncated, trailing, over_count].iter().enumerate() {
-            assert!(BatchView::parse(bad).is_err());
+        let unreadable = {
+            let mut liar = ValueState::new();
+            liar.set(MetricId(5), 1.0f64.to_bits());
+            let sample = ExportRecord::Sample {
+                id: MetricId(5),
+                t: SimTime(1),
+                value: 2.0,
+            };
+            let mut p = Vec::new();
+            let batch = ExportBatch {
+                seq: K as u64,
+                records: vec![sample],
+            };
+            encode_batch_with(&batch, &mut liar, &mut p);
+            p
+        };
+        for (case, bad) in [truncated, trailing, over_count, unreadable]
+            .iter()
+            .enumerate()
+        {
+            let read =
+                BatchView::parse(bad).and_then(|view| view.to_batch_with(&mut sender.clone()));
+            assert!(read.is_err(), "case {case}");
             let (dir, shared) =
                 open_shared(&format!("bad_frame_{case}"), DurabilityConfig::default());
 
             // The hello, K good frames, the bad one, two more good ones
             // behind it — all in one receive.
             let mut stream = hello_frame("node00", "tok");
-            stream.extend_from_slice(&batch_frames(&batches[..K]));
+            stream.extend_from_slice(&frames(&good[..K]));
             write_frame(&mut stream, frame_tag::BATCH, bad).unwrap();
-            stream.extend_from_slice(&batch_frames(&batches[K..K + 2]));
+            stream.extend_from_slice(&frames(&good[K..K + 2]));
             let mut acks = Vec::new();
             let ended = Session::default().receive(&stream, &shared, &mut acks);
 
@@ -527,7 +611,8 @@ mod tests {
             );
 
             // The fleet is the one that was only ever sent those K: the
-            // same counters, the same log to the byte.
+            // same counters, the same log to the byte — the in-process
+            // fleet logs what a 1.3 sender sends.
             let fleet = shared.fleet.lock().unwrap();
             let twin_dir = test_dir(&format!("bad_frame_twin_{case}"));
             let mut twin = DurableFleet::open(&twin_dir, DurabilityConfig::default()).unwrap();
@@ -563,6 +648,20 @@ mod tests {
             encode_record(record, &mut out);
         }
         out
+    }
+
+    /// `batch` as a sender whose stream stands at `sender` renders it:
+    /// `how` 0 codes its runs as deltas (1.3; the state takes their
+    /// values, as the receiving session's does), 1 packs them (1.2), 2
+    /// writes one record each (1.1).
+    fn render(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        match how {
+            0 => encode_batch_with(batch, sender, &mut payload),
+            1 => encode_batch(batch, &mut payload),
+            _ => payload = render_v1_1(batch),
+        }
+        payload
     }
 
     /// Everything an observer of one ended session can see.
@@ -637,7 +736,7 @@ mod tests {
 
         /// A session's outcome does not depend on how `read` happened
         /// to split its stream: a valid ingest stream — the hello, then
-        /// batches in packed and v1.1 renderings with drain reports
+        /// batches in delta (1.3), packed and v1.1 renderings with drain reports
         /// between them, then perhaps one frame that ends the session
         /// (a payload that is no batch, an illegal tag, a broken
         /// envelope) with a good frame behind it — fed in arbitrary
@@ -656,17 +755,10 @@ mod tests {
             let case = CASE.fetch_add(1, Ordering::Relaxed);
             let mut rng = TestRng::new(seed);
             let batches = node_batches(samples, 0.0);
-            let render = |batch: &ExportBatch, packed: bool| {
-                if !packed {
-                    return render_v1_1(batch);
-                }
-                let mut payload = Vec::new();
-                encode_batch(batch, &mut payload);
-                payload
-            };
+            let mut sender = ValueState::new();
             let mut stream = hello_frame("node00", "tok");
             for batch in &batches {
-                let payload = render(batch, rng.below(2) == 0);
+                let payload = render(batch, &mut sender, rng.below(3));
                 write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
                 if rng.below(4) == 0 {
                     let report = DrainStats { batches: batch.seq + 1, ..DrainStats::default() };
@@ -675,7 +767,7 @@ mod tests {
                     write_frame(&mut stream, frame_tag::DRAIN, &payload).unwrap();
                 }
             }
-            let last = render(batches.last().unwrap(), true);
+            let last = render(batches.last().unwrap(), &mut sender.clone(), 1);
             match bad_tail {
                 1 => write_frame(&mut stream, frame_tag::BATCH, &last[..last.len() - 1]).unwrap(),
                 2 => write_frame(&mut stream, frame_tag::QUERY, &last).unwrap(),
@@ -704,6 +796,97 @@ mod tests {
             prop_assert_eq!(whole.ended.is_err(), bad_tail != 0);
             prop_assert_eq!(whole.cursor, batches.len() as u64);
             prop_assert!(whole == cut, "cuts {:?} changed the outcome", cuts);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A 1.3 stream carried over a run of connections, each fed to a
+        /// session of its own in arbitrary pieces, ends as the
+        /// uninterrupted fleet. Each connection opens with a hello that
+        /// resets both ends' value states, resumes at the cursor the
+        /// fleet acknowledged — or, a sink restarted, at `seq 0` with the
+        /// fleet's cursor ahead, its batches duplicates the session walks
+        /// — and codes its batches from an empty state; it ends cleanly,
+        /// with its last batch torn off mid-frame (a failed write, sent
+        /// again on the next connection), or with the fleet killed
+        /// between two of its batches and recovered from its directory.
+        #[test]
+        fn a_delta_stream_over_dropped_connections_ends_as_the_uninterrupted_fleet(
+            seed in any::<u64>(),
+            sweeps in 20u64..60,
+            snapshot_every in 1u64..9,
+        ) {
+            static CASE: AtomicU64 = AtomicU64::new(0);
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let mut rng = TestRng::new(seed);
+            let batches = sweep_batches(sweeps, 1 + rng.below(12) as u32);
+            let mut reference = crate::FleetAggregator::new();
+            let node = reference.add_node("node00");
+            for batch in &batches {
+                reference.ingest(node, batch);
+            }
+            let cfg = DurabilityConfig { snapshot_every_batches: snapshot_every };
+            let (dir, shared) = open_shared(&format!("dropped_{case}"), cfg);
+            let (mut acked, mut connections) = (0usize, 0);
+            while acked < batches.len() {
+                connections += 1;
+                prop_assert!(connections < 200, "no progress");
+                // Past the cursor either way: a restarted sink's stream
+                // runs into batches the fleet has not taken.
+                let start = if rng.below(5) == 0 { 0 } else { acked };
+                let end = (acked + 1 + rng.below(8) as usize).min(batches.len());
+                let ending = rng.below(3);
+                let mut sender = ValueState::new();
+                // The sender's state after the last frame the fleet takes.
+                let mut taken = ValueState::new();
+                let mut stream = hello_frame("node00", "tok");
+                let mut last_frame = 0;
+                for (i, batch) in batches[start..end].iter().enumerate() {
+                    last_frame = stream.len();
+                    write_frame(&mut stream, frame_tag::BATCH, &render(batch, &mut sender, 0)).unwrap();
+                    if ending != 1 || start + i + 1 < end {
+                        taken = sender.clone();
+                    }
+                }
+                if ending == 1 {
+                    // The last frame only partly written.
+                    let last = (stream.len() - last_frame) as u64;
+                    stream.truncate(last_frame + rng.below(last) as usize);
+                }
+                let mut session = Session::default();
+                let mut from = 0;
+                let mut cuts: Vec<usize> = (0..rng.below(6))
+                    .map(|_| rng.below(stream.len() as u64) as usize)
+                    .collect();
+                cuts.sort_unstable();
+                for &to in cuts.iter().chain([&stream.len()]) {
+                    session.receive(&stream[from..to], &shared, &mut Vec::new()).unwrap();
+                    from = to;
+                }
+                let mut fleet = shared.fleet.lock().unwrap();
+                acked = fleet.next_seq(node) as usize;
+                // Both ends hold the same values, duplicates walked.
+                prop_assert_eq!(fleet.aggregator().stream_values(node), &taken);
+                if ending == 2 {
+                    // Killed between two batches: what the directory holds.
+                    fleet.settle().unwrap();
+                    let recovered = DurableFleet::open(&dir, cfg).unwrap();
+                    prop_assert_eq!(recovered.recovery().corrupt_frames, 0);
+                    prop_assert_eq!(recovered.next_seq(node) as usize, acked);
+                    prop_assert_eq!(recovered.aggregator().stream_values(node), &taken);
+                    *fleet = recovered;
+                }
+            }
+            let mut fleet = shared.fleet.lock().unwrap();
+            fleet.settle().unwrap();
+            let want = raw_answers(&reference);
+            prop_assert!(raw_answers(fleet.aggregator()) == want, "the live fleet");
+            let recovered = DurableFleet::recover(&dir).unwrap();
+            prop_assert!(raw_answers(recovered.aggregator()) == want, "the recovered fleet");
+            drop((recovered, fleet));
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 }

@@ -4,7 +4,8 @@ use super::conn::{retry, Conn, Link};
 use super::TransportConfig;
 use moda_telemetry::export::{ExportBatch, Sink};
 use moda_telemetry::wire::{
-    bad_data, encode_batch, encode_drain_stats, frame_tag, write_frame, WireReader,
+    bad_data, encode_batch, encode_batch_with, encode_drain_stats, frame_tag, write_frame,
+    BatchView, ValueState, WireReader, REVISION,
 };
 use moda_telemetry::DrainStats;
 use std::collections::VecDeque;
@@ -28,8 +29,13 @@ pub struct SocketSink {
 /// What the sink has sent and cannot yet forget.
 #[derive(Debug, Default)]
 struct Replay {
-    /// Sent but not yet acknowledged, oldest first: `(seq, payload)`.
+    /// Sent but not yet acknowledged, oldest first: `(seq, payload)`,
+    /// each payload coded for the connection that is (or was last) up.
     unacked: VecDeque<(u64, Vec<u8>)>,
+    /// The value state of this connection's stream when its fleet reads
+    /// revision 1.3 — as it stands after every payload in `unacked` —
+    /// and `None` when it does not, so nothing is coded as a delta.
+    coding: Option<ValueState>,
     /// Emptied payload buffers off `unacked`: the next batch (or drain
     /// report) encodes into one instead of growing a fresh `Vec`.
     spare: Vec<Vec<u8>>,
@@ -43,15 +49,48 @@ struct Replay {
 
 impl Replay {
     /// Take up a freshly authenticated connection whose server stands
-    /// at `next_seq`: drop what it has durably applied, re-send the rest.
-    fn resume(&mut self, conn: &mut Conn, next_seq: u64) -> io::Result<()> {
+    /// at `next_seq` and reads `revision`: drop what it has durably
+    /// applied, code the rest for the new connection — whose stream
+    /// starts with an empty value state — and re-send it.
+    fn resume(
+        &mut self,
+        conn: &mut Conn,
+        next_seq: u64,
+        revision: Option<[u8; 2]>,
+    ) -> io::Result<()> {
         self.server_next_seq = next_seq;
         self.release_acked();
+        self.recode(revision >= Some(REVISION))?;
         for (_, payload) in &self.unacked {
             write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
             self.resent_batches += 1;
         }
         conn.writer.flush()
+    }
+
+    /// Code every unacknowledged payload afresh, as deltas from an empty
+    /// state or (`deltas` false) as plain runs. The old connection's
+    /// state unwound back over the payloads, last first, is the state
+    /// the oldest was written against; read forward from there, each
+    /// gives its records back. Off the hot path: once per reconnect.
+    fn recode(&mut self, deltas: bool) -> io::Result<()> {
+        let mut old = self.coding.take();
+        if let Some(state) = &mut old {
+            for (_, payload) in self.unacked.iter().rev() {
+                state.unwind(payload)?;
+            }
+        }
+        self.coding = deltas.then(ValueState::new);
+        for (_, payload) in &mut self.unacked {
+            let view = BatchView::parse(payload)?;
+            let batch = match &mut old {
+                Some(state) => view.to_batch_with(state)?,
+                None => view.to_batch()?,
+            };
+            payload.clear();
+            encode(&batch, self.coding.as_mut(), payload);
+        }
+        Ok(())
     }
 
     /// Drop every buffered batch below the server's cursor, keeping the
@@ -70,6 +109,15 @@ impl Replay {
             payload.clear();
             self.spare.push(payload);
         }
+    }
+}
+
+/// `batch` as this connection's stream carries it: coded against
+/// `coding`, which takes its values, or plain for a 1.2 fleet.
+fn encode(batch: &ExportBatch, coding: Option<&mut ValueState>, out: &mut Vec<u8>) {
+    match coding {
+        Some(state) => encode_batch_with(batch, state, out),
+        None => encode_batch(batch, out),
     }
 }
 
@@ -97,7 +145,7 @@ impl SocketSink {
             retries_reported: 0,
         };
         sink.link
-            .connect(|conn, next_seq| sink.replay.resume(conn, next_seq))?;
+            .connect(|conn, next_seq, revision| sink.replay.resume(conn, next_seq, revision))?;
         Ok(sink)
     }
 
@@ -113,7 +161,7 @@ impl SocketSink {
     /// Re-dial and resume from the server's persisted cursor.
     fn reconnect(&mut self) -> io::Result<()> {
         self.link
-            .redial(|conn, next_seq| self.replay.resume(conn, next_seq))
+            .redial(|conn, next_seq, revision| self.replay.resume(conn, next_seq, revision))
     }
 
     /// [`SocketSink::reconnect`] unless the link is up.
@@ -229,20 +277,37 @@ impl SocketSink {
 
 impl Sink for SocketSink {
     fn write_batch(&mut self, batch: &ExportBatch) -> io::Result<()> {
-        let mut payload = self.replay.spare.pop().unwrap_or_default();
-        encode_batch(batch, &mut payload);
-        // Two passes: the live connection, then one reconnect cycle (a
-        // link already down gets that cycle here, not one per pass).
-        // Only on success does the batch enter the replay buffer — on
-        // Err the exporter rolls back and will re-stage these records
-        // under the same seq later.
+        // Up first, so the batch is coded for the connection it goes out
+        // on (a link already down gets its reconnect cycle here).
         self.connected()?;
-        retry(2, |_| {
-            self.connected()?;
-            self.link
-                .on_conn(|conn| conn.send(frame_tag::BATCH, &payload))
-        })?;
+        let mut payload = self.replay.spare.pop().unwrap_or_default();
+        encode(batch, self.replay.coding.as_mut(), &mut payload);
+        // In the replay buffer from here, so a reconnect re-codes and
+        // re-sends it with the rest. Two passes: the live connection,
+        // then one reconnect cycle, which sends it.
         self.replay.unacked.push_back((batch.seq, payload));
+        let sent = retry(2, |_| {
+            if self.link.conn.is_none() {
+                return self.reconnect();
+            }
+            let (_, payload) = self.replay.unacked.back().expect("just pushed");
+            self.link
+                .on_conn(|conn| conn.send(frame_tag::BATCH, payload))
+        });
+        if let Err(e) = sent {
+            // Rolled back: the exporter re-stages these records under
+            // the same seq later, and the stream state forgets them —
+            // unless a failed resume found the fleet past this seq and
+            // dropped the batch itself, re-coding what was left.
+            if matches!(self.replay.unacked.back(), Some((seq, _)) if *seq == batch.seq) {
+                let (_, payload) = self.replay.unacked.pop_back().expect("matched");
+                if let Some(state) = &mut self.replay.coding {
+                    state.unwind(&payload)?;
+                }
+                self.replay.recycle(payload);
+            }
+            return Err(e);
+        }
         // Bounded in-flight window: block on acks past it.
         self.pump_acks(self.link.cfg.window.saturating_sub(1))
     }
@@ -252,13 +317,158 @@ impl Sink for SocketSink {
 mod tests {
     use super::*;
     use crate::persist::{DurabilityConfig, DurableFleet};
-    use crate::transport::tests::{node_batches, test_dir};
+    use crate::transport::tests::{node_batches, raw_answers, sweep_batches, test_dir};
     use crate::transport::FleetListener;
+    use crate::FleetAggregator;
     use moda_sim::{SimDuration, SimTime};
     use std::fs;
     use std::net::TcpListener;
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
+
+    /// A delta-coded stream through every way a connection can end: a
+    /// reconnect with batches in flight (re-coded for the new
+    /// connection), a `write_batch` that fails and is re-staged, the
+    /// fleet killed between two batches of one connection and recovered
+    /// from its directory (snapshots carrying the value state, the log
+    /// its deltas), and a sink restarted from `seq 0` while the fleet's
+    /// cursor is far ahead (its batches are duplicates, walked so the
+    /// next is read right). The fleet ends with the uninterrupted
+    /// fleet's samples, and a recovery of its directory with them too.
+    #[test]
+    fn a_delta_stream_recovers_from_every_way_a_connection_ends() {
+        let dir = test_dir("delta_faults");
+        let batches = sweep_batches(120, 16);
+        assert_eq!(batches.len(), 120);
+        let mut reference = FleetAggregator::new();
+        let node = reference.add_node("node00");
+        for batch in &batches {
+            reference.ingest(node, batch);
+        }
+        let want = raw_answers(&reference);
+
+        let cfg = DurabilityConfig {
+            snapshot_every_batches: 7,
+        };
+        let serve = |fleet: DurableFleet| {
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap()
+        };
+        let listener = serve(DurableFleet::open(&dir, cfg).unwrap());
+        let addr = listener.local_addr().to_string();
+        let tuning = TransportConfig {
+            window: 4,
+            reconnect_attempts: 3,
+            reconnect_pause: Duration::from_millis(10),
+            ..TransportConfig::default()
+        };
+        let mut sink = SocketSink::connect_with(&addr, "node00", "tok", tuning.clone()).unwrap();
+        assert!(sink.replay.coding.is_some(), "a 1.3 pair codes deltas");
+        for batch in &batches[..30] {
+            sink.write_batch(batch).unwrap();
+        }
+        // Hung up with batches in flight: they are re-coded and re-sent.
+        assert!(sink.unacked_len() > 0);
+        sink.redirect(&addr);
+        for batch in &batches[30..50] {
+            sink.write_batch(batch).unwrap();
+        }
+        // A write that fails: nothing answers where the sink dials.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dead_addr = dead.local_addr().unwrap().to_string();
+        drop(dead);
+        sink.redirect(&dead_addr);
+        assert!(sink.write_batch(&batches[50]).is_err());
+        // The exporter re-stages the batch under its seq.
+        sink.redirect(&addr);
+        for batch in &batches[50..70] {
+            sink.write_batch(batch).unwrap();
+        }
+        // The fleet is killed between two batches of this connection.
+        drop(listener.shutdown());
+        let recovered = DurableFleet::open(&dir, cfg).unwrap();
+        assert_eq!(recovered.recovery().corrupt_frames, 0);
+        let listener = serve(recovered);
+        sink.redirect(&listener.local_addr().to_string());
+        for batch in &batches[70..90] {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+        assert!(sink.reconnects() >= 3, "{}", sink.reconnects());
+        drop(sink);
+        // A restarted sink ships its stream from the start.
+        let addr = listener.local_addr().to_string();
+        let mut restarted = SocketSink::connect_with(&addr, "node00", "tok", tuning).unwrap();
+        assert_eq!(restarted.last_resume_seq(), 90);
+        for batch in &batches {
+            restarted.write_batch(batch).unwrap();
+        }
+        restarted.wait_idle().unwrap();
+        // Its duplicates kept the fleet's state in step: no batch after
+        // them was refused (a refusal ends the connection).
+        assert_eq!(restarted.reconnects(), 0);
+        drop(restarted);
+
+        let shared = listener.shutdown();
+        let mut fleet = shared.lock().unwrap();
+        fleet.settle().unwrap();
+        let node = fleet.find_node("node00").unwrap();
+        assert_eq!(fleet.next_seq(node), 120);
+        assert!(fleet.aggregator().counters(node).duplicate_batches >= 90);
+        assert!(raw_answers(fleet.aggregator()) == want, "the live fleet");
+        drop(fleet);
+        drop(shared);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(recovered.recovery().corrupt_frames, 0);
+        assert!(
+            raw_answers(recovered.aggregator()) == want,
+            "the recovered fleet"
+        );
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fleet older than 1.3 answers the hello without a revision: the
+    /// sink speaks 1.2 to it — plain `samples` runs any reader takes.
+    #[test]
+    fn a_fleet_that_names_no_revision_gets_plain_runs() {
+        use moda_telemetry::wire::{put_u64, read_frame, BatchView, RecordRef};
+        let server = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let batches = sweep_batches(6, 8);
+        let n = batches.len();
+        let old_fleet = std::thread::spawn(move || {
+            let (mut stream, _) = server.accept().unwrap();
+            let (tag, _) = read_frame(&mut stream).unwrap().unwrap();
+            assert_eq!(tag, frame_tag::HELLO);
+            // A 1.2 answer: status and cursor, nothing after.
+            let mut ack = vec![0u8];
+            put_u64(&mut ack, 0);
+            write_frame(&mut stream, frame_tag::HELLO_ACK, &ack).unwrap();
+            let mut received = Vec::new();
+            for seq in 1..=n as u64 {
+                let (tag, payload) = read_frame(&mut stream).unwrap().unwrap();
+                assert_eq!(tag, frame_tag::BATCH);
+                received.push(payload);
+                write_frame(&mut stream, frame_tag::ACK, &seq.to_le_bytes()).unwrap();
+            }
+            received
+        });
+        let mut sink = SocketSink::connect(&addr, "node00", "tok").unwrap();
+        assert!(sink.replay.coding.is_none());
+        for batch in &batches {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+        drop(sink);
+        let received = old_fleet.join().unwrap();
+        for (payload, batch) in received.iter().zip(&batches) {
+            let view = BatchView::parse(payload).unwrap();
+            assert!(view
+                .records()
+                .all(|r| !matches!(r, RecordRef::SamplesDelta(_))));
+            assert_eq!(&view.to_batch().unwrap(), batch);
+        }
+    }
 
     #[test]
     fn send_drain_under_a_full_window_returns_after_its_own_ack() {

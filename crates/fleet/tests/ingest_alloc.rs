@@ -1,14 +1,16 @@
 //! The fleet's half of the live path allocates nothing: after warm-up,
-//! a received 64-sample `BATCH` payload goes through validate
-//! (`BatchView::parse`) → log (the bytes it arrived in) → apply (off the
-//! same bytes) → flush without a single allocation — no owned record,
+//! a received 64-sample `BATCH` payload, its values coded as deltas the
+//! way a 1.3 sender codes them, goes through validate
+//! (`BatchView::parse`) → check (against the stream's value state) →
+//! log (the bytes it arrived in) → apply (off the same bytes, the state
+//! advancing) → flush without a single allocation — no owned record,
 //! no re-encoded log entry, no per-frame scratch. Its own test binary,
 //! because the counting `#[global_allocator]` is process-wide.
 
 use moda_fleet::{DurabilityConfig, DurableFleet};
 use moda_sim::SimTime;
 use moda_telemetry::export::MemorySink;
-use moda_telemetry::wire::encode_batch;
+use moda_telemetry::wire::{encode_batch_with, ValueState};
 use moda_telemetry::{Exporter, MetricId, MetricMeta, SourceDomain, Tsdb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,12 +80,13 @@ fn warm_sweep_batch_is_validated_logged_and_applied_without_allocating() {
         }
         exporter.drain(&db, &mut sink).unwrap();
     }
+    let mut sender = ValueState::new();
     let payloads: Vec<Vec<u8>> = sink
         .batches
         .iter()
         .map(|batch| {
             let mut wire = Vec::new();
-            encode_batch(batch, &mut wire);
+            encode_batch_with(batch, &mut sender, &mut wire);
             wire
         })
         .collect();

@@ -693,12 +693,16 @@ proptest! {
     /// Torn-write safety of the durable tier's append-log: truncating
     /// the wal at *any* byte boundary recovers to a consistent prefix —
     /// no partial batch is ever applied, the torn tail is counted and
-    /// trimmed off the file, and ingest resumes to the full stream.
+    /// trimmed off the file, and ingest resumes to the full stream. The
+    /// log is a 1.3 stream — values as deltas against the stream's state
+    /// — cut by a new connection every few batches (a `Node` entry that
+    /// resets the state), and the recovered fleet resumes on a new one.
     #[test]
     fn torn_log_recovers_to_a_consistent_prefix_and_resumes(
         vals in prop::collection::vec(0u16..800, 50..300),
         batch_records in 16usize..120,
         cut_frac in 0.0f64..1.0,
+        reconnect_every in 1usize..8,
     ) {
         static CASE: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -717,7 +721,10 @@ proptest! {
             DurabilityConfig { snapshot_every_batches: u64::MAX },
         ).unwrap();
         let node = fleet.add_node("node00").unwrap();
-        for batch in &batches {
+        for (i, batch) in batches.iter().enumerate() {
+            if i > 0 && i % reconnect_every == 0 {
+                prop_assert_eq!(fleet.add_node("node00").unwrap(), node);
+            }
             fleet.ingest(node, batch).unwrap();
         }
         drop(fleet);
@@ -850,7 +857,9 @@ proptest! {
 
 use moda_fleet::query::{encode_response, execute};
 use moda_fleet::QueryRequest;
-use moda_telemetry::wire::{decode_batch, encode_batch, encode_record};
+use moda_telemetry::wire::{
+    decode_batch, decode_batch_with, encode_batch, encode_batch_with, encode_record, ValueState,
+};
 
 /// A batch as a v1.1 writer put it on the wire: one record at a time,
 /// every sample its own 25-byte `sample` record.
@@ -1103,7 +1112,7 @@ fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
     loop {
         match rng.below(6) {
             0 => {
-                out.push(6 + rng.below(250) as u8);
+                out.push(7 + rng.below(249) as u8);
                 let junk = rng.below(9) as usize;
                 out.extend_from_slice(&(junk as u32).to_le_bytes());
                 out.extend((0..junk).map(|_| rng.next_u64() as u8));
@@ -1123,6 +1132,13 @@ fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
         rest = &rest[len..];
     }
     out[8..12].copy_from_slice(&wire_records.to_le_bytes());
+    out
+}
+
+/// A batch as a 1.3 sender on a stream at `sender` sends it.
+fn render_delta(batch: &ExportBatch, sender: &mut ValueState) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_batch_with(batch, sender, &mut out);
     out
 }
 
@@ -1154,15 +1170,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A durable fleet fed received bytes — validated where they lie,
-    /// logged verbatim, applied off the view, flushed per burst — is the
-    /// fleet that decodes each batch into records and ingests those:
+    /// checked against the stream's values, logged verbatim, applied off
+    /// the view, flushed per burst — is the fleet that decodes each batch
+    /// into records (against a state of its own) and ingests those:
     /// equal session counters (unmapped, orphan and corrupt ones
-    /// included), equal answers on a verification set, equal snapshots;
-    /// for a stream the current encoder wrote, an equal log, byte for
-    /// byte; and equal again after kill → recover → snapshot. Streams:
-    /// a real exporter's, the chunk-heavy adversarial mix, and one that
-    /// breaks the framing rules — each batch rendered packed, as v1.1,
-    /// or with foreign records spliced in.
+    /// included), equal answers on a verification set, equal snapshots
+    /// (value states included); for a stream a 1.3 sender wrote, an equal
+    /// log, byte for byte; and equal again after kill → recover →
+    /// snapshot. Streams: a real exporter's, the chunk-heavy adversarial
+    /// mix, and one that breaks the framing rules — each batch rendered
+    /// as 1.3 delta runs, packed, as v1.1, or with foreign records
+    /// spliced in — and now and then a new connection between two
+    /// bursts, which resets the value state at both ends.
     #[test]
     fn wire_fed_fleet_equals_decode_then_ingest(
         seed in any::<u64>(),
@@ -1178,20 +1197,7 @@ proptest! {
         let (exported, _) = node_stream(&values, 0.0, batch_records);
         let (mixed, _) = mixed_stream(&mut rng, records);
         let framing = framing_stream(&mut rng, records);
-        let wire: Vec<Vec<Vec<u8>>> = [exported, mixed, framing]
-            .iter()
-            .map(|stream| {
-                stream
-                    .iter()
-                    .map(|batch| match rng.below(if canonical { 1 } else { 4 }) {
-                        0 => render_packed(batch),
-                        1 => render_v1_1(batch),
-                        2 => splice_foreign_records(&render_packed(batch), &mut rng),
-                        _ => splice_foreign_records(&render_v1_1(batch), &mut rng),
-                    })
-                    .collect()
-            })
-            .collect();
+        let streams = [exported, mixed, framing];
         let now = SimTime(1_000 + values.len() as u64 * 333 + records as u64 * 700_000);
 
         let open = |tag: &str| {
@@ -1209,23 +1215,59 @@ proptest! {
         };
         let (wire_dir, mut wire_fed) = open("wire");
         let (decoded_dir, mut decode_fed) = open("decoded");
-        for (k, stream) in wire.iter().enumerate() {
+        for (k, stream) in streams.iter().enumerate() {
             let name = format!("node{k:02}");
-            let node = wire_fed.add_node(&name).unwrap();
-            prop_assert_eq!(decode_fed.add_node(&name).unwrap(), node);
-            // Bursts of one to five batches, as a receive buffer cuts them.
+            // The sender's stream state, and the decoding side's own.
+            let (mut sender, mut reader) = (ValueState::new(), ValueState::new());
             let mut rest = stream.as_slice();
             while !rest.is_empty() {
-                let take = (1 + rng.below(5) as usize).min(rest.len());
-                let mut burst = wire_fed.burst();
-                for bytes in &rest[..take] {
-                    let report = burst.batch(node, bytes).unwrap();
-                    let (decoded, _) = decode_batch(bytes).unwrap();
-                    prop_assert_eq!(report, decode_fed.ingest(node, &decoded).unwrap());
-                    prop_assert_eq!(burst.next_seq(node), decode_fed.next_seq(node));
+                // A connection: both fleets open the session, both ends
+                // of the stream start their value states over.
+                let node = wire_fed.add_node(&name).unwrap();
+                prop_assert_eq!(decode_fed.add_node(&name).unwrap(), node);
+                sender.reset();
+                reader.reset();
+                // Bursts of one to five batches, as a receive buffer cuts
+                // them, until the connection ends.
+                loop {
+                    let take = (1 + rng.below(5) as usize).min(rest.len());
+                    let mut burst = wire_fed.burst();
+                    for batch in &rest[..take] {
+                        let bytes = match rng.below(if canonical { 1 } else { 4 }) {
+                            0 => render_delta(batch, &mut sender),
+                            1 => render_packed(batch),
+                            2 => render_v1_1(batch),
+                            _ => {
+                                let bytes = match rng.below(2) {
+                                    0 => render_delta(batch, &mut sender),
+                                    _ => render_packed(batch),
+                                };
+                                splice_foreign_records(&bytes, &mut rng)
+                            }
+                        };
+                        let report = burst.batch(node, &bytes).unwrap();
+                        let (decoded, _) = decode_batch_with(&bytes, &mut reader).unwrap();
+                        prop_assert_eq!(report, decode_fed.ingest(node, &decoded).unwrap());
+                        prop_assert_eq!(burst.next_seq(node), decode_fed.next_seq(node));
+                    }
+                    burst.commit().unwrap();
+                    rest = &rest[take..];
+                    if rest.is_empty() || rng.below(4) == 0 {
+                        break;
+                    }
                 }
-                burst.commit().unwrap();
-                rest = &rest[take..];
+            }
+            let node = NodeId(k as u32);
+            prop_assert_eq!(wire_fed.aggregator().stream_values(node), &sender);
+            prop_assert_eq!(&reader, &sender);
+            if canonical {
+                prop_assert_eq!(decode_fed.aggregator().stream_values(node), &sender);
+            } else {
+                // The in-process fleet codes every run as deltas; the
+                // wire-fed one kept the values of the delta runs only.
+                // A new connection on both makes the states agree.
+                prop_assert_eq!(wire_fed.add_node(&name).unwrap(), node);
+                prop_assert_eq!(decode_fed.add_node(&name).unwrap(), node);
             }
         }
 
@@ -1235,7 +1277,7 @@ proptest! {
         decode_fed.settle().unwrap();
         // What the two look like to everything that can look.
         let compare = |a: &DurableFleet, b: &DurableFleet| -> Result<(), TestCaseError> {
-            for k in 0..wire.len() {
+            for k in 0..streams.len() {
                 let node = NodeId(k as u32);
                 prop_assert_eq!(a.aggregator().counters(node), b.aggregator().counters(node));
                 prop_assert_eq!(a.next_seq(node), b.next_seq(node));
@@ -1245,8 +1287,9 @@ proptest! {
         };
         compare(&wire_fed, &decode_fed)?;
         if canonical {
-            // The received bytes are what `encode_batch` gives back for
-            // the decoded records, so the two logs are one file.
+            // The received bytes are what the fleet's own 1.3 encoding
+            // gives back for the decoded records, so the two logs are
+            // one file.
             prop_assert!(wal_file(&wire_dir) == wal_file(&decoded_dir), "logs differ");
         }
         // Kill both where they stand: a snapshot plus a log tail each.

@@ -1,4 +1,4 @@
-//! The one byte-level definition of `export-wire-v1.2` — what goes over
+//! The one byte-level definition of `export-wire-v1.3` — what goes over
 //! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
 //! Every other module (the exporter, the fleet's persistence, query, and
 //! transport code) builds and reads bytes through the helpers here; none
@@ -19,6 +19,10 @@
 //!   new record shape: [`encode_batch`] renders owned records through
 //!   it, and a snapshot writes its raw sections through it straight
 //!   from the ring (as `chunk` records, its unsealed tail included).
+//!   A stream's writer and reader that keep a [`ValueState`] between
+//!   batches ([`encode_batch_with`], [`BatchView::to_batch_with`]) code
+//!   each run as one `samples_delta` record instead (v1.3): every value
+//!   XOR its id's previous one in the stream, usually one byte.
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -370,7 +374,12 @@ impl<'a> WireReader<'a> {
 
 // ---------------------------------------------------- records and batches
 
-/// Binary record kind tags (`export-wire-v1.2`). New kinds append —
+/// The spec revision this build writes and reads, `[major, minor]`: what
+/// the ingest handshake's `HELLO` and `HELLO_ACK` carry, so that only a
+/// pair whose both ends read 1.3 codes values as deltas.
+pub const REVISION: [u8; 2] = [1, 3];
+
+/// Binary record kind tags (`export-wire-v1.3`). New kinds append —
 /// never renumber — per the additive versioning rule.
 const REC_META: u8 = 0;
 /// One observation, 25 bytes. [`encode_record`] still writes it and
@@ -381,6 +390,9 @@ const REC_SKETCH: u8 = 3;
 const REC_CHUNK: u8 = 4;
 /// A packed run of observations (v1.2) — see [`put_samples`].
 const REC_SAMPLES: u8 = 5;
+/// A packed run whose values are XOR-coded against the stream (v1.3) —
+/// see [`put_samples`] and [`ValueState`].
+const REC_SAMPLES_DELTA: u8 = 6;
 
 /// Append one record in the binary rendering:
 /// `[kind u8][payload len u32 LE][payload]`.
@@ -497,6 +509,9 @@ pub enum RecordRef<'a> {
     /// A packed `samples` record: a run of observations, decoded as the
     /// run is iterated.
     Samples(SampleRun<'a>),
+    /// A `samples_delta` record: a run whose values only the stream's
+    /// [`ValueState`] can read ([`DeltaRun::values`]).
+    SamplesDelta(DeltaRun<'a>),
     /// [`ExportRecord::Bucket`].
     Bucket {
         /// Metric the bucket belongs to.
@@ -553,7 +568,11 @@ impl<'a> RecordRef<'a> {
             REC_SAMPLES => {
                 return SampleRun::open(payload, room).map(|run| Some(Self::Samples(run)))
             }
-            _ if tag > REC_SAMPLES => return Ok(None),
+            REC_SAMPLES_DELTA => {
+                return SampleRun::open(payload, room)
+                    .map(|run| Some(Self::SamplesDelta(DeltaRun(run))))
+            }
+            _ if tag > REC_SAMPLES_DELTA => return Ok(None),
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             REC_META => RecordRef::Meta {
                 id: MetricId(r.u32()?),
@@ -591,7 +610,7 @@ impl<'a> RecordRef<'a> {
                 last_t: SimTime(r.u64()?),
                 bytes: r.block()?,
             },
-            _ => unreachable!("tags above REC_SAMPLES returned early"),
+            _ => unreachable!("tags above REC_CHUNK returned early"),
         };
         if !r.done() {
             return Err(bad_data("trailing bytes in record payload"));
@@ -600,8 +619,14 @@ impl<'a> RecordRef<'a> {
     }
 
     /// Append the owned form: one [`ExportRecord`] per record, one
-    /// [`ExportRecord::Sample`] per sample of a run.
-    fn push_owned(self, out: &mut Vec<ExportRecord>) {
+    /// [`ExportRecord::Sample`] per sample of a run. A `samples_delta`
+    /// run is read against `state`, which takes its values — a run
+    /// that, without one, is `InvalidData`.
+    fn push_owned(
+        self,
+        out: &mut Vec<ExportRecord>,
+        state: Option<&mut ValueState>,
+    ) -> io::Result<()> {
         let sample = |(id, t, value)| ExportRecord::Sample { id, t, value };
         out.push(match self {
             RecordRef::Meta { id, meta } => ExportRecord::Meta {
@@ -609,7 +634,15 @@ impl<'a> RecordRef<'a> {
                 meta: meta.to_meta(),
             },
             RecordRef::Sample { id, t, value } => sample((id, t, value)),
-            RecordRef::Samples(run) => return out.extend(run.map(sample)),
+            RecordRef::Samples(run) => {
+                out.extend(run.map(sample));
+                return Ok(());
+            }
+            RecordRef::SamplesDelta(run) => {
+                let state = state.ok_or_else(|| bad_data(NEEDS_STATE))?;
+                out.extend(run.values(state).map(sample));
+                return Ok(());
+            }
             RecordRef::Bucket {
                 id,
                 res,
@@ -654,6 +687,7 @@ impl<'a> RecordRef<'a> {
                 bytes: bytes.to_vec(),
             },
         });
+        Ok(())
     }
 }
 
@@ -712,26 +746,106 @@ impl<'a> From<&'a ExportRecord> for RecordRef<'a> {
     }
 }
 
-// The `samples` control byte: `[id mode:2][time mode:2][value bytes:4]`.
-// Mode 3 of either field and value-byte counts 9–15 are reserved.
+// The `samples` control byte: `[id mode:2][time mode:2][value code:4]`.
+// Mode 3 of either field is reserved; so are value codes 9–15 in a
+// `samples` record, which a `samples_delta` record gives meaning to.
 const MODE_SAME: u8 = 0;
 /// Id: previous + 1. Time: previous + the run's last non-zero step.
 const MODE_STEP: u8 = 1;
 /// Id: a `uv` follows. Time: a zigzag `uv` delta follows.
 const MODE_EXPLICIT: u8 = 2;
 
-/// Append `run` as one `samples` record: `[5][len u32 LE][count uv]
-/// [count × sample]`, each sample `[control u8][id uv?][zigzag Δt uv?]
-/// [value bytes]`. The state a sample is coded against (previous id,
-/// previous timestamp, last non-zero timestamp step) starts at zero
-/// with every record, so a run decodes on its own. A sweep (ids
-/// counting up at one timestamp) and one metric's tail (one id at a
-/// fixed cadence) both cost the control byte plus the value; the value
-/// is the most-significant bytes of `to_bits()` with trailing zero
-/// bytes dropped, which is bit-exact for every `f64` and 2–4 bytes for
-/// a quantised sensor reading.
-fn put_samples(out: &mut Vec<u8>, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
-    out.push(REC_SAMPLES);
+/// Value code of a `samples_delta` value equal to its id's previous one.
+const CODE_REPEAT: u8 = 9;
+/// The `(lead, kept)` shapes of an XOR that value codes 10–14 name:
+/// leading zero bytes, then kept bytes, then zero bytes to the end. The
+/// five that quantised sensor readings produce, most frequent first.
+const XOR_SHAPES: [(u8, u8); 5] = [(2, 1), (1, 2), (0, 3), (1, 1), (0, 2)];
+/// Value code whose shape follows in a byte of its own, `lead << 4 | kept`.
+const CODE_ESCAPE: u8 = 15;
+/// The value code of each `(lead, kept)` shape: its name in
+/// [`XOR_SHAPES`], or the escape.
+const SHAPE_CODES: [[u8; 9]; 8] = {
+    let mut codes = [[CODE_ESCAPE; 9]; 8];
+    let mut i = 0;
+    while i < XOR_SHAPES.len() {
+        let (lead, kept) = XOR_SHAPES[i];
+        codes[lead as usize][kept as usize] = 10 + i as u8;
+        i += 1;
+    }
+    codes
+};
+
+/// Why a stateless reader stops at a `samples_delta` record.
+const NEEDS_STATE: &str = "samples_delta needs its stream's state";
+
+/// How one value is written: its value code, then `kept` bytes of
+/// `coded` from byte `lead` (most significant first) on.
+#[derive(Debug, Clone, Copy)]
+struct Written {
+    code: u8,
+    lead: u8,
+    kept: u8,
+    coded: u64,
+}
+
+/// A value written whole: its bits, trailing zero bytes dropped.
+#[inline]
+fn whole(bits: u64) -> Written {
+    let kept = 8 - (bits.trailing_zeros() / 8) as u8;
+    Written {
+        code: kept,
+        lead: 0,
+        kept,
+        coded: bits,
+    }
+}
+
+/// A value written as `x`, its bits XOR its id's previous value: zero
+/// bytes at both ends dropped, the shape in the code when it has one.
+#[inline]
+fn xored(x: u64) -> Written {
+    if x == 0 {
+        return Written {
+            code: CODE_REPEAT,
+            lead: 0,
+            kept: 0,
+            coded: 0,
+        };
+    }
+    let lead = (x.leading_zeros() / 8) as u8;
+    let kept = 8 - lead - (x.trailing_zeros() / 8) as u8;
+    let code = SHAPE_CODES[usize::from(lead)][usize::from(kept)];
+    Written {
+        code,
+        lead,
+        kept,
+        coded: x,
+    }
+}
+
+/// Append `run` as one record of kind `tag` — `samples`, or with
+/// values XOR-coded against the stream, `samples_delta`:
+/// `[kind][len u32 LE][count uv][count × sample]`, each sample
+/// `[control u8][id uv?][zigzag Δt uv?][shape u8?][value bytes]`, each
+/// value as `write` gives it. The state a sample's id and time are coded
+/// against (previous id, previous timestamp, last non-zero timestamp
+/// step) starts at zero with every record, so those decode on their
+/// own. A sweep (ids counting up at one timestamp) and one metric's tail
+/// (one id at a fixed cadence) both cost the control byte plus the
+/// value. In a `samples` record the value is [`whole`]: the
+/// most-significant bytes of `to_bits()` with trailing zero bytes
+/// dropped, which is bit-exact for every `f64` and 2–4 bytes for a
+/// quantised sensor reading. In a `samples_delta` record a value whose
+/// id has a state is [`xored`] instead — a repeat is no byte, a
+/// quantised reading's step usually one — see [`BatchWriter::samples`].
+fn put_samples(
+    out: &mut Vec<u8>,
+    tag: u8,
+    run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>,
+    mut write: impl FnMut(MetricId, u64) -> Written,
+) {
+    out.push(tag);
     put_block(out, |out| {
         put_uv(out, run.len() as u64);
         let (mut prev_id, mut prev_t, mut step) = (0u32, 0u64, 0i64);
@@ -749,9 +863,13 @@ fn put_samples(out: &mut Vec<u8>, run: impl ExactSizeIterator<Item = (MetricId, 
                 _ if dt == step => MODE_STEP,
                 _ => MODE_EXPLICIT,
             };
-            let bits = value.to_bits();
-            let value_bytes = 8 - (bits.trailing_zeros() / 8) as usize;
-            out.push(id_mode << 6 | t_mode << 4 | value_bytes as u8);
+            let Written {
+                code,
+                lead,
+                kept,
+                coded,
+            } = write(id, value.to_bits());
+            out.push(id_mode << 6 | t_mode << 4 | code);
             if id_mode == MODE_EXPLICIT {
                 put_uv(out, u64::from(id.0));
             }
@@ -761,10 +879,14 @@ fn put_samples(out: &mut Vec<u8>, run: impl ExactSizeIterator<Item = (MetricId, 
             if dt != 0 {
                 step = dt;
             }
-            // All eight bytes, then the dropped ones off again: a
-            // fixed-width copy, not a variable-length one.
-            let end = out.len() + value_bytes;
-            out.extend_from_slice(&bits.to_be_bytes());
+            if code == CODE_ESCAPE {
+                out.push(lead << 4 | kept);
+            }
+            // All eight bytes from the first kept one, then the dropped
+            // ones off again: a fixed-width copy, not a variable-length
+            // one.
+            let end = out.len() + usize::from(kept);
+            out.extend_from_slice(&(coded << (8 * u32::from(lead))).to_be_bytes());
             out.truncate(end);
             (prev_id, prev_t) = (id.0, t.0);
         }
@@ -775,9 +897,24 @@ fn put_samples(out: &mut Vec<u8>, run: impl ExactSizeIterator<Item = (MetricId, 
 /// [`BatchView::parse`] builds one, after walking every byte.
 const VALIDATED: &str = "BatchView::parse validated these bytes";
 
-/// The samples of one `samples` record, decoded one at a time off its
-/// payload. Lent by a [`BatchView`], whose full walk has already shown
-/// every step to succeed.
+/// Why reading a delta value against a state cannot fail: the view was
+/// checked against it ([`BatchView::check_values`]) first.
+const CHECKED: &str = "BatchView::check_values vouched for this state";
+
+/// One sample's value as its record codes it.
+#[derive(Debug, Clone, Copy)]
+enum Coded {
+    /// The value's bits.
+    Bits(u64),
+    /// The value's bits XOR its id's previous value in the stream.
+    Xor(u64),
+}
+
+/// The samples of one `samples` or `samples_delta` record, decoded one
+/// at a time off its payload. Lent by a [`BatchView`], whose full walk
+/// has already shown every step to succeed. A `samples` run is an
+/// iterator of observations; a `samples_delta` run is read through
+/// [`DeltaRun::values`].
 #[derive(Debug, Clone)]
 pub struct SampleRun<'a> {
     r: WireReader<'a>,
@@ -785,6 +922,9 @@ pub struct SampleRun<'a> {
     id: u32,
     t: u64,
     step: i64,
+    /// Whether the value [`SampleRun::step`] gave last is an XOR (only
+    /// ever in a `samples_delta` run).
+    xor: bool,
 }
 
 impl<'a> SampleRun<'a> {
@@ -807,13 +947,19 @@ impl<'a> SampleRun<'a> {
             id: 0,
             t: 0,
             step: 0,
+            xor: false,
         })
     }
 
-    /// Decode the next sample — the one walk of the `samples` grammar,
-    /// under the validating pass and the iterator alike.
-    #[inline]
-    fn step(&mut self) -> io::Result<(MetricId, SimTime, f64)> {
+    /// Decode the next sample — the one walk of the `samples` and (for
+    /// `DELTA`) `samples_delta` grammar, under the validating pass and
+    /// the iterators alike: its id, its time, and its value's bits — or,
+    /// when it leaves `xor` set, their XOR with its id's previous value.
+    // Forced: `check`, the iterators and the state's walks each want
+    // their own copy of this loop body (a call per sample costs a
+    // fifth of a sweep's view).
+    #[inline(always)]
+    fn step<const DELTA: bool>(&mut self) -> io::Result<(MetricId, SimTime, u64)> {
         let control = self.r.u8()?;
         match control >> 6 {
             MODE_SAME => {}
@@ -841,40 +987,91 @@ impl<'a> SampleRun<'a> {
             }
             _ => return Err(bad_data("reserved sample time mode")),
         }
-        let value_bytes = usize::from(control & 0x0F);
-        if value_bytes > 8 {
+        let code = control & 0x0F;
+        let bits = if code <= 8 {
+            self.value(code)?
+        } else if DELTA {
+            self.xor_value(code)?
+        } else {
             return Err(bad_data("reserved sample value length"));
+        };
+        if DELTA {
+            self.xor = code > 8;
         }
-        // One eight-byte load, the bytes past the value masked off — the
-        // mirror of the writer's fixed-width copy. Only a value ending
-        // within the payload's last eight bytes takes the short copy.
+        Ok((MetricId(self.id), SimTime(self.t), bits))
+    }
+
+    /// The value field of a `samples_delta` value code 9–15: the XOR.
+    #[inline(always)]
+    fn xor_value(&mut self, code: u8) -> io::Result<u64> {
+        let (lead, kept) = match code {
+            CODE_REPEAT => return Ok(0),
+            CODE_ESCAPE => {
+                let shape = self.r.u8()?;
+                let (lead, kept) = (shape >> 4, shape & 0x0F);
+                if kept == 0 || lead + kept > 8 {
+                    return Err(bad_data("reserved sample value shape"));
+                }
+                (lead, kept)
+            }
+            _ => XOR_SHAPES[usize::from(code - 10)],
+        };
+        Ok(self.value(kept)? >> (8 * u32::from(lead)))
+    }
+
+    /// The next `kept` bytes as the most significant of a word, the rest
+    /// zero. One eight-byte load, the bytes past the value masked off —
+    /// the mirror of the writer's fixed-width copy. Only a value ending
+    /// within the payload's last eight bytes takes the short copy.
+    #[inline(always)]
+    fn value(&mut self, kept: u8) -> io::Result<u64> {
         let r = &mut self.r;
-        let bits = match r.buf.get(r.pos..r.pos + 8) {
+        let kept = usize::from(kept);
+        Ok(match r.buf.get(r.pos..r.pos + 8) {
             Some(word) => {
-                r.pos += value_bytes;
-                let kept = !u64::MAX.checked_shr(8 * value_bytes as u32).unwrap_or(0);
-                u64::from_be_bytes(word.try_into().expect("eight bytes")) & kept
+                r.pos += kept;
+                let mask = !u64::MAX.checked_shr(8 * kept as u32).unwrap_or(0);
+                u64::from_be_bytes(word.try_into().expect("eight bytes")) & mask
             }
             None => {
                 let mut be = [0u8; 8];
-                be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
+                be[..kept].copy_from_slice(r.take(kept)?);
                 u64::from_be_bytes(be)
             }
-        };
-        Ok((MetricId(self.id), SimTime(self.t), f64::from_bits(bits)))
+        })
     }
 
     /// Walk a copy of the run to its end: every sample well-formed and
     /// nothing after the last one. Returns the sample count.
-    fn check(&self) -> io::Result<usize> {
+    /// `xor_ids` is raised past every id whose value is an XOR.
+    fn check<const DELTA: bool>(&self, xor_ids: &mut u32) -> io::Result<usize> {
         let mut run = self.clone();
         for _ in 0..run.left {
-            run.step()?;
+            let (id, ..) = run.step::<DELTA>()?;
+            if DELTA && run.xor {
+                *xor_ids = (*xor_ids).max(id.0.saturating_add(1));
+            }
         }
         if !run.r.done() {
             return Err(bad_data("trailing bytes in samples payload"));
         }
         Ok(self.left)
+    }
+
+    /// The next sample of a `samples_delta` run, as it codes it.
+    #[inline(always)]
+    fn next_coded(&mut self) -> Option<(MetricId, SimTime, Coded)> {
+        self.left = self.left.checked_sub(1)?;
+        let (id, t, bits) = self.step::<true>().expect(VALIDATED);
+        Some((
+            id,
+            t,
+            if self.xor {
+                Coded::Xor(bits)
+            } else {
+                Coded::Bits(bits)
+            },
+        ))
     }
 }
 
@@ -884,7 +1081,8 @@ impl Iterator for SampleRun<'_> {
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         self.left = self.left.checked_sub(1)?;
-        Some(self.step().expect(VALIDATED))
+        let (id, t, bits) = self.step::<false>().expect(VALIDATED);
+        Some((id, t, f64::from_bits(bits)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -893,6 +1091,206 @@ impl Iterator for SampleRun<'_> {
 }
 
 impl ExactSizeIterator for SampleRun<'_> {}
+
+/// The samples of one `samples_delta` record: ids and times as a
+/// [`SampleRun`]'s, values that only the stream's [`ValueState`] reads.
+#[derive(Debug, Clone)]
+pub struct DeltaRun<'a>(SampleRun<'a>);
+
+impl<'a> DeltaRun<'a> {
+    /// Samples in the run.
+    pub fn len(&self) -> usize {
+        self.0.left
+    }
+
+    /// Whether the run holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.0.left == 0
+    }
+
+    /// The run's observations, each value read against `state` — which
+    /// takes it, so the next is read against the stream as it now
+    /// stands. The batch must have been checked against `state`
+    /// ([`BatchView::check_values`]); a value `state` cannot read panics.
+    pub fn values<'s>(self, state: &'s mut ValueState) -> DeltaValues<'a, 's> {
+        DeltaValues { run: self.0, state }
+    }
+}
+
+/// Iterator of [`DeltaRun::values`].
+#[derive(Debug)]
+pub struct DeltaValues<'a, 's> {
+    run: SampleRun<'a>,
+    state: &'s mut ValueState,
+}
+
+impl Iterator for DeltaValues<'_, '_> {
+    type Item = (MetricId, SimTime, f64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, t, coded) = self.run.next_coded()?;
+        let bits = self.state.take(id, coded).expect(CHECKED);
+        Some((id, t, f64::from_bits(bits)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.run.left, Some(self.run.left))
+    }
+}
+
+impl ExactSizeIterator for DeltaValues<'_, '_> {}
+
+/// Wire ids from this one on keep no [`ValueState`]: their values are
+/// always coded whole. Bounds the state a stream can make its reader
+/// keep at 16 MiB.
+pub const MAX_VALUE_IDS: u32 = 1 << 20;
+
+/// The state `samples_delta` values are coded against: per wire id of
+/// one stream, the bits of the last value a `samples_delta` record of
+/// the stream carried for it, if one did. Each end of a connection
+/// keeps one, and both keep it by the same rule, so they agree batch
+/// after batch:
+///
+/// * every sample of a `samples_delta` record — of every batch taken, a
+///   duplicate's too — leaves its value as its id's state; no other
+///   record touches it (a 1.3 writer sends every run as one);
+/// * a value whose id has a state is written as that state XOR its bits,
+///   any other whole — so a delta for an id with no state is refused;
+/// * a new connection starts empty ([`ValueState::reset`]).
+///
+/// Two states are equal when they hold the same bits for the same ids.
+#[derive(Debug, Clone, Default)]
+pub struct ValueState {
+    last: Vec<Option<u64>>,
+    /// Every id below this one has a state.
+    dense: u32,
+    /// Ids [`BatchView::check_values`] marked known while it walks: all
+    /// unmarked again before it returns.
+    marked: Vec<u32>,
+}
+
+impl PartialEq for ValueState {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ValueState {}
+
+impl ValueState {
+    /// An empty state: what every connection starts from.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forget every value (a new connection), keeping the allocation.
+    pub fn reset(&mut self) {
+        self.last.clear();
+        self.dense = 0;
+    }
+
+    /// The bits of the last value a `samples_delta` record of the
+    /// stream carried for `id`.
+    #[inline]
+    pub fn get(&self, id: MetricId) -> Option<u64> {
+        self.last.get(id.index()).copied().flatten()
+    }
+
+    /// The stream carried `bits` for `id`.
+    #[inline]
+    pub fn set(&mut self, id: MetricId, bits: u64) {
+        self.replace(id, bits);
+    }
+
+    /// [`ValueState::set`], returning what `id` held before.
+    #[inline]
+    fn replace(&mut self, id: MetricId, bits: u64) -> Option<u64> {
+        if id.0 >= MAX_VALUE_IDS {
+            return None;
+        }
+        let i = id.index();
+        if i >= self.last.len() {
+            self.last.resize(i + 1, None);
+        }
+        let was = self.last[i].replace(bits);
+        if id.0 == self.dense {
+            while self
+                .last
+                .get(self.dense as usize)
+                .is_some_and(Option::is_some)
+            {
+                self.dense += 1;
+            }
+        }
+        was
+    }
+
+    /// Take a coded value: its bits, now `id`'s state — or `None` for a
+    /// delta this state cannot read, which leaves it as it was.
+    #[inline(always)]
+    fn take(&mut self, id: MetricId, coded: Coded) -> Option<u64> {
+        match coded {
+            Coded::Bits(bits) => {
+                self.set(id, bits);
+                Some(bits)
+            }
+            Coded::Xor(x) => {
+                let slot = self.last.get_mut(id.index())?;
+                let bits = (*slot)? ^ x;
+                *slot = Some(bits);
+                Some(bits)
+            }
+        }
+    }
+
+    /// Mark `id` known for [`BatchView::check_values`], if it is not.
+    #[inline]
+    fn mark(&mut self, id: MetricId) {
+        if self.get(id).is_none() && id.0 < MAX_VALUE_IDS {
+            self.set(id, 0);
+            self.marked.push(id.0);
+        }
+    }
+
+    /// Every id with a state and its bits, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (MetricId, u64)> + '_ {
+        self.last
+            .iter()
+            .enumerate()
+            .filter_map(|(i, bits)| Some((MetricId(i as u32), (*bits)?)))
+    }
+
+    /// Take the state back to before `batch`, a batch written against it
+    /// by [`encode_batch_with`]: walking its samples from the last, a
+    /// delta's XOR gives the value before it, and a whole value was
+    /// written because its id had no state. How a sender that must
+    /// re-send recovers what it sent.
+    pub fn unwind(&mut self, batch: &[u8]) -> io::Result<()> {
+        let view = BatchView::parse(batch)?;
+        let mut coded = Vec::with_capacity(view.record_count());
+        for record in view.records() {
+            if let RecordRef::SamplesDelta(DeltaRun(mut run)) = record {
+                coded.extend(std::iter::from_fn(|| run.next_coded()));
+            }
+        }
+        for (id, _, coded) in coded.into_iter().rev() {
+            match coded {
+                Coded::Bits(_) => {
+                    if let Some(slot) = self.last.get_mut(id.index()) {
+                        *slot = None;
+                        self.dense = self.dense.min(id.0);
+                    }
+                }
+                Coded::Xor(x) => {
+                    let bits = self.get(id).ok_or_else(|| bad_data(NEEDS_STATE))?;
+                    self.set(id, bits ^ x);
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// A batch read where it lies. Only [`BatchView::parse`] builds one,
 /// and only after walking every byte under every bound the format has
@@ -907,11 +1305,16 @@ pub struct BatchView<'a> {
     wire_records: u32,
     records: usize,
     unknown: u64,
+    /// One past the largest id whose value is an XOR, 0 if none: a
+    /// state that holds every id below it reads the batch as it stands.
+    xor_ids: u32,
 }
 
 impl<'a> BatchView<'a> {
-    /// Validate `bytes` as one batch written by [`encode_batch`] (or
-    /// record by record with [`encode_record`], as v1.1 writers did).
+    /// Validate `bytes` as one batch written by [`encode_batch`] or
+    /// [`encode_batch_with`] (or record by record with [`encode_record`],
+    /// as v1.1 writers did). Validation needs no stream state: whether a
+    /// `samples_delta` value can be read is [`BatchView::check_values`].
     /// Records of a kind unknown to this reader are length-skipped and
     /// counted ([`BatchView::unknown_records`]), never an error — the
     /// additive-kinds contract. A batch that would expand past
@@ -921,13 +1324,16 @@ impl<'a> BatchView<'a> {
         let mut r = WireReader::new(bytes);
         let seq = r.u64()?;
         let wire_records = r.u32()?;
-        let (mut records, mut unknown) = (0usize, 0u64);
+        let (mut records, mut unknown, mut xor_ids) = (0usize, 0u64, 0u32);
         for _ in 0..wire_records {
             let tag = r.u8()?;
             let payload = r.block()?;
             match RecordRef::parse(tag, payload, MAX_BATCH_RECORDS - records)? {
                 None => unknown += 1,
-                Some(RecordRef::Samples(run)) => records += run.check()?,
+                Some(RecordRef::Samples(run)) => records += run.check::<false>(&mut xor_ids)?,
+                Some(RecordRef::SamplesDelta(DeltaRun(run))) => {
+                    records += run.check::<true>(&mut xor_ids)?
+                }
                 Some(_) => records += 1,
             }
         }
@@ -940,6 +1346,7 @@ impl<'a> BatchView<'a> {
             wire_records,
             records,
             unknown,
+            xor_ids,
         })
     }
 
@@ -977,16 +1384,71 @@ impl<'a> BatchView<'a> {
         }
     }
 
-    /// The owned batch: what [`decode_batch`] returns.
-    pub fn to_batch(&self) -> ExportBatch {
+    /// The owned batch: what [`decode_batch`] returns. A batch holding a
+    /// `samples_delta` record is `InvalidData` here: its values are
+    /// only readable against the stream's state
+    /// ([`BatchView::to_batch_with`]).
+    pub fn to_batch(&self) -> io::Result<ExportBatch> {
+        self.owned(None)
+    }
+
+    /// The owned batch of a stream whose reader keeps `state`: every
+    /// value checked against it first ([`BatchView::check_values`]),
+    /// then read, each delta run's values left as their ids' states. On
+    /// `Err` `state` is as it was.
+    pub fn to_batch_with(&self, state: &mut ValueState) -> io::Result<ExportBatch> {
+        self.check_values(state)?;
+        self.owned(Some(state))
+    }
+
+    fn owned(&self, mut state: Option<&mut ValueState>) -> io::Result<ExportBatch> {
         let mut records = Vec::with_capacity(self.records);
         for record in self.records() {
-            record.push_owned(&mut records);
+            record.push_owned(&mut records, state.as_deref_mut())?;
         }
-        ExportBatch {
+        Ok(ExportBatch {
             seq: self.seq,
             records,
+        })
+    }
+
+    /// Whether every value of the batch can be read against `state`, the
+    /// stream's as it stands before the batch: `InvalidData` for a delta
+    /// whose id has no state by then — none before the batch and no
+    /// whole value of its own earlier in it. `state` is as it was either
+    /// way.
+    pub fn check_values(&self, state: &mut ValueState) -> io::Result<()> {
+        // A stream whose ids below every XOR'd one all have a state —
+        // a live one, after its first batch — needs no walk.
+        if self.xor_ids <= state.dense {
+            return Ok(());
         }
+        let dense = state.dense;
+        let verdict = self.mark_values(state);
+        for id in state.marked.drain(..) {
+            state.last[id as usize] = None;
+        }
+        state.dense = dense;
+        verdict
+    }
+
+    /// [`BatchView::check_values`]'s walk: each id a whole value gives a
+    /// state to is marked known as it goes.
+    fn mark_values(&self, state: &mut ValueState) -> io::Result<()> {
+        for record in self.records() {
+            if let RecordRef::SamplesDelta(DeltaRun(mut run)) = record {
+                while let Some((id, _, coded)) = run.next_coded() {
+                    match coded {
+                        Coded::Bits(_) => state.mark(id),
+                        Coded::Xor(_) if state.get(id).is_none() => {
+                            return Err(bad_data(NEEDS_STATE))
+                        }
+                        Coded::Xor(_) => {}
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1052,9 +1514,24 @@ impl<'a> BatchWriter<'a> {
     }
 
     /// Append `run` — what a [`SampleRun`] yields back — as one
-    /// `samples` record.
-    fn samples(&mut self, run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>) {
-        put_samples(self.out, run);
+    /// `samples` record, or, given the stream's state, one
+    /// `samples_delta` record coded against it.
+    fn samples(
+        &mut self,
+        run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>,
+        state: Option<&mut ValueState>,
+    ) {
+        match state {
+            None => put_samples(self.out, REC_SAMPLES, run, |_, bits| whole(bits)),
+            // A value whose id has a state is XOR-coded against it, any
+            // other whole; either way the state takes it.
+            Some(state) => put_samples(self.out, REC_SAMPLES_DELTA, run, |id, bits| {
+                match state.replace(id, bits) {
+                    Some(prev) => xored(prev ^ bits),
+                    None => whole(bits),
+                }
+            }),
+        }
         self.counted();
     }
 
@@ -1078,8 +1555,21 @@ impl<'a> BatchWriter<'a> {
 /// `[seq u64 LE][record count u32 LE][records…]`. Every maximal run of
 /// consecutive [`ExportRecord::Sample`] is written as **one** `samples`
 /// record, so the count in the header counts *wire* records, not
-/// `batch.records`; [`decode_batch`] gives the same records back.
+/// `batch.records`; [`decode_batch`] gives the same records back. Needs
+/// no state and leaves none: the rendering any reader reads.
 pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
+    write_batch(batch, None, out);
+}
+
+/// [`encode_batch`] for a stream whose writer keeps `state` (v1.3): each
+/// run of samples is one `samples_delta` record, its values coded
+/// against `state`, which takes them. The reader must keep the same
+/// state ([`BatchView::to_batch_with`], [`decode_batch_with`]).
+pub fn encode_batch_with(batch: &ExportBatch, state: &mut ValueState, out: &mut Vec<u8>) {
+    write_batch(batch, Some(state), out);
+}
+
+fn write_batch(batch: &ExportBatch, mut state: Option<&mut ValueState>, out: &mut Vec<u8>) {
     let mut w = BatchWriter::new(out, batch.seq);
     let sample = |r: &ExportRecord| match *r {
         ExportRecord::Sample { id, t, value } => Some((id, t, value)),
@@ -1091,7 +1581,8 @@ pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
         .chunk_by(|a, b| sample(a).is_some() && sample(b).is_some())
     {
         if sample(&group[0]).is_some() {
-            w.samples(group.iter().map(|r| sample(r).expect("a run of samples")));
+            let run = group.iter().map(|r| sample(r).expect("a run of samples"));
+            w.samples(run, state.as_deref_mut());
         } else {
             w.record(&group[0]);
         }
@@ -1100,10 +1591,19 @@ pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
 
 /// Decode a batch into owned records: [`BatchView::parse`], then
 /// [`BatchView::to_batch`]. Returns the batch plus the number of
-/// records skipped because their kind tag is unknown to this reader.
+/// records skipped because their kind tag is unknown to this reader. A
+/// batch holding a `samples_delta` record is `InvalidData`: see
+/// [`decode_batch_with`].
 pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
     let view = BatchView::parse(buf)?;
-    Ok((view.to_batch(), view.unknown_records()))
+    Ok((view.to_batch()?, view.unknown_records()))
+}
+
+/// [`decode_batch`] for a stream whose reader keeps `state`:
+/// [`BatchView::parse`], then [`BatchView::to_batch_with`].
+pub fn decode_batch_with(buf: &[u8], state: &mut ValueState) -> io::Result<(ExportBatch, u64)> {
+    let view = BatchView::parse(buf)?;
+    Ok((view.to_batch_with(state)?, view.unknown_records()))
 }
 
 /// Encode [`DrainStats`] (the exporter-side counters a node reports at
@@ -1241,7 +1741,7 @@ fn frame_crc(tag: u8, payload: &[&[u8]]) -> u32 {
 }
 
 /// The frame tags spoken inside the [`write_frame`] envelope by the
-/// `moda` socket protocols (`export-wire-v1.2`). The envelope itself is
+/// `moda` socket protocols (`export-wire-v1.3`). The envelope itself is
 /// tag-agnostic; this registry exists so the protocols layered on it —
 /// fleet ingest sessions and the query/serving sessions next to them —
 /// can never collide on a tag value. Tags are **additive**: a value,
@@ -1679,6 +2179,155 @@ mod tests {
         assert_eq!(encoded_records(records.clone()), want);
         let (back, unknown) = decode_batch(&samples_batch(&want[5..])).unwrap();
         assert_eq!((back.records, unknown), (records, 0));
+    }
+
+    #[test]
+    fn samples_delta_record_is_the_documented_bytes() {
+        // The worked example of docs/EXPORT_FORMAT.md: four readings of
+        // metric 7 at 1 Hz, in a stream with no value of metric 7 yet.
+        let records = vec![
+            sample(7, 60_000, 201.5),
+            sample(7, 61_000, 203.0),
+            sample(7, 62_000, 203.0),
+            sample(7, 63_000, 203.25),
+        ];
+        let want: &[u8] = &[
+            0x06, // kind: samples_delta
+            0x10, 0x00, 0x00, 0x00, // payload length 16
+            0x04, // four samples
+            0xA3, 0x07, 0xC0, 0xA9, 0x07, 0x40, 0x69, 0x30, // id 7, t +60000, 201.5 whole
+            0x2A, 0xD0, 0x0F, 0x50, // same id, t +1000, XOR 0x0000_5000_0000_0000
+            0x19, // same id, same step, XOR 0: 203.0 again
+            0x1A, 0x08, // same id, same step, XOR 0x0000_0800_0000_0000
+        ];
+        let mut writer = ValueState::new();
+        let mut buf = Vec::new();
+        encode_batch_with(
+            &ExportBatch {
+                seq: 0,
+                records: records.clone(),
+            },
+            &mut writer,
+            &mut buf,
+        );
+        assert_eq!(&buf[12..], want);
+        let mut reader = ValueState::new();
+        let (back, unknown) = decode_batch_with(&buf, &mut reader).unwrap();
+        assert_eq!((back.records, unknown), (records, 0));
+        assert_eq!(reader, writer);
+        assert_eq!(reader.get(MetricId(7)), Some(203.25f64.to_bits()));
+        // The next batch's first reading of metric 7 is a delta too: its
+        // id and time start over with the record, its value does not.
+        let mut next = Vec::new();
+        let again = ExportBatch {
+            seq: 1,
+            records: vec![sample(7, 64_000, 203.25)],
+        };
+        encode_batch_with(&again, &mut writer, &mut next);
+        assert_eq!(
+            &next[12..],
+            [0x06, 0x06, 0, 0, 0, 0x01, 0xA9, 0x07, 0x80, 0xE8, 0x07]
+        );
+        assert_eq!(decode_batch_with(&next, &mut reader).unwrap().0, again);
+    }
+
+    #[test]
+    fn stateless_readers_refuse_a_delta_record_and_nothing_else() {
+        let records = vec![sample(3, 1_000, 2.5), sample(3, 2_000, 2.75)];
+        let mut buf = Vec::new();
+        encode_batch_with(
+            &ExportBatch { seq: 4, records },
+            &mut ValueState::new(),
+            &mut buf,
+        );
+        let view = BatchView::parse(&buf).expect("validation needs no state");
+        for refused in [decode_batch(&buf).map(drop), view.to_batch().map(drop)] {
+            let e = refused.unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                e.to_string()
+                    .contains("samples_delta needs its stream's state"),
+                "{e}"
+            );
+        }
+        // A plain batch is still read without one.
+        let mut plain = Vec::new();
+        encode_batch(
+            &ExportBatch {
+                seq: 4,
+                records: vec![sample(3, 1_000, 2.5)],
+            },
+            &mut plain,
+        );
+        assert!(decode_batch(&plain).is_ok());
+    }
+
+    #[test]
+    fn a_delta_with_no_state_is_refused_and_leaves_none() {
+        // Metric 5 whole, then metric 9 as a delta the stream never set
+        // up: the check refuses the batch and unmarks metric 5 again.
+        let payload = [2, 0x83, 0x05, 0x40, 0x69, 0x30, 0x8A, 0x09, 0x50];
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 0);
+        put_u32(&mut buf, 1);
+        buf.push(REC_SAMPLES_DELTA);
+        put_block(&mut buf, |out| out.extend_from_slice(&payload));
+        let view = BatchView::parse(&buf).expect("well-formed");
+        let mut state = ValueState::new();
+        state.set(MetricId(1), 7);
+        let before = state.clone();
+        let e = view.to_batch_with(&mut state).unwrap_err();
+        assert!(e.to_string().contains("needs its stream's state"), "{e}");
+        assert_eq!(state, before);
+        assert_eq!(state.get(MetricId(5)), None);
+        // With metric 9 known, the same bytes read.
+        state.set(MetricId(9), 0x4069_0000_0000_0000);
+        let batch = view.to_batch_with(&mut state).unwrap();
+        let ExportRecord::Sample { value, .. } = batch.records[1] else {
+            panic!("sample expected")
+        };
+        assert_eq!(value.to_bits(), 0x4069_5000_0000_0000);
+        // Ids from MAX_VALUE_IDS on keep no state: always whole.
+        let far = MetricId(MAX_VALUE_IDS);
+        let mut writer = ValueState::new();
+        let mut far_bytes = Vec::new();
+        let repeat = ExportBatch {
+            seq: 0,
+            records: vec![sample(far.0, 1, 1.0), sample(far.0, 2, 1.0)],
+        };
+        encode_batch_with(&repeat, &mut writer, &mut far_bytes);
+        assert_eq!(writer, ValueState::new());
+        assert_eq!(
+            decode_batch_with(&far_bytes, &mut ValueState::new())
+                .unwrap()
+                .0,
+            repeat
+        );
+    }
+
+    #[test]
+    fn hostile_samples_delta_records_are_bad_data() {
+        let err = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 1);
+            buf.push(REC_SAMPLES_DELTA);
+            put_block(&mut buf, |out| out.extend_from_slice(payload));
+            let e = BatchView::parse(&buf).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            e.to_string()
+        };
+        // Escape shapes that keep nothing, or run past 64 bits.
+        assert!(err(&[1, 0x0F, 0x30]).contains("value shape"));
+        assert!(err(&[1, 0x0F, 0x54, 0, 0, 0, 0]).contains("value shape"));
+        // A kept byte cut short by the payload's end.
+        assert!(err(&[1, 0x0E, 0x40]).contains("truncated"));
+        assert!(err(&[1, 0x0F, 0x13]).contains("truncated"));
+        // Codes 9–15 stay reserved in a `samples` record.
+        assert!(decode_batch(&samples_batch(&[1, 0x09]))
+            .unwrap_err()
+            .to_string()
+            .contains("value length"));
     }
 
     #[test]

@@ -1655,15 +1655,46 @@ proptest! {
 // ------------------------------------- one parser, one meaning: the view
 
 use moda_telemetry::export::MAX_BATCH_RECORDS;
-use moda_telemetry::wire::{bad_data, unzigzag, BatchView, RecordRef, WireReader};
+use moda_telemetry::wire::{
+    bad_data, decode_batch_with, encode_batch_with, unzigzag, BatchView, RecordRef, ValueState,
+    WireReader, MAX_VALUE_IDS,
+};
+use std::collections::HashMap;
 use std::io;
+
+/// What [`reference_decode`] makes of a batch whose structure holds:
+/// its seq, its records with every delta read against a stream state
+/// that starts empty at the batch (`Err` if one cannot be), its
+/// unknown-kind count, and whether it holds a `samples_delta` record.
+type Decoded = (u64, io::Result<Vec<ExportRecord>>, u64, bool);
 
 /// The materialising batch decoder as it stood before `BatchView`
 /// became the only parser — kept here, sharing nothing with the view
 /// but [`WireReader`]'s getters, as the oracle for what a batch's bytes
-/// mean and which bytes are a batch at all.
-fn reference_decode(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
-    fn samples(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) -> io::Result<()> {
+/// mean and which bytes are a batch at all — taught the `samples_delta`
+/// kind of revision 1.3: its value codes, and a stream state of its own
+/// (a map; ids from `MAX_VALUE_IDS` on keep none) that every value of a
+/// `samples_delta` record lands in. As a 1.2 reader (`v1_3` false) it is the decoder of
+/// that revision verbatim, to which kind 6 is a kind from the future.
+fn reference_decode(buf: &[u8], v1_3: bool) -> io::Result<Decoded> {
+    struct Stream {
+        last: HashMap<u32, u64>,
+        readable: bool,
+    }
+    impl Stream {
+        fn carried(&mut self, id: u32, bits: u64) {
+            if id < MAX_VALUE_IDS {
+                self.last.insert(id, bits);
+            }
+        }
+    }
+    fn samples(
+        payload: &[u8],
+        room: usize,
+        delta: bool,
+        stream: &mut Stream,
+        records: &mut Vec<ExportRecord>,
+    ) -> io::Result<()> {
         let mut r = WireReader::new(payload);
         let count = r.uv()?;
         if count > r.remaining() as u64 {
@@ -1693,16 +1724,42 @@ fn reference_decode(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
                 }
                 _ => return Err(bad_data("reserved time mode")),
             }
-            let value_bytes = usize::from(control & 0x0F);
-            if value_bytes > 8 {
-                return Err(bad_data("reserved value length"));
-            }
+            let code = control & 0x0F;
+            let (lead, kept, xor) = match code {
+                0..=8 => (0, code, false),
+                _ if !delta => return Err(bad_data("reserved value length")),
+                9 => (0, 0, true),
+                10 => (2, 1, true),
+                11 => (1, 2, true),
+                12 => (0, 3, true),
+                13 => (1, 1, true),
+                14 => (0, 2, true),
+                _ => {
+                    let shape = r.u8()?;
+                    let (lead, kept) = (shape >> 4, shape & 0x0F);
+                    if kept == 0 || lead + kept > 8 {
+                        return Err(bad_data("reserved value shape"));
+                    }
+                    (lead, kept, true)
+                }
+            };
+            let (lead, kept) = (usize::from(lead), usize::from(kept));
             let mut be = [0u8; 8];
-            be[..value_bytes].copy_from_slice(r.take(value_bytes)?);
+            be[lead..lead + kept].copy_from_slice(r.take(kept)?);
+            let mut bits = u64::from_be_bytes(be);
+            if xor {
+                match stream.last.get(&id) {
+                    Some(prev) => bits ^= prev,
+                    None => stream.readable = false,
+                }
+            }
+            if delta {
+                stream.carried(id, bits);
+            }
             records.push(ExportRecord::Sample {
                 id: MetricId(id),
                 t: SimTime(t),
-                value: f64::from_bits(u64::from_be_bytes(be)),
+                value: f64::from_bits(bits),
             });
         }
         if !r.done() {
@@ -1759,27 +1816,38 @@ fn reference_decode(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
     let seq = r.u64()?;
     let n = r.u32()?;
     let mut records = Vec::new();
-    let mut unknown = 0u64;
+    let (mut unknown, mut delta) = (0u64, false);
+    let mut stream = Stream {
+        last: HashMap::new(),
+        readable: true,
+    };
     for _ in 0..n {
         let tag = r.u8()?;
         let payload = r.block()?;
         let room = MAX_BATCH_RECORDS - records.len();
         match tag {
-            5 => samples(payload, room, &mut records)?,
+            5 => samples(payload, room, false, &mut stream, &mut records)?,
+            6 if v1_3 => samples(payload, room, true, &mut stream, &mut records)?,
             6.. => unknown += 1,
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             _ => records.push(record(tag, payload)?),
         }
+        delta |= tag == 6 && v1_3;
     }
     if !r.done() {
         return Err(bad_data("trailing bytes after batch records"));
     }
-    Ok((ExportBatch { seq, records }, unknown))
+    let values = match stream.readable {
+        true => Ok(records),
+        false => Err(bad_data("a delta whose id has no state")),
+    };
+    Ok((seq, values, unknown, delta))
 }
 
 /// The records a view lends, made owned field by field on this side of
-/// the API (not through `BatchView::to_batch`).
-fn lent_records(view: &BatchView<'_>) -> Vec<ExportRecord> {
+/// the API (not through `BatchView::to_batch`), every delta run read
+/// against `state` — which the view must have been checked against.
+fn lent_records(view: &BatchView<'_>, state: &mut ValueState) -> Vec<ExportRecord> {
     let mut out = Vec::new();
     for record in view.records() {
         match record {
@@ -1797,6 +1865,15 @@ fn lent_records(view: &BatchView<'_>) -> Vec<ExportRecord> {
                 let declared = run.len();
                 let before = out.len();
                 out.extend(run.map(|(id, t, value)| ExportRecord::Sample { id, t, value }));
+                assert_eq!(out.len() - before, declared);
+            }
+            RecordRef::SamplesDelta(run) => {
+                let declared = run.len();
+                let before = out.len();
+                out.extend(
+                    run.values(state)
+                        .map(|(id, t, value)| ExportRecord::Sample { id, t, value }),
+                );
                 assert_eq!(out.len() - before, declared);
             }
             RecordRef::Bucket {
@@ -1848,11 +1925,16 @@ fn lent_records(view: &BatchView<'_>) -> Vec<ExportRecord> {
 }
 
 /// `BatchView::parse(bytes)` against the reference decoder: the same
-/// verdict, and on `Ok` the same batch, bit for bit, three ways — the
-/// lent records, `to_batch`, and `decode_batch`.
+/// verdict on the structure; on `Ok` the same seq and counts, stateless
+/// readers refusing exactly the batches that hold a `samples_delta`
+/// record, and — read against a stream state that starts empty at the
+/// batch — the same verdict on the values and the same batch, bit for
+/// bit, three ways: the lent records, `to_batch_with`, and (for a batch
+/// a stateless reader takes) `to_batch` and `decode_batch`. A refused
+/// read leaves the state empty.
 fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
     let view = BatchView::parse(bytes);
-    let reference = reference_decode(bytes);
+    let reference = reference_decode(bytes, true);
     prop_assert_eq!(
         view.is_ok(),
         reference.is_ok(),
@@ -1860,21 +1942,41 @@ fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
         view,
         reference
     );
-    prop_assert_eq!(decode_batch(bytes).is_ok(), reference.is_ok());
-    let (Ok(view), Ok((batch, unknown))) = (view, reference) else {
+    let (Ok(view), Ok((seq, values, unknown, delta))) = (view, reference) else {
+        prop_assert!(decode_batch(bytes).is_err());
         return Ok(());
     };
-    prop_assert_eq!(view.seq(), batch.seq);
+    prop_assert_eq!(view.seq(), seq);
     prop_assert_eq!(view.unknown_records(), unknown);
-    prop_assert_eq!(view.record_count(), batch.records.len());
     prop_assert_eq!(view.as_bytes(), bytes);
-    let want = render_v1_1(&batch);
+    prop_assert_eq!(decode_batch(bytes).is_ok(), !delta);
+    prop_assert_eq!(view.to_batch().is_ok(), !delta);
+    let mut state = ValueState::new();
+    let with = view.to_batch_with(&mut state);
+    let records = match values {
+        Ok(records) => records,
+        Err(_) => {
+            prop_assert!(with.is_err());
+            prop_assert_eq!(state, ValueState::new());
+            return Ok(());
+        }
+    };
+    prop_assert_eq!(view.record_count(), records.len());
+    let want = render_v1_1(&ExportBatch { seq, records });
+    prop_assert_eq!(render_v1_1(&with.unwrap()), &want[..]);
+    let mut lent_state = ValueState::new();
+    view.check_values(&mut lent_state).unwrap();
+    prop_assert_eq!(&lent_state, &ValueState::new());
     let lent = ExportBatch {
-        seq: view.seq(),
-        records: lent_records(&view),
+        seq,
+        records: lent_records(&view, &mut lent_state),
     };
     prop_assert_eq!(render_v1_1(&lent), &want[..]);
-    prop_assert_eq!(render_v1_1(&view.to_batch()), &want[..]);
+    prop_assert_eq!(lent_state, state);
+    if !delta {
+        prop_assert_eq!(render_v1_1(&view.to_batch().unwrap()), &want[..]);
+        prop_assert_eq!(render_v1_1(&decode_batch(bytes).unwrap().0), &want[..]);
+    }
     Ok(())
 }
 
@@ -1882,19 +1984,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// One parser, one meaning. For batches of all five kinds cut into
-    /// segments rendered either way (packed runs, v1.1 records), with
-    /// unknown-kind records and hostile `samples` records (any declared
-    /// count over any bytes) spliced between the segments — and for
-    /// arbitrary byte mutations and truncations of those encodings — the
-    /// view accepts exactly what the materialising decoder accepted and
-    /// lends exactly the records it built: NaN payloads, −0.0, reserved
-    /// control codes, ids past `u32`, over-count runs and all.
+    /// segments rendered any of three ways (v1.1 records, packed runs,
+    /// delta runs coded against a state kept from the batch's start), with
+    /// unknown-kind records and hostile `samples` and `samples_delta`
+    /// records (any declared count over any bytes) spliced between the
+    /// segments — and for arbitrary byte mutations and truncations of
+    /// those encodings — the view accepts exactly what the materialising
+    /// decoder accepted and lends exactly the records it built: NaN
+    /// payloads, −0.0, reserved control codes and shapes, ids past `u32`,
+    /// deltas with no state, over-count runs and all.
     #[test]
     fn batch_view_means_what_the_materialising_decoder_meant(
         seq in any::<u64>(),
         records in mixed_records(),
-        cuts in prop::collection::vec((0usize..1000, any::<bool>(), 0u8..4), 0..6),
-        foreign in prop::collection::vec((6u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
+        cuts in prop::collection::vec((0usize..1000, 0u8..3, 0u8..4), 0..6),
+        foreign in prop::collection::vec((7u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
         hostile in prop::collection::vec(
             (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
             6..7,
@@ -1909,32 +2013,34 @@ proptest! {
             .map(|&(at, packed, splice)| (records.len() * at / 1000, packed, splice))
             .collect();
         bounds.sort_by_key(|b| b.0);
-        bounds.push((records.len(), true, 0));
+        bounds.push((records.len(), 1, 0));
         let mut body = Vec::new();
         let mut wire_records = 0u32;
         let mut from = 0;
-        for (k, &(to, packed, splice)) in bounds.iter().enumerate() {
+        let mut writer = ValueState::new();
+        for (k, &(to, rendering, splice)) in bounds.iter().enumerate() {
             let segment = ExportBatch { seq: 0, records: records[from..to].to_vec() };
             from = to;
             let mut rendered = Vec::new();
-            if packed {
-                encode_batch(&segment, &mut rendered);
-            } else {
-                rendered = render_v1_1(&segment);
+            match rendering {
+                0 => rendered = render_v1_1(&segment),
+                1 => encode_batch(&segment, &mut rendered),
+                _ => encode_batch_with(&segment, &mut writer, &mut rendered),
             }
             wire_records += u32::from_le_bytes(rendered[8..12].try_into().unwrap());
             body.extend_from_slice(&rendered[12..]);
             let (tag, payload) = match splice {
                 // A kind no revision defines: length-skipped and counted.
                 1 => (foreign[k % 6].0 as u8, foreign[k % 6].1.clone()),
-                // A `samples` record written by nobody's encoder.
-                2 => {
+                // A `samples` or `samples_delta` record written by
+                // nobody's encoder.
+                2 | 3 => {
                     let (count, shrink, bytes) = &hostile[k % 6];
                     let mut payload = Vec::new();
                     // Mostly plausible counts, sometimes absurd ones.
                     moda_telemetry::wire::put_uv(&mut payload, count >> (16 * u32::from(*shrink) + 15));
                     payload.extend_from_slice(bytes);
-                    (5, payload)
+                    (3 + splice, payload)
                 }
                 _ => continue,
             };
@@ -2036,5 +2142,83 @@ proptest! {
                 by_entry.wire_entries().collect::<Vec<_>>()
             );
         }
+    }
+}
+
+// ------------------------------------------- delta runs: one stream state
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A stream of batches coded as `samples_delta` runs reads back bit
+    /// for bit by a reader that keeps its own state from the same empty
+    /// start, the two states equal after every batch — repeats, NaN
+    /// payloads, ids past the state bound and all. What a stateless
+    /// reader makes of such a batch is `InvalidData`; what a state with
+    /// nothing behind it makes of the second batch, too, unless that
+    /// batch names only ids whose first sample in it is whole. Unwinding
+    /// the writer's state over the batches, last first, gives back each
+    /// state it was written against.
+    #[test]
+    fn delta_streams_read_back_bit_for_bit_and_unwind(
+        records in mixed_records(),
+        cuts in prop::collection::vec(0usize..1000, 1..6),
+    ) {
+        let mut bounds: Vec<usize> = cuts.iter().map(|&at| records.len() * at / 1000).collect();
+        bounds.sort_unstable();
+        bounds.push(records.len());
+        let (mut writer, mut reader) = (ValueState::new(), ValueState::new());
+        let (mut written, mut states) = (Vec::new(), vec![ValueState::new()]);
+        let mut from = 0;
+        for (seq, &to) in bounds.iter().enumerate() {
+            let batch = ExportBatch { seq: seq as u64, records: records[from..to].to_vec() };
+            from = to;
+            let mut bytes = Vec::new();
+            encode_batch_with(&batch, &mut writer, &mut bytes);
+            let (back, unknown) = decode_batch_with(&bytes, &mut reader).unwrap();
+            prop_assert_eq!(unknown, 0);
+            prop_assert_eq!(render_v1_1(&back), render_v1_1(&batch));
+            prop_assert_eq!(&reader, &writer);
+            let runs = batch.records.iter().any(|r| matches!(r, ExportRecord::Sample { .. }));
+            prop_assert_eq!(decode_batch(&bytes).is_ok(), !runs);
+            // Read against nothing: a delta with no state is refused.
+            let mut fresh = ValueState::new();
+            if decode_batch_with(&bytes, &mut fresh).is_err() {
+                prop_assert_eq!(fresh, ValueState::new());
+            }
+            written.push(bytes);
+            states.push(writer.clone());
+        }
+        for bytes in written.iter().rev() {
+            states.pop();
+            writer.unwind(bytes).unwrap();
+            prop_assert_eq!(&writer, states.last().unwrap());
+        }
+    }
+
+    /// A 1.2 reader stays in sync with a 1.3 stream: it length-skips
+    /// each `samples_delta` record, counts it as unknown, and reads
+    /// every other record as the 1.3 reader does.
+    #[test]
+    fn a_1_2_reader_length_skips_samples_delta_and_counts_it(
+        seq in any::<u64>(),
+        records in mixed_records(),
+    ) {
+        let batch = ExportBatch { seq, records };
+        let mut bytes = Vec::new();
+        encode_batch_with(&batch, &mut ValueState::new(), &mut bytes);
+        let (got_seq, kept, unknown, delta) = reference_decode(&bytes, false).unwrap();
+        let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
+        let runs = batch
+            .records
+            .iter()
+            .enumerate()
+            .filter(|&(i, r)| is_sample(r) && (i == 0 || !is_sample(&batch.records[i - 1])))
+            .count();
+        prop_assert_eq!((got_seq, unknown, delta), (seq, runs as u64, false));
+        let others: Vec<ExportRecord> =
+            batch.records.iter().filter(|r| !is_sample(r)).cloned().collect();
+        let kept = ExportBatch { seq, records: kept.unwrap() };
+        prop_assert_eq!(render_v1_1(&kept), render_v1_1(&ExportBatch { seq, records: others }));
     }
 }

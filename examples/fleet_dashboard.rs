@@ -76,8 +76,9 @@ fn main() {
         wire_records += wire.record_count();
 
         // Aggregator side: one ingest session per node stream. The
-        // bytes reported are the real `export-wire-v1.2` encoding of
-        // every batch — what a socket or the fleet log would carry.
+        // bytes reported are the real stateless `export-wire-v1.2`
+        // encoding of every batch — what a 1.2 socket would carry (a 1.3
+        // connection and the fleet log code the sample runs as deltas).
         let node = agg.add_node(&format!("node{n:02}"));
         for batch in &wire.batches {
             encoded.clear();

@@ -5,7 +5,7 @@
 //! RAII spans and counters on every hot stage (WAL fsyncs, ingest
 //! sessions, export drains, query serves), and a [`SelfScraper`] ships
 //! that registry into the fleet's reserved `__self/` namespace through
-//! the **stock** export pipeline — wire v1.2 batches, rollup planner,
+//! the **stock** export pipeline — wire v1.3 batches, rollup planner,
 //! sketch merges, durability, remote serving, zero new wire kinds for
 //! the p99 path.
 //!

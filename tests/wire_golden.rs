@@ -18,6 +18,12 @@
 //!   the same dataset as the current writer renders it (sample runs
 //!   packed into `samples` records). Decodes to the same records, and
 //!   re-encoding them reproduces the committed bytes bit-for-bit;
+//! * `tests/golden/export_wire_v1_3.bin` — the **read+write** golden of
+//!   spec revision 1.3: the same dataset as one stream of a 1.3 writer
+//!   (sample runs as `samples_delta` records, each value XOR-coded
+//!   against its metric's previous one, one value state across the
+//!   frames). Read back with a state of its own it gives the same
+//!   records, and re-encoding them reproduces the committed bytes;
 //! * `tests/golden/query_wire_v1.bin` — a recorded query-protocol v1
 //!   exchange (see `docs/FLEET_SERVICE.md`, query protocol): one
 //!   `QUERY`/`QUERY_RESP` frame pair per request kind over a
@@ -39,8 +45,8 @@ use moda::fleet::{FleetAggregator, QueryRequest, QueryResponse, Rank};
 use moda::sim::{SimDuration, SimTime};
 use moda::telemetry::export::{ExportBatch, ExportRecord, MemorySink};
 use moda::telemetry::wire::{
-    decode_batch, encode_batch, encode_record, frame_tag, read_frame, write_frame, FrameEnd,
-    WireReader,
+    decode_batch, decode_batch_with, encode_batch, encode_batch_with, encode_record, frame_tag,
+    read_frame, write_frame, FrameEnd, ValueState, WireReader,
 };
 use moda::telemetry::{
     Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
@@ -48,12 +54,15 @@ use moda::telemetry::{
 
 const GOLDEN_V1_1_PATH: &str = "tests/golden/export_wire_v1_1.bin";
 const GOLDEN_V1_2_PATH: &str = "tests/golden/export_wire_v1_2.bin";
+const GOLDEN_V1_3_PATH: &str = "tests/golden/export_wire_v1_3.bin";
 const QUERY_GOLDEN_PATH: &str = "tests/golden/query_wire_v1.bin";
 /// Frame tag carrying one encoded batch (the transport's `BATCH`).
 const TAG_BATCH: u8 = 3;
-/// The v1.1 per-observation kind and the v1.2 packed-run kind.
+/// The v1.1 per-observation kind, the v1.2 packed-run kind and the 1.3
+/// delta-run kind.
 const KIND_SAMPLE: u8 = 1;
 const KIND_SAMPLES: u8 = 5;
+const KIND_SAMPLES_DELTA: u8 = 6;
 /// A record kind no revision defines — receivers must skip it.
 const UNKNOWN_KIND: u8 = 9;
 
@@ -97,11 +106,24 @@ fn encode_batch_v1_1(batch: &ExportBatch, out: &mut Vec<u8>) {
     }
 }
 
+/// The 1.3 writer of one stream: every batch coded against the value
+/// state the batches before it left.
+fn delta_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
+    let mut state = ValueState::new();
+    move |batch, out| encode_batch_with(batch, &mut state, out)
+}
+
+/// The 1.3 reader of one stream, keeping its own value state.
+fn delta_reader() -> impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)> {
+    let mut state = ValueState::new();
+    move |bytes| decode_batch_with(bytes, &mut state)
+}
+
 /// A full golden byte stream: every dataset batch as a `BATCH` frame
 /// in the given rendering, then one hand-built frame whose batch
 /// carries a known (v1.1 `sample`) record followed by an unknown-kind
 /// record.
-fn golden_bytes(render: fn(&ExportBatch, &mut Vec<u8>)) -> Vec<u8> {
+fn golden_bytes(mut render: impl FnMut(&ExportBatch, &mut Vec<u8>)) -> Vec<u8> {
     let batches = golden_batches();
     let mut out = Vec::new();
     for batch in &batches {
@@ -128,19 +150,22 @@ fn golden_bytes(render: fn(&ExportBatch, &mut Vec<u8>)) -> Vec<u8> {
 }
 
 /// The committed stream at `rel`, pinned against the deterministic
-/// dataset in its rendering (regenerated first under `GOLDEN_REGEN`),
-/// cut into its `BATCH` frame payloads.
-fn committed_frames(rel: &str, render: fn(&ExportBatch, &mut Vec<u8>)) -> Vec<Vec<u8>> {
+/// dataset in the rendering `writer` makes a renderer of (regenerated
+/// first under `GOLDEN_REGEN`), cut into its `BATCH` frame payloads.
+fn committed_frames<R: FnMut(&ExportBatch, &mut Vec<u8>)>(
+    rel: &str,
+    writer: impl Fn() -> R,
+) -> Vec<Vec<u8>> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, golden_bytes(render)).unwrap();
+        std::fs::write(&path, golden_bytes(writer())).unwrap();
     }
     let bytes = std::fs::read(&path)
         .unwrap_or_else(|e| panic!("{rel} unreadable ({e}); generate it with GOLDEN_REGEN=1"));
     assert_eq!(
         bytes,
-        golden_bytes(render),
+        golden_bytes(writer()),
         "{rel} is no longer the deterministic dataset in its rendering; if the \
          change is an intentional spec revision, update docs/EXPORT_FORMAT.md \
          and regenerate with GOLDEN_REGEN=1"
@@ -178,16 +203,20 @@ fn wire_kinds(payload: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Reader compatibility, shared by both revisions: the dataset frames
-/// decode to exactly the dataset's records — every kind present — and
-/// the final frame's unknown record is skipped and counted while the
-/// known record beside it survives intact (the additive-kinds rule).
-fn assert_decodes_to_the_dataset(frames: &[Vec<u8>]) {
+/// Reader compatibility, shared by every revision: the dataset frames
+/// decode (`decode`, one stream's reader) to exactly the dataset's
+/// records — every kind present — and the final frame's unknown record
+/// is skipped and counted while the known record beside it survives
+/// intact (the additive-kinds rule).
+fn assert_decodes_to_the_dataset(
+    frames: &[Vec<u8>],
+    mut decode: impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)>,
+) {
     let reference = golden_batches();
     assert_eq!(frames.len(), reference.len() + 1);
     let (mut metas, mut samples, mut buckets, mut sketches, mut chunks) = (0, 0, 0, 0, 0);
     for (payload, want) in frames.iter().zip(&reference) {
-        let (batch, skipped) = decode_batch(payload).expect("dataset frame decodes");
+        let (batch, skipped) = decode(payload).expect("dataset frame decodes");
         assert_eq!(skipped, 0, "no unknown kinds in the dataset frames");
         assert_eq!(&batch, want, "record for record");
         for rec in &batch.records {
@@ -207,8 +236,7 @@ fn assert_decodes_to_the_dataset(frames: &[Vec<u8>]) {
          {sketches} sketch columns, {chunks} chunks"
     );
 
-    let (tail, skipped) =
-        decode_batch(frames.last().unwrap()).expect("unknown kinds are skippable");
+    let (tail, skipped) = decode(frames.last().unwrap()).expect("unknown kinds are skippable");
     assert_eq!(skipped, 1);
     assert_eq!(tail.seq, reference.len() as u64);
     assert_eq!(
@@ -223,8 +251,8 @@ fn assert_decodes_to_the_dataset(frames: &[Vec<u8>]) {
 
 #[test]
 fn golden_wire_stream_decodes_and_matches_the_spec() {
-    let frames = committed_frames(GOLDEN_V1_1_PATH, encode_batch_v1_1);
-    assert_decodes_to_the_dataset(&frames);
+    let frames = committed_frames(GOLDEN_V1_1_PATH, || encode_batch_v1_1);
+    assert_decodes_to_the_dataset(&frames, decode_batch);
     // A v1.1 stream never carries the packed kind.
     assert!(frames
         .iter()
@@ -233,8 +261,8 @@ fn golden_wire_stream_decodes_and_matches_the_spec() {
 
 #[test]
 fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
-    let frames = committed_frames(GOLDEN_V1_2_PATH, encode_batch);
-    assert_decodes_to_the_dataset(&frames);
+    let frames = committed_frames(GOLDEN_V1_2_PATH, || encode_batch);
+    assert_decodes_to_the_dataset(&frames, decode_batch);
     // Writer stability: what the reader decoded, the current writer
     // renders back to the committed bytes — with every sample in a
     // packed run, none as a v1.1 `sample` record.
@@ -254,6 +282,37 @@ fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
     let v1_1 = golden_bytes(encode_batch_v1_1).len();
     let v1_2 = golden_bytes(encode_batch).len();
     assert!(v1_2 < v1_1, "v1.2 {v1_2} B vs v1.1 {v1_1} B");
+}
+
+#[test]
+fn golden_v1_3_stream_decodes_and_reencodes_bit_identically() {
+    let frames = committed_frames(GOLDEN_V1_3_PATH, delta_writer);
+    assert_decodes_to_the_dataset(&frames, delta_reader());
+    // Writer stability: what a 1.3 reader decoded, a 1.3 writer renders
+    // back to the committed bytes — every sample in a delta run, none
+    // packed whole or as a v1.1 `sample` record.
+    let dataset = &frames[..frames.len() - 1];
+    let (mut read, mut write) = (delta_reader(), delta_writer());
+    let mut delta_runs = 0;
+    for payload in dataset {
+        let (batch, _) = read(payload).unwrap();
+        let mut again = Vec::new();
+        write(&batch, &mut again);
+        assert_eq!(&again, payload, "re-encode identity");
+        let kinds = wire_kinds(payload);
+        assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
+        delta_runs += kinds.iter().filter(|&&k| k == KIND_SAMPLES_DELTA).count();
+        // A reader that keeps no state refuses the batch, whole.
+        assert_eq!(
+            decode_batch(payload).is_err(),
+            kinds.contains(&KIND_SAMPLES_DELTA)
+        );
+    }
+    assert!(delta_runs > 0, "the stream carries `samples_delta` records");
+    // The smallest rendering of the three.
+    let v1_2 = golden_bytes(encode_batch).len();
+    let v1_3 = golden_bytes(delta_writer()).len();
+    assert!(v1_3 < v1_2, "v1.3 {v1_3} B vs v1.2 {v1_2} B");
 }
 
 // ------------------------------------------------------ query protocol

@@ -92,6 +92,7 @@ use moda_telemetry::wire::{encode_batch_with, BatchView};
 use moda_telemetry::DrainStats;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 use wal::{Entry, Wal};
@@ -180,7 +181,15 @@ pub struct DurableFleet {
     snapshot_ns: LatencyRecorder,
     /// `snapshot.cut_ns` — how long a snapshot held the fleet.
     cut_ns: LatencyRecorder,
+    /// Per node, the token of the connection that carries its stream
+    /// ([`DurableFleet::connect`]); 0, or no entry, when none does.
+    connections: Vec<u64>,
 }
+
+/// Connection tokens, unique in the process: a session never mistakes
+/// another fleet's stream — one recovered in its fleet's place — for
+/// its own.
+static NEXT_CONNECTION: AtomicU64 = AtomicU64::new(1);
 
 /// The write of a rotation (step 2 of the module docs): `image`
 /// replaces `snapshot.bin`, and comes back to be the next image's
@@ -283,30 +292,64 @@ impl DurableFleet {
             cut_batches: 0,
             snapshot_ns: LatencyRecorder::default(),
             cut_ns: LatencyRecorder::default(),
+            connections: Vec::new(),
         }
     }
 
     // ----- mutations (log, commit, then apply) --------------------------
 
-    /// Open a node's ingest session — a new connection: a name not seen
-    /// before is registered, a known one keeps its cursor, mappings and
-    /// data, and either way the stream's value state starts empty
+    /// Open a node's stream: a name not seen before is registered, a
+    /// known one keeps its cursor, mappings and data, and either way the
+    /// stream's value state starts empty
     /// ([`FleetAggregator::restart_stream`]). Logged every time, so
     /// recovery rebuilds the node table in registration order and resets
-    /// each stream where it was reset.
+    /// each stream where it was reset. The stream is the caller's from
+    /// here: a connection that carried it no longer does.
     pub fn add_node(&mut self, name: &str) -> io::Result<NodeId> {
+        self.hand_stream(name, 0)
+    }
+
+    /// [`DurableFleet::add_node`] for a new connection, which from here
+    /// carries the node's stream: returns the node and the connection's
+    /// token. An older connection of the node no longer carries it — its
+    /// batches were coded against a state the reset just dropped.
+    pub(crate) fn connect(&mut self, name: &str) -> io::Result<(NodeId, u64)> {
+        let token = NEXT_CONNECTION.fetch_add(1, Ordering::Relaxed);
+        Ok((self.hand_stream(name, token)?, token))
+    }
+
+    /// Whether the connection `token` names still carries `node`'s
+    /// stream: no other connection has opened it since, and no batch of
+    /// [`DurableFleet::ingest`] has been coded into it. A session checks
+    /// this under the lock before each burst and ends if it does not.
+    pub(crate) fn carries(&self, node: NodeId, token: u64) -> bool {
+        self.connections.get(node.index()) == Some(&token)
+    }
+
+    /// Log the reset, reset, and hand `name`'s stream to `token`.
+    fn hand_stream(&mut self, name: &str, token: u64) -> io::Result<NodeId> {
         self.wal.append(Entry::Node(name))?;
         self.wal.commit()?;
-        Ok(wal::open_stream(&mut self.agg, name))
+        let node = wal::open_stream(&mut self.agg, name);
+        if self.connections.len() <= node.index() {
+            self.connections.resize(node.index() + 1, 0);
+        }
+        self.connections[node.index()] = token;
+        Ok(node)
     }
 
     /// Ingest one batch durably: append its encoding to the log, commit,
     /// then apply — returning means flushed. The batch is logged as a
     /// 1.3 writer on `node`'s stream sends it, its sample runs coded
-    /// against the stream's value state. Cuts a snapshot (written off
-    /// this call; see the module docs) every
-    /// [`DurabilityConfig::snapshot_every_batches`] applied batches.
+    /// against the stream's value state — which a connection that
+    /// carried the stream no longer shares, so it no longer carries it.
+    /// Cuts a snapshot (written off this call; see the module docs)
+    /// every [`DurabilityConfig::snapshot_every_batches`] applied
+    /// batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
+        if let Some(token) = self.connections.get_mut(node.index()) {
+            *token = 0;
+        }
         self.frame_buf.clear();
         let values = self.agg.stream_values_mut(node);
         encode_batch_with(batch, values, &mut self.frame_buf);

@@ -28,8 +28,9 @@ enum Role {
     /// No hello yet.
     #[default]
     Pending,
-    /// Ingest session for one registered node.
-    Ingest(NodeId),
+    /// Ingest session for one registered node, on the connection the
+    /// token names ([`DurableFleet::connect`]).
+    Ingest(NodeId, u64),
     /// Authenticated read-only query session.
     Query,
 }
@@ -66,9 +67,9 @@ impl Session {
     ) -> io::Result<()> {
         self.frames.extend(received);
         loop {
-            if let Role::Ingest(node) = self.role {
+            if let Role::Ingest(node, token) = self.role {
                 // Every complete frame the buffer holds, as one burst.
-                let taken = self.ingest_burst(&shared.fleet, node);
+                let taken = self.ingest_burst(&shared.fleet, node, token);
                 for cursor in self.cursors.drain(..) {
                     write_frame(out, frame_tag::ACK, &cursor.to_le_bytes())?;
                 }
@@ -95,10 +96,11 @@ impl Session {
                         let name = r.str()?;
                         let next_seq = if admitted {
                             // A new connection: the node's stream value
-                            // state starts empty, here and in the log.
+                            // state starts empty, here and in the log,
+                            // and the stream is this connection's.
                             let mut fleet = shared.fleet.lock().unwrap();
-                            let node = fleet.add_node(&name)?;
-                            self.role = Role::Ingest(node);
+                            let (node, token) = fleet.connect(&name)?;
+                            self.role = Role::Ingest(node, token);
                             fleet.next_seq(node)
                         } else {
                             0
@@ -162,13 +164,29 @@ impl Session {
     /// the burst and the session: frames before it are committed and
     /// acknowledged, the failing frame leaves no trace. If the flush
     /// itself fails nothing of the burst is acknowledged.
-    fn ingest_burst(&mut self, fleet: &Mutex<DurableFleet>, node: NodeId) -> io::Result<()> {
+    ///
+    /// A connection that no longer carries the node's stream — a newer
+    /// one has said hello since, or in-process ingest has coded into it —
+    /// takes nothing: its frames were coded against a state that is gone.
+    /// The burst is refused whole and the session ends.
+    fn ingest_burst(
+        &mut self,
+        fleet: &Mutex<DurableFleet>,
+        node: NodeId,
+        token: u64,
+    ) -> io::Result<()> {
         let corrupt = |_| bad_data("corrupt frame on ingest connection");
         // An idle session must not take the lock just to find nothing.
         let Some(mut frame) = self.frames.next_frame().map_err(corrupt)? else {
             return Ok(());
         };
         let mut fleet = fleet.lock().unwrap();
+        if !fleet.carries(node, token) {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "a newer connection carries the node's stream",
+            ));
+        }
         let mut burst = fleet.burst();
         let taken = loop {
             let (tag, payload) = frame;
@@ -455,7 +473,7 @@ mod tests {
             let mut acks = Vec::new();
             let mut session = Session::default();
             session.receive(&frame, &shared, &mut acks).unwrap();
-            assert!(matches!(session.role, Role::Ingest(_)), "{trailer:?}");
+            assert!(matches!(session.role, Role::Ingest(..)), "{trailer:?}");
             let mut frames = FrameBuffer::new();
             frames.extend(&acks);
             let (tag, ack) = frames.next_frame().unwrap().unwrap();
@@ -664,6 +682,88 @@ mod tests {
         payload
     }
 
+    /// `batches` as `BATCH` frames a 1.3 sender standing at `sender`
+    /// writes.
+    fn delta_frames(batches: &[ExportBatch], sender: &mut ValueState) -> Vec<u8> {
+        let mut frames = Vec::new();
+        for batch in batches {
+            write_frame(&mut frames, frame_tag::BATCH, &render(batch, sender, 0)).unwrap();
+        }
+        frames
+    }
+
+    /// One node's stream written by whoever last opened it, and by no
+    /// one else. Connection A's batches 10..15 wait in its socket buffer
+    /// while B, its reconnect, says hello and re-sends them from an empty
+    /// state; A's copies, read last, are refused — taken, their XORs
+    /// would have walked the state off what B codes against. Then an
+    /// in-process `ingest` codes batch 20 into the stream, and B's next
+    /// frame is refused the same way; C says hello and finishes. The
+    /// fleet ends as the one that took every batch once, live and
+    /// recovered, its state what C's sender holds.
+    #[test]
+    fn a_connection_whose_stream_was_opened_again_takes_nothing() {
+        let batches = sweep_batches(30, 6);
+        let mut reference = crate::FleetAggregator::new();
+        let node = reference.add_node("node00");
+        for batch in &batches {
+            reference.ingest(node, batch);
+        }
+        let (dir, shared) = open_shared("stale_connection", DurabilityConfig::default());
+        let aborted = |res: io::Result<()>| {
+            assert_eq!(res.unwrap_err().kind(), io::ErrorKind::ConnectionAborted);
+        };
+        let stream_of = |shared: &Shared| {
+            let fleet = shared.fleet.lock().unwrap();
+            let values = fleet.aggregator().stream_values(node).clone();
+            (fleet.next_seq(node), values)
+        };
+
+        let (mut a, mut a_sender) = (Session::default(), ValueState::new());
+        let mut opened = hello_frame("node00", "tok");
+        opened.extend(delta_frames(&batches[..10], &mut a_sender));
+        a.receive(&opened, &shared, &mut Vec::new()).unwrap();
+        let a_stalled = delta_frames(&batches[10..15], &mut a_sender);
+
+        let (mut b, mut b_sender) = (Session::default(), ValueState::new());
+        let mut reopened = hello_frame("node00", "tok");
+        reopened.extend(delta_frames(&batches[10..15], &mut b_sender));
+        b.receive(&reopened, &shared, &mut Vec::new()).unwrap();
+        assert_eq!(stream_of(&shared), (15, b_sender.clone()));
+        aborted(a.receive(&a_stalled, &shared, &mut Vec::new()));
+        assert_eq!(stream_of(&shared), (15, b_sender.clone()), "A's copies");
+
+        let frames = delta_frames(&batches[15..20], &mut b_sender);
+        b.receive(&frames, &shared, &mut Vec::new()).unwrap();
+        shared
+            .fleet
+            .lock()
+            .unwrap()
+            .ingest(node, &batches[20])
+            .unwrap();
+        let frames = delta_frames(&batches[20..22], &mut b_sender);
+        aborted(b.receive(&frames, &shared, &mut Vec::new()));
+        assert_eq!(stream_of(&shared).0, 21, "B after the in-process batch");
+
+        let (mut c, mut c_sender) = (Session::default(), ValueState::new());
+        let mut last = hello_frame("node00", "tok");
+        last.extend(delta_frames(&batches[21..], &mut c_sender));
+        c.receive(&last, &shared, &mut Vec::new()).unwrap();
+        assert_eq!(stream_of(&shared), (30, c_sender));
+
+        let want = raw_answers(&reference);
+        let mut fleet = shared.fleet.lock().unwrap();
+        fleet.settle().unwrap();
+        assert!(raw_answers(fleet.aggregator()) == want, "the live fleet");
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert!(
+            raw_answers(recovered.aggregator()) == want,
+            "the recovered fleet"
+        );
+        drop((recovered, fleet));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Everything an observer of one ended session can see.
     #[derive(Debug, PartialEq)]
     struct Outcome {
@@ -694,7 +794,7 @@ mod tests {
         let mut ended = Ok(());
         let mut from = 0;
         for &to in cuts.iter().chain([&stream.len()]) {
-            let ingesting = matches!(session.role, Role::Ingest(_));
+            let ingesting = matches!(session.role, Role::Ingest(..));
             let mut out = CrashCopy::new(&dir, &copy_tag);
             let res = session.receive(&stream[from..to], &shared, &mut out);
             from = to;
@@ -810,8 +910,12 @@ mod tests {
         /// fleet's cursor ahead, its batches duplicates the session walks
         /// — and codes its batches from an empty state; it ends cleanly,
         /// with its last batch torn off mid-frame (a failed write, sent
-        /// again on the next connection), or with the fleet killed
-        /// between two of its batches and recovered from its directory.
+        /// again on the next connection), with the fleet killed between
+        /// two of its batches and recovered from its directory, or
+        /// stalled: the frames after some point stay in its socket buffer
+        /// and reach its session only after the next connection's have
+        /// been taken — a newer connection carries the stream by then,
+        /// so they are refused and change nothing.
         #[test]
         fn a_delta_stream_over_dropped_connections_ends_as_the_uninterrupted_fleet(
             seed in any::<u64>(),
@@ -830,6 +934,20 @@ mod tests {
             let cfg = DurabilityConfig { snapshot_every_batches: snapshot_every };
             let (dir, shared) = open_shared(&format!("dropped_{case}"), cfg);
             let (mut acked, mut connections) = (0usize, 0);
+            // A stalled connection's session and the bytes it has yet to
+            // receive.
+            let mut stalled: Option<(Session, Vec<u8>)> = None;
+            let feed_stalled = |stalled: &mut Option<(Session, Vec<u8>)>| -> Result<(), TestCaseError> {
+                if let Some((mut session, held)) = stalled.take() {
+                    let taken = session.receive(&held, &shared, &mut Vec::new());
+                    if held.is_empty() {
+                        prop_assert!(taken.is_ok());
+                    } else {
+                        prop_assert_eq!(taken.unwrap_err().kind(), io::ErrorKind::ConnectionAborted);
+                    }
+                }
+                Ok(())
+            };
             while acked < batches.len() {
                 connections += 1;
                 prop_assert!(connections < 200, "no progress");
@@ -837,23 +955,35 @@ mod tests {
                 // runs into batches the fleet has not taken.
                 let start = if rng.below(5) == 0 { 0 } else { acked };
                 let end = (acked + 1 + rng.below(8) as usize).min(batches.len());
-                let ending = rng.below(3);
+                let ending = rng.below(4);
                 let mut sender = ValueState::new();
                 // The sender's state after the last frame the fleet takes.
                 let mut taken = ValueState::new();
                 let mut stream = hello_frame("node00", "tok");
+                // Where each frame ends, and the sender's state there.
+                let mut ends = vec![(stream.len(), ValueState::new())];
                 let mut last_frame = 0;
                 for (i, batch) in batches[start..end].iter().enumerate() {
                     last_frame = stream.len();
                     write_frame(&mut stream, frame_tag::BATCH, &render(batch, &mut sender, 0)).unwrap();
+                    ends.push((stream.len(), sender.clone()));
                     if ending != 1 || start + i + 1 < end {
                         taken = sender.clone();
                     }
                 }
-                if ending == 1 {
-                    // The last frame only partly written.
-                    let last = (stream.len() - last_frame) as u64;
-                    stream.truncate(last_frame + rng.below(last) as usize);
+                let mut held = Vec::new();
+                match ending {
+                    1 => {
+                        // The last frame only partly written.
+                        let last = (stream.len() - last_frame) as u64;
+                        stream.truncate(last_frame + rng.below(last) as usize);
+                    }
+                    3 => {
+                        let (cut, state) = ends.swap_remove(rng.below(ends.len() as u64) as usize);
+                        held = stream.split_off(cut);
+                        taken = state;
+                    }
+                    _ => {}
                 }
                 let mut session = Session::default();
                 let mut from = 0;
@@ -864,6 +994,11 @@ mod tests {
                 for &to in cuts.iter().chain([&stream.len()]) {
                     session.receive(&stream[from..to], &shared, &mut Vec::new()).unwrap();
                     from = to;
+                }
+                // The last connection's stalled frames, at last.
+                feed_stalled(&mut stalled)?;
+                if ending == 3 {
+                    stalled = Some((session, held));
                 }
                 let mut fleet = shared.fleet.lock().unwrap();
                 acked = fleet.next_seq(node) as usize;
@@ -879,6 +1014,7 @@ mod tests {
                     *fleet = recovered;
                 }
             }
+            feed_stalled(&mut stalled)?;
             let mut fleet = shared.fleet.lock().unwrap();
             fleet.settle().unwrap();
             let want = raw_answers(&reference);

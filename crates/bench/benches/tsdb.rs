@@ -301,7 +301,7 @@ fn bench_export(c: &mut Criterion) {
         for batch in &sink.batches {
             agg.ingest(node, batch);
         }
-        agg.store().stats().samples
+        agg.counters(node).samples
     };
     assert_eq!(pipeline(), DAY_S, "the pipeline is lossless");
     g.sample_size(10);

@@ -29,16 +29,14 @@
 //!   arrived; an overlapping re-ship falls back to per-sample pushes so
 //!   the monotonic guard keeps exact duplicate accounting, and a record
 //!   whose payload is undecodable, empty, or ends elsewhere than its
-//!   header says is dropped whole and counted — by the session and by
-//!   the store alike — without moving the node's high-water mark.
+//!   header says is dropped whole and counted without moving the node's
+//!   high-water mark.
 //!
 //! Health ([`FleetAggregator::health`]) classifies each node by **drain
 //! lag** — how far the node's newest ingested data sits behind a
-//! reference clock — and folds in the out-of-band
-//! [`DrainStats`] a co-located exporter reports
-//! ([`FleetAggregator::report_drain`]), so missed/evicted node-side
-//! accounting surfaces at the fleet level next to the wire-level
-//! duplicate/gap/orphan counters.
+//! reference clock — and carries the exporter totals the node last
+//! reported ([`FleetAggregator::report_drain`]), which its session's
+//! counters balance in one [`Ledger`] ([`NodeHealth::ledger`]).
 
 use crate::store::{ChunkOutcome, FleetStore, NodeId};
 use moda_obs::{LatencyRecorder, Obs};
@@ -130,13 +128,34 @@ impl NodeCounters {
     }
 }
 
+/// Per record kind, what a node's last drain report says its exporter
+/// shipped minus what its session applied or counted as refused
+/// ([`NodeHealth::ledger`]). Above zero: shipped and never accounted for
+/// — lost between exporter and fleet, or still in flight. Below zero:
+/// the session holds more than the report covers (a report not sent
+/// yet, or a restarted exporter's, whose totals start again from zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Batches − applied (a duplicate re-delivers an applied one).
+    pub batches: i64,
+    /// Records − applied, corrupt, orphan and unmapped.
+    pub records: i64,
+    /// Raw samples − accepted and rejected.
+    pub samples: i64,
+    /// Chunk records − applied and corrupt.
+    pub chunks: i64,
+    /// Sealed buckets − applied.
+    pub buckets: i64,
+    /// Sketch columns − applied and orphan.
+    pub sketch_entries: i64,
+}
+
 /// What one [`FleetAggregator::ingest`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
-    /// The batch was applied (false: rejected as a duplicate).
+    /// The batch was applied (false: a duplicate, `seq` below the
+    /// cursor).
     pub applied: bool,
-    /// The batch was a duplicate (`seq` below the cursor).
-    pub duplicate: bool,
     /// Batches skipped between the cursor and this batch's `seq`.
     pub gap: u64,
     /// Records applied from this batch.
@@ -171,12 +190,28 @@ pub struct NodeHealth {
     pub drain_lag: SimDuration,
     /// Classification of that lag.
     pub liveness: NodeLiveness,
-    /// Node-side exporter totals reported out-of-band
+    /// Node-side exporter totals last reported out-of-band
     /// ([`FleetAggregator::report_drain`]); zero when never reported.
-    /// `missed_samples`/`missed_buckets` here are the node-side
-    /// eviction-before-export counters — the fleet's view of telemetry
-    /// the wire never carried.
+    /// Its `missed_*` counts are telemetry the wire never carried.
     pub drain: DrainStats,
+}
+
+impl NodeHealth {
+    /// This node's [`Ledger`] — the same from a remote `Health` answer:
+    /// the one place the identity between the two ends is written down.
+    pub fn ledger(&self) -> Ledger {
+        let (drain, c) = (&self.drain, &self.counters);
+        let d = |shipped: u64, accounted: u64| shipped as i64 - accounted as i64;
+        let refused = c.corrupt_chunks + c.orphan_sketches + c.unmapped_records;
+        Ledger {
+            batches: d(drain.batches, c.batches),
+            records: d(drain.records, c.records + refused),
+            samples: d(drain.samples, c.samples + c.rejected_samples),
+            chunks: d(drain.chunks, c.chunks + c.corrupt_chunks),
+            buckets: d(drain.buckets, c.buckets),
+            sketch_entries: d(drain.sketch_entries, c.sketch_entries + c.orphan_sketches),
+        }
+    }
 }
 
 /// Liveness-classification policy for [`FleetAggregator::health_with`]
@@ -415,12 +450,12 @@ impl FleetAggregator {
         self.sessions[node.index()].drain
     }
 
-    /// Fold a co-located node exporter's [`DrainStats`] into the node's
-    /// health (out-of-band: the wire itself does not carry drain
-    /// accounting). Call with per-drain stats (accumulates) or once
-    /// with `Exporter::totals` — the fleet keeps the running sum.
+    /// Take a node exporter's lifetime totals (`Exporter::totals`) as
+    /// the node's drain report, out-of-band: the wire itself does not
+    /// carry drain accounting. A report replaces the one before, so a
+    /// report delivered twice counts once.
     pub fn report_drain(&mut self, node: NodeId, stats: &DrainStats) {
-        self.sessions[node.index()].drain.merge(stats);
+        self.sessions[node.index()].drain = *stats;
     }
 
     /// Ingest one wire batch from `node`'s stream. Returns what
@@ -466,7 +501,6 @@ impl FleetAggregator {
         let mut report = IngestReport::default();
         if seq < session.next_seq {
             session.counters.duplicate_batches += 1;
-            report.duplicate = true;
             // Not applied — but its values are the stream's, and the
             // batch after it is coded against them.
             for r in records {
@@ -802,7 +836,7 @@ mod tests {
         let db1 = node_db(200, 100.0);
         for b in batches_of(&db0, 64) {
             let r = agg.ingest(n0, &b);
-            assert!(r.applied && !r.duplicate && r.gap == 0);
+            assert!(r.applied && r.gap == 0);
         }
         for b in batches_of(&db1, 64) {
             agg.ingest(n1, &b);
@@ -845,7 +879,6 @@ mod tests {
         assert_eq!(c.samples, 1500, "chunk-decoded + per-sample tail");
         assert_eq!(c.rejected_samples, 0);
         assert_eq!(c.corrupt_chunks, 0);
-        assert_eq!(agg.store().stats().corrupt_chunks, 0);
         assert_eq!(agg.observed_now(), SimTime::from_secs(1499));
         // The decoded samples are bit-identical to the node's.
         let id = agg.store().lookup("node00/m").unwrap();
@@ -879,7 +912,6 @@ mod tests {
         };
         agg.ingest(n, &bad);
         assert_eq!(agg.counters(n).corrupt_chunks, 1);
-        assert_eq!(agg.store().stats().corrupt_chunks, 1);
         assert_eq!(agg.store().raw(id).len(), 1501, "store untouched");
     }
 
@@ -931,7 +963,6 @@ mod tests {
             },
         );
         assert_eq!(agg.counters(liar).corrupt_chunks, 1);
-        assert_eq!(agg.store().stats().corrupt_chunks, 1);
         assert_eq!(agg.counters(liar).samples, 100, "dropped whole");
         assert_eq!(agg.observed_now(), SimTime::from_secs(99));
         let h = agg.health(agg.observed_now(), SimDuration::from_secs(60));
@@ -939,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn session_and_store_agree_on_corrupt_chunks_over_a_mangled_stream() {
+    fn a_mangled_stream_counts_each_corrupt_chunk_once() {
         let mut agg = FleetAggregator::new();
         let n = mapped_session(&mut agg, "node00");
         let mangle = |record: ExportRecord, f: &dyn Fn(&mut u32, &mut Vec<u8>)| {
@@ -986,16 +1017,12 @@ mod tests {
                 },
             );
             corrupt += agg.counters(n).corrupt_chunks - before;
-            assert_eq!(
-                agg.counters(n).corrupt_chunks,
-                agg.store().stats().corrupt_chunks,
-                "record {i}"
-            );
         }
         assert_eq!(corrupt, 4);
         assert_eq!(agg.counters(n).chunks, 2);
         assert_eq!(agg.counters(n).samples, 300);
-        assert_eq!(agg.counters(n).samples, agg.store().stats().samples);
+        let id = agg.store().lookup("node00/m").unwrap();
+        assert_eq!(agg.store().raw(id).len(), 300);
         assert_eq!(agg.observed_now(), SimTime::from_secs(299));
     }
 
@@ -1011,7 +1038,7 @@ mod tests {
         let samples_before = agg.counters(n).samples;
         // Replay of an already-covered batch: rejected, nothing applied.
         let r = agg.ingest(n, &batches[1]);
-        assert!(!r.applied && r.duplicate);
+        assert!(!r.applied);
         assert_eq!(agg.counters(n).samples, samples_before);
         assert_eq!(agg.counters(n).duplicate_batches, 1);
         // A forward jump is accepted and the missing range counted.
@@ -1033,7 +1060,7 @@ mod tests {
                 records: vec![],
             },
         );
-        assert!(r.applied && !r.duplicate);
+        assert!(r.applied);
 
         // A batch that arrives after a later one is lost, and counted:
         // batch 2 opens a gap of one, late batch 1 bounces as a duplicate.
@@ -1041,7 +1068,7 @@ mod tests {
         assert_eq!(agg.ingest(late, &batches[0]).gap, 0);
         assert_eq!(agg.ingest(late, &batches[2]).gap, 1);
         let r = agg.ingest(late, &batches[1]);
-        assert!(!r.applied && r.duplicate);
+        assert!(!r.applied);
         let c = agg.counters(late);
         assert_eq!((c.gaps, c.missing_batches, c.duplicate_batches), (1, 1, 1));
         let carried = |b: &ExportBatch| -> u64 {
@@ -1056,6 +1083,52 @@ mod tests {
         };
         assert!(carried(&batches[1]) > 0, "the lost batch carries samples");
         assert_eq!(c.samples, carried(&batches[0]) + carried(&batches[2]));
+    }
+
+    /// A stream taken whole balances, a re-delivered batch and a report
+    /// sent twice included; a stream that lost a batch owes exactly what
+    /// that batch carried.
+    #[test]
+    fn the_ledger_balances_a_whole_stream_and_owes_a_lost_batch() {
+        let mut sink = MemorySink::new();
+        let mut exporter = Exporter::new().with_batch_records(64);
+        exporter.drain(&node_db(300, 0.0), &mut sink).unwrap();
+        let totals = exporter.totals();
+        let mut agg = FleetAggregator::new();
+        let whole = agg.add_node("whole");
+        let lossy = agg.add_node("lossy");
+        let lost = &sink.batches[2];
+        for b in &sink.batches {
+            agg.ingest(whole, b);
+            if b.seq != lost.seq {
+                agg.ingest(lossy, b);
+            }
+        }
+        agg.ingest(whole, &sink.batches[0]);
+        for node in [whole, lossy] {
+            agg.report_drain(node, &totals);
+            agg.report_drain(node, &totals);
+        }
+        assert_eq!(agg.drain_stats(whole), totals);
+        let h = agg.health(agg.observed_now(), SimDuration::from_secs(60));
+        assert_eq!(h.nodes[whole.index()].ledger(), Ledger::default());
+        let carried = |kind: fn(&ExportRecord) -> u64| -> i64 {
+            lost.records.iter().map(kind).sum::<u64>() as i64
+        };
+        let owed = Ledger {
+            batches: 1,
+            records: lost.records.len() as i64,
+            samples: carried(|r| match r {
+                ExportRecord::Sample { .. } => 1,
+                ExportRecord::Chunk { count, .. } => u64::from(*count),
+                _ => 0,
+            }),
+            chunks: carried(|r| matches!(r, ExportRecord::Chunk { .. }) as u64),
+            buckets: carried(|r| matches!(r, ExportRecord::Bucket { .. }) as u64),
+            sketch_entries: carried(|r| matches!(r, ExportRecord::Sketch { .. }) as u64),
+        };
+        assert!(owed.records > 0, "{owed:?}");
+        assert_eq!(h.nodes[lossy.index()].ledger(), owed);
     }
 
     #[test]

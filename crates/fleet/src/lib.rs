@@ -119,8 +119,8 @@ pub mod store;
 pub mod transport;
 
 pub use aggregator::{
-    FleetAggregator, FleetHealth, HealthPolicy, HealthTransition, IngestReport, NodeCounters,
-    NodeHealth, NodeLiveness,
+    FleetAggregator, FleetHealth, HealthPolicy, HealthTransition, IngestReport, Ledger,
+    NodeCounters, NodeHealth, NodeLiveness,
 };
 pub use control::{
     ActionTarget, AuditSummary, Bound, ControlConfig, ControlEvent, ControlEventKind, ControlLog,

@@ -139,11 +139,6 @@ pub struct RecoveryStats {
     /// Fully-present log frames discarded for CRC mismatch (corruption
     /// rather than truncation); everything after them is dropped too.
     pub corrupt_frames: u64,
-    /// Records in replayed batches whose kind this reader does not know
-    /// (a log written by a newer build): length-skipped, so whatever
-    /// they carried is not in the recovered state. Replay counts them in
-    /// [`FleetAggregator::unknown_records`] too, like any ingest.
-    pub unknown_records: u64,
 }
 
 // ------------------------------------------------------- durable fleet
@@ -860,7 +855,7 @@ mod tests {
         // Re-delivering covered batches bounces off the duplicate guard…
         for batch in &stream[..2.min(split)] {
             let report = recovered.ingest(node, batch).unwrap();
-            assert!(report.duplicate);
+            assert!(!report.applied);
         }
         // …and the stream resumes from the persisted cursor.
         for batch in &stream[split..] {
@@ -917,8 +912,7 @@ mod tests {
 
         let mut recovered = DurableFleet::recover(&dir).unwrap();
         let rec = *recovered.recovery();
-        assert_eq!((rec.replayed_batches, rec.unknown_records), (1, 1));
-        assert_eq!(rec.corrupt_frames, 0);
+        assert_eq!((rec.replayed_batches, rec.corrupt_frames), (1, 0));
         assert_eq!(recovered.aggregator().unknown_records(), 1);
         // The count has one home: attaching the same registry twice —
         // `set_obs`, then the scraper's own — reads it once, not twice.

@@ -300,7 +300,9 @@ fn write_metric(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
 /// spec:
 ///
 /// ```text
-/// epoch u64 · raw_retention u64 · store counters 7×u64
+/// epoch u64 · raw_retention u64 · store counters 4×u64 · the
+///   sessions' samples, rejected_samples and corrupt_chunks sums 3×u64
+///   (skipped on load)
 /// session count u32 · per session:
 ///   name · next_seq u64 · wire_map u32-len + u32 entries (MAX=None)
 ///   counters 13×u64 · high_water u64 · ever_ingested u8 · drain block
@@ -360,18 +362,20 @@ fn encode_payload(
     put_u64(out, epoch);
     put_u64(out, store.raw_retention() as u64);
     let stats = store.stats();
+    let sessions = agg.sessions();
+    // Three slots the store's own ingest tallies held: the sessions' sums.
+    let sum = |count: fn(&NodeCounters) -> u64| sessions.iter().map(|s| count(&s.counters)).sum();
     for v in [
         stats.rollup_hits,
         stats.sketch_hits,
         stats.raw_fallbacks,
         stats.raw_values_read,
-        stats.samples,
-        stats.rejected_samples,
-        stats.corrupt_chunks,
+        sum(|c| c.samples),
+        sum(|c| c.rejected_samples),
+        sum(|c| c.corrupt_chunks),
     ] {
         put_u64(out, v);
     }
-    let sessions = agg.sessions();
     put_u32(out, sessions.len() as u32);
     for s in sessions {
         put_str(out, &s.name);
@@ -434,11 +438,9 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
         sketch_hits: r.u64()?,
         raw_fallbacks: r.u64()?,
         raw_values_read: r.u64()?,
-        samples: r.u64()?,
-        rejected_samples: r.u64()?,
-        corrupt_chunks: r.u64()?,
     };
-    // Sessions first: metric registration needs node names.
+    r.take(24)?; // the sessions' ingest sums: each session has its own
+                 // Sessions first: metric registration needs node names.
     let n_sessions = r.u32()? as usize;
     let mut sessions = Vec::with_capacity(n_sessions);
     for _ in 0..n_sessions {
@@ -496,7 +498,6 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
     if !r.done() {
         return Err(bad_data("trailing bytes in snapshot"));
     }
-    // Counters last: the content restore above bumped them.
     store.restore_stats(&stats);
     let mut agg = FleetAggregator::with_store(store);
     *agg.sessions_mut() = sessions;
@@ -507,7 +508,7 @@ pub(crate) fn decode(bytes: &[u8]) -> io::Result<(FleetAggregator, u64)> {
 /// order, so each chunk relinks whole and each tail sample is kept:
 /// anything else is damage the CRC could not see — a writer's bug — and
 /// loading past it would lose samples without a trace, since the
-/// counters are overwritten at the end of [`decode`].
+/// sessions' counters are restored from the image, not recounted.
 fn read_raw_section(
     store: &mut FleetStore,
     id: MetricId,

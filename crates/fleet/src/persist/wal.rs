@@ -110,12 +110,11 @@ impl<'a> Entry<'a> {
             Entry::Batch(node, batch) => {
                 // Validated, checked against the stream's values and
                 // applied where the log sits in memory. What the view
-                // skips the aggregator counts; recovery reports it too.
+                // skips the aggregator counts.
                 let view = BatchView::parse(batch)?;
                 let report = agg.ingest_view(node, &view)?;
-                stats.unknown_records += view.unknown_records();
                 stats.replayed_batches += 1;
-                stats.replayed_duplicates += u64::from(report.duplicate);
+                stats.replayed_duplicates += u64::from(!report.applied);
             }
             Entry::Drain(node, drain) => {
                 agg.report_drain(node, &drain);
@@ -352,7 +351,7 @@ mod tests {
                         }
                     }
                     stats.replayed_batches += 1;
-                    stats.replayed_duplicates += u64::from(report.duplicate);
+                    stats.replayed_duplicates += u64::from(!report.applied);
                 }
                 Logged::Drain(node, drain) => {
                     agg.report_drain(*node, drain);

@@ -27,12 +27,12 @@
 //! and surface in the *next* scrape. That lag is inherent (and
 //! harmless: counters are cumulative, latency samples are batched).
 
-use crate::aggregator::{FleetAggregator, NodeCounters};
+use crate::aggregator::{FleetAggregator, Ledger, NodeCounters};
 use crate::persist::DurableFleet;
 use crate::store::NodeId;
 use moda_obs::scrape::write_reading;
 use moda_obs::{LatencyRecorder, Obs};
-use moda_sim::SimTime;
+use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::MemorySink;
 use moda_telemetry::{DrainStats, Exporter, MetricKind, Tsdb};
 use std::io;
@@ -98,8 +98,9 @@ impl SelfScraper {
     /// they stand, and written as `__self/` counters: `fleet.ingest.*`
     /// from the fleet's sessions, `export.*` from this scraper's
     /// exporter. Those start with its second tick, after its first
-    /// drain; `export.max_lock_held_ns` is a gauge. A disabled handle
-    /// writes none of them.
+    /// drain; `export.max_lock_held_ns` is a gauge, and so is each
+    /// `ledger.<kind>.imbalance` (what the nodes owe, [`Ledger`]). A
+    /// disabled handle writes none of them.
     pub fn tick(&mut self, fleet: &mut DurableFleet, t: SimTime) -> io::Result<SelfScrapeTick> {
         let mut samples = self.obs.scrape_into(&mut self.db, t);
         if self.obs.is_enabled() {
@@ -145,33 +146,30 @@ impl SelfScraper {
 }
 
 /// Write the counts `agg` and the exporter keep themselves into `db`
-/// at `t`: the `fleet.ingest.*` sums over every session, and the
-/// exporter's lifetime totals when there are any. Returns the samples
-/// stored.
+/// at `t`: the `fleet.ingest.*` sums over every session, the exporter's
+/// lifetime totals when there are any, and the ledger. Returns the
+/// samples stored.
 fn write_readings(
     db: &mut Tsdb,
     agg: &FleetAggregator,
     drained: Option<DrainStats>,
     t: SimTime,
 ) -> usize {
-    let mut all = NodeCounters::default();
-    for c in agg.sessions().iter().map(|s| &s.counters) {
-        all.batches += c.batches;
-        all.duplicate_batches += c.duplicate_batches;
-        all.records += c.records;
-        all.samples += c.samples;
-        all.rejected_samples += c.rejected_samples;
-    }
+    let nodes = agg.health(t, SimDuration::ZERO).nodes;
+    let sum = |count: fn(&NodeCounters) -> u64| nodes.iter().map(|n| count(&n.counters)).sum();
     let mut samples = 0;
     let mut write = |name, kind, v: u64| {
         samples += usize::from(write_reading(db, name, kind, v as f64, t));
     };
     let mut count = |name, v| write(name, MetricKind::Counter, v);
-    count("fleet.ingest.batches", all.batches);
-    count("fleet.ingest.duplicate_batches", all.duplicate_batches);
-    count("fleet.ingest.records", all.records);
-    count("fleet.ingest.samples", all.samples);
-    count("fleet.ingest.rejected_samples", all.rejected_samples);
+    count("fleet.ingest.batches", sum(|c| c.batches));
+    count(
+        "fleet.ingest.duplicate_batches",
+        sum(|c| c.duplicate_batches),
+    );
+    count("fleet.ingest.records", sum(|c| c.records));
+    count("fleet.ingest.samples", sum(|c| c.samples));
+    count("fleet.ingest.rejected_samples", sum(|c| c.rejected_samples));
     count("fleet.ingest.sessions", agg.node_count() as u64);
     count("fleet.ingest.unknown_records", agg.unknown_records());
     if let Some(d) = drained {
@@ -189,6 +187,21 @@ fn write_readings(
         let max = d.max_lock_held_ns;
         write("export.max_lock_held_ns", MetricKind::Gauge, max);
     }
+    // Only what is owed adds up: a node whose report lags its session
+    // (below zero) does not hide another node's loss.
+    let owed = |kind: fn(&Ledger) -> i64| {
+        nodes.iter().map(|n| kind(&n.ledger()).max(0)).sum::<i64>() as u64
+    };
+    let mut gauge = |name, v| write(name, MetricKind::Gauge, v);
+    gauge("ledger.batches.imbalance", owed(|l| l.batches));
+    gauge("ledger.records.imbalance", owed(|l| l.records));
+    gauge("ledger.samples.imbalance", owed(|l| l.samples));
+    gauge("ledger.chunks.imbalance", owed(|l| l.chunks));
+    gauge("ledger.buckets.imbalance", owed(|l| l.buckets));
+    gauge(
+        "ledger.sketch_entries.imbalance",
+        owed(|l| l.sketch_entries),
+    );
     samples
 }
 
@@ -196,7 +209,6 @@ fn write_readings(
 mod tests {
     use super::*;
     use crate::persist::DurabilityConfig;
-    use moda_sim::SimDuration;
     use moda_telemetry::WindowAgg;
     use std::path::PathBuf;
 

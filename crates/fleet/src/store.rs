@@ -82,7 +82,8 @@ pub struct FleetServed {
     pub sketch: bool,
 }
 
-/// Lifetime query/ingest counters of one [`FleetStore`].
+/// Lifetime query counters of one [`FleetStore`] (ingest counts live in
+/// the sessions' [`crate::NodeCounters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStoreStats {
     /// Queries that merged at least one sealed rollup bucket.
@@ -98,16 +99,6 @@ pub struct FleetStoreStats {
     /// fallbacks). A sketch-served fleet percentile over an aligned
     /// sealed window adds **zero** here.
     pub raw_values_read: u64,
-    /// Raw samples accepted into fleet raw rings.
-    pub samples: u64,
-    /// Raw samples rejected as out-of-order (a node stream violating
-    /// per-metric time order, or a restarted node exporter re-shipping
-    /// its retained tail).
-    pub rejected_samples: u64,
-    /// Compressed chunk records dropped whole: the payload failed to
-    /// decode (truncated or corrupted in transport), claimed zero
-    /// samples, or did not end at the header's `last_t_ms`.
-    pub corrupt_chunks: u64,
 }
 
 /// What [`FleetStore::push_chunk`] did with one chunk record.
@@ -151,9 +142,6 @@ pub struct FleetStore {
     sketch_hits: Cell<u64>,
     raw_fallbacks: Cell<u64>,
     raw_values_read: Cell<u64>,
-    samples: u64,
-    rejected_samples: u64,
-    corrupt_chunks: u64,
 }
 
 impl Default for FleetStore {
@@ -182,9 +170,6 @@ impl FleetStore {
             sketch_hits: Cell::new(0),
             raw_fallbacks: Cell::new(0),
             raw_values_read: Cell::new(0),
-            samples: 0,
-            rejected_samples: 0,
-            corrupt_chunks: 0,
         }
     }
 
@@ -212,13 +197,7 @@ impl FleetStore {
     /// Append one raw wire sample. Returns whether it was accepted
     /// (rejects out-of-order per metric, like any node-local ring).
     pub fn push_sample(&mut self, id: MetricId, t: SimTime, value: f64) -> bool {
-        let ok = self.raw[id.index()].push(t, value);
-        if ok {
-            self.samples += 1;
-        } else {
-            self.rejected_samples += 1;
-        }
-        ok
+        self.raw[id.index()].push(t, value)
     }
 
     /// Ingest one compressed raw-chunk record (wire spec revision 1.1).
@@ -235,7 +214,7 @@ impl FleetStore {
     /// `SEAL_THRESHOLD / 8` samples, so a stream of tiny chunks cannot
     /// fill the ring with chunk headers. A payload that fails the walk,
     /// claims zero samples, or disagrees with its header is dropped
-    /// whole and counted in [`FleetStoreStats::corrupt_chunks`].
+    /// whole: [`ChunkOutcome::Corrupt`].
     pub fn push_chunk(
         &mut self,
         id: MetricId,
@@ -292,10 +271,7 @@ impl FleetStore {
     ) -> ChunkOutcome {
         let block = match chunk::validate(first_t.0, count, bytes) {
             Ok(block) if block.last_t == last_t.0 => block,
-            _ => {
-                self.corrupt_chunks += 1;
-                return ChunkOutcome::Corrupt;
-            }
+            _ => return ChunkOutcome::Corrupt,
         };
         let series = &mut self.raw[id.index()];
         let total = u64::from(count);
@@ -307,8 +283,6 @@ impl FleetStore {
                 .filter(|&(t, v)| series.push(SimTime(t), v))
                 .count() as u64
         };
-        self.samples += accepted;
-        self.rejected_samples += total - accepted;
         ChunkOutcome::Applied {
             accepted,
             rejected: total - accepted,
@@ -424,9 +398,6 @@ impl FleetStore {
             sketch_hits: self.sketch_hits.get(),
             raw_fallbacks: self.raw_fallbacks.get(),
             raw_values_read: self.raw_values_read.get(),
-            samples: self.samples,
-            rejected_samples: self.rejected_samples,
-            corrupt_chunks: self.corrupt_chunks,
         }
     }
 
@@ -435,18 +406,13 @@ impl FleetStore {
         self.raw_retention
     }
 
-    /// Overwrite every counter with snapshotted values — the last step
-    /// of a snapshot restore, after re-applying content (which bumps
-    /// `samples` etc. as a side effect) so recovered stats read exactly
-    /// as they did at snapshot time.
+    /// Overwrite every counter with snapshotted values, so recovered
+    /// stats read exactly as they did at snapshot time.
     pub(crate) fn restore_stats(&mut self, s: &FleetStoreStats) {
         self.rollup_hits.set(s.rollup_hits);
         self.sketch_hits.set(s.sketch_hits);
         self.raw_fallbacks.set(s.raw_fallbacks);
         self.raw_values_read.set(s.raw_values_read);
-        self.samples = s.samples;
-        self.rejected_samples = s.rejected_samples;
-        self.corrupt_chunks = s.corrupt_chunks;
     }
 
     // ----- queries -------------------------------------------------------

@@ -16,7 +16,7 @@
 //! | `HELLO_ACK` (2) | fleet → node | status `u8` (0 ok, 1 bad token) · `next_seq u64` · wire revision |
 //! | `BATCH` (3) | node → fleet | one encoded [`ExportBatch`](moda_telemetry::export::ExportBatch) |
 //! | `ACK` (4) | fleet → node | cumulative `next_seq u64` after applying |
-//! | `DRAIN` (5) | node → fleet | encoded exporter [`DrainStats`](moda_telemetry::DrainStats) |
+//! | `DRAIN` (5) | node → fleet | encoded exporter [`DrainStats`](moda_telemetry::DrainStats): lifetime totals, replacing the last |
 //! | `QUERY_HELLO` (6) | client → fleet | auth token |
 //! | `QUERY_HELLO_ACK` (7) | fleet → client | status `u8` · protocol version `u16` |
 //! | `QUERY` (8) | client → fleet | request id `u64` · encoded [`crate::query::QueryRequest`] |
@@ -156,7 +156,8 @@ pub(crate) mod tests {
     use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink, Sink};
     use moda_telemetry::wire::{encode_batch, frame_tag, put_str, read_frame, write_frame};
     use moda_telemetry::{
-        Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
+        DrainStats, Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb,
+        WindowAgg,
     };
     use std::fs;
     use std::io::{self, Write};
@@ -193,8 +194,9 @@ pub(crate) mod tests {
     }
 
     /// One node sweeping `metrics` gauges once per batch, quantised
-    /// readings on a random walk: what the live path ships.
-    pub(crate) fn sweep_batches(sweeps: u64, metrics: u32) -> Vec<ExportBatch> {
+    /// readings on a random walk: what the live path ships, and the
+    /// exporter's totals.
+    pub(crate) fn sweep_batches(sweeps: u64, metrics: u32) -> (Vec<ExportBatch>, DrainStats) {
         let mut db = Tsdb::with_retention(1 << 12);
         for m in 0..metrics {
             db.register(MetricMeta::gauge(
@@ -216,7 +218,7 @@ pub(crate) mod tests {
             }
             exporter.drain(&db, &mut sink).unwrap();
         }
-        sink.batches
+        (sink.batches, exporter.totals())
     }
 
     /// Every raw sample of every fleet metric, bit for bit.

@@ -342,8 +342,8 @@ mod tests {
     use crate::transport::tests::{
         batch_frames, hello_frame, node_batches, raw_answers, sweep_batches, test_dir,
     };
-    use crate::FleetStore;
-    use moda_sim::SimTime;
+    use crate::{FleetStore, Ledger};
+    use moda_sim::{SimDuration, SimTime};
     use moda_telemetry::export::ExportBatch;
     use moda_telemetry::export::ExportRecord;
     use moda_telemetry::wire::{
@@ -692,6 +692,41 @@ mod tests {
         frames
     }
 
+    /// A drain report replaces the one before: one `DRAIN` frame taken
+    /// twice by a session, and the same totals reported twice in
+    /// process, leave the node's drain equal to the totals — live and
+    /// recovered — and its ledger balanced.
+    #[test]
+    fn a_drain_report_delivered_twice_counts_once() {
+        let (batches, totals) = sweep_batches(12, 4);
+        let (dir, shared) = open_shared("drain_once", DurabilityConfig::default());
+        let mut stream = hello_frame("node00", "tok");
+        stream.extend(delta_frames(&batches, &mut ValueState::new()));
+        let mut drain = Vec::new();
+        encode_drain_stats(&totals, &mut drain);
+        for _ in 0..2 {
+            write_frame(&mut stream, frame_tag::DRAIN, &drain).unwrap();
+        }
+        Session::default()
+            .receive(&stream, &shared, &mut Vec::new())
+            .unwrap();
+        let mut fleet = shared.fleet.lock().unwrap();
+        let node = fleet.find_node("node00").unwrap();
+        assert_eq!(fleet.aggregator().drain_stats(node), totals);
+        for _ in 0..2 {
+            fleet.report_drain(node, &totals).unwrap();
+        }
+        fleet.settle().unwrap();
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        for agg in [fleet.aggregator(), recovered.aggregator()] {
+            assert_eq!(agg.drain_stats(node), totals);
+            let health = agg.health(SimTime::ZERO, SimDuration::ZERO);
+            assert_eq!(health.nodes[node.index()].ledger(), Ledger::default());
+        }
+        drop((recovered, fleet));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// One node's stream written by whoever last opened it, and by no
     /// one else. Connection A's batches 10..15 wait in its socket buffer
     /// while B, its reconnect, says hello and re-sends them from an empty
@@ -703,7 +738,7 @@ mod tests {
     /// recovered, its state what C's sender holds.
     #[test]
     fn a_connection_whose_stream_was_opened_again_takes_nothing() {
-        let batches = sweep_batches(30, 6);
+        let (batches, _) = sweep_batches(30, 6);
         let mut reference = crate::FleetAggregator::new();
         let node = reference.add_node("node00");
         for batch in &batches {
@@ -915,7 +950,8 @@ mod tests {
         /// stalled: the frames after some point stay in its socket buffer
         /// and reach its session only after the next connection's have
         /// been taken — a newer connection carries the stream by then,
-        /// so they are refused and change nothing.
+        /// so they are refused and change nothing. The sink's totals,
+        /// reported last, balance the session's ledger.
         #[test]
         fn a_delta_stream_over_dropped_connections_ends_as_the_uninterrupted_fleet(
             seed in any::<u64>(),
@@ -925,7 +961,7 @@ mod tests {
             static CASE: AtomicU64 = AtomicU64::new(0);
             let case = CASE.fetch_add(1, Ordering::Relaxed);
             let mut rng = TestRng::new(seed);
-            let batches = sweep_batches(sweeps, 1 + rng.below(12) as u32);
+            let (batches, totals) = sweep_batches(sweeps, 1 + rng.below(12) as u32);
             let mut reference = crate::FleetAggregator::new();
             let node = reference.add_node("node00");
             for batch in &batches {
@@ -1015,11 +1051,20 @@ mod tests {
                 }
             }
             feed_stalled(&mut stalled)?;
+            let mut report = hello_frame("node00", "tok");
+            let mut drain = Vec::new();
+            encode_drain_stats(&totals, &mut drain);
+            write_frame(&mut report, frame_tag::DRAIN, &drain).unwrap();
+            Session::default().receive(&report, &shared, &mut Vec::new()).unwrap();
             let mut fleet = shared.fleet.lock().unwrap();
             fleet.settle().unwrap();
+            let recovered = DurableFleet::recover(&dir).unwrap();
+            for agg in [fleet.aggregator(), recovered.aggregator()] {
+                let health = agg.health(SimTime::ZERO, SimDuration::ZERO);
+                prop_assert_eq!(health.nodes[node.index()].ledger(), Ledger::default());
+            }
             let want = raw_answers(&reference);
             prop_assert!(raw_answers(fleet.aggregator()) == want, "the live fleet");
-            let recovered = DurableFleet::recover(&dir).unwrap();
             prop_assert!(raw_answers(recovered.aggregator()) == want, "the recovered fleet");
             drop((recovered, fleet));
             let _ = fs::remove_dir_all(&dir);

@@ -19,11 +19,6 @@ pub struct SocketSink {
     replay: Replay,
     /// The last frame read while awaiting acks.
     inbox: Vec<u8>,
-    /// Retry work (`reconnects + resent_batches`) already folded into a
-    /// delivered drain report — `send_drain` ships only the delta, so
-    /// the server (which merges drain payloads additively) never
-    /// double-counts.
-    retries_reported: u64,
 }
 
 /// What the sink has sent and cannot yet forget.
@@ -142,7 +137,6 @@ impl SocketSink {
             },
             link: Link::new(addr, Some(node_name), token, cfg),
             inbox: Vec::new(),
-            retries_reported: 0,
         };
         sink.link
             .connect(|conn, next_seq, revision| sink.replay.resume(conn, next_seq, revision))?;
@@ -221,19 +215,13 @@ impl SocketSink {
     /// server acknowledges them durable — the same ack-after-durable
     /// contract batches get, so a `kill -9` right after this returns
     /// cannot lose the totals. Totals overwrite idempotently, which is
-    /// what makes redelivery after a mid-call reconnect safe.
+    /// what makes redelivery after a mid-call reconnect safe. The sink's
+    /// lifetime retry work rides in `send_retries`.
     pub fn send_drain(&mut self, stats: &DrainStats) -> io::Result<()> {
         retry(3, |_| {
             self.connected()?;
-            // Piggyback this sink's *unreported* retry work onto the
-            // drain report. The server merges drain payloads
-            // additively, so only the delta since the last delivered
-            // report goes out — committed below once the server acks.
-            // Re-derived per attempt: a reconnect inside this loop
-            // grows the delta.
-            let retries_total = self.link.reconnects + self.replay.resent_batches;
             let mut out = *stats;
-            out.send_retries += retries_total - self.retries_reported;
+            out.send_retries += self.link.reconnects + self.replay.resent_batches;
             let mut payload = self.replay.spare.pop().unwrap_or_default();
             encode_drain_stats(&out, &mut payload);
             // The server acks in frame order: one ack per in-flight
@@ -245,9 +233,8 @@ impl SocketSink {
                 .and_then(|conn| conn.send(frame_tag::DRAIN, &payload))
                 .and_then(|()| self.read_acks_counted(pending + 1));
             self.replay.recycle(payload);
-            match res {
-                Ok(()) => self.retries_reported = retries_total,
-                Err(_) => self.link.conn = None,
+            if res.is_err() {
+                self.link.conn = None;
             }
             res
         })
@@ -338,7 +325,7 @@ mod tests {
     #[test]
     fn a_delta_stream_recovers_from_every_way_a_connection_ends() {
         let dir = test_dir("delta_faults");
-        let batches = sweep_batches(120, 16);
+        let (batches, _) = sweep_batches(120, 16);
         assert_eq!(batches.len(), 120);
         let mut reference = FleetAggregator::new();
         let node = reference.add_node("node00");
@@ -434,7 +421,7 @@ mod tests {
         use moda_telemetry::wire::{put_u64, read_frame, BatchView, RecordRef};
         let server = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let batches = sweep_batches(6, 8);
+        let (batches, _) = sweep_batches(6, 8);
         let n = batches.len();
         let old_fleet = std::thread::spawn(move || {
             let (mut stream, _) = server.accept().unwrap();
@@ -622,9 +609,8 @@ mod tests {
             "server resumed at its persisted cursor, not 0"
         );
 
-        // The retry work surfaces in the server's drain accounting:
-        // the first report carries the full redelivery delta, a second
-        // immediately after carries none (no double-count).
+        // The retry work surfaces in the server's drain accounting: a
+        // report replaces the one before, so two in a row count it once.
         sink.send_drain(&DrainStats::default()).unwrap();
         sink.send_drain(&DrainStats::default()).unwrap();
         let expected_retries = sink.reconnects() + sink.resent_batches();
@@ -643,7 +629,7 @@ mod tests {
         assert_eq!(
             health.nodes[node.index()].drain.send_retries,
             expected_retries,
-            "retry delta folded exactly once into the drain accounting"
+            "lifetime retries reported once in the drain accounting"
         );
         drop(fleet);
         let _ = fs::remove_dir_all(&dir);

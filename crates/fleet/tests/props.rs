@@ -25,7 +25,8 @@
 //! `src/transport/session.rs`.
 
 use moda_fleet::{
-    DurabilityConfig, DurableFleet, FleetAggregator, FleetStore, NodeId, NodeLiveness, Rank,
+    ChunkOutcome, DurabilityConfig, DurableFleet, FleetAggregator, FleetStore, NodeId,
+    NodeLiveness, Rank,
 };
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
@@ -305,8 +306,8 @@ fn oracle_ring(
 }
 
 /// Compare a fleet against the oracle, metric by metric: retained
-/// samples bit for bit, the accept/reject/corrupt accounting (session
-/// and store), and every `WindowAgg` over a few trailing windows
+/// samples bit for bit, the session's accept/reject/corrupt accounting,
+/// and every `WindowAgg` over a few trailing windows
 /// `(now - window, now]`.
 fn assert_matches_oracle(
     agg: &FleetAggregator,
@@ -367,15 +368,10 @@ fn assert_matches_oracle(
             }
         }
     }
-    let (stats, counters) = (store.stats(), agg.counters(NodeId(0)));
-    prop_assert_eq!((stats.samples, counters.samples), (accepted, accepted));
+    let c = agg.counters(NodeId(0));
     prop_assert_eq!(
-        (stats.rejected_samples, counters.rejected_samples),
-        (rejected, rejected)
-    );
-    prop_assert_eq!(
-        (stats.corrupt_chunks, counters.corrupt_chunks),
-        (corrupt, corrupt)
+        (c.samples, c.rejected_samples, c.corrupt_chunks),
+        (accepted, rejected, corrupt)
     );
     Ok(())
 }
@@ -400,11 +396,16 @@ fn one_sample_chunks_cannot_flood_a_ring_with_headers() {
         "node00",
         &MetricMeta::gauge("m", "u", SourceDomain::Hardware),
     );
-    for i in 0..10_000u64 {
-        let c = chunk::compress(&[i * 1000], &[i as f64], 0);
-        store.push_chunk(id, SimTime(c.first_t()), SimTime(c.last_t()), 1, c.bytes());
-    }
-    assert_eq!(store.stats().samples, 10_000);
+    let accepted: u64 = (0..10_000u64)
+        .map(|i| {
+            let c = chunk::compress(&[i * 1000], &[i as f64], 0);
+            match store.push_chunk(id, SimTime(c.first_t()), SimTime(c.last_t()), 1, c.bytes()) {
+                ChunkOutcome::Applied { accepted, .. } => accepted,
+                ChunkOutcome::Corrupt => 0,
+            }
+        })
+        .sum();
+    assert_eq!(accepted, 10_000);
     let raw = store.raw(id);
     assert_eq!(raw.len(), store.raw_retention());
     assert!(
@@ -531,7 +532,7 @@ proptest! {
             let replay = &batches[dup_at % batches.len()];
             if replay.seq <= batch.seq {
                 let r = noisy.ingest(node, replay);
-                prop_assert!(r.duplicate);
+                prop_assert!(!r.applied);
             }
         }
         let clean_fp = {
@@ -773,7 +774,7 @@ proptest! {
         prop_assert_eq!(fleet.next_seq(node), applied as u64);
         for batch in &batches[applied..] {
             let report = fleet.ingest(node, batch).unwrap();
-            prop_assert!(!report.duplicate);
+            prop_assert!(report.applied);
         }
         drop(fleet);
         let fleet = FleetStore::recover(&dir).unwrap();
@@ -1008,7 +1009,7 @@ proptest! {
         for dir in [&packed_dir, &tail_dir] {
             let mut recovered = FleetStore::recover(dir).unwrap();
             prop_assert_eq!(recovered.recovery().corrupt_frames, 0);
-            prop_assert_eq!(recovered.recovery().unknown_records, 0);
+            prop_assert_eq!(recovered.aggregator().unknown_records(), 0);
             recovered.snapshot().unwrap();
             prop_assert!(snapshot_state(dir) == first, "recover-then-snapshot moved the state");
             prop_assert!(answers == verification_answers(recovered.aggregator(), now));

@@ -2,16 +2,16 @@
 //! SIGKILLed mid-stream, restarted on the same directory, and the
 //! exporters reconnect and resume from the server's persisted cursor.
 //! Every fleet query afterwards must be bit-identical to an
-//! uninterrupted in-process run, with zero re-ingest from `seq 0` and
-//! zero duplicate batches — the tier-1 twin of the `fleet-recovery`
-//! CI job.
+//! uninterrupted in-process run, with zero re-ingest from `seq 0`, zero
+//! duplicate batches and a balanced ledger per node — the tier-1 twin
+//! of the `fleet-recovery` CI job.
 //!
 //! The working directory defaults to a per-process temp dir; set
 //! `FLEET_RECOVERY_DIR` to pin it somewhere collectable (the CI job
 //! points it into `target/` and uploads the snapshot + wal on
 //! failure). On success the directory is removed.
 
-use moda_fleet::{FleetAggregator, FleetStore, NodeId, SocketSink};
+use moda_fleet::{FleetAggregator, FleetStore, Ledger, NodeId, SocketSink};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, MemorySink, Sink};
 use moda_telemetry::{
@@ -204,6 +204,15 @@ fn sigkill_mid_stream_recovers_bit_identical_with_no_seq0_replay() {
     server2.wait().expect("reap restarted service");
     let recovered = FleetStore::recover(&dir).expect("recover from snapshot + wal");
     assert!(recovered.epoch() > 0, "snapshot cadence rotated the wal");
+    let health = recovered
+        .aggregator()
+        .health(now, SimDuration::from_secs(120));
+
+    // After each exporter's final report, what it shipped balances what
+    // its session took: nothing was lost across the kill.
+    for node in &health.nodes {
+        assert_eq!(node.ledger(), Ledger::default(), "{}", node.name);
+    }
 
     // Zero re-ingest: every batch applied exactly once, none replayed
     // from seq 0, none re-delivered past the duplicate guard.
@@ -223,13 +232,7 @@ fn sigkill_mid_stream_recovers_bit_identical_with_no_seq0_replay() {
 
     // And the interrupted exporters actually exercised the reconnect
     // path: at least one drain recorded send retries.
-    let retried: u64 = recovered
-        .aggregator()
-        .health(now, SimDuration::from_secs(120))
-        .nodes
-        .iter()
-        .map(|n| n.drain.send_retries)
-        .sum();
+    let retried: u64 = health.nodes.iter().map(|n| n.drain.send_retries).sum();
     assert!(retried > 0, "no exporter recorded a reconnect retry");
 
     drop(recovered);

@@ -16,21 +16,24 @@
 //! * **one home per count** — the fleet's ingest and export counts are
 //!   read where they live at scrape time: every `__self/` name the
 //!   scraper has always written is still written, with its kind and
-//!   values, no name is both a reading and a registry instrument, and
-//!   the ingest readings carry on across a recovery;
+//!   values, no name is both a reading and a registry instrument, the
+//!   ingest readings carry on across a recovery, and a batch lost on
+//!   its way is owed in the ledger;
 //! * **selfstat over the wire** — the bounded slow-op log is drainable
 //!   through the versioned query protocol (`REQ_SELF_STAT`), empty on
 //!   an uninstrumented fleet, populated and then drained on an
 //!   instrumented one.
 
 use moda_fleet::{
-    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, NodeCounters,
-    SelfScraper,
+    DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, Ledger,
+    NodeCounters, SelfScraper,
 };
 use moda_obs::Obs;
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
-use moda_telemetry::{Exporter, MetricId, MetricKind, MetricMeta, SourceDomain, Tsdb, WindowAgg};
+use moda_telemetry::{
+    DrainStats, Exporter, MetricId, MetricKind, MetricMeta, SourceDomain, Tsdb, WindowAgg,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,7 +190,7 @@ fn disabled_obs_leaves_the_store_untouched() {
     let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
     let mut scraper = SelfScraper::attach(&mut fleet, Obs::disabled()).unwrap();
     let node = fleet.add_node("node00").unwrap();
-    for batch in &node_stream() {
+    for batch in &node_stream().0 {
         fleet.ingest(node, batch).unwrap();
     }
     for t in [10, 20] {
@@ -204,19 +207,17 @@ fn disabled_obs_leaves_the_store_untouched() {
 // ------------------------------------------------- one home per count
 
 /// One node's stream: 300 one-hertz samples of one metric, in batches
-/// of 64 records.
-fn node_stream() -> Vec<ExportBatch> {
+/// of 64 records, and the exporter's totals.
+fn node_stream() -> (Vec<ExportBatch>, DrainStats) {
     let mut db = Tsdb::new();
     let id = db.register(MetricMeta::gauge("m", "u", SourceDomain::Hardware));
     for s in 0..300u64 {
         db.insert(id, SimTime::from_secs(s), s as f64);
     }
     let mut sink = MemorySink::new();
-    Exporter::new()
-        .with_batch_records(64)
-        .drain(&db, &mut sink)
-        .unwrap();
-    sink.batches
+    let mut exporter = Exporter::new().with_batch_records(64);
+    exporter.drain(&db, &mut sink).unwrap();
+    (sink.batches, exporter.totals())
 }
 
 /// The latest value of `__self/<name>` in the scraper's private store.
@@ -228,8 +229,9 @@ fn reading(scraper: &SelfScraper, name: &str) -> Option<f64> {
 
 /// Every `__self/` name a `SelfScraper` wrote in the first two ticks of
 /// [`two_ticks`] while it still mirrored the fleet's counts into
-/// registry counters, with the kind it was written as.
-const NAMES: [(&str, MetricKind); 26] = [
+/// registry counters, with the kind it was written as, and the ledger's
+/// readings since.
+const NAMES: [(&str, MetricKind); 32] = [
     ("wal.appends", MetricKind::Counter),
     ("wal.bytes", MetricKind::Counter),
     ("wal.fsync_ns", MetricKind::Gauge),
@@ -256,30 +258,44 @@ const NAMES: [(&str, MetricKind); 26] = [
     ("export.lock_held_ns", MetricKind::Counter),
     ("export.send_retries", MetricKind::Counter),
     ("export.max_lock_held_ns", MetricKind::Gauge),
+    ("ledger.batches.imbalance", MetricKind::Gauge),
+    ("ledger.records.imbalance", MetricKind::Gauge),
+    ("ledger.samples.imbalance", MetricKind::Gauge),
+    ("ledger.chunks.imbalance", MetricKind::Gauge),
+    ("ledger.buckets.imbalance", MetricKind::Gauge),
+    ("ledger.sketch_entries.imbalance", MetricKind::Gauge),
 ];
 
-/// The `fleet.ingest.*` and `export.*` values that scraper wrote at the
-/// first and the second tick of [`two_ticks`] (`None`: not written at
-/// that tick). The two `export.*lock_held_ns` readings are wall time
-/// and are left out.
-const VALUES: [(&str, Option<f64>, f64); 17] = [
+/// The `fleet.ingest.*`, `export.*` and `ledger.*` values that scraper
+/// wrote at the first and the second tick of [`two_ticks`] (`None`: not
+/// written at that tick). The two `export.*lock_held_ns` readings are
+/// wall time and are left out. No node reports a drain there, so no
+/// node owes anything; the second tick's counts take in the six ledger
+/// readings the first one shipped.
+const VALUES: [(&str, Option<f64>, f64); 23] = [
     ("fleet.ingest.batches", Some(5.0), 7.0),
     ("fleet.ingest.duplicate_batches", Some(1.0), 1.0),
-    ("fleet.ingest.records", Some(301.0), 340.0),
-    ("fleet.ingest.samples", Some(300.0), 324.0),
+    ("fleet.ingest.records", Some(301.0), 352.0),
+    ("fleet.ingest.samples", Some(300.0), 330.0),
     ("fleet.ingest.rejected_samples", Some(0.0), 1.0),
     ("fleet.ingest.sessions", Some(2.0), 2.0),
     ("fleet.ingest.unknown_records", Some(0.0), 0.0),
     ("export.batches", None, 1.0),
-    ("export.records", None, 37.0),
-    ("export.samples", None, 23.0),
+    ("export.records", None, 49.0),
+    ("export.samples", None, 29.0),
     ("export.chunks", None, 0.0),
     ("export.buckets", None, 0.0),
     ("export.sketch_entries", None, 0.0),
-    ("export.metas", None, 14.0),
+    ("export.metas", None, 20.0),
     ("export.missed_samples", None, 0.0),
     ("export.missed_buckets", None, 0.0),
     ("export.send_retries", None, 0.0),
+    ("ledger.batches.imbalance", Some(0.0), 0.0),
+    ("ledger.records.imbalance", Some(0.0), 0.0),
+    ("ledger.samples.imbalance", Some(0.0), 0.0),
+    ("ledger.chunks.imbalance", Some(0.0), 0.0),
+    ("ledger.buckets.imbalance", Some(0.0), 0.0),
+    ("ledger.sketch_entries.imbalance", Some(0.0), 0.0),
 ];
 
 /// A fresh fleet, self-telemetry attached before any node: one node's
@@ -290,11 +306,11 @@ fn two_ticks(dir: &std::path::Path, obs: &Obs) -> (SelfScraper, [Vec<Option<f64>
     let mut fleet = DurableFleet::open(dir, DurabilityConfig::default()).unwrap();
     let mut scraper = SelfScraper::attach(&mut fleet, obs.clone()).unwrap();
     let node = fleet.add_node("node00").unwrap();
-    let stream = node_stream();
+    let (stream, _) = node_stream();
     for batch in &stream {
         fleet.ingest(node, batch).unwrap();
     }
-    assert!(fleet.ingest(node, &stream[0]).unwrap().duplicate);
+    assert!(!fleet.ingest(node, &stream[0]).unwrap().applied);
     let values = |scraper: &SelfScraper| {
         VALUES
             .iter()
@@ -348,13 +364,79 @@ fn no_self_name_disappears_and_no_count_has_two_homes() {
     let readings: Vec<&str> = NAMES
         .iter()
         .map(|(name, _)| *name)
-        .filter(|name| name.starts_with("fleet.ingest.") || name.starts_with("export."))
+        .filter(|name| {
+            ["fleet.ingest.", "export.", "ledger."]
+                .iter()
+                .any(|home| name.starts_with(home))
+        })
         .filter(|name| *name != "export.drain_ns")
         .collect();
-    assert_eq!(readings.len(), 19);
+    assert_eq!(readings.len(), 25);
     for name in readings {
         assert_eq!(registry.lookup(&format!("__self/{name}")), None, "{name}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch lost between a node's exporter and the fleet is owed in the
+/// ledger once the node reports its totals — from the `Health` wire and
+/// as the scraped `ledger.*` readings — while a node that took its
+/// whole stream, and the service session that never reports, owe
+/// nothing.
+#[test]
+fn a_batch_lost_on_the_way_is_owed_in_the_ledger() {
+    let dir = work_dir("ledger");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+    let mut scraper = SelfScraper::attach(&mut fleet, Obs::enabled()).unwrap();
+    let (stream, totals) = node_stream();
+    let lost = &stream[2];
+    let whole = fleet.add_node("whole").unwrap();
+    let lossy = fleet.add_node("lossy").unwrap();
+    for batch in &stream {
+        fleet.ingest(whole, batch).unwrap();
+        if batch.seq != lost.seq {
+            fleet.ingest(lossy, batch).unwrap();
+        }
+    }
+    for node in [whole, lossy] {
+        fleet.report_drain(node, &totals).unwrap();
+    }
+    let now = SimTime::from_secs(300);
+    scraper.tick(&mut fleet, now).unwrap();
+    let listener = FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), TOKEN).unwrap();
+    let mut client = FleetClient::connect(&listener.local_addr().to_string(), TOKEN).unwrap();
+    let health = client.health(now, SimDuration::from_secs(60)).unwrap();
+    assert_eq!(health.nodes[whole.index()].ledger(), Ledger::default());
+    let owed = health.nodes[lossy.index()].ledger();
+    let samples = lost.records.len() as i64;
+    assert!(
+        lost.records
+            .iter()
+            .all(|r| matches!(r, ExportRecord::Sample { .. })),
+        "the lost batch carries samples only"
+    );
+    assert_eq!(
+        owed,
+        Ledger {
+            batches: 1,
+            records: samples,
+            samples,
+            ..Ledger::default()
+        }
+    );
+    for (name, v) in [
+        ("ledger.batches.imbalance", 1.0),
+        ("ledger.records.imbalance", samples as f64),
+        ("ledger.samples.imbalance", samples as f64),
+        ("ledger.chunks.imbalance", 0.0),
+        ("ledger.buckets.imbalance", 0.0),
+        ("ledger.sketch_entries.imbalance", 0.0),
+    ] {
+        assert_eq!(reading(&scraper, name), Some(v), "{name}");
+    }
+    drop(client);
+    drop(listener.shutdown());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -370,7 +452,7 @@ fn ingest_readings_carry_on_across_a_recovery() {
         };
         let mut fleet = DurableFleet::open(&dir, cfg).unwrap();
         let node = fleet.add_node("node00").unwrap();
-        let stream = node_stream();
+        let (stream, _) = node_stream();
         for batch in &stream {
             fleet.ingest(node, batch).unwrap();
         }

@@ -6,8 +6,10 @@
 //! the counting `#[global_allocator]` is process-wide (the listener's
 //! threads allocate on their own counters).
 
-use moda_fleet::{DurabilityConfig, DurableFleet, FleetListener, SocketSink, TransportConfig};
-use moda_sim::SimTime;
+use moda_fleet::{
+    DurabilityConfig, DurableFleet, FleetListener, Ledger, SocketSink, TransportConfig,
+};
+use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::{Exporter, MetricId, MetricMeta, SourceDomain, Tsdb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,9 +141,13 @@ fn warm_write_batch_and_its_ack_allocate_nothing() {
         assert_eq!((sink.reconnects(), sink.resent_batches()), (0, 0));
         let fleet = fleet.lock().unwrap();
         let node = fleet.aggregator().find_node(name).unwrap();
+        // Reported twice, counted once; and the two ends balance.
+        assert_eq!(fleet.aggregator().drain_stats(node), exporter.totals());
+        let health = fleet.aggregator().health(SimTime::ZERO, SimDuration::ZERO);
         assert_eq!(
-            fleet.aggregator().counters(node).samples,
-            exporter.totals().samples
+            health.nodes[node.index()].ledger(),
+            Ledger::default(),
+            "{name}"
         );
     }
 

@@ -15,7 +15,7 @@
 
 use moda_fleet::{
     DurabilityConfig, DurableFleet, FleetAggregator, FleetClient, FleetListener, FleetServed,
-    NodeId, SelfScraper, SocketSink, SELF_NODE,
+    Ledger, NodeId, SelfScraper, SocketSink, SELF_NODE,
 };
 use moda_obs::Obs;
 use moda_sim::{SimDuration, SimTime};
@@ -233,7 +233,8 @@ fn concurrent_sessions_answer_like_the_planner_a_reference_and_a_recovery() {
     assert_eq!((health.live, health.observed_now), (NODES + 1, now));
 
     // Wire hygiene under concurrency: every node sample arrived exactly
-    // once and the out-of-band drain totals agree.
+    // once, and what each exporter reported shipping balances what its
+    // session took.
     drop((client, shared));
     let fleet = Arc::try_unwrap(listener.shutdown())
         .unwrap_or_else(|_| panic!("a session still holds the fleet"))
@@ -245,8 +246,9 @@ fn concurrent_sessions_answer_like_the_planner_a_reference_and_a_recovery() {
         assert_eq!((c.duplicate_batches, c.gaps), (0, 0), "{c:?}");
         assert_eq!((c.orphan_sketches, c.unmapped_records), (0, 0), "{c:?}");
         assert_eq!(c.rejected_samples, 0, "{c:?}");
-        assert_eq!(c.samples, totals.samples);
-        assert_eq!(fleet.aggregator().drain_stats(node).samples, c.samples);
+        assert_eq!(fleet.aggregator().drain_stats(node), *totals);
+        let ledger = health.nodes[node.index()].ledger();
+        assert_eq!(ledger, Ledger::default(), "node{k:02}");
         assert!(c.samples >= ROUNDS * METRICS as u64, "{c:?}");
     }
 

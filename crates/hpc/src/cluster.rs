@@ -295,11 +295,12 @@ impl Cluster {
     }
 
     /// Drain every world's **whole** telemetry store (not just progress
-    /// metrics) into the aggregation tier, and feed the per-world drain
-    /// totals into fleet health. Worlds under an active fault window do
-    /// not deliver: a killed world drains nothing (it is frozen); a
-    /// partitioned world's sink refuses its first batch and the exporter
-    /// rolls back, so the backlog re-ships intact after heal.
+    /// metrics) into the aggregation tier, and report each exporter's
+    /// lifetime totals into fleet health. Worlds under an active fault
+    /// window do not deliver: a killed world drains nothing (it is
+    /// frozen); a partitioned world's sink refuses its first batch and
+    /// the exporter rolls back, so the backlog re-ships intact after
+    /// heal.
     fn drain(&mut self, at: SimTime) {
         let faults = &self.faults;
         for (k, n) in self.nodes.iter_mut().enumerate() {
@@ -312,7 +313,7 @@ impl Cluster {
                 partitioned: Self::fault_active(faults, k, FaultKind::Partition, at),
             };
             match n.exporter.drain(&n.world.tsdb, &mut sink) {
-                Ok(stats) => self.agg.report_drain(n.id, &stats),
+                Ok(_) => self.agg.report_drain(n.id, &n.exporter.totals()),
                 // The exporter rolled back; the backlog re-ships after heal.
                 Err(_) => self.failed_drains += 1,
             }
@@ -440,7 +441,7 @@ mod tests {
     use super::*;
     use crate::app::AppProfile;
     use crate::workload::WorkloadConfig;
-    use moda_fleet::{NodeLiveness, Rank};
+    use moda_fleet::{Ledger, NodeLiveness, Rank};
     use moda_scheduler::JobRequest;
 
     fn small_cluster(nodes: usize) -> Cluster {
@@ -568,6 +569,10 @@ mod tests {
                 seen(&c)
             });
             c.run_until(SimTime::from_hours(4));
+            // What each exporter shipped, its session took.
+            for node in c.health(SimDuration::from_hours(1)).nodes {
+                assert_eq!(node.ledger(), Ledger::default(), "{}", node.name);
+            }
             (
                 c.failed_drains(),
                 c.aggregator().counters(c.node_id(0)).samples,
@@ -646,7 +651,10 @@ mod tests {
                 SimDuration::from_hours(12),
                 WindowAgg::Percentile(0.5),
             );
-            (ranked, p50, c.store().stats().samples)
+            let samples: u64 = (0..2)
+                .map(|k| c.aggregator().counters(c.node_id(k)).samples)
+                .sum();
+            (ranked, p50, samples)
         };
         let (a_rank, a_p50, a_samples) = run();
         let (b_rank, b_p50, b_samples) = run();

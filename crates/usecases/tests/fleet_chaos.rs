@@ -15,14 +15,43 @@
 //!   responder holds actuation while coverage is below the floor, and
 //!   actuation resumes once the partition heals.
 //!
+//! Every scenario's rendered control trail is pinned byte for byte in
+//! `tests/golden/chaos/<name>-control-trail.txt`: a change that means to
+//! move a decision regenerates them with
+//!
+//! ```text
+//! GOLDEN_REGEN=1 cargo test -p moda-usecases --test fleet_chaos
+//! ```
+//!
 //! Artifacts: set `FLEET_CHAOS_DIR` to pin the rendered control trails,
 //! summaries and per-tick traces somewhere collectable (the CI job points
 //! it into `target/` and uploads on failure). Without it the trails are
 //! written to a per-process temp dir and removed on success.
 
 use moda_fleet::NodeLiveness;
-use moda_usecases::{cascading_failure_scenario, partition_degradation_scenario, ControlTrace};
-use std::path::PathBuf;
+use moda_usecases::{
+    cascading_failure_scenario, partition_degradation_scenario, power_cap_scenario, ControlTrace,
+};
+use std::path::{Path, PathBuf};
+
+/// Check `trace`'s rendered control trail against its golden
+/// `tests/golden/chaos/{name}-control-trail.txt` (regenerated first
+/// under `GOLDEN_REGEN`).
+fn pin(name: &str, trace: &ControlTrace) {
+    let rel = format!("tests/golden/chaos/{name}-control-trail.txt");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(&rel);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &trace.control_trail).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{rel} unreadable ({e}); generate it with GOLDEN_REGEN=1"));
+    assert!(
+        trace.control_trail == golden,
+        "the {name} control trail no longer renders {rel}; if the change means \
+         to move this scenario, regenerate with GOLDEN_REGEN=1"
+    );
+}
 
 fn work_dir() -> (PathBuf, bool) {
     match std::env::var_os("FLEET_CHAOS_DIR") {
@@ -83,6 +112,7 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
     // --- cascading failure: detect → canary repair → validate --------
     let cascade = cascading_failure_scenario(11).expect("audit must certify");
     dump("cascade", &cascade.trace);
+    pin("cascade", &cascade.trace);
     assert!(cascade.failures_injected > 0, "the cascade never started");
     assert!(cascade.repaired, "the failure process was never disarmed");
     let s = &cascade.trace.summary;
@@ -112,6 +142,7 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
     // --- partition: degrade, hold, resume ----------------------------
     let part = partition_degradation_scenario(13).expect("audit must certify");
     let dir = dump("partition", &part.trace);
+    pin("partition", &part.trace);
     assert_eq!(
         part.applied_during_partition, 0,
         "actuated on a partial fleet view"
@@ -136,6 +167,21 @@ fn chaos_scenarios_meet_the_acceptance_clauses() {
         "nodes never recovered"
     );
 
+    let (_, pinned) = work_dir();
+    if !pinned {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn power_cap_trail_is_pinned() {
+    let power = power_cap_scenario(7).expect("audit must certify");
+    let dir = dump("power_cap", &power.trace);
+    pin("power_cap", &power.trace);
+    assert_eq!(
+        power.trace.notifications.len() as u64,
+        power.trace.summary.applied
+    );
     let (_, pinned) = work_dir();
     if !pinned {
         let _ = std::fs::remove_dir_all(dir);

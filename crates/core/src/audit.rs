@@ -1,4 +1,5 @@
-//! Audit trail, explanations, and human-on-the-loop notifications.
+//! The decision trail: one bounded ring of typed events, its rendering,
+//! and the human-on-the-loop notifications it announces.
 //!
 //! §IV: "A human-on-the-loop approach would have the loop continue
 //! without waiting for user and administrator input, but sending them
@@ -6,17 +7,37 @@
 //! its effects when necessary." The paper also ties production adoption
 //! to "appropriate auditing and trust levels" (§V).
 //!
-//! Every phase transition of a loop iteration lands in the [`AuditLog`];
-//! actions additionally emit [`Notification`]s when the loop runs in
-//! human-on-the-loop mode. Logs are bounded rings so long campaigns
-//! cannot exhaust memory.
+//! One [`AuditLog`] serves both scales of the loop. It is generic over
+//! the event vocabulary, a [`Decision`]: a node loop
+//! ([`MapeLoop`](crate::MapeLoop) and the master of
+//! [`MasterWorker`](crate::patterns::MasterWorker)) records
+//! [`AuditKind`]s, and the fleet responder records its own typed control
+//! events. Events are typed, so a trail can be verified and not just
+//! read; the phases that decide nothing (`Observed`, `NoData`,
+//! `Assessed`, `Planned`, `Refined`) carry no text, so recording them
+//! formats and allocates nothing. Every event gets a gap-free sequence
+//! number; the ring evicts its oldest event when full and counts what it
+//! dropped. Notifications are a view of the retained events
+//! ([`AuditLog::notifications`]), so what the humans are told and what
+//! the trail records cannot disagree.
 
+use crate::guard::BlockReason;
 use moda_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt;
 
-/// Category of an audit event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A vocabulary of decision events: how one reads in the rendered trail
+/// ([`fmt::Display`]), and which ones announce themselves to the humans
+/// on the loop.
+pub trait Decision: fmt::Display {
+    /// The notification this event, recorded at `t`, sends — `None` for
+    /// an event that tells nobody.
+    fn notification(&self, t: SimTime) -> Option<Notification>;
+}
+
+/// What a node loop records: one event per phase of an iteration, and
+/// one per refused, queued, approved or executed action.
+#[derive(Debug, Clone, PartialEq)]
 pub enum AuditKind {
     /// Monitor produced an observation.
     Observed,
@@ -24,155 +45,171 @@ pub enum AuditKind {
     NoData,
     /// Analyzer produced an assessment.
     Assessed,
-    /// Planner emitted a (non-empty) plan.
-    Planned,
+    /// Planner emitted a non-empty plan.
+    Planned {
+        /// Actions in the plan.
+        actions: usize,
+    },
     /// An action was executed.
-    Executed,
-    /// An action was blocked (guardrail or confidence gate).
-    Blocked,
+    Executed {
+        /// The action's confidence.
+        confidence: f64,
+        /// The planner's rationale: why the loop acted.
+        rationale: String,
+    },
+    /// An action was refused: by the confidence gate, the guard, a
+    /// coordinator's veto or a dead worker.
+    Blocked {
+        /// The action's confidence.
+        confidence: f64,
+        /// Why (boxed, as every payload beyond a rationale is, so an
+        /// event stays small).
+        reason: Box<BlockReason>,
+    },
     /// An action was queued for human approval.
-    Queued,
-    /// A queued action was released and executed after approval latency.
-    Approved,
-    /// A notification was sent to humans.
-    Notified,
+    Queued {
+        /// The action's confidence.
+        confidence: f64,
+        /// The planner's rationale, for the approving human.
+        rationale: String,
+    },
+    /// A queued action was released after the approval latency; its
+    /// `Executed` follows.
+    Approved {
+        /// The action's confidence.
+        confidence: f64,
+    },
+    /// The humans on the loop were told about an action: one it
+    /// executed without waiting, or a withheld low-confidence one,
+    /// escalated.
+    Notified(Box<Notification>),
     /// Knowledge was refined from an executed action's outcome.
     Refined,
 }
 
-/// One audit event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AuditEvent {
+impl fmt::Display for AuditKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self, f)
+    }
+}
+
+impl Decision for AuditKind {
+    fn notification(&self, _t: SimTime) -> Option<Notification> {
+        match self {
+            AuditKind::Notified(n) => Some((**n).clone()),
+            _ => None,
+        }
+    }
+}
+
+/// One event of a trail, as [`AuditLog::events`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AuditEvent<K> {
+    /// Position in the trail since it began: gap-free, so a retained
+    /// trail whose first event is not `#0` shows what it lost.
+    pub seq: u64,
     /// When it happened.
     pub t: SimTime,
-    /// Which loop emitted it.
-    pub loop_name: String,
-    /// Category.
-    pub kind: AuditKind,
-    /// Free-text detail (the explanation surface).
-    pub detail: String,
-    /// Confidence attached to the decision, when applicable.
-    pub confidence: Option<f64>,
+    /// What was decided, in the trail's vocabulary.
+    pub decision: K,
 }
 
 /// A message to human operators with an explanation of a decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// When it was sent.
     pub t: SimTime,
-    /// Which loop sent it.
-    pub loop_name: String,
     /// What the loop did or wants to do.
     pub subject: String,
     /// Why — the planner's rationale.
     pub explanation: String,
     /// Whether the loop proceeded without waiting (human-ON-the-loop) or
-    /// is waiting for approval (human-IN-the-loop).
+    /// withheld the action and escalated it.
     pub proceeded: bool,
 }
 
-/// Bounded ring of audit events plus the notification outbox.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AuditLog {
-    events: VecDeque<AuditEvent>,
-    notifications: Vec<Notification>,
+/// Bounded ring of decision events, oldest evicted first. An event's
+/// sequence number is its position since the trail began, so the ring
+/// keeps only `(t, decision)` and numbers what it yields.
+#[derive(Debug, Clone)]
+pub struct AuditLog<K = AuditKind> {
+    events: VecDeque<(SimTime, K)>,
     capacity: usize,
-    total_events: u64,
+    total: u64,
 }
 
-impl Default for AuditLog {
+impl<K> Default for AuditLog<K> {
     fn default() -> Self {
         AuditLog::new(4096)
     }
 }
 
-impl AuditLog {
-    /// Log retaining at most `capacity` events (notifications are not
-    /// bounded; they are the product the humans consume).
+impl<K> AuditLog<K> {
+    /// Ring retaining at most `capacity` events (at least one).
     pub fn new(capacity: usize) -> Self {
         AuditLog {
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            notifications: Vec::new(),
+            events: VecDeque::new(),
             capacity: capacity.max(1),
-            total_events: 0,
+            total: 0,
         }
     }
 
-    /// Append an event.
-    pub fn push(&mut self, ev: AuditEvent) {
+    /// Append an event at `t`, evicting the oldest when full.
+    pub fn record(&mut self, t: SimTime, decision: K) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
-        self.events.push_back(ev);
-        self.total_events += 1;
+        self.events.push_back((t, decision));
+        self.total += 1;
     }
 
-    /// Convenience: append an event with the given fields.
-    pub fn record(
-        &mut self,
-        t: SimTime,
-        loop_name: &str,
-        kind: AuditKind,
-        detail: impl Into<String>,
-        confidence: Option<f64>,
-    ) {
-        self.push(AuditEvent {
-            t,
-            loop_name: loop_name.to_string(),
-            kind,
-            detail: detail.into(),
-            confidence,
-        });
+    /// Retained events, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = AuditEvent<&K>> {
+        self.events
+            .iter()
+            .zip(self.dropped()..)
+            .map(|((t, decision), seq)| AuditEvent {
+                seq,
+                t: *t,
+                decision,
+            })
     }
 
-    /// Send a notification (also mirrored as a `Notified` audit event).
-    pub fn notify(&mut self, n: Notification) {
-        self.record(
-            n.t,
-            &n.loop_name.clone(),
-            AuditKind::Notified,
-            n.subject.clone(),
-            None,
-        );
-        self.notifications.push(n);
+    /// Lifetime events recorded (including any the ring dropped).
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
-    /// Retained events, oldest → newest.
-    pub fn events(&self) -> impl Iterator<Item = &AuditEvent> {
-        self.events.iter()
+    /// Events the ring evicted: non-zero means the retained trail is a
+    /// suffix.
+    pub fn dropped(&self) -> u64 {
+        self.total - self.events.len() as u64
     }
 
-    /// All notifications sent.
-    pub fn notifications(&self) -> &[Notification] {
-        &self.notifications
+    /// Count retained events whose decision matches `pred`.
+    pub fn count(&self, pred: impl Fn(&K) -> bool) -> usize {
+        self.events.iter().filter(|(_, d)| pred(d)).count()
     }
+}
 
-    /// Lifetime event count (including evicted).
-    pub fn total_events(&self) -> u64 {
-        self.total_events
-    }
-
-    /// Count of retained events of a kind.
-    pub fn count(&self, kind: AuditKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Render the retained trail as human-readable lines.
+impl<K: Decision> AuditLog<K> {
+    /// Render the retained trail, one `#seq [t] event` line per event.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for e in &self.events {
-            let conf = e
-                .confidence
-                .map(|c| format!(" (conf {:.2})", c))
-                .unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "[{}] {} {:?}: {}{}",
-                e.t, e.loop_name, e.kind, e.detail, conf
-            );
+        for e in self.events() {
+            let _ = writeln!(out, "#{} [{}] {}", e.seq, e.t, e.decision);
         }
         out
+    }
+
+    /// The human-on-the-loop view (§IV): the notification of every
+    /// retained event that sends one, oldest first.
+    pub fn notifications(&self) -> Vec<Notification> {
+        self.events
+            .iter()
+            .filter_map(|(t, d)| d.notification(*t))
+            .collect()
     }
 }
 
@@ -180,67 +217,82 @@ impl AuditLog {
 mod tests {
     use super::*;
 
-    fn ev(s: u64, kind: AuditKind) -> AuditEvent {
-        AuditEvent {
-            t: SimTime::from_secs(s),
-            loop_name: "L".into(),
-            kind,
-            detail: "d".into(),
-            confidence: None,
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn executed(rationale: &str) -> AuditKind {
+        AuditKind::Executed {
+            confidence: 0.87,
+            rationale: rationale.into(),
         }
     }
 
     #[test]
-    fn push_and_count() {
+    fn record_and_count() {
         let mut log = AuditLog::new(16);
-        log.push(ev(1, AuditKind::Observed));
-        log.push(ev(2, AuditKind::Planned));
-        log.push(ev(3, AuditKind::Planned));
-        assert_eq!(log.count(AuditKind::Planned), 2);
-        assert_eq!(log.count(AuditKind::Observed), 1);
-        assert_eq!(log.count(AuditKind::Blocked), 0);
-        assert_eq!(log.total_events(), 3);
+        log.record(t(1), AuditKind::Observed);
+        log.record(t(2), AuditKind::Planned { actions: 1 });
+        log.record(t(3), AuditKind::Planned { actions: 2 });
+        assert_eq!(log.count(|k| matches!(k, AuditKind::Planned { .. })), 2);
+        assert_eq!(log.count(|k| *k == AuditKind::Observed), 1);
+        assert_eq!(log.count(|k| matches!(k, AuditKind::Blocked { .. })), 0);
+        assert_eq!((log.total(), log.dropped()), (3, 0));
     }
 
     #[test]
-    fn capacity_evicts_oldest() {
+    fn capacity_evicts_oldest_and_keeps_the_seq() {
         let mut log = AuditLog::new(2);
-        log.push(ev(1, AuditKind::Observed));
-        log.push(ev(2, AuditKind::Assessed));
-        log.push(ev(3, AuditKind::Planned));
-        let kinds: Vec<AuditKind> = log.events().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![AuditKind::Assessed, AuditKind::Planned]);
-        assert_eq!(log.total_events(), 3);
-    }
-
-    #[test]
-    fn notify_mirrors_into_events() {
-        let mut log = AuditLog::new(16);
-        log.notify(Notification {
-            t: SimTime::from_secs(5),
-            loop_name: "sched".into(),
-            subject: "requested 300s extension".into(),
-            explanation: "forecast exceeds allocation by 280s".into(),
-            proceeded: true,
-        });
-        assert_eq!(log.notifications().len(), 1);
-        assert_eq!(log.count(AuditKind::Notified), 1);
-        assert!(log.notifications()[0].proceeded);
-    }
-
-    #[test]
-    fn record_with_confidence_renders() {
-        let mut log = AuditLog::new(16);
-        log.record(
-            SimTime::from_secs(1),
-            "L",
-            AuditKind::Executed,
-            "extended by 300s",
-            Some(0.87),
+        log.record(t(1), AuditKind::Observed);
+        log.record(t(2), AuditKind::Assessed);
+        log.record(t(3), AuditKind::Refined);
+        let kept: Vec<(u64, AuditKind)> =
+            log.events().map(|e| (e.seq, e.decision.clone())).collect();
+        assert_eq!(
+            kept,
+            vec![(1, AuditKind::Assessed), (2, AuditKind::Refined)]
         );
+        assert_eq!((log.total(), log.dropped()), (3, 1));
+    }
+
+    #[test]
+    fn a_zero_capacity_still_keeps_one_event() {
+        let mut log = AuditLog::new(0);
+        log.record(t(1), AuditKind::Observed);
+        log.record(t(2), AuditKind::NoData);
+        assert_eq!(log.events().count(), 1);
+        assert_eq!(log.dropped(), 1);
+    }
+
+    #[test]
+    fn notifications_are_the_notified_events() {
+        let sent = |at: u64, proceeded: bool| Notification {
+            t: t(at),
+            subject: "executing extension action".into(),
+            explanation: "forecast exceeds allocation by 280s".into(),
+            proceeded,
+        };
+        let mut log = AuditLog::new(16);
+        log.record(t(4), executed("quiet"));
+        log.record(t(5), AuditKind::Notified(Box::new(sent(5, true))));
+        log.record(t(6), AuditKind::Refined);
+        log.record(t(7), AuditKind::Notified(Box::new(sent(7, false))));
+        assert_eq!(log.notifications(), vec![sent(5, true), sent(7, false)]);
+    }
+
+    #[test]
+    fn render_numbers_every_line() {
+        let mut log = AuditLog::new(16);
+        log.record(t(1), AuditKind::Observed);
+        log.record(t(1), executed("extended by 300s"));
         let text = log.render();
-        assert!(text.contains("Executed"));
-        assert!(text.contains("0.87"));
-        assert!(text.contains("extended by 300s"));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("#0 ["), "{}", lines[0]);
+        assert!(lines[0].ends_with("] Observed"), "{}", lines[0]);
+        assert!(lines[1].starts_with("#1 ["), "{}", lines[1]);
+        assert!(lines[1].contains("Executed"));
+        assert!(lines[1].contains("0.87"));
+        assert!(lines[1].contains("extended by 300s"));
     }
 }

@@ -7,7 +7,9 @@
 //! extension seconds), a per-kind minimum gap (a cooldown), per-kind and
 //! global sliding-window rate limits, and per-kind suspension. Blocked
 //! actions are reported with a machine-readable [`BlockReason`] so
-//! experiments can account for them.
+//! experiments can account for them; the same type names every other
+//! reason an action did not run, so both scales' trails share one
+//! refusal vocabulary.
 //!
 //! One guard serves both scales of the loop: a node-local
 //! [`MapeLoop`](crate::MapeLoop) admits each planned action through it,
@@ -19,7 +21,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-/// Why the guard refused an action.
+/// Why an action did not run. The guard's own refusals come first; the
+/// rest are reported by the admission steps around it, so every refusal
+/// at both scales shares one type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BlockReason {
     /// The kind is suspended (e.g. after a failed validation).
@@ -62,14 +66,31 @@ pub enum BlockReason {
         /// Max actions per window.
         limit: u32,
     },
-    /// Confidence below the actuation gate (reported by the loop engine,
-    /// carried here so all block accounting shares one type).
+    /// Confidence below the actuation gate (the loop engine's gate and
+    /// the fleet responder's confidence floor).
     LowConfidence {
         /// The action's confidence.
         confidence: f64,
         /// The gate threshold.
         threshold: f64,
     },
+    /// A coordinator vetoed the proposing loop's plan (Fig. 2(c)).
+    Vetoed,
+    /// The master's target worker is down (Fig. 2(b)).
+    WorkerDown {
+        /// The worker's index.
+        worker: usize,
+    },
+    /// The fleet view's coverage is below the floor: the responder holds
+    /// until it recovers.
+    Coverage {
+        /// Observed contributing fraction.
+        fraction: f64,
+        /// Configured floor.
+        min: f64,
+    },
+    /// The alert implicated no nodes (nothing to canary).
+    NoTarget,
 }
 
 impl std::fmt::Display for BlockReason {
@@ -105,6 +126,12 @@ impl std::fmt::Display for BlockReason {
                 f,
                 "confidence {confidence:.2} below threshold {threshold:.2}"
             ),
+            BlockReason::Vetoed => write!(f, "vetoed by coordination"),
+            BlockReason::WorkerDown { worker } => write!(f, "worker {worker} unavailable"),
+            BlockReason::Coverage { fraction, min } => {
+                write!(f, "coverage {fraction:.2} below floor {min:.2}")
+            }
+            BlockReason::NoTarget => write!(f, "the alert implicated no nodes"),
         }
     }
 }

@@ -37,8 +37,10 @@
 //!   admit through the same [`Guard`].
 //! * [`confidence`] — confidence values, gating, and calibration
 //!   tracking (§IV "confidence measures are required").
-//! * [`audit`] — audit events, explanations, and human-on-the-loop
-//!   notifications (§IV, ref. \[31\]).
+//! * [`audit`] — the one bounded, typed decision ring both scales write
+//!   (node loops record [`AuditKind`]s, the fleet responder its control
+//!   events), its rendering, and the human-on-the-loop notifications it
+//!   announces (§IV, ref. \[31\]).
 
 pub mod audit;
 pub mod component;
@@ -50,7 +52,7 @@ pub mod loop_engine;
 pub mod patterns;
 pub mod runtime;
 
-pub use audit::{AuditEvent, AuditKind, AuditLog, Notification};
+pub use audit::{AuditEvent, AuditKind, AuditLog, Decision, Notification};
 pub use component::{
     Analyzer, Assessor, Executor, Monitor, NoopAssessor, Plan, PlannedAction, Planner,
 };

@@ -19,6 +19,13 @@
 //! → guard → mode → E → K) — so a pattern can arbitrate between them
 //! without a second copy of either; steps 1–2 are the one admission step
 //! every node-scale loop shares.
+//!
+//! Every phase lands in the loop's typed [`AuditLog`] — the ring the
+//! fleet responder writes too. The phases that decide nothing
+//! (`Observed`, `NoData`, `Assessed`, `Planned`, `Refined`) record no
+//! text, so a tick formats nothing; a refusal records its
+//! [`BlockReason`], and an executed action the planner's rationale,
+//! moved, not copied.
 
 use crate::audit::{AuditKind, AuditLog, Notification};
 use crate::component::{Analyzer, Assessor, Executor, Monitor, NoopAssessor, Plan, PlannedAction};
@@ -253,10 +260,9 @@ impl<D: Domain> MapeLoop<D> {
         for q in matured {
             self.audit.record(
                 now,
-                &self.name,
-                AuditKind::Approved,
-                format!("approved after human latency: {}", q.action.rationale),
-                Some(q.action.confidence.value()),
+                AuditKind::Approved {
+                    confidence: q.action.confidence.value(),
+                },
             );
             self.run_action(now, q.action, report);
         }
@@ -264,32 +270,16 @@ impl<D: Domain> MapeLoop<D> {
         // M — first harvest durable history (completed-entity records)
         // into Knowledge, then observe the current state.
         self.monitor.ingest(now, &mut self.knowledge);
-        let obs = match self.monitor.observe(now) {
-            Some(o) => o,
-            None => {
-                self.audit
-                    .record(now, &self.name, AuditKind::NoData, "no observation", None);
-                return Plan::none();
-            }
+        let Some(obs) = self.monitor.observe(now) else {
+            self.audit.record(now, AuditKind::NoData);
+            return Plan::none();
         };
         report.observed = true;
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Observed,
-            format!("{obs:?}"),
-            None,
-        );
+        self.audit.record(now, AuditKind::Observed);
 
         // A
         let assessment = self.analyzer.analyze(now, &obs, &self.knowledge);
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Assessed,
-            format!("{assessment:?}"),
-            None,
-        );
+        self.audit.record(now, AuditKind::Assessed);
         self.last_assessment = Some(assessment.clone());
 
         // P
@@ -297,10 +287,9 @@ impl<D: Domain> MapeLoop<D> {
         if !plan.is_empty() {
             self.audit.record(
                 now,
-                &self.name,
-                AuditKind::Planned,
-                format!("{} action(s)", plan.actions.len()),
-                None,
+                AuditKind::Planned {
+                    actions: plan.actions.len(),
+                },
             );
         }
         report.planned += plan.actions.len();
@@ -311,14 +300,7 @@ impl<D: Domain> MapeLoop<D> {
     /// the autonomy mode, E and K.
     pub(crate) fn enact(&mut self, now: SimTime, plan: Plan<D::Action>, report: &mut LoopReport) {
         for pa in plan.actions {
-            if let Err(reason) = admit(
-                self.gate,
-                &mut self.guard,
-                &mut self.audit,
-                &self.name,
-                now,
-                &pa,
-            ) {
+            if let Err(reason) = admit(self.gate, &mut self.guard, &mut self.audit, now, &pa) {
                 report.blocked += 1;
                 if matches!(reason, BlockReason::LowConfidence { .. })
                     && self.mode == AutonomyMode::HumanOnTheLoop
@@ -327,12 +309,11 @@ impl<D: Domain> MapeLoop<D> {
                     // did not dare to.
                     let n = Notification {
                         t: now,
-                        loop_name: self.name.clone(),
                         subject: format!("low-confidence action withheld ({})", pa.kind),
-                        explanation: pa.rationale.clone(),
+                        explanation: pa.rationale,
                         proceeded: false,
                     };
-                    self.audit.notify(n);
+                    self.audit.record(now, AuditKind::Notified(Box::new(n)));
                     report.notified += 1;
                 }
                 continue;
@@ -344,22 +325,21 @@ impl<D: Domain> MapeLoop<D> {
                 AutonomyMode::HumanOnTheLoop => {
                     let n = Notification {
                         t: now,
-                        loop_name: self.name.clone(),
                         subject: format!("executing {} action", pa.kind),
                         explanation: pa.rationale.clone(),
                         proceeded: true,
                     };
-                    self.audit.notify(n);
+                    self.audit.record(now, AuditKind::Notified(Box::new(n)));
                     report.notified += 1;
                     self.run_action(now, pa, report);
                 }
                 AutonomyMode::HumanInTheLoop { latency } => {
                     self.audit.record(
                         now,
-                        &self.name,
-                        AuditKind::Queued,
-                        format!("awaiting approval: {}", pa.rationale),
-                        Some(pa.confidence.value()),
+                        AuditKind::Queued {
+                            confidence: pa.confidence.value(),
+                            rationale: pa.rationale.clone(),
+                        },
                     );
                     self.pending.push(QueuedAction {
                         release_at: now + latency,
@@ -372,29 +352,24 @@ impl<D: Domain> MapeLoop<D> {
     }
 
     /// Refuse a proposed plan from outside the loop (a coordinator's
-    /// veto): its actions count as blocked and the veto lands in this
+    /// veto): each of its actions counts as blocked and lands in this
     /// loop's own trail.
     pub(crate) fn veto(&mut self, now: SimTime, plan: &Plan<D::Action>, report: &mut LoopReport) {
         report.blocked += plan.actions.len();
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Blocked,
-            format!("vetoed by coordination: {} action(s)", plan.actions.len()),
-            None,
-        );
+        for pa in &plan.actions {
+            self.audit.record(
+                now,
+                AuditKind::Blocked {
+                    confidence: pa.confidence.value(),
+                    reason: Box::new(BlockReason::Vetoed),
+                },
+            );
+        }
     }
 
     fn run_action(&mut self, now: SimTime, pa: PlannedAction<D::Action>, report: &mut LoopReport) {
         let outcome = self.executor.execute(now, &pa.action);
         report.executed += 1;
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Executed,
-            format!("{:?} -> {:?}", pa.action, outcome),
-            Some(pa.confidence.value()),
-        );
         self.knowledge.record_outcome(OutcomeRecord {
             loop_name: self.name.clone(),
             t: now,
@@ -407,11 +382,12 @@ impl<D: Domain> MapeLoop<D> {
             .assess(now, &pa, &outcome, &mut self.knowledge);
         self.audit.record(
             now,
-            &self.name,
-            AuditKind::Refined,
-            format!("knowledge refined after {} action", pa.kind),
-            None,
+            AuditKind::Executed {
+                confidence: pa.confidence.value(),
+                rationale: pa.rationale,
+            },
         );
+        self.audit.record(now, AuditKind::Refined);
     }
 }
 
@@ -423,7 +399,6 @@ pub(crate) fn admit<A>(
     gate: ConfidenceGate,
     guard: &mut Guard,
     audit: &mut AuditLog,
-    name: &str,
     now: SimTime,
     pa: &PlannedAction<A>,
 ) -> Result<(), BlockReason> {
@@ -438,10 +413,10 @@ pub(crate) fn admit<A>(
     if let Err(reason) = &verdict {
         audit.record(
             now,
-            name,
-            AuditKind::Blocked,
-            reason.to_string(),
-            Some(pa.confidence.value()),
+            AuditKind::Blocked {
+                confidence: pa.confidence.value(),
+                reason: Box::new(reason.clone()),
+            },
         );
     }
     verdict
@@ -548,13 +523,35 @@ mod tests {
     }
 
     #[test]
+    fn the_trail_is_typed_and_executed_carries_the_rationale() {
+        let (mut l, _log) = build_loop(vec![Some(10.0)], 5.0, 1.0);
+        l.tick(t(1));
+        let kinds: Vec<AuditKind> = l.audit().events().map(|e| e.decision.clone()).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                AuditKind::Observed,
+                AuditKind::Assessed,
+                AuditKind::Planned { actions: 1 },
+                AuditKind::Executed {
+                    confidence: 1.0,
+                    rationale: "assessment 20 above 5".into(),
+                },
+                AuditKind::Refined,
+            ]
+        );
+        let seqs: Vec<u64> = l.audit().events().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn no_data_skips_iteration() {
         let (mut l, log) = build_loop(vec![None, Some(10.0)], 5.0, 1.0);
         let r = l.tick(t(1));
         assert!(!r.observed);
         assert_eq!(r.executed, 0);
         assert!(log.borrow().is_empty());
-        assert_eq!(l.audit().count(AuditKind::NoData), 1);
+        assert_eq!(l.audit().count(|k| *k == AuditKind::NoData), 1);
         let r2 = l.tick(t(2));
         assert!(r2.observed);
         assert_eq!(r2.executed, 1);
@@ -578,7 +575,10 @@ mod tests {
         assert_eq!(r.blocked, 1);
         assert_eq!(r.executed, 0);
         assert!(log.borrow().is_empty());
-        assert_eq!(l.audit().count(AuditKind::Blocked), 1);
+        assert_eq!(
+            l.audit().count(|k| matches!(k, AuditKind::Blocked { .. })),
+            1
+        );
     }
 
     #[test]
@@ -604,6 +604,7 @@ mod tests {
         let n = &l.audit().notifications()[0];
         assert!(n.proceeded);
         assert!(n.explanation.contains("assessment"));
+        assert_eq!(n.subject, "executing adjust action");
     }
 
     #[test]
@@ -636,7 +637,10 @@ mod tests {
         assert_eq!(r3.executed, 1);
         assert_eq!(l.pending_count(), 0);
         assert_eq!(log.borrow()[0].0, 30_000);
-        assert_eq!(l.audit().count(AuditKind::Approved), 1);
+        assert_eq!(
+            l.audit().count(|k| matches!(k, AuditKind::Approved { .. })),
+            1
+        );
     }
 
     #[test]

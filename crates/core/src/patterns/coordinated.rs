@@ -207,7 +207,7 @@ mod tests {
     use crate::component::{Analyzer, Executor, Monitor, PlannedAction, Planner};
     use crate::confidence::{Confidence, ConfidenceGate};
     use crate::domain::ScalarDomain;
-    use crate::guard::GuardConfig;
+    use crate::guard::{BlockReason, GuardConfig};
     use crate::knowledge::Knowledge;
     use crate::loop_engine::AutonomyMode;
     use moda_sim::SimDuration;
@@ -446,7 +446,12 @@ mod tests {
         // Every path of the loop was exercised.
         assert!(solo_sum.executed > 0 && solo_sum.blocked > 0);
         assert!(solo_sum.queued > 0 && solo_sum.notified > 0);
-        assert!(c.peer(3).audit().count(AuditKind::Approved) > 0);
+        assert!(
+            c.peer(3)
+                .audit()
+                .count(|k| matches!(k, AuditKind::Approved { .. }))
+                > 0
+        );
         for (i, l) in solo.iter().enumerate() {
             assert_eq!(*peer_logs[i].borrow(), *solo_logs[i].borrow(), "peer{i}");
             assert_eq!(c.peer(i).audit().render(), l.audit().render(), "peer{i}");
@@ -469,20 +474,28 @@ mod tests {
         let r = c.tick(t(1));
         assert_eq!((r.executed, r.blocked), (0, 3));
         assert!(log.borrow().is_empty());
-        for (i, why) in [(0, "vetoed"), (1, "below threshold"), (2, "count budget")] {
+        let reasons = [
+            BlockReason::Vetoed,
+            BlockReason::LowConfidence {
+                confidence: 0.5,
+                threshold: 0.6,
+            },
+            BlockReason::CountBudget {
+                kind: "act".into(),
+                limit: 0,
+            },
+        ];
+        for (i, why) in reasons.into_iter().enumerate() {
             let blocked: Vec<_> = c
                 .peer(i)
                 .audit()
                 .events()
-                .filter(|e| e.kind == AuditKind::Blocked)
+                .filter_map(|e| match &e.decision {
+                    AuditKind::Blocked { reason, .. } => Some((**reason).clone()),
+                    _ => None,
+                })
                 .collect();
-            assert_eq!(blocked.len(), 1, "peer{i}");
-            assert_eq!(blocked[0].loop_name, format!("peer{i}"));
-            assert!(
-                blocked[0].detail.contains(why),
-                "peer{i}: {}",
-                blocked[0].detail
-            );
+            assert_eq!(blocked, vec![why], "peer{i}");
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::audit::{AuditKind, AuditLog};
 use crate::component::{Executor, Monitor, PlannedAction};
 use crate::confidence::ConfidenceGate;
 use crate::domain::Domain;
-use crate::guard::{Guard, GuardConfig};
+use crate::guard::{BlockReason, Guard, GuardConfig};
 use crate::knowledge::{Knowledge, OutcomeRecord};
 use crate::loop_engine::{admit, LoopReport};
 use moda_sim::SimTime;
@@ -158,37 +158,23 @@ impl<D: Domain> MasterWorker<D> {
             }
         }
         if obs.is_empty() {
-            self.audit
-                .record(now, &self.name, AuditKind::NoData, "no worker data", None);
+            self.audit.record(now, AuditKind::NoData);
             return report;
         }
         report.observed = true;
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Observed,
-            format!("{} worker observation(s)", obs.len()),
-            None,
-        );
+        self.audit.record(now, AuditKind::Observed);
 
         // Centralized A + P.
         let assessment = self.analyzer.analyze(now, &obs, &self.knowledge);
-        self.audit.record(
-            now,
-            &self.name,
-            AuditKind::Assessed,
-            format!("{assessment:?}"),
-            None,
-        );
+        self.audit.record(now, AuditKind::Assessed);
         let actions = self.planner.plan(now, &assessment, &self.knowledge);
         report.planned = actions.len();
         if !actions.is_empty() {
             self.audit.record(
                 now,
-                &self.name,
-                AuditKind::Planned,
-                format!("{} targeted action(s)", actions.len()),
-                None,
+                AuditKind::Planned {
+                    actions: actions.len(),
+                },
             );
         }
 
@@ -198,39 +184,30 @@ impl<D: Domain> MasterWorker<D> {
                 report.blocked += 1;
                 self.audit.record(
                     now,
-                    &self.name,
-                    AuditKind::Blocked,
-                    format!("worker {idx} unavailable"),
-                    Some(pa.confidence.value()),
+                    AuditKind::Blocked {
+                        confidence: pa.confidence.value(),
+                        reason: Box::new(BlockReason::WorkerDown { worker: idx }),
+                    },
                 );
                 continue;
             }
-            if admit(
-                self.gate,
-                &mut self.guard,
-                &mut self.audit,
-                &self.name,
-                now,
-                &pa,
-            )
-            .is_err()
-            {
+            if admit(self.gate, &mut self.guard, &mut self.audit, now, &pa).is_err() {
                 report.blocked += 1;
                 continue;
             }
-            let outcome = self.workers[idx].executor.execute(now, &pa.action);
+            self.workers[idx].executor.execute(now, &pa.action);
             report.executed += 1;
             self.audit.record(
                 now,
-                &self.name,
-                AuditKind::Executed,
-                format!("worker {idx}: {:?} -> {:?}", pa.action, outcome),
-                Some(pa.confidence.value()),
+                AuditKind::Executed {
+                    confidence: pa.confidence.value(),
+                    rationale: pa.rationale,
+                },
             );
             self.knowledge.record_outcome(OutcomeRecord {
                 loop_name: self.name.clone(),
                 t: now,
-                kind: pa.kind.clone(),
+                kind: pa.kind,
                 confidence: pa.confidence.value(),
                 success: None,
                 error: 0.0,
@@ -359,7 +336,7 @@ mod tests {
         mw.set_worker_alive(1, false);
         let r = mw.tick(SimTime::from_secs(1));
         assert!(!r.observed);
-        assert_eq!(mw.audit().count(AuditKind::NoData), 1);
+        assert_eq!(mw.audit().count(|k| *k == AuditKind::NoData), 1);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * **widened confidence on partial views** — monitors derate their
 //!   confidence by the coverage fraction, and the responder
 //!   additionally holds actuation outright while coverage sits below
-//!   [`ControlConfig::min_coverage`] ([`HoldReason::Coverage`]).
+//!   [`ControlConfig::min_coverage`] ([`BlockReason::Coverage`]); an
+//!   alert whose confidence does not clear the
+//!   [`moda_core::ConfidenceGate`] at [`ControlConfig::min_confidence`]
+//!   is blocked ([`BlockReason::LowConfidence`]; a NaN counts as none).
 //! * **bounded execution** — the first action of every rule is
 //!   canary-only (one node); only after post-action validation against
 //!   the same fleet metrics does the rule get *promoted* to fleet-wide
@@ -29,11 +32,12 @@
 //!   validation demotes the rule back to canary and suspends its
 //!   subsystem.
 //! * **machine-checkable audit** — every decision (observation, alert,
-//!   hold, block, apply, validation, promotion) lands in a
-//!   [`ControlLog`], and [`FleetResponder::verify_audit`] replays the
-//!   trail against the configured bounds — the CI chaos scenarios
+//!   hold, block, apply, validation, promotion) lands as a typed
+//!   [`ControlEvent`] in the responder's [`AuditLog`] — the one ring the
+//!   node loops write too — and [`FleetResponder::verify_audit`] replays
+//!   the trail against the configured bounds; the CI chaos scenarios
 //!   assert on it. The same record announces every actuation to the
-//!   humans on the loop ([`ControlLog::notifications`]).
+//!   humans on the loop ([`AuditLog::notifications`]).
 //!
 //! The actuation side is deliberately abstract ([`FleetActuator`]):
 //! this crate knows nothing about the managed system. `moda-hpc`'s
@@ -41,12 +45,15 @@
 
 use crate::aggregator::{FleetAggregator, HealthPolicy, NodeLiveness};
 use crate::store::{FleetServed, NodeId, Rank};
-use moda_core::{BlockReason, Guard, GuardConfig, Notification};
+use moda_core::{
+    AuditEvent, AuditLog, BlockReason, Confidence, ConfidenceGate, Decision, Guard, GuardConfig,
+    Notification,
+};
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::{MetricId, WindowAgg};
-use std::collections::{HashMap, VecDeque};
-use std::fmt::Debug;
+use std::collections::HashMap;
+use std::fmt::{self, Debug};
 
 // ------------------------------------------------------------- coverage
 
@@ -523,27 +530,6 @@ impl<A> ResponseRule<A> {
 
 // ------------------------------------------------------------ audit log
 
-/// Why actuation was held (not an error: the loop waits).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HoldReason {
-    /// Fleet coverage below the floor: partial views don't actuate.
-    Coverage {
-        /// Observed contributing fraction.
-        fraction: f64,
-        /// Configured floor.
-        min: f64,
-    },
-    /// Detection confidence below the floor.
-    Confidence {
-        /// Derated alert confidence.
-        confidence: f64,
-        /// Configured floor.
-        min: f64,
-    },
-    /// The alert implicated no nodes (nothing to canary).
-    NoTarget,
-}
-
 /// One control-plane decision record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlEventKind {
@@ -570,10 +556,12 @@ pub enum ControlEventKind {
         /// The gate.
         gate: u32,
     },
-    /// Actuation held (coverage/confidence/no-target) — waits, not an
-    /// error.
-    Held(HoldReason),
-    /// Actuation blocked by the execution bounds: the subsystem's
+    /// Actuation held — waits, not an error: fleet coverage below the
+    /// floor (`Coverage`) or an alert that implicated no nodes
+    /// (`NoTarget`).
+    Held(BlockReason),
+    /// Actuation refused: the alert's confidence below the floor
+    /// (`LowConfidence`), or the execution bounds — the subsystem's
     /// suspension (`Suspended`), cooldown (`MinGap`), rate budget
     /// (`RateLimit` with the subsystem as kind), or the global one
     /// (`RateLimit` with no kind).
@@ -591,7 +579,7 @@ pub enum ControlEventKind {
         gate: u32,
         /// Coverage fraction at apply time.
         coverage: f64,
-        /// Alert confidence at apply time.
+        /// Alert confidence at apply time, as the floor judged it.
         confidence: f64,
     },
     /// The actuator refused or failed the action.
@@ -619,13 +607,11 @@ pub enum ControlEventKind {
     },
 }
 
-/// One entry of the [`ControlLog`].
-#[derive(Debug, Clone)]
+/// What the responder records in its [`AuditLog`]: one decision of one
+/// rule (or, for `Observed`, one monitor's probe). Typed, so the trail
+/// can be *verified*, not just read ([`FleetResponder::verify_audit`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlEvent {
-    /// Monotonic sequence number (gap-free unless the ring dropped).
-    pub seq: u64,
-    /// When.
-    pub t: SimTime,
     /// Rule name (or monitor name for `Observed`).
     pub rule: String,
     /// Subsystem.
@@ -636,110 +622,55 @@ pub struct ControlEvent {
     pub detail: String,
 }
 
-/// Bounded ring of control-plane decisions. Unlike a free-text log this
-/// is typed, so the trail can be *verified*, not just read
-/// ([`FleetResponder::verify_audit`]).
-#[derive(Debug)]
-pub struct ControlLog {
-    events: VecDeque<ControlEvent>,
-    capacity: usize,
-    total: u64,
-    dropped: u64,
+impl fmt::Display for ControlEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{} {:?}: {}",
+            self.subsystem, self.rule, self.kind, self.detail
+        )
+    }
 }
 
-impl ControlLog {
-    /// Ring retaining `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        ControlLog {
-            events: VecDeque::new(),
-            capacity: capacity.max(16),
-            total: 0,
-            dropped: 0,
-        }
-    }
-
-    fn record(
-        &mut self,
-        t: SimTime,
-        rule: &str,
-        subsystem: &str,
-        kind: ControlEventKind,
-        detail: String,
-    ) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ControlEvent {
-            seq: self.total,
+impl Decision for ControlEvent {
+    /// Every `Applied` announces the actuation with its rationale; the
+    /// responder never waits for an answer, so each has `proceeded`.
+    fn notification(&self, t: SimTime) -> Option<Notification> {
+        let ControlEventKind::Applied { canary, .. } = self.kind else {
+            return None;
+        };
+        Some(Notification {
             t,
+            subject: format!(
+                "{}/{}: applied {} action",
+                self.subsystem,
+                self.rule,
+                if canary { "canary" } else { "fleet-wide" }
+            ),
+            explanation: self.detail.clone(),
+            proceeded: true,
+        })
+    }
+}
+
+/// Record one decision of `rule` on `subsystem` in the responder's trail.
+fn record(
+    log: &mut AuditLog<ControlEvent>,
+    t: SimTime,
+    rule: &str,
+    subsystem: &str,
+    kind: ControlEventKind,
+    detail: String,
+) {
+    log.record(
+        t,
+        ControlEvent {
             rule: rule.to_string(),
             subsystem: subsystem.to_string(),
             kind,
             detail,
-        });
-        self.total += 1;
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ControlEvent> {
-        self.events.iter()
-    }
-
-    /// Lifetime events recorded (including any the ring dropped).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events the ring evicted (non-zero means the retained trail is a
-    /// suffix, and [`FleetResponder::verify_audit`] refuses to certify).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Count retained events matching a predicate.
-    pub fn count(&self, pred: impl Fn(&ControlEventKind) -> bool) -> usize {
-        self.events.iter().filter(|e| pred(&e.kind)).count()
-    }
-
-    /// The human-on-the-loop view (§IV): one [`Notification`] per
-    /// retained `Applied` event, oldest first, announcing the actuation
-    /// with its rationale. The loop never waits for an answer, so every
-    /// notification has `proceeded`.
-    pub fn notifications(&self, loop_name: &str) -> Vec<Notification> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                ControlEventKind::Applied { canary, .. } => Some(Notification {
-                    t: e.t,
-                    loop_name: loop_name.to_string(),
-                    subject: format!(
-                        "{}/{}: applied {} action",
-                        e.subsystem,
-                        e.rule,
-                        if canary { "canary" } else { "fleet-wide" }
-                    ),
-                    explanation: e.detail.clone(),
-                    proceeded: true,
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Render the retained trail, one line per decision.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "#{} [{}] {}/{} {:?}: {}",
-                e.seq, e.t, e.subsystem, e.rule, e.kind, e.detail
-            );
-        }
-        out
-    }
+        },
+    );
 }
 
 // ------------------------------------------------------------ responder
@@ -748,7 +679,8 @@ impl ControlLog {
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Minimum alert confidence to actuate (alerts arrive already
-    /// coverage-derated, so a partial view lowers this naturally).
+    /// coverage-derated, so a partial view lowers this naturally),
+    /// judged through a [`ConfidenceGate`] at this threshold.
     pub min_confidence: f64,
     /// Minimum coverage fraction to actuate — below it the responder
     /// holds until coverage recovers.
@@ -784,9 +716,9 @@ pub struct TickReport {
     pub applied: usize,
     /// Actions the actuator failed.
     pub failed: usize,
-    /// Actuations held (coverage/confidence/no-target).
+    /// Actuations held (coverage/no-target).
     pub held: usize,
-    /// Actuations blocked (cooldown/rate/suspension).
+    /// Actuations blocked (confidence/cooldown/rate/suspension).
     pub blocked: usize,
     /// Validations concluded passed.
     pub validations_passed: usize,
@@ -806,9 +738,9 @@ pub struct AuditSummary {
     pub canary: u64,
     /// Of which fleet-wide (post-promotion).
     pub fleet: u64,
-    /// Holds.
+    /// Holds (coverage/no-target).
     pub held: u64,
-    /// Blocks.
+    /// Blocks (confidence/cooldown/rate/suspension).
     pub blocked: u64,
     /// Validations passed.
     pub validations_passed: u64,
@@ -836,7 +768,7 @@ struct RuleState {
 
 /// The guarded Response plane: monitors feed it observations, rules map
 /// persistent alerts to actuator actions under bounded execution, and
-/// every decision lands in the [`ControlLog`]. See the module docs for
+/// every decision lands in its [`AuditLog`]. See the module docs for
 /// the contract.
 ///
 /// Parameterized by the **action** type, not the actuator: actuators
@@ -850,7 +782,7 @@ pub struct FleetResponder<Act: Clone + Debug> {
     state: Vec<RuleState>,
     /// Execution bounds: one budget kind per subsystem.
     guard: Guard,
-    log: ControlLog,
+    log: AuditLog<ControlEvent>,
     complete_observations: u64,
     degraded_observations: u64,
     /// Pre-resolved `control.*` self-telemetry instruments (inert until
@@ -862,16 +794,15 @@ pub struct FleetResponder<Act: Clone + Debug> {
 impl<Act: Clone + Debug> FleetResponder<Act> {
     /// Empty responder.
     pub fn new(cfg: ControlConfig) -> Self {
-        let log = ControlLog::new(cfg.log_capacity);
         let mut guard = GuardConfig::unlimited();
         guard.rate_limit = cfg.global_rate.map(|g| (g.window, g.max));
         FleetResponder {
+            log: AuditLog::new(cfg.log_capacity),
             cfg,
             monitors: Vec::new(),
             rules: Vec::new(),
             state: Vec::new(),
             guard: Guard::new(guard),
-            log,
             complete_observations: 0,
             degraded_observations: 0,
             tick_ns: LatencyRecorder::default(),
@@ -930,8 +861,14 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
     }
 
     /// The audit trail.
-    pub fn log(&self) -> &ControlLog {
+    pub fn log(&self) -> &AuditLog<ControlEvent> {
         &self.log
+    }
+
+    /// The confidence floor, as a gate: an alert's confidence is judged
+    /// as a [`Confidence`], so a NaN one counts as none.
+    fn gate(&self) -> ConfidenceGate {
+        ConfidenceGate::new(self.cfg.min_confidence)
     }
 
     /// Whether a rule has been promoted past canary-only execution.
@@ -972,7 +909,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 self.degraded_observations += 1;
             }
             if self.cfg.log_observations {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     m.name(),
                     m.subsystem(),
@@ -1028,7 +966,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 Some(a) => a.severity <= p.baseline * (1.0 - rule.min_improvement) - 1e-12,
             };
             if passed {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
@@ -1041,7 +980,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 report.validations_passed += 1;
                 if p.canary && !self.state[i].promoted {
                     self.state[i].promoted = true;
-                    self.log.record(
+                    record(
+                        &mut self.log,
                         now,
                         &rule.name,
                         &rule.subsystem,
@@ -1051,7 +991,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 }
                 self.state[i].pending = None;
             } else if now.0 >= p.applied_at.0 + rule.validation_deadline.0 {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
@@ -1066,7 +1007,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 self.state[i].promoted = false;
                 self.state[i].pending = None;
                 self.guard.suspend(&rule.subsystem, until);
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
@@ -1095,7 +1037,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             if adequate {
                 self.state[i].consecutive = self.state[i].consecutive.saturating_add(1);
             }
-            self.log.record(
+            record(
+                &mut self.log,
                 now,
                 &rule.name,
                 &rule.subsystem,
@@ -1112,7 +1055,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             }
             let consecutive = self.state[i].consecutive;
             if consecutive < rule.escalation_gate {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
@@ -1125,11 +1069,12 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 continue;
             }
             if !adequate {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
-                    ControlEventKind::Held(HoldReason::Coverage {
+                    ControlEventKind::Held(BlockReason::Coverage {
                         fraction: *frac,
                         min: self.cfg.min_coverage,
                     }),
@@ -1138,23 +1083,22 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 report.held += 1;
                 continue;
             }
-            if alert.confidence < self.cfg.min_confidence {
-                self.log.record(
-                    now,
-                    &rule.name,
-                    &rule.subsystem,
-                    ControlEventKind::Held(HoldReason::Confidence {
-                        confidence: alert.confidence,
-                        min: self.cfg.min_confidence,
-                    }),
-                    "confidence below floor".to_string(),
-                );
-                report.held += 1;
-                continue;
-            }
-            if let Err(reason) = self.guard.check(now, &rule.subsystem, 0.0) {
+            // The confidence floor, then the execution bounds: one
+            // refusal, `Blocked`, with its reason.
+            let confidence = Confidence::new(alert.confidence);
+            let gate = self.gate();
+            let verdict = if gate.passes(confidence) {
+                self.guard.check(now, &rule.subsystem, 0.0)
+            } else {
+                Err(BlockReason::LowConfidence {
+                    confidence: confidence.value(),
+                    threshold: gate.threshold,
+                })
+            };
+            if let Err(reason) = verdict {
                 let detail = reason.to_string();
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
@@ -1165,11 +1109,12 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                 continue;
             }
             if alert.nodes.is_empty() {
-                self.log.record(
+                record(
+                    &mut self.log,
                     now,
                     &rule.name,
                     &rule.subsystem,
-                    ControlEventKind::Held(HoldReason::NoTarget),
+                    ControlEventKind::Held(BlockReason::NoTarget),
                     "alert implicated no nodes".to_string(),
                 );
                 report.held += 1;
@@ -1187,7 +1132,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             };
             match actuator.apply(now, &target, &rule.action) {
                 Ok(receipt) => {
-                    self.log.record(
+                    record(
+                        &mut self.log,
                         now,
                         &rule.name,
                         &rule.subsystem,
@@ -1197,7 +1143,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                             escalation: consecutive,
                             gate: rule.escalation_gate,
                             coverage: *frac,
-                            confidence: alert.confidence,
+                            confidence: confidence.value(),
                         },
                         format!("{:?} on {target:?}: {receipt}", rule.action),
                     );
@@ -1211,7 +1157,8 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                     self.state[i].consecutive = 0;
                 }
                 Err(reason) => {
-                    self.log.record(
+                    record(
+                        &mut self.log,
                         now,
                         &rule.name,
                         &rule.subsystem,
@@ -1245,6 +1192,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             ));
         }
         let rule_of = |name: &str| self.rules.iter().find(|r| r.name == name);
+        let floor = self.gate();
         let mut summary = AuditSummary::default();
         let mut promoted: HashMap<&str, bool> = HashMap::new();
         let mut last_validation: HashMap<&str, (bool, bool)> = HashMap::new(); // (passed, was_canary)
@@ -1253,9 +1201,14 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
         let mut all_applied: Vec<SimTime> = Vec::new();
         let mut suspended: HashMap<&str, SimTime> = HashMap::new();
         let mut end_t = SimTime::ZERO;
-        for e in self.log.events() {
+        for AuditEvent {
+            seq,
+            t,
+            decision: e,
+        } in self.log.events()
+        {
             summary.events += 1;
-            end_t = end_t.max(e.t);
+            end_t = end_t.max(t);
             match &e.kind {
                 ControlEventKind::Applied {
                     canary,
@@ -1272,85 +1225,90 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                         summary.fleet += 1;
                     }
                     if let Some(&until) = suspended.get(e.subsystem.as_str()) {
-                        if e.t < until {
+                        if t < until {
                             errors.push(format!(
                                 "#{}: {} applied while {} was suspended until {until}",
-                                e.seq, e.rule, e.subsystem
+                                seq, e.rule, e.subsystem
                             ));
                         }
                     }
-                    all_applied.push(e.t);
+                    all_applied.push(t);
                     if let Some(g) = self.cfg.global_rate {
                         let in_window = all_applied
                             .iter()
-                            .filter(|&&t0| e.t.saturating_since(t0).0 < g.window.0)
+                            .filter(|&&t0| t.saturating_since(t0).0 < g.window.0)
                             .count() as u32;
                         if in_window > g.max {
                             errors.push(format!(
                                 "#{}: {} exceeded the global rate budget ({} in {})",
-                                e.seq, e.rule, in_window, g.window
+                                seq, e.rule, in_window, g.window
                             ));
                         }
                     }
                     let Some(rule) = rule_of(&e.rule) else {
-                        errors.push(format!("#{}: apply from unknown rule {}", e.seq, e.rule));
+                        errors.push(format!("#{}: apply from unknown rule {}", seq, e.rule));
                         continue;
                     };
                     if !*canary && !promoted.get(e.rule.as_str()).copied().unwrap_or(false) {
                         errors.push(format!(
                             "#{}: fleet-wide apply of {} without prior promotion",
-                            e.seq, e.rule
+                            seq, e.rule
                         ));
                     }
                     if escalation < gate {
                         errors.push(format!(
                             "#{}: {} applied below its escalation gate ({escalation} < {gate})",
-                            e.seq, e.rule
+                            seq, e.rule
                         ));
                     }
                     if *coverage < self.cfg.min_coverage - 1e-9 {
                         errors.push(format!(
                             "#{}: {} applied at coverage {coverage:.3} below floor {:.3}",
-                            e.seq, e.rule, self.cfg.min_coverage
+                            seq, e.rule, self.cfg.min_coverage
                         ));
                     }
-                    if *confidence < self.cfg.min_confidence - 1e-9 {
+                    if !confidence.is_finite() {
+                        errors.push(format!(
+                            "#{}: {} applied at a non-finite confidence {confidence}",
+                            seq, e.rule
+                        ));
+                    } else if !floor.passes(Confidence::new(*confidence)) {
                         errors.push(format!(
                             "#{}: {} applied at confidence {confidence:.3} below floor {:.3}",
-                            e.seq, e.rule, self.cfg.min_confidence
+                            seq, e.rule, floor.threshold
                         ));
                     }
                     let hist = sub_applied.entry(e.subsystem.as_str()).or_default();
                     if let Some(&prev) = hist.last() {
-                        if e.t.saturating_since(prev).0 < rule.cooldown.0 {
+                        if t.saturating_since(prev).0 < rule.cooldown.0 {
                             errors.push(format!(
                                 "#{}: {} applied {} after the previous {} action (cooldown {})",
-                                e.seq,
+                                seq,
                                 e.rule,
-                                e.t.saturating_since(prev),
+                                t.saturating_since(prev),
                                 e.subsystem,
                                 rule.cooldown
                             ));
                         }
                     }
-                    hist.push(e.t);
+                    hist.push(t);
                     let in_window = hist
                         .iter()
-                        .filter(|&&t0| e.t.saturating_since(t0).0 < rule.rate_limit.window.0)
+                        .filter(|&&t0| t.saturating_since(t0).0 < rule.rate_limit.window.0)
                         .count() as u32;
                     if in_window > rule.rate_limit.max {
                         errors.push(format!(
                             "#{}: {} exceeded the {} rate budget ({} in {})",
-                            e.seq, e.rule, e.subsystem, in_window, rule.rate_limit.window
+                            seq, e.rule, e.subsystem, in_window, rule.rate_limit.window
                         ));
                     }
                     if pending.contains_key(e.rule.as_str()) {
                         errors.push(format!(
                             "#{}: {} applied while a prior action was still unvalidated",
-                            e.seq, e.rule
+                            seq, e.rule
                         ));
                     }
-                    pending.insert(e.rule.as_str(), (e.t, *canary));
+                    pending.insert(e.rule.as_str(), (t, *canary));
                 }
                 ControlEventKind::ValidationPassed { .. }
                 | ControlEventKind::ValidationFailed { .. } => {
@@ -1366,7 +1324,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                         }
                         None => errors.push(format!(
                             "#{}: validation for {} without a pending action",
-                            e.seq, e.rule
+                            seq, e.rule
                         )),
                     }
                     if !passed {
@@ -1381,7 +1339,7 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                         }
                         _ => errors.push(format!(
                             "#{}: {} promoted without a passed canary validation",
-                            e.seq, e.rule
+                            seq, e.rule
                         )),
                     }
                 }
@@ -1666,6 +1624,101 @@ mod tests {
             .collect()
     }
 
+    /// A monitor that raises the same alert, at full coverage, with a
+    /// fixed confidence on every pass.
+    struct SureMonitor(f64);
+
+    impl FleetMonitor for SureMonitor {
+        fn name(&self) -> &str {
+            "sure"
+        }
+
+        fn subsystem(&self) -> &str {
+            "sub"
+        }
+
+        fn observe(&mut self, _fleet: &FleetAggregator, _now: SimTime) -> Observation {
+            Observation {
+                alerts: vec![FleetAlert {
+                    monitor: "sure".into(),
+                    subsystem: "sub".into(),
+                    detail: "breach".into(),
+                    severity: 2.0,
+                    nodes: vec![NodeId(0)],
+                    confidence: self.0,
+                }],
+                coverage: Coverage {
+                    total: 1,
+                    contributing: 1,
+                    ..Coverage::default()
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn an_alert_below_the_confidence_floor_is_blocked_even_when_nan() {
+        for confidence in [f64::NAN, 0.3] {
+            let mut r = FleetResponder::new(ControlConfig::default());
+            r.add_monitor(Box::new(SureMonitor(confidence)));
+            r.add_rule(ResponseRule::new("fix", "sure", "sub", "remediate"));
+            let mut act = ScriptedActuator {
+                applies: vec![],
+                fail_next: false,
+            };
+            // Gate 2: the second pass is the first that may actuate.
+            let reports = tick_n(&mut r, &mut act, 2, 600);
+            assert!(act.applies.is_empty(), "{confidence}: applied");
+            let blocked: Vec<&BlockReason> = r
+                .log()
+                .events()
+                .filter_map(|e| match &e.decision.kind {
+                    ControlEventKind::Blocked(reason) => Some(reason),
+                    _ => None,
+                })
+                .collect();
+            let judged = Confidence::new(confidence).value();
+            assert_eq!(
+                blocked,
+                vec![&BlockReason::LowConfidence {
+                    confidence: judged,
+                    threshold: 0.5
+                }],
+                "{confidence}"
+            );
+            assert_eq!(reports[1].blocked, 1, "{confidence}");
+            assert_eq!(reports[1].held, 0, "{confidence}");
+            let summary = r.verify_audit().expect("trail certifies");
+            assert_eq!((summary.blocked, summary.held), (1, 0), "{confidence}");
+        }
+    }
+
+    #[test]
+    fn verify_audit_refuses_a_non_finite_apply_confidence() {
+        for confidence in [f64::NAN, f64::INFINITY] {
+            let mut r = responder(vec![(0.0, 1.0)]);
+            let kind = ControlEventKind::Applied {
+                canary: true,
+                nodes: 1,
+                escalation: 2,
+                gate: 2,
+                coverage: 1.0,
+                confidence,
+            };
+            record(
+                &mut r.log,
+                SimTime::from_mins(10),
+                "fix",
+                "sub",
+                kind,
+                "forged".into(),
+            );
+            let errors = r.verify_audit().expect_err("forgery detected");
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(errors[0].contains("non-finite"), "{errors:?}");
+        }
+    }
+
     #[test]
     fn canary_first_then_promoted_fleet_action() {
         // Alert persists; after the canary the severity improves and
@@ -1699,18 +1752,18 @@ mod tests {
         assert_eq!(summary.validations_passed, 2);
         // Every apply, and nothing else, is announced to the humans on
         // the loop, oldest first, with the apply's own rationale.
-        let applied: Vec<&ControlEvent> = r
+        let applied: Vec<AuditEvent<&ControlEvent>> = r
             .log()
             .events()
-            .filter(|e| matches!(e.kind, ControlEventKind::Applied { .. }))
+            .filter(|e| matches!(e.decision.kind, ControlEventKind::Applied { .. }))
             .collect();
-        let notes = r.log().notifications("fleet-loop");
+        let notes = r.log().notifications();
         assert_eq!(notes.len(), applied.len());
         assert_eq!(notes[0].subject, "sub/fix: applied canary action");
         assert_eq!(notes[1].subject, "sub/fix: applied fleet-wide action");
         for (n, e) in notes.iter().zip(&applied) {
-            assert_eq!((n.t, n.loop_name.as_str()), (e.t, "fleet-loop"));
-            assert_eq!(n.explanation, e.detail);
+            assert_eq!(n.t, e.t);
+            assert_eq!(n.explanation, e.decision.detail);
             assert!(n.proceeded);
         }
     }
@@ -1736,7 +1789,7 @@ mod tests {
         assert_eq!(act.applies.len(), 1);
         let esc = r
             .log()
-            .count(|k| matches!(k, ControlEventKind::Escalated { .. }));
+            .count(|e| matches!(e.kind, ControlEventKind::Escalated { .. }));
         assert!(esc >= 2, "gate progress is audited ({esc})");
     }
 
@@ -1806,7 +1859,7 @@ mod tests {
         assert_eq!(summary.demotions, 1);
         assert!(summary.blocked >= 1, "suspension shows in the trail");
         assert!(r.log().events().any(|e| matches!(
-            &e.kind,
+            &e.decision.kind,
             ControlEventKind::Blocked(BlockReason::Suspended { kind, .. }) if kind == "sub"
         )));
         // The canary fired once at t=2; while suspended (t=5..6) the
@@ -1841,8 +1894,10 @@ mod tests {
     fn blocks(r: &FleetResponder<&'static str>) -> Vec<(String, BlockReason)> {
         r.log()
             .events()
-            .filter_map(|e| match &e.kind {
-                ControlEventKind::Blocked(reason) => Some((e.rule.clone(), reason.clone())),
+            .filter_map(|e| match &e.decision.kind {
+                ControlEventKind::Blocked(reason) => {
+                    Some((e.decision.rule.clone(), reason.clone()))
+                }
                 _ => None,
             })
             .collect()
@@ -1938,13 +1993,13 @@ mod tests {
         let escalated: Vec<&str> = r
             .log()
             .events()
-            .filter(|e| matches!(e.kind, ControlEventKind::Escalated { .. }))
-            .map(|e| e.rule.as_str())
+            .filter(|e| matches!(e.decision.kind, ControlEventKind::Escalated { .. }))
+            .map(|e| e.decision.rule.as_str())
             .collect();
         assert_eq!(escalated, ["cool", "drain"]);
         let applied: Vec<&str> = act.applies.iter().map(|a| a.2).collect();
         assert_eq!(applied, ["cool", "drain"]);
-        assert!(r.log().events().all(|e| e.rule != "orphan"));
+        assert!(r.log().events().all(|e| e.decision.rule != "orphan"));
         r.verify_audit().expect("trail certifies");
     }
 
@@ -2064,7 +2119,8 @@ mod tests {
         };
         tick_n(&mut r, &mut act, 3, 600);
         // Forge a fleet-wide apply without promotion.
-        r.log.record(
+        record(
+            &mut r.log,
             SimTime::from_hours(2),
             "fix",
             "sub",
@@ -2096,13 +2152,13 @@ mod tests {
         assert_eq!(reports.iter().map(|t| t.failed).sum::<usize>(), 1);
         assert_eq!(
             r.log()
-                .count(|k| matches!(k, ControlEventKind::ActionFailed)),
+                .count(|e| matches!(e.kind, ControlEventKind::ActionFailed)),
             1
         );
         // The failure started the cooldown: the immediate retry blocks.
         assert!(reports.iter().map(|t| t.blocked).sum::<usize>() >= 1);
         // Nothing was applied, so nobody is told an action happened.
-        assert!(r.log().notifications("fleet-loop").is_empty());
+        assert!(r.log().notifications().is_empty());
     }
 
     /// Forge a canary apply of `rule` on `sub` at `t` that clears the
@@ -2116,7 +2172,7 @@ mod tests {
             coverage: 1.0,
             confidence: 0.9,
         };
-        r.log.record(t, rule, sub, kind, "forged".into());
+        record(&mut r.log, t, rule, sub, kind, "forged".into());
     }
 
     #[test]
@@ -2144,9 +2200,9 @@ mod tests {
         let failed = ControlEventKind::ValidationFailed { before, after };
         let until = SimTime::from_hours(1);
         let t = SimTime::from_mins(50);
-        r.log.record(t, "fix", "sub", failed, "forged".into());
+        record(&mut r.log, t, "fix", "sub", failed, "forged".into());
         let demoted = ControlEventKind::Demoted { until };
-        r.log.record(t, "fix", "sub", demoted, "forged".into());
+        record(&mut r.log, t, "fix", "sub", demoted, "forged".into());
         forge_apply(&mut r, SimTime::from_mins(55), "fix", "sub");
         let errors = r.verify_audit().expect_err("forgery detected");
         assert_eq!(errors.len(), 1, "{errors:?}");

@@ -123,9 +123,9 @@ pub use aggregator::{
     NodeCounters, NodeHealth, NodeLiveness,
 };
 pub use control::{
-    ActionTarget, AuditSummary, Bound, ControlConfig, ControlEvent, ControlEventKind, ControlLog,
-    Coverage, CoveredValue, FleetActuator, FleetAlert, FleetMonitor, FleetResponder, HoldReason,
-    Observation, RateLimit, ResponseRule, StragglerMonitor, ThresholdMonitor, TickReport,
+    ActionTarget, AuditSummary, Bound, ControlConfig, ControlEvent, ControlEventKind, Coverage,
+    CoveredValue, FleetActuator, FleetAlert, FleetMonitor, FleetResponder, Observation, RateLimit,
+    ResponseRule, StragglerMonitor, ThresholdMonitor, TickReport,
 };
 pub use persist::{Burst, DurabilityConfig, DurableFleet, RecoveryStats};
 pub use query::{

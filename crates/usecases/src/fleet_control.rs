@@ -8,9 +8,9 @@
 //! [`ClusterAction`]s under bounded execution (canary-first, cooldowns,
 //! rate limits, post-action validation) — admitting each action
 //! through the same [`moda_core::Guard`] the node-level loops use. The
-//! responder's typed [`moda_fleet::ControlLog`] is the loop's one
-//! decision record: it is certified, rendered, and announces every
-//! actuation to the humans on the loop.
+//! responder's typed [`moda_core::AuditLog`] — the ring the node loops
+//! write too — is the loop's one decision record: it is certified,
+//! rendered, and announces every actuation to the humans on the loop.
 //!
 //! Two analytics-backed monitors extend the fleet crate's threshold and
 //! straggler probes:
@@ -291,10 +291,10 @@ pub struct ControlTrace {
     pub summary: AuditSummary,
     /// Per-tick outcomes, controller order.
     pub ticks: Vec<TickTrace>,
-    /// Rendered fleet [`moda_fleet::ControlLog`].
+    /// The rendered fleet decision trail ([`FleetResponder::log`]).
     pub control_trail: String,
     /// One human-on-the-loop notification per applied action, oldest
-    /// first ([`moda_fleet::ControlLog::notifications`]).
+    /// first ([`moda_core::AuditLog::notifications`]).
     pub notifications: Vec<Notification>,
     /// Monitor probes that saw the whole fleet.
     pub complete_observations: u64,
@@ -377,7 +377,7 @@ impl ClusterControlDriver {
             summary,
             ticks: self.ticks,
             control_trail: self.responder.log().render(),
-            notifications: self.responder.log().notifications("fleet-control"),
+            notifications: self.responder.log().notifications(),
             complete_observations: complete,
             degraded_observations: degraded,
             health_transitions: self.health_transitions,

@@ -39,7 +39,9 @@ use std::path::{Path, PathBuf};
 /// under `GOLDEN_REGEN`).
 fn pin(name: &str, trace: &ControlTrace) {
     let rel = format!("tests/golden/chaos/{name}-control-trail.txt");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(&rel);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(&rel);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &trace.control_trail).unwrap();

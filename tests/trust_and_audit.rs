@@ -112,32 +112,59 @@ fn reservation_protection_limits_queue_damage() {
 
 #[test]
 fn every_executed_action_is_audited_with_an_explanation() {
-    let w = stressed_world(17, ExtensionPolicy::default());
-    let mut l = build_loop(w.clone(), SchedulerLoopConfig::default());
-    let mut executed = 0usize;
-    drive(
-        &w,
-        SimDuration::from_secs(30),
-        SimTime::from_hours(24 * 7),
-        |t| {
-            executed += l.tick(t).executed;
-        },
-    );
+    let run = |mode: AutonomyMode| {
+        let w = stressed_world(17, ExtensionPolicy::default());
+        let mut l = build_loop(
+            w.clone(),
+            SchedulerLoopConfig {
+                mode,
+                ..SchedulerLoopConfig::default()
+            },
+        );
+        let mut executed = 0usize;
+        drive(
+            &w,
+            SimDuration::from_secs(30),
+            SimTime::from_hours(24 * 7),
+            |t| {
+                executed += l.tick(t).executed;
+            },
+        );
+        (executed, l)
+    };
+    let (executed, l) = run(AutonomyMode::Autonomous);
     assert!(executed > 0);
     let audit = l.audit();
+    assert_eq!(audit.dropped(), 0, "the whole trail is retained");
     assert_eq!(
-        audit.count(AuditKind::Executed),
+        audit.count(|k| matches!(k, AuditKind::Executed { .. })),
         executed,
         "every execution must leave an audit event"
     );
-    for ev in audit.events() {
-        if ev.kind == AuditKind::Executed {
-            assert!(
-                !ev.detail.is_empty(),
-                "executed actions must carry the planner's rationale"
-            );
-        }
-    }
+    // An autonomous loop says why it acted: each executed action carries
+    // the planner's rationale — what a human on the loop is sent as the
+    // explanation of the same decision.
+    let said: Vec<(SimTime, String)> = audit
+        .events()
+        .filter_map(|e| match &e.decision {
+            AuditKind::Executed { rationale, .. } => Some((e.t, rationale.clone())),
+            _ => None,
+        })
+        .collect();
+    let (_, hotl) = run(AutonomyMode::HumanOnTheLoop);
+    assert_eq!(hotl.audit().dropped(), 0);
+    let told: Vec<(SimTime, String)> = hotl
+        .audit()
+        .notifications()
+        .into_iter()
+        .filter(|n| n.proceeded)
+        .map(|n| (n.t, n.explanation))
+        .collect();
+    assert!(said.iter().all(|(_, why)| !why.is_empty()));
+    assert_eq!(
+        said, told,
+        "executed actions must carry the planner's rationale"
+    );
 }
 
 #[test]

@@ -349,12 +349,15 @@ impl moda_telemetry::export::Sink for EncodeSink {
 /// as a `samples_delta` run coded against the previous sweep:
 /// `encode_delta_sweep64` renders it against the stream's value state,
 /// `view_delta_sweep64` validates it, checks it against the reader's
-/// state and visits its samples, the state advancing. Consecutive
-/// sweeps differ by quantised steps, so the XORs are the live path's.
+/// state and visits its samples, the state advancing. The
+/// `_sweep_packed64` rows are the same for a 1.4 stream, where the sweep
+/// is a `sweep` record: its ids and times once, its value codes two to a
+/// byte. Consecutive sweeps differ by quantised steps, so the XORs are
+/// the live path's.
 fn bench_wire_batch(c: &mut Criterion) {
     use moda_telemetry::export::{ExportBatch, ExportRecord, Exporter, MemorySink};
     use moda_telemetry::wire::{
-        decode_batch, encode_batch, encode_batch_with, BatchView, RecordRef, ValueState,
+        decode_batch, encode_batch, encode_batch_as, BatchView, Coding, RecordRef, ValueState,
     };
     let (mut db, sweep) = sweep_store(64);
     let mut exporter = Exporter::new();
@@ -413,46 +416,56 @@ fn bench_wire_batch(c: &mut Criterion) {
             })
             .collect(),
     };
-    // Two sweeps taking turns: each coded against the other's values.
+    // Two sweeps taking turns: each coded against the other's values,
+    // as 1.3 `samples_delta` runs and as 1.4 `sweep` runs.
     let sweeps = [&batch, &next];
-    let mut writer = ValueState::new();
-    let mut staged = [Vec::new(), Vec::new(), Vec::new()];
-    for (k, out) in staged.iter_mut().enumerate() {
-        encode_batch_with(sweeps[k % 2], &mut writer, out);
-    }
-    let [_, next_wire, batch_wire] = staged;
-    g.bench_function("encode_delta_sweep64", |b| {
-        let mut out = Vec::with_capacity(wire.len());
-        // The writer stands after `batch`: `next` goes first.
-        let mut turn = 1;
-        b.iter(|| {
-            out.clear();
-            encode_batch_with(black_box(sweeps[turn]), &mut writer, &mut out);
-            turn ^= 1;
-            black_box(out.len())
+    for (coding, encode_name, view_name) in [
+        (Coding::Deltas, "encode_delta_sweep64", "view_delta_sweep64"),
+        (
+            Coding::Sweeps,
+            "encode_sweep_packed64",
+            "view_sweep_packed64",
+        ),
+    ] {
+        let mut writer = ValueState::new();
+        let mut staged = [Vec::new(), Vec::new(), Vec::new()];
+        for (k, out) in staged.iter_mut().enumerate() {
+            encode_batch_as(sweeps[k % 2], coding, &mut writer, out);
+        }
+        let [_, next_wire, batch_wire] = staged;
+        g.bench_function(encode_name, |b| {
+            let mut out = Vec::with_capacity(wire.len());
+            // The writer stands after `batch`: `next` goes first.
+            let mut turn = 1;
+            b.iter(|| {
+                out.clear();
+                encode_batch_as(black_box(sweeps[turn]), coding, &mut writer, &mut out);
+                turn ^= 1;
+                black_box(out.len())
+            });
         });
-    });
-    g.bench_function("view_delta_sweep64", |b| {
-        // The reader stands where the writer did after `batch`.
-        let mut reader = ValueState::new();
-        encode_batch_with(&batch, &mut reader, &mut Vec::new());
-        let wires = [&next_wire, &batch_wire];
-        let mut turn = 0;
-        b.iter(|| {
-            let view = BatchView::parse(black_box(wires[turn])).unwrap();
-            view.check_values(&mut reader).unwrap();
-            let mut folded = 0u64;
-            for record in view.records() {
-                if let RecordRef::SamplesDelta(run) = record {
-                    for (id, t, value) in run.values(&mut reader) {
-                        folded = folded.wrapping_add(u64::from(id.0) ^ t.0 ^ value.to_bits());
+        g.bench_function(view_name, |b| {
+            // The reader stands where the writer did after `batch`.
+            let mut reader = ValueState::new();
+            encode_batch_as(&batch, coding, &mut reader, &mut Vec::new());
+            let wires = [&next_wire, &batch_wire];
+            let mut turn = 0;
+            b.iter(|| {
+                let view = BatchView::parse(black_box(wires[turn])).unwrap();
+                view.check_values(&mut reader).unwrap();
+                let mut folded = 0u64;
+                for record in view.records() {
+                    if let RecordRef::SamplesDelta(run) = record {
+                        for (id, t, value) in run.values(&mut reader) {
+                            folded = folded.wrapping_add(u64::from(id.0) ^ t.0 ^ value.to_bits());
+                        }
                     }
                 }
-            }
-            turn ^= 1;
-            black_box(folded)
+                turn ^= 1;
+                black_box(folded)
+            });
         });
-    });
+    }
     g.finish();
 }
 

@@ -20,7 +20,8 @@
 //!   already-seen prefix bounces off the monotonic guard, buckets
 //!   overwrite by key);
 //! * **stream values** — each session keeps its stream's
-//!   [`ValueState`], which `samples_delta` records (revision 1.3) are
+//!   [`ValueState`], which `samples_delta` and `sweep` records
+//!   (revisions 1.3 and 1.4) are
 //!   read against and leave their values in — a duplicate's included
 //!   (it is walked, not applied). A batch holding a delta the state
 //!   cannot read is refused whole ([`FleetAggregator::ingest_view`]);
@@ -453,9 +454,10 @@ impl FleetAggregator {
     /// Take a node exporter's lifetime totals (`Exporter::totals`) as
     /// the node's drain report, out-of-band: the wire itself does not
     /// carry drain accounting. A report replaces the one before, so a
-    /// report delivered twice counts once.
+    /// report delivered twice counts once. Only its counts are kept
+    /// ([`DrainStats::counts`]): no wall clock reaches the fleet's state.
     pub fn report_drain(&mut self, node: NodeId, stats: &DrainStats) {
-        self.sessions[node.index()].drain = *stats;
+        self.sessions[node.index()].drain = stats.counts();
     }
 
     /// Ingest one wire batch from `node`'s stream. Returns what
@@ -1109,7 +1111,7 @@ mod tests {
             agg.report_drain(node, &totals);
             agg.report_drain(node, &totals);
         }
-        assert_eq!(agg.drain_stats(whole), totals);
+        assert_eq!(agg.drain_stats(whole), totals.counts());
         let h = agg.health(agg.observed_now(), SimDuration::from_secs(60));
         assert_eq!(h.nodes[whole.index()].ledger(), Ledger::default());
         let carried = |kind: fn(&ExportRecord) -> u64| -> i64 {

@@ -335,7 +335,7 @@ impl DurableFleet {
 
     /// Ingest one batch durably: append its encoding to the log, commit,
     /// then apply — returning means flushed. The batch is logged as a
-    /// 1.3 writer on `node`'s stream sends it, its sample runs coded
+    /// 1.4 writer on `node`'s stream sends it, its sample runs coded
     /// against the stream's value state — which a connection that
     /// carried the stream no longer shares, so it no longer carries it.
     /// Cuts a snapshot (written off this call; see the module docs)
@@ -829,6 +829,53 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two fleets fed the same input — the batches and drain reports of
+    /// real drains, a snapshot between them — write the same log and the
+    /// same image, byte for byte. A report's copy-out timings are wall
+    /// clock, different on every drain: the node's readings, kept out of
+    /// the fleet's durable state.
+    #[test]
+    fn identical_input_with_drain_reports_writes_identical_files() {
+        let files = |tag: &str| {
+            let dir = test_dir(tag);
+            let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+            let node = fleet.add_node("node00").unwrap();
+            let mut db = Tsdb::with_retention(1 << 12);
+            let id = db.register(MetricMeta::gauge("m", "u", SourceDomain::Hardware));
+            let mut exporter = Exporter::new().with_batch_records(64);
+            for round in 0..4u64 {
+                for s in 0..300 {
+                    let t = 300 * round + s;
+                    db.insert(id, SimTime::from_secs(t), (t % 17) as f64 * 0.25);
+                }
+                let mut sink = MemorySink::new();
+                exporter.drain(&db, &mut sink).unwrap();
+                for batch in &sink.batches {
+                    fleet.ingest(node, batch).unwrap();
+                }
+                fleet.report_drain(node, &exporter.totals()).unwrap();
+                if round == 1 {
+                    fleet.snapshot().unwrap();
+                }
+            }
+            assert!(exporter.totals().lock_held_ns > 0);
+            drop(fleet);
+            let files: Vec<(String, Vec<u8>)> = listing(&dir)
+                .into_iter()
+                .map(|name| {
+                    let bytes = fs::read(dir.join(&name)).unwrap();
+                    (name, bytes)
+                })
+                .collect();
+            let _ = fs::remove_dir_all(&dir);
+            files
+        };
+        let (a, b) = (files("same_input_a"), files("same_input_b"));
+        let names: Vec<&str> = a.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["snapshot.bin", "wal-1.log"]);
+        assert!(a == b, "the two fleets' files differ");
     }
 
     #[test]

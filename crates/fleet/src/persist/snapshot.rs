@@ -23,7 +23,7 @@ use std::io;
 
 /// Leading magic of a snapshot image (version-suffixed). `05`: each
 /// session carries its stream's value state after its drain block —
-/// the log that follows the image holds `samples_delta` records coded
+/// the log that follows the image holds `samples_delta` and `sweep` records coded
 /// against it — which an `04` reader would take for the next session.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"MODAFS05";
 /// The previous magic: no value states. Such a file loads with every

@@ -44,7 +44,8 @@ pub(crate) enum Entry<'a> {
     /// batch verbatim, in whichever `export-wire` revision its sender
     /// wrote.
     Batch(NodeId, &'a [u8]),
-    /// An out-of-band exporter drain report: `[node u32][drain stats]`.
+    /// An out-of-band exporter drain report: `[node u32][drain stats]`,
+    /// its counts only ([`DrainStats::counts`]).
     Drain(NodeId, DrainStats),
 }
 
@@ -68,7 +69,8 @@ impl<'a> Entry<'a> {
             }
             Entry::Drain(node, ref stats) => {
                 put_u32(scratch, node.0);
-                encode_drain_stats(stats, scratch);
+                // What the fleet keeps of the report, no wall clock.
+                encode_drain_stats(&stats.counts(), scratch);
                 (FRAME_LOG_DRAIN, &[])
             }
         };
@@ -315,7 +317,7 @@ mod tests {
     enum Logged {
         Node(&'static str),
         /// A batch, the bytes its sender rendered it as — sample runs
-        /// coded as deltas against the stream (`export-wire-v1.3`),
+        /// coded as deltas against the stream (`export-wire-v1.4`),
         /// packed (v1.2), or one record each (v1.1) — and whether that
         /// was as deltas.
         Batch(NodeId, ExportBatch, Vec<u8>, bool),

@@ -10,7 +10,7 @@
 //!    live (see [`SelfScraper::tick`]),
 //! 2. **drains** the store through the stock exporter into in-memory
 //!    wire batches — the same records every node exporter ships, coded
-//!    by the fleet's in-process ingest as a 1.3 sender would,
+//!    by the fleet's in-process ingest as a 1.4 sender would,
 //! 3. **ingests** those batches into the [`DurableFleet`] under a
 //!    dedicated service node session.
 //!

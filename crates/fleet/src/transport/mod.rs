@@ -1,4 +1,4 @@
-//! Socket-framed wire transport: `export-wire-v1.3` batches over plain
+//! Socket-framed wire transport: `export-wire-v1.4` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
 //! The way into the fleet tier from another thread or process (within
@@ -37,10 +37,14 @@
 //! so [`SocketSink::wait_idle`] and [`SocketSink::send_drain`]
 //! returning means a `kill -9` of the server cannot lose that data.
 //!
-//! **Value state.** A pair whose both ends say revision 1.3 codes each
-//! run of samples as a `samples_delta` record, its values XOR'd against
-//! the stream's previous ones (`moda_telemetry::wire::ValueState`); a
-//! sink answered without a revision sends 1.2 `samples` runs. Every
+//! **Value state.** A sink codes each run of samples the newest way its
+//! fleet's `HELLO_ACK` says it reads (`moda_telemetry::wire::Coding`):
+//! to a 1.4 fleet a run whose ids and times are progressions is a
+//! `sweep` record and any other a `samples_delta` record, its values
+//! XOR'd against the stream's previous ones
+//! (`moda_telemetry::wire::ValueState`); a 1.3 fleet gets every run as
+//! `samples_delta`; a fleet answering without a revision gets 1.2
+//! `samples` runs. Every
 //! `HELLO` starts the state empty on both ends, and the fleet logs that
 //! reset (a `NODE` entry) so replay resets at the same point.
 //!

@@ -367,7 +367,7 @@ mod tests {
     }
 
     /// `acks` as the frames it must be — a `HELLO_ACK` (status ok,
-    /// cursor 0, revision 1.3) first if `with_hello`, then nothing but
+    /// cursor 0, this build's revision) first if `with_hello`, then nothing but
     /// `ACK`s — and the cursors those carry.
     fn ack_cursors(acks: &[u8], with_hello: bool) -> Vec<u64> {
         let mut frames = FrameBuffer::new();
@@ -377,8 +377,8 @@ mod tests {
             assert_eq!(tag, frame_tag::HELLO_ACK);
             assert_eq!(
                 ack,
-                [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3],
-                "status ok, cursor 0, 1.3"
+                [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4],
+                "status ok, cursor 0, 1.4"
             );
         }
         let mut cursors = Vec::new();
@@ -462,7 +462,7 @@ mod tests {
     /// revision behind it.
     #[test]
     fn hello_fields_ride_behind_what_a_1_2_peer_reads() {
-        for trailer in [&[][..], &REVISION[..], &[1, 3, 0xEE, 0xEE][..]] {
+        for trailer in [&[][..], &REVISION[..], &[1, 5, 0xEE, 0xEE][..]] {
             let (dir, shared) = open_shared("hello_fields", DurabilityConfig::default());
             let mut hello = Vec::new();
             put_str(&mut hello, "tok");
@@ -541,7 +541,7 @@ mod tests {
     fn a_burst_stops_at_its_first_invalid_frame_and_that_frame_leaves_no_trace() {
         const K: usize = 5;
         let batches = node_batches(3000, 0.0);
-        // The stream as a 1.3 sender codes it, from the hello on.
+        // The stream as a 1.4 sender codes it, from the hello on.
         let mut sender = ValueState::new();
         let good: Vec<Vec<u8>> = batches
             .iter()
@@ -630,7 +630,7 @@ mod tests {
 
             // The fleet is the one that was only ever sent those K: the
             // same counters, the same log to the byte — the in-process
-            // fleet logs what a 1.3 sender sends.
+            // fleet logs what a 1.4 sender sends.
             let fleet = shared.fleet.lock().unwrap();
             let twin_dir = test_dir(&format!("bad_frame_twin_{case}"));
             let mut twin = DurableFleet::open(&twin_dir, DurabilityConfig::default()).unwrap();
@@ -669,7 +669,7 @@ mod tests {
     }
 
     /// `batch` as a sender whose stream stands at `sender` renders it:
-    /// `how` 0 codes its runs as deltas (1.3; the state takes their
+    /// `how` 0 codes its runs as deltas (1.4; the state takes their
     /// values, as the receiving session's does), 1 packs them (1.2), 2
     /// writes one record each (1.1).
     fn render(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> Vec<u8> {
@@ -682,7 +682,7 @@ mod tests {
         payload
     }
 
-    /// `batches` as `BATCH` frames a 1.3 sender standing at `sender`
+    /// `batches` as `BATCH` frames a 1.4 sender standing at `sender`
     /// writes.
     fn delta_frames(batches: &[ExportBatch], sender: &mut ValueState) -> Vec<u8> {
         let mut frames = Vec::new();
@@ -712,14 +712,14 @@ mod tests {
             .unwrap();
         let mut fleet = shared.fleet.lock().unwrap();
         let node = fleet.find_node("node00").unwrap();
-        assert_eq!(fleet.aggregator().drain_stats(node), totals);
+        assert_eq!(fleet.aggregator().drain_stats(node), totals.counts());
         for _ in 0..2 {
             fleet.report_drain(node, &totals).unwrap();
         }
         fleet.settle().unwrap();
         let recovered = DurableFleet::recover(&dir).unwrap();
         for agg in [fleet.aggregator(), recovered.aggregator()] {
-            assert_eq!(agg.drain_stats(node), totals);
+            assert_eq!(agg.drain_stats(node), totals.counts());
             let health = agg.health(SimTime::ZERO, SimDuration::ZERO);
             assert_eq!(health.nodes[node.index()].ledger(), Ledger::default());
         }
@@ -871,7 +871,7 @@ mod tests {
 
         /// A session's outcome does not depend on how `read` happened
         /// to split its stream: a valid ingest stream — the hello, then
-        /// batches in delta (1.3), packed and v1.1 renderings with drain reports
+        /// batches in delta (1.4), packed and v1.1 renderings with drain reports
         /// between them, then perhaps one frame that ends the session
         /// (a payload that is no batch, an illegal tag, a broken
         /// envelope) with a good frame behind it — fed in arbitrary
@@ -937,7 +937,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// A 1.3 stream carried over a run of connections, each fed to a
+        /// A 1.4 stream carried over a run of connections, each fed to a
         /// session of its own in arbitrary pieces, ends as the
         /// uninterrupted fleet. Each connection opens with a hello that
         /// resets both ends' value states, resumes at the cursor the

@@ -4,8 +4,8 @@ use super::conn::{retry, Conn, Link};
 use super::TransportConfig;
 use moda_telemetry::export::{ExportBatch, Sink};
 use moda_telemetry::wire::{
-    bad_data, encode_batch, encode_batch_with, encode_drain_stats, frame_tag, write_frame,
-    BatchView, ValueState, WireReader, REVISION,
+    bad_data, encode_batch_as, encode_drain_stats, frame_tag, write_frame, BatchView, Coding,
+    ValueState, WireReader,
 };
 use moda_telemetry::DrainStats;
 use std::collections::VecDeque;
@@ -27,15 +27,22 @@ struct Replay {
     /// Sent but not yet acknowledged, oldest first: `(seq, payload)`,
     /// each payload coded for the connection that is (or was last) up.
     unacked: VecDeque<(u64, Vec<u8>)>,
-    /// The value state of this connection's stream when its fleet reads
-    /// revision 1.3 — as it stands after every payload in `unacked` —
-    /// and `None` when it does not, so nothing is coded as a delta.
-    coding: Option<ValueState>,
+    /// How this connection's fleet reads sample runs: what its
+    /// `HELLO_ACK` says it reads.
+    coding: Coding,
+    /// The value state of this connection's stream as it stands after
+    /// every payload in `unacked` — empty while `coding` is
+    /// [`Coding::Whole`], which codes nothing against it.
+    values: ValueState,
     /// Emptied payload buffers off `unacked`: the next batch (or drain
     /// report) encodes into one instead of growing a fresh `Vec`.
     spare: Vec<Vec<u8>>,
     /// How many `spare` buffers are worth keeping: a window of them.
     spare_cap: usize,
+    /// The longest payload encoded so far: what a new buffer is sized
+    /// to, so that one recycled never grows for a batch no longer than
+    /// one before it.
+    longest: usize,
     /// The server's cumulative cursor from the latest ack/handshake.
     server_next_seq: u64,
     /// Batches re-sent from the buffer across all reconnects.
@@ -55,7 +62,7 @@ impl Replay {
     ) -> io::Result<()> {
         self.server_next_seq = next_seq;
         self.release_acked();
-        self.recode(revision >= Some(REVISION))?;
+        self.recode(Coding::for_revision(revision))?;
         for (_, payload) in &self.unacked {
             write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
             self.resent_batches += 1;
@@ -63,27 +70,21 @@ impl Replay {
         conn.writer.flush()
     }
 
-    /// Code every unacknowledged payload afresh, as deltas from an empty
-    /// state or (`deltas` false) as plain runs. The old connection's
-    /// state unwound back over the payloads, last first, is the state
-    /// the oldest was written against; read forward from there, each
-    /// gives its records back. Off the hot path: once per reconnect.
-    fn recode(&mut self, deltas: bool) -> io::Result<()> {
-        let mut old = self.coding.take();
-        if let Some(state) = &mut old {
-            for (_, payload) in self.unacked.iter().rev() {
-                state.unwind(payload)?;
-            }
+    /// Code every unacknowledged payload afresh in `coding`, from an
+    /// empty state. The old connection's state unwound back over the
+    /// payloads, last first, is the state the oldest was written against;
+    /// read forward from there, each gives its records back. Off the hot
+    /// path: once per reconnect.
+    fn recode(&mut self, coding: Coding) -> io::Result<()> {
+        let mut old = std::mem::take(&mut self.values);
+        for (_, payload) in self.unacked.iter().rev() {
+            old.unwind(payload)?;
         }
-        self.coding = deltas.then(ValueState::new);
+        self.coding = coding;
         for (_, payload) in &mut self.unacked {
-            let view = BatchView::parse(payload)?;
-            let batch = match &mut old {
-                Some(state) => view.to_batch_with(state)?,
-                None => view.to_batch()?,
-            };
+            let batch = BatchView::parse(payload)?.to_batch_with(&mut old)?;
             payload.clear();
-            encode(&batch, self.coding.as_mut(), payload);
+            encode_batch_as(&batch, coding, &mut self.values, payload);
         }
         Ok(())
     }
@@ -97,6 +98,14 @@ impl Replay {
         }
     }
 
+    /// A payload buffer: a spare one, or a new one as long as the
+    /// longest payload so far.
+    fn buffer(&mut self) -> Vec<u8> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.longest))
+    }
+
     /// Keep an emptied payload buffer for a later frame, up to a
     /// window of them.
     fn recycle(&mut self, mut payload: Vec<u8>) {
@@ -104,15 +113,6 @@ impl Replay {
             payload.clear();
             self.spare.push(payload);
         }
-    }
-}
-
-/// `batch` as this connection's stream carries it: coded against
-/// `coding`, which takes its values, or plain for a 1.2 fleet.
-fn encode(batch: &ExportBatch, coding: Option<&mut ValueState>, out: &mut Vec<u8>) {
-    match coding {
-        Some(state) => encode_batch_with(batch, state, out),
-        None => encode_batch(batch, out),
     }
 }
 
@@ -222,7 +222,7 @@ impl SocketSink {
             self.connected()?;
             let mut out = *stats;
             out.send_retries += self.link.reconnects + self.replay.resent_batches;
-            let mut payload = self.replay.spare.pop().unwrap_or_default();
+            let mut payload = self.replay.buffer();
             encode_drain_stats(&out, &mut payload);
             // The server acks in frame order: one ack per in-flight
             // batch ahead of the drain, then the drain's own ack.
@@ -267,8 +267,10 @@ impl Sink for SocketSink {
         // Up first, so the batch is coded for the connection it goes out
         // on (a link already down gets its reconnect cycle here).
         self.connected()?;
-        let mut payload = self.replay.spare.pop().unwrap_or_default();
-        encode(batch, self.replay.coding.as_mut(), &mut payload);
+        let replay = &mut self.replay;
+        let mut payload = replay.buffer();
+        encode_batch_as(batch, replay.coding, &mut replay.values, &mut payload);
+        replay.longest = replay.longest.max(payload.len());
         // In the replay buffer from here, so a reconnect re-codes and
         // re-sends it with the rest. Two passes: the live connection,
         // then one reconnect cycle, which sends it.
@@ -288,9 +290,7 @@ impl Sink for SocketSink {
             // dropped the batch itself, re-coding what was left.
             if matches!(self.replay.unacked.back(), Some((seq, _)) if *seq == batch.seq) {
                 let (_, payload) = self.replay.unacked.pop_back().expect("matched");
-                if let Some(state) = &mut self.replay.coding {
-                    state.unwind(&payload)?;
-                }
+                self.replay.values.unwind(&payload)?;
                 self.replay.recycle(payload);
             }
             return Err(e);
@@ -349,7 +349,11 @@ mod tests {
             ..TransportConfig::default()
         };
         let mut sink = SocketSink::connect_with(&addr, "node00", "tok", tuning.clone()).unwrap();
-        assert!(sink.replay.coding.is_some(), "a 1.3 pair codes deltas");
+        assert_eq!(
+            sink.replay.coding,
+            Coding::Sweeps,
+            "a 1.4 pair codes sweeps"
+        );
         for batch in &batches[..30] {
             sink.write_batch(batch).unwrap();
         }
@@ -414,22 +418,25 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A fleet older than 1.3 answers the hello without a revision: the
-    /// sink speaks 1.2 to it — plain `samples` runs any reader takes.
-    #[test]
-    fn a_fleet_that_names_no_revision_gets_plain_runs() {
-        use moda_telemetry::wire::{put_u64, read_frame, BatchView, RecordRef};
+    /// The record kinds of every batch a sink sends to a fleet whose
+    /// `HELLO_ACK` ends in `revision` (none: a fleet older than 1.3),
+    /// checked to read back — with a value state of the fleet's own —
+    /// as the batches sent.
+    fn run_kinds_sent_to(revision: &[u8]) -> Vec<Vec<u8>> {
+        use moda_telemetry::wire::{put_u64, read_frame};
         let server = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let (batches, _) = sweep_batches(6, 8);
         let n = batches.len();
+        let trailer = revision.to_vec();
         let old_fleet = std::thread::spawn(move || {
             let (mut stream, _) = server.accept().unwrap();
             let (tag, _) = read_frame(&mut stream).unwrap().unwrap();
             assert_eq!(tag, frame_tag::HELLO);
-            // A 1.2 answer: status and cursor, nothing after.
+            // Status and cursor, then whatever revision this fleet names.
             let mut ack = vec![0u8];
             put_u64(&mut ack, 0);
+            ack.extend_from_slice(&trailer);
             write_frame(&mut stream, frame_tag::HELLO_ACK, &ack).unwrap();
             let mut received = Vec::new();
             for seq in 1..=n as u64 {
@@ -441,20 +448,59 @@ mod tests {
             received
         });
         let mut sink = SocketSink::connect(&addr, "node00", "tok").unwrap();
-        assert!(sink.replay.coding.is_none());
+        assert_eq!(
+            sink.replay.coding,
+            Coding::for_revision(revision.try_into().ok())
+        );
         for batch in &batches {
             sink.write_batch(batch).unwrap();
         }
         sink.wait_idle().unwrap();
         drop(sink);
         let received = old_fleet.join().unwrap();
-        for (payload, batch) in received.iter().zip(&batches) {
-            let view = BatchView::parse(payload).unwrap();
-            assert!(view
-                .records()
-                .all(|r| !matches!(r, RecordRef::SamplesDelta(_))));
-            assert_eq!(&view.to_batch().unwrap(), batch);
-        }
+        let mut state = ValueState::new();
+        received
+            .iter()
+            .zip(&batches)
+            .map(|(payload, batch)| {
+                let view = BatchView::parse(payload).unwrap();
+                assert_eq!(&view.to_batch_with(&mut state).unwrap(), batch);
+                let mut r = WireReader::new(payload);
+                r.u64().unwrap();
+                let kinds = (0..r.u32().unwrap()).map(|_| {
+                    let kind = r.u8().unwrap();
+                    r.block().unwrap();
+                    kind
+                });
+                // Sample runs only: `meta` records are kind 0.
+                kinds.filter(|&kind| kind != 0).collect()
+            })
+            .collect()
+    }
+
+    /// A 1.4 fleet gets every sweep after the first batch's single
+    /// samples (each between two `meta` records) as a `sweep` record.
+    #[test]
+    fn a_1_4_fleet_gets_sweeps() {
+        let kinds = run_kinds_sent_to(&[1, 4]);
+        assert!(kinds[0].iter().all(|&kind| kind == 6), "{kinds:?}");
+        assert!(kinds[1..].iter().all(|k| k == &[7]), "{kinds:?}");
+    }
+
+    /// A 1.3 fleet gets `samples_delta` runs, never a kind it would
+    /// skip.
+    #[test]
+    fn a_1_3_fleet_gets_delta_runs() {
+        let kinds = run_kinds_sent_to(&[1, 3]);
+        assert!(kinds.iter().flatten().all(|&kind| kind == 6), "{kinds:?}");
+    }
+
+    /// A fleet older than 1.3 answers the hello without a revision: the
+    /// sink speaks 1.2 to it — plain `samples` runs any reader takes.
+    #[test]
+    fn a_fleet_that_names_no_revision_gets_plain_runs() {
+        let kinds = run_kinds_sent_to(&[]);
+        assert!(kinds.iter().flatten().all(|&kind| kind == 5), "{kinds:?}");
     }
 
     #[test]

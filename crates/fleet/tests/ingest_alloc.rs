@@ -1,6 +1,6 @@
 //! The fleet's half of the live path allocates nothing: after warm-up,
 //! a received 64-sample `BATCH` payload, its values coded as deltas the
-//! way a 1.3 sender codes them, goes through validate
+//! way a 1.4 sender codes them, goes through validate
 //! (`BatchView::parse`) → check (against the stream's value state) →
 //! log (the bytes it arrived in) → apply (off the same bytes, the state
 //! advancing) → flush without a single allocation — no owned record,

@@ -695,7 +695,7 @@ proptest! {
     /// the wal at *any* byte boundary recovers to a consistent prefix —
     /// no partial batch is ever applied, the torn tail is counted and
     /// trimmed off the file, and ingest resumes to the full stream. The
-    /// log is a 1.3 stream — values as deltas against the stream's state
+    /// log is a 1.4 stream — values as deltas against the stream's state
     /// — cut by a new connection every few batches (a `Node` entry that
     /// resets the state), and the recovered fleet resumes on a new one.
     #[test]
@@ -1113,7 +1113,7 @@ fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
     loop {
         match rng.below(6) {
             0 => {
-                out.push(7 + rng.below(249) as u8);
+                out.push(8 + rng.below(248) as u8);
                 let junk = rng.below(9) as usize;
                 out.extend_from_slice(&(junk as u32).to_le_bytes());
                 out.extend((0..junk).map(|_| rng.next_u64() as u8));
@@ -1136,7 +1136,7 @@ fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
     out
 }
 
-/// A batch as a 1.3 sender on a stream at `sender` sends it.
+/// A batch as a 1.4 sender on a stream at `sender` sends it.
 fn render_delta(batch: &ExportBatch, sender: &mut ValueState) -> Vec<u8> {
     let mut out = Vec::new();
     encode_batch_with(batch, sender, &mut out);
@@ -1176,11 +1176,11 @@ proptest! {
     /// into records (against a state of its own) and ingests those:
     /// equal session counters (unmapped, orphan and corrupt ones
     /// included), equal answers on a verification set, equal snapshots
-    /// (value states included); for a stream a 1.3 sender wrote, an equal
+    /// (value states included); for a stream a 1.4 sender wrote, an equal
     /// log, byte for byte; and equal again after kill → recover →
     /// snapshot. Streams: a real exporter's, the chunk-heavy adversarial
     /// mix, and one that breaks the framing rules — each batch rendered
-    /// as 1.3 delta runs, packed, as v1.1, or with foreign records
+    /// as 1.4 delta runs, packed, as v1.1, or with foreign records
     /// spliced in — and now and then a new connection between two
     /// bursts, which resets the value state at both ends.
     #[test]
@@ -1288,7 +1288,7 @@ proptest! {
         };
         compare(&wire_fed, &decode_fed)?;
         if canonical {
-            // The received bytes are what the fleet's own 1.3 encoding
+            // The received bytes are what the fleet's own 1.4 encoding
             // gives back for the decoded records, so the two logs are
             // one file.
             prop_assert!(wal_file(&wire_dir) == wal_file(&decoded_dir), "logs differ");

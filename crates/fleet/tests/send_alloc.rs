@@ -142,7 +142,10 @@ fn warm_write_batch_and_its_ack_allocate_nothing() {
         let fleet = fleet.lock().unwrap();
         let node = fleet.aggregator().find_node(name).unwrap();
         // Reported twice, counted once; and the two ends balance.
-        assert_eq!(fleet.aggregator().drain_stats(node), exporter.totals());
+        assert_eq!(
+            fleet.aggregator().drain_stats(node),
+            exporter.totals().counts()
+        );
         let health = fleet.aggregator().health(SimTime::ZERO, SimDuration::ZERO);
         assert_eq!(
             health.nodes[node.index()].ledger(),

@@ -246,7 +246,7 @@ fn concurrent_sessions_answer_like_the_planner_a_reference_and_a_recovery() {
         assert_eq!((c.duplicate_batches, c.gaps), (0, 0), "{c:?}");
         assert_eq!((c.orphan_sketches, c.unmapped_records), (0, 0), "{c:?}");
         assert_eq!(c.rejected_samples, 0, "{c:?}");
-        assert_eq!(fleet.aggregator().drain_stats(node), *totals);
+        assert_eq!(fleet.aggregator().drain_stats(node), totals.counts());
         let ledger = health.nodes[node.index()].ledger();
         assert_eq!(ledger, Ledger::default(), "node{k:02}");
         assert!(c.samples >= ROUNDS * METRICS as u64, "{c:?}");

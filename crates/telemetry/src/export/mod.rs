@@ -313,6 +313,19 @@ impl DrainStats {
             && self.missed_buckets == 0
     }
 
+    /// These totals as a fleet keeps a node's drain report: every count,
+    /// the two wall-clock copy-out readings zeroed. Those are the node's
+    /// own instruments — its self-scrape reads them off its exporter —
+    /// and kept they would make a fleet's log and snapshot differ from
+    /// run to run on identical input.
+    pub fn counts(&self) -> DrainStats {
+        DrainStats {
+            lock_held_ns: 0,
+            max_lock_held_ns: 0,
+            ..*self
+        }
+    }
+
     /// Fold another stats block into this one (maxes take the max,
     /// everything else adds).
     pub fn merge(&mut self, other: &DrainStats) {

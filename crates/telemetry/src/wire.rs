@@ -1,4 +1,4 @@
-//! The one byte-level definition of `export-wire-v1.3` — what goes over
+//! The one byte-level definition of `export-wire-v1.4` — what goes over
 //! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
 //! Every other module (the exporter, the fleet's persistence, query, and
 //! transport code) builds and reads bytes through the helpers here; none
@@ -22,7 +22,11 @@
 //!   A stream's writer and reader that keep a [`ValueState`] between
 //!   batches ([`encode_batch_with`], [`BatchView::to_batch_with`]) code
 //!   each run as one `samples_delta` record instead (v1.3): every value
-//!   XOR its id's previous one in the stream, usually one byte.
+//!   XOR its id's previous one in the stream, usually one byte. A run
+//!   whose ids and times are arithmetic progressions — a sweep of
+//!   metrics at one timestamp, one metric's fixed-cadence tail — is a
+//!   `sweep` record (v1.4): the progressions once in its header, the
+//!   value codes two to a byte.
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -375,11 +379,40 @@ impl<'a> WireReader<'a> {
 // ---------------------------------------------------- records and batches
 
 /// The spec revision this build writes and reads, `[major, minor]`: what
-/// the ingest handshake's `HELLO` and `HELLO_ACK` carry, so that only a
-/// pair whose both ends read 1.3 codes values as deltas.
-pub const REVISION: [u8; 2] = [1, 3];
+/// the ingest handshake's `HELLO` and `HELLO_ACK` carry, so that a writer
+/// codes each run the newest way its reader reads ([`Coding::for_revision`]).
+pub const REVISION: [u8; 2] = [1, 4];
 
-/// Binary record kind tags (`export-wire-v1.3`). New kinds append —
+/// How a stream's writer codes its runs of samples: the newest way the
+/// stream's reader reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Coding {
+    /// 1.2: `samples` records, every value whole. Needs no state and
+    /// leaves none: what every reader reads.
+    #[default]
+    Whole,
+    /// 1.3: `samples_delta` records, values coded against the stream's
+    /// [`ValueState`].
+    Deltas,
+    /// 1.4: as [`Coding::Deltas`], but a run of at least two samples
+    /// whose ids and times are each one arithmetic progression is a
+    /// `sweep` record.
+    Sweeps,
+}
+
+impl Coding {
+    /// The coding for a reader that says it reads `revision` — `None`
+    /// from a reader older than 1.3, which says nothing.
+    pub fn for_revision(revision: Option<[u8; 2]>) -> Self {
+        match revision {
+            Some(r) if r >= [1, 4] => Coding::Sweeps,
+            Some(r) if r >= [1, 3] => Coding::Deltas,
+            _ => Coding::Whole,
+        }
+    }
+}
+
+/// Binary record kind tags (`export-wire-v1.4`). New kinds append —
 /// never renumber — per the additive versioning rule.
 const REC_META: u8 = 0;
 /// One observation, 25 bytes. [`encode_record`] still writes it and
@@ -393,6 +426,9 @@ const REC_SAMPLES: u8 = 5;
 /// A packed run whose values are XOR-coded against the stream (v1.3) —
 /// see [`put_samples`] and [`ValueState`].
 const REC_SAMPLES_DELTA: u8 = 6;
+/// A `samples_delta` run whose ids and times are arithmetic
+/// progressions, written once (v1.4) — see [`put_samples`].
+const REC_SWEEP: u8 = 7;
 
 /// Append one record in the binary rendering:
 /// `[kind u8][payload len u32 LE][payload]`.
@@ -509,8 +545,8 @@ pub enum RecordRef<'a> {
     /// A packed `samples` record: a run of observations, decoded as the
     /// run is iterated.
     Samples(SampleRun<'a>),
-    /// A `samples_delta` record: a run whose values only the stream's
-    /// [`ValueState`] can read ([`DeltaRun::values`]).
+    /// A `samples_delta` or `sweep` record: a run whose values only the
+    /// stream's [`ValueState`] can read ([`DeltaRun::values`]).
     SamplesDelta(DeltaRun<'a>),
     /// [`ExportRecord::Bucket`].
     Bucket {
@@ -560,19 +596,19 @@ pub enum RecordRef<'a> {
 impl<'a> RecordRef<'a> {
     /// Read one record's payload — the one parser of the record
     /// grammar. `Ok(None)` is a kind this reader does not know. A
-    /// `samples` payload is opened, not walked: [`SampleRun::check`]
+    /// sample run's payload is opened, not walked: [`SampleRun::check`]
     /// does that. `room` is how many more records the batch may hold.
     fn parse(tag: u8, payload: &'a [u8], room: usize) -> io::Result<Option<Self>> {
         let mut r = WireReader::new(payload);
         let record = match tag {
             REC_SAMPLES => {
-                return SampleRun::open(payload, room).map(|run| Some(Self::Samples(run)))
+                return SampleRun::open(payload, room, false).map(|run| Some(Self::Samples(run)))
             }
-            REC_SAMPLES_DELTA => {
-                return SampleRun::open(payload, room)
+            REC_SAMPLES_DELTA | REC_SWEEP => {
+                return SampleRun::open(payload, room, tag == REC_SWEEP)
                     .map(|run| Some(Self::SamplesDelta(DeltaRun(run))))
             }
-            _ if tag > REC_SAMPLES_DELTA => return Ok(None),
+            _ if tag > REC_SWEEP => return Ok(None),
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             REC_META => RecordRef::Meta {
                 id: MetricId(r.u32()?),
@@ -748,7 +784,8 @@ impl<'a> From<&'a ExportRecord> for RecordRef<'a> {
 
 // The `samples` control byte: `[id mode:2][time mode:2][value code:4]`.
 // Mode 3 of either field is reserved; so are value codes 9–15 in a
-// `samples` record, which a `samples_delta` record gives meaning to.
+// `samples` record, which `samples_delta` and `sweep` records give
+// meaning to.
 const MODE_SAME: u8 = 0;
 /// Id: previous + 1. Time: previous + the run's last non-zero step.
 const MODE_STEP: u8 = 1;
@@ -829,30 +866,98 @@ fn xored(x: u64) -> Written {
     }
 }
 
-/// Append `run` as one record of kind `tag` — `samples`, or with
-/// values XOR-coded against the stream, `samples_delta`:
-/// `[kind][len u32 LE][count uv][count × sample]`, each sample
-/// `[control u8][id uv?][zigzag Δt uv?][shape u8?][value bytes]`, each
-/// value as `write` gives it. The state a sample's id and time are coded
+/// The arithmetic progressions a run's ids and times form, when the
+/// whole run is one of at least two samples: ids counting up (or
+/// standing) by one step without passing `u32`, times by one step
+/// (wrapping in 64 bits, as every time delta does).
+#[derive(Debug, Clone, Copy)]
+struct Progression {
+    id0: u32,
+    id_step: u32,
+    t0: u64,
+    t_step: u64,
+}
+
+impl Progression {
+    /// The progression `run` is, if it is one.
+    fn of(mut run: impl Iterator<Item = (MetricId, SimTime, f64)>) -> Option<Self> {
+        let (MetricId(id0), SimTime(t0), _) = run.next()?;
+        let (MetricId(id1), SimTime(t1), _) = run.next()?;
+        let p = Progression {
+            id0,
+            id_step: id1.checked_sub(id0)?,
+            t0,
+            t_step: t1.wrapping_sub(t0),
+        };
+        let (mut id, mut t) = (id1, t1);
+        for (MetricId(next_id), SimTime(next_t), _) in run {
+            if id.checked_add(p.id_step) != Some(next_id) || t.wrapping_add(p.t_step) != next_t {
+                return None;
+            }
+            (id, t) = (next_id, next_t);
+        }
+        Some(p)
+    }
+}
+
+/// Append `run` as one record — under [`Coding::Whole`] a `samples`
+/// record; otherwise a `sweep` record when the whole run is one
+/// [`Progression`] of at least two samples (and the coding is
+/// [`Coding::Sweeps`]), else a `samples_delta` record. Each value is
+/// as `write` gives it.
+///
+/// `samples` and `samples_delta`: `[kind][len u32 LE][count uv][count ×
+/// sample]`, each sample `[control u8][id uv?][zigzag Δt uv?][shape
+/// u8?][value bytes]`. The state a sample's id and time are coded
 /// against (previous id, previous timestamp, last non-zero timestamp
 /// step) starts at zero with every record, so those decode on their
 /// own. A sweep (ids counting up at one timestamp) and one metric's tail
 /// (one id at a fixed cadence) both cost the control byte plus the
-/// value. In a `samples` record the value is [`whole`]: the
-/// most-significant bytes of `to_bits()` with trailing zero bytes
-/// dropped, which is bit-exact for every `f64` and 2–4 bytes for a
-/// quantised sensor reading. In a `samples_delta` record a value whose
-/// id has a state is [`xored`] instead — a repeat is no byte, a
-/// quantised reading's step usually one — see [`BatchWriter::samples`].
+/// value.
+///
+/// `sweep`: `[kind][len u32 LE][count uv][id0 uv][id step uv][zigzag t0
+/// uv][zigzag t step uv]`, then the `count` value codes two to a byte
+/// (low nibble first, an odd count's last high nibble 0), then each
+/// sample's `[shape u8?][value bytes]` in order: half a byte plus the
+/// value a sample.
+///
+/// In a `samples` record the value is [`whole`]: the most-significant
+/// bytes of `to_bits()` with trailing zero bytes dropped, which is
+/// bit-exact for every `f64` and 2–4 bytes for a quantised sensor
+/// reading. In the other two a value whose id has a state is [`xored`]
+/// instead — a repeat is no byte, a quantised reading's step usually
+/// one — see [`BatchWriter::samples`].
 fn put_samples(
     out: &mut Vec<u8>,
-    tag: u8,
-    run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>,
+    coding: Coding,
+    run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)> + Clone,
     mut write: impl FnMut(MetricId, u64) -> Written,
 ) {
-    out.push(tag);
+    let sweep = match coding {
+        Coding::Sweeps => Progression::of(run.clone()),
+        _ => None,
+    };
+    out.push(match (coding, sweep) {
+        (Coding::Whole, _) => REC_SAMPLES,
+        (_, None) => REC_SAMPLES_DELTA,
+        (_, Some(_)) => REC_SWEEP,
+    });
     put_block(out, |out| {
         put_uv(out, run.len() as u64);
+        if let Some(p) = sweep {
+            put_uv(out, u64::from(p.id0));
+            put_uv(out, u64::from(p.id_step));
+            put_uv(out, zigzag(p.t0 as i64));
+            put_uv(out, zigzag(p.t_step as i64));
+            let codes_at = out.len();
+            out.resize(codes_at + run.len().div_ceil(2), 0);
+            for (i, (id, _, value)) in run.enumerate() {
+                let written = write(id, value.to_bits());
+                out[codes_at + i / 2] |= written.code << (4 * (i & 1));
+                put_value(out, written);
+            }
+            return;
+        }
         let (mut prev_id, mut prev_t, mut step) = (0u32, 0u64, 0i64);
         for (id, t, value) in run {
             let id_mode = if id.0 == prev_id {
@@ -868,13 +973,8 @@ fn put_samples(
                 _ if dt == step => MODE_STEP,
                 _ => MODE_EXPLICIT,
             };
-            let Written {
-                code,
-                lead,
-                kept,
-                coded,
-            } = write(id, value.to_bits());
-            out.push(id_mode << 6 | t_mode << 4 | code);
+            let written = write(id, value.to_bits());
+            out.push(id_mode << 6 | t_mode << 4 | written.code);
             if id_mode == MODE_EXPLICIT {
                 put_uv(out, u64::from(id.0));
             }
@@ -884,18 +984,24 @@ fn put_samples(
             if dt != 0 {
                 step = dt;
             }
-            if code == CODE_ESCAPE {
-                out.push(lead << 4 | kept);
-            }
-            // All eight bytes from the first kept one, then the dropped
-            // ones off again: a fixed-width copy, not a variable-length
-            // one.
-            let end = out.len() + usize::from(kept);
-            out.extend_from_slice(&(coded << (8 * u32::from(lead))).to_be_bytes());
-            out.truncate(end);
+            put_value(out, written);
             (prev_id, prev_t) = (id.0, t.0);
         }
     });
+}
+
+/// Append what follows a value's code: the escape's shape byte, then
+/// the kept bytes.
+#[inline(always)]
+fn put_value(out: &mut Vec<u8>, w: Written) {
+    if w.code == CODE_ESCAPE {
+        out.push(w.lead << 4 | w.kept);
+    }
+    // All eight bytes from the first kept one, then the dropped ones off
+    // again: a fixed-width copy, not a variable-length one.
+    let end = out.len() + usize::from(w.kept);
+    out.extend_from_slice(&(w.coded << (8 * u32::from(w.lead))).to_be_bytes());
+    out.truncate(end);
 }
 
 /// Why reading a view's bytes again cannot fail: only
@@ -915,11 +1021,11 @@ enum Coded {
     Xor(u64),
 }
 
-/// The samples of one `samples` or `samples_delta` record, decoded one
-/// at a time off its payload. Lent by a [`BatchView`], whose full walk
-/// has already shown every step to succeed. A `samples` run is an
-/// iterator of observations; a `samples_delta` run is read through
-/// [`DeltaRun::values`].
+/// The samples of one `samples`, `samples_delta` or `sweep` record,
+/// decoded one at a time off its payload. Lent by a [`BatchView`],
+/// whose full walk has already shown every step to succeed. A `samples`
+/// run is an iterator of observations; a `samples_delta` or `sweep` run
+/// is read through [`DeltaRun::values`].
 #[derive(Debug, Clone)]
 pub struct SampleRun<'a> {
     r: WireReader<'a>,
@@ -928,43 +1034,135 @@ pub struct SampleRun<'a> {
     t: u64,
     step: i64,
     /// Whether the value [`SampleRun::step`] gave last is an XOR (only
-    /// ever in a `samples_delta` run).
+    /// ever in a `samples_delta` or `sweep` run).
     xor: bool,
+    /// A `sweep` run's value codes; `None` in a run whose samples each
+    /// carry a control byte.
+    column: Option<CodeColumn<'a>>,
+}
+
+/// A `sweep` run's value codes, two to a byte, low nibble first, and
+/// the step its ids count by (its time step is the run's `step`).
+#[derive(Debug, Clone)]
+struct CodeColumn<'a> {
+    codes: &'a [u8],
+    next: usize,
+    id_step: u32,
+}
+
+impl CodeColumn<'_> {
+    /// The next sample's value code.
+    #[inline(always)]
+    fn take(&mut self) -> u8 {
+        let code = self.codes[self.next / 2] >> (4 * (self.next & 1)) & 0x0F;
+        self.next += 1;
+        code
+    }
 }
 
 impl<'a> SampleRun<'a> {
-    /// Read the run's header. The declared count is checked against the
-    /// bytes that are left (a sample is at least its control byte) and
-    /// against `room` before anyone sizes anything by it.
-    fn open(payload: &'a [u8], room: usize) -> io::Result<Self> {
+    /// Read the run's header — a `sweep`'s progressions and code column
+    /// included. The declared count is checked against the bytes that
+    /// are left (a sample is at least its control byte, in a sweep its
+    /// code's half byte) and against `room` before anyone sizes anything
+    /// by it.
+    fn open(payload: &'a [u8], room: usize, sweep: bool) -> io::Result<Self> {
         let mut r = WireReader::new(payload);
         let count = r.uv()?;
-        if count > r.remaining() as u64 {
+        let per_byte = if sweep { 2 } else { 1 };
+        if count > per_byte * r.remaining() as u64 {
             return Err(bad_data("samples count exceeds its payload"));
         }
         let left = count as usize;
         if left > room {
             return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
         }
-        Ok(SampleRun {
+        let mut run = SampleRun {
             r,
             left,
             id: 0,
             t: 0,
             step: 0,
             xor: false,
-        })
+            column: None,
+        };
+        if sweep {
+            run.open_sweep()?;
+        }
+        Ok(run)
+    }
+
+    /// Read a `sweep` header: the first id and the id step (every id of
+    /// the run within `u32`), the first time and the time step, and the
+    /// code column (an odd count's padding nibble zero). The run's state
+    /// is left one step before its first sample.
+    fn open_sweep(&mut self) -> io::Result<()> {
+        let r = &mut self.r;
+        let (id0, id_step) = (r.uv()?, r.uv()?);
+        let last_id = (self.left as u64)
+            .saturating_sub(1)
+            .checked_mul(id_step)
+            .and_then(|span| span.checked_add(id0));
+        if last_id.is_none_or(|last| last > u64::from(u32::MAX)) {
+            return Err(bad_data("sample id past u32"));
+        }
+        let (t0, t_step) = (unzigzag(r.uv()?) as u64, unzigzag(r.uv()?));
+        let codes = r.take(self.left.div_ceil(2))?;
+        if self.left % 2 == 1 && codes[codes.len() - 1] >> 4 != 0 {
+            return Err(bad_data("non-zero padding nibble in sweep codes"));
+        }
+        // Only a run of one may name a step past `u32`, which it never
+        // takes: the truncated step still steps back to its one id.
+        let id_step = id_step as u32;
+        self.id = (id0 as u32).wrapping_sub(id_step);
+        self.t = t0.wrapping_sub(t_step as u64);
+        self.step = t_step;
+        self.column = Some(CodeColumn {
+            codes,
+            next: 0,
+            id_step,
+        });
+        Ok(())
     }
 
     /// Decode the next sample — the one walk of the `samples` and (for
-    /// `DELTA`) `samples_delta` grammar, under the validating pass and
-    /// the iterators alike: its id, its time, and its value's bits — or,
-    /// when it leaves `xor` set, their XOR with its id's previous value.
+    /// `DELTA`) `samples_delta` and `sweep` grammar, under the validating
+    /// pass and the iterators alike: its id, its time, and its value's
+    /// bits — or, when it leaves `xor` set, their XOR with its id's
+    /// previous value.
     // Forced: `check`, the iterators and the state's walks each want
     // their own copy of this loop body (a call per sample costs a
     // fifth of a sweep's view).
     #[inline(always)]
     fn step<const DELTA: bool>(&mut self) -> io::Result<(MetricId, SimTime, u64)> {
+        let code = match &mut self.column {
+            // Only a `sweep` has a column, and it is always read as a
+            // delta run: a `samples` walk does not look.
+            Some(column) if DELTA => {
+                self.id = self.id.wrapping_add(column.id_step);
+                self.t = self.t.wrapping_add(self.step as u64);
+                column.take()
+            }
+            _ => self.control()?,
+        };
+        let bits = if code <= 8 {
+            self.value(code)?
+        } else if DELTA {
+            self.xor_value(code)?
+        } else {
+            return Err(bad_data("reserved sample value length"));
+        };
+        if DELTA {
+            self.xor = code > 8;
+        }
+        Ok((MetricId(self.id), SimTime(self.t), bits))
+    }
+
+    /// A `samples` or `samples_delta` sample's control byte and the
+    /// explicit fields it calls for: the sample's id and time taken, its
+    /// value code returned.
+    #[inline(always)]
+    fn control(&mut self) -> io::Result<u8> {
         let control = self.r.u8()?;
         match control >> 6 {
             MODE_SAME => {}
@@ -992,18 +1190,7 @@ impl<'a> SampleRun<'a> {
             }
             _ => return Err(bad_data("reserved sample time mode")),
         }
-        let code = control & 0x0F;
-        let bits = if code <= 8 {
-            self.value(code)?
-        } else if DELTA {
-            self.xor_value(code)?
-        } else {
-            return Err(bad_data("reserved sample value length"));
-        };
-        if DELTA {
-            self.xor = code > 8;
-        }
-        Ok((MetricId(self.id), SimTime(self.t), bits))
+        Ok(control & 0x0F)
     }
 
     /// The value field of a `samples_delta` value code 9–15: the XOR.
@@ -1097,8 +1284,9 @@ impl Iterator for SampleRun<'_> {
 
 impl ExactSizeIterator for SampleRun<'_> {}
 
-/// The samples of one `samples_delta` record: ids and times as a
-/// [`SampleRun`]'s, values that only the stream's [`ValueState`] reads.
+/// The samples of one `samples_delta` or `sweep` record: ids and times
+/// as a [`SampleRun`]'s, values that only the stream's [`ValueState`]
+/// reads.
 #[derive(Debug, Clone)]
 pub struct DeltaRun<'a>(SampleRun<'a>);
 
@@ -1151,15 +1339,16 @@ impl ExactSizeIterator for DeltaValues<'_, '_> {}
 /// keep at 16 MiB.
 pub const MAX_VALUE_IDS: u32 = 1 << 20;
 
-/// The state `samples_delta` values are coded against: per wire id of
-/// one stream, the bits of the last value a `samples_delta` record of
-/// the stream carried for it, if one did. Each end of a connection
+/// The state `samples_delta` and `sweep` values are coded against: per
+/// wire id of one stream, the bits of the last value a record of either
+/// kind of the stream carried for it, if one did. Each end of a connection
 /// keeps one, and both keep it by the same rule, so they agree batch
 /// after batch:
 ///
-/// * every sample of a `samples_delta` record — of every batch taken, a
-///   duplicate's too — leaves its value as its id's state; no other
-///   record touches it (a 1.3 writer sends every run as one);
+/// * every sample of a `samples_delta` or `sweep` record — of every
+///   batch taken, a duplicate's too — leaves its value as its id's
+///   state; no other record touches it (a 1.3 or 1.4 writer sends every
+///   run as one of the two);
 /// * a value whose id has a state is written as that state XOR its bits,
 ///   any other whole — so a delta for an id with no state is refused;
 /// * a new connection starts empty ([`ValueState::reset`]).
@@ -1195,8 +1384,8 @@ impl ValueState {
         self.dense = 0;
     }
 
-    /// The bits of the last value a `samples_delta` record of the
-    /// stream carried for `id`.
+    /// The bits of the last value a `samples_delta` or `sweep` record
+    /// of the stream carried for `id`.
     #[inline]
     pub fn get(&self, id: MetricId) -> Option<u64> {
         self.last.get(id.index()).copied().flatten()
@@ -1319,12 +1508,13 @@ impl<'a> BatchView<'a> {
     /// Validate `bytes` as one batch written by [`encode_batch`] or
     /// [`encode_batch_with`] (or record by record with [`encode_record`],
     /// as v1.1 writers did). Validation needs no stream state: whether a
-    /// `samples_delta` value can be read is [`BatchView::check_values`].
+    /// `samples_delta` or `sweep` value can be read is
+    /// [`BatchView::check_values`].
     /// Records of a kind unknown to this reader are length-skipped and
     /// counted ([`BatchView::unknown_records`]), never an error — the
     /// additive-kinds contract. A batch that would expand past
-    /// [`MAX_BATCH_RECORDS`] records is refused: a `samples` record is
-    /// the one kind whose decoded size is not bounded by its own length.
+    /// [`MAX_BATCH_RECORDS`] records is refused: sample runs are the
+    /// kinds whose decoded size is not bounded by their own length.
     pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
         let mut r = WireReader::new(bytes);
         let seq = r.u64()?;
@@ -1390,8 +1580,8 @@ impl<'a> BatchView<'a> {
     }
 
     /// The owned batch: what [`decode_batch`] returns. A batch holding a
-    /// `samples_delta` record is `InvalidData` here: its values are
-    /// only readable against the stream's state
+    /// `samples_delta` or `sweep` record is `InvalidData` here: its
+    /// values are only readable against the stream's state
     /// ([`BatchView::to_batch_with`]).
     pub fn to_batch(&self) -> io::Result<ExportBatch> {
         self.owned(None)
@@ -1518,19 +1708,21 @@ impl<'a> BatchWriter<'a> {
         self.counted();
     }
 
-    /// Append `run` — what a [`SampleRun`] yields back — as one
-    /// `samples` record, or, given the stream's state, one
-    /// `samples_delta` record coded against it.
+    /// Append `run` — what a [`SampleRun`] yields back — as one record
+    /// in `coding`: a `samples` record, or one coded against the
+    /// stream's `state` ([`put_samples`] picks `samples_delta` or
+    /// `sweep`), which takes its values.
     fn samples(
         &mut self,
-        run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)>,
-        state: Option<&mut ValueState>,
+        run: impl ExactSizeIterator<Item = (MetricId, SimTime, f64)> + Clone,
+        coding: Coding,
+        state: &mut ValueState,
     ) {
-        match state {
-            None => put_samples(self.out, REC_SAMPLES, run, |_, bits| whole(bits)),
+        match coding {
+            Coding::Whole => put_samples(self.out, coding, run, |_, bits| whole(bits)),
             // A value whose id has a state is XOR-coded against it, any
             // other whole; either way the state takes it.
-            Some(state) => put_samples(self.out, REC_SAMPLES_DELTA, run, |id, bits| {
+            Coding::Deltas | Coding::Sweeps => put_samples(self.out, coding, run, |id, bits| {
                 match state.replace(id, bits) {
                     Some(prev) => xored(prev ^ bits),
                     None => whole(bits),
@@ -1561,20 +1753,30 @@ impl<'a> BatchWriter<'a> {
 /// consecutive [`ExportRecord::Sample`] is written as **one** `samples`
 /// record, so the count in the header counts *wire* records, not
 /// `batch.records`; [`decode_batch`] gives the same records back. Needs
-/// no state and leaves none: the rendering any reader reads.
+/// no state and leaves none: the rendering any reader reads
+/// ([`Coding::Whole`]).
 pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
-    write_batch(batch, None, out);
+    encode_batch_as(batch, Coding::Whole, &mut ValueState::new(), out);
 }
 
-/// [`encode_batch`] for a stream whose writer keeps `state` (v1.3): each
-/// run of samples is one `samples_delta` record, its values coded
-/// against `state`, which takes them. The reader must keep the same
-/// state ([`BatchView::to_batch_with`], [`decode_batch_with`]).
+/// [`encode_batch`] for a stream whose writer keeps `state`, as this
+/// build's revision writes it ([`Coding::Sweeps`]): each run of samples
+/// is one `sweep` or `samples_delta` record, its values coded against
+/// `state`, which takes them. The reader must keep the same state
+/// ([`BatchView::to_batch_with`], [`decode_batch_with`]).
 pub fn encode_batch_with(batch: &ExportBatch, state: &mut ValueState, out: &mut Vec<u8>) {
-    write_batch(batch, Some(state), out);
+    encode_batch_as(batch, Coding::Sweeps, state, out);
 }
 
-fn write_batch(batch: &ExportBatch, mut state: Option<&mut ValueState>, out: &mut Vec<u8>) {
+/// Encode `batch` for a reader of an older revision, or of this one:
+/// its runs of samples in `coding`, coded against `state` unless that
+/// is [`Coding::Whole`], which leaves `state` alone.
+pub fn encode_batch_as(
+    batch: &ExportBatch,
+    coding: Coding,
+    state: &mut ValueState,
+    out: &mut Vec<u8>,
+) {
     let mut w = BatchWriter::new(out, batch.seq);
     let sample = |r: &ExportRecord| match *r {
         ExportRecord::Sample { id, t, value } => Some((id, t, value)),
@@ -1587,7 +1789,7 @@ fn write_batch(batch: &ExportBatch, mut state: Option<&mut ValueState>, out: &mu
     {
         if sample(&group[0]).is_some() {
             let run = group.iter().map(|r| sample(r).expect("a run of samples"));
-            w.samples(run, state.as_deref_mut());
+            w.samples(run, coding, state);
         } else {
             w.record(&group[0]);
         }
@@ -1597,8 +1799,8 @@ fn write_batch(batch: &ExportBatch, mut state: Option<&mut ValueState>, out: &mu
 /// Decode a batch into owned records: [`BatchView::parse`], then
 /// [`BatchView::to_batch`]. Returns the batch plus the number of
 /// records skipped because their kind tag is unknown to this reader. A
-/// batch holding a `samples_delta` record is `InvalidData`: see
-/// [`decode_batch_with`].
+/// batch holding a `samples_delta` or `sweep` record is `InvalidData`:
+/// see [`decode_batch_with`].
 pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
     let view = BatchView::parse(buf)?;
     Ok((view.to_batch()?, view.unknown_records()))
@@ -1746,7 +1948,7 @@ fn frame_crc(tag: u8, payload: &[&[u8]]) -> u32 {
 }
 
 /// The frame tags spoken inside the [`write_frame`] envelope by the
-/// `moda` socket protocols (`export-wire-v1.3`). The envelope itself is
+/// `moda` socket protocols (`export-wire-v1.4`). The envelope itself is
 /// tag-agnostic; this registry exists so the protocols layered on it —
 /// fleet ingest sessions and the query/serving sessions next to them —
 /// can never collide on a tag value. Tags are **additive**: a value,
@@ -2207,11 +2409,12 @@ mod tests {
         ];
         let mut writer = ValueState::new();
         let mut buf = Vec::new();
-        encode_batch_with(
+        encode_batch_as(
             &ExportBatch {
                 seq: 0,
                 records: records.clone(),
             },
+            Coding::Deltas,
             &mut writer,
             &mut buf,
         );
@@ -2228,12 +2431,191 @@ mod tests {
             seq: 1,
             records: vec![sample(7, 64_000, 203.25)],
         };
-        encode_batch_with(&again, &mut writer, &mut next);
+        encode_batch_as(&again, Coding::Deltas, &mut writer, &mut next);
         assert_eq!(
             &next[12..],
             [0x06, 0x06, 0, 0, 0, 0x01, 0xA9, 0x07, 0x80, 0xE8, 0x07]
         );
         assert_eq!(decode_batch_with(&next, &mut reader).unwrap().0, again);
+    }
+
+    #[test]
+    fn sweep_record_is_the_documented_bytes() {
+        // The worked example of docs/EXPORT_FORMAT.md: metrics 4, 5 and
+        // 6 read at t 60000, then at 61000, in a stream with no value of
+        // any of them yet.
+        let sweep = |t, values: [f64; 3]| ExportBatch {
+            seq: t / 1_000 - 60,
+            records: (0..3)
+                .map(|i| sample(4 + i, t, values[i as usize]))
+                .collect(),
+        };
+        let first = sweep(60_000, [201.5, 203.0, 2.0]);
+        let second = sweep(61_000, [201.5, 203.25, 2.0]);
+        let want_first: &[u8] = &[
+            0x07, // kind: sweep
+            0x10, 0x00, 0x00, 0x00, // payload length 16
+            0x03, // three samples
+            0x04, 0x01, // ids 4, 5, 6: first 4, step 1
+            0xC0, 0xA9, 0x07, 0x00, // t 60000 (zigzag 120000), step 0
+            0x33, 0x01, // codes 3, 3 | 1, padding 0
+            0x40, 0x69, 0x30, // 201.5 whole
+            0x40, 0x69, 0x60, // 203.0 whole
+            0x40, // 2.0 whole
+        ];
+        let want_second: &[u8] = &[
+            0x07, // kind: sweep
+            0x0A, 0x00, 0x00, 0x00, // payload length 10
+            0x03, 0x04, 0x01, // three samples, ids from 4 by 1
+            0x90, 0xB9, 0x07, 0x00, // t 61000 (zigzag 122000), step 0
+            0xA9, 0x09, // codes 9 (repeat), 10 | 9, padding 0
+            0x08, // XOR 0x0000_0800_0000_0000: 203.0 → 203.25
+        ];
+        let (mut writer, mut reader) = (ValueState::new(), ValueState::new());
+        let mut v1_3 = ValueState::new();
+        // A header of about six bytes against half a byte a sample: runs
+        // this short cost a byte more than as `samples_delta`.
+        for (batch, want, deltas) in [(&first, want_first, 20), (&second, want_second, 14)] {
+            let mut buf = Vec::new();
+            encode_batch_with(batch, &mut writer, &mut buf);
+            assert_eq!(&buf[12..], want);
+            let (back, unknown) = decode_batch_with(&buf, &mut reader).unwrap();
+            assert_eq!((&back, unknown), (batch, 0));
+            assert_eq!(reader, writer);
+            let mut as_1_3 = Vec::new();
+            encode_batch_as(batch, Coding::Deltas, &mut v1_3, &mut as_1_3);
+            assert_eq!(as_1_3.len() - 12, deltas);
+        }
+        // The 1.3 example's tail as a sweep: one id by step 0, times by
+        // step 1000, the same value codes — 20 bytes where 1.3 takes 21.
+        let tail = ExportBatch {
+            seq: 0,
+            records: vec![
+                sample(7, 60_000, 201.5),
+                sample(7, 61_000, 203.0),
+                sample(7, 62_000, 203.0),
+                sample(7, 63_000, 203.25),
+            ],
+        };
+        let mut buf = Vec::new();
+        encode_batch_with(&tail, &mut ValueState::new(), &mut buf);
+        assert_eq!(
+            &buf[12..],
+            [
+                0x07, 0x0F, 0, 0, 0, 0x04, 0x07, 0x00, 0xC0, 0xA9, 0x07, 0xD0, 0x0F, 0xA3, 0xA9,
+                0x40, 0x69, 0x30, 0x50, 0x08
+            ]
+        );
+    }
+
+    /// The writer's canonical rule: a run is a `sweep` exactly when the
+    /// whole run is one progression of at least two samples — ids up (or
+    /// standing) by one step within `u32`, times by one wrapping step —
+    /// and a `samples_delta` otherwise; a 1.3 writer never writes one.
+    #[test]
+    fn a_run_is_a_sweep_exactly_when_it_is_one_progression() {
+        let kind = |coding, records: Vec<ExportRecord>| {
+            let mut buf = Vec::new();
+            let batch = ExportBatch { seq: 0, records };
+            encode_batch_as(&batch, coding, &mut ValueState::new(), &mut buf);
+            let back = decode_batch_with(&buf, &mut ValueState::new()).unwrap().0;
+            assert_eq!(back, batch);
+            buf[12]
+        };
+        let top = u32::MAX;
+        for (records, swept) in [
+            (vec![sample(3, 5, 1.0)], false),
+            (vec![sample(3, 5, 1.0), sample(9, 2, 1.0)], true),
+            (vec![sample(9, 5, 1.0), sample(3, 5, 1.0)], false),
+            (
+                vec![sample(0, 0, 1.0), sample(1, 0, 1.0), sample(3, 0, 1.0)],
+                false,
+            ),
+            (
+                vec![sample(2, 0, 1.0), sample(2, 7, 1.0), sample(2, 15, 1.0)],
+                false,
+            ),
+            (
+                vec![
+                    sample(top - 2, 9, 1.0),
+                    sample(top - 1, 9, 1.0),
+                    sample(top, 9, 1.0),
+                ],
+                true,
+            ),
+            (
+                vec![
+                    sample(1, u64::MAX, 1.0),
+                    sample(1, 1, 1.0),
+                    sample(1, 3, 1.0),
+                ],
+                true,
+            ),
+        ] {
+            let want = if swept { REC_SWEEP } else { REC_SAMPLES_DELTA };
+            assert_eq!(kind(Coding::Sweeps, records.clone()), want, "{records:?}");
+            assert_eq!(kind(Coding::Deltas, records.clone()), REC_SAMPLES_DELTA);
+            assert_eq!(kind(Coding::Whole, records), REC_SAMPLES);
+        }
+        assert_eq!(Coding::for_revision(None), Coding::Whole);
+        assert_eq!(Coding::for_revision(Some([1, 2])), Coding::Whole);
+        assert_eq!(Coding::for_revision(Some([1, 3])), Coding::Deltas);
+        assert_eq!(Coding::for_revision(Some(REVISION)), Coding::Sweeps);
+    }
+
+    /// Malformed `sweep` records are `InvalidData` — the batch refused
+    /// whole, the reader's state as it was.
+    #[test]
+    fn hostile_sweep_records_are_bad_data() {
+        let batch = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 1);
+            buf.push(REC_SWEEP);
+            put_block(&mut buf, |out| out.extend_from_slice(payload));
+            buf
+        };
+        let mut state = ValueState::new();
+        state.set(MetricId(4), 0x4069_3000_0000_0000);
+        let before = state.clone();
+        let err = |payload: &[u8]| {
+            let mut read = state.clone();
+            let e = decode_batch_with(&batch(payload), &mut read).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(read, before);
+            e.to_string()
+        };
+        // Well-formed for contrast: ids 4, 5 at t 0, a repeat and a whole
+        // one-byte value.
+        let good = [2, 4, 1, 0, 0, 0x19, 0x40];
+        assert!(decode_batch_with(&batch(&good), &mut state.clone()).is_ok());
+        // More samples than twice the bytes after the count.
+        assert!(err(&[13, 4, 1, 0, 0, 0, 0]).contains("count exceeds"));
+        let mut lie = Vec::new();
+        put_uv(&mut lie, 1 << 60);
+        lie.extend_from_slice(&[4, 1, 0, 0]);
+        assert!(err(&lie).contains("count exceeds"));
+        // A code column cut short (four samples, one code byte).
+        assert!(err(&[4, 4, 1, 0, 0, 0x99]).contains("truncated"));
+        // An odd count's padding nibble set.
+        assert!(err(&[1, 4, 0, 0, 0, 0x90]).contains("padding"));
+        // Ids past u32: the first one, or stepped off the end.
+        let mut first = vec![1];
+        put_uv(&mut first, u64::from(u32::MAX) + 1);
+        first.extend_from_slice(&[0, 0, 0, 0x09]);
+        assert!(err(&first).contains("past u32"));
+        let mut stepped = vec![3];
+        put_uv(&mut stepped, u64::from(u32::MAX) - 1);
+        stepped.extend_from_slice(&[1, 0, 0, 0x99, 0x09]);
+        assert!(err(&stepped).contains("past u32"));
+        // A reserved escape shape: keeps nothing, or runs past 64 bits.
+        assert!(err(&[2, 4, 1, 0, 0, 0x9F, 0x30]).contains("value shape"));
+        assert!(err(&[2, 4, 1, 0, 0, 0x9F, 0x54, 0, 0, 0, 0]).contains("value shape"));
+        // A value cut short, and bytes after the last value.
+        assert!(err(&[2, 4, 1, 0, 0, 0x39, 0x40, 0x69]).contains("truncated"));
+        assert!(err(&[2, 4, 1, 0, 0, 0x19, 0x40, 0xFF]).contains("trailing"));
+        // A delta for an id with no state.
+        assert!(err(&[2, 8, 1, 0, 0, 0x99]).contains("needs its stream's state"));
     }
 
     #[test]
@@ -2358,25 +2740,20 @@ mod tests {
         }
     }
 
-    /// Bytes per sample of `sweeps` coded as a 1.3 stream and as 1.2
-    /// packed runs, the first sweep (whole values on both) left out.
-    fn delta_and_packed_bytes(sweeps: &[ExportBatch]) -> (f64, f64) {
+    /// Bytes per sample of `sweeps` coded as one stream in `coding`, the
+    /// first sweep (whole values in every coding) left out.
+    fn bytes_per_sample(sweeps: &[ExportBatch], coding: Coding) -> f64 {
         let mut state = ValueState::new();
-        let (mut delta, mut packed, mut samples) = (0, 0, 0);
+        let (mut bytes, mut samples) = (0, 0);
         for (k, sweep) in sweeps.iter().enumerate() {
-            let (mut d, mut p) = (Vec::new(), Vec::new());
-            encode_batch_with(sweep, &mut state, &mut d);
-            encode_batch(sweep, &mut p);
+            let mut out = Vec::new();
+            encode_batch_as(sweep, coding, &mut state, &mut out);
             if k > 0 {
-                delta += d.len();
-                packed += p.len();
+                bytes += out.len();
                 samples += sweep.records.len();
             }
         }
-        (
-            delta as f64 / samples as f64,
-            packed as f64 / samples as f64,
-        )
+        bytes as f64 / samples as f64
     }
 
     /// The value codes are fitted to quantised readings: an XOR shaped
@@ -2387,9 +2764,11 @@ mod tests {
     /// it and the delta costs what the whole value does (9.26 B a sample
     /// against 9.32 packed); where the magnitude wanders over 2^±10,
     /// about half the samples pay the byte (9.82 against 9.32). A
-    /// quantised walk, for contrast: 2.04 against 4.25. Pinned so the
-    /// cost of the coding on traffic it was not fitted to is measured,
-    /// not assumed.
+    /// quantised walk, for contrast: 2.04 against 4.25. As 1.4 sweeps
+    /// each costs under half a byte less (8.80, 9.37 and 1.59): the
+    /// value codes are the same, only the control byte's id and time
+    /// half is gone, and the header names the two progressions. Pinned so the cost of the coding on traffic it was not
+    /// fitted to is measured, not assumed.
     #[test]
     fn full_precision_values_cost_at_most_a_byte_more_as_deltas() {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
@@ -2425,15 +2804,21 @@ mod tests {
         };
         let readings = sweeps(&mut quantised);
 
-        let (delta, packed) = delta_and_packed_bytes(&one_exponent);
+        let costs = |sweeps: &[ExportBatch]| {
+            [Coding::Sweeps, Coding::Deltas, Coding::Whole].map(|c| bytes_per_sample(sweeps, c))
+        };
+        let [swept, delta, packed] = costs(&one_exponent);
         assert!(delta <= packed + 0.05, "{delta} vs {packed}");
-        let (delta, packed) = delta_and_packed_bytes(&magnitudes);
+        assert!((0.4..0.5).contains(&(delta - swept)), "{swept} vs {delta}");
+        let [swept, delta, packed] = costs(&magnitudes);
         assert!(
             (packed + 0.3..packed + 0.7).contains(&delta),
             "{delta} vs {packed}"
         );
-        let (delta, packed) = delta_and_packed_bytes(&readings);
+        assert!((0.4..0.5).contains(&(delta - swept)), "{swept} vs {delta}");
+        let [swept, delta, packed] = costs(&readings);
         assert!(delta < packed / 2.0, "{delta} vs {packed}");
+        assert!((0.4..0.5).contains(&(delta - swept)), "{swept} vs {delta}");
     }
 
     #[test]
@@ -2586,6 +2971,23 @@ mod tests {
         };
         let at_bound = decode_batch(&batch(&[MAX_BATCH_RECORDS], false)).unwrap();
         assert_eq!(at_bound.0.records.len(), MAX_BATCH_RECORDS);
+        // Half-byte samples: a sweep of zeros at one id and time.
+        let sweep = |n: usize| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 1);
+            buf.push(REC_SWEEP);
+            put_block(&mut buf, |out| {
+                put_uv(out, n as u64);
+                out.extend_from_slice(&[0, 0, 0, 0]);
+                out.resize(out.len() + n.div_ceil(2), 0);
+            });
+            buf
+        };
+        let swept = decode_batch_with(&sweep(MAX_BATCH_RECORDS), &mut ValueState::new()).unwrap();
+        assert_eq!(swept.0.records.len(), MAX_BATCH_RECORDS);
+        let e = BatchView::parse(&sweep(MAX_BATCH_RECORDS + 1)).unwrap_err();
+        assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
         for over in [
             batch(&[MAX_BATCH_RECORDS + 1], false),
             batch(&[MAX_BATCH_RECORDS - 5, 6], false),

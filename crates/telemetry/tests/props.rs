@@ -1603,6 +1603,68 @@ fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
     })
 }
 
+/// [`mixed_records`] with sweeps spliced in: runs of 2–70 samples whose
+/// ids and times are each one arithmetic progression — ids from below 64
+/// (so that sweeps revisit the mixed records' ids and each other's) or
+/// from near `u32::MAX`, up by 0–3; times by a step of 0, 1000 or any
+/// value, wrapping — what a 1.4 writer writes as a `sweep` record. Each
+/// has a `meta` record before it, and sometimes after it; where it has
+/// none, the samples after it join its run, which then is no
+/// progression. Its values are quarter steps, repeats, or raw bits.
+fn swept_records() -> impl Strategy<Value = Vec<ExportRecord>> {
+    (
+        mixed_records(),
+        prop::collection::vec(
+            (
+                (0usize..1000, 2u32..70, any::<bool>()),
+                (any::<u32>(), 0u32..4, any::<bool>()),
+                (any::<u64>(), 0u8..3, any::<u64>()),
+                (0u8..3, any::<u64>()),
+            ),
+            0..5,
+        ),
+    )
+        .prop_map(|(mut records, sweeps)| {
+            let meta = |id| ExportRecord::Meta {
+                id: MetricId(id),
+                meta: MetricMeta::gauge("swept", "u", SourceDomain::Software),
+            };
+            for ((at, n, closed), (id_raw, id_step, high), (t0, t_sel, t_raw), (v_sel, v_raw)) in
+                sweeps
+            {
+                let span = id_step * (n - 1);
+                let id0 = match high {
+                    false => id_raw % 64,
+                    true => u32::MAX - span - id_raw % 3,
+                };
+                let t_step = match t_sel {
+                    0 => 0,
+                    1 => 1_000,
+                    _ => t_raw,
+                };
+                let mut run = vec![meta(id0)];
+                run.extend((0..n).map(|i| {
+                    let bits = match v_sel {
+                        0 => (100.0 + ((v_raw >> (i % 60)) % 5) as f64 * 0.25).to_bits(),
+                        1 => v_raw,
+                        _ => v_raw.rotate_left(i),
+                    };
+                    ExportRecord::Sample {
+                        id: MetricId(id0 + i * id_step),
+                        t: SimTime(t0.wrapping_add(t_step.wrapping_mul(u64::from(i)))),
+                        value: f64::from_bits(bits),
+                    }
+                }));
+                if closed {
+                    run.push(meta(id0));
+                }
+                let at = records.len() * at / 1000;
+                records.splice(at..at, run);
+            }
+            records
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1656,8 +1718,8 @@ proptest! {
 
 use moda_telemetry::export::MAX_BATCH_RECORDS;
 use moda_telemetry::wire::{
-    bad_data, decode_batch_with, encode_batch_with, unzigzag, BatchView, RecordRef, ValueState,
-    WireReader, MAX_VALUE_IDS,
+    bad_data, decode_batch_with, encode_batch_as, encode_batch_with, unzigzag, BatchView, Coding,
+    RecordRef, ValueState, WireReader, MAX_VALUE_IDS,
 };
 use std::collections::HashMap;
 use std::io;
@@ -1665,8 +1727,15 @@ use std::io;
 /// What [`reference_decode`] makes of a batch whose structure holds:
 /// its seq, its records with every delta read against a stream state
 /// that starts empty at the batch (`Err` if one cannot be), its
-/// unknown-kind count, and whether it holds a `samples_delta` record.
+/// unknown-kind count, and whether it holds a `samples_delta` or `sweep`
+/// record it read.
 type Decoded = (u64, io::Result<Vec<ExportRecord>>, u64, bool);
+
+/// Record kinds the reference reads, newest first: a reader of 1.4
+/// reads kind 7, of 1.3 kinds up to 6, of 1.2 up to 5.
+const READS_1_2: u8 = 5;
+const READS_1_3: u8 = 6;
+const READS_1_4: u8 = 7;
 
 /// The materialising batch decoder as it stood before `BatchView`
 /// became the only parser — kept here, sharing nothing with the view
@@ -1674,9 +1743,12 @@ type Decoded = (u64, io::Result<Vec<ExportRecord>>, u64, bool);
 /// mean and which bytes are a batch at all — taught the `samples_delta`
 /// kind of revision 1.3: its value codes, and a stream state of its own
 /// (a map; ids from `MAX_VALUE_IDS` on keep none) that every value of a
-/// `samples_delta` record lands in. As a 1.2 reader (`v1_3` false) it is the decoder of
-/// that revision verbatim, to which kind 6 is a kind from the future.
-fn reference_decode(buf: &[u8], v1_3: bool) -> io::Result<Decoded> {
+/// `samples_delta` record lands in; and the `sweep` kind of 1.4: ids and
+/// times as two progressions in its header, the value codes in a column
+/// of nibbles. As a reader of an older revision (`newest` the newest kind
+/// it knows) it is that revision's decoder verbatim, to which the later
+/// kinds are kinds from the future.
+fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
     struct Stream {
         last: HashMap<u32, u64>,
         readable: bool,
@@ -1687,6 +1759,55 @@ fn reference_decode(buf: &[u8], v1_3: bool) -> io::Result<Decoded> {
                 self.last.insert(id, bits);
             }
         }
+    }
+    /// One value of value code `code` off `r`, read against `stream`
+    /// when `delta` (a `samples_delta` or `sweep` record), which takes it.
+    fn value(
+        r: &mut WireReader<'_>,
+        code: u8,
+        id: u32,
+        delta: bool,
+        stream: &mut Stream,
+    ) -> io::Result<u64> {
+        let (lead, kept, xor) = match code {
+            0..=8 => (0, code, false),
+            _ if !delta => return Err(bad_data("reserved value length")),
+            9 => (0, 0, true),
+            10 => (2, 1, true),
+            11 => (1, 2, true),
+            12 => (0, 3, true),
+            13 => (1, 1, true),
+            14 => (0, 2, true),
+            _ => {
+                let shape = r.u8()?;
+                let (lead, kept) = (shape >> 4, shape & 0x0F);
+                if kept == 0 || lead + kept > 8 {
+                    return Err(bad_data("reserved value shape"));
+                }
+                (lead, kept, true)
+            }
+        };
+        let (lead, kept) = (usize::from(lead), usize::from(kept));
+        let mut be = [0u8; 8];
+        be[lead..lead + kept].copy_from_slice(r.take(kept)?);
+        let mut bits = u64::from_be_bytes(be);
+        if xor {
+            match stream.last.get(&id) {
+                Some(prev) => bits ^= prev,
+                None => stream.readable = false,
+            }
+        }
+        if delta {
+            stream.carried(id, bits);
+        }
+        Ok(bits)
+    }
+    fn push(records: &mut Vec<ExportRecord>, id: u32, t: u64, bits: u64) {
+        records.push(ExportRecord::Sample {
+            id: MetricId(id),
+            t: SimTime(t),
+            value: f64::from_bits(bits),
+        });
     }
     fn samples(
         payload: &[u8],
@@ -1724,46 +1845,52 @@ fn reference_decode(buf: &[u8], v1_3: bool) -> io::Result<Decoded> {
                 }
                 _ => return Err(bad_data("reserved time mode")),
             }
-            let code = control & 0x0F;
-            let (lead, kept, xor) = match code {
-                0..=8 => (0, code, false),
-                _ if !delta => return Err(bad_data("reserved value length")),
-                9 => (0, 0, true),
-                10 => (2, 1, true),
-                11 => (1, 2, true),
-                12 => (0, 3, true),
-                13 => (1, 1, true),
-                14 => (0, 2, true),
-                _ => {
-                    let shape = r.u8()?;
-                    let (lead, kept) = (shape >> 4, shape & 0x0F);
-                    if kept == 0 || lead + kept > 8 {
-                        return Err(bad_data("reserved value shape"));
-                    }
-                    (lead, kept, true)
-                }
-            };
-            let (lead, kept) = (usize::from(lead), usize::from(kept));
-            let mut be = [0u8; 8];
-            be[lead..lead + kept].copy_from_slice(r.take(kept)?);
-            let mut bits = u64::from_be_bytes(be);
-            if xor {
-                match stream.last.get(&id) {
-                    Some(prev) => bits ^= prev,
-                    None => stream.readable = false,
-                }
-            }
-            if delta {
-                stream.carried(id, bits);
-            }
-            records.push(ExportRecord::Sample {
-                id: MetricId(id),
-                t: SimTime(t),
-                value: f64::from_bits(bits),
-            });
+            let bits = value(&mut r, control & 0x0F, id, delta, stream)?;
+            push(records, id, t, bits);
         }
         if !r.done() {
             return Err(bad_data("trailing bytes in samples payload"));
+        }
+        Ok(())
+    }
+    fn sweep(
+        payload: &[u8],
+        room: usize,
+        stream: &mut Stream,
+        records: &mut Vec<ExportRecord>,
+    ) -> io::Result<()> {
+        let mut r = WireReader::new(payload);
+        let count = r.uv()?;
+        // Two codes to a byte: the column alone must fit.
+        if count.div_ceil(2) > r.remaining() as u64 {
+            return Err(bad_data("sweep count exceeds its payload"));
+        }
+        if count as usize > room {
+            return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+        }
+        let (id0, id_step) = (r.uv()?, r.uv()?);
+        let (t0, t_step) = (unzigzag(r.uv()?) as u64, unzigzag(r.uv()?) as u64);
+        let codes = r.take(count.div_ceil(2) as usize)?;
+        if count % 2 == 1 && codes[codes.len() - 1] & 0xF0 != 0 {
+            return Err(bad_data("padding nibble"));
+        }
+        if id0 > u64::from(u32::MAX) {
+            return Err(bad_data("id past u32"));
+        }
+        let mut coded = Vec::new();
+        for i in 0..count {
+            let id = u128::from(id0) + u128::from(i) * u128::from(id_step);
+            let id = u32::try_from(id).map_err(|_| bad_data("id past u32"))?;
+            let t = t0.wrapping_add(t_step.wrapping_mul(i));
+            let code = codes[i as usize / 2] >> (4 * (i % 2)) & 0x0F;
+            coded.push((id, t, code));
+        }
+        for (id, t, code) in coded {
+            let bits = value(&mut r, code, id, true, stream)?;
+            push(records, id, t, bits);
+        }
+        if !r.done() {
+            return Err(bad_data("trailing bytes in sweep payload"));
         }
         Ok(())
     }
@@ -1826,13 +1953,14 @@ fn reference_decode(buf: &[u8], v1_3: bool) -> io::Result<Decoded> {
         let payload = r.block()?;
         let room = MAX_BATCH_RECORDS - records.len();
         match tag {
+            _ if tag > newest => unknown += 1,
             5 => samples(payload, room, false, &mut stream, &mut records)?,
-            6 if v1_3 => samples(payload, room, true, &mut stream, &mut records)?,
-            6.. => unknown += 1,
+            6 => samples(payload, room, true, &mut stream, &mut records)?,
+            7 => sweep(payload, room, &mut stream, &mut records)?,
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             _ => records.push(record(tag, payload)?),
         }
-        delta |= tag == 6 && v1_3;
+        delta |= (6..=newest).contains(&tag);
     }
     if !r.done() {
         return Err(bad_data("trailing bytes after batch records"));
@@ -1926,15 +2054,15 @@ fn lent_records(view: &BatchView<'_>, state: &mut ValueState) -> Vec<ExportRecor
 
 /// `BatchView::parse(bytes)` against the reference decoder: the same
 /// verdict on the structure; on `Ok` the same seq and counts, stateless
-/// readers refusing exactly the batches that hold a `samples_delta`
-/// record, and — read against a stream state that starts empty at the
+/// readers refusing exactly the batches that hold a `samples_delta` or
+/// `sweep` record, and — read against a stream state that starts empty at the
 /// batch — the same verdict on the values and the same batch, bit for
 /// bit, three ways: the lent records, `to_batch_with`, and (for a batch
 /// a stateless reader takes) `to_batch` and `decode_batch`. A refused
 /// read leaves the state empty.
 fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
     let view = BatchView::parse(bytes);
-    let reference = reference_decode(bytes, true);
+    let reference = reference_decode(bytes, READS_1_4);
     prop_assert_eq!(
         view.is_ok(),
         reference.is_ok(),
@@ -1983,12 +2111,13 @@ fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// One parser, one meaning. For batches of all five kinds cut into
-    /// segments rendered any of three ways (v1.1 records, packed runs,
-    /// delta runs coded against a state kept from the batch's start), with
-    /// unknown-kind records and hostile `samples` and `samples_delta`
-    /// records (any declared count over any bytes) spliced between the
-    /// segments — and for arbitrary byte mutations and truncations of
+    /// One parser, one meaning. For batches of all five kinds, sweeps
+    /// among them, cut into segments rendered any of four ways (v1.1
+    /// records, packed runs, and runs coded against a state kept from the
+    /// batch's start by a 1.4 writer — `sweep` and `samples_delta`
+    /// records — or a 1.3 one), with unknown-kind records and hostile
+    /// `samples`, `samples_delta` and `sweep` records (any declared count
+    /// over any bytes) spliced between the segments — and for arbitrary byte mutations and truncations of
     /// those encodings — the view accepts exactly what the materialising
     /// decoder accepted and lends exactly the records it built: NaN
     /// payloads, −0.0, reserved control codes and shapes, ids past `u32`,
@@ -1996,9 +2125,9 @@ proptest! {
     #[test]
     fn batch_view_means_what_the_materialising_decoder_meant(
         seq in any::<u64>(),
-        records in mixed_records(),
-        cuts in prop::collection::vec((0usize..1000, 0u8..3, 0u8..4), 0..6),
-        foreign in prop::collection::vec((7u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
+        records in swept_records(),
+        cuts in prop::collection::vec((0usize..1000, 0u8..4, 0u8..5), 0..6),
+        foreign in prop::collection::vec((8u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
         hostile in prop::collection::vec(
             (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
             6..7,
@@ -2025,16 +2154,17 @@ proptest! {
             match rendering {
                 0 => rendered = render_v1_1(&segment),
                 1 => encode_batch(&segment, &mut rendered),
-                _ => encode_batch_with(&segment, &mut writer, &mut rendered),
+                2 => encode_batch_with(&segment, &mut writer, &mut rendered),
+                _ => encode_batch_as(&segment, Coding::Deltas, &mut writer, &mut rendered),
             }
             wire_records += u32::from_le_bytes(rendered[8..12].try_into().unwrap());
             body.extend_from_slice(&rendered[12..]);
             let (tag, payload) = match splice {
                 // A kind no revision defines: length-skipped and counted.
                 1 => (foreign[k % 6].0 as u8, foreign[k % 6].1.clone()),
-                // A `samples` or `samples_delta` record written by
-                // nobody's encoder.
-                2 | 3 => {
+                // A `samples`, `samples_delta` or `sweep` record written
+                // by nobody's encoder.
+                2..=4 => {
                     let (count, shrink, bytes) = &hostile[k % 6];
                     let mut payload = Vec::new();
                     // Mostly plausible counts, sometimes absurd ones.
@@ -2150,31 +2280,35 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A stream of batches coded as `samples_delta` runs reads back bit
-    /// for bit by a reader that keeps its own state from the same empty
-    /// start, the two states equal after every batch — repeats, NaN
-    /// payloads, ids past the state bound and all. What a stateless
-    /// reader makes of such a batch is `InvalidData`; what a state with
-    /// nothing behind it makes of the second batch, too, unless that
-    /// batch names only ids whose first sample in it is whole. Unwinding
-    /// the writer's state over the batches, last first, gives back each
-    /// state it was written against.
+    /// A stream of batches whose runs are coded against the stream —
+    /// `sweep` and `samples_delta` runs from a 1.4 writer, or the same
+    /// batch's runs all `samples_delta` from a 1.3 one, batch by batch —
+    /// reads back bit for bit by a reader that keeps its own state from
+    /// the same empty start, the two states equal after every batch —
+    /// repeats, NaN payloads, ids past the state bound and all. What a
+    /// stateless reader makes of such a batch is `InvalidData`; what a
+    /// state with nothing behind it makes of the second batch, too,
+    /// unless that batch names only ids whose first sample in it is
+    /// whole. Unwinding the writer's state over the batches, last first,
+    /// gives back each state it was written against.
     #[test]
     fn delta_streams_read_back_bit_for_bit_and_unwind(
-        records in mixed_records(),
-        cuts in prop::collection::vec(0usize..1000, 1..6),
+        records in swept_records(),
+        cuts in prop::collection::vec((0usize..1000, any::<bool>()), 1..6),
     ) {
-        let mut bounds: Vec<usize> = cuts.iter().map(|&at| records.len() * at / 1000).collect();
+        let mut bounds: Vec<(usize, bool)> =
+            cuts.iter().map(|&(at, v1_3)| (records.len() * at / 1000, v1_3)).collect();
         bounds.sort_unstable();
-        bounds.push(records.len());
+        bounds.push((records.len(), false));
         let (mut writer, mut reader) = (ValueState::new(), ValueState::new());
         let (mut written, mut states) = (Vec::new(), vec![ValueState::new()]);
         let mut from = 0;
-        for (seq, &to) in bounds.iter().enumerate() {
+        for (seq, &(to, v1_3)) in bounds.iter().enumerate() {
             let batch = ExportBatch { seq: seq as u64, records: records[from..to].to_vec() };
             from = to;
+            let coding = if v1_3 { Coding::Deltas } else { Coding::Sweeps };
             let mut bytes = Vec::new();
-            encode_batch_with(&batch, &mut writer, &mut bytes);
+            encode_batch_as(&batch, coding, &mut writer, &mut bytes);
             let (back, unknown) = decode_batch_with(&bytes, &mut reader).unwrap();
             prop_assert_eq!(unknown, 0);
             prop_assert_eq!(render_v1_1(&back), render_v1_1(&batch));
@@ -2196,29 +2330,51 @@ proptest! {
         }
     }
 
-    /// A 1.2 reader stays in sync with a 1.3 stream: it length-skips
-    /// each `samples_delta` record, counts it as unknown, and reads
-    /// every other record as the 1.3 reader does.
+    /// Older readers stay in sync with a 1.4 stream. A 1.2 reader
+    /// length-skips each `samples_delta` and `sweep` record, counts it as
+    /// unknown, and reads every other record as the 1.4 reader does. A
+    /// 1.3 reader length-skips and counts each `sweep` record — one for
+    /// each run that is a single progression of at least two samples,
+    /// the writer's canonical rule — and reads the rest.
     #[test]
     fn a_1_2_reader_length_skips_samples_delta_and_counts_it(
         seq in any::<u64>(),
-        records in mixed_records(),
+        records in swept_records(),
     ) {
         let batch = ExportBatch { seq, records };
         let mut bytes = Vec::new();
         encode_batch_with(&batch, &mut ValueState::new(), &mut bytes);
-        let (got_seq, kept, unknown, delta) = reference_decode(&bytes, false).unwrap();
         let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
-        let runs = batch
-            .records
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| is_sample(r) && (i == 0 || !is_sample(&batch.records[i - 1])))
-            .count();
-        prop_assert_eq!((got_seq, unknown, delta), (seq, runs as u64, false));
+        let (mut runs, mut sweeps) = (0u64, 0u64);
+        for run in batch.records.chunk_by(|a, b| is_sample(a) && is_sample(b)) {
+            let ids_times: Vec<(u32, u64)> = run
+                .iter()
+                .filter_map(|r| match *r {
+                    ExportRecord::Sample { id, t, .. } => Some((id.0, t.0)),
+                    _ => None,
+                })
+                .collect();
+            if ids_times.is_empty() {
+                continue;
+            }
+            runs += 1;
+            let progression = ids_times.len() >= 2 && ids_times.windows(3).all(|w| {
+                w[1].0.checked_sub(w[0].0).is_some()
+                    && w[2].0.checked_sub(w[1].0) == w[1].0.checked_sub(w[0].0)
+                    && w[2].1.wrapping_sub(w[1].1) == w[1].1.wrapping_sub(w[0].1)
+            }) && ids_times[1].0 >= ids_times[0].0;
+            sweeps += u64::from(progression);
+        }
+        let (got_seq, kept, unknown, delta) = reference_decode(&bytes, READS_1_2).unwrap();
+        prop_assert_eq!((got_seq, unknown, delta), (seq, runs, false));
         let others: Vec<ExportRecord> =
             batch.records.iter().filter(|r| !is_sample(r)).cloned().collect();
         let kept = ExportBatch { seq, records: kept.unwrap() };
         prop_assert_eq!(render_v1_1(&kept), render_v1_1(&ExportBatch { seq, records: others }));
+        let (got_seq, _, unknown, delta) = reference_decode(&bytes, READS_1_3).unwrap();
+        prop_assert_eq!((got_seq, unknown, delta), (seq, sweeps, runs > sweeps));
+        let (_, read, unknown, _) = reference_decode(&bytes, READS_1_4).unwrap();
+        prop_assert_eq!(unknown, 0);
+        prop_assert_eq!(render_v1_1(&ExportBatch { seq, records: read.unwrap() }), render_v1_1(&batch));
     }
 }

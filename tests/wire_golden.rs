@@ -23,7 +23,13 @@
 //!   (sample runs as `samples_delta` records, each value XOR-coded
 //!   against its metric's previous one, one value state across the
 //!   frames). Read back with a state of its own it gives the same
-//!   records, and re-encoding them reproduces the committed bytes;
+//!   records, and re-encoding them reproduces the committed bytes — the
+//!   writer a sink uses for a 1.3 fleet;
+//! * `tests/golden/export_wire_v1_4.bin` — the **read+write** golden of
+//!   spec revision 1.4: the same stream from a 1.4 writer, each run whose
+//!   ids and times are progressions a `sweep` record, any other a
+//!   `samples_delta` record. The same checks, and the smallest of the
+//!   four;
 //! * `tests/golden/query_wire_v1.bin` — a recorded query-protocol v1
 //!   exchange (see `docs/FLEET_SERVICE.md`, query protocol): one
 //!   `QUERY`/`QUERY_RESP` frame pair per request kind over a
@@ -45,8 +51,8 @@ use moda::fleet::{FleetAggregator, QueryRequest, QueryResponse, Rank};
 use moda::sim::{SimDuration, SimTime};
 use moda::telemetry::export::{ExportBatch, ExportRecord, MemorySink};
 use moda::telemetry::wire::{
-    decode_batch, decode_batch_with, encode_batch, encode_batch_with, encode_record, frame_tag,
-    read_frame, write_frame, FrameEnd, ValueState, WireReader,
+    decode_batch, decode_batch_with, encode_batch, encode_batch_as, encode_record, frame_tag,
+    read_frame, write_frame, Coding, FrameEnd, ValueState, WireReader,
 };
 use moda::telemetry::{
     Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
@@ -55,14 +61,16 @@ use moda::telemetry::{
 const GOLDEN_V1_1_PATH: &str = "tests/golden/export_wire_v1_1.bin";
 const GOLDEN_V1_2_PATH: &str = "tests/golden/export_wire_v1_2.bin";
 const GOLDEN_V1_3_PATH: &str = "tests/golden/export_wire_v1_3.bin";
+const GOLDEN_V1_4_PATH: &str = "tests/golden/export_wire_v1_4.bin";
 const QUERY_GOLDEN_PATH: &str = "tests/golden/query_wire_v1.bin";
 /// Frame tag carrying one encoded batch (the transport's `BATCH`).
 const TAG_BATCH: u8 = 3;
-/// The v1.1 per-observation kind, the v1.2 packed-run kind and the 1.3
-/// delta-run kind.
+/// The v1.1 per-observation kind, the v1.2 packed-run kind, the 1.3
+/// delta-run kind and the 1.4 sweep kind.
 const KIND_SAMPLE: u8 = 1;
 const KIND_SAMPLES: u8 = 5;
 const KIND_SAMPLES_DELTA: u8 = 6;
+const KIND_SWEEP: u8 = 7;
 /// A record kind no revision defines — receivers must skip it.
 const UNKNOWN_KIND: u8 = 9;
 
@@ -106,14 +114,24 @@ fn encode_batch_v1_1(batch: &ExportBatch, out: &mut Vec<u8>) {
     }
 }
 
-/// The 1.3 writer of one stream: every batch coded against the value
-/// state the batches before it left.
-fn delta_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
+/// The writer of one stream in `coding`: every batch coded against the
+/// value state the batches before it left.
+fn stream_writer(coding: Coding) -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
     let mut state = ValueState::new();
-    move |batch, out| encode_batch_with(batch, &mut state, out)
+    move |batch, out| encode_batch_as(batch, coding, &mut state, out)
 }
 
-/// The 1.3 reader of one stream, keeping its own value state.
+/// The 1.3 writer of one stream.
+fn delta_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
+    stream_writer(Coding::Deltas)
+}
+
+/// The 1.4 writer of one stream.
+fn sweep_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
+    stream_writer(Coding::Sweeps)
+}
+
+/// The reader of one 1.3 or 1.4 stream, keeping its own value state.
 fn delta_reader() -> impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)> {
     let mut state = ValueState::new();
     move |bytes| decode_batch_with(bytes, &mut state)
@@ -287,32 +305,59 @@ fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
 #[test]
 fn golden_v1_3_stream_decodes_and_reencodes_bit_identically() {
     let frames = committed_frames(GOLDEN_V1_3_PATH, delta_writer);
-    assert_decodes_to_the_dataset(&frames, delta_reader());
-    // Writer stability: what a 1.3 reader decoded, a 1.3 writer renders
-    // back to the committed bytes — every sample in a delta run, none
-    // packed whole or as a v1.1 `sample` record.
+    let kinds = assert_stream_reencodes(&frames, delta_writer());
+    // Every sample in a delta run, none packed whole, as a v1.1
+    // `sample` record or as a 1.4 sweep.
+    assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
+    assert!(!kinds.contains(&KIND_SWEEP));
+    assert!(
+        kinds.contains(&KIND_SAMPLES_DELTA),
+        "the stream carries `samples_delta` records"
+    );
+    let v1_2 = golden_bytes(encode_batch).len();
+    let v1_3 = golden_bytes(delta_writer()).len();
+    assert!(v1_3 < v1_2, "v1.3 {v1_3} B vs v1.2 {v1_2} B");
+}
+
+#[test]
+fn golden_v1_4_stream_decodes_and_reencodes_bit_identically() {
+    let frames = committed_frames(GOLDEN_V1_4_PATH, sweep_writer);
+    let kinds = assert_stream_reencodes(&frames, sweep_writer());
+    assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
+    assert!(
+        kinds.contains(&KIND_SWEEP),
+        "the stream carries `sweep` records"
+    );
+    // The smallest rendering of the four.
+    let v1_3 = golden_bytes(delta_writer()).len();
+    let v1_4 = golden_bytes(sweep_writer()).len();
+    assert!(v1_4 < v1_3, "v1.4 {v1_4} B vs v1.3 {v1_3} B");
+}
+
+/// A stateful revision's golden: its frames decode, with a reader state
+/// of their own, to the dataset, and `write`, from the same empty state,
+/// renders what they decode to back to the committed bytes. A reader
+/// that keeps no state refuses exactly the batches holding a run.
+/// Returns the kinds the dataset frames hold.
+fn assert_stream_reencodes(
+    frames: &[Vec<u8>],
+    mut write: impl FnMut(&ExportBatch, &mut Vec<u8>),
+) -> Vec<u8> {
+    assert_decodes_to_the_dataset(frames, delta_reader());
     let dataset = &frames[..frames.len() - 1];
-    let (mut read, mut write) = (delta_reader(), delta_writer());
-    let mut delta_runs = 0;
+    let mut read = delta_reader();
+    let mut all = Vec::new();
     for payload in dataset {
         let (batch, _) = read(payload).unwrap();
         let mut again = Vec::new();
         write(&batch, &mut again);
         assert_eq!(&again, payload, "re-encode identity");
         let kinds = wire_kinds(payload);
-        assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
-        delta_runs += kinds.iter().filter(|&&k| k == KIND_SAMPLES_DELTA).count();
-        // A reader that keeps no state refuses the batch, whole.
-        assert_eq!(
-            decode_batch(payload).is_err(),
-            kinds.contains(&KIND_SAMPLES_DELTA)
-        );
+        let runs = kinds.contains(&KIND_SAMPLES_DELTA) || kinds.contains(&KIND_SWEEP);
+        assert_eq!(decode_batch(payload).is_err(), runs);
+        all.extend(kinds);
     }
-    assert!(delta_runs > 0, "the stream carries `samples_delta` records");
-    // The smallest rendering of the three.
-    let v1_2 = golden_bytes(encode_batch).len();
-    let v1_3 = golden_bytes(delta_writer()).len();
-    assert!(v1_3 < v1_2, "v1.3 {v1_3} B vs v1.2 {v1_2} B");
+    all
 }
 
 // ------------------------------------------------------ query protocol

@@ -353,7 +353,11 @@ impl moda_telemetry::export::Sink for EncodeSink {
 /// `_sweep_packed64` rows are the same for a 1.4 stream, where the sweep
 /// is a `sweep` record: its ids and times once, its value codes two to a
 /// byte. Consecutive sweeps differ by quantised steps, so the XORs are
-/// the live path's.
+/// the live path's. The `_bucket_run16` rows are a backfill's unit —
+/// one gauge's 16 sealed 10 s buckets and their sketch columns — as a
+/// 1.5 stream's `bucket_run` record and, `_as_1_4`, as the `bucket` and
+/// `sketch` records a 1.4 fleet is sent: `encode_` renders it, `view_`
+/// validates it and visits every bucket and column entry where it lies.
 fn bench_wire_batch(c: &mut Criterion) {
     use moda_telemetry::export::{ExportBatch, ExportRecord, Exporter, MemorySink};
     use moda_telemetry::wire::{
@@ -466,7 +470,86 @@ fn bench_wire_batch(c: &mut Criterion) {
             });
         });
     }
+    bench_bucket_runs(&mut g);
     g.finish();
+}
+
+/// The `_bucket_run16` rows of [`bench_wire_batch`].
+fn bench_bucket_runs(g: &mut criterion::BenchmarkGroup<'_>) {
+    use moda_telemetry::export::{ExportBatch, ExportRecord, Exporter, MemorySink};
+    use moda_telemetry::wire::{encode_batch_as, BatchView, Coding, RecordRef, ValueState};
+    use moda_telemetry::RollupTier;
+    let (mut db, ids) = registered(1, 4096);
+    let tier = RollupTier::new(SimDuration::from_secs(10), 64);
+    db.enable_rollups(ids[0], &RollupConfig::new(vec![tier]).with_sketches());
+    for s in 0..=160u64 {
+        // A power-style reading: 50 W of jitter on a slow ramp.
+        let value = 200.0 + ((s * 2_654_435_761) % 50) as f64 + s as f64 / 2_000.0;
+        db.insert(ids[0], SimTime::from_secs(s), value);
+    }
+    let mut sink = MemorySink::new();
+    Exporter::new().drain(&db, &mut sink).unwrap();
+    let records: Vec<ExportRecord> = sink
+        .batches
+        .iter()
+        .flat_map(|b| &b.records)
+        .filter(|r| matches!(r, ExportRecord::Bucket { .. } | ExportRecord::Sketch { .. }))
+        .cloned()
+        .collect();
+    let buckets = records
+        .iter()
+        .filter(|r| matches!(r, ExportRecord::Bucket { .. }))
+        .count();
+    assert_eq!(buckets, 16);
+    let batch = ExportBatch { seq: 1, records };
+    g.throughput(Throughput::Elements(16));
+    for (coding, encode_name, view_name) in [
+        (Coding::Buckets, "encode_bucket_run16", "view_bucket_run16"),
+        (
+            Coding::Sweeps,
+            "encode_bucket_run16_as_1_4",
+            "view_bucket_run16_as_1_4",
+        ),
+    ] {
+        let mut wire = Vec::new();
+        encode_batch_as(&batch, coding, &mut ValueState::new(), &mut wire);
+        g.bench_function(encode_name, |b| {
+            let mut out = Vec::with_capacity(wire.len());
+            let mut state = ValueState::new();
+            b.iter(|| {
+                out.clear();
+                encode_batch_as(black_box(&batch), coding, &mut state, &mut out);
+                black_box(out.len())
+            });
+        });
+        g.bench_function(view_name, |b| {
+            let mut column = Vec::new();
+            b.iter(|| {
+                let view = BatchView::parse(black_box(&wire)).unwrap();
+                let mut folded = 0u64;
+                for record in view.records() {
+                    match record {
+                        RecordRef::BucketRun(mut run) => {
+                            while let Some(bucket) = run.next_bucket(&mut column) {
+                                folded ^= bucket.start.0 ^ bucket.count ^ bucket.sum.to_bits();
+                                for e in &column {
+                                    folded = folded.wrapping_add(e.key as u64 ^ e.count);
+                                }
+                            }
+                        }
+                        RecordRef::Bucket {
+                            start, count, sum, ..
+                        } => folded ^= start.0 ^ count ^ sum.to_bits(),
+                        RecordRef::Sketch { entry: e, .. } => {
+                            folded = folded.wrapping_add(e.key as u64 ^ e.count)
+                        }
+                        _ => {}
+                    }
+                }
+                black_box(folded)
+            });
+        });
+    }
 }
 
 /// Fleet aggregation tier: ingest throughput of staged wire batches,

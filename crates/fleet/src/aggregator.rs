@@ -13,7 +13,10 @@
 //!   meta are dropped and counted (`unmapped_records`);
 //! * **column framing** — a `sketch` column must follow its bucket (or
 //!   a sibling column) within the batch, per the wire spec; orphans are
-//!   dropped and counted rather than absorbed into the wrong slot;
+//!   dropped and counted rather than absorbed into the wrong slot. A
+//!   `bucket_run` record (revision 1.5) is its buckets each with its
+//!   column, applied against one slot lookup a bucket and counted as
+//!   the `bucket` and `sketch` records it stands for;
 //! * **monotonic samples** — per-metric out-of-order raw samples are
 //!   rejected by the fleet ring and counted (this is also what makes a
 //!   restarted node exporter re-shipping its retained tail safe: the
@@ -44,7 +47,7 @@ use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
 use moda_telemetry::wire::{put_u64, BatchView, RecordRef, ValueState, WireReader};
-use moda_telemetry::{DrainStats, MetricId};
+use moda_telemetry::{DrainStats, MetricId, SketchEntry};
 use std::io;
 
 /// Lifetime wire counters of one node's ingest session.
@@ -306,6 +309,9 @@ pub struct FleetAggregator {
     /// `fleet.ingest_ns` — wall time of one [`FleetAggregator::ingest`],
     /// resolved against `obs` by [`FleetAggregator::set_obs`].
     ingest_ns: LatencyRecorder,
+    /// The sketch column of the `bucket_run` bucket being applied:
+    /// kept, so that a warm ingest grows nothing.
+    column: Vec<SketchEntry>,
 }
 
 /// Retained [`HealthTransition`] events per aggregator — enough for any
@@ -616,6 +622,45 @@ impl FleetAggregator {
                         .high_water
                         .max(SimTime(start.0.saturating_add(res.0)));
                     session.ever_ingested = true;
+                }
+                RecordRef::BucketRun(mut run) => {
+                    // As kinds 2 and 3 would have been applied, each
+                    // bucket with its column against one slot lookup.
+                    // An empty run is no record at all.
+                    if run.is_empty() {
+                        continue;
+                    }
+                    let res = run.res();
+                    let fleet_id = session.wire_map.get(run.id().index()).copied().flatten();
+                    open_bucket = None;
+                    while let Some(b) = run.next_bucket(&mut self.column) {
+                        let columns = self.column.len() as u64;
+                        let Some(fleet_id) = fleet_id else {
+                            session.counters.unmapped_records += 1 + columns;
+                            continue;
+                        };
+                        let start = b.start;
+                        self.store.restore_bucket(
+                            fleet_id,
+                            res,
+                            start,
+                            b.count,
+                            b.sum,
+                            b.min,
+                            b.max,
+                            b.last,
+                            &self.column,
+                        );
+                        open_bucket = Some((fleet_id, res.0, start.0));
+                        session.counters.buckets += 1;
+                        session.counters.sketch_entries += columns;
+                        session.counters.records += 1 + columns;
+                        report.records += 1 + columns;
+                        session.high_water = session
+                            .high_water
+                            .max(SimTime(start.0.saturating_add(res.0)));
+                        session.ever_ingested = true;
+                    }
                 }
                 RecordRef::Sketch {
                     id,
@@ -1177,6 +1222,91 @@ mod tests {
             agg.store().buckets(id, SimDuration::from_secs(60)).count(),
             0
         );
+    }
+
+    /// A `bucket_run` applies as the `bucket` and `sketch` records it
+    /// stands for, and what the canonical rule leaves as kinds 2 and 3
+    /// beside it applies as before: a re-exported count-0 bucket over a
+    /// filled slot (its scalars overwritten, as a restore would not), an
+    /// orphan column, an out-of-order one, a run of an unmapped id. The
+    /// same counters and the same tiers whether the batch arrives as
+    /// records or as 1.5 bytes; after a run its last bucket is the open
+    /// one.
+    #[test]
+    fn a_bucket_run_applies_as_its_bucket_and_sketch_records() {
+        use moda_telemetry::wire::encode_batch_with;
+        let res = SimDuration::from_secs(10);
+        let bucket = |id: u32, start: u64, count: u64, v: f64| ExportRecord::Bucket {
+            id: MetricId(id),
+            res,
+            start: SimTime::from_secs(start),
+            count,
+            sum: v * count as f64,
+            min: v - 1.0,
+            max: v + 1.0,
+            last: v,
+        };
+        let column = |id: u32, start: u64, entries: &[(i8, i32, u64)]| {
+            entries
+                .iter()
+                .map(|&(sign, key, count)| ExportRecord::Sketch {
+                    id: MetricId(id),
+                    res,
+                    start: SimTime::from_secs(start),
+                    entry: SketchEntry { sign, key, count },
+                })
+                .collect::<Vec<_>>()
+        };
+        let meta = ExportRecord::Meta {
+            id: MetricId(0),
+            meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+        };
+        let first = ExportBatch {
+            seq: 0,
+            records: [
+                vec![meta],
+                vec![bucket(0, 0, 5, 2.0)],
+                column(0, 0, &[(-1, 3, 1), (0, 0, 2), (1, 7, 2)]),
+                vec![bucket(0, 10, 3, 4.0)],
+                column(0, 10, &[(1, 9, 3)]),
+                // An orphan keyed to the run's first bucket, then a
+                // column keyed to its last: the bucket still open.
+                column(0, 0, &[(1, 1, 1)]),
+                column(0, 10, &[(1, 12, 1)]),
+                vec![bucket(7, 0, 2, 1.0)],
+                column(7, 0, &[(1, 1, 2)]),
+            ]
+            .concat(),
+        };
+        let second = ExportBatch {
+            seq: 1,
+            records: [
+                // The slot at 10 re-exported empty, then one at 20 with
+                // its column out of order, then a run again.
+                vec![bucket(0, 10, 0, 9.0), bucket(0, 20, 4, 6.0)],
+                column(0, 20, &[(1, 9, 1), (1, 4, 3)]),
+                vec![bucket(0, 30, 2, 1.5), bucket(0, 40, 2, 2.5)],
+            ]
+            .concat(),
+        };
+        let tiers = |agg: &FleetAggregator| {
+            let id = agg.store().lookup("node00/m").unwrap();
+            format!("{:?}", agg.store().buckets(id, res).collect::<Vec<_>>())
+        };
+        let (mut owned, mut lent) = (FleetAggregator::new(), FleetAggregator::new());
+        let (a, b) = (owned.add_node("node00"), lent.add_node("node00"));
+        let mut sender = ValueState::new();
+        for batch in [&first, &second] {
+            let mut bytes = Vec::new();
+            encode_batch_with(batch, &mut sender, &mut bytes);
+            let view = BatchView::parse(&bytes).unwrap();
+            assert_eq!(owned.ingest(a, batch), lent.ingest_view(b, &view).unwrap());
+        }
+        assert_eq!(owned.counters(a), lent.counters(b));
+        assert_eq!(tiers(&owned), tiers(&lent));
+        let c = lent.counters(b);
+        assert_eq!((c.buckets, c.sketch_entries), (6, 7));
+        assert_eq!((c.orphan_sketches, c.unmapped_records), (1, 2));
     }
 
     #[test]

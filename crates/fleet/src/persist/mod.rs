@@ -335,8 +335,9 @@ impl DurableFleet {
 
     /// Ingest one batch durably: append its encoding to the log, commit,
     /// then apply — returning means flushed. The batch is logged as a
-    /// 1.4 writer on `node`'s stream sends it, its sample runs coded
-    /// against the stream's value state — which a connection that
+    /// 1.5 writer on `node`'s stream sends it, its sample runs coded
+    /// against the stream's value state and its sealed buckets as
+    /// `bucket_run` records — which a connection that
     /// carried the stream no longer shares, so it no longer carries it.
     /// Cuts a snapshot (written off this call; see the module docs)
     /// every [`DurabilityConfig::snapshot_every_batches`] applied

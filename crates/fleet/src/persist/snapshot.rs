@@ -15,10 +15,10 @@ use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::chunk;
 use moda_telemetry::wire::{
     bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_meta,
-    put_str, put_u32, put_u64, put_uv, unzigzag, zigzag, BatchView, BatchWriter, FrameParse,
-    RecordRef, ValueState, WireReader, MAX_VALUE_IDS,
+    put_str, put_u32, put_u64, put_uv, unzigzag, BatchView, BatchWriter, BucketCoder, FrameParse,
+    RecordRef, SealedBucket, ValueState, WireReader, MAX_VALUE_IDS,
 };
-use moda_telemetry::{MetricId, QuantileSketch, RollupBucket, SketchEntry};
+use moda_telemetry::{MetricId, QuantileSketch, SketchEntry};
 use std::io;
 
 /// Leading magic of a snapshot image (version-suffixed). `05`: each
@@ -108,165 +108,22 @@ fn write_raw_section(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
     }
 }
 
-/// A bucket's four scalars as bits: what its XOR columns code.
-fn scalar_bits(b: &RollupBucket) -> [u64; 4] {
-    [b.sum, b.min, b.max, b.last].map(f64::to_bits)
-}
-
 /// Write one metric's wire-fed tiers: per ring its resolution and
-/// buckets, each coded against the one before it (see [`encode`]).
+/// buckets, each coded against the one before it by the wire's bucket
+/// coder — a `bucket_run` record's (see [`encode`]).
 fn write_tiers(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
     let rings = store.tiers().set(id).map_or(&[][..], |set| set.rings());
     put_u32(out, rings.len() as u32);
     for ring in rings {
-        let res = ring.res().0;
-        put_u64(out, res);
+        put_u64(out, ring.res().0);
         put_uv(out, ring.len() as u64);
-        let mut prev: Option<&RollupBucket> = None;
+        let mut coder = BucketCoder::new(ring.res());
         for b in ring.buckets() {
-            // Buckets are start-ordered: the next slot codes as 0, any
-            // other step as itself — never 0.
-            put_uv(
-                out,
-                match prev.map(|p| b.start.0 - p.start.0) {
-                    None => b.start.0,
-                    Some(step) if step == res => 0,
-                    Some(step) => step,
-                },
-            );
-            put_uv(out, b.count);
-            let base = prev.map_or([0; 4], scalar_bits);
-            for (was, is) in base.into_iter().zip(scalar_bits(b)) {
-                put_xor(out, was ^ is);
-            }
-            put_sketch(out, b.sketch.as_ref());
-            prev = Some(b);
+            coder.put(out, &b.into(), || {
+                b.sketch.iter().flat_map(QuantileSketch::wire_entries)
+            });
         }
     }
-}
-
-/// Append `x` — a scalar's bits XOR the previous bucket's — as a control
-/// byte `lead << 4 | kept` and its `kept` bytes from byte `lead` on, most
-/// significant first. Zero bytes at either end are dropped, so a repeat
-/// is the control byte alone; the bits themselves are kept as they are,
-/// NaN payloads, signed zeros, subnormals and infinities included.
-fn put_xor(out: &mut Vec<u8>, x: u64) {
-    if x == 0 {
-        out.push(0);
-        return;
-    }
-    let lead = (x.leading_zeros() / 8) as usize;
-    let kept = 8 - lead - (x.trailing_zeros() / 8) as usize;
-    out.push((lead << 4 | kept) as u8);
-    out.extend_from_slice(&x.to_be_bytes()[lead..lead + kept]);
-}
-
-/// The bits [`put_xor`] wrote.
-fn read_xor(r: &mut WireReader<'_>) -> io::Result<u64> {
-    let control = r.u8()?;
-    let (lead, kept) = (usize::from(control >> 4), usize::from(control & 0x0F));
-    if lead + kept > 8 {
-        return Err(bad_data("tier scalar wider than 64 bits"));
-    }
-    let mut be = [0u8; 8];
-    be[lead..lead + kept].copy_from_slice(r.take(kept)?);
-    Ok(u64::from_be_bytes(be))
-}
-
-/// Append a bucket's sketch column in its wire order: `shape uv` —
-/// positive entries `<< 2`, a zero bucket `<< 1`, any negatives `<< 0`
-/// — then the negative entries less one when there are any, the
-/// negative run, the zero bucket's count, the positive run. A run is
-/// `key uv · count uv` per entry, its first key zigzagged and each later
-/// one as its distance past the one before, less one: a store's keys
-/// ascend strictly.
-fn put_sketch(out: &mut Vec<u8>, sketch: Option<&QuantileSketch>) {
-    let entries = || sketch.into_iter().flat_map(QuantileSketch::wire_entries);
-    let (mut negatives, mut zero, mut positives) = (0u64, false, 0u64);
-    for e in entries() {
-        match e.sign {
-            ..0 => negatives += 1,
-            0 => zero = true,
-            1.. => positives += 1,
-        }
-    }
-    put_uv(
-        out,
-        positives << 2 | u64::from(zero) << 1 | u64::from(negatives > 0),
-    );
-    if negatives > 0 {
-        put_uv(out, negatives - 1);
-    }
-    let mut prev: Option<(i8, i32)> = None;
-    for e in entries() {
-        if e.sign != 0 {
-            put_uv(
-                out,
-                match prev {
-                    Some((sign, key)) if sign == e.sign => {
-                        (i64::from(e.key) - i64::from(key) - 1) as u64
-                    }
-                    _ => zigzag(i64::from(e.key)),
-                },
-            );
-            prev = Some((e.sign, e.key));
-        }
-        put_uv(out, e.count);
-    }
-}
-
-/// The column [`put_sketch`] wrote, into `column`.
-fn read_column(r: &mut WireReader<'_>, column: &mut Vec<SketchEntry>) -> io::Result<()> {
-    column.clear();
-    let shape = r.uv()?;
-    let negatives = if shape & 1 == 1 {
-        r.uv()?.saturating_add(1)
-    } else {
-        0
-    };
-    read_run(r, -1, negatives, column)?;
-    if shape & 2 != 0 {
-        column.push(SketchEntry {
-            sign: 0,
-            key: 0,
-            count: r.uv()?,
-        });
-    }
-    read_run(r, 1, shape >> 2, column)
-}
-
-/// One sign's run of `n` entries (see [`put_sketch`]).
-fn read_run(
-    r: &mut WireReader<'_>,
-    sign: i8,
-    n: u64,
-    column: &mut Vec<SketchEntry>,
-) -> io::Result<()> {
-    // An entry is two bytes at least: a count the bytes cannot hold is
-    // refused before anything grows by it.
-    if n > r.remaining() as u64 / 2 {
-        return Err(bad_data("sketch run longer than its bytes"));
-    }
-    let mut prev: Option<i32> = None;
-    for _ in 0..n {
-        let code = r.uv()?;
-        let key = match prev {
-            None => Some(unzigzag(code)),
-            Some(prev) => i64::try_from(code)
-                .ok()
-                .and_then(|step| (i64::from(prev) + 1).checked_add(step)),
-        };
-        let key = key
-            .and_then(|k| i32::try_from(k).ok())
-            .ok_or_else(|| bad_data("sketch key past i32"))?;
-        column.push(SketchEntry {
-            sign,
-            key,
-            count: r.uv()?,
-        });
-        prev = Some(key);
-    }
-    Ok(())
 }
 
 /// A sketch column in the `03` coding: `entries uv`, then per entry
@@ -314,7 +171,8 @@ fn write_metric(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
 ///   raw section: u32-len block of tail u8 (1: the last record is the
 ///     unsealed tail) + one batch (seq 0) of `chunk` records — the
 ///     ring's sealed chunks, then the tail as one Gorilla run
-///   tier count u32 · per tier: res u64 · bucket count uv · per bucket:
+///   tier count u32 · per tier: res u64 · bucket count uv · per bucket
+///     as a `bucket_run` record codes it (`wire::BucketCoder`):
 ///     start uv (the first absolute; then 0 for the next slot, else the
 ///       step from the previous start — never 0) · count uv ·
 ///     sum/min/max/last: each its bits XOR the previous bucket's (the
@@ -589,40 +447,60 @@ fn read_tiers(
         }
         prev_res = res;
         let n_buckets = r.uv()?;
-        let mut prev: Option<(u64, [u64; 4])> = None;
-        for _ in 0..n_buckets {
-            let code = r.uv()?;
-            let start = match (prev, layout) {
-                (None, _) => Some(code),
-                (Some((start, _)), Layout::Packed) => start.checked_add(code).filter(|_| code > 0),
-                (Some((start, _)), Layout::Columns) => {
-                    start.checked_add(if code == 0 { res } else { code })
-                }
+        // A bucket is seven bytes at least: a count the section cannot
+        // hold is refused before the ring is sized by it.
+        if n_buckets > r.remaining() as u64 / 7 {
+            return Err(bad_data("tier ring longer than its bytes"));
+        }
+        let res = SimDuration(res);
+        if n_buckets > 0 {
+            store.reserve_buckets(id, res, n_buckets as usize);
+        }
+        let restore = |store: &mut FleetStore, b: SealedBucket, column: &[SketchEntry]| {
+            let SealedBucket {
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            } = b;
+            match store.restore_bucket(id, res, start, count, sum, min, max, last, column) {
+                true => Ok(()),
+                false => Err(bad_data("tier bucket not retained")),
             }
-            .ok_or_else(|| bad_data("tier bucket start does not increase"))?;
-            let count = r.uv()?;
-            let mut bits = [0u64; 4];
-            match layout {
-                Layout::Packed => {
-                    for b in &mut bits {
-                        *b = r.u64()?;
+        };
+        match layout {
+            Layout::Packed => {
+                let mut prev: Option<u64> = None;
+                for _ in 0..n_buckets {
+                    let code = r.uv()?;
+                    let start = match prev {
+                        None => Some(code),
+                        Some(start) => start.checked_add(code).filter(|_| code > 0),
                     }
+                    .ok_or_else(|| bad_data("tier bucket start does not increase"))?;
+                    let b = SealedBucket {
+                        start: SimTime(start),
+                        count: r.uv()?,
+                        sum: r.f64()?,
+                        min: r.f64()?,
+                        max: r.f64()?,
+                        last: r.f64()?,
+                    };
                     read_signed_column(r, column)?;
-                }
-                Layout::Columns => {
-                    bits = prev.map_or([0; 4], |(_, bits)| bits);
-                    for b in &mut bits {
-                        *b ^= read_xor(r)?;
-                    }
-                    read_column(r, column)?;
+                    restore(store, b, column)?;
+                    prev = Some(start);
                 }
             }
-            let [sum, min, max, last] = bits.map(f64::from_bits);
-            let (res, at) = (SimDuration(res), SimTime(start));
-            if !store.restore_bucket(id, res, at, count, sum, min, max, last, column) {
-                return Err(bad_data("tier bucket not retained"));
+            Layout::Columns => {
+                let mut coder = BucketCoder::new(res);
+                for _ in 0..n_buckets {
+                    column.clear();
+                    let b = coder.read(r, |e| column.push(e))?;
+                    restore(store, b, column)?;
+                }
             }
-            prev = Some((start, bits));
         }
     }
     Ok(())
@@ -633,7 +511,7 @@ mod tests {
     use super::super::tests::{fingerprint, node_batches};
     use super::*;
     use moda_telemetry::export::{ExportBatch, ExportRecord};
-    use moda_telemetry::wire::{encode_batch, encode_record, put_f64, write_frame};
+    use moda_telemetry::wire::{encode_batch, encode_record, put_f64, write_frame, zigzag};
     use moda_telemetry::{MetricMeta, SourceDomain};
     use proptest::TestRng;
 
@@ -1289,7 +1167,7 @@ mod tests {
             out += &format!("{idx}: {chunks:?} + {tail} {samples:?}\n");
             for ring in store.tiers().set(id).map_or(&[][..], |set| set.rings()) {
                 for b in ring.buckets() {
-                    let bits = scalar_bits(b);
+                    let bits = [b.sum, b.min, b.max, b.last].map(f64::to_bits);
                     let (res, start) = (ring.res().0, b.start.0);
                     out += &format!("  {res} {start} {} {bits:?} {:?}\n", b.count, b.sketch);
                 }

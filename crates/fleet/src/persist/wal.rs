@@ -317,7 +317,7 @@ mod tests {
     enum Logged {
         Node(&'static str),
         /// A batch, the bytes its sender rendered it as — sample runs
-        /// coded as deltas against the stream (`export-wire-v1.4`),
+        /// coded as deltas against the stream (`export-wire-v1.5`),
         /// packed (v1.2), or one record each (v1.1) — and whether that
         /// was as deltas.
         Batch(NodeId, ExportBatch, Vec<u8>, bool),

@@ -317,6 +317,12 @@ impl FleetStore {
         self.tiers.apply_sketch(id, res, start, entry)
     }
 
+    /// Make room for `n` more buckets in a tier ring (see
+    /// [`WireTiers::reserve_buckets`]).
+    pub fn reserve_buckets(&mut self, id: MetricId, res: SimDuration, n: usize) {
+        self.tiers.reserve_buckets(id, res, n);
+    }
+
     /// Restore one sealed bucket — scalars plus its sketch column —
     /// against a single slot lookup (see [`WireTiers::restore_bucket`]).
     #[allow(clippy::too_many_arguments)]

@@ -1,4 +1,4 @@
-//! Socket-framed wire transport: `export-wire-v1.4` batches over plain
+//! Socket-framed wire transport: `export-wire-v1.5` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
 //! The way into the fleet tier from another thread or process (within
@@ -42,9 +42,11 @@
 //! to a 1.4 fleet a run whose ids and times are progressions is a
 //! `sweep` record and any other a `samples_delta` record, its values
 //! XOR'd against the stream's previous ones
-//! (`moda_telemetry::wire::ValueState`); a 1.3 fleet gets every run as
-//! `samples_delta`; a fleet answering without a revision gets 1.2
-//! `samples` runs. Every
+//! (`moda_telemetry::wire::ValueState`); a 1.5 fleet gets the same, and
+//! each run of one ring's sealed buckets as a `bucket_run` record, where
+//! a 1.4 fleet gets `bucket` and `sketch` records; a 1.3 fleet gets every
+//! sample run as `samples_delta`; a fleet answering without a revision
+//! gets 1.2 `samples` runs. Every
 //! `HELLO` starts the state empty on both ends, and the fleet logs that
 //! reset (a `NODE` entry) so replay resets at the same point.
 //!
@@ -201,13 +203,35 @@ pub(crate) mod tests {
     /// readings on a random walk: what the live path ships, and the
     /// exporter's totals.
     pub(crate) fn sweep_batches(sweeps: u64, metrics: u32) -> (Vec<ExportBatch>, DrainStats) {
+        swept(sweeps, metrics, None)
+    }
+
+    /// [`sweep_batches`] with a sketched 10 s rollup on every gauge: a
+    /// sealed bucket and its sketch column per gauge every ten sweeps.
+    pub(crate) fn rollup_sweep_batches(
+        sweeps: u64,
+        metrics: u32,
+    ) -> (Vec<ExportBatch>, DrainStats) {
+        let cfg = RollupConfig::new(vec![RollupTier::new(SimDuration::from_secs(10), 256)])
+            .with_sketches();
+        swept(sweeps, metrics, Some(&cfg))
+    }
+
+    fn swept(
+        sweeps: u64,
+        metrics: u32,
+        rollups: Option<&RollupConfig>,
+    ) -> (Vec<ExportBatch>, DrainStats) {
         let mut db = Tsdb::with_retention(1 << 12);
         for m in 0..metrics {
-            db.register(MetricMeta::gauge(
+            let id = db.register(MetricMeta::gauge(
                 format!("m{m}"),
                 "u",
                 SourceDomain::Hardware,
             ));
+            if let Some(cfg) = rollups {
+                db.enable_rollups(id, cfg);
+            }
         }
         let (mut exporter, mut sink) = (Exporter::new(), MemorySink::new());
         let mut walk = 0x9E37_79B9_7F4A_7C15u64;

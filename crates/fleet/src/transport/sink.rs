@@ -304,7 +304,9 @@ impl Sink for SocketSink {
 mod tests {
     use super::*;
     use crate::persist::{DurabilityConfig, DurableFleet};
-    use crate::transport::tests::{node_batches, raw_answers, sweep_batches, test_dir};
+    use crate::transport::tests::{
+        node_batches, raw_answers, rollup_sweep_batches, sweep_batches, test_dir,
+    };
     use crate::transport::FleetListener;
     use crate::FleetAggregator;
     use moda_sim::{SimDuration, SimTime};
@@ -325,7 +327,7 @@ mod tests {
     #[test]
     fn a_delta_stream_recovers_from_every_way_a_connection_ends() {
         let dir = test_dir("delta_faults");
-        let (batches, _) = sweep_batches(120, 16);
+        let (batches, _) = rollup_sweep_batches(120, 16);
         assert_eq!(batches.len(), 120);
         let mut reference = FleetAggregator::new();
         let node = reference.add_node("node00");
@@ -351,8 +353,8 @@ mod tests {
         let mut sink = SocketSink::connect_with(&addr, "node00", "tok", tuning.clone()).unwrap();
         assert_eq!(
             sink.replay.coding,
-            Coding::Sweeps,
-            "a 1.4 pair codes sweeps"
+            Coding::Buckets,
+            "a 1.5 pair codes bucket runs"
         );
         for batch in &batches[..30] {
             sink.write_batch(batch).unwrap();
@@ -422,11 +424,10 @@ mod tests {
     /// `HELLO_ACK` ends in `revision` (none: a fleet older than 1.3),
     /// checked to read back — with a value state of the fleet's own —
     /// as the batches sent.
-    fn run_kinds_sent_to(revision: &[u8]) -> Vec<Vec<u8>> {
+    fn run_kinds_sent_to(revision: &[u8], batches: &[ExportBatch]) -> Vec<Vec<u8>> {
         use moda_telemetry::wire::{put_u64, read_frame};
         let server = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
-        let (batches, _) = sweep_batches(6, 8);
         let n = batches.len();
         let trailer = revision.to_vec();
         let old_fleet = std::thread::spawn(move || {
@@ -452,7 +453,7 @@ mod tests {
             sink.replay.coding,
             Coding::for_revision(revision.try_into().ok())
         );
-        for batch in &batches {
+        for batch in batches {
             sink.write_batch(batch).unwrap();
         }
         sink.wait_idle().unwrap();
@@ -461,7 +462,7 @@ mod tests {
         let mut state = ValueState::new();
         received
             .iter()
-            .zip(&batches)
+            .zip(batches)
             .map(|(payload, batch)| {
                 let view = BatchView::parse(payload).unwrap();
                 assert_eq!(&view.to_batch_with(&mut state).unwrap(), batch);
@@ -478,12 +479,47 @@ mod tests {
             .collect()
     }
 
-    /// A 1.4 fleet gets every sweep after the first batch's single
-    /// samples (each between two `meta` records) as a `sweep` record.
+    /// A 1.5 fleet gets every sweep after the first batch's single
+    /// samples (each between two `meta` records) as a `sweep` record —
+    /// but where a gauge's sample lands between two gauges' buckets — and
+    /// each gauge's sealed buckets as one `bucket_run` record, never a
+    /// `bucket` or `sketch` record.
+    #[test]
+    fn a_1_5_fleet_gets_bucket_runs() {
+        let (batches, _) = rollup_sweep_batches(36, 4);
+        let kinds = run_kinds_sent_to(&[1, 5], &batches);
+        assert!(kinds[0].iter().all(|&kind| kind == 6), "{kinds:?}");
+        let later = || kinds[1..].iter().flatten();
+        assert!(later().all(|&kind| [6, 7, 8].contains(&kind)), "{kinds:?}");
+        // Three seals of four gauges, a run each.
+        assert_eq!(
+            later().filter(|&&kind| kind == 8).count(),
+            3 * 4,
+            "{kinds:?}"
+        );
+    }
+
+    /// A 1.4 fleet — which would length-skip a `bucket_run`, and every
+    /// bucket with it — gets sweeps, and its sealed buckets as `bucket`
+    /// and `sketch` records.
     #[test]
     fn a_1_4_fleet_gets_sweeps() {
-        let kinds = run_kinds_sent_to(&[1, 4]);
+        let (batches, _) = rollup_sweep_batches(36, 4);
+        let kinds = run_kinds_sent_to(&[1, 4], &batches);
         assert!(kinds[0].iter().all(|&kind| kind == 6), "{kinds:?}");
+        let later = || kinds[1..].iter().flatten();
+        assert!(
+            later().all(|&kind| [2, 3, 6, 7].contains(&kind)),
+            "{kinds:?}"
+        );
+        assert_eq!(
+            later().filter(|&&kind| kind == 2).count(),
+            3 * 4,
+            "{kinds:?}"
+        );
+        assert!(later().any(|&kind| kind == 3), "{kinds:?}");
+        let (batches, _) = sweep_batches(6, 8);
+        let kinds = run_kinds_sent_to(&[1, 4], &batches);
         assert!(kinds[1..].iter().all(|k| k == &[7]), "{kinds:?}");
     }
 
@@ -491,16 +527,22 @@ mod tests {
     /// skip.
     #[test]
     fn a_1_3_fleet_gets_delta_runs() {
-        let kinds = run_kinds_sent_to(&[1, 3]);
-        assert!(kinds.iter().flatten().all(|&kind| kind == 6), "{kinds:?}");
+        let (batches, _) = rollup_sweep_batches(36, 4);
+        let kinds = run_kinds_sent_to(&[1, 3], &batches);
+        let all = || kinds.iter().flatten();
+        assert!(all().all(|&kind| [2, 3, 6].contains(&kind)), "{kinds:?}");
+        assert!(all().any(|&kind| kind == 2), "{kinds:?}");
     }
 
     /// A fleet older than 1.3 answers the hello without a revision: the
     /// sink speaks 1.2 to it — plain `samples` runs any reader takes.
     #[test]
     fn a_fleet_that_names_no_revision_gets_plain_runs() {
-        let kinds = run_kinds_sent_to(&[]);
-        assert!(kinds.iter().flatten().all(|&kind| kind == 5), "{kinds:?}");
+        let (batches, _) = rollup_sweep_batches(36, 4);
+        let kinds = run_kinds_sent_to(&[], &batches);
+        let all = || kinds.iter().flatten();
+        assert!(all().all(|&kind| [2, 3, 5].contains(&kind)), "{kinds:?}");
+        assert!(all().any(|&kind| kind == 2), "{kinds:?}");
     }
 
     #[test]

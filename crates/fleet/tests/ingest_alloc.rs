@@ -1,15 +1,19 @@
 //! The fleet's half of the live path allocates nothing: after warm-up,
 //! a received 64-sample `BATCH` payload, its values coded as deltas the
-//! way a 1.4 sender codes them, goes through validate
+//! way a 1.5 sender codes them, goes through validate
 //! (`BatchView::parse`) → check (against the stream's value state) →
 //! log (the bytes it arrived in) → apply (off the same bytes, the state
 //! advancing) → flush without a single allocation — no owned record,
-//! no re-encoded log entry, no per-frame scratch. Its own test binary,
-//! because the counting `#[global_allocator]` is process-wide.
+//! no re-encoded log entry, no per-frame scratch. So does a warm batch
+//! of sealed sketched buckets, as one `bucket_run` record: each bucket
+//! and its column restored against one slot lookup, through a column
+//! the fleet keeps. Its own test binary, because the counting
+//! `#[global_allocator]` is process-wide.
 
 use moda_fleet::{DurabilityConfig, DurableFleet};
-use moda_sim::SimTime;
-use moda_telemetry::export::MemorySink;
+use moda_sim::{SimDuration, SimTime};
+use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
+use moda_telemetry::rollup::{RollupConfig, RollupTier};
 use moda_telemetry::wire::{encode_batch_with, ValueState};
 use moda_telemetry::{Exporter, MetricId, MetricMeta, SourceDomain, Tsdb};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -136,6 +140,106 @@ fn warm_sweep_batch_is_validated_logged_and_applied_without_allocating() {
     let counters = fleet.aggregator().counters(node);
     assert_eq!(counters.batches, SWEEPS);
     assert_eq!(counters.samples, SWEEPS * u64::from(METRICS));
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_bucket_run_is_validated_logged_and_applied_without_allocating() {
+    const METRICS: u32 = 8;
+    const SECONDS: u64 = 40;
+    // The sender's side: a sweep a second, a sketched 10 s bucket per
+    // gauge sealed every ten.
+    let cfg =
+        RollupConfig::new(vec![RollupTier::new(SimDuration::from_secs(10), 64)]).with_sketches();
+    let mut db = Tsdb::with_retention(1024);
+    for m in 0..METRICS {
+        let id = db.register(MetricMeta::gauge(
+            format!("node.0.m{m}"),
+            "u",
+            SourceDomain::Hardware,
+        ));
+        db.enable_rollups(id, &cfg);
+    }
+    let mut exporter = Exporter::new();
+    let mut sink = MemorySink::new();
+    for s in 0..SECONDS {
+        for m in 0..METRICS {
+            let value = 100.0 + ((u64::from(m) * 7 + s * 3) % 11) as f64 * 0.25;
+            db.insert(MetricId(m), SimTime::from_secs(1 + s), value);
+        }
+        exporter.drain(&db, &mut sink).unwrap();
+    }
+    let mut sender = ValueState::new();
+    let mut payloads: Vec<Vec<u8>> = sink
+        .batches
+        .iter()
+        .map(|batch| {
+            let mut wire = Vec::new();
+            encode_batch_with(batch, &mut sender, &mut wire);
+            wire
+        })
+        .collect();
+    // Then the node re-ships its sealed buckets (a pyramid rebuilt):
+    // each batch that carried some, its buckets and columns alone, under
+    // the next seqs — one `bucket_run` record per gauge.
+    let mut seq = sink.batches.len() as u64;
+    let reships: Vec<Vec<u8>> = sink
+        .batches
+        .iter()
+        .filter_map(|batch| {
+            let records: Vec<ExportRecord> = batch
+                .records
+                .iter()
+                .filter(|r| matches!(r, ExportRecord::Bucket { .. } | ExportRecord::Sketch { .. }))
+                .cloned()
+                .collect();
+            let columns = records
+                .iter()
+                .filter(|r| matches!(r, ExportRecord::Sketch { .. }))
+                .count();
+            (columns > 0).then(|| {
+                let mut wire = Vec::new();
+                encode_batch_with(&ExportBatch { seq, records }, &mut sender, &mut wire);
+                seq += 1;
+                assert_eq!(wire[12], 8, "the first record is a bucket_run");
+                wire
+            })
+        })
+        .collect();
+    assert_eq!(reships.len(), 4, "four seals");
+    payloads.extend(reships);
+
+    let dir = std::env::temp_dir().join(format!(
+        "moda_fleet_ingest_alloc_buckets_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+    let node = fleet.add_node("node00").unwrap();
+    // Warm-up: the stream itself and the first re-ship, which grows the
+    // fleet's column to its size.
+    let (warm, timed) = payloads.split_at(payloads.len() - 2);
+    let mut burst = fleet.burst();
+    for payload in warm {
+        burst.batch(node, payload).unwrap();
+    }
+    burst.commit().unwrap();
+    let buckets = fleet.aggregator().counters(node).buckets;
+
+    for (i, payload) in timed.iter().enumerate() {
+        let before = ALLOCS.with(Cell::get);
+        let mut burst = fleet.burst();
+        let report = burst.batch(node, payload).unwrap();
+        burst.commit().unwrap();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert!(report.applied);
+        assert!(report.records > u64::from(METRICS));
+        assert_eq!(allocs, 0, "bucket run batch {i} allocated {allocs} times");
+    }
+    let counters = fleet.aggregator().counters(node);
+    assert_eq!(counters.buckets, buckets + 2 * u64::from(METRICS));
+    assert_eq!(counters.orphan_sketches, 0);
     drop(fleet);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -524,6 +524,13 @@ impl RollupRing {
         merged
     }
 
+    /// Room for `additional` more buckets, as far as the ring's capacity
+    /// goes: what a restore of that many in-order buckets asks first.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let room = self.capacity.saturating_sub(self.buckets.len());
+        self.buckets.reserve(additional.min(room));
+    }
+
     /// Mutable access to the sealed bucket at slot `start` of a
     /// **wire-fed** ring, inserting an empty placeholder (count 0) if the
     /// slot is not retained yet — the receiving half of the export wire's

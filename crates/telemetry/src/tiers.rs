@@ -133,6 +133,14 @@ impl WireTiers {
         applied
     }
 
+    /// Make room for `n` more buckets in the `(id, res)` ring, ahead of
+    /// restoring that many newer than it holds (a snapshot's ring), so
+    /// the ring grows once.
+    pub fn reserve_buckets(&mut self, id: MetricId, res: SimDuration, n: usize) {
+        let cap = self.tier_capacity;
+        self.set_entry(id).wire_ring_mut(res, cap).reserve(n);
+    }
+
     /// Restore one sealed bucket — scalars and its whole sketch column —
     /// against a single slot lookup. Semantically identical to
     /// [`WireTiers::apply_bucket`] (when `count > 0`) followed by
@@ -160,7 +168,12 @@ impl WireTiers {
             Some(b) => {
                 if count > 0 {
                     if b.count != 0 {
-                        b.sketch = None;
+                        // A re-export replaces the slot's column: the
+                        // stale one goes, its storage stays for the new.
+                        match &mut b.sketch {
+                            Some(sketch) if !entries.is_empty() => sketch.reset(),
+                            stale => *stale = None,
+                        }
                     }
                     b.count = count;
                     b.sum = sum;

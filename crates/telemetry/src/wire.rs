@@ -1,4 +1,4 @@
-//! The one byte-level definition of `export-wire-v1.4` — what goes over
+//! The one byte-level definition of `export-wire-v1.5` — what goes over
 //! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
 //! Every other module (the exporter, the fleet's persistence, query, and
 //! transport code) builds and reads bytes through the helpers here; none
@@ -26,7 +26,10 @@
 //!   whose ids and times are arithmetic progressions — a sweep of
 //!   metrics at one timestamp, one metric's fixed-cadence tail — is a
 //!   `sweep` record (v1.4): the progressions once in its header, the
-//!   value codes two to a byte.
+//!   value codes two to a byte. A run of one ring's sealed buckets and
+//!   their sketch columns is a `bucket_run` record (v1.5), each bucket
+//!   coded against the one before it by [`BucketCoder`] — the coder a
+//!   fleet snapshot's tier sections are written with, too.
 //! * **frames** — `[len u32 LE][tag u8][payload][crc32 u32 LE]`, the
 //!   self-delimiting transport/log envelope. The CRC covers tag+payload,
 //!   so a torn append (power cut mid-write) or a flipped bit is detected
@@ -45,6 +48,7 @@
 
 use crate::export::{DrainStats, ExportBatch, ExportRecord, MAX_BATCH_RECORDS};
 use crate::metric::{MetricId, MetricKind, MetricMeta, SourceDomain};
+use crate::rollup::RollupBucket;
 use crate::sketch::SketchEntry;
 use moda_sim::{SimDuration, SimTime};
 use std::io::{self, Read, Write};
@@ -381,7 +385,7 @@ impl<'a> WireReader<'a> {
 /// The spec revision this build writes and reads, `[major, minor]`: what
 /// the ingest handshake's `HELLO` and `HELLO_ACK` carry, so that a writer
 /// codes each run the newest way its reader reads ([`Coding::for_revision`]).
-pub const REVISION: [u8; 2] = [1, 4];
+pub const REVISION: [u8; 2] = [1, 5];
 
 /// How a stream's writer codes its runs of samples: the newest way the
 /// stream's reader reads.
@@ -398,6 +402,10 @@ pub enum Coding {
     /// whose ids and times are each one arithmetic progression is a
     /// `sweep` record.
     Sweeps,
+    /// 1.5: as [`Coding::Sweeps`], and a run of one ring's sealed buckets
+    /// with their sketch columns is a `bucket_run` record (which runs:
+    /// `docs/EXPORT_FORMAT.md`, the writer's canonical rule).
+    Buckets,
 }
 
 impl Coding {
@@ -405,6 +413,7 @@ impl Coding {
     /// from a reader older than 1.3, which says nothing.
     pub fn for_revision(revision: Option<[u8; 2]>) -> Self {
         match revision {
+            Some(r) if r >= [1, 5] => Coding::Buckets,
             Some(r) if r >= [1, 4] => Coding::Sweeps,
             Some(r) if r >= [1, 3] => Coding::Deltas,
             _ => Coding::Whole,
@@ -412,7 +421,7 @@ impl Coding {
     }
 }
 
-/// Binary record kind tags (`export-wire-v1.4`). New kinds append —
+/// Binary record kind tags (`export-wire-v1.5`). New kinds append —
 /// never renumber — per the additive versioning rule.
 const REC_META: u8 = 0;
 /// One observation, 25 bytes. [`encode_record`] still writes it and
@@ -429,6 +438,9 @@ const REC_SAMPLES_DELTA: u8 = 6;
 /// A `samples_delta` run whose ids and times are arithmetic
 /// progressions, written once (v1.4) — see [`put_samples`].
 const REC_SWEEP: u8 = 7;
+/// One ring's consecutive sealed buckets and their sketch columns, each
+/// coded against the one before it (v1.5) — see [`BucketCoder`].
+const REC_BUCKET_RUN: u8 = 8;
 
 /// Append one record in the binary rendering:
 /// `[kind u8][payload len u32 LE][payload]`.
@@ -567,6 +579,11 @@ pub enum RecordRef<'a> {
         /// Newest folded value.
         last: f64,
     },
+    /// A `bucket_run` record: one ring's sealed buckets, each with its
+    /// sketch column, decoded as the run is read
+    /// ([`BucketRun::next_bucket`]) — what [`ExportRecord::Bucket`]s,
+    /// each followed by its [`ExportRecord::Sketch`]es, travel as.
+    BucketRun(BucketRun<'a>),
     /// [`ExportRecord::Sketch`].
     Sketch {
         /// Metric the bucket belongs to.
@@ -596,8 +613,9 @@ pub enum RecordRef<'a> {
 impl<'a> RecordRef<'a> {
     /// Read one record's payload — the one parser of the record
     /// grammar. `Ok(None)` is a kind this reader does not know. A
-    /// sample run's payload is opened, not walked: [`SampleRun::check`]
-    /// does that. `room` is how many more records the batch may hold.
+    /// sample or bucket run's payload is opened, not walked:
+    /// [`SampleRun::check`] and [`BucketRun::check`] do that. `room` is
+    /// how many more records the batch may hold.
     fn parse(tag: u8, payload: &'a [u8], room: usize) -> io::Result<Option<Self>> {
         let mut r = WireReader::new(payload);
         let record = match tag {
@@ -608,7 +626,10 @@ impl<'a> RecordRef<'a> {
                 return SampleRun::open(payload, room, tag == REC_SWEEP)
                     .map(|run| Some(Self::SamplesDelta(DeltaRun(run))))
             }
-            _ if tag > REC_SWEEP => return Ok(None),
+            REC_BUCKET_RUN => {
+                return BucketRun::open(payload, room).map(|run| Some(Self::BucketRun(run)))
+            }
+            _ if tag > REC_BUCKET_RUN => return Ok(None),
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             REC_META => RecordRef::Meta {
                 id: MetricId(r.u32()?),
@@ -655,7 +676,9 @@ impl<'a> RecordRef<'a> {
     }
 
     /// Append the owned form: one [`ExportRecord`] per record, one
-    /// [`ExportRecord::Sample`] per sample of a run. A `samples_delta`
+    /// [`ExportRecord::Sample`] per sample of a run, an
+    /// [`ExportRecord::Bucket`] and its [`ExportRecord::Sketch`]es per
+    /// bucket of a `bucket_run`. A `samples_delta`
     /// run is read against `state`, which takes its values — a run
     /// that, without one, is `InvalidData`.
     fn push_owned(
@@ -677,6 +700,20 @@ impl<'a> RecordRef<'a> {
             RecordRef::SamplesDelta(run) => {
                 let state = state.ok_or_else(|| bad_data(NEEDS_STATE))?;
                 out.extend(run.values(state).map(sample));
+                return Ok(());
+            }
+            RecordRef::BucketRun(mut run) => {
+                let (id, res) = (run.id(), run.res());
+                let mut column = Vec::new();
+                while let Some(b) = run.next_bucket(&mut column) {
+                    out.push(b.record(id, res));
+                    out.extend(column.drain(..).map(|entry| ExportRecord::Sketch {
+                        id,
+                        res,
+                        start: b.start,
+                        entry,
+                    }));
+                }
                 return Ok(());
             }
             RecordRef::Bucket {
@@ -900,6 +937,83 @@ impl Progression {
     }
 }
 
+/// How many records at the head of `records` one `bucket_run` codes: the
+/// longest run of bucket groups — a `bucket` record followed by every
+/// `sketch` record keyed `(id, res, start)` to it — in which every group
+/// has one `id` and one `res`, starts strictly increase, every `count`
+/// is above 0, and every column is in the sketch's own order
+/// ([`QuantileSketch::wire_entries`](crate::QuantileSketch::wire_entries)):
+/// negatives, at most one zero entry with key 0, then positives, keys
+/// strictly ascending within a sign. 0 when the head is no such group.
+/// Under [`Coding::Buckets`] such a run is one `bucket_run` record; any
+/// other `bucket` or `sketch` record — an orphan or out-of-order column,
+/// a count-0 bucket, a zero entry with a key — stays as kinds 2 and 3.
+/// So `decode(encode(b)) == b` for every batch: a `bucket_run` gives back
+/// exactly the records it codes. A count-0 bucket is left out because
+/// applying one overwrites a slot's scalars, while restoring one
+/// ([`WireTiers::restore_bucket`](crate::WireTiers::restore_bucket),
+/// what a `bucket_run` is applied through) leaves them.
+fn bucket_run_len(records: &[ExportRecord]) -> usize {
+    let mut len = 0;
+    let mut prev: Option<(MetricId, SimDuration, SimTime)> = None;
+    while let Some((key, group)) = bucket_group(&records[len..]) {
+        let (id, res, start) = key;
+        if prev.is_some_and(|(i, r, s)| (i, r) != (id, res) || s >= start) {
+            break;
+        }
+        prev = Some(key);
+        len += group;
+    }
+    len
+}
+
+/// The key of the bucket at the head of `records` and how many records
+/// its group spans (the bucket and its column), when the group is one a
+/// `bucket_run` codes (see [`bucket_run_len`]).
+fn bucket_group(records: &[ExportRecord]) -> Option<((MetricId, SimDuration, SimTime), usize)> {
+    let ExportRecord::Bucket {
+        id,
+        res,
+        start,
+        count,
+        ..
+    } = *records.first()?
+    else {
+        return None;
+    };
+    if count == 0 {
+        return None;
+    }
+    // Where an entry falls in the sketch's own order: its sign's place,
+    // then its key.
+    let mut prev = None;
+    let mut columns = 0;
+    for record in &records[1..] {
+        match *record {
+            ExportRecord::Sketch {
+                id: i,
+                res: r,
+                start: s,
+                entry,
+            } if (i, r, s) == (id, res, start) => {
+                let rank = match (entry.sign, entry.key) {
+                    (-1, key) => (0u8, key),
+                    (0, 0) => (1, 0),
+                    (1, key) => (2, key),
+                    _ => return None,
+                };
+                if prev.is_some_and(|p| p >= rank) {
+                    return None;
+                }
+                prev = Some(rank);
+                columns += 1;
+            }
+            _ => break,
+        }
+    }
+    Some(((id, res, start), 1 + columns))
+}
+
 /// Append `run` as one record — under [`Coding::Whole`] a `samples`
 /// record; otherwise a `sweep` record when the whole run is one
 /// [`Progression`] of at least two samples (and the coding is
@@ -934,8 +1048,8 @@ fn put_samples(
     mut write: impl FnMut(MetricId, u64) -> Written,
 ) {
     let sweep = match coding {
-        Coding::Sweeps => Progression::of(run.clone()),
-        _ => None,
+        Coding::Sweeps | Coding::Buckets => Progression::of(run.clone()),
+        Coding::Whole | Coding::Deltas => None,
     };
     out.push(match (coding, sweep) {
         (Coding::Whole, _) => REC_SAMPLES,
@@ -1002,6 +1116,323 @@ fn put_value(out: &mut Vec<u8>, w: Written) {
     let end = out.len() + usize::from(w.kept);
     out.extend_from_slice(&(w.coded << (8 * u32::from(w.lead))).to_be_bytes());
     out.truncate(end);
+}
+
+/// A bucket's four scalars as [`BucketCoder`]'s XOR columns code them:
+/// `sum`, `min`, `max` and `last`, as bits.
+type ScalarBits = [u64; 4];
+
+/// One sealed bucket's scalars, as [`BucketCoder`] writes and reads them.
+#[derive(Debug, Clone, Copy)]
+pub struct SealedBucket {
+    /// Aligned slot start.
+    pub start: SimTime,
+    /// Samples folded into the slot.
+    pub count: u64,
+    /// Sum of folded values.
+    pub sum: f64,
+    /// Minimum folded value.
+    pub min: f64,
+    /// Maximum folded value.
+    pub max: f64,
+    /// Newest folded value.
+    pub last: f64,
+}
+
+impl SealedBucket {
+    fn bits(&self) -> ScalarBits {
+        [self.sum, self.min, self.max, self.last].map(f64::to_bits)
+    }
+
+    /// The bucket as the [`ExportRecord::Bucket`] of ring `(id, res)`.
+    fn record(&self, id: MetricId, res: SimDuration) -> ExportRecord {
+        ExportRecord::Bucket {
+            id,
+            res,
+            start: self.start,
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            last: self.last,
+        }
+    }
+}
+
+impl From<&RollupBucket> for SealedBucket {
+    fn from(b: &RollupBucket) -> Self {
+        SealedBucket {
+            start: b.start,
+            count: b.count,
+            sum: b.sum,
+            min: b.min,
+            max: b.max,
+            last: b.last,
+        }
+    }
+}
+
+/// One ring's sealed buckets, in start order, each coded against the one
+/// before it: the one bucket coder, of a `bucket_run` record's buckets
+/// and a snapshot's tier sections alike. A bucket is
+///
+/// ```text
+/// start uv · count uv · sum · min · max · last · sketch column
+/// ```
+///
+/// the start the first bucket's own, then 0 for the next slot (the
+/// previous start plus `res`), else the step from the previous start —
+/// never 0; each scalar its bits XOR the previous bucket's (the first's
+/// against 0) as a control byte `lead << 4 | kept` and the `kept` bytes
+/// from byte `lead` on; the column as a shape varint and the sign runs
+/// of its entries (`docs/EXPORT_FORMAT.md`, the `bucket_run` kind). A
+/// bucket is seven bytes at least.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketCoder {
+    res: u64,
+    prev: Option<(u64, ScalarBits)>,
+}
+
+impl BucketCoder {
+    /// The coder of a ring of resolution `res`, before its first bucket.
+    pub fn new(res: SimDuration) -> Self {
+        BucketCoder {
+            res: res.0,
+            prev: None,
+        }
+    }
+
+    /// Append `b` and its sketch column, which `column` yields afresh
+    /// each time it is called. `b` starts after every bucket before it.
+    pub fn put<I: Iterator<Item = SketchEntry>>(
+        &mut self,
+        out: &mut Vec<u8>,
+        b: &SealedBucket,
+        column: impl Fn() -> I,
+    ) {
+        let start = b.start.0;
+        put_uv(
+            out,
+            match self.prev.map(|(prev, _)| start - prev) {
+                None => start,
+                Some(step) if step == self.res => 0,
+                Some(step) => step,
+            },
+        );
+        put_uv(out, b.count);
+        let bits = b.bits();
+        let base = self.prev.map_or([0; 4], |(_, bits)| bits);
+        for (was, is) in base.into_iter().zip(bits) {
+            put_xor(out, was ^ is);
+        }
+        put_sketch(out, column);
+        self.prev = Some((start, bits));
+    }
+
+    /// The next bucket [`BucketCoder::put`] wrote, each entry of its
+    /// column handed to `entry` in order. `InvalidData` for a start that
+    /// does not increase or overflows, a scalar wider than 64 bits, or a
+    /// column key past `i32`.
+    pub fn read(
+        &mut self,
+        r: &mut WireReader<'_>,
+        mut entry: impl FnMut(SketchEntry),
+    ) -> io::Result<SealedBucket> {
+        let code = r.uv()?;
+        let start = match self.prev {
+            None => Some(code),
+            Some((prev, _)) => prev
+                .checked_add(if code == 0 { self.res } else { code })
+                .filter(|&start| start > prev),
+        }
+        .ok_or_else(|| bad_data("bucket start does not increase"))?;
+        let count = r.uv()?;
+        let mut bits = self.prev.map_or([0; 4], |(_, bits)| bits);
+        for b in &mut bits {
+            *b ^= read_xor(r)?;
+        }
+        read_column(r, &mut entry)?;
+        self.prev = Some((start, bits));
+        let [sum, min, max, last] = bits.map(f64::from_bits);
+        Ok(SealedBucket {
+            start: SimTime(start),
+            count,
+            sum,
+            min,
+            max,
+            last,
+        })
+    }
+}
+
+/// Append `x` — a scalar's bits XOR the previous bucket's — as a control
+/// byte `lead << 4 | kept` and its `kept` bytes from byte `lead` on, most
+/// significant first. Zero bytes at either end are dropped, so a repeat
+/// is the control byte alone; the bits themselves are kept as they are,
+/// NaN payloads, signed zeros, subnormals and infinities included.
+fn put_xor(out: &mut Vec<u8>, x: u64) {
+    if x == 0 {
+        out.push(0);
+        return;
+    }
+    let lead = (x.leading_zeros() / 8) as usize;
+    let kept = 8 - lead - (x.trailing_zeros() / 8) as usize;
+    out.push((lead << 4 | kept) as u8);
+    out.extend_from_slice(&x.to_be_bytes()[lead..lead + kept]);
+}
+
+/// The bits [`put_xor`] wrote.
+fn read_xor(r: &mut WireReader<'_>) -> io::Result<u64> {
+    let control = r.u8()?;
+    let (lead, kept) = (usize::from(control >> 4), usize::from(control & 0x0F));
+    if lead + kept > 8 {
+        return Err(bad_data("bucket scalar wider than 64 bits"));
+    }
+    let mut be = [0u8; 8];
+    be[lead..lead + kept].copy_from_slice(r.take(kept)?);
+    Ok(u64::from_be_bytes(be))
+}
+
+/// Append a bucket's sketch column, which `entries` yields afresh each
+/// time it is called, in the sketch's own order: `shape uv` — positive
+/// entries `<< 2`, a zero bucket `<< 1`, any negatives `<< 0` — then the
+/// negative entries less one when there are any, the negative run, the
+/// zero bucket's count, the positive run. A run is `key uv · count uv`
+/// per entry, its first key zigzagged and each later one as its distance
+/// past the one before, less one: a sketch's keys ascend strictly.
+fn put_sketch<I: Iterator<Item = SketchEntry>>(out: &mut Vec<u8>, entries: impl Fn() -> I) {
+    let (mut negatives, mut zero, mut positives) = (0u64, false, 0u64);
+    for e in entries() {
+        match e.sign {
+            ..0 => negatives += 1,
+            0 => zero = true,
+            1.. => positives += 1,
+        }
+    }
+    put_uv(
+        out,
+        positives << 2 | u64::from(zero) << 1 | u64::from(negatives > 0),
+    );
+    if negatives > 0 {
+        put_uv(out, negatives - 1);
+    }
+    let mut prev: Option<(i8, i32)> = None;
+    for e in entries() {
+        if e.sign != 0 {
+            put_uv(
+                out,
+                match prev {
+                    Some((sign, key)) if sign == e.sign => {
+                        (i64::from(e.key) - i64::from(key) - 1) as u64
+                    }
+                    _ => zigzag(i64::from(e.key)),
+                },
+            );
+            prev = Some((e.sign, e.key));
+        }
+        put_uv(out, e.count);
+    }
+}
+
+/// The column [`put_sketch`] wrote, each entry handed to `entry` in order.
+fn read_column(r: &mut WireReader<'_>, entry: &mut impl FnMut(SketchEntry)) -> io::Result<()> {
+    let shape = r.uv()?;
+    let negatives = if shape & 1 == 1 {
+        r.uv()?.saturating_add(1)
+    } else {
+        0
+    };
+    read_run(r, -1, negatives, entry)?;
+    if shape & 2 != 0 {
+        entry(SketchEntry {
+            sign: 0,
+            key: 0,
+            count: r.uv()?,
+        });
+    }
+    read_run(r, 1, shape >> 2, entry)
+}
+
+/// One sign's run of `n` entries (see [`put_sketch`]).
+fn read_run(
+    r: &mut WireReader<'_>,
+    sign: i8,
+    n: u64,
+    entry: &mut impl FnMut(SketchEntry),
+) -> io::Result<()> {
+    // An entry is two bytes at least: a count the bytes cannot hold is
+    // refused before anything grows by it.
+    if n > r.remaining() as u64 / 2 {
+        return Err(bad_data("sketch run longer than its bytes"));
+    }
+    let past_i32 = || bad_data("sketch key past i32");
+    let mut key = 0i64;
+    for i in 0..n {
+        // Mostly a one-byte step and a one-byte count.
+        let (code, count) = match r.buf.get(r.pos..r.pos + 2) {
+            Some(&[code, count]) if (code | count) < 0x80 => {
+                r.pos += 2;
+                (u64::from(code), u64::from(count))
+            }
+            _ => (r.uv()?, r.uv()?),
+        };
+        key = match i {
+            0 => unzigzag(code),
+            _ => i64::try_from(code)
+                .ok()
+                .and_then(|step| (key + 1).checked_add(step))
+                .ok_or_else(past_i32)?,
+        };
+        let key = i32::try_from(key).map_err(|_| past_i32())?;
+        entry(SketchEntry { sign, key, count });
+    }
+    Ok(())
+}
+
+/// Append `records` — a run [`bucket_run_len`] measured — as one
+/// `bucket_run` record: `[kind][len u32 LE][id uv][res uv][n uv]`, then
+/// its `n` buckets as [`BucketCoder`] codes them.
+fn put_bucket_run(out: &mut Vec<u8>, records: &[ExportRecord]) {
+    let ExportRecord::Bucket { id, res, .. } = records[0] else {
+        unreachable!("a bucket run starts with its first bucket");
+    };
+    // Each group is a bucket and the column after it.
+    let groups = records.chunk_by(|_, next| matches!(next, ExportRecord::Sketch { .. }));
+    out.push(REC_BUCKET_RUN);
+    put_block(out, |out| {
+        put_uv(out, u64::from(id.0));
+        put_uv(out, res.0);
+        put_uv(out, groups.clone().count() as u64);
+        let mut coder = BucketCoder::new(res);
+        for group in groups {
+            let ExportRecord::Bucket {
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+                ..
+            } = group[0]
+            else {
+                unreachable!("a bucket group starts with its bucket");
+            };
+            let b = SealedBucket {
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            };
+            coder.put(out, &b, || {
+                group[1..].iter().filter_map(|r| match *r {
+                    ExportRecord::Sketch { entry, .. } => Some(entry),
+                    _ => None,
+                })
+            });
+        }
+    });
 }
 
 /// Why reading a view's bytes again cannot fail: only
@@ -1334,6 +1765,92 @@ impl Iterator for DeltaValues<'_, '_> {
 
 impl ExactSizeIterator for DeltaValues<'_, '_> {}
 
+/// The buckets of one `bucket_run` record — one ring's, `(id, res)` —
+/// decoded one at a time off its payload ([`BucketRun::next_bucket`]).
+/// Lent by a [`BatchView`], whose full walk has already shown every
+/// bucket to decode.
+#[derive(Debug, Clone)]
+pub struct BucketRun<'a> {
+    r: WireReader<'a>,
+    id: MetricId,
+    res: SimDuration,
+    left: usize,
+    coder: BucketCoder,
+}
+
+impl<'a> BucketRun<'a> {
+    /// Read the run's header. The declared bucket count is checked
+    /// against the bytes that are left (a bucket is seven at least) and
+    /// against `room` before anyone sizes anything by it.
+    fn open(payload: &'a [u8], room: usize) -> io::Result<Self> {
+        let mut r = WireReader::new(payload);
+        let id = u32::try_from(r.uv()?).map_err(|_| bad_data("bucket run id past u32"))?;
+        let res = SimDuration(r.uv()?);
+        let count = r.uv()?;
+        if count > r.remaining() as u64 / 7 {
+            return Err(bad_data("bucket run count exceeds its payload"));
+        }
+        let left = count as usize;
+        if left > room {
+            return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+        }
+        Ok(BucketRun {
+            r,
+            id: MetricId(id),
+            res,
+            left,
+            coder: BucketCoder::new(res),
+        })
+    }
+
+    /// The metric the run's buckets belong to.
+    pub fn id(&self) -> MetricId {
+        self.id
+    }
+
+    /// The resolution of the run's ring.
+    pub fn res(&self) -> SimDuration {
+        self.res
+    }
+
+    /// Buckets left in the run.
+    pub fn len(&self) -> usize {
+        self.left
+    }
+
+    /// Whether the run holds no bucket more.
+    pub fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Walk a copy of the run to its end: every bucket well-formed and
+    /// nothing after the last one. Returns the records the run expands
+    /// to — each bucket and each entry of its column — refused past
+    /// `room`.
+    fn check(&self, room: usize) -> io::Result<usize> {
+        let mut run = self.clone();
+        let mut records = self.left;
+        for _ in 0..self.left {
+            run.coder.read(&mut run.r, |_| records += 1)?;
+            if records > room {
+                return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+            }
+        }
+        if !run.r.done() {
+            return Err(bad_data("trailing bytes in bucket run payload"));
+        }
+        Ok(records)
+    }
+
+    /// The next bucket, its sketch column into `column` (emptied first).
+    pub fn next_bucket(&mut self, column: &mut Vec<SketchEntry>) -> Option<SealedBucket> {
+        self.left = self.left.checked_sub(1)?;
+        column.clear();
+        let bucket = self.coder.read(&mut self.r, |e| column.push(e));
+        Some(bucket.expect(VALIDATED))
+    }
+}
+
 /// Wire ids from this one on keep no [`ValueState`]: their values are
 /// always coded whole. Bounds the state a stream can make its reader
 /// keep at 16 MiB.
@@ -1513,8 +2030,9 @@ impl<'a> BatchView<'a> {
     /// Records of a kind unknown to this reader are length-skipped and
     /// counted ([`BatchView::unknown_records`]), never an error — the
     /// additive-kinds contract. A batch that would expand past
-    /// [`MAX_BATCH_RECORDS`] records is refused: sample runs are the
-    /// kinds whose decoded size is not bounded by their own length.
+    /// [`MAX_BATCH_RECORDS`] records is refused: sample and bucket runs
+    /// are the kinds whose decoded size is not bounded by their own
+    /// length.
     pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
         let mut r = WireReader::new(bytes);
         let seq = r.u64()?;
@@ -1528,6 +2046,9 @@ impl<'a> BatchView<'a> {
                 Some(RecordRef::Samples(run)) => records += run.check::<false>(&mut xor_ids)?,
                 Some(RecordRef::SamplesDelta(DeltaRun(run))) => {
                     records += run.check::<true>(&mut xor_ids)?
+                }
+                Some(RecordRef::BucketRun(run)) => {
+                    records += run.check(MAX_BATCH_RECORDS - records)?
                 }
                 Some(_) => records += 1,
             }
@@ -1551,7 +2072,8 @@ impl<'a> BatchView<'a> {
     }
 
     /// Records the batch expands to (a `samples` run counts each of its
-    /// samples; unknown kinds count nothing).
+    /// samples, a `bucket_run` each bucket and column entry; unknown
+    /// kinds count nothing).
     pub fn record_count(&self) -> usize {
         self.records
     }
@@ -1722,13 +2244,22 @@ impl<'a> BatchWriter<'a> {
             Coding::Whole => put_samples(self.out, coding, run, |_, bits| whole(bits)),
             // A value whose id has a state is XOR-coded against it, any
             // other whole; either way the state takes it.
-            Coding::Deltas | Coding::Sweeps => put_samples(self.out, coding, run, |id, bits| {
-                match state.replace(id, bits) {
-                    Some(prev) => xored(prev ^ bits),
-                    None => whole(bits),
-                }
-            }),
+            Coding::Deltas | Coding::Sweeps | Coding::Buckets => {
+                put_samples(self.out, coding, run, |id, bits| {
+                    match state.replace(id, bits) {
+                        Some(prev) => xored(prev ^ bits),
+                        None => whole(bits),
+                    }
+                })
+            }
         }
+        self.counted();
+    }
+
+    /// Append `records`, a run [`bucket_run_len`] measured, as one
+    /// `bucket_run` record.
+    fn bucket_run(&mut self, records: &[ExportRecord]) {
+        put_bucket_run(self.out, records);
         self.counted();
     }
 
@@ -1760,12 +2291,13 @@ pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
 }
 
 /// [`encode_batch`] for a stream whose writer keeps `state`, as this
-/// build's revision writes it ([`Coding::Sweeps`]): each run of samples
+/// build's revision writes it ([`Coding::Buckets`]): each run of samples
 /// is one `sweep` or `samples_delta` record, its values coded against
-/// `state`, which takes them. The reader must keep the same state
+/// `state`, which takes them, and each run of one ring's sealed buckets
+/// a `bucket_run` record. The reader must keep the same state
 /// ([`BatchView::to_batch_with`], [`decode_batch_with`]).
 pub fn encode_batch_with(batch: &ExportBatch, state: &mut ValueState, out: &mut Vec<u8>) {
-    encode_batch_as(batch, Coding::Sweeps, state, out);
+    encode_batch_as(batch, Coding::Buckets, state, out);
 }
 
 /// Encode `batch` for a reader of an older revision, or of this one:
@@ -1782,17 +2314,29 @@ pub fn encode_batch_as(
         ExportRecord::Sample { id, t, value } => Some((id, t, value)),
         _ => None,
     };
-    // Maximal runs of samples; every other record is a group of its own.
-    for group in batch
-        .records
-        .chunk_by(|a, b| sample(a).is_some() && sample(b).is_some())
-    {
-        if sample(&group[0]).is_some() {
-            let run = group.iter().map(|r| sample(r).expect("a run of samples"));
+    // Maximal runs of samples, under 1.5 runs of buckets too; every
+    // other record is a group of its own.
+    let mut rest = &batch.records[..];
+    while let Some(head) = rest.first() {
+        let samples = rest.iter().take_while(|r| sample(r).is_some()).count();
+        let buckets = match coding {
+            Coding::Buckets if samples == 0 => bucket_run_len(rest),
+            _ => 0,
+        };
+        let taken = if samples > 0 {
+            let run = rest[..samples]
+                .iter()
+                .map(|r| sample(r).expect("a run of samples"));
             w.samples(run, coding, state);
+            samples
+        } else if buckets > 0 {
+            w.bucket_run(&rest[..buckets]);
+            buckets
         } else {
-            w.record(&group[0]);
-        }
+            w.record(head);
+            1
+        };
+        rest = &rest[taken..];
     }
 }
 
@@ -2560,7 +3104,9 @@ mod tests {
         assert_eq!(Coding::for_revision(None), Coding::Whole);
         assert_eq!(Coding::for_revision(Some([1, 2])), Coding::Whole);
         assert_eq!(Coding::for_revision(Some([1, 3])), Coding::Deltas);
-        assert_eq!(Coding::for_revision(Some(REVISION)), Coding::Sweeps);
+        assert_eq!(Coding::for_revision(Some([1, 4])), Coding::Sweeps);
+        assert_eq!(Coding::for_revision(Some(REVISION)), Coding::Buckets);
+        assert_eq!(Coding::for_revision(Some([1, 6])), Coding::Buckets);
     }
 
     /// Malformed `sweep` records are `InvalidData` — the batch refused
@@ -2616,6 +3162,263 @@ mod tests {
         assert!(err(&[2, 4, 1, 0, 0, 0x19, 0x40, 0xFF]).contains("trailing"));
         // A delta for an id with no state.
         assert!(err(&[2, 8, 1, 0, 0, 0x99]).contains("needs its stream's state"));
+    }
+
+    fn bucket(id: u32, res: u64, start: u64, count: u64, scalars: [f64; 4]) -> ExportRecord {
+        let [sum, min, max, last] = scalars;
+        ExportRecord::Bucket {
+            id: MetricId(id),
+            res: SimDuration(res),
+            start: SimTime(start),
+            count,
+            sum,
+            min,
+            max,
+            last,
+        }
+    }
+
+    fn column(id: u32, res: u64, start: u64, entries: &[(i8, i32, u64)]) -> Vec<ExportRecord> {
+        entries
+            .iter()
+            .map(|&(sign, key, count)| ExportRecord::Sketch {
+                id: MetricId(id),
+                res: SimDuration(res),
+                start: SimTime(start),
+                entry: SketchEntry { sign, key, count },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bucket_run_record_is_the_documented_bytes() {
+        // The worked example of docs/EXPORT_FORMAT.md: two sealed
+        // one-minute buckets of metric 4, each with a two-entry sketch
+        // column.
+        let mut records = vec![bucket(
+            4,
+            60_000,
+            120_000,
+            60,
+            [12090.0, 201.0, 202.0, 201.5],
+        )];
+        records.extend(column(4, 60_000, 120_000, &[(1, 1328, 40), (1, 1329, 20)]));
+        records.push(bucket(
+            4,
+            60_000,
+            180_000,
+            60,
+            [12105.0, 201.0, 202.5, 202.0],
+        ));
+        records.extend(column(4, 60_000, 180_000, &[(1, 1328, 30), (1, 1330, 30)]));
+        let batch = ExportBatch { seq: 0, records };
+        let want: &[u8] = &[
+            0x08, // kind: bucket_run
+            0x2F, 0x00, 0x00, 0x00, // payload length 47
+            0x04, 0xE0, 0xD4, 0x03, 0x02, // id 4, res 60000, two buckets
+            // The first bucket: everything against 0.
+            0xC0, 0xA9, 0x07, 0x3C, // start 120000, count 60
+            0x03, 0x40, 0xC7, 0x9D, // sum 12090.0: lead 0, kept 3
+            0x03, 0x40, 0x69, 0x20, // min 201.0
+            0x03, 0x40, 0x69, 0x40, // max 202.0
+            0x03, 0x40, 0x69, 0x30, // last 201.5
+            0x08, // column shape: two positive entries
+            0xE0, 0x14, 0x28, // key 1328 (zigzag 2656), count 40
+            0x00, 0x14, // key 1329 (the next), count 20
+            // The second: the next slot, its scalars against the first's.
+            0x00, 0x3C, // start: the next slot, count 60
+            0x22, 0x39, 0x80, // sum XOR 0x0000_3980_0000_0000
+            0x00, // min repeats
+            0x21, 0x10, // max XOR 0x0000_1000_0000_0000
+            0x21, 0x70, // last XOR 0x0000_7000_0000_0000
+            0x08, 0xE0, 0x14, 0x1E, 0x01, 0x1E, // keys 1328, 1330; counts 30, 30
+        ];
+        let mut buf = Vec::new();
+        encode_batch_with(&batch, &mut ValueState::new(), &mut buf);
+        assert_eq!(&buf[12..], want);
+        assert_eq!(decode_batch(&buf).unwrap(), (batch.clone(), 0));
+        // Two `bucket` and four `sketch` records as kinds 2 and 3.
+        let mut as_1_4 = Vec::new();
+        encode_batch_as(&batch, Coding::Sweeps, &mut ValueState::new(), &mut as_1_4);
+        assert_eq!(as_1_4.len() - 12, 2 * 65 + 4 * 38);
+    }
+
+    /// The writer's canonical rule for buckets: a run of bucket groups is
+    /// one `bucket_run` exactly when each group's bucket has a count and
+    /// its column is in the sketch's own order, and the run is one ring's
+    /// with starts strictly rising; anything else stays as kinds 2 and 3,
+    /// and every batch reads back as it was written. Only the 1.5 coding
+    /// writes one.
+    #[test]
+    fn a_run_of_buckets_is_a_bucket_run_exactly_when_it_is_canonical() {
+        let kinds = |coding, records: &[ExportRecord]| {
+            let mut buf = Vec::new();
+            let batch = ExportBatch {
+                seq: 0,
+                records: records.to_vec(),
+            };
+            encode_batch_as(&batch, coding, &mut ValueState::new(), &mut buf);
+            let back = decode_batch_with(&buf, &mut ValueState::new()).unwrap();
+            assert_eq!(back, (batch, 0));
+            let mut r = WireReader::new(&buf[12..]);
+            let mut kinds = Vec::new();
+            while !r.done() {
+                kinds.push(r.u8().unwrap());
+                r.block().unwrap();
+            }
+            kinds
+        };
+        let scalars = [10.0, 1.0, 3.0, 2.0];
+        let group = |start, entries: &[(i8, i32, u64)]| {
+            let mut g = vec![bucket(4, 1_000, start, 5, scalars)];
+            g.extend(column(4, 1_000, start, entries));
+            g
+        };
+        let sorted = [(-1, -3, 1), (-1, 2, 1), (0, 0, 2), (1, -5, 1), (1, 9, 1)];
+        let two = [group(1_000, &sorted), group(2_000, &[])].concat();
+        let (r, b, s) = (REC_BUCKET_RUN, REC_BUCKET, REC_SKETCH);
+        let cases: Vec<(Vec<ExportRecord>, Vec<u8>)> = vec![
+            (two.clone(), vec![r]),
+            // A start that does not rise, a second ring, a second metric:
+            // a run each.
+            ([two.clone(), group(2_000, &[])].concat(), vec![r, r]),
+            (
+                [two.clone(), vec![bucket(4, 2_000, 9_000, 5, scalars)]].concat(),
+                vec![r, r],
+            ),
+            (
+                [two.clone(), vec![bucket(5, 1_000, 9_000, 5, scalars)]].concat(),
+                vec![r, r],
+            ),
+            // A count-0 bucket, and the run goes on after it.
+            (
+                [
+                    group(1_000, &[]),
+                    vec![bucket(4, 1_000, 2_000, 0, scalars)],
+                    group(3_000, &[]),
+                ]
+                .concat(),
+                vec![r, b, r],
+            ),
+            // Columns out of the sketch's order: swapped, repeated, a
+            // zero entry with a key, a sign outside −1..=1.
+            (group(1_000, &[(1, 9, 1), (1, 5, 1)]), vec![b, s, s]),
+            (group(1_000, &[(1, 5, 1), (1, 5, 1)]), vec![b, s, s]),
+            (group(1_000, &[(1, 5, 1), (-1, 5, 1)]), vec![b, s, s]),
+            (group(1_000, &[(0, 0, 1), (0, 0, 1)]), vec![b, s, s]),
+            (group(1_000, &[(0, 3, 1)]), vec![b, s]),
+            (group(1_000, &[(2, 3, 1)]), vec![b, s]),
+            // An orphan column after the run: not the run's.
+            (
+                [two.clone(), column(4, 1_000, 7_000, &[(1, 1, 1)])].concat(),
+                vec![r, s],
+            ),
+            (column(4, 1_000, 1_000, &[(1, 1, 1)]), vec![s]),
+            // A run breaks at any other record.
+            (
+                [
+                    group(1_000, &[]),
+                    vec![sample(4, 0, 1.0)],
+                    group(2_000, &[]),
+                ]
+                .concat(),
+                vec![r, REC_SAMPLES_DELTA, r],
+            ),
+            // Starts at the ends of `u64`, every other step.
+            (
+                [
+                    group(0, &[]),
+                    group(1_000, &[]),
+                    group(7_000, &[]),
+                    group(u64::MAX, &[(1, i32::MAX, 1)]),
+                ]
+                .concat(),
+                vec![r],
+            ),
+        ];
+        for (records, want) in cases {
+            assert_eq!(kinds(Coding::Buckets, &records), want, "{records:?}");
+            let older: Vec<u8> = kinds(Coding::Sweeps, &records);
+            assert!(!older.contains(&REC_BUCKET_RUN), "{records:?}");
+        }
+        // A resolution of 0 codes every step as itself.
+        let zero_res = [
+            vec![bucket(4, 0, 5, 1, scalars)],
+            vec![bucket(4, 0, 6, 1, scalars)],
+        ]
+        .concat();
+        assert_eq!(kinds(Coding::Buckets, &zero_res), [r]);
+    }
+
+    /// Malformed `bucket_run` records are `InvalidData` — the batch
+    /// refused whole, the reader's state as it was (a sweep ahead of the
+    /// record leaves its values only in a batch that is taken).
+    #[test]
+    fn hostile_bucket_run_records_are_bad_data() {
+        let sweep = [0x07, 0x07, 0, 0, 0, 2, 4, 1, 0, 0, 0x01, 0x40];
+        let batch = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 2);
+            buf.extend_from_slice(&sweep);
+            buf.push(REC_BUCKET_RUN);
+            put_block(&mut buf, |out| out.extend_from_slice(payload));
+            buf
+        };
+        let before = ValueState::new();
+        let err = |payload: &[u8]| {
+            let mut read = before.clone();
+            let e = decode_batch_with(&batch(payload), &mut read).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(read, before);
+            e.to_string()
+        };
+        // Well-formed for contrast: id 4, res 1000, two buckets of count
+        // 1, all scalars 0, the second with a one-entry column (key 5,
+        // count 200).
+        let good = [
+            4, 0xE8, 0x07, 2, 9, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0x0A, 0xC8, 0x01,
+        ];
+        let mut read = before.clone();
+        let (taken, _) = decode_batch_with(&batch(&good), &mut read).unwrap();
+        assert_eq!(taken.records.len(), 2 + 3);
+        assert_ne!(read, before);
+        // More buckets than a seventh of the bytes after the count.
+        assert!(err(&[&[4, 0xE8, 0x07, 3][..], &good[4..]].concat()).contains("count exceeds"));
+        let mut lie = vec![4, 0xE8, 0x07];
+        put_uv(&mut lie, 1 << 60);
+        lie.extend_from_slice(&good[4..]);
+        assert!(err(&lie).contains("count exceeds"));
+        // A column cut short: in its entry's count, or before its entry.
+        assert!(err(&good[..good.len() - 1]).contains("truncated"));
+        assert!(err(&good[..good.len() - 3]).contains("longer than its bytes"));
+        // A start that repeats (a resolution of 0 and the next slot), or
+        // that passes `u64`.
+        assert!(err(&[&[4, 0][..], &good[3..]].concat()).contains("does not increase"));
+        let mut past = vec![4, 0xE8, 0x07, 2];
+        put_uv(&mut past, u64::MAX - 10);
+        past.extend_from_slice(&good[5..]);
+        assert!(err(&past).contains("does not increase"));
+        // Keys past `i32`: the first, or stepped off the end.
+        let mut first = good[..good.len() - 3].to_vec();
+        put_uv(&mut first, zigzag(i64::from(i32::MAX) + 1));
+        first.push(1);
+        assert!(err(&first).contains("past i32"));
+        let mut stepped = good[..good.len() - 4].to_vec();
+        stepped.push(8);
+        put_uv(&mut stepped, zigzag(i64::from(i32::MAX) - 1));
+        stepped.extend_from_slice(&[1, 5, 1]);
+        assert!(err(&stepped).contains("past i32"));
+        // A scalar wider than 64 bits: lead 5, kept 4.
+        let mut wide = good;
+        wide[6] = 0x54;
+        assert!(err(&wide).contains("wider than 64 bits"));
+        // An id past `u32`, and bytes after the last bucket.
+        let mut id = Vec::new();
+        put_uv(&mut id, u64::from(u32::MAX) + 1);
+        id.extend_from_slice(&good[1..]);
+        assert!(err(&id).contains("past u32"));
+        assert!(err(&[&good[..], &[0]].concat()).contains("trailing"));
     }
 
     #[test]
@@ -2987,6 +3790,28 @@ mod tests {
         let swept = decode_batch_with(&sweep(MAX_BATCH_RECORDS), &mut ValueState::new()).unwrap();
         assert_eq!(swept.0.records.len(), MAX_BATCH_RECORDS);
         let e = BatchView::parse(&sweep(MAX_BATCH_RECORDS + 1)).unwrap_err();
+        assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
+        // Two-byte sketch entries: one bucket whose column is the rest
+        // of a `bucket_run`, each entry a record.
+        let bucket_run = |entries: usize| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 1);
+            buf.push(REC_BUCKET_RUN);
+            put_block(&mut buf, |out| {
+                // Id 0, res 1, one bucket: start 0, count 1, scalars 0.
+                out.extend_from_slice(&[0, 1, 1, 0, 1, 0, 0, 0, 0]);
+                put_uv(out, (entries as u64) << 2);
+                for _ in 0..entries {
+                    out.extend_from_slice(&[0, 1]);
+                }
+            });
+            buf
+        };
+        let at_bound = bucket_run(MAX_BATCH_RECORDS - 1);
+        let view = BatchView::parse(&at_bound).unwrap();
+        assert_eq!(view.record_count(), MAX_BATCH_RECORDS);
+        let e = BatchView::parse(&bucket_run(MAX_BATCH_RECORDS)).unwrap_err();
         assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
         for over in [
             batch(&[MAX_BATCH_RECORDS + 1], false),

@@ -1665,6 +1665,202 @@ fn swept_records() -> impl Strategy<Value = Vec<ExportRecord>> {
         })
 }
 
+/// [`swept_records`] with runs of sealed buckets spliced in: one ring's
+/// one to five buckets, each followed by its sketch column — what a 1.5
+/// writer writes as one `bucket_run` record. Resolutions are 0, 1000 or
+/// any; starts step by the resolution, by twice it, by any step (0
+/// included, so a start repeats) or wrap past `u64` (so a start falls);
+/// scalars are quarter steps or raw bits; a column is in the sketch's
+/// own order, its keys near 0, anywhere in `i32` or at its ends. About
+/// half the runs are broken the ways that keep a group out of a run: a
+/// count-0 bucket, two entries swapped or one repeated, a zero entry
+/// with a key, a sign outside −1..=1, an orphan entry keyed to no
+/// bucket after a group.
+fn bucketed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
+    (
+        swept_records(),
+        prop::collection::vec(
+            (
+                (0usize..1000, 1usize..6, 0u32..64, (0u8..3, any::<u64>())),
+                (any::<u64>(), 0u8..4, any::<u64>()),
+                (0u8..2, any::<u64>()),
+                prop::collection::vec((-1i8..2, 0u8..3, any::<i32>(), 0u64..1000), 0..8),
+                (0u8..10, 0usize..1000),
+            ),
+            0..4,
+        ),
+    )
+        .prop_map(|(mut records, runs)| {
+            for (
+                (at, n, id, (res_sel, res_raw)),
+                (start0, step_sel, step_raw),
+                (v_sel, v_raw),
+                draws,
+                (broken, where_),
+            ) in runs
+            {
+                let (id, res) = (MetricId(id), res_raw % 5_000 + 1);
+                let res = match res_sel {
+                    0 => 0,
+                    1 => 1_000,
+                    _ => res,
+                };
+                let mut column: Vec<SketchEntry> = draws
+                    .iter()
+                    .map(|&(sign, key_mode, key, count)| SketchEntry {
+                        sign,
+                        key: match (sign, key_mode) {
+                            (0, _) => 0,
+                            (_, 0) => key % 50,
+                            (_, 1) => key,
+                            _ => [i32::MIN, i32::MIN + 1, i32::MAX - 1, i32::MAX][key as usize % 4],
+                        },
+                        count,
+                    })
+                    .collect();
+                column.sort_by_key(|e| (e.sign, e.key));
+                column.dedup_by_key(|e| (e.sign, e.key));
+                let mut run = Vec::new();
+                let mut start = start0;
+                for k in 0..n {
+                    if k > 0 {
+                        start = start.wrapping_add(match step_sel {
+                            0 => res,
+                            1 => 2 * res,
+                            2 => step_raw % 10_000,
+                            _ => step_raw,
+                        });
+                    }
+                    let value = |i: u64| match v_sel {
+                        0 => (100.0 + ((v_raw >> (i % 60)) % 9) as f64 * 0.25).to_bits(),
+                        _ => v_raw.rotate_left(i as u32),
+                    };
+                    let k64 = k as u64 * 4;
+                    let [sum, min, max, last] =
+                        [0, 1, 2, 3].map(|i| f64::from_bits(value(k64 + i)));
+                    run.push(ExportRecord::Bucket {
+                        id,
+                        res: SimDuration(res),
+                        start: SimTime(start),
+                        count: 1 + (v_raw >> k) % 64,
+                        sum,
+                        min,
+                        max,
+                        last,
+                    });
+                    run.extend(column.iter().map(|&entry| ExportRecord::Sketch {
+                        id,
+                        res: SimDuration(res),
+                        start: SimTime(start),
+                        entry,
+                    }));
+                }
+                let at_run = run.len() * where_ / 1000;
+                match broken {
+                    0 => {
+                        let at_bucket = (0..=at_run)
+                            .rev()
+                            .find(|&i| matches!(run[i], ExportRecord::Bucket { .. }));
+                        if let Some(ExportRecord::Bucket { count, .. }) =
+                            at_bucket.map(|i| &mut run[i])
+                        {
+                            *count = 0;
+                        }
+                    }
+                    1 if at_run + 1 < run.len() => run.swap(at_run, at_run + 1),
+                    2 => {
+                        let again = run[at_run].clone();
+                        run.insert(at_run + 1, again);
+                    }
+                    3 | 4 => {
+                        let (sign, key) = if broken == 3 { (0, 7) } else { (2, 7) };
+                        let (ExportRecord::Bucket { start, .. }
+                        | ExportRecord::Sketch { start, .. }) = run[at_run]
+                        else {
+                            unreachable!("a run holds buckets and columns")
+                        };
+                        run.insert(
+                            at_run + 1,
+                            ExportRecord::Sketch {
+                                id,
+                                res: SimDuration(res),
+                                start,
+                                entry: SketchEntry {
+                                    sign,
+                                    key,
+                                    count: 1,
+                                },
+                            },
+                        );
+                    }
+                    5 => run.insert(
+                        at_run + 1,
+                        ExportRecord::Sketch {
+                            id,
+                            res: SimDuration(res),
+                            start: SimTime(start0.wrapping_sub(1)),
+                            entry: SketchEntry {
+                                sign: 1,
+                                key: 3,
+                                count: 1,
+                            },
+                        },
+                    ),
+                    _ => {}
+                }
+                let at = records.len() * at / 1000;
+                records.splice(at..at, run);
+            }
+            records
+        })
+}
+
+/// The 1.5 writer's canonical rule, written out again: how many records
+/// at the head of `records` one `bucket_run` holds (0: none).
+fn bucket_run_records(records: &[ExportRecord]) -> usize {
+    let mut len = 0;
+    let mut last: Option<(u32, u64, u64)> = None;
+    while let Some(&ExportRecord::Bucket {
+        id,
+        res,
+        start,
+        count,
+        ..
+    }) = records.get(len)
+    {
+        if count == 0 || last.is_some_and(|(i, r, s)| (i, r) != (id.0, res.0) || s >= start.0) {
+            break;
+        }
+        let column: Vec<SketchEntry> = records[len + 1..]
+            .iter()
+            .map_while(|r| match *r {
+                ExportRecord::Sketch {
+                    id: i,
+                    res: rr,
+                    start: s,
+                    entry,
+                } if (i, rr, s) == (id, res, start) => Some(entry),
+                _ => None,
+            })
+            .collect();
+        let ranks: Option<Vec<(u8, i32)>> = column
+            .iter()
+            .map(|e| match (e.sign, e.key) {
+                (-1, k) => Some((0, k)),
+                (0, 0) => Some((1, 0)),
+                (1, k) => Some((2, k)),
+                _ => None,
+            })
+            .collect();
+        if !ranks.is_some_and(|r| r.windows(2).all(|w| w[0] < w[1])) {
+            break;
+        }
+        last = Some((id.0, res.0, start.0));
+        len += 1 + column.len();
+    }
+    len
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1731,11 +1927,12 @@ use std::io;
 /// record it read.
 type Decoded = (u64, io::Result<Vec<ExportRecord>>, u64, bool);
 
-/// Record kinds the reference reads, newest first: a reader of 1.4
-/// reads kind 7, of 1.3 kinds up to 6, of 1.2 up to 5.
+/// Record kinds the reference reads, newest first: a reader of 1.5
+/// reads kind 8, of 1.4 kinds up to 7, of 1.3 up to 6, of 1.2 up to 5.
 const READS_1_2: u8 = 5;
 const READS_1_3: u8 = 6;
 const READS_1_4: u8 = 7;
+const READS_1_5: u8 = 8;
 
 /// The materialising batch decoder as it stood before `BatchView`
 /// became the only parser — kept here, sharing nothing with the view
@@ -1745,7 +1942,9 @@ const READS_1_4: u8 = 7;
 /// (a map; ids from `MAX_VALUE_IDS` on keep none) that every value of a
 /// `samples_delta` record lands in; and the `sweep` kind of 1.4: ids and
 /// times as two progressions in its header, the value codes in a column
-/// of nibbles. As a reader of an older revision (`newest` the newest kind
+/// of nibbles; and the `bucket_run` kind of 1.5: one ring's buckets, each
+/// start, scalar and sketch key coded against the one before it. As a
+/// reader of an older revision (`newest` the newest kind
 /// it knows) it is that revision's decoder verbatim, to which the later
 /// kinds are kinds from the future.
 fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
@@ -1894,6 +2093,108 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
         }
         Ok(())
     }
+    fn bucket_run(payload: &[u8], room: usize, records: &mut Vec<ExportRecord>) -> io::Result<()> {
+        /// One sign's run of `n` keys and counts: the first key
+        /// zigzagged, each later one its distance past the one before,
+        /// less one; every key within `i32`.
+        fn sign_run(
+            r: &mut WireReader<'_>,
+            sign: i8,
+            n: u64,
+            entries: &mut Vec<SketchEntry>,
+        ) -> io::Result<()> {
+            let mut key: Option<i128> = None;
+            for _ in 0..n {
+                let code = r.uv()?;
+                let next = match key {
+                    None => i128::from(unzigzag(code)),
+                    Some(key) => key + 1 + i128::from(code),
+                };
+                let key_32 = i32::try_from(next).map_err(|_| bad_data("key past i32"))?;
+                entries.push(SketchEntry {
+                    sign,
+                    key: key_32,
+                    count: r.uv()?,
+                });
+                key = Some(next);
+            }
+            Ok(())
+        }
+        let mut r = WireReader::new(payload);
+        let id = MetricId(u32::try_from(r.uv()?).map_err(|_| bad_data("id past u32"))?);
+        let res = r.uv()?;
+        let count = r.uv()?;
+        // A bucket is seven bytes at least.
+        if count > r.remaining() as u64 / 7 {
+            return Err(bad_data("bucket run count exceeds its payload"));
+        }
+        let before = records.len();
+        let (mut start, mut bits) = (0u64, [0u64; 4]);
+        for i in 0..count {
+            let code = r.uv()?;
+            start = match (i, code) {
+                (0, _) => code,
+                (_, 0) if res > 0 => start
+                    .checked_add(res)
+                    .ok_or_else(|| bad_data("start overflows"))?,
+                (_, 0) => return Err(bad_data("start repeats")),
+                _ => start
+                    .checked_add(code)
+                    .ok_or_else(|| bad_data("start overflows"))?,
+            };
+            let count = r.uv()?;
+            for b in &mut bits {
+                let control = r.u8()?;
+                let (lead, kept) = (usize::from(control >> 4), usize::from(control & 0x0F));
+                if lead + kept > 8 {
+                    return Err(bad_data("scalar wider than 64 bits"));
+                }
+                let mut be = [0u8; 8];
+                be[lead..lead + kept].copy_from_slice(r.take(kept)?);
+                *b ^= u64::from_be_bytes(be);
+            }
+            let [sum, min, max, last] = bits.map(f64::from_bits);
+            let (res, start) = (SimDuration(res), SimTime(start));
+            records.push(ExportRecord::Bucket {
+                id,
+                res,
+                start,
+                count,
+                sum,
+                min,
+                max,
+                last,
+            });
+            let shape = r.uv()?;
+            let negatives = match shape & 1 {
+                1 => r.uv()?.saturating_add(1),
+                _ => 0,
+            };
+            let mut column = Vec::new();
+            sign_run(&mut r, -1, negatives, &mut column)?;
+            if shape & 2 != 0 {
+                column.push(SketchEntry {
+                    sign: 0,
+                    key: 0,
+                    count: r.uv()?,
+                });
+            }
+            sign_run(&mut r, 1, shape >> 2, &mut column)?;
+            records.extend(column.into_iter().map(|entry| ExportRecord::Sketch {
+                id,
+                res,
+                start,
+                entry,
+            }));
+        }
+        if records.len() - before > room {
+            return Err(bad_data("batch expands past MAX_BATCH_RECORDS"));
+        }
+        if !r.done() {
+            return Err(bad_data("trailing bytes in bucket run payload"));
+        }
+        Ok(())
+    }
     fn record(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
         let mut r = WireReader::new(payload);
         let record = match tag {
@@ -1957,10 +2258,11 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
             5 => samples(payload, room, false, &mut stream, &mut records)?,
             6 => samples(payload, room, true, &mut stream, &mut records)?,
             7 => sweep(payload, room, &mut stream, &mut records)?,
+            8 => bucket_run(payload, room, &mut records)?,
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             _ => records.push(record(tag, payload)?),
         }
-        delta |= (6..=newest).contains(&tag);
+        delta |= (6..=7).contains(&tag) && tag <= newest;
     }
     if !r.done() {
         return Err(bad_data("trailing bytes after batch records"));
@@ -2023,6 +2325,33 @@ fn lent_records(view: &BatchView<'_>, state: &mut ValueState) -> Vec<ExportRecor
                 max,
                 last,
             }),
+            RecordRef::BucketRun(mut run) => {
+                let (id, res, declared) = (run.id(), run.res(), run.len());
+                let mut column = Vec::new();
+                let mut buckets = 0;
+                while let Some(b) = run.next_bucket(&mut column) {
+                    buckets += 1;
+                    out.push(ExportRecord::Bucket {
+                        id,
+                        res,
+                        start: b.start,
+                        count: b.count,
+                        sum: b.sum,
+                        min: b.min,
+                        max: b.max,
+                        last: b.last,
+                    });
+                    for &entry in &column {
+                        out.push(ExportRecord::Sketch {
+                            id,
+                            res,
+                            start: b.start,
+                            entry,
+                        });
+                    }
+                }
+                assert_eq!(buckets, declared);
+            }
             RecordRef::Sketch {
                 id,
                 res,
@@ -2062,7 +2391,7 @@ fn lent_records(view: &BatchView<'_>, state: &mut ValueState) -> Vec<ExportRecor
 /// read leaves the state empty.
 fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
     let view = BatchView::parse(bytes);
-    let reference = reference_decode(bytes, READS_1_4);
+    let reference = reference_decode(bytes, READS_1_5);
     prop_assert_eq!(
         view.is_ok(),
         reference.is_ok(),
@@ -2112,12 +2441,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// One parser, one meaning. For batches of all five kinds, sweeps
-    /// among them, cut into segments rendered any of four ways (v1.1
-    /// records, packed runs, and runs coded against a state kept from the
-    /// batch's start by a 1.4 writer — `sweep` and `samples_delta`
-    /// records — or a 1.3 one), with unknown-kind records and hostile
-    /// `samples`, `samples_delta` and `sweep` records (any declared count
-    /// over any bytes) spliced between the segments — and for arbitrary byte mutations and truncations of
+    /// and bucket runs among them, cut into segments rendered any of five
+    /// ways (v1.1 records, packed runs, and runs coded against a state
+    /// kept from the batch's start by a 1.5 writer — `bucket_run`,
+    /// `sweep` and `samples_delta` records, orphan and out-of-order
+    /// columns left as kinds 2 and 3 — a 1.4 or a 1.3 one), with
+    /// unknown-kind records and hostile `samples`, `samples_delta`,
+    /// `sweep` and `bucket_run` records (any leading field over any
+    /// bytes) spliced between the segments — and for arbitrary byte mutations and truncations of
     /// those encodings — the view accepts exactly what the materialising
     /// decoder accepted and lends exactly the records it built: NaN
     /// payloads, −0.0, reserved control codes and shapes, ids past `u32`,
@@ -2125,9 +2456,9 @@ proptest! {
     #[test]
     fn batch_view_means_what_the_materialising_decoder_meant(
         seq in any::<u64>(),
-        records in swept_records(),
-        cuts in prop::collection::vec((0usize..1000, 0u8..4, 0u8..5), 0..6),
-        foreign in prop::collection::vec((8u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
+        records in bucketed_records(),
+        cuts in prop::collection::vec((0usize..1000, 0u8..5, 0u8..6), 0..6),
+        foreign in prop::collection::vec((9u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
         hostile in prop::collection::vec(
             (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
             6..7,
@@ -2155,6 +2486,7 @@ proptest! {
                 0 => rendered = render_v1_1(&segment),
                 1 => encode_batch(&segment, &mut rendered),
                 2 => encode_batch_with(&segment, &mut writer, &mut rendered),
+                3 => encode_batch_as(&segment, Coding::Sweeps, &mut writer, &mut rendered),
                 _ => encode_batch_as(&segment, Coding::Deltas, &mut writer, &mut rendered),
             }
             wire_records += u32::from_le_bytes(rendered[8..12].try_into().unwrap());
@@ -2162,9 +2494,9 @@ proptest! {
             let (tag, payload) = match splice {
                 // A kind no revision defines: length-skipped and counted.
                 1 => (foreign[k % 6].0 as u8, foreign[k % 6].1.clone()),
-                // A `samples`, `samples_delta` or `sweep` record written
-                // by nobody's encoder.
-                2..=4 => {
+                // A `samples`, `samples_delta`, `sweep` or `bucket_run`
+                // record written by nobody's encoder.
+                2..=5 => {
                     let (count, shrink, bytes) = &hostile[k % 6];
                     let mut payload = Vec::new();
                     // Mostly plausible counts, sometimes absurd ones.
@@ -2281,8 +2613,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A stream of batches whose runs are coded against the stream —
-    /// `sweep` and `samples_delta` runs from a 1.4 writer, or the same
-    /// batch's runs all `samples_delta` from a 1.3 one, batch by batch —
+    /// `bucket_run`, `sweep` and `samples_delta` runs from a 1.5 writer,
+    /// the last two from a 1.4 one, or the same batch's sample runs all
+    /// `samples_delta` from a 1.3 one, batch by batch —
     /// reads back bit for bit by a reader that keeps its own state from
     /// the same empty start, the two states equal after every batch —
     /// repeats, NaN payloads, ids past the state bound and all. What a
@@ -2293,20 +2626,20 @@ proptest! {
     /// gives back each state it was written against.
     #[test]
     fn delta_streams_read_back_bit_for_bit_and_unwind(
-        records in swept_records(),
-        cuts in prop::collection::vec((0usize..1000, any::<bool>()), 1..6),
+        records in bucketed_records(),
+        cuts in prop::collection::vec((0usize..1000, 0u8..3), 1..6),
     ) {
-        let mut bounds: Vec<(usize, bool)> =
-            cuts.iter().map(|&(at, v1_3)| (records.len() * at / 1000, v1_3)).collect();
+        let mut bounds: Vec<(usize, u8)> =
+            cuts.iter().map(|&(at, revision)| (records.len() * at / 1000, revision)).collect();
         bounds.sort_unstable();
-        bounds.push((records.len(), false));
+        bounds.push((records.len(), 0));
         let (mut writer, mut reader) = (ValueState::new(), ValueState::new());
         let (mut written, mut states) = (Vec::new(), vec![ValueState::new()]);
         let mut from = 0;
-        for (seq, &(to, v1_3)) in bounds.iter().enumerate() {
+        for (seq, &(to, revision)) in bounds.iter().enumerate() {
             let batch = ExportBatch { seq: seq as u64, records: records[from..to].to_vec() };
             from = to;
-            let coding = if v1_3 { Coding::Deltas } else { Coding::Sweeps };
+            let coding = [Coding::Buckets, Coding::Sweeps, Coding::Deltas][usize::from(revision)];
             let mut bytes = Vec::new();
             encode_batch_as(&batch, coding, &mut writer, &mut bytes);
             let (back, unknown) = decode_batch_with(&bytes, &mut reader).unwrap();
@@ -2330,50 +2663,72 @@ proptest! {
         }
     }
 
-    /// Older readers stay in sync with a 1.4 stream. A 1.2 reader
-    /// length-skips each `samples_delta` and `sweep` record, counts it as
-    /// unknown, and reads every other record as the 1.4 reader does. A
-    /// 1.3 reader length-skips and counts each `sweep` record — one for
-    /// each run that is a single progression of at least two samples,
-    /// the writer's canonical rule — and reads the rest.
+    /// Older readers stay in sync with a 1.5 stream. A 1.2 reader
+    /// length-skips each `samples_delta`, `sweep` and `bucket_run`
+    /// record, counts it as unknown, and reads every other record as the
+    /// 1.5 reader does. A 1.3 reader length-skips and counts each `sweep`
+    /// record — one for each run that is a single progression of at least
+    /// two samples, the writer's canonical rule — and each `bucket_run`.
+    /// A 1.4 reader length-skips and counts exactly the runs of bucket
+    /// groups the 1.5 canonical rule makes `bucket_run` records, and
+    /// reads every other record — orphan, out-of-order and count-0
+    /// bucket records among them — as the 1.5 reader does.
     #[test]
     fn a_1_2_reader_length_skips_samples_delta_and_counts_it(
         seq in any::<u64>(),
-        records in swept_records(),
+        records in bucketed_records(),
     ) {
         let batch = ExportBatch { seq, records };
         let mut bytes = Vec::new();
         encode_batch_with(&batch, &mut ValueState::new(), &mut bytes);
         let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
-        let (mut runs, mut sweeps) = (0u64, 0u64);
-        for run in batch.records.chunk_by(|a, b| is_sample(a) && is_sample(b)) {
-            let ids_times: Vec<(u32, u64)> = run
-                .iter()
-                .filter_map(|r| match *r {
-                    ExportRecord::Sample { id, t, .. } => Some((id.0, t.0)),
-                    _ => None,
-                })
-                .collect();
-            if ids_times.is_empty() {
+        let (mut runs, mut sweeps, mut bucket_runs) = (0u64, 0u64, 0u64);
+        // What a reader that skips `bucket_run` records reads, and what
+        // one that skips sample runs too reads.
+        let (mut unbucketed, mut others) = (Vec::new(), Vec::new());
+        let mut rest = &batch.records[..];
+        while !rest.is_empty() {
+            let samples = rest.iter().take_while(|r| is_sample(r)).count();
+            if samples > 0 {
+                let ids_times: Vec<(u32, u64)> = rest[..samples]
+                    .iter()
+                    .filter_map(|r| match *r {
+                        ExportRecord::Sample { id, t, .. } => Some((id.0, t.0)),
+                        _ => None,
+                    })
+                    .collect();
+                runs += 1;
+                let progression = ids_times.len() >= 2 && ids_times.windows(3).all(|w| {
+                    w[1].0.checked_sub(w[0].0).is_some()
+                        && w[2].0.checked_sub(w[1].0) == w[1].0.checked_sub(w[0].0)
+                        && w[2].1.wrapping_sub(w[1].1) == w[1].1.wrapping_sub(w[0].1)
+                }) && ids_times[1].0 >= ids_times[0].0;
+                sweeps += u64::from(progression);
+                unbucketed.extend_from_slice(&rest[..samples]);
+                rest = &rest[samples..];
                 continue;
             }
-            runs += 1;
-            let progression = ids_times.len() >= 2 && ids_times.windows(3).all(|w| {
-                w[1].0.checked_sub(w[0].0).is_some()
-                    && w[2].0.checked_sub(w[1].0) == w[1].0.checked_sub(w[0].0)
-                    && w[2].1.wrapping_sub(w[1].1) == w[1].1.wrapping_sub(w[0].1)
-            }) && ids_times[1].0 >= ids_times[0].0;
-            sweeps += u64::from(progression);
+            let bucketed = bucket_run_records(rest);
+            if bucketed > 0 {
+                bucket_runs += 1;
+                rest = &rest[bucketed..];
+                continue;
+            }
+            unbucketed.push(rest[0].clone());
+            others.push(rest[0].clone());
+            rest = &rest[1..];
         }
         let (got_seq, kept, unknown, delta) = reference_decode(&bytes, READS_1_2).unwrap();
-        prop_assert_eq!((got_seq, unknown, delta), (seq, runs, false));
-        let others: Vec<ExportRecord> =
-            batch.records.iter().filter(|r| !is_sample(r)).cloned().collect();
+        prop_assert_eq!((got_seq, unknown, delta), (seq, runs + bucket_runs, false));
         let kept = ExportBatch { seq, records: kept.unwrap() };
         prop_assert_eq!(render_v1_1(&kept), render_v1_1(&ExportBatch { seq, records: others }));
         let (got_seq, _, unknown, delta) = reference_decode(&bytes, READS_1_3).unwrap();
-        prop_assert_eq!((got_seq, unknown, delta), (seq, sweeps, runs > sweeps));
+        prop_assert_eq!((got_seq, unknown, delta), (seq, sweeps + bucket_runs, runs > sweeps));
         let (_, read, unknown, _) = reference_decode(&bytes, READS_1_4).unwrap();
+        prop_assert_eq!(unknown, bucket_runs);
+        let read = ExportBatch { seq, records: read.unwrap() };
+        prop_assert_eq!(render_v1_1(&read), render_v1_1(&ExportBatch { seq, records: unbucketed }));
+        let (_, read, unknown, _) = reference_decode(&bytes, READS_1_5).unwrap();
         prop_assert_eq!(unknown, 0);
         prop_assert_eq!(render_v1_1(&ExportBatch { seq, records: read.unwrap() }), render_v1_1(&batch));
     }

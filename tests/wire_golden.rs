@@ -2,7 +2,7 @@
 //! the *current* readers must decode, record for record. This is the
 //! test behind the `wire-compat` CI job.
 //!
-//! Three datasets:
+//! The datasets:
 //!
 //! * `tests/golden/export_wire_v1_1.bin` — the **read-compat** golden:
 //!   the ingest stream as an `export-wire-v1.1` writer rendered it (one
@@ -28,8 +28,12 @@
 //! * `tests/golden/export_wire_v1_4.bin` — the **read+write** golden of
 //!   spec revision 1.4: the same stream from a 1.4 writer, each run whose
 //!   ids and times are progressions a `sweep` record, any other a
-//!   `samples_delta` record. The same checks, and the smallest of the
-//!   four;
+//!   `samples_delta` record, its buckets as `bucket` and `sketch`
+//!   records — the writer a sink uses for a 1.4 fleet. The same checks;
+//! * `tests/golden/export_wire_v1_5.bin` — the **read+write** golden of
+//!   spec revision 1.5: the same stream from a 1.5 writer, each run of a
+//!   ring's sealed buckets and their sketch columns a `bucket_run`
+//!   record. The same checks, and the smallest of the five;
 //! * `tests/golden/query_wire_v1.bin` — a recorded query-protocol v1
 //!   exchange (see `docs/FLEET_SERVICE.md`, query protocol): one
 //!   `QUERY`/`QUERY_RESP` frame pair per request kind over a
@@ -62,12 +66,17 @@ const GOLDEN_V1_1_PATH: &str = "tests/golden/export_wire_v1_1.bin";
 const GOLDEN_V1_2_PATH: &str = "tests/golden/export_wire_v1_2.bin";
 const GOLDEN_V1_3_PATH: &str = "tests/golden/export_wire_v1_3.bin";
 const GOLDEN_V1_4_PATH: &str = "tests/golden/export_wire_v1_4.bin";
+const GOLDEN_V1_5_PATH: &str = "tests/golden/export_wire_v1_5.bin";
 const QUERY_GOLDEN_PATH: &str = "tests/golden/query_wire_v1.bin";
 /// Frame tag carrying one encoded batch (the transport's `BATCH`).
 const TAG_BATCH: u8 = 3;
-/// The v1.1 per-observation kind, the v1.2 packed-run kind, the 1.3
-/// delta-run kind and the 1.4 sweep kind.
+/// The v1.1 per-observation, bucket and sketch kinds, the v1.2
+/// packed-run kind, the 1.3 delta-run kind, the 1.4 sweep kind and the
+/// 1.5 bucket-run kind.
 const KIND_SAMPLE: u8 = 1;
+const KIND_BUCKET: u8 = 2;
+const KIND_SKETCH: u8 = 3;
+const KIND_BUCKET_RUN: u8 = 8;
 const KIND_SAMPLES: u8 = 5;
 const KIND_SAMPLES_DELTA: u8 = 6;
 const KIND_SWEEP: u8 = 7;
@@ -131,7 +140,12 @@ fn sweep_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
     stream_writer(Coding::Sweeps)
 }
 
-/// The reader of one 1.3 or 1.4 stream, keeping its own value state.
+/// The 1.5 writer of one stream.
+fn bucket_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
+    stream_writer(Coding::Buckets)
+}
+
+/// The reader of one 1.3, 1.4 or 1.5 stream, keeping its own value state.
 fn delta_reader() -> impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)> {
     let mut state = ValueState::new();
     move |bytes| decode_batch_with(bytes, &mut state)
@@ -328,10 +342,30 @@ fn golden_v1_4_stream_decodes_and_reencodes_bit_identically() {
         kinds.contains(&KIND_SWEEP),
         "the stream carries `sweep` records"
     );
-    // The smallest rendering of the four.
+    // Its buckets as a 1.4 reader reads them: no `bucket_run`.
+    assert!(kinds.contains(&KIND_BUCKET) && kinds.contains(&KIND_SKETCH));
+    assert!(!kinds.contains(&KIND_BUCKET_RUN));
     let v1_3 = golden_bytes(delta_writer()).len();
     let v1_4 = golden_bytes(sweep_writer()).len();
     assert!(v1_4 < v1_3, "v1.4 {v1_4} B vs v1.3 {v1_3} B");
+}
+
+#[test]
+fn golden_v1_5_stream_decodes_and_reencodes_bit_identically() {
+    let frames = committed_frames(GOLDEN_V1_5_PATH, bucket_writer);
+    let kinds = assert_stream_reencodes(&frames, bucket_writer());
+    assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
+    assert!(kinds.contains(&KIND_SWEEP));
+    // Every sealed bucket in a run, with its column.
+    assert!(
+        kinds.contains(&KIND_BUCKET_RUN),
+        "the stream carries `bucket_run` records"
+    );
+    assert!(!kinds.contains(&KIND_BUCKET) && !kinds.contains(&KIND_SKETCH));
+    // The smallest rendering of the five.
+    let v1_4 = golden_bytes(sweep_writer()).len();
+    let v1_5 = golden_bytes(bucket_writer()).len();
+    assert!(v1_5 < v1_4, "v1.5 {v1_5} B vs v1.4 {v1_4} B");
 }
 
 /// A stateful revision's golden: its frames decode, with a reader state

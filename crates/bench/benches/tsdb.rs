@@ -361,7 +361,8 @@ impl moda_telemetry::export::Sink for EncodeSink {
 fn bench_wire_batch(c: &mut Criterion) {
     use moda_telemetry::export::{ExportBatch, ExportRecord, Exporter, MemorySink};
     use moda_telemetry::wire::{
-        decode_batch, encode_batch, encode_batch_as, BatchView, Coding, RecordRef, ValueState,
+        decode_batch, encode_batch, encode_batch_as, BatchHeader, BatchView, Coding, RecordRef,
+        ValueState,
     };
     let (mut db, sweep) = sweep_store(64);
     let mut exporter = Exporter::new();
@@ -388,7 +389,7 @@ fn bench_wire_batch(c: &mut Criterion) {
     });
     g.bench_function("view_sweep64", |b| {
         b.iter(|| {
-            let view = BatchView::parse(black_box(&wire)).unwrap();
+            let view = BatchView::parse(black_box(&wire), BatchHeader::Fixed).unwrap();
             let mut folded = 0u64;
             for record in view.records() {
                 if let RecordRef::Samples(run) = record {
@@ -421,7 +422,8 @@ fn bench_wire_batch(c: &mut Criterion) {
             .collect(),
     };
     // Two sweeps taking turns: each coded against the other's values,
-    // as 1.3 `samples_delta` runs and as 1.4 `sweep` runs.
+    // as 1.3 `samples_delta` runs, as 1.4 `sweep` runs, and as 1.6
+    // `sweep` runs, whose batch header and record length are varints.
     let sweeps = [&batch, &next];
     for (coding, encode_name, view_name) in [
         (Coding::Deltas, "encode_delta_sweep64", "view_delta_sweep64"),
@@ -429,6 +431,11 @@ fn bench_wire_batch(c: &mut Criterion) {
             Coding::Sweeps,
             "encode_sweep_packed64",
             "view_sweep_packed64",
+        ),
+        (
+            Coding::Varints,
+            "encode_sweep_packed64_1_6",
+            "view_sweep_packed64_1_6",
         ),
     ] {
         let mut writer = ValueState::new();
@@ -455,7 +462,7 @@ fn bench_wire_batch(c: &mut Criterion) {
             let wires = [&next_wire, &batch_wire];
             let mut turn = 0;
             b.iter(|| {
-                let view = BatchView::parse(black_box(wires[turn])).unwrap();
+                let view = BatchView::parse(black_box(wires[turn]), coding.header()).unwrap();
                 view.check_values(&mut reader).unwrap();
                 let mut folded = 0u64;
                 for record in view.records() {
@@ -525,7 +532,7 @@ fn bench_bucket_runs(g: &mut criterion::BenchmarkGroup<'_>) {
         g.bench_function(view_name, |b| {
             let mut column = Vec::new();
             b.iter(|| {
-                let view = BatchView::parse(black_box(&wire)).unwrap();
+                let view = BatchView::parse(black_box(&wire), coding.header()).unwrap();
                 let mut folded = 0u64;
                 for record in view.records() {
                     match record {
@@ -671,6 +678,7 @@ fn bench_fleet(c: &mut Criterion) {
     // gate pins the machine-independent ratio (>= 10x).
     use criterion::BatchSize;
     use moda_fleet::{DurabilityConfig, DurableFleet, FleetListener, FleetStore, SocketSink};
+    use moda_telemetry::wire::BatchHeader;
     use std::sync::Mutex;
     const RNODES: u32 = 2;
     const HISTORY_S: u64 = 2 * DAY_S;
@@ -835,7 +843,7 @@ fn bench_fleet(c: &mut Criterion) {
         // The registry batch, so the timed sweeps are all samples.
         let mut warm = fleet.burst();
         for wire in stage(1) {
-            warm.batch(node, &wire).unwrap();
+            warm.batch(node, BatchHeader::Fixed, &wire).unwrap();
         }
         warm.commit().unwrap();
         g.throughput(Throughput::Elements(64 * 64));
@@ -847,7 +855,7 @@ fn bench_fleet(c: &mut Criterion) {
                         for burst_wires in wires.chunks(burst_len) {
                             let mut burst = fleet.burst();
                             for wire in burst_wires {
-                                black_box(burst.batch(node, wire).unwrap());
+                                black_box(burst.batch(node, BatchHeader::Fixed, wire).unwrap());
                             }
                             burst.commit().unwrap();
                         }

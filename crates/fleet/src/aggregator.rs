@@ -10,7 +10,11 @@
 //!   (`seq > next`) is accepted and the gap counted;
 //! * **registry mapping** — `meta` records bind node-local wire ids to
 //!   fleet metrics (`node/name`); data records arriving before their
-//!   meta are dropped and counted (`unmapped_records`);
+//!   meta are dropped and counted (`unmapped_records`), and so are tier
+//!   records of resolution 0, which map to no ring (the wire refuses
+//!   them; only an owned
+//!   [`ExportRecord`](moda_telemetry::export::ExportRecord) can carry
+//!   one this far);
 //! * **column framing** — a `sketch` column must follow its bucket (or
 //!   a sibling column) within the batch, per the wire spec; orphans are
 //!   dropped and counted rather than absorbed into the wrong slot. A
@@ -82,7 +86,9 @@ pub struct NodeCounters {
     /// Sketch columns dropped for violating the follows-its-bucket
     /// framing rule.
     pub orphan_sketches: u64,
-    /// Data records dropped because no `meta` had mapped their wire id.
+    /// Data records dropped because no `meta` had mapped their wire id,
+    /// or — a `bucket` or `sketch` record handed over in process — because
+    /// their tier resolution is 0, which no ring has.
     pub unmapped_records: u64,
 }
 
@@ -607,7 +613,8 @@ impl FleetAggregator {
                     max,
                     last,
                 } => {
-                    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
+                    let ring = session.wire_map.get(id.index()).copied().flatten();
+                    let Some(fleet_id) = ring.filter(|_| res.0 > 0) else {
                         open_bucket = None;
                         session.counters.unmapped_records += 1;
                         continue;
@@ -668,7 +675,8 @@ impl FleetAggregator {
                     start,
                     entry,
                 } => {
-                    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
+                    let ring = session.wire_map.get(id.index()).copied().flatten();
+                    let Some(fleet_id) = ring.filter(|_| res.0 > 0) else {
                         session.counters.unmapped_records += 1;
                         continue;
                     };
@@ -1224,17 +1232,73 @@ mod tests {
         );
     }
 
+    /// An owned `bucket` or `sketch` record of resolution 0 — which the
+    /// wire refuses, so only an in-process caller can hand one over — is
+    /// dropped and counted as unmapped: no ring is made for it, and the
+    /// fleet takes the batch after it as ever.
+    #[test]
+    fn an_owned_tier_record_of_resolution_0_is_dropped_and_counted() {
+        let mut agg = FleetAggregator::new();
+        let n = agg.add_node("node00");
+        let mut sk = QuantileSketch::new();
+        sk.fold(5.0);
+        let entry = sk.wire_entries().next().unwrap();
+        let zero = SimDuration(0);
+        let batch = ExportBatch {
+            seq: 0,
+            records: vec![
+                ExportRecord::Meta {
+                    id: MetricId(0),
+                    meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+                },
+                ExportRecord::Bucket {
+                    id: MetricId(0),
+                    res: zero,
+                    start: SimTime::ZERO,
+                    count: 1,
+                    sum: 5.0,
+                    min: 5.0,
+                    max: 5.0,
+                    last: 5.0,
+                },
+                ExportRecord::Sketch {
+                    id: MetricId(0),
+                    res: zero,
+                    start: SimTime::ZERO,
+                    entry,
+                },
+            ],
+        };
+        let report = agg.ingest(n, &batch);
+        assert!(report.applied);
+        let c = agg.counters(n);
+        assert_eq!((c.buckets, c.sketch_entries), (0, 0));
+        assert_eq!((c.unmapped_records, c.orphan_sketches), (2, 0));
+        let id = agg.store().lookup("node00/m").unwrap();
+        assert_eq!(agg.store().buckets(id, zero).count(), 0);
+        let next = ExportBatch {
+            seq: 1,
+            records: vec![ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime::from_secs(1),
+                value: 1.0,
+            }],
+        };
+        assert!(agg.ingest(n, &next).applied);
+        assert_eq!(agg.counters(n).samples, 1);
+    }
+
     /// A `bucket_run` applies as the `bucket` and `sketch` records it
     /// stands for, and what the canonical rule leaves as kinds 2 and 3
     /// beside it applies as before: a re-exported count-0 bucket over a
     /// filled slot (its scalars overwritten, as a restore would not), an
     /// orphan column, an out-of-order one, a run of an unmapped id. The
     /// same counters and the same tiers whether the batch arrives as
-    /// records or as 1.5 bytes; after a run its last bucket is the open
+    /// records or as 1.6 bytes; after a run its last bucket is the open
     /// one.
     #[test]
     fn a_bucket_run_applies_as_its_bucket_and_sketch_records() {
-        use moda_telemetry::wire::encode_batch_with;
+        use moda_telemetry::wire::{encode_batch_with, BatchHeader};
         let res = SimDuration::from_secs(10);
         let bucket = |id: u32, start: u64, count: u64, v: f64| ExportRecord::Bucket {
             id: MetricId(id),
@@ -1299,7 +1363,7 @@ mod tests {
         for batch in [&first, &second] {
             let mut bytes = Vec::new();
             encode_batch_with(batch, &mut sender, &mut bytes);
-            let view = BatchView::parse(&bytes).unwrap();
+            let view = BatchView::parse(&bytes, BatchHeader::Varint).unwrap();
             assert_eq!(owned.ingest(a, batch), lent.ingest_view(b, &view).unwrap());
         }
         assert_eq!(owned.counters(a), lent.counters(b));

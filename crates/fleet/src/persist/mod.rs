@@ -57,7 +57,7 @@
 //! log and commits it to the OS *before* applying it to the in-memory
 //! aggregator. A receive burst ([`DurableFleet::burst`]) takes each
 //! received batch as the bytes it arrived in — validated where they lie
-//! ([`BatchView`]), appended as `[node u32][those bytes]`, applied off
+//! ([`BatchView`]), appended as `[node][those bytes]`, applied off
 //! the same bytes — and commits the log **once**, in [`Burst::commit`];
 //! the burst holds the fleet exclusively until then, so no reader sees
 //! a batch whose log bytes are still buffered and nothing is
@@ -88,7 +88,7 @@ use crate::store::{FleetStore, NodeId};
 use dir::{LogWriter, StateDir};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{encode_batch_with, BatchView};
+use moda_telemetry::wire::{encode_batch_with, BatchHeader, BatchView};
 use moda_telemetry::DrainStats;
 use std::io;
 use std::path::Path;
@@ -335,10 +335,11 @@ impl DurableFleet {
 
     /// Ingest one batch durably: append its encoding to the log, commit,
     /// then apply — returning means flushed. The batch is logged as a
-    /// 1.5 writer on `node`'s stream sends it, its sample runs coded
-    /// against the stream's value state and its sealed buckets as
-    /// `bucket_run` records — which a connection that
-    /// carried the stream no longer shares, so it no longer carries it.
+    /// 1.6 writer on `node`'s stream sends it (`encode_batch_with`): its
+    /// header and record lengths varints, its sample runs coded against
+    /// the stream's value state and its sealed buckets as `bucket_run`
+    /// records — which a connection that carried the stream no longer
+    /// shares, so it no longer carries it.
     /// Cuts a snapshot (written off this call; see the module docs)
     /// every [`DurabilityConfig::snapshot_every_batches`] applied
     /// batches.
@@ -349,7 +350,8 @@ impl DurableFleet {
         self.frame_buf.clear();
         let values = self.agg.stream_values_mut(node);
         encode_batch_with(batch, values, &mut self.frame_buf);
-        self.wal.append(Entry::Batch(node, &self.frame_buf))?;
+        self.wal
+            .append(Entry::Batch(node, BatchHeader::Varint, &self.frame_buf))?;
         self.wal.commit()?;
         let report = self.agg.ingest(node, batch);
         self.count_batch()?;
@@ -570,18 +572,26 @@ pub struct Burst<'a> {
 }
 
 impl Burst<'_> {
-    /// Take one received `BATCH` payload: validate it where it lies,
-    /// check its values against `node`'s stream state, log `[node u32]
-    /// [those bytes]`, apply the records straight off them. A payload
+    /// Take one received batch payload, whose frame said it has `header`:
+    /// validate it where it lies, check its values against `node`'s
+    /// stream state, log `[node][those bytes]` under the entry tag of its
+    /// header, apply the records straight off them. A payload
     /// that fails validation or the check is an `InvalidData` error and
     /// touches neither the log nor any counter nor the state. Cuts a
     /// snapshot on the [`DurabilityConfig::snapshot_every_batches`]
     /// cadence, exactly where [`DurableFleet::ingest`] would.
-    pub fn batch(&mut self, node: NodeId, payload: &[u8]) -> io::Result<IngestReport> {
-        let view = BatchView::parse(payload)?;
+    pub fn batch(
+        &mut self,
+        node: NodeId,
+        header: BatchHeader,
+        payload: &[u8],
+    ) -> io::Result<IngestReport> {
+        let view = BatchView::parse(payload, header)?;
         self.fleet.agg.check_view(node, &view)?;
         // Only bytes a view vouches for reach the log.
-        self.fleet.wal.append(Entry::Batch(node, view.as_bytes()))?;
+        self.fleet
+            .wal
+            .append(Entry::Batch(node, header, view.as_bytes()))?;
         let report = self.fleet.agg.apply_view(node, &view);
         self.fleet.count_batch()?;
         Ok(report)
@@ -625,7 +635,10 @@ mod tests {
     use super::*;
     use moda_sim::{SimDuration, SimTime};
     use moda_telemetry::export::{ExportRecord, MemorySink};
-    use moda_telemetry::wire::{encode_batch, put_block, put_u32, put_u64, write_frame};
+    use moda_telemetry::wire::{
+        encode_batch, encode_batch_as, parse_frame, put_block, put_u32, put_u64, put_uv,
+        write_frame, Coding, FrameParse, ValueState,
+    };
     use moda_telemetry::{
         Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
     };
@@ -975,6 +988,159 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The tag of every frame of the log held in `bytes`.
+    fn entry_tags(bytes: &[u8]) -> Vec<u8> {
+        let (mut at, mut tags) = (0, Vec::new());
+        while let FrameParse::Frame { tag, consumed, .. } = parse_frame(&bytes[at..]) {
+            at += consumed;
+            tags.push(tag);
+        }
+        assert_eq!(at, bytes.len(), "whole frames");
+        tags
+    }
+
+    /// One stream's batches received from a 1.5 sender (tag 33 in the
+    /// log) and a 1.6 one (tag 35) by turns, and then ingested in
+    /// process (tag 35): the log that holds both replays to the store
+    /// the same batches make ingested directly, the stream's value state
+    /// the sender's.
+    #[test]
+    fn a_log_of_fixed_and_varint_batch_entries_replays_to_the_store_ingested_directly() {
+        let dir = test_dir("mixed_headers");
+        let no_cadence = DurabilityConfig {
+            snapshot_every_batches: u64::MAX,
+        };
+        let batches = node_batches(2000, 0.0, 64);
+        let (received, in_process) = batches.split_at(batches.len() - 3);
+        let mut fleet = DurableFleet::open(&dir, no_cadence).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        let mut sender = ValueState::new();
+        let mut burst = fleet.burst();
+        for (i, batch) in received.iter().enumerate() {
+            let mut bytes = Vec::new();
+            let coding = [Coding::Buckets, Coding::Varints][i % 2];
+            encode_batch_as(batch, coding, &mut sender, &mut bytes);
+            burst.batch(node, coding.header(), &bytes).unwrap();
+        }
+        burst.commit().unwrap();
+        for batch in in_process {
+            fleet.ingest(node, batch).unwrap();
+            encode_batch_as(batch, Coding::Varints, &mut sender, &mut Vec::new());
+        }
+        drop(fleet);
+        let tags = entry_tags(&fs::read(dir.join("wal-0.log")).unwrap());
+        let count = |tag| tags.iter().filter(|&&t| t == tag).count();
+        assert_eq!(count(wal::FRAME_LOG_BATCH), received.len().div_ceil(2));
+        assert_eq!(
+            count(wal::FRAME_LOG_BATCH_1_6),
+            received.len() / 2 + in_process.len()
+        );
+
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(recovered.recovery().corrupt_frames, 0);
+        assert_eq!(recovered.recovery().replayed_batches, batches.len() as u64);
+        let mut direct = FleetAggregator::new();
+        let n = direct.add_node("node00");
+        for batch in &batches {
+            direct.ingest(n, batch);
+        }
+        let now = SimTime::from_secs(2001);
+        let agg = recovered.aggregator();
+        assert_eq!(fingerprint(agg, 1, now), fingerprint(&direct, 1, now));
+        assert_eq!(agg.counters(node), direct.counters(n));
+        assert_eq!(agg.stream_values(node), &sender);
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A `bucket`, `sketch` or `bucket_run` record of resolution 0, under
+    /// either header, is refused by a burst as `InvalidData` before it
+    /// reaches the log or the fleet; and a log entry that carries one
+    /// anyway is where replay stops, not a panic.
+    #[test]
+    fn a_tier_resolution_of_0_is_refused_live_and_at_replay() {
+        let dir = test_dir("zero_res");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        let meta = ExportBatch {
+            seq: 0,
+            records: vec![ExportRecord::Meta {
+                id: MetricId(0),
+                meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+            }],
+        };
+        fleet.ingest(node, &meta).unwrap();
+        let zero = SimDuration(0);
+        let bucket = ExportRecord::Bucket {
+            id: MetricId(0),
+            res: zero,
+            start: SimTime(5),
+            count: 1,
+            sum: 1.0,
+            min: 1.0,
+            max: 1.0,
+            last: 1.0,
+        };
+        let sketch = ExportRecord::Sketch {
+            id: MetricId(0),
+            res: zero,
+            start: SimTime(5),
+            entry: moda_telemetry::SketchEntry {
+                sign: 1,
+                key: 3,
+                count: 1,
+            },
+        };
+        // Kind 2, kind 3 after its bucket, kind 8; each under both
+        // headers.
+        let cases = [
+            (vec![bucket.clone()], Coding::Sweeps),
+            (vec![bucket.clone(), sketch.clone()], Coding::Sweeps),
+            (vec![bucket.clone(), sketch.clone()], Coding::Buckets),
+            (vec![bucket.clone()], Coding::Varints),
+            (vec![sketch.clone()], Coding::Varints),
+        ];
+        let log_len = || fs::metadata(dir.join("wal-0.log")).unwrap().len();
+        let logged = log_len();
+        let mut wire = Vec::new();
+        for (records, coding) in &cases {
+            wire.clear();
+            let batch = ExportBatch {
+                seq: 1,
+                records: records.clone(),
+            };
+            let mut state = fleet.aggregator().stream_values(node).clone();
+            encode_batch_as(&batch, *coding, &mut state, &mut wire);
+            let mut burst = fleet.burst();
+            let refused = burst.batch(node, coding.header(), &wire).unwrap_err();
+            burst.commit().unwrap();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{coding:?}");
+            assert!(refused.to_string().contains("resolution 0"), "{refused}");
+        }
+        assert_eq!(log_len(), logged, "nothing refused reached the log");
+        assert_eq!(fleet.next_seq(node), 1);
+        let c = fleet.aggregator().counters(node);
+        assert_eq!((c.buckets, c.sketch_entries, c.unmapped_records), (0, 0, 0));
+        drop(fleet);
+
+        // The last case's bytes logged by hand: replay stops there.
+        let mut entry = Vec::new();
+        put_uv(&mut entry, u64::from(node.0));
+        entry.extend_from_slice(&wire);
+        let mut log = fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal-0.log"))
+            .unwrap();
+        write_frame(&mut log, wal::FRAME_LOG_BATCH_1_6, &entry).unwrap();
+        drop(log);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        let rec = *recovered.recovery();
+        assert_eq!((rec.replayed_batches, rec.corrupt_frames), (1, 1));
+        assert_eq!(recovered.next_seq(node), 1);
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn empty_directory_opens_fresh_and_recovers_empty() {
         let dir = test_dir("fresh");
@@ -1011,7 +1177,7 @@ mod tests {
         assert!(received > crate::transport::RECV_BUF * 3 / 4, "{received}");
         let mut burst = fleet.burst();
         for wire in &wires {
-            burst.batch(node, wire).unwrap();
+            burst.batch(node, BatchHeader::Fixed, wire).unwrap();
         }
         assert_eq!(fs::metadata(&log).unwrap().len(), committed);
         burst.commit().unwrap();
@@ -1068,7 +1234,9 @@ mod tests {
         // flushed. The cut is a commit point — the old log on disk is
         // the image.
         let mut burst = fleet.burst();
-        burst.batch(node, &wire(&stream[4])).unwrap();
+        burst
+            .batch(node, BatchHeader::Fixed, &wire(&stream[4]))
+            .unwrap();
         let (image, cut_at) = burst.fleet.cut().unwrap();
         let cut = crash_copy(&dir, "in_flight_cut");
         let mut at_cut = FleetAggregator::new();
@@ -1079,8 +1247,12 @@ mod tests {
         let at_cut = fingerprint(&at_cut, 1, now);
         // The window: the rest of the burst goes to both logs and is
         // acknowledged.
-        burst.batch(node, &wire(&stream[5])).unwrap();
-        burst.batch(node, &wire(&stream[6])).unwrap();
+        burst
+            .batch(node, BatchHeader::Fixed, &wire(&stream[5]))
+            .unwrap();
+        burst
+            .batch(node, BatchHeader::Fixed, &wire(&stream[6]))
+            .unwrap();
         burst.commit().unwrap();
         let live = fingerprint(fleet.aggregator(), 1, now);
         assert_eq!(
@@ -1255,10 +1427,14 @@ mod tests {
         // A burst whose batch fits the write buffer learns at its
         // commit; the next one is refused at its first append.
         let mut burst = fleet.burst();
-        burst.batch(node, &wire(&stream[3])).unwrap();
+        burst
+            .batch(node, BatchHeader::Fixed, &wire(&stream[3]))
+            .unwrap();
         let full = burst.commit().unwrap_err();
         let mut burst = fleet.burst();
-        let refused = burst.batch(node, &wire(&stream[4])).unwrap_err();
+        let refused = burst
+            .batch(node, BatchHeader::Fixed, &wire(&stream[4]))
+            .unwrap_err();
         assert_eq!(refused.kind(), full.kind());
         assert_eq!(burst.commit().unwrap_err().kind(), full.kind());
         // So is every other mutation, and no snapshot is cut over it.

@@ -15,8 +15,8 @@ use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::chunk;
 use moda_telemetry::wire::{
     bad_data, crc32, decode_drain_stats, encode_drain_stats, parse_frame, put_block, put_meta,
-    put_str, put_u32, put_u64, put_uv, unzigzag, BatchView, BatchWriter, BucketCoder, FrameParse,
-    RecordRef, SealedBucket, ValueState, WireReader, MAX_VALUE_IDS,
+    put_str, put_u32, put_u64, put_uv, unzigzag, BatchHeader, BatchView, BatchWriter, BucketCoder,
+    FrameParse, RecordRef, SealedBucket, ValueState, WireReader, MAX_VALUE_IDS,
 };
 use moda_telemetry::{MetricId, QuantileSketch, SketchEntry};
 use std::io;
@@ -82,7 +82,8 @@ enum Layout {
     Columns,
 }
 
-/// Write one raw ring as a tail flag and a batch (seq 0), straight from
+/// Write one raw ring as a tail flag and a fixed-header batch (seq 0 —
+/// the layout `MODAFS05` images have always had), straight from
 /// the ring: each sealed chunk as a `chunk` record — its payload as it
 /// lies, or a partially evicted front chunk's retained suffix
 /// ([`Chunk::write_retained`](moda_telemetry::chunk::Chunk::write_retained)) —
@@ -95,7 +96,7 @@ fn write_raw_section(store: &FleetStore, id: MetricId, out: &mut Vec<u8>) {
     let tail = (raw.len() - raw.compressed_len()) as u64;
     let (ts, vals) = raw.tail_from(raw.total_appends() - tail);
     out.push(u8::from(!ts.is_empty()));
-    let mut batch = BatchWriter::new(out, 0);
+    let mut batch = BatchWriter::new(out, 0, BatchHeader::Fixed);
     for c in raw.sealed_chunks() {
         let count = c.retained_len() as u32;
         batch.chunk(id, count, SimTime(c.last_t()), |out| c.write_retained(out));
@@ -382,7 +383,7 @@ fn read_raw_section(
             _ => return Err(bad_data("unknown raw section tail flag")),
         },
     };
-    let view = BatchView::parse(r.rest())?;
+    let view = BatchView::parse(r.rest(), BatchHeader::Fixed)?;
     let records = view.record_count();
     if tail && records == 0 {
         return Err(bad_data("raw section flags a tail it does not hold"));

@@ -23,8 +23,8 @@ use crate::aggregator::FleetAggregator;
 use crate::store::NodeId;
 use moda_obs::{Counter, LatencyRecorder, Obs};
 use moda_telemetry::wire::{
-    bad_data, decode_drain_stats, encode_drain_stats, parse_frame, put_str, put_u32,
-    write_frame_parts, BatchView, FrameParse, WireReader,
+    bad_data, decode_drain_stats, encode_drain_stats, parse_frame, put_str, put_u32, put_uv,
+    write_frame_parts, BatchHeader, BatchView, FrameParse, WireReader,
 };
 use moda_telemetry::DrainStats;
 use std::io::{self, Write};
@@ -32,6 +32,7 @@ use std::io::{self, Write};
 const FRAME_LOG_NODE: u8 = 32;
 pub(crate) const FRAME_LOG_BATCH: u8 = 33;
 const FRAME_LOG_DRAIN: u8 = 34;
+pub(crate) const FRAME_LOG_BATCH_1_6: u8 = 35;
 
 /// One log entry, borrowing what it can from whoever holds its bytes.
 #[derive(Debug)]
@@ -40,10 +41,11 @@ pub(crate) enum Entry<'a> {
     /// first such entry of a name registers the node; every one resets
     /// its stream's value state.
     Node(&'a str),
-    /// One ingested wire batch, `[node u32][batch bytes]` — a received
-    /// batch verbatim, in whichever `export-wire` revision its sender
-    /// wrote.
-    Batch(NodeId, &'a [u8]),
+    /// One ingested wire batch — a received batch verbatim, in whichever
+    /// `export-wire` revision its sender wrote: `[node u32][batch bytes]`
+    /// for a batch with the fixed header, `[node uv][batch bytes]` under
+    /// its own tag for one with 1.6's varint header.
+    Batch(NodeId, BatchHeader, &'a [u8]),
     /// An out-of-band exporter drain report: `[node u32][drain stats]`,
     /// its counts only ([`DrainStats::counts`]).
     Drain(NodeId, DrainStats),
@@ -63,9 +65,13 @@ impl<'a> Entry<'a> {
                 put_str(scratch, name);
                 (FRAME_LOG_NODE, &[])
             }
-            Entry::Batch(node, batch) => {
+            Entry::Batch(node, BatchHeader::Fixed, batch) => {
                 put_u32(scratch, node.0);
                 (FRAME_LOG_BATCH, batch)
+            }
+            Entry::Batch(node, BatchHeader::Varint, batch) => {
+                put_uv(scratch, u64::from(node.0));
+                (FRAME_LOG_BATCH_1_6, batch)
             }
             Entry::Drain(node, ref stats) => {
                 put_u32(scratch, node.0);
@@ -88,7 +94,11 @@ impl<'a> Entry<'a> {
                 }
                 Ok(Entry::Node(name))
             }
-            FRAME_LOG_BATCH => Ok(Entry::Batch(NodeId(r.u32()?), r.rest())),
+            FRAME_LOG_BATCH => Ok(Entry::Batch(NodeId(r.u32()?), BatchHeader::Fixed, r.rest())),
+            FRAME_LOG_BATCH_1_6 => {
+                let node = u32::try_from(r.uv()?).map_err(|_| bad_data("node id past u32"))?;
+                Ok(Entry::Batch(NodeId(node), BatchHeader::Varint, r.rest()))
+            }
             FRAME_LOG_DRAIN => Ok(Entry::Drain(
                 NodeId(r.u32()?),
                 decode_drain_stats(r.rest())?,
@@ -102,18 +112,18 @@ impl<'a> Entry<'a> {
     /// error and leaves `agg` and `stats` as they were.
     fn apply(self, agg: &mut FleetAggregator, stats: &mut RecoveryStats) -> io::Result<()> {
         match self {
-            Entry::Batch(node, _) | Entry::Drain(node, _) if node.index() >= agg.node_count() => {
+            Entry::Batch(node, ..) | Entry::Drain(node, _) if node.index() >= agg.node_count() => {
                 return Err(bad_data("log entry names an unknown node"));
             }
             Entry::Node(name) => {
                 open_stream(agg, name);
                 stats.replayed_nodes += 1;
             }
-            Entry::Batch(node, batch) => {
+            Entry::Batch(node, header, batch) => {
                 // Validated, checked against the stream's values and
                 // applied where the log sits in memory. What the view
                 // skips the aggregator counts.
-                let view = BatchView::parse(batch)?;
+                let view = BatchView::parse(batch, header)?;
                 let report = agg.ingest_view(node, &view)?;
                 stats.replayed_batches += 1;
                 stats.replayed_duplicates += u64::from(!report.applied);
@@ -310,17 +320,20 @@ mod tests {
     use super::super::tests::node_batches;
     use super::*;
     use moda_telemetry::export::{ExportBatch, ExportRecord};
-    use moda_telemetry::wire::{encode_batch, encode_batch_with, encode_record, ValueState};
+    use moda_telemetry::wire::{
+        encode_batch, encode_batch_as, encode_batch_with, encode_record, Coding, ValueState,
+    };
     use proptest::prelude::*;
 
     /// One entry of a model log, owning what an [`Entry`] borrows.
     enum Logged {
         Node(&'static str),
         /// A batch, the bytes its sender rendered it as — sample runs
-        /// coded as deltas against the stream (`export-wire-v1.5`),
-        /// packed (v1.2), or one record each (v1.1) — and whether that
-        /// was as deltas.
-        Batch(NodeId, ExportBatch, Vec<u8>, bool),
+        /// coded as deltas against the stream (`export-wire-v1.6`, or
+        /// v1.5 under the fixed header), packed (v1.2), or one record
+        /// each (v1.1) — with their header, and whether that was as
+        /// deltas.
+        Batch(NodeId, ExportBatch, (Vec<u8>, BatchHeader), bool),
         Drain(NodeId, DrainStats),
     }
 
@@ -329,7 +342,9 @@ mod tests {
         fn render(&self, log: &mut Vec<u8>) {
             let entry = match self {
                 Logged::Node(name) => Entry::Node(name),
-                Logged::Batch(node, _, rendered, _) => Entry::Batch(*node, rendered),
+                Logged::Batch(node, _, (rendered, header), _) => {
+                    Entry::Batch(*node, *header, rendered)
+                }
                 Logged::Drain(node, stats) => Entry::Drain(*node, *stats),
             };
             let mut scratch = Vec::new();
@@ -364,13 +379,19 @@ mod tests {
     }
 
     /// `batch` as its sender, whose stream stands at `sender`, renders
-    /// it: `how` 0 codes runs as deltas (the state takes their values),
-    /// 1 packs them, 2 writes one record each.
-    fn rendered(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> Vec<u8> {
+    /// it, and the header that has: `how` 0 codes runs as deltas (the
+    /// state takes their values) under 1.6's varint header, 3 as a 1.5
+    /// sender does under the fixed one, 1 packs them, 2 writes one
+    /// record each.
+    fn rendered(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> (Vec<u8>, BatchHeader) {
         let mut out = Vec::new();
         match how {
-            0 => encode_batch_with(batch, sender, &mut out),
+            0 => {
+                encode_batch_with(batch, sender, &mut out);
+                return (out, BatchHeader::Varint);
+            }
             1 => encode_batch(batch, &mut out),
+            3 => encode_batch_as(batch, Coding::Buckets, sender, &mut out),
             _ => {
                 out.extend_from_slice(&batch.seq.to_le_bytes());
                 out.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
@@ -379,7 +400,7 @@ mod tests {
                 }
             }
         }
-        out
+        (out, BatchHeader::Fixed)
     }
 
     /// Two nodes' streams interleaved at random, each node registered
@@ -419,9 +440,10 @@ mod tests {
                 _ => {
                     if let Some(batch) = pending[k].next() {
                         for _ in 0..1 + u64::from(rng.below(6) == 0) {
-                            let how = rng.below(3);
+                            let how = rng.below(4);
                             let bytes = rendered(&batch, &mut senders[k], how);
-                            log.push(Logged::Batch(node, batch.clone(), bytes, how == 0));
+                            let delta = how == 0 || how == 3;
+                            log.push(Logged::Batch(node, batch.clone(), bytes, delta));
                         }
                     }
                 }
@@ -489,7 +511,8 @@ mod tests {
         /// frame boundary before the damage — the entries applied are
         /// the whole frames ahead of it, the state is the one those
         /// entries build when applied directly, and the prefix it
-        /// reports replays again to itself, clean.
+        /// reports replays again to itself, clean. The log mixes batch
+        /// entries with the fixed header (tag 33) and 1.6's (tag 35).
         #[test]
         fn a_log_cut_or_damaged_anywhere_replays_to_the_whole_frames_before_it(
             seed in any::<u64>(),

@@ -1,4 +1,4 @@
-//! `export-wire-v1.5` query frames: the serving front end's
+//! `export-wire-v1.6` query frames: the serving front end's
 //! request/response codec, executed against the fleet planner.
 //!
 //! The ingest half of the socket protocol ([`crate::transport`]) moves

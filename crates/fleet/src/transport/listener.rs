@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::persist::DurabilityConfig;
     use crate::transport::tests::{raw_ingest_session, test_dir};
-    use moda_telemetry::wire::{frame_tag, read_frame, write_frame, BatchView};
+    use moda_telemetry::wire::{frame_tag, read_frame, write_frame, BatchHeader, BatchView};
     use std::fs;
 
     #[test]
@@ -207,7 +207,8 @@ mod tests {
         }
         let (tag, payload) = last.expect("golden stream has frames");
         assert_eq!(tag, frame_tag::BATCH);
-        assert_eq!(BatchView::parse(&payload).unwrap().unknown_records(), 1);
+        let view = BatchView::parse(&payload, BatchHeader::Fixed).unwrap();
+        assert_eq!(view.unknown_records(), 1);
 
         let mut stream = raw_ingest_session(&addr, "node00", "tok");
         write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
@@ -217,6 +218,99 @@ mod tests {
 
         drop(stream);
         drop(listener.shutdown());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A peer's `bucket`, `sketch` or `bucket_run` record of resolution
+    /// 0 — under `BATCH` or `BATCH_1_6` — ends its session with nothing
+    /// taken: no ack, no panic on the session thread, so the fleet lock
+    /// is not poisoned, and the fleet serves the next session as before.
+    #[test]
+    fn a_tier_resolution_of_0_ends_its_session_and_the_fleet_serves_on() {
+        use crate::transport::tests::node_batches;
+        use crate::SocketSink;
+        use moda_sim::{SimDuration, SimTime};
+        use moda_telemetry::export::{ExportBatch, ExportRecord, Sink};
+        use moda_telemetry::wire::{encode_batch_as, Coding, ValueState};
+        use moda_telemetry::{MetricId, MetricMeta, SketchEntry, SourceDomain};
+        let dir = test_dir("zero_res");
+        let fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let listener =
+            FleetListener::bind("127.0.0.1:0", Arc::new(Mutex::new(fleet)), "tok").unwrap();
+        let addr = listener.local_addr().to_string();
+        let meta = ExportRecord::Meta {
+            id: MetricId(0),
+            meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+        };
+        let bucket = ExportRecord::Bucket {
+            id: MetricId(0),
+            res: SimDuration(0),
+            start: SimTime(5),
+            count: 1,
+            sum: 1.0,
+            min: 1.0,
+            max: 1.0,
+            last: 1.0,
+        };
+        let sketch = ExportRecord::Sketch {
+            id: MetricId(0),
+            res: SimDuration(0),
+            start: SimTime(5),
+            entry: SketchEntry {
+                sign: 1,
+                key: 3,
+                count: 1,
+            },
+        };
+        // Kind 2, kind 3 after its bucket, and kind 8.
+        for (k, (records, coding)) in [
+            (vec![bucket.clone()], Coding::Sweeps),
+            (vec![bucket.clone(), sketch.clone()], Coding::Sweeps),
+            (vec![bucket.clone()], Coding::Buckets),
+            (vec![sketch.clone()], Coding::Varints),
+            (vec![bucket.clone()], Coding::Varints),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let name = format!("hostile{k}");
+            let mut stream = raw_ingest_session(&addr, &name, "tok");
+            let mut state = ValueState::new();
+            for (seq, records) in [vec![meta.clone()], records].into_iter().enumerate() {
+                let mut payload = Vec::new();
+                let batch = ExportBatch {
+                    seq: seq as u64,
+                    records,
+                };
+                encode_batch_as(&batch, coding, &mut state, &mut payload);
+                write_frame(&mut stream, coding.header().frame_tag(), &payload).unwrap();
+            }
+            let (tag, _) = read_frame(&mut stream).unwrap().expect("the meta's ack");
+            assert_eq!(tag, frame_tag::ACK);
+            assert!(
+                read_frame(&mut stream).unwrap().is_err(),
+                "case {k}: no ack"
+            );
+            let shared = listener.fleet();
+            assert!(!shared.is_poisoned(), "case {k}");
+            let fleet = shared.lock().unwrap();
+            let node = fleet.find_node(&name).unwrap();
+            assert_eq!(fleet.next_seq(node), 1, "case {k}");
+            assert_eq!(fleet.aggregator().counters(node).buckets, 0);
+        }
+        // And the fleet takes a well-formed stream as ever.
+        let batches = node_batches(500, 0.0);
+        let mut sink = SocketSink::connect(&addr, "node00", "tok").unwrap();
+        for batch in &batches {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+        drop(sink);
+        let shared = listener.shutdown();
+        let fleet = shared.lock().unwrap();
+        let node = fleet.find_node("node00").unwrap();
+        assert_eq!(fleet.next_seq(node), batches.len() as u64);
+        drop(fleet);
         let _ = fs::remove_dir_all(&dir);
     }
 

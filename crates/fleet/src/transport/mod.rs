@@ -1,4 +1,4 @@
-//! Socket-framed wire transport: `export-wire-v1.5` batches over plain
+//! Socket-framed wire transport: `export-wire-v1.6` batches over plain
 //! `std::net` TCP (hermetic — no async runtime, no TLS, no new deps).
 //!
 //! The way into the fleet tier from another thread or process (within
@@ -44,7 +44,9 @@
 //! XOR'd against the stream's previous ones
 //! (`moda_telemetry::wire::ValueState`); a 1.5 fleet gets the same, and
 //! each run of one ring's sealed buckets as a `bucket_run` record, where
-//! a 1.4 fleet gets `bucket` and `sketch` records; a 1.3 fleet gets every
+//! a 1.4 fleet gets `bucket` and `sketch` records; a 1.6 fleet gets the
+//! 1.5 records with the varint batch header, under `BATCH_1_6` frames
+//! (every older one under `BATCH`); a 1.3 fleet gets every
 //! sample run as `samples_delta`; a fleet answering without a revision
 //! gets 1.2 `samples` runs. Every
 //! `HELLO` starts the state empty on both ends, and the fleet logs that

@@ -14,8 +14,8 @@ use crate::query::{
 use crate::store::NodeId;
 use moda_obs::{LatencyRecorder, Obs};
 use moda_telemetry::wire::{
-    bad_data, decode_drain_stats, frame_tag, put_u16, put_u64, write_frame, FrameBuffer,
-    WireReader, REVISION,
+    bad_data, decode_drain_stats, frame_tag, put_u16, put_u64, write_frame, BatchHeader,
+    FrameBuffer, WireReader, REVISION,
 };
 use std::io::{self, Write};
 use std::sync::atomic::Ordering;
@@ -91,8 +91,9 @@ impl Session {
                     let mut ack = vec![u8::from(!admitted)];
                     let ack_tag = if tag == frame_tag::HELLO {
                         // The sender's revision may follow the name: the
-                        // session reads every revision's batches alike,
-                        // so it does not look.
+                        // session reads every revision's batches alike —
+                        // each batch's frame tag names its header — so
+                        // it does not look.
                         let name = r.str()?;
                         let next_seq = if admitted {
                             // A new connection: the node's stream value
@@ -190,9 +191,11 @@ impl Session {
         let mut burst = fleet.burst();
         let taken = loop {
             let (tag, payload) = frame;
-            let step = match tag {
-                frame_tag::BATCH => burst.batch(node, payload).map(drop),
-                frame_tag::DRAIN => decode_drain_stats(payload).and_then(|s| burst.drain(node, &s)),
+            let step = match (tag, BatchHeader::of_frame_tag(tag)) {
+                (_, Some(header)) => burst.batch(node, header, payload).map(drop),
+                (frame_tag::DRAIN, _) => {
+                    decode_drain_stats(payload).and_then(|s| burst.drain(node, &s))
+                }
                 _ => Err(bad_data("frame before hello or unknown tag")),
             };
             if let Err(e) = step {
@@ -347,8 +350,8 @@ mod tests {
     use moda_telemetry::export::ExportBatch;
     use moda_telemetry::export::ExportRecord;
     use moda_telemetry::wire::{
-        encode_batch, encode_batch_with, encode_drain_stats, encode_record, put_str, BatchView,
-        ValueState,
+        encode_batch, encode_batch_as, encode_batch_with, encode_drain_stats, encode_record,
+        put_str, put_uv, BatchView, Coding, ValueState,
     };
     use moda_telemetry::DrainStats;
     use moda_telemetry::MetricId;
@@ -377,8 +380,8 @@ mod tests {
             assert_eq!(tag, frame_tag::HELLO_ACK);
             assert_eq!(
                 ack,
-                [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 5],
-                "status ok, cursor 0, 1.5"
+                [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 6],
+                "status ok, cursor 0, 1.6"
             );
         }
         let mut cursors = Vec::new();
@@ -456,13 +459,13 @@ mod tests {
     }
 
     /// The revision fields ride where the 1.2 readers stop reading: a
-    /// `HELLO` with a revision — and bytes after it, a later revision's
-    /// — opens the session as the bare one does, and the `HELLO_ACK`
-    /// leads with what a 1.2 sink reads (status, cursor), the fleet's
-    /// revision behind it.
+    /// `HELLO` with a revision — an older one's, this one's, and bytes
+    /// after it, a later revision's — opens the session as the bare one
+    /// does, and the `HELLO_ACK` leads with what a 1.2 sink reads
+    /// (status, cursor), the fleet's revision behind it.
     #[test]
     fn hello_fields_ride_behind_what_a_1_2_peer_reads() {
-        for trailer in [&[][..], &REVISION[..], &[1, 6, 0xEE, 0xEE][..]] {
+        for trailer in [&[][..], &[1, 5], &REVISION[..], &[1, 7, 0xEE, 0xEE][..]] {
             let (dir, shared) = open_shared("hello_fields", DurabilityConfig::default());
             let mut hello = Vec::new();
             put_str(&mut hello, "tok");
@@ -541,7 +544,7 @@ mod tests {
     fn a_burst_stops_at_its_first_invalid_frame_and_that_frame_leaves_no_trace() {
         const K: usize = 5;
         let batches = node_batches(3000, 0.0);
-        // The stream as a 1.5 sender codes it, from the hello on.
+        // The stream as a 1.6 sender codes it, from the hello on.
         let mut sender = ValueState::new();
         let good: Vec<Vec<u8>> = batches
             .iter()
@@ -554,7 +557,7 @@ mod tests {
         let frames = |payloads: &[Vec<u8>]| {
             let mut out = Vec::new();
             for payload in payloads {
-                write_frame(&mut out, frame_tag::BATCH, payload).unwrap();
+                write_frame(&mut out, frame_tag::BATCH_1_6, payload).unwrap();
             }
             out
         };
@@ -573,11 +576,9 @@ mod tests {
             p
         };
         let over_count = {
-            let mut p = (K as u64).to_le_bytes().to_vec();
-            p.extend_from_slice(&1u32.to_le_bytes());
-            p.push(5);
-            p.extend_from_slice(&2u32.to_le_bytes());
-            p.extend_from_slice(&[9, 0x08]);
+            let mut p = Vec::new();
+            put_uv(&mut p, K as u64);
+            p.extend_from_slice(&[5, 2, 9, 0x08]);
             p
         };
         let unreadable = {
@@ -600,8 +601,8 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let read =
-                BatchView::parse(bad).and_then(|view| view.to_batch_with(&mut sender.clone()));
+            let read = BatchView::parse(bad, BatchHeader::Varint)
+                .and_then(|view| view.to_batch_with(&mut sender.clone()));
             assert!(read.is_err(), "case {case}");
             let (dir, shared) =
                 open_shared(&format!("bad_frame_{case}"), DurabilityConfig::default());
@@ -610,7 +611,7 @@ mod tests {
             // behind it — all in one receive.
             let mut stream = hello_frame("node00", "tok");
             stream.extend_from_slice(&frames(&good[..K]));
-            write_frame(&mut stream, frame_tag::BATCH, bad).unwrap();
+            write_frame(&mut stream, frame_tag::BATCH_1_6, bad).unwrap();
             stream.extend_from_slice(&frames(&good[K..K + 2]));
             let mut acks = Vec::new();
             let ended = Session::default().receive(&stream, &shared, &mut acks);
@@ -630,7 +631,7 @@ mod tests {
 
             // The fleet is the one that was only ever sent those K: the
             // same counters, the same log to the byte — the in-process
-            // fleet logs what a 1.5 sender sends.
+            // fleet logs what a 1.6 sender sends.
             let fleet = shared.fleet.lock().unwrap();
             let twin_dir = test_dir(&format!("bad_frame_twin_{case}"));
             let mut twin = DurableFleet::open(&twin_dir, DurabilityConfig::default()).unwrap();
@@ -668,26 +669,43 @@ mod tests {
         out
     }
 
-    /// `batch` as a sender whose stream stands at `sender` renders it:
-    /// `how` 0 codes its runs as deltas (1.5; the state takes their
-    /// values, as the receiving session's does), 1 packs them (1.2), 2
-    /// writes one record each (1.1).
-    fn render(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> Vec<u8> {
+    /// `batch` as a sender whose stream stands at `sender` renders it,
+    /// and the frame tag it goes under: `how` 0 codes its runs as deltas
+    /// (1.6, `BATCH_1_6`; the state takes their values, as the receiving
+    /// session's does), 3 as a 1.5 sender does (`BATCH`), 1 packs them
+    /// (1.2), 2 writes one record each (1.1).
+    fn render(batch: &ExportBatch, sender: &mut ValueState, how: u64) -> (u8, Vec<u8>) {
         let mut payload = Vec::new();
         match how {
             0 => encode_batch_with(batch, sender, &mut payload),
             1 => encode_batch(batch, &mut payload),
+            3 => encode_batch_as(batch, Coding::Buckets, sender, &mut payload),
             _ => payload = render_v1_1(batch),
         }
-        payload
+        let tag = match how {
+            0 => frame_tag::BATCH_1_6,
+            _ => frame_tag::BATCH,
+        };
+        (tag, payload)
     }
 
-    /// `batches` as `BATCH` frames a 1.5 sender standing at `sender`
+    /// `batch` as a frame [`render`] makes, appended to `stream`.
+    fn write_rendered(
+        stream: &mut Vec<u8>,
+        batch: &ExportBatch,
+        sender: &mut ValueState,
+        how: u64,
+    ) {
+        let (tag, payload) = render(batch, sender, how);
+        write_frame(stream, tag, &payload).unwrap();
+    }
+
+    /// `batches` as `BATCH_1_6` frames a 1.6 sender standing at `sender`
     /// writes.
     fn delta_frames(batches: &[ExportBatch], sender: &mut ValueState) -> Vec<u8> {
         let mut frames = Vec::new();
         for batch in batches {
-            write_frame(&mut frames, frame_tag::BATCH, &render(batch, sender, 0)).unwrap();
+            write_rendered(&mut frames, batch, sender, 0);
         }
         frames
     }
@@ -871,8 +889,9 @@ mod tests {
 
         /// A session's outcome does not depend on how `read` happened
         /// to split its stream: a valid ingest stream — the hello, then
-        /// batches in delta (1.5), packed and v1.1 renderings with drain reports
-        /// between them, then perhaps one frame that ends the session
+        /// batches in delta (1.6 under `BATCH_1_6`, 1.5 under `BATCH`),
+        /// packed and v1.1 renderings with drain reports between them,
+        /// then perhaps one frame that ends the session
         /// (a payload that is no batch, an illegal tag, a broken
         /// envelope) with a good frame behind it — fed in arbitrary
         /// pieces writes the same answer bytes, ends the same way and
@@ -893,8 +912,7 @@ mod tests {
             let mut sender = ValueState::new();
             let mut stream = hello_frame("node00", "tok");
             for batch in &batches {
-                let payload = render(batch, &mut sender, rng.below(3));
-                write_frame(&mut stream, frame_tag::BATCH, &payload).unwrap();
+                write_rendered(&mut stream, batch, &mut sender, rng.below(4));
                 if rng.below(4) == 0 {
                     let report = DrainStats { batches: batch.seq + 1, ..DrainStats::default() };
                     let mut payload = Vec::new();
@@ -902,18 +920,19 @@ mod tests {
                     write_frame(&mut stream, frame_tag::DRAIN, &payload).unwrap();
                 }
             }
-            let last = render(batches.last().unwrap(), &mut sender.clone(), 1);
+            let how = if rng.below(2) == 0 { 0 } else { 1 };
+            let (tag, last) = render(batches.last().unwrap(), &mut sender.clone(), how);
             match bad_tail {
-                1 => write_frame(&mut stream, frame_tag::BATCH, &last[..last.len() - 1]).unwrap(),
+                1 => write_frame(&mut stream, tag, &last[..last.len() - 1]).unwrap(),
                 2 => write_frame(&mut stream, frame_tag::QUERY, &last).unwrap(),
                 3 => {
-                    write_frame(&mut stream, frame_tag::BATCH, &last).unwrap();
+                    write_frame(&mut stream, tag, &last).unwrap();
                     *stream.last_mut().unwrap() ^= 0x01;
                 }
                 _ => {}
             }
             if bad_tail != 0 {
-                write_frame(&mut stream, frame_tag::BATCH, &last).unwrap();
+                write_frame(&mut stream, tag, &last).unwrap();
             }
 
             // Cuts anywhere, and a stretch fed one byte at a time.
@@ -937,9 +956,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// A 1.5 stream carried over a run of connections, each fed to a
+        /// A delta stream carried over a run of connections, each fed to a
         /// session of its own in arbitrary pieces, ends as the
-        /// uninterrupted fleet. Each connection opens with a hello that
+        /// uninterrupted fleet. Each connection speaks 1.6 or 1.5, and
+        /// opens with a hello that
         /// resets both ends' value states, resumes at the cursor the
         /// fleet acknowledged — or, a sink restarted, at `seq 0` with the
         /// fleet's cursor ahead, its batches duplicates the session walks
@@ -992,6 +1012,7 @@ mod tests {
                 let start = if rng.below(5) == 0 { 0 } else { acked };
                 let end = (acked + 1 + rng.below(8) as usize).min(batches.len());
                 let ending = rng.below(4);
+                let how = if rng.below(2) == 0 { 0 } else { 3 };
                 let mut sender = ValueState::new();
                 // The sender's state after the last frame the fleet takes.
                 let mut taken = ValueState::new();
@@ -1001,7 +1022,7 @@ mod tests {
                 let mut last_frame = 0;
                 for (i, batch) in batches[start..end].iter().enumerate() {
                     last_frame = stream.len();
-                    write_frame(&mut stream, frame_tag::BATCH, &render(batch, &mut sender, 0)).unwrap();
+                    write_rendered(&mut stream, batch, &mut sender, how);
                     ends.push((stream.len(), sender.clone()));
                     if ending != 1 || start + i + 1 < end {
                         taken = sender.clone();

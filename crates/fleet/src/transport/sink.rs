@@ -27,8 +27,8 @@ struct Replay {
     /// Sent but not yet acknowledged, oldest first: `(seq, payload)`,
     /// each payload coded for the connection that is (or was last) up.
     unacked: VecDeque<(u64, Vec<u8>)>,
-    /// How this connection's fleet reads sample runs: what its
-    /// `HELLO_ACK` says it reads.
+    /// How this connection's fleet reads batches — their header and
+    /// frame tag, and their runs: what its `HELLO_ACK` says it reads.
     coding: Coding,
     /// The value state of this connection's stream as it stands after
     /// every payload in `unacked` — empty while `coding` is
@@ -63,26 +63,29 @@ impl Replay {
         self.server_next_seq = next_seq;
         self.release_acked();
         self.recode(Coding::for_revision(revision))?;
+        let tag = self.coding.header().frame_tag();
         for (_, payload) in &self.unacked {
-            write_frame(&mut conn.writer, frame_tag::BATCH, payload)?;
+            write_frame(&mut conn.writer, tag, payload)?;
             self.resent_batches += 1;
         }
         conn.writer.flush()
     }
 
-    /// Code every unacknowledged payload afresh in `coding`, from an
+    /// Code every unacknowledged payload afresh in `coding` — under its
+    /// header, which names the frame tag they are sent with — from an
     /// empty state. The old connection's state unwound back over the
     /// payloads, last first, is the state the oldest was written against;
     /// read forward from there, each gives its records back. Off the hot
     /// path: once per reconnect.
     fn recode(&mut self, coding: Coding) -> io::Result<()> {
         let mut old = std::mem::take(&mut self.values);
+        let header = self.coding.header();
         for (_, payload) in self.unacked.iter().rev() {
-            old.unwind(payload)?;
+            old.unwind(payload, header)?;
         }
         self.coding = coding;
         for (_, payload) in &mut self.unacked {
-            let batch = BatchView::parse(payload)?.to_batch_with(&mut old)?;
+            let batch = BatchView::parse(payload, header)?.to_batch_with(&mut old)?;
             payload.clear();
             encode_batch_as(&batch, coding, &mut self.values, payload);
         }
@@ -280,8 +283,8 @@ impl Sink for SocketSink {
                 return self.reconnect();
             }
             let (_, payload) = self.replay.unacked.back().expect("just pushed");
-            self.link
-                .on_conn(|conn| conn.send(frame_tag::BATCH, payload))
+            let tag = self.replay.coding.header().frame_tag();
+            self.link.on_conn(|conn| conn.send(tag, payload))
         });
         if let Err(e) = sent {
             // Rolled back: the exporter re-stages these records under
@@ -290,7 +293,8 @@ impl Sink for SocketSink {
             // dropped the batch itself, re-coding what was left.
             if matches!(self.replay.unacked.back(), Some((seq, _)) if *seq == batch.seq) {
                 let (_, payload) = self.replay.unacked.pop_back().expect("matched");
-                self.replay.values.unwind(&payload)?;
+                let header = self.replay.coding.header();
+                self.replay.values.unwind(&payload, header)?;
                 self.replay.recycle(payload);
             }
             return Err(e);
@@ -353,8 +357,8 @@ mod tests {
         let mut sink = SocketSink::connect_with(&addr, "node00", "tok", tuning.clone()).unwrap();
         assert_eq!(
             sink.replay.coding,
-            Coding::Buckets,
-            "a 1.5 pair codes bucket runs"
+            Coding::Varints,
+            "a 1.6 pair codes bucket runs under the varint header"
         );
         for batch in &batches[..30] {
             sink.write_batch(batch).unwrap();
@@ -422,10 +426,12 @@ mod tests {
 
     /// The record kinds of every batch a sink sends to a fleet whose
     /// `HELLO_ACK` ends in `revision` (none: a fleet older than 1.3),
-    /// checked to read back — with a value state of the fleet's own —
-    /// as the batches sent.
-    fn run_kinds_sent_to(revision: &[u8], batches: &[ExportBatch]) -> Vec<Vec<u8>> {
-        use moda_telemetry::wire::{put_u64, read_frame};
+    /// checked to arrive under the frame tag that revision reads — a
+    /// 1.6 fleet's `BATCH_1_6`, an older one's `BATCH` — and to read
+    /// back, with a value state of the fleet's own, as the batches sent;
+    /// and the payload bytes sent.
+    fn sent_to(revision: &[u8], batches: &[ExportBatch]) -> (Vec<Vec<u8>>, usize) {
+        use moda_telemetry::wire::{put_u64, read_frame, BatchHeader};
         let server = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let n = batches.len();
@@ -439,11 +445,15 @@ mod tests {
             put_u64(&mut ack, 0);
             ack.extend_from_slice(&trailer);
             write_frame(&mut stream, frame_tag::HELLO_ACK, &ack).unwrap();
+            let want = match trailer[..] >= [1, 6][..] {
+                true => frame_tag::BATCH_1_6,
+                false => frame_tag::BATCH,
+            };
             let mut received = Vec::new();
             for seq in 1..=n as u64 {
                 let (tag, payload) = read_frame(&mut stream).unwrap().unwrap();
-                assert_eq!(tag, frame_tag::BATCH);
-                received.push(payload);
+                assert_eq!(tag, want, "revision {trailer:?}");
+                received.push((BatchHeader::of_frame_tag(tag).unwrap(), payload));
                 write_frame(&mut stream, frame_tag::ACK, &seq.to_le_bytes()).unwrap();
             }
             received
@@ -460,23 +470,60 @@ mod tests {
         drop(sink);
         let received = old_fleet.join().unwrap();
         let mut state = ValueState::new();
-        received
+        let kinds = received
             .iter()
             .zip(batches)
-            .map(|(payload, batch)| {
-                let view = BatchView::parse(payload).unwrap();
+            .map(|((header, payload), batch)| {
+                let view = BatchView::parse(payload, *header).unwrap();
                 assert_eq!(&view.to_batch_with(&mut state).unwrap(), batch);
                 let mut r = WireReader::new(payload);
-                r.u64().unwrap();
-                let kinds = (0..r.u32().unwrap()).map(|_| {
-                    let kind = r.u8().unwrap();
-                    r.block().unwrap();
-                    kind
-                });
+                let mut kinds = Vec::new();
+                match header {
+                    BatchHeader::Fixed => drop((r.u64().unwrap(), r.u32().unwrap())),
+                    BatchHeader::Varint => drop(r.uv().unwrap()),
+                }
+                while !r.done() {
+                    kinds.push(r.u8().unwrap());
+                    let len = match header {
+                        BatchHeader::Fixed => u64::from(r.u32().unwrap()),
+                        BatchHeader::Varint => r.uv().unwrap(),
+                    };
+                    r.take(len as usize).unwrap();
+                }
                 // Sample runs only: `meta` records are kind 0.
-                kinds.filter(|&kind| kind != 0).collect()
+                kinds.retain(|&kind| kind != 0);
+                kinds
             })
-            .collect()
+            .collect();
+        let bytes = received.iter().map(|(_, payload)| payload.len()).sum();
+        (kinds, bytes)
+    }
+
+    /// [`sent_to`]'s record kinds.
+    fn run_kinds_sent_to(revision: &[u8], batches: &[ExportBatch]) -> Vec<Vec<u8>> {
+        sent_to(revision, batches).0
+    }
+
+    /// A 1.6 fleet gets what a 1.5 fleet gets — sweeps, and each gauge's
+    /// sealed buckets as one `bucket_run` — under `BATCH_1_6`, each batch
+    /// with the varint header: fewer bytes, the same records.
+    #[test]
+    fn a_1_6_fleet_gets_varint_batches() {
+        let (batches, _) = rollup_sweep_batches(36, 4);
+        let (kinds, bytes) = sent_to(&[1, 6], &batches);
+        let (as_1_5, bytes_1_5) = sent_to(&[1, 5], &batches);
+        assert_eq!(kinds, as_1_5);
+        assert!(
+            kinds[1..].iter().flatten().any(|&kind| kind == 8),
+            "{kinds:?}"
+        );
+        // Eleven header bytes a batch fewer at least (a seq below 128),
+        // two a record (a length below 16 KiB).
+        let records: usize = kinds.iter().map(Vec::len).sum();
+        assert!(
+            bytes + 11 * batches.len() + 2 * records <= bytes_1_5,
+            "{bytes} vs {bytes_1_5}"
+        );
     }
 
     /// A 1.5 fleet gets every sweep after the first batch's single

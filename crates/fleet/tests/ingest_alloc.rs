@@ -1,6 +1,6 @@
 //! The fleet's half of the live path allocates nothing: after warm-up,
-//! a received 64-sample `BATCH` payload, its values coded as deltas the
-//! way a 1.5 sender codes them, goes through validate
+//! a received 64-sample `BATCH_1_6` payload, its values coded as deltas
+//! the way a 1.6 sender codes them, goes through validate
 //! (`BatchView::parse`) → check (against the stream's value state) →
 //! log (the bytes it arrived in) → apply (off the same bytes, the state
 //! advancing) → flush without a single allocation — no owned record,
@@ -14,7 +14,7 @@ use moda_fleet::{DurabilityConfig, DurableFleet};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::{ExportBatch, ExportRecord, MemorySink};
 use moda_telemetry::rollup::{RollupConfig, RollupTier};
-use moda_telemetry::wire::{encode_batch_with, ValueState};
+use moda_telemetry::wire::{encode_batch_with, BatchHeader, ValueState};
 use moda_telemetry::{Exporter, MetricId, MetricMeta, SourceDomain, Tsdb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,7 +106,7 @@ fn warm_sweep_batch_is_validated_logged_and_applied_without_allocating() {
     let (warm, timed) = payloads.split_at(8);
     let mut burst = fleet.burst();
     for payload in warm {
-        burst.batch(node, payload).unwrap();
+        burst.batch(node, BatchHeader::Varint, payload).unwrap();
     }
     burst.commit().unwrap();
 
@@ -115,7 +115,7 @@ fn warm_sweep_batch_is_validated_logged_and_applied_without_allocating() {
     for (i, payload) in lone.iter().enumerate() {
         let before = ALLOCS.with(Cell::get);
         let mut burst = fleet.burst();
-        let report = burst.batch(node, payload).unwrap();
+        let report = burst.batch(node, BatchHeader::Varint, payload).unwrap();
         burst.commit().unwrap();
         let allocs = ALLOCS.with(Cell::get) - before;
         assert!(report.applied);
@@ -126,7 +126,7 @@ fn warm_sweep_batch_is_validated_logged_and_applied_without_allocating() {
     let before = ALLOCS.with(Cell::get);
     let mut burst = fleet.burst();
     for payload in grouped {
-        burst.batch(node, payload).unwrap();
+        burst.batch(node, BatchHeader::Varint, payload).unwrap();
     }
     burst.commit().unwrap();
     let allocs = ALLOCS.with(Cell::get) - before;
@@ -202,7 +202,7 @@ fn warm_bucket_run_is_validated_logged_and_applied_without_allocating() {
                 let mut wire = Vec::new();
                 encode_batch_with(&ExportBatch { seq, records }, &mut sender, &mut wire);
                 seq += 1;
-                assert_eq!(wire[12], 8, "the first record is a bucket_run");
+                assert_eq!(wire[1], 8, "after its seq, a bucket_run");
                 wire
             })
         })
@@ -222,7 +222,7 @@ fn warm_bucket_run_is_validated_logged_and_applied_without_allocating() {
     let (warm, timed) = payloads.split_at(payloads.len() - 2);
     let mut burst = fleet.burst();
     for payload in warm {
-        burst.batch(node, payload).unwrap();
+        burst.batch(node, BatchHeader::Varint, payload).unwrap();
     }
     burst.commit().unwrap();
     let buckets = fleet.aggregator().counters(node).buckets;
@@ -230,7 +230,7 @@ fn warm_bucket_run_is_validated_logged_and_applied_without_allocating() {
     for (i, payload) in timed.iter().enumerate() {
         let before = ALLOCS.with(Cell::get);
         let mut burst = fleet.burst();
-        let report = burst.batch(node, payload).unwrap();
+        let report = burst.batch(node, BatchHeader::Varint, payload).unwrap();
         burst.commit().unwrap();
         let allocs = ALLOCS.with(Cell::get) - before;
         assert!(report.applied);

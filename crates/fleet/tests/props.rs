@@ -859,7 +859,8 @@ proptest! {
 use moda_fleet::query::{encode_response, execute};
 use moda_fleet::QueryRequest;
 use moda_telemetry::wire::{
-    decode_batch, decode_batch_with, encode_batch, encode_batch_with, encode_record, ValueState,
+    decode_batch, decode_batch_as, encode_batch, encode_batch_as, encode_batch_with, encode_record,
+    put_uv, BatchHeader, Coding, ValueState, WireReader,
 };
 
 /// A batch as a v1.1 writer put it on the wire: one record at a time,
@@ -1103,43 +1104,71 @@ fn framing_stream(rng: &mut TestRng, records: usize) -> Vec<ExportBatch> {
     batches
 }
 
-/// `bytes` (one encoded batch) with records nobody's encoder writes
-/// spliced in between its wire records: kinds no revision defines and
-/// empty `samples` runs.
-fn splice_foreign_records(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
-    let mut wire_records = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let mut out = bytes[..12].to_vec();
-    let mut rest = &bytes[12..];
+/// `bytes` (one encoded batch with `header`) with records nobody's
+/// encoder writes spliced in between its wire records: kinds no revision
+/// defines and empty `samples` runs.
+fn splice_foreign_records(bytes: &[u8], header: BatchHeader, rng: &mut TestRng) -> Vec<u8> {
+    let varint = header == BatchHeader::Varint;
+    let mut r = WireReader::new(bytes);
+    let seq = match varint {
+        false => r.u64().unwrap(),
+        true => r.uv().unwrap(),
+    };
+    if !varint {
+        r.u32().unwrap();
+    }
+    let mut records: Vec<(u8, Vec<u8>)> = Vec::new();
     loop {
         match rng.below(6) {
             0 => {
-                out.push(9 + rng.below(247) as u8);
                 let junk = rng.below(9) as usize;
-                out.extend_from_slice(&(junk as u32).to_le_bytes());
-                out.extend((0..junk).map(|_| rng.next_u64() as u8));
-                wire_records += 1;
+                let kind = 9 + rng.below(247) as u8;
+                records.push((kind, (0..junk).map(|_| rng.next_u64() as u8).collect()));
             }
-            1 => {
-                out.extend_from_slice(&[5, 1, 0, 0, 0, 0]);
-                wire_records += 1;
-            }
+            1 => records.push((5, vec![0])),
             _ => {}
         }
-        if rest.is_empty() {
+        if r.done() {
             break;
         }
-        let len = 5 + u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
-        out.extend_from_slice(&rest[..len]);
-        rest = &rest[len..];
+        let kind = r.u8().unwrap();
+        let len = match varint {
+            false => u64::from(r.u32().unwrap()),
+            true => r.uv().unwrap(),
+        };
+        records.push((kind, r.take(len as usize).unwrap().to_vec()));
     }
-    out[8..12].copy_from_slice(&wire_records.to_le_bytes());
+    let mut out = Vec::new();
+    match varint {
+        false => {
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        }
+        true => put_uv(&mut out, seq),
+    }
+    for (kind, payload) in records {
+        out.push(kind);
+        match varint {
+            false => out.extend_from_slice(&(payload.len() as u32).to_le_bytes()),
+            true => put_uv(&mut out, payload.len() as u64),
+        }
+        out.extend_from_slice(&payload);
+    }
     out
 }
 
-/// A batch as a 1.5 sender on a stream at `sender` sends it.
+/// A batch as a 1.6 sender on a stream at `sender` sends it.
 fn render_delta(batch: &ExportBatch, sender: &mut ValueState) -> Vec<u8> {
     let mut out = Vec::new();
     encode_batch_with(batch, sender, &mut out);
+    out
+}
+
+/// A batch as a 1.5 sender on a stream at `sender` sends it: the same
+/// runs, under the fixed header.
+fn render_delta_1_5(batch: &ExportBatch, sender: &mut ValueState) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_batch_as(batch, Coding::Buckets, sender, &mut out);
     out
 }
 
@@ -1176,13 +1205,14 @@ proptest! {
     /// into records (against a state of its own) and ingests those:
     /// equal session counters (unmapped, orphan and corrupt ones
     /// included), equal answers on a verification set, equal snapshots
-    /// (value states included); for a stream a 1.5 sender wrote, an equal
+    /// (value states included); for a stream a 1.6 sender wrote, an equal
     /// log, byte for byte; and equal again after kill → recover →
     /// snapshot. Streams: a real exporter's, the chunk-heavy adversarial
     /// mix, and one that breaks the framing rules — each batch rendered
-    /// as 1.5 delta and bucket runs, packed, as v1.1, or with foreign records
-    /// spliced in — and now and then a new connection between two
-    /// bursts, which resets the value state at both ends.
+    /// as 1.6 or 1.5 delta and bucket runs, packed, as v1.1, or with
+    /// foreign records spliced in, under the fixed header or 1.6's as
+    /// its rendering has it — and now and then a new connection between
+    /// two bursts, which resets the value state at both ends.
     #[test]
     fn wire_fed_fleet_equals_decode_then_ingest(
         seed in any::<u64>(),
@@ -1234,20 +1264,22 @@ proptest! {
                     let take = (1 + rng.below(5) as usize).min(rest.len());
                     let mut burst = wire_fed.burst();
                     for batch in &rest[..take] {
-                        let bytes = match rng.below(if canonical { 1 } else { 4 }) {
-                            0 => render_delta(batch, &mut sender),
-                            1 => render_packed(batch),
-                            2 => render_v1_1(batch),
+                        let (fixed, varint) = (BatchHeader::Fixed, BatchHeader::Varint);
+                        let (bytes, header) = match rng.below(if canonical { 1 } else { 5 }) {
+                            0 => (render_delta(batch, &mut sender), varint),
+                            1 => (render_packed(batch), fixed),
+                            2 => (render_v1_1(batch), fixed),
+                            3 => (render_delta_1_5(batch, &mut sender), fixed),
                             _ => {
-                                let bytes = match rng.below(2) {
-                                    0 => render_delta(batch, &mut sender),
-                                    _ => render_packed(batch),
+                                let (bytes, header) = match rng.below(2) {
+                                    0 => (render_delta(batch, &mut sender), varint),
+                                    _ => (render_packed(batch), fixed),
                                 };
-                                splice_foreign_records(&bytes, &mut rng)
+                                (splice_foreign_records(&bytes, header, &mut rng), header)
                             }
                         };
-                        let report = burst.batch(node, &bytes).unwrap();
-                        let (decoded, _) = decode_batch_with(&bytes, &mut reader).unwrap();
+                        let report = burst.batch(node, header, &bytes).unwrap();
+                        let (decoded, _) = decode_batch_as(&bytes, header, &mut reader).unwrap();
                         prop_assert_eq!(report, decode_fed.ingest(node, &decoded).unwrap());
                         prop_assert_eq!(burst.next_seq(node), decode_fed.next_seq(node));
                     }
@@ -1288,7 +1320,7 @@ proptest! {
         };
         compare(&wire_fed, &decode_fed)?;
         if canonical {
-            // The received bytes are what the fleet's own 1.5 encoding
+            // The received bytes are what the fleet's own 1.6 encoding
             // gives back for the decoded records, so the two logs are
             // one file.
             prop_assert!(wal_file(&wire_dir) == wal_file(&decoded_dir), "logs differ");

@@ -50,7 +50,7 @@
 //!   sparse sketch columns as size-bounded [`ExportBatch`]es through a
 //!   [`Sink`], out of a store borrowed for the whole drain,
 //! * [`wire`] — the **one** byte-level encoding of that stream
-//!   (`export-wire-v1.3`): the LE/varint put helpers and the
+//!   (`export-wire-v1.6`): the LE/varint put helpers and the
 //!   bounds-checked reader, the record/batch/drain-stats codec, and the
 //!   CRC-framed envelope every socket, write-ahead log, and snapshot in
 //!   `moda-fleet` is written in. Binary is normative; CSV

@@ -1,4 +1,4 @@
-//! The one byte-level definition of `export-wire-v1.5` — what goes over
+//! The one byte-level definition of `export-wire-v1.6` — what goes over
 //! a socket, into the fleet write-ahead log, and inside `snapshot.bin`.
 //! Every other module (the exporter, the fleet's persistence, query, and
 //! transport code) builds and reads bytes through the helpers here; none
@@ -6,11 +6,16 @@
 //!
 //! Three layers (normative spec: `docs/EXPORT_FORMAT.md`):
 //!
-//! * **records** — each [`ExportRecord`] as `[kind u8][len u32 LE][payload]`.
+//! * **records** — each [`ExportRecord`] as `[kind u8][len][payload]`.
 //!   The per-record length prefix is what makes the additive-kinds rule
 //!   mechanical: a reader that meets a kind tag it does not know skips
 //!   `len` bytes and counts it, instead of desynchronizing.
-//! * **batches** — `[seq u64 LE][record count u32 LE][records…]`. The
+//! * **batches** — `[seq u64 LE][record count u32 LE][records…]`, each
+//!   record's `len` a `u32 LE`, or since 1.6 `[seq uv][records…]`, each
+//!   `len` a varint and the records running to the end of the batch.
+//!   A batch does not say which header it has: the frame around it does
+//!   ([`BatchHeader`]; socket tags `BATCH` and `BATCH_1_6`, and the log's
+//!   own two), so old peers and old logs read as they did. The
 //!   batch codec — not the record model — packs every maximal run of
 //!   consecutive [`ExportRecord::Sample`] into one `samples` record
 //!   (about one byte plus the value's significant bytes per sample)
@@ -110,12 +115,29 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 /// is dominated by small integers (bucket deltas, counts, sketch keys),
 /// and recovery cost is proportional to snapshot bytes.
 #[inline]
-pub fn put_uv(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
+pub fn put_uv(out: &mut Vec<u8>, v: u64) {
+    // Most varints of the format are one byte.
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
     }
-    out.push(v as u8);
+    let mut buf = [0u8; 10];
+    let n = uv_into(&mut buf, v);
+    out.extend_from_slice(&buf[..n]);
+}
+
+/// Write `v` as an LEB128 varint into the front of `buf`, returning how
+/// many bytes it took: what [`put_uv`] appends.
+#[inline]
+fn uv_into(buf: &mut [u8; 10], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        buf[n] = (v as u8) | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    buf[n] = v as u8;
+    n + 1
 }
 
 /// Append a `u32`-length-prefixed block: `fill` writes the body, then
@@ -129,6 +151,25 @@ pub fn put_block(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
     fill(out);
     let len = (out.len() - len_at - 4) as u32;
     out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Write the length of the body after the byte reserved at `len_at` as
+/// a varint in its place: a body of 128 bytes or more is moved up once to
+/// make room for the rest of its length, so nothing is allocated beyond
+/// the bytes written.
+#[inline]
+fn patch_uv_len(out: &mut Vec<u8>, len_at: usize) {
+    let len = out.len() - len_at - 1;
+    if len < 0x80 {
+        out[len_at] = len as u8;
+        return;
+    }
+    let mut prefix = [0u8; 10];
+    let n = uv_into(&mut prefix, len as u64);
+    let end = out.len();
+    out.resize(end + n - 1, 0);
+    out.copy_within(len_at + 1..end, len_at + n);
+    out[len_at..len_at + n].copy_from_slice(&prefix[..n]);
 }
 
 /// Zigzag-fold a signed value so small magnitudes stay small varints.
@@ -385,7 +426,7 @@ impl<'a> WireReader<'a> {
 /// The spec revision this build writes and reads, `[major, minor]`: what
 /// the ingest handshake's `HELLO` and `HELLO_ACK` carry, so that a writer
 /// codes each run the newest way its reader reads ([`Coding::for_revision`]).
-pub const REVISION: [u8; 2] = [1, 5];
+pub const REVISION: [u8; 2] = [1, 6];
 
 /// How a stream's writer codes its runs of samples: the newest way the
 /// stream's reader reads.
@@ -406,6 +447,9 @@ pub enum Coding {
     /// with their sketch columns is a `bucket_run` record (which runs:
     /// `docs/EXPORT_FORMAT.md`, the writer's canonical rule).
     Buckets,
+    /// 1.6: as [`Coding::Buckets`], in a batch whose header and record
+    /// lengths are varints ([`BatchHeader::Varint`]).
+    Varints,
 }
 
 impl Coding {
@@ -413,15 +457,98 @@ impl Coding {
     /// from a reader older than 1.3, which says nothing.
     pub fn for_revision(revision: Option<[u8; 2]>) -> Self {
         match revision {
+            Some(r) if r >= [1, 6] => Coding::Varints,
             Some(r) if r >= [1, 5] => Coding::Buckets,
             Some(r) if r >= [1, 4] => Coding::Sweeps,
             Some(r) if r >= [1, 3] => Coding::Deltas,
             _ => Coding::Whole,
         }
     }
+
+    /// The header a batch in this coding carries.
+    pub fn header(self) -> BatchHeader {
+        match self {
+            Coding::Varints => BatchHeader::Varint,
+            _ => BatchHeader::Fixed,
+        }
+    }
 }
 
-/// Binary record kind tags (`export-wire-v1.5`). New kinds append —
+/// Which header a batch carries. A batch does not say: the frame around
+/// it does — a socket frame's tag ([`BatchHeader::frame_tag`]), a log
+/// entry's tag — so a reader needs no state from the handshake to read
+/// one, and an older peer's batches and an older log read as they
+/// always did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BatchHeader {
+    /// 1.1–1.5: `[seq u64 LE][record count u32 LE]`, each record
+    /// `[kind u8][len u32 LE][payload]`.
+    #[default]
+    Fixed,
+    /// 1.6: `[seq uv]`, each record `[kind u8][len uv][payload]`; the
+    /// records run to the end of the batch, whose length the frame
+    /// around it gives.
+    Varint,
+}
+
+impl BatchHeader {
+    /// The socket frame tag a batch with this header travels under.
+    pub fn frame_tag(self) -> u8 {
+        match self {
+            BatchHeader::Fixed => frame_tag::BATCH,
+            BatchHeader::Varint => frame_tag::BATCH_1_6,
+        }
+    }
+
+    /// The header a batch in a socket frame tagged `tag` carries, if the
+    /// tag is a batch's.
+    pub fn of_frame_tag(tag: u8) -> Option<Self> {
+        match tag {
+            frame_tag::BATCH => Some(BatchHeader::Fixed),
+            frame_tag::BATCH_1_6 => Some(BatchHeader::Varint),
+            _ => None,
+        }
+    }
+
+    /// Append one record, `[kind u8][len][payload]`: `fill` writes the
+    /// payload, and its length is patched in ahead of it — a `u32`
+    /// under the fixed header, a varint under 1.6, for which one byte is
+    /// reserved ([`patch_uv_len`]).
+    #[inline]
+    fn put_record(self, out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+        out.push(kind);
+        let len_at = out.len();
+        match self {
+            BatchHeader::Fixed => put_u32(out, 0),
+            BatchHeader::Varint => out.push(0),
+        }
+        // One call whatever the header, so the payload writer is inlined
+        // once.
+        fill(out);
+        match self {
+            BatchHeader::Fixed => {
+                let len = (out.len() - len_at - 4) as u32;
+                out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+            }
+            BatchHeader::Varint => patch_uv_len(out, len_at),
+        }
+    }
+
+    /// A record's `[len][payload]`, as [`BatchHeader::put_record`]
+    /// writes it after the kind: the payload, which must lie within `r`.
+    #[inline]
+    fn record_payload<'a>(self, r: &mut WireReader<'a>) -> io::Result<&'a [u8]> {
+        match self {
+            BatchHeader::Fixed => r.block(),
+            BatchHeader::Varint => {
+                let n = r.uv()?;
+                r.take(usize::try_from(n).map_err(|_| bad_data("truncated field"))?)
+            }
+        }
+    }
+}
+
+/// Binary record kind tags (`export-wire-v1.6`). New kinds append —
 /// never renumber — per the additive versioning rule.
 const REC_META: u8 = 0;
 /// One observation, 25 bytes. [`encode_record`] still writes it and
@@ -442,9 +569,20 @@ const REC_SWEEP: u8 = 7;
 /// coded against the one before it (v1.5) — see [`BucketCoder`].
 const REC_BUCKET_RUN: u8 = 8;
 
-/// Append one record in the binary rendering:
+/// Append one record in the binary rendering of a fixed-header batch:
 /// `[kind u8][payload len u32 LE][payload]`.
 pub fn encode_record(record: &ExportRecord, out: &mut Vec<u8>) {
+    put_owned_record::<false>(record, out);
+}
+
+/// Append one record as a batch with the fixed header (`VARINT` false)
+/// or the varint one holds it: a function for each header, so that each
+/// inlines the payload writer once.
+fn put_owned_record<const VARINT: bool>(record: &ExportRecord, out: &mut Vec<u8>) {
+    let header = match VARINT {
+        false => BatchHeader::Fixed,
+        true => BatchHeader::Varint,
+    };
     let tag = match record {
         ExportRecord::Meta { .. } => REC_META,
         ExportRecord::Sample { .. } => REC_SAMPLE,
@@ -452,8 +590,7 @@ pub fn encode_record(record: &ExportRecord, out: &mut Vec<u8>) {
         ExportRecord::Sketch { .. } => REC_SKETCH,
         ExportRecord::Chunk { .. } => REC_CHUNK,
     };
-    out.push(tag);
-    put_block(out, |out| match record {
+    header.put_record(out, tag, |out| match record {
         ExportRecord::Meta { id, meta } => {
             put_u32(out, id.0);
             put_meta(out, meta);
@@ -642,7 +779,7 @@ impl<'a> RecordRef<'a> {
             },
             REC_BUCKET => RecordRef::Bucket {
                 id: MetricId(r.u32()?),
-                res: SimDuration(r.u64()?),
+                res: resolution(r.u64()?)?,
                 start: SimTime(r.u64()?),
                 count: r.u64()?,
                 sum: r.f64()?,
@@ -652,7 +789,7 @@ impl<'a> RecordRef<'a> {
             },
             REC_SKETCH => RecordRef::Sketch {
                 id: MetricId(r.u32()?),
-                res: SimDuration(r.u64()?),
+                res: resolution(r.u64()?)?,
                 start: SimTime(r.u64()?),
                 entry: SketchEntry {
                     sign: r.u8()? as i8,
@@ -761,6 +898,15 @@ impl<'a> RecordRef<'a> {
             },
         });
         Ok(())
+    }
+}
+
+/// A tier resolution off the wire: `InvalidData` for 0, which no ring
+/// has — a slot of no width holds nothing.
+fn resolution(res: u64) -> io::Result<SimDuration> {
+    match res {
+        0 => Err(bad_data("tier resolution 0")),
+        res => Ok(SimDuration(res)),
     }
 }
 
@@ -1016,11 +1162,11 @@ fn bucket_group(records: &[ExportRecord]) -> Option<((MetricId, SimDuration, Sim
 
 /// Append `run` as one record — under [`Coding::Whole`] a `samples`
 /// record; otherwise a `sweep` record when the whole run is one
-/// [`Progression`] of at least two samples (and the coding is
-/// [`Coding::Sweeps`]), else a `samples_delta` record. Each value is
-/// as `write` gives it.
+/// [`Progression`] of at least two samples (and the coding is 1.4 or
+/// newer), else a `samples_delta` record. Each value is as `write`
+/// gives it. `[len]` is the coding's header's ([`BatchHeader`]).
 ///
-/// `samples` and `samples_delta`: `[kind][len u32 LE][count uv][count ×
+/// `samples` and `samples_delta`: `[kind][len][count uv][count ×
 /// sample]`, each sample `[control u8][id uv?][zigzag Δt uv?][shape
 /// u8?][value bytes]`. The state a sample's id and time are coded
 /// against (previous id, previous timestamp, last non-zero timestamp
@@ -1029,7 +1175,7 @@ fn bucket_group(records: &[ExportRecord]) -> Option<((MetricId, SimDuration, Sim
 /// (one id at a fixed cadence) both cost the control byte plus the
 /// value.
 ///
-/// `sweep`: `[kind][len u32 LE][count uv][id0 uv][id step uv][zigzag t0
+/// `sweep`: `[kind][len][count uv][id0 uv][id step uv][zigzag t0
 /// uv][zigzag t step uv]`, then the `count` value codes two to a byte
 /// (low nibble first, an odd count's last high nibble 0), then each
 /// sample's `[shape u8?][value bytes]` in order: half a byte plus the
@@ -1048,15 +1194,15 @@ fn put_samples(
     mut write: impl FnMut(MetricId, u64) -> Written,
 ) {
     let sweep = match coding {
-        Coding::Sweeps | Coding::Buckets => Progression::of(run.clone()),
+        Coding::Sweeps | Coding::Buckets | Coding::Varints => Progression::of(run.clone()),
         Coding::Whole | Coding::Deltas => None,
     };
-    out.push(match (coding, sweep) {
+    let kind = match (coding, sweep) {
         (Coding::Whole, _) => REC_SAMPLES,
         (_, None) => REC_SAMPLES_DELTA,
         (_, Some(_)) => REC_SWEEP,
-    });
-    put_block(out, |out| {
+    };
+    coding.header().put_record(out, kind, |out| {
         put_uv(out, run.len() as u64);
         if let Some(p) = sweep {
             put_uv(out, u64::from(p.id0));
@@ -1390,16 +1536,15 @@ fn read_run(
 }
 
 /// Append `records` — a run [`bucket_run_len`] measured — as one
-/// `bucket_run` record: `[kind][len u32 LE][id uv][res uv][n uv]`, then
-/// its `n` buckets as [`BucketCoder`] codes them.
-fn put_bucket_run(out: &mut Vec<u8>, records: &[ExportRecord]) {
+/// `bucket_run` record: `[kind][len][id uv][res uv][n uv]`, then its `n`
+/// buckets as [`BucketCoder`] codes them.
+fn put_bucket_run(out: &mut Vec<u8>, header: BatchHeader, records: &[ExportRecord]) {
     let ExportRecord::Bucket { id, res, .. } = records[0] else {
         unreachable!("a bucket run starts with its first bucket");
     };
     // Each group is a bucket and the column after it.
     let groups = records.chunk_by(|_, next| matches!(next, ExportRecord::Sketch { .. }));
-    out.push(REC_BUCKET_RUN);
-    put_block(out, |out| {
+    header.put_record(out, REC_BUCKET_RUN, |out| {
         put_uv(out, u64::from(id.0));
         put_uv(out, res.0);
         put_uv(out, groups.clone().count() as u64);
@@ -1785,7 +1930,7 @@ impl<'a> BucketRun<'a> {
     fn open(payload: &'a [u8], room: usize) -> io::Result<Self> {
         let mut r = WireReader::new(payload);
         let id = u32::try_from(r.uv()?).map_err(|_| bad_data("bucket run id past u32"))?;
-        let res = SimDuration(r.uv()?);
+        let res = resolution(r.uv()?)?;
         let count = r.uv()?;
         if count > r.remaining() as u64 / 7 {
             return Err(bad_data("bucket run count exceeds its payload"));
@@ -1972,13 +2117,14 @@ impl ValueState {
             .filter_map(|(i, bits)| Some((MetricId(i as u32), (*bits)?)))
     }
 
-    /// Take the state back to before `batch`, a batch written against it
-    /// by [`encode_batch_with`]: walking its samples from the last, a
+    /// Take the state back to before `batch`, a batch with `header`
+    /// written against it by [`encode_batch_with`] or
+    /// [`encode_batch_as`]: walking its samples from the last, a
     /// delta's XOR gives the value before it, and a whole value was
     /// written because its id had no state. How a sender that must
     /// re-send recovers what it sent.
-    pub fn unwind(&mut self, batch: &[u8]) -> io::Result<()> {
-        let view = BatchView::parse(batch)?;
+    pub fn unwind(&mut self, batch: &[u8], header: BatchHeader) -> io::Result<()> {
+        let view = BatchView::parse(batch, header)?;
         let mut coded = Vec::with_capacity(view.record_count());
         for record in view.records() {
             if let RecordRef::SamplesDelta(DeltaRun(mut run)) = record {
@@ -2012,8 +2158,10 @@ impl ValueState {
 #[derive(Debug, Clone, Copy)]
 pub struct BatchView<'a> {
     bytes: &'a [u8],
+    header: BatchHeader,
     seq: u64,
-    wire_records: u32,
+    /// Where the first record starts: the header's length.
+    records_at: usize,
     records: usize,
     unknown: u64,
     /// One past the largest id whose value is an XOR, 0 if none: a
@@ -2022,25 +2170,32 @@ pub struct BatchView<'a> {
 }
 
 impl<'a> BatchView<'a> {
-    /// Validate `bytes` as one batch written by [`encode_batch`] or
-    /// [`encode_batch_with`] (or record by record with [`encode_record`],
-    /// as v1.1 writers did). Validation needs no stream state: whether a
-    /// `samples_delta` or `sweep` value can be read is
-    /// [`BatchView::check_values`].
+    /// Validate `bytes` as one batch with `header`, written by
+    /// [`encode_batch`], [`encode_batch_with`] or [`encode_batch_as`]
+    /// (or, under the fixed header, record by record with
+    /// [`encode_record`], as v1.1 writers did). Validation needs no
+    /// stream state: whether a `samples_delta` or `sweep` value can be
+    /// read is [`BatchView::check_values`].
     /// Records of a kind unknown to this reader are length-skipped and
     /// counted ([`BatchView::unknown_records`]), never an error — the
     /// additive-kinds contract. A batch that would expand past
     /// [`MAX_BATCH_RECORDS`] records is refused: sample and bucket runs
     /// are the kinds whose decoded size is not bounded by their own
     /// length.
-    pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
+    pub fn parse(bytes: &'a [u8], header: BatchHeader) -> io::Result<Self> {
         let mut r = WireReader::new(bytes);
-        let seq = r.u64()?;
-        let wire_records = r.u32()?;
+        let (seq, count) = match header {
+            BatchHeader::Fixed => (r.u64()?, Some(r.u32()?)),
+            BatchHeader::Varint => (r.uv()?, None),
+        };
+        let records_at = r.pos;
         let (mut records, mut unknown, mut xor_ids) = (0usize, 0u64, 0u32);
-        for _ in 0..wire_records {
+        // The records run to the end of the batch, under either header.
+        let mut wire_records = 0u64;
+        while !r.done() {
+            wire_records += 1;
             let tag = r.u8()?;
-            let payload = r.block()?;
+            let payload = header.record_payload(&mut r)?;
             match RecordRef::parse(tag, payload, MAX_BATCH_RECORDS - records)? {
                 None => unknown += 1,
                 Some(RecordRef::Samples(run)) => records += run.check::<false>(&mut xor_ids)?,
@@ -2053,13 +2208,14 @@ impl<'a> BatchView<'a> {
                 Some(_) => records += 1,
             }
         }
-        if !r.done() {
-            return Err(bad_data("trailing bytes after batch records"));
+        if count.is_some_and(|count| u64::from(count) != wire_records) {
+            return Err(bad_data("record count is not the batch's records"));
         }
         Ok(BatchView {
             bytes,
+            header,
             seq,
-            wire_records,
+            records_at,
             records,
             unknown,
             xor_ids,
@@ -2095,9 +2251,9 @@ impl<'a> BatchView<'a> {
         Records {
             r: WireReader {
                 buf: self.bytes,
-                pos: 12,
+                pos: self.records_at,
             },
-            left: self.wire_records,
+            header: self.header,
         }
     }
 
@@ -2169,21 +2325,21 @@ impl<'a> BatchView<'a> {
     }
 }
 
-/// Iterator over a [`BatchView`]'s records.
+/// Iterator over a [`BatchView`]'s records: [`BatchView::parse`] has
+/// shown that they run exactly to the end of the batch.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
     r: WireReader<'a>,
-    left: u32,
+    header: BatchHeader,
 }
 
 impl<'a> Iterator for Records<'a> {
     type Item = RecordRef<'a>;
 
     fn next(&mut self) -> Option<RecordRef<'a>> {
-        while self.left > 0 {
-            self.left -= 1;
+        while !self.r.done() {
             let tag = self.r.u8().expect(VALIDATED);
-            let payload = self.r.block().expect(VALIDATED);
+            let payload = self.header.record_payload(&mut self.r).expect(VALIDATED);
             if let Some(record) = RecordRef::parse(tag, payload, usize::MAX).expect(VALIDATED) {
                 return Some(record);
             }
@@ -2192,42 +2348,54 @@ impl<'a> Iterator for Records<'a> {
     }
 }
 
-/// A batch written where it will lie, one wire record at a time:
-/// `[seq u64 LE][record count u32 LE][records…]`, the count kept current
-/// as records are added. The one writer of the batch grammar —
-/// [`encode_batch`] renders an [`ExportBatch`] through it, packing its
-/// sample runs, and a writer holding no owned records (a snapshot's raw
-/// sections) writes chunk payloads straight off what holds them.
+/// A batch written where it will lie, one wire record at a time, with
+/// the header it is started with: `[seq u64 LE][record count u32
+/// LE][records…]`, the count patched in when the writer is dropped, or
+/// 1.6's `[seq uv][records…]`, each record's length a varint. The one writer
+/// of the batch grammar — [`encode_batch_as`] renders an [`ExportBatch`]
+/// through it, packing its sample and bucket runs, and a writer holding
+/// no owned records (a snapshot's raw sections, under the fixed header)
+/// writes chunk payloads straight off what holds them.
 #[derive(Debug)]
 pub struct BatchWriter<'a> {
     out: &'a mut Vec<u8>,
+    header: BatchHeader,
+    /// Where the fixed header's record count lies.
     count_at: usize,
+    /// Wire records written.
     records: u32,
 }
 
 impl<'a> BatchWriter<'a> {
-    /// Start batch `seq` at the end of `out`.
-    pub fn new(out: &'a mut Vec<u8>, seq: u64) -> Self {
-        put_u64(out, seq);
-        let count_at = out.len();
-        put_u32(out, 0);
+    /// Start batch `seq` with `header` at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>, seq: u64, header: BatchHeader) -> Self {
+        let count_at = match header {
+            BatchHeader::Fixed => {
+                put_u64(out, seq);
+                put_u32(out, 0);
+                out.len() - 4
+            }
+            BatchHeader::Varint => {
+                put_uv(out, seq);
+                0
+            }
+        };
         BatchWriter {
-            out,
             count_at,
+            out,
+            header,
             records: 0,
         }
     }
 
-    /// One more wire record written.
-    fn counted(&mut self) {
-        self.records += 1;
-        self.out[self.count_at..self.count_at + 4].copy_from_slice(&self.records.to_le_bytes());
-    }
-
-    /// Append one record as [`encode_record`] renders it.
+    /// Append one record as [`encode_record`] renders it, under the
+    /// writer's header.
     fn record(&mut self, record: &ExportRecord) {
-        encode_record(record, self.out);
-        self.counted();
+        match self.header {
+            BatchHeader::Fixed => put_owned_record::<false>(record, self.out),
+            BatchHeader::Varint => put_owned_record::<true>(record, self.out),
+        }
+        self.records += 1;
     }
 
     /// Append `run` — what a [`SampleRun`] yields back — as one record
@@ -2244,7 +2412,7 @@ impl<'a> BatchWriter<'a> {
             Coding::Whole => put_samples(self.out, coding, run, |_, bits| whole(bits)),
             // A value whose id has a state is XOR-coded against it, any
             // other whole; either way the state takes it.
-            Coding::Deltas | Coding::Sweeps | Coding::Buckets => {
+            Coding::Deltas | Coding::Sweeps | Coding::Buckets | Coding::Varints => {
                 put_samples(self.out, coding, run, |id, bits| {
                     match state.replace(id, bits) {
                         Some(prev) => xored(prev ^ bits),
@@ -2253,14 +2421,14 @@ impl<'a> BatchWriter<'a> {
                 })
             }
         }
-        self.counted();
+        self.records += 1;
     }
 
     /// Append `records`, a run [`bucket_run_len`] measured, as one
     /// `bucket_run` record.
     fn bucket_run(&mut self, records: &[ExportRecord]) {
-        put_bucket_run(self.out, records);
-        self.counted();
+        put_bucket_run(self.out, self.header, records);
+        self.records += 1;
     }
 
     /// Append a `chunk` record of `count` samples ending at `last_t`:
@@ -2273,9 +2441,22 @@ impl<'a> BatchWriter<'a> {
         last_t: SimTime,
         fill: impl FnOnce(&mut Vec<u8>) -> u64,
     ) {
-        self.out.push(REC_CHUNK);
-        put_block(self.out, |out| put_chunk(out, id, count, last_t, fill));
-        self.counted();
+        self.header.put_record(self.out, REC_CHUNK, |out| {
+            put_chunk(out, id, count, last_t, fill)
+        });
+        self.records += 1;
+    }
+}
+
+impl Drop for BatchWriter<'_> {
+    /// The fixed header's record count, patched in once the batch is
+    /// written.
+    fn drop(&mut self) {
+        // The writer only ever appends after the count, so it is there.
+        let count = self.out.get_mut(self.count_at..self.count_at + 4);
+        if let (BatchHeader::Fixed, Some(count)) = (self.header, count) {
+            count.copy_from_slice(&self.records.to_le_bytes());
+        }
     }
 }
 
@@ -2285,42 +2466,44 @@ impl<'a> BatchWriter<'a> {
 /// record, so the count in the header counts *wire* records, not
 /// `batch.records`; [`decode_batch`] gives the same records back. Needs
 /// no state and leaves none: the rendering any reader reads
-/// ([`Coding::Whole`]).
+/// ([`Coding::Whole`], under the fixed header).
 pub fn encode_batch(batch: &ExportBatch, out: &mut Vec<u8>) {
     encode_batch_as(batch, Coding::Whole, &mut ValueState::new(), out);
 }
 
 /// [`encode_batch`] for a stream whose writer keeps `state`, as this
-/// build's revision writes it ([`Coding::Buckets`]): each run of samples
-/// is one `sweep` or `samples_delta` record, its values coded against
-/// `state`, which takes them, and each run of one ring's sealed buckets
-/// a `bucket_run` record. The reader must keep the same state
+/// build's revision writes it ([`Coding::Varints`]): a 1.6 batch
+/// ([`BatchHeader::Varint`]) in which each run of samples is one `sweep`
+/// or `samples_delta` record, its values coded against `state`, which
+/// takes them, and each run of one ring's sealed buckets a `bucket_run`
+/// record. The reader must keep the same state
 /// ([`BatchView::to_batch_with`], [`decode_batch_with`]).
 pub fn encode_batch_with(batch: &ExportBatch, state: &mut ValueState, out: &mut Vec<u8>) {
-    encode_batch_as(batch, Coding::Buckets, state, out);
+    encode_batch_as(batch, Coding::Varints, state, out);
 }
 
 /// Encode `batch` for a reader of an older revision, or of this one:
-/// its runs of samples in `coding`, coded against `state` unless that
-/// is [`Coding::Whole`], which leaves `state` alone.
+/// under `coding`'s header ([`Coding::header`]), its runs of samples in
+/// `coding`, coded against `state` unless that is [`Coding::Whole`],
+/// which leaves `state` alone.
 pub fn encode_batch_as(
     batch: &ExportBatch,
     coding: Coding,
     state: &mut ValueState,
     out: &mut Vec<u8>,
 ) {
-    let mut w = BatchWriter::new(out, batch.seq);
+    let mut w = BatchWriter::new(out, batch.seq, coding.header());
     let sample = |r: &ExportRecord| match *r {
         ExportRecord::Sample { id, t, value } => Some((id, t, value)),
         _ => None,
     };
-    // Maximal runs of samples, under 1.5 runs of buckets too; every
+    // Maximal runs of samples, from 1.5 on runs of buckets too; every
     // other record is a group of its own.
     let mut rest = &batch.records[..];
     while let Some(head) = rest.first() {
         let samples = rest.iter().take_while(|r| sample(r).is_some()).count();
         let buckets = match coding {
-            Coding::Buckets if samples == 0 => bucket_run_len(rest),
+            Coding::Buckets | Coding::Varints if samples == 0 => bucket_run_len(rest),
             _ => 0,
         };
         let taken = if samples > 0 {
@@ -2340,20 +2523,30 @@ pub fn encode_batch_as(
     }
 }
 
-/// Decode a batch into owned records: [`BatchView::parse`], then
-/// [`BatchView::to_batch`]. Returns the batch plus the number of
+/// Decode a fixed-header batch into owned records: [`BatchView::parse`],
+/// then [`BatchView::to_batch`]. Returns the batch plus the number of
 /// records skipped because their kind tag is unknown to this reader. A
 /// batch holding a `samples_delta` or `sweep` record is `InvalidData`:
 /// see [`decode_batch_with`].
 pub fn decode_batch(buf: &[u8]) -> io::Result<(ExportBatch, u64)> {
-    let view = BatchView::parse(buf)?;
+    let view = BatchView::parse(buf, BatchHeader::Fixed)?;
     Ok((view.to_batch()?, view.unknown_records()))
 }
 
-/// [`decode_batch`] for a stream whose reader keeps `state`:
-/// [`BatchView::parse`], then [`BatchView::to_batch_with`].
+/// [`decode_batch`] for a stream whose reader keeps `state`, of a batch
+/// as [`encode_batch_with`] writes it (1.6).
 pub fn decode_batch_with(buf: &[u8], state: &mut ValueState) -> io::Result<(ExportBatch, u64)> {
-    let view = BatchView::parse(buf)?;
+    decode_batch_as(buf, BatchHeader::Varint, state)
+}
+
+/// [`decode_batch_with`] of a batch with `header`:
+/// [`BatchView::parse`], then [`BatchView::to_batch_with`].
+pub fn decode_batch_as(
+    buf: &[u8],
+    header: BatchHeader,
+    state: &mut ValueState,
+) -> io::Result<(ExportBatch, u64)> {
+    let view = BatchView::parse(buf, header)?;
     Ok((view.to_batch_with(state)?, view.unknown_records()))
 }
 
@@ -2492,7 +2685,7 @@ fn frame_crc(tag: u8, payload: &[&[u8]]) -> u32 {
 }
 
 /// The frame tags spoken inside the [`write_frame`] envelope by the
-/// `moda` socket protocols (`export-wire-v1.4`). The envelope itself is
+/// `moda` socket protocols (`export-wire-v1.6`). The envelope itself is
 /// tag-agnostic; this registry exists so the protocols layered on it —
 /// fleet ingest sessions and the query/serving sessions next to them —
 /// can never collide on a tag value. Tags are **additive**: a value,
@@ -2509,7 +2702,7 @@ pub mod frame_tag {
     pub const HELLO: u8 = 1;
     /// Ingest hello response: status + persisted session cursor.
     pub const HELLO_ACK: u8 = 2;
-    /// One encoded export batch.
+    /// One encoded export batch with the fixed header (1.1–1.5).
     pub const BATCH: u8 = 3;
     /// Cumulative apply acknowledgement.
     pub const ACK: u8 = 4;
@@ -2524,6 +2717,9 @@ pub mod frame_tag {
     pub const QUERY: u8 = 8;
     /// One query response: request id (`u64` LE) + encoded response.
     pub const QUERY_RESP: u8 = 9;
+    /// One encoded export batch with the 1.6 varint header
+    /// ([`super::BatchHeader::Varint`]).
+    pub const BATCH_1_6: u8 = 10;
 }
 
 /// Write one self-delimiting frame:
@@ -2964,7 +3160,7 @@ mod tests {
         );
         assert_eq!(&buf[12..], want);
         let mut reader = ValueState::new();
-        let (back, unknown) = decode_batch_with(&buf, &mut reader).unwrap();
+        let (back, unknown) = decode_batch_as(&buf, BatchHeader::Fixed, &mut reader).unwrap();
         assert_eq!((back.records, unknown), (records, 0));
         assert_eq!(reader, writer);
         assert_eq!(reader.get(MetricId(7)), Some(203.25f64.to_bits()));
@@ -2980,7 +3176,12 @@ mod tests {
             &next[12..],
             [0x06, 0x06, 0, 0, 0, 0x01, 0xA9, 0x07, 0x80, 0xE8, 0x07]
         );
-        assert_eq!(decode_batch_with(&next, &mut reader).unwrap().0, again);
+        assert_eq!(
+            decode_batch_as(&next, BatchHeader::Fixed, &mut reader)
+                .unwrap()
+                .0,
+            again
+        );
     }
 
     #[test]
@@ -3021,9 +3222,9 @@ mod tests {
         // this short cost a byte more than as `samples_delta`.
         for (batch, want, deltas) in [(&first, want_first, 20), (&second, want_second, 14)] {
             let mut buf = Vec::new();
-            encode_batch_with(batch, &mut writer, &mut buf);
+            encode_batch_as(batch, Coding::Buckets, &mut writer, &mut buf);
             assert_eq!(&buf[12..], want);
-            let (back, unknown) = decode_batch_with(&buf, &mut reader).unwrap();
+            let (back, unknown) = decode_batch_as(&buf, BatchHeader::Fixed, &mut reader).unwrap();
             assert_eq!((&back, unknown), (batch, 0));
             assert_eq!(reader, writer);
             let mut as_1_3 = Vec::new();
@@ -3042,7 +3243,7 @@ mod tests {
             ],
         };
         let mut buf = Vec::new();
-        encode_batch_with(&tail, &mut ValueState::new(), &mut buf);
+        encode_batch_as(&tail, Coding::Buckets, &mut ValueState::new(), &mut buf);
         assert_eq!(
             &buf[12..],
             [
@@ -3062,7 +3263,9 @@ mod tests {
             let mut buf = Vec::new();
             let batch = ExportBatch { seq: 0, records };
             encode_batch_as(&batch, coding, &mut ValueState::new(), &mut buf);
-            let back = decode_batch_with(&buf, &mut ValueState::new()).unwrap().0;
+            let back = decode_batch_as(&buf, BatchHeader::Fixed, &mut ValueState::new())
+                .unwrap()
+                .0;
             assert_eq!(back, batch);
             buf[12]
         };
@@ -3105,8 +3308,9 @@ mod tests {
         assert_eq!(Coding::for_revision(Some([1, 2])), Coding::Whole);
         assert_eq!(Coding::for_revision(Some([1, 3])), Coding::Deltas);
         assert_eq!(Coding::for_revision(Some([1, 4])), Coding::Sweeps);
-        assert_eq!(Coding::for_revision(Some(REVISION)), Coding::Buckets);
-        assert_eq!(Coding::for_revision(Some([1, 6])), Coding::Buckets);
+        assert_eq!(Coding::for_revision(Some([1, 5])), Coding::Buckets);
+        assert_eq!(Coding::for_revision(Some(REVISION)), Coding::Varints);
+        assert_eq!(Coding::for_revision(Some([1, 7])), Coding::Varints);
     }
 
     /// Malformed `sweep` records are `InvalidData` — the batch refused
@@ -3126,7 +3330,7 @@ mod tests {
         let before = state.clone();
         let err = |payload: &[u8]| {
             let mut read = state.clone();
-            let e = decode_batch_with(&batch(payload), &mut read).unwrap_err();
+            let e = decode_batch_as(&batch(payload), BatchHeader::Fixed, &mut read).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             assert_eq!(read, before);
             e.to_string()
@@ -3134,7 +3338,7 @@ mod tests {
         // Well-formed for contrast: ids 4, 5 at t 0, a repeat and a whole
         // one-byte value.
         let good = [2, 4, 1, 0, 0, 0x19, 0x40];
-        assert!(decode_batch_with(&batch(&good), &mut state.clone()).is_ok());
+        assert!(decode_batch_as(&batch(&good), BatchHeader::Fixed, &mut state.clone()).is_ok());
         // More samples than twice the bytes after the count.
         assert!(err(&[13, 4, 1, 0, 0, 0, 0]).contains("count exceeds"));
         let mut lie = Vec::new();
@@ -3234,7 +3438,7 @@ mod tests {
             0x08, 0xE0, 0x14, 0x1E, 0x01, 0x1E, // keys 1328, 1330; counts 30, 30
         ];
         let mut buf = Vec::new();
-        encode_batch_with(&batch, &mut ValueState::new(), &mut buf);
+        encode_batch_as(&batch, Coding::Buckets, &mut ValueState::new(), &mut buf);
         assert_eq!(&buf[12..], want);
         assert_eq!(decode_batch(&buf).unwrap(), (batch.clone(), 0));
         // Two `bucket` and four `sketch` records as kinds 2 and 3.
@@ -3258,7 +3462,7 @@ mod tests {
                 records: records.to_vec(),
             };
             encode_batch_as(&batch, coding, &mut ValueState::new(), &mut buf);
-            let back = decode_batch_with(&buf, &mut ValueState::new()).unwrap();
+            let back = decode_batch_as(&buf, BatchHeader::Fixed, &mut ValueState::new()).unwrap();
             assert_eq!(back, (batch, 0));
             let mut r = WireReader::new(&buf[12..]);
             let mut kinds = Vec::new();
@@ -3341,13 +3545,6 @@ mod tests {
             let older: Vec<u8> = kinds(Coding::Sweeps, &records);
             assert!(!older.contains(&REC_BUCKET_RUN), "{records:?}");
         }
-        // A resolution of 0 codes every step as itself.
-        let zero_res = [
-            vec![bucket(4, 0, 5, 1, scalars)],
-            vec![bucket(4, 0, 6, 1, scalars)],
-        ]
-        .concat();
-        assert_eq!(kinds(Coding::Buckets, &zero_res), [r]);
     }
 
     /// Malformed `bucket_run` records are `InvalidData` — the batch
@@ -3368,7 +3565,7 @@ mod tests {
         let before = ValueState::new();
         let err = |payload: &[u8]| {
             let mut read = before.clone();
-            let e = decode_batch_with(&batch(payload), &mut read).unwrap_err();
+            let e = decode_batch_as(&batch(payload), BatchHeader::Fixed, &mut read).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             assert_eq!(read, before);
             e.to_string()
@@ -3380,7 +3577,7 @@ mod tests {
             4, 0xE8, 0x07, 2, 9, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0x0A, 0xC8, 0x01,
         ];
         let mut read = before.clone();
-        let (taken, _) = decode_batch_with(&batch(&good), &mut read).unwrap();
+        let (taken, _) = decode_batch_as(&batch(&good), BatchHeader::Fixed, &mut read).unwrap();
         assert_eq!(taken.records.len(), 2 + 3);
         assert_ne!(read, before);
         // More buckets than a seventh of the bytes after the count.
@@ -3392,9 +3589,9 @@ mod tests {
         // A column cut short: in its entry's count, or before its entry.
         assert!(err(&good[..good.len() - 1]).contains("truncated"));
         assert!(err(&good[..good.len() - 3]).contains("longer than its bytes"));
-        // A start that repeats (a resolution of 0 and the next slot), or
-        // that passes `u64`.
-        assert!(err(&[&[4, 0][..], &good[3..]].concat()).contains("does not increase"));
+        // A resolution of 0: no ring's.
+        assert!(err(&[&[4, 0][..], &good[3..]].concat()).contains("resolution 0"));
+        // A start that passes `u64`.
         let mut past = vec![4, 0xE8, 0x07, 2];
         put_uv(&mut past, u64::MAX - 10);
         past.extend_from_slice(&good[5..]);
@@ -3422,15 +3619,179 @@ mod tests {
     }
 
     #[test]
+    fn varint_batch_is_the_documented_bytes() {
+        // The worked example of docs/EXPORT_FORMAT.md: the 1.4 example's
+        // first sweep as batch 300 of a 1.6 stream.
+        let batch = ExportBatch {
+            seq: 300,
+            records: (0..3)
+                .map(|i| sample(4 + i, 60_000, [201.5, 203.0, 2.0][i as usize]))
+                .collect(),
+        };
+        let want: &[u8] = &[
+            0xAC, 0x02, // seq 300
+            0x07, // kind: sweep
+            0x10, // payload length 16
+            0x03, 0x04, 0x01, 0xC0, 0xA9, 0x07, 0x00, // three samples, ids, times
+            0x33, 0x01, // codes
+            0x40, 0x69, 0x30, 0x40, 0x69, 0x60, 0x40, // the values, whole
+        ];
+        let mut buf = Vec::new();
+        encode_batch_with(&batch, &mut ValueState::new(), &mut buf);
+        assert_eq!(buf, want);
+        let mut reader = ValueState::new();
+        assert_eq!(
+            decode_batch_with(&buf, &mut reader).unwrap(),
+            (batch.clone(), 0)
+        );
+        // The same record under the fixed header: 33 bytes, not 20.
+        let mut fixed = Vec::new();
+        encode_batch_as(&batch, Coding::Buckets, &mut ValueState::new(), &mut fixed);
+        assert_eq!(fixed.len(), 12 + 5 + 16);
+        assert_eq!(&fixed[12..13], &want[2..3]);
+        assert_eq!(&fixed[17..], &want[4..]);
+        // The header is the frame's to say: one tag for each.
+        assert_eq!(Coding::Varints.header().frame_tag(), frame_tag::BATCH_1_6);
+        assert_eq!(Coding::Buckets.header().frame_tag(), frame_tag::BATCH);
+        for header in [BatchHeader::Fixed, BatchHeader::Varint] {
+            assert_eq!(BatchHeader::of_frame_tag(header.frame_tag()), Some(header));
+        }
+        assert_eq!(BatchHeader::of_frame_tag(frame_tag::DRAIN), None);
+    }
+
+    /// A 1.6 record's payload of 128 bytes or more takes a length of two
+    /// bytes or more, and the bytes of every record kind are those of the
+    /// fixed-header batch, lengths aside; an unknown kind is skipped by
+    /// its varint length, and a batch of no records is its seq.
+    #[test]
+    fn varint_lengths_of_every_width_read_back() {
+        let mut batches = wire_batches();
+        batches.push(meta_batch(200));
+        batches.push(meta_batch(MAX_STR_LEN));
+        batches.push(ExportBatch {
+            seq: u64::MAX,
+            records: Vec::new(),
+        });
+        let (mut writer, mut reader) = (ValueState::new(), ValueState::new());
+        let mut widths = Vec::new();
+        for batch in &batches {
+            let mut buf = Vec::new();
+            encode_batch_with(batch, &mut writer, &mut buf);
+            BatchView::parse(&buf, BatchHeader::Varint).unwrap();
+            let mut r = WireReader::new(&buf);
+            assert_eq!(r.uv().unwrap(), batch.seq);
+            while !r.done() {
+                r.u8().unwrap();
+                let at = r.pos;
+                let len = r.uv().unwrap();
+                widths.push(r.pos - at);
+                assert_eq!(uv_len(len), r.pos - at);
+                r.take(len as usize).unwrap();
+            }
+            assert_eq!(
+                decode_batch_with(&buf, &mut reader).unwrap(),
+                (batch.clone(), 0)
+            );
+        }
+        assert_eq!(reader, writer);
+        assert!([1, 2, 3].iter().all(|w| widths.contains(w)), "{widths:?}");
+        // An unknown kind between two known ones.
+        let mut buf = vec![7];
+        BatchHeader::Varint.put_record(&mut buf, 200, |out| out.extend_from_slice(&[0; 300]));
+        BatchHeader::Varint.put_record(&mut buf, REC_SAMPLE, |out| {
+            put_u32(out, 4);
+            put_u64(out, 5);
+            put_f64(out, 6.0);
+        });
+        let (batch, unknown) = decode_batch_with(&buf, &mut ValueState::new()).unwrap();
+        assert_eq!((batch.seq, unknown), (7, 1));
+        assert_eq!(batch.records, [sample(4, 5, 6.0)]);
+    }
+
+    /// How many bytes [`put_uv`] writes for `v`.
+    fn uv_len(v: u64) -> usize {
+        let mut buf = Vec::new();
+        put_uv(&mut buf, v);
+        buf.len()
+    }
+
+    /// A 1.6 header or record length that does not read is `InvalidData`
+    /// and leaves the reader's state as it was: a seq varint over ten
+    /// bytes or past `u64`, a length varint cut short or past `u64`, a
+    /// length past the end of the batch.
+    #[test]
+    fn hostile_varint_headers_are_bad_data() {
+        let mut state = ValueState::new();
+        state.set(MetricId(4), 0x4069_3000_0000_0000);
+        let before = state.clone();
+        let err = |bytes: &[u8]| {
+            let mut read = state.clone();
+            let e = decode_batch_with(bytes, &mut read).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(read, before);
+            assert!(BatchView::parse(bytes, BatchHeader::Varint).is_err());
+            e.to_string()
+        };
+        // Well-formed for contrast: a one-sample `samples_delta` of
+        // metric 4 repeating its value.
+        let good = [0x01, REC_SAMPLES_DELTA, 0x03, 0x01, 0x89, 0x04];
+        assert!(decode_batch_with(&good, &mut state.clone()).is_ok());
+        // Seq: eleven bytes, ten past `u64`, or none at all.
+        let eleven = [&[0x80; 10][..], &[0x01], &good[1..]].concat();
+        assert!(err(&eleven).contains("varint overflow"));
+        let past = [&[0xFF; 9][..], &[0x02], &good[1..]].concat();
+        assert!(err(&past).contains("varint overflow"));
+        assert!(err(&[]).contains("truncated"));
+        // A length cut short, past `u64`, or past the end of the batch.
+        assert!(err(&[0x01, REC_SAMPLES_DELTA, 0x83]).contains("truncated"));
+        let wide = [&good[..2], &[0xFF; 9][..], &[0x02]].concat();
+        assert!(err(&wide).contains("varint overflow"));
+        assert!(err(&[&good[..2], &[0x04], &good[3..]].concat()).contains("truncated"));
+        assert!(err(&[0x01, REC_SAMPLES_DELTA]).contains("truncated"));
+    }
+
+    /// A `bucket`, `sketch` or `bucket_run` record of resolution 0 is
+    /// `InvalidData` under either header: no ring has that resolution,
+    /// and a fleet must not be asked to make one.
+    #[test]
+    fn a_tier_resolution_of_0_is_bad_data() {
+        let scalars = [1.0, 1.0, 1.0, 1.0];
+        let cases = [
+            vec![bucket(4, 0, 5, 0, scalars)],
+            column(4, 0, 5, &[(1, 3, 1)]),
+            vec![bucket(4, 0, 5, 1, scalars)],
+        ];
+        for records in cases {
+            let batch = ExportBatch { seq: 0, records };
+            for coding in [Coding::Sweeps, Coding::Buckets, Coding::Varints] {
+                let mut buf = Vec::new();
+                encode_batch_as(&batch, coding, &mut ValueState::new(), &mut buf);
+                let e = BatchView::parse(&buf, coding.header()).unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("resolution 0"), "{e}");
+            }
+        }
+        // The third case is a `bucket_run` under 1.5 and 1.6.
+        let mut buf = Vec::new();
+        let run = ExportBatch {
+            seq: 0,
+            records: vec![bucket(4, 0, 5, 1, scalars)],
+        };
+        encode_batch_with(&run, &mut ValueState::new(), &mut buf);
+        assert_eq!(buf[1], REC_BUCKET_RUN);
+    }
+
+    #[test]
     fn stateless_readers_refuse_a_delta_record_and_nothing_else() {
         let records = vec![sample(3, 1_000, 2.5), sample(3, 2_000, 2.75)];
         let mut buf = Vec::new();
-        encode_batch_with(
+        encode_batch_as(
             &ExportBatch { seq: 4, records },
+            Coding::Buckets,
             &mut ValueState::new(),
             &mut buf,
         );
-        let view = BatchView::parse(&buf).expect("validation needs no state");
+        let view = BatchView::parse(&buf, BatchHeader::Fixed).expect("validation needs no state");
         for refused in [decode_batch(&buf).map(drop), view.to_batch().map(drop)] {
             let e = refused.unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
@@ -3462,7 +3823,7 @@ mod tests {
         put_u32(&mut buf, 1);
         buf.push(REC_SAMPLES_DELTA);
         put_block(&mut buf, |out| out.extend_from_slice(&payload));
-        let view = BatchView::parse(&buf).expect("well-formed");
+        let view = BatchView::parse(&buf, BatchHeader::Fixed).expect("well-formed");
         let mut state = ValueState::new();
         state.set(MetricId(1), 7);
         let before = state.clone();
@@ -3503,7 +3864,7 @@ mod tests {
             put_u32(&mut buf, 1);
             buf.push(REC_SAMPLES_DELTA);
             put_block(&mut buf, |out| out.extend_from_slice(payload));
-            let e = BatchView::parse(&buf).unwrap_err();
+            let e = BatchView::parse(&buf, BatchHeader::Fixed).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             e.to_string()
         };
@@ -3787,9 +4148,14 @@ mod tests {
             });
             buf
         };
-        let swept = decode_batch_with(&sweep(MAX_BATCH_RECORDS), &mut ValueState::new()).unwrap();
+        let swept = decode_batch_as(
+            &sweep(MAX_BATCH_RECORDS),
+            BatchHeader::Fixed,
+            &mut ValueState::new(),
+        )
+        .unwrap();
         assert_eq!(swept.0.records.len(), MAX_BATCH_RECORDS);
-        let e = BatchView::parse(&sweep(MAX_BATCH_RECORDS + 1)).unwrap_err();
+        let e = BatchView::parse(&sweep(MAX_BATCH_RECORDS + 1), BatchHeader::Fixed).unwrap_err();
         assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
         // Two-byte sketch entries: one bucket whose column is the rest
         // of a `bucket_run`, each entry a record.
@@ -3809,9 +4175,9 @@ mod tests {
             buf
         };
         let at_bound = bucket_run(MAX_BATCH_RECORDS - 1);
-        let view = BatchView::parse(&at_bound).unwrap();
+        let view = BatchView::parse(&at_bound, BatchHeader::Fixed).unwrap();
         assert_eq!(view.record_count(), MAX_BATCH_RECORDS);
-        let e = BatchView::parse(&bucket_run(MAX_BATCH_RECORDS)).unwrap_err();
+        let e = BatchView::parse(&bucket_run(MAX_BATCH_RECORDS), BatchHeader::Fixed).unwrap_err();
         assert!(e.to_string().contains("MAX_BATCH_RECORDS"), "{e}");
         for over in [
             batch(&[MAX_BATCH_RECORDS + 1], false),

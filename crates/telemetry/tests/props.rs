@@ -1513,6 +1513,7 @@ fn render_v1_1(batch: &ExportBatch) -> Vec<u8> {
 /// timestamps repeat, step, *decrease* (a run interleaves metrics) and
 /// jump to the ends of `u64`; values cover NaN payloads, ±inf,
 /// subnormals, −0.0, quantised readings and arbitrary bit patterns.
+/// Tier resolutions are never 0, which every reader refuses.
 fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
     prop::collection::vec(
         (
@@ -1566,7 +1567,7 @@ fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
                         },
                         1 => ExportRecord::Bucket {
                             id: metric,
-                            res: SimDuration(dt),
+                            res: SimDuration(dt.max(1)),
                             start: time,
                             count: v_raw,
                             sum: value,
@@ -1576,7 +1577,7 @@ fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
                         },
                         2 => ExportRecord::Sketch {
                             id: metric,
-                            res: SimDuration(dt),
+                            res: SimDuration(dt.max(1)),
                             start: time,
                             entry: SketchEntry {
                                 sign: (id_sel as i8 % 3) - 1,
@@ -1667,9 +1668,10 @@ fn swept_records() -> impl Strategy<Value = Vec<ExportRecord>> {
 
 /// [`swept_records`] with runs of sealed buckets spliced in: one ring's
 /// one to five buckets, each followed by its sketch column — what a 1.5
-/// writer writes as one `bucket_run` record. Resolutions are 0, 1000 or
-/// any; starts step by the resolution, by twice it, by any step (0
-/// included, so a start repeats) or wrap past `u64` (so a start falls);
+/// writer writes as one `bucket_run` record. Resolutions are 1, 1000 or
+/// any — never 0, which no ring has and every reader refuses; starts
+/// step by the resolution, by twice it, by any step (0 included, so a
+/// start repeats) or wrap past `u64` (so a start falls);
 /// scalars are quarter steps or raw bits; a column is in the sketch's
 /// own order, its keys near 0, anywhere in `i32` or at its ends. About
 /// half the runs are broken the ways that keep a group out of a run: a
@@ -1701,7 +1703,7 @@ fn bucketed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
             {
                 let (id, res) = (MetricId(id), res_raw % 5_000 + 1);
                 let res = match res_sel {
-                    0 => 0,
+                    0 => 1,
                     1 => 1_000,
                     _ => res,
                 };
@@ -1914,8 +1916,8 @@ proptest! {
 
 use moda_telemetry::export::MAX_BATCH_RECORDS;
 use moda_telemetry::wire::{
-    bad_data, decode_batch_with, encode_batch_as, encode_batch_with, unzigzag, BatchView, Coding,
-    RecordRef, ValueState, WireReader, MAX_VALUE_IDS,
+    bad_data, decode_batch_as, encode_batch_as, encode_batch_with, put_uv, unzigzag, BatchHeader,
+    BatchView, Coding, RecordRef, ValueState, WireReader, MAX_VALUE_IDS,
 };
 use std::collections::HashMap;
 use std::io;
@@ -1943,11 +1945,14 @@ const READS_1_5: u8 = 8;
 /// `samples_delta` record lands in; and the `sweep` kind of 1.4: ids and
 /// times as two progressions in its header, the value codes in a column
 /// of nibbles; and the `bucket_run` kind of 1.5: one ring's buckets, each
-/// start, scalar and sketch key coded against the one before it. As a
+/// start, scalar and sketch key coded against the one before it; and the
+/// varint header of 1.6, which a batch's frame names (`header`): the seq
+/// and each record's length as varints, the records running to the end.
+/// A tier resolution of 0 it refuses, in every revision's records. As a
 /// reader of an older revision (`newest` the newest kind
 /// it knows) it is that revision's decoder verbatim, to which the later
 /// kinds are kinds from the future.
-fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
+fn reference_decode(buf: &[u8], newest: u8, header: BatchHeader) -> io::Result<Decoded> {
     struct Stream {
         last: HashMap<u32, u64>,
         readable: bool,
@@ -2122,7 +2127,7 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
         }
         let mut r = WireReader::new(payload);
         let id = MetricId(u32::try_from(r.uv()?).map_err(|_| bad_data("id past u32"))?);
-        let res = r.uv()?;
+        let res = nonzero(r.uv()?)?;
         let count = r.uv()?;
         // A bucket is seven bytes at least.
         if count > r.remaining() as u64 / 7 {
@@ -2134,10 +2139,9 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
             let code = r.uv()?;
             start = match (i, code) {
                 (0, _) => code,
-                (_, 0) if res > 0 => start
+                (_, 0) => start
                     .checked_add(res)
                     .ok_or_else(|| bad_data("start overflows"))?,
-                (_, 0) => return Err(bad_data("start repeats")),
                 _ => start
                     .checked_add(code)
                     .ok_or_else(|| bad_data("start overflows"))?,
@@ -2195,6 +2199,12 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
         }
         Ok(())
     }
+    fn nonzero(res: u64) -> io::Result<u64> {
+        match res {
+            0 => Err(bad_data("tier resolution 0")),
+            res => Ok(res),
+        }
+    }
     fn record(tag: u8, payload: &[u8]) -> io::Result<ExportRecord> {
         let mut r = WireReader::new(payload);
         let record = match tag {
@@ -2209,7 +2219,7 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
             },
             2 => ExportRecord::Bucket {
                 id: MetricId(r.u32()?),
-                res: SimDuration(r.u64()?),
+                res: SimDuration(nonzero(r.u64()?)?),
                 start: SimTime(r.u64()?),
                 count: r.u64()?,
                 sum: r.f64()?,
@@ -2219,7 +2229,7 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
             },
             3 => ExportRecord::Sketch {
                 id: MetricId(r.u32()?),
-                res: SimDuration(r.u64()?),
+                res: SimDuration(nonzero(r.u64()?)?),
                 start: SimTime(r.u64()?),
                 entry: SketchEntry {
                     sign: r.u8()? as i8,
@@ -2241,17 +2251,27 @@ fn reference_decode(buf: &[u8], newest: u8) -> io::Result<Decoded> {
         Ok(record)
     }
     let mut r = WireReader::new(buf);
-    let seq = r.u64()?;
-    let n = r.u32()?;
+    let varint = header == BatchHeader::Varint;
+    let (seq, mut n) = match varint {
+        false => (r.u64()?, r.u32()?),
+        true => (r.uv()?, 0),
+    };
     let mut records = Vec::new();
     let (mut unknown, mut delta) = (0u64, false);
     let mut stream = Stream {
         last: HashMap::new(),
         readable: true,
     };
-    for _ in 0..n {
+    while if varint { !r.done() } else { n > 0 } {
+        n = n.saturating_sub(1);
         let tag = r.u8()?;
-        let payload = r.block()?;
+        let payload = match varint {
+            false => r.block()?,
+            true => {
+                let len = r.uv()?;
+                r.take(usize::try_from(len).map_err(|_| bad_data("length past usize"))?)?
+            }
+        };
         let room = MAX_BATCH_RECORDS - records.len();
         match tag {
             _ if tag > newest => unknown += 1,
@@ -2381,17 +2401,19 @@ fn lent_records(view: &BatchView<'_>, state: &mut ValueState) -> Vec<ExportRecor
     out
 }
 
-/// `BatchView::parse(bytes)` against the reference decoder: the same
-/// verdict on the structure; on `Ok` the same seq and counts, stateless
-/// readers refusing exactly the batches that hold a `samples_delta` or
-/// `sweep` record, and — read against a stream state that starts empty at the
-/// batch — the same verdict on the values and the same batch, bit for
-/// bit, three ways: the lent records, `to_batch_with`, and (for a batch
-/// a stateless reader takes) `to_batch` and `decode_batch`. A refused
+/// `BatchView::parse(bytes, header)` against the reference decoder: the
+/// same verdict on the structure; on `Ok` the same seq and counts,
+/// stateless readers refusing exactly the batches that hold a
+/// `samples_delta` or `sweep` record, and — read against a stream state
+/// that starts empty at the batch — the same verdict on the values and
+/// the same batch, bit for bit, three ways: the lent records,
+/// `to_batch_with`, and (for a batch a stateless reader takes)
+/// `to_batch` and, under the fixed header, `decode_batch`. A refused
 /// read leaves the state empty.
-fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
-    let view = BatchView::parse(bytes);
-    let reference = reference_decode(bytes, READS_1_5);
+fn check_view_against_reference(bytes: &[u8], header: BatchHeader) -> Result<(), TestCaseError> {
+    let view = BatchView::parse(bytes, header);
+    let reference = reference_decode(bytes, READS_1_5, header);
+    let fixed = header == BatchHeader::Fixed;
     prop_assert_eq!(
         view.is_ok(),
         reference.is_ok(),
@@ -2400,13 +2422,13 @@ fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
         reference
     );
     let (Ok(view), Ok((seq, values, unknown, delta))) = (view, reference) else {
-        prop_assert!(decode_batch(bytes).is_err());
+        prop_assert!(!fixed || decode_batch(bytes).is_err());
         return Ok(());
     };
     prop_assert_eq!(view.seq(), seq);
     prop_assert_eq!(view.unknown_records(), unknown);
     prop_assert_eq!(view.as_bytes(), bytes);
-    prop_assert_eq!(decode_batch(bytes).is_ok(), !delta);
+    prop_assert!(!fixed || decode_batch(bytes).is_ok() != delta);
     prop_assert_eq!(view.to_batch().is_ok(), !delta);
     let mut state = ValueState::new();
     let with = view.to_batch_with(&mut state);
@@ -2432,9 +2454,57 @@ fn check_view_against_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
     prop_assert_eq!(lent_state, state);
     if !delta {
         prop_assert_eq!(render_v1_1(&view.to_batch().unwrap()), &want[..]);
+    }
+    if !delta && fixed {
         prop_assert_eq!(render_v1_1(&decode_batch(bytes).unwrap().0), &want[..]);
     }
     Ok(())
+}
+
+/// A batch's wire records, `(kind, payload)`, read off its `header`'s
+/// framing: what a test re-frames under either header.
+fn wire_records(bytes: &[u8], header: BatchHeader) -> Vec<(u8, Vec<u8>)> {
+    let mut r = WireReader::new(bytes);
+    let varint = header == BatchHeader::Varint;
+    match varint {
+        false => r.take(12).map(drop).unwrap(),
+        true => r.uv().map(drop).unwrap(),
+    }
+    let mut records = Vec::new();
+    while !r.done() {
+        let kind = r.u8().unwrap();
+        let payload = match varint {
+            false => r.block().unwrap(),
+            true => {
+                let len = r.uv().unwrap();
+                r.take(len as usize).unwrap()
+            }
+        };
+        records.push((kind, payload.to_vec()));
+    }
+    records
+}
+
+/// Batch `seq` of `records` under `header`: the fixed `[seq u64][count
+/// u32]` and `u32` lengths, or 1.6's varints.
+fn framed(seq: u64, records: &[(u8, Vec<u8>)], header: BatchHeader) -> Vec<u8> {
+    let mut out = Vec::new();
+    match header {
+        BatchHeader::Fixed => {
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        }
+        BatchHeader::Varint => put_uv(&mut out, seq),
+    }
+    for (kind, payload) in records {
+        out.push(*kind);
+        match header {
+            BatchHeader::Fixed => out.extend_from_slice(&(payload.len() as u32).to_le_bytes()),
+            BatchHeader::Varint => put_uv(&mut out, payload.len() as u64),
+        }
+        out.extend_from_slice(payload);
+    }
+    out
 }
 
 proptest! {
@@ -2443,21 +2513,24 @@ proptest! {
     /// One parser, one meaning. For batches of all five kinds, sweeps
     /// and bucket runs among them, cut into segments rendered any of five
     /// ways (v1.1 records, packed runs, and runs coded against a state
-    /// kept from the batch's start by a 1.5 writer — `bucket_run`,
+    /// kept from the batch's start by a 1.6 writer — `bucket_run`,
     /// `sweep` and `samples_delta` records, orphan and out-of-order
     /// columns left as kinds 2 and 3 — a 1.4 or a 1.3 one), with
     /// unknown-kind records and hostile `samples`, `samples_delta`,
     /// `sweep` and `bucket_run` records (any leading field over any
-    /// bytes) spliced between the segments — and for arbitrary byte mutations and truncations of
-    /// those encodings — the view accepts exactly what the materialising
-    /// decoder accepted and lends exactly the records it built: NaN
-    /// payloads, −0.0, reserved control codes and shapes, ids past `u32`,
-    /// deltas with no state, over-count runs and all.
+    /// bytes, a `bucket_run` of resolution 0 among them) and `bucket`
+    /// records of resolution 0 spliced between the segments, the whole
+    /// framed under the fixed header and under 1.6's varints — and for
+    /// arbitrary byte mutations and truncations of those encodings — the
+    /// view accepts exactly what the materialising decoder accepted and
+    /// lends exactly the records it built: NaN payloads, −0.0, reserved
+    /// control codes and shapes, ids past `u32`, deltas with no state,
+    /// over-count runs, overlong varints and all.
     #[test]
     fn batch_view_means_what_the_materialising_decoder_meant(
         seq in any::<u64>(),
         records in bucketed_records(),
-        cuts in prop::collection::vec((0usize..1000, 0u8..5, 0u8..6), 0..6),
+        cuts in prop::collection::vec((0usize..1000, 0u8..5, 0u8..7), 0..6),
         foreign in prop::collection::vec((9u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
         hostile in prop::collection::vec(
             (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
@@ -2475,56 +2548,64 @@ proptest! {
         bounds.sort_by_key(|b| b.0);
         bounds.push((records.len(), 1, 0));
         let mut body = Vec::new();
-        let mut wire_records = 0u32;
         let mut from = 0;
         let mut writer = ValueState::new();
         for (k, &(to, rendering, splice)) in bounds.iter().enumerate() {
             let segment = ExportBatch { seq: 0, records: records[from..to].to_vec() };
             from = to;
             let mut rendered = Vec::new();
+            let mut header = BatchHeader::Fixed;
             match rendering {
                 0 => rendered = render_v1_1(&segment),
                 1 => encode_batch(&segment, &mut rendered),
-                2 => encode_batch_with(&segment, &mut writer, &mut rendered),
+                2 => {
+                    encode_batch_with(&segment, &mut writer, &mut rendered);
+                    header = BatchHeader::Varint;
+                }
                 3 => encode_batch_as(&segment, Coding::Sweeps, &mut writer, &mut rendered),
                 _ => encode_batch_as(&segment, Coding::Deltas, &mut writer, &mut rendered),
             }
-            wire_records += u32::from_le_bytes(rendered[8..12].try_into().unwrap());
-            body.extend_from_slice(&rendered[12..]);
-            let (tag, payload) = match splice {
+            body.extend(wire_records(&rendered, header));
+            let (count, shrink, bytes) = &hostile[k % 6];
+            body.push(match splice {
                 // A kind no revision defines: length-skipped and counted.
                 1 => (foreign[k % 6].0 as u8, foreign[k % 6].1.clone()),
                 // A `samples`, `samples_delta`, `sweep` or `bucket_run`
                 // record written by nobody's encoder.
                 2..=5 => {
-                    let (count, shrink, bytes) = &hostile[k % 6];
                     let mut payload = Vec::new();
                     // Mostly plausible counts, sometimes absurd ones.
-                    moda_telemetry::wire::put_uv(&mut payload, count >> (16 * u32::from(*shrink) + 15));
+                    put_uv(&mut payload, count >> (16 * u32::from(*shrink) + 15));
+                    // Some bucket runs name resolution 0.
+                    if splice == 5 && *shrink == 0 {
+                        payload.push(0);
+                    }
                     payload.extend_from_slice(bytes);
                     (3 + splice, payload)
                 }
+                // A `bucket` record of resolution 0, else well-formed.
+                6 => {
+                    let mut payload = (*count as u32).to_le_bytes().to_vec();
+                    payload.extend_from_slice(&[0; 8]);
+                    payload.resize(4 + 8 + 8 + 8 + 32, *shrink);
+                    (2, payload)
+                }
                 _ => continue,
-            };
-            body.push(tag);
-            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(&payload);
-            wire_records += 1;
+            });
         }
-        let mut bytes = seq.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&wire_records.to_le_bytes());
-        bytes.extend_from_slice(&body);
-
-        check_view_against_reference(&bytes)?;
-        check_view_against_reference(&bytes[..bytes.len() * cut / 1000])?;
-        for &(at, byte, op) in &mutations {
-            let at = bytes.len() * at / 1000;
-            match op {
-                0 => bytes[at] = byte,
-                1 => bytes[at] ^= 1 << (byte % 8),
-                _ => bytes.insert(at, byte),
+        for header in [BatchHeader::Fixed, BatchHeader::Varint] {
+            let mut bytes = framed(seq, &body, header);
+            check_view_against_reference(&bytes, header)?;
+            check_view_against_reference(&bytes[..bytes.len() * cut / 1000], header)?;
+            for &(at, byte, op) in &mutations {
+                let at = bytes.len() * at / 1000;
+                match op {
+                    0 => bytes[at] = byte,
+                    1 => bytes[at] ^= 1 << (byte % 8),
+                    _ => bytes.insert(at, byte),
+                }
+                check_view_against_reference(&bytes, header)?;
             }
-            check_view_against_reference(&bytes)?;
         }
     }
 
@@ -2613,8 +2694,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A stream of batches whose runs are coded against the stream —
-    /// `bucket_run`, `sweep` and `samples_delta` runs from a 1.5 writer,
-    /// the last two from a 1.4 one, or the same batch's sample runs all
+    /// `bucket_run`, `sweep` and `samples_delta` runs from a 1.6 writer
+    /// (varint header) or a 1.5 one, the last two from a 1.4 one, or the same batch's sample runs all
     /// `samples_delta` from a 1.3 one, batch by batch —
     /// reads back bit for bit by a reader that keeps its own state from
     /// the same empty start, the two states equal after every batch —
@@ -2627,7 +2708,7 @@ proptest! {
     #[test]
     fn delta_streams_read_back_bit_for_bit_and_unwind(
         records in bucketed_records(),
-        cuts in prop::collection::vec((0usize..1000, 0u8..3), 1..6),
+        cuts in prop::collection::vec((0usize..1000, 0u8..4), 1..6),
     ) {
         let mut bounds: Vec<(usize, u8)> =
             cuts.iter().map(|&(at, revision)| (records.len() * at / 1000, revision)).collect();
@@ -2639,26 +2720,29 @@ proptest! {
         for (seq, &(to, revision)) in bounds.iter().enumerate() {
             let batch = ExportBatch { seq: seq as u64, records: records[from..to].to_vec() };
             from = to;
-            let coding = [Coding::Buckets, Coding::Sweeps, Coding::Deltas][usize::from(revision)];
+            let coding = [Coding::Varints, Coding::Buckets, Coding::Sweeps, Coding::Deltas]
+                [usize::from(revision)];
+            let header = coding.header();
             let mut bytes = Vec::new();
             encode_batch_as(&batch, coding, &mut writer, &mut bytes);
-            let (back, unknown) = decode_batch_with(&bytes, &mut reader).unwrap();
+            let (back, unknown) = decode_batch_as(&bytes, header, &mut reader).unwrap();
             prop_assert_eq!(unknown, 0);
             prop_assert_eq!(render_v1_1(&back), render_v1_1(&batch));
             prop_assert_eq!(&reader, &writer);
             let runs = batch.records.iter().any(|r| matches!(r, ExportRecord::Sample { .. }));
-            prop_assert_eq!(decode_batch(&bytes).is_ok(), !runs);
+            let view = BatchView::parse(&bytes, header).unwrap();
+            prop_assert_eq!(view.to_batch().is_ok(), !runs);
             // Read against nothing: a delta with no state is refused.
             let mut fresh = ValueState::new();
-            if decode_batch_with(&bytes, &mut fresh).is_err() {
+            if decode_batch_as(&bytes, header, &mut fresh).is_err() {
                 prop_assert_eq!(fresh, ValueState::new());
             }
-            written.push(bytes);
+            written.push((bytes, header));
             states.push(writer.clone());
         }
-        for bytes in written.iter().rev() {
+        for (bytes, header) in written.iter().rev() {
             states.pop();
-            writer.unwind(bytes).unwrap();
+            writer.unwind(bytes, *header).unwrap();
             prop_assert_eq!(&writer, states.last().unwrap());
         }
     }
@@ -2672,7 +2756,9 @@ proptest! {
     /// A 1.4 reader length-skips and counts exactly the runs of bucket
     /// groups the 1.5 canonical rule makes `bucket_run` records, and
     /// reads every other record — orphan, out-of-order and count-0
-    /// bucket records among them — as the 1.5 reader does.
+    /// bucket records among them — as the 1.5 reader does. The 1.6
+    /// stream of the same batch holds the same records under the varint
+    /// header.
     #[test]
     fn a_1_2_reader_length_skips_samples_delta_and_counts_it(
         seq in any::<u64>(),
@@ -2680,7 +2766,10 @@ proptest! {
     ) {
         let batch = ExportBatch { seq, records };
         let mut bytes = Vec::new();
-        encode_batch_with(&batch, &mut ValueState::new(), &mut bytes);
+        encode_batch_as(&batch, Coding::Buckets, &mut ValueState::new(), &mut bytes);
+        let mut varint = Vec::new();
+        encode_batch_with(&batch, &mut ValueState::new(), &mut varint);
+        prop_assert_eq!(wire_records(&varint, BatchHeader::Varint), wire_records(&bytes, BatchHeader::Fixed));
         let is_sample = |r: &ExportRecord| matches!(r, ExportRecord::Sample { .. });
         let (mut runs, mut sweeps, mut bucket_runs) = (0u64, 0u64, 0u64);
         // What a reader that skips `bucket_run` records reads, and what
@@ -2718,18 +2807,21 @@ proptest! {
             others.push(rest[0].clone());
             rest = &rest[1..];
         }
-        let (got_seq, kept, unknown, delta) = reference_decode(&bytes, READS_1_2).unwrap();
+        let fixed = BatchHeader::Fixed;
+        let (got_seq, kept, unknown, delta) = reference_decode(&bytes, READS_1_2, fixed).unwrap();
         prop_assert_eq!((got_seq, unknown, delta), (seq, runs + bucket_runs, false));
         let kept = ExportBatch { seq, records: kept.unwrap() };
         prop_assert_eq!(render_v1_1(&kept), render_v1_1(&ExportBatch { seq, records: others }));
-        let (got_seq, _, unknown, delta) = reference_decode(&bytes, READS_1_3).unwrap();
+        let (got_seq, _, unknown, delta) = reference_decode(&bytes, READS_1_3, fixed).unwrap();
         prop_assert_eq!((got_seq, unknown, delta), (seq, sweeps + bucket_runs, runs > sweeps));
-        let (_, read, unknown, _) = reference_decode(&bytes, READS_1_4).unwrap();
+        let (_, read, unknown, _) = reference_decode(&bytes, READS_1_4, fixed).unwrap();
         prop_assert_eq!(unknown, bucket_runs);
         let read = ExportBatch { seq, records: read.unwrap() };
         prop_assert_eq!(render_v1_1(&read), render_v1_1(&ExportBatch { seq, records: unbucketed }));
-        let (_, read, unknown, _) = reference_decode(&bytes, READS_1_5).unwrap();
-        prop_assert_eq!(unknown, 0);
-        prop_assert_eq!(render_v1_1(&ExportBatch { seq, records: read.unwrap() }), render_v1_1(&batch));
+        for (bytes, header) in [(&bytes, fixed), (&varint, BatchHeader::Varint)] {
+            let (_, read, unknown, _) = reference_decode(bytes, READS_1_5, header).unwrap();
+            prop_assert_eq!(unknown, 0);
+            prop_assert_eq!(render_v1_1(&ExportBatch { seq, records: read.unwrap() }), render_v1_1(&batch));
+        }
     }
 }

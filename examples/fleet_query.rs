@@ -1,7 +1,7 @@
 //! Serving-tier walkthrough: the read-only query protocol over a live
 //! fleet service.
 //!
-//! Three node exporters ship `export-wire-v1.3` batches over real TCP
+//! Three node exporters ship `export-wire-v1.6` batches over real TCP
 //! into a served `DurableFleet`, and a dashboard-side [`FleetClient`]
 //! dials the **same listener** on a second connection — the query
 //! session rides the identical length-prefixed CRC frame envelope,

@@ -1,7 +1,7 @@
 //! Durable fleet service walkthrough: socket-framed wire ingest,
 //! `kill -9`-style restart, and resume from the persisted cursor.
 //!
-//! Four node exporters ship `export-wire-v1.3` batches over real TCP
+//! Four node exporters ship `export-wire-v1.6` batches over real TCP
 //! (`SocketSink` → `FleetListener`) into a `DurableFleet` — the
 //! aggregation tier wrapped in write-ahead-log + snapshot durability.
 //! Mid-stream the service goes down the hard way: the listener stops

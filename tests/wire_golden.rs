@@ -33,7 +33,12 @@
 //! * `tests/golden/export_wire_v1_5.bin` — the **read+write** golden of
 //!   spec revision 1.5: the same stream from a 1.5 writer, each run of a
 //!   ring's sealed buckets and their sketch columns a `bucket_run`
-//!   record. The same checks, and the smallest of the five;
+//!   record. The same checks;
+//! * `tests/golden/export_wire_v1_6.bin` — the **read+write** golden of
+//!   spec revision 1.6: the same stream from a 1.6 writer
+//!   (`encode_batch_with`), under `BATCH_1_6` frames: the 1.5 records,
+//!   each batch's seq and each record's length a varint and no record
+//!   count. The same checks, and the smallest of the six;
 //! * `tests/golden/query_wire_v1.bin` — a recorded query-protocol v1
 //!   exchange (see `docs/FLEET_SERVICE.md`, query protocol): one
 //!   `QUERY`/`QUERY_RESP` frame pair per request kind over a
@@ -55,8 +60,9 @@ use moda::fleet::{FleetAggregator, QueryRequest, QueryResponse, Rank};
 use moda::sim::{SimDuration, SimTime};
 use moda::telemetry::export::{ExportBatch, ExportRecord, MemorySink};
 use moda::telemetry::wire::{
-    decode_batch, decode_batch_with, encode_batch, encode_batch_as, encode_record, frame_tag,
-    read_frame, write_frame, Coding, FrameEnd, ValueState, WireReader,
+    decode_batch, decode_batch_as, encode_batch, encode_batch_as, encode_batch_with, encode_record,
+    frame_tag, put_uv, read_frame, write_frame, BatchHeader, Coding, FrameEnd, ValueState,
+    WireReader,
 };
 use moda::telemetry::{
     Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
@@ -67,9 +73,12 @@ const GOLDEN_V1_2_PATH: &str = "tests/golden/export_wire_v1_2.bin";
 const GOLDEN_V1_3_PATH: &str = "tests/golden/export_wire_v1_3.bin";
 const GOLDEN_V1_4_PATH: &str = "tests/golden/export_wire_v1_4.bin";
 const GOLDEN_V1_5_PATH: &str = "tests/golden/export_wire_v1_5.bin";
+const GOLDEN_V1_6_PATH: &str = "tests/golden/export_wire_v1_6.bin";
 const QUERY_GOLDEN_PATH: &str = "tests/golden/query_wire_v1.bin";
-/// Frame tag carrying one encoded batch (the transport's `BATCH`).
+/// Frame tag carrying one encoded batch with the fixed header (the
+/// transport's `BATCH`), and with 1.6's varint header (`BATCH_1_6`).
 const TAG_BATCH: u8 = 3;
+const TAG_BATCH_1_6: u8 = 10;
 /// The v1.1 per-observation, bucket and sketch kinds, the v1.2
 /// packed-run kind, the 1.3 delta-run kind, the 1.4 sweep kind and the
 /// 1.5 bucket-run kind.
@@ -145,59 +154,96 @@ fn bucket_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
     stream_writer(Coding::Buckets)
 }
 
-/// The reader of one 1.3, 1.4 or 1.5 stream, keeping its own value state.
-fn delta_reader() -> impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)> {
+/// The 1.6 writer of one stream: `encode_batch_with`, what a fleet logs
+/// and a sink sends a 1.6 fleet.
+fn varint_writer() -> impl FnMut(&ExportBatch, &mut Vec<u8>) {
     let mut state = ValueState::new();
-    move |bytes| decode_batch_with(bytes, &mut state)
+    move |batch, out| encode_batch_with(batch, &mut state, out)
 }
 
-/// A full golden byte stream: every dataset batch as a `BATCH` frame
-/// in the given rendering, then one hand-built frame whose batch
-/// carries a known (v1.1 `sample`) record followed by an unknown-kind
-/// record.
-fn golden_bytes(mut render: impl FnMut(&ExportBatch, &mut Vec<u8>)) -> Vec<u8> {
+/// The reader of one 1.3, 1.4, 1.5 or 1.6 stream whose batches have
+/// `header`, keeping its own value state.
+fn delta_reader(header: BatchHeader) -> impl FnMut(&[u8]) -> std::io::Result<(ExportBatch, u64)> {
+    let mut state = ValueState::new();
+    move |bytes| decode_batch_as(bytes, header, &mut state)
+}
+
+/// The frame tag a batch with `header` travels under.
+fn batch_tag(header: BatchHeader) -> u8 {
+    match header {
+        BatchHeader::Fixed => TAG_BATCH,
+        BatchHeader::Varint => TAG_BATCH_1_6,
+    }
+}
+
+/// A full golden byte stream: every dataset batch, in the given
+/// rendering with `header`, as a frame under that header's tag, then
+/// one hand-built frame whose batch carries a known (v1.1 `sample`)
+/// record followed by an unknown-kind record.
+fn golden_bytes(
+    header: BatchHeader,
+    mut render: impl FnMut(&ExportBatch, &mut Vec<u8>),
+) -> Vec<u8> {
     let batches = golden_batches();
+    let tag = batch_tag(header);
     let mut out = Vec::new();
     for batch in &batches {
         let mut payload = Vec::new();
         render(batch, &mut payload);
-        write_frame(&mut out, TAG_BATCH, &payload).unwrap();
+        write_frame(&mut out, tag, &payload).unwrap();
     }
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(batches.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&2u32.to_le_bytes());
+    let mut sample = Vec::new();
     encode_record(
         &ExportRecord::Sample {
             id: MetricId(0),
             t: SimTime(123_456),
             value: 42.5,
         },
-        &mut payload,
+        &mut sample,
     );
-    payload.push(UNKNOWN_KIND);
-    payload.extend_from_slice(&7u32.to_le_bytes());
+    let mut payload = Vec::new();
+    match header {
+        BatchHeader::Fixed => {
+            payload.extend_from_slice(&(batches.len() as u64).to_le_bytes());
+            payload.extend_from_slice(&2u32.to_le_bytes());
+            payload.extend_from_slice(&sample);
+            payload.push(UNKNOWN_KIND);
+            payload.extend_from_slice(&7u32.to_le_bytes());
+        }
+        BatchHeader::Varint => {
+            // The same record, its u32 length a varint.
+            put_uv(&mut payload, batches.len() as u64);
+            payload.push(sample[0]);
+            put_uv(&mut payload, sample.len() as u64 - 5);
+            payload.extend_from_slice(&sample[5..]);
+            payload.push(UNKNOWN_KIND);
+            put_uv(&mut payload, 7);
+        }
+    }
     payload.extend_from_slice(b"future!");
-    write_frame(&mut out, TAG_BATCH, &payload).unwrap();
+    write_frame(&mut out, tag, &payload).unwrap();
     out
 }
 
 /// The committed stream at `rel`, pinned against the deterministic
-/// dataset in the rendering `writer` makes a renderer of (regenerated
-/// first under `GOLDEN_REGEN`), cut into its `BATCH` frame payloads.
+/// dataset in the rendering `writer` makes a renderer of, with `header`
+/// (regenerated first under `GOLDEN_REGEN`), cut into its batch frame
+/// payloads.
 fn committed_frames<R: FnMut(&ExportBatch, &mut Vec<u8>)>(
     rel: &str,
+    header: BatchHeader,
     writer: impl Fn() -> R,
 ) -> Vec<Vec<u8>> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, golden_bytes(writer())).unwrap();
+        std::fs::write(&path, golden_bytes(header, writer())).unwrap();
     }
     let bytes = std::fs::read(&path)
         .unwrap_or_else(|e| panic!("{rel} unreadable ({e}); generate it with GOLDEN_REGEN=1"));
     assert_eq!(
         bytes,
-        golden_bytes(writer()),
+        golden_bytes(header, writer()),
         "{rel} is no longer the deterministic dataset in its rendering; if the \
          change is an intentional spec revision, update docs/EXPORT_FORMAT.md \
          and regenerate with GOLDEN_REGEN=1"
@@ -207,7 +253,7 @@ fn committed_frames<R: FnMut(&ExportBatch, &mut Vec<u8>)>(
     loop {
         match read_frame(&mut r).expect("golden read never io-errors") {
             Ok((tag, payload)) => {
-                assert_eq!(tag, TAG_BATCH);
+                assert_eq!(tag, batch_tag(header));
                 frames.push(payload);
             }
             Err(end) => {
@@ -222,16 +268,48 @@ fn committed_frames<R: FnMut(&ExportBatch, &mut Vec<u8>)>(
     }
 }
 
-/// The kind tag of every wire record in one encoded batch.
-fn wire_kinds(payload: &[u8]) -> Vec<u8> {
+/// Every wire record, `(kind, payload)`, of one encoded batch with
+/// `header`.
+fn wire_records(payload: &[u8], header: BatchHeader) -> Vec<(u8, &[u8])> {
     let mut r = WireReader::new(payload);
-    r.u64().unwrap();
-    (0..r.u32().unwrap())
-        .map(|_| {
-            let kind = r.u8().unwrap();
-            r.block().unwrap();
-            kind
-        })
+    let count = match header {
+        BatchHeader::Fixed => {
+            r.u64().unwrap();
+            Some(r.u32().unwrap())
+        }
+        BatchHeader::Varint => {
+            r.uv().unwrap();
+            None
+        }
+    };
+    let mut records = Vec::new();
+    while !r.done() {
+        let kind = r.u8().unwrap();
+        let payload = match header {
+            BatchHeader::Fixed => r.block().unwrap(),
+            BatchHeader::Varint => {
+                let len = r.uv().unwrap();
+                r.take(len as usize).unwrap()
+            }
+        };
+        records.push((kind, payload));
+    }
+    if let Some(count) = count {
+        assert_eq!(records.len(), count as usize);
+    }
+    records
+}
+
+/// The kind tag of every wire record in one encoded fixed-header batch.
+fn wire_kinds(payload: &[u8]) -> Vec<u8> {
+    kinds_of(payload, BatchHeader::Fixed)
+}
+
+/// The kind tag of every wire record in one encoded batch with `header`.
+fn kinds_of(payload: &[u8], header: BatchHeader) -> Vec<u8> {
+    wire_records(payload, header)
+        .into_iter()
+        .map(|(kind, _)| kind)
         .collect()
 }
 
@@ -283,7 +361,7 @@ fn assert_decodes_to_the_dataset(
 
 #[test]
 fn golden_wire_stream_decodes_and_matches_the_spec() {
-    let frames = committed_frames(GOLDEN_V1_1_PATH, || encode_batch_v1_1);
+    let frames = committed_frames(GOLDEN_V1_1_PATH, BatchHeader::Fixed, || encode_batch_v1_1);
     assert_decodes_to_the_dataset(&frames, decode_batch);
     // A v1.1 stream never carries the packed kind.
     assert!(frames
@@ -293,7 +371,7 @@ fn golden_wire_stream_decodes_and_matches_the_spec() {
 
 #[test]
 fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
-    let frames = committed_frames(GOLDEN_V1_2_PATH, || encode_batch);
+    let frames = committed_frames(GOLDEN_V1_2_PATH, BatchHeader::Fixed, || encode_batch);
     assert_decodes_to_the_dataset(&frames, decode_batch);
     // Writer stability: what the reader decoded, the current writer
     // renders back to the committed bytes — with every sample in a
@@ -311,15 +389,15 @@ fn golden_v1_2_stream_decodes_and_reencodes_bit_identically() {
     }
     assert!(packed_runs > 0, "the stream carries `samples` records");
     // And it is the smaller rendering of the same dataset.
-    let v1_1 = golden_bytes(encode_batch_v1_1).len();
-    let v1_2 = golden_bytes(encode_batch).len();
+    let v1_1 = golden_bytes(BatchHeader::Fixed, encode_batch_v1_1).len();
+    let v1_2 = golden_bytes(BatchHeader::Fixed, encode_batch).len();
     assert!(v1_2 < v1_1, "v1.2 {v1_2} B vs v1.1 {v1_1} B");
 }
 
 #[test]
 fn golden_v1_3_stream_decodes_and_reencodes_bit_identically() {
-    let frames = committed_frames(GOLDEN_V1_3_PATH, delta_writer);
-    let kinds = assert_stream_reencodes(&frames, delta_writer());
+    let frames = committed_frames(GOLDEN_V1_3_PATH, BatchHeader::Fixed, delta_writer);
+    let kinds = assert_stream_reencodes(&frames, BatchHeader::Fixed, delta_writer());
     // Every sample in a delta run, none packed whole, as a v1.1
     // `sample` record or as a 1.4 sweep.
     assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
@@ -328,15 +406,15 @@ fn golden_v1_3_stream_decodes_and_reencodes_bit_identically() {
         kinds.contains(&KIND_SAMPLES_DELTA),
         "the stream carries `samples_delta` records"
     );
-    let v1_2 = golden_bytes(encode_batch).len();
-    let v1_3 = golden_bytes(delta_writer()).len();
+    let v1_2 = golden_bytes(BatchHeader::Fixed, encode_batch).len();
+    let v1_3 = golden_bytes(BatchHeader::Fixed, delta_writer()).len();
     assert!(v1_3 < v1_2, "v1.3 {v1_3} B vs v1.2 {v1_2} B");
 }
 
 #[test]
 fn golden_v1_4_stream_decodes_and_reencodes_bit_identically() {
-    let frames = committed_frames(GOLDEN_V1_4_PATH, sweep_writer);
-    let kinds = assert_stream_reencodes(&frames, sweep_writer());
+    let frames = committed_frames(GOLDEN_V1_4_PATH, BatchHeader::Fixed, sweep_writer);
+    let kinds = assert_stream_reencodes(&frames, BatchHeader::Fixed, sweep_writer());
     assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
     assert!(
         kinds.contains(&KIND_SWEEP),
@@ -345,15 +423,15 @@ fn golden_v1_4_stream_decodes_and_reencodes_bit_identically() {
     // Its buckets as a 1.4 reader reads them: no `bucket_run`.
     assert!(kinds.contains(&KIND_BUCKET) && kinds.contains(&KIND_SKETCH));
     assert!(!kinds.contains(&KIND_BUCKET_RUN));
-    let v1_3 = golden_bytes(delta_writer()).len();
-    let v1_4 = golden_bytes(sweep_writer()).len();
+    let v1_3 = golden_bytes(BatchHeader::Fixed, delta_writer()).len();
+    let v1_4 = golden_bytes(BatchHeader::Fixed, sweep_writer()).len();
     assert!(v1_4 < v1_3, "v1.4 {v1_4} B vs v1.3 {v1_3} B");
 }
 
 #[test]
 fn golden_v1_5_stream_decodes_and_reencodes_bit_identically() {
-    let frames = committed_frames(GOLDEN_V1_5_PATH, bucket_writer);
-    let kinds = assert_stream_reencodes(&frames, bucket_writer());
+    let frames = committed_frames(GOLDEN_V1_5_PATH, BatchHeader::Fixed, bucket_writer);
+    let kinds = assert_stream_reencodes(&frames, BatchHeader::Fixed, bucket_writer());
     assert!(!kinds.contains(&KIND_SAMPLE) && !kinds.contains(&KIND_SAMPLES));
     assert!(kinds.contains(&KIND_SWEEP));
     // Every sealed bucket in a run, with its column.
@@ -362,33 +440,60 @@ fn golden_v1_5_stream_decodes_and_reencodes_bit_identically() {
         "the stream carries `bucket_run` records"
     );
     assert!(!kinds.contains(&KIND_BUCKET) && !kinds.contains(&KIND_SKETCH));
-    // The smallest rendering of the five.
-    let v1_4 = golden_bytes(sweep_writer()).len();
-    let v1_5 = golden_bytes(bucket_writer()).len();
+    let v1_4 = golden_bytes(BatchHeader::Fixed, sweep_writer()).len();
+    let v1_5 = golden_bytes(BatchHeader::Fixed, bucket_writer()).len();
     assert!(v1_5 < v1_4, "v1.5 {v1_5} B vs v1.4 {v1_4} B");
 }
 
-/// A stateful revision's golden: its frames decode, with a reader state
-/// of their own, to the dataset, and `write`, from the same empty state,
-/// renders what they decode to back to the committed bytes. A reader
-/// that keeps no state refuses exactly the batches holding a run.
-/// Returns the kinds the dataset frames hold.
+#[test]
+fn golden_v1_6_stream_decodes_and_reencodes_bit_identically() {
+    let varint = BatchHeader::Varint;
+    let frames = committed_frames(GOLDEN_V1_6_PATH, varint, varint_writer);
+    let kinds = assert_stream_reencodes(&frames, varint, varint_writer());
+    assert!(kinds.contains(&KIND_SWEEP) && kinds.contains(&KIND_BUCKET_RUN));
+    assert!(!kinds.contains(&KIND_BUCKET) && !kinds.contains(&KIND_SKETCH));
+    // The 1.5 stream's records, kind and payload, each batch's seq and
+    // every length a varint.
+    let v1_5_frames = committed_frames(GOLDEN_V1_5_PATH, BatchHeader::Fixed, bucket_writer);
+    for (v1_6, v1_5) in frames.iter().zip(&v1_5_frames) {
+        assert_eq!(
+            wire_records(v1_6, varint),
+            wire_records(v1_5, BatchHeader::Fixed)
+        );
+    }
+    // The smallest rendering of the six.
+    let v1_5 = golden_bytes(BatchHeader::Fixed, bucket_writer()).len();
+    let v1_6 = golden_bytes(varint, varint_writer()).len();
+    assert!(v1_6 < v1_5, "v1.6 {v1_6} B vs v1.5 {v1_5} B");
+}
+
+/// A stateful revision's golden, its batches with `header`: its frames
+/// decode, with a reader state of their own, to the dataset, and
+/// `write`, from the same empty state, renders what they decode to back
+/// to the committed bytes. A reader that keeps no state refuses exactly
+/// the batches holding a run. Returns the kinds the dataset frames hold.
 fn assert_stream_reencodes(
     frames: &[Vec<u8>],
+    header: BatchHeader,
     mut write: impl FnMut(&ExportBatch, &mut Vec<u8>),
 ) -> Vec<u8> {
-    assert_decodes_to_the_dataset(frames, delta_reader());
+    assert_decodes_to_the_dataset(frames, delta_reader(header));
     let dataset = &frames[..frames.len() - 1];
-    let mut read = delta_reader();
+    let mut read = delta_reader(header);
     let mut all = Vec::new();
     for payload in dataset {
         let (batch, _) = read(payload).unwrap();
         let mut again = Vec::new();
         write(&batch, &mut again);
         assert_eq!(&again, payload, "re-encode identity");
-        let kinds = wire_kinds(payload);
+        let kinds = kinds_of(payload, header);
         let runs = kinds.contains(&KIND_SAMPLES_DELTA) || kinds.contains(&KIND_SWEEP);
-        assert_eq!(decode_batch(payload).is_err(), runs);
+        let stateless = moda::telemetry::wire::BatchView::parse(payload, header)
+            .and_then(|view| view.to_batch());
+        assert_eq!(stateless.is_err(), runs);
+        if header == BatchHeader::Fixed {
+            assert_eq!(decode_batch(payload).is_err(), runs);
+        }
         all.extend(kinds);
     }
     all

@@ -14,8 +14,11 @@
 //! One guard serves both scales of the loop: a node-local
 //! [`MapeLoop`](crate::MapeLoop) admits each planned action through it,
 //! and the fleet responder admits each actuation through it with the
-//! subsystem as the kind.
+//! subsystem as the kind. [`Guard::judge`] is the one verdict both
+//! scales reach — the confidence gate, then the bounds — and the fleet's
+//! audit certifies its trail by replaying every decision through it.
 
+use crate::confidence::{Confidence, ConfidenceGate};
 use moda_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -113,12 +116,12 @@ impl std::fmt::Display for BlockReason {
                 kind: Some(kind),
                 window,
                 limit,
-            } => write!(f, "rate limit {limit} per {window} for '{kind}' hit"),
+            } => write!(f, "rate budget {limit} per {window} for '{kind}' spent"),
             BlockReason::RateLimit {
                 kind: None,
                 window,
                 limit,
-            } => write!(f, "rate limit {limit} per {window} hit"),
+            } => write!(f, "global rate budget {limit} per {window} spent"),
             BlockReason::LowConfidence {
                 confidence,
                 threshold,
@@ -258,7 +261,10 @@ impl Guard {
         }
         if let Some(&limit) = self.config.max_magnitude.get(kind) {
             let spent = self.magnitudes.get(kind).copied().unwrap_or(0.0);
-            if spent + magnitude > limit {
+            // Asked this way round so that a NaN is refused: committed,
+            // it would poison `spent` and open the budget to everything.
+            let fits = spent + magnitude <= limit;
+            if !fits {
                 return Err(BlockReason::MagnitudeBudget {
                     kind: kind.to_string(),
                     limit,
@@ -298,6 +304,28 @@ impl Guard {
         Ok(())
     }
 
+    /// Gate, then bounds: the one verdict on an action at both scales.
+    /// A `confidence` that does not clear `gate` is refused as
+    /// [`BlockReason::LowConfidence`] (a NaN one was judged as none when
+    /// it became a [`Confidence`]); otherwise [`Guard::check`] decides.
+    /// Does not mutate state.
+    pub fn judge(
+        &self,
+        gate: ConfidenceGate,
+        confidence: Confidence,
+        now: SimTime,
+        kind: &str,
+        magnitude: f64,
+    ) -> Result<(), BlockReason> {
+        if !gate.passes(confidence) {
+            return Err(BlockReason::LowConfidence {
+                confidence: confidence.value(),
+                threshold: gate.threshold,
+            });
+        }
+        self.check(now, kind, magnitude)
+    }
+
     /// Record an allowed action (call after a successful `check`).
     pub fn commit(&mut self, now: SimTime, kind: &str, magnitude: f64) {
         *slot(&mut self.counts, kind) += 1;
@@ -314,16 +342,26 @@ impl Guard {
 
     /// Check and commit in one call.
     pub fn admit(&mut self, now: SimTime, kind: &str, magnitude: f64) -> Result<(), BlockReason> {
-        match self.check(now, kind, magnitude) {
-            Ok(()) => {
-                self.commit(now, kind, magnitude);
-                Ok(())
-            }
-            Err(e) => {
-                self.blocked += 1;
-                Err(e)
-            }
+        let ungated = ConfidenceGate::new(0.0);
+        self.admit_judged(ungated, Confidence::CERTAIN, now, kind, magnitude)
+    }
+
+    /// [`Guard::judge`] and commit in one call: what it admits is
+    /// committed, what it refuses is counted.
+    pub fn admit_judged(
+        &mut self,
+        gate: ConfidenceGate,
+        confidence: Confidence,
+        now: SimTime,
+        kind: &str,
+        magnitude: f64,
+    ) -> Result<(), BlockReason> {
+        let verdict = self.judge(gate, confidence, now, kind, magnitude);
+        match verdict {
+            Ok(()) => self.commit(now, kind, magnitude),
+            Err(_) => self.blocked += 1,
         }
+        verdict
     }
 
     /// Refuse every action of `kind` before `until`.
@@ -336,7 +374,8 @@ impl Guard {
         self.allowed
     }
 
-    /// Actions blocked so far.
+    /// Actions refused so far by [`Guard::admit`] or
+    /// [`Guard::admit_judged`].
     pub fn blocked_count(&self) -> u64 {
         self.blocked
     }
@@ -491,6 +530,51 @@ mod tests {
         assert!(g.admit(t(99), "power", 0.0).is_err());
         assert!(g.admit(t(100), "power", 0.0).is_ok());
         assert_eq!(g.blocked_count(), 1);
+    }
+
+    #[test]
+    fn a_nan_magnitude_is_refused_and_spends_nothing() {
+        let mut g = Guard::new(GuardConfig::unlimited().with_max_magnitude("ext", 100.0));
+        assert!(matches!(
+            g.admit(t(1), "ext", f64::NAN).unwrap_err(),
+            BlockReason::MagnitudeBudget { .. }
+        ));
+        // The budget is intact: a breach is still refused, a fit admitted.
+        assert!(g.admit(t(2), "ext", 1e9).is_err());
+        assert!(g.admit(t(3), "ext", 60.0).is_ok());
+        assert_eq!(g.magnitude_of("ext"), 60.0);
+    }
+
+    #[test]
+    fn judge_gates_before_the_bounds_and_mutates_nothing() {
+        let mut g = Guard::new(GuardConfig::unlimited().with_max_count("x", 1));
+        let gate = ConfidenceGate::new(0.5);
+        assert!(g.admit(t(0), "x", 0.0).is_ok());
+        // A low confidence is refused at the gate, ahead of the spent
+        // count; a NaN one is judged as none.
+        for c in [0.3, f64::NAN] {
+            assert_eq!(
+                g.judge(gate, Confidence::new(c), t(1), "x", 0.0),
+                Err(BlockReason::LowConfidence {
+                    confidence: Confidence::new(c).value(),
+                    threshold: 0.5,
+                })
+            );
+        }
+        assert!(matches!(
+            g.judge(gate, Confidence::CERTAIN, t(1), "x", 0.0),
+            Err(BlockReason::CountBudget { .. })
+        ));
+        assert!(g.judge(gate, Confidence::new(0.9), t(1), "y", 0.0).is_ok());
+        assert_eq!((g.allowed_count(), g.blocked_count()), (1, 0));
+        // Admitting through the gate counts what it refuses.
+        assert!(g
+            .admit_judged(gate, Confidence::new(0.3), t(1), "y", 0.0)
+            .is_err());
+        assert!(g
+            .admit_judged(gate, Confidence::new(0.9), t(1), "y", 0.0)
+            .is_ok());
+        assert_eq!((g.allowed_count(), g.blocked_count()), (2, 1));
     }
 
     #[test]

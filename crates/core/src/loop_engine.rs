@@ -393,8 +393,9 @@ impl<D: Domain> MapeLoop<D> {
 
 /// Gate, then guard: the one admission step every node-scale loop runs
 /// between Plan and Execute — [`MapeLoop`] and the master of
-/// [`crate::patterns::MasterWorker`] alike. A refusal is audited as
-/// `Blocked` with its [`BlockReason`] and returned.
+/// [`crate::patterns::MasterWorker`] alike. The verdict is
+/// [`Guard::judge`]'s; a refusal is audited as `Blocked` with its
+/// [`BlockReason`] and returned.
 pub(crate) fn admit<A>(
     gate: ConfidenceGate,
     guard: &mut Guard,
@@ -402,14 +403,7 @@ pub(crate) fn admit<A>(
     now: SimTime,
     pa: &PlannedAction<A>,
 ) -> Result<(), BlockReason> {
-    let verdict = if gate.passes(pa.confidence) {
-        guard.admit(now, &pa.kind, pa.magnitude)
-    } else {
-        Err(BlockReason::LowConfidence {
-            confidence: pa.confidence.value(),
-            threshold: gate.threshold,
-        })
-    };
+    let verdict = guard.admit_judged(gate, pa.confidence, now, &pa.kind, pa.magnitude);
     if let Err(reason) = &verdict {
         audit.record(
             now,

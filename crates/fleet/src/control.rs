@@ -35,9 +35,9 @@
 //!   hold, block, apply, validation, promotion) lands as a typed
 //!   [`ControlEvent`] in the responder's [`AuditLog`] — the one ring the
 //!   node loops write too — and [`FleetResponder::verify_audit`] replays
-//!   the trail against the configured bounds; the CI chaos scenarios
-//!   assert on it. The same record announces every actuation to the
-//!   humans on the loop ([`AuditLog::notifications`]).
+//!   the trail through a fresh guard of the same bounds; the CI chaos
+//!   scenarios assert on it. The same record announces every actuation
+//!   to the humans on the loop ([`AuditLog::notifications`]).
 //!
 //! The actuation side is deliberately abstract ([`FleetActuator`]):
 //! this crate knows nothing about the managed system. `moda-hpc`'s
@@ -1086,15 +1086,9 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             // The confidence floor, then the execution bounds: one
             // refusal, `Blocked`, with its reason.
             let confidence = Confidence::new(alert.confidence);
-            let gate = self.gate();
-            let verdict = if gate.passes(confidence) {
-                self.guard.check(now, &rule.subsystem, 0.0)
-            } else {
-                Err(BlockReason::LowConfidence {
-                    confidence: confidence.value(),
-                    threshold: gate.threshold,
-                })
-            };
+            let verdict = self
+                .guard
+                .judge(self.gate(), confidence, now, &rule.subsystem, 0.0);
             if let Err(reason) = verdict {
                 let detail = reason.to_string();
                 record(
@@ -1172,17 +1166,19 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
         report
     }
 
-    /// Replay the retained audit trail against the configured bounds
-    /// and certify it: canary-first ordering, escalation gates,
-    /// coverage/confidence floors at apply time, per-subsystem
-    /// suspensions, cooldowns and rate budgets, the global rate budget,
-    /// validation-before-promotion, and apply→validation completeness.
-    /// Returns the summary, or every violation found.
-    ///
-    /// The bounds are the guard's own rules (age `< window`, a breach
-    /// when the count exceeds `max`, suspended while `t < until`). The
-    /// guard also counts failed attempts; the replay counts only
-    /// `Applied` events, so a trail the guard admitted always passes.
+    /// Replay the retained audit trail and certify it. The execution
+    /// bounds are replayed through a fresh [`Guard`] of the live one's
+    /// configuration, behind the same confidence gate ([`Guard::judge`]):
+    /// every `Applied` and `ActionFailed` must be admitted again, and is
+    /// committed, because it drew the budget; every `Blocked` must be
+    /// refused again for the same [`BlockReason`], so a guard that
+    /// over-blocks is caught too; every `Demoted { until }` suspends its
+    /// subsystem. Beside the replay stand the responder's own rules:
+    /// canary-first ordering, promotion only after a passed canary
+    /// validation, the escalation gate, the coverage floor and a finite
+    /// confidence at apply time, and apply→validation completeness. A
+    /// truncated trail is refused. Returns the summary, or every
+    /// violation found.
     pub fn verify_audit(&self) -> Result<AuditSummary, Vec<String>> {
         let mut errors = Vec::new();
         if self.log.dropped() > 0 {
@@ -1192,24 +1188,51 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
             ));
         }
         let rule_of = |name: &str| self.rules.iter().find(|r| r.name == name);
-        let floor = self.gate();
+        let gate = self.gate();
+        let mut guard = Guard::new(self.guard.config().clone());
+        let said =
+            |r: Option<&BlockReason>| r.map_or("admitted".into(), |r| format!("refused ({r})"));
         let mut summary = AuditSummary::default();
         let mut promoted: HashMap<&str, bool> = HashMap::new();
         let mut last_validation: HashMap<&str, (bool, bool)> = HashMap::new(); // (passed, was_canary)
         let mut pending: HashMap<&str, (SimTime, bool)> = HashMap::new(); // applied_at, canary
-        let mut sub_applied: HashMap<&str, Vec<SimTime>> = HashMap::new();
-        let mut all_applied: Vec<SimTime> = Vec::new();
-        let mut suspended: HashMap<&str, SimTime> = HashMap::new();
         let mut end_t = SimTime::ZERO;
-        for AuditEvent {
-            seq,
-            t,
-            decision: e,
-        } in self.log.events()
-        {
+        for AuditEvent { seq, t, decision } in self.log.events() {
+            let ControlEvent {
+                rule,
+                subsystem,
+                kind,
+                ..
+            } = decision;
             summary.events += 1;
             end_t = end_t.max(t);
-            match &e.kind {
+            // Ask the replaying guard what the live one was asked: with
+            // the confidence the event records (1.0 where it records
+            // none: the gate had passed), expecting the refusal it
+            // records, if any. A non-finite confidence is refused below.
+            let live = match kind {
+                ControlEventKind::Applied { confidence: c, .. } if c.is_finite() => {
+                    Some((*c, None))
+                }
+                ControlEventKind::ActionFailed => Some((1.0, None)),
+                ControlEventKind::Blocked(r @ BlockReason::LowConfidence { confidence: c, .. }) => {
+                    Some((*c, Some(r)))
+                }
+                ControlEventKind::Blocked(r) => Some((1.0, Some(r))),
+                _ => None,
+            };
+            if let Some((c, refused)) = live {
+                let again = guard
+                    .judge(gate, Confidence::new(c), t, subsystem, 0.0)
+                    .err();
+                if again.as_ref() != refused {
+                    let (was, replayed) = (said(refused), said(again.as_ref()));
+                    errors.push(format!(
+                        "#{seq}: {rule} was {was}, but the guard replays it {replayed}"
+                    ));
+                }
+            }
+            match kind {
                 ControlEventKind::Applied {
                     canary,
                     escalation,
@@ -1218,136 +1241,75 @@ impl<Act: Clone + Debug> FleetResponder<Act> {
                     confidence,
                     ..
                 } => {
+                    guard.commit(t, subsystem, 0.0);
                     summary.applied += 1;
-                    if *canary {
-                        summary.canary += 1;
-                    } else {
-                        summary.fleet += 1;
-                    }
-                    if let Some(&until) = suspended.get(e.subsystem.as_str()) {
-                        if t < until {
-                            errors.push(format!(
-                                "#{}: {} applied while {} was suspended until {until}",
-                                seq, e.rule, e.subsystem
-                            ));
-                        }
-                    }
-                    all_applied.push(t);
-                    if let Some(g) = self.cfg.global_rate {
-                        let in_window = all_applied
-                            .iter()
-                            .filter(|&&t0| t.saturating_since(t0).0 < g.window.0)
-                            .count() as u32;
-                        if in_window > g.max {
-                            errors.push(format!(
-                                "#{}: {} exceeded the global rate budget ({} in {})",
-                                seq, e.rule, in_window, g.window
-                            ));
-                        }
-                    }
-                    let Some(rule) = rule_of(&e.rule) else {
-                        errors.push(format!("#{}: apply from unknown rule {}", seq, e.rule));
-                        continue;
-                    };
-                    if !*canary && !promoted.get(e.rule.as_str()).copied().unwrap_or(false) {
+                    summary.canary += *canary as u64;
+                    summary.fleet += !*canary as u64;
+                    if !confidence.is_finite() {
                         errors.push(format!(
-                            "#{}: fleet-wide apply of {} without prior promotion",
-                            seq, e.rule
+                            "#{seq}: {rule} applied at a non-finite confidence {confidence}"
+                        ));
+                    }
+                    if rule_of(rule).is_none() {
+                        errors.push(format!("#{seq}: apply from unknown rule {rule}"));
+                        continue;
+                    }
+                    if !*canary && !promoted.get(rule.as_str()).copied().unwrap_or(false) {
+                        errors.push(format!(
+                            "#{seq}: fleet-wide apply of {rule} without prior promotion"
                         ));
                     }
                     if escalation < gate {
                         errors.push(format!(
-                            "#{}: {} applied below its escalation gate ({escalation} < {gate})",
-                            seq, e.rule
+                            "#{seq}: {rule} applied below its escalation gate ({escalation} < {gate})"
                         ));
                     }
                     if *coverage < self.cfg.min_coverage - 1e-9 {
                         errors.push(format!(
-                            "#{}: {} applied at coverage {coverage:.3} below floor {:.3}",
-                            seq, e.rule, self.cfg.min_coverage
+                            "#{seq}: {rule} applied at coverage {coverage:.3} below floor {:.3}",
+                            self.cfg.min_coverage
                         ));
                     }
-                    if !confidence.is_finite() {
+                    if pending.insert(rule.as_str(), (t, *canary)).is_some() {
                         errors.push(format!(
-                            "#{}: {} applied at a non-finite confidence {confidence}",
-                            seq, e.rule
-                        ));
-                    } else if !floor.passes(Confidence::new(*confidence)) {
-                        errors.push(format!(
-                            "#{}: {} applied at confidence {confidence:.3} below floor {:.3}",
-                            seq, e.rule, floor.threshold
+                            "#{seq}: {rule} applied while a prior action was still unvalidated"
                         ));
                     }
-                    let hist = sub_applied.entry(e.subsystem.as_str()).or_default();
-                    if let Some(&prev) = hist.last() {
-                        if t.saturating_since(prev).0 < rule.cooldown.0 {
-                            errors.push(format!(
-                                "#{}: {} applied {} after the previous {} action (cooldown {})",
-                                seq,
-                                e.rule,
-                                t.saturating_since(prev),
-                                e.subsystem,
-                                rule.cooldown
-                            ));
-                        }
-                    }
-                    hist.push(t);
-                    let in_window = hist
-                        .iter()
-                        .filter(|&&t0| t.saturating_since(t0).0 < rule.rate_limit.window.0)
-                        .count() as u32;
-                    if in_window > rule.rate_limit.max {
-                        errors.push(format!(
-                            "#{}: {} exceeded the {} rate budget ({} in {})",
-                            seq, e.rule, e.subsystem, in_window, rule.rate_limit.window
-                        ));
-                    }
-                    if pending.contains_key(e.rule.as_str()) {
-                        errors.push(format!(
-                            "#{}: {} applied while a prior action was still unvalidated",
-                            seq, e.rule
-                        ));
-                    }
-                    pending.insert(e.rule.as_str(), (t, *canary));
                 }
                 ControlEventKind::ValidationPassed { .. }
                 | ControlEventKind::ValidationFailed { .. } => {
-                    let passed = matches!(e.kind, ControlEventKind::ValidationPassed { .. });
-                    if passed {
-                        summary.validations_passed += 1;
-                    } else {
-                        summary.validations_failed += 1;
-                    }
-                    match pending.remove(e.rule.as_str()) {
+                    let passed = matches!(kind, ControlEventKind::ValidationPassed { .. });
+                    summary.validations_passed += passed as u64;
+                    summary.validations_failed += !passed as u64;
+                    match pending.remove(rule.as_str()) {
                         Some((_, was_canary)) => {
-                            last_validation.insert(e.rule.as_str(), (passed, was_canary));
+                            last_validation.insert(rule.as_str(), (passed, was_canary));
                         }
                         None => errors.push(format!(
-                            "#{}: validation for {} without a pending action",
-                            seq, e.rule
+                            "#{seq}: validation for {rule} without a pending action"
                         )),
                     }
                     if !passed {
-                        promoted.insert(e.rule.as_str(), false);
+                        promoted.insert(rule.as_str(), false);
                     }
                 }
                 ControlEventKind::Promoted => {
                     summary.promotions += 1;
-                    match last_validation.get(e.rule.as_str()) {
+                    match last_validation.get(rule.as_str()) {
                         Some((true, true)) => {
-                            promoted.insert(e.rule.as_str(), true);
+                            promoted.insert(rule.as_str(), true);
                         }
                         _ => errors.push(format!(
-                            "#{}: {} promoted without a passed canary validation",
-                            seq, e.rule
+                            "#{seq}: {rule} promoted without a passed canary validation"
                         )),
                     }
                 }
                 ControlEventKind::Demoted { until } => {
                     summary.demotions += 1;
-                    promoted.insert(e.rule.as_str(), false);
-                    suspended.insert(e.subsystem.as_str(), *until);
+                    promoted.insert(rule.as_str(), false);
+                    guard.suspend(subsystem, *until);
                 }
+                ControlEventKind::ActionFailed => guard.commit(t, subsystem, 0.0),
                 ControlEventKind::Held(_) => summary.held += 1,
                 ControlEventKind::Blocked(_) => summary.blocked += 1,
                 _ => {}
@@ -2207,6 +2169,56 @@ mod tests {
         let errors = r.verify_audit().expect_err("forgery detected");
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("suspended until"), "{errors:?}");
+    }
+
+    #[test]
+    fn verify_audit_catches_a_block_the_guard_would_not_make() {
+        let mut r = responder(vec![(0.0, 1.0)]);
+        let gap = SimDuration::from_mins(10);
+        let kind = ControlEventKind::Blocked(BlockReason::MinGap {
+            kind: "sub".into(),
+            gap,
+        });
+        let t = SimTime::from_mins(10);
+        record(&mut r.log, t, "fix", "sub", kind, "forged".into());
+        let errors = r.verify_audit().expect_err("an over-block is detected");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("#0: "), "{errors:?}");
+        assert!(errors[0].contains("replays it admitted"), "{errors:?}");
+    }
+
+    #[test]
+    fn verify_audit_counts_a_failed_attempt_against_the_cooldown() {
+        let mut r = responder(vec![(0.0, 1.0)]);
+        let t = SimTime::from_mins(10);
+        let failed = ControlEventKind::ActionFailed;
+        record(&mut r.log, t, "fix", "sub", failed, "forged".into());
+        // Inside the 10 min cooldown the failed attempt started.
+        forge_apply(&mut r, SimTime::from_mins(15), "fix", "sub");
+        let errors = r.verify_audit().expect_err("forgery detected");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("#1: "), "{errors:?}");
+        assert!(errors[0].contains("min gap"), "{errors:?}");
+    }
+
+    #[test]
+    fn verify_audit_catches_a_forged_subsystem_rate_breach() {
+        // Two actions per hour on `sub`, each concluded before the next.
+        let mut r = responder(vec![(0.0, 1.0)]);
+        for (apply, validate) in [(10, 20), (25, 35), (40, 50)] {
+            forge_apply(&mut r, SimTime::from_mins(apply), "fix", "sub");
+            let passed = ControlEventKind::ValidationPassed {
+                before: 2.0,
+                after: 0.0,
+            };
+            let t = SimTime::from_mins(validate);
+            record(&mut r.log, t, "fix", "sub", passed, "forged".into());
+        }
+        let errors = r.verify_audit().expect_err("forgery detected");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("#4: "), "{errors:?}");
+        assert!(errors[0].contains("rate budget 2 per"), "{errors:?}");
+        assert!(errors[0].contains("'sub'"), "{errors:?}");
     }
 
     #[test]

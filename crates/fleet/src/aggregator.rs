@@ -11,8 +11,9 @@
 //! * **registry mapping** — `meta` records bind node-local wire ids to
 //!   fleet metrics (`node/name`); data records arriving before their
 //!   meta are dropped and counted (`unmapped_records`), and so are tier
-//!   records of resolution 0, which map to no ring (the wire refuses
-//!   them; only an owned
+//!   records of resolution 0, which map to no ring, and `meta` records
+//!   of an id at or past [`MAX_VALUE_IDS`], which would size the map
+//!   (the wire refuses both; only an owned
 //!   [`ExportRecord`](moda_telemetry::export::ExportRecord) can carry
 //!   one this far);
 //! * **column framing** — a `sketch` column must follow its bucket (or
@@ -50,7 +51,7 @@ use crate::store::{ChunkOutcome, FleetStore, NodeId};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{put_u64, BatchView, RecordRef, ValueState, WireReader};
+use moda_telemetry::wire::{put_u64, BatchView, RecordRef, ValueState, WireReader, MAX_VALUE_IDS};
 use moda_telemetry::{DrainStats, MetricId, SketchEntry};
 use std::io;
 
@@ -87,8 +88,9 @@ pub struct NodeCounters {
     /// framing rule.
     pub orphan_sketches: u64,
     /// Data records dropped because no `meta` had mapped their wire id,
-    /// or — a `bucket` or `sketch` record handed over in process — because
-    /// their tier resolution is 0, which no ring has.
+    /// or — records handed over in process — a `bucket` or `sketch`
+    /// record because its tier resolution is 0, which no ring has, and a
+    /// `meta` record because its id is at or past `MAX_VALUE_IDS`.
     pub unmapped_records: u64,
 }
 
@@ -542,6 +544,12 @@ impl FleetAggregator {
             match r {
                 RecordRef::Meta { id, meta } => {
                     open_bucket = None;
+                    // The wire refuses this id; an owned one is dropped
+                    // before it can size the map.
+                    if id.0 >= MAX_VALUE_IDS {
+                        session.counters.unmapped_records += 1;
+                        continue;
+                    }
                     let widx = id.index();
                     if session.wire_map.len() <= widx {
                         session.wire_map.resize(widx + 1, None);
@@ -1230,6 +1238,40 @@ mod tests {
             agg.store().buckets(id, SimDuration::from_secs(60)).count(),
             0
         );
+    }
+
+    /// A `meta` record sizes its session's id map to its id: the last id
+    /// below [`MAX_VALUE_IDS`] is mapped off the wire (an 8 MiB map),
+    /// and an owned one at the bound — which the wire refuses — is
+    /// dropped and counted as unmapped without touching the map.
+    #[test]
+    fn a_meta_id_is_mapped_below_the_value_id_bound_only() {
+        use moda_telemetry::wire::{encode_batch, BatchHeader};
+        let mut agg = FleetAggregator::new();
+        let n = agg.add_node("node00");
+        let meta = |seq, id| ExportBatch {
+            seq,
+            records: vec![ExportRecord::Meta {
+                id: MetricId(id),
+                meta: MetricMeta::gauge(format!("m{id}"), "u", SourceDomain::Hardware),
+            }],
+        };
+        let mut bytes = Vec::new();
+        encode_batch(&meta(0, MAX_VALUE_IDS - 1), &mut bytes);
+        let view = BatchView::parse(&bytes, BatchHeader::Fixed).unwrap();
+        assert!(agg.ingest_view(n, &view).unwrap().applied);
+        assert_eq!(
+            agg.sessions[n.index()].wire_map.len(),
+            MAX_VALUE_IDS as usize
+        );
+        assert!(agg.ingest(n, &meta(1, MAX_VALUE_IDS)).applied);
+        assert_eq!(
+            agg.sessions[n.index()].wire_map.len(),
+            MAX_VALUE_IDS as usize
+        );
+        let c = agg.counters(n);
+        assert_eq!((c.records, c.unmapped_records), (1, 1));
+        assert_eq!(agg.store().cardinality(), 1);
     }
 
     /// An owned `bucket` or `sketch` record of resolution 0 — which the

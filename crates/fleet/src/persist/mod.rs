@@ -340,16 +340,24 @@ impl DurableFleet {
     /// the stream's value state and its sealed buckets as `bucket_run`
     /// records — which a connection that carried the stream no longer
     /// shares, so it no longer carries it.
+    /// A batch the wire would refuse ([`BatchView::parse`]) is refused
+    /// here too, as `InvalidData`, before it is logged — replay stops at
+    /// an entry it cannot read, and would drop every one after it —
+    /// and the stream's value state is unwound: nothing changes.
     /// Cuts a snapshot (written off this call; see the module docs)
     /// every [`DurabilityConfig::snapshot_every_batches`] applied
     /// batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
-        if let Some(token) = self.connections.get_mut(node.index()) {
-            *token = 0;
-        }
         self.frame_buf.clear();
         let values = self.agg.stream_values_mut(node);
         encode_batch_with(batch, values, &mut self.frame_buf);
+        if let Err(refused) = BatchView::parse(&self.frame_buf, BatchHeader::Varint) {
+            values.unwind(&self.frame_buf, BatchHeader::Varint)?;
+            return Err(refused);
+        }
+        if let Some(token) = self.connections.get_mut(node.index()) {
+            *token = 0;
+        }
         self.wal
             .append(Entry::Batch(node, BatchHeader::Varint, &self.frame_buf))?;
         self.wal.commit()?;
@@ -938,6 +946,53 @@ mod tests {
             .collect();
         got_fp = patched;
         assert_eq!(got_fp, ref_fp);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An in-process batch the wire would refuse — a resolution-0
+    /// bucket — is refused before it is logged: the stream's value
+    /// state and the connection's hold on the stream are as they were,
+    /// and the batches after it recover with the live fleet.
+    #[test]
+    fn a_refused_ingest_logs_nothing_and_what_follows_recovers() {
+        let dir = test_dir("refused_ingest");
+        let stream = node_batches(400, 0.0, 16);
+        assert!(stream.len() >= 20);
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let (node, token) = fleet.connect("node00").unwrap();
+        let mut refused = stream[0].clone();
+        refused.records.push(ExportRecord::Bucket {
+            id: MetricId(0),
+            res: SimDuration(0),
+            start: SimTime(5),
+            count: 1,
+            sum: 1.0,
+            min: 1.0,
+            max: 1.0,
+            last: 1.0,
+        });
+        let values = fleet.aggregator().stream_values(node).clone();
+        let e = fleet.ingest(node, &refused).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(fleet.aggregator().stream_values(node), &values);
+        assert!(
+            fleet.carries(node, token),
+            "nothing was coded into the stream"
+        );
+        assert_eq!(fleet.next_seq(node), 0);
+        // The exporter re-stages the batch, then sends 19 more.
+        for batch in &stream[..20] {
+            assert!(fleet.ingest(node, batch).unwrap().applied);
+        }
+        fleet.settle().unwrap();
+        let now = SimTime::from_secs(401);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(recovered.recovery().corrupt_frames, 0);
+        assert_eq!(recovered.next_seq(node), 20);
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        drop(recovered);
         let _ = fs::remove_dir_all(&dir);
     }
 

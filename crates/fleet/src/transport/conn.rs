@@ -63,6 +63,13 @@ impl Conn {
     pub(super) fn recv_into(&mut self, payload: &mut Vec<u8>) -> io::Result<Result<u8, FrameEnd>> {
         read_frame_into(&mut self.reader, payload)
     }
+
+    /// Whether the read half holds bytes already received: the next
+    /// [`Conn::recv_into`] starts without a syscall (and finishes a frame
+    /// cut at the buffer's edge from the socket).
+    pub(super) fn buffered(&self) -> bool {
+        !self.reader.buffer().is_empty()
+    }
 }
 
 /// What opens — and re-opens — one authenticated session: where to

@@ -181,10 +181,15 @@ impl SocketSink {
         Ok(())
     }
 
-    /// Read acks until at most `allowed` batches remain unacknowledged.
-    /// Reconnects (and replays) if the connection drops mid-wait.
+    /// Read acks until at most `allowed` batches remain unacknowledged,
+    /// then on through every ack the read buffer already holds: the
+    /// session acks a burst in one `send`, and an ack left buffered would
+    /// keep its batch counted against the window until the next blocking
+    /// read. Reconnects (and replays) if the connection drops mid-wait.
     fn pump_acks(&mut self, allowed: usize) -> io::Result<()> {
-        while self.replay.unacked.len() > allowed {
+        while self.replay.unacked.len() > allowed
+            || self.link.conn.as_ref().is_some_and(Conn::buffered)
+        {
             match self.link.live()?.recv_into(&mut self.inbox) {
                 Ok(Ok(tag)) => self.note_ack(tag)?,
                 Ok(Err(_)) | Err(_) => self.reconnect()?,
@@ -259,7 +264,8 @@ impl SocketSink {
         self.replay.resent_batches
     }
 
-    /// Batches sent but not yet acknowledged.
+    /// Batches sent whose `ACK` the sink has not read — what the window
+    /// counts. A read for acks consumes every `ACK` already buffered.
     pub fn unacked_len(&self) -> usize {
         self.replay.unacked.len()
     }
@@ -360,12 +366,23 @@ mod tests {
             Coding::Varints,
             "a 1.6 pair codes bucket runs under the varint header"
         );
-        for batch in &batches[..30] {
+        for batch in &batches[..27] {
+            sink.write_batch(batch).unwrap();
+        }
+        // The last three go out while the fleet lock is held, so no ack
+        // can come back for them: a read for acks takes every one the
+        // fleet has sent, so only a stalled fleet leaves batches in
+        // flight by construction.
+        sink.wait_idle().unwrap();
+        let held = listener.fleet();
+        let stalled = held.lock().unwrap();
+        for batch in &batches[27..30] {
             sink.write_batch(batch).unwrap();
         }
         // Hung up with batches in flight: they are re-coded and re-sent.
         assert!(sink.unacked_len() > 0);
         sink.redirect(&addr);
+        drop(stalled);
         for batch in &batches[30..50] {
             sink.write_batch(batch).unwrap();
         }
@@ -658,6 +675,140 @@ mod tests {
         drop(sink);
         listener.shutdown();
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A 1.6 fleet on a fresh port that answers the hello at cursor 0,
+    /// reads `frames` batch frames, then hands its end to `then` — which
+    /// answers them as it likes — and holds the connection until the
+    /// sink hangs up.
+    fn fake_fleet(
+        frames: usize,
+        then: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        use moda_telemetry::wire::{put_u64, read_frame};
+        use std::io::Read;
+        let server = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let fleet = std::thread::spawn(move || {
+            let (mut stream, _) = server.accept().unwrap();
+            let (tag, _) = read_frame(&mut stream).unwrap().unwrap();
+            assert_eq!(tag, frame_tag::HELLO);
+            let mut ack = vec![0u8];
+            put_u64(&mut ack, 0);
+            ack.extend_from_slice(&[1, 6]);
+            write_frame(&mut stream, frame_tag::HELLO_ACK, &ack).unwrap();
+            for _ in 0..frames {
+                let (tag, _) = read_frame(&mut stream).unwrap().unwrap();
+                assert_eq!(tag, frame_tag::BATCH_1_6);
+            }
+            then(&mut stream);
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        (addr, fleet)
+    }
+
+    /// The `ACK` frames of cursors `cursors`, back to back.
+    fn ack_frames(cursors: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for cursor in cursors {
+            write_frame(&mut out, frame_tag::ACK, &cursor.to_le_bytes()).unwrap();
+        }
+        out
+    }
+
+    /// A sink with `window` whose io timeout turns a read for an ack
+    /// that never comes into an error rather than a hang.
+    fn windowed_sink(addr: &str, window: usize) -> SocketSink {
+        let cfg = TransportConfig {
+            window,
+            io_timeout: Some(Duration::from_secs(5)),
+            reconnect_attempts: 1,
+            ..TransportConfig::default()
+        };
+        SocketSink::connect_with(addr, "node00", "tok", cfg).unwrap()
+    }
+
+    /// A fleet that acks a full window in one `send`: the `write_batch`
+    /// that blocked on it reads every ack the burst carried, so the
+    /// whole window reopens at once — not one batch of it.
+    #[test]
+    fn a_burst_of_acks_reopens_the_whole_window() {
+        let window = 8;
+        let (batches, _) = sweep_batches(window as u64, 4);
+        let (addr, fleet) = fake_fleet(window, move |stream| {
+            stream.write_all(&ack_frames(1..=window as u64)).unwrap();
+        });
+        let mut sink = windowed_sink(&addr, window);
+        for batch in &batches[..window - 1] {
+            sink.write_batch(batch).unwrap();
+        }
+        assert_eq!(sink.unacked_len(), window - 1);
+        sink.write_batch(&batches[window - 1]).unwrap();
+        assert_eq!(sink.unacked_len(), 0, "every buffered ack was read");
+        assert!(!sink.link.conn.as_ref().unwrap().buffered());
+        drop(sink);
+        fleet.join().unwrap();
+    }
+
+    /// A drain report sent right after a pump that read a whole burst
+    /// is owed its own ack only: it returns once that ack is read, and
+    /// reads no further.
+    #[test]
+    fn send_drain_after_a_drained_burst_reads_only_its_own_ack() {
+        use moda_telemetry::wire::read_frame;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let window = 8;
+        let (batches, _) = sweep_batches(window as u64, 4);
+        let drain_acked = Arc::new(AtomicBool::new(false));
+        let acked = Arc::clone(&drain_acked);
+        let (addr, fleet) = fake_fleet(window, move |stream| {
+            stream.write_all(&ack_frames(1..=window as u64)).unwrap();
+            let (tag, _) = read_frame(&mut *stream).unwrap().unwrap();
+            assert_eq!(tag, frame_tag::DRAIN);
+            std::thread::sleep(Duration::from_millis(50));
+            acked.store(true, Ordering::SeqCst);
+            stream
+                .write_all(&ack_frames(window as u64..=window as u64))
+                .unwrap();
+        });
+        let mut sink = windowed_sink(&addr, window);
+        for batch in &batches {
+            sink.write_batch(batch).unwrap();
+        }
+        assert_eq!(sink.unacked_len(), 0);
+        sink.send_drain(&DrainStats::default()).unwrap();
+        assert!(
+            drain_acked.load(Ordering::SeqCst),
+            "returned before its ack"
+        );
+        assert!(!sink.link.conn.as_ref().unwrap().buffered());
+        assert_eq!(sink.reconnects(), 0);
+        drop(sink);
+        fleet.join().unwrap();
+    }
+
+    /// A burst whose last `ACK` arrives cut in two: the read buffer ends
+    /// inside that frame, and the pump finishes it from the socket —
+    /// no torn frame, no reconnect.
+    #[test]
+    fn an_ack_cut_at_the_read_buffers_edge_is_finished_from_the_socket() {
+        let window = 8;
+        let (batches, _) = sweep_batches(window as u64, 4);
+        let (addr, fleet) = fake_fleet(window, move |stream| {
+            let acks = ack_frames(1..=window as u64);
+            let cut = acks.len() - 9;
+            stream.write_all(&acks[..cut]).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            stream.write_all(&acks[cut..]).unwrap();
+        });
+        let mut sink = windowed_sink(&addr, window);
+        for batch in &batches {
+            sink.write_batch(batch).unwrap();
+        }
+        assert_eq!(sink.unacked_len(), 0);
+        assert_eq!(sink.reconnects(), 0);
+        drop(sink);
+        fleet.join().unwrap();
     }
 
     #[test]

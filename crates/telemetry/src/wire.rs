@@ -534,6 +534,15 @@ impl BatchHeader {
         }
     }
 
+    /// The batch's header off the front of `r`: its seq, and under the
+    /// fixed header its record count.
+    fn read(self, r: &mut WireReader<'_>) -> io::Result<(u64, Option<u32>)> {
+        match self {
+            BatchHeader::Fixed => Ok((r.u64()?, Some(r.u32()?))),
+            BatchHeader::Varint => Ok((r.uv()?, None)),
+        }
+    }
+
     /// A record's `[len][payload]`, as [`BatchHeader::put_record`]
     /// writes it after the kind: the payload, which must lie within `r`.
     #[inline]
@@ -769,7 +778,12 @@ impl<'a> RecordRef<'a> {
             _ if tag > REC_BUCKET_RUN => return Ok(None),
             _ if room == 0 => return Err(bad_data("batch expands past MAX_BATCH_RECORDS")),
             REC_META => RecordRef::Meta {
-                id: MetricId(r.u32()?),
+                id: match r.u32()? {
+                    id if id >= MAX_VALUE_IDS => {
+                        return Err(bad_data("meta id past MAX_VALUE_IDS"))
+                    }
+                    id => MetricId(id),
+                },
                 meta: r.meta_ref()?,
             },
             REC_SAMPLE => RecordRef::Sample {
@@ -1998,7 +2012,8 @@ impl<'a> BucketRun<'a> {
 
 /// Wire ids from this one on keep no [`ValueState`]: their values are
 /// always coded whole. Bounds the state a stream can make its reader
-/// keep at 16 MiB.
+/// keep at 16 MiB. No `meta` record names one ([`BatchView::parse`]
+/// refuses it), so it bounds a reader's id map too.
 pub const MAX_VALUE_IDS: u32 = 1 << 20;
 
 /// The state `samples_delta` and `sweep` values are coded against: per
@@ -2122,12 +2137,20 @@ impl ValueState {
     /// [`encode_batch_as`]: walking its samples from the last, a
     /// delta's XOR gives the value before it, and a whole value was
     /// written because its id had no state. How a sender that must
-    /// re-send recovers what it sent.
+    /// re-send recovers what it sent. Only the `samples_delta` and
+    /// `sweep` runs are read — the records the state took — so a batch
+    /// that [`BatchView::parse`] refuses for another record is taken
+    /// back too: how a writer withdraws a batch the wire would refuse.
     pub fn unwind(&mut self, batch: &[u8], header: BatchHeader) -> io::Result<()> {
-        let view = BatchView::parse(batch, header)?;
-        let mut coded = Vec::with_capacity(view.record_count());
-        for record in view.records() {
-            if let RecordRef::SamplesDelta(DeltaRun(mut run)) = record {
+        let mut r = WireReader::new(batch);
+        header.read(&mut r)?;
+        let mut coded = Vec::new();
+        while !r.done() {
+            let tag = r.u8()?;
+            let payload = header.record_payload(&mut r)?;
+            if let REC_SAMPLES_DELTA | REC_SWEEP = tag {
+                let mut run = SampleRun::open(payload, usize::MAX, tag == REC_SWEEP)?;
+                run.check::<true>(&mut 0)?;
                 coded.extend(std::iter::from_fn(|| run.next_coded()));
             }
         }
@@ -2184,10 +2207,7 @@ impl<'a> BatchView<'a> {
     /// length.
     pub fn parse(bytes: &'a [u8], header: BatchHeader) -> io::Result<Self> {
         let mut r = WireReader::new(bytes);
-        let (seq, count) = match header {
-            BatchHeader::Fixed => (r.u64()?, Some(r.u32()?)),
-            BatchHeader::Varint => (r.uv()?, None),
-        };
+        let (seq, count) = header.read(&mut r)?;
         let records_at = r.pos;
         let (mut records, mut unknown, mut xor_ids) = (0usize, 0u64, 0u32);
         // The records run to the end of the batch, under either header.
@@ -3779,6 +3799,75 @@ mod tests {
         };
         encode_batch_with(&run, &mut ValueState::new(), &mut buf);
         assert_eq!(buf[1], REC_BUCKET_RUN);
+    }
+
+    /// A `meta` record binds a wire id a reader keeps a slot for: one at
+    /// [`MAX_VALUE_IDS`] is `InvalidData` under either header, the one
+    /// below it is read.
+    #[test]
+    fn a_meta_id_at_the_value_id_bound_is_bad_data() {
+        let meta = |id| ExportRecord::Meta {
+            id: MetricId(id),
+            meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+        };
+        for coding in [Coding::Sweeps, Coding::Varints] {
+            let mut buf = Vec::new();
+            let batch = |id| ExportBatch {
+                seq: 0,
+                records: vec![meta(id)],
+            };
+            encode_batch_as(
+                &batch(MAX_VALUE_IDS),
+                coding,
+                &mut ValueState::new(),
+                &mut buf,
+            );
+            let e = BatchView::parse(&buf, coding.header()).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains("MAX_VALUE_IDS"), "{e}");
+            buf.clear();
+            encode_batch_as(
+                &batch(MAX_VALUE_IDS - 1),
+                coding,
+                &mut ValueState::new(),
+                &mut buf,
+            );
+            let view = BatchView::parse(&buf, coding.header()).unwrap();
+            assert_eq!(view.to_batch().unwrap(), batch(MAX_VALUE_IDS - 1));
+        }
+    }
+
+    /// A batch the wire refuses for a record the value state never took
+    /// unwinds like any other: the state is back where it was before
+    /// the batch was coded against it.
+    #[test]
+    fn a_refused_batch_unwinds_its_sample_runs() {
+        let mut state = ValueState::new();
+        let mut buf = Vec::new();
+        let first = ExportBatch {
+            seq: 0,
+            records: vec![sample(3, 1_000, 2.5), sample(4, 1_000, 7.0)],
+        };
+        encode_batch_with(&first, &mut state, &mut buf);
+        let before = state.clone();
+        let refused = ExportBatch {
+            seq: 1,
+            records: vec![
+                sample(3, 2_000, 2.75),
+                sample(4, 2_000, 7.5),
+                sample(5, 2_000, 1.0),
+                ExportRecord::Meta {
+                    id: MetricId(MAX_VALUE_IDS),
+                    meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+                },
+            ],
+        };
+        buf.clear();
+        encode_batch_with(&refused, &mut state, &mut buf);
+        assert_ne!(state, before);
+        assert!(BatchView::parse(&buf, BatchHeader::Varint).is_err());
+        state.unwind(&buf, BatchHeader::Varint).unwrap();
+        assert_eq!(state, before);
     }
 
     #[test]

@@ -1557,8 +1557,10 @@ fn mixed_records() -> impl Strategy<Value = Vec<ExportRecord>> {
                     };
                     let (metric, time) = (MetricId(id), SimTime(t));
                     match kind {
+                        // A `meta` id at or past the bound is refused:
+                        // its own splice below.
                         0 => ExportRecord::Meta {
-                            id: metric,
+                            id: MetricId(id % MAX_VALUE_IDS),
                             meta: MetricMeta::gauge(
                                 format!("m.{v_raw:x}"),
                                 "u",
@@ -1626,8 +1628,10 @@ fn swept_records() -> impl Strategy<Value = Vec<ExportRecord>> {
         ),
     )
         .prop_map(|(mut records, sweeps)| {
+            // A run's ids may lie anywhere in `u32`; its separating
+            // `meta` records' within the bound every reader keeps.
             let meta = |id| ExportRecord::Meta {
-                id: MetricId(id),
+                id: MetricId(id % MAX_VALUE_IDS),
                 meta: MetricMeta::gauge("swept", "u", SourceDomain::Software),
             };
             for ((at, n, closed), (id_raw, id_step, high), (t0, t_sel, t_raw), (v_sel, v_raw)) in
@@ -2209,7 +2213,10 @@ fn reference_decode(buf: &[u8], newest: u8, header: BatchHeader) -> io::Result<D
         let mut r = WireReader::new(payload);
         let record = match tag {
             0 => ExportRecord::Meta {
-                id: MetricId(r.u32()?),
+                id: match r.u32()? {
+                    id if id >= MAX_VALUE_IDS => return Err(bad_data("meta id past the bound")),
+                    id => MetricId(id),
+                },
                 meta: r.meta()?,
             },
             1 => ExportRecord::Sample {
@@ -2518,8 +2525,9 @@ proptest! {
     /// columns left as kinds 2 and 3 — a 1.4 or a 1.3 one), with
     /// unknown-kind records and hostile `samples`, `samples_delta`,
     /// `sweep` and `bucket_run` records (any leading field over any
-    /// bytes, a `bucket_run` of resolution 0 among them) and `bucket`
-    /// records of resolution 0 spliced between the segments, the whole
+    /// bytes, a `bucket_run` of resolution 0 among them), `bucket`
+    /// records of resolution 0 and `meta` records of an id past
+    /// `MAX_VALUE_IDS` spliced between the segments, the whole
     /// framed under the fixed header and under 1.6's varints — and for
     /// arbitrary byte mutations and truncations of those encodings — the
     /// view accepts exactly what the materialising decoder accepted and
@@ -2530,7 +2538,7 @@ proptest! {
     fn batch_view_means_what_the_materialising_decoder_meant(
         seq in any::<u64>(),
         records in bucketed_records(),
-        cuts in prop::collection::vec((0usize..1000, 0u8..5, 0u8..7), 0..6),
+        cuts in prop::collection::vec((0usize..1000, 0u8..5, 0u8..8), 0..6),
         foreign in prop::collection::vec((9u16..256, prop::collection::vec(any::<u8>(), 0..12)), 6..7),
         hostile in prop::collection::vec(
             (any::<u64>(), 0u8..4, prop::collection::vec(any::<u8>(), 0..24)),
@@ -2589,6 +2597,17 @@ proptest! {
                     payload.extend_from_slice(&[0; 8]);
                     payload.resize(4 + 8 + 8 + 8 + 32, *shrink);
                     (2, payload)
+                }
+                // A `meta` record of an id at the bound or past it (its
+                // top bits any), else well-formed.
+                7 => {
+                    let id = MAX_VALUE_IDS | (*count as u32 & !(MAX_VALUE_IDS - 1));
+                    let mut payload = id.to_le_bytes().to_vec();
+                    moda_telemetry::wire::put_meta(
+                        &mut payload,
+                        &MetricMeta::gauge("far", "u", SourceDomain::Software),
+                    );
+                    (0, payload)
                 }
                 _ => continue,
             });

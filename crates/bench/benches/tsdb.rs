@@ -739,6 +739,44 @@ fn bench_fleet(c: &mut Criterion) {
         });
     });
 
+    // Replay of a chunk-heavy log: four nodes' 2 h histories at 4 Hz
+    // (28 800 samples each), shipped whole as 512-sample chunk records
+    // and ingested in process, so the log vouches for every chunk. The
+    // fleet's rings keep 4096 samples, so by the end of the log 48 of
+    // each ring's 56 chunks are evicted: recovery links each chunk on
+    // its header and walks only the eight a ring still holds.
+    const CNODES: u32 = 4;
+    const CHUNKED_SAMPLES: u64 = 2 * 3600 * 4;
+    let chunked_dir = tmp.join("replay_chunked");
+    {
+        let mut fleet = DurableFleet::open(&chunked_dir, no_cadence).unwrap();
+        for n in 0..CNODES {
+            let (mut db, ids) = registered(1, CHUNKED_SAMPLES as usize);
+            for s in 0..CHUNKED_SAMPLES {
+                db.insert(ids[0], SimTime(250 * s), node_value(n, s));
+            }
+            let mut sink = MemorySink::new();
+            Exporter::new()
+                .with_batch_records(8)
+                .drain(&db, &mut sink)
+                .unwrap();
+            let node = fleet.add_node(&format!("node{n:02}")).unwrap();
+            for batch in &sink.batches {
+                fleet.ingest(node, batch).unwrap();
+            }
+        }
+    }
+    g.bench_function("replay_chunked", |b| {
+        b.iter(|| {
+            black_box(
+                FleetStore::recover(&chunked_dir)
+                    .unwrap()
+                    .store()
+                    .cardinality(),
+            )
+        });
+    });
+
     // One control tick over a backfilled fleet: 8 nodes whose rings
     // were fed whole chunks (and one trailing sample), watched by a
     // 2 s Max threshold and a 30 min Mean straggler monitor — the

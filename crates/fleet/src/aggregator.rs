@@ -35,7 +35,9 @@
 //!   cannot read is refused whole ([`FleetAggregator::ingest_view`]);
 //! * **compressed chunks** — a `chunk` record (wire spec revision 1.1)
 //!   is validated in one pass and linked into the fleet ring as it
-//!   arrived; an overlapping re-ship falls back to per-sample pushes so
+//!   arrived (the pass a received batch's records get before the batch
+//!   is logged, where there was one);
+//!   an overlapping re-ship falls back to per-sample pushes so
 //!   the monotonic guard keeps exact duplicate accounting, and a record
 //!   whose payload is undecodable, empty, or ends elsewhere than its
 //!   header says is dropped whole and counted without moving the node's
@@ -47,7 +49,7 @@
 //! reported ([`FleetAggregator::report_drain`]), which its session's
 //! counters balance in one [`Ledger`] ([`NodeHealth::ledger`]).
 
-use crate::store::{ChunkOutcome, FleetStore, NodeId};
+use crate::store::{ChunkOutcome, FleetStore, NodeId, Payload};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
@@ -320,6 +322,23 @@ pub struct FleetAggregator {
     /// The sketch column of the `bucket_run` bucket being applied:
     /// kept, so that a warm ingest grows nothing.
     column: Vec<SketchEntry>,
+    /// What [`FleetAggregator::walk_chunks`] found of the batch about
+    /// to be applied, one entry per `chunk` record in wire order: kept,
+    /// like `column`.
+    walks: Vec<Payload>,
+}
+
+/// How the apply loop learns what a `chunk` record's payload is.
+#[derive(Debug, Clone, Copy)]
+enum Chunks {
+    /// Each is walked as it is applied.
+    Unread,
+    /// [`FleetAggregator::walk_chunks`] walked them, before the batch
+    /// was logged.
+    Walked,
+    /// Each walked clean before it was logged (a tag-36 entry at
+    /// replay).
+    Vouched,
 }
 
 /// Retained [`HealthTransition`] events per aggregator — enough for any
@@ -449,8 +468,9 @@ impl FleetAggregator {
         &self.sessions[node.index()].values
     }
 
-    /// [`FleetAggregator::stream_values`], for a writer that codes the
-    /// stream's next batch against it (`DurableFleet::ingest`).
+    /// [`FleetAggregator::stream_values`], for a test that sets the
+    /// stream's state by hand.
+    #[cfg(test)]
     pub(crate) fn stream_values_mut(&mut self, node: NodeId) -> &mut ValueState {
         &mut self.sessions[node.index()].values
     }
@@ -477,7 +497,8 @@ impl FleetAggregator {
     /// Ingest one wire batch from `node`'s stream. Returns what
     /// happened; all counters accumulate on the session.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> IngestReport {
-        self.apply(node, batch.seq, batch.records.iter().map(RecordRef::from))
+        let records = batch.records.iter().map(RecordRef::from);
+        self.apply(node, batch.seq, records, Chunks::Unread)
     }
 
     /// [`FleetAggregator::ingest`] straight off a received batch's
@@ -488,7 +509,7 @@ impl FleetAggregator {
     /// `InvalidData` and changes nothing.
     pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> io::Result<IngestReport> {
         self.check_view(node, view)?;
-        Ok(self.apply_view(node, view))
+        Ok(self.apply_bytes(node, view, Chunks::Unread))
     }
 
     /// Whether every value of `view` can be read against `node`'s stream
@@ -497,11 +518,67 @@ impl FleetAggregator {
         view.check_values(&mut self.sessions[node.index()].values)
     }
 
+    /// [`FleetAggregator::ingest_view`] of a view whose `chunk` records
+    /// all walked clean before it was logged — a log entry of tag 36 at
+    /// replay: each one the ring can link is linked on its header, and
+    /// [`FleetAggregator::settle`] walks those the rings still hold once
+    /// the log has ended.
+    pub(crate) fn ingest_vouched(
+        &mut self,
+        node: NodeId,
+        view: &BatchView<'_>,
+    ) -> io::Result<IngestReport> {
+        self.check_view(node, view)?;
+        Ok(self.apply_bytes(node, view, Chunks::Vouched))
+    }
+
+    /// Walk `view`'s `chunk` records ahead of the append, for
+    /// [`FleetAggregator::apply_view`] to link on what was found: a
+    /// received batch is walked once, and its log entry can say whether
+    /// its chunks walked clean. A batch with no `chunk` record, or one
+    /// the session will take as a duplicate (whose records are not
+    /// applied), is not walked; nor is a record too short to be linked,
+    /// which is decoded, and checked, as it is applied. Returns whether
+    /// the walk ran and every record it walked walked clean.
+    pub(crate) fn walk_chunks(&mut self, node: NodeId, view: &BatchView<'_>) -> bool {
+        self.walks.clear();
+        if view.chunk_records() == 0 || view.seq() < self.sessions[node.index()].next_seq {
+            return false;
+        }
+        for r in view.records() {
+            if let RecordRef::Chunk {
+                first_t,
+                last_t,
+                count,
+                bytes,
+                ..
+            } = r
+            {
+                self.walks
+                    .push(FleetStore::prewalk(first_t, last_t, count, bytes));
+            }
+        }
+        !self.walks.contains(&Payload::Walked(None))
+    }
+
     /// [`FleetAggregator::ingest_view`] of a view
-    /// [`FleetAggregator::check_view`] has passed.
+    /// [`FleetAggregator::check_view`] has passed and
+    /// [`FleetAggregator::walk_chunks`] has walked.
     pub(crate) fn apply_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
+        self.apply_bytes(node, view, Chunks::Walked)
+    }
+
+    /// The apply loop over a checked view's records, counting the
+    /// records it skips as unknown.
+    fn apply_bytes(&mut self, node: NodeId, view: &BatchView<'_>, chunks: Chunks) -> IngestReport {
         self.unknown_records += view.unknown_records();
-        self.apply(node, view.seq(), view.records())
+        self.apply(node, view.seq(), view.records(), chunks)
+    }
+
+    /// Walk the chunks [`FleetAggregator::ingest_vouched`] linked
+    /// unwalked that the rings still hold (see [`FleetStore::settle`]).
+    pub(crate) fn settle(&mut self) -> io::Result<()> {
+        self.store.settle()
     }
 
     /// The one record-apply loop: the batch cursor, then every record
@@ -511,6 +588,7 @@ impl FleetAggregator {
         node: NodeId,
         seq: u64,
         records: impl Iterator<Item = RecordRef<'a>>,
+        chunks: Chunks,
     ) -> IngestReport {
         let _span = self.ingest_ns.start();
         let session = &mut self.sessions[node.index()];
@@ -540,6 +618,7 @@ impl FleetAggregator {
         // non-tier record and at batch end (columns never split across
         // batches).
         let mut open_bucket: Option<(MetricId, u64, u64)> = None;
+        let mut walks = self.walks.iter();
         for r in records {
             match r {
                 RecordRef::Meta { id, meta } => {
@@ -589,13 +668,18 @@ impl FleetAggregator {
                     bytes,
                 } => {
                     open_bucket = None;
+                    let payload = match chunks {
+                        Chunks::Unread => Payload::Unread,
+                        Chunks::Walked => *walks.next().expect("a walk per chunk record"),
+                        Chunks::Vouched => Payload::Vouched,
+                    };
                     let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
                         session.counters.unmapped_records += 1;
                         continue;
                     };
                     let ChunkOutcome::Applied { accepted, rejected } = self
                         .store
-                        .push_chunk(fleet_id, first_t, last_t, count, bytes)
+                        .take_chunk(fleet_id, first_t, last_t, count, bytes, payload)
                     else {
                         // Corrupt record: dropped whole, counted, and
                         // not treated as ingested data — its header is

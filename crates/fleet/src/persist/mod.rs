@@ -53,15 +53,16 @@
 //! directory.
 //!
 //! **Discipline: logged before it is visible, flushed before it is
-//! acknowledged.** [`DurableFleet::ingest`] appends the batch to the
-//! log and commits it to the OS *before* applying it to the in-memory
-//! aggregator. A receive burst ([`DurableFleet::burst`]) takes each
+//! acknowledged.** A receive burst ([`DurableFleet::burst`]) takes each
 //! received batch as the bytes it arrived in — validated where they lie
-//! ([`BatchView`]), appended as `[node][those bytes]`, applied off
-//! the same bytes — and commits the log **once**, in [`Burst::commit`];
+//! ([`BatchView`]), its `chunk` records walked, appended as
+//! `[node][those bytes]`, applied off the same bytes and that walk —
+//! and commits the log **once**, in [`Burst::commit`];
 //! the burst holds the fleet exclusively until then, so no reader sees
 //! a batch whose log bytes are still buffered and nothing is
-//! acknowledged before the flush. A `kill -9` therefore loses at most
+//! acknowledged before the flush. [`DurableFleet::ingest`] is a burst
+//! of one over the bytes it encodes, so it returns only once the batch
+//! is flushed. A `kill -9` therefore loses at most
 //! unflushed entries that nobody was told about and a torn tail entry;
 //! recovery ([`DurableFleet::recover`]) restores the snapshot, replays
 //! the log tail — re-delivered batches bounce off the existing
@@ -88,7 +89,7 @@ use crate::store::{FleetStore, NodeId};
 use dir::{LogWriter, StateDir};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{encode_batch_with, BatchHeader, BatchView};
+use moda_telemetry::wire::{encode_batch_with, BatchHeader, BatchView, ValueState};
 use moda_telemetry::DrainStats;
 use std::io;
 use std::path::Path;
@@ -160,6 +161,10 @@ pub struct DurableFleet {
     /// Scratch for an in-process batch's encoding — cleared, never
     /// freed.
     frame_buf: Vec<u8>,
+    /// The stream's value state as that batch is encoded against it: a
+    /// copy, because the apply reads the batch's deltas against the
+    /// stream's own state as it stood before.
+    frame_values: ValueState,
     /// Scratch for the snapshot image, kept at the size the last
     /// snapshot grew it to. The one image buffer: lent to the writer
     /// while a snapshot is in flight, handed back at its promotion.
@@ -249,7 +254,7 @@ impl DurableFleet {
             ..RecoveryStats::default()
         };
         let (logged, log) = dir.resume_log(epoch)?;
-        let (good, corrupt) = wal::replay(&logged, &mut agg, &mut recovery);
+        let (good, corrupt) = wal::replay(&logged, &mut agg, &mut recovery)?;
         recovery.corrupt_frames = corrupt;
         recovery.torn_tail_bytes = (logged.len() - good) as u64;
         if good < logged.len() {
@@ -282,6 +287,7 @@ impl DurableFleet {
             batches_since_snapshot: 0,
             recovery: RecoveryStats::default(),
             frame_buf: Vec::new(),
+            frame_values: ValueState::new(),
             snapshot_buf: Vec::new(),
             in_flight: None,
             cut_batches: 0,
@@ -333,38 +339,38 @@ impl DurableFleet {
         Ok(node)
     }
 
-    /// Ingest one batch durably: append its encoding to the log, commit,
-    /// then apply — returning means flushed. The batch is logged as a
-    /// 1.6 writer on `node`'s stream sends it (`encode_batch_with`): its
-    /// header and record lengths varints, its sample runs coded against
-    /// the stream's value state and its sealed buckets as `bucket_run`
-    /// records — which a connection that carried the stream no longer
-    /// shares, so it no longer carries it.
+    /// Ingest one batch durably — returning means flushed. The batch is
+    /// encoded as a 1.6 writer on `node`'s stream sends it
+    /// (`encode_batch_with`): its header and record lengths varints, its
+    /// sample runs coded against (a copy of) the stream's value state and
+    /// its sealed buckets as `bucket_run` records — which a connection
+    /// that carried the stream no longer shares, so it no longer carries
+    /// it. Those bytes are then taken as a burst of one
+    /// ([`Burst::batch`]): validated, logged, applied off the bytes and
+    /// committed, so what is applied is what recovery replays.
     /// A batch the wire would refuse ([`BatchView::parse`]) is refused
     /// here too, as `InvalidData`, before it is logged — replay stops at
-    /// an entry it cannot read, and would drop every one after it —
-    /// and the stream's value state is unwound: nothing changes.
+    /// an entry it cannot read, and would drop every one after it — and
+    /// nothing changes.
     /// Cuts a snapshot (written off this call; see the module docs)
     /// every [`DurabilityConfig::snapshot_every_batches`] applied
     /// batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
-        self.frame_buf.clear();
-        let values = self.agg.stream_values_mut(node);
-        encode_batch_with(batch, values, &mut self.frame_buf);
-        if let Err(refused) = BatchView::parse(&self.frame_buf, BatchHeader::Varint) {
-            values.unwind(&self.frame_buf, BatchHeader::Varint)?;
-            return Err(refused);
-        }
-        if let Some(token) = self.connections.get_mut(node.index()) {
-            *token = 0;
-        }
-        self.wal
-            .append(Entry::Batch(node, BatchHeader::Varint, &self.frame_buf))?;
-        self.wal.commit()?;
-        let report = self.agg.ingest(node, batch);
-        self.count_batch()?;
-        self.poll()?;
-        Ok(report)
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        frame.clear();
+        self.frame_values.clone_from(self.agg.stream_values(node));
+        encode_batch_with(batch, &mut self.frame_values, &mut frame);
+        let taken = BatchView::parse(&frame, BatchHeader::Varint).and_then(|view| {
+            if let Some(token) = self.connections.get_mut(node.index()) {
+                *token = 0;
+            }
+            let mut burst = self.burst();
+            let report = burst.view(node, &view)?;
+            burst.commit()?;
+            Ok(report)
+        });
+        self.frame_buf = frame;
+        taken
     }
 
     /// Durably record an out-of-band exporter drain report.
@@ -594,13 +600,26 @@ impl Burst<'_> {
         header: BatchHeader,
         payload: &[u8],
     ) -> io::Result<IngestReport> {
-        let view = BatchView::parse(payload, header)?;
-        self.fleet.agg.check_view(node, &view)?;
+        self.view(node, &BatchView::parse(payload, header)?)
+    }
+
+    /// [`Burst::batch`] of a payload already validated. Its `chunk`
+    /// records are walked before the append
+    /// ([`FleetAggregator::walk_chunks`]), and the apply links them on
+    /// what that walk found. A 1.6 batch whose walked records all walked
+    /// clean is logged as such (tag 36), so replay need not walk them
+    /// again.
+    fn view(&mut self, node: NodeId, view: &BatchView<'_>) -> io::Result<IngestReport> {
+        let agg = &mut self.fleet.agg;
+        agg.check_view(node, view)?;
+        let clean = agg.walk_chunks(node, view);
         // Only bytes a view vouches for reach the log.
-        self.fleet
-            .wal
-            .append(Entry::Batch(node, header, view.as_bytes()))?;
-        let report = self.fleet.agg.apply_view(node, &view);
+        let entry = match view.header() {
+            BatchHeader::Varint if clean => Entry::Vouched(node, view.as_bytes()),
+            header => Entry::Batch(node, header, view.as_bytes()),
+        };
+        self.fleet.wal.append(entry)?;
+        let report = self.fleet.agg.apply_view(node, view);
         self.fleet.count_batch()?;
         Ok(report)
     }
@@ -642,6 +661,7 @@ pub(crate) use wal::FRAME_LOG_BATCH; // `transport`'s tests read a log off the d
 mod tests {
     use super::*;
     use moda_sim::{SimDuration, SimTime};
+    use moda_telemetry::chunk;
     use moda_telemetry::export::{ExportRecord, MemorySink};
     use moda_telemetry::wire::{
         encode_batch, encode_batch_as, parse_frame, put_block, put_u32, put_u64, put_uv,
@@ -650,6 +670,7 @@ mod tests {
     use moda_telemetry::{
         Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
     };
+    use proptest::prelude::*;
     use std::fs;
     use std::path::PathBuf;
 
@@ -1574,6 +1595,369 @@ mod tests {
         assert_eq!(rec.replayed_duplicates, 0, "{rec:?}");
         assert_eq!(recovered.aggregator().node_count(), 1);
         assert_eq!(recovered.aggregator().counters(node), acknowledged);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One node's stream of chunk-bearing batches — every way a `chunk`
+    /// record can meet a ring: long ones it links; short ones it decodes;
+    /// ones that start before its newest sample, which it decodes and
+    /// partly rejects; ones whose payload is damaged or whose header
+    /// lies, which may be refused; payloads with bytes past their codes;
+    /// samples between them; now and then a batch delivered again — and
+    /// enough of them that the ring's front is evicted, partly or whole.
+    fn chunked_stream(rng: &mut TestRng, batches: u64) -> Vec<ExportBatch> {
+        let (mut t, mut out) = (1_000u64, Vec::new());
+        for seq in 0..batches {
+            let mut records = Vec::new();
+            if seq == 0 {
+                let meta = MetricMeta::gauge("m", "u", SourceDomain::Hardware);
+                records.push(ExportRecord::Meta {
+                    id: MetricId(0),
+                    meta,
+                });
+            }
+            for _ in 0..1 + rng.below(3) {
+                let kind = rng.below(8);
+                if kind == 0 {
+                    t += 1000;
+                    let value = rng.below(64) as f64;
+                    records.push(ExportRecord::Sample {
+                        id: MetricId(0),
+                        t: SimTime(t),
+                        value,
+                    });
+                    continue;
+                }
+                let n = match kind {
+                    1 => 1 + rng.below(63),
+                    _ => 64 + rng.below(700),
+                };
+                let start = match kind {
+                    2 => t.saturating_sub(1000 * rng.below(200)),
+                    _ => t + 1000,
+                };
+                let ts: Vec<u64> = (0..n).map(|i| start + 1000 * i + rng.below(400)).collect();
+                let vals: Vec<f64> = ts.iter().map(|_| rng.below(50) as f64 * 0.5).collect();
+                let mut record = ExportRecord::chunk(MetricId(0), &chunk::compress(&ts, &vals, 0));
+                let ExportRecord::Chunk { last_t, bytes, .. } = &mut record else {
+                    unreachable!("a chunk record");
+                };
+                match rng.below(6) {
+                    0 => {
+                        let at = rng.below(bytes.len() as u64) as usize;
+                        bytes[at] ^= 1 << rng.below(8);
+                    }
+                    1 => last_t.0 += 1,
+                    2 => bytes.extend((0..1 + rng.below(4)).map(|_| rng.below(256) as u8)),
+                    _ => {}
+                }
+                t = t.max(ts[ts.len() - 1]);
+                records.push(record);
+            }
+            out.push(ExportBatch { seq, records });
+            if seq > 0 && rng.below(6) == 0 {
+                out.push(out[out.len() - 2].clone());
+            }
+        }
+        out
+    }
+
+    /// What a fleet's rings hold beyond [`fingerprint`]: each ring's
+    /// newest sample, bit for bit, and whether every chunk in it was
+    /// walked.
+    fn rings(agg: &FleetAggregator, nodes: usize) -> Vec<String> {
+        (0..nodes)
+            .map(|k| {
+                let id = agg
+                    .store()
+                    .lookup(&format!("node{k:02}/m"))
+                    .expect("mapped");
+                let ring = agg.store().raw(id);
+                let latest = ring.latest().map(|s| (s.t.0, s.value.to_bits()));
+                let walked = ring.sealed_chunks().all(|c| c.is_walked());
+                format!("ring[{k}] latest={latest:?} walked={walked}")
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Recovered ≡ live over chunk-bearing streams: node 0 ingested
+        /// in process, node 1 received as 1.6 and 1.5 bursts by turns, so
+        /// the log holds tag-36 entries (chunks walked clean before the
+        /// append, linked on their headers at replay) beside tag-35 and
+        /// tag-33 ones (a refused chunk among them, or a fixed header).
+        /// The recovered fleet has the live one's samples, tiers,
+        /// counters, ledgers, newest values and value states, no ring
+        /// holds an unwalked chunk, and a snapshot of each writes the
+        /// same bytes.
+        #[test]
+        fn a_fleet_recovered_from_vouched_chunks_is_the_fleet_that_walked_them(
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::new(seed);
+            let streams = [chunked_stream(&mut rng, 16), chunked_stream(&mut rng, 16)];
+            let no_cadence = DurabilityConfig {
+                snapshot_every_batches: u64::MAX,
+            };
+            let dir = test_dir(&format!("vouched_{seed}"));
+            let mut live = DurableFleet::open(&dir, no_cadence).unwrap();
+            let in_process = live.add_node("node00").unwrap();
+            let received = live.add_node("node01").unwrap();
+            let mut sender = ValueState::new();
+            for (i, (a, b)) in streams[0].iter().zip(&streams[1]).enumerate() {
+                live.ingest(in_process, a).unwrap();
+                let coding = [Coding::Varints, Coding::Buckets][i % 3 / 2];
+                let mut bytes = Vec::new();
+                encode_batch_as(b, coding, &mut sender, &mut bytes);
+                let mut burst = live.burst();
+                burst.batch(received, coding.header(), &bytes).unwrap();
+                burst.commit().unwrap();
+            }
+            let tags = entry_tags(&fs::read(dir.join("wal-0.log")).unwrap());
+            prop_assert!(tags.contains(&wal::FRAME_LOG_BATCH_VOUCHED), "{:?}", tags);
+            let copy = crash_copy(&dir, &format!("vouched_copy_{seed}"));
+            let mut recovered = DurableFleet::recover(&copy).unwrap();
+            prop_assert_eq!(recovered.recovery().corrupt_frames, 0);
+
+            let now = SimTime(u64::MAX / 2);
+            let (a, b) = (live.aggregator(), recovered.aggregator());
+            prop_assert_eq!(fingerprint(b, 2, now), fingerprint(a, 2, now));
+            prop_assert_eq!(rings(b, 2), rings(a, 2));
+            prop_assert!(rings(b, 2).iter().all(|r| r.ends_with("walked=true")));
+            let ledgers = |agg: &FleetAggregator| {
+                let health = agg.health(now, SimDuration::from_secs(60));
+                let all: Vec<_> = health.nodes.iter().map(|n| n.ledger()).collect();
+                all
+            };
+            prop_assert_eq!(ledgers(b), ledgers(a));
+            for node in [in_process, received] {
+                prop_assert_eq!(b.stream_values(node), a.stream_values(node));
+            }
+            live.snapshot().unwrap();
+            recovered.snapshot().unwrap();
+            let image = |dir: &Path| fs::read(dir.join("snapshot.bin")).unwrap();
+            prop_assert!(image(&dir) == image(&copy), "the snapshots differ");
+            drop((live, recovered));
+            let _ = fs::remove_dir_all(&dir);
+            let _ = fs::remove_dir_all(&copy);
+        }
+    }
+
+    /// One chunk record of `n` samples from `from` on, as a node seals it.
+    fn sealed_chunk(from: u64, n: u64) -> (ExportRecord, Vec<u8>) {
+        let ts: Vec<u64> = (from..from + n).map(|s| 1000 * s).collect();
+        let vals: Vec<f64> = (from..from + n).map(|s| (s % 61) as f64 * 0.25).collect();
+        let c = chunk::compress(&ts, &vals, 0);
+        (ExportRecord::chunk(MetricId(0), &c), c.bytes().to_vec())
+    }
+
+    /// A batch's entry tag is 36 exactly when the fleet walked its
+    /// `chunk` records before the append and each one it walked walked
+    /// clean — one too short to be linked is not walked there, but
+    /// decoded, and checked, as it is applied, live and at replay alike.
+    /// A refused chunk, a batch with none, a duplicate (whose records
+    /// are not applied) and a fixed-header batch keep their header's
+    /// tag, and are walked at replay.
+    #[test]
+    fn a_batch_is_logged_vouched_exactly_when_its_chunks_walked_clean() {
+        let dir = test_dir("vouched_tags");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        let meta = ExportRecord::Meta {
+            id: MetricId(0),
+            meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+        };
+        let (long, _) = sealed_chunk(0, 512);
+        let (short, _) = sealed_chunk(512, 20);
+        let (mut refused, _) = sealed_chunk(600, 300);
+        if let ExportRecord::Chunk { last_t, .. } = &mut refused {
+            last_t.0 += 1;
+        }
+        let (fixed, _) = sealed_chunk(1000, 300);
+        let sample = ExportRecord::Sample {
+            id: MetricId(0),
+            t: SimTime(2_000_000),
+            value: 1.0,
+        };
+        let batch = |seq, records: &[&ExportRecord]| ExportBatch {
+            seq,
+            records: records.iter().map(|&r| r.clone()).collect(),
+        };
+        let in_process = [
+            batch(0, &[&meta, &long]),
+            batch(1, &[&short]),
+            batch(2, &[&refused]),
+            batch(0, &[&meta, &long]),
+        ];
+        for b in &in_process {
+            fleet.ingest(node, b).unwrap();
+        }
+        let mut bytes = Vec::new();
+        encode_batch_as(
+            &batch(3, &[&fixed]),
+            Coding::Buckets,
+            &mut ValueState::new(),
+            &mut bytes,
+        );
+        let mut burst = fleet.burst();
+        burst.batch(node, BatchHeader::Fixed, &bytes).unwrap();
+        burst.commit().unwrap();
+        fleet.ingest(node, &batch(4, &[&sample])).unwrap();
+        let counters = fleet.aggregator().counters(node);
+        assert_eq!((counters.chunks, counters.corrupt_chunks), (3, 1));
+        assert_eq!(counters.duplicate_batches, 1);
+        let tags = entry_tags(&fs::read(dir.join("wal-0.log")).unwrap());
+        let (vouched, varint, fixed) = (
+            wal::FRAME_LOG_BATCH_VOUCHED,
+            wal::FRAME_LOG_BATCH_1_6,
+            wal::FRAME_LOG_BATCH,
+        );
+        assert_eq!(tags[1..], [vouched, vouched, varint, varint, fixed, varint]);
+        let now = SimTime::from_secs(3000);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        let recovered = DurableFleet::recover(&dir).unwrap();
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrite `dir`'s log frame by frame: `change` gets each frame's
+    /// index, tag and payload, may change the payload, and returns the
+    /// tag to write it under; the CRC is taken again, so whatever it
+    /// did is damage the CRC cannot see.
+    fn rewrite_log(dir: &Path, mut change: impl FnMut(usize, u8, &mut Vec<u8>) -> u8) {
+        let path = dir.join("wal-0.log");
+        let bytes = fs::read(&path).unwrap();
+        let (mut pos, mut out) = (0, Vec::new());
+        for index in 0.. {
+            let FrameParse::Frame {
+                tag,
+                payload,
+                consumed,
+            } = parse_frame(&bytes[pos..])
+            else {
+                break;
+            };
+            let mut payload = payload.to_vec();
+            let tag = change(index, tag, &mut payload);
+            write_frame(&mut out, tag, &payload).unwrap();
+            pos += consumed;
+        }
+        assert_eq!(pos, bytes.len(), "whole frames");
+        fs::write(&path, out).unwrap();
+    }
+
+    /// A chunk a tag-36 entry vouches for, whose payload took damage the
+    /// CRC cannot see: recovery refuses the log while a ring keeps the
+    /// chunk — the recovered fleet would serve it — and once later
+    /// chunks have evicted it, recovers without walking it, counted as
+    /// the live fleet counted it.
+    #[test]
+    fn a_vouched_chunk_damaged_past_the_crc_refuses_recovery_only_while_a_ring_keeps_it() {
+        let dir = test_dir("vouched_damage");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        // Twelve chunks of 512 into a ring of 4096: it keeps the last
+        // eight.
+        let chunks: Vec<(ExportRecord, Vec<u8>)> =
+            (0..12).map(|k| sealed_chunk(512 * k, 512)).collect();
+        for (seq, (record, _)) in chunks.iter().enumerate() {
+            let mut records = vec![record.clone()];
+            if seq == 0 {
+                let meta = MetricMeta::gauge("m", "u", SourceDomain::Hardware);
+                records.insert(
+                    0,
+                    ExportRecord::Meta {
+                        id: MetricId(0),
+                        meta,
+                    },
+                );
+            }
+            let batch = ExportBatch {
+                seq: seq as u64,
+                records,
+            };
+            fleet.ingest(node, &batch).unwrap();
+        }
+        let now = SimTime::from_secs(6200);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        // Frame 0 is the node; frame `1 + k` carries chunk `k`.
+        let damaged = |k: usize| {
+            let copy = crash_copy(&dir, &format!("vouched_damage_{k}"));
+            rewrite_log(&copy, |index, tag, payload| {
+                if index == 1 + k {
+                    assert_eq!(tag, wal::FRAME_LOG_BATCH_VOUCHED);
+                    let bytes = &chunks[k].1;
+                    let at = payload
+                        .windows(bytes.len())
+                        .position(|w| w == bytes)
+                        .unwrap();
+                    // The first timestamp code flipped: the walk ends
+                    // elsewhere, or nowhere.
+                    payload[at + 8] ^= 0x80;
+                    let walked = chunk::validate(512_000 * k as u64, 512, &payload[at..]);
+                    assert!(
+                        walked.is_err() || walked.unwrap().last_t != 1000 * (512 * k as u64 + 511)
+                    );
+                }
+                tag
+            });
+            copy
+        };
+        let evicted = damaged(0);
+        let recovered = DurableFleet::recover(&evicted).unwrap();
+        assert_eq!(recovered.recovery().corrupt_frames, 0);
+        assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+        drop(recovered);
+        for kept in [4, 11] {
+            let copy = damaged(kept);
+            let refused = DurableFleet::recover(&copy).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
+            let _ = fs::remove_dir_all(&copy);
+        }
+        let _ = fs::remove_dir_all(&evicted);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The log an older build writes for the same in-process stream —
+    /// every batch under tag 35, its chunks walked as they are replayed
+    /// — recovers to the fleet the tag-36 log recovers to, and a
+    /// snapshot of either writes the same image.
+    #[test]
+    fn a_log_of_tag_35_chunk_batches_recovers_as_the_vouched_log_does() {
+        let dir = test_dir("tag_35_log");
+        let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+        let node = fleet.add_node("node00").unwrap();
+        for batch in &chunked_stream(&mut TestRng::new(7), 24) {
+            fleet.ingest(node, batch).unwrap();
+        }
+        let now = SimTime(u64::MAX / 2);
+        let live = fingerprint(fleet.aggregator(), 1, now);
+        drop(fleet);
+        let older = crash_copy(&dir, "tag_35_log_older");
+        let mut vouched = 0;
+        rewrite_log(&older, |_, tag, _| match tag {
+            wal::FRAME_LOG_BATCH_VOUCHED => {
+                vouched += 1;
+                wal::FRAME_LOG_BATCH_1_6
+            }
+            tag => tag,
+        });
+        assert!(vouched > 10, "{vouched}");
+        let mut images = Vec::new();
+        for state in [&dir, &older] {
+            let mut recovered = DurableFleet::recover(state).unwrap();
+            assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
+            assert!(rings(recovered.aggregator(), 1)[0].ends_with("walked=true"));
+            recovered.snapshot().unwrap();
+            images.push(fs::read(state.join("snapshot.bin")).unwrap());
+        }
+        assert!(images[0] == images[1], "the images differ");
+        let _ = fs::remove_dir_all(&older);
         let _ = fs::remove_dir_all(&dir);
     }
 }

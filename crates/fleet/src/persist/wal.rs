@@ -33,6 +33,7 @@ const FRAME_LOG_NODE: u8 = 32;
 pub(crate) const FRAME_LOG_BATCH: u8 = 33;
 const FRAME_LOG_DRAIN: u8 = 34;
 pub(crate) const FRAME_LOG_BATCH_1_6: u8 = 35;
+pub(crate) const FRAME_LOG_BATCH_VOUCHED: u8 = 36;
 
 /// One log entry, borrowing what it can from whoever holds its bytes.
 #[derive(Debug)]
@@ -46,6 +47,13 @@ pub(crate) enum Entry<'a> {
     /// for a batch with the fixed header, `[node uv][batch bytes]` under
     /// its own tag for one with 1.6's varint header.
     Batch(NodeId, BatchHeader, &'a [u8]),
+    /// A batch with 1.6's varint header whose `chunk` records the fleet
+    /// walked before it logged it, finding every one it could link
+    /// whole: `[node uv][batch bytes]` under a tag of its own. Replay
+    /// links those on their headers and walks only the ones the rings
+    /// still hold at the end ([`FleetAggregator::settle`]); a
+    /// [`Entry::Batch`]'s are walked as they are replayed.
+    Vouched(NodeId, &'a [u8]),
     /// An out-of-band exporter drain report: `[node u32][drain stats]`,
     /// its counts only ([`DrainStats::counts`]).
     Drain(NodeId, DrainStats),
@@ -73,6 +81,10 @@ impl<'a> Entry<'a> {
                 put_uv(scratch, u64::from(node.0));
                 (FRAME_LOG_BATCH_1_6, batch)
             }
+            Entry::Vouched(node, batch) => {
+                put_uv(scratch, u64::from(node.0));
+                (FRAME_LOG_BATCH_VOUCHED, batch)
+            }
             Entry::Drain(node, ref stats) => {
                 put_u32(scratch, node.0);
                 // What the fleet keeps of the report, no wall clock.
@@ -95,9 +107,13 @@ impl<'a> Entry<'a> {
                 Ok(Entry::Node(name))
             }
             FRAME_LOG_BATCH => Ok(Entry::Batch(NodeId(r.u32()?), BatchHeader::Fixed, r.rest())),
-            FRAME_LOG_BATCH_1_6 => {
+            FRAME_LOG_BATCH_1_6 | FRAME_LOG_BATCH_VOUCHED => {
                 let node = u32::try_from(r.uv()?).map_err(|_| bad_data("node id past u32"))?;
-                Ok(Entry::Batch(NodeId(node), BatchHeader::Varint, r.rest()))
+                let (node, batch) = (NodeId(node), r.rest());
+                Ok(match tag {
+                    FRAME_LOG_BATCH_1_6 => Entry::Batch(node, BatchHeader::Varint, batch),
+                    _ => Entry::Vouched(node, batch),
+                })
             }
             FRAME_LOG_DRAIN => Ok(Entry::Drain(
                 NodeId(r.u32()?),
@@ -112,7 +128,9 @@ impl<'a> Entry<'a> {
     /// error and leaves `agg` and `stats` as they were.
     fn apply(self, agg: &mut FleetAggregator, stats: &mut RecoveryStats) -> io::Result<()> {
         match self {
-            Entry::Batch(node, ..) | Entry::Drain(node, _) if node.index() >= agg.node_count() => {
+            Entry::Batch(node, ..) | Entry::Vouched(node, _) | Entry::Drain(node, _)
+                if node.index() >= agg.node_count() =>
+            {
                 return Err(bad_data("log entry names an unknown node"));
             }
             Entry::Node(name) => {
@@ -125,6 +143,12 @@ impl<'a> Entry<'a> {
                 // skips the aggregator counts.
                 let view = BatchView::parse(batch, header)?;
                 let report = agg.ingest_view(node, &view)?;
+                stats.replayed_batches += 1;
+                stats.replayed_duplicates += u64::from(!report.applied);
+            }
+            Entry::Vouched(node, batch) => {
+                let view = BatchView::parse(batch, BatchHeader::Varint)?;
+                let report = agg.ingest_vouched(node, &view)?;
                 stats.replayed_batches += 1;
                 stats.replayed_duplicates += u64::from(!report.applied);
             }
@@ -154,8 +178,23 @@ pub(crate) fn open_stream(agg: &mut FleetAggregator, name: &str) -> NodeId {
 /// boundary; whatever follows it is a torn tail or starts with a
 /// corrupt frame, and cutting it off the file is the caller's — and the
 /// number of whole frames found corrupt (0 or 1: nothing after the
-/// first is looked at).
+/// first is looked at). Once the frames end, the chunks tag-36 entries
+/// linked unwalked that the rings still hold are walked
+/// ([`FleetAggregator::settle`]); one that does not walk is damage the
+/// CRC could not see, in a chunk the recovered fleet would serve:
+/// `InvalidData`, and `agg` is not to be used.
 pub(crate) fn replay(
+    bytes: &[u8],
+    agg: &mut FleetAggregator,
+    stats: &mut RecoveryStats,
+) -> io::Result<(usize, u64)> {
+    let replayed = replay_frames(bytes, agg, stats);
+    agg.settle()?;
+    Ok(replayed)
+}
+
+/// [`replay`]'s walk over the frames.
+fn replay_frames(
     bytes: &[u8],
     agg: &mut FleetAggregator,
     stats: &mut RecoveryStats,
@@ -497,7 +536,7 @@ mod tests {
         // the one whose tee'd copy failed, and nothing behind it.
         let disk = std::fs::read(&path).unwrap();
         let mut stats = RecoveryStats::default();
-        let replayed = replay(&disk, &mut FleetAggregator::new(), &mut stats);
+        let replayed = replay(&disk, &mut FleetAggregator::new(), &mut stats).unwrap();
         assert_eq!(replayed, (disk.len(), 0));
         assert_eq!(stats.replayed_nodes, 2);
         let _ = std::fs::remove_file(&path);
@@ -541,7 +580,7 @@ mod tests {
                 let whole = ends.partition_point(|&end| end <= at) - 1;
                 let mut agg = FleetAggregator::new();
                 let mut stats = RecoveryStats::default();
-                let (prefix, corrupt) = replay(log, &mut agg, &mut stats);
+                let (prefix, corrupt) = replay(log, &mut agg, &mut stats).unwrap();
                 prop_assert_eq!(prefix, ends[whole], "cut or damage at {}", at);
                 prop_assert_eq!(stats, after[whole].1, "cut or damage at {}", at);
                 prop_assert!(image(&agg) == after[whole].0, "state after {} frames", whole);
@@ -549,7 +588,8 @@ mod tests {
                     &log[..prefix],
                     &mut FleetAggregator::new(),
                     &mut RecoveryStats::default(),
-                );
+                )
+                .unwrap();
                 prop_assert_eq!(again, (prefix, 0));
                 Ok(corrupt)
             };

@@ -24,6 +24,7 @@ use moda_telemetry::sketch::SketchEntry;
 use moda_telemetry::{chunk, MetricId, MetricMeta, RollupBucket, TimeSeries, WindowAgg, WireTiers};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::io;
 
 /// Default raw-ring retention per fleet metric. The aggregation tier's
 /// raw samples are only the spliceable recent tail (long horizon lives
@@ -115,6 +116,30 @@ pub enum ChunkOutcome {
     Corrupt,
 }
 
+/// What the fleet knows of a chunk record's payload when it applies it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Payload {
+    /// Nothing: it is walked as it is applied (an owned batch, a log
+    /// entry of tag 33 or 35, a record decoded rather than linked).
+    Unread,
+    /// What [`FleetStore::prewalk`] found before the batch was logged:
+    /// `None` for a payload that did not walk or ended off its header.
+    Walked(Option<chunk::Walk>),
+    /// Its batch was logged under tag 36, and is being replayed: one
+    /// long enough to be linked walked clean before it was logged, so it
+    /// is linked on its header alone, and walked by
+    /// [`FleetStore::settle`] only if a ring still holds it then.
+    Vouched,
+}
+
+/// Walk a chunk record's payload ([`chunk::validate`]): what the walk
+/// found, or `None` for a payload that does not walk or ends off the
+/// header's `last_t`.
+fn walk_whole(first_t: SimTime, last_t: SimTime, count: u32, bytes: &[u8]) -> Option<chunk::Walk> {
+    let walk = chunk::validate(first_t.0, count, bytes).ok()?.walk();
+    (walk.last_t == last_t.0).then_some(walk)
+}
+
 /// Direction of a per-node ranking ([`FleetStore::top_nodes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rank {
@@ -138,6 +163,11 @@ pub struct FleetStore {
     logical: HashMap<String, Vec<MetricId>>,
     tiers: WireTiers,
     raw_retention: usize,
+    /// Scratch for a chunk record decoded into a ring: the samples land
+    /// here as they are checked, and go to the ring only once the whole
+    /// payload has.
+    decoded_ts: Vec<u64>,
+    decoded_vals: Vec<f64>,
     rollup_hits: Cell<u64>,
     sketch_hits: Cell<u64>,
     raw_fallbacks: Cell<u64>,
@@ -166,6 +196,8 @@ impl FleetStore {
             logical: HashMap::new(),
             tiers: WireTiers::new(),
             raw_retention: retention.max(1),
+            decoded_ts: Vec::new(),
+            decoded_vals: Vec::new(),
             rollup_hits: Cell::new(0),
             sketch_hits: Cell::new(0),
             raw_fallbacks: Cell::new(0),
@@ -202,19 +234,21 @@ impl FleetStore {
 
     /// Ingest one compressed raw-chunk record (wire spec revision 1.1).
     ///
-    /// The payload is walked once ([`chunk::validate`]: `count`
+    /// A record the ring can link — one that starts at or after the
+    /// ring's newest sample and holds at least `SEAL_THRESHOLD / 8`
+    /// samples — is walked once ([`chunk::validate`]: `count`
     /// well-formed samples, timestamps in order, ending at the header's
     /// `last_t`) and then linked into the ring as a sealed chunk
     /// ([`TimeSeries::adopt_chunk`]) — it arrived in storage format, so
-    /// it is neither materialised nor re-compressed. Two cases decode
-    /// and push per sample instead: a block that starts before the
-    /// ring's newest sample (a restarted node exporter re-shipping a
-    /// sealed chunk), so the monotonic guard rejects exactly the
-    /// already-seen prefix; and a record shorter than
-    /// `SEAL_THRESHOLD / 8` samples, so a stream of tiny chunks cannot
-    /// fill the ring with chunk headers. A payload that fails the walk,
-    /// claims zero samples, or disagrees with its header is dropped
-    /// whole: [`ChunkOutcome::Corrupt`].
+    /// it is neither materialised nor re-compressed. Any other is
+    /// decoded and pushed per sample, checked the same way as it
+    /// decodes: a block that starts before the ring's newest sample (a
+    /// restarted node exporter re-shipping a sealed chunk), so the
+    /// monotonic guard rejects exactly the already-seen prefix; and a
+    /// short record, so a stream of tiny chunks cannot fill the ring
+    /// with chunk headers. A payload that fails the walk, claims zero
+    /// samples, or disagrees with its header is dropped whole:
+    /// [`ChunkOutcome::Corrupt`].
     pub fn push_chunk(
         &mut self,
         id: MetricId,
@@ -223,7 +257,34 @@ impl FleetStore {
         count: u32,
         bytes: &[u8],
     ) -> ChunkOutcome {
-        self.absorb_chunk(id, first_t, last_t, count, bytes, Some(MIN_ADOPT))
+        self.take_chunk(id, first_t, last_t, count, bytes, Payload::Unread)
+    }
+
+    /// [`FleetStore::push_chunk`] of a record whose payload is known as
+    /// `payload` says — the fleet's apply loop, which may have walked it
+    /// before it logged it, or is replaying one it did.
+    pub(crate) fn take_chunk(
+        &mut self,
+        id: MetricId,
+        first_t: SimTime,
+        last_t: SimTime,
+        count: u32,
+        bytes: &[u8],
+        payload: Payload,
+    ) -> ChunkOutcome {
+        self.absorb_chunk(id, first_t, last_t, count, bytes, payload, Some(MIN_ADOPT))
+    }
+
+    /// The walk a receive burst makes of a chunk record before it logs
+    /// it, before it knows which ring takes the record or where: a
+    /// record long enough to be linked is walked here
+    /// ([`Payload::Walked`]); a shorter one is decoded whatever the
+    /// ring, and walked as it is ([`Payload::Unread`]).
+    pub(crate) fn prewalk(first_t: SimTime, last_t: SimTime, count: u32, bytes: &[u8]) -> Payload {
+        if count < MIN_ADOPT {
+            return Payload::Unread;
+        }
+        Payload::Walked(walk_whole(first_t, last_t, count, bytes))
     }
 
     /// [`FleetStore::push_chunk`] for a snapshot's raw section: the
@@ -238,13 +299,13 @@ impl FleetStore {
         count: u32,
         bytes: &[u8],
     ) -> ChunkOutcome {
-        self.absorb_chunk(id, first_t, last_t, count, bytes, Some(1))
+        self.absorb_chunk(id, first_t, last_t, count, bytes, Payload::Unread, Some(1))
     }
 
-    /// A snapshot's unsealed tail, carried as one Gorilla run: validated
-    /// like any chunk record, then decoded and pushed sample by sample
-    /// (the decode-and-push branch of [`FleetStore::push_chunk`]) and
-    /// never linked as a chunk, so the restored ring ends in the tail the
+    /// A snapshot's unsealed tail, carried as one Gorilla run: decoded
+    /// and pushed sample by sample, checked as it decodes (the
+    /// decode-and-push branch of [`FleetStore::push_chunk`]) and never
+    /// linked as a chunk, so the restored ring ends in the tail the
     /// snapshotted one had.
     pub(crate) fn restore_tail(
         &mut self,
@@ -254,12 +315,16 @@ impl FleetStore {
         count: u32,
         bytes: &[u8],
     ) -> ChunkOutcome {
-        self.absorb_chunk(id, first_t, last_t, count, bytes, None)
+        self.absorb_chunk(id, first_t, last_t, count, bytes, Payload::Unread, None)
     }
 
-    /// Validate a chunk record and link it when it holds at least
-    /// `min_adopt` samples (never, for `None`); otherwise decode it into
-    /// the ring's tail.
+    /// Link a chunk record when it holds at least `min_adopt` samples
+    /// (never, for `None`) and starts at or after the ring's newest
+    /// sample; otherwise decode it into the ring's tail. Either way the
+    /// payload is walked once here at most: not at all when it is
+    /// linked on an earlier walk (`Walked`) or on its header
+    /// (`Vouched`).
+    #[allow(clippy::too_many_arguments)]
     fn absorb_chunk(
         &mut self,
         id: MetricId,
@@ -267,26 +332,67 @@ impl FleetStore {
         last_t: SimTime,
         count: u32,
         bytes: &[u8],
+        payload: Payload,
         min_adopt: Option<u32>,
     ) -> ChunkOutcome {
-        let block = match chunk::validate(first_t.0, count, bytes) {
-            Ok(block) if block.last_t == last_t.0 => block,
-            _ => return ChunkOutcome::Corrupt,
-        };
         let series = &mut self.raw[id.index()];
         let total = u64::from(count);
-        let adopt = min_adopt.is_some_and(|min| count >= min);
-        let accepted = if adopt && series.adopt_chunk(&block) {
-            total
-        } else {
-            chunk::Decoder::new(first_t.0, count, bytes)
-                .filter(|&(t, v)| series.push(SimTime(t), v))
-                .count() as u64
+        let whole = ChunkOutcome::Applied {
+            accepted: total,
+            rejected: 0,
         };
+        let adopt = min_adopt.is_some_and(|min| count >= min);
+        if adopt && series.links_from(first_t.0) {
+            let walk = match payload {
+                Payload::Unread => walk_whole(first_t, last_t, count, bytes),
+                Payload::Walked(walk) => walk,
+                Payload::Vouched => {
+                    series.link_unwalked(first_t.0, last_t.0, count, bytes);
+                    return whole;
+                }
+            };
+            let Some(walk) = walk else {
+                return ChunkOutcome::Corrupt;
+            };
+            series.adopt_chunk(&walk.of(bytes));
+            return whole;
+        }
+        if matches!(payload, Payload::Walked(None)) {
+            return ChunkOutcome::Corrupt;
+        }
+        let (ts, vals) = (&mut self.decoded_ts, &mut self.decoded_vals);
+        ts.clear();
+        vals.clear();
+        let decoded = chunk::decode_exact(first_t.0, count, bytes, ts, vals);
+        if decoded.is_err() || ts.last() != Some(&last_t.0) {
+            return ChunkOutcome::Corrupt;
+        }
+        let accepted = ts
+            .iter()
+            .zip(vals.iter())
+            .filter(|&(&t, &v)| series.push(SimTime(t), v))
+            .count() as u64;
         ChunkOutcome::Applied {
             accepted,
             rejected: total - accepted,
         }
+    }
+
+    /// Walk every chunk a ring holds that was linked unwalked
+    /// ([`Payload::Vouched`]): what recovery does once the log has
+    /// ended, so only the chunks the rings kept are walked. A kept chunk
+    /// that does not walk, or ends off its header, is damage the log's
+    /// CRC could not see: `InvalidData`.
+    pub(crate) fn settle(&mut self) -> io::Result<()> {
+        for (i, series) in self.raw.iter_mut().enumerate() {
+            series.settle().map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("a logged chunk of fleet metric {i} does not walk: {e}"),
+                )
+            })?;
+        }
+        Ok(())
     }
 
     /// Apply one sealed bucket record (see [`WireTiers::apply_bucket`]).

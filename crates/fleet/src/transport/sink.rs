@@ -45,6 +45,12 @@ struct Replay {
     longest: usize,
     /// The server's cumulative cursor from the latest ack/handshake.
     server_next_seq: u64,
+    /// `ACK` frames the live connection owes: one per frame sent on it,
+    /// less the ones read. The server acks every frame in order, a
+    /// duplicate batch's too, so this — not `unacked`, which a cursor
+    /// ahead of the sink's seqs empties early — is what a drain report
+    /// waits out.
+    owed: usize,
     /// Batches re-sent from the buffer across all reconnects.
     resent_batches: u64,
 }
@@ -68,6 +74,7 @@ impl Replay {
             write_frame(&mut conn.writer, tag, payload)?;
             self.resent_batches += 1;
         }
+        self.owed = self.unacked.len();
         conn.writer.flush()
     }
 
@@ -176,6 +183,7 @@ impl SocketSink {
             return Err(bad_data("unexpected frame while awaiting ack"));
         }
         let next = WireReader::new(&self.inbox).u64()?;
+        self.replay.owed = self.replay.owed.saturating_sub(1);
         self.replay.server_next_seq = self.replay.server_next_seq.max(next);
         self.replay.release_acked();
         Ok(())
@@ -204,13 +212,14 @@ impl SocketSink {
         self.pump_acks(0)
     }
 
-    /// Read exactly `n` `ACK` frames, folding each cumulative cursor
-    /// into the replay buffer. Unlike [`SocketSink::pump_acks`] this
-    /// does not auto-reconnect: the caller is counting acks for a frame
-    /// it just sent, and a reconnect means that frame must be resent
-    /// before any further acks are owed.
-    fn read_acks_counted(&mut self, n: usize) -> io::Result<()> {
-        for _ in 0..n {
+    /// Read `ACK` frames until the live connection owes none, folding
+    /// each cumulative cursor into the replay buffer: the last one read
+    /// is the ack of the frame sent last. Unlike
+    /// [`SocketSink::pump_acks`] this does not auto-reconnect: the
+    /// caller is waiting for the ack of a frame it just sent, and a
+    /// reconnect means that frame must be resent first.
+    fn read_owed_acks(&mut self) -> io::Result<()> {
+        while self.replay.owed > 0 {
             match self.link.live()?.recv_into(&mut self.inbox)? {
                 Ok(tag) => self.note_ack(tag)?,
                 Err(_) => return Err(bad_data("torn frame while awaiting ack")),
@@ -232,14 +241,16 @@ impl SocketSink {
             out.send_retries += self.link.reconnects + self.replay.resent_batches;
             let mut payload = self.replay.buffer();
             encode_drain_stats(&out, &mut payload);
-            // The server acks in frame order: one ack per in-flight
-            // batch ahead of the drain, then the drain's own ack.
-            let pending = self.replay.unacked.len();
+            // The server acks in frame order: one ack per frame ahead
+            // of the drain still owed, then the drain's own ack.
             let res = self
                 .link
                 .live()
                 .and_then(|conn| conn.send(frame_tag::DRAIN, &payload))
-                .and_then(|()| self.read_acks_counted(pending + 1));
+                .and_then(|()| {
+                    self.replay.owed += 1;
+                    self.read_owed_acks()
+                });
             self.replay.recycle(payload);
             if res.is_err() {
                 self.link.conn = None;
@@ -290,7 +301,9 @@ impl Sink for SocketSink {
             }
             let (_, payload) = self.replay.unacked.back().expect("just pushed");
             let tag = self.replay.coding.header().frame_tag();
-            self.link.on_conn(|conn| conn.send(tag, payload))
+            self.link.on_conn(|conn| conn.send(tag, payload))?;
+            self.replay.owed += 1;
+            Ok(())
         });
         if let Err(e) = sent {
             // Rolled back: the exporter re-stages these records under
@@ -685,6 +698,15 @@ mod tests {
         frames: usize,
         then: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
     ) -> (String, std::thread::JoinHandle<()>) {
+        fake_fleet_at(0, frames, then)
+    }
+
+    /// [`fake_fleet`] answering the hello at `cursor`.
+    fn fake_fleet_at(
+        cursor: u64,
+        frames: usize,
+        then: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
         use moda_telemetry::wire::{put_u64, read_frame};
         use std::io::Read;
         let server = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -694,7 +716,7 @@ mod tests {
             let (tag, _) = read_frame(&mut stream).unwrap().unwrap();
             assert_eq!(tag, frame_tag::HELLO);
             let mut ack = vec![0u8];
-            put_u64(&mut ack, 0);
+            put_u64(&mut ack, cursor);
             ack.extend_from_slice(&[1, 6]);
             write_frame(&mut stream, frame_tag::HELLO_ACK, &ack).unwrap();
             for _ in 0..frames {
@@ -781,6 +803,44 @@ mod tests {
             drain_acked.load(Ordering::SeqCst),
             "returned before its ack"
         );
+        assert!(!sink.link.conn.as_ref().unwrap().buffered());
+        assert_eq!(sink.reconnects(), 0);
+        drop(sink);
+        fleet.join().unwrap();
+    }
+
+    /// A sink restarted behind the fleet: the fleet answers its hello at
+    /// cursor 90 and acks its three batches — duplicates there — at 90,
+    /// in pieces. The first ack releases all three, so the sink holds no
+    /// batch while two of their acks are still coming; a drain report
+    /// sent then is owed those two and its own, and returns only after
+    /// the gate in front of its own ack opens.
+    #[test]
+    fn send_drain_behind_a_cursor_ahead_of_the_sink_waits_for_its_own_ack() {
+        use moda_telemetry::wire::read_frame;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (batches, _) = sweep_batches(3, 4);
+        let gate = Arc::new(AtomicBool::new(false));
+        let opened = Arc::clone(&gate);
+        let (addr, fleet) = fake_fleet_at(90, batches.len(), move |stream| {
+            for _ in 0..3 {
+                stream.write_all(&ack_frames(90..=90)).unwrap();
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            let (tag, _) = read_frame(&mut *stream).unwrap().unwrap();
+            assert_eq!(tag, frame_tag::DRAIN);
+            std::thread::sleep(Duration::from_millis(50));
+            opened.store(true, Ordering::SeqCst);
+            stream.write_all(&ack_frames(90..=90)).unwrap();
+        });
+        let mut sink = windowed_sink(&addr, 8);
+        for batch in &batches {
+            sink.write_batch(batch).unwrap();
+        }
+        sink.wait_idle().unwrap();
+        assert_eq!(sink.unacked_len(), 0, "the cursor released every batch");
+        sink.send_drain(&DrainStats::default()).unwrap();
+        assert!(gate.load(Ordering::SeqCst), "returned on a stale ack");
         assert!(!sink.link.conn.as_ref().unwrap().buffered());
         assert_eq!(sink.reconnects(), 0);
         drop(sink);

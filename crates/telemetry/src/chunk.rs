@@ -67,6 +67,9 @@ pub enum DecodeError {
     /// A value reused a window before any was set, or declared one
     /// wider than 64 bits.
     BadWindow,
+    /// The samples decoded, but the last one's timestamp is not the
+    /// one the header names.
+    WrongEnd,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -76,6 +79,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "chunk bitstream truncated"),
             DecodeError::BadTimestamp => write!(f, "chunk timestamp delta invalid"),
             DecodeError::BadWindow => write!(f, "chunk value window invalid"),
+            DecodeError::WrongEnd => write!(f, "chunk ends off its header's last timestamp"),
         }
     }
 }
@@ -320,8 +324,13 @@ pub struct Chunk {
 }
 
 /// Why decoding a sealed chunk again cannot fail: [`compress`] wrote
-/// it, or [`validate`] walked it before [`Chunk::adopt`] linked it.
+/// it, or [`validate`] walked it before [`Chunk::adopt`] linked it or
+/// [`Chunk::settle`] settled it.
 const WELL_FORMED: &str = "sealed chunk bitstream is well-formed";
+
+/// `bit_len` of a chunk [`Chunk::unwalked`] linked and nothing has
+/// walked yet.
+const UNWALKED: usize = usize::MAX;
 
 /// Samples between restart points. A partial read decodes at most this
 /// many samples it did not ask for, and a full chunk of 512 carries
@@ -432,6 +441,56 @@ impl Chunk {
         }
     }
 
+    /// Link a payload on its header alone, walked by no one here: the
+    /// bytes are copied whole, and the chunk has no restart table and
+    /// no exact length until [`Chunk::settle`] walks it. Nothing may
+    /// read it before then; eviction may.
+    pub(crate) fn unwalked(
+        first_t: u64,
+        last_t: u64,
+        count: u32,
+        bytes: &[u8],
+        start_append: u64,
+    ) -> Chunk {
+        Chunk {
+            count,
+            skip: 0,
+            first_t,
+            last_t,
+            start_append,
+            bit_len: UNWALKED,
+            bytes: bytes.into(),
+            restarts: Restarts::default(),
+        }
+    }
+
+    /// Whether the chunk was walked (or written) here: every chunk but
+    /// one linked on its header alone
+    /// ([`TimeSeries::link_unwalked`](crate::series::TimeSeries::link_unwalked))
+    /// that its ring has not settled yet.
+    pub fn is_walked(&self) -> bool {
+        self.bit_len != UNWALKED
+    }
+
+    /// Walk a chunk linked unwalked, and give it what
+    /// [`Chunk::adopt`] would have: the restart table, the exact bit
+    /// length, the payload cut to its used bytes. Returns its last
+    /// value. A payload that does not walk, or ends off its header's
+    /// `last_t`, is an error and leaves the chunk as it was.
+    pub(crate) fn settle(&mut self) -> Result<f64, DecodeError> {
+        debug_assert!(!self.is_walked());
+        let walk = validate(self.first_t, self.count, &self.bytes)?.walk();
+        if walk.last_t != self.last_t {
+            return Err(DecodeError::WrongEnd);
+        }
+        if walk.used_bytes < self.bytes.len() {
+            self.bytes = self.bytes[..walk.used_bytes].into();
+        }
+        self.bit_len = walk.bit_len;
+        self.restarts = walk.restarts;
+        Ok(walk.last_value)
+    }
+
     /// Encoded samples (including any logically evicted prefix).
     pub fn count(&self) -> u32 {
         self.count
@@ -519,6 +578,7 @@ impl Chunk {
         below: impl Fn(u64, u64) -> bool,
         mut visit: impl FnMut(u64, u64, f64) -> bool,
     ) {
+        debug_assert!(self.is_walked(), "an unwalked chunk is read");
         let append = |i: u32| self.start_append + u64::from(i);
         let from = self.restart_below(|i, t| i < self.skip || below(append(i), t));
         let walked = walk(self.first_t, self.count, &self.bytes, from, |i, t, bits| {
@@ -547,6 +607,7 @@ impl Chunk {
 
     /// Streaming decoder over the **retained** samples (skip applied).
     pub fn decode(&self) -> Decoder<'_> {
+        debug_assert!(self.is_walked(), "an unwalked chunk is read");
         let mut d = Decoder::new(self.first_t, self.count, &self.bytes);
         // The stream yields the sample *after* its state's, so it
         // resumes from a restart short of `skip` and rolls up to it.
@@ -595,6 +656,7 @@ impl Chunk {
     /// that never needs one — constant values, say — is re-encoded
     /// whole.
     pub fn write_retained(&self, out: &mut Vec<u8>) -> u64 {
+        debug_assert!(self.is_walked(), "an unwalked chunk is written");
         if self.skip == 0 {
             out.extend_from_slice(&self.bytes);
             return self.first_t;
@@ -842,14 +904,13 @@ fn step(r: &mut BitReader<'_>, s: &mut State) -> Result<(), DecodeError> {
     Ok(())
 }
 
-/// Proof that a payload decodes, from [`validate`]: a full walk found
-/// `count` well-formed samples with non-decreasing, non-overflowing
-/// timestamps, and took the payload's restart table on the way. Only
-/// this module can build one, so holding it is what entitles a ring to
-/// link the bytes unread
-/// ([`TimeSeries::adopt_chunk`](crate::series::TimeSeries::adopt_chunk)).
+/// What a [`validate`] walk found, apart from the bytes it walked: the
+/// payload's end, its exact length and its restart table. Only this
+/// module can build one. A caller that walks a payload before it knows
+/// where it goes keeps this, not the borrow, and links the same bytes
+/// later with [`Walk::of`] — no second walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Validated<'a> {
+pub struct Walk {
     /// Timestamp of the last sample.
     pub last_t: u64,
     /// Value of the last sample.
@@ -861,14 +922,12 @@ pub struct Validated<'a> {
     bit_len: usize,
     first_t: u64,
     count: u32,
-    /// The validated payload, cut to `used_bytes`.
-    payload: &'a [u8],
     /// The points the walk took: what [`compress`] takes on the
     /// payloads it writes, and the same decoder states on any other.
     restarts: Restarts,
 }
 
-impl Validated<'_> {
+impl Walk {
     /// Timestamp of the first sample (the header's `first_t`).
     pub fn first_t(&self) -> u64 {
         self.first_t
@@ -877,6 +936,45 @@ impl Validated<'_> {
     /// Samples the payload holds.
     pub fn count(&self) -> u32 {
         self.count
+    }
+
+    /// The proof again, over `bytes` — which must be the payload this
+    /// walk walked (trailing bytes allowed: they are cut off here).
+    /// Panics when `bytes` is shorter than the walk used.
+    pub fn of(self, bytes: &[u8]) -> Validated<'_> {
+        Validated {
+            walk: self,
+            payload: &bytes[..self.used_bytes],
+        }
+    }
+}
+
+/// Proof that a payload decodes, from [`validate`]: a full walk found
+/// `count` well-formed samples with non-decreasing, non-overflowing
+/// timestamps, and took the payload's restart table on the way. Only
+/// this module can build one, so holding it is what entitles a ring to
+/// link the bytes unread
+/// ([`TimeSeries::adopt_chunk`](crate::series::TimeSeries::adopt_chunk)).
+/// What the walk found is its [`Walk`], which it dereferences to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Validated<'a> {
+    walk: Walk,
+    /// The validated payload, cut to `used_bytes`.
+    payload: &'a [u8],
+}
+
+impl Validated<'_> {
+    /// What the walk found, without the borrow of the payload.
+    pub fn walk(&self) -> Walk {
+        self.walk
+    }
+}
+
+impl std::ops::Deref for Validated<'_> {
+    type Target = Walk;
+
+    fn deref(&self) -> &Walk {
+        &self.walk
     }
 }
 
@@ -948,17 +1046,16 @@ pub fn validate(first_t: u64, count: u32, bytes: &[u8]) -> Result<Validated<'_>,
         }
     }
     let bit_len = r.used_bits();
-    let used_bytes = bit_len.div_ceil(8);
-    Ok(Validated {
+    let walk = Walk {
         last_t: s.t,
         last_value: f64::from_bits(s.bits),
-        used_bytes,
+        used_bytes: bit_len.div_ceil(8),
         bit_len,
         first_t,
         count,
-        payload: &bytes[..used_bytes],
         restarts,
-    })
+    };
+    Ok(walk.of(bytes))
 }
 
 /// Decode a wire payload, validating as [`validate`] does. Appends to

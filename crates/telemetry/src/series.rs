@@ -32,8 +32,10 @@
 //! follows the window, not the chunk. That holds for every sealed
 //! chunk — one this ring compressed, and one it adopted from the wire
 //! or a snapshot ([`TimeSeries::adopt_chunk`]), whose table the
-//! validation walk took. Aggregations fold directly over the
-//! segments.
+//! validation walk took. (A chunk linked on its header alone,
+//! [`TimeSeries::link_unwalked`], has no table until
+//! [`TimeSeries::settle`] walks it; the ring is not read before.)
+//! Aggregations fold directly over the segments.
 
 use crate::chunk::{self, Chunk, Validated};
 use crate::window::WindowAgg;
@@ -158,20 +160,68 @@ impl TimeSeries {
     /// `false`, series untouched) so the caller can fall back to
     /// per-sample pushes with exact reject accounting.
     pub fn adopt_chunk(&mut self, block: &Validated<'_>) -> bool {
-        if self
-            .last
-            .is_some_and(|(last_t, _)| block.first_t() < last_t)
-        {
+        if !self.links_from(block.first_t()) {
             return false;
         }
-        self.seal_tail();
-        self.chunks
-            .push_back(Chunk::adopt(block, self.total_appends));
-        self.chunk_len += block.count() as usize;
-        self.total_appends += u64::from(block.count());
-        self.last = Some((block.last_t, block.last_value));
-        self.evict_to_target();
+        self.link(Chunk::adopt(block, self.total_appends), block.last_value);
         true
+    }
+
+    /// Whether a block whose first sample is at `first_t` would be
+    /// linked whole: it starts at or after the newest sample.
+    pub fn links_from(&self, first_t: u64) -> bool {
+        self.last.is_none_or(|(last_t, _)| first_t >= last_t)
+    }
+
+    /// [`TimeSeries::adopt_chunk`] for a payload that is not walked
+    /// here at all, on the word of whoever walked it before — a fleet
+    /// replaying a chunk it checked before it logged it. The bytes are
+    /// linked on the header's `first_t`, `last_t` and `count` alone,
+    /// with no restart table and no last value, and eviction treats the
+    /// chunk like any other; one evicted before [`TimeSeries::settle`]
+    /// is never walked. Until then the ring must not be read, and
+    /// [`TimeSeries::latest`]'s value is NaN if the chunk is the newest.
+    /// Returns `false`, series untouched, where `adopt_chunk` would, or
+    /// for a `count` of 0.
+    pub fn link_unwalked(&mut self, first_t: u64, last_t: u64, count: u32, bytes: &[u8]) -> bool {
+        if count == 0 || !self.links_from(first_t) {
+            return false;
+        }
+        let chunk = Chunk::unwalked(first_t, last_t, count, bytes, self.total_appends);
+        self.link(chunk, f64::NAN);
+        true
+    }
+
+    /// Seal the tail, append `chunk` (its last value `last_value`) and
+    /// evict.
+    fn link(&mut self, chunk: Chunk, last_value: f64) {
+        self.seal_tail();
+        self.chunk_len += chunk.count() as usize;
+        self.total_appends += u64::from(chunk.count());
+        self.last = Some((chunk.last_t(), last_value));
+        self.chunks.push_back(chunk);
+        self.evict_to_target();
+    }
+
+    /// Walk every chunk [`TimeSeries::link_unwalked`] linked that the
+    /// ring still holds, giving each what [`TimeSeries::adopt_chunk`]
+    /// would have (its restart table, its exact length, its payload cut
+    /// to its used bytes, and the newest one's last value), so the ring
+    /// is the one adoption would have built. A chunk that does not walk,
+    /// or ends off its header's `last_t`, is an error; the chunks before
+    /// it are settled, it and the ones after it are not.
+    pub fn settle(&mut self) -> Result<(), chunk::DecodeError> {
+        let newest = self.chunks.len().wrapping_sub(1);
+        for (i, c) in self.chunks.iter_mut().enumerate() {
+            if c.is_walked() {
+                continue;
+            }
+            let last_value = c.settle()?;
+            if i == newest && self.tail_ts.is_empty() {
+                self.last = Some((c.last_t(), last_value));
+            }
+        }
+        Ok(())
     }
 
     /// Compress the tail into a sealed chunk, in place.
@@ -963,6 +1013,76 @@ mod tests {
         let stale = chunk::validate(stale.first_t(), stale.count(), stale.bytes()).unwrap();
         assert!(!a.adopt_chunk(&stale));
         assert_eq!((a.len(), a.total_appends()), (1000, 1200));
+    }
+
+    /// A ring whose chunks were linked on their headers and then
+    /// settled is the ring adoption builds, chunk for chunk — payloads
+    /// cut to their codes, restart tables, skips, append indices, the
+    /// newest value — whatever the payloads carry past their codes, and
+    /// whether or not samples were pushed between them. A damaged chunk
+    /// evicted before the ring settles is never walked; a damaged one
+    /// the ring keeps refuses to settle.
+    #[test]
+    fn a_ring_linked_unwalked_and_settled_is_the_ring_adoption_builds() {
+        let sealed = |from: u64, n: u64| {
+            let ts: Vec<u64> = (from..from + n).map(|i| i * 1000 + i % 3).collect();
+            let vals: Vec<f64> = ts.iter().map(|&t| (t % 89) as f64 * 0.5).collect();
+            chunk::compress(&ts, &vals, 0)
+        };
+        let blocks = [(0, 700, 0), (700, 512, 3), (1212, 130, 1), (1342, 900, 0)];
+        let feed = |linked: bool, damage_first: bool| {
+            let mut ring = TimeSeries::new(1500);
+            for (k, &(from, n, trailing)) in blocks.iter().enumerate() {
+                let c = sealed(from, n);
+                let mut bytes = c.bytes().to_vec();
+                bytes.extend(std::iter::repeat_n(0xA5, trailing));
+                if damage_first && k == 0 {
+                    bytes[5] ^= 0xFF;
+                }
+                if linked {
+                    assert!(ring.link_unwalked(c.first_t(), c.last_t(), c.count(), &bytes));
+                } else {
+                    let block = chunk::validate(c.first_t(), c.count(), &bytes).unwrap();
+                    assert!(ring.adopt_chunk(&block));
+                }
+                if k == 1 {
+                    let t = c.last_t() + 500;
+                    assert!(ring.push(SimTime(t), 1.5));
+                }
+            }
+            ring
+        };
+        let adopted = feed(false, false);
+        for damage_first in [false, true] {
+            let mut linked = feed(true, damage_first);
+            assert!(linked.sealed_chunks().any(|c| !c.is_walked()));
+            linked.settle().unwrap();
+            assert!(linked.sealed_chunks().all(Chunk::is_walked));
+            let chunks = |ring: &TimeSeries| {
+                let all: Vec<String> = ring.sealed_chunks().map(|c| format!("{c:?}")).collect();
+                all
+            };
+            assert_eq!(chunks(&linked), chunks(&adopted));
+            assert_eq!((linked.len(), linked.total_appends()), (1500, 2243));
+            assert_eq!(
+                linked.latest().map(|s| s.value.to_bits()),
+                adopted.latest().map(|s| s.value.to_bits())
+            );
+            assert_eq!(
+                linked.iter().collect::<Vec<_>>(),
+                adopted.iter().collect::<Vec<_>>()
+            );
+        }
+        // The newest chunk damaged: kept, so it refuses.
+        let mut kept = TimeSeries::new(1500);
+        let c = sealed(0, 600);
+        let mut bytes = c.bytes().to_vec();
+        bytes[9] ^= 0xFF;
+        assert!(kept.link_unwalked(c.first_t(), c.last_t(), c.count(), &bytes));
+        assert!(kept.settle().is_err());
+        // A block that starts before the newest sample is refused whole.
+        assert!(!kept.link_unwalked(0, 5, 2, &bytes));
+        assert!(!TimeSeries::new(8).link_unwalked(0, 0, 0, &[]));
     }
 
     #[test]

@@ -2031,7 +2031,7 @@ pub const MAX_VALUE_IDS: u32 = 1 << 20;
 /// * a new connection starts empty ([`ValueState::reset`]).
 ///
 /// Two states are equal when they hold the same bits for the same ids.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ValueState {
     last: Vec<Option<u64>>,
     /// Every id below this one has a state.
@@ -2039,6 +2039,25 @@ pub struct ValueState {
     /// Ids [`BatchView::check_values`] marked known while it walks: all
     /// unmarked again before it returns.
     marked: Vec<u32>,
+}
+
+impl Clone for ValueState {
+    fn clone(&self) -> Self {
+        ValueState {
+            last: self.last.clone(),
+            dense: self.dense,
+            marked: Vec::new(),
+        }
+    }
+
+    /// Keeps `self`'s allocation: a writer that must leave a stream's
+    /// state alone codes each batch against a copy of it, and the copy
+    /// allocates only when the stream grows.
+    fn clone_from(&mut self, source: &Self) {
+        self.last.clone_from(&source.last);
+        self.dense = source.dense;
+        self.marked.clear();
+    }
 }
 
 impl PartialEq for ValueState {
@@ -2187,6 +2206,8 @@ pub struct BatchView<'a> {
     records_at: usize,
     records: usize,
     unknown: u64,
+    /// `chunk` records among them.
+    chunks: usize,
     /// One past the largest id whose value is an XOR, 0 if none: a
     /// state that holds every id below it reads the batch as it stands.
     xor_ids: u32,
@@ -2209,7 +2230,7 @@ impl<'a> BatchView<'a> {
         let mut r = WireReader::new(bytes);
         let (seq, count) = header.read(&mut r)?;
         let records_at = r.pos;
-        let (mut records, mut unknown, mut xor_ids) = (0usize, 0u64, 0u32);
+        let (mut records, mut unknown, mut chunks, mut xor_ids) = (0usize, 0u64, 0usize, 0u32);
         // The records run to the end of the batch, under either header.
         let mut wire_records = 0u64;
         while !r.done() {
@@ -2225,6 +2246,10 @@ impl<'a> BatchView<'a> {
                 Some(RecordRef::BucketRun(run)) => {
                     records += run.check(MAX_BATCH_RECORDS - records)?
                 }
+                Some(RecordRef::Chunk { .. }) => {
+                    chunks += 1;
+                    records += 1
+                }
                 Some(_) => records += 1,
             }
         }
@@ -2238,6 +2263,7 @@ impl<'a> BatchView<'a> {
             records_at,
             records,
             unknown,
+            chunks,
             xor_ids,
         })
     }
@@ -2245,6 +2271,11 @@ impl<'a> BatchView<'a> {
     /// The batch's sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// The header the batch was validated under.
+    pub fn header(&self) -> BatchHeader {
+        self.header
     }
 
     /// Records the batch expands to (a `samples` run counts each of its
@@ -2258,6 +2289,11 @@ impl<'a> BatchView<'a> {
     /// reader: a newer writer's additive kinds.
     pub fn unknown_records(&self) -> u64 {
         self.unknown
+    }
+
+    /// The batch's `chunk` records.
+    pub fn chunk_records(&self) -> usize {
+        self.chunks
     }
 
     /// The validated bytes, exactly as they were handed to

@@ -8,14 +8,15 @@
 //!   a replayed batch (`seq < next`) is rejected whole (samples are not
 //!   keyed, so re-applying would double-count them), a skipped range
 //!   (`seq > next`) is accepted and the gap counted;
+//! * **one way in** — every batch is applied off its wire bytes
+//!   ([`BatchView`]): a received one as it arrived, an owned one
+//!   ([`FleetAggregator::ingest`]) as a stateless writer encodes it. A
+//!   batch holding a record the wire refuses — a `meta` id at or past
+//!   `MAX_VALUE_IDS`, a tier record of resolution 0 — is refused whole,
+//!   whichever way it came, and leaves no trace;
 //! * **registry mapping** — `meta` records bind node-local wire ids to
 //!   fleet metrics (`node/name`); data records arriving before their
-//!   meta are dropped and counted (`unmapped_records`), and so are tier
-//!   records of resolution 0, which map to no ring, and `meta` records
-//!   of an id at or past [`MAX_VALUE_IDS`], which would size the map
-//!   (the wire refuses both; only an owned
-//!   [`ExportRecord`](moda_telemetry::export::ExportRecord) can carry
-//!   one this far);
+//!   meta are dropped and counted (`unmapped_records`);
 //! * **column framing** — a `sketch` column must follow its bucket (or
 //!   a sibling column) within the batch, per the wire spec; orphans are
 //!   dropped and counted rather than absorbed into the wrong slot. A
@@ -53,7 +54,9 @@ use crate::store::{ChunkOutcome, FleetStore, NodeId, Payload};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
 use moda_telemetry::export::ExportBatch;
-use moda_telemetry::wire::{put_u64, BatchView, RecordRef, ValueState, WireReader, MAX_VALUE_IDS};
+use moda_telemetry::wire::{
+    encode_batch, put_u64, BatchHeader, BatchView, RecordRef, ValueState, WireReader,
+};
 use moda_telemetry::{DrainStats, MetricId, SketchEntry};
 use std::io;
 
@@ -89,10 +92,7 @@ pub struct NodeCounters {
     /// Sketch columns dropped for violating the follows-its-bucket
     /// framing rule.
     pub orphan_sketches: u64,
-    /// Data records dropped because no `meta` had mapped their wire id,
-    /// or — records handed over in process — a `bucket` or `sketch`
-    /// record because its tier resolution is 0, which no ring has, and a
-    /// `meta` record because its id is at or past `MAX_VALUE_IDS`.
+    /// Data records dropped because no `meta` had mapped their wire id.
     pub unmapped_records: u64,
 }
 
@@ -168,7 +168,7 @@ pub struct Ledger {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// The batch was applied (false: a duplicate, `seq` below the
-    /// cursor).
+    /// cursor, or a batch the wire refuses).
     pub applied: bool,
     /// Batches skipped between the cursor and this batch's `seq`.
     pub gap: u64,
@@ -316,8 +316,9 @@ pub struct FleetAggregator {
     unknown_records: u64,
     /// Self-telemetry handle (disabled by default).
     obs: Obs,
-    /// `fleet.ingest_ns` — wall time of one [`FleetAggregator::ingest`],
-    /// resolved against `obs` by [`FleetAggregator::set_obs`].
+    /// `fleet.ingest_ns` — wall time of one batch's apply loop, whichever
+    /// door it came by; resolved against `obs` by
+    /// [`FleetAggregator::set_obs`].
     ingest_ns: LatencyRecorder,
     /// The sketch column of the `bucket_run` bucket being applied:
     /// kept, so that a warm ingest grows nothing.
@@ -326,6 +327,9 @@ pub struct FleetAggregator {
     /// to be applied, one entry per `chunk` record in wire order: kept,
     /// like `column`.
     walks: Vec<Payload>,
+    /// The bytes [`FleetAggregator::ingest`] encodes an owned batch
+    /// into: kept, like `column`.
+    encoded: Vec<u8>,
 }
 
 /// How the apply loop learns what a `chunk` record's payload is.
@@ -494,11 +498,22 @@ impl FleetAggregator {
         self.sessions[node.index()].drain = stats.counts();
     }
 
-    /// Ingest one wire batch from `node`'s stream. Returns what
-    /// happened; all counters accumulate on the session.
+    /// Ingest one batch of `node`'s stream handed over in process: its
+    /// bytes as a stateless writer encodes them (`encode_batch`, the
+    /// fixed header), taken by [`FleetAggregator::ingest_view`] — so it
+    /// moves no stream value state, and meets the rules a received batch
+    /// meets. A batch holding a record the wire refuses is refused whole
+    /// and changes nothing: the report reads `applied: false`. Returns
+    /// what happened; all counters accumulate on the session.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> IngestReport {
-        let records = batch.records.iter().map(RecordRef::from);
-        self.apply(node, batch.seq, records, Chunks::Unread)
+        let mut bytes = std::mem::take(&mut self.encoded);
+        bytes.clear();
+        encode_batch(batch, &mut bytes);
+        let report = BatchView::parse(&bytes, BatchHeader::Fixed)
+            .and_then(|view| self.ingest_view(node, &view))
+            .unwrap_or_default();
+        self.encoded = bytes;
+        report
     }
 
     /// [`FleetAggregator::ingest`] straight off a received batch's
@@ -509,7 +524,7 @@ impl FleetAggregator {
     /// `InvalidData` and changes nothing.
     pub fn ingest_view(&mut self, node: NodeId, view: &BatchView<'_>) -> io::Result<IngestReport> {
         self.check_view(node, view)?;
-        Ok(self.apply_bytes(node, view, Chunks::Unread))
+        Ok(self.apply(node, view, Chunks::Unread))
     }
 
     /// Whether every value of `view` can be read against `node`'s stream
@@ -529,7 +544,7 @@ impl FleetAggregator {
         view: &BatchView<'_>,
     ) -> io::Result<IngestReport> {
         self.check_view(node, view)?;
-        Ok(self.apply_bytes(node, view, Chunks::Vouched))
+        Ok(self.apply(node, view, Chunks::Vouched))
     }
 
     /// Walk `view`'s `chunk` records ahead of the append, for
@@ -565,14 +580,7 @@ impl FleetAggregator {
     /// [`FleetAggregator::check_view`] has passed and
     /// [`FleetAggregator::walk_chunks`] has walked.
     pub(crate) fn apply_view(&mut self, node: NodeId, view: &BatchView<'_>) -> IngestReport {
-        self.apply_bytes(node, view, Chunks::Walked)
-    }
-
-    /// The apply loop over a checked view's records, counting the
-    /// records it skips as unknown.
-    fn apply_bytes(&mut self, node: NodeId, view: &BatchView<'_>, chunks: Chunks) -> IngestReport {
-        self.unknown_records += view.unknown_records();
-        self.apply(node, view.seq(), view.records(), chunks)
+        self.apply(node, view, Chunks::Walked)
     }
 
     /// Walk the chunks [`FleetAggregator::ingest_vouched`] linked
@@ -581,23 +589,20 @@ impl FleetAggregator {
         self.store.settle()
     }
 
-    /// The one record-apply loop: the batch cursor, then every record
-    /// under the consumption rules in the module docs.
-    fn apply<'a>(
-        &mut self,
-        node: NodeId,
-        seq: u64,
-        records: impl Iterator<Item = RecordRef<'a>>,
-        chunks: Chunks,
-    ) -> IngestReport {
+    /// The one record-apply loop, over a checked view: the batch
+    /// cursor, then every record under the consumption rules in the
+    /// module docs, counting the records it skips as unknown.
+    fn apply(&mut self, node: NodeId, view: &BatchView<'_>, chunks: Chunks) -> IngestReport {
         let _span = self.ingest_ns.start();
+        self.unknown_records += view.unknown_records();
+        let seq = view.seq();
         let session = &mut self.sessions[node.index()];
         let mut report = IngestReport::default();
         if seq < session.next_seq {
             session.counters.duplicate_batches += 1;
             // Not applied — but its values are the stream's, and the
             // batch after it is coded against them.
-            for r in records {
+            for r in view.records() {
                 if let RecordRef::SamplesDelta(run) = r {
                     run.values(&mut session.values).for_each(drop);
                 }
@@ -619,16 +624,10 @@ impl FleetAggregator {
         // batches).
         let mut open_bucket: Option<(MetricId, u64, u64)> = None;
         let mut walks = self.walks.iter();
-        for r in records {
+        for r in view.records() {
             match r {
                 RecordRef::Meta { id, meta } => {
                     open_bucket = None;
-                    // The wire refuses this id; an owned one is dropped
-                    // before it can size the map.
-                    if id.0 >= MAX_VALUE_IDS {
-                        session.counters.unmapped_records += 1;
-                        continue;
-                    }
                     let widx = id.index();
                     if session.wire_map.len() <= widx {
                         session.wire_map.resize(widx + 1, None);
@@ -705,8 +704,7 @@ impl FleetAggregator {
                     max,
                     last,
                 } => {
-                    let ring = session.wire_map.get(id.index()).copied().flatten();
-                    let Some(fleet_id) = ring.filter(|_| res.0 > 0) else {
+                    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
                         open_bucket = None;
                         session.counters.unmapped_records += 1;
                         continue;
@@ -767,8 +765,7 @@ impl FleetAggregator {
                     start,
                     entry,
                 } => {
-                    let ring = session.wire_map.get(id.index()).copied().flatten();
-                    let Some(fleet_id) = ring.filter(|_| res.0 > 0) else {
+                    let Some(fleet_id) = session.wire_map.get(id.index()).copied().flatten() else {
                         session.counters.unmapped_records += 1;
                         continue;
                     };
@@ -1322,96 +1319,6 @@ mod tests {
             agg.store().buckets(id, SimDuration::from_secs(60)).count(),
             0
         );
-    }
-
-    /// A `meta` record sizes its session's id map to its id: the last id
-    /// below [`MAX_VALUE_IDS`] is mapped off the wire (an 8 MiB map),
-    /// and an owned one at the bound — which the wire refuses — is
-    /// dropped and counted as unmapped without touching the map.
-    #[test]
-    fn a_meta_id_is_mapped_below_the_value_id_bound_only() {
-        use moda_telemetry::wire::{encode_batch, BatchHeader};
-        let mut agg = FleetAggregator::new();
-        let n = agg.add_node("node00");
-        let meta = |seq, id| ExportBatch {
-            seq,
-            records: vec![ExportRecord::Meta {
-                id: MetricId(id),
-                meta: MetricMeta::gauge(format!("m{id}"), "u", SourceDomain::Hardware),
-            }],
-        };
-        let mut bytes = Vec::new();
-        encode_batch(&meta(0, MAX_VALUE_IDS - 1), &mut bytes);
-        let view = BatchView::parse(&bytes, BatchHeader::Fixed).unwrap();
-        assert!(agg.ingest_view(n, &view).unwrap().applied);
-        assert_eq!(
-            agg.sessions[n.index()].wire_map.len(),
-            MAX_VALUE_IDS as usize
-        );
-        assert!(agg.ingest(n, &meta(1, MAX_VALUE_IDS)).applied);
-        assert_eq!(
-            agg.sessions[n.index()].wire_map.len(),
-            MAX_VALUE_IDS as usize
-        );
-        let c = agg.counters(n);
-        assert_eq!((c.records, c.unmapped_records), (1, 1));
-        assert_eq!(agg.store().cardinality(), 1);
-    }
-
-    /// An owned `bucket` or `sketch` record of resolution 0 — which the
-    /// wire refuses, so only an in-process caller can hand one over — is
-    /// dropped and counted as unmapped: no ring is made for it, and the
-    /// fleet takes the batch after it as ever.
-    #[test]
-    fn an_owned_tier_record_of_resolution_0_is_dropped_and_counted() {
-        let mut agg = FleetAggregator::new();
-        let n = agg.add_node("node00");
-        let mut sk = QuantileSketch::new();
-        sk.fold(5.0);
-        let entry = sk.wire_entries().next().unwrap();
-        let zero = SimDuration(0);
-        let batch = ExportBatch {
-            seq: 0,
-            records: vec![
-                ExportRecord::Meta {
-                    id: MetricId(0),
-                    meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
-                },
-                ExportRecord::Bucket {
-                    id: MetricId(0),
-                    res: zero,
-                    start: SimTime::ZERO,
-                    count: 1,
-                    sum: 5.0,
-                    min: 5.0,
-                    max: 5.0,
-                    last: 5.0,
-                },
-                ExportRecord::Sketch {
-                    id: MetricId(0),
-                    res: zero,
-                    start: SimTime::ZERO,
-                    entry,
-                },
-            ],
-        };
-        let report = agg.ingest(n, &batch);
-        assert!(report.applied);
-        let c = agg.counters(n);
-        assert_eq!((c.buckets, c.sketch_entries), (0, 0));
-        assert_eq!((c.unmapped_records, c.orphan_sketches), (2, 0));
-        let id = agg.store().lookup("node00/m").unwrap();
-        assert_eq!(agg.store().buckets(id, zero).count(), 0);
-        let next = ExportBatch {
-            seq: 1,
-            records: vec![ExportRecord::Sample {
-                id: MetricId(0),
-                t: SimTime::from_secs(1),
-                value: 1.0,
-            }],
-        };
-        assert!(agg.ingest(n, &next).applied);
-        assert_eq!(agg.counters(n).samples, 1);
     }
 
     /// A `bucket_run` applies as the `bucket` and `sketch` records it

@@ -35,7 +35,8 @@
 //!   thread a caller hands batches to [`DurableFleet::ingest`] (logged,
 //!   then applied — as [`SelfScraper`] and `pipeline_bench` do) or, with
 //!   no log, to [`FleetAggregator::ingest`] directly. Those are the
-//!   only three ways in.
+//!   only three ways in, and each applies a batch off its wire bytes
+//!   ([`moda_telemetry::wire::BatchView`]).
 //! * [`query`] + [`FleetClient`] — the serving front end: versioned
 //!   request/response query frames over the same socket envelope the
 //!   ingest sessions use, answering window aggregates, merged fleet

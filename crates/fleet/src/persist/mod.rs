@@ -665,7 +665,7 @@ mod tests {
     use moda_telemetry::export::{ExportRecord, MemorySink};
     use moda_telemetry::wire::{
         encode_batch, encode_batch_as, parse_frame, put_block, put_u32, put_u64, put_uv,
-        write_frame, Coding, FrameParse, ValueState,
+        write_frame, Coding, FrameParse, ValueState, MAX_VALUE_IDS,
     };
     use moda_telemetry::{
         Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
@@ -1015,6 +1015,163 @@ mod tests {
         assert_eq!(fingerprint(recovered.aggregator(), 1, now), live);
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `refused`, a batch of node00's stream holding a record the wire
+    /// refuses, handed to every door into a fleet whose node has taken
+    /// `before`: the in-process one (`FleetAggregator::ingest`), the
+    /// durable one (`DurableFleet::ingest`) and, encoded as a 1.2 and a
+    /// 1.6 writer send it, a burst's (`Burst::batch`). Each fleet is the
+    /// one that never saw it — snapshot image and log, byte for byte —
+    /// and the batch after it reads a gap of 1. Hands back the
+    /// in-process fleet.
+    fn refused_at_every_door(
+        tag: &str,
+        before: &[ExportBatch],
+        refused: &ExportBatch,
+    ) -> FleetAggregator {
+        let image = |agg: &FleetAggregator| {
+            let mut out = Vec::new();
+            snapshot::encode(agg, 0, &mut out);
+            out
+        };
+        let next = ExportBatch {
+            seq: refused.seq + 1,
+            records: Vec::new(),
+        };
+        let mut owned = FleetAggregator::new();
+        let node = owned.add_node("node00");
+        for batch in before {
+            assert!(owned.ingest(node, batch).applied);
+        }
+        let was = image(&owned);
+        assert_eq!(owned.ingest(node, refused), IngestReport::default());
+        assert!(
+            image(&owned) == was,
+            "FleetAggregator::ingest moved the fleet"
+        );
+        assert_eq!(owned.ingest(node, &next).gap, 1);
+
+        // `None`: DurableFleet::ingest; a coding: a burst of its bytes.
+        for door in [None, Some(Coding::Whole), Some(Coding::Varints)] {
+            let dir = test_dir(&format!("{tag}_{door:?}"));
+            let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
+            let node = fleet.add_node("node00").unwrap();
+            for batch in before {
+                assert!(fleet.ingest(node, batch).unwrap().applied);
+            }
+            let take = |fleet: &mut DurableFleet, batch: &ExportBatch| match door {
+                None => fleet.ingest(node, batch),
+                Some(coding) => {
+                    let mut state = fleet.aggregator().stream_values(node).clone();
+                    let mut wire = Vec::new();
+                    encode_batch_as(batch, coding, &mut state, &mut wire);
+                    let mut burst = fleet.burst();
+                    let report = burst.batch(node, coding.header(), &wire);
+                    burst.commit().unwrap();
+                    report
+                }
+            };
+            let log = || fs::read(dir.join("wal-0.log")).unwrap();
+            let (was, logged) = (image(fleet.aggregator()), log());
+            let e = take(&mut fleet, refused).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{door:?}");
+            assert!(image(fleet.aggregator()) == was, "{door:?} moved the fleet");
+            assert!(log() == logged, "{door:?} logged the batch");
+            assert_eq!(take(&mut fleet, &next).unwrap().gap, 1, "{door:?}");
+            drop(fleet);
+            let _ = fs::remove_dir_all(&dir);
+        }
+        owned
+    }
+
+    /// A `meta` record sizes its session's id map to its id: the last id
+    /// below [`MAX_VALUE_IDS`] is mapped (an 8 MiB map), and a batch
+    /// holding one at the bound is refused whole at every door — the
+    /// mapped sample ahead of it included.
+    #[test]
+    fn a_meta_id_at_the_value_id_bound_is_refused_at_every_door() {
+        let last = MetricId(MAX_VALUE_IDS - 1);
+        let meta = |id: MetricId| ExportRecord::Meta {
+            id,
+            meta: MetricMeta::gauge(format!("m{}", id.0), "u", SourceDomain::Hardware),
+        };
+        let before = ExportBatch {
+            seq: 0,
+            records: vec![meta(last)],
+        };
+        let refused = ExportBatch {
+            seq: 1,
+            records: vec![
+                ExportRecord::Sample {
+                    id: last,
+                    t: SimTime(5),
+                    value: 1.0,
+                },
+                meta(MetricId(MAX_VALUE_IDS)),
+            ],
+        };
+        let owned = refused_at_every_door("meta_id", &[before], &refused);
+        let node = NodeId(0);
+        assert_eq!(
+            owned.sessions()[node.index()].wire_map.len(),
+            MAX_VALUE_IDS as usize
+        );
+        let c = owned.counters(node);
+        assert_eq!((c.records, c.samples, c.unmapped_records), (1, 0, 0));
+        assert_eq!(owned.store().cardinality(), 1);
+    }
+
+    /// A batch holding a `bucket` or `sketch` record of resolution 0 —
+    /// a slot no ring has — is refused whole at every door: no ring is
+    /// made, and the mapped sample ahead of it is not taken either.
+    #[test]
+    fn a_tier_record_of_resolution_0_is_refused_at_every_door() {
+        let zero = SimDuration(0);
+        let before = ExportBatch {
+            seq: 0,
+            records: vec![ExportRecord::Meta {
+                id: MetricId(0),
+                meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+            }],
+        };
+        let sample = ExportRecord::Sample {
+            id: MetricId(0),
+            t: SimTime(5),
+            value: 5.0,
+        };
+        let bucket = ExportRecord::Bucket {
+            id: MetricId(0),
+            res: zero,
+            start: SimTime::ZERO,
+            count: 1,
+            sum: 5.0,
+            min: 5.0,
+            max: 5.0,
+            last: 5.0,
+        };
+        let sketch = ExportRecord::Sketch {
+            id: MetricId(0),
+            res: zero,
+            start: SimTime::ZERO,
+            entry: moda_telemetry::SketchEntry {
+                sign: 1,
+                key: 3,
+                count: 1,
+            },
+        };
+        for (tag, records) in [
+            ("zero_bucket", vec![sample.clone(), bucket]),
+            ("zero_sketch", vec![sample, sketch]),
+        ] {
+            let refused = ExportBatch { seq: 1, records };
+            let owned = refused_at_every_door(tag, std::slice::from_ref(&before), &refused);
+            let c = owned.counters(NodeId(0));
+            assert_eq!((c.samples, c.buckets, c.sketch_entries), (0, 0, 0));
+            assert_eq!((c.unmapped_records, c.orphan_sketches), (0, 0));
+            let id = owned.store().lookup("node00/m").unwrap();
+            assert_eq!(owned.store().buckets(id, zero).count(), 0);
+        }
     }
 
     #[test]

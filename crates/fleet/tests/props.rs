@@ -1212,7 +1212,11 @@ proptest! {
     /// as 1.6 or 1.5 delta and bucket runs, packed, as v1.1, or with
     /// foreign records spliced in, under the fixed header or 1.6's as
     /// its rendering has it — and now and then a new connection between
-    /// two bursts, which resets the value state at both ends.
+    /// two bursts, which resets the value state at both ends. A plain
+    /// aggregator handed each decoded batch in process
+    /// (`FleetAggregator::ingest`, which applies it off the bytes a
+    /// stateless writer encodes) reports, counts, owes and answers as
+    /// the decoding fleet does, and its stream value states stay empty.
     #[test]
     fn wire_fed_fleet_equals_decode_then_ingest(
         seed in any::<u64>(),
@@ -1246,6 +1250,7 @@ proptest! {
         };
         let (wire_dir, mut wire_fed) = open("wire");
         let (decoded_dir, mut decode_fed) = open("decoded");
+        let mut owned_fed = FleetAggregator::new();
         for (k, stream) in streams.iter().enumerate() {
             let name = format!("node{k:02}");
             // The sender's stream state, and the decoding side's own.
@@ -1256,6 +1261,8 @@ proptest! {
                 // of the stream start their value states over.
                 let node = wire_fed.add_node(&name).unwrap();
                 prop_assert_eq!(decode_fed.add_node(&name).unwrap(), node);
+                let owned = owned_fed.find_node(&name);
+                prop_assert_eq!(owned.unwrap_or_else(|| owned_fed.add_node(&name)), node);
                 sender.reset();
                 reader.reset();
                 // Bursts of one to five batches, as a receive buffer cuts
@@ -1281,6 +1288,7 @@ proptest! {
                         let report = burst.batch(node, header, &bytes).unwrap();
                         let (decoded, _) = decode_batch_as(&bytes, header, &mut reader).unwrap();
                         prop_assert_eq!(report, decode_fed.ingest(node, &decoded).unwrap());
+                        prop_assert_eq!(report, owned_fed.ingest(node, &decoded));
                         prop_assert_eq!(burst.next_seq(node), decode_fed.next_seq(node));
                     }
                     burst.commit().unwrap();
@@ -1293,6 +1301,7 @@ proptest! {
             let node = NodeId(k as u32);
             prop_assert_eq!(wire_fed.aggregator().stream_values(node), &sender);
             prop_assert_eq!(&reader, &sender);
+            prop_assert_eq!(owned_fed.stream_values(node), &ValueState::new());
             if canonical {
                 prop_assert_eq!(decode_fed.aggregator().stream_values(node), &sender);
             } else {
@@ -1319,6 +1328,15 @@ proptest! {
             Ok(())
         };
         compare(&wire_fed, &decode_fed)?;
+        let ledgers = |agg: &FleetAggregator| -> Vec<_> {
+            let health = agg.health(now, SimDuration::from_secs(120));
+            health.nodes.iter().map(|n| (n.counters, n.ledger())).collect()
+        };
+        prop_assert_eq!(ledgers(&owned_fed), ledgers(decode_fed.aggregator()));
+        for k in 0..streams.len() {
+            let node = NodeId(k as u32);
+            prop_assert_eq!(owned_fed.next_seq(node), decode_fed.next_seq(node));
+        }
         if canonical {
             // The received bytes are what the fleet's own 1.6 encoding
             // gives back for the decoded records, so the two logs are
@@ -1343,6 +1361,7 @@ proptest! {
         prop_assert!(first == snapshot_state(&decoded_dir), "snapshots differ");
         let answers = verification_answers(wire_fed.aggregator(), now);
         prop_assert!(answers == verification_answers(decode_fed.aggregator(), now));
+        prop_assert!(answers == verification_answers(&owned_fed, now));
         drop((wire_fed, decode_fed));
 
         let mut recovered: Vec<DurableFleet> = crashed

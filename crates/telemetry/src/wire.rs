@@ -393,17 +393,6 @@ impl MetaRef<'_> {
     }
 }
 
-impl<'a> From<&'a MetricMeta> for MetaRef<'a> {
-    fn from(meta: &'a MetricMeta) -> Self {
-        MetaRef {
-            name: &meta.name,
-            kind: meta.kind,
-            unit: &meta.unit,
-            domain: meta.domain,
-        }
-    }
-}
-
 impl<'a> WireReader<'a> {
     /// A metric registry entry written by [`put_meta`], borrowed.
     pub fn meta_ref(&mut self) -> io::Result<MetaRef<'a>> {
@@ -678,9 +667,9 @@ fn put_chunk(
 /// One record of a batch, read where it lies: the fixed-width fields by
 /// value, everything variable-length — a meta's strings, a chunk's
 /// payload, a `samples` run — lent from the batch's bytes. What
-/// [`BatchView::records`] yields, and the borrowed twin of every
-/// [`ExportRecord`] (`RecordRef::from(&record)`), so a receiver writes
-/// its apply loop once for both.
+/// [`BatchView::records`] yields, and the only form a receiver applies:
+/// an owned [`ExportRecord`] reaches one as bytes too ([`encode_batch`]),
+/// so it meets the refusals [`BatchView::parse`] makes.
 #[derive(Debug, Clone)]
 pub enum RecordRef<'a> {
     /// [`ExportRecord::Meta`].
@@ -691,7 +680,7 @@ pub enum RecordRef<'a> {
         meta: MetaRef<'a>,
     },
     /// [`ExportRecord::Sample`] — one observation that travelled on its
-    /// own (a v1.1 writer's rendering, or an owned record).
+    /// own (a v1.1 writer's rendering, [`encode_record`]'s).
     Sample {
         /// Metric the sample belongs to.
         id: MetricId,
@@ -921,61 +910,6 @@ fn resolution(res: u64) -> io::Result<SimDuration> {
     match res {
         0 => Err(bad_data("tier resolution 0")),
         res => Ok(SimDuration(res)),
-    }
-}
-
-impl<'a> From<&'a ExportRecord> for RecordRef<'a> {
-    fn from(record: &'a ExportRecord) -> Self {
-        match *record {
-            ExportRecord::Meta { id, ref meta } => RecordRef::Meta {
-                id,
-                meta: meta.into(),
-            },
-            ExportRecord::Sample { id, t, value } => RecordRef::Sample { id, t, value },
-            ExportRecord::Bucket {
-                id,
-                res,
-                start,
-                count,
-                sum,
-                min,
-                max,
-                last,
-            } => RecordRef::Bucket {
-                id,
-                res,
-                start,
-                count,
-                sum,
-                min,
-                max,
-                last,
-            },
-            ExportRecord::Sketch {
-                id,
-                res,
-                start,
-                entry,
-            } => RecordRef::Sketch {
-                id,
-                res,
-                start,
-                entry,
-            },
-            ExportRecord::Chunk {
-                id,
-                count,
-                first_t,
-                last_t,
-                ref bytes,
-            } => RecordRef::Chunk {
-                id,
-                count,
-                first_t,
-                last_t,
-                bytes,
-            },
-        }
     }
 }
 

@@ -10,10 +10,11 @@
 //!   (`seq > next`) is accepted and the gap counted;
 //! * **one way in** — every batch is applied off its wire bytes
 //!   ([`BatchView`]): a received one as it arrived, an owned one
-//!   ([`FleetAggregator::ingest`]) as a stateless writer encodes it. A
-//!   batch holding a record the wire refuses — a `meta` id at or past
-//!   `MAX_VALUE_IDS`, a tier record of resolution 0 — is refused whole,
-//!   whichever way it came, and leaves no trace;
+//!   ([`FleetAggregator::ingest`]) as a 1.6 writer opening a connection
+//!   encodes it. A batch holding a record the wire refuses — a `meta`
+//!   id at or past `MAX_VALUE_IDS`, a tier record of resolution 0 — or a
+//!   `meta` name or unit longer than a wire string carries is refused
+//!   whole, whichever way it came, and leaves no trace;
 //! * **registry mapping** — `meta` records bind node-local wire ids to
 //!   fleet metrics (`node/name`); data records arriving before their
 //!   meta are dropped and counted (`unmapped_records`);
@@ -53,9 +54,9 @@
 use crate::store::{ChunkOutcome, FleetStore, NodeId, Payload};
 use moda_obs::{LatencyRecorder, Obs};
 use moda_sim::{SimDuration, SimTime};
-use moda_telemetry::export::ExportBatch;
+use moda_telemetry::export::{ExportBatch, ExportRecord};
 use moda_telemetry::wire::{
-    encode_batch, put_u64, BatchHeader, BatchView, RecordRef, ValueState, WireReader,
+    bad_data, encode_batch_with, put_u64, BatchHeader, BatchView, RecordRef, ValueState, WireReader,
 };
 use moda_telemetry::{DrainStats, MetricId, SketchEntry};
 use std::io;
@@ -328,8 +329,10 @@ pub struct FleetAggregator {
     /// like `column`.
     walks: Vec<Payload>,
     /// The bytes [`FleetAggregator::ingest`] encodes an owned batch
-    /// into: kept, like `column`.
+    /// into, and the value state it codes and reads them against: kept,
+    /// like `column`.
     encoded: Vec<u8>,
+    owned_values: ValueState,
 }
 
 /// How the apply loop learns what a `chunk` record's payload is.
@@ -499,20 +502,31 @@ impl FleetAggregator {
     }
 
     /// Ingest one batch of `node`'s stream handed over in process: its
-    /// bytes as a stateless writer encodes them (`encode_batch`, the
-    /// fixed header), taken by [`FleetAggregator::ingest_view`] — so it
-    /// moves no stream value state, and meets the rules a received batch
-    /// meets. A batch holding a record the wire refuses is refused whole
-    /// and changes nothing: the report reads `applied: false`. Returns
-    /// what happened; all counters accumulate on the session.
+    /// bytes as a 1.6 writer opening a connection sends it
+    /// (`encode_batch_with` against an empty value state), taken by
+    /// [`FleetAggregator::ingest_view`] against an empty state in place
+    /// of the stream's — so it moves no stream value state, and meets
+    /// the rules a received batch meets. A batch holding a record the
+    /// wire refuses, or a `meta` whose name or unit it cannot carry, is
+    /// refused whole and changes nothing: the report reads `applied:
+    /// false`. Returns what happened; all counters accumulate on the
+    /// session.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> IngestReport {
+        if check_strings(batch).is_err() {
+            return IngestReport::default();
+        }
         let mut bytes = std::mem::take(&mut self.encoded);
+        let mut values = std::mem::take(&mut self.owned_values);
         bytes.clear();
-        encode_batch(batch, &mut bytes);
-        let report = BatchView::parse(&bytes, BatchHeader::Fixed)
+        values.reset();
+        encode_batch_with(batch, &mut values, &mut bytes);
+        values.reset();
+        std::mem::swap(&mut self.sessions[node.index()].values, &mut values);
+        let report = BatchView::parse(&bytes, BatchHeader::Varint)
             .and_then(|view| self.ingest_view(node, &view))
             .unwrap_or_default();
-        self.encoded = bytes;
+        std::mem::swap(&mut self.sessions[node.index()].values, &mut values);
+        (self.encoded, self.owned_values) = (bytes, values);
         report
     }
 
@@ -916,6 +930,22 @@ fn push_sample(
     session.high_water = session.high_water.max(t);
     session.ever_ingested = true;
     1
+}
+
+/// Whether the wire carries every name and unit of `batch`'s `meta`
+/// records ([`MetricMeta::check_wire_limit`]), as `InvalidData` if not:
+/// the encoder asserts it does, so a batch handed over in process is
+/// checked before it is encoded.
+///
+/// [`MetricMeta::check_wire_limit`]: moda_telemetry::MetricMeta::check_wire_limit
+pub(crate) fn check_strings(batch: &ExportBatch) -> io::Result<()> {
+    for r in &batch.records {
+        if let ExportRecord::Meta { meta, .. } = r {
+            meta.check_wire_limit()
+                .map_err(|e| bad_data(&e.to_string()))?;
+        }
+    }
+    Ok(())
 }
 
 /// Apply a [`HealthPolicy`] to one session's drain lag.

@@ -84,7 +84,7 @@ mod dir;
 mod snapshot;
 mod wal;
 
-use crate::aggregator::{FleetAggregator, IngestReport};
+use crate::aggregator::{check_strings, FleetAggregator, IngestReport};
 use crate::store::{FleetStore, NodeId};
 use dir::{LogWriter, StateDir};
 use moda_obs::{LatencyRecorder, Obs};
@@ -348,14 +348,16 @@ impl DurableFleet {
     /// it. Those bytes are then taken as a burst of one
     /// ([`Burst::batch`]): validated, logged, applied off the bytes and
     /// committed, so what is applied is what recovery replays.
-    /// A batch the wire would refuse ([`BatchView::parse`]) is refused
-    /// here too, as `InvalidData`, before it is logged — replay stops at
+    /// A batch the wire would refuse ([`BatchView::parse`]), or one
+    /// whose `meta` names or units it cannot carry, is refused here
+    /// too, as `InvalidData`, before it is logged — replay stops at
     /// an entry it cannot read, and would drop every one after it — and
     /// nothing changes.
     /// Cuts a snapshot (written off this call; see the module docs)
     /// every [`DurabilityConfig::snapshot_every_batches`] applied
     /// batches.
     pub fn ingest(&mut self, node: NodeId, batch: &ExportBatch) -> io::Result<IngestReport> {
+        check_strings(batch)?;
         let mut frame = std::mem::take(&mut self.frame_buf);
         frame.clear();
         self.frame_values.clone_from(self.agg.stream_values(node));
@@ -665,7 +667,7 @@ mod tests {
     use moda_telemetry::export::{ExportRecord, MemorySink};
     use moda_telemetry::wire::{
         encode_batch, encode_batch_as, parse_frame, put_block, put_u32, put_u64, put_uv,
-        write_frame, Coding, FrameParse, ValueState, MAX_VALUE_IDS,
+        write_frame, Coding, FrameParse, ValueState, MAX_STR_LEN, MAX_VALUE_IDS,
     };
     use moda_telemetry::{
         Exporter, MetricId, MetricMeta, RollupConfig, RollupTier, SourceDomain, Tsdb, WindowAgg,
@@ -1021,7 +1023,8 @@ mod tests {
     /// refuses, handed to every door into a fleet whose node has taken
     /// `before`: the in-process one (`FleetAggregator::ingest`), the
     /// durable one (`DurableFleet::ingest`) and, encoded as a 1.2 and a
-    /// 1.6 writer send it, a burst's (`Burst::batch`). Each fleet is the
+    /// 1.6 writer send it, a burst's (`Burst::batch`) — unless no writer
+    /// can encode it ([`check_strings`]). Each fleet is the
     /// one that never saw it — snapshot image and log, byte for byte —
     /// and the batch after it reads a gap of 1. Hands back the
     /// in-process fleet.
@@ -1053,7 +1056,11 @@ mod tests {
         assert_eq!(owned.ingest(node, &next).gap, 1);
 
         // `None`: DurableFleet::ingest; a coding: a burst of its bytes.
-        for door in [None, Some(Coding::Whole), Some(Coding::Varints)] {
+        let bursts = match check_strings(refused) {
+            Ok(()) => &[Coding::Whole, Coding::Varints][..],
+            Err(_) => &[],
+        };
+        for door in std::iter::once(None).chain(bursts.iter().copied().map(Some)) {
             let dir = test_dir(&format!("{tag}_{door:?}"));
             let mut fleet = DurableFleet::open(&dir, DurabilityConfig::default()).unwrap();
             let node = fleet.add_node("node00").unwrap();
@@ -1171,6 +1178,40 @@ mod tests {
             assert_eq!((c.unmapped_records, c.orphan_sketches), (0, 0));
             let id = owned.store().lookup("node00/m").unwrap();
             assert_eq!(owned.store().buckets(id, zero).count(), 0);
+        }
+    }
+
+    /// A batch holding a `meta` whose name or unit is longer than a
+    /// wire string carries ([`MAX_STR_LEN`]) — which no writer can
+    /// encode — is refused whole at both in-process doors before it
+    /// reaches the encoder, the mapped sample ahead of it included.
+    #[test]
+    fn a_meta_too_long_for_the_wire_is_refused_at_every_door() {
+        let meta = |id: u32, name: String, unit: String| ExportRecord::Meta {
+            id: MetricId(id),
+            meta: MetricMeta::gauge(name, unit, SourceDomain::Hardware),
+        };
+        let before = ExportBatch {
+            seq: 0,
+            records: vec![meta(0, "m".into(), "u".into())],
+        };
+        let long = "n".repeat(MAX_STR_LEN + 1);
+        for (tag, over) in [
+            ("long_name", meta(1, long.clone(), "u".into())),
+            ("long_unit", meta(1, "m1".into(), long)),
+        ] {
+            let sample = ExportRecord::Sample {
+                id: MetricId(0),
+                t: SimTime(5),
+                value: 5.0,
+            };
+            let refused = ExportBatch {
+                seq: 1,
+                records: vec![sample, over],
+            };
+            let owned = refused_at_every_door(tag, std::slice::from_ref(&before), &refused);
+            assert_eq!(owned.counters(NodeId(0)).samples, 0);
+            assert_eq!(owned.store().cardinality(), 1);
         }
     }
 

@@ -1214,8 +1214,8 @@ proptest! {
     /// its rendering has it — and now and then a new connection between
     /// two bursts, which resets the value state at both ends. A plain
     /// aggregator handed each decoded batch in process
-    /// (`FleetAggregator::ingest`, which applies it off the bytes a
-    /// stateless writer encodes) reports, counts, owes and answers as
+    /// (`FleetAggregator::ingest`, which applies it off the bytes a 1.6
+    /// writer opening a connection encodes) reports, counts, owes and answers as
     /// the decoding fleet does, and its stream value states stay empty.
     #[test]
     fn wire_fed_fleet_equals_decode_then_ingest(

@@ -108,7 +108,11 @@ struct ClusterNode {
 }
 
 /// One world's drain target: ingests each batch straight into its
-/// aggregator session, and refuses every write while partitioned.
+/// aggregator session, and refuses every write while partitioned. A
+/// batch the session refuses (one holding a record the wire refuses;
+/// see [`FleetAggregator::ingest`]) is an `InvalidData` write, so the
+/// exporter rolls back and the drain counts as failed instead of the
+/// batch passing for delivered.
 struct SessionSink<'a> {
     agg: &'a mut FleetAggregator,
     id: NodeId,
@@ -120,7 +124,13 @@ impl Sink for SessionSink<'_> {
         if self.partitioned {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "partitioned"));
         }
-        self.agg.ingest(self.id, batch);
+        let report = self.agg.ingest(self.id, batch);
+        if !report.applied && self.agg.next_seq(self.id) <= batch.seq {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "the fleet refused the batch",
+            ));
+        }
         Ok(())
     }
 }
@@ -133,7 +143,8 @@ pub struct Cluster {
     drain_period: SimDuration,
     drained_until: SimTime,
     faults: Vec<NodeFault>,
-    /// Drains a partition window refused while something was pending.
+    /// Drains a partition window, or the fleet, refused while something
+    /// was pending.
     failed_drains: u64,
 }
 
@@ -215,8 +226,9 @@ impl Cluster {
         self.faults.push(fault);
     }
 
-    /// Drains a partition window refused while the world had something
-    /// pending (an idle drain writes nothing, so it cannot fail).
+    /// Drains a partition window, or the fleet, refused while the world
+    /// had something pending (an idle drain writes nothing, so it cannot
+    /// fail).
     pub fn failed_drains(&self) -> u64 {
         self.failed_drains
     }
@@ -314,7 +326,8 @@ impl Cluster {
             };
             match n.exporter.drain(&n.world.tsdb, &mut sink) {
                 Ok(_) => self.agg.report_drain(n.id, &n.exporter.totals()),
-                // The exporter rolled back; the backlog re-ships after heal.
+                // The exporter rolled back; the backlog re-ships after
+                // heal (a refused batch is re-staged, and refused, again).
                 Err(_) => self.failed_drains += 1,
             }
         }
@@ -662,5 +675,46 @@ mod tests {
         assert_eq!(a_p50, b_p50);
         assert_eq!(a_samples, b_samples);
         assert!(a_samples > 0);
+    }
+
+    /// A batch the fleet refuses is a failed write, so the exporter
+    /// rolls back; a duplicate the session already holds is delivered.
+    #[test]
+    fn a_batch_the_fleet_refuses_is_a_failed_write() {
+        use moda_telemetry::export::ExportRecord;
+        use moda_telemetry::{MetricId, MetricMeta, SourceDomain};
+        let mut agg = FleetAggregator::new();
+        let id = agg.add_node("world00");
+        let mut sink = SessionSink {
+            agg: &mut agg,
+            id,
+            partitioned: false,
+        };
+        let meta = ExportBatch {
+            seq: 0,
+            records: vec![ExportRecord::Meta {
+                id: MetricId(0),
+                meta: MetricMeta::gauge("m", "u", SourceDomain::Hardware),
+            }],
+        };
+        sink.write_batch(&meta).unwrap();
+        sink.write_batch(&meta).unwrap();
+        // Resolution 0: a slot no ring has, which the wire refuses.
+        let refused = ExportBatch {
+            seq: 1,
+            records: vec![ExportRecord::Bucket {
+                id: MetricId(0),
+                res: SimDuration(0),
+                start: SimTime::ZERO,
+                count: 1,
+                sum: 1.0,
+                min: 1.0,
+                max: 1.0,
+                last: 1.0,
+            }],
+        };
+        let e = sink.write_batch(&refused).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(agg.next_seq(id), 1);
     }
 }

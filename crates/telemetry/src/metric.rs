@@ -181,9 +181,10 @@ impl MetricMeta {
     }
 
     /// The typed refusal for a name or unit the export wire cannot
-    /// carry — checked where a metric enters a store, so the codec
-    /// never meets one.
-    pub(crate) fn check_wire_limit(&self) -> Result<(), RegisterError> {
+    /// carry — checked where a metric enters a store, or a batch a
+    /// process hands over enters the codec, so the codec never meets
+    /// one.
+    pub fn check_wire_limit(&self) -> Result<(), RegisterError> {
         for (field, s) in [("name", &self.name), ("unit", &self.unit)] {
             if s.len() > crate::wire::MAX_STR_LEN {
                 return Err(RegisterError::TooLongForWire {
